@@ -1,7 +1,7 @@
 # Tier-1 verification is `make ci` (build + vet + docs + test + bench smoke).
 GO ?= go
 
-.PHONY: build test test-short test-race vet docs bench-smoke soak-smoke soak fuzz-smoke ci
+.PHONY: build test test-short test-race vet docs bench-smoke bench-pair soak-smoke soak fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,20 @@ docs: vet
 bench-smoke: vet
 	$(GO) run ./cmd/aetherbench -quick -json -baseline BENCH_pr10.json
 
+# Paired before/after of the repository's benchmark (BENCHMARK.json,
+# benchmark/README.md "Paired comparisons"): builds ./benchmark at BASE
+# and in the working tree from the same benchmark/ sources, runs them
+# alternated PAIRS times on WORKLOAD (a name, or all) and ends in
+# -compare — the table every perf PR reports. TRACE=1 adds the traced
+# per-layer metrics; SEED picks the first seed (handed over explicitly:
+# the soak target's own SEED default stops make exporting it). Leaves
+# its work under .bench_build/ (ignored).
+bench-pair: BASE ?= HEAD~1
+bench-pair: WORKLOAD ?= all
+bench-pair: PAIRS ?= 10
+bench-pair:
+	SEED="$(SEED)" sh scripts/bench-pair.sh "$(BASE)" "$(WORKLOAD)" "$(PAIRS)"
+
 # Crash-storm smoke: fixed-seed runs of the fault-injection soak
 # harness — 25 power-cut/recover cycles across every fault point
 # (group-commit, journal, pagefile, watermark, manifest, archive),
@@ -87,14 +101,17 @@ soak:
 	$(GO) run ./cmd/aethersoak -cycles 500 -seed $(SEED)
 
 # Short coverage-guided fuzz runs over the hostile-input decoders: the
-# wire protocol's frames and requests, and the cloud tier's object
-# envelope (segment, indexed pack, snapshot) — none may panic,
-# over-allocate, or round-trip asymmetrically. Ten seconds per target
+# wire protocol's frames and requests, the cloud tier's object envelope
+# (segment, indexed pack, snapshot), and the segment header's durable
+# watermark slots — none may panic, over-allocate, or round-trip
+# asymmetrically, and no slot may be admitted over bytes that do not
+# match its data CRC. Ten seconds per target
 # is enough to exercise the mutation corpus on every CI pass; run
 # `go test -fuzz` by hand with a longer -fuzztime to dig.
 fuzz-smoke:
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 10s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzRequestRoundTrip$$' -fuzztime 10s
 	$(GO) test ./internal/logdev -run '^$$' -fuzz '^FuzzCompactedIndex$$' -fuzztime 10s
+	$(GO) test ./internal/logdev -run '^$$' -fuzz '^FuzzSegmentHeader$$' -fuzztime 10s
 
 ci: build vet docs test test-race bench-smoke soak-smoke fuzz-smoke

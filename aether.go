@@ -572,11 +572,17 @@ func (db *DB) Crash() error {
 
 // Stats exposes a few headline counters.
 type Stats struct {
-	Commits     int64
-	Aborts      int64
-	LogInserts  int64
-	LogBytes    int64
-	LogFlushes  int64
+	Commits    int64
+	Aborts     int64
+	LogInserts int64
+	LogBytes   int64
+	LogFlushes int64
+	// LogFsyncs counts the fsyncs the log device(s) actually issued for
+	// those flushes: one per flush in steady state on a segmented log
+	// (the segment file, carrying data and durable watermark together),
+	// plus the earlier segment's and the directory's when a flush crosses
+	// into a new segment. 0 for in-memory devices.
+	LogFsyncs   int64
 	Checkpoints int64
 	// LogTruncations counts checkpoint-driven truncations that advanced
 	// the release horizon.
@@ -748,6 +754,12 @@ func (db *DB) Stats() Stats {
 		s.LogTruncations = ls.Truncations.Load()
 		s.LogTruncatedBytes = ls.TruncatedBytes.Load()
 		s.LogBase = int64(db.eng.Log().Base())
+	}
+	if db.dev != nil {
+		s.LogFsyncs = db.dev.Stats().Fsyncs.Load()
+	}
+	for _, d := range db.devs {
+		s.LogFsyncs += d.Stats().Fsyncs.Load()
 	}
 	if rr, ok := db.archive.(storage.ReadRetrier); ok {
 		s.ReadRetries = rr.ReadRetries()

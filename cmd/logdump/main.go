@@ -189,6 +189,34 @@ func openDevice(path string) (logdev.Device, error) {
 	return logdev.OpenFile(path)
 }
 
+// printSlots explains the directory's durable horizon: both watermark
+// slots of every segment file's header (torn and parked segments
+// included), what each claims, whether its own CRC and the CRC of the
+// bytes it covers check out, and which one the open believed.
+func printSlots(seg *logdev.Segmented) {
+	admitted := false
+	for _, h := range seg.SlotReports() {
+		for i, sl := range h.Slots {
+			if !sl.Written {
+				fmt.Printf("  header  %6d  slot %d: slot-crc BAD or never written\n", h.Index, i)
+				continue
+			}
+			data, mark := "data-crc ok", ""
+			if !sl.DataOK {
+				data = "data-crc BAD (covered bytes missing or different: slot outran its data, or rot)"
+			}
+			if sl.Admitted {
+				admitted, mark = true, "  <- durable horizon"
+			}
+			fmt.Printf("  header  %6d  slot %d: durable=%d covers [%d, %d)  slot-crc ok  %s%s\n",
+				h.Index, i, sl.Durable, sl.From, sl.Durable, data, mark)
+		}
+	}
+	if !admitted {
+		fmt.Printf("  no admissible slot at or above the base: the durable horizon is the truncation base %d\n", seg.Base())
+	}
+}
+
 // archiverFor opens the cold store for a segmented log: the explicit
 // -archive directory, or <logPath>/archive when it exists. Returns nil
 // when there is no archive — the dump then covers only the hot log.
@@ -227,6 +255,7 @@ func run(path, archDir string, txnFilter uint64, statsOnly bool) error {
 			}
 			fmt.Printf("  segment %6d  [%d, %d)%s\n", si.Index, si.Start, si.End, live)
 		}
+		printSlots(seg)
 		if pend := seg.PendingArchive(); len(pend) > 0 {
 			fmt.Printf("  pending archive: %v  (dead, recycled only after cold storage has them)\n", pend)
 		}
@@ -527,6 +556,7 @@ func runMulti(root, archDir string, txnFilter uint64, statsOnly bool) error {
 			}
 			fmt.Printf("  segment %6d  [%d, %d)%s\n", si.Index, si.Start, si.End, live)
 		}
+		printSlots(seg)
 		// Archive lanes are per partition: -archive <dir> maps to
 		// <dir>/pN, and the conventional default is <root>/archive/pN.
 		lane := ""

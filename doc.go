@@ -56,11 +56,16 @@
 //
 // # Durable watermark and torn-tail repair
 //
-// A segmented log directory persists a durable watermark
-// (MANIFEST.durable, two CRC-protected ping-pong slots) on every Sync
-// batch, after the data fsyncs and before durability is acknowledged.
-// On reopen the watermark — not the segment file sizes — is the durable
-// horizon, which lets Open tell two failure shapes apart: bytes beyond
+// A segmented log persists a durable watermark on every Sync batch, in
+// the header of the segment file that holds the batch's last byte (two
+// CRC-protected ping-pong slots per file), with the same fsync that
+// persists the batch: a blocking commit is one fsync. Each slot records
+// the byte range its Sync added and that range's CRC, and a reopen
+// believes a slot only if those bytes are in the file and match, so a
+// slot that reached the disk ahead of its data falls back to the
+// previous Sync's. On reopen the watermark — not the segment file
+// sizes — is the durable horizon, which lets Open tell two failure
+// shapes apart: bytes beyond
 // the watermark are a torn tail (a power loss persisted unsynced bytes,
 // possibly in a later segment while dropping an earlier one's) and are
 // discarded, with the count reported in Stats.LogTornTailRepaired;

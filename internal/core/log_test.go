@@ -286,6 +286,106 @@ func TestFlushTrigger(t *testing.T) {
 	}
 }
 
+// TestParkedWaiterWakesDaemon pins the two halves of the wake-up policy
+// with every group-commit trigger disabled, so only a subscription can
+// start a flush: a detached OnDurable subscriber must NOT (waking per
+// pipelined commit multiplies flushes — its batching belongs to the
+// X/L/T triggers), while a WaitDurable, whose thread is parked, must,
+// without any timer.
+func TestParkedWaiterWakesDaemon(t *testing.T) {
+	dev := logdev.NewMem(logdev.ProfileMemory)
+	lm, err := New(Config{
+		Buffer:        logbuf.Config{Variant: logbuf.VariantBaseline, Size: 1 << 18},
+		Device:        dev,
+		FlushInterval: time.Hour,
+		FlushTxns:     1 << 30,
+		FlushBytes:    1 << 30,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lm.Close()
+	ap := lm.NewAppender()
+
+	_, end1, err := ap.Append(logrec.NewCommit(1, lsn.Undefined))
+	if err != nil {
+		t.Fatal(err)
+	}
+	detached := make(chan error, 1)
+	lm.OnDurable(end1, func(err error) { detached <- err })
+	select {
+	case <-detached:
+		t.Fatal("an OnDurable subscription alone started a flush")
+	case <-time.After(20 * time.Millisecond):
+	}
+	if got := lm.Stats().Flushes.Load(); got != 0 {
+		t.Fatalf("%d flushes with every trigger disabled and nobody parked", got)
+	}
+
+	_, end2, err := ap.Append(logrec.NewCommit(2, lsn.Undefined))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked := make(chan error, 1)
+	go func() { parked <- lm.WaitDurable(end2) }()
+	select {
+	case err := <-parked:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("WaitDurable hung: a parked thread did not wake the flush daemon")
+	}
+	// The flush the parked thread started carried the detached commit.
+	select {
+	case err := <-detached:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("detached subscriber not completed by the parked thread's flush")
+	}
+	if got := lm.Stats().Flushes.Load(); got != 1 {
+		t.Fatalf("%d flushes for one parked commit, want 1", got)
+	}
+}
+
+// Flush pacing: back-to-back blocking commits are one flush each, and
+// the flushes start no closer together than minFlushPeriod — the
+// commit rate is the period's, not the (here instantaneous) device's.
+func TestFlushPacing(t *testing.T) {
+	lm, err := New(Config{
+		Buffer:        logbuf.Config{Variant: logbuf.VariantBaseline, Size: 1 << 18},
+		Device:        logdev.NewMem(logdev.ProfileMemory),
+		FlushInterval: time.Hour,
+		FlushTxns:     1 << 30,
+		FlushBytes:    1 << 30,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lm.Close()
+	ap := lm.NewAppender()
+
+	const commits = 20
+	start := time.Now()
+	for i := 0; i < commits; i++ {
+		_, end, err := ap.Append(logrec.NewCommit(uint64(i+1), lsn.Undefined))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lm.WaitDurable(end); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, floor := time.Since(start), (commits-1)*minFlushPeriod; got < floor {
+		t.Fatalf("%d back-to-back commits took %v, pacing allows no less than %v", commits, got, floor)
+	}
+	if got := lm.Stats().Flushes.Load(); got != commits {
+		t.Fatalf("%d flushes for %d lone commits", got, commits)
+	}
+}
+
 func TestFlushBytesTrigger(t *testing.T) {
 	dev := logdev.NewMem(logdev.ProfileMemory)
 	lm, err := New(Config{

@@ -313,6 +313,11 @@ func (ml *MultiLog) limit(p *logPartition, start, end lsn.LSN) lsn.LSN {
 				limited = start
 			}
 			p.depStalls.Add(1)
+			// Nothing past the clamp can harden until the target lane
+			// flushes, and the committer parked here woke only this
+			// lane: start the target's flush now instead of waiting out
+			// its timer (its durable notify pokes us back).
+			target.Poke()
 		}
 		break
 	}

@@ -95,6 +95,49 @@ func TestMultiLogDeadPartitionPoisonsDependents(t *testing.T) {
 	}
 }
 
+// TestMultiLogClampedCommitPokesTargetLane: with every timer and
+// threshold disarmed, a blocking commit whose home lane is clamped by a
+// cross-lane edge must still return — the parked thread wakes its own
+// lane, whose clamp pokes the edge's target lane, whose durable notify
+// pokes the home lane back.
+func TestMultiLogClampedCommitPokesTargetLane(t *testing.T) {
+	ml := newTestMulti(t, []logdev.Device{
+		logdev.NewMem(logdev.ProfileMemory),
+		logdev.NewMem(logdev.ProfileMemory),
+	})
+	// Page 7 is updated on lane 0 and left buffered there; the
+	// conflicting update on lane 1 registers an enforced edge.
+	if _, _, _, err := ml.Append(0, mlUpdate(7)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := ml.Append(1, mlUpdate(7)); err != nil {
+		t.Fatal(err)
+	}
+	_, end, _, err := ml.Append(1, logrec.NewCommit(1, lsn.Undefined))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ml.EdgesEnforced(); got != 1 {
+		t.Fatalf("enforced edges = %d, want 1", got)
+	}
+	done := make(chan error, 1)
+	go func() { done <- ml.Part(1).WaitDurable(end) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("clamped blocking commit hung: nothing flushed the edge's target lane")
+	}
+	if ml.DepStalls(1) == 0 {
+		t.Fatal("lane 1 was never clamped: the test did not exercise the edge")
+	}
+	if got := ml.Part(0).Durable(); got != ml.Part(0).AppendEnd() {
+		t.Fatalf("target lane durable %v, want its append end %v", got, ml.Part(0).AppendEnd())
+	}
+}
+
 // waitFor polls cond until it is true or the deadline passes.
 func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 	t.Helper()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -15,10 +16,16 @@ func segFile(dir string, idx int64) string {
 	return filepath.Join(dir, fmt.Sprintf("%016d.seg", idx))
 }
 
+// rawSegment is the file image of a segment that holds data and whose
+// header was never written (no Sync covered it).
+func rawSegment(data []byte) []byte {
+	return append(make([]byte, SegmentHeaderSize), data...)
+}
+
 // TestTornTailRepairedFromWatermark is the headline crash test: a power
 // loss whose writeback persisted unsynced bytes in segment N+1 but not
 // in segment N used to read as a mid-log gap ("corruption") and fail
-// Open. With the durable watermark in the segment directory, Open
+// Open. With the durable watermark in the segment headers, Open
 // clamps the log back to the watermark — discarding only bytes no
 // completed Sync ever covered — and the synced prefix reads back intact.
 func TestTornTailRepairedFromWatermark(t *testing.T) {
@@ -37,7 +44,7 @@ func TestTornTailRepairedFromWatermark(t *testing.T) {
 	// a later segment's unsynced bytes (a brand-new segment 3 appears,
 	// fully written) but dropped the earlier segment 2's tail (it stays
 	// at its synced 22 bytes). File sizes now lie about durability.
-	if err := os.WriteFile(segFile(dir, 3), fill(64, 'J'), 0o644); err != nil {
+	if err := os.WriteFile(segFile(dir, 3), rawSegment(fill(64, 'J')), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -127,103 +134,108 @@ func TestWatermarkRejectsMidLogCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	t.Run("truncated segment", func(t *testing.T) {
-		if err := os.Truncate(segFile(dir, 1), 10); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := OpenSegmentedDir(dir, 0); err == nil {
-			t.Fatal("Open accepted a log missing bytes below the durable watermark")
-		}
-		if err := os.WriteFile(segFile(dir, 1), fill(64, 'c')[:64], 0o644); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Run("missing segment", func(t *testing.T) {
-		saved, err := os.ReadFile(segFile(dir, 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Remove(segFile(dir, 1)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := OpenSegmentedDir(dir, 0); err == nil {
-			t.Fatal("Open accepted a log with a whole segment missing below the watermark")
+	saved, err := os.ReadFile(segFile(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := func(t *testing.T) {
+		t.Helper()
+		_, err := OpenSegmentedDir(dir, 0)
+		if err == nil || !strings.Contains(err.Error(), "mid-log corruption, refusing to repair") {
+			t.Fatalf("Open = %v, want the mid-log corruption refusal", err)
 		}
 		if err := os.WriteFile(segFile(dir, 1), saved, 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+	t.Run("truncated segment", func(t *testing.T) {
+		if err := os.Truncate(segFile(dir, 1), SegmentHeaderSize+10); err != nil {
+			t.Fatal(err)
+		}
+		refused(t)
+	})
+	t.Run("missing segment", func(t *testing.T) {
+		if err := os.Remove(segFile(dir, 1)); err != nil {
+			t.Fatal(err)
+		}
+		refused(t)
 	})
 }
 
-// A directory written before watermarks existed still opens: the file
-// sizes are adopted as the durable horizon exactly as before, and the
-// watermark file is seeded so the next open has the real thing.
-func TestLegacyDirWithoutWatermark(t *testing.T) {
+// A directory in the previous layout (MANIFEST without a format line,
+// headerless segments, a MANIFEST.durable watermark file) is refused
+// with ErrFormat by both kinds of open and left untouched: reading its
+// segments as if they began with a header would misplace every byte.
+func TestOldFormatDirectoryRefused(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenSegmentedDir(dir, 64)
-	if err != nil {
-		t.Fatal(err)
+	files := map[string][]byte{
+		manifestName:           []byte("segsize 64\nbase 0\n"),
+		"MANIFEST.durable":     make([]byte, 32),
+		"0000000000000000.seg": fill(40, 'o'),
 	}
-	want := fill(100, 'l')
-	appendSync(t, s, want)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := os.Remove(filepath.Join(dir, watermarkName)); err != nil {
-		t.Fatal(err)
+	if _, err := OpenSegmentedDir(dir, 64); !errors.Is(err, ErrFormat) {
+		t.Fatalf("OpenSegmentedDir on a format-1 directory: %v, want ErrFormat", err)
 	}
-
-	s2, err := OpenSegmentedDir(dir, 0)
-	if err != nil {
-		t.Fatalf("legacy dir rejected: %v", err)
+	if _, err := OpenSegmentedDirRO(dir); !errors.Is(err, ErrFormat) {
+		t.Fatalf("OpenSegmentedDirRO on a format-1 directory: %v, want ErrFormat", err)
 	}
-	if got := s2.DurableSize(); got != 100 {
-		t.Fatalf("DurableSize = %d on legacy open, want 100", got)
-	}
-	s2.Close()
-	if _, err := os.Stat(filepath.Join(dir, watermarkName)); err != nil {
-		t.Fatalf("watermark not seeded on legacy open: %v", err)
+	for name, want := range files {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("refused open touched %s (err %v)", name, err)
+		}
 	}
 }
 
-// A torn update of the watermark file itself (one slot scribbled) falls
-// back to the other slot — always a safe, merely conservative horizon:
-// a torn slot write means the Sync recording it was never acknowledged,
-// so clamping to the surviving (older) slot discards only
-// unacknowledged bytes.
-func TestWatermarkSurvivesTornSlot(t *testing.T) {
+// Bit rot in one header slot falls back to the other — always a safe,
+// merely conservative horizon, exactly as for a torn slot write (see
+// TestSyncCrashTable for the crash shapes).
+func TestWatermarkSurvivesScribbledSlot(t *testing.T) {
 	// Each scenario gets a fresh directory: the repair that follows a
-	// torn slot legitimately rewrites the segment files.
-	for slot := int64(0); slot < wmSlots; slot++ {
+	// lost slot legitimately rewrites the segment file.
+	for slot, want := range []int64{128, 64} {
 		dir := t.TempDir()
-		s, err := OpenSegmentedDir(dir, 64)
+		s, err := OpenSegmentedDir(dir, 256)
 		if err != nil {
 			t.Fatal(err)
 		}
-		appendSync(t, s, fill(64, 'a')) // watermark 64 in one slot
-		appendSync(t, s, fill(64, 'b')) // watermark 128 in the other
+		appendSync(t, s, fill(64, 'a')) // watermark 64 in slot 0
+		appendSync(t, s, fill(64, 'b')) // watermark 128 in slot 1
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		data, err := os.ReadFile(filepath.Join(dir, watermarkName))
+		f, err := os.OpenFile(segFile(dir, 0), os.O_WRONLY, 0o644)
 		if err != nil {
 			t.Fatal(err)
 		}
-		torn := append([]byte(nil), data...)
-		copy(torn[slot*wmSlotSize:(slot+1)*wmSlotSize], fill(wmSlotSize, 'T'))
-		if err := os.WriteFile(filepath.Join(dir, watermarkName), torn, 0o644); err != nil {
+		if _, err := f.WriteAt(fill(wmSlotSize, 'T'), int64(slot)*wmSlotStride); err != nil {
 			t.Fatal(err)
 		}
+		f.Close()
 		s2, err := OpenSegmentedDir(dir, 0)
 		if err != nil {
-			t.Fatalf("torn slot %d rejected the directory: %v", slot, err)
+			t.Fatalf("scribbled slot %d rejected the directory: %v", slot, err)
 		}
-		// Whichever slot survived, the open must repair to one of the
-		// two persisted watermarks, never fail.
-		if got := s2.DurableSize(); got != 64 && got != 128 {
-			t.Fatalf("DurableSize = %d with torn slot %d, want 64 or 128", got, slot)
+		if got := s2.DurableSize(); got != want {
+			t.Fatalf("DurableSize = %d with slot %d scribbled, want %d", got, slot, want)
 		}
+		// The survivor must keep working: the next Sync must not land on
+		// the slot that holds the recovered watermark.
+		appendSync(t, s2, fill(10, 'c'))
 		s2.Close()
+		s3, err := OpenSegmentedDir(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s3.DurableSize(); got != want+10 {
+			t.Fatalf("DurableSize = %d after a post-recovery Sync, want %d", got, want+10)
+		}
+		s3.Close()
 	}
 }
 
@@ -416,8 +428,8 @@ func TestRestoreLogFallsBackToRecordAlignedBase(t *testing.T) {
 }
 
 // A read-only open (logdump's path) must leave a crashed directory
-// byte-identical: no repair, no watermark seeding, no unlinking — while
-// still presenting the repaired view in memory.
+// byte-identical: no repair, no unlinking — while still presenting the
+// repaired view in memory.
 func TestOpenSegmentedDirRODoesNotMutate(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenSegmentedDir(dir, 64)
@@ -430,7 +442,7 @@ func TestOpenSegmentedDirRODoesNotMutate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The torn-tail crash shape: junk segment 3 persisted.
-	if err := os.WriteFile(segFile(dir, 3), fill(64, 'J'), 0o644); err != nil {
+	if err := os.WriteFile(segFile(dir, 3), rawSegment(fill(64, 'J')), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	snapshot := func() map[string]int64 {
@@ -488,30 +500,17 @@ func TestOpenSegmentedDirRODoesNotMutate(t *testing.T) {
 			t.Fatalf("RO open resized %s: %d → %d", name, size, after[name])
 		}
 	}
-	// Legacy dir (clean, no watermark): RO adopts the file sizes in
-	// memory and must not seed a watermark file.
-	legacy := t.TempDir()
-	s2, err := OpenSegmentedDir(legacy, 64)
-	if err != nil {
-		t.Fatal(err)
+	// The read-only open reports how it judged the headers: segment 2
+	// holds the admitted watermark, the junk segment no slot at all.
+	reports := ro.SlotReports()
+	if len(reports) != 4 {
+		t.Fatalf("SlotReports covers %d segments, want 4", len(reports))
 	}
-	appendSync(t, s2, fill(100, 'l'))
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
+	if sl := reports[2].Slots[0]; !sl.Written || !sl.DataOK || !sl.Admitted || sl.Durable != 150 || sl.From != 128 {
+		t.Fatalf("segment 2 slot 0 = %+v, want the admitted watermark 150 covering [128, 150)", sl)
 	}
-	if err := os.Remove(filepath.Join(legacy, watermarkName)); err != nil {
-		t.Fatal(err)
-	}
-	ro2, err := OpenSegmentedDirRO(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ro2.DurableSize(); got != 100 {
-		t.Fatalf("legacy RO DurableSize = %d, want 100", got)
-	}
-	ro2.Close()
-	if _, err := os.Stat(filepath.Join(legacy, watermarkName)); !os.IsNotExist(err) {
-		t.Fatal("RO open seeded a watermark file")
+	if sl := reports[3].Slots; sl[0].Written || sl[1].Written {
+		t.Fatalf("junk segment reports written slots: %+v", sl)
 	}
 }
 

@@ -49,6 +49,12 @@ type Stats struct {
 	Appends metrics.Counter
 	// Syncs counts completed Sync calls (durability barriers).
 	Syncs metrics.Counter
+	// Fsyncs counts the fsyncs a real device actually issued to honor
+	// them: for Segmented, every segment-file and segment-directory
+	// fsync (one per Sync in steady state; more when a batch spans or
+	// creates segments, or Open repairs a torn tail); for File, one per
+	// Sync. Simulated devices issue none.
+	Fsyncs metrics.Counter
 	// BytesWritten counts bytes accepted by Append.
 	BytesWritten metrics.Counter
 	// SyncTime records the wall-clock latency of each Sync.
@@ -316,6 +322,7 @@ func (d *File) Sync() error {
 		return ErrClosed
 	}
 	start := time.Now()
+	d.stats.Fsyncs.Inc()
 	if err := d.f.Sync(); err != nil {
 		return err
 	}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"aether/internal/fsutil"
+	"aether/internal/metrics"
 	"aether/internal/vfs"
 )
 
@@ -85,6 +86,11 @@ type segment interface {
 	readAt(p []byte, off int64) error
 	// sync makes the segment's written bytes durable.
 	sync() error
+	// harden is sync plus the durable watermark: it makes the segment's
+	// bytes durable together with a record that the log is durable
+	// through logical offset durable, the last batch having added
+	// [from, durable) to this segment — one fsync for both.
+	harden(from, durable int64) error
 	// trim discards bytes at and beyond n (crash simulation).
 	trim(n int64) error
 	close() error
@@ -100,16 +106,10 @@ type segBackend interface {
 	// before any removal, so a crash can never leave the recorded base
 	// below a recycled segment.
 	setBase(base int64) error
-	// setDurable durably records the watermark: how many logical bytes
-	// completed Syncs cover. Called by Sync after the data fsyncs and
-	// before durability is acknowledged, so the recorded watermark can
-	// never exceed what is actually on stable storage.
-	setDurable(d int64) error
 	// syncMeta makes segment creations durable (directory fsync);
 	// called by Sync before durability is acknowledged whenever new
 	// segments were opened since the last sync.
 	syncMeta() error
-	close() error
 }
 
 // Segmented is an append-only log device that spreads the logical byte
@@ -127,6 +127,10 @@ type Segmented struct {
 	segSize int64
 	backend segBackend
 
+	// syncMu serializes Sync calls: each writes the header slot the
+	// previous one did not, through the backend's shared scratch space.
+	syncMu sync.Mutex
+
 	mu      sync.Mutex
 	segs    map[int64]segment
 	pending map[int64]segment // dead segments awaiting archive-then-recycle
@@ -140,6 +144,10 @@ type Segmented struct {
 	archiver Archiver   // nil: dead segments are recycled immediately
 	archMu   sync.Mutex // serializes ArchivePending passes
 	readOnly bool       // diagnostic open: no writes, no repair on disk
+
+	// openSlots is every segment header as a read-only open judged it
+	// (SlotReports); nil for writable opens, whose headers move on.
+	openSlots []SegmentSlots
 
 	truncatedSegments int64
 	truncatedBytes    int64
@@ -165,9 +173,7 @@ func (b *memSegBackend) open(int64) (segment, error) {
 }
 func (b *memSegBackend) remove(int64, segment) error { return nil }
 func (b *memSegBackend) setBase(int64) error         { return nil }
-func (b *memSegBackend) setDurable(int64) error      { return nil }
 func (b *memSegBackend) syncMeta() error             { return nil }
-func (b *memSegBackend) close() error                { return nil }
 
 func (s *memSegment) writeAt(p []byte, off int64) error {
 	copy(s.buf[off:], p)
@@ -177,7 +183,8 @@ func (s *memSegment) readAt(p []byte, off int64) error {
 	copy(p, s.buf[off:])
 	return nil
 }
-func (s *memSegment) sync() error { return nil }
+func (s *memSegment) sync() error               { return nil }
+func (s *memSegment) harden(int64, int64) error { return nil }
 func (s *memSegment) trim(n int64) error {
 	tail := s.buf[n:]
 	for i := range tail {
@@ -203,18 +210,34 @@ func NewSegmentedMem(p Profile, segSize int64) *Segmented {
 	}
 }
 
-// dirSegBackend stores each segment as dir/<index>.seg plus a MANIFEST
-// (segment size + truncation horizon) and a MANIFEST.durable watermark
-// file (how many logical bytes completed Syncs cover).
+// dirSegBackend stores each segment as dir/<index>.seg — a header
+// carrying the durable watermark (segheader.go), then the segment's log
+// bytes — plus a MANIFEST (format version, segment size, truncation
+// horizon).
 type dirSegBackend struct {
 	fs      vfs.FS
 	dir     string
 	segSize int64
-	wm      *watermarkFile
 	ro      bool // diagnostic open: never write or unlink anything
+	// fsyncs counts every segment-file and directory fsync issued
+	// (Stats.Fsyncs).
+	fsyncs *metrics.Counter
+	// crcBuf and slotBuf are harden's scratch space; Sync calls are
+	// serialized, so one of each serves every segment.
+	crcBuf  []byte
+	slotBuf [wmSlotSize]byte
 }
 
-type fileSegment struct{ f vfs.File }
+// fileSegment is one segment file. Data offset 0 is file offset
+// SegmentHeaderSize: the header never shows through this type.
+type fileSegment struct {
+	f     vfs.File
+	b     *dirSegBackend
+	start int64 // logical offset of the segment's first log byte
+	// next is the header slot the next harden overwrites — never the
+	// one holding the newest acknowledged watermark.
+	next int
+}
 
 func (b *dirSegBackend) segPath(idx int64) string {
 	return filepath.Join(b.dir, fmt.Sprintf("%016d.seg", idx))
@@ -229,7 +252,7 @@ func (b *dirSegBackend) open(idx int64) (segment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("logdev: open segment: %w", err)
 	}
-	return &fileSegment{f: f}, nil
+	return &fileSegment{f: f, b: b, start: idx * b.segSize}, nil
 }
 
 func (b *dirSegBackend) remove(idx int64, seg segment) error {
@@ -239,29 +262,33 @@ func (b *dirSegBackend) remove(idx int64, seg segment) error {
 	return b.fs.Remove(b.segPath(idx))
 }
 
-// manifestName holds the segment size and truncation horizon; it is what
-// lets a reopen (and logdump) reconstruct the logical layout after dead
-// segments were recycled.
+// manifestName holds the directory's format version, the segment size
+// and the truncation horizon; it is what lets a reopen (and logdump)
+// reconstruct the logical layout after dead segments were recycled.
 const manifestName = "MANIFEST"
+
+// manifestFormat is the directory layout this code reads and writes:
+// 2 = segment files start with a watermark header. Format 1 (no
+// "format" line; headerless segments beside a MANIFEST.durable
+// watermark file) is refused with ErrFormat rather than guessed at.
+const manifestFormat = 2
+
+// ErrFormat is returned by the OpenSegmentedDir family for a directory
+// written in a layout this version does not read.
+var ErrFormat = errors.New("logdev: unsupported segment directory format")
 
 func (b *dirSegBackend) setBase(base int64) error {
 	return writeManifest(b.fs, b.dir, b.segSize, base)
 }
 
-func (b *dirSegBackend) setDurable(d int64) error { return b.wm.set(d) }
-
-func (b *dirSegBackend) syncMeta() error { return fsutil.SyncDirFS(b.fs, b.dir) }
-
-func (b *dirSegBackend) close() error {
-	if b.wm != nil {
-		return b.wm.close()
-	}
-	return nil
+func (b *dirSegBackend) syncMeta() error {
+	b.fsyncs.Inc()
+	return fsutil.SyncDirFS(b.fs, b.dir)
 }
 
 func writeManifest(fs vfs.FS, dir string, segSize, base int64) error {
 	tmp := filepath.Join(dir, manifestName+".tmp")
-	body := fmt.Sprintf("segsize %d\nbase %d\n", segSize, base)
+	body := fmt.Sprintf("format %d\nsegsize %d\nbase %d\n", manifestFormat, segSize, base)
 	// The temp file's bytes must be durable before the rename: a rename
 	// whose dentry hardens ahead of the data would leave an empty
 	// MANIFEST after a crash, making the directory unopenable.
@@ -287,6 +314,7 @@ func readManifest(fs vfs.FS, dir string) (segSize, base int64, ok bool, err erro
 	if err != nil {
 		return 0, 0, false, fmt.Errorf("logdev: read manifest: %w", err)
 	}
+	var format int64 = 1 // a manifest without the line predates it
 	for _, line := range strings.Split(string(data), "\n") {
 		fields := strings.Fields(line)
 		if len(fields) != 2 {
@@ -297,11 +325,16 @@ func readManifest(fs vfs.FS, dir string) (segSize, base int64, ok bool, err erro
 			return 0, 0, false, fmt.Errorf("logdev: bad manifest line %q", line)
 		}
 		switch fields[0] {
+		case "format":
+			format = v
 		case "segsize":
 			segSize = v
 		case "base":
 			base = v
 		}
+	}
+	if format != manifestFormat {
+		return 0, 0, false, fmt.Errorf("%w: %s is format %d, this version reads format %d", ErrFormat, dir, format, manifestFormat)
 	}
 	if segSize <= 0 {
 		return 0, 0, false, fmt.Errorf("logdev: manifest in %s lacks a segment size", dir)
@@ -310,7 +343,7 @@ func readManifest(fs vfs.FS, dir string) (segSize, base int64, ok bool, err erro
 }
 
 func (s *fileSegment) writeAt(p []byte, off int64) error {
-	n, err := s.f.WriteAt(p, off)
+	n, err := s.f.WriteAt(p, SegmentHeaderSize+off)
 	if err == nil && n < len(p) {
 		err = io.ErrShortWrite
 	}
@@ -318,7 +351,7 @@ func (s *fileSegment) writeAt(p []byte, off int64) error {
 }
 
 func (s *fileSegment) readAt(p []byte, off int64) error {
-	n, err := s.f.ReadAt(p, off)
+	n, err := s.f.ReadAt(p, SegmentHeaderSize+off)
 	if err == io.EOF {
 		// Bytes past the file's end were never written: read as zeros,
 		// which the record iterator treats as pre-allocated space.
@@ -330,8 +363,37 @@ func (s *fileSegment) readAt(p []byte, off int64) error {
 	return err
 }
 
-func (s *fileSegment) sync() error        { return s.f.Sync() }
-func (s *fileSegment) trim(n int64) error { return s.f.Truncate(n) }
+func (s *fileSegment) sync() error {
+	s.b.fsyncs.Inc()
+	return s.f.Sync()
+}
+
+// harden writes the watermark slot for [from, durable) and fsyncs the
+// file once. The CRC is taken from the file itself (the page cache, at
+// this point), so it describes exactly the bytes the fsync is about to
+// persist and needs no state kept in step with Append across failed
+// Syncs.
+func (s *fileSegment) harden(from, durable int64) error {
+	crc, err := crcRange(s.f, SegmentHeaderSize+from-s.start, durable-from, s.b.crcBuf)
+	if err != nil {
+		return fmt.Errorf("logdev: read back batch for watermark: %w", err)
+	}
+	slot := s.b.slotBuf[:]
+	wmSlot{Durable: durable, From: from, DataCRC: crc}.encode(slot)
+	if _, err := s.f.WriteAt(slot, int64(s.next)*wmSlotStride); err != nil {
+		return fmt.Errorf("logdev: write watermark: %w", err)
+	}
+	if err := s.sync(); err != nil {
+		// The slot may or may not have reached the disk; the other one
+		// still holds the last acknowledged watermark, so a retry must
+		// land on this position again.
+		return err
+	}
+	s.next = 1 - s.next
+	return nil
+}
+
+func (s *fileSegment) trim(n int64) error { return s.f.Truncate(SegmentHeaderSize + n) }
 func (s *fileSegment) close() error       { return s.f.Close() }
 
 // OpenSegmentedDir opens (creating if needed) a directory-backed
@@ -353,11 +415,11 @@ func OpenSegmentedDirFS(fs vfs.FS, dir string, segSize int64) (*Segmented, error
 var ErrReadOnly = errors.New("logdev: device opened read-only")
 
 // OpenSegmentedDirRO opens an existing segmented log directory strictly
-// for inspection (logdump): segment files open read-only, a missing
-// watermark is adopted in memory without being seeded, and a torn tail
-// is clamped in memory without trimming or unlinking anything on disk —
-// the crash evidence stays exactly as the crash left it. Append, Sync
-// and Truncate return ErrReadOnly.
+// for inspection (logdump): segment files open read-only and a torn
+// tail is clamped in memory without trimming or unlinking anything on
+// disk — the crash evidence stays exactly as the crash left it, and
+// SlotReports says how each header slot was judged. Append, Sync and
+// Truncate return ErrReadOnly.
 func OpenSegmentedDirRO(dir string) (*Segmented, error) {
 	return openSegmentedDir(vfs.OS{}, dir, 0, true)
 }
@@ -402,7 +464,7 @@ func openSegmentedDir(fs vfs.FS, dir string, segSize int64, ro bool) (*Segmented
 	if err != nil {
 		return nil, fmt.Errorf("logdev: read %s: %w", dir, err)
 	}
-	backend := &dirSegBackend{fs: fs, dir: dir, segSize: segSize, ro: ro}
+	backend := &dirSegBackend{fs: fs, dir: dir, segSize: segSize, ro: ro, crcBuf: make([]byte, 64<<10)}
 	s := &Segmented{
 		segSize:  segSize,
 		backend:  backend,
@@ -412,12 +474,12 @@ func openSegmentedDir(fs vfs.FS, dir string, segSize int64, ro bool) (*Segmented
 		lowRead:  math.MaxInt64,
 		readOnly: ro,
 	}
+	backend.fsyncs = &s.stats.Fsyncs
 	if ro {
 		s.failErr = ErrReadOnly
 	}
 	fail := func(err error) (*Segmented, error) {
 		s.closeSegmentsLocked()
-		backend.close()
 		return nil, err
 	}
 	minIdx, maxIdx := int64(math.MaxInt64), int64(-1)
@@ -436,22 +498,23 @@ func openSegmentedDir(fs vfs.FS, dir string, segSize int64, ro bool) (*Segmented
 		if ierr != nil {
 			return fail(ierr)
 		}
-		if info.Size() > segSize {
-			return fail(fmt.Errorf("logdev: segment %s is %d bytes, larger than segment size %d", name, info.Size(), segSize))
+		// A segment's log bytes are what follows its header; a file a
+		// crash left shorter than the header holds none.
+		dataLen := max(info.Size()-SegmentHeaderSize, 0)
+		if dataLen > segSize {
+			return fail(fmt.Errorf("logdev: segment %s holds %d log bytes, more than the segment size %d", name, dataLen, segSize))
 		}
 		seg, oerr := s.backend.open(idx)
 		if oerr != nil {
 			return fail(oerr)
 		}
 		s.segs[idx] = seg
-		sizes[idx] = info.Size()
+		sizes[idx] = dataLen
 		if idx < minIdx {
 			minIdx = idx
 		}
 		if idx > maxIdx {
-			maxIdx, lastLen = idx, info.Size()
-		} else if idx == maxIdx {
-			lastLen = info.Size()
+			maxIdx, lastLen = idx, dataLen
 		}
 	}
 	if maxIdx >= 0 {
@@ -466,44 +529,43 @@ func openSegmentedDir(fs vfs.FS, dir string, segSize int64, ro bool) (*Segmented
 	// The durable watermark decides where acknowledged durability ends.
 	// On-disk file sizes are NOT that boundary: a power loss can persist
 	// unsynced bytes in a later segment while dropping them from an
-	// earlier one. The watermark, written before every Sync is
-	// acknowledged, distinguishes the two failure shapes: bytes beyond
-	// it are a torn tail (discard), bytes missing below it are real
-	// corruption (fail loudly).
-	var wmVal int64
-	if ro {
-		v, haveWM, rerr := readWatermark(fs, dir)
-		if rerr != nil {
-			return fail(rerr)
+	// earlier one. The watermark is the highest admissible header slot
+	// (segheader.go) over every segment file present: bytes beyond it
+	// are a torn tail (discard), bytes missing below it are real
+	// corruption (fail loudly). The truncation base is a floor: Truncate
+	// only ever records offsets at or below the durable horizon, and the
+	// one segment whose recycling can take the newest slot with it is
+	// the one that ends exactly at that base.
+	wmVal := s.base
+	var admitted *fileSegment
+	admittedSlot := -1
+	var reports []SegmentSlots // kept for SlotReports by read-only opens
+	for idx, seg := range s.segs {
+		fseg := seg.(*fileSegment)
+		rep, herr := inspectHeader(fseg.f, idx, segSize, sizes[idx], backend.crcBuf)
+		if herr != nil {
+			return fail(herr)
 		}
-		wmVal = v
-		if !haveWM {
-			wmVal = s.size // legacy assumption, adopted in memory only
-		}
-	} else {
-		wm, v, haveWM, werr := openWatermark(fs, dir)
-		if werr != nil {
-			return fail(werr)
-		}
-		backend.wm = wm
-		wmVal = v
-		if !haveWM {
-			// Directory written before watermarks existed (or a crash
-			// beat the very first Sync): the file sizes are the only
-			// durable horizon available — the legacy assumption, kept
-			// for one more open, then replaced by a live watermark.
-			if err := wm.set(s.size); err != nil {
-				return fail(err)
+		for i, sl := range rep.Slots {
+			if sl.DataOK && sl.Durable >= wmVal && (admitted == nil || sl.Durable > wmVal) {
+				wmVal, admitted, admittedSlot = sl.Durable, fseg, i
 			}
-			if err := fsutil.SyncDirFS(fs, dir); err != nil {
-				return fail(fmt.Errorf("logdev: sync watermark dir: %w", err))
-			}
-			wmVal = s.size
+		}
+		if ro {
+			reports = append(reports, rep)
 		}
 	}
-	if wmVal < s.base {
-		return fail(fmt.Errorf("logdev: durable watermark %d below truncation base %d in %s (metadata corruption)", wmVal, s.base, dir))
+	if admitted != nil {
+		// Never overwrite the slot holding the watermark.
+		admitted.next = 1 - admittedSlot
 	}
+	sort.Slice(reports, func(i, j int) bool { return reports[i].Index < reports[j].Index })
+	for r := range reports {
+		if admitted != nil && reports[r].Index == admitted.start/segSize {
+			reports[r].Slots[admittedSlot].Admitted = true
+		}
+	}
+	s.openSlots = reports
 	for idx := s.base / segSize; idx*segSize < wmVal; idx++ {
 		need := min(segSize, wmVal-idx*segSize)
 		if sizes[idx] < need {
@@ -558,10 +620,13 @@ func openSegmentedDir(fs vfs.FS, dir string, segSize int64, ro bool) (*Segmented
 		}
 		s.size = wmVal
 	}
-	s.durable = wmVal
-	if s.base > s.size {
-		return fail(fmt.Errorf("logdev: manifest base %d beyond log end %d in %s", s.base, s.size, dir))
+	if s.size < wmVal {
+		// Only possible when the watermark is the base and no file holds
+		// a byte at or above it (the check above found every byte in
+		// [base, watermark)): the live log is empty and resumes there.
+		s.size = wmVal
 	}
+	s.durable = wmVal
 	// Segments wholly below the base are dead: a crash interrupted
 	// archive-then-recycle (or plain recycle). They hold only released
 	// history, so they wait in the pending set for ArchivePending to
@@ -665,7 +730,17 @@ func (s *Segmented) Append(p []byte) (int, error) {
 // Sync implements Device. Durability covers exactly the bytes appended
 // before the call: the target is captured first, so appends racing a
 // slow sync are not published early (they pay for the next sync).
+//
+// A batch that stays inside one existing segment — the steady state —
+// costs one fsync: the segment's harden persists the bytes and the
+// watermark slot that covers them together. A batch that spans segments
+// fsyncs the earlier ones first, and a batch that created segment files
+// fsyncs the directory first, so by the time the slot is written
+// everything below it is already on stable storage; the slot-carrying
+// fsync is the commit point.
 func (s *Segmented) Sync() error {
+	s.syncMu.Lock()
+	defer s.syncMu.Unlock()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -676,54 +751,28 @@ func (s *Segmented) Sync() error {
 		s.mu.Unlock()
 		return err
 	}
-	target := s.size
-	pending := target - s.durable
+	from, target := s.durable, s.size
 	newSegs := s.newSegs
 	s.newSegs = false
-	var dirty []segment
-	if pending > 0 {
-		for idx := s.durable / s.segSize; idx*s.segSize < target; idx++ {
-			if seg := s.segs[idx]; seg != nil {
-				dirty = append(dirty, seg)
-			}
+	var dirtyBuf [4]segment
+	dirty := dirtyBuf[:0]
+	if target > from {
+		for idx := from / s.segSize; idx*s.segSize < target; idx++ {
+			dirty = append(dirty, s.segs[idx])
 		}
 	}
 	s.mu.Unlock()
 
-	// restoreNewSegs re-arms the metadata sync if this pass fails before
-	// acknowledging, so the next Sync retries the directory fsync.
-	restoreNewSegs := func() {
+	start := time.Now()
+	s.profile.simulateSync(target - from)
+	if err := s.hardenBatch(dirty, newSegs, from, target); err != nil {
 		if newSegs {
+			// Re-arm the metadata sync so the next Sync retries the
+			// directory fsync.
 			s.mu.Lock()
 			s.newSegs = true
 			s.mu.Unlock()
 		}
-	}
-
-	start := time.Now()
-	s.profile.simulateSync(pending)
-	for _, seg := range dirty {
-		if err := seg.sync(); err != nil {
-			restoreNewSegs()
-			return err
-		}
-	}
-	if newSegs {
-		// New segment files' directory entries must be durable before
-		// the bytes inside them are acknowledged: fsync of a file does
-		// not persist its dentry.
-		if err := s.backend.syncMeta(); err != nil {
-			restoreNewSegs()
-			return err
-		}
-	}
-	// Persist the durable watermark before acknowledging: it is what a
-	// reopen trusts over file sizes, so it must advance with every Sync
-	// batch — after the data fsyncs (never ahead of the bytes it
-	// covers) and before durability is published (never behind an
-	// acknowledged commit). A no-op when the target did not advance.
-	if err := s.backend.setDurable(target); err != nil {
-		restoreNewSegs()
 		return err
 	}
 
@@ -746,6 +795,37 @@ func (s *Segmented) Sync() error {
 	s.stats.Syncs.Inc()
 	s.stats.SyncTime.Observe(time.Since(start))
 	return nil
+}
+
+// hardenBatch makes the batch [from, target), held by the segments in
+// dirty (in order; nil where a simulated crash removed one), durable in
+// the order Sync's comment gives.
+func (s *Segmented) hardenBatch(dirty []segment, newSegs bool, from, target int64) error {
+	var last segment
+	if n := len(dirty); n > 0 {
+		dirty, last = dirty[:n-1], dirty[n-1]
+	}
+	for _, seg := range dirty {
+		if seg == nil {
+			continue
+		}
+		if err := seg.sync(); err != nil {
+			return err
+		}
+	}
+	if newSegs {
+		// New segment files' directory entries must be durable before
+		// the bytes inside them are acknowledged: fsync of a file does
+		// not persist its dentry.
+		if err := s.backend.syncMeta(); err != nil {
+			return err
+		}
+	}
+	if last == nil {
+		return nil
+	}
+	lastStart := (target - 1) / s.segSize * s.segSize
+	return last.harden(max(from, lastStart), target)
 }
 
 // DurableSize implements Device. The size is logical: it includes the
@@ -1053,6 +1133,14 @@ func (s *Segmented) ArchivedSegments() int64 {
 	return s.archivedSegments
 }
 
+// SlotReports returns every segment file's header — live and parked
+// segments alike, torn ones included — as OpenSegmentedDirRO judged it,
+// in logical order: which slots were written whole, what they claim,
+// whether the bytes they cover check out, and which one the durable
+// horizon was taken from (none when it is the truncation base). nil for
+// any other kind of open.
+func (s *Segmented) SlotReports() []SegmentSlots { return s.openSlots }
+
 // RepairedTailBytes returns how many torn-tail bytes OpenSegmentedDir
 // discarded when it clamped the log to the durable watermark (0 for a
 // clean open).
@@ -1149,7 +1237,7 @@ func (s *Segmented) Close() error {
 	}
 	s.closed = true
 	s.closeSegmentsLocked()
-	return s.backend.close()
+	return nil
 }
 
 // Stats implements Device.

@@ -97,6 +97,7 @@ func RecoverMulti(opts MultiOptions) (*Result, error) {
 				break
 			}
 			res.Scanned++
+			res.MaxTxnID = max(res.MaxTxnID, rec.TxnID)
 			if s := uint64(rec.Seq); s > maxSeq {
 				maxSeq = s
 			}
@@ -161,48 +162,59 @@ func RecoverMulti(opts MultiOptions) (*Result, error) {
 	}
 	att := make(map[uint64]*multiStatus)
 	dpt := make(map[uint64]uint64) // pageID -> first dirtying seq
+	// named is the checkpoint's transaction table, read as a list of
+	// names and not of facts. Its records live on partition 0, which can
+	// harden ahead of a named transaction's home log (the A.5 cut: one
+	// log's flush dies while the others keep going), so an entry may
+	// point at a last record — even a commit record, with Precommitted
+	// set — that never became durable; and the engine publishes last
+	// stamp and state after the append returns, so an entry may also
+	// trail the transaction's records. What is true of a named
+	// transaction is what its home log's durable tail says, and
+	// truncation never releases a record of a transaction the
+	// checkpoint still names, so the tails say all of it (a name with no
+	// durable record at all left nothing to redo or undo).
+	named := make(map[uint64]bool)
 	if ckptBegin.Valid() {
 		for _, e := range ckptPayload.ActiveTxns {
-			att[e.TxnID] = &multiStatus{lastSeq: uint64(e.LastLSN), committed: e.Precommitted}
+			named[e.TxnID] = true
+			res.MaxTxnID = max(res.MaxTxnID, e.TxnID)
 		}
 		for _, e := range ckptPayload.DirtyPages {
 			dpt[e.PageID] = uint64(e.RecLSN)
 		}
 	}
+	// touch returns rec's transaction entry, advanced to rec (the merge
+	// is in seq order).
+	touch := func(rec *logrec.Record) *multiStatus {
+		st := att[rec.TxnID]
+		if st == nil {
+			st = &multiStatus{}
+			att[rec.TxnID] = st
+		}
+		st.lastSeq = uint64(rec.Seq)
+		return st
+	}
 	for _, pr := range merged {
 		rec := &pr.rec
-		if uint64(rec.Seq) < beginSeq {
-			// Records below the checkpoint's begin seq are covered by
-			// its ATT/DPT snapshot (they survive in the tails only
-			// because truncation is conservative).
+		// Records below the checkpoint's begin seq (they survive in the
+		// tails because truncation is conservative) are covered by its
+		// DPT snapshot; of its transaction table they establish the
+		// named entries and nothing else.
+		below := uint64(rec.Seq) < beginSeq
+		if below && !named[rec.TxnID] {
 			continue
 		}
 		switch rec.Kind {
 		case logrec.KindUpdate, logrec.KindCLR:
-			st := att[rec.TxnID]
-			if st == nil {
-				st = &multiStatus{}
-				att[rec.TxnID] = st
-			}
-			st.lastSeq = uint64(rec.Seq)
-			if _, ok := dpt[rec.PageID]; !ok {
+			touch(rec)
+			if _, ok := dpt[rec.PageID]; !ok && !below {
 				dpt[rec.PageID] = uint64(rec.Seq)
 			}
 		case logrec.KindCommit:
-			st := att[rec.TxnID]
-			if st == nil {
-				st = &multiStatus{}
-				att[rec.TxnID] = st
-			}
-			st.lastSeq = uint64(rec.Seq)
-			st.committed = true
+			touch(rec).committed = true
 		case logrec.KindAbort:
-			st := att[rec.TxnID]
-			if st == nil {
-				st = &multiStatus{}
-				att[rec.TxnID] = st
-			}
-			st.lastSeq = uint64(rec.Seq)
+			touch(rec)
 		case logrec.KindEnd:
 			delete(att, rec.TxnID)
 		}

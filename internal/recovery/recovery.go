@@ -91,6 +91,13 @@ type Result struct {
 	Winners []uint64
 	// Losers are transaction IDs rolled back.
 	Losers []uint64
+	// MaxTxnID is the largest transaction ID analysis met, in the
+	// checkpoint's table or in a record it scanned. A restarted engine
+	// must hand out IDs above it: analysis keys its transaction table by
+	// ID, so a new transaction reusing the ID of one whose commit record
+	// is still in the scanned tail would inherit its "committed" verdict
+	// and, as a loser of the next crash, never be rolled back.
+	MaxTxnID uint64
 	// UndoApplied is the number of updates rolled back.
 	UndoApplied int
 	// ArchivedPages is how many pages recovery served from the archive
@@ -151,6 +158,7 @@ func Recover(opts Options) (*Result, error) {
 		scanFrom = lsn.Max(ckptBegin, base)
 		for _, e := range ckptPayload.ActiveTxns {
 			att[e.TxnID] = &txnStatus{lastLSN: e.LastLSN, committed: e.Precommitted}
+			res.MaxTxnID = max(res.MaxTxnID, e.TxnID)
 		}
 		for _, e := range ckptPayload.DirtyPages {
 			dpt[e.PageID] = e.RecLSN
@@ -164,6 +172,7 @@ func Recover(opts Options) (*Result, error) {
 			break
 		}
 		res.Scanned++
+		res.MaxTxnID = max(res.MaxTxnID, rec.TxnID)
 		switch rec.Kind {
 		case logrec.KindUpdate, logrec.KindCLR:
 			st := att[rec.TxnID]

@@ -153,6 +153,50 @@ func TestCrashRecoveryUncommittedRolledBack(t *testing.T) {
 	check.Commit(CommitSync, nil)
 }
 
+// TestRestartDoesNotReuseTxnIDs: recovery's analysis keys its
+// transaction table by ID, and the log of earlier incarnations stays in
+// the scanned tail until a checkpoint truncates it. If a restarted
+// engine handed out IDs from 1 again, a loser of the second crash would
+// share its ID with a transaction whose commit record is still in the
+// tail, inherit the "committed" verdict, and never be rolled back.
+func TestRestartDoesNotReuseTxnIDs(t *testing.T) {
+	h := newHarness(t)
+	tbl, _ := h.eng.CreateTable("t", nil)
+	ag := h.eng.NewAgent()
+	first := ag.Begin()
+	first.Insert(tbl, 1, row(1, 100))
+	if err := first.Commit(CommitSync, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	eng, tables := h.hardCrashAndRestart(t, "t")
+	ag2 := eng.NewAgent()
+	loser := ag2.Begin()
+	if loser.ID() <= first.ID() {
+		t.Fatalf("restarted engine reused txn ID %d (the first incarnation reached %d)", loser.ID(), first.ID())
+	}
+	// The second incarnation's first transaction updates durably and
+	// crashes uncommitted; with ID reuse it would have been txn
+	// first.ID() again, and survived.
+	loser.Update(tables["t"], 1, func([]byte) ([]byte, error) { return row(1, 666), nil })
+	if err := eng.Log().WaitDurable(eng.Log().AppendEnd()); err != nil {
+		t.Fatal(err)
+	}
+
+	eng, tables = h.hardCrashAndRestart(t, "t")
+	ag3 := eng.NewAgent()
+	defer ag3.Close()
+	check := ag3.Begin()
+	got, err := check.Read(tables["t"], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rowValue(got) != 100 {
+		t.Fatalf("uncommitted update survived the second crash: %d", rowValue(got))
+	}
+	check.Commit(CommitSync, nil)
+}
+
 func TestCrashRecoveryAsyncCommitLosesTail(t *testing.T) {
 	// The unsafety the paper highlights: async commit reports success
 	// before durability, so a crash can lose "committed" work.

@@ -341,6 +341,23 @@ func (e *Engine) durableStamp() lsn.LSN {
 	return e.log.Durable()
 }
 
+// stampFloor returns a lower bound, in the engine's stamp domain, on
+// the stamp of every record appended after the call: the next global
+// seq in multi-log mode, the appended log end in single-log mode (a new
+// insert reserves its address above every completed one). Writers
+// register a page in the dirty-page table at this floor BEFORE logging
+// the update — ARIES's "recLSN = end of log when the page is first
+// dirtied" — so a fuzzy checkpoint whose begin record lands between an
+// update's log record and the page being marked dirty still snapshots
+// the page; without it, analysis (which starts at the begin record)
+// never learns the page needs that earlier record redone.
+func (e *Engine) stampFloor() lsn.LSN {
+	if e.multi != nil {
+		return lsn.LSN(e.multi.LastSeq() + 1)
+	}
+	return e.log.AppendEnd()
+}
+
 // waitLM returns the log manager a transaction homed on partition
 // `home` waits on (the single log when not partitioned; home < 0 maps
 // to partition 0, the system log).

@@ -137,6 +137,9 @@ func Restart(cfg RestartConfig) (*Engine, *recovery.Result, error) {
 		lm.Close()
 		return nil, nil, err
 	}
+	// Transaction IDs continue above every ID recovery's analysis saw
+	// (see recovery.Result.MaxTxnID).
+	eng.nextTxn.Store(res.MaxTxnID)
 	return eng, res, nil
 }
 
@@ -234,5 +237,8 @@ func restartMulti(cfg RestartConfig) (*Engine, *recovery.Result, error) {
 		ml.Close()
 		return nil, nil, err
 	}
+	// Transaction IDs continue above every ID recovery's analysis saw
+	// (see recovery.Result.MaxTxnID).
+	eng.nextTxn.Store(res.MaxTxnID)
 	return eng, res, nil
 }

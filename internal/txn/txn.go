@@ -101,6 +101,9 @@ func (t *Txn) logUpdate(pageID uint64, up logrec.UpdatePayload) (lsn.LSN, lsn.LS
 		// the truncation horizon past our first record.
 		t.first.Store(t.eng.durableStamp())
 	}
+	// The caller holds the page latch; see stampFloor for why the page
+	// enters the DPT before its record enters the log.
+	t.eng.store.MarkDirty(pageID, t.eng.stampFloor())
 	rec := logrec.NewUpdate(t.id, prev, pageID, up)
 	at, end, pageStamp, recStamp, err := t.appendRec(rec)
 	if err != nil {
@@ -385,13 +388,6 @@ func (t *Txn) Abort() error {
 		for i := len(t.undo) - 1; i >= 0; i-- {
 			e := t.undo[i]
 			inv := e.up.Inverse()
-			clr := logrec.NewCLR(t.id, t.last.Load(), e.pageID, e.prev, inv)
-			at, _, pageStamp, recStamp, err := t.appendRec(clr)
-			if err != nil {
-				return fmt.Errorf("txn: logging CLR: %w", err)
-			}
-			t.last.Store(at)
-			t.lastStamp.Store(recStamp)
 			page, ferr := t.eng.store.Get(e.pageID)
 			if ferr != nil {
 				return fmt.Errorf("txn: undo fault: %w", ferr)
@@ -399,18 +395,26 @@ func (t *Txn) Abort() error {
 			if page == nil {
 				return fmt.Errorf("txn: undo lost page %d", e.pageID)
 			}
+			// Same protocol as the forward path (storage.LogFunc): the
+			// CLR is logged and applied under the page latch, so the
+			// page's stamps follow log order, and the page enters the DPT
+			// before the record enters the log (stampFloor). Dirtying
+			// under the latch also keeps the eviction path's
+			// clean-vs-steal decision, read from (pageLSN, DPT) under
+			// the same latch, consistent.
 			page.Latch.Lock()
-			applyErr := page.Apply(inv, pageStamp)
-			if applyErr == nil {
-				// Mark dirty under the latch: the eviction path decides
-				// clean-vs-steal from (pageLSN, DPT) read under the
-				// latch, so the two must change together.
-				t.eng.store.MarkDirty(e.pageID, recStamp)
+			t.eng.store.MarkDirty(e.pageID, t.eng.stampFloor())
+			clr := logrec.NewCLR(t.id, t.last.Load(), e.pageID, e.prev, inv)
+			at, _, pageStamp, recStamp, err := t.appendRec(clr)
+			if err == nil {
+				t.last.Store(at)
+				t.lastStamp.Store(recStamp)
+				err = page.Apply(inv, pageStamp)
 			}
 			page.Latch.Unlock()
 			page.Unpin()
-			if applyErr != nil {
-				return fmt.Errorf("txn: undo apply: %w", applyErr)
+			if err != nil {
+				return fmt.Errorf("txn: undo page %d: %w", e.pageID, err)
 			}
 		}
 		for i := len(t.indexUndo) - 1; i >= 0; i-- {

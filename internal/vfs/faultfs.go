@@ -59,6 +59,10 @@ type Rule struct {
 	// Path is a path.Match glob applied to the operation path's base
 	// name; empty matches every name.
 	Path string
+	// OffBelow, when positive, restricts the rule to read, write and
+	// truncate operations whose offset is below it — e.g. the header
+	// region of a file whose body is written through the same handle.
+	OffBelow int64
 	// After is the number of matching operations to let through
 	// unharmed before the rule starts firing. 0 fires on the first
 	// match.
@@ -119,15 +123,19 @@ const traceCap = 512
 // fnode is an in-memory inode: the durable image (synced) and the
 // volatile image (data) that ordinary reads and writes see. Sync
 // promotes data to synced; a power cut reverts data to synced, except
-// that the last unsynced write may tear in at sector granularity.
+// that unsynced writes may tear in at sector granularity.
 type fnode struct {
 	synced []byte
 	data   []byte
-	// lastWrite is the most recent unsynced write's extent (tearing
-	// candidate); nil after Sync or when no write happened.
-	lastOff int64
-	lastLen int
-	hasLast bool
+	// unsynced lists the extents written since the last Sync, oldest
+	// first (the tearing candidates); empty after Sync or Truncate.
+	unsynced []extent
+}
+
+// extent is one write's byte range.
+type extent struct {
+	off int64
+	len int
 }
 
 // nsOp is a pending (not yet dir-fsynced) namespace mutation with its
@@ -142,9 +150,11 @@ type nsOp struct {
 // strict POSIX crash semantics:
 //
 //   - File writes are volatile until File.Sync; a power cut reverts
-//     each file to its last-synced image, optionally tearing the last
-//     unsynced write at sector granularity (seeded, or driven by a
-//     TearMask hook for table-driven tests).
+//     each file to its last-synced image, optionally tearing unsynced
+//     writes in at sector granularity: the most recent one under the
+//     seeded RNG, every one of them (oldest first) under a TearMask
+//     hook, so table-driven tests can persist any subset of what a
+//     crash could.
 //   - Namespace changes (create, rename, remove) are volatile until
 //     SyncDir on the parent directory; a power cut rolls pending ones
 //     back in reverse order. Syncing a file does NOT persist its
@@ -165,12 +175,13 @@ type FaultFS struct {
 	// SectorSize is the tearing granularity in bytes. Set before use;
 	// defaults to 512.
 	sectorSize int
-	// tornWrites enables tearing the last unsynced write on power cut;
-	// when false the write is dropped whole.
+	// tornWrites enables tearing unsynced writes on power cut; when
+	// false they are dropped whole.
 	tornWrites bool
-	// tearMask, when non-nil, overrides the seeded RNG: it receives
-	// the file path and per-sector count of the last unsynced write
-	// and returns which sectors persist. Used by table-driven tests.
+	// tearMask, when non-nil, overrides the seeded RNG: for each
+	// unsynced write of a file, oldest first, it receives the file
+	// path and the write's sector count and returns which sectors
+	// persist. Used by table-driven tests.
 	tearMask func(path string, sectors int) []bool
 
 	rng    *rand.Rand
@@ -226,9 +237,10 @@ func (f *FaultFS) SetTornWrites(on bool) {
 }
 
 // SetTearMask installs a deterministic tearing hook for table-driven
-// tests: fn receives the file path and the sector count of the last
-// unsynced write, and returns which sectors persist. nil restores the
-// seeded RNG behaviour.
+// tests: fn is called once per unsynced write of each file, oldest
+// first, with the file path and the write's sector count, and returns
+// which sectors persist (nil: none). nil restores the seeded RNG
+// behaviour, which tears only each file's most recent unsynced write.
 func (f *FaultFS) SetTearMask(fn func(path string, sectors int) []bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -331,39 +343,47 @@ func (f *FaultFS) Recover() {
 }
 
 // revert rolls a file's volatile image back to its synced bytes,
-// tearing the last unsynced write in at sector granularity when
-// enabled.
+// tearing unsynced writes in at sector granularity when enabled.
 func (f *FaultFS) revert(path string, n *fnode) {
-	if f.tornWrites && n.hasLast && n.lastLen > 0 {
-		sectors := (n.lastLen + f.sectorSize - 1) / f.sectorSize
-		var keep []bool
-		if f.tearMask != nil {
-			keep = f.tearMask(path, sectors)
-		} else {
-			keep = make([]bool, sectors)
-			for i := range keep {
-				keep[i] = f.rng.Intn(2) == 0
-			}
-		}
+	if f.tornWrites && len(n.unsynced) > 0 {
 		img := append([]byte(nil), n.synced...)
-		for s := 0; s < sectors && s < len(keep); s++ {
-			if !keep[s] {
+		candidates := n.unsynced
+		if f.tearMask == nil {
+			candidates = candidates[len(candidates)-1:]
+		}
+		for _, w := range candidates {
+			if w.len == 0 {
 				continue
 			}
-			off := n.lastOff + int64(s*f.sectorSize)
-			end := off + int64(f.sectorSize)
-			if max := n.lastOff + int64(n.lastLen); end > max {
-				end = max
+			sectors := (w.len + f.sectorSize - 1) / f.sectorSize
+			var keep []bool
+			if f.tearMask != nil {
+				keep = f.tearMask(path, sectors)
+			} else {
+				keep = make([]bool, sectors)
+				for i := range keep {
+					keep[i] = f.rng.Intn(2) == 0
+				}
 			}
-			if int64(len(img)) < end {
-				img = append(img, make([]byte, end-int64(len(img)))...)
+			for s := 0; s < sectors && s < len(keep); s++ {
+				if !keep[s] {
+					continue
+				}
+				off := w.off + int64(s*f.sectorSize)
+				end := off + int64(f.sectorSize)
+				if max := w.off + int64(w.len); end > max {
+					end = max
+				}
+				if int64(len(img)) < end {
+					img = append(img, make([]byte, end-int64(len(img)))...)
+				}
+				copy(img[off:end], n.data[off:end])
 			}
-			copy(img[off:end], n.data[off:end])
 		}
 		n.synced = img
 	}
 	n.data = append([]byte(nil), n.synced...)
-	n.hasLast = false
+	n.unsynced = nil
 }
 
 // record appends to the bounded op trace. Caller holds mu.
@@ -384,9 +404,12 @@ func (f *FaultFS) record(op Op, path string, off int64, length int, err error) {
 // happen after the operation's mutation is applied — true only for
 // Cut rules on write-class ops, so the triggering write lands in the
 // volatile image and becomes the tearing candidate. Caller holds mu.
-func (f *FaultFS) check(op Op, path string) (error, bool) {
+func (f *FaultFS) check(op Op, path string, off int64) (error, bool) {
 	for _, rs := range f.rules {
 		if rs.r.Op != "" && rs.r.Op != op {
+			continue
+		}
+		if rs.r.OffBelow > 0 && (off >= rs.r.OffBelow || (op != OpRead && op != OpWrite && op != OpTruncate)) {
 			continue
 		}
 		if rs.r.Dir != "" && filepath.Dir(path) != filepath.Clean(rs.r.Dir) {
@@ -428,7 +451,7 @@ func (f *FaultFS) enter(op Op, path string, off int64, length int) (error, bool)
 		f.record(op, path, off, length, ErrPowerCut)
 		return ErrPowerCut, false
 	}
-	err, cutAfter := f.check(op, path)
+	err, cutAfter := f.check(op, path, off)
 	f.record(op, path, off, length, err)
 	return err, cutAfter
 }
@@ -470,7 +493,7 @@ func (f *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (File, error
 	}
 	if flag&os.O_TRUNC != 0 {
 		n.data = nil
-		n.hasLast = false
+		n.unsynced = nil
 	}
 	h := &faultFile{fs: f, path: name, n: n, gen: f.gen}
 	if flag&os.O_APPEND != 0 {
@@ -735,7 +758,7 @@ func (h *faultFile) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // WriteAt implements io.WriterAt into the volatile image; the write
-// becomes the file's torn-write candidate until the next Sync.
+// stays a torn-write candidate until the next Sync.
 func (h *faultFile) WriteAt(p []byte, off int64) (int, error) {
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
@@ -755,14 +778,14 @@ func (h *faultFile) WriteAt(p []byte, off int64) (int, error) {
 }
 
 // writeLocked applies a write to the volatile image and records it as
-// the tearing candidate. Caller holds fs.mu.
+// a tearing candidate. Caller holds fs.mu.
 func (h *faultFile) writeLocked(p []byte, off int64) {
 	end := off + int64(len(p))
 	if int64(len(h.n.data)) < end {
 		h.n.data = append(h.n.data, make([]byte, end-int64(len(h.n.data)))...)
 	}
 	copy(h.n.data[off:end], p)
-	h.n.lastOff, h.n.lastLen, h.n.hasLast = off, len(p), true
+	h.n.unsynced = append(h.n.unsynced, extent{off: off, len: len(p)})
 }
 
 // Write implements sequential io.Writer at the handle's offset.
@@ -797,7 +820,7 @@ func (h *faultFile) Sync() error {
 		return patherr(OpSync, h.path, err)
 	}
 	h.n.synced = append([]byte(nil), h.n.data...)
-	h.n.hasLast = false
+	h.n.unsynced = nil
 	return nil
 }
 
@@ -822,7 +845,7 @@ func (h *faultFile) Truncate(size int64) error {
 	} else {
 		h.n.data = append(h.n.data, make([]byte, size-int64(len(h.n.data)))...)
 	}
-	h.n.hasLast = false
+	h.n.unsynced = nil
 	return nil
 }
 

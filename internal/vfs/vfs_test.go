@@ -320,3 +320,60 @@ func TestOSPassthrough(t *testing.T) {
 		t.Fatalf("ReadDir = (%v, %v), want single entry 'a'", ents, err)
 	}
 }
+
+// TestFaultFSTearMaskSeesEveryUnsyncedWrite: under a mask, each write
+// since the file's last Sync is offered for tearing, oldest first, so a
+// test can persist an earlier write while dropping a later one — a
+// crash shape the seeded path (most recent write only) cannot produce.
+func TestFaultFSTearMaskSeesEveryUnsyncedWrite(t *testing.T) {
+	fs := NewFaultFS(1)
+	fs.SetSectorSize(4)
+	fs.SetTornWrites(true)
+	fs.MkdirAll("/d", 0o755)
+	f := mustOpen(t, fs, "/d/a", os.O_CREATE|os.O_RDWR)
+	writeAt(t, f, []byte("AAAABBBBCCCC"), 0)
+	f.Sync()
+	fs.SyncDir("/d")
+
+	writeAt(t, f, []byte("XXXX"), 0) // kept
+	writeAt(t, f, []byte("YYYY"), 4) // dropped
+	writeAt(t, f, []byte("ZZZZ"), 8) // kept
+	call := 0
+	fs.SetTearMask(func(path string, sectors int) []bool {
+		call++
+		return []bool{call != 2}
+	})
+	fs.PowerCut()
+	fs.Recover()
+	if call != 3 {
+		t.Fatalf("tear mask consulted %d times, want once per unsynced write (3)", call)
+	}
+	if got := string(readAll(t, fs, "/d/a")); got != "XXXXBBBBZZZZ" {
+		t.Fatalf("torn image %q, want %q", got, "XXXXBBBBZZZZ")
+	}
+}
+
+// TestFaultFSRuleOffBelow: an offset ceiling tells writes to a file's
+// header region from writes to its body through the same handle, and
+// never matches operations that carry no offset.
+func TestFaultFSRuleOffBelow(t *testing.T) {
+	fs := NewFaultFS(1)
+	fs.MkdirAll("/d", 0o755)
+	boom := errors.New("boom")
+	id := fs.AddRule(Rule{Op: OpWrite, Dir: "/d", OffBelow: 100, Err: boom})
+	f := mustOpen(t, fs, "/d/a", os.O_CREATE|os.O_RDWR)
+	if _, err := f.WriteAt([]byte("body"), 100); err != nil {
+		t.Fatalf("write at the ceiling: %v", err)
+	}
+	if _, err := f.WriteAt([]byte("head"), 96); !errors.Is(err, boom) {
+		t.Fatalf("write below the ceiling: err=%v, want boom", err)
+	}
+	if st := fs.RuleStats()[id]; st.Matched != 1 || st.Fired != 1 {
+		t.Fatalf("rule stats %+v, want one match, one fire", st)
+	}
+	fs.ClearRules()
+	fs.AddRule(Rule{Dir: "/d", OffBelow: 100, Err: boom}) // any op class
+	if err := f.Sync(); err != nil {
+		t.Fatalf("offset rule matched a Sync: %v", err)
+	}
+}

@@ -70,19 +70,16 @@ func (t *Tx) Scan(table *Table, from, to uint64, fn func(key uint64, row []byte)
 // pipelined commits use CommitAsyncAck.
 func (t *Tx) Commit() error {
 	mode := t.mode.internal()
-	switch mode {
-	case txn.CommitPipelined:
-		// Block the caller until the daemon hardens the commit — the
-		// client-facing behavior is unchanged; the win is that agent
-		// threads using CommitAsyncAck need not block.
-		ch := make(chan error, 1)
-		if err := t.tx.Commit(mode, func(err error) { ch <- err }); err != nil {
-			return err
-		}
-		return <-ch
-	default:
-		return t.tx.Commit(mode, nil)
+	if mode == txn.CommitPipelined {
+		// A caller that blocks has nothing to detach from: pipelining
+		// minus the detach is early lock release plus a wait on the
+		// durable horizon. Waiting there directly parks the thread where
+		// the flush daemon can see it, so it flushes at once instead of
+		// on its next group-commit trigger; the win of the pipelined
+		// mode stays with CommitAsyncAck, whose threads do not block.
+		mode = txn.CommitSyncELR
 	}
+	return t.tx.Commit(mode, nil)
 }
 
 // CommitAsyncAck finishes the transaction without blocking: ack runs
