@@ -1,7 +1,7 @@
 # Tier-1 verification is `make ci` (build + vet + docs + test + bench smoke).
 GO ?= go
 
-.PHONY: build test test-short test-race vet docs bench-smoke bench-pair soak-smoke soak fuzz-smoke ci
+.PHONY: build test test-short test-race vet docs bench-smoke bench-pair alloc-profile soak-smoke soak fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -16,14 +16,16 @@ test-short:
 
 # Race-checks the concurrency-heavy packages: the log manager and
 # multi-log coordinator, the log buffer variants, the transaction
-# engine, the buffer pool's eviction/pin machinery in storage, the wire
+# engine, the lock manager (agent lock caches against stealers and the
+# flush daemon's deferred releases), the buffer pool's eviction/pin
+# machinery in storage, the wire
 # server/client (one goroutine per connection plus writer and ack
 # callbacks), the public API's partitioned-engine tests (concurrent
 # workers over N flush daemons, plus the cloud-tier restore tests with
 # the archiver and retention daemons running), the PITR replay paths in
 # recovery, and the simulator-vs-engine cross-check in distlog.
 test-race:
-	$(GO) test -race -short . ./internal/core ./internal/logbuf ./internal/txn ./internal/logdev ./internal/recovery ./internal/storage ./internal/wire ./internal/distlog
+	$(GO) test -race -short . ./internal/core ./internal/logbuf ./internal/txn ./internal/lockmgr ./internal/logdev ./internal/recovery ./internal/storage ./internal/wire ./internal/distlog
 
 vet:
 	$(GO) vet ./...
@@ -74,6 +76,20 @@ bench-pair: WORKLOAD ?= all
 bench-pair: PAIRS ?= 10
 bench-pair:
 	SEED="$(SEED)" sh scripts/bench-pair.sh "$(BASE)" "$(WORKLOAD)" "$(PAIRS)"
+
+# Where a transaction's allocated bytes come from: runs the root
+# BenchmarkTPCBCommitPath (the TPC-B transaction shape through
+# aether.Session; B/op is its alloc_bytes_per_txn) under a memory profile
+# sampling every 4 KiB and prints the allocation sites by bytes. The
+# repository benchmark has no profile flag, so this is how a per-site
+# table for a commit-path change is reproduced. Leaves its test binary
+# and profile under .bench_build/ (ignored).
+alloc-profile: TXNS ?= 200000
+alloc-profile:
+	mkdir -p .bench_build/alloc
+	$(GO) test -run '^$$' -bench '^BenchmarkTPCBCommitPath$$' -benchtime $(TXNS)x -benchmem \
+		-memprofile mem.prof -memprofilerate 4096 -outputdir .bench_build/alloc -o .bench_build/alloc/aether.test .
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 25 .bench_build/alloc/aether.test .bench_build/alloc/mem.prof
 
 # Crash-storm smoke: fixed-seed runs of the fault-injection soak
 # harness — 25 power-cut/recover cycles across every fault point

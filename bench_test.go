@@ -13,6 +13,8 @@ package aether_test
 // log-buffer variants (throughput in MB/s via b.SetBytes).
 
 import (
+	"encoding/binary"
+	"math/rand"
 	"os"
 	"testing"
 
@@ -187,3 +189,81 @@ func BenchmarkAblationELR(b *testing.B) { runFigure(b, "ablation-elr") }
 
 // BenchmarkAblationGroupCommit sweeps the group-commit flush interval.
 func BenchmarkAblationGroupCommit(b *testing.B) { runFigure(b, "ablation-groupcommit") }
+
+// BenchmarkTPCBCommitPath is the commit path's allocation benchmark: one
+// TPC-B-shaped transaction per iteration (three 100-byte row updates, one
+// 100-byte history insert, commit acknowledged before durability) through
+// aether.Session, on a file-backed log opened the way the repository
+// benchmark's TPC-B workloads open theirs, so B/op and allocs/op are the
+// engine's per-transaction garbage plus the generator's own (one row copy
+// per update, the history row, the Tx handle). `make alloc-profile` runs
+// it under -memprofile and prints the allocation sites.
+func BenchmarkTPCBCommitPath(b *testing.B) {
+	const (
+		rowSize  = 100
+		branches = 10
+		tellers  = 100
+		accounts = 20_000
+	)
+	row := func(key uint64, amount int64) []byte {
+		r := make([]byte, rowSize)
+		binary.LittleEndian.PutUint64(r[0:], key)
+		binary.LittleEndian.PutUint64(r[8:], uint64(amount))
+		return r
+	}
+	db, err := aether.Open(aether.Options{
+		Mode:                 aether.CommitAsync,
+		LogPath:              b.TempDir(),
+		SegmentSize:          8 << 20,
+		CheckpointEveryBytes: 64 << 20,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	var tables [4]*aether.Table // branch, teller, account, history
+	for i, name := range []string{"branch", "teller", "account", "history"} {
+		if tables[i], err = db.CreateTable(name); err != nil {
+			b.Fatal(err)
+		}
+	}
+	s := db.Session()
+	defer s.Close()
+	load := s.Begin()
+	for i, n := range []int{branches, tellers, accounts} {
+		for k := uint64(1); k <= uint64(n); k++ {
+			if err := load.Insert(tables[i], k, row(k, 0)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := load.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		branch := rng.Intn(branches)
+		keys := [3]uint64{uint64(branch + 1), uint64(branch*(tellers/branches) + rng.Intn(tellers/branches) + 1),
+			uint64(branch*(accounts/branches) + rng.Intn(accounts/branches) + 1)}
+		delta := int64(rng.Intn(1_999_999) - 999_999)
+		add := func(cur []byte) ([]byte, error) {
+			out := append([]byte(nil), cur...)
+			binary.LittleEndian.PutUint64(out[8:], binary.LittleEndian.Uint64(cur[8:])+uint64(delta))
+			return out, nil
+		}
+		tx := s.Begin()
+		for t := 2; t >= 0; t-- { // account, teller, branch
+			if err := tx.Update(tables[t], keys[t], add); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := tx.Insert(tables[3], uint64(i), row(uint64(i), delta)); err != nil {
+			b.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -386,6 +386,93 @@ func TestFlushPacing(t *testing.T) {
 	}
 }
 
+// The group window: behind a flush that has just started, a group of
+// detached commits is held until groupWindow after that start, and the
+// window closes early — at minFlushPeriod — for each of the reasons
+// flushPeriod names. Sleeps only overshoot, so "held" is a lower bound
+// on one attempt and "closed early" needs one of many attempts to come
+// in under the window: held for it, none could.
+func TestGroupWindow(t *testing.T) {
+	const txns = 4
+	lm, err := New(Config{
+		Buffer:        logbuf.Config{Variant: logbuf.VariantBaseline, Size: 1 << 18},
+		Device:        logdev.NewMem(logdev.ProfileMemory),
+		FlushInterval: time.Hour,
+		FlushTxns:     txns,
+		FlushBytes:    4096,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lm.Close()
+	ap := lm.NewAppender()
+	var id uint64
+	commit := func() lsn.LSN {
+		id++
+		_, end, err := ap.Append(logrec.NewCommit(id, lsn.Undefined))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return end
+	}
+	// detachedBehindFlush has a parked commit start a flush, subscribes a
+	// detached commit behind it, shows it to the daemon, runs closeGroup
+	// and returns how long after that flush's start (at the latest) the
+	// detached commit was acknowledged.
+	detachedBehindFlush := func(closeGroup func()) time.Duration {
+		before := time.Now()
+		if err := lm.WaitDurable(commit()); err != nil {
+			t.Fatal(err)
+		}
+		acked := make(chan error, 1)
+		lm.OnDurable(commit(), func(err error) { acked <- err })
+		lm.Poke()
+		closeGroup()
+		select {
+		case err := <-acked:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("detached commit never acknowledged")
+		}
+		return time.Since(before)
+	}
+
+	if got := detachedBehindFlush(func() {}); got < groupWindow {
+		t.Fatalf("detached group flushed %v after the previous flush began, the window is %v", got, groupWindow)
+	}
+	for _, c := range []struct {
+		name       string
+		closeGroup func()
+	}{
+		{"somebody parks", func() {
+			if err := lm.WaitDurable(commit()); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"Flush", lm.Flush},
+		{"FlushTxns commits", func() {
+			for i := 1; i < txns; i++ {
+				lm.OnDurable(commit(), func(error) {})
+			}
+		}},
+		{"FlushBytes", func() {
+			for i := 0; i < 100; i++ { // 100 * 48B > 4096
+				commit()
+			}
+		}},
+	} {
+		best := time.Hour
+		for i := 0; i < 50 && best >= groupWindow; i++ {
+			best = min(best, detachedBehindFlush(c.closeGroup))
+		}
+		if best >= groupWindow {
+			t.Errorf("%s: the group still waited out the window (best of 50: %v)", c.name, best)
+		}
+	}
+}
+
 func TestFlushBytesTrigger(t *testing.T) {
 	dev := logdev.NewMem(logdev.ProfileMemory)
 	lm, err := New(Config{
@@ -519,5 +606,43 @@ func TestAppendLargeRecordGrowsScratch(t *testing.T) {
 	}
 	if err := lm.WaitDurable(end); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCommitPathAllocations is the log manager's allocation budget: in
+// steady state neither appending a TPC-B update record nor subscribing
+// to its durability and being called back allocates — the appender
+// encodes into its own buffer, and the durable-waiter heap and the
+// daemon's completion batch keep waiters by value in slices they reuse.
+// (The count is process-wide, so it covers the daemon's side too; the
+// in-memory device's occasional growth is a fraction of an allocation
+// per run and rounds away.)
+func TestCommitPathAllocations(t *testing.T) {
+	lm := newTestLM(t, logbuf.VariantCD, nil)
+	ap := lm.NewAppender()
+	rec := logrec.NewUpdate(42, 4096, 77, logrec.UpdatePayload{
+		Op: logrec.OpSet, Slot: 5, Before: make([]byte, 100), After: make([]byte, 100),
+	})
+	var acked atomic.Int64
+	ack := func(error) { acked.Add(1) }
+	commit := func() {
+		_, end, err := ap.Append(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lm.OnDurable(end, ack)
+	}
+	const runs = 2_000
+	for i := 0; i < runs; i++ {
+		commit()
+	}
+	if got := testing.AllocsPerRun(runs, commit); got != 0 {
+		t.Fatalf("%.0f allocations per append + durability callback, budget 0", got)
+	}
+	if err := lm.WaitDurable(lm.AppendEnd()); err != nil {
+		t.Fatal(err)
+	}
+	if got := acked.Load(); got != 2*runs+1 {
+		t.Fatalf("%d of %d callbacks ran", got, 2*runs+1)
 	}
 }

@@ -315,9 +315,10 @@ func (ml *MultiLog) limit(p *logPartition, start, end lsn.LSN) lsn.LSN {
 			p.depStalls.Add(1)
 			// Nothing past the clamp can harden until the target lane
 			// flushes, and the committer parked here woke only this
-			// lane: start the target's flush now instead of waiting out
-			// its timer (its durable notify pokes us back).
-			target.Poke()
+			// lane: demand the target's flush now instead of waiting out
+			// its timer and its group window (its durable notify pokes
+			// us back).
+			target.Flush()
 		}
 		break
 	}

@@ -31,8 +31,15 @@ type sliEntry struct {
 // cross-thread coordination happens only through entry atomics.
 type AgentCache struct {
 	entries map[Key]*sliEntry
-	order   []Key // FIFO eviction order
-	cap     int
+	// ring is the FIFO eviction order: the n cached keys, oldest at
+	// head, in a fixed array of cap slots.
+	ring    []Key
+	head, n int
+	// free holds dead entries for newEntry to reuse. An entry may go
+	// here only once nothing else can reach it: the agent read
+	// sliStolen from it (whoever stored that was done with it) and it
+	// is in neither the lock table nor a Locker's held set.
+	free []*sliEntry
 }
 
 // NewAgentCache returns a cache bounded to capacity entries (default 64).
@@ -40,18 +47,53 @@ func NewAgentCache(capacity int) *AgentCache {
 	if capacity <= 0 {
 		capacity = 64
 	}
-	return &AgentCache{entries: make(map[Key]*sliEntry, capacity), cap: capacity}
+	return &AgentCache{entries: make(map[Key]*sliEntry, capacity), ring: make([]Key, capacity)}
 }
 
 func (c *AgentCache) get(key Key) *sliEntry { return c.entries[key] }
 
+func (c *AgentCache) slot(i int) *Key { return &c.ring[(c.head+i)%len(c.ring)] }
+
+// newEntry returns a valid entry for key, reusing a dead one if there is
+// one.
+func (c *AgentCache) newEntry(key Key, mode Mode) *sliEntry {
+	e := popFree(&c.free)
+	if e == nil {
+		e = new(sliEntry)
+	}
+	e.key, e.mode = key, mode
+	e.reclaim.Store(false)
+	e.state.Store(sliValid)
+	return e
+}
+
+// remove forgets key's entry, and recycles it if it is dead (see free).
+// An entry still in use by a transaction, or one the agent's previous
+// transaction is releasing from the flush daemon (ReleaseAllToTable), is
+// left to the collector.
 func (c *AgentCache) remove(key Key) {
+	e := c.entries[key]
+	if e == nil {
+		return
+	}
 	delete(c.entries, key)
-	for i, k := range c.order {
-		if k == key {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
+	if *c.slot(0) == key {
+		// The oldest key, as in every eviction: advance the head.
+		c.head = (c.head + 1) % len(c.ring)
+		c.n--
+	} else {
+		for i := 1; i < c.n; i++ {
+			if *c.slot(i) == key {
+				for ; i < c.n-1; i++ {
+					*c.slot(i) = *c.slot(i + 1)
+				}
+				c.n--
+				break
+			}
 		}
+	}
+	if e.state.Load() == sliStolen && len(c.free) < len(c.ring) {
+		c.free = append(c.free, e)
 	}
 }
 
@@ -82,8 +124,11 @@ func (m *Manager) NewLocker(txnID uint64, cache *AgentCache) *Locker {
 	return &Locker{m: m, txn: txnID, cache: cache, held: make(map[Key]heldLock, 8)}
 }
 
-// Reset re-arms the locker for a new transaction (the agent reuses one
-// allocation per thread). Any held locks must have been released.
+// Reset re-arms the locker for a new transaction: txn.Agent.Begin keeps
+// one Locker per agent and calls this instead of NewLocker. Every lock
+// must have been released, and by the calling goroutine — a locker whose
+// release runs elsewhere (ReleaseAllToTable on the flush daemon) is not
+// reusable and must be replaced instead.
 func (l *Locker) Reset(txnID uint64) {
 	if len(l.held) != 0 {
 		panic("lockmgr: Reset with locks held")
@@ -106,12 +151,16 @@ func (l *Locker) Acquire(key Key, mode Mode) error {
 		target := Supremum(h.mode, mode)
 		if h.sli != nil {
 			// Upgrading an inherited lock: first convert it to a normal
-			// grant, then upgrade through the table.
-			if err := l.m.adoptCached(l.txn, h.sli, target); err != nil {
-				return err
-			}
+			// grant, then upgrade through the table. Whether or not the
+			// upgrade succeeds, the grant is now an ordinary one of ours
+			// and the cache entry is dead.
+			err := l.m.adoptCached(l.txn, h.sli, target)
 			h.sli.state.Store(sliStolen)
 			l.cache.remove(key)
+			if err != nil {
+				l.held[key] = heldLock{mode: h.mode}
+				return err
+			}
 			l.held[key] = heldLock{mode: target}
 			return nil
 		}
@@ -131,19 +180,18 @@ func (l *Locker) Acquire(key Key, mode Mode) error {
 					l.held[key] = heldLock{mode: e.mode, sli: e}
 					return nil
 				}
-				// Cached mode too weak: adopt and upgrade.
-				if err := l.m.adoptCached(l.txn, e, Supremum(e.mode, mode)); err != nil {
-					// The grant is back in the table under our txn but the
-					// upgrade failed; record what we do hold so abort
-					// releases it.
-					e.state.Store(sliStolen)
-					l.cache.remove(key)
-					l.held[key] = heldLock{mode: e.mode}
-					return err
-				}
+				// Cached mode too weak: adopt and upgrade. If the upgrade
+				// fails the grant is still back in the table under our
+				// txn; record what we do hold so abort releases it.
+				cached := e.mode
+				err := l.m.adoptCached(l.txn, e, Supremum(cached, mode))
 				e.state.Store(sliStolen)
 				l.cache.remove(key)
-				l.held[key] = heldLock{mode: Supremum(e.mode, mode)}
+				if err != nil {
+					l.held[key] = heldLock{mode: cached}
+					return err
+				}
+				l.held[key] = heldLock{mode: Supremum(cached, mode)}
 				return nil
 			}
 			// Stolen while cached: forget it.
@@ -164,17 +212,22 @@ func (l *Locker) Acquire(key Key, mode Mode) error {
 // With SLI enabled, uncontended locks are retained in the agent cache
 // instead of being returned to the table.
 func (l *Locker) ReleaseAll() {
+	big := len(l.held) > maxHeldReuse
 	for key, h := range l.held {
 		switch {
 		case h.sli != nil:
 			// Adopted from the cache: give it back, or surrender it if a
-			// conflicting transaction asked for it meanwhile.
-			if h.sli.reclaim.Load() {
-				h.sli.state.Store(sliStolen)
+			// conflicting transaction asked for it meanwhile. Publish
+			// first, then check: a stealer that finds the entry in use
+			// sets reclaim and queues, so reading reclaim before the
+			// store would lose a request made between the two, and the
+			// waiter would sit out the deadlock timeout behind a lock
+			// nobody is going to hand back. After the store, either the
+			// stealer's CAS takes the entry or we see its flag.
+			h.sli.state.Store(sliValid)
+			if h.sli.reclaim.Load() && h.sli.state.CompareAndSwap(sliValid, sliStolen) {
 				l.m.releaseCachedGrant(h.sli)
 				l.cache.remove(key)
-			} else {
-				h.sli.state.Store(sliValid)
 			}
 		case l.cache != nil:
 			if e := l.m.tryCacheGrant(l.txn, key, l.cache); e != nil {
@@ -185,7 +238,16 @@ func (l *Locker) ReleaseAll() {
 		}
 		delete(l.held, key)
 	}
+	if big {
+		l.held = make(map[Key]heldLock, 8)
+	}
 }
+
+// maxHeldReuse is the most locks a transaction may have held for its
+// Locker's map to be kept for the next one: a Go map never shrinks, so
+// the map a 20 000-row load grew is replaced rather than carried by the
+// session for life. 64 keeps every OLTP-sized transaction's map.
+const maxHeldReuse = 64
 
 // cachePut records a newly cached grant, evicting the oldest entry if
 // the cache is full.
@@ -198,17 +260,23 @@ func (l *Locker) cachePut(key Key, e *sliEntry) {
 		}
 		c.remove(key)
 	}
-	c.entries[key] = e
-	c.order = append(c.order, key)
-	for len(c.entries) > c.cap {
-		victim := c.order[0]
-		ve := c.entries[victim]
-		c.order = c.order[1:]
-		delete(c.entries, victim)
-		if ve != nil && ve.state.CompareAndSwap(sliValid, sliStolen) {
+	if c.n == len(c.ring) {
+		victim := *c.slot(0)
+		if ve := c.entries[victim]; ve.state.CompareAndSwap(sliValid, sliStolen) {
 			l.m.releaseCachedGrant(ve)
+		} else {
+			// Stolen already, or adopted by the transaction that is
+			// releasing right now and not yet handed back: have
+			// ReleaseAll return it to the table when it gets there. Left
+			// alone it would go back to sliValid with no cache to find
+			// it in, and stay granted until somebody conflicted with it.
+			ve.reclaim.Store(true)
 		}
+		c.remove(victim)
 	}
+	c.entries[key] = e
+	*c.slot(c.n) = key
+	c.n++
 }
 
 // ReleaseAllToTable drops every held lock directly into the lock table,
@@ -220,8 +288,10 @@ func (l *Locker) cachePut(key Key, e *sliEntry) {
 func (l *Locker) ReleaseAllToTable() {
 	for key, h := range l.held {
 		if h.sli != nil {
-			h.sli.state.Store(sliStolen)
+			// Storing sliStolen comes last: the agent may recycle the
+			// entry once it reads that.
 			l.m.releaseCachedGrant(h.sli)
+			h.sli.state.Store(sliStolen)
 		} else {
 			l.m.release(l.txn, key)
 		}
@@ -230,16 +300,21 @@ func (l *Locker) ReleaseAllToTable() {
 }
 
 // DropCache releases every lock the agent cache still holds (agent
-// shutdown). The cache is unusable afterwards.
-func (l *Locker) DropCache() {
-	if l.cache == nil {
-		return
-	}
-	for key, e := range l.cache.entries {
+// shutdown), on the agent's goroutine. The cache is empty afterwards.
+func (m *Manager) DropCache(c *AgentCache) {
+	for key, e := range c.entries {
 		if e.state.CompareAndSwap(sliValid, sliStolen) {
-			l.m.releaseCachedGrant(e)
+			m.releaseCachedGrant(e)
 		}
-		delete(l.cache.entries, key)
+		delete(c.entries, key)
 	}
-	l.cache.order = l.cache.order[:0]
+	c.head, c.n = 0, 0
+	c.free = nil
+}
+
+// DropCache is Manager.DropCache on the locker's cache, if it has one.
+func (l *Locker) DropCache() {
+	if l.cache != nil {
+		l.m.DropCache(l.cache)
+	}
 }

@@ -63,10 +63,88 @@ type Manager struct {
 	stats Stats
 }
 
+// partition is one lock-table shard. Lock heads and grants that leave
+// the table go onto its free lists (under mu, which every path that
+// creates or drops one already holds) and come back from there, so a
+// steady stream of acquire/release allocates nothing. The struct is 64
+// bytes, one cache line per partition.
 type partition struct {
-	mu    sync.Mutex
-	locks map[Key]*lockHead
-	_     [40]byte // keep partitions on separate cache lines
+	mu         sync.Mutex
+	locks      map[Key]*lockHead
+	freeHeads  []*lockHead
+	freeGrants []*grant
+}
+
+// maxFreeNodes bounds each of a partition's free lists: a transaction's
+// handful of locks spreads over 128 partitions, so 16 covers any steady
+// state, and what a 20 000-row load leaves behind is collected rather
+// than pinned (at most 128 x 16 heads and grants, ~250 kB).
+const maxFreeNodes = 16
+
+// popFree takes the last node off a free list; nil if it is empty.
+func popFree[T any](list *[]*T) *T {
+	n := len(*list)
+	if n == 0 {
+		return nil
+	}
+	node := (*list)[n-1]
+	*list = (*list)[:n-1]
+	return node
+}
+
+// head returns key's lock head, creating it if absent. Caller holds
+// p.mu.
+func (p *partition) head(key Key) *lockHead {
+	h := p.locks[key]
+	if h != nil {
+		return h
+	}
+	if h = popFree(&p.freeHeads); h == nil {
+		h = new(lockHead)
+	}
+	h.key = key
+	p.locks[key] = h
+	return h
+}
+
+// dropIfIdle removes h from the table once nothing is granted or queued
+// on it. Caller holds p.mu.
+func (p *partition) dropIfIdle(h *lockHead) {
+	if len(h.grants) != 0 || len(h.queue) != 0 {
+		return
+	}
+	delete(p.locks, h.key)
+	if len(p.freeHeads) < maxFreeNodes {
+		p.freeHeads = append(p.freeHeads, h)
+	}
+}
+
+// grant adds a grant for owner to h. Caller holds p.mu.
+func (p *partition) grant(h *lockHead, owner uint64, mode Mode) {
+	g := popFree(&p.freeGrants)
+	if g == nil {
+		g = new(grant)
+	}
+	*g = grant{owner: owner, mode: mode}
+	h.grants = append(h.grants, g)
+}
+
+// ungrant removes g from h. Nothing may refer to g afterwards. Caller
+// holds p.mu.
+func (p *partition) ungrant(h *lockHead, g *grant) {
+	for i, o := range h.grants {
+		if o == g {
+			last := len(h.grants) - 1
+			copy(h.grants[i:], h.grants[i+1:])
+			h.grants[last] = nil
+			h.grants = h.grants[:last]
+			break
+		}
+	}
+	g.sli = nil
+	if len(p.freeGrants) < maxFreeNodes {
+		p.freeGrants = append(p.freeGrants, g)
+	}
 }
 
 // lockHead is the per-object lock state: granted set plus FIFO queue.
@@ -121,15 +199,6 @@ func (h *lockHead) findGrant(owner uint64) *grant {
 	return nil
 }
 
-func (h *lockHead) removeGrant(g *grant) {
-	for i, o := range h.grants {
-		if o == g {
-			h.grants = append(h.grants[:i], h.grants[i+1:]...)
-			return
-		}
-	}
-}
-
 func (h *lockHead) removeWaiter(w *waiter) {
 	for i, o := range h.queue {
 		if o == w {
@@ -139,43 +208,36 @@ func (h *lockHead) removeWaiter(w *waiter) {
 	}
 }
 
-// canGrant reports whether w could be satisfied right now. Caller holds
-// the partition mutex.
-func (h *lockHead) canGrant(w *waiter) bool {
-	if w.upgrade {
-		own := h.findGrant(w.owner)
-		for _, g := range h.grants {
-			if g != own && !Compatible(g.mode, w.mode) {
-				return false
-			}
-		}
-		return true
-	}
+// canGrant reports whether mode is compatible with every grant on h
+// other than own (the requester's existing grant when converting, nil
+// for a fresh request). Caller holds the partition mutex.
+func (h *lockHead) canGrant(mode Mode, own *grant) bool {
 	for _, g := range h.grants {
-		if !Compatible(g.mode, w.mode) {
+		if g != own && !Compatible(g.mode, mode) {
 			return false
 		}
 	}
 	return true
 }
 
-// grantWaiters satisfies the longest grantable prefix of the queue (FIFO;
-// upgrades sit at the front). Caller holds the partition mutex.
-func (h *lockHead) grantWaiters() {
+// grantWaiters satisfies the longest grantable prefix of h's queue
+// (FIFO; upgrades sit at the front). Caller holds p.mu.
+func (p *partition) grantWaiters(h *lockHead) {
 	for len(h.queue) > 0 {
 		w := h.queue[0]
-		if !h.canGrant(w) {
+		var own *grant
+		if w.upgrade {
+			own = h.findGrant(w.owner)
+		}
+		if !h.canGrant(w.mode, own) {
 			return
 		}
+		h.queue[0] = nil
 		h.queue = h.queue[1:]
-		if w.upgrade {
-			if g := h.findGrant(w.owner); g != nil {
-				g.mode = w.mode
-			} else {
-				h.grants = append(h.grants, &grant{owner: w.owner, mode: w.mode})
-			}
+		if own != nil {
+			own.mode = w.mode
 		} else {
-			h.grants = append(h.grants, &grant{owner: w.owner, mode: w.mode})
+			p.grant(h, w.owner, w.mode)
 		}
 		w.granted = true
 		close(w.ch)
@@ -183,94 +245,82 @@ func (h *lockHead) grantWaiters() {
 }
 
 // stealCachedConflicts removes or flags inactive cached grants that
-// conflict with a request in the given mode. Returns true if any grant
-// was removed (so compatibility should be re-checked). Caller holds the
-// partition mutex.
-func (m *Manager) stealCachedConflicts(h *lockHead, mode Mode) bool {
-	removed := false
+// conflict with a request in the given mode. Caller holds p.mu.
+func (m *Manager) stealCachedConflicts(p *partition, h *lockHead, mode Mode) {
 	for i := 0; i < len(h.grants); {
 		g := h.grants[i]
-		if g.sli != nil && !Compatible(g.mode, mode) {
-			if g.sli.state.CompareAndSwap(sliValid, sliStolen) {
-				// Inactive: reclaim it outright.
-				h.grants = append(h.grants[:i], h.grants[i+1:]...)
-				m.stats.SLISteals.Inc()
-				removed = true
-				continue
-			}
-			// In use by a running transaction: ask the owner to return
-			// it to the table at commit.
-			g.sli.reclaim.Store(true)
+		if g.sli != nil && !Compatible(g.mode, mode) && g.sli.stealOrFlag() {
+			p.ungrant(h, g)
+			m.stats.SLISteals.Inc()
+			continue
 		}
 		i++
 	}
-	return removed
+}
+
+// stealOrFlag takes e if it is inactive, and otherwise asks the
+// transaction using it to return the lock to the table when it commits
+// (Locker.ReleaseAll). Both sides publish and then check — the owner
+// stores sliValid and then loads reclaim, the stealer stores reclaim and
+// then tries the steal again — so a request can not fall between the
+// owner's check and its publication with neither side noticing. A
+// successful CAS is the stealer's last access to e: its agent may recycle
+// the entry as soon as it reads sliStolen.
+func (e *sliEntry) stealOrFlag() (stolen bool) {
+	if e.state.CompareAndSwap(sliValid, sliStolen) {
+		return true
+	}
+	e.reclaim.Store(true)
+	return e.state.CompareAndSwap(sliValid, sliStolen)
 }
 
 // acquire is the slow path: take the partition latch, try to grant, and
 // otherwise wait in the queue. If convert is true the owner already holds
-// the lock and mode is the conversion target.
+// the lock and mode is the conversion target. A waiter and its channel
+// exist only for a request that actually queues.
 func (m *Manager) acquire(owner uint64, key Key, mode Mode, convert bool) error {
 	p := m.part(key)
 	p.mu.Lock()
-	h := p.locks[key]
-	if h == nil {
-		h = &lockHead{key: key}
-		p.locks[key] = h
-	}
+	h := p.head(key)
 
+	var own *grant
 	if convert {
-		g := h.findGrant(owner)
-		if g == nil {
-			// Degenerate: treated as a fresh acquire below.
-			convert = false
-		} else {
-			if Covers(g.mode, mode) {
-				p.mu.Unlock()
-				return nil
-			}
-			m.stats.Upgrades.Inc()
-			m.stealCachedConflicts(h, mode)
-			ok := true
-			for _, o := range h.grants {
-				if o != g && !Compatible(o.mode, mode) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				g.mode = mode
-				p.mu.Unlock()
-				return nil
-			}
-			// Queue the conversion ahead of fresh requests.
-			w := &waiter{owner: owner, mode: mode, upgrade: true, ch: make(chan struct{})}
-			pos := 0
-			for pos < len(h.queue) && h.queue[pos].upgrade {
-				pos++
-			}
-			h.queue = append(h.queue, nil)
-			copy(h.queue[pos+1:], h.queue[pos:])
-			h.queue[pos] = w
-			p.mu.Unlock()
-			return m.wait(p, h, w)
-		}
+		// A conversion without a grant is treated as a fresh acquire.
+		own = h.findGrant(owner)
 	}
-
-	if !convert {
-		m.stealCachedConflicts(h, mode)
-		w := &waiter{owner: owner, mode: mode, ch: make(chan struct{})}
-		if len(h.queue) == 0 && h.canGrant(w) {
-			h.grants = append(h.grants, &grant{owner: owner, mode: mode})
+	if own != nil {
+		if Covers(own.mode, mode) {
 			p.mu.Unlock()
 			return nil
 		}
-		h.queue = append(h.queue, w)
-		p.mu.Unlock()
-		return m.wait(p, h, w)
+		m.stats.Upgrades.Inc()
 	}
+	m.stealCachedConflicts(p, h, mode)
+	// A conversion jumps the queue; a fresh request may not overtake
+	// anyone already waiting.
+	if (own != nil || len(h.queue) == 0) && h.canGrant(mode, own) {
+		if own != nil {
+			own.mode = mode
+		} else {
+			p.grant(h, owner, mode)
+		}
+		p.mu.Unlock()
+		return nil
+	}
+	w := &waiter{owner: owner, mode: mode, upgrade: own != nil, ch: make(chan struct{})}
+	pos := len(h.queue)
+	if w.upgrade {
+		// Queue the conversion ahead of fresh requests.
+		pos = 0
+		for pos < len(h.queue) && h.queue[pos].upgrade {
+			pos++
+		}
+	}
+	h.queue = append(h.queue, nil)
+	copy(h.queue[pos+1:], h.queue[pos:])
+	h.queue[pos] = w
 	p.mu.Unlock()
-	return nil
+	return m.wait(p, h, w)
 }
 
 // wait blocks on w until granted or timed out.
@@ -296,7 +346,8 @@ func (m *Manager) wait(p *partition, h *lockHead, w *waiter) error {
 		h.removeWaiter(w)
 		// Removing a waiter can unblock those behind it (e.g. a timed-out
 		// X request ahead of compatible S requests).
-		h.grantWaiters()
+		p.grantWaiters(h)
+		p.dropIfIdle(h)
 		p.mu.Unlock()
 		m.stats.Timeouts.Inc()
 		m.stats.WaitTime.Observe(time.Since(t0))
@@ -314,12 +365,10 @@ func (m *Manager) release(owner uint64, key Key) {
 		return
 	}
 	if g := h.findGrant(owner); g != nil {
-		h.removeGrant(g)
-		h.grantWaiters()
+		p.ungrant(h, g)
+		p.grantWaiters(h)
 	}
-	if len(h.grants) == 0 && len(h.queue) == 0 {
-		delete(p.locks, key)
-	}
+	p.dropIfIdle(h)
 }
 
 // tryCacheGrant converts owner's grant into an inactive cached grant held
@@ -339,14 +388,12 @@ func (m *Manager) tryCacheGrant(owner uint64, key Key, cache *AgentCache) *sliEn
 	}
 	if len(h.queue) > 0 {
 		// Contended: inheritance would starve the waiters.
-		h.removeGrant(g)
-		h.grantWaiters()
-		if len(h.grants) == 0 && len(h.queue) == 0 {
-			delete(p.locks, key)
-		}
+		p.ungrant(h, g)
+		p.grantWaiters(h)
+		p.dropIfIdle(h)
 		return nil
 	}
-	e := &sliEntry{key: key, mode: g.mode}
+	e := cache.newEntry(key, g.mode)
 	g.owner = 0
 	g.sli = e
 	return e
@@ -364,14 +411,12 @@ func (m *Manager) releaseCachedGrant(e *sliEntry) {
 	}
 	for _, g := range h.grants {
 		if g.sli == e {
-			h.removeGrant(g)
-			h.grantWaiters()
+			p.ungrant(h, g)
+			p.grantWaiters(h)
 			break
 		}
 	}
-	if len(h.grants) == 0 && len(h.queue) == 0 {
-		delete(p.locks, e.key)
-	}
+	p.dropIfIdle(h)
 }
 
 // adoptCached converts an in-use cached grant into a normal grant for
@@ -398,11 +443,12 @@ func (m *Manager) adoptCached(owner uint64, e *sliEntry, target Mode) error {
 	}
 	g.owner = owner
 	g.sli = nil
+	held := g.mode
 	p.mu.Unlock()
-	if Covers(g.mode, target) {
+	if Covers(held, target) {
 		return nil
 	}
-	return m.acquire(owner, e.key, Supremum(g.mode, target), true)
+	return m.acquire(owner, e.key, Supremum(held, target), true)
 }
 
 // HeldModes returns the granted modes on key, for tests and invariant

@@ -280,3 +280,45 @@ func TestSLIStressHotKey(t *testing.T) {
 		t.Fatalf("SLI hits: %d, want at least %d", got, wantHits)
 	}
 }
+
+// TestSLIReleaseDoesNotLoseSteal runs two agents with lock caches over a
+// few row keys, every transaction locking one of eight "tellers" and
+// then the one "branch" — a fixed order, so no wait can be a deadlock
+// and each lasts as long as the other agent's transaction. A steal
+// request that arrives while ReleaseAll is handing an adopted lock back
+// to the cache must still be honoured: ReleaseAll used to read the
+// entry's reclaim flag and then publish sliValid, and a request between
+// the two was lost. The requester then queued on the branch behind a
+// lock nobody was going to release, holding a teller; when its peer's
+// next transaction drew that teller, both sat out the deadlock timeout
+// (about ten times in the rounds run here).
+func TestSLIReleaseDoesNotLoseSteal(t *testing.T) {
+	m := newMgr(t, Config{SLI: true, DeadlockTimeout: 50 * time.Millisecond})
+	branch := RowKey(2, 1)
+	rounds := 1_500_000
+	if testing.Short() {
+		rounds = 100_000
+	}
+	var wg sync.WaitGroup
+	for a := 0; a < 2; a++ {
+		wg.Add(1)
+		go func(a int) {
+			defer wg.Done()
+			l := m.NewLocker(0, NewAgentCache(0))
+			defer l.DropCache()
+			x := uint32(a*7919 + 1)
+			for i := 0; i < rounds; i++ {
+				l.Reset(uint64(2*i + a + 1))
+				x = x*1664525 + 1013904223
+				if l.Acquire(RowKey(1, uint64(x>>16)%8+1), ModeX) == nil {
+					_ = l.Acquire(branch, ModeX) // a timeout is counted below
+				}
+				l.ReleaseAll()
+			}
+		}(a)
+	}
+	wg.Wait()
+	if n := m.Stats().Timeouts.Load(); n != 0 {
+		t.Fatalf("%d lock waits timed out", n)
+	}
+}

@@ -411,3 +411,53 @@ func TestQuickUpdateInverseInvolution(t *testing.T) {
 func quickCfg() *quick.Config {
 	return &quick.Config{MaxCount: 200}
 }
+
+// TestSetInPlaceEncodesLikeFresh: a Record re-armed in place — whatever
+// it carried before, including the Seq and Aux a multi-log append
+// stamped into it — encodes to exactly the bytes of a record spelled out
+// field by field. This is what lets a transaction agent build every
+// record it logs in one scratch Record without changing a byte of the
+// log.
+func TestSetInPlaceEncodesLikeFresh(t *testing.T) {
+	before, after := bytes.Repeat([]byte{0xB0}, 100), bytes.Repeat([]byte{0xAF}, 100)
+	up := UpdatePayload{Op: OpSet, Slot: 5, Before: before, After: after}
+	inv := up.Inverse()
+	cases := []struct {
+		name string
+		set  func(r *Record)
+		want Record
+	}{
+		{"update", func(r *Record) { r.SetUpdate(42, 4096, 77, up) },
+			Record{Header: Header{Kind: KindUpdate, TxnID: 42, PrevLSN: 4096, PageID: 77}, Payload: up.Encode(nil)}},
+		{"clr", func(r *Record) { r.SetCLR(42, 4096, 77, 1024, inv) },
+			Record{Header: Header{Kind: KindCLR, Flags: FlagRedoOnly, TxnID: 42, PrevLSN: 4096, PageID: 77, Aux: 1024}, Payload: inv.Encode(nil)}},
+		{"commit", func(r *Record) { r.Reset(KindCommit, 42, 4096) },
+			Record{Header: Header{Kind: KindCommit, TxnID: 42, PrevLSN: 4096}}},
+	}
+	var scratch Record
+	for _, dirty := range cases {
+		for _, tc := range cases {
+			dirty.set(&scratch)
+			scratch.Seq, scratch.Aux, scratch.LSN = 9, 8, 7 // as a multi-log append leaves it
+			tc.set(&scratch)
+			got, err := scratch.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := tc.want.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s after %s: in-place record encodes differently from a fresh one", tc.name, dirty.name)
+			}
+		}
+	}
+	fresh, err := NewUpdate(42, 4096, 77, up).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := cases[0].want.Encode(); !bytes.Equal(fresh, want) {
+		t.Error("NewUpdate encodes differently from the spelled-out record")
+	}
+}

@@ -206,33 +206,58 @@ func DecodeCheckpoint(src []byte) (CheckpointPayload, error) {
 	return out, nil
 }
 
+// Reset re-arms r in place as a payload-less record of the given kind
+// (commit, abort, end): every header field is overwritten and the
+// payload is emptied, keeping its capacity for the next Set call. A
+// caller that owns one Record per goroutine builds each record it
+// appends this way instead of allocating one; the New* constructors are
+// the same calls on a fresh Record, so both encode to the same bytes.
+func (r *Record) Reset(kind Kind, txnID uint64, prev lsn.LSN) {
+	r.Header = Header{Kind: kind, TxnID: txnID, PrevLSN: prev}
+	r.LSN = 0
+	r.Payload = r.Payload[:0]
+}
+
+// SetUpdate re-arms r in place as an update record carrying p, encoding
+// the payload into r.Payload's existing capacity when it fits.
+func (r *Record) SetUpdate(txnID uint64, prev lsn.LSN, pageID uint64, p UpdatePayload) {
+	r.Reset(KindUpdate, txnID, prev)
+	r.PageID = pageID
+	r.setPayload(p)
+}
+
+// SetCLR re-arms r in place as a compensation record that redoes p (the
+// inverse of the undone update) and chains rollback to undoNext.
+func (r *Record) SetCLR(txnID uint64, prev lsn.LSN, pageID uint64, undoNext lsn.LSN, p UpdatePayload) {
+	r.Reset(KindCLR, txnID, prev)
+	r.Flags = FlagRedoOnly
+	r.PageID = pageID
+	r.Aux = uint64(undoNext)
+	r.setPayload(p)
+}
+
+// setPayload encodes p over r.Payload, growing it once to the exact
+// size if the capacity at hand is too small.
+func (r *Record) setPayload(p UpdatePayload) {
+	if n := p.EncodedSize(); cap(r.Payload) < n {
+		r.Payload = make([]byte, 0, n)
+	}
+	r.Payload = p.Encode(r.Payload[:0])
+}
+
 // NewUpdate builds a ready-to-insert update record.
 func NewUpdate(txnID uint64, prev lsn.LSN, pageID uint64, p UpdatePayload) *Record {
-	return &Record{
-		Header: Header{
-			Kind:    KindUpdate,
-			TxnID:   txnID,
-			PrevLSN: prev,
-			PageID:  pageID,
-		},
-		Payload: p.Encode(make([]byte, 0, p.EncodedSize())),
-	}
+	r := new(Record)
+	r.SetUpdate(txnID, prev, pageID, p)
+	return r
 }
 
 // NewCLR builds a compensation record that redoes p (the inverse of the
 // undone update) and chains rollback to undoNext.
 func NewCLR(txnID uint64, prev lsn.LSN, pageID uint64, undoNext lsn.LSN, p UpdatePayload) *Record {
-	return &Record{
-		Header: Header{
-			Kind:    KindCLR,
-			Flags:   FlagRedoOnly,
-			TxnID:   txnID,
-			PrevLSN: prev,
-			PageID:  pageID,
-			Aux:     uint64(undoNext),
-		},
-		Payload: p.Encode(make([]byte, 0, p.EncodedSize())),
-	}
+	r := new(Record)
+	r.SetCLR(txnID, prev, pageID, undoNext, p)
+	return r
 }
 
 // NewCommit builds a commit record.

@@ -776,12 +776,19 @@ func (e *Engine) RebuildTables() error {
 	return nil
 }
 
-// Agent is a per-worker transaction context: it owns a log appender and
-// an SLI lock cache. One per agent thread.
+// Agent is a per-worker transaction context: it owns a log appender, an
+// SLI lock cache, and the scratch its transactions build log records and
+// keep rollback state in. One per agent thread.
 type Agent struct {
 	eng   *Engine
 	ap    *core.Appender
 	cache *lockmgr.AgentCache
+	// rec is the one log record the agent's transactions fill in and
+	// append: both log paths only read it during the Append call.
+	rec logrec.Record
+	// sc is the scratch lent to the current transaction; nil until the
+	// first Begin and after a transaction took it along.
+	sc *txnScratch
 }
 
 // NewAgent returns a fresh agent context.
@@ -799,23 +806,38 @@ func (e *Engine) NewAgent() *Agent {
 	return a
 }
 
-// Close releases the agent's inherited locks (shutdown).
+// Close releases the agent's inherited locks and its scratch (shutdown).
 func (a *Agent) Close() {
-	a.eng.locks.NewLocker(0, a.cache).DropCache()
+	a.eng.locks.DropCache(a.cache)
+	a.rec = logrec.Record{}
+	a.sc = nil
 }
 
 // Begin starts a transaction on this agent. The agent must finish
 // (commit or abort) the transaction before beginning another, except
 // that pipelined commits detach immediately: the agent may begin the
-// next transaction as soon as Commit returns.
+// next transaction as soon as Commit returns. The new transaction takes
+// over the agent's scratch — lock context, undo images — from the
+// previous one, whose undo is dead once its commit record is appended
+// and whose locks are released by then. A previous transaction that is
+// still active (abandoned, or interleaved against the rule above) keeps
+// the scratch, and the agent starts a new one.
 func (a *Agent) Begin() *Txn {
-	id := a.eng.nextTxn.Add(1)
-	t := &Txn{eng: a.eng, agent: a, id: id, home: -1, locker: a.eng.locks.NewLocker(id, a.cache)}
+	t := &Txn{eng: a.eng, agent: a, id: a.eng.nextTxn.Add(1), home: -1}
 	t.last.Store(lsn.Undefined)
 	t.lastStamp.Store(lsn.Undefined)
 	t.first.Store(lsn.Undefined)
+	if a.sc != nil && a.sc.owner.state.Load() != stActive {
+		a.sc.rearm(t)
+	} else {
+		a.sc = &txnScratch{owner: t, locker: a.eng.locks.NewLocker(t.id, a.cache)}
+	}
+	t.sc = a.sc
+	if cap(a.rec.Payload) > maxRecordBuffer {
+		a.rec.Payload = nil
+	}
 	a.eng.mu.Lock()
-	a.eng.att[id] = t
+	a.eng.att[t.id] = t
 	a.eng.mu.Unlock()
 	return t
 }

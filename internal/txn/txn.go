@@ -23,20 +23,81 @@ const (
 
 // undoEntry remembers one update for transaction-local rollback. Runtime
 // rollback uses this in-memory chain (every live transaction has its
-// records at hand); crash rollback reads the durable log instead.
+// records at hand); crash rollback reads the durable log instead. The
+// images live in the scratch's arena, before then after, from off.
 type undoEntry struct {
-	pageID uint64
-	at     lsn.LSN // LSN of the update record
-	prev   lsn.LSN // PrevLSN of that record (the next undo target)
-	up     logrec.UpdatePayload
+	pageID    uint64
+	at        lsn.LSN // LSN of the update record
+	prev      lsn.LSN // PrevLSN of that record (the next undo target)
+	off       int
+	beforeLen uint32
+	afterLen  uint32
+	slot      uint16
+	op        logrec.UpdateOp
+}
+
+// indexUndo is the index half of undoing an Insert (delete the key) or
+// a Delete (put the key back at rid).
+type indexUndo struct {
+	tbl      *Table
+	key, rid uint64
+	put      bool
+}
+
+// txnScratch is the rollback and lock state of one transaction. An Agent
+// owns one and lends it to each transaction it begins, re-arming it at
+// the next Begin rather than allocating: everything in it is dead by
+// then (ARCHITECTURE.md, "What an agent owns"). A transaction that is
+// not finished by then, or whose locks are released on another
+// goroutine, keeps the scratch and the agent makes itself a new one.
+type txnScratch struct {
+	owner     *Txn
+	locker    *lockmgr.Locker
+	undo      []undoEntry
+	arena     []byte // before and after images of every undo entry
+	indexUndo []indexUndo
+}
+
+// Retention caps: scratch that a transaction grew beyond these is
+// dropped at the next Begin instead of re-armed, so one bulk load does
+// not pin its working set on the session for life. Anything smaller is
+// kept, so a steady workload below the caps never reallocates.
+const (
+	maxUndoEntries  = 256      // x 48 B = 12 kB: any OLTP transaction's updates
+	maxArenaBytes   = 64 << 10 // 256 entries' worth of 100-byte rows, both images
+	maxIndexUndo    = 256      // x 32 B = 8 kB: one per inserted or deleted row
+	maxRecordBuffer = 4 << 10  // what core.Appender's own encode buffer starts at
+)
+
+// rearm readies the scratch for transaction t, which must be on the
+// agent's goroutine with the previous owner finished.
+func (sc *txnScratch) rearm(t *Txn) {
+	sc.owner = t
+	sc.locker.Reset(t.id)
+	if cap(sc.undo) > maxUndoEntries {
+		sc.undo = nil
+	}
+	if cap(sc.arena) > maxArenaBytes {
+		sc.arena = nil
+	}
+	if cap(sc.indexUndo) > maxIndexUndo {
+		sc.indexUndo = nil
+	}
+	sc.undo = sc.undo[:0]
+	sc.arena = sc.arena[:0]
+	// Index undo entries point at tables; do not keep them reachable.
+	for i := range sc.indexUndo {
+		sc.indexUndo[i] = indexUndo{}
+	}
+	sc.indexUndo = sc.indexUndo[:0]
 }
 
 // Txn is one transaction. It is driven by a single agent goroutine.
 type Txn struct {
-	eng    *Engine
-	agent  *Agent
-	id     uint64
-	locker *lockmgr.Locker
+	eng   *Engine
+	agent *Agent
+	id    uint64
+	sc    *txnScratch
 
 	last lsn.Atomic // most recent log record's home-log LSN (PrevLSN chain)
 	// lastStamp is what the checkpoint ATT snapshots as the record to
@@ -53,10 +114,10 @@ type Txn struct {
 	// then; unused in single-log mode).
 	home int
 
-	lastEnd   lsn.LSN // end LSN of the most recent record (home log)
-	writes    int
-	undo      []undoEntry
-	indexUndo []func()
+	lastEnd lsn.LSN // end LSN of the most recent record (home log)
+	writes  int
+	// whenDone is a detached commit's client callback, run by hardened.
+	whenDone func(error)
 }
 
 // appendRec routes rec to the transaction's log — the single log, or
@@ -104,7 +165,8 @@ func (t *Txn) logUpdate(pageID uint64, up logrec.UpdatePayload) (lsn.LSN, lsn.LS
 	// The caller holds the page latch; see stampFloor for why the page
 	// enters the DPT before its record enters the log.
 	t.eng.store.MarkDirty(pageID, t.eng.stampFloor())
-	rec := logrec.NewUpdate(t.id, prev, pageID, up)
+	rec := &t.agent.rec
+	rec.SetUpdate(t.id, prev, pageID, up)
 	at, end, pageStamp, recStamp, err := t.appendRec(rec)
 	if err != nil {
 		return 0, 0, err
@@ -112,20 +174,31 @@ func (t *Txn) logUpdate(pageID uint64, up logrec.UpdatePayload) (lsn.LSN, lsn.LS
 	if prev == lsn.Undefined {
 		t.first.Store(recStamp)
 	}
-	// Deep-copy the images: the payload aliases page memory that will
-	// change, and rollback needs the originals.
-	saved := logrec.UpdatePayload{
-		Op:     up.Op,
-		Slot:   up.Slot,
-		Before: append([]byte(nil), up.Before...),
-		After:  append([]byte(nil), up.After...),
-	}
-	t.undo = append(t.undo, undoEntry{pageID: pageID, at: at, prev: prev, up: saved})
+	// Keep the images: the payload aliases page memory that will change,
+	// and rollback needs the originals.
+	sc := t.sc
+	sc.undo = append(sc.undo, undoEntry{
+		pageID: pageID, at: at, prev: prev, off: len(sc.arena),
+		beforeLen: uint32(len(up.Before)), afterLen: uint32(len(up.After)),
+		slot: up.Slot, op: up.Op,
+	})
+	sc.arena = append(append(sc.arena, up.Before...), up.After...)
 	t.last.Store(at)
 	t.lastStamp.Store(recStamp)
 	t.lastEnd = end
 	t.writes++
 	return recStamp, pageStamp, nil
+}
+
+// payload rebuilds the update e recorded; its images alias the arena.
+func (sc *txnScratch) payload(e *undoEntry) logrec.UpdatePayload {
+	mid := e.off + int(e.beforeLen)
+	return logrec.UpdatePayload{
+		Op:     e.op,
+		Slot:   e.slot,
+		Before: sc.arena[e.off:mid:mid],
+		After:  sc.arena[mid : mid+int(e.afterLen) : mid+int(e.afterLen)],
+	}
 }
 
 func (t *Txn) active() error {
@@ -141,10 +214,10 @@ func (t *Txn) Insert(tbl *Table, key uint64, row []byte) error {
 	if err := t.active(); err != nil {
 		return err
 	}
-	if err := t.locker.Acquire(lockmgr.TableKey(tbl.Space), lockmgr.ModeIX); err != nil {
+	if err := t.sc.locker.Acquire(lockmgr.TableKey(tbl.Space), lockmgr.ModeIX); err != nil {
 		return err
 	}
-	if err := t.locker.Acquire(lockmgr.RowKey(tbl.Space, key), lockmgr.ModeX); err != nil {
+	if err := t.sc.locker.Acquire(lockmgr.RowKey(tbl.Space, key), lockmgr.ModeX); err != nil {
 		return err
 	}
 	if _, exists := tbl.Index.Get(key); exists {
@@ -155,7 +228,7 @@ func (t *Txn) Insert(tbl *Table, key uint64, row []byte) error {
 		return err
 	}
 	tbl.Index.Put(key, rid.Pack())
-	t.indexUndo = append(t.indexUndo, func() { tbl.Index.Delete(key) })
+	t.sc.indexUndo = append(t.sc.indexUndo, indexUndo{tbl: tbl, key: key})
 	return nil
 }
 
@@ -164,10 +237,10 @@ func (t *Txn) Read(tbl *Table, key uint64) ([]byte, error) {
 	if err := t.active(); err != nil {
 		return nil, err
 	}
-	if err := t.locker.Acquire(lockmgr.TableKey(tbl.Space), lockmgr.ModeIS); err != nil {
+	if err := t.sc.locker.Acquire(lockmgr.TableKey(tbl.Space), lockmgr.ModeIS); err != nil {
 		return nil, err
 	}
-	if err := t.locker.Acquire(lockmgr.RowKey(tbl.Space, key), lockmgr.ModeS); err != nil {
+	if err := t.sc.locker.Acquire(lockmgr.RowKey(tbl.Space, key), lockmgr.ModeS); err != nil {
 		return nil, err
 	}
 	packed, ok := tbl.Index.Get(key)
@@ -187,10 +260,10 @@ func (t *Txn) Update(tbl *Table, key uint64, fn func(row []byte) ([]byte, error)
 	if err := t.active(); err != nil {
 		return err
 	}
-	if err := t.locker.Acquire(lockmgr.TableKey(tbl.Space), lockmgr.ModeIX); err != nil {
+	if err := t.sc.locker.Acquire(lockmgr.TableKey(tbl.Space), lockmgr.ModeIX); err != nil {
 		return err
 	}
-	if err := t.locker.Acquire(lockmgr.RowKey(tbl.Space, key), lockmgr.ModeX); err != nil {
+	if err := t.sc.locker.Acquire(lockmgr.RowKey(tbl.Space, key), lockmgr.ModeX); err != nil {
 		return err
 	}
 	packed, ok := tbl.Index.Get(key)
@@ -205,10 +278,10 @@ func (t *Txn) Delete(tbl *Table, key uint64) error {
 	if err := t.active(); err != nil {
 		return err
 	}
-	if err := t.locker.Acquire(lockmgr.TableKey(tbl.Space), lockmgr.ModeIX); err != nil {
+	if err := t.sc.locker.Acquire(lockmgr.TableKey(tbl.Space), lockmgr.ModeIX); err != nil {
 		return err
 	}
-	if err := t.locker.Acquire(lockmgr.RowKey(tbl.Space, key), lockmgr.ModeX); err != nil {
+	if err := t.sc.locker.Acquire(lockmgr.RowKey(tbl.Space, key), lockmgr.ModeX); err != nil {
 		return err
 	}
 	packed, ok := tbl.Index.Get(key)
@@ -220,7 +293,7 @@ func (t *Txn) Delete(tbl *Table, key uint64) error {
 		return err
 	}
 	tbl.Index.Delete(key)
-	t.indexUndo = append(t.indexUndo, func() { tbl.Index.Put(key, rid.Pack()) })
+	t.sc.indexUndo = append(t.sc.indexUndo, indexUndo{tbl: tbl, key: key, rid: rid.Pack(), put: true})
 	return nil
 }
 
@@ -231,7 +304,7 @@ func (t *Txn) Scan(tbl *Table, from, to uint64, fn func(key uint64, row []byte) 
 	if err := t.active(); err != nil {
 		return err
 	}
-	if err := t.locker.Acquire(lockmgr.TableKey(tbl.Space), lockmgr.ModeS); err != nil {
+	if err := t.sc.locker.Acquire(lockmgr.TableKey(tbl.Space), lockmgr.ModeS); err != nil {
 		return err
 	}
 	var scanErr error
@@ -262,7 +335,7 @@ func (t *Txn) Commit(mode CommitMode, whenDone func(error)) error {
 	// Read-only transactions have nothing to harden: release and reply.
 	if t.writes == 0 {
 		t.state.Store(stCommitted)
-		t.locker.ReleaseAll()
+		t.sc.locker.ReleaseAll()
 		t.eng.attRemove(t.id)
 		t.eng.stats.ReadOnly.Inc()
 		t.eng.stats.Commits.Inc()
@@ -272,7 +345,8 @@ func (t *Txn) Commit(mode CommitMode, whenDone func(error)) error {
 		return nil
 	}
 
-	rec := logrec.NewCommit(t.id, t.last.Load())
+	rec := &t.agent.rec
+	rec.Reset(logrec.KindCommit, t.id, t.last.Load())
 	at, end, _, recStamp, err := t.appendRec(rec)
 	if err != nil {
 		return err
@@ -293,7 +367,7 @@ func (t *Txn) Commit(mode CommitMode, whenDone func(error)) error {
 	case CommitSync:
 		// Traditional: hold locks across the flush.
 		err := lm.WaitDurable(end)
-		t.locker.ReleaseAll()
+		t.sc.locker.ReleaseAll()
 		t.finishCommit(err == nil)
 		if whenDone != nil {
 			whenDone(err)
@@ -302,7 +376,7 @@ func (t *Txn) Commit(mode CommitMode, whenDone func(error)) error {
 
 	case CommitSyncELR:
 		// ELR: dependants may acquire our locks while we await the flush.
-		t.locker.ReleaseAll()
+		t.sc.locker.ReleaseAll()
 		err := lm.WaitDurable(end)
 		t.finishCommit(err == nil)
 		if whenDone != nil {
@@ -316,8 +390,8 @@ func (t *Txn) Commit(mode CommitMode, whenDone func(error)) error {
 		// truncation horizon treats ATT absence as "durably finished",
 		// and recycling this txn's records while it can still come back
 		// as a recovery loser would leave its undo chain unreadable.
-		t.locker.ReleaseAll()
-		lm.OnDurable(end, func(err error) { t.finishCommit(err == nil) })
+		t.sc.locker.ReleaseAll()
+		lm.OnDurable(end, t.hardened)
 		if whenDone != nil {
 			whenDone(nil)
 		}
@@ -326,30 +400,42 @@ func (t *Txn) Commit(mode CommitMode, whenDone func(error)) error {
 	case CommitPipelined:
 		// ELR + detach: the agent thread is free immediately; the log
 		// daemon completes the transaction when the record hardens.
-		t.locker.ReleaseAll()
-		lm.OnDurable(end, func(err error) {
-			t.finishCommit(err == nil)
-			if whenDone != nil {
-				whenDone(err)
-			}
-		})
+		t.sc.locker.ReleaseAll()
+		t.whenDone = whenDone
+		lm.OnDurable(end, t.hardened)
 		return nil
 
 	case CommitPipelinedHoldLocks:
 		// Ablation: detach but keep locks until durability. Demonstrates
 		// the log-induced lock contention ELR exists to remove. The
 		// release runs on the daemon goroutine, so it must bypass the
-		// agent's (single-threaded) lock cache.
+		// agent's (single-threaded) lock cache — and the locker goes
+		// with the transaction: the agent, which may begin its next
+		// transaction before the daemon gets here, must not re-arm it.
+		locker := t.sc.locker
+		if t.agent.sc == t.sc {
+			t.agent.sc = nil
+		}
+		t.whenDone = whenDone
 		lm.OnDurable(end, func(err error) {
-			t.locker.ReleaseAllToTable()
-			t.finishCommit(err == nil)
-			if whenDone != nil {
-				whenDone(err)
-			}
+			locker.ReleaseAllToTable()
+			t.hardened(err)
 		})
 		return nil
 	}
 	return fmt.Errorf("txn: unknown commit mode %d", int(mode))
+}
+
+// hardened completes a detached commit on the log daemon's goroutine,
+// once the commit record is durable (or the log has failed with err).
+func (t *Txn) hardened(err error) {
+	t.finishCommit(err == nil)
+	if done := t.whenDone; done != nil {
+		// The agent's scratch keeps its last transaction reachable; do
+		// not let that pin whatever the client's callback captured.
+		t.whenDone = nil
+		done(err)
+	}
 }
 
 // finishCommit completes post-commit bookkeeping.
@@ -377,17 +463,19 @@ func (t *Txn) Abort() error {
 	}
 
 	if t.writes > 0 {
-		abortRec := logrec.NewAbort(t.id, t.last.Load())
-		at, _, _, recStamp, err := t.appendRec(abortRec)
+		rec := &t.agent.rec
+		rec.Reset(logrec.KindAbort, t.id, t.last.Load())
+		at, _, _, recStamp, err := t.appendRec(rec)
 		if err != nil {
 			return err
 		}
 		t.last.Store(at)
 		t.lastStamp.Store(recStamp)
 
-		for i := len(t.undo) - 1; i >= 0; i-- {
-			e := t.undo[i]
-			inv := e.up.Inverse()
+		sc := t.sc
+		for i := len(sc.undo) - 1; i >= 0; i-- {
+			e := &sc.undo[i]
+			inv := sc.payload(e).Inverse()
 			page, ferr := t.eng.store.Get(e.pageID)
 			if ferr != nil {
 				return fmt.Errorf("txn: undo fault: %w", ferr)
@@ -404,8 +492,8 @@ func (t *Txn) Abort() error {
 			// the same latch, consistent.
 			page.Latch.Lock()
 			t.eng.store.MarkDirty(e.pageID, t.eng.stampFloor())
-			clr := logrec.NewCLR(t.id, t.last.Load(), e.pageID, e.prev, inv)
-			at, _, pageStamp, recStamp, err := t.appendRec(clr)
+			rec.SetCLR(t.id, t.last.Load(), e.pageID, e.prev, inv)
+			at, _, pageStamp, recStamp, err := t.appendRec(rec)
 			if err == nil {
 				t.last.Store(at)
 				t.lastStamp.Store(recStamp)
@@ -417,13 +505,17 @@ func (t *Txn) Abort() error {
 				return fmt.Errorf("txn: undo page %d: %w", e.pageID, err)
 			}
 		}
-		for i := len(t.indexUndo) - 1; i >= 0; i-- {
-			t.indexUndo[i]()
+		for i := len(sc.indexUndo) - 1; i >= 0; i-- {
+			if u := sc.indexUndo[i]; u.put {
+				u.tbl.Index.Put(u.key, u.rid)
+			} else {
+				u.tbl.Index.Delete(u.key)
+			}
 		}
-		endRec := logrec.NewEnd(t.id, t.last.Load())
-		at, endEnd, _, endStamp, aerr := t.appendRec(endRec)
+		rec.Reset(logrec.KindEnd, t.id, t.last.Load())
+		at, endEnd, _, endStamp, aerr := t.appendRec(rec)
 		t.state.Store(stAborted)
-		t.locker.ReleaseAll()
+		t.sc.locker.ReleaseAll()
 		t.eng.stats.Aborts.Inc()
 		if aerr != nil {
 			// No end record: stay in the ATT so the txn's first LSN
@@ -436,15 +528,14 @@ func (t *Txn) Abort() error {
 		// Leave the ATT only once the rollback is durable: until then
 		// the txn's first LSN must keep pinning the truncation horizon,
 		// or a crash could find a loser whose undo chain was recycled.
-		// Capture only what the callback needs, not the whole Txn with
-		// its deep-copied undo images.
+		// Capture only what the callback needs, not the whole Txn.
 		eng, id := t.eng, t.id
 		t.eng.waitLM(t.home).OnDurable(endEnd, func(error) { eng.attRemove(id) })
 		return nil
 	}
 
 	t.state.Store(stAborted)
-	t.locker.ReleaseAll()
+	t.sc.locker.ReleaseAll()
 	t.eng.attRemove(t.id)
 	t.eng.stats.Aborts.Inc()
 	return nil
