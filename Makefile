@@ -1,7 +1,7 @@
 # Tier-1 verification is `make ci` (build + vet + docs + test + bench smoke).
 GO ?= go
 
-.PHONY: build test test-short test-race vet docs bench-smoke bench-pair alloc-profile soak-smoke soak fuzz-smoke ci
+.PHONY: build test test-short test-race vet docs bench-smoke bench-pair alloc-profile restart-profile soak-smoke soak fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -90,6 +90,20 @@ alloc-profile:
 	$(GO) test -run '^$$' -bench '^BenchmarkTPCBCommitPath$$' -benchtime $(TXNS)x -benchmem \
 		-memprofile mem.prof -memprofilerate 4096 -outputdir .bench_build/alloc -o .bench_build/alloc/aether.test .
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 25 .bench_build/alloc/aether.test .bench_build/alloc/mem.prof
+
+# Where a restart's time and memory go: runs the root BenchmarkReopenTPCB
+# (the repository benchmark's reopen — Open, CreateTable x4,
+# RebuildAfterRecovery — over a 100 000-account TPC-B database with
+# 80 000 history rows; ns/op is its recover_s) under a cpu profile and a
+# memory profile sampling every 4 KiB and prints both by function. Leaves
+# its test binary and profiles under .bench_build/ (ignored).
+restart-profile: REOPENS ?= 30
+restart-profile:
+	mkdir -p .bench_build/restart
+	$(GO) test -run '^$$' -bench '^BenchmarkReopenTPCB$$' -benchtime $(REOPENS)x -benchmem \
+		-cpuprofile cpu.prof -memprofile mem.prof -memprofilerate 4096 -outputdir .bench_build/restart -o .bench_build/restart/aether.test .
+	$(GO) tool pprof -top -nodecount 25 .bench_build/restart/aether.test .bench_build/restart/cpu.prof
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 15 .bench_build/restart/aether.test .bench_build/restart/mem.prof
 
 # Crash-storm smoke: fixed-seed runs of the fault-injection soak
 # harness — 25 power-cut/recover cycles across every fault point

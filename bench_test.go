@@ -267,3 +267,95 @@ func BenchmarkTPCBCommitPath(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkReopenTPCB is the restart benchmark: one iteration is what
+// the repository benchmark's TPC-B workloads time as recover_s — Open,
+// the four CreateTables, RebuildAfterRecovery — over a checkpointed,
+// cleanly closed database of the same shape: 100 000 accounts, 100
+// tellers, 10 branches and 80 000 history rows whose keys, as there,
+// come from two clients' ranges interleaved. The log tail is one
+// checkpoint long, so the time is the rebuild's: faulting every page and
+// indexing every row (pages/op, keys/op). `make restart-profile` runs it
+// under a cpu and an allocation profile and prints where both go.
+func BenchmarkReopenTPCB(b *testing.B) {
+	const (
+		rowSize  = 100
+		accounts = 100_000
+		history  = 80_000
+	)
+	row := func(key uint64) []byte {
+		r := make([]byte, rowSize)
+		binary.LittleEndian.PutUint64(r[0:], key)
+		return r
+	}
+	opts := aether.Options{
+		LogPath:              b.TempDir(),
+		SegmentSize:          8 << 20,
+		CheckpointEveryBytes: 64 << 20,
+	}
+	names := []string{"branch", "teller", "account", "history"}
+	open := func() (*aether.DB, [4]*aether.Table) {
+		db, err := aether.Open(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var tables [4]*aether.Table
+		for i, name := range names {
+			if tables[i], err = db.CreateTable(name); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return db, tables
+	}
+	db, tables := open()
+	s := db.Session()
+	tx, pending := s.Begin(), 0
+	insert := func(t *aether.Table, key uint64) {
+		if err := tx.Insert(t, key, row(key)); err != nil {
+			b.Fatal(err)
+		}
+		if pending++; pending == 1000 {
+			if err := tx.Commit(); err != nil {
+				b.Fatal(err)
+			}
+			tx, pending = s.Begin(), 0
+		}
+	}
+	for i, n := range []int{10, 100, accounts} {
+		for k := uint64(1); k <= uint64(n); k++ {
+			insert(tables[i], k)
+		}
+	}
+	for seq := uint64(1); seq <= history/2; seq++ {
+		insert(tables[3], 1<<40|seq) // client 0
+		insert(tables[3], 2<<40|seq) // client 1
+	}
+	if err := tx.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	s.Close()
+	if err := db.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		b.Fatal(err)
+	}
+
+	var pages int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		db, _ := open()
+		if err := db.RebuildAfterRecovery(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		pages += db.Stats().PageMisses
+		if err := db.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(pages)/float64(b.N), "pages/op")
+	b.ReportMetric(10+100+accounts+history, "keys/op")
+}

@@ -95,7 +95,9 @@
 // file offset in large coalesced writes, guarded against torn pages by
 // a double-write journal: the whole batch goes to pagefile.db.journal
 // and is fsynced once, then the images are written in place and fsynced
-// once — O(1) device fsyncs per sweep, however many pages it cleans.
+// once — O(1) device fsyncs per sweep, however many pages it cleans,
+// and O(1) memory: each image is copied once, out of its frame, through
+// a quarter-megabyte buffer.
 // Open replays a committed journal (crash after the journal fsync) or
 // discards a torn one (crash before it); either way every slot ends
 // consistent. Databases created by older versions with a one-file-per-

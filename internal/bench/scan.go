@@ -88,7 +88,7 @@ func (r ScanResult) String() string {
 // exists to show (the throughput ratio follows from it, but on a busy
 // two-core host only the overlap is a count that repeats).
 type scanArchive struct {
-	a      storage.Archive
+	a      *storage.PageFile
 	serial bool
 	mu     sync.Mutex
 	// inGet is the number of Gets currently inside a; maxInGet its peak.
@@ -125,31 +125,20 @@ func (s *scanArchive) Put(pid uint64, img []byte) error {
 	return s.a.Put(pid, img)
 }
 
-// PutBatch in serial mode holds the mutex across the whole batch —
+// WriteBatch in serial mode holds the mutex across the whole batch —
 // journal fsync, in-place writes and pagefile fsync — exactly as the
 // old single-mutex pagefile did.
-func (s *scanArchive) PutBatch(batch []storage.PageImage) error {
+func (s *scanArchive) WriteBatch(pids []uint64, fill func(i int, dst []byte) bool) error {
 	s.lock()
 	defer s.unlock()
-	if b, ok := s.a.(storage.ArchiveBatcher); ok {
-		return b.PutBatch(batch)
-	}
-	for _, e := range batch {
-		if err := s.a.Put(e.PID, e.Img); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.a.WriteBatch(pids, fill)
 }
 
 // Contains forwards the existence probe.
 func (s *scanArchive) Contains(pid uint64) bool {
 	s.lock()
 	defer s.unlock()
-	if c, ok := s.a.(storage.ArchiveContains); ok {
-		return c.Contains(pid)
-	}
-	return false
+	return s.a.Contains(pid)
 }
 
 // Pages forwards the ID listing.

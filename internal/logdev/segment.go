@@ -925,9 +925,11 @@ func (s *Segmented) readLocked(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-// Truncate implements Truncator: advance the horizon and recycle every
-// segment wholly below it. The newest segment is always retained so a
-// reopened directory can recompute the logical layout from what remains.
+// Truncate implements Truncator: advance the horizon, record it in the
+// manifest — whether or not a segment dies under it, so a reopen starts
+// from it — and recycle every segment wholly below it. The newest
+// segment is always retained so a reopened directory can recompute the
+// logical layout from what remains.
 // With an Archiver attached, dead segments are not recycled here: they
 // move to the pending set, where ArchivePending ships them to cold
 // storage before freeing their slots (archive-before-recycle).
@@ -970,28 +972,27 @@ func (s *Segmented) Truncate(before int64) error {
 	}
 	s.mu.Unlock()
 
+	// Persist the horizon whenever it advances, and before unlinking: a
+	// crash in between finds a manifest that already points past every
+	// segment we were about to drop, and a reopen — after a crash or a
+	// clean Close — starts its recovery scan at the last checkpoint's
+	// horizon, not at wherever a segment boundary last fell. Truncate is
+	// called once per checkpoint; the manifest's two fsyncs are on no
+	// commit's path.
+	if err := s.backend.setBase(before); err != nil {
+		return err
+	}
 	recycled := dead[:0]
 	var ioErr error
-	if len(dead) > 0 {
-		// Persist the horizon before unlinking: if we crash in between,
-		// the manifest already points past every segment we were about
-		// to drop. When nothing is recyclable the manifest write (two
-		// fsyncs) is skipped — a reopened log then recomputes a slightly
-		// older horizon from the surviving files, which only lengthens
-		// its recovery scan, never corrupts it.
-		if err := s.backend.setBase(before); err != nil {
-			return err
-		}
-		if !archiving {
-			for _, idx := range dead {
-				if err := s.backend.remove(idx, deadSegs[idx]); err != nil {
-					// The horizon stays put, so a retry at the same horizon
-					// re-enters and picks up the remaining dead segments.
-					ioErr = err
-					break
-				}
-				recycled = append(recycled, idx)
+	if !archiving {
+		for _, idx := range dead {
+			if err := s.backend.remove(idx, deadSegs[idx]); err != nil {
+				// The horizon stays put, so a retry at the same horizon
+				// re-enters and picks up the remaining dead segments.
+				ioErr = err
+				break
 			}
+			recycled = append(recycled, idx)
 		}
 	}
 

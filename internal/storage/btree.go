@@ -1,6 +1,10 @@
 package storage
 
-import "sync"
+import (
+	"cmp"
+	"slices"
+	"sync"
+)
 
 // BTree is an in-memory B+Tree mapping uint64 keys to uint64 values
 // (typically packed RIDs). It serves as the tables' primary index.
@@ -36,6 +40,75 @@ type btreeNode struct {
 // NewBTree returns an empty tree.
 func NewBTree() *BTree {
 	return &BTree{root: &btreeNode{leaf: true}}
+}
+
+// BTreeEntry is one key→value pair handed to BTree.Build.
+type BTreeEntry struct {
+	// Key is the index key.
+	Key uint64
+	// Value is what the key maps to (typically a packed RID).
+	Value uint64
+}
+
+// Build replaces the tree's contents with entries, leaving the tree that
+// a Put of each entry, in order, into an empty tree would have produced
+// — a later entry of the same key wins — but built bottom-up in one
+// pass: no descent, no split, no lock per key. This is the restart path
+// (the index is rebuilt from the heap). entries is sorted in place
+// (stably), and only if it is not already ascending, which a heap walked
+// in page order usually is.
+//
+// Leaves are packed full and cut from two shared arrays, each with its
+// capacity clipped to its length: a later Put into one reallocates that
+// leaf's slices rather than write over its neighbour's keys.
+func (t *BTree) Build(entries []BTreeEntry) {
+	byKey := func(a, b BTreeEntry) int { return cmp.Compare(a.Key, b.Key) }
+	if !slices.IsSortedFunc(entries, byKey) {
+		slices.SortStableFunc(entries, byKey)
+	}
+	keys := make([]uint64, 0, len(entries))
+	values := make([]uint64, 0, len(entries))
+	for i, e := range entries {
+		if i+1 < len(entries) && entries[i+1].Key == e.Key {
+			continue // a later entry of this key follows
+		}
+		keys = append(keys, e.Key)
+		values = append(values, e.Value)
+	}
+
+	// level is the nodes of the level being built, left to right; firsts
+	// holds the smallest key under each, which is the separator its
+	// parent files it under.
+	var level []*btreeNode
+	var firsts []uint64
+	for lo := 0; lo < len(keys); lo += btreeOrder {
+		hi := min(lo+btreeOrder, len(keys))
+		leaf := &btreeNode{leaf: true, keys: keys[lo:hi:hi], values: values[lo:hi:hi]}
+		if len(level) > 0 {
+			level[len(level)-1].next = leaf
+		}
+		level = append(level, leaf)
+		firsts = append(firsts, keys[lo])
+	}
+	if len(level) == 0 {
+		level = []*btreeNode{{leaf: true}}
+	}
+	for len(level) > 1 {
+		var up []*btreeNode
+		var upFirsts []uint64
+		for lo := 0; lo < len(level); lo += btreeOrder + 1 {
+			hi := min(lo+btreeOrder+1, len(level))
+			up = append(up, &btreeNode{
+				keys:     slices.Clone(firsts[lo+1 : hi]),
+				children: slices.Clone(level[lo:hi]),
+			})
+			upFirsts = append(upFirsts, firsts[lo])
+		}
+		level, firsts = up, upFirsts
+	}
+	t.mu.Lock()
+	t.root, t.size = level[0], len(keys)
+	t.mu.Unlock()
 }
 
 // Len returns the number of keys.

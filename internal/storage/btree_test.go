@@ -259,3 +259,157 @@ func TestBTreeConcurrentMixed(t *testing.T) {
 		t.Fatalf("Len: %d", bt.Len())
 	}
 }
+
+// btreeDump lists a tree's contents by scanning it.
+func btreeDump(bt *BTree) []BTreeEntry {
+	var out []BTreeEntry
+	bt.Scan(0, ^uint64(0), func(k, v uint64) bool {
+		out = append(out, BTreeEntry{k, v})
+		return true
+	})
+	return out
+}
+
+// sameTree checks that built answers Scan, Get, Len and Min exactly as
+// ref does, probing every key of ref and the gaps next to them.
+func sameTree(t *testing.T, built, ref *BTree) bool {
+	t.Helper()
+	want, got := btreeDump(ref), btreeDump(built)
+	if len(got) != len(want) || built.Len() != ref.Len() {
+		t.Errorf("built tree holds %d keys (Len %d), reference %d (Len %d)", len(got), built.Len(), len(want), ref.Len())
+		return false
+	}
+	for i, e := range want {
+		if got[i] != e {
+			t.Errorf("scan position %d: built %v, reference %v", i, got[i], e)
+			return false
+		}
+		for _, k := range []uint64{e.Key - 1, e.Key, e.Key + 1} {
+			bv, bok := built.Get(k)
+			rv, rok := ref.Get(k)
+			if bv != rv || bok != rok {
+				t.Errorf("Get(%d): built %d,%v reference %d,%v", k, bv, bok, rv, rok)
+				return false
+			}
+		}
+	}
+	bm, bok := built.Min()
+	rm, rok := ref.Min()
+	if bm != rm || bok != rok {
+		t.Errorf("Min: built %d,%v reference %d,%v", bm, bok, rm, rok)
+		return false
+	}
+	return true
+}
+
+// TestBTreeBulkBuildEqualsPuts: Build leaves the tree a Put of each
+// entry, in input order, would have — for random keys with duplicates
+// (the later one wins), ascending and descending input, and two
+// interleaved ascending runs, the shape TPC-B's history table has with
+// two clients — and the built tree then takes Puts and Deletes like any
+// other: in particular an insert into a packed leaf, whose key slice was
+// cut from an array it shares with its neighbours, must not write over
+// theirs.
+func TestBTreeBulkBuildEqualsPuts(t *testing.T) {
+	check := func(entries []BTreeEntry, churn []uint32) bool {
+		ref, built := NewBTree(), NewBTree()
+		built.Put(1<<62, 1) // Build replaces what the tree held
+		for _, e := range entries {
+			ref.Put(e.Key, e.Value)
+		}
+		built.Build(append([]BTreeEntry(nil), entries...))
+		if !sameTree(t, built, ref) {
+			return false
+		}
+		// Keep both trees working: new keys next to old ones (splitting
+		// the packed leaves), overwrites, deletes.
+		for i, c := range churn {
+			k := uint64(c)
+			if len(entries) > 0 {
+				k = entries[int(c)%len(entries)].Key + uint64(i%3) - 1
+			}
+			if i%4 == 3 {
+				if built.Delete(k) != ref.Delete(k) {
+					t.Errorf("Delete(%d) disagrees", k)
+					return false
+				}
+				continue
+			}
+			if built.Put(k, uint64(i)) != ref.Put(k, uint64(i)) {
+				t.Errorf("Put(%d) disagrees", k)
+				return false
+			}
+		}
+		return sameTree(t, built, ref)
+	}
+	shapes := map[string]func(keys []uint16) []BTreeEntry{
+		"random with duplicates": func(keys []uint16) []BTreeEntry {
+			out := make([]BTreeEntry, len(keys))
+			for i, k := range keys {
+				out[i] = BTreeEntry{uint64(k % 2048), uint64(i)}
+			}
+			return out
+		},
+		"ascending": func(keys []uint16) []BTreeEntry {
+			out := make([]BTreeEntry, len(keys))
+			for i := range keys {
+				out[i] = BTreeEntry{uint64(3 * i), uint64(i)}
+			}
+			return out
+		},
+		"descending": func(keys []uint16) []BTreeEntry {
+			out := make([]BTreeEntry, len(keys))
+			for i := range keys {
+				out[i] = BTreeEntry{uint64(3 * (len(keys) - i)), uint64(i)}
+			}
+			return out
+		},
+		"two interleaved ascending runs": func(keys []uint16) []BTreeEntry {
+			out := make([]BTreeEntry, len(keys))
+			var next [2]uint64
+			for i, k := range keys {
+				c := uint64(k % 2)
+				next[c]++
+				out[i] = BTreeEntry{(c+1)<<40 | next[c], uint64(i)}
+			}
+			return out
+		},
+	}
+	for name, shape := range shapes {
+		shape := shape
+		t.Run(name, func(t *testing.T) {
+			f := func(keys []uint16, churn []uint32) bool { return check(shape(keys), churn) }
+			// Sizes up to several thousand keys: many leaves, two levels
+			// of internal nodes above them.
+			if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(19))}); err != nil {
+				t.Fatal(err)
+			}
+			big := make([]uint16, 70_000)
+			rng := rand.New(rand.NewSource(23))
+			for i := range big {
+				big[i] = uint16(rng.Intn(1 << 16))
+			}
+			churn := make([]uint32, 4_000)
+			for i := range churn {
+				churn[i] = rng.Uint32()
+			}
+			if !check(shape(big), churn) {
+				t.Fatal("70 000-entry build disagrees with the Put loop")
+			}
+		})
+	}
+	// The shared-array hazard, stated directly: fill leaf 0 past its
+	// clipped capacity and leaf 1's first key must still be there.
+	var entries []BTreeEntry
+	for i := 0; i < 3*btreeOrder; i++ {
+		entries = append(entries, BTreeEntry{uint64(10 * (i + 1)), uint64(i)})
+	}
+	bt := NewBTree()
+	bt.Build(entries)
+	bt.Put(5, 99) // lands in the packed leaf 0, which must reallocate
+	for i, e := range entries {
+		if v, ok := bt.Get(e.Key); !ok || v != e.Value {
+			t.Fatalf("after a Put into the first leaf, entry %d (key %d) reads %d,%v", i, e.Key, v, ok)
+		}
+	}
+}

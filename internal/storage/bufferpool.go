@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -31,6 +30,17 @@ type WAL interface {
 type ArchiveContains interface {
 	// Contains reports whether the archive holds an image for pid.
 	Contains(pid uint64) bool
+}
+
+// ArchivePageReader is the optional Archive extension the fault paths
+// prefer: a read that lands in the frame about to be installed, so a
+// fault allocates that frame and nothing else. The PageFile implements
+// it; other archives are read through Get and copied in.
+type ArchivePageReader interface {
+	// ReadPage reads and validates page pid's image into p. found is
+	// false, and p untouched, for a page the archive does not hold;
+	// after an error p's contents are undefined.
+	ReadPage(pid uint64, p *Page) (found bool, err error)
 }
 
 // CacheStats is a point-in-time snapshot of the buffer pool's counters.
@@ -147,11 +157,13 @@ func (s *Store) getResident(pid uint64) *Page {
 }
 
 // fault brings a non-resident page into RAM: read its image from the
-// backend (CRC-verified by the backend's own read path), cross-check its
-// pageLSN against the durable log, make room within the cache budget,
-// and install it pinned. With create set, a page the backend has never
-// seen materializes empty (redo rebuilding a never-archived page); the
-// space allocator is advanced past it.
+// backend into a fresh frame (loadFrame: validated by the backend's own
+// read path, then cross-checked against the durable log), make room
+// within the cache budget, and install it pinned — the frame becomes
+// visible in the shard only after every check has passed. With create
+// set, a page the backend has never seen materializes empty (redo
+// rebuilding a never-archived page); the space allocator is advanced
+// past it.
 //
 // The backend read happens under the shard's exclusive lock. That is
 // what makes the read-install pair atomic against a full concurrent
@@ -185,55 +197,16 @@ func (s *Store) fault(pid uint64, create bool) (*Page, error) {
 		s.notePrefetchHit(cur, pid)
 		return cur, nil
 	}
-	var img []byte
-	if s.backend != nil {
-		var err error
-		img, err = s.backend.Get(pid)
-		if err != nil {
-			sh.mu.Unlock()
-			s.releaseFrame()
-			return nil, fmt.Errorf("storage: faulting page %d: %w", pid, err)
-		}
-	}
-	if img == nil && !create {
+	p := NewPage(pid)
+	missed, err := s.loadFrame(pid, p)
+	if err != nil || (!missed && !create) {
 		sh.mu.Unlock()
 		s.releaseFrame()
-		return nil, nil
-	}
-	p := NewPage(pid)
-	if img != nil {
-		if len(img) != PageSize {
-			// Validate the length before touching any header field: a
-			// torn or truncated image from a backend without its own
-			// framing must fail loudly, not panic on the LSN read.
-			sh.mu.Unlock()
-			s.releaseFrame()
-			return nil, fmt.Errorf("storage: faulted page %d image is %d bytes, want %d", pid, len(img), PageSize)
-		}
-		if s.wal != nil {
-			// VerifyArchive at fault granularity: the sweep and the
-			// steal path only write images whose pageLSN is durable, so
-			// an image past the durable horizon is a WAL violation or a
-			// corrupt database file; redoing on top of it would
-			// silently skip updates.
-			if pl := lsn.LSN(binary.LittleEndian.Uint64(img[8:16])); pl > s.wal.Durable() {
-				sh.mu.Unlock()
-				s.releaseFrame()
-				return nil, fmt.Errorf(
-					"storage: faulted page %d has pageLSN %v beyond the durable log end %v (archive ahead of log: WAL violation or corruption)",
-					pid, pl, s.wal.Durable())
-			}
-		}
-		if err := p.LoadSnapshot(img); err != nil {
-			sh.mu.Unlock()
-			s.releaseFrame()
-			return nil, err
-		}
+		return nil, err
 	}
 	p.pins.Store(1)
 	p.ref.Store(true)
 	sh.pages[pid] = p
-	missed := img != nil
 	if missed {
 		s.misses.Add(1)
 	} else {
@@ -251,6 +224,47 @@ func (s *Store) fault(pid uint64, create bool) (*Page, error) {
 		s.noteAccess(pid)
 	}
 	return p, nil
+}
+
+// loadFrame fills p — a fresh frame, not yet visible to anyone — with
+// page pid's image from the backend, for the demand fault and the
+// read-ahead alike. found is false (and p still the empty page) if the
+// backend holds no image. The checks run in this order, all before the
+// caller installs the frame: the backend's own validation of what it
+// read (the PageFile: slot identity, version floor, CRC), then the
+// WAL-horizon check.
+func (s *Store) loadFrame(pid uint64, p *Page) (found bool, err error) {
+	if s.backend == nil {
+		return false, nil
+	}
+	if r, ok := s.backend.(ArchivePageReader); ok {
+		found, err = r.ReadPage(pid, p)
+	} else {
+		var img []byte
+		if img, err = s.backend.Get(pid); err == nil && img != nil {
+			// LoadSnapshot validates the length before any header field
+			// is touched: a torn or truncated image from a backend
+			// without its own framing must fail loudly, not panic on the
+			// LSN read.
+			found, err = true, p.LoadSnapshot(img)
+		}
+	}
+	if err != nil {
+		return false, fmt.Errorf("storage: faulting page %d: %w", pid, err)
+	}
+	if found && s.wal != nil {
+		// VerifyArchive at fault granularity: the sweep and the steal
+		// path only write images whose pageLSN is durable, so an image
+		// past the durable horizon is a WAL violation or a corrupt
+		// database file; redoing on top of it would silently skip
+		// updates.
+		if pl, durable := p.LSN(), s.wal.Durable(); pl > durable {
+			return false, fmt.Errorf(
+				"storage: faulted page %d has pageLSN %v beyond the durable log end %v (archive ahead of log: WAL violation or corruption)",
+				pid, pl, durable)
+		}
+	}
+	return found, nil
 }
 
 // noteResident registers a newly installed page with the clock (its
@@ -511,7 +525,16 @@ func (s *Store) stealAndDrop(pid uint64, p *Page) bool {
 		if err := s.wal.Force(p.LSN()); err != nil {
 			return false
 		}
-		if err := s.backend.Put(pid, p.Snapshot()); err != nil {
+		// The same write-back routine the sweep and the cleaner use, for
+		// a batch of one. Its fill copies the frame without latching: the
+		// read latch is already held, here, and taking it again could
+		// deadlock behind a queued writer.
+		durable, wrote := s.wal.Durable(), false
+		err := batcherFor(s.backend).WriteBatch([]uint64{pid}, func(_ int, dst []byte) bool {
+			_, wrote = p.copyDurable(dst, durable)
+			return wrote
+		})
+		if err != nil || !wrote {
 			// The page stays dirty; its recLSN keeps pinning the
 			// truncation horizon until a later steal or sweep succeeds.
 			return false

@@ -3,8 +3,11 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"aether/internal/logrec"
 	"aether/internal/lsn"
@@ -57,11 +60,27 @@ type walCheckingArchive struct {
 	t   *testing.T
 }
 
-func (a *walCheckingArchive) Put(pid uint64, img []byte) error {
+func (a *walCheckingArchive) check(pid uint64, img []byte) {
 	if pl := lsn.LSN(binary.LittleEndian.Uint64(img[8:16])); pl > a.wal.Durable() {
-		a.t.Errorf("WAL violation: page %d stolen at pageLSN %v with durable horizon %v", pid, pl, a.wal.Durable())
+		a.t.Errorf("WAL violation: page %d written back at pageLSN %v with durable horizon %v", pid, pl, a.wal.Durable())
 	}
+}
+
+func (a *walCheckingArchive) Put(pid uint64, img []byte) error {
+	a.check(pid, img)
 	return a.MemArchive.Put(pid, img)
+}
+
+// WriteBatch checks every image the steal, cleaner and sweep paths hand
+// over, as it is handed over.
+func (a *walCheckingArchive) WriteBatch(pids []uint64, fill func(i int, dst []byte) bool) error {
+	return a.MemArchive.WriteBatch(pids, func(i int, dst []byte) bool {
+		if !fill(i, dst) {
+			return false
+		}
+		a.check(pids[i], dst)
+		return true
+	})
 }
 
 // poolHarness builds a bounded store over a WAL-checked MemArchive with
@@ -303,5 +322,86 @@ func TestBufferPoolConcurrentPaging(t *testing.T) {
 	cs := st.CacheStats()
 	if cs.Evictions == 0 || cs.Misses == 0 {
 		t.Fatalf("no paging under pressure: %+v", cs)
+	}
+}
+
+// TestFaultAllocatesTheFrameOnly: a page fault from a PageFile backend —
+// demand or read-ahead — allocates the frame it installs and nothing
+// else: one object, of a Page's size class. The slot is read straight
+// into that frame (no slot-sized staging buffer, which doubled a fault's
+// bytes), and its checksum is computed where the bytes lie.
+func TestFaultAllocatesTheFrameOnly(t *testing.T) {
+	pf := openPF(t, filepath.Join(t.TempDir(), "pagefile.db"))
+	const pages = 512 // more than one measurement touches: every access is to a page not in the pool
+	batch := make([]PageImage, pages)
+	for i := range batch {
+		pid := MakePageID(1, uint64(i+1))
+		batch[i] = PageImage{PID: pid, Img: pfTestImage(pid, byte(i))}
+	}
+	if err := pf.PutBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+
+	// measure runs fn n times after a warm-up and returns what one call
+	// allocates, in objects and in bytes.
+	measure := func(n int, fn func()) (objects float64, bytes uint64) {
+		for i := 0; i < 64; i++ {
+			fn() // the shard maps and the clock grow to their working size
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		objects = testing.AllocsPerRun(n, fn)
+		runtime.ReadMemStats(&after)
+		// AllocsPerRun calls fn once more than n, to warm up.
+		return objects, (after.TotalAlloc - before.TotalAlloc) / uint64(n+1)
+	}
+	var sink *Page
+	_, frame := measure(256, func() { sink = NewPage(1) })
+	_ = sink
+	if frame < uint64(unsafe.Sizeof(Page{})) || frame > uint64(unsafe.Sizeof(Page{}))*5/4 {
+		t.Fatalf("a frame measures %d bytes for a %d-byte Page", frame, unsafe.Sizeof(Page{}))
+	}
+	// The byte counts are of the whole process and carry a few bytes of
+	// the measurement's own; a second object of any size that matters —
+	// the staging buffer was a frame's worth — does not hide in 64.
+	const slack = 64
+
+	newPool := func() *Store {
+		st := NewStore()
+		if err := st.SetBackend(pf); err != nil {
+			t.Fatal(err)
+		}
+		st.AttachWAL(&fakeWAL{})
+		st.SetCachePages(8)
+		return st
+	}
+	st, next := newPool(), 0
+	objects, bytes := measure(256, func() {
+		p, err := st.Get(batch[next].PID)
+		if err != nil || p == nil {
+			t.Fatalf("fault: %v", err)
+		}
+		p.Unpin()
+		next++
+	})
+	if cs := st.CacheStats(); cs.Misses != int64(next) {
+		t.Fatalf("%d of %d accesses faulted; the measurement is of faults", cs.Misses, next)
+	}
+	if objects != 1 || bytes > frame+slack {
+		t.Errorf("a demand fault allocates %v objects, %d bytes; want 1 object, the %d-byte frame", objects, bytes, frame)
+	}
+
+	st, next = newPool(), 0
+	st.SetPrefetch(4)
+	objects, bytes = measure(256, func() {
+		st.prefetchSem <- struct{}{} // the slot noteAccess would have taken
+		st.prefetchOne(batch[next].PID)
+		next++
+	})
+	if cs := st.CacheStats(); cs.PrefetchReads != int64(next) {
+		t.Fatalf("%d of %d prefetches installed a page", cs.PrefetchReads, next)
+	}
+	if objects != 1 || bytes > frame+slack {
+		t.Errorf("a prefetch allocates %v objects, %d bytes; want 1 object, the %d-byte frame", objects, bytes, frame)
 	}
 }

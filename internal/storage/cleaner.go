@@ -53,25 +53,17 @@ func (s *Store) NeedClean(target int) bool {
 	return free+clean < int64(target)
 }
 
-// cleanVictim is one page a cleaner pass has claimed: pinned, holding
-// its writeback latch, with the image snapshotted under the read latch.
-type cleanVictim struct {
-	pid  uint64
-	page *Page
-	lsn  lsn.LSN
-	img  []byte
-}
-
 // CleanBatch pre-cleans up to max dirty resident pages: it claims cold
 // (second-chance bit clear), unpinned victims first — they are the
 // pages the clock will evict next — falling back to warm ones so a
 // uniformly hot pool still makes progress, forces the log once up to
-// the batch's highest pageLSN, writes every image through the backend's
-// batched double-write path (O(1) archive fsyncs per pass), and marks
-// each page clean if its LSN is unchanged. It returns how many images
-// it wrote. The per-page writeback latch serializes it against the
-// demand-steal path and the checkpoint sweep, so a page's image is
-// never written twice concurrently.
+// the batch's highest pageLSN, and writes the batch back the way the
+// sweep does (writeBack: one batch through the backend's double-write
+// path, O(1) archive fsyncs per pass, each page cleaned if its LSN is
+// unchanged). It returns how many images it wrote. The per-page
+// writeback latch serializes it against the demand-steal path and the
+// checkpoint sweep, so a page's image is never written twice
+// concurrently.
 //
 // A no-op (0, nil) for unbounded pools or stores without a backend and
 // WAL hook.
@@ -79,72 +71,28 @@ func (s *Store) CleanBatch(max int) (int, error) {
 	if s.backend == nil || s.wal == nil || s.budget <= 0 || max <= 0 {
 		return 0, nil
 	}
-	victims := s.claimVictims(max)
-	if len(victims) == 0 {
+	pids, claims, maxLSN := s.claimVictims(max)
+	if len(claims) == 0 {
 		return 0, nil
 	}
-	// Whatever happens below, every claimed page must surrender its
-	// writeback latch and pin, or it would be neither cleanable nor
-	// evictable ever again.
-	defer func() {
-		for _, v := range victims {
-			v.page.wb.Store(false)
-			v.page.Unpin()
-		}
-	}()
-
-	// Force once for the whole batch: each victim's pageLSN is at or
-	// below the maximum, so the WAL rule (no image ahead of the durable
-	// log) holds for every image the batch writes.
-	maxLSN := lsn.Zero
-	for _, v := range victims {
-		if v.lsn > maxLSN {
-			maxLSN = v.lsn
-		}
-	}
+	// Force once for the whole batch: each victim's pageLSN was at or
+	// below the maximum when it was claimed, so the WAL rule (no image
+	// ahead of the durable log) holds for every image the batch writes —
+	// and a victim that has moved past the horizon since is left out
+	// when its image is about to be copied.
 	if err := s.wal.Force(maxLSN); err != nil {
+		releaseClaims(claims)
 		return 0, fmt.Errorf("storage: cleaner log force: %w", err)
 	}
-	if batcher, ok := s.backend.(ArchiveBatcher); ok {
-		batch := make([]PageImage, len(victims))
-		for i, v := range victims {
-			batch[i] = PageImage{PID: v.pid, Img: v.img}
-		}
-		if err := batcher.PutBatch(batch); err != nil {
-			return 0, fmt.Errorf("storage: cleaner writeback: %w", err)
-		}
-	} else {
-		for _, v := range victims {
-			if err := s.backend.Put(v.pid, v.img); err != nil {
-				return 0, fmt.Errorf("storage: cleaner writeback: %w", err)
-			}
-		}
+	wrote, _, err := s.writeBack(s.backend, pids, claims, s.wal.Durable())
+	if err != nil {
+		return 0, fmt.Errorf("storage: cleaner writeback: %w", err)
 	}
-
-	// Mark-clean under the read latch, exactly like the sweep: writers
-	// bump pageLSN under the exclusive latch, so either we see the bump
-	// (page stays dirty under its conservative recLSN) or our clean
-	// lands first and their MarkDirty re-adds a fresh entry.
-	for _, v := range victims {
-		v.page.Latch.RLock()
-		if v.page.LSN() == v.lsn {
-			s.MarkClean(v.pid)
-		}
-		v.page.Latch.RUnlock()
+	if wrote > 0 {
+		s.cleanerWrites.Add(int64(wrote))
+		s.cleanerPasses.Add(1)
 	}
-	n := len(victims)
-	s.cleanerWrites.Add(int64(n))
-	s.cleanerPasses.Add(1)
-	// Release the victims BEFORE broadcasting, so an evictor woken by the
-	// signal finds them unpinned and writeback-free — evictable — rather
-	// than still claimed by this pass (the defer above becomes a no-op).
-	for _, v := range victims {
-		v.page.wb.Store(false)
-		v.page.Unpin()
-	}
-	victims = nil
-	s.signalCleaned()
-	return n, nil
+	return wrote, nil
 }
 
 // claimVictims picks up to max dirty pages for a cleaner pass, in
@@ -170,14 +118,16 @@ func (s *Store) CleanBatch(max int) (int, error) {
 // next. Under skew this is what keeps steals rare — cleaning a dirty
 // page the hand won't reach for another full rotation helps nobody,
 // while the page one step ahead of the hand is the next demand steal.
-func (s *Store) claimVictims(max int) []cleanVictim {
-	var victims []cleanVictim
+//
+// It returns the victims claimed (claims[i] owns pids[i]: pinned, its
+// writeback latch held) and the highest pageLSN among them.
+func (s *Store) claimVictims(max int) (pids []uint64, claims []wbClaim, maxLSN lsn.LSN) {
 	claimed := make(map[uint64]struct{})
 	dirty := s.orderByClockDistance(s.DirtyPages())
 
 	round := func(wantCold bool, bound lsn.LSN) {
 		for _, e := range dirty {
-			if len(victims) >= max {
+			if len(claims) >= max {
 				return
 			}
 			if _, dup := claimed[e.PageID]; dup {
@@ -197,18 +147,21 @@ func (s *Store) claimVictims(max int) []cleanVictim {
 				continue
 			}
 			p.Latch.RLock()
-			if !s.isDirty(e.PageID) || p.LSN() > bound {
+			pl := p.LSN()
+			p.Latch.RUnlock()
+			if !s.isDirty(e.PageID) || pl > bound {
 				// Cleaned since the DPT snapshot (a racing steal that
 				// failed its final drop, or a sweep) — or too fresh for
 				// this round's durability bound.
-				p.Latch.RUnlock()
 				p.wb.Store(false)
 				p.Unpin()
 				continue
 			}
-			v := cleanVictim{pid: e.PageID, page: p, lsn: p.LSN(), img: p.Snapshot()}
-			p.Latch.RUnlock()
-			victims = append(victims, v)
+			pids = append(pids, e.PageID)
+			claims = append(claims, wbClaim{page: p, lsn: lsn.Undefined})
+			if pl > maxLSN {
+				maxLSN = pl
+			}
 			claimed[e.PageID] = struct{}{}
 		}
 	}
@@ -216,7 +169,7 @@ func (s *Store) claimVictims(max int) []cleanVictim {
 	durable := s.wal.Durable()
 	round(true, durable)
 	round(false, durable)
-	if len(victims) == 0 && s.NeedClean(1) {
+	if len(claims) == 0 && s.NeedClean(1) {
 		// Nothing durably covered AND not a single free-or-clean frame
 		// left: the very next fault will steal. Fall back to fresh pages
 		// — this pass's Force becomes a real log flush — rather than
@@ -230,7 +183,7 @@ func (s *Store) claimVictims(max int) []cleanVictim {
 		round(true, lsn.Undefined)
 		round(false, lsn.Undefined)
 	}
-	return victims
+	return pids, claims, maxLSN
 }
 
 // orderByClockDistance sorts a DPT snapshot by each page's distance

@@ -6,19 +6,21 @@ import (
 )
 
 // countingArchive wraps MemArchive counting image writes per page, with
-// an optional gate that blocks PutBatch *after* the images have landed —
-// the "cleaner wrote, but has not marked clean / released the page yet"
-// window the writeback-latch protocol is about.
+// an optional one-shot gate that parks the next write-back call *after*
+// its images have landed — the "cleaner wrote, but has not marked clean /
+// released the page yet" window the writeback-latch protocol is about.
+// Every write-back path (sweep, cleaner, steal) arrives through
+// WriteBatch, so the gate is one-shot: the caller the test aimed at
+// parks, and whoever comes next (a steal racing a parked cleaner) passes.
 type countingArchive struct {
 	*MemArchive
 	mu   sync.Mutex
 	puts map[uint64]int
 
-	gateMu   sync.Mutex
-	gated    bool          // park PutBatch (cleaner/sweep) after the write
-	gatedPut bool          // park Put (demand steal) after the write
-	entered  chan struct{} // signaled once per gated call, post-write
-	release  chan struct{}
+	gateMu  sync.Mutex
+	gated   bool          // park the next write-back call after the write
+	entered chan struct{} // signaled by the parked call, post-write
+	release chan struct{}
 }
 
 func newCountingArchive() *countingArchive {
@@ -30,11 +32,9 @@ func newCountingArchive() *countingArchive {
 	}
 }
 
-func (a *countingArchive) count(pids ...uint64) {
+func (a *countingArchive) count(pid uint64) {
 	a.mu.Lock()
-	for _, pid := range pids {
-		a.puts[pid]++
-	}
+	a.puts[pid]++
 	a.mu.Unlock()
 }
 
@@ -44,39 +44,23 @@ func (a *countingArchive) putsFor(pid uint64) int {
 	return a.puts[pid]
 }
 
-func (a *countingArchive) Put(pid uint64, img []byte) error {
-	a.count(pid)
-	if err := a.MemArchive.Put(pid, img); err != nil {
-		return err
-	}
-	a.gateMu.Lock()
-	gated := a.gatedPut
-	a.gateMu.Unlock()
-	if gated {
-		select {
-		case a.entered <- struct{}{}:
-		default:
+func (a *countingArchive) WriteBatch(pids []uint64, fill func(i int, dst []byte) bool) error {
+	err := a.MemArchive.WriteBatch(pids, func(i int, dst []byte) bool {
+		if !fill(i, dst) {
+			return false
 		}
-		<-a.release
-	}
-	return nil
-}
-
-func (a *countingArchive) PutBatch(batch []PageImage) error {
-	for _, e := range batch {
-		a.count(e.PID)
-	}
-	if err := a.MemArchive.PutBatch(batch); err != nil {
+		a.count(pids[i])
+		return true
+	})
+	if err != nil {
 		return err
 	}
 	a.gateMu.Lock()
 	gated := a.gated
+	a.gated = false
 	a.gateMu.Unlock()
 	if gated {
-		select {
-		case a.entered <- struct{}{}:
-		default:
-		}
+		a.entered <- struct{}{}
 		<-a.release
 	}
 	return nil
@@ -85,18 +69,6 @@ func (a *countingArchive) PutBatch(batch []PageImage) error {
 func (a *countingArchive) gate() {
 	a.gateMu.Lock()
 	a.gated = true
-	a.gateMu.Unlock()
-}
-
-func (a *countingArchive) gatePuts() {
-	a.gateMu.Lock()
-	a.gatedPut = true
-	a.gateMu.Unlock()
-}
-
-func (a *countingArchive) ungatePuts() {
-	a.gateMu.Lock()
-	a.gatedPut = false
 	a.gateMu.Unlock()
 }
 
@@ -309,10 +281,10 @@ func TestFailedStealKeepsPageEvictable(t *testing.T) {
 	}
 	wal.Force(sl.next + 1)
 
-	// Block the steal's Put after the image lands, pin the victim while
+	// Block the steal's write after the image lands, pin the victim while
 	// the steal is parked, then let it finish: the final revalidation
 	// sees the pin and the frame stays.
-	arch.gatePuts()
+	arch.gate()
 	victim, err := st.Get(rid.Page)
 	if err != nil || victim == nil {
 		t.Fatalf("victim lookup: %v", err)
@@ -339,7 +311,6 @@ func TestFailedStealKeepsPageEvictable(t *testing.T) {
 		p.Unpin()
 	}
 	pinned.Unpin()
-	arch.ungatePuts()
 
 	// The page must still be reachable by the clock: with the pin gone
 	// (and the page now clean in the archive's eyes — the steal wrote

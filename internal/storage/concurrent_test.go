@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"aether/internal/lsn"
 )
 
 // These tests pin down PR 6's concurrency contract: pagefile reads are
@@ -306,6 +308,154 @@ func TestStoreConcurrentFaultsVsSweepAndCleaner(t *testing.T) {
 		p.Unpin()
 	}
 	t.Logf("stats after storm: %+v, pagefile read retries: %d", st.CacheStats(), pf.ReadRetries())
+}
+
+// TestStoreStealsVsStreamedSweepAndCleaner is the lock-order twin of the
+// test above (see Page.wb). The streamed batch writer takes page latches
+// while it holds the pagefile's writer lock; a steal holds its victim's
+// latch and then waits for that lock; updaters queue for exclusive
+// latches in between. Only the writeback latch keeps the two orders off
+// the same page, so this drives all of them at once over the same pages
+// — updates on the swept pages, a 16-page pool over three times as many
+// dirty pages so faults steal, the cleaner, and checkpoint sweeps back to
+// back — and must finish: a deadlock shows as the deadline, a torn or
+// stale write-back as a wrong row afterwards.
+func TestStoreStealsVsStreamedSweepAndCleaner(t *testing.T) {
+	pf := openPF(t, filepath.Join(t.TempDir(), "pagefile.db"))
+	wal := &fakeWAL{}
+	sl := &seqLog{}
+	logEnd := func() lsn.LSN {
+		sl.mu.Lock()
+		defer sl.mu.Unlock()
+		return sl.next + 1
+	}
+	st := NewStore()
+	if err := st.SetBackend(pf); err != nil {
+		t.Fatal(err)
+	}
+	st.AttachWAL(wal)
+	st.SetCachePages(16)
+	h := NewHeapFile(st, 1, "t")
+
+	const rows, updaters = 240, 2 // ≈ 48 pages
+	stamp := func(i int, v uint64) []byte {
+		row := bigRow(i)
+		binary.LittleEndian.PutUint64(row[len(row)-8:], v)
+		return row
+	}
+	rids := make([]RID, rows)
+	last := make([]uint64, rows) // row i's last written value; its updater's alone
+	for i := range rids {
+		rid, err := h.Insert(stamp(i, 0), sl.log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids[i] = rid
+	}
+
+	dur := 300 * time.Millisecond
+	if testing.Short() {
+		dur = 80 * time.Millisecond
+	}
+	stop := time.Now().Add(dur)
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	seed := int64(0)
+	run := func(fn func(rng *rand.Rand) error) {
+		wg.Add(1)
+		seed++
+		seed := seed
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for time.Now().Before(stop) {
+				if err := fn(rng); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	// Updating transactions, each on its own rows of the shared pages:
+	// exclusive latches, fresh LSNs, the log made durable a few updates
+	// late so every pass meets pages it may not write yet.
+	for u := 0; u < updaters; u++ {
+		u, n := u, uint64(0)
+		run(func(rng *rand.Rand) error {
+			i := rng.Intn(rows/updaters)*updaters + u
+			n++
+			v := n
+			err := h.Mutate(rids[i], sl.log, func([]byte) ([]byte, error) { return stamp(i, v), nil })
+			if err != nil {
+				return err
+			}
+			last[i] = v
+			if n%4 == 0 {
+				return wal.Force(logEnd())
+			}
+			return nil
+		})
+	}
+	// Readers fault pages into the 16 frames; with most pages dirty the
+	// clock steals.
+	for r := 0; r < 2; r++ {
+		run(func(rng *rand.Rand) error {
+			_, err := h.Read(rids[rng.Intn(rows)])
+			return err
+		})
+	}
+	run(func(*rand.Rand) error { // the cleaner
+		_, err := st.CleanBatch(8)
+		return err
+	})
+	var swept atomic.Int64
+	run(func(*rand.Rand) error { // checkpoint sweeps, back to back
+		swept.Add(int64(st.ArchiveDirtyPages(pf, wal.Durable())))
+		return nil
+	})
+
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(dur + 30*time.Second):
+		t.Fatal("write-back paths did not finish: deadlock between a steal, the sweep and an updater?")
+	}
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+	cs := st.CacheStats()
+	if cs.StealWrites == 0 || cs.CleanerWrites == 0 || swept.Load() == 0 {
+		t.Fatalf("a write-back path never ran: %+v, %d pages swept", cs, swept.Load())
+	}
+
+	// Quiesce, write everything back, and read every row through a cold
+	// pool: what reached the file is each row's last update.
+	if err := wal.Force(logEnd()); err != nil {
+		t.Fatal(err)
+	}
+	st.ArchiveDirtyPages(pf, wal.Durable())
+	if d := st.DirtyPages(); len(d) != 0 {
+		t.Fatalf("%d pages still dirty after the final sweep", len(d))
+	}
+	cold := NewStore()
+	if err := cold.SetBackend(pf); err != nil {
+		t.Fatal(err)
+	}
+	cold.AttachWAL(wal)
+	hc := NewHeapFile(cold, 1, "t")
+	for i, rid := range rids {
+		row, err := hc.Read(rid)
+		if err != nil {
+			t.Fatalf("row %d: %v", i, err)
+		}
+		if got := binary.LittleEndian.Uint64(row[len(row)-8:]); got != last[i] {
+			t.Fatalf("row %d reads update %d from the file, its last was %d", i, got, last[i])
+		}
+	}
+	t.Logf("%+v, %d pages swept, %d read retries", cs, swept.Load(), pf.ReadRetries())
 }
 
 // TestPrefetchSequentialScanHits: a cold sequential scan over an

@@ -55,16 +55,17 @@ func (h *HeapFile) Name() string { return h.name }
 func (h *HeapFile) Space() uint32 { return h.space }
 
 // Adopt attaches an existing page to the heap (restart path). Pages must
-// be adopted in ascending ID order for placement determinism.
-func (h *HeapFile) Adopt(p *Page) {
+// be adopted in ascending ID order for placement determinism. free is
+// the page's FreeSpace, read by the caller under the page's latch and
+// passed in with the latch released: the heap's lock order is mu → page
+// latch (pickPage), so Adopt takes no latch and must not be called
+// under one.
+func (h *HeapFile) Adopt(pid uint64, free int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.allocated = append(h.allocated, p.ID())
-	p.Latch.RLock()
-	hasSpace := p.FreeSpace() > 64
-	p.Latch.RUnlock()
-	if hasSpace {
-		h.avail = append(h.avail, p.ID())
+	h.allocated = append(h.allocated, pid)
+	if free > 64 {
+		h.avail = append(h.avail, pid)
 	}
 }
 
@@ -194,7 +195,7 @@ func (h *HeapFile) Update(rid RID, data []byte, log LogFunc) error {
 	defer p.Unpin()
 	p.Latch.Lock()
 	defer p.Latch.Unlock()
-	before, err := p.view(int(rid.Slot))
+	before, err := p.View(int(rid.Slot))
 	if err != nil {
 		return ErrNotFound
 	}
@@ -225,7 +226,7 @@ func (h *HeapFile) Mutate(rid RID, log LogFunc, fn func(cur []byte) ([]byte, err
 	defer p.Unpin()
 	p.Latch.Lock()
 	defer p.Latch.Unlock()
-	before, err := p.view(int(rid.Slot))
+	before, err := p.View(int(rid.Slot))
 	if err != nil {
 		return ErrNotFound
 	}
@@ -256,7 +257,7 @@ func (h *HeapFile) Delete(rid RID, log LogFunc) error {
 	}
 	defer p.Unpin()
 	p.Latch.Lock()
-	before, err := p.view(int(rid.Slot))
+	before, err := p.View(int(rid.Slot))
 	if err != nil {
 		p.Latch.Unlock()
 		return ErrNotFound

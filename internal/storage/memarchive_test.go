@@ -5,23 +5,32 @@ import (
 	"testing"
 )
 
-// The in-memory archive takes the same batched sweep path as the
-// PageFile: one PutBatch installs every image, and later mutation of
-// the caller's buffers must not leak into the archive.
+// The in-memory archive takes the same batched write-back path as the
+// PageFile: one WriteBatch installs every image fill accepts, and later
+// mutation of the caller's buffers must not leak into the archive.
 func TestMemArchivePutBatch(t *testing.T) {
 	a := NewMemArchive()
-	img1 := []byte{1, 2, 3}
-	img2 := []byte{4, 5, 6}
-	if err := a.PutBatch([]PageImage{{PID: 1, Img: img1}, {PID: 2, Img: img2}}); err != nil {
+	imgs := [][]byte{pfTestImage(1, 0x01), pfTestImage(2, 0x02), pfTestImage(3, 0x03)}
+	copyFrom := func(imgs [][]byte) func(int, []byte) bool {
+		return func(i int, dst []byte) bool {
+			if imgs[i] == nil {
+				return false
+			}
+			copy(dst, imgs[i])
+			return true
+		}
+	}
+	// Page 3 is declined: it must not appear.
+	if err := a.WriteBatch([]uint64{1, 2, 3}, copyFrom([][]byte{imgs[0], imgs[1], nil})); err != nil {
 		t.Fatal(err)
 	}
-	img1[0] = 99 // the archive must hold its own copy
+	imgs[0][0] ^= 0xFF // the archive must hold its own copy
 	got, err := a.Get(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, []byte{1, 2, 3}) {
-		t.Fatalf("Get(1) = %v after caller mutation, want the snapshotted copy", got)
+	if !bytes.Equal(got, pfTestImage(1, 0x01)) {
+		t.Fatal("Get(1) changed after caller mutation, want the archive's own copy")
 	}
 	pids, err := a.Pages()
 	if err != nil {
@@ -30,12 +39,12 @@ func TestMemArchivePutBatch(t *testing.T) {
 	if len(pids) != 2 || pids[0] != 1 || pids[1] != 2 {
 		t.Fatalf("Pages = %v, want [1 2]", pids)
 	}
-	// A batched put overwrites like a plain Put would.
-	if err := a.PutBatch([]PageImage{{PID: 2, Img: []byte{7}}}); err != nil {
+	// A batched write overwrites like a plain Put would.
+	if err := a.WriteBatch([]uint64{2}, copyFrom([][]byte{imgs[2]})); err != nil {
 		t.Fatal(err)
 	}
 	got, _ = a.Get(2)
-	if !bytes.Equal(got, []byte{7}) {
-		t.Fatalf("Get(2) = %v after overwrite, want [7]", got)
+	if !bytes.Equal(got, imgs[2]) {
+		t.Fatal("Get(2) after overwrite is not the new image")
 	}
 }

@@ -82,14 +82,35 @@ type Page struct {
 	// where a slower writer lands a stale image over a fresher one after
 	// the page was marked clean cannot arise. It is NOT a mutex: losers
 	// skip the page instead of waiting.
+	//
+	// It is also what keeps the write-back paths' lock order sound. A
+	// batch writer (sweep, cleaner) takes page latches, shared, while it
+	// holds the archive's writer lock (PageFile.wmu); a steal holds its
+	// victim's latch, shared, and then waits for that lock. On one page
+	// the two orders — plus a transaction queued for the exclusive latch
+	// between them, which makes the second shared acquisition wait —
+	// would be a three-party deadlock. The rule: wmu → page latch only
+	// for pages whose wb the caller holds, and page latch → wmu only for
+	// a page whose wb the caller holds; every write-back path claims wb
+	// before it latches, so the two sides are never on the same page.
 	wb atomic.Bool
 	// prefetched marks a page installed by the read-ahead pipeline that
 	// no demand access has consumed yet; the first Get CASes it off and
 	// counts the prefetch hit (prefetch.go).
 	prefetched atomic.Bool
 
-	buf [PageSize]byte
+	// frame holds the page exactly as a PageFile slot does — the 32-byte
+	// slot header, then the image — so a fault reads its slot straight
+	// into the frame it is about to install (one pread, no staging copy;
+	// PageFile.ReadPage). The page proper is the image part, buf(); the
+	// header part is the read path's scratch and means nothing once the
+	// read has been validated. The 32 extra bytes do not change the
+	// frame's allocation size class.
+	frame [pfSlotSize]byte
 }
+
+// buf returns the page image inside the frame.
+func (p *Page) buf() *[PageSize]byte { return (*[PageSize]byte)(p.frame[pfSlotHdr:]) }
 
 // Unpin releases one reference taken by Store.Get, Store.GetOrCreate or
 // Store.Allocate, making the page evictable again once all pins are
@@ -103,40 +124,40 @@ func (p *Page) Pinned() bool { return p.pins.Load() > 0 }
 // NewPage returns an initialized empty page.
 func NewPage(id uint64) *Page {
 	p := &Page{}
-	binary.LittleEndian.PutUint64(p.buf[0:8], id)
-	binary.LittleEndian.PutUint64(p.buf[8:16], uint64(lsn.Zero))
+	binary.LittleEndian.PutUint64(p.buf()[0:8], id)
+	binary.LittleEndian.PutUint64(p.buf()[8:16], uint64(lsn.Zero))
 	p.setFreeStart(hdrSize)
 	return p
 }
 
 // ID returns the page's identifier.
-func (p *Page) ID() uint64 { return binary.LittleEndian.Uint64(p.buf[0:8]) }
+func (p *Page) ID() uint64 { return binary.LittleEndian.Uint64(p.buf()[0:8]) }
 
 // LSN returns the page LSN: the LSN of the last record applied.
 func (p *Page) LSN() lsn.LSN {
-	return lsn.LSN(binary.LittleEndian.Uint64(p.buf[8:16]))
+	return lsn.LSN(binary.LittleEndian.Uint64(p.buf()[8:16]))
 }
 
 // SetLSN stamps the page LSN.
 func (p *Page) SetLSN(l lsn.LSN) {
-	binary.LittleEndian.PutUint64(p.buf[8:16], uint64(l))
+	binary.LittleEndian.PutUint64(p.buf()[8:16], uint64(l))
 }
 
 // NumSlots returns the size of the slot directory (live and dead slots).
 func (p *Page) NumSlots() int {
-	return int(binary.LittleEndian.Uint16(p.buf[16:18]))
+	return int(binary.LittleEndian.Uint16(p.buf()[16:18]))
 }
 
 func (p *Page) setNumSlots(n int) {
-	binary.LittleEndian.PutUint16(p.buf[16:18], uint16(n))
+	binary.LittleEndian.PutUint16(p.buf()[16:18], uint16(n))
 }
 
 func (p *Page) freeStart() int {
-	return int(binary.LittleEndian.Uint16(p.buf[18:20]))
+	return int(binary.LittleEndian.Uint16(p.buf()[18:20]))
 }
 
 func (p *Page) setFreeStart(n int) {
-	binary.LittleEndian.PutUint16(p.buf[18:20], uint16(n))
+	binary.LittleEndian.PutUint16(p.buf()[18:20], uint16(n))
 }
 
 // slotEntry returns the directory position of slot i.
@@ -146,14 +167,14 @@ func (p *Page) slotEntry(i int) int {
 
 func (p *Page) slotOffLen(i int) (off, length int) {
 	e := p.slotEntry(i)
-	return int(binary.LittleEndian.Uint16(p.buf[e : e+2])),
-		int(binary.LittleEndian.Uint16(p.buf[e+2 : e+4]))
+	return int(binary.LittleEndian.Uint16(p.buf()[e : e+2])),
+		int(binary.LittleEndian.Uint16(p.buf()[e+2 : e+4]))
 }
 
 func (p *Page) setSlot(i, off, length int) {
 	e := p.slotEntry(i)
-	binary.LittleEndian.PutUint16(p.buf[e:e+2], uint16(off))
-	binary.LittleEndian.PutUint16(p.buf[e+2:e+4], uint16(length))
+	binary.LittleEndian.PutUint16(p.buf()[e:e+2], uint16(off))
+	binary.LittleEndian.PutUint16(p.buf()[e+2:e+4], uint16(length))
 }
 
 // FreeSpace returns the bytes available for a new record, accounting for
@@ -176,13 +197,14 @@ func (p *Page) Get(slot int) ([]byte, error) {
 		return nil, ErrDeadSlot
 	}
 	out := make([]byte, length)
-	copy(out, p.buf[off:off+length])
+	copy(out, p.buf()[off:off+length])
 	return out, nil
 }
 
-// view returns the record bytes in place (no copy); caller must hold the
-// latch for the duration of use.
-func (p *Page) view(slot int) ([]byte, error) {
+// View returns the record bytes of a live slot in place (no copy): the
+// slice aliases the frame, so the caller must hold the latch for as long
+// as it uses it and must not write through it.
+func (p *Page) View(slot int) ([]byte, error) {
 	if slot < 0 || slot >= p.NumSlots() {
 		return nil, ErrBadSlot
 	}
@@ -190,7 +212,7 @@ func (p *Page) view(slot int) ([]byte, error) {
 	if off == deadOffset {
 		return nil, ErrDeadSlot
 	}
-	return p.buf[off : off+length], nil
+	return p.buf()[off : off+length], nil
 }
 
 // FindInsertSlot picks the slot a new record would occupy: the first dead
@@ -270,7 +292,7 @@ func (p *Page) Insert(slot int, data []byte) error {
 		p.compact()
 	}
 	off := p.freeStart()
-	copy(p.buf[off:], data)
+	copy(p.buf()[off:], data)
 	if slot == n {
 		p.setNumSlots(n + 1)
 	}
@@ -292,7 +314,7 @@ func (p *Page) Set(slot int, data []byte) error {
 		return ErrDeadSlot
 	}
 	if len(data) <= length {
-		copy(p.buf[off:], data)
+		copy(p.buf()[off:], data)
 		p.setSlot(slot, off, len(data))
 		return nil
 	}
@@ -305,13 +327,13 @@ func (p *Page) Set(slot int, data []byte) error {
 		p.setSlot(slot, deadOffset, 0) // exclude old copy from compaction
 		p.compact()
 		off = p.freeStart()
-		copy(p.buf[off:], data)
+		copy(p.buf()[off:], data)
 		p.setSlot(slot, off, need)
 		p.setFreeStart(off + need)
 		return nil
 	}
 	newOff := p.freeStart()
-	copy(p.buf[newOff:], data)
+	copy(p.buf()[newOff:], data)
 	p.setSlot(slot, newOff, need)
 	p.setFreeStart(newOff + need)
 	return nil
@@ -340,13 +362,13 @@ func (p *Page) compact() {
 	for i := 0; i < p.NumSlots(); i++ {
 		if off, length := p.slotOffLen(i); off != deadOffset {
 			d := make([]byte, length)
-			copy(d, p.buf[off:off+length])
+			copy(d, p.buf()[off:off+length])
 			live = append(live, rec{i, d})
 		}
 	}
 	off := hdrSize
 	for _, r := range live {
-		copy(p.buf[off:], r.data)
+		copy(p.buf()[off:], r.data)
 		p.setSlot(r.slot, off, len(r.data))
 		off += len(r.data)
 	}
@@ -376,11 +398,27 @@ func (p *Page) Apply(up logrec.UpdatePayload, at lsn.LSN) error {
 	return nil
 }
 
-// Snapshot returns a copy of the raw page image (for the archive).
+// Snapshot returns a private copy of the raw page image, for callers
+// that keep it past the latch (PITR's snapshot builder, tests, probes).
+// The write-back paths do not use it: they copy the frame once, into the
+// archive's own staging buffer (ArchiveBatcher).
 func (p *Page) Snapshot() []byte {
 	out := make([]byte, PageSize)
-	copy(out, p.buf[:])
+	copy(out, p.buf()[:])
 	return out
+}
+
+// copyDurable is the write-back paths' one copy of a page image: into
+// dst, out of the frame, and only if the log covering it is durable —
+// the write-ahead rule checked where the image is taken, under the latch
+// hold (the caller's, shared is enough) that takes it. It returns the
+// pageLSN of the image it copied.
+func (p *Page) copyDurable(dst []byte, durable lsn.LSN) (pl lsn.LSN, ok bool) {
+	if pl = p.LSN(); pl > durable {
+		return pl, false
+	}
+	copy(dst, p.buf()[:])
+	return pl, true
 }
 
 // LoadSnapshot overwrites the page from a raw image.
@@ -388,6 +426,6 @@ func (p *Page) LoadSnapshot(img []byte) error {
 	if len(img) != PageSize {
 		return fmt.Errorf("storage: snapshot is %d bytes, want %d", len(img), PageSize)
 	}
-	copy(p.buf[:], img)
+	copy(p.buf()[:], img)
 	return nil
 }

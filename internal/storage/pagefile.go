@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -21,20 +23,35 @@ import (
 // PageFile is the real database file: a single, page-slotted, checksummed
 // file replacing the one-file-per-page FileArchive. Pages live in fixed
 // slots addressed by file offset; each slot carries a header (pageID,
-// version, checksum) verified on every read. A checkpoint sweep hands the
-// whole dirty set to PutBatch, which writes it with O(1) device fsyncs
-// regardless of batch size — the double-write journal protocol:
+// version, checksum) verified on every read. Every write-back — the
+// checkpoint sweep's whole dirty set, a cleaner pass, a single steal —
+// is one WriteBatch, which costs O(1) device fsyncs regardless of batch
+// size and holds O(1) page images however many pages it moves — the
+// double-write journal protocol, streamed:
 //
-//  1. the entire batch (slot headers + images) is written sequentially to
-//     a side journal and fsynced once — the batch's atomic commit point;
-//  2. the images are written in place, sorted by file offset and coalesced
-//     into large contiguous writes, and the pagefile is fsynced once.
+//  1. each page's image is copied once, out of its frame, into a bounded
+//     reused scratch (pfScratchEntries entries) that goes to a side
+//     journal chunk by chunk in slot order, the batch CRC kept running;
+//     the 32-byte journal header (entry count, batch CRC) is written
+//     last and the journal is fsynced once — the batch's atomic commit
+//     point;
+//  2. the committed journal is read back chunk by chunk, every entry
+//     re-verified, its 32-byte entry header rewritten in place as the
+//     32-byte slot header — so consecutive entries of consecutive slots
+//     already are one contiguous run — the runs are written in place and
+//     the pagefile is fsynced once. This step is also, to the letter,
+//     what Open's journal replay does: applyJournal serves both.
 //
 // A crash between (1) and (2) tears nothing: Open finds a journal with a
 // valid batch checksum and replays it (idempotent — it holds the newest
 // image of every slot it mentions). A crash during (1) leaves a journal
-// that fails its checksum, which Open discards: the in-place writes never
+// that fails its checksum — header missing, stale, or over a body that
+// mixes two batches — which Open discards: the in-place writes never
 // started, so the pagefile still holds the previous, fully-applied batch.
+// The one journal that can verify after such a crash besides the new
+// batch's own (every byte of which must then have persisted) is the
+// previous batch's, resurfacing whole because its unsynced truncation
+// was lost; replaying it rewrites what the pagefile already holds.
 //
 // On-disk layout (little-endian):
 //
@@ -62,11 +79,13 @@ import (
 //
 //   - dir (RWMutex) protects only the in-memory slot directory
 //     (slots/assigned/nextSlot/seq): microsecond map work, never I/O.
-//   - wmu serializes batch writers (PutBatch, journal replay): the
+//   - wmu serializes batch writers (WriteBatch, journal replay): the
 //     double-write journal holds exactly one committed batch, so two
 //     batches can never interleave their journal phases. Concurrent
-//     PutBatch callers (sweep, cleaner, steals) queue here — but
-//     readers never touch wmu.
+//     callers (sweep, cleaner, steals) queue here — but readers never
+//     touch wmu. A batch calls its caller's fill under wmu, and the
+//     store's fill takes a page latch: see Page.wb for the lock order
+//     that makes that safe.
 //   - latches is a sharded array of per-slot RWMutexes (slot index mod
 //     pfLatchShards). A batch writer holds the shards covering a
 //     coalesced run only for the pwrite itself — NOT across fsyncs.
@@ -91,17 +110,31 @@ type PageFile struct {
 	// never held across I/O.
 	dir   sync.RWMutex
 	slots map[uint64]pfSlot // pageID → slot (installed pages only)
-	// assigned reserves slots handed to batches that later failed: a
-	// retried sweep must reuse the same slot, or the page would end up
-	// flagged used in two slots and the file would never reopen.
+	// assigned reserves the slots of new pages from the moment a batch
+	// stages them until it installs them. A batch that fails before its
+	// journal commits gives them back (releaseSlots: nothing was written
+	// in place); one that fails after keeps them — the page may already
+	// be flagged used at that slot on disk, so whoever writes it next
+	// must come back to it, or the page would end up in two slots and
+	// the file would never reopen.
 	assigned map[uint64]uint64 // pageID → reserved slot
 	nextSlot uint64
 	seq      uint64 // version sequence (max seen at open)
 
 	// wmu serializes batch writers; see the concurrency note above. The
-	// failpoints and applyFailed below are writer state, touched only
-	// under it.
+	// scratch, the two lists, the failpoints and applyFailed below are
+	// writer state, touched only under it (or by Open, before the file
+	// is shared).
 	wmu sync.Mutex
+	// scratch stages pfScratchEntries journal entries at a time, on the
+	// way out (frame → journal) and on the way back (journal → slots).
+	// Allocated by the first batch, reused by every later one.
+	scratch []byte
+	// visits is the current batch's pages in the order it stages them;
+	// applied lists what applyJournal last wrote in place. Both are
+	// reused between batches up to pfKeepEntries.
+	visits  []pfVisit
+	applied []jnlEntry
 	// latches shards the per-slot write-exclusion latches readers fall
 	// back to when optimistic validation keeps failing.
 	latches [pfLatchShards]sync.RWMutex
@@ -114,10 +147,10 @@ type PageFile struct {
 	crashAfterJournal bool
 	// applyFailed is set when a batch failed after its journal committed:
 	// the journal on disk is that batch's only intact copy (its in-place
-	// writes may be partial and unsynced), so the next PutBatch must
-	// re-apply it before overwriting the journal with a new batch.
+	// writes may be partial and unsynced), so the next batch must
+	// re-apply it before overwriting the journal with its own.
 	applyFailed bool
-	// failApply, if non-nil, makes PutBatch return this error after the
+	// failApply, if non-nil, makes a batch return this error after the
 	// journal phase without applying — a transient in-place I/O failure
 	// the caller will retry (tests the stable-slot-reservation rule).
 	failApply error
@@ -138,6 +171,14 @@ type pfSlot struct {
 	version uint64
 }
 
+// pfVisit is one page of a batch being staged: its slot (pfNoSlot until
+// the page is accepted and given one) and its index in the caller's
+// list.
+type pfVisit struct {
+	slot uint64
+	idx  int
+}
+
 const (
 	pfMagic      = 0x41455046 // "AEPF"
 	pfVersion    = 1
@@ -152,10 +193,26 @@ const (
 
 	pfFlagUsed = 1
 
+	// pfScratchEntries sizes the batch writer's staging buffer: 32
+	// entries (≈ 263 KB) make every journal write, read-back and
+	// coalesced run large enough to amortise its syscall, and are all a
+	// batch of any size ever holds of its images.
+	pfScratchEntries = 32
+
+	// pfKeepEntries caps the per-page bookkeeping kept between batches
+	// (40 B a page): 8192 pages ≈ 320 KB covers a sweep of a 64 MB dirty
+	// set without reallocating; a larger batch's lists are dropped.
+	pfKeepEntries = 8192
+
+	// pfNoSlot marks a batch page that has no slot yet; it sorts after
+	// every real slot, so new pages are staged last, in caller order.
+	pfNoSlot = ^uint64(0)
+
 	// pfLatchShards sizes the per-slot latch array (slot index mod
 	// pfLatchShards). 64 shards keep false sharing between unrelated
 	// slots rare while bounding the array a batch writer may have to
-	// sweep for a very long coalesced run.
+	// sweep for a very long coalesced run — and let a run's shards be one
+	// uint64 bit set.
 	pfLatchShards = 64
 
 	// pfOptimisticReads is how many unlatched validated reads Get
@@ -165,7 +222,7 @@ const (
 	pfOptimisticReads = 3
 )
 
-// ErrSimulatedCrash is returned by PutBatch when the crash-after-journal
+// ErrSimulatedCrash is returned by a batch when the crash-after-journal
 // failpoint is armed: the journal is durable but no in-place write ran.
 var ErrSimulatedCrash = errors.New("storage: simulated crash after journal write")
 
@@ -181,14 +238,13 @@ const pfMaxSlot = (1<<63 - 1 - pfHeaderSize - pfSlotSize) / pfSlotSize
 // they reach pfSlotOff.
 func pfSlotValid(slot uint64) bool { return slot <= pfMaxSlot }
 
-// pageChecksum covers the slot's identity and its image, so a misdirected
-// or torn write is caught no matter which part it corrupted.
-func pageChecksum(pid, version uint64, img []byte) uint32 {
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:8], pid)
-	binary.LittleEndian.PutUint64(hdr[8:16], version)
-	c := crc32.Update(0, pfCRC, hdr[:])
-	return crc32.Update(c, pfCRC, img)
+// slotChecksum covers a slot's identity — ident, the 16 bytes pageID ‖
+// version as they stand in a slot header (0:16) or a journal entry
+// header (8:24) — and its image, so a misdirected or torn write is
+// caught no matter which part it corrupted. It reads the identity where
+// it lies: no staging copy, nothing allocated.
+func slotChecksum(ident, img []byte) uint32 {
+	return crc32.Update(crc32.Update(0, pfCRC, ident[:16]), pfCRC, img)
 }
 
 // pfSlotOff converts a slot index to its file offset. Callers must
@@ -253,7 +309,9 @@ func OpenPageFileFS(fs vfs.FS, path string) (*PageFile, error) {
 		pf.closeFiles()
 		return nil, fmt.Errorf("storage: sync pagefile dir: %w", err)
 	}
-	if err := pf.recoverJournal(); err != nil {
+	// The slot directory is built afterwards, by scanSlots, which sees
+	// the replayed slots.
+	if pf.journalReplayed, err = pf.replayJournal(); err != nil {
 		pf.closeFiles()
 		return nil, err
 	}
@@ -295,111 +353,189 @@ func (pf *PageFile) readHeader() error {
 	return nil
 }
 
-// parseJournal validates a journal image and returns its entry region
-// and entry count. ok is false for a foreign, short or torn journal —
-// the shared gate between the owner's replay (recoverJournal) and the
+// journalCommitted reports whether the journal in r (size bytes) holds a
+// committed batch, and how many entries: the header must be a journal
+// header of this format, the body must be there in full, and the batch
+// CRC — streamed through scratch, never the whole body in memory — must
+// verify. ok is false for a foreign, short or torn journal. It is the
+// shared gate between the owner's replay (replayJournal) and the
 // read-only inspector (ReadPageFileInfo), so the two can never disagree
 // about what counts as a committed batch.
-func parseJournal(buf []byte) (body []byte, count int, ok bool) {
-	if len(buf) < pfJnlHdrSize ||
-		binary.LittleEndian.Uint32(buf[0:4]) != pfJournalMagic ||
-		binary.LittleEndian.Uint32(buf[4:8]) != pfVersion ||
-		binary.LittleEndian.Uint32(buf[12:16]) != PageSize {
-		return nil, 0, false
+func journalCommitted(r io.ReaderAt, size int64, scratch []byte) (count int, ok bool, err error) {
+	if size < pfJnlHdrSize {
+		return 0, false, nil
 	}
-	count = int(binary.LittleEndian.Uint32(buf[8:12]))
-	body = buf[pfJnlHdrSize:]
-	if count <= 0 || len(body) < count*pfJnlEntrySize {
-		return nil, 0, false
+	hdr := scratch[:pfJnlHdrSize]
+	if _, err := r.ReadAt(hdr, 0); err != nil {
+		return 0, false, err
 	}
-	body = body[:count*pfJnlEntrySize]
-	if binary.LittleEndian.Uint32(buf[16:20]) != crc32.Checksum(body, pfCRC) {
-		return nil, 0, false
+	if binary.LittleEndian.Uint32(hdr[0:4]) != pfJournalMagic ||
+		binary.LittleEndian.Uint32(hdr[4:8]) != pfVersion ||
+		binary.LittleEndian.Uint32(hdr[12:16]) != PageSize {
+		return 0, false, nil
 	}
-	return body, count, true
+	count = int(binary.LittleEndian.Uint32(hdr[8:12]))
+	want := binary.LittleEndian.Uint32(hdr[16:20])
+	body := int64(count) * pfJnlEntrySize
+	if count <= 0 || size-pfJnlHdrSize < body {
+		return 0, false, nil
+	}
+	var crc uint32
+	for off := int64(0); off < body; {
+		chunk := scratch[:min(int64(len(scratch)), body-off)]
+		if _, err := r.ReadAt(chunk, pfJnlHdrSize+off); err != nil {
+			return 0, false, err
+		}
+		crc = crc32.Update(crc, pfCRC, chunk)
+		off += int64(len(chunk))
+	}
+	return count, crc == want, nil
 }
 
-// jnlEntry is one decoded journal entry's identity.
+// jnlEntry is one journal entry's identity.
 type jnlEntry struct {
 	slot    uint64
 	pid     uint64
 	version uint64
 }
 
-// replayJournal re-applies the on-disk journal if it holds a committed
-// batch, fsyncs the pagefile and clears the journal, returning the
-// entries it installed. Replay is idempotent: the journal holds the
-// newest image of every slot it mentions, so repeating it after a
-// second crash is safe. A torn journal is discarded (its batch's fsync
-// never returned, so no in-place write started).
-func (pf *PageFile) replayJournal() ([]jnlEntry, error) {
-	st, err := pf.jf.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("storage: pagefile journal: %w", err)
-	}
-	if st.Size() == 0 {
-		return nil, nil
-	}
-	buf := make([]byte, st.Size())
-	if _, err := io.ReadFull(io.NewSectionReader(pf.jf, 0, st.Size()), buf); err != nil {
-		return nil, fmt.Errorf("storage: pagefile journal read: %w", err)
-	}
-	body, count, ok := parseJournal(buf)
-	if !ok {
-		return nil, pf.clearJournal()
-	}
-	// Bound every journaled slot index before any write: a batch only
-	// ever appends to the end of the file, so a committed journal's
-	// slots all lie below (slots currently in the file) + (entries in
-	// the batch). Anything larger — or past the int64 offset range — is
-	// a corrupt journal, and honoring it would balloon the pagefile or
-	// overflow the offset arithmetic. Fail loudly instead.
-	fst, err := pf.f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("storage: pagefile journal: %w", err)
-	}
-	maxSlot := uint64(0)
-	if fst.Size() > pfHeaderSize {
-		maxSlot = uint64((fst.Size() - pfHeaderSize) / pfSlotSize)
-	}
-	maxSlot += uint64(count)
-	entries := make([]jnlEntry, count)
-	for i := 0; i < count; i++ {
-		e := body[i*pfJnlEntrySize:]
-		ent := jnlEntry{
-			slot:    binary.LittleEndian.Uint64(e[0:8]),
-			pid:     binary.LittleEndian.Uint64(e[8:16]),
-			version: binary.LittleEndian.Uint64(e[16:24]),
-		}
-		if !pfSlotValid(ent.slot) || ent.slot >= maxSlot {
-			return nil, fmt.Errorf("storage: pagefile journal entry %d names absurd slot %d (file holds %d slots, batch %d entries): corrupt journal",
-				i, ent.slot, maxSlot-uint64(count), count)
-		}
-		sum := binary.LittleEndian.Uint32(e[24:28])
-		img := e[pfJnlEntryHdr:pfJnlEntrySize]
-		if sum != pageChecksum(ent.pid, ent.version, img) {
-			return nil, fmt.Errorf("storage: pagefile journal entry %d (page %d) fails its checksum", i, ent.pid)
-		}
-		if err := pf.writeSlot(ent.slot, ent.pid, ent.version, sum, img); err != nil {
-			return nil, fmt.Errorf("storage: pagefile journal replay: %w", err)
-		}
-		entries[i] = ent
-	}
-	if err := pf.fsync(pf.f); err != nil {
-		return nil, fmt.Errorf("storage: pagefile journal replay: %w", err)
-	}
-	return entries, pf.clearJournal()
+// putJnlEntryHdr completes the journal entry e around the image already
+// staged in it. It writes all 32 header bytes, checksum included: the
+// scratch still holds whatever the previous chunk left there.
+func putJnlEntryHdr(e []byte, ent jnlEntry) {
+	binary.LittleEndian.PutUint64(e[0:8], ent.slot)
+	binary.LittleEndian.PutUint64(e[8:16], ent.pid)
+	binary.LittleEndian.PutUint64(e[16:24], ent.version)
+	binary.LittleEndian.PutUint32(e[24:28], slotChecksum(e[8:24], e[pfJnlEntryHdr:]))
+	binary.LittleEndian.PutUint32(e[28:32], 0)
 }
 
-// recoverJournal is the Open-time replay (the slot directory is rebuilt
-// afterwards by scanSlots, which will see the replayed slots).
-func (pf *PageFile) recoverJournal() error {
-	entries, err := pf.replayJournal()
+// scratchBuf returns the staging buffer, allocating it on first use.
+func (pf *PageFile) scratchBuf() []byte {
+	if pf.scratch == nil {
+		pf.scratch = make([]byte, pfScratchEntries*pfJnlEntrySize)
+	}
+	return pf.scratch
+}
+
+// replayJournal re-applies the on-disk journal if it holds a committed
+// batch and clears it, returning how many entries it installed (their
+// identities are in pf.applied). Replay is idempotent: the journal holds
+// the newest image of every slot it mentions, so repeating it after a
+// second crash is safe. A torn journal is discarded (its batch's fsync
+// never returned, so no in-place write started).
+func (pf *PageFile) replayJournal() (int, error) {
+	st, err := pf.jf.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("storage: pagefile journal: %w", err)
+	}
+	if st.Size() == 0 {
+		return 0, nil
+	}
+	count, ok, err := journalCommitted(pf.jf, st.Size(), pf.scratchBuf())
+	if err != nil {
+		return 0, fmt.Errorf("storage: pagefile journal read: %w", err)
+	}
+	if !ok {
+		return 0, pf.clearJournal()
+	}
+	if err := pf.applyJournal(count); err != nil {
+		return 0, fmt.Errorf("storage: pagefile journal replay: %w", err)
+	}
+	return count, pf.clearJournal()
+}
+
+// applyJournal is phase 2 of a batch and the whole of a replay: it reads
+// the committed journal's count entries back through the scratch, a
+// chunk at a time, re-verifies each (slot bound, page checksum),
+// rewrites its 32-byte entry header as the 32-byte slot header where it
+// stands — the two are the same size, so consecutive entries naming
+// consecutive slots already form one contiguous run — writes the runs in
+// place and fsyncs the pagefile once. Each run's pwrite holds only the
+// latch shards its slots cover: a reader faulting any other page
+// proceeds untouched, and even a reader of these very slots waits for
+// one pwrite at most, never the fsync. What it wrote is left in
+// pf.applied for the caller's directory update.
+func (pf *PageFile) applyJournal(count int) error {
+	// Bound every journaled slot index before any write: a batch only
+	// ever appends to the end of the file — journalBatch starts with
+	// every reserved slot inside it, having given back the ones of a
+	// batch that never committed — so a committed journal's slots all
+	// lie below (slots currently in the file) + (entries in the batch).
+	// Anything larger — or past the int64 offset range — is a corrupt
+	// journal, and honoring it would balloon the pagefile or overflow
+	// the offset arithmetic. Fail loudly instead.
+	fst, err := pf.f.Stat()
 	if err != nil {
 		return err
 	}
-	pf.journalReplayed = len(entries)
+	maxSlot := uint64(count)
+	if fst.Size() > pfHeaderSize {
+		maxSlot += uint64((fst.Size() - pfHeaderSize) / pfSlotSize)
+	}
+	scratch := pf.scratchBuf()
+	pf.applied = pf.applied[:0]
+	if cap(pf.applied) < count {
+		pf.applied = make([]jnlEntry, 0, count)
+	}
+	for done := 0; done < count; {
+		n := min(count-done, pfScratchEntries)
+		chunk := scratch[:n*pfJnlEntrySize]
+		if _, err := pf.jf.ReadAt(chunk, pfJnlHdrSize+int64(done)*pfJnlEntrySize); err != nil {
+			return fmt.Errorf("journal read-back: %w", err)
+		}
+		for i := 0; i < n; i++ {
+			e := chunk[i*pfJnlEntrySize : (i+1)*pfJnlEntrySize]
+			ent := jnlEntry{
+				slot:    binary.LittleEndian.Uint64(e[0:8]),
+				pid:     binary.LittleEndian.Uint64(e[8:16]),
+				version: binary.LittleEndian.Uint64(e[16:24]),
+			}
+			if !pfSlotValid(ent.slot) || ent.slot >= maxSlot {
+				return fmt.Errorf("journal entry %d names absurd slot %d (file holds %d slots, batch %d entries): corrupt journal",
+					done+i, ent.slot, maxSlot-uint64(count), count)
+			}
+			sum := binary.LittleEndian.Uint32(e[24:28])
+			if sum != slotChecksum(e[8:24], e[pfJnlEntryHdr:]) {
+				return fmt.Errorf("journal entry %d (page %d) fails its checksum", done+i, ent.pid)
+			}
+			putSlotHdr(e, ent.pid, ent.version, sum)
+			pf.applied = append(pf.applied, ent)
+		}
+		ents := pf.applied[done:]
+		for i := 0; i < n; {
+			j := i + 1
+			for j < n && ents[j].slot == ents[j-1].slot+1 {
+				j++
+			}
+			shards := pf.lockRun(ents[i].slot, ents[j-1].slot)
+			_, err := pf.f.WriteAt(chunk[i*pfSlotSize:j*pfSlotSize], pfSlotOff(ents[i].slot))
+			pf.unlockRun(shards)
+			if err != nil {
+				return fmt.Errorf("in-place write: %w", err)
+			}
+			pf.slotWrites.Add(1)
+			i = j
+		}
+		done += n
+	}
+	if err := pf.fsync(pf.f); err != nil {
+		return fmt.Errorf("sync: %w", err)
+	}
 	return nil
+}
+
+// installApplied publishes what applyJournal wrote to the slot
+// directory — only now, after the in-place bytes are durable: the
+// directory's version is the floor readers validate against, and it must
+// never run ahead of the file.
+func (pf *PageFile) installApplied() {
+	pf.dir.Lock()
+	for _, e := range pf.applied {
+		pf.slots[e.pid] = pfSlot{slot: e.slot, version: e.version}
+		delete(pf.assigned, e.pid)
+	}
+	pf.dir.Unlock()
 }
 
 // clearJournal empties the journal after it has been applied (or proven
@@ -414,68 +550,52 @@ func (pf *PageFile) clearJournal() error {
 	return nil
 }
 
-// writeSlot writes one slot (header + image) in place, excluding
-// fallback readers of the slot's latch shard for the pwrite itself.
-func (pf *PageFile) writeSlot(slot, pid, version uint64, sum uint32, img []byte) error {
-	buf := make([]byte, pfSlotSize)
-	putSlotHdr(buf, pid, version, sum)
-	copy(buf[pfSlotHdr:], img)
-	l := &pf.latches[slot%pfLatchShards]
-	l.Lock()
-	_, err := pf.f.WriteAt(buf, pfSlotOff(slot))
-	l.Unlock()
-	return err
-}
-
-// runShards returns the latch shard indices covering the contiguous
-// slot run [lo, hi], in ascending shard order — the fixed acquisition
-// order that keeps concurrent run writers deadlock-free. A run spanning
-// every shard collapses to the full ordered set.
-func runShards(lo, hi uint64) []int {
+// runShards returns the latch shards covering the contiguous slot run
+// [lo, hi] as a bit set (bit i = shard i). A run spanning every shard
+// collapses to the full set.
+func runShards(lo, hi uint64) (set uint64) {
 	if hi-lo+1 >= pfLatchShards {
-		out := make([]int, pfLatchShards)
-		for i := range out {
-			out[i] = i
-		}
-		return out
+		return ^uint64(0)
 	}
-	var mask [pfLatchShards]bool
 	for s := lo; s <= hi; s++ {
-		mask[s%pfLatchShards] = true
+		set |= 1 << (s % pfLatchShards)
 	}
-	out := make([]int, 0, hi-lo+1)
-	for i, m := range mask {
-		if m {
-			out = append(out, i)
-		}
-	}
-	return out
+	return set
 }
 
-// lockRun write-locks the latch shards covering slots [lo, hi] and
-// returns them for unlockRun. Held only across a single pwrite — never
-// across an fsync — so a concurrent reader's fallback latch wait is
-// bounded by one in-flight write, not a batch's durability stall.
-func (pf *PageFile) lockRun(lo, hi uint64) []int {
+// lockRun write-locks the latch shards covering slots [lo, hi], in
+// ascending shard order — the fixed acquisition order that keeps
+// concurrent run writers deadlock-free — and returns them for unlockRun.
+// Held only across a single pwrite — never across an fsync — so a
+// concurrent reader's fallback latch wait is bounded by one in-flight
+// write, not a batch's durability stall.
+func (pf *PageFile) lockRun(lo, hi uint64) uint64 {
 	shards := runShards(lo, hi)
-	for _, i := range shards {
-		pf.latches[i].Lock()
+	for i := range pf.latches {
+		if shards&(1<<i) != 0 {
+			pf.latches[i].Lock()
+		}
 	}
 	return shards
 }
 
 // unlockRun releases the shards lockRun acquired.
-func (pf *PageFile) unlockRun(shards []int) {
-	for _, i := range shards {
-		pf.latches[i].Unlock()
+func (pf *PageFile) unlockRun(shards uint64) {
+	for i := range pf.latches {
+		if shards&(1<<i) != 0 {
+			pf.latches[i].Unlock()
+		}
 	}
 }
 
+// putSlotHdr writes all 32 bytes of a slot header, reserved bytes
+// included: it overwrites a journal entry's header where it stands.
 func putSlotHdr(dst []byte, pid, version uint64, sum uint32) {
 	binary.LittleEndian.PutUint64(dst[0:8], pid)
 	binary.LittleEndian.PutUint64(dst[8:16], version)
 	binary.LittleEndian.PutUint32(dst[16:20], sum)
 	binary.LittleEndian.PutUint32(dst[20:24], pfFlagUsed)
+	binary.LittleEndian.PutUint64(dst[24:32], 0)
 }
 
 // scanSlotHeaders walks every allocated slot in f (whose size is size)
@@ -568,7 +688,7 @@ func (pf *PageFile) SetSyncDelay(d time.Duration) {
 // counter the O(1)-fsyncs-per-sweep property is asserted against.
 func (pf *PageFile) Fsyncs() int64 { return pf.fsyncs.Load() }
 
-// PagesWritten returns how many page images PutBatch has written.
+// PagesWritten returns how many page images batches have written.
 func (pf *PageFile) PagesWritten() int64 { return pf.pagesPut.Load() }
 
 // JournalReplayed returns how many page images the last Open restored
@@ -615,16 +735,18 @@ func (pf *PageFile) Slots() []SlotInfo {
 	return out
 }
 
-// PutBatch implements ArchiveBatcher: the checkpoint sweep's batched
-// writeback. The whole batch becomes durable with exactly two device
-// fsyncs (journal, then pagefile) no matter how many pages it holds; a
-// failed batch installs nothing the caller may rely on. Concurrent
-// batches (sweep, cleaner, steals) serialize on wmu — the double-write
-// journal holds one batch at a time — but readers proceed throughout:
-// slot latches are taken per coalesced pwrite only, never across the
-// fsyncs.
-func (pf *PageFile) PutBatch(batch []PageImage) error {
-	if len(batch) == 0 {
+// WriteBatch implements ArchiveBatcher: the one write-back routine every
+// path (sweep, cleaner, steal, PutBatch) goes through. The batch becomes
+// durable with exactly two device fsyncs (journal, then pagefile) no
+// matter how many pages it holds, and holds at most pfScratchEntries
+// images at a time; a failed batch installs nothing the caller may rely
+// on. Pages are visited in slot order, new pages last; fill is called
+// under wmu, once per page, and a page it declines costs nothing.
+// Concurrent batches serialize on wmu — the double-write journal holds
+// one batch at a time — but readers proceed throughout: slot latches are
+// taken per coalesced pwrite only, never across the fsyncs.
+func (pf *PageFile) WriteBatch(pids []uint64, fill func(i int, dst []byte) bool) error {
+	if len(pids) == 0 {
 		return nil
 	}
 	pf.wmu.Lock()
@@ -632,11 +754,7 @@ func (pf *PageFile) PutBatch(batch []PageImage) error {
 	if pf.closed.Load() {
 		return errors.New("storage: pagefile closed")
 	}
-	for _, e := range batch {
-		if len(e.Img) != PageSize {
-			return fmt.Errorf("storage: pagefile put: image is %d bytes, want %d", len(e.Img), PageSize)
-		}
-	}
+	defer pf.trimLists()
 	if pf.applyFailed {
 		// A previous batch committed its journal but failed phase 2: the
 		// journal is the only intact copy of its pages (their in-place
@@ -644,75 +762,17 @@ func (pf *PageFile) PutBatch(batch []PageImage) error {
 		// batch's journal overwrites it — otherwise a page of that batch
 		// absent from this one could persist torn with no journal left
 		// to repair it.
-		entries, err := pf.replayJournal()
-		if err != nil {
+		if _, err := pf.replayJournal(); err != nil {
 			return fmt.Errorf("storage: pagefile re-apply pending journal: %w", err)
 		}
-		pf.dir.Lock()
-		for _, e := range entries {
-			pf.slots[e.pid] = pfSlot{slot: e.slot, version: e.version}
-			delete(pf.assigned, e.pid)
-		}
-		pf.dir.Unlock()
+		pf.installApplied()
 		pf.applyFailed = false
 	}
 
-	// Assign slots (new pages extend the file) and stamp versions —
-	// directory map work only, under dir.Lock, no I/O.
-	type write struct {
-		slot    uint64
-		pid     uint64
-		version uint64
-		sum     uint32
-		img     []byte
-	}
-	writes := make([]write, len(batch))
-	pf.dir.Lock()
-	for i, e := range batch {
-		var slot uint64
-		if s, ok := pf.slots[e.PID]; ok {
-			slot = s.slot
-		} else if res, ok := pf.assigned[e.PID]; ok {
-			slot = res // a failed batch reserved it: reuse, never reassign
-		} else {
-			slot = pf.nextSlot
-			pf.nextSlot++
-			// Reserve before any I/O: if this batch fails partway, the
-			// page may already be flagged used at this slot on disk, so
-			// a retry must come back to it.
-			pf.assigned[e.PID] = slot
-		}
-		pf.seq++
-		writes[i] = write{slot: slot, pid: e.PID, version: pf.seq, img: e.Img}
-	}
-	pf.dir.Unlock()
-	for i := range writes {
-		writes[i].sum = pageChecksum(writes[i].pid, writes[i].version, writes[i].img)
-	}
-	// Sort by file offset: the journal replays in place in offset order,
-	// and the in-place pass coalesces adjacent slots into single writes.
-	sort.Slice(writes, func(i, j int) bool { return writes[i].slot < writes[j].slot })
-
 	// Phase 1: journal the batch, one fsync. This is the commit point.
-	jnl := make([]byte, pfJnlHdrSize+len(writes)*pfJnlEntrySize)
-	for i, w := range writes {
-		e := jnl[pfJnlHdrSize+i*pfJnlEntrySize:]
-		binary.LittleEndian.PutUint64(e[0:8], w.slot)
-		binary.LittleEndian.PutUint64(e[8:16], w.pid)
-		binary.LittleEndian.PutUint64(e[16:24], w.version)
-		binary.LittleEndian.PutUint32(e[24:28], w.sum)
-		copy(e[pfJnlEntryHdr:], w.img)
-	}
-	binary.LittleEndian.PutUint32(jnl[0:4], pfJournalMagic)
-	binary.LittleEndian.PutUint32(jnl[4:8], pfVersion)
-	binary.LittleEndian.PutUint32(jnl[8:12], uint32(len(writes)))
-	binary.LittleEndian.PutUint32(jnl[12:16], PageSize)
-	binary.LittleEndian.PutUint32(jnl[16:20], crc32.Checksum(jnl[pfJnlHdrSize:], pfCRC))
-	if _, err := pf.jf.WriteAt(jnl, 0); err != nil {
-		return fmt.Errorf("storage: pagefile journal write: %w", err)
-	}
-	if err := pf.fsync(pf.jf); err != nil {
-		return fmt.Errorf("storage: pagefile journal sync: %w", err)
+	count, err := pf.journalBatch(pids, fill)
+	if err != nil || count == 0 {
+		return err
 	}
 	if pf.crashAfterJournal {
 		// The batch is committed in the journal but never applied — the
@@ -729,36 +789,10 @@ func (pf *PageFile) PutBatch(batch []PageImage) error {
 		return err
 	}
 
-	// Phase 2: write in place, coalescing contiguous slot runs into
-	// large sequential writes, then one pagefile fsync. Each run's
-	// pwrite holds only the latch shards its slots cover — a reader
-	// faulting any other page proceeds untouched, and even a reader of
-	// these very slots waits for one pwrite at most, never the fsync.
-	for i := 0; i < len(writes); {
-		j := i + 1
-		for j < len(writes) && writes[j].slot == writes[j-1].slot+1 {
-			j++
-		}
-		run := make([]byte, (j-i)*pfSlotSize)
-		for k := i; k < j; k++ {
-			w := writes[k]
-			dst := run[(k-i)*pfSlotSize:]
-			putSlotHdr(dst, w.pid, w.version, w.sum)
-			copy(dst[pfSlotHdr:], w.img)
-		}
-		shards := pf.lockRun(writes[i].slot, writes[j-1].slot)
-		_, err := pf.f.WriteAt(run, pfSlotOff(writes[i].slot))
-		pf.unlockRun(shards)
-		if err != nil {
-			pf.applyFailed = true
-			return fmt.Errorf("storage: pagefile write: %w", err)
-		}
-		pf.slotWrites.Add(1)
-		i = j
-	}
-	if err := pf.fsync(pf.f); err != nil {
+	// Phase 2: the journal, read back, goes in place; one pagefile fsync.
+	if err := pf.applyJournal(count); err != nil {
 		pf.applyFailed = true
-		return fmt.Errorf("storage: pagefile sync: %w", err)
+		return fmt.Errorf("storage: pagefile apply: %w", err)
 	}
 	// The journal is now dead weight; empty it without an fsync — if the
 	// truncation is lost in a crash, Open just replays the batch it
@@ -766,26 +800,220 @@ func (pf *PageFile) PutBatch(batch []PageImage) error {
 	if err := pf.jf.Truncate(0); err != nil {
 		return fmt.Errorf("storage: pagefile journal clear: %w", err)
 	}
-
-	pf.dir.Lock()
-	for _, w := range writes {
-		pf.slots[w.pid] = pfSlot{slot: w.slot, version: w.version}
-		delete(pf.assigned, w.pid)
-	}
-	pf.dir.Unlock()
+	pf.installApplied()
 	pf.batchPuts.Add(1)
-	pf.pagesPut.Add(int64(len(writes)))
+	pf.pagesPut.Add(int64(count))
 	return nil
 }
 
-// Put implements Archive for single pages (legacy import, tests); sweeps
-// go through PutBatch.
+// journalBatch is phase 1: it stages the pages fill accepts through the
+// scratch into the journal, in slot order, and commits them — body
+// first, chunk by chunk with the batch CRC kept running, then the
+// header carrying the count and that CRC, then one fsync. Until the
+// header is down the journal cannot verify as this batch, and the header
+// cannot verify over anything but this batch's whole body. It returns
+// how many pages were journaled; for 0 the journal is untouched. If it
+// fails, the slots it reserved for new pages are free again.
+func (pf *PageFile) journalBatch(pids []uint64, fill func(i int, dst []byte) bool) (count int, err error) {
+	visits := pf.visits[:0]
+	if cap(visits) < len(pids) {
+		visits = make([]pfVisit, 0, len(pids))
+	}
+	pf.dir.Lock()
+	end := pf.nextSlot
+	for i, pid := range pids {
+		slot := uint64(pfNoSlot)
+		if s, ok := pf.slots[pid]; ok {
+			slot = s.slot
+		} else if res, ok := pf.assigned[pid]; ok {
+			slot = res // a batch that failed after committing holds it: reuse, never reassign
+		}
+		visits = append(visits, pfVisit{slot: slot, idx: i})
+	}
+	// Versions go by the caller's order, whatever order the pages are
+	// staged in; one a declined page leaves unused is never missed.
+	version0 := pf.seq + 1
+	pf.seq += uint64(len(pids))
+	pf.dir.Unlock()
+	pf.visits = visits
+	defer func() {
+		if err != nil {
+			pf.releaseSlots(end)
+		}
+	}()
+	// Slot order makes the journal replay in file-offset order and lets
+	// phase 2 coalesce adjacent slots into single writes.
+	slices.SortFunc(visits, func(a, b pfVisit) int {
+		if c := cmp.Compare(a.slot, b.slot); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
+
+	scratch := pf.scratchBuf()
+	staged := 0
+	var crc uint32
+	flush := func() error {
+		chunk := scratch[:staged*pfJnlEntrySize]
+		off := pfJnlHdrSize + int64(count-staged)*pfJnlEntrySize
+		if _, err := pf.jf.WriteAt(chunk, off); err != nil {
+			return fmt.Errorf("storage: pagefile journal write: %w", err)
+		}
+		crc = crc32.Update(crc, pfCRC, chunk)
+		staged = 0
+		return nil
+	}
+	for _, v := range visits {
+		e := scratch[staged*pfJnlEntrySize : (staged+1)*pfJnlEntrySize]
+		if !fill(v.idx, e[pfJnlEntryHdr:]) {
+			continue
+		}
+		ent := jnlEntry{slot: v.slot, pid: pids[v.idx], version: version0 + uint64(v.idx)}
+		if ent.slot == pfNoSlot {
+			ent.slot = pf.newSlot(ent.pid)
+		}
+		putJnlEntryHdr(e, ent)
+		count++
+		if staged++; staged == pfScratchEntries {
+			if err := flush(); err != nil {
+				return 0, err
+			}
+		}
+	}
+	if count == 0 {
+		return 0, nil
+	}
+	if staged > 0 {
+		if err := flush(); err != nil {
+			return 0, err
+		}
+	}
+	hdr := scratch[:pfJnlHdrSize]
+	binary.LittleEndian.PutUint32(hdr[0:4], pfJournalMagic)
+	binary.LittleEndian.PutUint32(hdr[4:8], pfVersion)
+	binary.LittleEndian.PutUint32(hdr[8:12], uint32(count))
+	binary.LittleEndian.PutUint32(hdr[12:16], PageSize)
+	binary.LittleEndian.PutUint32(hdr[16:20], crc)
+	clear(hdr[20:])
+	if _, err := pf.jf.WriteAt(hdr, 0); err != nil {
+		return 0, fmt.Errorf("storage: pagefile journal write: %w", err)
+	}
+	if err := pf.fsync(pf.jf); err != nil {
+		return 0, fmt.Errorf("storage: pagefile journal sync: %w", err)
+	}
+	return count, nil
+}
+
+// newSlot gives an accepted page that has none its slot, its own for
+// life, at the end of the file — directory map work only, no I/O.
+func (pf *PageFile) newSlot(pid uint64) uint64 {
+	pf.dir.Lock()
+	defer pf.dir.Unlock()
+	if slot, ok := pf.assigned[pid]; ok {
+		return slot // the same page twice in one batch
+	}
+	slot := pf.nextSlot
+	pf.nextSlot++
+	// Reserve before any I/O: if this batch fails after its journal
+	// commits, the page may already be flagged used at this slot on
+	// disk, so a retry must come back to it.
+	pf.assigned[pid] = slot
+	return slot
+}
+
+// releaseSlots undoes the reservations a batch made at or past end, the
+// file's slot count when it began, because its journal never committed.
+// No in-place write can have run, so nothing on disk names those slots —
+// and they must not stay reserved past the end of the file: a later,
+// smaller batch holding one of them would journal a slot applyJournal's
+// bound (rightly, for a journal read from disk) calls corrupt, live and
+// at every Open after.
+func (pf *PageFile) releaseSlots(end uint64) {
+	pf.dir.Lock()
+	for pid, slot := range pf.assigned {
+		if slot >= end {
+			delete(pf.assigned, pid)
+		}
+	}
+	pf.nextSlot = end
+	pf.dir.Unlock()
+}
+
+// trimLists drops the per-page lists of an unusually large batch rather
+// than keep them for the life of the file.
+func (pf *PageFile) trimLists() {
+	if cap(pf.visits) > pfKeepEntries {
+		pf.visits = nil
+	}
+	if cap(pf.applied) > pfKeepEntries {
+		pf.applied = nil
+	}
+}
+
+// PutBatch writes images the caller already holds as one batch: the
+// adapter from []PageImage to WriteBatch, whose fill is a copy. The
+// write-back paths do not use it (they hand WriteBatch the frames);
+// tests and probes do.
+func (pf *PageFile) PutBatch(batch []PageImage) error {
+	pids := make([]uint64, len(batch))
+	for i, e := range batch {
+		if len(e.Img) != PageSize {
+			return fmt.Errorf("storage: pagefile put: image is %d bytes, want %d", len(e.Img), PageSize)
+		}
+		pids[i] = e.PID
+	}
+	return pf.WriteBatch(pids, func(i int, dst []byte) bool {
+		copy(dst, batch[i].Img)
+		return true
+	})
+}
+
+// Put implements Archive for single pages (legacy import, tests).
 func (pf *PageFile) Put(pid uint64, img []byte) error {
 	return pf.PutBatch([]PageImage{{PID: pid, Img: img}})
 }
 
-// Get implements Archive ((nil, nil) for a page never archived). The
-// slot header and checksum are verified on every read.
+// Get implements Archive ((nil, nil) for a page never archived): it
+// allocates a slot-sized buffer, reads and validates the page's slot
+// into it (readSlot) and returns the image part.
+func (pf *PageFile) Get(pid uint64) ([]byte, error) {
+	s, ok, err := pf.lookup(pid)
+	if !ok {
+		return nil, err
+	}
+	buf := make([]byte, pfSlotSize)
+	if err := pf.readSlot(pid, s, buf); err != nil {
+		return nil, err
+	}
+	return buf[pfSlotHdr:], nil
+}
+
+// ReadPage implements ArchivePageReader: the same read as Get, straight
+// into the frame of the page the caller is about to install — a fault
+// allocates that frame and nothing else. found is false, and p
+// untouched, for a page never archived; after an error p's contents are
+// undefined.
+func (pf *PageFile) ReadPage(pid uint64, p *Page) (found bool, err error) {
+	s, ok, err := pf.lookup(pid)
+	if !ok {
+		return false, err
+	}
+	return true, pf.readSlot(pid, s, p.frame[:])
+}
+
+// lookup finds pid's directory entry.
+func (pf *PageFile) lookup(pid uint64) (pfSlot, bool, error) {
+	if pf.closed.Load() {
+		return pfSlot{}, false, errors.New("storage: pagefile closed")
+	}
+	pf.dir.RLock()
+	s, ok := pf.slots[pid]
+	pf.dir.RUnlock()
+	return s, ok, nil
+}
+
+// readSlot is the one read path: it reads pid's slot (header + image)
+// into buf and verifies it, on every read.
 //
 // The read is lock-free against batch writers: an optimistic pread
 // validated by the slot header. Validation accepts an image whose
@@ -797,17 +1025,7 @@ func (pf *PageFile) Put(pid uint64, img []byte) error {
 // pfOptimisticReads attempts it read-latches the slot's shard (waiting
 // out at most one in-flight pwrite, never a fsync) and reads once more.
 // Failing validation even under the latch is real corruption.
-func (pf *PageFile) Get(pid uint64) ([]byte, error) {
-	if pf.closed.Load() {
-		return nil, errors.New("storage: pagefile closed")
-	}
-	pf.dir.RLock()
-	s, ok := pf.slots[pid]
-	pf.dir.RUnlock()
-	if !ok {
-		return nil, nil
-	}
-	buf := make([]byte, pfSlotSize)
+func (pf *PageFile) readSlot(pid uint64, s pfSlot, buf []byte) error {
 	for attempt := 0; ; attempt++ {
 		latched := attempt >= pfOptimisticReads
 		var l *sync.RWMutex
@@ -815,12 +1033,15 @@ func (pf *PageFile) Get(pid uint64) ([]byte, error) {
 			l = &pf.latches[s.slot%pfLatchShards]
 			l.RLock()
 		}
-		_, err := io.ReadFull(io.NewSectionReader(pf.f, pfSlotOff(s.slot), pfSlotSize), buf)
+		n, err := pf.f.ReadAt(buf, pfSlotOff(s.slot))
 		if latched {
 			l.RUnlock()
 		}
-		if err != nil {
-			return nil, fmt.Errorf("storage: pagefile read page %d: %w", pid, err)
+		if n < len(buf) {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return fmt.Errorf("storage: pagefile read page %d: %w", pid, err)
 		}
 		if d := time.Duration(pf.readDelay.Load()); d > 0 {
 			time.Sleep(d) // modeled device read time; no latch held
@@ -829,29 +1050,29 @@ func (pf *PageFile) Get(pid uint64) ([]byte, error) {
 		version := binary.LittleEndian.Uint64(buf[8:16])
 		sum := binary.LittleEndian.Uint32(buf[16:20])
 		img := buf[pfSlotHdr:]
-		if gotPID == pid && version >= s.version && sum == pageChecksum(pid, version, img) {
-			return img, nil
+		intact := sum == slotChecksum(buf[0:16], img)
+		if gotPID == pid && version >= s.version && intact {
+			return nil
 		}
 		if latched {
 			// The slot's writer was excluded and the image still fails
 			// validation: a misdirected, torn or corrupt write reached
 			// disk, not a benign race.
-			if gotPID != pid && sum == pageChecksum(gotPID, version, img) {
-				return nil, fmt.Errorf("storage: pagefile slot %d holds page %d, want %d (misdirected write)", s.slot, gotPID, pid)
+			if gotPID != pid && intact {
+				return fmt.Errorf("storage: pagefile slot %d holds page %d, want %d (misdirected write)", s.slot, gotPID, pid)
 			}
-			return nil, fmt.Errorf("storage: pagefile page %d fails its checksum (torn or corrupt slot %d)", pid, s.slot)
+			return fmt.Errorf("storage: pagefile page %d fails its checksum (torn or corrupt slot %d)", pid, s.slot)
 		}
 		pf.readRetries.Add(1)
 		runtime.Gosched()
-		// Refresh the directory entry: the version floor (never the
-		// slot — a page's slot is stable for life) may have advanced
-		// while we raced, and the page may even have been dropped.
+		// Refresh the version floor, which may have advanced while we
+		// raced (never the slot — a page's slot is stable for life, and
+		// the directory never forgets a page).
 		pf.dir.RLock()
-		s, ok = pf.slots[pid]
-		pf.dir.RUnlock()
-		if !ok {
-			return nil, nil
+		if cur, ok := pf.slots[pid]; ok {
+			s = cur
 		}
+		pf.dir.RUnlock()
 	}
 }
 
@@ -879,9 +1100,8 @@ func (pf *PageFile) Pages() ([]uint64, error) {
 	return out, nil
 }
 
-// importChunk bounds ImportLegacy's per-PutBatch size (a batch holds
-// the images, the journal buffer, and the coalesced run buffers at
-// once — ~3× the images' size in peak memory).
+// importChunk bounds how many legacy images ImportLegacy holds before it
+// hands them to PutBatch.
 const importChunk = 1024
 
 // ImportLegacy performs the one-time migration from a FileArchive
@@ -972,9 +1192,13 @@ func ReadPageFileInfo(path string) (*PageFileInfo, error) {
 		return nil, err
 	}
 	info.Pages = len(info.Slots)
-	if jnl, err := os.ReadFile(path + ".journal"); err == nil {
-		if _, count, ok := parseJournal(jnl); ok {
-			info.JournalPending = count
+	if jf, err := os.Open(path + ".journal"); err == nil {
+		defer jf.Close()
+		if jst, err := jf.Stat(); err == nil {
+			scratch := make([]byte, pfScratchEntries*pfJnlEntrySize)
+			if count, ok, _ := journalCommitted(jf, jst.Size(), scratch); ok {
+				info.JournalPending = count
+			}
 		}
 	}
 	return info, nil
@@ -1006,7 +1230,8 @@ func (pf *PageFile) Close() error {
 }
 
 var (
-	_ Archive         = (*PageFile)(nil)
-	_ ArchiveBatcher  = (*PageFile)(nil)
-	_ ArchiveContains = (*PageFile)(nil)
+	_ Archive           = (*PageFile)(nil)
+	_ ArchiveBatcher    = (*PageFile)(nil)
+	_ ArchiveContains   = (*PageFile)(nil)
+	_ ArchivePageReader = (*PageFile)(nil)
 )

@@ -9,6 +9,14 @@ import (
 	"testing"
 )
 
+// pageChecksum is slotChecksum from the identity's parts.
+func pageChecksum(pid, version uint64, img []byte) uint32 {
+	var ident [16]byte
+	binary.LittleEndian.PutUint64(ident[0:8], pid)
+	binary.LittleEndian.PutUint64(ident[8:16], version)
+	return slotChecksum(ident[:], img)
+}
+
 // jnlSpec is one crafted journal entry for the hardening tests.
 type jnlSpec struct {
 	slot    uint64

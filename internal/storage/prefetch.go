@@ -1,11 +1,5 @@
 package storage
 
-import (
-	"encoding/binary"
-
-	"aether/internal/lsn"
-)
-
 // This file is the buffer pool's read-ahead half (Layer 2 of the
 // concurrent-I/O spine): detect sequential fault patterns — table scans,
 // RebuildTables' restart walk, recovery redo — and stream the next pages
@@ -157,10 +151,12 @@ func (s *Store) noteAccess(pid uint64) {
 // reference bit clear, prefetched flag set — or gives up silently: a
 // prefetch is a hint, and every failure mode (resident already, absent
 // from the backend, no clean frame available, read or validation error)
-// is handled by the demand fault that may follow. It applies the same
-// WAL-horizon check as the fault path, and the same read-under-shard-
-// lock discipline that makes an install atomic against a concurrent
-// install → modify → steal → evict cycle of the same page.
+// is handled by the demand fault that may follow. It reads through the
+// fault path's loadFrame — straight into the frame it installs, the same
+// validation and WAL-horizon check before the frame is visible — under
+// the same read-under-shard-lock discipline that makes an install atomic
+// against a concurrent install → modify → steal → evict cycle of the
+// same page.
 func (s *Store) prefetchOne(pid uint64) {
 	defer func() { <-s.prefetchSem }()
 	sh := s.shard(pid)
@@ -182,21 +178,8 @@ func (s *Store) prefetchOne(pid uint64) {
 		s.releaseFrame()
 		return
 	}
-	img, err := s.backend.Get(pid)
-	if err != nil || len(img) != PageSize {
-		sh.mu.Unlock()
-		s.releaseFrame()
-		return
-	}
-	if s.wal != nil {
-		if pl := lsn.LSN(binary.LittleEndian.Uint64(img[8:16])); pl > s.wal.Durable() {
-			sh.mu.Unlock()
-			s.releaseFrame()
-			return
-		}
-	}
 	p := NewPage(pid)
-	if err := p.LoadSnapshot(img); err != nil {
+	if found, err := s.loadFrame(pid, p); err != nil || !found {
 		sh.mu.Unlock()
 		s.releaseFrame()
 		return

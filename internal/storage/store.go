@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -240,15 +241,14 @@ func (s *Store) PageIDs() []uint64 {
 }
 
 // sortPageIDs sorts page IDs ascending.
-func sortPageIDs(ids []uint64) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-}
+func sortPageIDs(ids []uint64) { slices.Sort(ids) }
 
 // Archive is persistent page-image storage (the database file). Writing
 // a page to the archive must respect the WAL rule: the caller checks
 // pageLSN ≤ durable LSN before archiving.
 type Archive interface {
-	// Put stores the page image. A failed Put must be reported: the
+	// Put stores the page image, which it must not keep a reference to
+	// (the caller reuses the buffer). A failed Put must be reported: the
 	// caller keeps the page dirty so the log behind it cannot be
 	// truncated away.
 	Put(pid uint64, img []byte) error
@@ -310,17 +310,19 @@ func (a *MemArchive) Pages() ([]uint64, error) {
 	return out, nil
 }
 
-// PutBatch implements ArchiveBatcher: the whole sweep lands under one
-// lock acquisition, so in-memory benchmark runs take the same batched
-// path as the PageFile instead of the per-page Put loop. Memory writes
-// cannot half-fail, so the batch trivially installs atomically.
-func (a *MemArchive) PutBatch(batch []PageImage) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, pi := range batch {
-		cp := make([]byte, len(pi.Img))
-		copy(cp, pi.Img)
-		a.pages[pi.PID] = cp
+// WriteBatch implements ArchiveBatcher, so in-memory runs take the same
+// write-back path as the PageFile. Each accepted page is filled into the
+// buffer the archive then keeps; memory writes cannot half-fail, so there
+// is no batch to roll back. fill runs without the archive's lock held.
+func (a *MemArchive) WriteBatch(pids []uint64, fill func(i int, dst []byte) bool) error {
+	for i, pid := range pids {
+		img := make([]byte, PageSize)
+		if !fill(i, img) {
+			continue
+		}
+		a.mu.Lock()
+		a.pages[pid] = img
+		a.mu.Unlock()
 	}
 	return nil
 }
@@ -345,12 +347,55 @@ type PageImage struct {
 	Img []byte
 }
 
-// ArchiveBatcher is the optional Archive extension the checkpoint sweep
-// prefers: PutBatch installs many page images with O(1) device fsyncs
-// (the PageFile's double-write protocol). A failed PutBatch installs
-// nothing the caller may rely on — every page stays dirty.
+// ArchiveBatcher is the Archive extension every write-back path — the
+// checkpoint sweep, the cleaner, the steal — goes through. The caller
+// says *which* pages; the archive decides the order and asks for each
+// image when it has somewhere to put it, so a batch of any size moves
+// each image exactly once (frame → the archive's own staging buffer)
+// and holds a bounded number of them. An archive that only has Put is
+// adapted by batcherFor.
 type ArchiveBatcher interface {
-	PutBatch(batch []PageImage) error
+	// WriteBatch stores the pages named by pids. For each, in an order
+	// of its choosing, it calls fill(i, dst) once with i the page's
+	// index in pids and dst a PageSize buffer; fill copies the page's
+	// current image into dst and reports true, or reports false to
+	// leave the page out of the batch (it may not be written now — the
+	// WAL rule is the caller's to check, under the same latch as the
+	// copy). The PageFile does this with O(1) device fsyncs per batch.
+	// A failed WriteBatch installs nothing the caller may rely on —
+	// every page stays dirty.
+	WriteBatch(pids []uint64, fill func(i int, dst []byte) bool) error
+}
+
+// batcherFor returns a's batch entry point: its own, or for an archive
+// that only has Put, a loop over one staging image followed by the
+// archive's Flush if it defers durability. The first failed Put fails
+// the batch.
+func batcherFor(a Archive) ArchiveBatcher {
+	if b, ok := a.(ArchiveBatcher); ok {
+		return b
+	}
+	return putLoop{a}
+}
+
+// putLoop is batcherFor's adapter for an archive that only has Put.
+type putLoop struct{ a Archive }
+
+// WriteBatch implements ArchiveBatcher.
+func (l putLoop) WriteBatch(pids []uint64, fill func(i int, dst []byte) bool) error {
+	img := make([]byte, PageSize)
+	for i, pid := range pids {
+		if !fill(i, img) {
+			continue
+		}
+		if err := l.a.Put(pid, img); err != nil {
+			return err
+		}
+	}
+	if f, ok := l.a.(ArchiveFlusher); ok {
+		return f.Flush()
+	}
+	return nil
 }
 
 // FsyncCounter is implemented by archives that count their device fsyncs;
@@ -367,54 +412,118 @@ type ReadRetrier interface {
 	ReadRetries() int64
 }
 
-// ArchiveDirtyPages writes every dirty page whose pageLSN is at or below
-// durable to the archive and cleans it in the DPT. It returns how many
-// pages were written. This is the checkpointer's page-cleaning sweep;
-// the durable bound is the write-ahead rule.
+// wbClaim is one page a write-back pass owns: pinned, and holding its
+// writeback latch, from claim to release.
+type wbClaim struct {
+	page *Page
+	// lsn is the pageLSN of the image the archive took, read under the
+	// same latch hold as the copy; lsn.Undefined while it has taken none.
+	lsn lsn.LSN
+}
+
+// releaseClaims surrenders every claim's writeback latch and pin.
+func releaseClaims(claims []wbClaim) {
+	for _, c := range claims {
+		c.page.wb.Store(false)
+		c.page.Unpin()
+	}
+}
+
+// writeBack is the one write-back path under the sweep and the cleaner:
+// it hands the claimed pages (claims[i] owns pids[i]) to the archive as
+// one batch, then cleans, in the DPT, every page whose image went out
+// and which has not moved since, then releases the claims — whatever
+// happened, a claimed page must become cleanable and evictable again —
+// and wakes evictors waiting for clean frames. It returns how many images
+// the archive took and how many pages it cleaned.
 //
-// Pages are cleaned only after the whole batch is flushed, and only if
-// their pageLSN is unchanged since the snapshot: a page re-dirtied
-// mid-sweep stays in the DPT (under its old, conservative recLSN) so the
+// The archive copies each image straight out of its frame, under the
+// page's read latch, and the write-ahead rule is checked under that same
+// latch hold: a page whose pageLSN is beyond durable is left out.
+// Nothing is cleaned unless the whole batch succeeded, and then only
+// pages whose pageLSN still equals the copied image's: a page re-dirtied
+// mid-pass stays in the DPT (under its old, conservative recLSN) so the
 // log that rebuilds its newest updates keeps pinning the truncation
-// horizon until the next sweep archives them.
+// horizon until a later pass archives them.
+func (s *Store) writeBack(a Archive, pids []uint64, claims []wbClaim, durable lsn.LSN) (wrote, cleaned int, err error) {
+	defer func() {
+		// Release the claims BEFORE broadcasting, so an evictor woken by
+		// the signal finds the pages unpinned and writeback-free —
+		// evictable — rather than still claimed by this pass.
+		releaseClaims(claims)
+		if err == nil {
+			s.signalCleaned()
+		}
+	}()
+	err = batcherFor(a).WriteBatch(pids, func(i int, dst []byte) bool {
+		c := &claims[i]
+		c.page.Latch.RLock()
+		pl, ok := c.page.copyDurable(dst, durable)
+		c.page.Latch.RUnlock()
+		if ok {
+			c.lsn = pl
+		}
+		return ok
+	})
+	if err != nil {
+		// Every page stays dirty: its recLSN keeps pinning the truncation
+		// horizon, so the log that rebuilds it cannot be recycled until
+		// a later pass succeeds.
+		return 0, 0, err
+	}
+	for i := range claims {
+		c := &claims[i]
+		if c.lsn == lsn.Undefined {
+			continue
+		}
+		wrote++
+		// Check-and-clean under the page latch: writers bump pageLSN
+		// and mark dirty under the exclusive latch, so either we see
+		// the bump (page stays dirty) or our clean completes first and
+		// their MarkDirty re-adds a fresh entry.
+		c.page.Latch.RLock()
+		if c.page.LSN() == c.lsn {
+			s.MarkClean(pids[i])
+			cleaned++
+		}
+		c.page.Latch.RUnlock()
+	}
+	return wrote, cleaned, nil
+}
+
+// ArchiveDirtyPages writes every dirty page whose pageLSN is at or below
+// durable to the archive and cleans it in the DPT (writeBack has the
+// rules). It returns how many pages it cleaned. This is the
+// checkpointer's page-cleaning sweep; the durable bound is the
+// write-ahead rule.
+//
+// Pages stay pinned from claim to check-and-clean (a concurrent eviction
+// must not reclaim a frame the sweep is mid-way through archiving) and
+// hold their writeback latch for the same window (so the background
+// cleaner and the steal path never have a second write of the same page
+// in flight).
 func (s *Store) ArchiveDirtyPages(a Archive, durable lsn.LSN) int {
 	if a == nil {
 		return 0
 	}
-	type archived struct {
-		pid  uint64
-		page *Page
-		lsn  lsn.LSN
-	}
-	batcher, batched := a.(ArchiveBatcher)
-	var done []archived
-	// Pages stay pinned from snapshot to check-and-clean (a concurrent
-	// eviction must not reclaim a frame the sweep is mid-way through
-	// archiving) and hold their writeback latch for the same window (so
-	// the background cleaner and the steal path never have a second
-	// write of the same page in flight).
-	defer func() {
-		for _, e := range done {
-			e.page.wb.Store(false)
-			e.page.Unpin()
-		}
-	}()
-	var batch []PageImage // images held only for the batched path
-	for _, e := range s.DirtyPages() {
+	dirty := s.dirtyPIDs()
+	pids := dirty[:0]
+	claims := make([]wbClaim, 0, len(dirty))
+	for _, pid := range dirty {
 		// Resident-only lookup: a dirty page is always resident (the
 		// only way out of RAM is a steal, which cleans it first), so a
 		// non-resident entry is stale — faulting it back just to
 		// re-archive the image the steal already wrote would waste a
 		// read, a cache frame and a write. pinNoRef, not getResident:
 		// archiving a page must not make it look hot to the clock.
-		p, _ := s.pinNoRef(e.PageID)
+		p, _ := s.pinNoRef(pid)
 		if p == nil {
-			if s.isDirty(e.PageID) {
+			if s.isDirty(pid) {
 				// Still in the live DPT yet nowhere in RAM or reachable
 				// state: a vanished page (legacy stores without a
 				// backend). Clean it so it cannot pin the truncation
 				// horizon forever.
-				s.MarkClean(e.PageID)
+				s.MarkClean(pid)
 			}
 			continue
 		}
@@ -425,64 +534,28 @@ func (s *Store) ArchiveDirtyPages(a Archive, durable lsn.LSN) int {
 			p.Unpin()
 			continue
 		}
-		p.Latch.RLock()
-		pl := p.LSN()
-		var img []byte
-		if pl <= durable {
-			img = p.Snapshot()
-		}
-		p.Latch.RUnlock()
-		if img == nil {
-			p.wb.Store(false)
-			p.Unpin()
-			continue
-		}
-		if batched {
-			// Collect: the whole sweep lands in one PutBatch below.
-			batch = append(batch, PageImage{PID: e.PageID, Img: img})
-		} else if err := a.Put(e.PageID, img); err != nil {
-			// Keep the page dirty: its recLSN stays in the DPT and
-			// pins the truncation horizon, so the log that rebuilds
-			// it cannot be recycled until a later sweep succeeds.
-			// (Streaming Put also keeps peak memory at one image.)
-			p.wb.Store(false)
-			p.Unpin()
-			continue
-		}
-		done = append(done, archived{pid: e.PageID, page: p, lsn: pl})
+		pids = append(pids, pid)
+		claims = append(claims, wbClaim{page: p, lsn: lsn.Undefined})
 	}
-	if len(done) == 0 {
+	if len(claims) == 0 {
 		return 0
 	}
-	if batched {
-		// Batched writeback: O(1) fsyncs for the whole sweep. A failed
-		// batch installs nothing — every page stays dirty and the next
-		// sweep retries.
-		if err := batcher.PutBatch(batch); err != nil {
-			return 0
-		}
-	} else if f, ok := a.(ArchiveFlusher); ok {
-		if err := f.Flush(); err != nil {
-			// Nothing is cleaned: every page stays dirty and the
-			// horizon stays put until a flush succeeds.
-			return 0
-		}
+	// A failed batch installs nothing — every page stays dirty and the
+	// next sweep retries.
+	_, cleaned, _ := s.writeBack(a, pids, claims, durable)
+	return cleaned
+}
+
+// dirtyPIDs lists the DPT's pages, sorted for determinism.
+func (s *Store) dirtyPIDs() []uint64 {
+	s.dirtyMu.Lock()
+	out := make([]uint64, 0, len(s.dirty))
+	for pid := range s.dirty {
+		out = append(out, pid)
 	}
-	written := 0
-	for _, e := range done {
-		// Check-and-clean under the page latch: writers bump pageLSN
-		// and mark dirty under the exclusive latch, so either we see
-		// the bump (page stays dirty) or our clean completes first and
-		// their MarkDirty re-adds a fresh entry.
-		e.page.Latch.RLock()
-		if e.page.LSN() == e.lsn {
-			s.MarkClean(e.pid)
-			written++
-		}
-		e.page.Latch.RUnlock()
-	}
-	s.signalCleaned()
-	return written
+	s.dirtyMu.Unlock()
+	sortPageIDs(out)
+	return out
 }
 
 // LoadArchive populates the store from an archive eagerly, faulting

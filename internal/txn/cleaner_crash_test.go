@@ -29,14 +29,16 @@ func newGatedArchive(a storage.Archive) *gatedArchive {
 	return &gatedArchive{Archive: a, entered: make(chan struct{}), release: make(chan struct{})}
 }
 
-// PutBatch forwards to the wrapped archive, then (once, when gated)
-// parks until released. Only the cleaner and the sweep use PutBatch;
-// this test runs no checkpoints, so the parked caller is the cleaner.
-func (a *gatedArchive) PutBatch(batch []storage.PageImage) error {
-	if err := a.Archive.(storage.ArchiveBatcher).PutBatch(batch); err != nil {
+// WriteBatch forwards to the wrapped archive, then (once, when gated,
+// for a batch of two pages or more) parks until released. Every
+// write-back arrives here, but a demand steal writes one page — and runs
+// on the test's own goroutine, which must not park — and this test runs
+// no checkpoints, so the parked caller is the cleaner.
+func (a *gatedArchive) WriteBatch(pids []uint64, fill func(i int, dst []byte) bool) error {
+	if err := a.Archive.(storage.ArchiveBatcher).WriteBatch(pids, fill); err != nil {
 		return err
 	}
-	if a.gated.Load() {
+	if len(pids) >= 2 && a.gated.Load() {
 		a.once.Do(func() {
 			close(a.entered)
 			<-a.release

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -104,7 +105,9 @@ type Table struct {
 	Heap *storage.HeapFile
 	// Index is the volatile primary index over Heap.
 	Index *storage.BTree
-	// KeyOf recovers a row's primary key during index rebuild.
+	// KeyOf recovers a row's primary key during index rebuild. It is
+	// handed the row in place, under the page latch, and must not keep
+	// or modify it.
 	KeyOf func([]byte) uint64
 }
 
@@ -716,11 +719,14 @@ func (e *Engine) Tables() []*Table {
 }
 
 // RebuildTables reattaches pages to their heaps and rebuilds every
-// table's index by scanning heap rows. Called after recovery. The page
-// universe is the resident set plus everything in the archive backend:
-// with demand paging, most pages are not in RAM at this point — they
-// fault in (and are evicted again) as the rebuild walks them, so the
-// scan is O(database) time but O(cache budget) memory.
+// table's index from the heap rows, replacing whatever the index held.
+// Called after recovery. The page universe is the resident set plus
+// everything in the archive backend: with demand paging, most pages are
+// not in RAM at this point — they fault in (and are evicted again) as
+// the rebuild walks them, so the scan is O(database) time but O(cache
+// budget) memory for pages, plus 16 bytes per row of the table being
+// indexed: a table's (key, RID) pairs are collected first and its index
+// is built from them in one pass (storage.BTree.Build).
 func (e *Engine) RebuildTables() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -728,27 +734,26 @@ func (e *Engine) RebuildTables() error {
 	if err != nil {
 		return fmt.Errorf("txn: listing pages for rebuild: %w", err)
 	}
-	bySpace := make(map[uint32][]uint64)
-	var spaces []uint32
-	for _, pid := range all {
-		sp := storage.PageSpace(pid)
-		if _, seen := bySpace[sp]; !seen {
-			spaces = append(spaces, sp)
+	// AllPageIDs is sorted and a page ID starts with its space, so each
+	// space's pages are one ascending run and the whole rebuild faults
+	// pages in strictly increasing pid order. That makes restart
+	// deterministic and turns the rebuild into one long sequential run
+	// the read-ahead pipeline can stream.
+	var entries []storage.BTreeEntry // one table's at a time, reused by the next
+	for len(all) > 0 {
+		sp := storage.PageSpace(all[0])
+		n := 1
+		for n < len(all) && storage.PageSpace(all[n]) == sp {
+			n++
 		}
-		bySpace[sp] = append(bySpace[sp], pid)
-	}
-	// Walk spaces in sorted order, not map order: AllPageIDs is sorted, so
-	// spaces discovered in order of their first pid are already ascending —
-	// the whole rebuild faults pages in strictly increasing pid order. That
-	// makes restart deterministic and turns the rebuild into one long
-	// sequential run the read-ahead pipeline can stream.
-	for _, sp := range spaces {
-		pids := bySpace[sp]
+		pids := all[:n]
+		all = all[n:]
 		t := e.spaces[sp]
 		if t == nil {
 			return fmt.Errorf("txn: recovered pages for unknown space %d (tables must be created in the same order as before the crash)", sp)
 		}
-		for _, pid := range pids { // AllPageIDs() is sorted
+		entries = entries[:0]
+		for _, pid := range pids {
 			p, err := e.store.Get(pid)
 			if err != nil {
 				return fmt.Errorf("txn: rebuild fault: %w", err)
@@ -756,22 +761,31 @@ func (e *Engine) RebuildTables() error {
 			if p == nil {
 				continue
 			}
-			t.Heap.Adopt(p)
 			// Index the page's rows while it is resident and pinned: a
 			// separate Heap.Scan afterwards would fault the whole
-			// database a second time.
+			// database a second time. Keys are read in place, under the
+			// one latch hold that also reads what the adoption needs.
 			p.Latch.RLock()
+			free := p.FreeSpace()
 			for slot, n := 0, p.NumSlots(); slot < n; slot++ {
-				row, err := p.Get(slot)
+				row, err := p.View(slot)
 				if err != nil {
 					continue // dead slot
 				}
+				if len(entries) == cap(entries) {
+					// Double, where append would go by quarters and
+					// allocate five times the list on the way: this is
+					// the rebuild's one large allocation.
+					entries = slices.Grow(entries, max(len(entries), 1024))
+				}
 				rid := storage.RID{Page: pid, Slot: uint16(slot)}
-				t.Index.Put(t.KeyOf(row), rid.Pack())
+				entries = append(entries, storage.BTreeEntry{Key: t.KeyOf(row), Value: rid.Pack()})
 			}
 			p.Latch.RUnlock()
 			p.Unpin()
+			t.Heap.Adopt(pid, free)
 		}
+		t.Index.Build(entries)
 	}
 	return nil
 }

@@ -245,3 +245,66 @@ func TestFileBackedReopenAfterCheckpointCleansDPT(t *testing.T) {
 	}
 	verifyRows(t, db2, tbl2, 1, 60)
 }
+
+// TestReopenStartsAtCheckpointHorizon: the truncation horizon a
+// checkpoint reports is on disk when it returns, whether or not a
+// segment died under it — so a reopen scans the log from that
+// checkpoint, not from wherever a segment boundary last fell. One
+// megabyte of log in 8 MiB segments recycles nothing; without the
+// horizon in the MANIFEST the reopened database would report LogBase 0
+// and recovery would walk the whole megabyte to find the checkpoint.
+func TestReopenStartsAtCheckpointHorizon(t *testing.T) {
+	opts := Options{LogPath: filepath.Join(t.TempDir(), "wal.d"), SegmentSize: 8 << 20}
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := db.Session()
+	payload := make([]byte, 4000)
+	for k := uint64(1); k <= 256; {
+		tx := s.Begin()
+		for i := 0; i < 8; i, k = i+1, k+1 {
+			if err := tx.Insert(tbl, k, Row(k, payload)); err != nil {
+				t.Fatalf("insert %d: %v", k, err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	st := db.Stats()
+	if st.LogBytes < 1_000_000 || st.LogSegmentsRecycled != 0 {
+		t.Fatalf("test invalid: want ≥ 1 MB logged and no segment recycled, got %d bytes, %d segments", st.LogBytes, st.LogSegmentsRecycled)
+	}
+	if st.LogBase < 1_000_000 {
+		t.Fatalf("checkpoint left the horizon at %d with %d bytes logged", st.LogBase, st.LogBytes)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, err := Open(opts)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer db2.Close()
+	if got := db2.Stats().LogBase; got != st.LogBase {
+		t.Fatalf("reopened at LogBase %d, the checkpoint before Close reported %d", got, st.LogBase)
+	}
+	tbl2, err := db2.CreateTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db2.RebuildAfterRecovery(); err != nil {
+		t.Fatal(err)
+	}
+	verifyRows(t, db2, tbl2, 1, 257)
+}
