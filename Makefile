@@ -23,9 +23,12 @@ test-short:
 # callbacks), the public API's partitioned-engine tests (concurrent
 # workers over N flush daemons, plus the cloud-tier restore tests with
 # the archiver and retention daemons running), the PITR replay paths in
-# recovery, and the simulator-vs-engine cross-check in distlog.
+# recovery, the simulator-vs-engine cross-check in distlog, the soak
+# harness (the whole stack, daemons and all, on the fault filesystem at
+# one lane and at three) and the fault filesystem itself in vfs — the
+# last two take about 15 s together.
 test-race:
-	$(GO) test -race -short . ./internal/core ./internal/logbuf ./internal/txn ./internal/lockmgr ./internal/logdev ./internal/recovery ./internal/storage ./internal/wire ./internal/distlog
+	$(GO) test -race -short . ./internal/core ./internal/logbuf ./internal/txn ./internal/lockmgr ./internal/logdev ./internal/recovery ./internal/storage ./internal/wire ./internal/distlog ./internal/soak ./internal/vfs
 
 vet:
 	$(GO) vet ./...

@@ -182,7 +182,10 @@ type Options struct {
 	// transaction homes on one partition — by default the page space of
 	// its first update modulo LogPartitions, so table-partitioned
 	// workloads stay log-local — and its commit waits only on that
-	// partition. 0 and 1 are byte-for-byte the unpartitioned engine.
+	// partition. 0 and 1 are one lane of the same engine: LSN order is
+	// already a total order there, so nothing is stamped or enforced, the
+	// log bytes and the flat LogPath layout are those of an unpartitioned
+	// log, and Stats reports it as one (LogPartitions 0).
 	// File-backed partitioned logs require SegmentSize; LogPath then
 	// names a directory holding p0/ … pN-1/ plus the shared
 	// pagefile.db. The partition count is part of the on-disk layout:
@@ -191,8 +194,8 @@ type Options struct {
 	// RoutePartition overrides the home-partition routing rule
 	// (meaningful only with LogPartitions >= 2): given a transaction ID
 	// and the page space of the transaction's first logged update, it
-	// returns the home partition index. Must be pure and
-	// goroutine-safe. Nil uses space modulo LogPartitions.
+	// returns the home partition index (taken modulo LogPartitions).
+	// Must be pure and goroutine-safe. Nil uses the page space.
 	RoutePartition func(txnID uint64, space uint32) int
 	// Device is the simulated device class for in-memory logs.
 	Device DeviceProfile
@@ -266,30 +269,10 @@ func (o Options) fsOrOS() vfs.FS {
 	return vfs.OS{}
 }
 
-// crashSim is implemented by in-memory log devices that can simulate
-// power loss (Crash support).
-type crashSim interface {
-	CrashFreeze()
-	Remount()
-}
-
 // DB is an open database.
 type DB struct {
-	opts     Options
-	dev      logdev.Device
-	memDev   crashSim               // non-nil only for in-memory devices
-	segDev   *logdev.Segmented      // non-nil only with Options.SegmentSize
-	archiver logdev.Archiver        // non-nil with Options.ArchiveDir or RemoteStore
-	remote   *logdev.RemoteArchiver // non-nil only with Options.RemoteStore
-
-	// Partitioned mode (Options.LogPartitions >= 2) uses the slices
-	// instead; the single-device fields above stay nil.
-	devs      []logdev.Device
-	memDevs   []crashSim
-	segDevs   []*logdev.Segmented
-	archivers []logdev.Archiver
-	remotes   []*logdev.RemoteArchiver
-
+	opts    Options
+	lanes   []lane // the log: one per partition, one in all when unpartitioned
 	archive storage.Archive
 	eng     *txn.Engine
 	tables  []string
@@ -309,88 +292,56 @@ func Open(opts Options) (*DB, error) {
 	if opts.RemoteStore != nil && opts.ArchiveDir != "" {
 		return nil, errors.New("aether: Options.RemoteStore and Options.ArchiveDir are mutually exclusive (one cold store per log)")
 	}
-	if opts.LogPartitions >= 2 {
-		return openMulti(opts)
+	n := max(opts.LogPartitions, 1)
+	if n > 1 && opts.LogPath != "" && opts.SegmentSize <= 0 {
+		return nil, errors.New("aether: partitioned file-backed logs require Options.SegmentSize (each partition is a segmented directory)")
+	}
+	fs := opts.fsOrOS()
+	if opts.LogPath != "" && opts.SegmentSize > 0 {
+		if err := logdev.CheckLaneLayout(fs, opts.LogPath, n); err != nil {
+			return nil, err
+		}
 	}
 	db := &DB{opts: opts}
-	switch {
-	case opts.LogPath != "" && opts.SegmentSize > 0:
-		if err := checkSingleLayout(opts.fsOrOS(), opts.LogPath); err != nil {
-			return nil, err
-		}
-		s, err := logdev.OpenSegmentedDirFS(opts.fsOrOS(), opts.LogPath, opts.SegmentSize)
-		if err != nil {
-			return nil, err
-		}
-		db.dev, db.segDev = s, s
-		// A truncated log's dead prefix only exists as archived page
-		// images, so a file-backed segmented database needs a database
-		// file that survives the process alongside the segments.
-		arch, err := openPageArchive(opts.fsOrOS(),
-			filepath.Join(opts.LogPath, "pagefile.db"),
-			filepath.Join(opts.LogPath, "pages"))
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
-		db.archive = arch
-	case opts.LogPath != "":
-		f, err := logdev.OpenFile(opts.LogPath)
-		if err != nil {
-			return nil, err
-		}
-		db.dev = f
-		// Page images must survive the process even for the single-file
-		// log: checkpoints remove archived pages from the DPT, so a
-		// reopen's redo pass will not rebuild them from the (complete)
-		// log — the database file is their only copy.
-		arch, err := openPageArchive(opts.fsOrOS(), opts.LogPath+".pagefile", opts.LogPath+".pages")
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		db.archive = arch
-	case opts.SegmentSize > 0:
-		s := logdev.NewSegmentedMem(opts.Device.internal(), opts.SegmentSize)
-		db.dev, db.segDev, db.memDev = s, s, s
-		db.archive = storage.NewMemArchive()
-	default:
-		m := logdev.NewMem(opts.Device.internal())
-		db.dev, db.memDev = m, m
-		db.archive = storage.NewMemArchive()
-	}
-	if opts.ArchiveDir != "" {
-		// Attach cold storage before the engine starts: the archiver
-		// must be in place before the first truncation parks a dead
-		// segment, and the engine only starts its background archiver
-		// goroutine if the log can archive at engine construction.
-		a, err := logdev.OpenDirArchiverFS(opts.fsOrOS(), opts.ArchiveDir)
-		if err != nil {
-			db.dev.Close()
-			if c, ok := db.archive.(io.Closer); ok {
-				c.Close()
-			}
-			return nil, err
-		}
-		db.archiver = a
-		db.segDev.SetArchiver(a)
-	}
-	if opts.RemoteStore != nil {
-		// Same placement rule as ArchiveDir: the remote archiver must be
-		// attached before the engine's first truncation parks a segment.
-		ra := logdev.NewRemoteArchiver(opts.RemoteStore, "", opts.SegmentSize)
-		db.archiver = ra
-		db.remote = ra
-		db.segDev.SetArchiver(ra)
-	}
-	if _, err := db.start(); err != nil {
-		// Release the descriptors the failed open acquired, or a caller
-		// retrying Open on a damaged database leaks them every attempt.
-		db.dev.Close()
-		if c, ok := db.archive.(io.Closer); ok {
-			c.Close()
-		}
+	// fail releases the descriptors a failed open acquired, or a caller
+	// retrying Open on a damaged database leaks them every attempt.
+	fail := func(err error) (*DB, error) {
+		db.closeFiles()
 		return nil, err
+	}
+	for i := 0; i < n; i++ {
+		l, err := openLane(opts, fs, i, n)
+		if err != nil {
+			return fail(err)
+		}
+		db.lanes = append(db.lanes, l)
+	}
+	// One database file whatever the lane count: pages are
+	// lane-agnostic — only the log is sharded. Page images must survive
+	// the process for every file-backed log: checkpoints remove archived
+	// pages from the DPT (and a segmented log recycles what lies behind
+	// them), so a reopen's redo pass will not rebuild them from the log —
+	// the database file is their only copy.
+	if opts.LogPath == "" {
+		db.archive = storage.NewMemArchive()
+	} else {
+		pfPath, legacyDir := opts.LogPath+".pagefile", opts.LogPath+".pages"
+		if opts.SegmentSize > 0 {
+			pfPath, legacyDir = filepath.Join(opts.LogPath, "pagefile.db"), filepath.Join(opts.LogPath, "pages")
+		}
+		pf, err := openPageArchive(fs, pfPath, legacyDir)
+		if err != nil {
+			return fail(err)
+		}
+		db.archive = pf
+	}
+	for i := range db.lanes {
+		if err := db.lanes[i].attachColdStore(opts, fs, i, n); err != nil {
+			return fail(err)
+		}
+	}
+	if err := db.start(); err != nil {
+		return fail(err)
 	}
 	return db, nil
 }
@@ -430,10 +381,13 @@ func (o Options) cachePages() int64 {
 
 // start builds the engine over the device via the recovery path (a
 // fresh device just recovers an empty log).
-func (db *DB) start() (*DB, error) {
+func (db *DB) start() error {
+	devs := make([]logdev.Device, len(db.lanes))
+	for i, l := range db.lanes {
+		devs[i] = l.dev
+	}
 	eng, _, err := txn.Restart(txn.RestartConfig{
-		Device:         db.dev,
-		Devices:        db.devs,
+		Devices:        devs,
 		RoutePartition: db.opts.RoutePartition,
 		Archive:        db.archive,
 		LogConfig: core.Config{
@@ -451,10 +405,10 @@ func (db *DB) start() (*DB, error) {
 		Retention:            db.retentionConfig(),
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	db.eng = eng
-	return db, nil
+	return nil
 }
 
 // Close flushes and stops the database and closes the log device (a
@@ -465,17 +419,19 @@ func (db *DB) Close() error {
 	// Stop the background checkpointer first: it appends to the log and
 	// sweeps into the archive, both of which are about to close.
 	db.eng.Close()
+	err := db.eng.Multi().Close()
+	if cerr := db.closeFiles(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// closeFiles closes every lane's device and the database file,
+// returning the first error.
+func (db *DB) closeFiles() error {
 	var err error
-	if m := db.eng.Multi(); m != nil {
-		err = m.Close()
-		for _, d := range db.devs {
-			if cerr := d.Close(); err == nil {
-				err = cerr
-			}
-		}
-	} else {
-		err = db.eng.Log().Close()
-		if cerr := db.dev.Close(); err == nil {
+	for _, l := range db.lanes {
+		if cerr := l.dev.Close(); err == nil {
 			err = cerr
 		}
 	}
@@ -531,33 +487,22 @@ func (db *DB) Checkpoint() error { return db.eng.Checkpoint() }
 // and indexes rebuilt automatically. File-backed databases return an
 // error (kill the process instead — that is the real crash test).
 func (db *DB) Crash() error {
-	if db.memDev == nil && len(db.memDevs) == 0 {
-		return errors.New("aether: Crash is only supported for in-memory devices")
+	for _, l := range db.lanes {
+		if l.mem == nil {
+			return errors.New("aether: Crash is only supported for in-memory devices")
+		}
 	}
-	if len(db.devs) > 0 && len(db.memDevs) != len(db.devs) {
-		return errors.New("aether: Crash is only supported for in-memory devices")
-	}
-	// Freeze every partition before stopping the engine: power loss cuts
-	// all the logs at once, each at its own durable watermark.
-	for _, m := range db.memDevs {
-		m.CrashFreeze()
-	}
-	if db.memDev != nil {
-		db.memDev.CrashFreeze()
+	// Freeze every lane before stopping the engine: power loss cuts all
+	// the logs at once, each at its own durable watermark.
+	for _, l := range db.lanes {
+		l.mem.CrashFreeze()
 	}
 	db.eng.Close()
-	if m := db.eng.Multi(); m != nil {
-		m.Close()
-	} else {
-		db.eng.Log().Close()
+	db.eng.Multi().Close()
+	for _, l := range db.lanes {
+		l.mem.Remount()
 	}
-	for _, m := range db.memDevs {
-		m.Remount()
-	}
-	if db.memDev != nil {
-		db.memDev.Remount()
-	}
-	if _, err := db.start(); err != nil {
+	if err := db.start(); err != nil {
 		return fmt.Errorf("aether: recovery failed: %w", err)
 	}
 	names := db.tables
@@ -725,71 +670,56 @@ func (db *DB) Stats() Stats {
 		PrefetchReads:   cs.PrefetchReads,
 		PrefetchHits:    cs.PrefetchHits,
 	}
-	if m := db.eng.Multi(); m != nil {
-		n := m.NumParts()
+	m := db.eng.Multi()
+	n := m.NumParts()
+	if n > 1 {
+		// One lane reports as the unpartitioned log it is: no lane count,
+		// no per-lane breakdown of sums that have one term.
 		s.LogPartitions = n
 		s.PartitionFlushes = make([]int64, n)
 		s.PartitionBytes = make([]int64, n)
 		s.DepStalls = make([]int64, n)
 		s.DepEdges = m.EdgesTotal()
 		s.DepEdgesEnforced = m.EdgesEnforced()
-		for i := 0; i < n; i++ {
-			lm := m.Part(i)
-			ls := lm.Stats()
+	}
+	for i, l := range db.lanes {
+		lm := m.Part(i)
+		ls := lm.Stats()
+		if n > 1 {
 			s.PartitionFlushes[i] = ls.Flushes.Load()
 			s.PartitionBytes[i] = ls.InsertBytes.Load()
 			s.DepStalls[i] = m.DepStalls(i)
-			s.LogInserts += ls.Inserts.Load()
-			s.LogBytes += ls.InsertBytes.Load()
-			s.LogFlushes += ls.Flushes.Load()
-			s.LogTruncations += ls.Truncations.Load()
-			s.LogTruncatedBytes += ls.TruncatedBytes.Load()
-			s.LogBase += int64(lm.Base())
 		}
-	} else {
-		ls := db.eng.Log().Stats()
-		s.LogInserts = ls.Inserts.Load()
-		s.LogBytes = ls.InsertBytes.Load()
-		s.LogFlushes = ls.Flushes.Load()
-		s.LogTruncations = ls.Truncations.Load()
-		s.LogTruncatedBytes = ls.TruncatedBytes.Load()
-		s.LogBase = int64(db.eng.Log().Base())
-	}
-	if db.dev != nil {
-		s.LogFsyncs = db.dev.Stats().Fsyncs.Load()
-	}
-	for _, d := range db.devs {
-		s.LogFsyncs += d.Stats().Fsyncs.Load()
+		s.LogInserts += ls.Inserts.Load()
+		s.LogBytes += ls.InsertBytes.Load()
+		s.LogFlushes += ls.Flushes.Load()
+		s.LogTruncations += ls.Truncations.Load()
+		s.LogTruncatedBytes += ls.TruncatedBytes.Load()
+		s.LogBase += int64(lm.Base())
+		s.LogFsyncs += l.dev.Stats().Fsyncs.Load()
+		if l.seg != nil {
+			segs, _ := l.seg.TruncStats()
+			s.LogSegmentsRecycled += segs
+			s.LogSegmentsArchived += l.seg.ArchivedSegments()
+			s.LogSegmentsPendingArchive += int64(len(l.seg.PendingArchive()))
+			s.LogTornTailRepaired += l.seg.RepairedTailBytes()
+		}
+		if l.remote != nil {
+			s.LogPacksBuilt += l.remote.Stats().PacksBuilt
+		}
 	}
 	if rr, ok := db.archive.(storage.ReadRetrier); ok {
 		s.ReadRetries = rr.ReadRetries()
 	}
-	if db.segDev != nil {
-		segs, _ := db.segDev.TruncStats()
-		s.LogSegmentsRecycled = segs
-		s.LogSegmentsArchived = db.segDev.ArchivedSegments()
-		s.LogSegmentsPendingArchive = int64(len(db.segDev.PendingArchive()))
-		s.LogTornTailRepaired = db.segDev.RepairedTailBytes()
-	}
-	for _, sd := range db.segDevs {
-		segs, _ := sd.TruncStats()
-		s.LogSegmentsRecycled += segs
-		s.LogSegmentsArchived += sd.ArchivedSegments()
-		s.LogSegmentsPendingArchive += int64(len(sd.PendingArchive()))
-		s.LogTornTailRepaired += sd.RepairedTailBytes()
-	}
 	s.LogSnapshots = es.SnapshotsTaken.Load()
 	s.LogObjectsPruned = es.RetentionPrunedObjects.Load()
 	s.RetentionFailures = es.RetentionFailures.Load()
-	if db.remote != nil {
-		rs := db.remote.Stats()
-		s.LogPacksBuilt = rs.PacksBuilt
-		if floor, err := db.remote.Floor(); err == nil {
+	// Only a one-lane log takes snapshots, so only it can have a floor
+	// (and only it pays the object-store listing that reads one).
+	if r := db.lanes[0].remote; r != nil && n == 1 {
+		if floor, err := r.Floor(); err == nil {
 			s.RestoreFloor = int64(floor)
 		}
-	}
-	for _, r := range db.remotes {
-		s.LogPacksBuilt += r.Stats().PacksBuilt
 	}
 	return s
 }
@@ -807,34 +737,13 @@ func (db *DB) Stats() Stats {
 // background archiver are drained first, so the archive is contiguous
 // up to the hot log.
 func (db *DB) RestoreTail(from int64) ([]byte, int64, error) {
-	if len(db.devs) > 0 {
+	if len(db.lanes) > 1 {
 		// Partitioned logs have no single byte-offset timeline to restore
 		// into; dump them with cmd/logdump, which merges partitions by
 		// global sequence stamp.
 		return nil, 0, errors.New("aether: RestoreTail is not supported for a partitioned log (use logdump's merged view)")
 	}
-	if db.segDev != nil {
-		data, start, err := db.segDev.RestoreLog(db.archiver, from)
-		if err != nil {
-			return nil, 0, fmt.Errorf("aether: restoring log: %w", err)
-		}
-		return data, start, nil
-	}
-	if from < 0 {
-		from = 0
-	}
-	tail, base, err := logdev.ReadTail(db.dev)
-	if err != nil {
-		return nil, 0, err
-	}
-	start := base
-	if from > start {
-		start = from
-	}
-	if end := base + int64(len(tail)); start > end {
-		start = end
-	}
-	return tail[start-base:], start, nil
+	return db.lanes[0].restore(from)
 }
 
 // RecoveryInfo describes what a reopen had to do (file-backed opens).

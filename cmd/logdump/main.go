@@ -15,12 +15,11 @@
 // archive is auto-detected at <dir>/archive (the conventional
 // location) or named explicitly with -archive.
 //
-// Usage:
-//
 // Pointed at a partitioned database root (Options.LogPartitions >= 2 —
 // recognized by its p0/ directory), it prints each partition's segment
 // layout and then every partition's records merged into one stream
-// ordered by global sequence stamp: the exact order recovery replays.
+// ordered by global sequence stamp: the exact order recovery replays,
+// read through recovery's own lane-merge iterator.
 //
 // Usage:
 //
@@ -47,7 +46,9 @@ import (
 	"aether/internal/logdev"
 	"aether/internal/logrec"
 	"aether/internal/lsn"
+	"aether/internal/recovery"
 	"aether/internal/storage"
+	"aether/internal/vfs"
 )
 
 func usage() {
@@ -110,24 +111,10 @@ func main() {
 		}
 		return
 	}
-	if isPartitionedDir(*path) {
-		if err := runMulti(*path, *archDir, *txn, *stats); err != nil {
-			fmt.Fprintln(os.Stderr, "logdump:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(*path, *archDir, *txn, *stats); err != nil {
+	if err := dump(*path, *archDir, *txn, *stats); err != nil {
 		fmt.Fprintln(os.Stderr, "logdump:", err)
 		os.Exit(1)
 	}
-}
-
-// isPartitionedDir recognizes a partitioned database root
-// (Options.LogPartitions >= 2) by its p0/ partition directory.
-func isPartitionedDir(path string) bool {
-	st, err := os.Stat(filepath.Join(path, "p0"))
-	return err == nil && st.IsDir()
 }
 
 // isPageFile recognizes the paged database file by name (the two names
@@ -217,119 +204,145 @@ func printSlots(seg *logdev.Segmented) {
 	}
 }
 
-// archiverFor opens the cold store for a segmented log: the explicit
-// -archive directory, or <logPath>/archive when it exists. Returns nil
-// when there is no archive — the dump then covers only the hot log.
-// The handle never creates the directory or sweeps temp files (a live
-// archiver may own them).
-func archiverFor(logPath, archDir string) (*logdev.DirArchiver, error) {
+// archiverFor opens lane i of n's cold store for a segmented log rooted
+// at logPath: under the explicit -archive directory, or under
+// <logPath>/archive when that exists, laid out like the log itself
+// (logdev.LaneDir). Returns nil when there is no archive — the dump then
+// covers only the hot log. The handle never creates the directory or
+// sweeps temp files (a live archiver may own them).
+func archiverFor(logPath, archDir string, i, n int) (*logdev.DirArchiver, error) {
 	if archDir == "" {
-		candidate := filepath.Join(logPath, "archive")
-		if st, err := os.Stat(candidate); err != nil || !st.IsDir() {
+		archDir = filepath.Join(logPath, "archive")
+		if !isDir(logdev.LaneDir(archDir, i, n)) {
 			return nil, nil
 		}
-		archDir = candidate
 	}
-	return logdev.DirArchiverAt(archDir)
+	return logdev.DirArchiverAt(logdev.LaneDir(archDir, i, n))
 }
 
-func run(path, archDir string, txnFilter uint64, statsOnly bool) error {
-	dev, err := openDevice(path)
+// dumpLane prints lane i of n's device layout and returns its restorable
+// log: for a segmented directory the archived history below the
+// truncation base stitched to the live tail, for a plain file the tail.
+func dumpLane(path, archDir string, i, n int) (recovery.Lane, error) {
+	dev, err := openDevice(logdev.LaneDir(path, i, n))
 	if err != nil {
-		return err
+		return recovery.Lane{}, err
 	}
 	defer dev.Close()
-
-	var data []byte
-	var base int64
-	if seg, ok := dev.(*logdev.Segmented); ok {
-		fmt.Printf("segmented log: segsize=%d base=%d durable=%d\n",
-			seg.SegmentSize(), seg.Base(), seg.DurableSize())
-		if repaired := seg.RepairedTailBytes(); repaired > 0 {
-			fmt.Printf("  torn tail: %d unsynced bytes beyond the durable watermark (left on disk; a read-write open repairs them)\n", repaired)
-		}
-		for _, si := range seg.Segments() {
-			live := ""
-			if si.Start < seg.Base() {
-				live = "  (partially dead: below base)"
-			}
-			fmt.Printf("  segment %6d  [%d, %d)%s\n", si.Index, si.Start, si.End, live)
-		}
-		printSlots(seg)
-		if pend := seg.PendingArchive(); len(pend) > 0 {
-			fmt.Printf("  pending archive: %v  (dead, recycled only after cold storage has them)\n", pend)
-		}
-		arch, aerr := archiverFor(path, archDir)
-		if aerr != nil {
-			return aerr
-		}
-		if arch != nil {
-			idxs, lerr := arch.Segments()
-			if lerr != nil {
-				return lerr
-			}
-			fmt.Printf("archive %s: %d segments\n", arch.Dir(), len(idxs))
-			for _, idx := range idxs {
-				fmt.Printf("  archived segment %6d  [%d, %d)\n",
-					idx, idx*seg.SegmentSize(), (idx+1)*seg.SegmentSize())
-			}
-		}
-		fmt.Println()
-		// Read-only device + read-only archive handle: RestoreLog skips
-		// the drain and stitches what is already archived to the bytes
-		// still on the device (parked dead segments included).
-		var a logdev.Archiver
-		if arch != nil {
-			a = arch
-		}
-		data, base, err = seg.RestoreLog(a, 0)
-		if err != nil {
-			return err
-		}
-	} else {
+	seg, ok := dev.(*logdev.Segmented)
+	if !ok {
 		if archDir != "" {
-			return errors.New("-archive only applies to segmented log directories")
+			return recovery.Lane{}, errors.New("-archive only applies to segmented log directories")
 		}
-		data, base, err = logdev.ReadTail(dev)
-		if err != nil {
-			return err
-		}
+		data, base, err := logdev.ReadTail(dev)
+		return recovery.Lane{Log: data, Base: lsn.LSN(base)}, err
 	}
+	name := "segmented log"
+	if n > 1 {
+		name = fmt.Sprintf("partition %d", i)
+	}
+	fmt.Printf("%s: segsize=%d base=%d durable=%d\n", name, seg.SegmentSize(), seg.Base(), seg.DurableSize())
+	if repaired := seg.RepairedTailBytes(); repaired > 0 {
+		fmt.Printf("  torn tail: %d unsynced bytes beyond the durable watermark (left on disk; a read-write open repairs them)\n", repaired)
+	}
+	for _, si := range seg.Segments() {
+		live := ""
+		if si.Start < seg.Base() {
+			live = "  (partially dead: below base)"
+		}
+		fmt.Printf("  segment %6d  [%d, %d)%s\n", si.Index, si.Start, si.End, live)
+	}
+	printSlots(seg)
+	if pend := seg.PendingArchive(); len(pend) > 0 {
+		fmt.Printf("  pending archive: %v  (dead, recycled only after cold storage has them)\n", pend)
+	}
+	arch, err := archiverFor(path, archDir, i, n)
+	if err != nil {
+		return recovery.Lane{}, err
+	}
+	// Read-only device + read-only archive handle: RestoreLog skips the
+	// drain and stitches what is already archived to the bytes still on
+	// the device (parked dead segments included).
+	var a logdev.Archiver
+	if arch != nil {
+		idxs, err := arch.Segments()
+		if err != nil {
+			return recovery.Lane{}, err
+		}
+		fmt.Printf("archive %s: %d segments\n", arch.Dir(), len(idxs))
+		for _, idx := range idxs {
+			fmt.Printf("  archived segment %6d  [%d, %d)\n",
+				idx, idx*seg.SegmentSize(), (idx+1)*seg.SegmentSize())
+		}
+		a = arch
+	}
+	data, base, err := seg.RestoreLog(a, 0)
+	return recovery.Lane{Log: data, Base: lsn.LSN(base)}, err
+}
+
+// dump prints a log of any lane count: every lane's device layout, the
+// pagefile summary, then the records in the order recovery replays them
+// — plain LSN order on one lane, recovery's merge by global sequence
+// stamp on N (where each line also names its seq and lane).
+func dump(path, archDir string, txnFilter uint64, statsOnly bool) error {
+	n := 1
+	if isDir(path) {
+		n = logdev.CountLanes(vfs.OS{}, path)
+	}
+	lanes := make([]recovery.Lane, n)
+	var restorable int
+	for i := range lanes {
+		var err error
+		if lanes[i], err = dumpLane(path, archDir, i, n); err != nil {
+			return fmt.Errorf("lane %d: %w", i, err)
+		}
+		restorable += len(lanes[i].Log)
+	}
+	fmt.Println()
 	if pfPath := pageFileFor(path); pfPath != "" {
 		if err := dumpPageFile(pfPath, false); err != nil {
 			fmt.Printf("pagefile %s: unreadable: %v\n", pfPath, err)
 		}
 		fmt.Println()
 	}
+	if n > 1 && !statsOnly {
+		fmt.Println("merged view (global seq order — the order recovery replays):")
+	}
 
-	it := logrec.NewIterator(data, lsn.LSN(base))
+	m := recovery.NewLaneMerge(lanes)
 	kindCount := map[logrec.Kind]int{}
 	kindBytes := map[logrec.Kind]int{}
 	txns := map[uint64]bool{}
-	n := 0
+	records := 0
 	for {
-		rec, ok := it.Next()
+		mr, ok := m.Next()
 		if !ok {
 			break
 		}
-		n++
+		rec := mr.Rec
+		records++
 		kindCount[rec.Kind]++
 		kindBytes[rec.Kind] += int(rec.TotalLen)
 		txns[rec.TxnID] = true
-		if statsOnly {
+		if statsOnly || txnFilter != 0 && rec.TxnID != txnFilter {
 			continue
 		}
-		if txnFilter != 0 && rec.TxnID != txnFilter {
-			continue
+		if n > 1 {
+			fmt.Printf("seq=%-8d p%-2d ", rec.Seq, mr.Lane)
 		}
 		printRecord(rec)
 	}
-	if err := it.Err(); err != nil {
+	if err := m.Err(); err != nil {
 		fmt.Printf("-- log gap: %v (recovery stops here)\n", err)
 	}
 
-	fmt.Printf("\n%d records, %d restorable bytes (from offset %d), %d distinct transactions\n",
-		n, len(data), base, len(txns))
+	if n > 1 {
+		fmt.Printf("\n%d partitions, %d records, %d restorable bytes, %d distinct transactions\n",
+			n, records, restorable, len(txns))
+	} else {
+		fmt.Printf("\n%d records, %d restorable bytes (from offset %d), %d distinct transactions\n",
+			records, restorable, uint64(lanes[0].Base), len(txns))
+	}
 	kinds := make([]logrec.Kind, 0, len(kindCount))
 	for k := range kindCount {
 		kinds = append(kinds, k)
@@ -398,16 +411,12 @@ func dumpRemote(dir string) error {
 	if err != nil {
 		return err
 	}
-	lanes := []string{""}
-	if isDir(filepath.Join(dir, "p0")) {
-		lanes = nil
-		for i := 0; isDir(filepath.Join(dir, fmt.Sprintf("p%d", i))); i++ {
-			lanes = append(lanes, fmt.Sprintf("p%d/", i))
-		}
-	}
-	for _, lane := range lanes {
+	n := logdev.CountLanes(vfs.OS{}, dir)
+	for i := 0; i < n; i++ {
+		lane := logdev.LaneDir("", i, n)
 		if lane != "" {
-			fmt.Printf("lane %s\n", strings.TrimSuffix(lane, "/"))
+			fmt.Printf("lane %s\n", lane)
+			lane += "/"
 		}
 		if err := dumpRemoteLane(store, lane); err != nil {
 			return err
@@ -518,113 +527,5 @@ func dumpRemoteLane(store logdev.ObjectStore, lane string) error {
 		floor = oldestCut
 	}
 	fmt.Printf("retention floor: %d (oldest restorable point)\n", floor)
-	return nil
-}
-
-// runMulti dumps a partitioned database root (Options.LogPartitions >=
-// 2): every partition's segment layout first, then all partitions'
-// records merged into one stream ordered by global sequence stamp — the
-// exact order recovery replays them in.
-func runMulti(root, archDir string, txnFilter uint64, statsOnly bool) error {
-	type partRec struct {
-		part int
-		rec  logrec.Record
-	}
-	var (
-		merged    []partRec
-		nParts    int
-		kindCount = map[logrec.Kind]int{}
-		kindBytes = map[logrec.Kind]int{}
-		txns      = map[uint64]bool{}
-	)
-	for i := 0; ; i++ {
-		dir := filepath.Join(root, fmt.Sprintf("p%d", i))
-		if !isDir(dir) {
-			break
-		}
-		nParts++
-		seg, err := logdev.OpenSegmentedDirRO(dir)
-		if err != nil {
-			return fmt.Errorf("partition %d: %w", i, err)
-		}
-		fmt.Printf("partition %d: segsize=%d base=%d durable=%d\n",
-			i, seg.SegmentSize(), seg.Base(), seg.DurableSize())
-		for _, si := range seg.Segments() {
-			live := ""
-			if si.Start < seg.Base() {
-				live = "  (partially dead: below base)"
-			}
-			fmt.Printf("  segment %6d  [%d, %d)%s\n", si.Index, si.Start, si.End, live)
-		}
-		printSlots(seg)
-		// Archive lanes are per partition: -archive <dir> maps to
-		// <dir>/pN, and the conventional default is <root>/archive/pN.
-		lane := ""
-		if archDir != "" {
-			lane = filepath.Join(archDir, fmt.Sprintf("p%d", i))
-		} else if cand := filepath.Join(root, "archive", fmt.Sprintf("p%d", i)); isDir(cand) {
-			lane = cand
-		}
-		var arch logdev.Archiver
-		if lane != "" {
-			a, aerr := logdev.DirArchiverAt(lane)
-			if aerr != nil {
-				seg.Close()
-				return aerr
-			}
-			arch = a
-		}
-		data, base, err := seg.RestoreLog(arch, 0)
-		if err != nil {
-			seg.Close()
-			return fmt.Errorf("partition %d: %w", i, err)
-		}
-		it := logrec.NewIterator(data, lsn.LSN(base))
-		for {
-			rec, ok := it.Next()
-			if !ok {
-				break
-			}
-			kindCount[rec.Kind]++
-			kindBytes[rec.Kind] += int(rec.TotalLen)
-			txns[rec.TxnID] = true
-			merged = append(merged, partRec{part: i, rec: rec})
-		}
-		if err := it.Err(); err != nil {
-			fmt.Printf("  -- log gap: %v (recovery stops here)\n", err)
-		}
-		seg.Close()
-	}
-	if pfPath := filepath.Join(root, "pagefile.db"); pageFileFor(root) != "" {
-		fmt.Println()
-		if err := dumpPageFile(pfPath, false); err != nil {
-			fmt.Printf("pagefile %s: unreadable: %v\n", pfPath, err)
-		}
-	}
-	// Stable sort: checkpoint records written before the first
-	// partitioned append may share seq 0 with nothing else; ties cannot
-	// happen between real records (seqs are unique), so stability only
-	// keeps the dump deterministic for malformed input.
-	sort.SliceStable(merged, func(a, b int) bool { return merged[a].rec.Seq < merged[b].rec.Seq })
-	if !statsOnly {
-		fmt.Println("\nmerged view (global seq order — the order recovery replays):")
-		for _, pr := range merged {
-			if txnFilter != 0 && pr.rec.TxnID != txnFilter {
-				continue
-			}
-			fmt.Printf("seq=%-8d p%-2d ", pr.rec.Seq, pr.part)
-			printRecord(pr.rec)
-		}
-	}
-	fmt.Printf("\n%d partitions, %d records, %d distinct transactions\n",
-		nParts, len(merged), len(txns))
-	kinds := make([]logrec.Kind, 0, len(kindCount))
-	for k := range kindCount {
-		kinds = append(kinds, k)
-	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
-	for _, k := range kinds {
-		fmt.Printf("  %-11s %8d records %10d bytes\n", k, kindCount[k], kindBytes[k])
-	}
 	return nil
 }

@@ -10,13 +10,16 @@
 //   - internal/logbuf — the five log-buffer designs (baseline mutex,
 //     consolidation array, decoupled fill, hybrid CD, delegated CDME)
 //   - internal/core — the log manager: flush daemon, group commit,
-//     durability subscriptions (flush pipelining's detach/re-attach)
+//     durability subscriptions (flush pipelining's detach/re-attach);
+//     and the coordinator that makes N >= 1 of them one log
 //   - internal/lockmgr — hierarchical 2PL with Early Lock Release and
 //     Speculative Lock Inheritance
 //   - internal/storage — slotted pages, heap files, B+Tree, and the
 //     demand-paged buffer pool over the database file
 //   - internal/txn — transactions, commit protocols, checkpoints
-//   - internal/recovery — ARIES analysis/redo/undo
+//   - internal/recovery — ARIES analysis/redo/undo and point-in-time
+//     replay, over one iterator that reads N >= 1 log lanes back in
+//     their total order
 //   - internal/workload, internal/bench — the paper's benchmarks and
 //     the per-figure experiments
 //

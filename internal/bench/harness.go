@@ -141,7 +141,7 @@ func NewRig(cfg EngineConfig) (*Rig, error) {
 		return nil, err
 	}
 	eng, err := txn.NewEngine(txn.Config{
-		Log:     lm,
+		Log:     core.OneLane(lm),
 		Locks:   lockmgr.New(lockmgr.Config{DeadlockTimeout: 250 * time.Millisecond, SLI: cfg.SLI}),
 		Store:   storage.NewStore(),
 		Archive: storage.NewMemArchive(),

@@ -33,7 +33,7 @@ func newRigWithFlushInterval(interval time.Duration) (*Rig, error) {
 		return nil, err
 	}
 	eng, err := txn.NewEngine(txn.Config{
-		Log:     lm,
+		Log:     core.OneLane(lm),
 		Locks:   lockmgr.New(lockmgr.Config{DeadlockTimeout: 250 * time.Millisecond, SLI: true}),
 		Store:   storage.NewStore(),
 		Archive: storage.NewMemArchive(),

@@ -1,12 +1,27 @@
-// multilog.go implements partitioned (multi-log) operation: N
-// independent LogManagers — one flush daemon, group-commit stream,
-// durable watermark and archiver lane each — coordinated by a MultiLog
-// that assigns every record a global sequence stamp and enforces the
-// inter-log flush dependencies of the paper's Appendix A.5: a younger
-// record whose page was last updated in another log must not become
-// durable before that older record does.
+// multilog.go is the engine's one log: N >= 1 independent LogManagers
+// (lanes) — one flush daemon, group-commit stream, durable watermark and
+// archiver lane each — behind a MultiLog coordinator that owns the stamp
+// domain: the unit in which a page image, a DPT recLSN, a checkpoint's
+// transaction-table entry, the truncation horizon and a restore point
+// are measured.
 //
-// The design leans on two invariants:
+//   - One lane: stamps are byte LSNs. LSN order already is the total
+//     order (§3.1 condition 1), so the coordinator coordinates nothing:
+//     every call forwards to lane 0, no sequence number is consumed, no
+//     coordinator lock, map or slice is touched, and every MultiAppender
+//     inserts through its own Appender — the parallel inserts the §5
+//     consolidation array exists for. (Routing one lane through Append
+//     below would serialize them on appendMu and spend a 32-bit seq per
+//     record.)
+//   - N >= 2 lanes: stamps are global sequence numbers. The coordinator
+//     assigns every record one and enforces the inter-log flush
+//     dependencies of the paper's Appendix A.5: a younger record whose
+//     page was last updated in another log must not become durable
+//     before that older record does.
+//
+// Which of the two applies is decided here and nowhere else (ml.one;
+// ARCHITECTURE.md, "Stamp domain"). The N >= 2 design leans on two
+// invariants:
 //
 //  1. Within a partition, appends are serialized (appendMu), so LSN
 //     order equals global-seq order on every log. That makes the global
@@ -112,14 +127,16 @@ type horizonSample struct {
 	ends []lsn.LSN
 }
 
-// MultiLog coordinates N per-partition LogManagers into one logical,
-// globally ordered log. It implements the same durable-horizon
-// interface as a single LogManager (storage.WAL), but over global
-// sequence stamps instead of byte LSNs: Durable() and Force() take and
-// return seqs cast to lsn.LSN, and buffer-pool page stamps are seqs in
-// multi-log mode.
+// MultiLog coordinates N >= 1 per-lane LogManagers into one logical,
+// totally ordered log. It is the buffer pool's durable-horizon
+// interface (storage.WAL) in the stamp domain: Durable() and Force()
+// speak byte LSNs on one lane and global seqs (cast to lsn.LSN) on N.
 type MultiLog struct {
 	parts []*logPartition
+
+	// one is lane 0's manager when it is the only lane, nil otherwise:
+	// the stamp-domain switch (see the file comment).
+	one *LogManager
 
 	// lastSeq is the last assigned global sequence stamp.
 	lastSeq atomic.Uint64
@@ -141,15 +158,21 @@ type MultiLog struct {
 	closed bool
 }
 
-// NewMultiLog builds a coordinator over the given per-partition log
-// managers (which must already be running). startSeq is the largest
-// global sequence stamp observed by recovery (0 for a fresh database);
-// new records are stamped from startSeq+1. The coordinator installs
-// flush limiters and durable-notify hooks on every manager; callers
-// must not install their own.
+// NewMultiLog builds a coordinator over the given per-lane log managers
+// (which must already be running). startSeq is the largest global
+// sequence stamp observed by recovery (0 for a fresh database, and
+// always on one lane); new records are stamped from startSeq+1. Over
+// two or more lanes the coordinator installs flush limiters and
+// durable-notify hooks on every manager; callers must not install their
+// own.
 func NewMultiLog(lms []*LogManager, startSeq uint64) (*MultiLog, error) {
-	if len(lms) < 2 {
-		return nil, errors.New("core: MultiLog needs at least 2 partitions")
+	if len(lms) < 1 {
+		return nil, errors.New("core: MultiLog needs at least 1 lane")
+	}
+	if len(lms) == 1 {
+		ml := OneLane(lms[0])
+		ml.lastSeq.Store(startSeq)
+		return ml, nil
 	}
 	ml := &MultiLog{
 		parts:   make([]*logPartition, len(lms)),
@@ -165,6 +188,12 @@ func NewMultiLog(lms []*LogManager, startSeq uint64) (*MultiLog, error) {
 		lm.SetDurableNotify(func(lsn.LSN) { ml.pokeOthers(p.idx) })
 	}
 	return ml, nil
+}
+
+// OneLane is NewMultiLog over a single manager, which cannot fail: what
+// a directly assembled engine (tests, the figure rig) passes as its log.
+func OneLane(lm *LogManager) *MultiLog {
+	return &MultiLog{parts: []*logPartition{{lm: lm}}, one: lm}
 }
 
 // NumParts returns the partition count.
@@ -197,7 +226,42 @@ func pageTracked(rec *logrec.Record) bool {
 	return rec.PageID != 0 && (rec.Kind == logrec.KindUpdate || rec.Kind == logrec.KindCLR)
 }
 
-// Append stamps rec with the next global seq and inserts it into
+// MultiAppender is one goroutine's handle for appending through the
+// coordinator. On one lane it owns a private Appender, so concurrent
+// agents insert in parallel; on N lanes appends serialize per lane
+// inside the coordinator and the handle carries nothing.
+type MultiAppender struct {
+	ml  *MultiLog
+	own *Appender // one lane only
+}
+
+// NewAppender returns a fresh per-goroutine appender.
+func (ml *MultiLog) NewAppender() *MultiAppender {
+	a := &MultiAppender{ml: ml}
+	if ml.one != nil {
+		a.own = ml.one.NewAppender()
+	}
+	return a
+}
+
+// Append inserts rec on the given lane and returns its home-lane
+// address and end plus the two stamps derived from them: pageStamp is
+// what a page image carries after applying the record, recStamp what the
+// dirty-page table records as the page's recLSN (and a checkpoint as a
+// transaction's last record). On one lane they are the record's end and
+// start LSN — the lane argument is moot — on N both are its global seq.
+func (a *MultiAppender) Append(lane int, rec *logrec.Record) (at, end, pageStamp, recStamp lsn.LSN, err error) {
+	if a.own != nil {
+		at, end, err = a.own.Append(rec)
+		return at, end, end, at, err
+	}
+	at, end, seq, err := a.ml.Append(lane, rec)
+	return at, end, lsn.LSN(seq), lsn.LSN(seq), err
+}
+
+// Append is the seq-domain insert behind MultiAppender.Append on two or
+// more lanes (a one-lane MultiAppender never gets here): it stamps rec
+// with the next global seq and inserts it into
 // partition part, returning the record's LSN, end, and seq. Update
 // records additionally carry their page's previous global seq in Aux
 // (recovery's merge-order verification), and a cross-log page
@@ -372,22 +436,28 @@ func (ml *MultiLog) durableSeqLocked() uint64 {
 	return floor
 }
 
-// Durable returns the global durable horizon as a seq (cast to
-// lsn.LSN): every record whose global sequence stamp is at or below it
-// has reached stable storage. This is the storage.WAL horizon in
-// multi-log mode, where page images are stamped with seqs.
+// Durable returns the durable horizon as a stamp: every record whose
+// page stamp is at or below it has reached stable storage (lane 0's
+// durable LSN on one lane; on N the global durable seq, cast to
+// lsn.LSN). This is the storage.WAL horizon page images are checked
+// against.
 func (ml *MultiLog) Durable() lsn.LSN {
+	if ml.one != nil {
+		return ml.one.Durable()
+	}
 	ml.depMu.Lock()
 	defer ml.depMu.Unlock()
 	return lsn.LSN(ml.durableSeqLocked())
 }
 
-// Force makes every record with a global sequence stamp at or below
-// upTo (a seq cast to lsn.LSN) durable, blocking until they are — the
-// buffer pool's flush-before-steal hook in multi-log mode. Forcing
-// beyond the last assigned seq is an error, mirroring
-// LogManager.Force.
+// Force makes every record with a page stamp at or below upTo durable,
+// blocking until they are — the buffer pool's flush-before-steal hook.
+// Forcing beyond the last stamp handed out is an error at every lane
+// count (see LogManager.Force).
 func (ml *MultiLog) Force(upTo lsn.LSN) error {
+	if ml.one != nil {
+		return ml.one.Force(upTo)
+	}
 	want := uint64(upTo)
 	if last := ml.lastSeq.Load(); want > last {
 		return fmt.Errorf("core: Force(seq %d) beyond the last assigned seq %d", want, last)
@@ -431,6 +501,17 @@ func (ml *MultiLog) Force(upTo lsn.LSN) error {
 	}
 }
 
+// StampFloor returns a lower bound on the recStamp of every record
+// appended after the call: the appended log end on one lane (a new
+// insert reserves its address above every completed one), the next
+// global seq on N.
+func (ml *MultiLog) StampFloor() lsn.LSN {
+	if ml.one != nil {
+		return ml.one.AppendEnd()
+	}
+	return lsn.LSN(ml.lastSeq.Load() + 1)
+}
+
 // FlushAll forces everything appended so far on every partition and
 // waits for it (used after recovery and at checkpoint barriers).
 func (ml *MultiLog) FlushAll() error {
@@ -449,8 +530,12 @@ func (ml *MultiLog) FlushAll() error {
 // seq) into the horizon history. The read order matters: because each
 // end is read before the seq, any record stamped later starts at or
 // beyond the sampled end, so the sample is a safe truncation point once
-// the release horizon passes its seq. Call at checkpoint time.
+// the release horizon passes its seq. Call at checkpoint time. (One
+// lane needs no sample: its release stamp already is a lane address.)
 func (ml *MultiLog) SampleHorizon() {
+	if ml.one != nil {
+		return
+	}
 	ends := make([]lsn.LSN, len(ml.parts))
 	for i, p := range ml.parts {
 		ends[i] = p.lm.AppendEnd()
@@ -461,12 +546,17 @@ func (ml *MultiLog) SampleHorizon() {
 	ml.depMu.Unlock()
 }
 
-// TruncateToSeq truncates every partition to the newest sampled horizon
-// whose seq is strictly below releaseSeq — discarding only records
-// whose global sequence stamp is below the release horizon — and prunes
-// page-map entries whose records were truncated away. It returns the
-// total bytes newly released across partitions.
-func (ml *MultiLog) TruncateToSeq(releaseSeq uint64) (int64, error) {
+// Truncate releases the log below the release stamp. One lane truncates
+// at the stamp itself; N lanes truncate every partition to the newest
+// sampled horizon whose seq is strictly below it — discarding only
+// records whose global sequence stamp is below the release horizon — and
+// prune page-map entries whose records were truncated away. It returns
+// the total bytes newly released across lanes.
+func (ml *MultiLog) Truncate(release lsn.LSN) (int64, error) {
+	if ml.one != nil {
+		return ml.one.Truncate(release)
+	}
+	releaseSeq := uint64(release)
 	ml.depMu.Lock()
 	var best *horizonSample
 	keep := 0

@@ -1,0 +1,221 @@
+// lanemerge.go is the one way the durable log is read back: a streaming
+// iterator over N >= 1 lane tails that yields every record with its
+// position in the total order and the stamp a page carries after
+// applying it. Restart recovery, point-in-time replay and logdump's
+// merged view all consume it; nothing else in the tree orders records.
+package recovery
+
+import (
+	"fmt"
+
+	"aether/internal/logrec"
+	"aether/internal/lsn"
+)
+
+// Lane is one log lane's durable image.
+type Lane struct {
+	// Log holds the lane's raw bytes (from logdev.ReadTail).
+	Log []byte
+	// Base is the LSN of Log[0]: the lane's truncation horizon.
+	Base lsn.LSN
+}
+
+// Merged is one record of the merged stream.
+type Merged struct {
+	// Lane is the lane the record was read from.
+	Lane int
+	// Rec is the record; Rec.LSN is its address on Lane.
+	Rec logrec.Record
+	// Order is the record's position in the total order: its LSN on one
+	// lane (where LSN order already is the total order), its global seq
+	// on N.
+	Order uint64
+	// Stamp is what a page image carries once the record is applied: the
+	// record's end LSN on one lane, its global seq on N. A page whose
+	// stamp is at or above it already reflects the record.
+	Stamp lsn.LSN
+}
+
+// LaneMerge iterates lane tails in the total order. One lane is plain
+// iteration with an O(1) seek; N lanes are a k-way merge by global seq
+// holding one decoded record per lane — never the whole tail.
+type LaneMerge struct {
+	lanes []Lane
+	its   []*logrec.Iterator
+	start []int // byte offset each lane's iterator began at
+	heads []logrec.Record
+	live  []bool
+	from  uint64 // N lanes: records ordered below it are skipped
+	stop  uint64 // N lanes: records stamped above it end their lane
+	top   uint64
+}
+
+// NewLaneMerge returns an iterator positioned at the start of every
+// lane.
+func NewLaneMerge(lanes []Lane) *LaneMerge {
+	m := &LaneMerge{
+		lanes: append([]Lane(nil), lanes...),
+		stop:  ^uint64(0),
+		its:   make([]*logrec.Iterator, len(lanes)),
+		start: make([]int, len(lanes)),
+		heads: make([]logrec.Record, len(lanes)),
+		live:  make([]bool, len(lanes)),
+	}
+	m.From(0)
+	return m
+}
+
+// From repositions the iterator at the first record whose Order is at
+// or above order. On one lane order must be a record's LSN (or lie
+// outside the tail): the seek is O(1). On N lanes every lane restarts at
+// its base and records below order are decoded and dropped — lanes are
+// only ordered, not indexed, by seq.
+func (m *LaneMerge) From(order uint64) {
+	m.from = order
+	for i, l := range m.lanes {
+		off := 0
+		if len(m.lanes) == 1 && order > uint64(l.Base) {
+			off = int(min(order-uint64(l.Base), uint64(len(l.Log))))
+		}
+		m.start[i] = off
+		m.its[i] = logrec.NewIterator(l.Log[off:], l.Base.Add(off))
+		m.advance(i)
+	}
+}
+
+// Until makes the iterator end at the stamp stop, as if the log had been
+// cut there, and restarts it: nothing stamped above stop is yielded — or
+// read, so damage beyond the cut goes unnoticed as it would have then.
+// One lane is clipped to that log offset (a record crossing it is a torn
+// tail); on N lanes, each seq-ascending, the first seq above stop ends
+// its lane.
+func (m *LaneMerge) Until(stop uint64) {
+	if l := &m.lanes[0]; len(m.lanes) > 1 {
+		m.stop = stop
+	} else if stop < uint64(l.Base.Add(len(l.Log))) {
+		l.Log = l.Log[:max(stop, uint64(l.Base))-uint64(l.Base)]
+	}
+	m.From(m.from)
+}
+
+// advance loads lane i's next record into its head slot.
+func (m *LaneMerge) advance(i int) {
+	for {
+		m.heads[i], m.live[i] = m.its[i].Next()
+		if !m.live[i] {
+			return
+		}
+		if len(m.lanes) == 1 {
+			return
+		}
+		seq := uint64(m.heads[i].Seq)
+		if seq > m.stop {
+			m.live[i] = false
+			return
+		}
+		m.top = max(m.top, seq)
+		if seq >= m.from {
+			return
+		}
+	}
+}
+
+// Next returns the next record in the total order, or ok=false once
+// every lane has ended (cleanly or at a gap — see Err).
+func (m *LaneMerge) Next() (Merged, bool) {
+	best := -1
+	for i := range m.heads {
+		if m.live[i] && (best < 0 || m.heads[i].Seq < m.heads[best].Seq) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return Merged{}, false
+	}
+	out := m.place(best, m.heads[best])
+	m.advance(best)
+	return out, true
+}
+
+// place puts a record read from the given lane into the total order.
+func (m *LaneMerge) place(lane int, rec logrec.Record) Merged {
+	if len(m.lanes) == 1 {
+		return Merged{Lane: lane, Rec: rec, Order: uint64(rec.LSN), Stamp: rec.LSN.Add(int(rec.TotalLen))}
+	}
+	return Merged{Lane: lane, Rec: rec, Order: uint64(rec.Seq), Stamp: lsn.LSN(rec.Seq)}
+}
+
+// At decodes the record at address at on the given lane — the random
+// access undo's backward chain walk needs — without moving the iterator.
+func (m *LaneMerge) At(lane int, at lsn.LSN) (Merged, error) {
+	l := m.lanes[lane]
+	if at < l.Base {
+		return Merged{}, fmt.Errorf("recovery: LSN %v below truncation base %v", at, l.Base)
+	}
+	if at.Sub(l.Base) >= uint64(len(l.Log)) {
+		return Merged{}, fmt.Errorf("recovery: LSN %v beyond durable log (%d bytes from %v)", at, len(l.Log), l.Base)
+	}
+	rec, _, err := logrec.Decode(l.Log[at.Sub(l.Base):])
+	if err != nil {
+		return Merged{}, err
+	}
+	rec.LSN = at
+	return m.place(lane, rec), nil
+}
+
+// Err reports the first lane that stopped at a gap (a torn or corrupt
+// record with log behind it) rather than at its clean end.
+func (m *LaneMerge) Err() error {
+	for i, it := range m.its {
+		if err := it.Err(); err != nil {
+			return fmt.Errorf("lane %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// Span returns how many log bytes lie between where the last From
+// positioned each lane and the lane's end: what a full pass covers.
+func (m *LaneMerge) Span() int64 {
+	var n int64
+	for i, l := range m.lanes {
+		n += int64(len(l.Log) - m.start[i])
+	}
+	return n
+}
+
+// Top returns the top of the stamp domain in the tails: the log end on
+// one lane; on N lanes the largest seq decoded so far (every seq, after
+// a pass from 0). Stamps made up for unlogged undo start above it and
+// advance by Step.
+func (m *LaneMerge) Top() uint64 {
+	if len(m.lanes) == 1 {
+		return uint64(m.lanes[0].Base.Add(len(m.lanes[0].Log)))
+	}
+	return m.top
+}
+
+// Covers reports whether the tails are known to reach stamp. One lane
+// knows: the stamp is a log offset, inside the tail or not. N lanes
+// cannot tell — seqs have gaps (a failed append spends one), so the
+// largest seq present says nothing about a larger durable one.
+func (m *LaneMerge) Covers(stamp uint64) bool {
+	if len(m.lanes) == 1 {
+		return stamp >= uint64(m.lanes[0].Base) && stamp <= m.Top()
+	}
+	return true
+}
+
+// Step is the distance between two made-up stamps: a record header on
+// one lane (what the smallest real record would advance the log by), 1
+// on N.
+func (m *LaneMerge) Step() uint64 {
+	if len(m.lanes) == 1 {
+		return logrec.HeaderSize
+	}
+	return 1
+}
+
+// LastSeq returns the largest global sequence stamp decoded so far: 0 on
+// one lane, whose records carry none.
+func (m *LaneMerge) LastSeq() uint64 { return m.top }

@@ -3,16 +3,19 @@
 // genesis (or from a materialized snapshot) into a fresh page store,
 // then undoing the transactions still in flight at that position.
 //
-// This is deliberately NOT Recover/RecoverMulti: those restart a live
-// database, so their analysis pass starts at the last checkpoint and
-// trusts the page archive for everything older. A point-in-time restore
+// It reads the log through the same LaneMerge and reapplies records
+// with the same redo step as restart recovery (recovery.go), but it is
+// not that pass: a restart's analysis starts at the last checkpoint and
+// trusts the page archive for everything older, and its undo walks the
+// losers' chains backwards through the tail. A point-in-time restore
 // targets a moment that may predate every checkpoint, so it ignores
-// checkpoints entirely and replays history itself — which is exactly
-// why the remote tier's retention policy is anchored on snapshot
-// objects: a snapshot materializes the replay of everything below its
-// cut (page images plus the undo stash of transactions straddling the
-// cut), making the log below it safe to prune without giving up any
-// restore point at or above it.
+// checkpoints entirely and replays history itself, and it may start
+// from a snapshot whose log is gone, so what it has to undo must travel
+// with it — which is exactly why the remote tier's retention policy is
+// anchored on snapshot objects: a snapshot materializes the replay of
+// everything below its cut (page images plus the undo stash of
+// transactions straddling the cut), making the log below it safe to
+// prune without giving up any restore point at or above it.
 //
 // Cut-boundary correctness: for any record boundary C, the log prefix
 // [0, C) is self-contained — a transaction without a commit record
@@ -68,46 +71,41 @@ func (r *replayer) loadSnapshot(snap *logdev.Snapshot) error {
 	return nil
 }
 
-// apply replays one record. order is the record's global position key
-// (its LSN for a single log, its seq for a partitioned one) used for
-// the redo guard and the stash; stamp is the LSN the page is stamped
-// with (the record's end LSN, or again the seq).
-func (r *replayer) apply(rec logrec.Record, order uint64, stamp lsn.LSN) error {
-	switch rec.Kind {
-	case logrec.KindUpdate, logrec.KindCLR:
-		up, err := logrec.DecodeUpdate(rec.Payload)
-		if err != nil {
-			return fmt.Errorf("recovery: pitr: decode update at %d: %w", order, err)
+// replay applies every record m yields, in the total order, keeping the
+// stash: append on update, pop on CLR (rollback is strictly
+// last-to-first, so a CLR compensates the transaction's most recent
+// un-compensated update), drop on commit or end. Abort, checkpoint and
+// pad records carry no redo and do not change in-flight status: an
+// aborting transaction stays stashed until its CLRs and End record drain
+// it. It returns the last stamp applied.
+func (r *replayer) replay(m *LaneMerge) (last lsn.LSN, err error) {
+	for {
+		mr, ok := m.Next()
+		if !ok {
+			break
 		}
-		page, err := r.store.GetOrCreate(rec.PageID)
-		if err != nil {
-			return err
-		}
-		if page.LSN() <= lsn.LSN(order) || !page.LSN().Valid() {
-			if err := page.Apply(up, stamp); err != nil {
-				page.Unpin()
-				return fmt.Errorf("recovery: pitr: redo at %d on page %d: %w", order, rec.PageID, err)
+		last = mr.Stamp
+		rec := &mr.Rec
+		switch rec.Kind {
+		case logrec.KindUpdate, logrec.KindCLR:
+			if _, err := redo(r.store, &mr); err != nil {
+				return 0, err
 			}
+			if rec.Kind == logrec.KindUpdate {
+				r.stash[rec.TxnID] = append(r.stash[rec.TxnID], logdev.SnapshotStashRec{
+					TxnID: rec.TxnID, At: mr.Order, PageID: rec.PageID, Payload: rec.Payload,
+				})
+			} else if n := len(r.stash[rec.TxnID]); n > 0 {
+				r.stash[rec.TxnID] = r.stash[rec.TxnID][:n-1]
+			}
+		case logrec.KindCommit, logrec.KindEnd:
+			delete(r.stash, rec.TxnID)
 		}
-		page.Unpin()
-		if rec.Kind == logrec.KindUpdate {
-			r.stash[rec.TxnID] = append(r.stash[rec.TxnID], logdev.SnapshotStashRec{
-				TxnID: rec.TxnID, At: order, PageID: rec.PageID, Payload: rec.Payload,
-			})
-		} else if n := len(r.stash[rec.TxnID]); n > 0 {
-			// A CLR compensates the transaction's most recent
-			// un-compensated update: rollback is strictly last-to-first.
-			r.stash[rec.TxnID] = r.stash[rec.TxnID][:n-1]
-		}
-	case logrec.KindCommit:
-		delete(r.stash, rec.TxnID)
-	case logrec.KindEnd:
-		delete(r.stash, rec.TxnID)
 	}
-	// Abort, checkpoint and pad records carry no redo and do not change
-	// in-flight status: an aborting transaction stays stashed until its
-	// CLRs and End record drain it.
-	return nil
+	if err := m.Err(); err != nil {
+		return 0, fmt.Errorf("recovery: pitr: %w", err)
+	}
+	return last, nil
 }
 
 // undoStash rolls back every transaction still in flight, applying
@@ -124,15 +122,9 @@ func (r *replayer) undoStash(top uint64, step uint64) error {
 		if err != nil {
 			return fmt.Errorf("recovery: pitr: decode stashed update at %d: %w", sr.At, err)
 		}
-		page, err := r.store.GetOrCreate(sr.PageID)
-		if err != nil {
-			return err
-		}
 		synth += step
-		err = page.Apply(up.Inverse(), lsn.LSN(synth))
-		page.Unpin()
-		if err != nil {
-			return fmt.Errorf("recovery: pitr: undo at %d on page %d: %w", sr.At, sr.PageID, err)
+		if err := compensate(r.store, sr.PageID, up.Inverse(), lsn.LSN(synth), lsn.LSN(synth)); err != nil {
+			return fmt.Errorf("recovery: pitr: undo at %d: %w", sr.At, err)
 		}
 	}
 	return nil
@@ -169,46 +161,33 @@ func (r *replayer) dumpPages() ([]logdev.SnapshotPage, error) {
 	return pages, nil
 }
 
-// replaySingle replays single-log records from base, stopping at
-// target (records crossing target are excluded by the clip).
-func (r *replayer) replaySingle(log []byte, base, target uint64) error {
-	if target < base || target > base+uint64(len(log)) {
-		return fmt.Errorf("%w: target %d outside log [%d, %d]", ErrBadCut, target, base, base+uint64(len(log)))
-	}
-	it := logrec.NewIterator(log[:target-base], lsn.LSN(base))
-	for {
-		rec, ok := it.Next()
-		if !ok {
-			break
-		}
-		end := rec.LSN.Add(int(rec.TotalLen))
-		if err := r.apply(rec, uint64(rec.LSN), end); err != nil {
-			return err
-		}
-	}
-	return it.Err()
-}
-
-// ReplayToPoint reconstructs the committed state of a single log at
-// target, an absolute log offset on a record boundary (DB.RestorePoint
-// returns one). log holds the raw bytes starting at base; when snap is
-// non-nil its pages and stash seed the replay and base must equal
-// snap.Cut. The returned store holds exactly the pages of the committed
-// state at target.
-func ReplayToPoint(snap *logdev.Snapshot, log []byte, base, target uint64) (*storage.Store, error) {
-	if snap != nil && snap.Cut != base {
-		return nil, fmt.Errorf("%w: log starts at %d, snapshot cut at %d", ErrBadCut, base, snap.Cut)
-	}
+// ReplayToPoint reconstructs the committed state of the log at target:
+// an absolute log offset on a record boundary for one lane, a global
+// sequence stamp for N (DB.RestorePoint returns either). Each lane holds
+// its raw bytes from its base; records past the target are ignored and
+// the transactions in flight at it are rolled back. When snap is non-nil
+// (one lane only: a snapshot's cut is a byte offset) its pages and stash
+// seed the replay and the lane must start at snap.Cut. The returned
+// store holds exactly the pages of the committed state at target.
+func ReplayToPoint(snap *logdev.Snapshot, lanes []Lane, target uint64) (*storage.Store, error) {
 	r := newReplayer()
 	if snap != nil {
+		if len(lanes) != 1 || uint64(lanes[0].Base) != snap.Cut {
+			return nil, fmt.Errorf("%w: a snapshot cut at %d needs one lane starting there", ErrBadCut, snap.Cut)
+		}
 		if err := r.loadSnapshot(snap); err != nil {
 			return nil, err
 		}
 	}
-	if err := r.replaySingle(log, base, target); err != nil {
+	m := NewLaneMerge(lanes)
+	if !m.Covers(target) {
+		return nil, fmt.Errorf("%w: target %d outside the log (top %d)", ErrBadCut, target, m.Top())
+	}
+	m.Until(target)
+	if _, err := r.replay(m); err != nil {
 		return nil, err
 	}
-	if err := r.undoStash(target, logrec.HeaderSize); err != nil {
+	if err := r.undoStash(target, m.Step()); err != nil {
 		return nil, err
 	}
 	return r.store, nil
@@ -232,22 +211,11 @@ func BuildSnapshot(prev *logdev.Snapshot, log []byte, base uint64) (*logdev.Snap
 			return nil, err
 		}
 	}
-	it := logrec.NewIterator(log, lsn.LSN(base))
-	end := lsn.LSN(base)
-	for {
-		rec, ok := it.Next()
-		if !ok {
-			break
-		}
-		end = rec.LSN.Add(int(rec.TotalLen))
-		if err := r.apply(rec, uint64(rec.LSN), end); err != nil {
-			return nil, err
-		}
-	}
-	if err := it.Err(); err != nil {
+	end, err := r.replay(NewLaneMerge([]Lane{{Log: log, Base: lsn.LSN(base)}}))
+	if err != nil {
 		return nil, err
 	}
-	if uint64(end) != cut {
+	if len(log) > 0 && uint64(end) != cut {
 		return nil, fmt.Errorf("%w: log tail does not reach the cut (%d decoded, cut %d)", ErrBadCut, uint64(end), cut)
 	}
 	pages, err := r.dumpPages()
@@ -255,41 +223,4 @@ func BuildSnapshot(prev *logdev.Snapshot, log []byte, base uint64) (*logdev.Snap
 		return nil, err
 	}
 	return &logdev.Snapshot{Cut: cut, Pages: pages, Stash: r.dumpStash()}, nil
-}
-
-// ReplayMultiToSeq reconstructs the committed state of a partitioned
-// log at targetSeq, a global sequence stamp (DB.RestorePoint returns
-// one). logs[i] holds partition i's raw bytes starting at bases[i];
-// records with a seq above targetSeq are ignored, and the per-lane
-// streams are merged by seq — the same total order RecoverMulti
-// replays, here applied from genesis on a fresh store.
-func ReplayMultiToSeq(logs [][]byte, bases []lsn.LSN, targetSeq uint64) (*storage.Store, error) {
-	var recs []logrec.Record
-	for i, log := range logs {
-		it := logrec.NewIterator(log, bases[i])
-		for {
-			rec, ok := it.Next()
-			if !ok {
-				break
-			}
-			if uint64(rec.Seq) <= targetSeq {
-				recs = append(recs, rec)
-			}
-		}
-		if err := it.Err(); err != nil {
-			return nil, fmt.Errorf("recovery: pitr: partition %d: %w", i, err)
-		}
-	}
-	sort.Slice(recs, func(a, b int) bool { return recs[a].Seq < recs[b].Seq })
-	r := newReplayer()
-	for _, rec := range recs {
-		seq := uint64(rec.Seq)
-		if err := r.apply(rec, seq, lsn.LSN(seq)); err != nil {
-			return nil, err
-		}
-	}
-	if err := r.undoStash(targetSeq, 1); err != nil {
-		return nil, err
-	}
-	return r.store, nil
 }

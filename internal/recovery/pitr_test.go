@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"aether/internal/logdev"
@@ -79,7 +80,7 @@ func TestReplayToPointSnapshotEquivalence(t *testing.T) {
 	log, cuts := buildPITRLog(t)
 	bounds := append([]uint64{0}, cuts...)
 	for _, target := range bounds {
-		full, err := ReplayToPoint(nil, log[:target], 0, target)
+		full, err := ReplayToPoint(nil, []Lane{{Log: log[:target]}}, target)
 		if err != nil {
 			t.Fatalf("full replay to %d: %v", target, err)
 		}
@@ -94,7 +95,7 @@ func TestReplayToPointSnapshotEquivalence(t *testing.T) {
 			if snap.Cut != cut {
 				t.Fatalf("BuildSnapshot cut = %d, want %d", snap.Cut, cut)
 			}
-			chained, err := ReplayToPoint(snap, log[cut:target], cut, target)
+			chained, err := ReplayToPoint(snap, []Lane{{Log: log[cut:target], Base: lsn.LSN(cut)}}, target)
 			if err != nil {
 				t.Fatalf("chained replay %d -> %d: %v", cut, target, err)
 			}
@@ -139,71 +140,47 @@ func TestBuildSnapshotIncremental(t *testing.T) {
 	}
 }
 
-// TestReplayToPointRollsBackInflight: a target before a transaction's
-// commit record must not show its updates — even when they are durable
-// in the log — and a target after must.
+// TestReplayToPointRollsBackInflight: at every lane count, a target
+// before a transaction's commit record must not show its updates — even
+// when they are durable in the log — and a target after must; records
+// past the target are ignored, wherever in the lanes they sit, and a
+// target may be a seq no record carries.
 func TestReplayToPointRollsBackInflight(t *testing.T) {
-	var lb logBuilder
-	pid := storage.MakePageID(1, 1)
-	uAt, afterUpdate := lb.add(t, logrec.NewUpdate(9, lsn.Undefined, pid,
-		logrec.UpdatePayload{Op: logrec.OpInsert, Slot: 0, After: []byte("v")}))
-	_, afterCommit := lb.add(t, logrec.NewCommit(9, uAt))
-
-	st, err := ReplayToPoint(nil, lb.buf[:afterUpdate], 0, uint64(afterUpdate))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mustPage(t, st, pid).Get(0); err == nil {
-		t.Fatal("uncommitted insert visible before its commit point")
-	}
-	st, err = ReplayToPoint(nil, lb.buf, 0, uint64(afterCommit))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := mustPage(t, st, pid).Get(0); err != nil || !bytes.Equal(got, []byte("v")) {
-		t.Fatalf("committed insert missing after its commit point: %q %v", got, err)
-	}
-}
-
-// TestReplayMultiToSeq: partitioned lanes merge by global seq, records
-// stamped after the target are ignored, and a transaction whose commit
-// lies beyond the target is rolled back.
-func TestReplayMultiToSeq(t *testing.T) {
 	pidA := storage.MakePageID(1, 1)
 	pidB := storage.MakePageID(1, 2)
-	stamp := func(rec *logrec.Record, seq uint32) *logrec.Record {
-		rec.Seq = seq
-		return rec
-	}
-	var lane0, lane1 logBuilder
-	aAt, _ := lane0.add(t, stamp(logrec.NewUpdate(1, lsn.Undefined, pidA,
-		logrec.UpdatePayload{Op: logrec.OpInsert, Slot: 0, After: []byte("a")}), 1))
-	bAt, _ := lane1.add(t, stamp(logrec.NewUpdate(2, lsn.Undefined, pidB,
-		logrec.UpdatePayload{Op: logrec.OpInsert, Slot: 0, After: []byte("b")}), 2))
-	lane0.add(t, stamp(logrec.NewCommit(1, aAt), 3))
-	lane1.add(t, stamp(logrec.NewCommit(2, bAt), 5))
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("N=%d", n), func(t *testing.T) {
+			ll := newLaneLogs(n)
+			aAt, _ := ll.add(t, 0, logrec.NewUpdate(1, lsn.Undefined, pidA,
+				logrec.UpdatePayload{Op: logrec.OpInsert, Slot: 0, After: []byte("a")}))
+			bAt, _ := ll.add(t, 1, logrec.NewUpdate(2, lsn.Undefined, pidB,
+				logrec.UpdatePayload{Op: logrec.OpInsert, Slot: 0, After: []byte("b")}))
+			ll.add(t, 0, logrec.NewCommit(1, aAt))
+			if n > 1 {
+				ll.skipSeq() // the point below is then a stamp no record carries
+			}
+			before2 := ll.point()
+			ll.add(t, 1, logrec.NewCommit(2, bAt))
+			after2 := ll.point()
 
-	logs := [][]byte{lane0.buf, lane1.buf}
-	bases := []lsn.LSN{0, 0}
-
-	// At seq 4: txn 1 committed, txn 2's commit (seq 5) is beyond.
-	st, err := ReplayMultiToSeq(logs, bases, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := mustPage(t, st, pidA).Get(0); err != nil || !bytes.Equal(got, []byte("a")) {
-		t.Fatalf("committed lane-0 insert missing at seq 4: %q %v", got, err)
-	}
-	if _, err := mustPage(t, st, pidB).Get(0); err == nil {
-		t.Fatal("lane-1 insert visible though its commit is beyond the target")
-	}
-
-	// At seq 5: both committed.
-	st, err = ReplayMultiToSeq(logs, bases, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := mustPage(t, st, pidB).Get(0); err != nil || !bytes.Equal(got, []byte("b")) {
-		t.Fatalf("committed lane-1 insert missing at seq 5: %q %v", got, err)
+			// Txn 1 committed; txn 2's commit is beyond the target.
+			st, err := ReplayToPoint(nil, ll.tails(), before2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := mustPage(t, st, pidA).Get(0); err != nil || !bytes.Equal(got, []byte("a")) {
+				t.Fatalf("committed insert missing after its commit point: %q %v", got, err)
+			}
+			if _, err := mustPage(t, st, pidB).Get(0); err == nil {
+				t.Fatal("uncommitted insert visible before its commit point")
+			}
+			st, err = ReplayToPoint(nil, ll.tails(), after2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := mustPage(t, st, pidB).Get(0); err != nil || !bytes.Equal(got, []byte("b")) {
+				t.Fatalf("committed insert missing after its commit point: %q %v", got, err)
+			}
+		})
 	}
 }

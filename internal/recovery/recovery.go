@@ -4,20 +4,30 @@
 // compensation log records, so recovery itself is crash-tolerant and can
 // be repeated any number of times.
 //
+// There is one recovery core (Analyze, then Analysis.Recover) for every
+// lane count. It reads the durable tails through LaneMerge, which hands
+// it each record with its position in the total order and its page stamp
+// — byte LSNs on one lane, global seqs on N (core.MultiLog's stamp
+// domain) — so the passes below never ask how many lanes there are:
+// the redo guard is "page stamp >= record stamp", losers are undone in
+// descending order, and the Appendix A.5 edge check is simply dormant
+// where records carry no PrevPageSeq.
+//
 // The interplay with Early Lock Release is where the paper's §3.1
 // conditions become code: a transaction whose commit record is durable is
 // a winner even though it released its locks long before the flush; one
 // whose commit record was lost with the unflushed tail is a loser and is
-// rolled back — and by condition 1 (serial log), every transaction that
-// depended on it committed later in LSN order, so its commit record was
-// lost too and it rolls back as well. No dependency tracking is needed.
+// rolled back — and by condition 1 (a totally ordered log), every
+// transaction that depended on it committed later in that order, so its
+// commit record was lost too and it rolls back as well. No dependency
+// tracking is needed.
 //
-// A log whose dead prefix was truncated (Options.Base > 0) is the normal
+// A log whose dead prefix was truncated (Lane.Base > 0) is the normal
 // bounded-log state, not corruption: the checkpointer only releases log
-// below min(checkpoint begin, oldest active-txn first LSN, oldest
+// below min(checkpoint begin, oldest active-txn first record, oldest
 // dirty-page recLSN), so analysis starts at the surviving checkpoint,
-// redo clamps to the base (pages dirtied below it were archived first),
-// and undo chains never reach below it.
+// redo never needs what lies below the base (pages dirtied there were
+// archived first), and undo chains never reach below it.
 package recovery
 
 import (
@@ -25,13 +35,12 @@ import (
 	"fmt"
 	"sort"
 
-	"aether/internal/core"
 	"aether/internal/logrec"
 	"aether/internal/lsn"
 	"aether/internal/storage"
 )
 
-// Options configures a recovery pass.
+// Options configures a one-lane recovery pass (see Recover).
 type Options struct {
 	// Log is the durable log image (from logdev.ReadTail), whose first
 	// byte sits at LSN Base.
@@ -47,43 +56,39 @@ type Options struct {
 	// lazily as redo and undo touch them — restart memory is O(working
 	// set); a store pre-loaded via LoadArchive recovers identically.
 	Store *storage.Store
-	// Appender, if non-nil, receives the CLRs and end records that undo
-	// generates, making recovery itself recoverable. It must append into
-	// a log whose base LSN is Base+len(Log). If nil, undo applies
-	// inverses without logging (single-crash recovery only).
-	Appender *core.Appender
-	// VerifyArchive, if set, asserts that every page already resident in
-	// Store when recovery starts carries a pageLSN at or below the
-	// durable log's end. The checkpoint sweep and the steal path only
-	// archive pages whose pageLSN is durable, so an image from beyond
-	// the log is a WAL violation or a corrupt database file — redoing on
-	// top of it would silently skip updates. Pages faulted lazily from
-	// an attached backend get the same check at fault time (with a WAL
-	// attached to the store), so this flag covers only the pre-resident
-	// set. Leave unset for stores that were not archive-loaded (pages
-	// stamped by unlogged undo legitimately carry synthetic LSNs past
-	// the log end).
+	// VerifyArchive is Analysis.Recover's verifyArchive.
 	VerifyArchive bool
 }
 
-// txnStatus is an analysis-phase ATT entry.
-type txnStatus struct {
-	lastLSN   lsn.LSN
-	committed bool
+// Sink receives the CLRs and end records undo generates, appended to
+// each loser's home lane, and returns what core.MultiAppender.Append
+// does: the record's address and end there, and its page and record
+// stamps.
+type Sink interface {
+	Append(lane int, rec *logrec.Record) (at, end, pageStamp, recStamp lsn.LSN, err error)
 }
+
+// ErrDependencyViolated means the merged redo order contradicts an
+// update record's embedded dependency: its page's previous update (on
+// another lane) is missing from the durable state even though the
+// younger record hardened — exactly what the inter-log flush edges
+// exist to prevent. A database that trips this was corrupted or written
+// by a coordinator that broke invariant 6.
+var ErrDependencyViolated = errors.New("recovery: inter-log dependency order violated")
 
 // Result reports what recovery did.
 type Result struct {
-	// CheckpointLSN is the begin LSN of the checkpoint used (Undefined
-	// if none was found).
+	// CheckpointLSN is the begin LSN (on lane 0) of the checkpoint used
+	// (Undefined if none was found).
 	CheckpointLSN lsn.LSN
-	// LogBase is the truncation horizon the durable log started at
+	// LogBase is the truncation horizon lane 0's durable log started at
 	// (0 for a never-truncated log). No pass read below it.
 	LogBase lsn.LSN
 	// ScannedBytes is how many durable log bytes the analysis pass
-	// covered — O(log-since-checkpoint), not O(total-history).
+	// covered — O(log-since-checkpoint), not O(total-history), on one
+	// lane whose checkpoint names no transaction.
 	ScannedBytes int64
-	// Scanned is the number of durable records read.
+	// Scanned is the number of durable records analysis read.
 	Scanned int
 	// RedoApplied is the number of updates reapplied.
 	RedoApplied int
@@ -106,290 +111,392 @@ type Result struct {
 	ArchivedPages int
 }
 
-// Recover runs the three ARIES passes. It is idempotent: recovering an
+// Recover runs the ARIES passes over one lane, undoing losers without
+// logging (single-crash recovery; a restart logs CLRs through
+// Analysis.Recover's sink). It is idempotent: recovering an
 // already-recovered (store, log) pair is a no-op beyond re-verification.
 func Recover(opts Options) (*Result, error) {
 	if opts.Store == nil {
 		return nil, errors.New("recovery: Store is required")
 	}
-	base := opts.Base
-	res := &Result{CheckpointLSN: lsn.Undefined, LogBase: base}
+	a, err := Analyze([]Lane{{Log: opts.Log, Base: opts.Base}})
+	if err != nil {
+		return nil, err
+	}
+	return a.Recover(opts.Store, nil, opts.VerifyArchive)
+}
 
-	// ---- Pass 0: verify the pre-resident pages against the log. ----
+// txnStatus is an analysis-phase transaction-table entry: where the
+// transaction's newest durable record sits, and whether a commit record
+// was among them.
+type txnStatus struct {
+	lane      int
+	last      lsn.LSN // home-lane address of the newest record
+	committed bool
+}
+
+// Analysis is the outcome of the passes that read only the log — the
+// checkpoint search and ARIES analysis — and the input of the two that
+// touch pages (Recover). The split exists for the restart path: the
+// coordinator that redo verifies page stamps against, and that undo
+// appends CLRs through, has to be built at the sequence number the
+// tails end at (LastSeq), which only a full read of them tells.
+type Analysis struct {
+	m   *LaneMerge
+	res *Result
+	att map[uint64]*txnStatus
+	dpt map[uint64]uint64 // page → order of the first record that may need redo
+}
+
+// LastSeq returns the largest global sequence stamp in the tails (0 on
+// one lane): what core.NewMultiLog resumes stamping above.
+func (a *Analysis) LastSeq() uint64 { return a.m.LastSeq() }
+
+// Analyze locates the last complete checkpoint (its records live on lane
+// 0) and runs the analysis pass over the lanes' durable tails (from
+// logdev.ReadTail, in lane order), yielding the transaction table and
+// the dirty-page table that redo and undo work from.
+func Analyze(lanes []Lane) (*Analysis, error) {
+	if len(lanes) == 0 {
+		return nil, errors.New("recovery: need at least one lane")
+	}
+	a := &Analysis{
+		m:   NewLaneMerge(lanes),
+		res: &Result{CheckpointLSN: lsn.Undefined, LogBase: lanes[0].Base},
+		att: make(map[uint64]*txnStatus),
+		dpt: make(map[uint64]uint64),
+	}
+	res := a.res
+
+	// named is the checkpoint's transaction table, read as a list of
+	// names and not of facts. The engine publishes a transaction's
+	// last-record stamp and Precommitted flag after the append they
+	// describe returns, so a checkpoint that falls in that window
+	// snapshots an entry that trails the transaction's records (no last
+	// record at all, or one record stale); and on N lanes the checkpoint
+	// itself, on lane 0, can harden ahead of a named transaction's home
+	// lane (the A.5 cut: one lane's flush dies while the others keep
+	// going), so an entry may also point at a record — even a commit
+	// record — that never became durable. What is true of a named
+	// transaction is what its home lane's durable tail says, and
+	// truncation never releases a record of a transaction that is still
+	// active, so the tails say all of it (a name with no durable record
+	// at all left nothing to redo or undo).
+	named := make(map[uint64]bool)
+	// begin is the order of the checkpoint's begin record. Records
+	// ordered below it (they survive in the tails because truncation is
+	// conservative) are covered by the checkpoint's dirty-page snapshot;
+	// of its transaction table they establish the named entries and
+	// nothing else. So only a checkpoint that names somebody makes
+	// analysis read them: otherwise the pass starts at the begin record.
+	var begin, from uint64
+	beginAt, ckpt := findLastCheckpoint(lanes[0])
+	res.CheckpointLSN = beginAt
+	if beginAt.Valid() {
+		if b, err := a.m.At(0, beginAt); err == nil {
+			begin, from = b.Order, b.Order
+		}
+		for _, e := range ckpt.ActiveTxns {
+			named[e.TxnID] = true
+			from = 0
+			res.MaxTxnID = max(res.MaxTxnID, e.TxnID)
+		}
+		for _, e := range ckpt.DirtyPages {
+			a.dpt[e.PageID] = uint64(e.RecLSN)
+		}
+	}
+
+	a.m.From(from)
+	res.ScannedBytes = a.m.Span()
+	for {
+		mr, ok := a.m.Next()
+		if !ok {
+			break
+		}
+		rec := &mr.Rec
+		res.Scanned++
+		res.MaxTxnID = max(res.MaxTxnID, rec.TxnID)
+		below := mr.Order < begin
+		if below && !named[rec.TxnID] {
+			continue
+		}
+		switch rec.Kind {
+		case logrec.KindUpdate, logrec.KindCLR:
+			a.touch(&mr)
+			if _, ok := a.dpt[rec.PageID]; !ok && !below {
+				a.dpt[rec.PageID] = mr.Order
+			}
+		case logrec.KindCommit:
+			a.touch(&mr).committed = true
+		case logrec.KindAbort:
+			a.touch(&mr)
+		case logrec.KindEnd:
+			delete(a.att, rec.TxnID)
+		}
+		// Checkpoint and pad records have no analysis effect.
+	}
+	// A gap mid-log (not just a torn tail) would mean corruption before
+	// the durable horizon; report it rather than recover wrongly.
+	if err := a.m.Err(); err != nil {
+		return nil, fmt.Errorf("recovery: analysis: %w", err)
+	}
+	return a, nil
+}
+
+// touch returns the record's transaction entry, advanced to the record
+// (the stream is in total order). A record that starts a chain starts a
+// transaction: whatever an earlier holder of the same ID left in the
+// tail — IDs restart below a checkpoint that named nobody — is not its
+// history.
+func (a *Analysis) touch(mr *Merged) *txnStatus {
+	st := a.att[mr.Rec.TxnID]
+	if st == nil {
+		st = &txnStatus{}
+		a.att[mr.Rec.TxnID] = st
+	} else if !mr.Rec.PrevLSN.Valid() {
+		*st = txnStatus{}
+	}
+	st.lane, st.last = mr.Lane, mr.Rec.LSN
+	return st
+}
+
+// Recover runs the passes that touch pages: redo from the dirty-page
+// table's oldest entry, then undo of every transaction analysis found
+// without a durable commit record, newest record first across all of
+// them. With a sink, undo logs a CLR per compensated update and an end
+// record per loser on the loser's home lane, making recovery itself
+// recoverable (the caller flushes them before admitting new work);
+// without one it applies inverses under made-up stamps above the top of
+// the log (single-crash recovery only).
+//
+// verifyArchive asserts that every page already resident in store
+// carries a stamp at or below the top of the durable log. The checkpoint
+// sweep and the steal path only archive pages whose stamp is durable, so
+// an image from beyond the log is a WAL violation or a corrupt database
+// file — redoing on top of it would silently skip updates. Pages faulted
+// lazily from an attached backend get the same check at fault time (with
+// a WAL attached to the store), so the flag covers only the pre-resident
+// set. Leave it unset for stores that were not archive-loaded (pages
+// stamped by unlogged undo legitimately carry stamps past the log end).
+func (a *Analysis) Recover(store *storage.Store, sink Sink, verifyArchive bool) (*Result, error) {
+	m, res := a.m, a.res
+	top := m.Top()
+
 	// (Slot checksums were already verified by the archive's read path;
-	// this is the cross-check between the two durable artifacts. Pages
-	// faulted lazily from a backend during redo/undo get the same check
-	// at fault time.)
-	logEnd := base.Add(len(opts.Log))
-	res.ArchivedPages = len(opts.Store.PageIDs())
-	faults0 := opts.Store.CacheStats().Misses
-	if opts.VerifyArchive {
-		for _, pid := range opts.Store.PageIDs() {
-			p, err := opts.Store.Get(pid)
+	// this is the cross-check between the two durable artifacts.)
+	res.ArchivedPages = len(store.PageIDs())
+	faults0 := store.CacheStats().Misses
+	defer func() { res.ArchivedPages += int(store.CacheStats().Misses - faults0) }()
+	if verifyArchive {
+		for _, pid := range store.PageIDs() {
+			p, err := store.Get(pid)
 			if err != nil {
 				return nil, fmt.Errorf("recovery: verify: %w", err)
 			}
 			if p == nil {
 				continue
 			}
-			pl := p.LSN()
+			stamp := uint64(p.LSN())
 			p.Unpin()
-			if pl > logEnd {
+			if stamp > top {
 				return nil, fmt.Errorf(
-					"recovery: archived page %d has pageLSN %v beyond the durable log end %v (archive ahead of log: WAL violation or corruption)",
-					pid, pl, logEnd)
+					"recovery: archived page %d is stamped %d, beyond the top of the durable log %d (archive ahead of log: WAL violation or corruption)",
+					pid, stamp, top)
 			}
 		}
 	}
-	// Count the lazily faulted pages into ArchivedPages on the way out.
-	defer func() {
-		res.ArchivedPages += int(opts.Store.CacheStats().Misses - faults0)
-	}()
 
-	// ---- Pass 0: locate the last complete checkpoint. ----
-	ckptBegin, ckptPayload := findLastCheckpoint(opts.Log, base)
-	res.CheckpointLSN = ckptBegin
-
-	// ---- Pass 1: analysis. ----
-	att := make(map[uint64]*txnStatus)
-	dpt := make(map[uint64]lsn.LSN)
-	scanFrom := base
-	if ckptBegin.Valid() {
-		scanFrom = lsn.Max(ckptBegin, base)
-		for _, e := range ckptPayload.ActiveTxns {
-			att[e.TxnID] = &txnStatus{lastLSN: e.LastLSN, committed: e.Precommitted}
-			res.MaxTxnID = max(res.MaxTxnID, e.TxnID)
-		}
-		for _, e := range ckptPayload.DirtyPages {
-			dpt[e.PageID] = e.RecLSN
-		}
+	// ---- Redo, in the total order. ----
+	// (Entries below a lane's base belong to pages the checkpointer
+	// archived before releasing the log behind them: From starts at the
+	// base.)
+	redoFrom := uint64(lsn.Undefined)
+	for _, order := range a.dpt {
+		redoFrom = min(redoFrom, order)
 	}
-	res.ScannedBytes = int64(len(opts.Log)) - int64(scanFrom.Sub(base))
-	it := logrec.NewIterator(opts.Log[scanFrom.Sub(base):], scanFrom)
+	m.From(redoFrom)
 	for {
-		rec, ok := it.Next()
+		mr, ok := m.Next()
 		if !ok {
 			break
 		}
-		res.Scanned++
-		res.MaxTxnID = max(res.MaxTxnID, rec.TxnID)
-		switch rec.Kind {
-		case logrec.KindUpdate, logrec.KindCLR:
-			st := att[rec.TxnID]
-			if st == nil {
-				st = &txnStatus{}
-				att[rec.TxnID] = st
-			}
-			st.lastLSN = rec.LSN
-			if _, ok := dpt[rec.PageID]; !ok {
-				dpt[rec.PageID] = rec.LSN
-			}
-		case logrec.KindCommit:
-			st := att[rec.TxnID]
-			if st == nil {
-				st = &txnStatus{}
-				att[rec.TxnID] = st
-			}
-			st.lastLSN = rec.LSN
-			st.committed = true
-		case logrec.KindAbort:
-			st := att[rec.TxnID]
-			if st == nil {
-				st = &txnStatus{}
-				att[rec.TxnID] = st
-			}
-			st.lastLSN = rec.LSN
-		case logrec.KindEnd:
-			delete(att, rec.TxnID)
-		case logrec.KindCheckpointBegin, logrec.KindCheckpointEnd, logrec.KindPad:
-			// No analysis effect.
+		rec := &mr.Rec
+		if rec.Kind != logrec.KindUpdate && rec.Kind != logrec.KindCLR {
+			continue
 		}
-	}
-	// A gap mid-log (not just a truncated tail) would mean corruption
-	// before the durable horizon; report it rather than recover wrongly.
-	if err := it.Err(); err != nil && int(scanFrom.Sub(base))+it.Offset() < len(opts.Log) {
-		return nil, fmt.Errorf("recovery: analysis: %w", err)
-	}
-
-	// ---- Pass 2: redo. ----
-	redoFrom := lsn.Undefined
-	for _, rec := range dpt {
-		if rec < redoFrom {
-			redoFrom = rec
+		if first, inDPT := a.dpt[rec.PageID]; !inDPT || mr.Order < first {
+			continue
 		}
-	}
-	if redoFrom.Valid() && redoFrom < base {
-		// recLSNs below the truncation horizon belong to pages the
-		// checkpointer archived before releasing the log behind them;
-		// their images are in the archive, so redo starts at the base.
-		redoFrom = base
-	}
-	if redoFrom.Valid() && redoFrom.Sub(base) < uint64(len(opts.Log)) {
-		it := logrec.NewIterator(opts.Log[redoFrom.Sub(base):], redoFrom)
-		for {
-			rec, ok := it.Next()
-			if !ok {
-				break
-			}
-			if rec.Kind != logrec.KindUpdate && rec.Kind != logrec.KindCLR {
-				continue
-			}
-			recLSN, inDPT := dpt[rec.PageID]
-			if !inDPT || rec.LSN < recLSN {
-				continue
-			}
-			// Lazy fault-in: a page archived before the crash (including
-			// one stolen by the eviction path) comes back from the
-			// backend here; a page never archived materializes empty.
-			page, err := opts.Store.GetOrCreate(rec.PageID)
-			if err != nil {
-				return nil, fmt.Errorf("recovery: redo fault at %v: %w", rec.LSN, err)
-			}
-			// Pages carry the END LSN of the last applied record, so the
-			// redo test is a strict comparison with no LSN-0 ambiguity:
-			// skip iff the page already reflects the log past this record's
-			// start.
-			if page.LSN() > rec.LSN {
-				page.Unpin()
-				continue
-			}
-			up, err := logrec.DecodeUpdate(rec.Payload)
-			if err != nil {
-				page.Unpin()
-				return nil, fmt.Errorf("recovery: redo decode at %v: %w", rec.LSN, err)
-			}
-			err = page.Apply(up, rec.LSN.Add(int(rec.TotalLen)))
-			if err == nil {
-				// Mark dirty before unpinning: a page must never be
-				// evictable while modified but not yet in the DPT.
-				opts.Store.MarkDirty(rec.PageID, rec.LSN)
-			}
-			page.Unpin()
-			if err != nil {
-				return nil, fmt.Errorf("recovery: redo apply at %v: %w", rec.LSN, err)
-			}
+		applied, err := redo(store, &mr)
+		if err != nil {
+			return nil, err
+		}
+		if applied {
 			res.RedoApplied++
 		}
 	}
 
-	// ---- Pass 3: undo losers. ----
-	var losers []uint64
-	for id, st := range att {
+	// ---- Undo losers, newest record first. ----
+	cursors := make(map[uint64]*undoCursor)
+	for id, st := range a.att {
 		if st.committed {
 			res.Winners = append(res.Winners, id)
-		} else {
-			losers = append(losers, id)
+			continue
 		}
+		res.Losers = append(res.Losers, id)
+		cursors[id] = &undoCursor{lane: st.lane, clrPrev: st.last}
+		cursors[id].move(m, st.last)
 	}
 	sort.Slice(res.Winners, func(i, j int) bool { return res.Winners[i] < res.Winners[j] })
-	sort.Slice(losers, func(i, j int) bool { return losers[i] < losers[j] })
-	res.Losers = append(res.Losers, losers...)
+	sort.Slice(res.Losers, func(i, j int) bool { return res.Losers[i] < res.Losers[j] })
 
-	// Synthetic LSNs for unlogged undo keep pageLSN monotonic.
-	synth := base.Add(len(opts.Log))
-	undoChain := make(map[uint64]lsn.LSN, len(losers))
-	for _, id := range losers {
-		undoChain[id] = att[id].lastLSN
-	}
-	clrPrev := make(map[uint64]lsn.LSN, len(losers))
-	for _, id := range losers {
-		clrPrev[id] = att[id].lastLSN
-	}
-
-	for len(undoChain) > 0 {
-		// ARIES undoes the record with the largest LSN across all losers.
+	synth, step := top, m.Step()
+	for len(cursors) > 0 {
+		// ARIES undoes the record with the largest order across all
+		// losers; an exhausted (or unreadable) chain is dealt with first.
 		var id uint64
-		max := lsn.Undefined
-		for tid, l := range undoChain {
-			if max == lsn.Undefined || l > max {
-				max, id = l, tid
+		var c *undoCursor
+		for tid, cc := range cursors {
+			if !cc.at.Valid() || cc.err != nil {
+				c, id = cc, tid
+				break
+			}
+			if c == nil || cc.rec.Order > c.rec.Order {
+				c, id = cc, tid
 			}
 		}
-		cur := undoChain[id]
-		if !cur.Valid() {
-			// Chain exhausted: finish the loser with an end record.
-			if opts.Appender != nil {
-				endRec := logrec.NewEnd(id, clrPrev[id])
-				if _, _, err := opts.Appender.Append(endRec); err != nil {
+		if !c.at.Valid() {
+			if sink != nil {
+				if _, _, _, _, err := sink.Append(c.lane, logrec.NewEnd(id, c.clrPrev)); err != nil {
 					return nil, fmt.Errorf("recovery: undo end: %w", err)
 				}
 			}
-			delete(undoChain, id)
+			delete(cursors, id)
 			continue
 		}
-		rec, err := recordAt(opts.Log, base, cur)
-		if err != nil {
-			return nil, fmt.Errorf("recovery: undo read at %v: %w", cur, err)
+		// Truncation never releases log below an active transaction's
+		// first record, so a loser's chain must survive in full.
+		if c.err != nil {
+			return nil, fmt.Errorf("recovery: loser %d: record at %v (lane %d) not in any durable tail: %w", id, c.at, c.lane, c.err)
 		}
+		mr := &c.rec
+		rec := &mr.Rec
+		next := rec.PrevLSN // abort and commit markers: follow the backchain
 		switch rec.Kind {
 		case logrec.KindUpdate:
 			up, err := logrec.DecodeUpdate(rec.Payload)
 			if err != nil {
-				return nil, fmt.Errorf("recovery: undo decode at %v: %w", cur, err)
+				return nil, fmt.Errorf("recovery: undo decode at %d: %w", mr.Order, err)
 			}
 			inv := up.Inverse()
-			var clrStart, clrEnd lsn.LSN
-			if opts.Appender != nil {
-				clr := logrec.NewCLR(id, clrPrev[id], rec.PageID, rec.PrevLSN, inv)
-				at, end, err := opts.Appender.Append(clr)
+			var pageStamp, recStamp lsn.LSN
+			if sink != nil {
+				clr := logrec.NewCLR(id, c.clrPrev, rec.PageID, rec.PrevLSN, inv)
+				c.clrPrev, _, pageStamp, recStamp, err = sink.Append(c.lane, clr)
 				if err != nil {
 					return nil, fmt.Errorf("recovery: undo CLR: %w", err)
 				}
-				clrStart, clrEnd = at, end
-				clrPrev[id] = at
 			} else {
-				clrStart = synth
-				synth += logrec.HeaderSize
-				clrEnd = synth
+				synth += step
+				pageStamp, recStamp = lsn.LSN(synth), lsn.LSN(synth)
 			}
-			page, err := opts.Store.GetOrCreate(rec.PageID)
-			if err != nil {
-				return nil, fmt.Errorf("recovery: undo fault at %v: %w", cur, err)
-			}
-			applyErr := page.Apply(inv, clrEnd)
-			if applyErr == nil {
-				opts.Store.MarkDirty(rec.PageID, clrStart)
-			}
-			page.Unpin()
-			if applyErr != nil {
-				return nil, fmt.Errorf("recovery: undo apply at %v: %w", cur, applyErr)
+			if err := compensate(store, rec.PageID, inv, pageStamp, recStamp); err != nil {
+				return nil, fmt.Errorf("recovery: undo at %d: %w", mr.Order, err)
 			}
 			res.UndoApplied++
-			undoChain[id] = rec.PrevLSN
 		case logrec.KindCLR:
 			// Already compensated: skip to what the CLR says is next.
-			undoChain[id] = rec.UndoNext()
-		default:
-			// Abort/commit markers: follow the backchain.
-			undoChain[id] = rec.PrevLSN
+			next = rec.UndoNext()
 		}
+		c.move(m, next)
 	}
 	return res, nil
 }
 
-// recordAt decodes the record whose LSN (byte offset) is at, in a log
-// whose first byte sits at base.
-func recordAt(log []byte, base, at lsn.LSN) (logrec.Record, error) {
-	if at < base {
-		return logrec.Record{}, fmt.Errorf("recovery: LSN %v below truncation base %v", at, base)
-	}
-	if at.Sub(base) >= uint64(len(log)) {
-		return logrec.Record{}, fmt.Errorf("recovery: LSN %v beyond durable log (%d bytes from %v)", at, len(log), base)
-	}
-	rec, _, err := logrec.Decode(log[at.Sub(base):])
+// redo reapplies one update or CLR to its page unless the page already
+// reflects it, reporting whether it did. Restart redo and point-in-time
+// replay share it.
+func redo(store *storage.Store, mr *Merged) (bool, error) {
+	rec := &mr.Rec
+	// Lazy fault-in: a page archived before the crash (including one
+	// stolen by the eviction path) comes back from the backend here; a
+	// page never archived materializes empty.
+	page, err := store.GetOrCreate(rec.PageID)
 	if err != nil {
-		return logrec.Record{}, err
+		return false, fmt.Errorf("recovery: redo fault at %d: %w", mr.Order, err)
 	}
-	rec.LSN = at
-	return rec, nil
+	defer page.Unpin()
+	stamp := page.LSN()
+	if stamp >= mr.Stamp {
+		return false, nil
+	}
+	// Dependency verification (N lanes; one lane's records carry no
+	// PrevPageSeq): the page's previous update, possibly on another lane,
+	// must already be reflected — replayed earlier in this merge or
+	// captured in the archived image. If it is not, a younger record
+	// hardened before an older one it depends on, which the flush edges
+	// must never allow.
+	if ps := rec.PrevPageSeq(); ps > 0 && uint64(stamp) < ps {
+		return false, fmt.Errorf(
+			"%w: page %d at stamp %d reached update seq %d (lane %d) before its dependency seq %d was applied",
+			ErrDependencyViolated, rec.PageID, uint64(stamp), mr.Order, mr.Lane, ps)
+	}
+	up, err := logrec.DecodeUpdate(rec.Payload)
+	if err != nil {
+		return false, fmt.Errorf("recovery: redo decode at %d: %w", mr.Order, err)
+	}
+	if err := page.Apply(up, mr.Stamp); err != nil {
+		return false, fmt.Errorf("recovery: redo apply at %d on page %d: %w", mr.Order, rec.PageID, err)
+	}
+	// Dirty before the unpin: a page must never be evictable while
+	// modified but not yet in the DPT.
+	store.MarkDirty(rec.PageID, lsn.LSN(mr.Order))
+	return true, nil
 }
 
-// findLastCheckpoint scans the durable log for the newest complete
-// checkpoint and returns its begin LSN and decoded payload.
-func findLastCheckpoint(log []byte, base lsn.LSN) (lsn.LSN, logrec.CheckpointPayload) {
+// compensate applies inv, the inverse of an update to page pid, under
+// the stamps of the CLR that logs it (or made-up ones).
+func compensate(store *storage.Store, pid uint64, inv logrec.UpdatePayload, pageStamp, recStamp lsn.LSN) error {
+	page, err := store.GetOrCreate(pid)
+	if err != nil {
+		return err
+	}
+	defer page.Unpin()
+	if err := page.Apply(inv, pageStamp); err != nil {
+		return fmt.Errorf("page %d: %w", pid, err)
+	}
+	store.MarkDirty(pid, recStamp)
+	return nil
+}
+
+// undoCursor walks one loser's chain backwards through its home lane: at
+// is the address of the chain's current record (Undefined once the chain
+// is exhausted), rec that record (its Order is the cross-loser undo
+// order) or err why it could not be read, and clrPrev the PrevLSN for
+// the next CLR.
+type undoCursor struct {
+	lane    int
+	at      lsn.LSN
+	rec     Merged
+	err     error
+	clrPrev lsn.LSN
+}
+
+// move steps the cursor to the record at the given address.
+func (c *undoCursor) move(m *LaneMerge, at lsn.LSN) {
+	c.at, c.rec, c.err = at, Merged{}, nil
+	if at.Valid() {
+		c.rec, c.err = m.At(c.lane, at)
+	}
+}
+
+// findLastCheckpoint scans lane 0's durable tail (the coordinator writes
+// checkpoints nowhere else) for the newest complete checkpoint and
+// returns its begin LSN and decoded payload.
+func findLastCheckpoint(lane Lane) (lsn.LSN, logrec.CheckpointPayload) {
 	begin := lsn.Undefined
 	var payload logrec.CheckpointPayload
-	it := logrec.NewIterator(log, base)
+	it := logrec.NewIterator(lane.Log, lane.Base)
 	for {
 		rec, ok := it.Next()
 		if !ok {

@@ -218,93 +218,61 @@ type op struct {
 
 // engineStack is one open incarnation of the full durable stack.
 type engineStack struct {
-	dev  *logdev.Segmented   // single-log mode
-	devs []*logdev.Segmented // partitioned mode (LogPartitions >= 2)
+	devs []*logdev.Segmented // one per log lane
 	pf   *storage.PageFile
 	eng  *txn.Engine
 	tbl  *txn.Table
 }
 
-// partDir is partition i's log directory under the soak log root —
-// the same p<i> layout aether.Open uses.
-func partDir(i int) string { return fmt.Sprintf("%s/p%d", soakLogDir, i) }
-
 // openStack builds the engine over the fault filesystem exactly as
-// aether.Open wires a file-backed segmented database: segmented log +
-// watermark, pagefile + journal as the page archive, DirArchiver cold
-// store, and the background checkpointer/archiver/cleaner goroutines.
-// With parts >= 2 it builds the partitioned stack instead: one
-// segmented device and cold-store lane per partition, merged-order
-// recovery, transactions routed by txnID. A non-nil cloud replaces the
+// aether.Open wires a file-backed segmented database: per log lane a
+// segmented log + watermark (logdev.LaneDir's layout) and a cold-store
+// lane, pagefile + journal as the page archive, and the background
+// checkpointer/archiver/cleaner goroutines. With parts >= 2
+// transactions are routed by txnID. A non-nil cloud replaces the
 // DirArchiver cold store with the cloud tier: one RemoteArchiver key
 // prefix per lane in the shared object store.
 func openStack(fs vfs.FS, parts int, cloud *logdev.MemObjectStore) (*engineStack, error) {
+	n := max(parts, 1)
 	var (
-		dev    *logdev.Segmented
 		devs   []*logdev.Segmented
 		rc     txn.RestartConfig
 		closeD = func() {
-			if dev != nil {
-				dev.Close()
-			}
 			for _, d := range devs {
 				d.Close()
 			}
 		}
 	)
-	if parts >= 2 {
-		for i := 0; i < parts; i++ {
-			d, err := logdev.OpenSegmentedDirFS(fs, partDir(i), soakSegSize)
-			if err != nil {
-				closeD()
-				return nil, fmt.Errorf("open log partition %d: %w", i, err)
-			}
-			devs = append(devs, d)
-			rc.Devices = append(rc.Devices, d)
-		}
-		// Route by txnID: the sequential workload's consecutive
-		// transactions then land on different logs, so a page's update
-		// chain keeps crossing partitions — the A.5 stress pattern.
-		n := parts
-		rc.RoutePartition = func(txnID uint64, _ uint32) int { return int(txnID % uint64(n)) }
-	} else {
-		var err error
-		dev, err = logdev.OpenSegmentedDirFS(fs, soakLogDir, soakSegSize)
+	for i := 0; i < n; i++ {
+		d, err := logdev.OpenSegmentedDirFS(fs, logdev.LaneDir(soakLogDir, i, n), soakSegSize)
 		if err != nil {
-			return nil, fmt.Errorf("open log: %w", err)
+			closeD()
+			return nil, fmt.Errorf("open log lane %d: %w", i, err)
 		}
-		rc.Device = dev
+		devs = append(devs, d)
+		rc.Devices = append(rc.Devices, d)
 	}
+	// Route by txnID: the sequential workload's consecutive transactions
+	// then land on different logs, so a page's update chain keeps
+	// crossing lanes — the A.5 stress pattern.
+	rc.RoutePartition = func(txnID uint64, _ uint32) int { return int(txnID % uint64(n)) }
 	pf, err := storage.OpenPageFileFS(fs, soakLogDir+"/pagefile.db")
 	if err != nil {
 		closeD()
 		return nil, fmt.Errorf("open pagefile: %w", err)
 	}
-	switch {
-	case cloud != nil && parts >= 2:
-		for i, d := range devs {
-			d.SetArchiver(logdev.NewRemoteArchiver(cloud, fmt.Sprintf("p%d", i), soakSegSize))
+	for i, d := range devs {
+		if cloud != nil {
+			d.SetArchiver(logdev.NewRemoteArchiver(cloud, logdev.LaneDir("", i, n), soakSegSize))
+			continue
 		}
-	case cloud != nil:
-		dev.SetArchiver(logdev.NewRemoteArchiver(cloud, "", soakSegSize))
-	case parts >= 2:
-		for i, d := range devs {
-			arch, err := logdev.OpenDirArchiverFS(fs, fmt.Sprintf("%s/p%d", soakArchiveDir, i))
-			if err != nil {
-				pf.Close()
-				closeD()
-				return nil, fmt.Errorf("open archive lane %d: %w", i, err)
-			}
-			d.SetArchiver(arch)
-		}
-	default:
-		arch, err := logdev.OpenDirArchiverFS(fs, soakArchiveDir)
+		arch, err := logdev.OpenDirArchiverFS(fs, logdev.LaneDir(soakArchiveDir, i, n))
 		if err != nil {
 			pf.Close()
 			closeD()
-			return nil, fmt.Errorf("open archive: %w", err)
+			return nil, fmt.Errorf("open archive lane %d: %w", i, err)
 		}
-		dev.SetArchiver(arch)
+		d.SetArchiver(arch)
 	}
 	rc.Archive = pf
 	rc.LogConfig = core.Config{
@@ -322,7 +290,7 @@ func openStack(fs vfs.FS, parts int, cloud *logdev.MemObjectStore) (*engineStack
 		closeD()
 		return nil, fmt.Errorf("restart: %w", err)
 	}
-	s := &engineStack{dev: dev, devs: devs, pf: pf, eng: eng}
+	s := &engineStack{devs: devs, pf: pf, eng: eng}
 	s.tbl, err = eng.CreateTable("soak", nil)
 	if err == nil {
 		err = eng.RebuildTables()
@@ -336,9 +304,6 @@ func openStack(fs vfs.FS, parts int, cloud *logdev.MemObjectStore) (*engineStack
 
 // repairedTailBytes sums torn-tail repairs across the stack's devices.
 func (s *engineStack) repairedTailBytes() int64 {
-	if s.dev != nil {
-		return s.dev.RepairedTailBytes()
-	}
 	var total int64
 	for _, d := range s.devs {
 		total += d.RepairedTailBytes()
@@ -351,9 +316,6 @@ func (s *engineStack) repairedTailBytes() int64 {
 // one archive drain per device, ignoring errors.
 func (s *engineStack) checkpointAndArchive() {
 	_ = s.eng.Checkpoint()
-	if s.dev != nil {
-		_, _ = s.dev.ArchivePending()
-	}
 	for _, d := range s.devs {
 		_, _ = d.ArchivePending()
 	}
@@ -363,15 +325,8 @@ func (s *engineStack) checkpointAndArchive() {
 // leaves behind (every close hits a frozen filesystem).
 func (s *engineStack) teardown() {
 	s.eng.Close()
-	if m := s.eng.Multi(); m != nil {
-		m.Close()
-	} else {
-		s.eng.Log().Close()
-	}
+	s.eng.Multi().Close()
 	s.pf.Close()
-	if s.dev != nil {
-		s.dev.Close()
-	}
 	for _, d := range s.devs {
 		d.Close()
 	}
@@ -388,8 +343,8 @@ func armFault(fs *vfs.FaultFS, rng *rand.Rand, point FaultPoint, parts int) int 
 	logDir, archDir := soakLogDir, soakArchiveDir
 	if parts >= 2 {
 		k := rng.Intn(parts)
-		logDir = partDir(k)
-		archDir = fmt.Sprintf("%s/p%d", soakArchiveDir, k)
+		logDir = logdev.LaneDir(soakLogDir, k, parts)
+		archDir = logdev.LaneDir(soakArchiveDir, k, parts)
 	}
 	var r vfs.Rule
 	switch point {

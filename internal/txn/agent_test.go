@@ -73,7 +73,7 @@ func newEngineOn(t *testing.T, dev logdev.Device) *Engine {
 		t.Fatal(err)
 	}
 	eng, err := NewEngine(Config{
-		Log:   lm,
+		Log:   core.OneLane(lm),
 		Locks: lockmgr.New(lockmgr.Config{DeadlockTimeout: 300 * time.Millisecond, SLI: true}),
 		Store: storage.NewStore(),
 	})
@@ -315,7 +315,7 @@ func TestAgentScratchLogsSameBytes(t *testing.T) {
 		want = append(want, b...)
 	}
 	got := make([]byte, len(want))
-	if _, err := h.dev.ReadAt(got, int64(start)); err != nil {
+	if _, err := h.devs[0].ReadAt(got, int64(start)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {

@@ -46,7 +46,7 @@ func TestArchiverBackoffSurvivesTransientOutage(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng, err := NewEngine(Config{
-		Log:                  lm,
+		Log:                  core.OneLane(lm),
 		Locks:                lockmgr.New(lockmgr.Config{DeadlockTimeout: 300 * time.Millisecond, SLI: true}),
 		Store:                storage.NewStore(),
 		Archive:              pf,
@@ -143,7 +143,7 @@ func TestArchiverBackoffGivesUpOnPermanentFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng, err := NewEngine(Config{
-		Log:                  lm,
+		Log:                  core.OneLane(lm),
 		Locks:                lockmgr.New(lockmgr.Config{DeadlockTimeout: 300 * time.Millisecond, SLI: true}),
 		Store:                storage.NewStore(),
 		Archive:              pf,

@@ -29,7 +29,7 @@ func newAutoHarness(t *testing.T, everyBytes int64) (*Engine, *logdev.Segmented,
 		t.Fatal(err)
 	}
 	eng, err := NewEngine(Config{
-		Log:                  lm,
+		Log:                  core.OneLane(lm),
 		Locks:                lockmgr.New(lockmgr.Config{DeadlockTimeout: 300 * time.Millisecond, SLI: true}),
 		Store:                storage.NewStore(),
 		Archive:              pf,

@@ -9,23 +9,22 @@ import (
 
 	"aether/internal/core"
 	"aether/internal/lockmgr"
-	"aether/internal/logbuf"
 	"aether/internal/logdev"
-	"aether/internal/storage"
+	"aether/internal/lsn"
 )
 
-// restartHarness crashes the device and brings the engine back up.
-func (h *harness) crashAndRestart(t *testing.T, tables ...string) (*Engine, map[string]*Table) {
+// restart brings the engine back up over the harness's devices and
+// re-creates the named tables in order.
+func (h *harness) restart(t *testing.T, tables ...string) (*Engine, map[string]*Table) {
 	t.Helper()
-	h.eng.Log().Close() // stop the daemon; Close may flush already-released bytes
-	h.dev.Crash()       // drop everything unsynced
-
+	devs := make([]logdev.Device, len(h.devs))
+	for i, d := range h.devs {
+		devs[i] = d
+	}
 	eng, _, err := Restart(RestartConfig{
-		Device:  h.dev,
-		Archive: h.arch,
-		LogConfig: core.Config{
-			Buffer: logbuf.Config{Variant: logbuf.VariantCD, Size: 1 << 20},
-		},
+		Devices:    devs,
+		Archive:    h.arch,
+		LogConfig:  harnessLogConfig,
 		LockConfig: lockmgr.Config{DeadlockTimeout: 300 * time.Millisecond, SLI: true},
 	})
 	if err != nil {
@@ -43,114 +42,160 @@ func (h *harness) crashAndRestart(t *testing.T, tables ...string) (*Engine, map[
 		t.Fatal(err)
 	}
 	h.eng = eng
-	t.Cleanup(func() { eng.Log().Close() })
+	t.Cleanup(func() { eng.Multi().Close() })
 	return eng, out
+}
+
+// crashAndRestart crashes every device and brings the engine back up.
+func (h *harness) crashAndRestart(t *testing.T, tables ...string) (*Engine, map[string]*Table) {
+	t.Helper()
+	h.eng.Multi().Close() // stop the daemons; Close may flush already-released bytes
+	for _, d := range h.devs {
+		d.Crash() // drop everything unsynced
+	}
+	return h.restart(t, tables...)
 }
 
 // hardCrashAndRestart drops unsynced bytes WITHOUT closing the log first
 // (Close would drain the buffer — a graceful shutdown, not a crash).
 func (h *harness) hardCrashAndRestart(t *testing.T, tables ...string) (*Engine, map[string]*Table) {
 	t.Helper()
-	// Freeze the device at the crash point: the dying daemon's further
+	// Freeze every device at the crash point: the dying daemons' further
 	// writes fail instead of extending the durable log.
-	h.dev.CrashFreeze()
-	h.eng.Log().Close() // may report the injected crash error; that's the point
-	h.dev.Remount()
+	for _, d := range h.devs {
+		d.CrashFreeze()
+	}
+	h.eng.Multi().Close() // may report the injected crash error; that's the point
+	for _, d := range h.devs {
+		d.Remount()
+	}
+	return h.restart(t, tables...)
+}
 
-	eng, _, err := Restart(RestartConfig{
-		Device:  h.dev,
-		Archive: h.arch,
-		LogConfig: core.Config{
-			Buffer: logbuf.Config{Variant: logbuf.VariantCD, Size: 1 << 20},
-		},
-		LockConfig: lockmgr.Config{DeadlockTimeout: 300 * time.Millisecond, SLI: true},
-	})
-	if err != nil {
-		t.Fatalf("restart: %v", err)
-	}
-	out := make(map[string]*Table, len(tables))
-	for _, name := range tables {
-		tbl, err := eng.CreateTable(name, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[name] = tbl
-	}
-	if err := eng.RebuildTables(); err != nil {
+// flushAll makes everything appended so far durable on every lane.
+func (h *harness) flushAll(t *testing.T) {
+	t.Helper()
+	if err := h.eng.Multi().FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	h.eng = eng
-	t.Cleanup(func() { eng.Log().Close() })
-	return eng, out
+}
+
+// twoTables creates tables "t" and "u" — spaces 1 and 2, so on three
+// lanes a transaction whose first write goes to t homes on lane 1 and
+// one that starts in u on lane 2. The crash tests write every key to
+// both, alternating which comes first: consecutive transactions then
+// keep handing both tables' pages from one lane to the other, which is
+// what forms the Appendix A.5 edges (checked by wantEdges).
+func (h *harness) twoTables(t *testing.T) (tt, tu *Table) {
+	t.Helper()
+	tt, err := h.eng.CreateTable("t", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tu, err = h.eng.CreateTable("u", nil); err != nil {
+		t.Fatal(err)
+	}
+	return tt, tu
+}
+
+// wantEdges fails a multi-lane run whose script formed no cross-lane
+// page dependency: it would be testing N copies of one lane.
+func (h *harness) wantEdges(t *testing.T, n int) {
+	t.Helper()
+	if n > 1 && h.eng.Multi().EdgesTotal() == 0 {
+		t.Fatal("test invalid: no cross-lane page dependency formed")
+	}
+}
+
+// startIn returns (tt, tu) for odd k and (tu, tt) for even k.
+func startIn(k uint64, tt, tu *Table) (first, second *Table) {
+	if k%2 == 0 {
+		return tu, tt
+	}
+	return tt, tu
+}
+
+// wantBoth checks key k's value in both tables of a restarted engine
+// (want 0: the key must be absent).
+func wantBoth(t *testing.T, check *Txn, tables map[string]*Table, k, want uint64) {
+	t.Helper()
+	for _, name := range []string{"t", "u"} {
+		got, err := check.Read(tables[name], k)
+		switch {
+		case want == 0 && !errors.Is(err, ErrKeyNotFound):
+			t.Fatalf("%s key %d: should be gone, got %v", name, k, err)
+		case want != 0 && err != nil:
+			t.Fatalf("%s key %d lost: %v", name, k, err)
+		case want != 0 && rowValue(got) != want:
+			t.Fatalf("%s key %d: value %d, want %d", name, k, rowValue(got), want)
+		}
+	}
 }
 
 func TestCrashRecoveryCommittedSurvives(t *testing.T) {
-	h := newHarness(t)
-	tbl, _ := h.eng.CreateTable("t", nil)
-	ag := h.eng.NewAgent()
+	forEachLaneCount(t, func(t *testing.T, n int) {
+		h := newHarnessN(t, n, harnessLogConfig)
+		tt, tu := h.twoTables(t)
+		ag := h.eng.NewAgent()
+		for k := uint64(1); k <= 25; k++ {
+			tx := ag.Begin()
+			first, second := startIn(k, tt, tu)
+			if err := tx.Insert(first, k, row(k, k*7)); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Insert(second, k, row(k, k*7)); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(CommitSync, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ag.Close()
+		h.wantEdges(t, n)
 
-	tx := ag.Begin()
-	for k := uint64(1); k <= 25; k++ {
-		if err := tx.Insert(tbl, k, row(k, k*7)); err != nil {
-			t.Fatal(err)
+		eng, tables := h.crashAndRestart(t, "t", "u")
+		ag2 := eng.NewAgent()
+		defer ag2.Close()
+		check := ag2.Begin()
+		for k := uint64(1); k <= 25; k++ {
+			wantBoth(t, check, tables, k, k*7)
 		}
-	}
-	if err := tx.Commit(CommitSync, nil); err != nil {
-		t.Fatal(err)
-	}
-	ag.Close()
-
-	eng, tables := h.crashAndRestart(t, "t")
-	ag2 := eng.NewAgent()
-	defer ag2.Close()
-	check := ag2.Begin()
-	for k := uint64(1); k <= 25; k++ {
-		got, err := check.Read(tables["t"], k)
-		if err != nil {
-			t.Fatalf("key %d lost: %v", k, err)
-		}
-		if rowValue(got) != k*7 {
-			t.Fatalf("key %d: value %d", k, rowValue(got))
-		}
-	}
-	check.Commit(CommitSync, nil)
+		check.Commit(CommitSync, nil)
+	})
 }
 
 func TestCrashRecoveryUncommittedRolledBack(t *testing.T) {
-	h := newHarness(t)
-	tbl, _ := h.eng.CreateTable("t", nil)
-	ag := h.eng.NewAgent()
+	forEachLaneCount(t, func(t *testing.T, n int) {
+		h := newHarnessN(t, n, harnessLogConfig)
+		tt, tu := h.twoTables(t)
+		ag := h.eng.NewAgent()
 
-	committed := ag.Begin()
-	committed.Insert(tbl, 1, row(1, 100))
-	if err := committed.Commit(CommitSync, nil); err != nil {
-		t.Fatal(err)
-	}
+		committed := ag.Begin()
+		committed.Insert(tt, 1, row(1, 100))
+		committed.Insert(tu, 1, row(1, 100))
+		if err := committed.Commit(CommitSync, nil); err != nil {
+			t.Fatal(err)
+		}
 
-	// A transaction that updates and inserts, then the system crashes
-	// with the commit record unwritten. Force its updates to the durable
-	// log (so redo replays them and undo must compensate).
-	loser := ag.Begin()
-	loser.Update(tbl, 1, func(r []byte) ([]byte, error) { return row(1, 666), nil })
-	loser.Insert(tbl, 2, row(2, 200))
-	h.eng.Log().Flush()
-	time.Sleep(20 * time.Millisecond) // let the daemon sync the updates
+		// A transaction that updates and inserts, then the system crashes
+		// with the commit record unwritten. Force its updates to the durable
+		// log (so redo replays them and undo must compensate).
+		loser := ag.Begin()
+		loser.Update(tu, 1, func(r []byte) ([]byte, error) { return row(1, 666), nil })
+		loser.Update(tt, 1, func(r []byte) ([]byte, error) { return row(1, 666), nil })
+		loser.Insert(tt, 2, row(2, 200))
+		loser.Insert(tu, 2, row(2, 200))
+		h.flushAll(t)
+		h.wantEdges(t, n)
 
-	eng, tables := h.hardCrashAndRestart(t, "t")
-	ag2 := eng.NewAgent()
-	defer ag2.Close()
-	check := ag2.Begin()
-	got, err := check.Read(tables["t"], 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rowValue(got) != 100 {
-		t.Fatalf("loser's update survived: %d", rowValue(got))
-	}
-	if _, err := check.Read(tables["t"], 2); !errors.Is(err, ErrKeyNotFound) {
-		t.Fatalf("loser's insert survived: %v", err)
-	}
-	check.Commit(CommitSync, nil)
+		eng, tables := h.hardCrashAndRestart(t, "t", "u")
+		ag2 := eng.NewAgent()
+		defer ag2.Close()
+		check := ag2.Begin()
+		wantBoth(t, check, tables, 1, 100) // the loser's updates
+		wantBoth(t, check, tables, 2, 0)   // the loser's inserts
+		check.Commit(CommitSync, nil)
+	})
 }
 
 // TestRestartDoesNotReuseTxnIDs: recovery's analysis keys its
@@ -160,243 +205,282 @@ func TestCrashRecoveryUncommittedRolledBack(t *testing.T) {
 // share its ID with a transaction whose commit record is still in the
 // tail, inherit the "committed" verdict, and never be rolled back.
 func TestRestartDoesNotReuseTxnIDs(t *testing.T) {
-	h := newHarness(t)
-	tbl, _ := h.eng.CreateTable("t", nil)
-	ag := h.eng.NewAgent()
-	first := ag.Begin()
-	first.Insert(tbl, 1, row(1, 100))
-	if err := first.Commit(CommitSync, nil); err != nil {
-		t.Fatal(err)
-	}
+	forEachLaneCount(t, func(t *testing.T, n int) {
+		h := newHarnessN(t, n, harnessLogConfig)
+		tt, tu := h.twoTables(t)
+		ag := h.eng.NewAgent()
+		first := ag.Begin()
+		first.Insert(tt, 1, row(1, 100))
+		first.Insert(tu, 1, row(1, 100))
+		if err := first.Commit(CommitSync, nil); err != nil {
+			t.Fatal(err)
+		}
 
-	eng, tables := h.hardCrashAndRestart(t, "t")
-	ag2 := eng.NewAgent()
-	loser := ag2.Begin()
-	if loser.ID() <= first.ID() {
-		t.Fatalf("restarted engine reused txn ID %d (the first incarnation reached %d)", loser.ID(), first.ID())
-	}
-	// The second incarnation's first transaction updates durably and
-	// crashes uncommitted; with ID reuse it would have been txn
-	// first.ID() again, and survived.
-	loser.Update(tables["t"], 1, func([]byte) ([]byte, error) { return row(1, 666), nil })
-	if err := eng.Log().WaitDurable(eng.Log().AppendEnd()); err != nil {
-		t.Fatal(err)
-	}
+		eng, tables := h.hardCrashAndRestart(t, "t", "u")
+		ag2 := eng.NewAgent()
+		loser := ag2.Begin()
+		if loser.ID() <= first.ID() {
+			t.Fatalf("restarted engine reused txn ID %d (the first incarnation reached %d)", loser.ID(), first.ID())
+		}
+		// The second incarnation's first transaction updates durably and
+		// crashes uncommitted; with ID reuse it would have been txn
+		// first.ID() again, and survived.
+		loser.Update(tables["u"], 1, func([]byte) ([]byte, error) { return row(1, 666), nil })
+		loser.Update(tables["t"], 1, func([]byte) ([]byte, error) { return row(1, 666), nil })
+		h.flushAll(t)
 
-	eng, tables = h.hardCrashAndRestart(t, "t")
-	ag3 := eng.NewAgent()
-	defer ag3.Close()
-	check := ag3.Begin()
-	got, err := check.Read(tables["t"], 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rowValue(got) != 100 {
-		t.Fatalf("uncommitted update survived the second crash: %d", rowValue(got))
-	}
-	check.Commit(CommitSync, nil)
+		eng, tables = h.hardCrashAndRestart(t, "t", "u")
+		ag3 := eng.NewAgent()
+		defer ag3.Close()
+		check := ag3.Begin()
+		wantBoth(t, check, tables, 1, 100)
+		check.Commit(CommitSync, nil)
+	})
 }
 
 func TestCrashRecoveryAsyncCommitLosesTail(t *testing.T) {
 	// The unsafety the paper highlights: async commit reports success
 	// before durability, so a crash can lose "committed" work.
-	dev := logdev.NewMem(logdev.ProfileMemory)
-	arch := storage.NewMemArchive()
-	lm, err := core.New(core.Config{
-		Buffer:        logbuf.Config{Variant: logbuf.VariantCD, Size: 1 << 20},
-		Device:        dev,
-		FlushInterval: time.Hour, // no timer flush: tail stays volatile
-		FlushTxns:     1 << 30,
-		FlushBytes:    1 << 30,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, _ := NewEngine(Config{
-		Log:     lm,
-		Locks:   lockmgr.New(lockmgr.Config{}),
-		Store:   storage.NewStore(),
-		Archive: arch,
-	})
-	tbl, _ := eng.CreateTable("t", nil)
-	ag := eng.NewAgent()
-	tx := ag.Begin()
-	tx.Insert(tbl, 1, row(1, 1))
-	acked := false
-	if err := tx.Commit(CommitAsync, func(err error) {
-		if err == nil {
-			acked = true
+	forEachLaneCount(t, func(t *testing.T, n int) {
+		h := newHarnessN(t, n, core.Config{
+			Buffer:        harnessLogConfig.Buffer,
+			FlushInterval: time.Hour, // no timer flush: tail stays volatile
+			FlushTxns:     1 << 30,
+			FlushBytes:    1 << 30,
+		})
+		tt, tu := h.twoTables(t)
+		ag := h.eng.NewAgent()
+		tx := ag.Begin()
+		tx.Insert(tt, 1, row(1, 1))
+		tx.Insert(tu, 1, row(1, 1))
+		acked := false
+		if err := tx.Commit(CommitAsync, func(err error) {
+			if err == nil {
+				acked = true
+			}
+		}); err != nil {
+			t.Fatal(err)
 		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !acked {
-		t.Fatal("async commit did not ack immediately")
-	}
-	// Crash before any flush: the "committed" row is gone.
-	dev.Crash()
-	h := &harness{dev: dev, arch: arch, eng: eng}
-	eng2, tables := h.hardCrashAndRestart(t, "t")
-	ag2 := eng2.NewAgent()
-	defer ag2.Close()
-	check := ag2.Begin()
-	if _, err := check.Read(tables["t"], 1); !errors.Is(err, ErrKeyNotFound) {
-		t.Fatalf("async-committed row should be lost, got %v", err)
-	}
-	check.Commit(CommitSync, nil)
+		if !acked {
+			t.Fatal("async commit did not ack immediately")
+		}
+		// Crash before any flush: the "committed" row is gone.
+		for _, d := range h.devs {
+			d.Crash()
+		}
+		eng2, tables := h.hardCrashAndRestart(t, "t", "u")
+		ag2 := eng2.NewAgent()
+		defer ag2.Close()
+		check := ag2.Begin()
+		wantBoth(t, check, tables, 1, 0)
+		check.Commit(CommitSync, nil)
+	})
 }
 
 func TestCrashRecoveryPipelinedAckIsDurable(t *testing.T) {
 	// The safety property flush pipelining preserves: a transaction is
 	// acknowledged only after its commit record is durable, so every
 	// acked transaction survives any crash.
-	h := newHarness(t)
-	tbl, _ := h.eng.CreateTable("t", nil)
-	ag := h.eng.NewAgent()
+	forEachLaneCount(t, func(t *testing.T, n int) {
+		h := newHarnessN(t, n, harnessLogConfig)
+		tt, tu := h.twoTables(t)
+		ag := h.eng.NewAgent()
 
-	const n = 100
-	var mu sync.Mutex
-	acked := make(map[uint64]bool)
-	var wg sync.WaitGroup
-	for k := uint64(1); k <= n; k++ {
-		tx := ag.Begin()
-		if err := tx.Insert(tbl, k, row(k, k)); err != nil {
-			t.Fatal(err)
-		}
-		k := k
-		wg.Add(1)
-		if err := tx.Commit(CommitPipelined, func(err error) {
-			if err == nil {
-				mu.Lock()
-				acked[k] = true
-				mu.Unlock()
+		const txns = 100
+		var mu sync.Mutex
+		acked := make(map[uint64]bool)
+		var wg sync.WaitGroup
+		for k := uint64(1); k <= txns; k++ {
+			tx := ag.Begin()
+			first, second := startIn(k, tt, tu)
+			if err := tx.Insert(first, k, row(k, k)); err != nil {
+				t.Fatal(err)
 			}
-			wg.Done()
-		}); err != nil {
-			t.Fatal(err)
+			if err := tx.Insert(second, k, row(k, k)); err != nil {
+				t.Fatal(err)
+			}
+			k := k
+			wg.Add(1)
+			if err := tx.Commit(CommitPipelined, func(err error) {
+				if err == nil {
+					mu.Lock()
+					acked[k] = true
+					mu.Unlock()
+				}
+				wg.Done()
+			}); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	wg.Wait() // all acked — all must survive
-	ag.Close()
+		wg.Wait() // all acked — all must survive
+		ag.Close()
+		h.wantEdges(t, n)
 
-	eng, tables := h.hardCrashAndRestart(t, "t")
-	ag2 := eng.NewAgent()
-	defer ag2.Close()
-	check := ag2.Begin()
-	for k := uint64(1); k <= n; k++ {
-		if !acked[k] {
-			continue
+		eng, tables := h.hardCrashAndRestart(t, "t", "u")
+		ag2 := eng.NewAgent()
+		defer ag2.Close()
+		check := ag2.Begin()
+		for k := uint64(1); k <= txns; k++ {
+			if acked[k] {
+				wantBoth(t, check, tables, k, k)
+			}
 		}
-		if _, err := check.Read(tables["t"], k); err != nil {
-			t.Fatalf("acked transaction %d lost: %v", k, err)
-		}
-	}
-	check.Commit(CommitSync, nil)
+		check.Commit(CommitSync, nil)
+	})
 }
 
 func TestCrashRecoveryWithCheckpointAndArchive(t *testing.T) {
-	h := newHarness(t)
-	tbl, _ := h.eng.CreateTable("t", nil)
-	ag := h.eng.NewAgent()
+	forEachLaneCount(t, func(t *testing.T, n int) {
+		h := newHarnessN(t, n, harnessLogConfig)
+		tt, tu := h.twoTables(t)
+		ag := h.eng.NewAgent()
 
-	tx := ag.Begin()
-	for k := uint64(1); k <= 40; k++ {
-		tx.Insert(tbl, k, row(k, k))
-	}
-	tx.Commit(CommitSync, nil)
-
-	if err := h.eng.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Post-checkpoint work: updates that exist only in the log.
-	tx = ag.Begin()
-	for k := uint64(1); k <= 40; k += 2 {
-		tx.Update(tbl, k, func(r []byte) ([]byte, error) { return row(k, k*1000), nil })
-	}
-	tx.Commit(CommitSync, nil)
-	ag.Close()
-
-	eng, tables := h.crashAndRestart(t, "t")
-	ag2 := eng.NewAgent()
-	defer ag2.Close()
-	check := ag2.Begin()
-	for k := uint64(1); k <= 40; k++ {
-		got, err := check.Read(tables["t"], k)
-		if err != nil {
-			t.Fatalf("key %d: %v", k, err)
+		tx := ag.Begin()
+		for k := uint64(1); k <= 40; k++ {
+			tx.Insert(tt, k, row(k, k))
+			tx.Insert(tu, k, row(k, k))
 		}
-		want := k
-		if k%2 == 1 {
-			want = k * 1000
+		tx.Commit(CommitSync, nil)
+
+		if err := h.eng.Checkpoint(); err != nil {
+			t.Fatal(err)
 		}
-		if rowValue(got) != want {
-			t.Fatalf("key %d: got %d want %d", k, rowValue(got), want)
+
+		// Post-checkpoint work: updates that exist only in the log, by a
+		// transaction homed on the other table's lane.
+		tx = ag.Begin()
+		for k := uint64(1); k <= 40; k += 2 {
+			tx.Update(tu, k, func(r []byte) ([]byte, error) { return row(k, k*1000), nil })
+			tx.Update(tt, k, func(r []byte) ([]byte, error) { return row(k, k*1000), nil })
 		}
-	}
-	check.Commit(CommitSync, nil)
+		tx.Commit(CommitSync, nil)
+		ag.Close()
+		h.wantEdges(t, n)
+
+		eng, tables := h.crashAndRestart(t, "t", "u")
+		ag2 := eng.NewAgent()
+		defer ag2.Close()
+		check := ag2.Begin()
+		for k := uint64(1); k <= 40; k++ {
+			want := k
+			if k%2 == 1 {
+				want = k * 1000
+			}
+			wantBoth(t, check, tables, k, want)
+		}
+		check.Commit(CommitSync, nil)
+	})
 }
 
 func TestCrashRecoveryAbortedTxnStaysAborted(t *testing.T) {
-	h := newHarness(t)
-	tbl, _ := h.eng.CreateTable("t", nil)
-	ag := h.eng.NewAgent()
+	forEachLaneCount(t, func(t *testing.T, n int) {
+		h := newHarnessN(t, n, harnessLogConfig)
+		tt, tu := h.twoTables(t)
+		ag := h.eng.NewAgent()
 
-	seed := ag.Begin()
-	seed.Insert(tbl, 1, row(1, 100))
-	seed.Commit(CommitSync, nil)
+		seed := ag.Begin()
+		seed.Insert(tt, 1, row(1, 100))
+		seed.Insert(tu, 1, row(1, 100))
+		seed.Commit(CommitSync, nil)
 
-	tx := ag.Begin()
-	tx.Update(tbl, 1, func(r []byte) ([]byte, error) { return row(1, 999), nil })
-	if err := tx.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	// Make sure the abort + CLRs are durable, then crash.
-	h.eng.Log().Flush()
-	time.Sleep(20 * time.Millisecond)
-	ag.Close()
+		tx := ag.Begin()
+		tx.Update(tu, 1, func(r []byte) ([]byte, error) { return row(1, 999), nil })
+		tx.Update(tt, 1, func(r []byte) ([]byte, error) { return row(1, 999), nil })
+		if err := tx.Abort(); err != nil {
+			t.Fatal(err)
+		}
+		// Make sure the abort + CLRs are durable, then crash.
+		h.flushAll(t)
+		ag.Close()
+		h.wantEdges(t, n)
 
-	eng, tables := h.hardCrashAndRestart(t, "t")
-	ag2 := eng.NewAgent()
-	defer ag2.Close()
-	check := ag2.Begin()
-	got, err := check.Read(tables["t"], 1)
-	if err != nil || rowValue(got) != 100 {
-		t.Fatalf("aborted value resurrected: %d %v", rowValue(got), err)
-	}
-	check.Commit(CommitSync, nil)
+		eng, tables := h.hardCrashAndRestart(t, "t", "u")
+		ag2 := eng.NewAgent()
+		defer ag2.Close()
+		check := ag2.Begin()
+		wantBoth(t, check, tables, 1, 100)
+		check.Commit(CommitSync, nil)
+	})
 }
 
 func TestDoubleCrashRecovery(t *testing.T) {
 	// Recovery must itself be recoverable: crash again right after a
 	// recovery pass (its CLRs flushed) and recover once more.
-	h := newHarness(t)
-	tbl, _ := h.eng.CreateTable("t", nil)
-	ag := h.eng.NewAgent()
+	forEachLaneCount(t, func(t *testing.T, n int) {
+		h := newHarnessN(t, n, harnessLogConfig)
+		tt, tu := h.twoTables(t)
+		ag := h.eng.NewAgent()
 
-	seed := ag.Begin()
-	seed.Insert(tbl, 1, row(1, 100))
-	seed.Commit(CommitSync, nil)
+		seed := ag.Begin()
+		seed.Insert(tt, 1, row(1, 100))
+		seed.Insert(tu, 1, row(1, 100))
+		seed.Commit(CommitSync, nil)
 
-	loser := ag.Begin()
-	loser.Update(tbl, 1, func(r []byte) ([]byte, error) { return row(1, 666), nil })
-	h.eng.Log().Flush()
-	time.Sleep(20 * time.Millisecond)
+		loser := ag.Begin()
+		loser.Update(tu, 1, func(r []byte) ([]byte, error) { return row(1, 666), nil })
+		loser.Update(tt, 1, func(r []byte) ([]byte, error) { return row(1, 666), nil })
+		h.flushAll(t)
+		h.wantEdges(t, n)
 
-	// First crash + recovery (undo logs CLRs).
-	eng, _ := h.hardCrashAndRestart(t, "t")
-	h.eng = eng
+		// First crash + recovery (undo logs CLRs), then immediately crash
+		// again without any new work.
+		h.hardCrashAndRestart(t, "t", "u")
+		eng2, tables := h.hardCrashAndRestart(t, "t", "u")
+		ag2 := eng2.NewAgent()
+		defer ag2.Close()
+		check := ag2.Begin()
+		wantBoth(t, check, tables, 1, 100)
+		check.Commit(CommitSync, nil)
+	})
+}
 
-	// Immediately crash again without any new work.
-	eng2, tables := h.hardCrashAndRestart(t, "t")
-	ag2 := eng2.NewAgent()
-	defer ag2.Close()
-	check := ag2.Begin()
-	got, err := check.Read(tables["t"], 1)
-	if err != nil || rowValue(got) != 100 {
-		t.Fatalf("after double crash: %d %v", rowValue(got), err)
-	}
-	check.Commit(CommitSync, nil)
+// TestCheckpointInsideTheStampWindow: a transaction publishes its last
+// record's stamp after the append returns, so a checkpoint can snapshot
+// a transaction-table entry that trails the transaction's records — none
+// yet, or one record stale. Put lastStamp back to what it held before
+// the append (exactly what such a checkpoint sees), checkpoint, crash:
+// the uncommitted rows must still be rolled back, because recovery takes
+// the checkpoint's table as names and the durable tail as the facts.
+func TestCheckpointInsideTheStampWindow(t *testing.T) {
+	forEachLaneCount(t, func(t *testing.T, n int) {
+		for _, updates := range []int{1, 2} {
+			h := newHarnessN(t, n, harnessLogConfig)
+			tt, tu := h.twoTables(t)
+			ag := h.eng.NewAgent()
+			seed := ag.Begin()
+			seed.Insert(tt, 1, row(1, 100))
+			seed.Insert(tu, 1, row(1, 100))
+			if err := seed.Commit(CommitSync, nil); err != nil {
+				t.Fatal(err)
+			}
+
+			loser := ag.Begin()
+			var before lsn.LSN
+			for i, tbl := range []*Table{tu, tt}[:updates] {
+				before = loser.lastStamp.Load()
+				if err := tbl.updateTo(loser, 1, 666); err != nil {
+					t.Fatal(i, err)
+				}
+			}
+			loser.lastStamp.Store(before)
+			h.flushAll(t)
+			if err := h.eng.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+
+			eng, tables := h.hardCrashAndRestart(t, "t", "u")
+			ag2 := eng.NewAgent()
+			check := ag2.Begin()
+			wantBoth(t, check, tables, 1, 100)
+			check.Commit(CommitSync, nil)
+			ag2.Close()
+		}
+	})
+}
+
+// updateTo sets key's value in tbl on behalf of tx.
+func (tbl *Table) updateTo(tx *Txn, key, v uint64) error {
+	return tx.Update(tbl, key, func([]byte) ([]byte, error) { return row(key, v), nil })
 }
 
 // TestCrashRecoveryRandomized is the property test: random committed and
@@ -405,92 +489,102 @@ func TestDoubleCrashRecovery(t *testing.T) {
 // whose commit records made it to the durable log.
 func TestCrashRecoveryRandomized(t *testing.T) {
 	if testing.Short() {
-		t.Skip("stress test: 8 randomized crash/recovery rounds; run without -short")
+		t.Skip("stress test: 8 randomized crash/recovery rounds per lane count; run without -short")
 	}
 	for round := 0; round < 8; round++ {
 		round := round
 		t.Run("", func(t *testing.T) {
 			t.Parallel()
-			rng := rand.New(rand.NewSource(int64(round)*7919 + 13))
-			h := newHarness(t)
-			tbl, _ := h.eng.CreateTable("t", nil)
-			ag := h.eng.NewAgent()
+			forEachLaneCount(t, func(t *testing.T, n int) {
+				rng := rand.New(rand.NewSource(int64(round)*7919 + 13))
+				h := newHarnessN(t, n, harnessLogConfig)
+				tt, tu := h.twoTables(t)
+				// Key k lives in the table its parity picks, so a
+				// transaction homes on the lane of the first key it draws.
+				tableOf := func(k uint64) *Table {
+					first, _ := startIn(k, tt, tu)
+					return first
+				}
+				ag := h.eng.NewAgent()
 
-			const keys = 30
-			// Seed and checkpoint sometimes (exercises archive path).
-			seed := ag.Begin()
-			for k := uint64(1); k <= keys; k++ {
-				seed.Insert(tbl, k, row(k, 1000))
-			}
-			if err := seed.Commit(CommitSync, nil); err != nil {
-				t.Fatal(err)
-			}
-			if round%2 == 0 {
-				if err := h.eng.Checkpoint(); err != nil {
+				const keys = 30
+				// Seed and checkpoint sometimes (exercises archive path).
+				seed := ag.Begin()
+				for k := uint64(1); k <= keys; k++ {
+					seed.Insert(tableOf(k), k, row(k, 1000))
+				}
+				if err := seed.Commit(CommitSync, nil); err != nil {
 					t.Fatal(err)
 				}
-			}
+				if round%2 == 0 {
+					if err := h.eng.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+				}
 
-			// Model of what the durable state must be: value per key as
-			// of each sync-committed txn.
-			model := make(map[uint64]uint64)
-			for k := uint64(1); k <= keys; k++ {
-				model[k] = 1000
-			}
+				// Model of what the durable state must be: value per key as
+				// of each sync-committed txn.
+				model := make(map[uint64]uint64)
+				for k := uint64(1); k <= keys; k++ {
+					model[k] = 1000
+				}
 
-			nTxns := 20 + rng.Intn(30)
-			for i := 0; i < nTxns; i++ {
-				tx := ag.Begin()
-				pending := make(map[uint64]uint64)
-				nOps := 1 + rng.Intn(4)
-				fail := false
-				for j := 0; j < nOps; j++ {
-					k := uint64(rng.Intn(keys) + 1)
-					delta := uint64(rng.Intn(50))
-					err := tx.Update(tbl, k, func(r []byte) ([]byte, error) {
-						v := rowValue(r) + delta
-						pending[k] = v
-						return row(k, v), nil
-					})
+				nTxns := 20 + rng.Intn(30)
+				for i := 0; i < nTxns; i++ {
+					tx := ag.Begin()
+					pending := make(map[uint64]uint64)
+					nOps := 1 + rng.Intn(4)
+					fail := false
+					for j := 0; j < nOps; j++ {
+						k := uint64(rng.Intn(keys) + 1)
+						delta := uint64(rng.Intn(50))
+						err := tx.Update(tableOf(k), k, func(r []byte) ([]byte, error) {
+							v := rowValue(r) + delta
+							pending[k] = v
+							return row(k, v), nil
+						})
+						if err != nil {
+							fail = true
+							break
+						}
+					}
+					switch {
+					case fail || rng.Intn(10) == 0:
+						if err := tx.Abort(); err != nil {
+							t.Fatal(err)
+						}
+					case rng.Intn(10) == 0:
+						// Leave in flight: crash will roll it back. Later
+						// transactions can't touch its keys (locks held), so
+						// abandon the agent and use a new one.
+						ag = h.eng.NewAgent()
+					default:
+						if err := tx.Commit(CommitSync, nil); err != nil {
+							t.Fatal(err)
+						}
+						for k, v := range pending {
+							model[k] = v
+						}
+					}
+				}
+				h.wantEdges(t, n)
+
+				eng, tables := h.hardCrashAndRestart(t, "t", "u")
+				ag2 := eng.NewAgent()
+				defer ag2.Close()
+				check := ag2.Begin()
+				for k := uint64(1); k <= keys; k++ {
+					first, _ := startIn(k, tables["t"], tables["u"])
+					got, err := check.Read(first, k)
 					if err != nil {
-						fail = true
-						break
+						t.Fatalf("key %d: %v", k, err)
+					}
+					if rowValue(got) != model[k] {
+						t.Fatalf("key %d: recovered %d, model %d", k, rowValue(got), model[k])
 					}
 				}
-				switch {
-				case fail || rng.Intn(10) == 0:
-					if err := tx.Abort(); err != nil {
-						t.Fatal(err)
-					}
-				case rng.Intn(10) == 0:
-					// Leave in flight: crash will roll it back. Later
-					// transactions can't touch its keys (locks held), so
-					// abandon the agent and use a new one.
-					ag = h.eng.NewAgent()
-				default:
-					if err := tx.Commit(CommitSync, nil); err != nil {
-						t.Fatal(err)
-					}
-					for k, v := range pending {
-						model[k] = v
-					}
-				}
-			}
-
-			eng, tables := h.hardCrashAndRestart(t, "t")
-			ag2 := eng.NewAgent()
-			defer ag2.Close()
-			check := ag2.Begin()
-			for k := uint64(1); k <= keys; k++ {
-				got, err := check.Read(tables["t"], k)
-				if err != nil {
-					t.Fatalf("key %d: %v", k, err)
-				}
-				if rowValue(got) != model[k] {
-					t.Fatalf("key %d: recovered %d, model %d", k, rowValue(got), model[k])
-				}
-			}
-			check.Commit(CommitSync, nil)
+				check.Commit(CommitSync, nil)
+			})
 		})
 	}
 }

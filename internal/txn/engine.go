@@ -113,17 +113,14 @@ type Table struct {
 
 // Config assembles an Engine.
 type Config struct {
-	// Log is the Aether log manager (required unless Multi is set).
-	Log *core.LogManager
-	// Multi, if set, runs the engine in partitioned (multi-log) mode
-	// over the coordinator's N per-partition log managers instead of
-	// Log. Page stamps, DPT recLSNs, checkpoint ATT entries and the
-	// truncation horizon all become global seqs; commit waits go to
-	// each transaction's home partition.
-	Multi *core.MultiLog
-	// Route picks a transaction's home partition in multi-log mode,
-	// given the transaction ID and the page space of its first logged
-	// update. Nil defaults to space modulo partition count, which keeps
+	// Log is the Aether log: one coordinator over N >= 1 lanes
+	// (required). Page stamps, DPT recLSNs, checkpoint ATT entries and
+	// the truncation horizon live in its stamp domain (core.MultiLog);
+	// commit waits go to each transaction's home lane.
+	Log *core.MultiLog
+	// Route picks a transaction's home lane, given the transaction ID
+	// and the page space of its first logged update; the result is taken
+	// modulo the lane count. Nil defaults to the page space, which keeps
 	// table-partitioned workloads log-local. Must be pure and
 	// goroutine-safe.
 	Route func(txnID uint64, space uint32) int
@@ -230,8 +227,7 @@ type Stats struct {
 
 // Engine is the transactional storage manager.
 type Engine struct {
-	log     *core.LogManager // nil in multi-log mode
-	multi   *core.MultiLog   // nil in single-log mode
+	log     *core.MultiLog
 	route   func(txnID uint64, space uint32) int
 	locks   *lockmgr.Manager
 	store   *storage.Store
@@ -247,7 +243,7 @@ type Engine struct {
 	nextTxn atomic.Uint64
 
 	ckptMu sync.Mutex
-	ckptAp *core.Appender
+	ckptAp *core.MultiAppender
 
 	// Background incremental checkpointer (nil channels when disabled).
 	ckptTrig chan struct{}
@@ -277,29 +273,24 @@ type Engine struct {
 
 // NewEngine builds an engine over the given components.
 func NewEngine(cfg Config) (*Engine, error) {
-	if (cfg.Log == nil && cfg.Multi == nil) || cfg.Locks == nil || cfg.Store == nil {
-		return nil, errors.New("txn: Log (or Multi), Locks and Store are required")
+	if cfg.Log == nil || cfg.Locks == nil || cfg.Store == nil {
+		return nil, errors.New("txn: Log, Locks and Store are required")
 	}
-	if cfg.Log != nil && cfg.Multi != nil {
-		return nil, errors.New("txn: Log and Multi are mutually exclusive")
+	n := cfg.Log.NumParts()
+	route := cfg.Route
+	if route == nil {
+		route = func(_ uint64, space uint32) int { return int(space) }
 	}
 	e := &Engine{
 		log:     cfg.Log,
-		multi:   cfg.Multi,
-		route:   cfg.Route,
+		route:   func(txnID uint64, space uint32) int { return route(txnID, space) % n },
 		locks:   cfg.Locks,
 		store:   cfg.Store,
 		archive: cfg.Archive,
 		tables:  make(map[string]*Table),
 		spaces:  make(map[uint32]*Table),
 		att:     make(map[uint64]*Txn),
-	}
-	if cfg.Multi != nil && e.route == nil {
-		n := cfg.Multi.NumParts()
-		e.route = func(_ uint64, space uint32) int { return int(space) % n }
-	}
-	if cfg.Log != nil {
-		e.ckptAp = cfg.Log.NewAppender()
+		ckptAp:  cfg.Log.NewAppender(),
 	}
 	// Thread the WAL into the buffer pool: evicting a dirty page forces
 	// the log up to its pageLSN before the image may be stolen to the
@@ -311,11 +302,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 			return nil, err
 		}
 	}
-	if cfg.Multi != nil {
-		cfg.Store.AttachWAL(cfg.Multi)
-	} else {
-		cfg.Store.AttachWAL(cfg.Log)
-	}
+	cfg.Store.AttachWAL(cfg.Log)
 	if cfg.PrefetchDepth > 0 {
 		cfg.Store.SetPrefetch(cfg.PrefetchDepth)
 	}
@@ -334,75 +321,44 @@ func NewEngine(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// durableStamp returns the durable horizon in the engine's stamp
-// domain: the log's durable LSN in single-log mode, the global durable
-// seq in multi-log mode.
-func (e *Engine) durableStamp() lsn.LSN {
-	if e.multi != nil {
-		return e.multi.Durable()
-	}
-	return e.log.Durable()
-}
-
-// stampFloor returns a lower bound, in the engine's stamp domain, on
-// the stamp of every record appended after the call: the next global
-// seq in multi-log mode, the appended log end in single-log mode (a new
-// insert reserves its address above every completed one). Writers
-// register a page in the dirty-page table at this floor BEFORE logging
-// the update — ARIES's "recLSN = end of log when the page is first
-// dirtied" — so a fuzzy checkpoint whose begin record lands between an
-// update's log record and the page being marked dirty still snapshots
-// the page; without it, analysis (which starts at the begin record)
-// never learns the page needs that earlier record redone.
-func (e *Engine) stampFloor() lsn.LSN {
-	if e.multi != nil {
-		return lsn.LSN(e.multi.LastSeq() + 1)
-	}
-	return e.log.AppendEnd()
-}
-
-// waitLM returns the log manager a transaction homed on partition
-// `home` waits on (the single log when not partitioned; home < 0 maps
-// to partition 0, the system log).
+// waitLM returns the log manager a transaction homed on lane `home`
+// waits on (home < 0 — nothing logged yet — maps to lane 0, the system
+// lane).
 func (e *Engine) waitLM(home int) *core.LogManager {
-	if e.multi == nil {
-		return e.log
-	}
-	if home < 0 {
-		home = 0
-	}
-	return e.multi.Part(home)
+	return e.log.Part(max(home, 0))
 }
 
-// canArchive reports whether any log device has an archiver attached.
+// canArchive reports whether any lane's device has an archiver attached.
 func (e *Engine) canArchive() bool {
-	if e.multi != nil {
-		for i := 0; i < e.multi.NumParts(); i++ {
-			if e.multi.Part(i).CanArchive() {
-				return true
-			}
+	for i := 0; i < e.log.NumParts(); i++ {
+		if e.log.Part(i).CanArchive() {
+			return true
 		}
-		return false
 	}
-	return e.log.CanArchive()
+	return false
 }
 
-// archivePending drains every log device's archive-then-recycle queue,
+// archivePending drains every lane's archive-then-recycle queue,
 // returning the total segments shipped and the first error.
 func (e *Engine) archivePending() (int, error) {
-	if e.multi == nil {
-		return e.log.ArchivePending()
-	}
 	total := 0
 	var first error
-	for i := 0; i < e.multi.NumParts(); i++ {
-		n, err := e.multi.Part(i).ArchivePending()
+	for i := 0; i < e.log.NumParts(); i++ {
+		n, err := e.log.Part(i).ArchivePending()
 		total += n
 		if err != nil && first == nil {
 			first = err
 		}
 	}
 	return total, first
+}
+
+// setAppendNotify arms (or, with a nil fn, clears) every lane's
+// appended-bytes trigger.
+func (e *Engine) setAppendNotify(every int64, fn func()) {
+	for i := 0; i < e.log.NumParts(); i++ {
+		e.log.Part(i).SetAppendNotify(every, fn)
+	}
 }
 
 // startAutoCheckpoint wires the log's appended-bytes trigger to a
@@ -421,21 +377,11 @@ func (e *Engine) startAutoCheckpoint(everyBytes int64) {
 		default: // one already pending: coalesce
 		}
 	}
-	if e.multi != nil {
-		// Split the byte budget across partitions: with balanced load
-		// each partition fires after roughly everyBytes/N of its own
-		// inserts, so the combined cadence approximates everyBytes of
-		// total log. Skewed load just checkpoints a little more often.
-		per := everyBytes / int64(e.multi.NumParts())
-		if per < 1 {
-			per = 1
-		}
-		for i := 0; i < e.multi.NumParts(); i++ {
-			e.multi.Part(i).SetAppendNotify(per, nudge)
-		}
-	} else {
-		e.log.SetAppendNotify(everyBytes, nudge)
-	}
+	// Split the byte budget across lanes: with balanced load each lane
+	// fires after roughly everyBytes/N of its own inserts, so the
+	// combined cadence approximates everyBytes of total log. Skewed load
+	// just checkpoints a little more often.
+	e.setAppendNotify(max(everyBytes/int64(e.log.NumParts()), 1), nudge)
 	go e.autoCheckpointLoop()
 }
 
@@ -624,13 +570,7 @@ func (e *Engine) cleanerLoop(pages int, interval time.Duration) {
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() {
 		if e.ckptStop != nil {
-			if e.multi != nil {
-				for i := 0; i < e.multi.NumParts(); i++ {
-					e.multi.Part(i).SetAppendNotify(0, nil)
-				}
-			} else {
-				e.log.SetAppendNotify(0, nil)
-			}
+			e.setAppendNotify(0, nil)
 			close(e.ckptStop)
 		}
 		if e.archStop != nil {
@@ -657,13 +597,12 @@ func (e *Engine) Close() {
 	}
 }
 
-// Log returns the engine's log manager (nil in multi-log mode; use
-// Multi).
-func (e *Engine) Log() *core.LogManager { return e.log }
+// Log returns lane 0's log manager: the whole log on one lane, the
+// system lane (checkpoint records) on N.
+func (e *Engine) Log() *core.LogManager { return e.log.Part(0) }
 
-// Multi returns the engine's multi-log coordinator (nil in single-log
-// mode).
-func (e *Engine) Multi() *core.MultiLog { return e.multi }
+// Multi returns the engine's log coordinator.
+func (e *Engine) Multi() *core.MultiLog { return e.log }
 
 // Locks returns the engine's lock manager.
 func (e *Engine) Locks() *lockmgr.Manager { return e.locks }
@@ -795,10 +734,10 @@ func (e *Engine) RebuildTables() error {
 // keep rollback state in. One per agent thread.
 type Agent struct {
 	eng   *Engine
-	ap    *core.Appender
+	ap    *core.MultiAppender
 	cache *lockmgr.AgentCache
 	// rec is the one log record the agent's transactions fill in and
-	// append: both log paths only read it during the Append call.
+	// append: the log only touches it during the Append call.
 	rec logrec.Record
 	// sc is the scratch lent to the current transaction; nil until the
 	// first Begin and after a transaction took it along.
@@ -807,17 +746,11 @@ type Agent struct {
 
 // NewAgent returns a fresh agent context.
 func (e *Engine) NewAgent() *Agent {
-	a := &Agent{
+	return &Agent{
 		eng:   e,
+		ap:    e.log.NewAppender(),
 		cache: lockmgr.NewAgentCache(0),
 	}
-	if e.multi == nil {
-		// Multi-log appends go through the coordinator's per-partition
-		// appenders (Txn.appendRec); the agent-local appender is the
-		// single-log fast path only.
-		a.ap = e.log.NewAppender()
-	}
-	return a
 }
 
 // Close releases the agent's inherited locks and its scratch (shutdown).
@@ -870,28 +803,16 @@ func (e *Engine) Checkpoint() error {
 	e.ckptMu.Lock()
 	defer e.ckptMu.Unlock()
 
-	// In multi-log mode, sample a truncation horizon first: the sample
-	// (per-partition append ends, then the seq) becomes usable as soon
-	// as the release horizon passes its seq — typically by the next
-	// checkpoint. Checkpoint records themselves always go to partition
-	// 0, so analysis has a single place to look.
-	if e.multi != nil {
-		e.multi.SampleHorizon()
-	}
+	// Sample a truncation horizon first: on N lanes the sample (per-lane
+	// append ends, then the seq) becomes usable as soon as the release
+	// horizon passes its seq — typically by the next checkpoint.
+	// Checkpoint records themselves always go to lane 0, so analysis has
+	// a single place to look.
+	e.log.SampleHorizon()
 	beginRec := &logrec.Record{Header: logrec.Header{Kind: logrec.KindCheckpointBegin}}
-	var beginAt, beginStamp lsn.LSN
-	if e.multi != nil {
-		at, _, seq, err := e.multi.Append(0, beginRec)
-		if err != nil {
-			return fmt.Errorf("txn: checkpoint begin: %w", err)
-		}
-		beginAt, beginStamp = at, lsn.LSN(seq)
-	} else {
-		at, _, err := e.ckptAp.Append(beginRec)
-		if err != nil {
-			return fmt.Errorf("txn: checkpoint begin: %w", err)
-		}
-		beginAt, beginStamp = at, at
+	beginAt, _, _, beginStamp, err := e.ckptAp.Append(0, beginRec)
+	if err != nil {
+		return fmt.Errorf("txn: checkpoint begin: %w", err)
 	}
 
 	var payload logrec.CheckpointPayload
@@ -899,9 +820,10 @@ func (e *Engine) Checkpoint() error {
 	for id, t := range e.att {
 		payload.ActiveTxns = append(payload.ActiveTxns, logrec.TxnTableEntry{
 			TxnID: id,
-			// A home-log LSN in single-log mode, a global seq in
-			// multi-log mode — the payload format is unchanged either
-			// way.
+			// A stamp: the payload format is the same in both domains.
+			// Recovery reads the entry as a name only — the value can
+			// trail the transaction's records (it is published after
+			// the append returns) or run ahead of its home lane.
 			LastLSN:      t.lastStamp.Load(),
 			Precommitted: t.state.Load() >= stPrecommitted,
 		})
@@ -913,19 +835,9 @@ func (e *Engine) Checkpoint() error {
 		Header:  logrec.Header{Kind: logrec.KindCheckpointEnd, Aux: uint64(beginAt)},
 		Payload: payload.Encode(nil),
 	}
-	var end lsn.LSN
-	if e.multi != nil {
-		_, e2, _, err := e.multi.Append(0, rec)
-		if err != nil {
-			return fmt.Errorf("txn: checkpoint end: %w", err)
-		}
-		end = e2
-	} else {
-		_, e2, err := e.ckptAp.Append(rec)
-		if err != nil {
-			return fmt.Errorf("txn: checkpoint end: %w", err)
-		}
-		end = e2
+	_, end, _, _, err := e.ckptAp.Append(0, rec)
+	if err != nil {
+		return fmt.Errorf("txn: checkpoint end: %w", err)
 	}
 	if err := e.waitLM(0).WaitDurable(end); err != nil {
 		return fmt.Errorf("txn: checkpoint flush: %w", err)
@@ -937,7 +849,7 @@ func (e *Engine) Checkpoint() error {
 		if hasFC {
 			fsyncs0 = fc.Fsyncs()
 		}
-		n := e.store.ArchiveDirtyPages(e.archive, e.durableStamp())
+		n := e.store.ArchiveDirtyPages(e.archive, e.log.Durable())
 		var df int64
 		if hasFC {
 			df = fc.Fsyncs() - fsyncs0
@@ -951,13 +863,7 @@ func (e *Engine) Checkpoint() error {
 			e.stats.SweepDuration.Observe(time.Since(t0))
 		}
 	}
-	var truncErr error
-	if e.multi != nil {
-		_, truncErr = e.multi.TruncateToSeq(uint64(e.releaseLSN(beginStamp)))
-	} else {
-		_, truncErr = e.log.Truncate(e.releaseLSN(beginStamp))
-	}
-	if truncErr != nil {
+	if _, err := e.log.Truncate(e.releaseLSN(beginStamp)); err != nil {
 		// The checkpoint itself is durable and the sweep succeeded;
 		// failed truncation only means the horizon stays put and the
 		// next checkpoint retries. Report it as a counter, not as a
@@ -975,9 +881,8 @@ func (e *Engine) Checkpoint() error {
 }
 
 // releaseLSN computes the truncation horizon after a checkpoint whose
-// begin record sits at ckptBegin (a stamp: an LSN in single-log mode, a
-// global seq in multi-log mode — t.first and the DPT recLSNs live in
-// the same domain): the log below
+// begin record sits at ckptBegin (a stamp, like t.first and the DPT
+// recLSNs): the log below
 //
 //	min(checkpoint begin, oldest active-txn first LSN, oldest dirty-page recLSN)
 //

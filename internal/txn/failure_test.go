@@ -26,7 +26,7 @@ func TestDeviceFailureFailsCommits(t *testing.T) {
 	}
 
 	boom := errors.New("disk on fire")
-	h.dev.FailWith(boom)
+	h.devs[0].FailWith(boom)
 
 	tx = ag.Begin()
 	if err := tx.Insert(tbl, 2, row(2, 2)); err != nil {
@@ -47,7 +47,7 @@ func TestDeviceFailurePipelinedCallbacksGetError(t *testing.T) {
 	defer ag.Close()
 
 	boom := errors.New("controller reset")
-	h.dev.FailWith(boom)
+	h.devs[0].FailWith(boom)
 
 	tx := ag.Begin()
 	if err := tx.Insert(tbl, 1, row(1, 1)); err != nil {
@@ -152,11 +152,11 @@ func TestAbortDuringDeviceFailure(t *testing.T) {
 	if err := tx.Update(tbl, 1, func(r []byte) ([]byte, error) { return row(1, 999), nil }); err != nil {
 		t.Fatal(err)
 	}
-	h.dev.FailWith(errors.New("gone"))
+	h.devs[0].FailWith(errors.New("gone"))
 	// Abort may fail to log its CLRs, but must still restore memory
 	// state (recovery would handle the durable side after a crash).
 	_ = tx.Abort()
-	h.dev.FailWith(nil)
+	h.devs[0].FailWith(nil)
 
 	check := ag.Begin()
 	got, err := check.Read(tbl, 1)

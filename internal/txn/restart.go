@@ -15,17 +15,15 @@ import (
 // RestartConfig describes how to bring a database back from its durable
 // state (log device + optional page archive).
 type RestartConfig struct {
-	// Device is the log device holding the durable log (single-log
-	// mode; ignored when Devices is set).
+	// Device is the one-lane spelling of Devices (ignored when Devices
+	// is set).
 	Device logdev.Device
-	// Devices, if it holds two or more devices, restarts the database
-	// in partitioned (multi-log) mode: one device per log partition, in
-	// partition order. Recovery merges the partitions' tails by global
-	// seq and the engine runs over a core.MultiLog.
+	// Devices holds the durable log, one device per lane in lane order.
+	// Recovery reads the lanes' tails in the total order and the engine
+	// runs over one core.MultiLog of as many lanes.
 	Devices []logdev.Device
-	// RoutePartition overrides the multi-log home-partition routing
-	// (see Config.Route). Nil defaults to page space modulo partition
-	// count.
+	// RoutePartition overrides the home-lane routing (see Config.Route).
+	// Nil defaults to page space modulo lane count.
 	RoutePartition func(txnID uint64, space uint32) int
 	// Archive is the page archive (database file); may be nil.
 	Archive storage.Archive
@@ -68,15 +66,20 @@ type RestartConfig struct {
 // O(working set), not O(database). The caller must re-create its tables
 // in the original order and then call RebuildTables.
 func Restart(cfg RestartConfig) (*Engine, *recovery.Result, error) {
-	if len(cfg.Devices) >= 2 {
-		return restartMulti(cfg)
+	devs := cfg.Devices
+	if len(devs) == 0 {
+		devs = []logdev.Device{cfg.Device}
 	}
-	// Read only the live tail: a truncated device recycled everything
+	// Read only the live tails: a truncated device recycled everything
 	// below its base, and recovery is O(log-since-checkpoint) because of
-	// it. LSNs are stable, so the new buffer resumes at base+len(tail).
-	logData, base, err := logdev.ReadTail(cfg.Device)
-	if err != nil {
-		return nil, nil, fmt.Errorf("txn: reading log: %w", err)
+	// it. LSNs are stable, so each new buffer resumes at base+len(tail).
+	lanes := make([]recovery.Lane, len(devs))
+	for i, dev := range devs {
+		logData, base, err := logdev.ReadTail(dev)
+		if err != nil {
+			return nil, nil, fmt.Errorf("txn: reading log lane %d: %w", i, err)
+		}
+		lanes[i] = recovery.Lane{Log: logData, Base: lsn.LSN(base)}
 	}
 	store := storage.NewStore()
 	if cfg.Archive != nil {
@@ -93,90 +96,14 @@ func Restart(cfg RestartConfig) (*Engine, *recovery.Result, error) {
 		// pool ever sees — exactly what read-ahead is for.
 		store.SetPrefetch(cfg.PrefetchDepth)
 	}
-	lcfg := cfg.LogConfig
-	lcfg.Device = cfg.Device
-	lcfg.Buffer.Base = lsn.LSN(base).Add(len(logData))
-	lm, err := core.New(lcfg)
+	// Analysis reads the tails only; the coordinator is then built at
+	// the sequence number they end at, so that redo's faults are checked
+	// against, and undo's CLRs stamped above, everything on disk.
+	an, err := recovery.Analyze(lanes)
 	if err != nil {
 		return nil, nil, err
 	}
-	// The WAL hook must be in place before recovery faults its first
-	// page: faulted images are verified against the durable horizon, and
-	// any eviction during redo may need to steal through it.
-	store.AttachWAL(lm)
-	res, err := recovery.Recover(recovery.Options{
-		Log:      logData,
-		Base:     lsn.LSN(base),
-		Store:    store,
-		Appender: lm.NewAppender(),
-		// Pages reaching the store through the archive are verified at
-		// fault time against the durable horizon; this flag covers any
-		// page already resident when recovery starts.
-		VerifyArchive: cfg.Archive != nil,
-	})
-	if err != nil {
-		lm.Close()
-		return nil, nil, err
-	}
-	// Recovery's CLRs and end records must be durable before new work
-	// starts, or a second crash could strand a half-undone loser whose
-	// compensation vanished.
-	lm.Flush()
-	eng, err := NewEngine(Config{
-		Log:                  lm,
-		Locks:                lockmgr.New(cfg.LockConfig),
-		Store:                store,
-		Archive:              cfg.Archive,
-		CheckpointEveryBytes: cfg.CheckpointEveryBytes,
-		CleanerPages:         cfg.CleanerPages,
-		CleanerInterval:      cfg.CleanerInterval,
-		PrefetchDepth:        cfg.PrefetchDepth,
-		Retention:            cfg.Retention,
-	})
-	if err != nil {
-		lm.Close()
-		return nil, nil, err
-	}
-	// Transaction IDs continue above every ID recovery's analysis saw
-	// (see recovery.Result.MaxTxnID).
-	eng.nextTxn.Store(res.MaxTxnID)
-	return eng, res, nil
-}
-
-// restartMulti is Restart for a partitioned log: read every partition's
-// durable tail, seed the global sequence counter from the largest stamp
-// on disk, build one LogManager per device under a MultiLog
-// coordinator, and run the merged-order recovery (whose CLRs route back
-// to each loser's home partition).
-func restartMulti(cfg RestartConfig) (*Engine, *recovery.Result, error) {
-	n := len(cfg.Devices)
-	tails := make([][]byte, n)
-	bases := make([]lsn.LSN, n)
-	var maxSeq uint64
-	for i, dev := range cfg.Devices {
-		logData, base, err := logdev.ReadTail(dev)
-		if err != nil {
-			return nil, nil, fmt.Errorf("txn: reading log partition %d: %w", i, err)
-		}
-		tails[i] = logData
-		bases[i] = lsn.LSN(base)
-		if s := recovery.MaxSeq(logData, lsn.LSN(base)); s > maxSeq {
-			maxSeq = s
-		}
-	}
-	store := storage.NewStore()
-	if cfg.Archive != nil {
-		if err := store.SetBackend(cfg.Archive); err != nil {
-			return nil, nil, fmt.Errorf("txn: attaching archive: %w", err)
-		}
-	}
-	if cfg.CachePages > 0 {
-		store.SetCachePages(cfg.CachePages)
-	}
-	if cfg.PrefetchDepth > 0 {
-		store.SetPrefetch(cfg.PrefetchDepth)
-	}
-	lms := make([]*core.LogManager, n)
+	lms := make([]*core.LogManager, len(devs))
 	closeAll := func() {
 		for _, lm := range lms {
 			if lm != nil {
@@ -184,32 +111,27 @@ func restartMulti(cfg RestartConfig) (*Engine, *recovery.Result, error) {
 			}
 		}
 	}
-	for i := range cfg.Devices {
+	for i, dev := range devs {
 		lcfg := cfg.LogConfig
-		lcfg.Device = cfg.Devices[i]
-		lcfg.Buffer.Base = bases[i].Add(len(tails[i]))
-		lm, err := core.New(lcfg)
-		if err != nil {
+		lcfg.Device = dev
+		lcfg.Buffer.Base = lanes[i].Base.Add(len(lanes[i].Log))
+		if lms[i], err = core.New(lcfg); err != nil {
 			closeAll()
-			return nil, nil, fmt.Errorf("txn: log partition %d: %w", i, err)
+			return nil, nil, fmt.Errorf("txn: log lane %d: %w", i, err)
 		}
-		lms[i] = lm
 	}
-	ml, err := core.NewMultiLog(lms, maxSeq)
+	ml, err := core.NewMultiLog(lms, an.LastSeq())
 	if err != nil {
 		closeAll()
 		return nil, nil, err
 	}
 	// The WAL hook must be in place before recovery faults its first
-	// page (stamps are seqs in multi-log mode).
+	// page: faulted images are verified against the durable horizon, and
+	// any eviction during redo may need to steal through it. (That check
+	// covers pages reaching the store through the archive; the
+	// verify-archive flag below covers any page already resident.)
 	store.AttachWAL(ml)
-	res, err := recovery.RecoverMulti(recovery.MultiOptions{
-		Logs:          tails,
-		Bases:         bases,
-		Store:         store,
-		Multi:         ml,
-		VerifyArchive: cfg.Archive != nil,
-	})
+	res, err := an.Recover(store, ml.NewAppender(), cfg.Archive != nil)
 	if err != nil {
 		ml.Close()
 		return nil, nil, err
@@ -222,7 +144,7 @@ func restartMulti(cfg RestartConfig) (*Engine, *recovery.Result, error) {
 		return nil, nil, fmt.Errorf("txn: flushing recovery log: %w", err)
 	}
 	eng, err := NewEngine(Config{
-		Multi:                ml,
+		Log:                  ml,
 		Route:                cfg.RoutePartition,
 		Locks:                lockmgr.New(cfg.LockConfig),
 		Store:                store,

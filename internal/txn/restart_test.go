@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
@@ -24,88 +25,107 @@ var (
 // analysis pass covers no more than was appended since that checkpoint
 // began — not the whole segment.
 func TestRestartScansFromCheckpointHorizon(t *testing.T) {
-	dir := t.TempDir()
-	open := func() (*logdev.Segmented, *storage.PageFile) {
-		dev, err := logdev.OpenSegmentedDir(filepath.Join(dir, "wal.d"), 8<<20)
+	forEachLaneCount(t, func(t *testing.T, n int) {
+		dir := t.TempDir()
+		open := func() ([]logdev.Device, *storage.PageFile) {
+			devs := make([]logdev.Device, n)
+			for i := range devs {
+				dev, err := logdev.OpenSegmentedDir(logdev.LaneDir(filepath.Join(dir, "wal.d"), i, n), 8<<20)
+				if err != nil {
+					t.Fatal(err)
+				}
+				devs[i] = dev
+			}
+			pf, err := storage.OpenPageFile(filepath.Join(dir, "pagefile.db"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return devs, pf
+		}
+		closeAll := func(eng *Engine, devs []logdev.Device, pf *storage.PageFile) {
+			eng.Close()
+			if err := eng.Multi().Close(); err != nil {
+				t.Fatal(err)
+			}
+			for _, dev := range devs {
+				dev.Close()
+			}
+			pf.Close()
+		}
+		// appended and durable sum the lanes' log ends.
+		sizes := func(eng *Engine, devs []logdev.Device) (appended, durable int64) {
+			for i, dev := range devs {
+				appended += int64(eng.Multi().Part(i).AppendEnd())
+				durable += dev.DurableSize()
+			}
+			return appended, durable
+		}
+		devs, pf := open()
+		eng, _, err := Restart(RestartConfig{Devices: devs, Archive: pf, LogConfig: restartLogConfig, LockConfig: restartLockConfig})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pf, err := storage.OpenPageFile(filepath.Join(dir, "pagefile.db"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dev, pf
-	}
-	dev, pf := open()
-	lcfg := restartLogConfig
-	lcfg.Device = dev
-	lm, err := core.New(lcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewEngine(Config{Log: lm, Locks: lockmgr.New(restartLockConfig), Store: storage.NewStore(), Archive: pf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := eng.CreateTable("t", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ag := eng.NewAgent()
-	for k := uint64(1); k <= 256; {
-		tx := ag.Begin()
-		for i := 0; i < 8; i, k = i+1, k+1 {
-			if err := tx.Insert(tbl, k, append(row(k, k*7), make([]byte, 4000)...)); err != nil {
+		// One table per lane and a spare, written round-robin.
+		tbls := make([]*Table, n+1)
+		for i := range tbls {
+			if tbls[i], err = eng.CreateTable(fmt.Sprintf("t%d", i), nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := tx.Commit(CommitSync, nil); err != nil {
+		ag := eng.NewAgent()
+		for k := uint64(1); k <= 256; {
+			tx := ag.Begin()
+			for i := 0; i < 8; i, k = i+1, k+1 {
+				if err := tx.Insert(tbls[int(k/8)%len(tbls)], k, append(row(k, k*7), make([]byte, 4000)...)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tx.Commit(CommitSync, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ag.Close()
+		ckptBegan, _ := sizes(eng, devs)
+		if err := eng.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	ag.Close()
-	ckptBegan := int64(lm.AppendEnd())
-	if err := eng.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	horizon, end := dev.Base(), dev.DurableSize()
-	if ckptBegan < 1_000_000 || horizon < 1_000_000 {
-		t.Fatalf("test invalid: %d bytes logged before the checkpoint, horizon %d", ckptBegan, horizon)
-	}
-	eng.Close()
-	if err := lm.Close(); err != nil {
-		t.Fatal(err)
-	}
-	dev.Close()
-	pf.Close()
+		horizon := logdev.BaseOffset(devs[0])
+		_, end := sizes(eng, devs)
+		if ckptBegan < 1_000_000 || horizon < 1_000_000/int64(n)/2 {
+			t.Fatalf("test invalid: %d bytes logged before the checkpoint, lane 0's horizon %d", ckptBegan, horizon)
+		}
+		closeAll(eng, devs, pf)
 
-	dev, pf = open()
-	eng2, res, err := Restart(RestartConfig{Device: dev, Archive: pf, LogConfig: restartLogConfig, LockConfig: restartLockConfig})
-	if err != nil {
-		t.Fatalf("restart: %v", err)
-	}
-	t.Cleanup(func() {
-		eng2.Close()
-		eng2.Log().Close()
-		dev.Close()
-		pf.Close()
+		devs, pf = open()
+		eng2, res, err := Restart(RestartConfig{Devices: devs, Archive: pf, LogConfig: restartLogConfig, LockConfig: restartLockConfig})
+		if err != nil {
+			t.Fatalf("restart: %v", err)
+		}
+		t.Cleanup(func() { closeAll(eng2, devs, pf) })
+		if int64(res.LogBase) != horizon {
+			t.Fatalf("restart began at LogBase %d, the checkpoint before Close left the horizon at %d", res.LogBase, horizon)
+		}
+		if res.ScannedBytes > end-ckptBegan {
+			t.Fatalf("analysis scanned %d bytes; only %d were appended since the checkpoint began", res.ScannedBytes, end-ckptBegan)
+		}
+		keys := 0
+		for i := range tbls {
+			tbl, err := eng2.CreateTable(fmt.Sprintf("t%d", i), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tbls[i] = tbl
+		}
+		if err := eng2.RebuildTables(); err != nil {
+			t.Fatal(err)
+		}
+		for _, tbl := range tbls {
+			keys += tbl.Index.Len()
+		}
+		if keys != 256 {
+			t.Fatalf("rebuilt indexes hold %d keys, want 256", keys)
+		}
 	})
-	if int64(res.LogBase) != horizon {
-		t.Fatalf("restart began at LogBase %d, the checkpoint before Close left the horizon at %d", res.LogBase, horizon)
-	}
-	if res.ScannedBytes > end-ckptBegan {
-		t.Fatalf("analysis scanned %d bytes; only %d were appended since the checkpoint began", res.ScannedBytes, end-ckptBegan)
-	}
-	tbl2, err := eng2.CreateTable("t", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng2.RebuildTables(); err != nil {
-		t.Fatal(err)
-	}
-	if n := tbl2.Index.Len(); n != 256 {
-		t.Fatalf("rebuilt index holds %d keys, want 256", n)
-	}
 }
 
 // TestRebuildIndexMatchesHeap: the index RebuildTables bulk-builds holds

@@ -99,19 +99,16 @@ type Txn struct {
 	id    uint64
 	sc    *txnScratch
 
-	last lsn.Atomic // most recent log record's home-log LSN (PrevLSN chain)
-	// lastStamp is what the checkpoint ATT snapshots as the record to
-	// start undo from: the same home-log LSN in single-log mode, the
-	// record's global seq in multi-log mode.
+	last lsn.Atomic // most recent log record's home-lane LSN (PrevLSN chain)
+	// lastStamp is that record's recStamp, which the checkpoint ATT
+	// snapshots next to the transaction's name.
 	lastStamp lsn.Atomic
-	// first pins the truncation horizon: the first record's LSN in
-	// single-log mode, its global seq in multi-log mode.
+	// first pins the truncation horizon: the first record's recStamp.
 	first lsn.Atomic
 	state atomic.Int32 // atomic: checkpoint and daemon callbacks read it
 
-	// home is the transaction's log partition in multi-log mode,
-	// assigned from its first logged update's page space (-1 until
-	// then; unused in single-log mode).
+	// home is the transaction's log lane, assigned from its first logged
+	// update's page space (-1 until then).
 	home int
 
 	lastEnd lsn.LSN // end LSN of the most recent record (home log)
@@ -120,24 +117,14 @@ type Txn struct {
 	whenDone func(error)
 }
 
-// appendRec routes rec to the transaction's log — the single log, or
-// the multi-log home partition — and returns the record's home-log
-// address and end plus the two stamps derived from it: pageStamp is
-// what page images carry after applying the record, recStamp what the
-// DPT records as the page's recLSN. In single-log mode they are the
-// record's end and start LSN; in multi-log mode both are the record's
-// global seq.
+// appendRec appends rec to the transaction's home lane (chosen at its
+// first record) and returns what core.MultiAppender.Append does: the
+// record's home-lane address and end, and its page and record stamps.
 func (t *Txn) appendRec(rec *logrec.Record) (at, end, pageStamp, recStamp lsn.LSN, err error) {
-	e := t.eng
-	if e.multi == nil {
-		at, end, err = t.agent.ap.Append(rec)
-		return at, end, end, at, err
-	}
 	if t.home < 0 {
-		t.home = e.route(t.id, storage.PageSpace(rec.PageID))
+		t.home = t.eng.route(t.id, storage.PageSpace(rec.PageID))
 	}
-	at, end, seq, err := e.multi.Append(t.home, rec)
-	return at, end, lsn.LSN(seq), lsn.LSN(seq), err
+	return t.agent.ap.Append(t.home, rec)
 }
 
 // ID returns the transaction identifier.
@@ -149,8 +136,7 @@ func (t *Txn) Writes() int { return t.writes }
 // logUpdate is the storage.LogFunc for this transaction: append a
 // physiological update record, chain PrevLSN, and remember the undo.
 // It returns (recStamp, pageStamp): the values the heap feeds to
-// MarkDirty and Page.Apply — LSNs in single-log mode, seqs in
-// multi-log mode.
+// MarkDirty and Page.Apply.
 func (t *Txn) logUpdate(pageID uint64, up logrec.UpdatePayload) (lsn.LSN, lsn.LSN, error) {
 	prev := t.last.Load()
 	if prev == lsn.Undefined {
@@ -160,11 +146,16 @@ func (t *Txn) logUpdate(pageID uint64, up logrec.UpdatePayload) (lsn.LSN, lsn.LS
 		// this bound (or observes Undefined, meaning our insert hasn't
 		// started and will land above its begin record) can never set
 		// the truncation horizon past our first record.
-		t.first.Store(t.eng.durableStamp())
+		t.first.Store(t.eng.log.Durable())
 	}
-	// The caller holds the page latch; see stampFloor for why the page
-	// enters the DPT before its record enters the log.
-	t.eng.store.MarkDirty(pageID, t.eng.stampFloor())
+	// The caller holds the page latch. The page enters the dirty-page
+	// table at the log's stamp floor BEFORE its record enters the log —
+	// ARIES's "recLSN = end of log when the page is first dirtied" — so
+	// a fuzzy checkpoint whose begin record lands between an update's
+	// log record and the page being marked dirty still snapshots the
+	// page; without it, analysis (which starts at the begin record)
+	// never learns the page needs that earlier record redone.
+	t.eng.store.MarkDirty(pageID, t.eng.log.StampFloor())
 	rec := &t.agent.rec
 	rec.SetUpdate(t.id, prev, pageID, up)
 	at, end, pageStamp, recStamp, err := t.appendRec(rec)
@@ -356,11 +347,11 @@ func (t *Txn) Commit(mode CommitMode, whenDone func(error)) error {
 	t.lastEnd = end
 	t.state.Store(stPrecommitted)
 
-	// All waits are against the transaction's own log: in multi-log
-	// mode the flush limiter guarantees the home log cannot harden the
-	// commit record before every cross-log dependency of the
-	// transaction's updates is durable, so the home durable horizon is
-	// the commit's full durability condition (invariant 6).
+	// All waits are against the transaction's own lane: the flush
+	// limiter guarantees the home lane cannot harden the commit record
+	// before every cross-lane dependency of the transaction's updates is
+	// durable, so the home durable horizon is the commit's full
+	// durability condition (invariant 6).
 	lm := t.eng.waitLM(t.home)
 
 	switch mode {
@@ -486,12 +477,12 @@ func (t *Txn) Abort() error {
 			// Same protocol as the forward path (storage.LogFunc): the
 			// CLR is logged and applied under the page latch, so the
 			// page's stamps follow log order, and the page enters the DPT
-			// before the record enters the log (stampFloor). Dirtying
+			// before the record enters the log (see logUpdate). Dirtying
 			// under the latch also keeps the eviction path's
 			// clean-vs-steal decision, read from (pageLSN, DPT) under
 			// the same latch, consistent.
 			page.Latch.Lock()
-			t.eng.store.MarkDirty(e.pageID, t.eng.stampFloor())
+			t.eng.store.MarkDirty(e.pageID, t.eng.log.StampFloor())
 			rec.SetCLR(t.id, t.last.Load(), e.pageID, e.prev, inv)
 			at, _, pageStamp, recStamp, err := t.appendRec(rec)
 			if err == nil {

@@ -3,6 +3,7 @@ package txn
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -24,36 +25,57 @@ func row(key, value uint64) []byte {
 
 func rowValue(b []byte) uint64 { return binary.LittleEndian.Uint64(b[8:16]) }
 
-// harness bundles an engine over a crashable memory device.
+// harness bundles an engine over crashable memory devices, one per log
+// lane.
 type harness struct {
-	dev  *logdev.Mem
+	devs []*logdev.Mem
 	arch *storage.MemArchive
 	eng  *Engine
 }
 
-func newHarness(t *testing.T) *harness {
+var harnessLogConfig = core.Config{Buffer: logbuf.Config{Variant: logbuf.VariantCD, Size: 1 << 20}}
+
+func newHarness(t *testing.T) *harness { return newHarnessN(t, 1, harnessLogConfig) }
+
+// newHarnessN builds a fresh n-lane engine whose lanes all run lcfg.
+func newHarnessN(t *testing.T, n int, lcfg core.Config) *harness {
 	t.Helper()
-	dev := logdev.NewMem(logdev.ProfileMemory)
-	arch := storage.NewMemArchive()
-	lm, err := core.New(core.Config{
-		Buffer: logbuf.Config{Variant: logbuf.VariantCD, Size: 1 << 20},
-		Device: dev,
-	})
+	h := &harness{arch: storage.NewMemArchive()}
+	lms := make([]*core.LogManager, n)
+	for i := range lms {
+		dev := logdev.NewMem(logdev.ProfileMemory)
+		h.devs = append(h.devs, dev)
+		lcfg.Device = dev
+		lm, err := core.New(lcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lms[i] = lm
+	}
+	ml, err := core.NewMultiLog(lms, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(Config{
-		Log:     lm,
+	h.eng, err = NewEngine(Config{
+		Log:     ml,
 		Locks:   lockmgr.New(lockmgr.Config{DeadlockTimeout: 300 * time.Millisecond, SLI: true}),
 		Store:   storage.NewStore(),
-		Archive: arch,
+		Archive: h.arch,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &harness{dev: dev, arch: arch, eng: eng}
-	t.Cleanup(func() { h.eng.Log().Close() })
+	t.Cleanup(func() { h.eng.Multi().Close() })
 	return h
+}
+
+// forEachLaneCount runs fn as a subtest over one log lane and over
+// three (default space routing: tables in different spaces home their
+// transactions on different lanes).
+func forEachLaneCount(t *testing.T, fn func(t *testing.T, n int)) {
+	for _, n := range []int{1, 3} {
+		t.Run(fmt.Sprintf("N=%d", n), func(t *testing.T) { fn(t, n) })
+	}
 }
 
 func TestCommitAndReadBack(t *testing.T) {

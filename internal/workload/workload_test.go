@@ -109,7 +109,7 @@ func newEngine(t *testing.T) *txn.Engine {
 		t.Fatal(err)
 	}
 	eng, err := txn.NewEngine(txn.Config{
-		Log:     lm,
+		Log:     core.OneLane(lm),
 		Locks:   lockmgr.New(lockmgr.Config{DeadlockTimeout: 200 * time.Millisecond, SLI: true}),
 		Store:   storage.NewStore(),
 		Archive: storage.NewMemArchive(),

@@ -1,135 +1,105 @@
-// partition.go is the public face of partitioned (multi-log) operation:
-// Options.LogPartitions >= 2 shards the write-ahead log across N
-// independent devices — one flush daemon, group-commit stream, durable
-// watermark and archiver lane each — coordinated by core.MultiLog, which
-// stamps every record with a global sequence number and physically
-// enforces inter-log flush dependencies (paper Appendix A.5).
+// partition.go is the database's log lanes. Options.LogPartitions = N
+// shards the write-ahead log across N independent devices — one flush
+// daemon, group-commit stream, durable watermark and archiver lane each
+// — behind one core.MultiLog; 0 and 1 are the same engine with one lane,
+// where the coordinator stamps with byte LSNs and coordinates nothing.
+// Over N >= 2 lanes it stamps every record with a global sequence number
+// and physically enforces inter-log flush dependencies (paper Appendix
+// A.5). Open, Close, Crash, Stats and RestoreTo iterate the lanes; the
+// only thing that differs on disk is where a lane keeps its files
+// (logdev.LaneDir).
 package aether
 
 import (
-	"errors"
 	"fmt"
-	"io"
-	"path/filepath"
 
 	"aether/internal/logdev"
-	"aether/internal/storage"
 	"aether/internal/vfs"
 )
 
-// PartitionDir names partition i's log directory under a partitioned
-// database root ("p0", "p1", …). Exported so tools (logdump) and tests
-// agree with Open on the on-disk layout.
-func PartitionDir(i int) string { return fmt.Sprintf("p%d", i) }
-
-// checkMultiLayout rejects opening a directory whose on-disk layout does
-// not match the requested partition count: a legacy single-log segmented
-// directory (MANIFEST at the top level) must be opened with
-// LogPartitions 0/1, and a database created with more partitions than
-// requested would silently lose the extra logs' records.
-func checkMultiLayout(fs vfs.FS, dir string, n int) error {
-	if st, err := fs.Stat(filepath.Join(dir, "MANIFEST")); err == nil && !st.IsDir() {
-		return fmt.Errorf("aether: %s holds a single-log segmented database; open it with LogPartitions 0 or 1", dir)
-	}
-	if st, err := fs.Stat(filepath.Join(dir, PartitionDir(n))); err == nil && st.IsDir() {
-		return fmt.Errorf("aether: %s has more than the requested %d log partitions; open it with its original LogPartitions", dir, n)
-	}
-	return nil
+// crashSim is implemented by in-memory log devices that can simulate
+// power loss (Crash support).
+type crashSim interface {
+	CrashFreeze()
+	Remount()
 }
 
-// checkSingleLayout is the reverse guard: a partitioned database root
-// (p0/ present) must not be opened in single-log mode, which would read
-// none of the partition logs.
-func checkSingleLayout(fs vfs.FS, dir string) error {
-	if st, err := fs.Stat(filepath.Join(dir, PartitionDir(0))); err == nil && st.IsDir() {
-		return fmt.Errorf("aether: %s holds a partitioned database; set Options.LogPartitions to its partition count", dir)
-	}
-	return nil
+// lane is one log lane: its device and what is attached to it.
+type lane struct {
+	dev      logdev.Device
+	mem      crashSim               // non-nil only for in-memory devices
+	seg      *logdev.Segmented      // non-nil only with Options.SegmentSize
+	archiver logdev.Archiver        // non-nil with Options.ArchiveDir or RemoteStore
+	remote   *logdev.RemoteArchiver // non-nil only with Options.RemoteStore
 }
 
-// openMulti is Open for Options.LogPartitions >= 2.
-func openMulti(opts Options) (*DB, error) {
-	n := opts.LogPartitions
-	db := &DB{opts: opts}
-	fs := opts.fsOrOS()
-	closeDevs := func() {
-		for _, d := range db.devs {
-			d.Close()
-		}
-		if c, ok := db.archive.(io.Closer); ok && db.archive != nil {
-			c.Close()
-		}
-	}
+// openLane opens lane i of n's log device.
+func openLane(opts Options, fs vfs.FS, i, n int) (lane, error) {
+	var l lane
 	switch {
 	case opts.LogPath != "" && opts.SegmentSize > 0:
-		if err := checkMultiLayout(fs, opts.LogPath, n); err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			s, err := logdev.OpenSegmentedDirFS(fs, filepath.Join(opts.LogPath, PartitionDir(i)), opts.SegmentSize)
-			if err != nil {
-				closeDevs()
-				return nil, fmt.Errorf("aether: log partition %d: %w", i, err)
-			}
-			db.devs = append(db.devs, s)
-			db.segDevs = append(db.segDevs, s)
-		}
-		// One shared database file: pages are partition-agnostic — only
-		// the log is sharded.
-		arch, err := openPageArchive(fs,
-			filepath.Join(opts.LogPath, "pagefile.db"),
-			filepath.Join(opts.LogPath, "pages"))
+		s, err := logdev.OpenSegmentedDirFS(fs, logdev.LaneDir(opts.LogPath, i, n), opts.SegmentSize)
 		if err != nil {
-			closeDevs()
-			return nil, err
+			return l, fmt.Errorf("aether: log lane %d: %w", i, err)
 		}
-		db.archive = arch
+		l.dev, l.seg = s, s
 	case opts.LogPath != "":
-		return nil, errors.New("aether: partitioned file-backed logs require Options.SegmentSize (each partition is a segmented directory)")
+		f, err := logdev.OpenFile(opts.LogPath)
+		if err != nil {
+			return l, err
+		}
+		l.dev = f
 	case opts.SegmentSize > 0:
-		for i := 0; i < n; i++ {
-			s := logdev.NewSegmentedMem(opts.Device.internal(), opts.SegmentSize)
-			db.devs = append(db.devs, s)
-			db.segDevs = append(db.segDevs, s)
-			db.memDevs = append(db.memDevs, s)
-		}
-		db.archive = storage.NewMemArchive()
+		s := logdev.NewSegmentedMem(opts.Device.internal(), opts.SegmentSize)
+		l.dev, l.seg, l.mem = s, s, s
 	default:
-		for i := 0; i < n; i++ {
-			m := logdev.NewMem(opts.Device.internal())
-			db.devs = append(db.devs, m)
-			db.memDevs = append(db.memDevs, m)
+		m := logdev.NewMem(opts.Device.internal())
+		l.dev, l.mem = m, m
+	}
+	return l, nil
+}
+
+// attachColdStore gives lane i of n its own cold-storage lane — a
+// directory under Options.ArchiveDir or a key prefix in
+// Options.RemoteStore, so a slow lane never blocks the others'
+// truncation. It must run before the engine starts: the archiver has to
+// be in place before the first truncation parks a dead segment, and the
+// engine only starts its background archiver goroutine if the log can
+// archive at engine construction.
+func (l *lane) attachColdStore(opts Options, fs vfs.FS, i, n int) error {
+	switch {
+	case opts.ArchiveDir != "":
+		a, err := logdev.OpenDirArchiverFS(fs, logdev.LaneDir(opts.ArchiveDir, i, n))
+		if err != nil {
+			return fmt.Errorf("aether: archive lane %d: %w", i, err)
 		}
-		db.archive = storage.NewMemArchive()
+		l.archiver = a
+	case opts.RemoteStore != nil:
+		l.remote = logdev.NewRemoteArchiver(opts.RemoteStore, logdev.LaneDir("", i, n), opts.SegmentSize)
+		l.archiver = l.remote
+	default:
+		return nil
 	}
-	if opts.ArchiveDir != "" {
-		// One cold-storage lane per partition: each partition's archiver
-		// ships its own dead segments, so a slow lane never blocks the
-		// others' truncation.
-		for i, s := range db.segDevs {
-			a, err := logdev.OpenDirArchiverFS(fs, filepath.Join(opts.ArchiveDir, PartitionDir(i)))
-			if err != nil {
-				closeDevs()
-				return nil, fmt.Errorf("aether: archive lane %d: %w", i, err)
-			}
-			db.archivers = append(db.archivers, a)
-			s.SetArchiver(a)
+	l.seg.SetArchiver(l.archiver)
+	return nil
+}
+
+// restore reads the lane's log from logical offset from through the
+// durable end, stitching archived history below the device's base —
+// restored on demand from the lane's cold store — to the live tail (see
+// DB.RestoreTail for the contract).
+func (l *lane) restore(from int64) ([]byte, int64, error) {
+	if l.seg != nil {
+		data, start, err := l.seg.RestoreLog(l.archiver, from)
+		if err != nil {
+			return nil, 0, fmt.Errorf("aether: restoring log: %w", err)
 		}
+		return data, start, nil
 	}
-	if opts.RemoteStore != nil {
-		// One key-prefix lane per partition in the shared object store:
-		// p0/seg/…, p1/seg/…. Each partition's archiver ships and packs
-		// its own lane, mirroring the per-partition ArchiveDir layout.
-		for i, s := range db.segDevs {
-			ra := logdev.NewRemoteArchiver(opts.RemoteStore, PartitionDir(i), opts.SegmentSize)
-			db.archivers = append(db.archivers, ra)
-			db.remotes = append(db.remotes, ra)
-			s.SetArchiver(ra)
-		}
+	tail, base, err := logdev.ReadTail(l.dev)
+	if err != nil {
+		return nil, 0, err
 	}
-	if _, err := db.start(); err != nil {
-		closeDevs()
-		return nil, err
-	}
-	return db, nil
+	start := min(max(from, base), base+int64(len(tail)))
+	return tail[start-base:], start, nil
 }

@@ -2,10 +2,16 @@ package aether
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
+
+	"aether/internal/logrec"
+	"aether/internal/lsn"
 )
 
 // TestPartitionedRoundTrip drives a 4-partition in-memory database with
@@ -207,20 +213,45 @@ func TestLegacyLayoutCompat(t *testing.T) {
 		t.Fatalf("unhelpful layout error: %v", err)
 	}
 
-	// LogPartitions: 1 is the same engine — it must reopen the legacy
-	// layout bit-for-bit (same MANIFEST, same segments) and read the
-	// data back.
+	// LogPartitions: 1 is a lane count like any other, and one lane keeps
+	// the flat layout: the directory reopens bit-for-bit (same MANIFEST,
+	// same segments, no p0/), reports as the unpartitioned log it is, and
+	// stamps with LSNs — no global seq is ever handed out.
+	before := dirImage(t, dir)
+	db, err = Open(Options{LogPath: dir, SegmentSize: 1 << 16, LogPartitions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := db.Stats(); st.LogPartitions != 0 || st.PartitionBytes != nil || st.DepStalls != nil {
+		t.Fatalf("one lane must report as the unpartitioned log; Stats says %d lanes, per-lane %v %v", st.LogPartitions, st.PartitionBytes, st.DepStalls)
+	}
+	if tbl, err = db.CreateTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RebuildAfterRecovery(); err != nil {
+		t.Fatal(err)
+	}
+	s = db.Session()
+	tx = s.Begin()
+	row, err := tx.Read(tbl, 1)
+	if err != nil || string(RowPayload(row)) != "legacy" {
+		t.Fatalf("legacy row: %q, %v", RowPayload(row), err)
+	}
+	tx.Commit()
+	s.Close()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after := dirImage(t, dir); !reflect.DeepEqual(before, after) {
+		t.Fatalf("reopening the flat layout with LogPartitions=1 changed it:\nbefore %v\nafter  %v", imageNames(before), imageNames(after))
+	}
+
+	// And it writes the flat layout's log: new records carry no seq.
 	db, err = Open(Options{LogPath: dir, SegmentSize: 1 << 16, LogPartitions: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if st := db.Stats(); st.LogPartitions != 0 {
-		t.Fatalf("LogPartitions=1 must run the unpartitioned engine; Stats says %d", st.LogPartitions)
-	}
-	if db.eng.Multi() != nil {
-		t.Fatal("LogPartitions=1 built a MultiLog")
-	}
 	if tbl, err = db.CreateTable("t"); err != nil {
 		t.Fatal(err)
 	}
@@ -230,11 +261,57 @@ func TestLegacyLayoutCompat(t *testing.T) {
 	s = db.Session()
 	defer s.Close()
 	tx = s.Begin()
-	row, err := tx.Read(tbl, 1)
-	if err != nil || string(RowPayload(row)) != "legacy" {
-		t.Fatalf("legacy row: %q, %v", RowPayload(row), err)
+	if err := tx.Insert(tbl, 2, Row(2, []byte("flat"))); err != nil {
+		t.Fatal(err)
 	}
-	tx.Commit()
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if seq := db.eng.Multi().LastSeq(); seq != 0 {
+		t.Fatalf("a one-lane log consumed %d global seqs", seq)
+	}
+	data, base, err := db.RestoreTail(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := logrec.NewIterator(data, lsn.LSN(base))
+	n := 0
+	for rec, ok := it.Next(); ok; rec, ok = it.Next() {
+		if n++; rec.Seq != 0 {
+			t.Fatalf("record at %v carries seq %d on a one-lane log", rec.LSN, rec.Seq)
+		}
+	}
+	if n < 4 {
+		t.Fatalf("only %d records in the flat log", n)
+	}
+}
+
+// dirImage reads every regular file under dir, by relative path.
+func dirImage(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	img := make(map[string][]byte)
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		rel, _ := filepath.Rel(dir, path)
+		img[rel] = b
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+func imageNames(img map[string][]byte) []string {
+	var names []string
+	for name, b := range img {
+		names = append(names, fmt.Sprintf("%s(%d)", name, len(b)))
+	}
+	sort.Strings(names)
+	return names
 }
 
 // TestPartitionedRequiresSegments pins the config validation: a

@@ -1,7 +1,7 @@
 // restore.go is point-in-time recovery's public face: DB.RestoreTo
 // reconstructs the committed state at an arbitrary historical position
-// — a log offset for a single log, a global sequence stamp for a
-// partitioned one; DB.RestorePoint captures such a position — by
+// — a stamp: a log offset for a single log, a global sequence stamp for
+// a partitioned one; DB.RestorePoint captures such a position — by
 // stitching the cloud tier's snapshot and log objects to the hot log
 // and replaying (internal/recovery's PITR path). It also re-exports the
 // cloud tier's ObjectStore so Options.RemoteStore is usable without
@@ -51,12 +51,7 @@ var ErrRestorePruned = errors.New("aether: restore point below retention floor (
 // sequence stamp for a partitioned one. State committed (durably) by
 // the time RestorePoint returns is reproduced by RestoreTo of the
 // returned value.
-func (db *DB) RestorePoint() int64 {
-	if m := db.eng.Multi(); m != nil {
-		return int64(m.Durable())
-	}
-	return int64(db.eng.Log().Durable())
-}
+func (db *DB) RestorePoint() int64 { return int64(db.eng.Multi().Durable()) }
 
 // RestoredDB is a read-only reconstruction of the database's committed
 // state at a historical position, returned by RestoreTo. It is
@@ -154,27 +149,20 @@ func (db *DB) RestoreTo(at int64) (*RestoredDB, error) {
 			spaces[name] = t.Space
 		}
 	}
-	if len(db.devs) > 0 {
-		return db.restoreMultiTo(at, spaces)
-	}
-	return db.restoreSingleTo(at, spaces)
-}
-
-// restoreSingleTo is RestoreTo for a single log: pick the newest
-// snapshot at or below the target, stitch the raw log from its cut and
-// replay.
-func (db *DB) restoreSingleTo(at int64, spaces map[string]uint32) (*RestoredDB, error) {
+	// Snapshots are a one-lane feature (a cut is a byte offset, and N
+	// lanes' pages interleave): there, start from the newest one at or
+	// below the target; everywhere else, from the beginning of time.
 	var snap *logdev.Snapshot
 	var cut uint64
-	if db.remote != nil {
-		floor, err := db.remote.Floor()
+	if r := db.lanes[0].remote; r != nil && len(db.lanes) == 1 {
+		floor, err := r.Floor()
 		if err != nil {
 			return nil, fmt.Errorf("aether: RestoreTo(%d): reading retention floor: %w", at, err)
 		}
 		if uint64(at) < floor {
 			return nil, fmt.Errorf("%w: target %d, floor %d", ErrRestorePruned, at, floor)
 		}
-		s, ok, err := db.remote.NewestSnapshotAtOrBelow(uint64(at))
+		s, ok, err := r.NewestSnapshotAtOrBelow(uint64(at))
 		if err != nil {
 			return nil, fmt.Errorf("aether: RestoreTo(%d): loading snapshot: %w", at, err)
 		}
@@ -182,46 +170,18 @@ func (db *DB) restoreSingleTo(at int64, spaces map[string]uint32) (*RestoredDB, 
 			snap, cut = s, s.Cut
 		}
 	}
-	data, start, err := db.RestoreTail(int64(cut))
-	if err != nil {
-		return nil, err
-	}
-	if uint64(start) > cut {
-		return nil, fmt.Errorf("aether: RestoreTo(%d): log history reaches back to %d, need %d (archive incomplete)", at, start, cut)
-	}
-	data = data[cut-uint64(start):]
-	if uint64(at) > cut+uint64(len(data)) {
-		return nil, fmt.Errorf("aether: RestoreTo(%d): restored log ends at %d", at, cut+uint64(len(data)))
-	}
-	store, err := recovery.ReplayToPoint(snap, data, cut, uint64(at))
-	if err != nil {
-		return nil, fmt.Errorf("aether: RestoreTo(%d): %w", at, err)
-	}
-	return &RestoredDB{store: store, spaces: spaces, at: at}, nil
-}
-
-// restoreMultiTo is RestoreTo for a partitioned log: restore every
-// lane's full history (the cloud tier keeps partitioned history whole
-// — see Options.SnapshotEveryBytes), then merge by global seq, ignoring
-// records stamped after the target.
-func (db *DB) restoreMultiTo(at int64, spaces map[string]uint32) (*RestoredDB, error) {
-	logs := make([][]byte, len(db.segDevs))
-	bases := make([]lsn.LSN, len(db.segDevs))
-	for i, sd := range db.segDevs {
-		var arch logdev.Archiver
-		if len(db.archivers) > i {
-			arch = db.archivers[i]
-		}
-		data, start, err := sd.RestoreLog(arch, 0)
+	lanes := make([]recovery.Lane, len(db.lanes))
+	for i, l := range db.lanes {
+		data, start, err := l.restore(int64(cut))
 		if err != nil {
-			return nil, fmt.Errorf("aether: RestoreTo(%d): partition %d: %w", at, i, err)
+			return nil, fmt.Errorf("aether: RestoreTo(%d): lane %d: %w", at, i, err)
 		}
-		if start > 0 {
-			return nil, fmt.Errorf("aether: RestoreTo(%d): partition %d history reaches back to %d, need 0 (archive incomplete)", at, i, start)
+		if uint64(start) > cut {
+			return nil, fmt.Errorf("aether: RestoreTo(%d): lane %d history reaches back to %d, need %d (archive incomplete)", at, i, start, cut)
 		}
-		logs[i], bases[i] = data, lsn.LSN(start)
+		lanes[i] = recovery.Lane{Log: data[cut-uint64(start):], Base: lsn.LSN(cut)}
 	}
-	store, err := recovery.ReplayMultiToSeq(logs, bases, uint64(at))
+	store, err := recovery.ReplayToPoint(snap, lanes, uint64(at))
 	if err != nil {
 		return nil, fmt.Errorf("aether: RestoreTo(%d): %w", at, err)
 	}
@@ -232,15 +192,15 @@ func (db *DB) restoreMultiTo(at int64, spaces map[string]uint32) (*RestoredDB, e
 // configuration from the attached remote archivers (empty when the
 // database has no remote store).
 func (db *DB) retentionConfig() txn.RetentionConfig {
-	var cfg txn.RetentionConfig
-	if db.remote != nil {
-		cfg.Lanes = []txn.RetentionLane{{Dev: db.segDev, Remote: db.remote}}
-		cfg.SnapshotEveryBytes = db.opts.SnapshotEveryBytes
-		cfg.RetainSnapshots = db.opts.RetainSnapshots
+	cfg := txn.RetentionConfig{
+		CompactSegments:    db.opts.CompactSegments,
+		SnapshotEveryBytes: db.opts.SnapshotEveryBytes,
+		RetainSnapshots:    db.opts.RetainSnapshots,
 	}
-	for i, r := range db.remotes {
-		cfg.Lanes = append(cfg.Lanes, txn.RetentionLane{Dev: db.segDevs[i], Remote: r})
+	for _, l := range db.lanes {
+		if l.remote != nil {
+			cfg.Lanes = append(cfg.Lanes, txn.RetentionLane{Dev: l.seg, Remote: l.remote})
+		}
 	}
-	cfg.CompactSegments = db.opts.CompactSegments
 	return cfg
 }

@@ -88,7 +88,7 @@ func TestCheckpointTruncatesAndRecoveryReadsOnlyTail(t *testing.T) {
 	verifyRows(t, db, tbl, 1, 400)
 
 	// The device itself proves recovery never touched the dead prefix.
-	if low := db.segDev.LowestRead(); low < base {
+	if low := db.lanes[0].seg.LowestRead(); low < base {
 		t.Fatalf("recovery read offset %d, below truncation base %d", low, base)
 	}
 }
