@@ -49,14 +49,17 @@ docs: vet
 		./internal/wire ./internal/workload
 
 # Small-scale perf smoke: vet plus a quick aetherbench run that
-# refreshes BENCH_pr10.json, so the perf trajectory (throughput, sweep
-# fsyncs/duration, larger-than-memory miss rate, demand steals vs
+# refreshes BENCH_pr10.json, so the perf trajectory (throughput with its
+# sweep fsyncs/duration, larger-than-memory miss rate, demand steals vs
 # cleaner writes, cold-scan speedup and prefetch hit rate, partition
 # scaling, restore latency via cloud snapshots, network-path TPS over
 # real client processes) is tracked on every CI pass — the fresh run's
 # demand-steal rate and net TPS are diffed against the committed
-# baseline, failing on regression, with a 0.30 prefetch-hit-rate floor
-# on the scan scenario, a 0.5 flushes/commit ceiling on the pipelined
+# baseline, failing on regression, with the scan scenario's read-ahead
+# gated on counts that repeat on a shared host (reads issued and hit,
+# exactly one read in flight behind the single mutex, at least two
+# without it — its hit rate is recorded, not gated: it ranges over
+# 8–92 % at one commit), a 0.5 flushes/commit ceiling on the pipelined
 # network runs, a zero-lost-acks requirement, a 1.5x committed-bytes/s
 # floor on the 4-partition log (vs 1 log over the same simulated device
 # class), a 0.25 dependency-stall-rate ceiling on its flush passes, and
@@ -116,8 +119,10 @@ restart-profile:
 # partition-flush point (one log's fsync dies while the others keep
 # hardening; recovery's merge verifies no flush dependency was
 # violated), then 15 with the opt-in remote-archive point: the cold
-# store becomes a cloud object store that survives power cuts, and
-# cycles tear uploads mid-object or open outage windows — recovery must
+# store — in the first two profiles a directory of objects on the fault
+# filesystem, where the archive point cuts inside an object's install —
+# becomes a cloud object store that survives power cuts, and cycles tear
+# uploads mid-object or open outage windows — recovery must
 # never lose a committed transaction to a torn upload nor recycle a
 # parked segment before its bytes are durably remote. Fast enough for
 # every CI pass; `make soak` is the long form.

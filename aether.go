@@ -113,57 +113,64 @@ type Options struct {
 	// LogPath, if set, stores the write-ahead log in a real file (or,
 	// with SegmentSize set, a directory of segment files); otherwise an
 	// in-memory device with Device's latency profile is used (the
-	// paper's methodology). A file-backed database also keeps a
-	// persistent page archive next to the log (LogPath+".pages", or
-	// LogPath/pages for a segmented log): pages cleaned out of the
-	// dirty-page table at a checkpoint are recovered from the archive,
-	// not the log.
+	// paper's methodology). A file-backed database also keeps a paged
+	// database file next to the log (LogPath+".pagefile", or
+	// LogPath/pagefile.db for a segmented log): pages cleaned out of the
+	// dirty-page table at a checkpoint are recovered from it, not the
+	// log.
 	LogPath string
 	// SegmentSize, if > 0, stores the log on a segmented device: the
 	// append-only stream is spread over fixed-size segments, and every
 	// Checkpoint recycles the segments behind the release horizon, so
 	// both the disk footprint and restart-recovery work stay bounded.
 	// With LogPath set, LogPath names a directory holding the segment
-	// files plus a persistent page archive (pages/) — the recycled
-	// log's data lives on as archived page images.
+	// files plus the paged database file (pagefile.db and its journal) —
+	// the recycled log's data lives on as checkpointed page images.
 	SegmentSize int64
-	// ArchiveDir, if set (requires SegmentSize > 0), enables log
-	// archiving: dead segments are copied and fsynced into this
-	// cold-storage directory by a background archiver goroutine before
-	// their slots are recycled, so the hot log stays bounded while the
-	// full history remains restorable (RestoreTail, logdump). The
-	// conventional location for a file-backed log is
+	// ArchiveDir, if set (requires SegmentSize > 0), gives the log a cold
+	// store in this directory: dead segments are shipped there by a
+	// background archiver goroutine before their slots are recycled, so
+	// the hot log stays bounded while the full history remains restorable
+	// (RestoreTo, logdump). It is the same mechanism as RemoteStore — an
+	// object store, here a directory of CRC-enveloped object files
+	// (seg/, pack/, snap/) on the database's own filesystem, each
+	// installed through a synced temporary, a rename and a directory
+	// fsync — so it compacts, snapshots and prunes exactly as described
+	// there, and every statement below that says "with a cold store"
+	// covers it. The conventional location for a file-backed log is
 	// filepath.Join(LogPath, "archive"). A partitioned database
-	// (LogPartitions >= 2) keeps one archive lane per partition
-	// (ArchiveDir/p0, ArchiveDir/p1, …).
+	// (LogPartitions >= 2) keeps one lane per partition (ArchiveDir/p0,
+	// ArchiveDir/p1, …). A directory still holding the *.seg files of
+	// the earlier one-file-per-segment archive layout is refused (the
+	// error matches logdev's ErrFormat) and left untouched.
 	ArchiveDir string
 	// RemoteStore, if set (requires SegmentSize > 0; mutually exclusive
-	// with ArchiveDir), archives dead segments into an S3-style object
-	// store instead of a local directory: the cloud log tier. Every
-	// object carries a self-validating envelope, so torn uploads are
-	// detected and re-shipped; a failed upload leaves the segment
-	// parked on the hot device (its slot is never recycled until the
-	// store durably holds it) and the background archiver retries with
-	// backoff. A partitioned database keeps one key-prefix lane per
+	// with ArchiveDir, which is the same thing on a local directory),
+	// archives dead segments into an S3-style object store: the cloud
+	// log tier. Every object carries a self-validating envelope, so torn
+	// uploads are detected and re-shipped; a failed upload leaves the
+	// segment parked on the hot device (its slot is never recycled until
+	// the store durably holds it) and the background archiver retries
+	// with backoff. A partitioned database keeps one key-prefix lane per
 	// partition (p0/, p1/, …). Use NewMemObjectStore for tests or
 	// NewDirObjectStore for a directory-backed store; any ObjectStore
-	// implementation works. Enables DB.RestoreTo point-in-time
-	// recovery and, with SnapshotEveryBytes, snapshot-anchored
-	// retention.
+	// implementation works. A cold store enables DB.RestoreTo
+	// point-in-time recovery below the hot log's base and, with
+	// SnapshotEveryBytes, snapshot-anchored retention.
 	RemoteStore ObjectStore
-	// CompactSegments, with RemoteStore set, packs runs of at least
-	// this many contiguous raw segment objects into one larger
-	// immutable indexed pack object (background compaction; default 4).
+	// CompactSegments, with a cold store, packs runs of at least this
+	// many contiguous raw segment objects into one larger immutable
+	// indexed pack object (background compaction; default 4).
 	CompactSegments int
-	// SnapshotEveryBytes, with RemoteStore set on a single
-	// (unpartitioned) log, cuts a materialized snapshot object — page
-	// images plus the undo stash of in-flight transactions — every
-	// time this many new log bytes have hardened. Snapshots anchor
-	// retention (RetainSnapshots) and make RestoreTo cost proportional
-	// to the distance from the nearest snapshot instead of total
-	// history. 0 disables snapshots and pruning. Partitioned logs
-	// ignore it: their pages interleave across lanes, so the cloud
-	// tier keeps their full history (compaction still runs).
+	// SnapshotEveryBytes, with a cold store on a single (unpartitioned)
+	// log, cuts a materialized snapshot object — page images plus the
+	// undo stash of in-flight transactions — every time this many new
+	// log bytes have hardened. Snapshots anchor retention
+	// (RetainSnapshots) and make RestoreTo cost proportional to the
+	// distance from the nearest snapshot instead of total history. 0
+	// disables snapshots and pruning. Partitioned logs ignore it: their
+	// pages interleave across lanes, so the cold store keeps their full
+	// history (compaction still runs).
 	SnapshotEveryBytes int64
 	// RetainSnapshots, with SnapshotEveryBytes > 0, keeps only the
 	// newest N snapshot objects: older snapshots, and every log object
@@ -325,42 +332,29 @@ func Open(opts Options) (*DB, error) {
 	if opts.LogPath == "" {
 		db.archive = storage.NewMemArchive()
 	} else {
-		pfPath, legacyDir := opts.LogPath+".pagefile", opts.LogPath+".pages"
+		pfPath := opts.LogPath + ".pagefile"
 		if opts.SegmentSize > 0 {
-			pfPath, legacyDir = filepath.Join(opts.LogPath, "pagefile.db"), filepath.Join(opts.LogPath, "pages")
+			pfPath = filepath.Join(opts.LogPath, "pagefile.db")
 		}
-		pf, err := openPageArchive(fs, pfPath, legacyDir)
+		pf, err := storage.OpenPageFileFS(fs, pfPath)
 		if err != nil {
 			return fail(err)
 		}
 		db.archive = pf
 	}
-	for i := range db.lanes {
-		if err := db.lanes[i].attachColdStore(opts, fs, i, n); err != nil {
-			return fail(err)
+	cold, err := openColdStore(opts, fs)
+	if err != nil {
+		return fail(err)
+	}
+	if cold != nil {
+		for i := range db.lanes {
+			db.lanes[i].attachColdStore(cold, opts.SegmentSize, i, n)
 		}
 	}
 	if err := db.start(); err != nil {
 		return fail(err)
 	}
 	return db, nil
-}
-
-// openPageArchive opens the paged database file, first importing (once)
-// a legacy one-file-per-page archive directory if a previous version of
-// the library left one behind.
-func openPageArchive(fs vfs.FS, pfPath, legacyDir string) (*storage.PageFile, error) {
-	pf, err := storage.OpenPageFileFS(fs, pfPath)
-	if err != nil {
-		return nil, err
-	}
-	if st, serr := fs.Stat(legacyDir); serr == nil && st.IsDir() {
-		if err := pf.ImportLegacy(legacyDir); err != nil {
-			pf.Close()
-			return nil, err
-		}
-	}
-	return pf, nil
 }
 
 // cachePages resolves the CachePages/CacheBytes pair to a page budget
@@ -538,8 +532,9 @@ type Stats struct {
 	// LogSegmentsRecycled counts whole segments recycled (deleted files
 	// or released memory regions); 0 without Options.SegmentSize.
 	LogSegmentsRecycled int64
-	// LogSegmentsArchived counts dead segments shipped to cold storage
-	// (Options.ArchiveDir) before their slots were recycled.
+	// LogSegmentsArchived counts dead segments shipped to the cold store
+	// (Options.ArchiveDir or RemoteStore) before their slots were
+	// recycled.
 	LogSegmentsArchived int64
 	// LogSegmentsPendingArchive is how many dead segments currently
 	// await the background archiver; they stay on disk until cold
@@ -551,17 +546,16 @@ type Stats struct {
 	// ArchiveGaveUp counts archive passes abandoned after the retry
 	// budget; the segments stay parked until a later nudge succeeds.
 	ArchiveGaveUp int64
-	// LogPacksBuilt counts compaction runs in the cloud tier
-	// (Options.RemoteStore): contiguous raw segment objects merged into
-	// one immutable indexed pack object.
+	// LogPacksBuilt counts compaction runs in the cold store: contiguous
+	// raw segment objects merged into one immutable indexed pack object.
 	LogPacksBuilt int64
-	// LogSnapshots counts materialized snapshot objects the cloud
-	// tier's maintenance daemon uploaded (Options.SnapshotEveryBytes).
+	// LogSnapshots counts materialized snapshot objects the cold
+	// store's maintenance daemon uploaded (Options.SnapshotEveryBytes).
 	LogSnapshots int64
-	// LogObjectsPruned counts remote objects retention deleted — always
-	// wholly below the oldest retained snapshot's cut.
+	// LogObjectsPruned counts cold-store objects retention deleted —
+	// always wholly below the oldest retained snapshot's cut.
 	LogObjectsPruned int64
-	// RetentionFailures counts cloud-tier maintenance passes that
+	// RetentionFailures counts cold-store maintenance passes that
 	// errored; nothing is lost, the next checkpoint retries.
 	RetentionFailures int64
 	// RestoreFloor is the oldest restorable point (the oldest retained
@@ -722,28 +716,6 @@ func (db *DB) Stats() Stats {
 		}
 	}
 	return s
-}
-
-// RestoreTail reads the log from logical offset from (a record-aligned
-// LSN; 0 for the beginning of time) through the durable end, stitching
-// archived history below Stats.LogBase — restored on demand from the
-// Options.ArchiveDir cold store — to the live tail. It returns the raw
-// log bytes and the offset the first returned byte actually sits at:
-// from itself when the archive and device cover it contiguously, else
-// Stats.LogBase (history the archive cannot reach would begin
-// mid-record at a segment boundary, so it is withheld rather than
-// returned unparseable; without an archiver this is always the case
-// for from below the base). Dead segments still awaiting the
-// background archiver are drained first, so the archive is contiguous
-// up to the hot log.
-func (db *DB) RestoreTail(from int64) ([]byte, int64, error) {
-	if len(db.lanes) > 1 {
-		// Partitioned logs have no single byte-offset timeline to restore
-		// into; dump them with cmd/logdump, which merges partitions by
-		// global sequence stamp.
-		return nil, 0, errors.New("aether: RestoreTail is not supported for a partitioned log (use logdump's merged view)")
-	}
-	return db.lanes[0].restore(from)
 }
 
 // RecoveryInfo describes what a reopen had to do (file-backed opens).

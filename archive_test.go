@@ -1,14 +1,16 @@
 package aether
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
-	"aether/internal/logrec"
-	"aether/internal/lsn"
+	"aether/internal/logdev"
 )
 
 // waitFor polls cond for up to two seconds — the background archiver
@@ -26,98 +28,193 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// restoredKeys returns how many rows RestoreTo(RestorePoint()) — the
+// committed state replayed from the cold store's history stitched to the
+// hot log — holds for table, failing unless they are exactly the keys
+// [1, want].
+func restoredKeys(t *testing.T, db *DB, table string, want uint64) {
+	t.Helper()
+	at := db.RestorePoint()
+	r, err := db.RestoreTo(at)
+	if err != nil {
+		t.Fatalf("RestoreTo(%d): %v", at, err)
+	}
+	next := uint64(1)
+	if err := r.Scan(table, func(key uint64, _ []byte) bool {
+		if key != next {
+			t.Fatalf("restored state jumps from key %d to %d", next-1, key)
+		}
+		next++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if next-1 != want {
+		t.Fatalf("restored state holds keys 1..%d, want 1..%d", next-1, want)
+	}
+}
+
 // TestArchiverShipsDeadSegmentsBeforeRecycle drives the full lifecycle
-// through the public API: commits fill segments, checkpoints kill them,
-// the background archiver ships every dead segment to cold storage, and
-// only then are their slots recycled — so the union of cold storage and
-// the hot directory always covers the entire history.
+// through the public API, on one lane and on four: commits fill
+// segments, checkpoints kill them, the background archiver ships every
+// dead segment to the cold store, and only then are their slots recycled
+// — so the union of cold store and hot directory always covers the
+// entire history, and replaying that union from offset 0 reproduces the
+// committed state although the hot log holds only the tail.
 func TestArchiverShipsDeadSegmentsBeforeRecycle(t *testing.T) {
-	const segSize = 16 << 10
-	dir := t.TempDir()
-	logDir := filepath.Join(dir, "wal.d")
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("N=%d", n), func(t *testing.T) {
+			const segSize = 16 << 10
+			logDir := filepath.Join(t.TempDir(), "wal.d")
+			db, err := Open(Options{
+				LogPath:       logDir,
+				SegmentSize:   segSize,
+				ArchiveDir:    filepath.Join(logDir, "archive"),
+				LogPartitions: n,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			tbl, err := db.CreateTable("t")
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			writeRows(t, db, tbl, 1, 301) // several segments of traffic
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			st := db.Stats()
+			if st.LogBase == 0 {
+				t.Fatalf("checkpoint did not truncate: %+v", st)
+			}
+			waitFor(t, "background archiver drain", func() bool {
+				s := db.Stats()
+				return s.LogSegmentsPendingArchive == 0 && s.LogSegmentsArchived > 0
+			})
+
+			st = db.Stats()
+			if st.LogSegmentsArchived != st.LogSegmentsRecycled {
+				t.Fatalf("recycled %d segments but archived %d — a slot was reused before cold storage had it",
+					st.LogSegmentsRecycled, st.LogSegmentsArchived)
+			}
+			// Every segment wholly below a lane's base is accounted for:
+			// in the cold store (raw or packed) or still in the hot
+			// directory.
+			for i, l := range db.lanes {
+				covered := make(map[int64]bool)
+				archived, err := l.remote.Segments()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, idx := range archived {
+					covered[idx] = true
+				}
+				for _, si := range l.seg.Segments() {
+					covered[si.Index] = true
+				}
+				for idx := int64(0); (idx+1)*segSize <= l.seg.Base(); idx++ {
+					if !covered[idx] {
+						t.Fatalf("lane %d: segment %d (below base %d) vanished without reaching cold storage", i, idx, l.seg.Base())
+					}
+				}
+			}
+			restoredKeys(t, db, "t", 300)
+
+			// More traffic and another checkpoint keep the lifecycle moving.
+			writeRows(t, db, tbl, 301, 401)
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "second drain", func() bool { return db.Stats().LogSegmentsPendingArchive == 0 })
+			verifyRows(t, db, tbl, 1, 401)
+			restoredKeys(t, db, "t", 400)
+		})
+	}
+}
+
+// TestArchiveDirCompactsAndRestores: a local archive is the cloud tier on
+// a directory, so it compacts — pack objects appear under ArchiveDir, the
+// raw objects they fold disappear — and RestoreTo reads the history back
+// through the packs, also after a reopen.
+func TestArchiveDirCompactsAndRestores(t *testing.T) {
+	const segSize = 8 << 10
+	logDir := filepath.Join(t.TempDir(), "wal.d")
 	coldDir := filepath.Join(logDir, "archive")
-	db, err := Open(Options{
-		LogPath:     logDir,
-		SegmentSize: segSize,
-		ArchiveDir:  coldDir,
-	})
+	opts := Options{LogPath: logDir, SegmentSize: segSize, ArchiveDir: coldDir, CompactSegments: 2}
+	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
 	tbl, err := db.CreateTable("t")
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	writeRows(t, db, tbl, 1, 300) // several segments of traffic
-	if err := db.Checkpoint(); err != nil {
+	for batch := uint64(0); batch < 4; batch++ {
+		writeRows(t, db, tbl, 1+batch*100, 1+(batch+1)*100)
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "compaction under ArchiveDir", func() bool {
+		s := db.Stats()
+		return s.LogPacksBuilt > 0 && s.LogSegmentsPendingArchive == 0
+	})
+	packs, err := filepath.Glob(filepath.Join(coldDir, "pack", "*"))
+	if err != nil || len(packs) == 0 {
+		t.Fatalf("no pack objects under %s/pack (%v)", coldDir, err)
+	}
+	packed, err := db.lanes[0].remote.Segments()
+	if err != nil || len(packed) == 0 || packed[0] != 0 {
+		t.Fatalf("cold store lists segments %v (%v), want a history from segment 0", packed, err)
+	}
+	if _, err := os.Stat(filepath.Join(coldDir, "seg", fmt.Sprintf("%016d", 0))); !os.IsNotExist(err) {
+		t.Fatalf("raw object of packed segment 0 survived compaction: %v", err)
+	}
+	restoredKeys(t, db, "t", 400)
+	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st := db.Stats()
-	if st.LogBase == 0 {
-		t.Fatalf("checkpoint did not truncate: %+v", st)
-	}
-	waitFor(t, "background archiver drain", func() bool {
-		s := db.Stats()
-		return s.LogSegmentsPendingArchive == 0 && s.LogSegmentsArchived > 0
-	})
 
-	st = db.Stats()
-	if st.LogSegmentsArchived != st.LogSegmentsRecycled {
-		t.Fatalf("recycled %d segments but archived %d — a slot was reused before cold storage had it",
-			st.LogSegmentsRecycled, st.LogSegmentsArchived)
-	}
-	// Every segment wholly below the base is accounted for: shipped to
-	// cold storage or still sitting in the hot directory.
-	covered := make(map[int64]bool)
-	for _, d := range []string{coldDir, logDir} {
-		matches, _ := filepath.Glob(filepath.Join(d, "*.seg"))
-		for _, m := range matches {
-			var idx int64
-			if _, err := fmt.Sscanf(filepath.Base(m), "%d.seg", &idx); err == nil {
-				covered[idx] = true
-			}
-		}
-	}
-	for idx := int64(0); (idx+1)*segSize <= st.LogBase; idx++ {
-		if !covered[idx] {
-			t.Fatalf("segment %d (below base %d) vanished without reaching cold storage", idx, st.LogBase)
-		}
-	}
-
-	// Restore-on-demand: the stitched archived+live log decodes from
-	// offset 0 — the full history, despite the hot log holding only the
-	// tail above LogBase.
-	data, start, err := db.RestoreTail(0)
+	db, err = Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if start != 0 {
-		t.Fatalf("RestoreTail start = %d, want 0 (full history archived)", start)
-	}
-	it := logrec.NewIterator(data, lsn.LSN(start))
-	n := 0
-	for {
-		if _, ok := it.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if err := it.Err(); err != nil {
-		t.Fatalf("restored history has a gap: %v", err)
-	}
-	if n < 300 {
-		t.Fatalf("restored history decodes only %d records, want ≥ 300", n)
-	}
-
-	// More traffic and another checkpoint keep the lifecycle moving.
-	writeRows(t, db, tbl, 300, 400)
-	if err := db.Checkpoint(); err != nil {
+	defer db.Close()
+	if _, err := db.CreateTable("t"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "second drain", func() bool { return db.Stats().LogSegmentsPendingArchive == 0 })
-	verifyRows(t, db, tbl, 1, 400)
+	if err := db.RebuildAfterRecovery(); err != nil {
+		t.Fatal(err)
+	}
+	restoredKeys(t, db, "t", 400)
+}
+
+// TestArchiveDirOldLayoutRefused: an ArchiveDir still holding the *.seg
+// files of the earlier one-file-per-segment archive is refused with the
+// typed format error — not read as "nothing archived yet", which would
+// restart its history — and nothing in it is touched.
+func TestArchiveDirOldLayoutRefused(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		logDir := filepath.Join(t.TempDir(), "wal.d")
+		coldDir := filepath.Join(logDir, "archive")
+		laneRoot := logdev.LaneDir(coldDir, n-1, n)
+		if err := os.MkdirAll(laneRoot, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(laneRoot, "0000000000000000.seg"), make([]byte, 4096), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := dirImage(t, coldDir)
+		_, err := Open(Options{LogPath: logDir, SegmentSize: 4096, ArchiveDir: coldDir, LogPartitions: n})
+		if !errors.Is(err, logdev.ErrFormat) {
+			t.Fatalf("N=%d: Open over an old-layout archive: %v, want logdev.ErrFormat", n, err)
+		}
+		if after := dirImage(t, coldDir); !reflect.DeepEqual(before, after) {
+			t.Fatalf("N=%d: refused open changed the archive: %v → %v", n, imageNames(before), imageNames(after))
+		}
+	}
 }
 
 // The background archiver also rides the background checkpointer: with
@@ -219,9 +316,9 @@ func TestTornTailRepairedOnReopen(t *testing.T) {
 	verifyRows(t, db2, tbl2, 1, 100)
 }
 
-// RestoreTail without an archiver clamps to the hot log's base and
-// still returns the live tail.
-func TestRestoreTailWithoutArchiver(t *testing.T) {
+// Without a cold store the history below the truncation base is gone:
+// RestoreTo says so instead of replaying a log that starts mid-history.
+func TestRestoreToWithoutColdStore(t *testing.T) {
 	const segSize = 16 << 10
 	db, err := Open(Options{SegmentSize: segSize})
 	if err != nil {
@@ -232,29 +329,17 @@ func TestRestoreTailWithoutArchiver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeRows(t, db, tbl, 1, 300)
+	writeRows(t, db, tbl, 1, 21)
+	restoredKeys(t, db, "t", 20) // nothing truncated yet: the hot log is the whole history
+	writeRows(t, db, tbl, 21, 301)
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	st := db.Stats()
-	if st.LogBase == 0 {
+	if db.Stats().LogBase == 0 {
 		t.Fatal("checkpoint did not truncate")
 	}
-	data, start, err := db.RestoreTail(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if start != st.LogBase {
-		t.Fatalf("RestoreTail start = %d without archiver, want the base %d", start, st.LogBase)
-	}
-	it := logrec.NewIterator(data, lsn.LSN(start))
-	for {
-		if _, ok := it.Next(); !ok {
-			break
-		}
-	}
-	if err := it.Err(); err != nil {
-		t.Fatalf("live tail has a gap: %v", err)
+	if _, err := db.RestoreTo(db.RestorePoint()); err == nil || !strings.Contains(err.Error(), "archive incomplete") {
+		t.Fatalf("RestoreTo over a truncated log with no cold store: %v, want the archive-incomplete refusal", err)
 	}
 }
 

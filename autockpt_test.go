@@ -1,12 +1,9 @@
 package aether
 
 import (
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
-
-	"aether/internal/storage"
 )
 
 // waitLogBaseAbove drives commits until Stats.LogBase exceeds prev (the
@@ -121,80 +118,4 @@ func TestBackgroundCheckpointerSurvivesCrash(t *testing.T) {
 	// The restarted engine re-arms the checkpointer: the horizon must
 	// keep advancing after recovery too.
 	waitLogBaseAbove(t, db, tbl, last, db.Stats().LogBase)
-}
-
-// TestLegacyPagesDirectoryImport: a database left on disk by the old
-// one-file-per-page layout (a pages/ directory, no pagefile) must open
-// cleanly — Open imports the directory into the pagefile once, removes
-// it, and recovery finds every row.
-func TestLegacyPagesDirectoryImport(t *testing.T) {
-	const segSize = 16 << 10
-	dir := filepath.Join(t.TempDir(), "wal.d")
-	db, err := Open(Options{LogPath: dir, SegmentSize: segSize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := db.CreateTable("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeRows(t, db, tbl, 1, 300)
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err) // truncates the log: the archive is now load-bearing
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Rewrite the on-disk state into the legacy layout: every archived
-	// page as its own file under pages/, no pagefile.
-	pfPath := filepath.Join(dir, "pagefile.db")
-	pf, err := storage.OpenPageFile(pfPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := storage.OpenFileArchive(filepath.Join(dir, "pages"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pids, err := pf.Pages()
-	if err != nil || len(pids) == 0 {
-		t.Fatalf("pagefile pages: %v, %v", pids, err)
-	}
-	for _, pid := range pids {
-		img, err := pf.Get(pid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := legacy.Put(pid, img); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pf.Close()
-	for _, p := range []string{pfPath, pfPath + ".journal"} {
-		if err := os.Remove(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Open must migrate and recover.
-	db2, err := Open(Options{LogPath: dir, SegmentSize: segSize})
-	if err != nil {
-		t.Fatalf("reopen over legacy layout: %v", err)
-	}
-	defer db2.Close()
-	tbl2, err := db2.CreateTable("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db2.RebuildAfterRecovery(); err != nil {
-		t.Fatal(err)
-	}
-	verifyRows(t, db2, tbl2, 1, 300)
-	if _, err := os.Stat(filepath.Join(dir, "pages")); !os.IsNotExist(err) {
-		t.Fatalf("legacy pages/ directory survived the import: %v", err)
-	}
-	if _, err := os.Stat(pfPath); err != nil {
-		t.Fatalf("pagefile missing after import: %v", err)
-	}
 }

@@ -7,13 +7,16 @@
 // table.
 //
 // Cold-storage awareness: a segmented log whose dead segments were
-// archived (aether.Options.ArchiveDir) keeps only the hot tail on the
-// device. logdump lists the archived segments and, when the archive is
-// reachable, stitches the archived history below the truncation base
-// to the live tail so the dump covers the full log from offset 0 —
-// including segments already recycled from the hot directory. The
-// archive is auto-detected at <dir>/archive (the conventional
-// location) or named explicitly with -archive.
+// archived (aether.Options.ArchiveDir, or a RemoteStore kept in a
+// directory) keeps only the hot tail on the device. logdump lists the
+// cold store's objects — raw segments, packs with their decoded indexes,
+// snapshots, the retention floor — and stitches the archived history
+// below the truncation base to the live tail so the dump covers the full
+// log from offset 0, including segments already recycled from the hot
+// directory. The store is auto-detected at <dir>/archive (the
+// conventional location) or named explicitly with -archive; it is opened
+// read-only (nothing is created, swept or repaired). -archive without -f
+// prints the object listing alone.
 //
 // Pointed at a partitioned database root (Options.LogPartitions >= 2 —
 // recognized by its p0/ directory), it prints each partition's segment
@@ -24,13 +27,13 @@
 // Usage:
 //
 //	logdump -f wal.log              # every record
-//	logdump -f wal.d                # segmented log directory (+ archive, if present)
+//	logdump -f wal.d                # segmented log directory (+ cold store, if present)
 //	logdump -f wal.d -archive cold  # segmented log with an explicit cold store
 //	logdump -f multi.d              # partitioned root: per-partition layout + merged seq view
 //	logdump -f wal.log -txn 42      # one transaction's chain
 //	logdump -f wal.log -stats       # kind histogram + volume only
 //	logdump -f wal.d/pagefile.db    # pagefile slot table
-//	logdump -remote cloud.d         # cloud log tier: raw/pack/snapshot
+//	logdump -archive cold           # cold store alone: raw/pack/snapshot
 //	                                # objects, decoded pack indexes, floor
 package main
 
@@ -56,62 +59,59 @@ func usage() {
 
 Usage:
   logdump -f <path> [-archive <dir>] [-txn <id>] [-stats]
+  logdump -archive <dir>
 
 The path may be:
   a log file            every record, in LSN order
-  a segmented log dir   segment layout + base first; archived segments
-                        (auto-detected at <dir>/archive, or -archive)
-                        are listed and stitched below the base so the
-                        dump covers history already recycled from the
-                        hot directory
+  a segmented log dir   segment layout + base first; the cold store
+                        (auto-detected at <dir>/archive, or -archive) is
+                        listed — raw segments, packs, snapshots, floor —
+                        and stitched below the base so the dump covers
+                        history already recycled from the hot directory
   a partitioned root    (p0/ present) each partition's segment layout,
                         then all partitions' records merged in global
                         seq order — the order recovery replays
   a pagefile            the paged database file's slot table
+
+The cold store is a directory of objects (Options.ArchiveDir, or a
+RemoteStore made with NewDirObjectStore). It is only ever read.
 
 Flags:
 `)
 	flag.PrintDefaults()
 	fmt.Fprintf(flag.CommandLine.Output(), `
 Examples:
-  logdump -f wal.d                 dump a segmented log and its archive
+  logdump -f wal.d                 dump a segmented log and its cold store
   logdump -f wal.d -stats          kind histogram and volume only
   logdump -f wal.d -archive /cold  cold store in a non-default location
   logdump -f wal.d/pagefile.db     slot table of the database file
-  logdump -remote cloud.d          cloud log tier: raw segments, packs
-                                   (decoded indexes), snapshots, floor
+  logdump -archive /cold           the cold store alone: raw segments,
+                                   packs (decoded indexes), snapshots, floor
 `)
 }
 
 func main() {
 	var (
 		path    = flag.String("f", "", "log file, segmented log directory, or pagefile to dump")
-		archDir = flag.String("archive", "", "cold-storage directory holding archived segments (default: <dir>/archive when present)")
-		remote  = flag.String("remote", "", "cloud log tier directory (a DirObjectStore root): list raw segment, pack, and snapshot objects instead of dumping a log")
+		archDir = flag.String("archive", "", "cold-store directory (default: <dir>/archive when present); without -f, list its objects")
 		txn     = flag.Uint64("txn", 0, "show only this transaction (0 = all)")
 		stats   = flag.Bool("stats", false, "print only summary statistics")
 	)
 	flag.Usage = usage
 	flag.Parse()
-	if *remote != "" {
-		if err := dumpRemote(*remote); err != nil {
-			fmt.Fprintln(os.Stderr, "logdump:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *path == "" {
+	var err error
+	switch {
+	case *path == "" && *archDir == "":
 		flag.Usage()
 		os.Exit(2)
+	case *path == "":
+		err = listColdStore(*archDir)
+	case isPageFile(*path):
+		err = dumpPageFile(*path, true)
+	default:
+		err = dump(*path, *archDir, *txn, *stats)
 	}
-	if isPageFile(*path) {
-		if err := dumpPageFile(*path, true); err != nil {
-			fmt.Fprintln(os.Stderr, "logdump:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := dump(*path, *archDir, *txn, *stats); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "logdump:", err)
 		os.Exit(1)
 	}
@@ -204,26 +204,33 @@ func printSlots(seg *logdev.Segmented) {
 	}
 }
 
-// archiverFor opens lane i of n's cold store for a segmented log rooted
-// at logPath: under the explicit -archive directory, or under
-// <logPath>/archive when that exists, laid out like the log itself
-// (logdev.LaneDir). Returns nil when there is no archive — the dump then
-// covers only the hot log. The handle never creates the directory or
-// sweeps temp files (a live archiver may own them).
-func archiverFor(logPath, archDir string, i, n int) (*logdev.DirArchiver, error) {
+// coldStore opens the cold store to read: the directory -archive names,
+// or <logPath>/archive when that exists; nil when there is none — the
+// dump then covers only the hot log. The open never creates the
+// directory, sweeps temporaries or writes (a live archiver may own it).
+func coldStore(logPath, archDir string) (*logdev.DirObjectStore, error) {
 	if archDir == "" {
 		archDir = filepath.Join(logPath, "archive")
-		if !isDir(logdev.LaneDir(archDir, i, n)) {
+		if !isDir(archDir) {
 			return nil, nil
 		}
 	}
-	return logdev.DirArchiverAt(logdev.LaneDir(archDir, i, n))
+	return logdev.DirObjectStoreAt(archDir)
+}
+
+// lanePrefix is lane i of n's key prefix in the cold store ("" for the
+// one lane of an unpartitioned log).
+func lanePrefix(i, n int) string {
+	if p := logdev.LaneDir("", i, n); p != "" {
+		return p + "/"
+	}
+	return ""
 }
 
 // dumpLane prints lane i of n's device layout and returns its restorable
 // log: for a segmented directory the archived history below the
 // truncation base stitched to the live tail, for a plain file the tail.
-func dumpLane(path, archDir string, i, n int) (recovery.Lane, error) {
+func dumpLane(path string, store *logdev.DirObjectStore, i, n int) (recovery.Lane, error) {
 	dev, err := openDevice(logdev.LaneDir(path, i, n))
 	if err != nil {
 		return recovery.Lane{}, err
@@ -231,7 +238,7 @@ func dumpLane(path, archDir string, i, n int) (recovery.Lane, error) {
 	defer dev.Close()
 	seg, ok := dev.(*logdev.Segmented)
 	if !ok {
-		if archDir != "" {
+		if store != nil {
 			return recovery.Lane{}, errors.New("-archive only applies to segmented log directories")
 		}
 		data, base, err := logdev.ReadTail(dev)
@@ -256,27 +263,19 @@ func dumpLane(path, archDir string, i, n int) (recovery.Lane, error) {
 	if pend := seg.PendingArchive(); len(pend) > 0 {
 		fmt.Printf("  pending archive: %v  (dead, recycled only after cold storage has them)\n", pend)
 	}
-	arch, err := archiverFor(path, archDir, i, n)
-	if err != nil {
-		return recovery.Lane{}, err
-	}
-	// Read-only device + read-only archive handle: RestoreLog skips the
-	// drain and stitches what is already archived to the bytes still on
-	// the device (parked dead segments included).
-	var a logdev.Archiver
-	if arch != nil {
-		idxs, err := arch.Segments()
-		if err != nil {
+	// Read-only device + read-only store: RestoreLog skips the drain and
+	// stitches what is already archived to the bytes still on the device
+	// (parked dead segments included).
+	var arch *logdev.RemoteArchiver
+	if store != nil {
+		prefix := lanePrefix(i, n)
+		fmt.Printf("cold store lane %q:\n", prefix)
+		if err := listColdLane(store, prefix); err != nil {
 			return recovery.Lane{}, err
 		}
-		fmt.Printf("archive %s: %d segments\n", arch.Dir(), len(idxs))
-		for _, idx := range idxs {
-			fmt.Printf("  archived segment %6d  [%d, %d)\n",
-				idx, idx*seg.SegmentSize(), (idx+1)*seg.SegmentSize())
-		}
-		a = arch
+		arch = logdev.NewRemoteArchiver(store, prefix, seg.SegmentSize())
 	}
-	data, base, err := seg.RestoreLog(a, 0)
+	data, base, err := seg.RestoreLog(arch, 0)
 	return recovery.Lane{Log: data, Base: lsn.LSN(base)}, err
 }
 
@@ -289,11 +288,15 @@ func dump(path, archDir string, txnFilter uint64, statsOnly bool) error {
 	if isDir(path) {
 		n = logdev.CountLanes(vfs.OS{}, path)
 	}
+	store, err := coldStore(path, archDir)
+	if err != nil {
+		return err
+	}
 	lanes := make([]recovery.Lane, n)
 	var restorable int
 	for i := range lanes {
 		var err error
-		if lanes[i], err = dumpLane(path, archDir, i, n); err != nil {
+		if lanes[i], err = dumpLane(path, store, i, n); err != nil {
 			return fmt.Errorf("lane %d: %w", i, err)
 		}
 		restorable += len(lanes[i].Log)
@@ -396,29 +399,23 @@ func isDir(path string) bool {
 	return err == nil && st.IsDir()
 }
 
-// dumpRemote lists a cloud log tier rooted at a DirObjectStore
-// directory (aether.NewDirObjectStore): the raw segment objects, the
-// compacted packs with their decoded indexes, the snapshot objects, and
-// the retention floor — per lane for a partitioned database (p0/, p1/,
-// …), one unnamed lane otherwise. Torn objects (a crashed or cut
+// listColdStore prints what a cold store holds: the raw segment objects,
+// the compacted packs with their decoded indexes, the snapshot objects,
+// and the retention floor — per lane for a partitioned database (p0/,
+// p1/, …), one unnamed lane otherwise. Torn objects (a crashed or cut
 // upload's prefix) are flagged, not errors: the archiver overwrites
 // them on its next pass.
-func dumpRemote(dir string) error {
-	if !isDir(dir) {
-		return fmt.Errorf("%s: not a directory (expected a cloud tier root)", dir)
-	}
-	store, err := logdev.NewDirObjectStore(dir)
+func listColdStore(dir string) error {
+	store, err := coldStore("", dir)
 	if err != nil {
 		return err
 	}
 	n := logdev.CountLanes(vfs.OS{}, dir)
 	for i := 0; i < n; i++ {
-		lane := logdev.LaneDir("", i, n)
-		if lane != "" {
-			fmt.Printf("lane %s\n", lane)
-			lane += "/"
+		if p := lanePrefix(i, n); p != "" {
+			fmt.Printf("lane %s\n", strings.TrimSuffix(p, "/"))
 		}
-		if err := dumpRemoteLane(store, lane); err != nil {
+		if err := listColdLane(store, lanePrefix(i, n)); err != nil {
 			return err
 		}
 	}
@@ -438,7 +435,7 @@ func remoteObj(store logdev.ObjectStore, key string) (kind uint16, meta uint64, 
 	return kind, meta, payload, false, nil
 }
 
-func dumpRemoteLane(store logdev.ObjectStore, lane string) error {
+func listColdLane(store logdev.ObjectStore, lane string) error {
 	var segSize int64
 	var minSeg int64 = -1
 	segKeys, err := store.List(lane + "seg/")

@@ -77,15 +77,17 @@
 //
 // # Log archiving (cold storage)
 //
-// With Options.ArchiveDir set, dead segments are not deleted at
-// truncation: a background archiver goroutine copies and fsyncs each
-// one into the cold-storage directory first, and only then recycles its
-// slot — the hot log stays tiny while the full history survives.
-// DB.RestoreTail stitches archived segments back to the live tail on
-// demand (and cmd/logdump does the same), so the log remains readable
-// from offset 0 for audit and replay. Stats.LogSegmentsArchived and
-// Stats.LogSegmentsPendingArchive track the pipeline; while cold
-// storage is unreachable, dead segments simply wait on disk.
+// With a cold store — Options.ArchiveDir for a local directory,
+// Options.RemoteStore for any S3-style object store; one mechanism under
+// both — dead segments are not deleted at truncation: a background
+// archiver goroutine ships each one into the store as a CRC-enveloped
+// object first, and only then recycles its slot — the hot log stays tiny
+// while the full history survives. DB.RestoreTo replays that history
+// stitched to the live tail (and cmd/logdump dumps it), so the committed
+// state at any captured DB.RestorePoint stays reconstructible.
+// Stats.LogSegmentsArchived and Stats.LogSegmentsPendingArchive track
+// the pipeline; while cold storage is unreachable, dead segments simply
+// wait on disk.
 //
 // # Paged database file
 //
@@ -103,8 +105,7 @@
 // a quarter-megabyte buffer.
 // Open replays a committed journal (crash after the journal fsync) or
 // discards a torn one (crash before it); either way every slot ends
-// consistent. Databases created by older versions with a one-file-per-
-// page pages/ directory are imported into the pagefile once on Open.
+// consistent.
 //
 // # Bounded buffer pool (databases larger than RAM)
 //

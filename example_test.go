@@ -144,9 +144,9 @@ func ExampleOptions_cleanerPages() {
 }
 
 // ExampleOptions_archiveDir enables log archiving: dead segments are
-// fsynced into a cold-storage directory before their slots are
-// recycled, and RestoreTail stitches that archived history back to the
-// hot log on demand — the full log remains readable from offset 0 even
+// shipped into a cold-store directory before their slots are recycled,
+// and RestoreTo replays that archived history stitched to the hot log —
+// the committed state at any captured point stays reconstructible even
 // though the hot directory holds only the tail.
 func ExampleOptions_archiveDir() {
 	dir, err := os.MkdirTemp("", "aether-archive-*")
@@ -172,6 +172,7 @@ func ExampleOptions_archiveDir() {
 	}
 	s := db.Session()
 	defer s.Close()
+	var midway int64 // a restore point: the durable position after event 100
 	for id := uint64(1); id <= 300; id++ {
 		tx := s.Begin()
 		if err := tx.Insert(events, id, aether.Row(id, make([]byte, 256))); err != nil {
@@ -180,21 +181,32 @@ func ExampleOptions_archiveDir() {
 		if err := tx.Commit(); err != nil {
 			log.Fatal(err)
 		}
+		if id == 100 {
+			midway = db.RestorePoint()
+		}
 	}
 	// The checkpoint kills the old segments; the archiver ships them to
-	// cold storage before recycling.
+	// the cold store before recycling.
 	if err := db.Checkpoint(); err != nil {
 		log.Fatal(err)
 	}
 
-	data, start, err := db.RestoreTail(0)
-	if err != nil {
-		log.Fatal(err)
+	count := func(at int64) (n int) {
+		then, err := db.RestoreTo(at)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := then.Scan("events", func(uint64, []byte) bool { n++; return true }); err != nil {
+			log.Fatal(err)
+		}
+		return n
 	}
 	st := db.Stats()
 	fmt.Printf("hot log starts at base > 0: %v\n", st.LogBase > 0)
-	fmt.Printf("restored history from offset %d: %v\n", start, len(data) > 0)
+	fmt.Printf("events at the midway point: %d\n", count(midway))
+	fmt.Printf("events now: %d\n", count(db.RestorePoint()))
 	// Output:
 	// hot log starts at base > 0: true
-	// restored history from offset 0: true
+	// events at the midway point: 100
+	// events now: 300
 }

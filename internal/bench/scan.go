@@ -176,6 +176,19 @@ func scanPhase(backend storage.Archive, pids []uint64, cachePages, depth int) (f
 	return float64(len(pids)) / elapsed.Seconds(), cs, nil
 }
 
+// newDirtyStore builds a store with n archivable dirty pages.
+func newDirtyStore(n int) *storage.Store {
+	st := storage.NewStore()
+	for i := 0; i < n; i++ {
+		p, _ := st.GetOrCreate(storage.MakePageID(1, uint64(i+1)))
+		_ = p.Insert(0, []byte(fmt.Sprintf("scan-bench-row-%08d", i)))
+		p.SetLSN(1)
+		st.MarkDirty(p.ID(), 1)
+		p.Unpin()
+	}
+	return st
+}
+
 // RunScan executes the cold-scan microbenchmark: build a table in the
 // pagefile, then sequentially fault every page through a cache a
 // fraction of its size — once with reads funneled through a single
@@ -199,7 +212,7 @@ func RunScan(cfg ScanConfig) (ScanResult, error) {
 
 	// Build: a contiguous run of archived pages, as a checkpointed table
 	// would sit in the database file.
-	st, _ := newDirtyStore(cfg.Pages)
+	st := newDirtyStore(cfg.Pages)
 	pf, err := storage.OpenPageFile(filepath.Join(cfg.Dir, "scan-pagefile.db"))
 	if err != nil {
 		return res, err

@@ -4,253 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
-
-	"aether/internal/fsutil"
-	"aether/internal/vfs"
 )
 
-// Archiver is cold storage for dead log segments — the BtrLog-style
-// archive-before-recycle lifecycle. A Segmented device with an archiver
-// attached never deletes a dead segment until Archive has returned for
-// it, so the full log history survives below the truncation base: the
-// hot log stays tiny while audit/replay readers restore archived
-// segments on demand (RestoreRange, aether.RestoreTail, logdump).
-//
-// Implementations must make Archive durable before returning (the
-// segment file is unlinked right after) and should be idempotent: a
-// crash between Archive and the recycle re-archives the same segment on
-// the next pass. DirArchiver is the in-tree local-directory cold store;
-// the interface is deliberately small enough for S3-style backends.
-type Archiver interface {
-	// Archive durably stores the full contents of dead segment idx.
-	// data is exactly one segment (SegmentSize bytes). Archiving the
-	// same idx twice with identical contents must succeed.
-	Archive(idx int64, data []byte) error
-	// Retrieve returns segment idx's archived contents, or
-	// ErrNotArchived if idx was never archived.
-	Retrieve(idx int64) ([]byte, error)
-	// Segments lists archived segment indexes in ascending order.
-	Segments() ([]int64, error)
-}
-
-// ErrNotArchived is returned by Archiver.Retrieve for a segment the
-// archive does not hold.
+// ErrNotArchived is returned by RemoteArchiver.Retrieve for a segment
+// the cold store does not hold a valid object for.
 var ErrNotArchived = errors.New("logdev: segment not archived")
-
-// DirArchiver is the local-directory Archiver: each dead segment is a
-// file <dir>/<index>.seg, installed atomically (synced temp file, then
-// rename, then directory fsync) so a crash mid-archive can never leave
-// a half-written segment that a restore would trust.
-type DirArchiver struct {
-	fs  vfs.FS
-	dir string
-}
-
-// OpenDirArchiver opens (creating if needed) a local cold-storage
-// directory. Orphan temp files from a crash mid-archive are swept out.
-func OpenDirArchiver(dir string) (*DirArchiver, error) {
-	return OpenDirArchiverFS(vfs.OS{}, dir)
-}
-
-// OpenDirArchiverFS is OpenDirArchiver over an arbitrary filesystem —
-// the fault-injection entry point.
-func OpenDirArchiverFS(fs vfs.FS, dir string) (*DirArchiver, error) {
-	if _, err := fs.Stat(dir); err != nil {
-		if err := fs.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("logdev: create archive %s: %w", dir, err)
-		}
-		// Make the archive directory's own dentry durable before any
-		// segment is installed inside it: otherwise a crash could drop
-		// the directory wholesale after Archive has acknowledged.
-		if err := fsutil.SyncDirFS(fs, filepath.Dir(dir)); err != nil {
-			return nil, fmt.Errorf("logdev: sync parent of archive %s: %w", dir, err)
-		}
-	}
-	entries, err := fs.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("logdev: open archive %s: %w", dir, err)
-	}
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".tmp") {
-			if err := fs.Remove(filepath.Join(dir, e.Name())); err != nil && !errors.Is(err, os.ErrNotExist) {
-				return nil, fmt.Errorf("logdev: sweep stale temp %s: %w", e.Name(), err)
-			}
-		}
-	}
-	return &DirArchiver{fs: fs, dir: dir}, nil
-}
-
-// DirArchiverAt returns a handle on an existing cold-storage directory
-// without creating it or sweeping temp files — the read-side open for
-// diagnostic tools (logdump) that must not mutate a live archiver's
-// directory. Retrieve and Segments work as usual; Archive still writes,
-// so writers should use OpenDirArchiver.
-func DirArchiverAt(dir string) (*DirArchiver, error) {
-	st, err := os.Stat(dir)
-	if err != nil {
-		return nil, fmt.Errorf("logdev: open archive %s: %w", dir, err)
-	}
-	if !st.IsDir() {
-		return nil, fmt.Errorf("logdev: archive %s is not a directory", dir)
-	}
-	return &DirArchiver{fs: vfs.OS{}, dir: dir}, nil
-}
-
-// Dir returns the cold-storage directory path.
-func (a *DirArchiver) Dir() string { return a.dir }
-
-func (a *DirArchiver) segPath(idx int64) string {
-	return filepath.Join(a.dir, fmt.Sprintf("%016d.seg", idx))
-}
-
-// Archive implements Archiver. The segment is crash-installed: bytes
-// are fsynced in a temp file, renamed into place, and the directory
-// entry is fsynced before Archive returns — only then may the caller
-// unlink the hot copy.
-func (a *DirArchiver) Archive(idx int64, data []byte) error {
-	path := a.segPath(idx)
-	if st, err := a.fs.Stat(path); err == nil && st.Size() == int64(len(data)) {
-		// Already archived (a crash interrupted the recycle): the
-		// archive is immutable history, so an existing full-size copy
-		// is the same bytes.
-		return nil
-	}
-	tmp := path + ".tmp"
-	if err := fsutil.WriteFileSyncFS(a.fs, tmp, data, 0o644); err != nil {
-		return fmt.Errorf("logdev: archive segment %d: %w", idx, err)
-	}
-	if err := a.fs.Rename(tmp, path); err != nil {
-		return fmt.Errorf("logdev: install archived segment %d: %w", idx, err)
-	}
-	if err := fsutil.SyncDirFS(a.fs, a.dir); err != nil {
-		return fmt.Errorf("logdev: sync archive dir: %w", err)
-	}
-	return nil
-}
-
-// Retrieve implements Archiver.
-func (a *DirArchiver) Retrieve(idx int64) ([]byte, error) {
-	data, err := a.fs.ReadFile(a.segPath(idx))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("logdev: segment %d: %w", idx, ErrNotArchived)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("logdev: retrieve segment %d: %w", idx, err)
-	}
-	return data, nil
-}
-
-// Segments implements Archiver.
-func (a *DirArchiver) Segments() ([]int64, error) {
-	entries, err := a.fs.ReadDir(a.dir)
-	if err != nil {
-		return nil, fmt.Errorf("logdev: list archive %s: %w", a.dir, err)
-	}
-	var out []int64
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasSuffix(name, ".seg") {
-			continue
-		}
-		idx, perr := strconv.ParseInt(strings.TrimSuffix(name, ".seg"), 10, 64)
-		if perr != nil {
-			continue
-		}
-		out = append(out, idx)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
-}
-
-// MemArchiver is an in-memory Archiver for tests and simulated
-// deployments: cold storage that survives the simulated crashes the
-// memory-backed Segmented device models.
-type MemArchiver struct {
-	mu    sync.Mutex
-	segs  map[int64][]byte
-	fail  error
-	failN int // with fail set: fail only this many more calls (0 = every call)
-}
-
-// NewMemArchiver returns an empty in-memory archive.
-func NewMemArchiver() *MemArchiver {
-	return &MemArchiver{segs: make(map[int64][]byte)}
-}
-
-// FailWith injects err into every subsequent Archive call until cleared
-// with FailWith(nil) — tests use it to prove dead segments are never
-// recycled while the cold store is down.
-func (a *MemArchiver) FailWith(err error) {
-	a.mu.Lock()
-	a.fail = err
-	a.failN = 0
-	a.mu.Unlock()
-}
-
-// FailTimes injects err into the next n Archive calls, then heals — a
-// transient cold-store outage. Tests use it to prove the engine's
-// archiver retries with backoff and loses nothing.
-func (a *MemArchiver) FailTimes(n int, err error) {
-	a.mu.Lock()
-	a.fail = err
-	a.failN = n
-	a.mu.Unlock()
-}
-
-// Archive implements Archiver.
-func (a *MemArchiver) Archive(idx int64, data []byte) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.fail != nil {
-		err := a.fail
-		if a.failN > 0 {
-			if a.failN--; a.failN == 0 {
-				a.fail = nil
-			}
-		}
-		return err
-	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	a.segs[idx] = cp
-	return nil
-}
-
-// Retrieve implements Archiver.
-func (a *MemArchiver) Retrieve(idx int64) ([]byte, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	data, ok := a.segs[idx]
-	if !ok {
-		return nil, fmt.Errorf("logdev: segment %d: %w", idx, ErrNotArchived)
-	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	return cp, nil
-}
-
-// Segments implements Archiver.
-func (a *MemArchiver) Segments() ([]int64, error) {
-	a.mu.Lock()
-	out := make([]int64, 0, len(a.segs))
-	for idx := range a.segs {
-		out = append(out, idx)
-	}
-	a.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
-}
-
-var (
-	_ Archiver = (*DirArchiver)(nil)
-	_ Archiver = (*MemArchiver)(nil)
-)
 
 // ArchivingTruncator is the optional Truncator extension for devices
 // whose dead segments are shipped to cold storage before their slots
@@ -274,9 +32,9 @@ type ArchivingTruncator interface {
 // returned start is the first offset of that contiguous run, with data
 // holding [start, to). Callers needing record-aligned output must
 // treat start > from as "older history unavailable" (a segment
-// boundary is not a record boundary); Archiver.Segments still lists
-// any orphaned segments stranded below a hole.
-func RestoreRange(a Archiver, segSize, from, to int64) (data []byte, start int64, err error) {
+// boundary is not a record boundary); RemoteArchiver.Segments still
+// lists any orphaned segments stranded below a hole.
+func RestoreRange(a *RemoteArchiver, segSize, from, to int64) (data []byte, start int64, err error) {
 	if segSize <= 0 {
 		return nil, 0, fmt.Errorf("logdev: restore: segment size %d", segSize)
 	}
@@ -347,7 +105,7 @@ func RestoreRange(a Archiver, segSize, from, to int64) (data []byte, start int64
 // non-nil), then reading — runs under the archive mutex: a concurrent
 // truncation can park segments mid-restore (they stay readable on the
 // device) but never recycle one out from under the read.
-func (s *Segmented) RestoreLog(arch Archiver, from int64) ([]byte, int64, error) {
+func (s *Segmented) RestoreLog(arch *RemoteArchiver, from int64) ([]byte, int64, error) {
 	if from < 0 {
 		from = 0
 	}

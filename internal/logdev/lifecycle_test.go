@@ -239,48 +239,6 @@ func TestWatermarkSurvivesScribbledSlot(t *testing.T) {
 	}
 }
 
-func TestDirArchiverRoundtripAndIdempotency(t *testing.T) {
-	dir := t.TempDir()
-	a, err := OpenDirArchiver(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fill(64, 'z')
-	if err := a.Archive(7, want); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Archive(7, want); err != nil {
-		t.Fatalf("re-archiving the same segment: %v", err)
-	}
-	got, err := a.Retrieve(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("archived segment mismatch")
-	}
-	if _, err := a.Retrieve(8); !errors.Is(err, ErrNotArchived) {
-		t.Fatalf("Retrieve of missing segment: %v, want ErrNotArchived", err)
-	}
-	segs, err := a.Segments()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) != 1 || segs[0] != 7 {
-		t.Fatalf("Segments = %v, want [7]", segs)
-	}
-	// Orphan temps are swept on open.
-	if err := os.WriteFile(filepath.Join(dir, "0000000000000009.seg.tmp"), []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenDirArchiver(dir); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "0000000000000009.seg.tmp")); !os.IsNotExist(err) {
-		t.Fatal("stale temp survived reopen")
-	}
-}
-
 // TestArchiveBeforeRecycle is the lifecycle test: with an archiver
 // attached, Truncate parks dead segments instead of deleting them, and
 // every one of them reaches cold storage (byte-identical) before its
@@ -292,7 +250,8 @@ func TestArchiveBeforeRecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	arch := NewMemArchiver()
+	store := NewMemObjectStore()
+	arch := NewRemoteArchiver(store, "", 64)
 	s.SetArchiver(arch)
 
 	want := fill(300, 'q') // segments 0..4
@@ -314,7 +273,7 @@ func TestArchiveBeforeRecycle(t *testing.T) {
 	}
 
 	// Cold store down: the drain fails and every slot stays occupied.
-	arch.FailWith(errors.New("cold storage unreachable"))
+	store.Arm(NetFault{Outage: errors.New("cold storage unreachable")})
 	if n, err := s.ArchivePending(); err == nil || n != 0 {
 		t.Fatalf("ArchivePending with cold store down: n=%d err=%v", n, err)
 	}
@@ -325,7 +284,7 @@ func TestArchiveBeforeRecycle(t *testing.T) {
 	}
 
 	// Cold store back: segments ship, then (and only then) recycle.
-	arch.FailWith(nil)
+	store.Arm(NetFault{})
 	n, err := s.ArchivePending()
 	if err != nil || n != 3 {
 		t.Fatalf("ArchivePending = (%d, %v), want (3, nil)", n, err)
@@ -362,7 +321,9 @@ func TestArchiveBeforeRecycle(t *testing.T) {
 		t.Fatalf("RestoreRange start=%d len=%d, want full archived history", start, len(data))
 	}
 	// A range predating the archive clamps up to the first restorable byte.
-	delete(arch.segs, 0)
+	if err := store.Delete(arch.segKey(0)); err != nil {
+		t.Fatal(err)
+	}
 	data, start, err = RestoreRange(arch, 64, 0, 192)
 	if err != nil {
 		t.Fatal(err)
@@ -399,7 +360,7 @@ func TestRestoreLogFallsBackToRecordAlignedBase(t *testing.T) {
 
 	// Partial archive (hole below segment 2): restorable bytes would
 	// begin at a segment boundary mid-record, so the base wins again.
-	arch := NewMemArchiver()
+	arch := NewRemoteArchiver(NewMemObjectStore(), "", 64)
 	if err := arch.Archive(2, want[128:192]); err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +484,7 @@ func TestReopenDrainsPendingDeadSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arch := NewMemArchiver()
+	arch := NewRemoteArchiver(NewMemObjectStore(), "", 64)
 	s.SetArchiver(arch)
 	want := fill(300, 'r')
 	appendSync(t, s, want)

@@ -1,10 +1,10 @@
-// objstore.go is the S3-style object API underneath the remote log
-// tier: a flat namespace of immutable blobs with whole-object put/get
-// semantics. Two implementations ship — MemObjectStore, an in-memory
-// "cloud" with an injectable network-failure model (latency, transient
-// 5xx storms, torn uploads, permanent outages) for tests and the soak
-// harness, and DirObjectStore, a directory of files for real databases
-// and offline inspection (logdump -remote).
+// objstore.go is the S3-style object API underneath the cold store: a
+// flat namespace of immutable blobs with whole-object put/get semantics.
+// Two implementations ship — MemObjectStore, an in-memory "cloud" with
+// an injectable network-failure model (latency, transient 5xx storms,
+// torn uploads, permanent outages) for tests and the soak harness, and
+// DirObjectStore, a directory of files: the local cold store behind
+// Options.ArchiveDir, and what logdump inspects offline.
 //
 // The failure model is deliberately server-side: a torn upload leaves a
 // truncated object *in the store* while the client sees an error,
@@ -21,6 +21,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"aether/internal/fsutil"
@@ -211,12 +212,29 @@ func (m *MemObjectStore) List(prefix string) ([]string, error) {
 }
 
 // DirObjectStore is a file-per-object ObjectStore rooted at a
-// directory: key "pack/a-b" becomes <root>/pack/a-b. Puts go through
-// the usual tmp-write + rename + parent-sync discipline so a local
-// crash never leaves a torn object visible under its final name.
+// directory: key "pack/a-b" becomes <root>/pack/a-b. It is the local
+// cold store (Options.ArchiveDir is a RemoteArchiver over one), so it
+// keeps the install discipline a cold store's acknowledgement stands on —
+// the caller unlinks its hot copy as soon as Put returns:
+//
+//   - an object is written and fsynced under a temporary name, renamed
+//     into place, and its directory fsynced, so a crash at any point
+//     leaves the old complete object or the new one under the final
+//     name, never a truncated or mixed one;
+//   - every directory the store creates — the root, lane prefixes,
+//     seg/, pack/, snap/ — has its own entry fsynced in its parent
+//     before the first Put beneath it returns, or a power loss could drop
+//     the directory wholesale with acknowledged objects inside;
+//   - temporaries a crash left behind are swept by the next write-side
+//     open.
 type DirObjectStore struct {
-	fs   vfs.FS
-	root string
+	fs       vfs.FS
+	root     string
+	readOnly bool
+	tmpSeq   atomic.Uint64 // distinct temporary names for concurrent Puts
+
+	mu      sync.Mutex
+	durable map[string]bool // directories whose entry this open has fsynced
 }
 
 // NewDirObjectStore opens (creating if needed) a directory-backed
@@ -226,25 +244,138 @@ func NewDirObjectStore(dir string) (*DirObjectStore, error) {
 }
 
 // NewDirObjectStoreFS is NewDirObjectStore on an explicit VFS, so
-// tests can put the "cloud" on a fault filesystem too.
+// tests can put the "cloud" on a fault filesystem too. It is the
+// write-side open: the root is created durably, and temporaries of a
+// crashed Put are removed. A directory holding *.seg files — the
+// one-file-per-segment archive layout that preceded object envelopes,
+// which no reader here understands — is refused with ErrFormat and left
+// as it is, rather than taken for an empty store whose log history then
+// silently starts over.
 func NewDirObjectStoreFS(fs vfs.FS, dir string) (*DirObjectStore, error) {
-	if err := fs.MkdirAll(dir, 0o755); err != nil {
+	d := &DirObjectStore{fs: fs, root: filepath.Clean(dir), durable: make(map[string]bool)}
+	// The root's entry is fsynced in its parent whether or not the root
+	// was there already (see ensureDir), and so is every ancestor that had
+	// to be made for it, outermost first: a directory is only as durable
+	// as its entry in its parent.
+	sync := []string{d.root}
+	for p := filepath.Dir(d.root); filepath.Dir(p) != p; p = filepath.Dir(p) {
+		if _, err := fs.Stat(p); err == nil {
+			break
+		}
+		sync = append(sync, p)
+	}
+	if err := fs.MkdirAll(d.root, 0o755); err != nil {
+		return nil, fmt.Errorf("logdev: create object store %s: %w", dir, err)
+	}
+	for i := len(sync) - 1; i >= 0; i-- {
+		if err := fs.SyncDir(filepath.Dir(sync[i])); err != nil {
+			return nil, fmt.Errorf("logdev: sync parent of %s: %w", sync[i], err)
+		}
+	}
+	d.durable[d.root] = true
+	temps, err := d.scan()
+	if err != nil {
 		return nil, err
 	}
-	return &DirObjectStore{fs: fs, root: dir}, nil
+	for _, tmp := range temps {
+		if err := fs.Remove(tmp); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return nil, fmt.Errorf("logdev: sweep stale temp %s: %w", tmp, err)
+		}
+	}
+	return d, nil
+}
+
+// DirObjectStoreAt is the read-side open for diagnostic tools (logdump):
+// the directory must exist, nothing in it is created, swept or otherwise
+// touched — a live writer may own its temporaries — and Put and Delete
+// fail with ErrReadOnly. An old-layout directory is refused as on the
+// write side.
+func DirObjectStoreAt(dir string) (*DirObjectStore, error) {
+	st, err := os.Stat(dir)
+	if err != nil {
+		return nil, fmt.Errorf("logdev: open object store %s: %w", dir, err)
+	}
+	if !st.IsDir() {
+		return nil, fmt.Errorf("logdev: object store %s is not a directory", dir)
+	}
+	d := &DirObjectStore{fs: vfs.OS{}, root: filepath.Clean(dir), readOnly: true}
+	if _, err := d.scan(); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// scan walks the store and returns the temporaries in it, refusing
+// (ErrFormat) a tree that holds old-layout *.seg files. It changes
+// nothing.
+func (d *DirObjectStore) scan() (temps []string, err error) {
+	err = d.walk("", func(rel string) error {
+		switch {
+		case strings.HasSuffix(rel, ".seg"):
+			return fmt.Errorf("%w: %s holds %s: a one-file-per-segment archive, not an object store (its layout predates object envelopes; nothing was changed)", ErrFormat, d.root, rel)
+		case strings.HasSuffix(rel, ".tmp"):
+			temps = append(temps, d.path(rel))
+		}
+		return nil
+	})
+	return temps, err
 }
 
 func (d *DirObjectStore) path(key string) string {
 	return filepath.Join(d.root, filepath.FromSlash(key))
 }
 
-// Put stores data under key via tmp+rename+dirsync.
-func (d *DirObjectStore) Put(key string, data []byte) error {
-	p := d.path(key)
-	if err := d.fs.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+// ensureDir makes dir (at or below the root) exist with its entry
+// fsynced in its parent. Existing is not enough: a directory a crashed
+// process made and never synced is still one power loss from gone, so
+// the first use per open syncs regardless and later ones hit the cache.
+func (d *DirObjectStore) ensureDir(dir string) error {
+	if d.durable[dir] {
+		return nil
+	}
+	parent := filepath.Dir(dir)
+	if parent == dir {
+		return fmt.Errorf("%s is outside the store", dir)
+	}
+	if err := d.ensureDir(parent); err != nil {
 		return err
 	}
-	return fsutil.WriteFileSyncDirFS(d.fs, p, data, 0o644)
+	if err := d.fs.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	if err := d.fs.SyncDir(parent); err != nil {
+		return err
+	}
+	d.durable[dir] = true
+	return nil
+}
+
+// Put stores data under key: synced temporary, rename, directory fsync.
+func (d *DirObjectStore) Put(key string, data []byte) error {
+	if d.readOnly {
+		return ErrReadOnly
+	}
+	p := d.path(key)
+	dir := filepath.Dir(p)
+	d.mu.Lock()
+	err := d.ensureDir(dir)
+	d.mu.Unlock()
+	if err != nil {
+		return fmt.Errorf("logdev: object store: directory for %s: %w", key, err)
+	}
+	tmp := fmt.Sprintf("%s.%d.tmp", p, d.tmpSeq.Add(1))
+	if err := fsutil.WriteFileSyncFS(d.fs, tmp, data, 0o644); err != nil {
+		_ = d.fs.Remove(tmp) // best effort: the next open sweeps what stays
+		return fmt.Errorf("logdev: object store: write %s: %w", key, err)
+	}
+	if err := d.fs.Rename(tmp, p); err != nil {
+		_ = d.fs.Remove(tmp)
+		return fmt.Errorf("logdev: object store: install %s: %w", key, err)
+	}
+	if err := d.fs.SyncDir(dir); err != nil {
+		return fmt.Errorf("logdev: object store: sync directory of %s: %w", key, err)
+	}
+	return nil
 }
 
 // Get returns the object's bytes.
@@ -259,8 +390,14 @@ func (d *DirObjectStore) Get(key string) ([]byte, error) {
 	return data, nil
 }
 
-// Delete removes the object if present.
+// Delete removes the object if present. The unlink is not fsynced: a
+// crash may bring a deleted object back, which every caller tolerates (a
+// raw segment beside its pack, a snapshot below the floor) — the reverse,
+// an acknowledged object vanishing, is what Put's fsyncs rule out.
 func (d *DirObjectStore) Delete(key string) error {
+	if d.readOnly {
+		return ErrReadOnly
+	}
 	err := d.fs.Remove(d.path(key))
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return err
@@ -268,38 +405,48 @@ func (d *DirObjectStore) Delete(key string) error {
 	return nil
 }
 
-// List walks the store for keys with the given prefix, sorted.
+// List walks the store for keys with the given prefix, sorted — only
+// the directory the prefix names, not the whole tree. Temporaries of
+// in-flight or crashed Puts are not objects.
 func (d *DirObjectStore) List(prefix string) ([]string, error) {
 	var keys []string
-	var walk func(rel string) error
-	walk = func(rel string) error {
-		ents, err := d.fs.ReadDir(filepath.Join(d.root, filepath.FromSlash(rel)))
-		if err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				return nil
-			}
-			return err
-		}
-		for _, e := range ents {
-			child := e.Name()
-			if rel != "" {
-				child = rel + "/" + e.Name()
-			}
-			if e.IsDir() {
-				if err := walk(child); err != nil {
-					return err
-				}
-				continue
-			}
-			if strings.HasPrefix(child, prefix) && !strings.HasSuffix(child, ".tmp") {
-				keys = append(keys, child)
-			}
+	dir := strings.TrimSuffix(prefix[:strings.LastIndexByte(prefix, '/')+1], "/")
+	err := d.walk(dir, func(rel string) error {
+		if strings.HasPrefix(rel, prefix) && !strings.HasSuffix(rel, ".tmp") {
+			keys = append(keys, rel)
 		}
 		return nil
-	}
-	if err := walk(""); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	sort.Strings(keys)
 	return keys, nil
+}
+
+// walk calls fn with the slash-separated path, relative to the root, of
+// every file under rel.
+func (d *DirObjectStore) walk(rel string, fn func(rel string) error) error {
+	ents, err := d.fs.ReadDir(d.path(rel))
+	if err != nil {
+		if errors.Is(err, os.ErrNotExist) {
+			return nil
+		}
+		return err
+	}
+	for _, e := range ents {
+		child := e.Name()
+		if rel != "" {
+			child = rel + "/" + e.Name()
+		}
+		if e.IsDir() {
+			err = d.walk(child, fn)
+		} else {
+			err = fn(child)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

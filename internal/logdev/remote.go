@@ -1,11 +1,14 @@
-// remote.go is the cloud log tier: RemoteArchiver implements Archiver
-// over an S3-style ObjectStore, so the segmented device's
-// archive-before-recycle protocol ships dead segments to object storage
-// instead of a local directory. On top of raw per-segment objects it
-// adds background compaction (contiguous raw segments merged into one
-// immutable indexed pack) and snapshot-anchored retention (history is
-// pruned only below the oldest materialized restore base, keeping every
-// later point restorable).
+// remote.go is the cold store — the BtrLog-style archive-before-recycle
+// lifecycle: a Segmented device with a RemoteArchiver attached never
+// deletes a dead segment until Archive has returned for it, so the full
+// log history survives below the truncation base and the hot log stays
+// tiny. The archiver ships segments into an S3-style ObjectStore: a
+// bucket (Options.RemoteStore) or a directory (Options.ArchiveDir, a
+// DirObjectStore) — one mechanism either way. On top of raw per-segment
+// objects it adds background compaction (contiguous raw segments merged
+// into one immutable indexed pack) and snapshot-anchored retention
+// (history is pruned only below the oldest materialized restore base,
+// keeping every later point restorable).
 //
 // Failure discipline: Archive never loops internally. It validates,
 // uploads once, and reports errors to the caller — the engine's
@@ -31,9 +34,11 @@ const (
 	remoteSnapDir = "snap/"
 )
 
-// RemoteArchiver ships log segments to an ObjectStore. It implements
-// Archiver, so Segmented.SetArchiver and the engine's archiver daemon
-// drive it exactly like the local DirArchiver.
+// RemoteArchiver ships log segments to an ObjectStore: the one cold
+// store Segmented.SetArchiver attaches and the engine's archiver daemon
+// drains into. Archive is durable before it returns (the segment file is
+// unlinked right after) and idempotent (a crash between Archive and the
+// recycle re-archives the same segment on the next pass).
 type RemoteArchiver struct {
 	store   ObjectStore
 	prefix  string

@@ -4,7 +4,86 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"aether/internal/vfs"
 )
+
+// forEachObjectStore runs fn over every ObjectStore the tree ships: the
+// in-memory cloud, a directory on the real filesystem, and a directory on
+// the fault filesystem (the soak's cold store) — one archiver, whatever
+// holds its objects.
+func forEachObjectStore(t *testing.T, fn func(t *testing.T, store ObjectStore)) {
+	t.Run("mem", func(t *testing.T) { fn(t, NewMemObjectStore()) })
+	t.Run("dir", func(t *testing.T) {
+		store, err := NewDirObjectStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn(t, store)
+	})
+	t.Run("dir-faultfs", func(t *testing.T) {
+		store, err := NewDirObjectStoreFS(vfs.NewFaultFS(1), "/cold")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn(t, store)
+	})
+}
+
+// TestColdStoreRoundtripAndIdempotency: what is archived comes back
+// byte-identical, re-shipping a durable segment uploads nothing, and —
+// the case a "same size is the same bytes" check could never pass — an
+// object corrupted in place at equal length reads as not archived and is
+// shipped again.
+func TestColdStoreRoundtripAndIdempotency(t *testing.T) {
+	forEachObjectStore(t, func(t *testing.T, store ObjectStore) {
+		ra := NewRemoteArchiver(store, "", 64)
+		want := fill(64, 'z')
+		if err := ra.Archive(7, want); err != nil {
+			t.Fatal(err)
+		}
+		if err := ra.Archive(7, want); err != nil {
+			t.Fatalf("re-archiving the same segment: %v", err)
+		}
+		if st := ra.Stats(); st.SegmentsUploaded != 1 || st.UploadSkipped != 1 {
+			t.Fatalf("after a re-ship: %+v, want one upload and one skip", st)
+		}
+		got, err := ra.Retrieve(7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatal("archived segment mismatch")
+		}
+		if _, err := ra.Retrieve(8); !errors.Is(err, ErrNotArchived) {
+			t.Fatalf("Retrieve of missing segment: %v, want ErrNotArchived", err)
+		}
+		if segs, err := ra.Segments(); err != nil || len(segs) != 1 || segs[0] != 7 {
+			t.Fatalf("Segments = %v, %v, want [7]", segs, err)
+		}
+
+		obj, err := store.Get(ra.segKey(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		obj[len(obj)/2] ^= 0x40 // rot, length unchanged
+		if err := store.Put(ra.segKey(7), obj); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ra.Retrieve(7); !errors.Is(err, ErrNotArchived) {
+			t.Fatalf("Retrieve of a corrupt object: %v, want ErrNotArchived", err)
+		}
+		if err := ra.Archive(7, want); err != nil {
+			t.Fatal(err)
+		}
+		if st := ra.Stats(); st.SegmentsUploaded != 2 {
+			t.Fatalf("corrupt object was skipped, not re-shipped: %+v", st)
+		}
+		if got, err := ra.Retrieve(7); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("segment after re-ship: %v", err)
+		}
+	})
+}
 
 // TestRemoteArchiverFaults drives the remote tier through the three
 // network-failure shapes the fault model injects — a transient 5xx
@@ -153,7 +232,10 @@ func TestRemoteArchiverFaults(t *testing.T) {
 // byte-identically through the pack index — with the raw objects gone
 // and re-archiving still treated as a skip.
 func TestRemoteCompaction(t *testing.T) {
-	store := NewMemObjectStore()
+	forEachObjectStore(t, testRemoteCompaction)
+}
+
+func testRemoteCompaction(t *testing.T, store ObjectStore) {
 	ra := NewRemoteArchiver(store, "", 64)
 	want := fill(8*64, 'c')
 	for idx := int64(0); idx < 8; idx++ {
@@ -195,11 +277,11 @@ func TestRemoteCompaction(t *testing.T) {
 	}
 
 	// A packed segment is durable: Archive must skip, not re-upload raw.
-	puts := store.Stats().Puts
+	uploaded := ra.Stats().SegmentsUploaded
 	if err := ra.Archive(3, want[3*64:4*64]); err != nil {
 		t.Fatal(err)
 	}
-	if store.Stats().Puts != puts {
+	if ra.Stats().SegmentsUploaded != uploaded {
 		t.Error("archive of packed segment re-uploaded it")
 	}
 
@@ -262,7 +344,10 @@ func TestRemoteCompactionRefusesTornRaw(t *testing.T) {
 // snapshots and deletes exactly the log objects wholly below the oldest
 // survivor's cut — the floor.
 func TestRemoteSnapshotsAndPrune(t *testing.T) {
-	store := NewMemObjectStore()
+	forEachObjectStore(t, testRemoteSnapshotsAndPrune)
+}
+
+func testRemoteSnapshotsAndPrune(t *testing.T, store ObjectStore) {
 	ra := NewRemoteArchiver(store, "", 64)
 	want := fill(4*64, 's')
 	for idx := int64(0); idx < 4; idx++ {

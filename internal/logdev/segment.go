@@ -141,9 +141,9 @@ type Segmented struct {
 	closed  bool
 	failErr error
 
-	archiver Archiver   // nil: dead segments are recycled immediately
-	archMu   sync.Mutex // serializes ArchivePending passes
-	readOnly bool       // diagnostic open: no writes, no repair on disk
+	archiver *RemoteArchiver // the cold store; nil: dead segments are recycled immediately
+	archMu   sync.Mutex      // serializes ArchivePending passes
+	readOnly bool            // diagnostic open: no writes, no repair on disk
 
 	// openSlots is every segment header as a read-only open judged it
 	// (SlotReports); nil for writable opens, whose headers move on.
@@ -1029,7 +1029,7 @@ func (s *Segmented) Truncate(before int64) error {
 // them, and ArchivePending ships them to a before recycling. Attach the
 // archiver right after Open, before the first Truncate; a nil a detaches
 // it (pending segments then drain as plain recycles).
-func (s *Segmented) SetArchiver(a Archiver) {
+func (s *Segmented) SetArchiver(a *RemoteArchiver) {
 	s.mu.Lock()
 	s.archiver = a
 	s.mu.Unlock()

@@ -62,9 +62,11 @@ const (
 	// old manifest must survive until the new one's dir fsync
 	// (invariant 3).
 	FaultManifest FaultPoint = "manifest"
-	// FaultArchive cuts during a cold-store segment copy (write or
-	// install rename) — the hot segment must stay parked until the
-	// archive copy is fully durable (invariant 5/5b).
+	// FaultArchive cuts inside a cold-store object install — the
+	// temporary's write or fsync, or the rename onto the final name — so
+	// the hot segment must stay parked until the object is fully durable,
+	// and the reopened store must hold the object whole or not at all
+	// (invariant 5/5b/7).
 	FaultArchive FaultPoint = "archive"
 	// FaultPartitionFlush (partitioned stacks only, Config.LogPartitions
 	// >= 2) cuts power during exactly one randomly chosen partition's
@@ -76,10 +78,11 @@ const (
 	// still accepts only committed-state or committed-state plus the one
 	// in-doubt transaction.
 	FaultPartitionFlush FaultPoint = "partition-flush"
-	// FaultRemoteArchive (opt-in: arming it swaps the stack's cold store
-	// from the DirArchiver to the cloud tier — every lane's
-	// RemoteArchiver over one MemObjectStore that persists across power
-	// cuts, because it is the cloud). Each armed cycle either tears an
+	// FaultRemoteArchive (opt-in: arming it moves the stack's cold store
+	// off the machine — every lane's RemoteArchiver then ships into one
+	// MemObjectStore that persists across power cuts, because it is the
+	// cloud, instead of a directory on the fault filesystem). Each armed
+	// cycle either tears an
 	// upload mid-object with a simultaneous local power cut (the machine
 	// dies while the bytes are in flight; the store keeps a torn prefix
 	// the next incarnation must detect and re-ship), or opens an outage
@@ -103,8 +106,8 @@ var AllFaultPoints = []FaultPoint{
 var AllPartitionFaultPoints = append(AllFaultPoints[:len(AllFaultPoints):len(AllFaultPoints)], FaultPartitionFlush)
 
 // OptInFaultPoints lists the points excluded from the default profiles
-// because arming them reshapes the stack: remote-archive replaces the
-// cold-store DirArchiver with the cloud tier for the whole run.
+// because arming them reshapes the stack: remote-archive keeps the cold
+// store in the cloud instead of a local directory for the whole run.
 var OptInFaultPoints = []FaultPoint{FaultRemoteArchive}
 
 // errCloudOutage is the error the cloud's outage window injects.
@@ -229,9 +232,9 @@ type engineStack struct {
 // segmented log + watermark (logdev.LaneDir's layout) and a cold-store
 // lane, pagefile + journal as the page archive, and the background
 // checkpointer/archiver/cleaner goroutines. With parts >= 2
-// transactions are routed by txnID. A non-nil cloud replaces the
-// DirArchiver cold store with the cloud tier: one RemoteArchiver key
-// prefix per lane in the shared object store.
+// transactions are routed by txnID. The cold store is one RemoteArchiver
+// key prefix per lane in a shared object store: the cloud when there is
+// one, else a directory on fs — where power cuts reach it too.
 func openStack(fs vfs.FS, parts int, cloud *logdev.MemObjectStore) (*engineStack, error) {
 	n := max(parts, 1)
 	var (
@@ -261,18 +264,16 @@ func openStack(fs vfs.FS, parts int, cloud *logdev.MemObjectStore) (*engineStack
 		closeD()
 		return nil, fmt.Errorf("open pagefile: %w", err)
 	}
-	for i, d := range devs {
-		if cloud != nil {
-			d.SetArchiver(logdev.NewRemoteArchiver(cloud, logdev.LaneDir("", i, n), soakSegSize))
-			continue
-		}
-		arch, err := logdev.OpenDirArchiverFS(fs, logdev.LaneDir(soakArchiveDir, i, n))
-		if err != nil {
+	var store logdev.ObjectStore = cloud
+	if cloud == nil {
+		if store, err = logdev.NewDirObjectStoreFS(fs, soakArchiveDir); err != nil {
 			pf.Close()
 			closeD()
-			return nil, fmt.Errorf("open archive lane %d: %w", i, err)
+			return nil, fmt.Errorf("open cold store: %w", err)
 		}
-		d.SetArchiver(arch)
+	}
+	for i, d := range devs {
+		d.SetArchiver(logdev.NewRemoteArchiver(store, logdev.LaneDir("", i, n), soakSegSize))
 	}
 	rc.Archive = pf
 	rc.LogConfig = core.Config{
@@ -338,7 +339,9 @@ func (s *engineStack) teardown() {
 // fault points target one randomly chosen partition directory —
 // vfs.Rule.Dir matches the op's parent directory exactly, and in a
 // partitioned layout the segments and MANIFEST live under p<i>, not
-// the log root (only pagefile.db and its journal stay at the root).
+// the log root (only pagefile.db and its journal stay at the root). The
+// archive point targets where the chosen lane's segment objects are
+// installed: seg/ under its prefix of the cold-store directory.
 func armFault(fs *vfs.FaultFS, rng *rand.Rand, point FaultPoint, parts int) int {
 	logDir, archDir := soakLogDir, soakArchiveDir
 	if parts >= 2 {
@@ -346,6 +349,7 @@ func armFault(fs *vfs.FaultFS, rng *rand.Rand, point FaultPoint, parts int) int 
 		logDir = logdev.LaneDir(soakLogDir, k, parts)
 		archDir = logdev.LaneDir(soakArchiveDir, k, parts)
 	}
+	archDir += "/seg"
 	var r vfs.Rule
 	switch point {
 	case FaultGroupCommit:

@@ -52,6 +52,12 @@ func TestSoakSingleFaultPoints(t *testing.T) {
 			if res.Cycles != 4 {
 				t.Fatalf("ran %d cycles, want 4", res.Cycles)
 			}
+			// The archive rule names a directory (seg/ of the cold store):
+			// if objects ever get installed somewhere else it matches
+			// nothing and every cycle is a forced cut.
+			if p == FaultArchive && res.Cuts[string(p)] == 0 {
+				t.Fatalf("no cut landed inside a cold-store object install (cuts: %v); the run is vacuous", res.Cuts)
+			}
 		})
 	}
 }

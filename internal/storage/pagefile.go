@@ -21,9 +21,9 @@ import (
 )
 
 // PageFile is the real database file: a single, page-slotted, checksummed
-// file replacing the one-file-per-page FileArchive. Pages live in fixed
-// slots addressed by file offset; each slot carries a header (pageID,
-// version, checksum) verified on every read. Every write-back — the
+// file. Pages live in fixed slots addressed by file offset; each slot
+// carries a header (pageID, version, checksum) verified on every read.
+// Every write-back — the
 // checkpoint sweep's whole dirty set, a cleaner pass, a single steal —
 // is one WriteBatch, which costs O(1) device fsyncs regardless of batch
 // size and holds O(1) page images however many pages it moves — the
@@ -968,7 +968,7 @@ func (pf *PageFile) PutBatch(batch []PageImage) error {
 	})
 }
 
-// Put implements Archive for single pages (legacy import, tests).
+// Put implements Archive for single pages (tests, tools).
 func (pf *PageFile) Put(pid uint64, img []byte) error {
 	return pf.PutBatch([]PageImage{{PID: pid, Img: img}})
 }
@@ -1098,57 +1098,6 @@ func (pf *PageFile) Pages() ([]uint64, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, nil
-}
-
-// importChunk bounds how many legacy images ImportLegacy holds before it
-// hands them to PutBatch.
-const importChunk = 1024
-
-// ImportLegacy performs the one-time migration from a FileArchive
-// directory: every page the pagefile does not already hold is batched in
-// (in bounded chunks), then the directory is removed. Skipping
-// already-present pages makes a crashed import safe to repeat — by the
-// time it reruns, the pagefile may hold newer images that must not be
-// clobbered with stale ones.
-func (pf *PageFile) ImportLegacy(dir string) error {
-	fa, err := OpenFileArchiveFS(pf.fs, dir)
-	if err != nil {
-		return fmt.Errorf("storage: legacy import: %w", err)
-	}
-	pids, err := fa.Pages()
-	if err != nil {
-		return fmt.Errorf("storage: legacy import: %w", err)
-	}
-	batch := make([]PageImage, 0, importChunk)
-	for _, pid := range pids {
-		pf.dir.RLock()
-		_, have := pf.slots[pid]
-		pf.dir.RUnlock()
-		if have {
-			continue
-		}
-		img, err := fa.Get(pid)
-		if err != nil {
-			return fmt.Errorf("storage: legacy import: %w", err)
-		}
-		batch = append(batch, PageImage{PID: pid, Img: img})
-		if len(batch) == importChunk {
-			if err := pf.PutBatch(batch); err != nil {
-				return fmt.Errorf("storage: legacy import: %w", err)
-			}
-			batch = batch[:0]
-		}
-	}
-	if err := pf.PutBatch(batch); err != nil {
-		return fmt.Errorf("storage: legacy import: %w", err)
-	}
-	if err := pf.fs.RemoveAll(dir); err != nil {
-		return fmt.Errorf("storage: legacy import cleanup: %w", err)
-	}
-	if err := fsutil.SyncDirFS(pf.fs, filepath.Dir(dir)); err != nil {
-		return fmt.Errorf("storage: legacy import cleanup: %w", err)
-	}
-	return nil
 }
 
 // PageFileInfo is a read-only summary of a pagefile on disk (logdump).

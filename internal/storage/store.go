@@ -333,12 +333,6 @@ var (
 	_ ArchiveContains = (*MemArchive)(nil)
 )
 
-// ArchiveFlusher is the optional Archive extension for batched
-// durability: Put may defer directory-entry durability until Flush.
-type ArchiveFlusher interface {
-	Flush() error
-}
-
 // PageImage is one page bound for the archive.
 type PageImage struct {
 	// PID is the page's ID.
@@ -368,9 +362,8 @@ type ArchiveBatcher interface {
 }
 
 // batcherFor returns a's batch entry point: its own, or for an archive
-// that only has Put, a loop over one staging image followed by the
-// archive's Flush if it defers durability. The first failed Put fails
-// the batch.
+// that only has Put, a loop over one staging image. The first failed Put
+// fails the batch.
 func batcherFor(a Archive) ArchiveBatcher {
 	if b, ok := a.(ArchiveBatcher); ok {
 		return b
@@ -391,9 +384,6 @@ func (l putLoop) WriteBatch(pids []uint64, fill func(i int, dst []byte) bool) er
 		if err := l.a.Put(pid, img); err != nil {
 			return err
 		}
-	}
-	if f, ok := l.a.(ArchiveFlusher); ok {
-		return f.Flush()
 	}
 	return nil
 }

@@ -28,11 +28,11 @@ func TestArchiverBackoffSurvivesTransientOutage(t *testing.T) {
 	}()
 
 	dev := logdev.NewSegmentedMem(logdev.ProfileMemory, 8<<10)
-	marc := logdev.NewMemArchiver()
+	store := logdev.NewMemObjectStore()
+	marc := logdev.NewRemoteArchiver(store, "", 8<<10)
 	dev.SetArchiver(marc)
-	// The outage: the next 5 Archive calls fail, then the store heals.
-	outage := errors.New("cold store unreachable")
-	marc.FailTimes(5, outage)
+	// The outage: the next 5 uploads fail, then the store heals.
+	store.Arm(logdev.NetFault{FailPuts: 5, FailErr: errors.New("cold store unreachable")})
 
 	pf, err := storage.OpenPageFile(filepath.Join(t.TempDir(), "pagefile.db"))
 	if err != nil {
@@ -127,9 +127,9 @@ func TestArchiverBackoffGivesUpOnPermanentFailure(t *testing.T) {
 	}()
 
 	dev := logdev.NewSegmentedMem(logdev.ProfileMemory, 8<<10)
-	marc := logdev.NewMemArchiver()
-	dev.SetArchiver(marc)
-	marc.FailWith(errors.New("cold store gone"))
+	store := logdev.NewMemObjectStore()
+	dev.SetArchiver(logdev.NewRemoteArchiver(store, "", 8<<10))
+	store.Arm(logdev.NetFault{Outage: errors.New("cold store gone")})
 
 	pf, err := storage.OpenPageFile(filepath.Join(t.TempDir(), "pagefile.db"))
 	if err != nil {

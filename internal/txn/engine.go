@@ -189,7 +189,7 @@ type Stats struct {
 	// SweepPages counts page images written by checkpoint sweeps.
 	SweepPages metrics.Counter
 	// SweepFsyncs counts device fsyncs charged to checkpoint sweeps —
-	// O(1) per sweep on a batched archive, O(pages) on the legacy one.
+	// O(1) per sweep: two on the paged database file.
 	SweepFsyncs metrics.Counter
 	// SweepDuration records wall-clock time per page-cleaning sweep.
 	SweepDuration metrics.Histogram
@@ -245,28 +245,11 @@ type Engine struct {
 	ckptMu sync.Mutex
 	ckptAp *core.MultiAppender
 
-	// Background incremental checkpointer (nil channels when disabled).
-	ckptTrig chan struct{}
-	ckptStop chan struct{}
-	ckptDone chan struct{}
-
-	// Background segment archiver (nil channels when the log device has
-	// no archiver attached).
-	archTrig chan struct{}
-	archStop chan struct{}
-	archDone chan struct{}
-
-	// Background page cleaner (nil channels when disabled).
-	cleanTrig chan struct{}
-	cleanStop chan struct{}
-	cleanDone chan struct{}
-
-	// Background cloud-tier maintenance daemon (nil channels when no
-	// remote lanes are configured).
-	retCfg  RetentionConfig
-	retTrig chan struct{}
-	retStop chan struct{}
-	retDone chan struct{}
+	// The background workers; nil when not configured. ckpt is the
+	// incremental checkpointer, arch ships dead log segments to the cold
+	// store, clean is the page cleaner, ret the cold store's maintenance
+	// (compaction, snapshots, pruning).
+	ckpt, arch, clean, ret *daemon
 
 	closeOnce sync.Once
 }
@@ -361,97 +344,36 @@ func (e *Engine) setAppendNotify(every int64, fn func()) {
 	}
 }
 
-// startAutoCheckpoint wires the log's appended-bytes trigger to a
-// dedicated checkpointer goroutine. The trigger only nudges a buffered
-// channel, so agent threads never do checkpoint work; the goroutine runs
-// the full fuzzy checkpoint (sweep, truncation) concurrently with
-// foreground commits — Checkpoint's own ckptMu serializes it against any
-// inline Checkpoint calls.
+// startAutoCheckpoint wires the log's appended-bytes trigger to the
+// checkpointer daemon. The trigger only nudges it, so agent threads never
+// do checkpoint work; the daemon runs the full fuzzy checkpoint (sweep,
+// truncation) concurrently with foreground commits — Checkpoint's own
+// ckptMu serializes it against any inline Checkpoint calls.
 func (e *Engine) startAutoCheckpoint(everyBytes int64) {
-	e.ckptTrig = make(chan struct{}, 1)
-	e.ckptStop = make(chan struct{})
-	e.ckptDone = make(chan struct{})
-	nudge := func() {
-		select {
-		case e.ckptTrig <- struct{}{}:
-		default: // one already pending: coalesce
+	e.ckpt = startDaemon(0, func(*daemon) {
+		if err := e.Checkpoint(); err != nil {
+			e.stats.AutoCheckpointFailures.Inc()
+		} else {
+			e.stats.AutoCheckpoints.Inc()
 		}
-	}
+	})
 	// Split the byte budget across lanes: with balanced load each lane
 	// fires after roughly everyBytes/N of its own inserts, so the
 	// combined cadence approximates everyBytes of total log. Skewed load
 	// just checkpoints a little more often.
-	e.setAppendNotify(max(everyBytes/int64(e.log.NumParts()), 1), nudge)
-	go e.autoCheckpointLoop()
+	e.setAppendNotify(max(everyBytes/int64(e.log.NumParts()), 1), e.ckpt.nudge)
 }
 
-func (e *Engine) autoCheckpointLoop() {
-	defer close(e.ckptDone)
-	for {
-		select {
-		case <-e.ckptStop:
-			return
-		case <-e.ckptTrig:
-			// A stop racing a pending trigger must win, or Close would
-			// block on a full checkpoint nobody needs.
-			select {
-			case <-e.ckptStop:
-				return
-			default:
-			}
-			if err := e.Checkpoint(); err != nil {
-				e.stats.AutoCheckpointFailures.Inc()
-			} else {
-				e.stats.AutoCheckpoints.Inc()
-			}
-		}
-	}
-}
-
-// startArchiver wires the background segment archiver: a goroutine
-// that drains the log device's pending-dead set — copying each dead
-// segment to cold storage, then recycling its slot — whenever a
-// checkpoint's truncation parks new ones. It runs alongside (and
-// independently of) the checkpointer, so a slow cold store never
-// stalls a checkpoint, let alone a commit. The initial nudge drains
-// segments a previous incarnation left pending at the crash.
+// startArchiver wires the background segment archiver: a daemon that
+// drains the log device's pending-dead set — copying each dead segment
+// to cold storage, then recycling its slot — whenever a checkpoint's
+// truncation parks new ones. It runs alongside (and independently of)
+// the checkpointer, so a slow cold store never stalls a checkpoint, let
+// alone a commit. The initial nudge drains segments a previous
+// incarnation left pending at the crash.
 func (e *Engine) startArchiver() {
-	e.archTrig = make(chan struct{}, 1)
-	e.archStop = make(chan struct{})
-	e.archDone = make(chan struct{})
-	go e.archiverLoop()
-	e.nudgeArchiver()
-}
-
-// nudgeArchiver asks the background archiver for a drain pass
-// (non-blocking, coalescing; no-op without an archiver).
-func (e *Engine) nudgeArchiver() {
-	if e.archTrig == nil {
-		return
-	}
-	select {
-	case e.archTrig <- struct{}{}:
-	default: // one already pending: coalesce
-	}
-}
-
-func (e *Engine) archiverLoop() {
-	defer close(e.archDone)
-	for {
-		select {
-		case <-e.archStop:
-			return
-		case <-e.archTrig:
-			// A stop racing a pending trigger must win, or Close would
-			// block behind a cold-storage copy nobody needs.
-			select {
-			case <-e.archStop:
-				return
-			default:
-			}
-			e.archivePassWithRetry()
-		}
-	}
+	e.arch = startDaemon(0, e.archivePassWithRetry)
+	e.arch.nudge()
 }
 
 // Archiver backoff tuning: a failed pass retries after archBackoffMin,
@@ -470,7 +392,7 @@ var (
 // happens to nudge again. Giving up is safe — dead segments stay on
 // disk until some pass succeeds — but each retry here shortens the
 // window in which a crash-plus-disk-loss could lose history.
-func (e *Engine) archivePassWithRetry() {
+func (e *Engine) archivePassWithRetry(d *daemon) {
 	backoff := archBackoffMin
 	for attempt := 0; ; attempt++ {
 		n, err := e.archivePending()
@@ -484,13 +406,8 @@ func (e *Engine) archivePassWithRetry() {
 			return
 		}
 		e.stats.ArchiveRetries.Inc()
-		d := backoff + time.Duration(rand.Int63n(int64(backoff/2)+1))
-		timer := time.NewTimer(d)
-		select {
-		case <-e.archStop:
-			timer.Stop()
+		if !d.sleep(backoff + time.Duration(rand.Int63n(int64(backoff/2)+1))) {
 			return
-		case <-timer.C:
 		}
 		if backoff *= 2; backoff > archBackoffMax {
 			backoff = archBackoffMax
@@ -498,7 +415,7 @@ func (e *Engine) archivePassWithRetry() {
 	}
 }
 
-// startCleaner wires the background page cleaner: a goroutine that
+// startCleaner wires the background page cleaner: a daemon that
 // pre-cleans dirty, cold pages whenever the buffer pool's free-or-clean
 // headroom drops below pages. It wakes on a short ticker and — more
 // importantly — on every demand steal (the store's steal-pressure
@@ -509,91 +426,49 @@ func (e *Engine) startCleaner(pages int, interval time.Duration) {
 	if interval <= 0 {
 		interval = 2 * time.Millisecond
 	}
-	e.cleanTrig = make(chan struct{}, 1)
-	e.cleanStop = make(chan struct{})
-	e.cleanDone = make(chan struct{})
-	e.store.SetStealNotify(func() {
-		select {
-		case e.cleanTrig <- struct{}{}:
-		default: // one already pending: coalesce
-		}
-	})
-	go e.cleanerLoop(pages, interval)
-}
-
-func (e *Engine) cleanerLoop(pages int, interval time.Duration) {
-	defer close(e.cleanDone)
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-e.cleanStop:
-			return
-		case <-tick.C:
-		case <-e.cleanTrig:
-		}
-		// A stop racing a pending wakeup must win, or Close would block
-		// behind cleaning I/O nobody needs.
-		select {
-		case <-e.cleanStop:
-			return
-		default:
-		}
+	e.clean = startDaemon(interval, func(d *daemon) {
 		// Clean until headroom is restored, not just one batch: under
 		// sustained write pressure the ticker cadence alone would fall
-		// behind, and steals — each of which nudged cleanTrig — would
+		// behind, and steals — each of which nudged the daemon — would
 		// become the de-facto trigger. A pass that claims nothing means
 		// every dirty page is pinned or already being written; yield and
 		// let the ticker retry.
-		for e.store.NeedClean(pages) {
+		for e.store.NeedClean(pages) && !d.stopping() {
 			n, err := e.store.CleanBatch(pages)
 			if err != nil {
 				e.stats.CleanerFailures.Inc()
-				break
+				return
 			}
 			if n == 0 {
-				break
-			}
-			select {
-			case <-e.cleanStop:
 				return
-			default:
 			}
 		}
-	}
+	})
+	e.store.SetStealNotify(e.clean.nudge)
+}
+
+// daemons lists the engine's background workers; the ones that were not
+// configured are nil, which every daemon method accepts.
+func (e *Engine) daemons() [4]*daemon {
+	return [4]*daemon{e.ckpt, e.arch, e.clean, e.ret}
 }
 
 // Close stops the background incremental checkpointer, the segment
-// archiver and the page cleaner, waiting for in-flight work to finish.
-// Call it before closing the log. It is idempotent and a no-op for
-// engines running no daemons.
+// archiver, the page cleaner and the cloud-tier maintenance daemon,
+// waiting for in-flight work to finish: all four are told to stop before
+// any is waited on. Call it before closing the log. It is idempotent and
+// a no-op for engines running no daemons.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() {
-		if e.ckptStop != nil {
+		if e.ckpt != nil {
 			e.setAppendNotify(0, nil)
-			close(e.ckptStop)
 		}
-		if e.archStop != nil {
-			close(e.archStop)
-		}
-		if e.cleanStop != nil {
-			close(e.cleanStop)
-		}
-		if e.retStop != nil {
-			close(e.retStop)
+		for _, d := range e.daemons() {
+			d.halt()
 		}
 	})
-	if e.ckptDone != nil {
-		<-e.ckptDone
-	}
-	if e.archDone != nil {
-		<-e.archDone
-	}
-	if e.cleanDone != nil {
-		<-e.cleanDone
-	}
-	if e.retDone != nil {
-		<-e.retDone
+	for _, d := range e.daemons() {
+		d.wait()
 	}
 }
 
@@ -874,8 +749,8 @@ func (e *Engine) Checkpoint() error {
 	// to cold storage and recycles their slots off the checkpoint path,
 	// and the cloud-tier maintenance daemon compacts and prunes what
 	// the archiver has landed.
-	e.nudgeArchiver()
-	e.nudgeRetention()
+	e.arch.nudge()
+	e.ret.nudge()
 	e.stats.Checkpoints.Inc()
 	return nil
 }

@@ -64,50 +64,22 @@ func (e *Engine) startRetention(cfg RetentionConfig) {
 	if cfg.MaxPackSegments <= 0 {
 		cfg.MaxPackSegments = 64
 	}
-	e.retCfg = cfg
-	e.retTrig = make(chan struct{}, 1)
-	e.retStop = make(chan struct{})
-	e.retDone = make(chan struct{})
-	go e.retentionLoop()
-	e.nudgeRetention()
-}
-
-// nudgeRetention asks the maintenance daemon for a pass (coalescing).
-func (e *Engine) nudgeRetention() {
-	if e.retTrig == nil {
-		return
-	}
-	select {
-	case e.retTrig <- struct{}{}:
-	default:
-	}
-}
-
-func (e *Engine) retentionLoop() {
-	defer close(e.retDone)
-	for {
-		select {
-		case <-e.retStop:
-			return
-		case <-e.retTrig:
-		}
-		e.retentionPass()
-	}
+	e.ret = startDaemon(0, func(*daemon) { e.retentionPass(cfg) })
+	e.ret.nudge()
 }
 
 // retentionPass runs one compact → snapshot → prune cycle. Failures
 // are counted and left for the next nudge: like the archiver, the
 // daemon must never lose anything on error — a failed upload or prune
 // just leaves extra objects (or a stale floor) behind.
-func (e *Engine) retentionPass() {
-	cfg := e.retCfg
+func (e *Engine) retentionPass(cfg RetentionConfig) {
 	for _, lane := range cfg.Lanes {
 		if _, err := lane.Remote.CompactRaw(cfg.CompactSegments, cfg.MaxPackSegments); err != nil {
 			e.stats.RetentionFailures.Inc()
 		}
 	}
 	if len(cfg.Lanes) == 1 && cfg.SnapshotEveryBytes > 0 {
-		if err := e.snapshotPass(cfg.Lanes[0]); err != nil {
+		if err := e.snapshotPass(cfg.Lanes[0], cfg.SnapshotEveryBytes); err != nil {
 			e.stats.RetentionFailures.Inc()
 		}
 		if cfg.RetainSnapshots > 0 {
@@ -123,7 +95,7 @@ func (e *Engine) retentionPass() {
 // snapshotPass cuts a new snapshot object if enough log has hardened
 // since the newest one, seeding the replay from that newest snapshot so
 // the cost is proportional to the new suffix, not total history.
-func (e *Engine) snapshotPass(lane RetentionLane) error {
+func (e *Engine) snapshotPass(lane RetentionLane, everyBytes int64) error {
 	cuts, err := lane.Remote.SnapshotCuts()
 	if err != nil {
 		return err
@@ -133,7 +105,7 @@ func (e *Engine) snapshotPass(lane RetentionLane) error {
 		lastCut = cuts[len(cuts)-1]
 	}
 	durable := lane.Dev.DurableSize()
-	if durable-int64(lastCut) < e.retCfg.SnapshotEveryBytes {
+	if durable-int64(lastCut) < everyBytes {
 		return nil
 	}
 	var prev *logdev.Snapshot

@@ -26,11 +26,10 @@ type crashSim interface {
 
 // lane is one log lane: its device and what is attached to it.
 type lane struct {
-	dev      logdev.Device
-	mem      crashSim               // non-nil only for in-memory devices
-	seg      *logdev.Segmented      // non-nil only with Options.SegmentSize
-	archiver logdev.Archiver        // non-nil with Options.ArchiveDir or RemoteStore
-	remote   *logdev.RemoteArchiver // non-nil only with Options.RemoteStore
+	dev    logdev.Device
+	mem    crashSim               // non-nil only for in-memory devices
+	seg    *logdev.Segmented      // non-nil only with Options.SegmentSize
+	remote *logdev.RemoteArchiver // the cold store; non-nil with Options.ArchiveDir or RemoteStore
 }
 
 // openLane opens lane i of n's log device.
@@ -59,38 +58,43 @@ func openLane(opts Options, fs vfs.FS, i, n int) (lane, error) {
 	return l, nil
 }
 
-// attachColdStore gives lane i of n its own cold-storage lane — a
-// directory under Options.ArchiveDir or a key prefix in
-// Options.RemoteStore, so a slow lane never blocks the others'
-// truncation. It must run before the engine starts: the archiver has to
-// be in place before the first truncation parks a dead segment, and the
-// engine only starts its background archiver goroutine if the log can
-// archive at engine construction.
-func (l *lane) attachColdStore(opts Options, fs vfs.FS, i, n int) error {
-	switch {
-	case opts.ArchiveDir != "":
-		a, err := logdev.OpenDirArchiverFS(fs, logdev.LaneDir(opts.ArchiveDir, i, n))
-		if err != nil {
-			return fmt.Errorf("aether: archive lane %d: %w", i, err)
-		}
-		l.archiver = a
-	case opts.RemoteStore != nil:
-		l.remote = logdev.NewRemoteArchiver(opts.RemoteStore, logdev.LaneDir("", i, n), opts.SegmentSize)
-		l.archiver = l.remote
-	default:
-		return nil
+// openColdStore resolves the two spellings of the cold store to the
+// one mechanism: Options.RemoteStore is an object store already,
+// Options.ArchiveDir names a directory to keep one in — on the database's
+// filesystem, which is why it stays a path. nil when neither is set.
+func openColdStore(opts Options, fs vfs.FS) (logdev.ObjectStore, error) {
+	if opts.ArchiveDir == "" {
+		return opts.RemoteStore, nil
 	}
-	l.seg.SetArchiver(l.archiver)
-	return nil
+	store, err := logdev.NewDirObjectStoreFS(fs, opts.ArchiveDir)
+	if err != nil {
+		return nil, fmt.Errorf("aether: archive directory: %w", err)
+	}
+	return store, nil
+}
+
+// attachColdStore gives lane i of n its own lane of the cold store — a
+// key prefix (a subdirectory, under Options.ArchiveDir), so a slow lane
+// never blocks the others' truncation. It must run before the engine
+// starts: the archiver has to be in place before the first truncation
+// parks a dead segment, and the engine only starts its background
+// archiver goroutine if the log can archive at engine construction.
+func (l *lane) attachColdStore(store logdev.ObjectStore, segSize int64, i, n int) {
+	l.remote = logdev.NewRemoteArchiver(store, logdev.LaneDir("", i, n), segSize)
+	l.seg.SetArchiver(l.remote)
 }
 
 // restore reads the lane's log from logical offset from through the
 // durable end, stitching archived history below the device's base —
-// restored on demand from the lane's cold store — to the live tail (see
-// DB.RestoreTail for the contract).
+// restored on demand from the lane's cold store — to the live tail. The
+// second result is the offset the first returned byte sits at: from
+// itself when the cold store and the device cover it contiguously, else
+// the truncation base (history the cold store cannot reach would begin
+// mid-record at a segment boundary, so it is withheld rather than
+// returned unparseable).
 func (l *lane) restore(from int64) ([]byte, int64, error) {
 	if l.seg != nil {
-		data, start, err := l.seg.RestoreLog(l.archiver, from)
+		data, start, err := l.seg.RestoreLog(l.remote, from)
 		if err != nil {
 			return nil, 0, fmt.Errorf("aether: restoring log: %w", err)
 		}

@@ -2,9 +2,9 @@
 // reconstructs the committed state at an arbitrary historical position
 // — a stamp: a log offset for a single log, a global sequence stamp for
 // a partitioned one; DB.RestorePoint captures such a position — by
-// stitching the cloud tier's snapshot and log objects to the hot log
+// stitching the cold store's snapshot and log objects to the hot log
 // and replaying (internal/recovery's PITR path). It also re-exports the
-// cloud tier's ObjectStore so Options.RemoteStore is usable without
+// cold store's ObjectStore so Options.RemoteStore is usable without
 // reaching into internal packages.
 package aether
 
@@ -37,7 +37,8 @@ func NewMemObjectStore() *MemObjectStore { return logdev.NewMemObjectStore() }
 
 // NewDirObjectStore returns an ObjectStore backed by a directory of
 // files: key "seg/000…042" becomes dir/seg/000…042, installed with
-// tmp-write + rename + directory sync.
+// tmp-write + rename + directory sync. Options.ArchiveDir is the usual
+// way to get one; this spelling is for a store shared with other tools.
 func NewDirObjectStore(dir string) (ObjectStore, error) { return logdev.NewDirObjectStore(dir) }
 
 // ErrRestorePruned reports a RestoreTo target below the retention
@@ -128,7 +129,7 @@ func (r *RestoredDB) Get(table string, key uint64) ([]byte, error) {
 // RestoreTo reconstructs the committed state at position at — a value
 // previously captured with RestorePoint (a durable log offset for a
 // single log, a global seq for a partitioned one). The restore replays
-// history from the cloud tier (Options.RemoteStore) or local archive
+// history from the cold store (Options.ArchiveDir or RemoteStore)
 // stitched to the hot log: with snapshots enabled, from the newest
 // snapshot at or below at; otherwise from the beginning of time.
 // Transactions without a durable commit at at are rolled back, so the
@@ -188,9 +189,9 @@ func (db *DB) RestoreTo(at int64) (*RestoredDB, error) {
 	return &RestoredDB{store: store, spaces: spaces, at: at}, nil
 }
 
-// retentionConfig assembles the engine's cloud-tier maintenance
-// configuration from the attached remote archivers (empty when the
-// database has no remote store).
+// retentionConfig assembles the engine's cold-store maintenance
+// configuration from the attached archivers (empty when the database has
+// no cold store).
 func (db *DB) retentionConfig() txn.RetentionConfig {
 	cfg := txn.RetentionConfig{
 		CompactSegments:    db.opts.CompactSegments,

@@ -201,7 +201,7 @@ func TestRestoreToSingle(t *testing.T) {
 
 // TestRestoreToPartitioned is the same round-trip on a 4-partition log:
 // per-partition lanes in the shared object store, restore merged by
-// global seq — closing RestoreTail's partitioned-log gap.
+// global seq.
 func TestRestoreToPartitioned(t *testing.T) {
 	store := NewMemObjectStore()
 	db, err := Open(Options{
