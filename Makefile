@@ -1,7 +1,7 @@
-# Tier-1 verification is `make ci` (build + vet + docs + test + bench smoke).
+# Tier-1 verification is `make ci` (build + vet + docs + test + race + soak and fuzz smokes).
 GO ?= go
 
-.PHONY: build test test-short test-race vet docs bench-smoke bench-pair alloc-profile restart-profile soak-smoke soak fuzz-smoke ci
+.PHONY: build test test-short test-race vet docs bench-pair alloc-profile restart-profile soak-smoke soak fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -14,21 +14,9 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# Race-checks the concurrency-heavy packages: the log manager and
-# multi-log coordinator, the log buffer variants, the transaction
-# engine, the lock manager (agent lock caches against stealers and the
-# flush daemon's deferred releases), the buffer pool's eviction/pin
-# machinery in storage, the wire
-# server/client (one goroutine per connection plus writer and ack
-# callbacks), the public API's partitioned-engine tests (concurrent
-# workers over N flush daemons, plus the cloud-tier restore tests with
-# the archiver and retention daemons running), the PITR replay paths in
-# recovery, the simulator-vs-engine cross-check in distlog, the soak
-# harness (the whole stack, daemons and all, on the fault filesystem at
-# one lane and at three) and the fault filesystem itself in vfs — the
-# last two take about 15 s together.
+# Every package under the race detector, stress soaks skipped.
 test-race:
-	$(GO) test -race -short . ./internal/core ./internal/logbuf ./internal/txn ./internal/lockmgr ./internal/logdev ./internal/recovery ./internal/storage ./internal/wire ./internal/distlog ./internal/soak ./internal/vfs
+	$(GO) test -race -short ./...
 
 vet:
 	$(GO) vet ./...
@@ -47,27 +35,6 @@ docs: vet
 		./internal/metrics ./internal/recovery ./internal/soak \
 		./internal/storage ./internal/txn ./internal/vfs \
 		./internal/wire ./internal/workload
-
-# Small-scale perf smoke: vet plus a quick aetherbench run that
-# refreshes BENCH_pr10.json, so the perf trajectory (throughput with its
-# sweep fsyncs/duration, larger-than-memory miss rate, demand steals vs
-# cleaner writes, cold-scan speedup and prefetch hit rate, partition
-# scaling, restore latency via cloud snapshots, network-path TPS over
-# real client processes) is tracked on every CI pass — the fresh run's
-# demand-steal rate and net TPS are diffed against the committed
-# baseline, failing on regression, with the scan scenario's read-ahead
-# gated on counts that repeat on a shared host (reads issued and hit,
-# exactly one read in flight behind the single mutex, at least two
-# without it — its hit rate is recorded, not gated: it ranges over
-# 8–92 % at one commit), a 0.5 flushes/commit ceiling on the pipelined
-# network runs, a zero-lost-acks requirement, a 1.5x committed-bytes/s
-# floor on the 4-partition log (vs 1 log over the same simulated device
-# class), a 0.25 dependency-stall-rate ceiling on its flush passes, and
-# a 1.2x floor on point-in-time restore through the newest snapshot vs
-# a full from-genesis raw replay. The heavier bench assertions in the
-# test suite respect -short, keeping tier-1 fast.
-bench-smoke: vet
-	$(GO) run ./cmd/aetherbench -quick -json -baseline BENCH_pr10.json
 
 # Paired before/after of the repository's benchmark (BENCHMARK.json,
 # benchmark/README.md "Paired comparisons"): builds ./benchmark at BASE
@@ -152,4 +119,8 @@ fuzz-smoke:
 	$(GO) test ./internal/logdev -run '^$$' -fuzz '^FuzzCompactedIndex$$' -fuzztime 10s
 	$(GO) test ./internal/logdev -run '^$$' -fuzz '^FuzzSegmentHeader$$' -fuzztime 10s
 
-ci: build vet docs test test-race bench-smoke soak-smoke fuzz-smoke
+# The last step fails if anything above left the checkout dirty: no
+# target may rewrite a tracked file or drop an unignored one.
+ci: build vet docs test test-race soak-smoke fuzz-smoke
+	@dirty="$$(git status --porcelain)"; if [ -n "$$dirty" ]; then \
+		echo "make ci left the checkout dirty:"; echo "$$dirty"; exit 1; fi

@@ -1,8 +1,11 @@
 package aether
 
 import (
+	"math/rand"
 	"path/filepath"
+	"sync"
 	"testing"
+	"time"
 )
 
 // wideRow pads a row so ~5 fit per 8KiB page: modest key counts span
@@ -232,5 +235,105 @@ func TestUnsetCacheStaysResident(t *testing.T) {
 	}
 	if st.CacheResident == 0 {
 		t.Fatal("resident counter not tracking the unbounded store")
+	}
+}
+
+// TestCleanerMovesWritebacksOffTheFaultPath runs one write-heavy
+// larger-than-memory script twice — concurrent random point updates over
+// a file-backed table several times the cache budget — with the
+// background page cleaner armed and bare. The mechanism, as counts from
+// the same two runs: armed, demand steals (dirty writebacks a faulting
+// caller pays for) fall below half of the bare run's, the writebacks
+// show up as cleaner writes in batched passes instead, and residency
+// respects the budget either way. Throughput is not asserted. With the
+// cleaner unarmed on both runs the test fails (no cleaner writes, and
+// steals equal on both sides).
+func TestCleanerMovesWritebacksOffTheFaultPath(t *testing.T) {
+	const (
+		budget  = 12
+		clients = 4
+	)
+	rows, updates := uint64(900), 2000
+	if testing.Short() {
+		rows, updates = 500, 1000
+	}
+	run := func(cleanerPages int) Stats {
+		db, err := Open(Options{
+			LogPath:         filepath.Join(t.TempDir(), "wal"),
+			CachePages:      budget,
+			CleanerPages:    cleanerPages,
+			CleanerInterval: time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		tbl, err := db.CreateTable("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := db.Session()
+		for k := uint64(1); k <= rows; k++ {
+			tx := s.Begin()
+			if err := tx.Insert(tbl, k, wideRow(k, 0)); err != nil {
+				t.Fatalf("load %d: %v", k, err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Close()
+
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				s := db.Session()
+				defer s.Close()
+				rng := rand.New(rand.NewSource(int64(c) + 1))
+				for i := 0; i < updates/clients; i++ {
+					k := uint64(rng.Int63n(int64(rows))) + 1
+					tx := s.Begin()
+					err := tx.Update(tbl, k, func(row []byte) ([]byte, error) {
+						row[len(row)-1]++
+						return row, nil
+					})
+					if err != nil {
+						tx.Abort()
+						t.Errorf("update %d: %v", k, err)
+						return
+					}
+					if err := tx.Commit(); err != nil {
+						t.Errorf("commit %d: %v", k, err)
+						return
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+		st := db.Stats()
+		if st.CacheResident > budget {
+			t.Errorf("cleaner pages %d: resident %d exceeds budget %d", cleanerPages, st.CacheResident, budget)
+		}
+		return st
+	}
+
+	bare := run(0)
+	armed := run(budget) // keep the whole pool clean
+	t.Logf("demand steals: %d bare, %d armed (%d cleaner writes in %d passes)",
+		bare.StealWrites, armed.StealWrites, armed.CleanerWrites, armed.CleanerPasses)
+	if bare.CleanerWrites != 0 || bare.CleanerPasses != 0 {
+		t.Fatalf("unarmed run recorded cleaner activity: %d writes, %d passes", bare.CleanerWrites, bare.CleanerPasses)
+	}
+	if bare.StealWrites == 0 {
+		t.Fatal("bare run never stole: the working set fits the budget and the script exercises nothing")
+	}
+	if armed.CleanerWrites == 0 || armed.CleanerPasses == 0 {
+		t.Fatalf("armed run's cleaner never wrote a page: %d writes, %d passes", armed.CleanerWrites, armed.CleanerPasses)
+	}
+	if armed.StealWrites >= bare.StealWrites/2 {
+		t.Fatalf("cleaner barely moved writebacks off the fault path: %d demand steals armed vs %d bare",
+			armed.StealWrites, bare.StealWrites)
 	}
 }

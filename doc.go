@@ -20,8 +20,10 @@
 //   - internal/recovery — ARIES analysis/redo/undo and point-in-time
 //     replay, over one iterator that reads N >= 1 log lanes back in
 //     their total order
-//   - internal/workload, internal/bench — the paper's benchmarks and
-//     the per-figure experiments
+//   - internal/workload, internal/bench — the paper's workloads and
+//     the per-figure experiments (cmd/aetherbench -fig); the
+//     repository's own benchmark is the program in benchmark/, whose
+//     contract is BENCHMARK.json
 //
 // # Quick start
 //

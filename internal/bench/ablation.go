@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"time"
 
 	"aether/internal/logbuf"
 	"aether/internal/logdev"
@@ -77,7 +78,7 @@ func AblationGroupCommit(scale Scale) (*Table, error) {
 		clients = 8
 	}
 	for _, iv := range intervals {
-		d, err := parseDuration(iv)
+		d, err := time.ParseDuration(iv)
 		if err != nil {
 			return nil, err
 		}

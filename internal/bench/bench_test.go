@@ -202,14 +202,32 @@ func TestFig13(t *testing.T) {
 	checkTable(t, tbl, 4)
 }
 
+// TestFigureDispatch checks the registry itself: every name and alias
+// resolves to its own entry, none is claimed twice, the scenarios
+// without a ./benchmark workload are registered, and an unknown name is
+// an error. Running the entries is the other tests' job.
 func TestFigureDispatch(t *testing.T) {
-	for _, name := range FigureNames {
-		if _, err := Figure(name, Scale{Quick: true}); err != nil {
-			// Running all figures here would be slow; dispatch only is
-			// exercised by the unknown-name case plus one real figure.
-			break
+	seen := map[string]bool{}
+	for i := range experiments {
+		e := &experiments[i]
+		for _, n := range append([]string{e.name}, e.aliases...) {
+			if seen[n] {
+				t.Fatalf("%q is registered twice", n)
+			}
+			seen[n] = true
+			if got := lookup(n); got != e {
+				t.Fatalf("lookup(%q) = %v, want the %s entry", n, got, e.name)
+			}
 		}
-		break
+	}
+	names := FigureNames()
+	if len(names) != len(experiments) {
+		t.Fatalf("FigureNames lists %d of %d experiments", len(names), len(experiments))
+	}
+	for _, n := range []string{"fig2", "8l", "ablation-elr", "partition-scaling", "restore-latency"} {
+		if !seen[n] {
+			t.Fatalf("%q is not registered", n)
+		}
 	}
 	if _, err := Figure("nope", quickScale); err == nil {
 		t.Fatal("unknown figure must error")

@@ -546,66 +546,81 @@ func subscriberScale(s Scale) int {
 	return 100000
 }
 
-// AllFigures runs every experiment and returns the tables in paper
+// experiment is one entry of the registry: a name, the shorthands
+// Figure also accepts, and the function that runs it.
+type experiment struct {
+	name    string
+	aliases []string
+	run     func(Scale) (*Table, error)
+}
+
+// experiments is the registry, in the order -all runs it: the paper's
+// figures, the two ablations, then the two scenarios that wait for a
+// ./benchmark workload of their own. AllFigures, Figure, FigureNames
+// and `aetherbench -list` all read this one table.
+var experiments = []experiment{
+	{"fig2", []string{"2"}, Fig2},
+	{"fig3", []string{"3"}, Fig3},
+	{"fig4", []string{"4"}, Fig4},
+	{"fig5", []string{"5"}, Fig5},
+	{"fig7", []string{"7"}, Fig7},
+	{"fig8left", []string{"8left", "8l"}, Fig8Left},
+	{"fig8right", []string{"8right", "8r"}, Fig8Right},
+	{"fig9", []string{"9"}, Fig9},
+	{"fig11", []string{"11"}, Fig11},
+	{"fig12", []string{"12"}, Fig12},
+	{"fig13", []string{"13"}, Fig13},
+	{"ablation-elr", nil, AblationELR},
+	{"ablation-groupcommit", nil, AblationGroupCommit},
+	{"partition-scaling", nil, PartitionScaling},
+	{"restore-latency", nil, RestoreLatency},
+}
+
+// lookup finds an experiment by name or alias.
+func lookup(name string) *experiment {
+	for i := range experiments {
+		e := &experiments[i]
+		if e.name == name {
+			return e
+		}
+		for _, a := range e.aliases {
+			if a == name {
+				return e
+			}
+		}
+	}
+	return nil
+}
+
+// AllFigures runs every experiment and returns the tables in registry
 // order.
 func AllFigures(scale Scale) ([]*Table, error) {
-	type fig struct {
-		name string
-		fn   func(Scale) (*Table, error)
-	}
-	figs := []fig{
-		{"fig2", Fig2}, {"fig3", Fig3}, {"fig4", Fig4}, {"fig5", Fig5},
-		{"fig7", Fig7}, {"fig8left", Fig8Left}, {"fig8right", Fig8Right},
-		{"fig9", Fig9}, {"fig11", Fig11}, {"fig12", Fig12}, {"fig13", Fig13},
-		{"ablation-elr", AblationELR}, {"ablation-groupcommit", AblationGroupCommit},
-	}
 	var out []*Table
-	for _, f := range figs {
-		t, err := f.fn(scale)
+	for _, e := range experiments {
+		t, err := e.run(scale)
 		if err != nil {
-			return nil, fmt.Errorf("bench: %s: %w", f.name, err)
+			return nil, fmt.Errorf("bench: %s: %w", e.name, err)
 		}
 		out = append(out, t)
 	}
 	return out, nil
 }
 
-// Figure runs a single figure by name ("fig2" … "fig13").
+// Figure runs a single experiment by name ("fig2" … "restore-latency")
+// or alias ("2", "8l").
 func Figure(name string, scale Scale) (*Table, error) {
-	switch name {
-	case "fig2", "2":
-		return Fig2(scale)
-	case "fig3", "3":
-		return Fig3(scale)
-	case "fig4", "4":
-		return Fig4(scale)
-	case "fig5", "5":
-		return Fig5(scale)
-	case "fig7", "7":
-		return Fig7(scale)
-	case "fig8left", "8left", "8l":
-		return Fig8Left(scale)
-	case "fig8right", "8right", "8r":
-		return Fig8Right(scale)
-	case "fig9", "9":
-		return Fig9(scale)
-	case "fig11", "11":
-		return Fig11(scale)
-	case "fig12", "12":
-		return Fig12(scale)
-	case "fig13", "13":
-		return Fig13(scale)
-	case "ablation-elr":
-		return AblationELR(scale)
-	case "ablation-groupcommit":
-		return AblationGroupCommit(scale)
+	e := lookup(name)
+	if e == nil {
+		return nil, fmt.Errorf("bench: unknown figure %q", name)
 	}
-	return nil, fmt.Errorf("bench: unknown figure %q", name)
+	return e.run(scale)
 }
 
-// FigureNames lists the runnable experiments.
-var FigureNames = []string{
-	"fig2", "fig3", "fig4", "fig5", "fig7",
-	"fig8left", "fig8right", "fig9", "fig11", "fig12", "fig13",
-	"ablation-elr", "ablation-groupcommit",
+// FigureNames lists the runnable experiments in registry order.
+func FigureNames() []string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	return names
 }

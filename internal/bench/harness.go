@@ -1,7 +1,11 @@
 // Package bench implements the paper's evaluation section: one
 // experiment per figure, each reproducing the corresponding workload,
-// parameter sweep and output series. The root-level bench_test.go and
-// cmd/aetherbench expose them as testing.B benchmarks and a CLI.
+// parameter sweep and output series, plus two scenarios (partition
+// scaling, restore latency) kept here until ./benchmark has a workload
+// for them. One registry (figures.go) names them all; the root-level
+// bench_test.go and cmd/aetherbench expose them as testing.B benchmarks
+// and a CLI. The repository's benchmark — the one changes are measured
+// against — is ./benchmark, not this package.
 //
 // Absolute numbers differ from the paper's Sun Niagara II + Solaris
 // testbed; what the experiments reproduce is the *shape* of each figure:

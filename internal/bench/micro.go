@@ -136,18 +136,25 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 		}
 	}()
 
+	// The window opens once every inserter stands at the line, and each
+	// inserts before it first looks at the clock: on a starved host a
+	// run reports little work, never none.
 	var stop atomic.Bool
 	var inserts, bytes atomic.Int64
-	var wg sync.WaitGroup
-	start := time.Now()
+	var ready, wg sync.WaitGroup
+	var start time.Time
+	begin := make(chan struct{})
 	for w := 0; w < cfg.Threads; w++ {
+		ready.Add(1)
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			ins := buf.NewInserter()
+			ready.Done()
+			<-begin
 			var myInserts, myBytes int64
 			n := 0
-			for !stop.Load() {
+			for {
 				p := rec
 				if outlier != nil && cfg.OutlierEvery > 0 && n%cfg.OutlierEvery == cfg.OutlierEvery-1 {
 					p = outlier
@@ -158,14 +165,17 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 				myInserts++
 				myBytes += int64(len(p))
 				n++
-				if n&1023 == 0 && time.Since(start) > cfg.Duration {
+				if stop.Load() || (n&1023 == 0 && time.Since(start) > cfg.Duration) {
 					break
 				}
 			}
 			inserts.Add(myInserts)
 			bytes.Add(myBytes)
-		}(w)
+		}()
 	}
+	ready.Wait()
+	start = time.Now()
+	close(begin)
 	time.Sleep(cfg.Duration)
 	stop.Store(true)
 	wg.Wait()

@@ -47,45 +47,73 @@ type PartitionConfig struct {
 // PartitionRun reports one side of the comparison.
 type PartitionRun struct {
 	// Partitions is this side's log count.
-	Partitions int `json:"partitions"`
+	Partitions int
 	// Workers is the concurrent commit streams.
-	Workers int `json:"workers"`
+	Workers int
 	// Commits is the transactions committed in the window.
-	Commits int64 `json:"commits"`
+	Commits int64
 	// CommittedBytes is the log bytes appended by those commits.
-	CommittedBytes int64 `json:"committed_bytes"`
-	// ElapsedMs is the measured wall-clock window.
-	ElapsedMs int64 `json:"elapsed_ms"`
+	CommittedBytes int64
 	// BytesPerSec is CommittedBytes over the window.
-	BytesPerSec float64 `json:"bytes_per_sec"`
+	BytesPerSec float64
 	// Flushes is the device sync count across all partitions.
-	Flushes int64 `json:"flushes"`
+	Flushes int64
 	// DepEdges counts cross-log flush dependencies observed at append
 	// time (0 on the single-log side).
-	DepEdges int64 `json:"dep_edges"`
+	DepEdges int64
 	// DepStalls counts flush passes clamped below their buffered tail
 	// waiting for another log.
-	DepStalls int64 `json:"dep_stalls"`
+	DepStalls int64
 	// StallRate is DepStalls/Flushes — the fraction of flush passes
 	// the dependency limiter held back.
-	StallRate float64 `json:"stall_rate"`
+	StallRate float64
 }
 
 // PartitionResult is the 1-vs-N comparison plus the derived gates.
 type PartitionResult struct {
 	// Single is the one-log baseline.
-	Single PartitionRun `json:"single"`
+	Single PartitionRun
 	// Multi is the N-partition side.
-	Multi PartitionRun `json:"multi"`
+	Multi PartitionRun
 	// Speedup is Multi.BytesPerSec / Single.BytesPerSec.
-	Speedup float64 `json:"speedup"`
+	Speedup float64
 }
 
-// String renders the one-line summary the CLI prints.
-func (r PartitionResult) String() string {
-	return fmt.Sprintf("partitions 1→%d: %.1f → %.1f MB/s committed (%.2fx), %d cross-log edges, stall rate %.3f",
-		r.Multi.Partitions, r.Single.BytesPerSec/1e6, r.Multi.BytesPerSec/1e6,
-		r.Speedup, r.Multi.DepEdges, r.Multi.StallRate)
+// Table renders the comparison as one row per side.
+func (r PartitionResult) Table() *Table {
+	t := &Table{
+		Title:   fmt.Sprintf("Partition scaling: committed log bytes/s, 1 vs %d logs over simulated bandwidth-limited devices", r.Multi.Partitions),
+		Columns: []string{"logs", "workers", "commits", "MB/s", "flushes", "dep edges", "stall rate", "speedup"},
+	}
+	for _, side := range []PartitionRun{r.Single, r.Multi} {
+		speedup := 1.0
+		if side.Partitions > 1 {
+			speedup = r.Speedup
+		}
+		t.AddRow(fmt.Sprint(side.Partitions),
+			fmt.Sprint(side.Workers),
+			fmt.Sprint(side.Commits),
+			fmt.Sprintf("%.1f", side.BytesPerSec/1e6),
+			fmt.Sprint(side.Flushes),
+			fmt.Sprint(side.DepEdges),
+			fmt.Sprintf("%.3f", side.StallRate),
+			fmt.Sprintf("%.2fx", speedup))
+	}
+	return t
+}
+
+// PartitionScaling is the registry's "partition-scaling" experiment:
+// RunPartitions at the scale's window, as a table.
+func PartitionScaling(scale Scale) (*Table, error) {
+	cfg := PartitionConfig{} // RunPartitions' defaults are the full scale
+	if scale.Quick {
+		cfg.Duration = 250 * time.Millisecond
+	}
+	res, err := RunPartitions(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return res.Table(), nil
 }
 
 // RunPartitions executes both sides and, on the partitioned side,
@@ -223,7 +251,6 @@ func runPartitionSide(cfg PartitionConfig, parts int) (PartitionRun, error) {
 	elapsed := time.Since(start)
 
 	run.Commits = commits.Load()
-	run.ElapsedMs = elapsed.Milliseconds()
 	ml := eng.Multi()
 	if ml != nil {
 		for i := 0; i < ml.NumParts(); i++ {

@@ -5,29 +5,51 @@ import (
 	"time"
 )
 
-// TestRunPartitionsShort sanity-checks the partition-scaling
-// microbenchmark at test scale: both sides commit, the partitioned
-// side observes cross-log edges, and the post-run crash + recovery
-// merge (which fails on any dependency-order violation) passes. The
-// throughput floor and stall-rate ceiling are CI gates applied at full
-// scale by aetherbench -json (make bench-smoke), not here — a loaded
-// test machine must not flake the suite on a performance ratio.
+// TestRunPartitionsShort runs the partition-scaling scenario at test
+// scale and holds its gates. On every run: both sides commit, the
+// partitioned side observes cross-log edges, the post-run crash +
+// recovery merge (which fails on any dependency-order violation)
+// passes, and the dependency limiter clamps at most a quarter of the
+// flush passes — a ratio of two counts, so it holds on a loaded host.
+// Outside -short, four logs over four simulated 8 MB/s devices must
+// also commit at least 1.5× the bytes/s of one log on one such device:
+// the devices are sleep-clocked, so the ratio is the simulation's, but a
+// stalled host can still sink one attempt, hence best of 3 (measured:
+// 3.58×). Partitioning that merely re-serializes behind cross-log waits
+// fails here even though every run is correct.
 func TestRunPartitionsShort(t *testing.T) {
-	res, err := RunPartitions(PartitionConfig{Duration: 120 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
+	attempts, dur := 3, 250*time.Millisecond
+	if testing.Short() {
+		attempts, dur = 1, 120*time.Millisecond
 	}
-	if res.Single.Commits == 0 || res.Multi.Commits == 0 {
-		t.Fatalf("a side committed nothing: single=%d multi=%d", res.Single.Commits, res.Multi.Commits)
+	best := 0.0
+	for i := 0; i < attempts && best < 1.5; i++ {
+		res, err := RunPartitions(PartitionConfig{Duration: dur})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("\n%s", res.Table())
+		if res.Single.Commits == 0 || res.Multi.Commits == 0 {
+			t.Fatalf("a side committed nothing: single=%d multi=%d", res.Single.Commits, res.Multi.Commits)
+		}
+		if res.Single.Partitions != 1 || res.Multi.Partitions != 4 {
+			t.Fatalf("unexpected partition counts: %d vs %d", res.Single.Partitions, res.Multi.Partitions)
+		}
+		if res.Multi.DepEdges == 0 {
+			t.Fatal("partitioned side observed no cross-log edges; the workload exercises nothing")
+		}
+		if res.Single.DepEdges != 0 || res.Single.DepStalls != 0 {
+			t.Fatalf("single-log side reports dependency activity: %+v", res.Single)
+		}
+		if sr := res.Multi.StallRate; sr > 0.25 {
+			t.Fatalf("dependency-stall rate %.3f above the 0.25 ceiling (%d stalls in %d flush passes)",
+				sr, res.Multi.DepStalls, res.Multi.Flushes)
+		}
+		if res.Speedup > best {
+			best = res.Speedup
+		}
 	}
-	if res.Single.Partitions != 1 || res.Multi.Partitions != 4 {
-		t.Fatalf("unexpected partition counts: %d vs %d", res.Single.Partitions, res.Multi.Partitions)
+	if !testing.Short() && best < 1.5 {
+		t.Fatalf("committed-bytes/s speedup %.2fx across %d attempts, want ≥ 1.5x", best, attempts)
 	}
-	if res.Multi.DepEdges == 0 {
-		t.Fatal("partitioned side observed no cross-log edges; the workload exercises nothing")
-	}
-	if res.Single.DepEdges != 0 || res.Single.DepStalls != 0 {
-		t.Fatalf("single-log side reports dependency activity: %+v", res.Single)
-	}
-	t.Logf("%v", res)
 }

@@ -41,19 +41,19 @@ type RestoreConfig struct {
 // RestoreResult reports the restore-latency comparison.
 type RestoreResult struct {
 	// Txns is the committed-transaction count behind the restore point.
-	Txns int `json:"txns"`
+	Txns int
 	// LogBytes is the full history length the raw side replayed.
-	LogBytes int64 `json:"log_bytes"`
+	LogBytes int64
 	// RestoreAt is the snapshot side's restore target (its durable end).
-	RestoreAt int64 `json:"restore_at"`
+	RestoreAt int64
 	// Snapshots is how many snapshot objects the snapshot side had cut.
-	Snapshots int64 `json:"snapshots"`
+	Snapshots int64
 	// PacksBuilt counts compaction runs across both sides.
-	PacksBuilt int64 `json:"packs_built"`
+	PacksBuilt int64
 	// SnapshotMS is the best RestoreTo latency via the newest snapshot.
-	SnapshotMS float64 `json:"snapshot_ms"`
+	SnapshotMS float64
 	// RawMS is the best RestoreTo latency via full from-genesis replay.
-	RawMS float64 `json:"raw_ms"`
+	RawMS float64
 }
 
 // Speedup is raw-replay restore latency over snapshot-based latency.
@@ -64,10 +64,42 @@ func (r RestoreResult) Speedup() float64 {
 	return r.RawMS / r.SnapshotMS
 }
 
-// String renders the one-line summary the CLI prints.
-func (r RestoreResult) String() string {
-	return fmt.Sprintf("restore %d txns (%d log bytes, %d snapshots): %.2fms via snapshot vs %.2fms raw replay — %.1fx",
-		r.Txns, r.LogBytes, r.Snapshots, r.SnapshotMS, r.RawMS, r.Speedup())
+// Table renders the comparison as one row per restore path.
+func (r RestoreResult) Table() *Table {
+	t := &Table{
+		Title: fmt.Sprintf("Restore latency: RestoreTo the durable end of %d txns (%d log bytes; %d snapshots cut, %d packs built)",
+			r.Txns, r.LogBytes, r.Snapshots, r.PacksBuilt),
+		Columns: []string{"path", "best ms", "speedup"},
+	}
+	t.AddRow("raw replay from genesis", fmt.Sprintf("%.2f", r.RawMS), "1.0x")
+	t.AddRow("newest snapshot + tail", fmt.Sprintf("%.2f", r.SnapshotMS), fmt.Sprintf("%.1fx", r.Speedup()))
+	return t
+}
+
+// quickRestore is the test-scale history: 320 transactions, ~100 KB of
+// log, one snapshot. RestoreLatency runs it under Scale.Quick and
+// TestRestoreMicrobenchmark holds the 1.2× floor on it.
+var quickRestore = RestoreConfig{
+	Batches:            16,
+	TxnsPerBatch:       20,
+	ValueBytes:         128,
+	SegmentSize:        8 << 10,
+	SnapshotEveryBytes: 16 << 10,
+	Iters:              2,
+}
+
+// RestoreLatency is the registry's "restore-latency" experiment:
+// RunRestore at the scale's history length, as a table.
+func RestoreLatency(scale Scale) (*Table, error) {
+	cfg := RestoreConfig{} // RunRestore's defaults are the full scale
+	if scale.Quick {
+		cfg = quickRestore
+	}
+	res, err := RunRestore(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return res.Table(), nil
 }
 
 // restoreWorkload commits the deterministic insert/update mix into db

@@ -12,11 +12,6 @@ import (
 	"aether/internal/txn"
 )
 
-// parseDuration is time.ParseDuration with bench-friendly error context.
-func parseDuration(s string) (time.Duration, error) {
-	return time.ParseDuration(s)
-}
-
 // newRigWithFlushInterval builds a rig whose group-commit interval is
 // pinned (the AblationGroupCommit knob).
 func newRigWithFlushInterval(interval time.Duration) (*Rig, error) {

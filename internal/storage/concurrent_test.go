@@ -18,7 +18,7 @@ import (
 // never wait on a batch writer's fsyncs; the buffer pool's fault path
 // runs concurrently with the checkpoint sweep and the cleaner over the
 // same pages without torn images or lost updates. All of them are built
-// to run under -race (and are in the Makefile's test-race list).
+// to run under -race (make test-race covers every package).
 
 // pfVersionedImage builds a page image whose body encodes its own
 // version, so any torn mix of two versions is detectable byte-by-byte
@@ -634,5 +634,107 @@ func TestPrefetchedPageIsColdAndConsumable(t *testing.T) {
 	}
 	if cs.Misses != 0 {
 		t.Fatalf("demand access of a prefetched page counted as a miss: %+v", cs)
+	}
+}
+
+// inflightArchive is the foil for TestReadAheadOverlapsPageReads: it
+// reads through the archive it wraps (hiding the pagefile's optional
+// fast paths, so every fault and every read-ahead comes through Get),
+// holds each read for delay as a device would, and records how many
+// were inside at once. With serial set every read first takes one mutex
+// — the pre-PR-6 pagefile, where no two reads could overlap whatever
+// the pool asked for.
+type inflightArchive struct {
+	Archive
+	delay  time.Duration
+	serial bool
+	mu     sync.Mutex
+	// in is the number of Gets currently inside; peak its maximum.
+	in, peak atomic.Int64
+}
+
+func (a *inflightArchive) Get(pid uint64) ([]byte, error) {
+	if a.serial {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+	}
+	n := a.in.Add(1)
+	defer a.in.Add(-1)
+	for m := a.peak.Load(); n > m && !a.peak.CompareAndSwap(m, n); m = a.peak.Load() {
+	}
+	time.Sleep(a.delay)
+	return a.Archive.Get(pid)
+}
+
+// TestReadAheadOverlapsPageReads pins the mechanism behind the cold-scan
+// numbers as counts, not a throughput ratio: a sequential scan of a
+// table eight times the pool's budget, over a device where a page read
+// costs 200µs, issues read-ahead and is served by it, and has at least
+// two reads inside the pagefile at once — and exactly one when the same
+// scan, with the same depth, reads through a single mutex. With
+// SetPrefetch(0) the first half fails: nothing is issued and one demand
+// read is all that is ever in flight.
+func TestReadAheadOverlapsPageReads(t *testing.T) {
+	const (
+		pages  = 128
+		budget = pages / 8
+		depth  = 16
+	)
+	pf := openPF(t, filepath.Join(t.TempDir(), "pagefile.db"))
+	build := NewStore()
+	for i := 0; i < pages; i++ {
+		p, _ := build.GetOrCreate(MakePageID(1, uint64(i+1)))
+		if err := p.Insert(0, []byte(fmt.Sprintf("scan-row-%08d", i))); err != nil {
+			t.Fatal(err)
+		}
+		p.SetLSN(1)
+		build.MarkDirty(p.ID(), 1)
+		p.Unpin()
+	}
+	if n := build.ArchiveDirtyPages(pf, 1<<62); n != pages {
+		t.Fatalf("archived %d pages, want %d", n, pages)
+	}
+	pids := build.PageIDs()
+	sortPageIDs(pids)
+
+	scan := func(serial bool) (CacheStats, int64) {
+		a := &inflightArchive{Archive: pf, delay: 200 * time.Microsecond, serial: serial}
+		st := NewStore()
+		if err := st.SetBackend(a); err != nil {
+			t.Fatal(err)
+		}
+		st.SetCachePages(budget)
+		st.SetPrefetch(depth)
+		for _, pid := range pids {
+			p, err := st.Get(pid)
+			if err != nil || p == nil {
+				t.Fatalf("scan fault %d: page %v, err %v", pid, p, err)
+			}
+			p.Unpin()
+		}
+		// Read-ahead still in flight holds a semaphore slot each; filling
+		// the semaphore waits them out, so the peak below is final.
+		for i := 0; i < depth; i++ {
+			st.prefetchSem <- struct{}{}
+		}
+		return st.CacheStats(), a.peak.Load()
+	}
+
+	cs, peak := scan(false)
+	t.Logf("concurrent: %d reads in flight at peak; %+v", peak, cs)
+	if cs.PrefetchReads == 0 || cs.PrefetchHits == 0 {
+		t.Fatalf("read-ahead never engaged: %d issued, %d hit", cs.PrefetchReads, cs.PrefetchHits)
+	}
+	if peak < 2 {
+		t.Fatalf("the scan never overlapped two page reads (peak %d in flight)", peak)
+	}
+	if cs.Resident > budget || cs.StealWrites != 0 {
+		t.Fatalf("read-only scan: resident %d over a budget of %d, %d demand steals", cs.Resident, budget, cs.StealWrites)
+	}
+
+	cs, peak = scan(true)
+	t.Logf("serialized: %d reads in flight at peak; %+v", peak, cs)
+	if peak != 1 {
+		t.Fatalf("behind one mutex %d reads were in flight, want exactly 1", peak)
 	}
 }

@@ -43,11 +43,6 @@ func cfKey(sid uint64, sfType, startTime int) uint64 {
 	return sid*128 + uint64(sfType)*32 + uint64(startTime)
 }
 
-// NewTATP returns the workload at a test-friendly scale.
-func NewTATP() *TATP {
-	return &TATP{Subscribers: 10000}
-}
-
 // Setup creates and populates the four TATP tables per the spec's
 // cardinalities (1–4 access infos and special facilities per subscriber,
 // 0–3 call forwardings per special facility), then checkpoints.

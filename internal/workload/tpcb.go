@@ -58,12 +58,6 @@ func tpcbSetBalance(row []byte, bal int64) []byte {
 // TellersPerBranch is fixed by the TPC-B specification.
 const TellersPerBranch = 10
 
-// NewTPCB returns a workload with the paper's defaults: 10 branches
-// (100 tellers), uniform access.
-func NewTPCB() *TPCB {
-	return &TPCB{Branches: 10, AccountsPerBranch: 1000}
-}
-
 // Setup creates and populates the four tables. Loading commits in
 // batches through the normal transactional path, then checkpoints so
 // the load is archived.
