@@ -31,7 +31,7 @@
 //	logdump -f wal.d -archive cold  # segmented log with an explicit cold store
 //	logdump -f multi.d              # partitioned root: per-partition layout + merged seq view
 //	logdump -f wal.log -txn 42      # one transaction's chain
-//	logdump -f wal.log -stats       # kind histogram + volume only
+//	logdump -f wal.log -stats       # kind histogram + volume (framing vs image bytes) only
 //	logdump -f wal.d/pagefile.db    # pagefile slot table
 //	logdump -archive cold           # cold store alone: raw/pack/snapshot
 //	                                # objects, decoded pack indexes, floor
@@ -82,7 +82,8 @@ Flags:
 	fmt.Fprintf(flag.CommandLine.Output(), `
 Examples:
   logdump -f wal.d                 dump a segmented log and its cold store
-  logdump -f wal.d -stats          kind histogram and volume only
+  logdump -f wal.d -stats          kind histogram and volume only, each kind's
+                                   bytes split into framing and row images
   logdump -f wal.d -archive /cold  cold store in a non-default location
   logdump -f wal.d/pagefile.db     slot table of the database file
   logdump -archive /cold           the cold store alone: raw segments,
@@ -315,6 +316,7 @@ func dump(path, archDir string, txnFilter uint64, statsOnly bool) error {
 	m := recovery.NewLaneMerge(lanes)
 	kindCount := map[logrec.Kind]int{}
 	kindBytes := map[logrec.Kind]int{}
+	kindImage := map[logrec.Kind]int{}
 	txns := map[uint64]bool{}
 	records := 0
 	for {
@@ -326,6 +328,7 @@ func dump(path, archDir string, txnFilter uint64, statsOnly bool) error {
 		records++
 		kindCount[rec.Kind]++
 		kindBytes[rec.Kind] += int(rec.TotalLen)
+		kindImage[rec.Kind] += imageBytes(rec)
 		txns[rec.TxnID] = true
 		if statsOnly || txnFilter != 0 && rec.TxnID != txnFilter {
 			continue
@@ -351,10 +354,30 @@ func dump(path, archDir string, txnFilter uint64, statsOnly bool) error {
 		kinds = append(kinds, k)
 	}
 	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
+	// Per kind, what the log spends on saying which record this is
+	// (frame, header fields, payload lengths) against what it spends on
+	// the data recovery is after (row images, checkpoint tables).
 	for _, k := range kinds {
-		fmt.Printf("  %-11s %8d records %10d bytes\n", k, kindCount[k], kindBytes[k])
+		fmt.Printf("  %-11s %8d records %10d bytes = %d framing + %d image\n",
+			k, kindCount[k], kindBytes[k], kindBytes[k]-kindImage[k], kindImage[k])
 	}
 	return nil
+}
+
+// imageBytes is how much of rec is the data it carries rather than the
+// description of it: an update's or CLR's before and after images, a
+// checkpoint's table entries. An update payload that does not decode
+// counts as framing.
+func imageBytes(rec logrec.Record) int {
+	switch rec.Kind {
+	case logrec.KindUpdate, logrec.KindCLR:
+		if up, err := logrec.DecodeUpdate(rec.Payload); err == nil {
+			return len(up.Before) + len(up.After)
+		}
+	case logrec.KindCheckpointEnd:
+		return max(len(rec.Payload)-8, 0) // less the two table counts
+	}
+	return 0
 }
 
 func printRecord(rec logrec.Record) {
@@ -370,8 +393,8 @@ func printRecord(rec logrec.Record) {
 				rec.LSN, rec.Kind, rec.TxnID, rec.PageID, extra)
 			return
 		}
-		fmt.Printf("%-12v %-10s txn=%-6d page=%-8d slot=%-4d %-6s before=%dB after=%dB prev=%v%s\n",
-			rec.LSN, rec.Kind, rec.TxnID, rec.PageID, up.Slot, up.Op,
+		fmt.Printf("%-12v %-10s txn=%-6d page=%-8d slot=%-4d %-6s off=%-4d before=%dB after=%dB prev=%v%s\n",
+			rec.LSN, rec.Kind, rec.TxnID, rec.PageID, up.Slot, up.Op, up.Off,
 			len(up.Before), len(up.After), prevStr(rec.PrevLSN), extra)
 	case logrec.KindCheckpointEnd:
 		p, err := logrec.DecodeCheckpoint(rec.Payload)

@@ -43,6 +43,14 @@ func buildLog(t *testing.T, dir string, n int) {
 		if err := tx.Insert(second, k, aether.Row(k, []byte("second"))); err != nil {
 			t.Fatal(err)
 		}
+		if k >= 3 {
+			// A ranged update: the splice shows as off= and two short images.
+			if err := tx.Update(second, k, func(row []byte) ([]byte, error) {
+				return aether.Row(k, []byte("sEcond")), nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if k == 3 {
 			if err := tx.Abort(); err != nil {
 				t.Fatal(err)
@@ -140,7 +148,7 @@ func TestDumpStitchesColdStoreReadOnly(t *testing.T) {
 	} {
 		for k := uint64(round*60 + 1); k <= uint64(round*60+60); k++ {
 			tx := s.Begin()
-			if err := tx.Insert(tbl, k, aether.Row(k, make([]byte, 100))); err != nil {
+			if err := tx.Insert(tbl, k, aether.Row(k, make([]byte, 200))); err != nil { // ~3.5 segments a round
 				t.Fatal(err)
 			}
 			if err := tx.Commit(); err != nil {

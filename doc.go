@@ -59,6 +59,22 @@
 // with foreground commits — the log stays bounded with zero client
 // Checkpoint calls and zero commit-path stalls.
 //
+// # Log records
+//
+// The log says what changed and little else. A record is an 8-byte
+// frame (length, CRC-32C), one byte naming its kind and which header
+// fields follow, those fields as varints — transaction, backchain, page,
+// and the multi-lane stamp and edge, each free when absent — and a
+// payload. An update's payload is a splice: the offset in the row and
+// the bytes before and after, trimmed to what differs, so a TPC-B
+// transaction (three 8-byte balance changes in 100-byte rows, one
+// 100-byte insert, a commit) logs about 221 bytes. Every record has one
+// encoding and the decoders accept no other. A log directory carries
+// its format in its MANIFEST (format 3) and a cold-store object in its
+// envelope (version 2); Open refuses earlier ones with an error that
+// matches logdev.ErrFormat and changes nothing. ARCHITECTURE.md, "The
+// log record", has the layout.
+//
 // # Durable watermark and torn-tail repair
 //
 // A segmented log persists a durable watermark on every Sync batch, in

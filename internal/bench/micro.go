@@ -73,8 +73,8 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
 	}
-	if cfg.RecordSize < logrec.HeaderSize {
-		cfg.RecordSize = logrec.HeaderSize
+	if cfg.RecordSize < logrec.MinRecordSize {
+		cfg.RecordSize = logrec.MinRecordSize
 	}
 	if cfg.Duration <= 0 {
 		cfg.Duration = time.Second
@@ -108,7 +108,7 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 		return MicroResult{}, err
 	}
 	var outlier []byte
-	if cfg.OutlierEvery > 0 && cfg.OutlierSize > logrec.HeaderSize {
+	if cfg.OutlierEvery > 0 && cfg.OutlierSize > logrec.MinRecordSize {
 		outlier, err = logrec.NewPad(cfg.OutlierSize).Encode()
 		if err != nil {
 			return MicroResult{}, err

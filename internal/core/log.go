@@ -268,12 +268,19 @@ type Appender struct {
 	scratch []byte
 }
 
+// appenderScratch is the encode buffer an Appender keeps between
+// appends. A larger record (they run to logrec.MaxPayload, 16 MiB) is
+// encoded in a buffer of its own, so one bulk row does not stay pinned
+// on the session for life (txn's maxRecordBuffer is the same rule for
+// the record it is encoded from).
+const appenderScratch = 4096
+
 // NewAppender returns a fresh per-goroutine appender.
 func (lm *LogManager) NewAppender() *Appender {
 	return &Appender{
 		lm:      lm,
 		ins:     lm.buf.NewInserter(),
-		scratch: make([]byte, 4096),
+		scratch: make([]byte, appenderScratch),
 	}
 }
 
@@ -281,10 +288,12 @@ func (lm *LogManager) NewAppender() *Appender {
 // end (the durability point a committer must wait for).
 func (a *Appender) Append(rec *logrec.Record) (at, end lsn.LSN, err error) {
 	size := rec.EncodedSize()
-	if size > cap(a.scratch) {
-		a.scratch = make([]byte, size)
+	var buf []byte
+	if size <= len(a.scratch) {
+		buf = a.scratch[:size]
+	} else {
+		buf = make([]byte, size)
 	}
-	buf := a.scratch[:size]
 	if err := rec.EncodeInto(buf); err != nil {
 		return 0, 0, err
 	}

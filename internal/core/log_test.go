@@ -459,7 +459,9 @@ func TestGroupWindow(t *testing.T) {
 		}},
 		{"FlushBytes", func() {
 			for i := 0; i < 100; i++ { // 100 * 48B > 4096
-				commit()
+				if _, _, err := ap.Append(logrec.NewPad(48)); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}},
 	} {
@@ -488,7 +490,7 @@ func TestFlushBytesTrigger(t *testing.T) {
 	defer lm.Close()
 	ap := lm.NewAppender()
 	for i := 0; i < 200; i++ { // 200 * 48B > 4096
-		if _, _, err := ap.Append(logrec.NewCommit(uint64(i), lsn.Undefined)); err != nil {
+		if _, _, err := ap.Append(logrec.NewPad(48)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -596,16 +598,30 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
-func TestAppendLargeRecordGrowsScratch(t *testing.T) {
-	lm := newTestLM(t, logbuf.VariantCD, nil)
+// A record larger than the appender's scratch is appended whole, and the
+// buffer it was encoded in is not kept: the scratch stays what it started
+// as, however large the largest record ever appended.
+func TestAppendLargeRecordKeepsScratchSmall(t *testing.T) {
+	dev := logdev.NewMem(logdev.ProfileMemory)
+	lm := newTestLM(t, logbuf.VariantCD, dev)
 	ap := lm.NewAppender()
 	big := logrec.NewPad(16 << 10)
-	_, end, err := ap.Append(big)
+	at, end, err := ap.Append(big)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := lm.WaitDurable(end); err != nil {
 		t.Fatal(err)
+	}
+	got := make([]byte, end.Sub(at))
+	if _, err := dev.ReadAt(got, int64(at)); err != nil {
+		t.Fatal(err)
+	}
+	if rec, n, err := logrec.Decode(got); err != nil || n != 16<<10 || rec.Kind != logrec.KindPad {
+		t.Fatalf("large record read back as %v, %d bytes: %v", rec.Kind, n, err)
+	}
+	if cap(ap.scratch) != appenderScratch {
+		t.Fatalf("appender keeps a %d-byte scratch after a %d-byte record, want %d", cap(ap.scratch), 16<<10, appenderScratch)
 	}
 }
 

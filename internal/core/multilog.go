@@ -259,6 +259,16 @@ func (a *MultiAppender) Append(lane int, rec *logrec.Record) (at, end, pageStamp
 	return at, end, lsn.LSN(seq), lsn.LSN(seq), err
 }
 
+// ScratchCap returns the capacity of the encode buffer a keeps between
+// appends (tests): its one-lane appender's. On N lanes it keeps none —
+// the lanes' own appenders encode.
+func (a *MultiAppender) ScratchCap() int {
+	if a.own == nil {
+		return 0
+	}
+	return cap(a.own.scratch)
+}
+
 // Append is the seq-domain insert behind MultiAppender.Append on two or
 // more lanes (a one-lane MultiAppender never gets here): it stamps rec
 // with the next global seq and inserts it into

@@ -16,7 +16,7 @@ func TestExtractTrace(t *testing.T) {
 		}
 		log = append(log, b...)
 	}
-	up := logrec.UpdatePayload{Op: logrec.OpSet, Slot: 0, Before: []byte("a"), After: []byte("b")}
+	up := logrec.Splice(0, []byte("a"), []byte("b"))
 	add(logrec.NewUpdate(1, lsn.Undefined, 100, up))
 	add(logrec.NewCommit(1, 0))
 	add(logrec.NewUpdate(2, lsn.Undefined, 101, up))

@@ -62,8 +62,8 @@ func drain(b Buffer, collect bool) (stop func() []byte) {
 // encodePayloadRecord builds an encoded record whose payload starts with a
 // uint64 tag so the test can identify records in the drained stream.
 func encodePayloadRecord(tag uint64, size int) []byte {
-	if size < logrec.HeaderSize+8 {
-		size = logrec.HeaderSize + 8
+	if size < logrec.MinRecordSize+8 {
+		size = logrec.MinRecordSize + 8
 	}
 	rec := logrec.NewPad(size)
 	binary.LittleEndian.PutUint64(rec.Payload[:8], tag)

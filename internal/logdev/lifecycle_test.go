@@ -162,32 +162,44 @@ func TestWatermarkRejectsMidLogCorruption(t *testing.T) {
 	})
 }
 
-// A directory in the previous layout (MANIFEST without a format line,
-// headerless segments, a MANIFEST.durable watermark file) is refused
-// with ErrFormat by both kinds of open and left untouched: reading its
-// segments as if they began with a header would misplace every byte.
+// A directory in an earlier format — format 1's layout (MANIFEST without
+// a format line, headerless segments, a MANIFEST.durable watermark file)
+// or format 2's record encoding (today's files around 48-byte record
+// headers) — is refused with ErrFormat by both kinds of open and left
+// untouched: reading format 1's segments as if they began with a header
+// would misplace every byte, and format 2's records fail every checksum.
 func TestOldFormatDirectoryRefused(t *testing.T) {
-	dir := t.TempDir()
-	files := map[string][]byte{
-		manifestName:           []byte("segsize 64\nbase 0\n"),
-		"MANIFEST.durable":     make([]byte, 32),
-		"0000000000000000.seg": fill(40, 'o'),
-	}
-	for name, data := range files {
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			t.Fatal(err)
+	for name, files := range map[string]map[string][]byte{
+		"format 1": {
+			manifestName:           []byte("segsize 64\nbase 0\n"),
+			"MANIFEST.durable":     make([]byte, 32),
+			"0000000000000000.seg": fill(40, 'o'),
+		},
+		"format 2": {
+			manifestName:           []byte("format 2\nsegsize 64\nbase 0\n"),
+			"0000000000000000.seg": append(make([]byte, SegmentHeaderSize), fill(40, 'o')...),
+		},
+	} {
+		dir := t.TempDir()
+		for name, data := range files {
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if _, err := OpenSegmentedDir(dir, 64); !errors.Is(err, ErrFormat) {
-		t.Fatalf("OpenSegmentedDir on a format-1 directory: %v, want ErrFormat", err)
-	}
-	if _, err := OpenSegmentedDirRO(dir); !errors.Is(err, ErrFormat) {
-		t.Fatalf("OpenSegmentedDirRO on a format-1 directory: %v, want ErrFormat", err)
-	}
-	for name, want := range files {
-		got, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("refused open touched %s (err %v)", name, err)
+		if _, err := OpenSegmentedDir(dir, 64); !errors.Is(err, ErrFormat) {
+			t.Fatalf("OpenSegmentedDir on a %s directory: %v, want ErrFormat", name, err)
+		}
+		if _, err := OpenSegmentedDirRO(dir); !errors.Is(err, ErrFormat) {
+			t.Fatalf("OpenSegmentedDirRO on a %s directory: %v, want ErrFormat", name, err)
+		}
+		for file, want := range files {
+			got, err := os.ReadFile(filepath.Join(dir, file))
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("refused open of a %s directory touched %s (err %v)", name, file, err)
+			}
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != len(files) {
+			t.Fatalf("refused open of a %s directory left %d entries, it held %d", name, len(entries), len(files))
 		}
 	}
 }

@@ -107,19 +107,24 @@ func (r *RemoteArchiver) snapKey(cut uint64) string {
 
 // Archive uploads segment idx. It is idempotent: if the store already
 // holds a valid object for idx (raw or packed), the call succeeds
-// without uploading; a torn or corrupt existing object is overwritten.
-// Errors are returned without retrying — the caller's backoff owns
-// that, and the segment stays parked in the device's pending set.
+// without uploading; a torn or corrupt existing object is overwritten,
+// one another version wrote (ErrFormat) is not — that is somebody else's
+// history, not damage. Errors are returned without retrying — the
+// caller's backoff owns that, and the segment stays parked in the
+// device's pending set.
 func (r *RemoteArchiver) Archive(idx int64, data []byte) error {
 	if int64(len(data)) != r.segSize {
 		return fmt.Errorf("logdev: remote archive segment %d: %d bytes, want %d", idx, len(data), r.segSize)
 	}
 	key := r.segKey(idx)
 	if existing, err := r.store.Get(key); err == nil {
-		if kind, meta, payload, derr := DecodeObject(existing); derr == nil &&
-			kind == ObjSegment && meta == uint64(idx) && int64(len(payload)) == r.segSize {
+		kind, meta, payload, derr := DecodeObject(existing)
+		if derr == nil && kind == ObjSegment && meta == uint64(idx) && int64(len(payload)) == r.segSize {
 			r.count(func(s *RemoteStats) { s.UploadSkipped++ })
 			return nil
+		}
+		if errors.Is(derr, ErrFormat) {
+			return fmt.Errorf("logdev: remote archive segment %d: %w", idx, derr)
 		}
 		// Torn or corrupt — fall through and overwrite.
 	}
@@ -142,6 +147,9 @@ func (r *RemoteArchiver) Retrieve(idx int64) ([]byte, error) {
 		kind, meta, payload, derr := DecodeObject(data)
 		if derr == nil && kind == ObjSegment && meta == uint64(idx) {
 			return append([]byte(nil), payload...), nil
+		}
+		if errors.Is(derr, ErrFormat) {
+			return nil, fmt.Errorf("logdev: segment %d: %w", idx, derr)
 		}
 		// Torn raw object: a pack may still hold the real bytes.
 	} else if !errors.Is(err, ErrObjectNotFound) {

@@ -85,6 +85,55 @@ func TestColdStoreRoundtripAndIdempotency(t *testing.T) {
 	})
 }
 
+// TestOldVersionObjectRefused: segment, pack and snapshot objects carry
+// log bytes and update payloads, so an object in the envelope version of
+// the record encoding before this one (objVersion 1: 48-byte record
+// headers, whole-row images) is refused — ErrBadObject and ErrFormat —
+// by everything that would decode it, and neither read as torn and
+// overwritten nor handed to today's record decoder.
+func TestOldVersionObjectRefused(t *testing.T) {
+	old := func(kind uint16, meta uint64, payload []byte) []byte {
+		obj := EncodeObject(kind, meta, payload)
+		obj[4], obj[5] = 1, 0 // the version field; the payload CRC does not cover it
+		return obj
+	}
+	if _, _, _, err := DecodeObject(old(ObjSegment, 7, fill(64, 'o'))); !errors.Is(err, ErrBadObject) || !errors.Is(err, ErrFormat) {
+		t.Fatalf("DecodeObject of a version-1 object: %v, want ErrBadObject and ErrFormat", err)
+	}
+	forEachObjectStore(t, func(t *testing.T, store ObjectStore) {
+		ra := NewRemoteArchiver(store, "", 64)
+		snap := EncodeSnapshot(&Snapshot{Cut: 128, Stash: []SnapshotStashRec{{TxnID: 9, At: 100, PageID: 1, Payload: []byte("undo")}}})
+		pack := EncodePack(2, [][]byte{fill(64, 'p'), fill(64, 'q')})
+		objs := map[string][]byte{
+			ra.segKey(7):     old(ObjSegment, 7, fill(64, 'o')),
+			ra.packKey(2, 3): old(ObjPack, 2, pack),
+			ra.snapKey(128):  old(ObjSnapshot, 128, snap),
+		}
+		for key, obj := range objs {
+			if err := store.Put(key, obj); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := ra.Retrieve(7); !errors.Is(err, ErrFormat) {
+			t.Errorf("Retrieve of a version-1 segment: %v, want ErrFormat", err)
+		}
+		if err := ra.Archive(7, fill(64, 'n')); !errors.Is(err, ErrFormat) {
+			t.Errorf("Archive over a version-1 segment: %v, want ErrFormat", err)
+		}
+		if _, err := ra.Retrieve(2); !errors.Is(err, ErrFormat) {
+			t.Errorf("Retrieve from a version-1 pack: %v, want ErrFormat", err)
+		}
+		if _, err := ra.GetSnapshot(128); !errors.Is(err, ErrFormat) {
+			t.Errorf("GetSnapshot of a version-1 snapshot: %v, want ErrFormat", err)
+		}
+		for key, want := range objs {
+			if got, err := store.Get(key); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("%s was touched (err %v)", key, err)
+			}
+		}
+	})
+}
+
 // TestRemoteArchiverFaults drives the remote tier through the three
 // network-failure shapes the fault model injects — a transient 5xx
 // storm, an upload torn mid-object, and a permanent outage — and checks

@@ -34,8 +34,13 @@ const (
 )
 
 const (
-	objMagic   = "AEOB"
-	objVersion = uint16(1)
+	objMagic = "AEOB"
+	// objVersion names the envelope and what its payloads hold: segment
+	// and pack objects are log bytes and a snapshot's stash is update
+	// payloads, so the version moves with the log's record encoding
+	// (2 = MANIFEST format 3's). An object of another version is refused,
+	// never handed to a decoder of the wrong encoding.
+	objVersion = uint16(2)
 	// envelopeSize is the fixed header before the payload:
 	// magic(4) version(2) kind(2) meta(8) payloadLen(4) crc(4).
 	envelopeSize = 24
@@ -73,7 +78,7 @@ func DecodeObject(data []byte) (kind uint16, meta uint64, payload []byte, err er
 		return 0, 0, nil, fmt.Errorf("%w: bad magic", ErrBadObject)
 	}
 	if v := binary.LittleEndian.Uint16(data[4:6]); v != objVersion {
-		return 0, 0, nil, fmt.Errorf("%w: version %d", ErrBadObject, v)
+		return 0, 0, nil, fmt.Errorf("%w: object version %d, this version reads %d (%w)", ErrBadObject, v, objVersion, ErrFormat)
 	}
 	kind = binary.LittleEndian.Uint16(data[6:8])
 	if kind != ObjSegment && kind != ObjPack && kind != ObjSnapshot {

@@ -267,14 +267,19 @@ func (b *dirSegBackend) remove(idx int64, seg segment) error {
 // reconstruct the logical layout after dead segments were recycled.
 const manifestName = "MANIFEST"
 
-// manifestFormat is the directory layout this code reads and writes:
-// 2 = segment files start with a watermark header. Format 1 (no
-// "format" line; headerless segments beside a MANIFEST.durable
-// watermark file) is refused with ErrFormat rather than guessed at.
-const manifestFormat = 2
+// manifestFormat is the directory layout and log encoding this code
+// reads and writes: 3 = segment files start with a watermark header and
+// hold records in logrec's compact encoding (8-byte frame, presence byte,
+// varint fields, ranged update images). Format 2 (the same files around
+// fixed 48-byte record headers and whole-row images) and format 1 (no
+// "format" line; headerless segments beside a MANIFEST.durable watermark
+// file) are refused with ErrFormat rather than guessed at: a reader of
+// one record encoding finds nothing but checksum failures in another.
+const manifestFormat = 3
 
-// ErrFormat is returned by the OpenSegmentedDir family for a directory
-// written in a layout this version does not read.
+// ErrFormat is returned by the OpenSegmentedDir family for a directory,
+// and by the cold store's readers for an object, written in a layout or
+// log encoding this version does not read.
 var ErrFormat = errors.New("logdev: unsupported segment directory format")
 
 func (b *dirSegBackend) setBase(base int64) error {

@@ -1,0 +1,119 @@
+package logrec
+
+import (
+	"bytes"
+	"testing"
+
+	"aether/internal/lsn"
+)
+
+// FuzzRecordDecode fuzzes the decoders every log byte passes on its way
+// back in — restart, point-in-time replay, logdump — over bytes a crash,
+// rot or a hostile cold store may have left in any state: Decode, then
+// DecodeUpdate or DecodeCheckpoint on what it yields. Whatever the
+// input, none may panic; nothing they return is larger than the input it
+// came from (images alias it, tables are counted against its length
+// before they are made); and whatever they accept re-encodes to exactly
+// the bytes it was decoded from — the log holds one spelling of
+// everything, so a record cannot mean one thing to the code that wrote it
+// and another to the code that reads it.
+//
+// The input is tried as a record as found, as the body of a record whose
+// length and checksum are right (so the checksum is not what stops a
+// malformed header), and as either payload on its own.
+func FuzzRecordDecode(f *testing.F) {
+	row := bytes.Repeat([]byte("0123456789"), 10)
+	changed := append([]byte(nil), row...)
+	copy(changed[8:16], "ABCDEFGH")
+	up := Splice(5, row, changed)
+	ckpt := CheckpointPayload{
+		ActiveTxns: []TxnTableEntry{{TxnID: 7, LastLSN: 4096, Precommitted: true}, {TxnID: 9, LastLSN: lsn.Undefined}},
+		DirtyPages: []DirtyPageEntry{{PageID: 3<<40 | 17, RecLSN: 100}},
+	}
+	clr := NewCLR(42, 8192, 3<<40|17, 4096, up.Inverse())
+	clr.Seq = 77
+	for _, rec := range []*Record{
+		NewUpdate(42, 4096, 3<<40|17, up),
+		NewUpdate(42, lsn.Undefined, 1<<40, UpdatePayload{Op: OpInsert, Slot: 300, After: row}),
+		NewUpdate(42, 0, 5, UpdatePayload{Op: OpDelete, Slot: 1, Before: row[:10]}),
+		clr,
+		NewCommit(42, 8192),
+		NewPad(64),
+		{Header: Header{Kind: KindCheckpointEnd, PrevLSN: lsn.Undefined, Aux: 12345}, Payload: ckpt.Encode(nil)},
+	} {
+		buf, err := rec.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf)
+		f.Add(buf[frameSize:])
+		f.Add(rec.Payload)
+	}
+	f.Add([]byte{byte(KindCommit-1) | hasTxnID, 0x81, 0x00}) // over-long varint
+	f.Add([]byte{byte(OpSet), 0, 0, 1, 'a', 'a'})            // untrimmed splice
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzRecord(t, data)
+		fuzzRecord(t, frame(data...))
+		fuzzUpdate(t, data)
+		fuzzCheckpoint(t, data)
+	})
+}
+
+func fuzzRecord(t *testing.T, src []byte) {
+	rec, n, err := Decode(src)
+	if err != nil {
+		return
+	}
+	if n < MinRecordSize || n > len(src) || int(rec.TotalLen) != n || len(rec.Payload) > n-MinRecordSize {
+		t.Fatalf("decoded %d of %d bytes, TotalLen %d, payload %d", n, len(src), rec.TotalLen, len(rec.Payload))
+	}
+	again, err := rec.Encode()
+	if err != nil {
+		t.Fatalf("accepted record does not encode: %v (%+v)", err, rec.Header)
+	}
+	if !bytes.Equal(again, src[:n]) {
+		t.Fatalf("record does not re-encode byte-identically:\n got %x\nfrom %x", again, src[:n])
+	}
+	switch rec.Kind {
+	case KindUpdate, KindCLR:
+		fuzzUpdate(t, rec.Payload)
+	case KindCheckpointEnd:
+		fuzzCheckpoint(t, rec.Payload)
+	}
+}
+
+func fuzzUpdate(t *testing.T, src []byte) {
+	u, err := DecodeUpdate(src)
+	if err != nil {
+		return
+	}
+	if len(u.Before)+len(u.After) >= len(src) || u.EncodedSize() != len(src) {
+		t.Fatalf("update of %d bytes decoded to images of %d + %d, EncodedSize %d", len(src), len(u.Before), len(u.After), u.EncodedSize())
+	}
+	if again := u.Encode(nil); !bytes.Equal(again, src) {
+		t.Fatalf("update does not re-encode byte-identically:\n got %x\nfrom %x", again, src)
+	}
+	if u.Op == OpSet {
+		if s := Splice(u.Slot, u.Before, u.After); len(s.Before) != len(u.Before) || len(s.After) != len(u.After) {
+			t.Fatalf("accepted an OpSet that Splice would trim further: %q → %q", u.Before, u.After)
+		}
+	}
+	if inv := u.Inverse().Inverse(); inv.Op != u.Op || inv.Slot != u.Slot || inv.Off != u.Off ||
+		!bytes.Equal(inv.Before, u.Before) || !bytes.Equal(inv.After, u.After) {
+		t.Fatalf("inverse is not an involution on %+v", u)
+	}
+}
+
+func fuzzCheckpoint(t *testing.T, src []byte) {
+	c, err := DecodeCheckpoint(src)
+	if err != nil {
+		return
+	}
+	if c.EncodedSize() != len(src) {
+		t.Fatalf("checkpoint of %d bytes decoded to %d + %d entries", len(src), len(c.ActiveTxns), len(c.DirtyPages))
+	}
+	if again := c.Encode(nil); !bytes.Equal(again, src) {
+		t.Fatalf("checkpoint does not re-encode byte-identically:\n got %x\nfrom %x", again, src)
+	}
+}

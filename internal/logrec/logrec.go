@@ -1,12 +1,16 @@
 // Package logrec defines the on-log record format shared by every log
 // buffer variant, the flush daemon and ARIES recovery.
 //
-// A record is a fixed 48-byte header followed by an arbitrary payload, the
-// composable shape the consolidation array exploits (§5.1: "two successive
-// requests also begin with a log header and end with an arbitrary
-// payload"). All integers are little-endian. The checksum lets recovery
-// stop at the first torn or missing record — the paper's requirement that
-// "recovery must stop at the first gap it encounters".
+// A record is a fixed 8-byte frame (length and checksum), one byte naming
+// its kind and which header fields follow, those fields as varints, and an
+// arbitrary payload — the composable shape the consolidation array
+// exploits (§5.1: "two successive requests also begin with a log header
+// and end with an arbitrary payload"). A field that holds its absent
+// value costs no bytes, so a one-lane commit record is 16 bytes or fewer
+// where Shore-MT's smallest record is 48 (§A.3). The checksum lets recovery stop at the
+// first torn or missing record — the paper's requirement that "recovery
+// must stop at the first gap it encounters". ARCHITECTURE.md, "The log
+// record", has the layout byte by byte.
 package logrec
 
 import (
@@ -14,6 +18,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
+	"math/bits"
 
 	"aether/internal/lsn"
 )
@@ -67,30 +73,62 @@ func (k Kind) String() string {
 // Valid reports whether k is a known record kind other than KindInvalid.
 func (k Kind) Valid() bool { return k > KindInvalid && k < numKinds }
 
-// HeaderSize is the fixed encoded size of a record header. 48 bytes makes
-// the minimum record exactly the 48B smallest record Shore-MT produces
-// (§A.3), so the microbenchmark sweeps the same size range as the paper.
-const HeaderSize = 48
+// MinRecordSize is the smallest encoded record: the frame and the kind
+// byte of a record whose every other field is absent (a pad, a
+// checkpoint-begin).
+const MinRecordSize = frameSize + 1
 
 // MaxPayload bounds a single record's payload. Shore-MT's largest record
 // is 12KiB; we allow up to 16MiB so the skew experiments (Fig. 11) can
 // push outliers to 64KiB+ and beyond.
 const MaxPayload = 16 << 20
 
-// Header is the fixed preamble of every log record.
+const (
+	// frameSize is the fixed part every reader can rely on before it
+	// knows anything else: TotalLen, then the CRC-32C of what follows.
+	frameSize = 8
+	// maxHeaderSize is a header with every field present at its widest:
+	// frame, kind byte, TxnID, PrevLSN and Aux at 10 bytes each, the page
+	// ID's 24-bit space and 40-bit number at 4 and 6, Seq at 5.
+	maxHeaderSize = MinRecordSize + 3*binary.MaxVarintLen64 + 4 + 6 + binary.MaxVarintLen32
+
+	// The kind byte: the kind, less one, in the low three bits and one
+	// presence bit per optional field above them, in field order.
+	kindMask   = 0x07
+	hasTxnID   = 0x08
+	hasPrevLSN = 0x10
+	hasPageID  = 0x20
+	hasAux     = 0x40
+	hasSeq     = 0x80
+
+	// A page ID is logged as two varints split where storage.MakePageID
+	// joins them — space above bit 40, page number below — because both
+	// halves are small numbers and their concatenation is not.
+	pageNoBits = 40
+	pageNoMask = 1<<pageNoBits - 1
+)
+
+// Header is the preamble of every log record. TotalLen and CRC are the
+// fixed little-endian frame; the rest is encoded only where it differs
+// from its absent value.
 //
-// Layout (little-endian, offsets in bytes):
+// Layout (offsets in bytes):
 //
-//	 0  TotalLen uint32  — header + payload length
-//	 4  CRC      uint32  — CRC-32C over bytes [8, TotalLen)
-//	 8  Kind     uint16
-//	10  Flags    uint16
-//	12  Seq      uint32  — global sequence stamp (multi-log); 0 on single-log records
-//	16  TxnID    uint64
-//	24  PrevLSN  uint64  — same-transaction backchain (lsn.Undefined if none)
-//	32  PageID   uint64  — page touched, 0 if not page-related
-//	40  Aux      uint64  — kind-specific (CLR: UndoNextLSN; ckpt-end: begin LSN;
-//	                       multi-log update: the page's previous global seq)
+//	0  TotalLen uint32  — header + payload length
+//	4  CRC      uint32  — CRC-32C over bytes [8, TotalLen)
+//	8  kind byte        — Kind-1 in bits 0-2; bits 3-7 say which of the
+//	                      five fields below follow, in this order
+//	   TxnID    uvarint — absent = 0
+//	   PrevLSN  uvarint — absent = lsn.Undefined
+//	   PageID   uvarint space, uvarint page number — absent = 0
+//	   Aux      uvarint — absent = 0
+//	   Seq      uvarint — absent = 0
+//	   payload          — the rest, up to TotalLen
+//
+// Varints are encoding/binary's, in their shortest form only; a present
+// field never holds its absent value. Flags is not logged: the kind
+// implies it. So a record has exactly one encoding, and Decode accepts
+// nothing else.
 type Header struct {
 	// TotalLen is the record's full encoded length: header + payload.
 	TotalLen uint32
@@ -99,14 +137,14 @@ type Header struct {
 	CRC uint32
 	// Kind discriminates the record type (update, commit, CLR, ...).
 	Kind Kind
-	// Flags holds the Flag* bits (e.g. FlagRedoOnly on CLRs).
+	// Flags holds the Flag* bits the kind implies (FlagRedoOnly on CLRs,
+	// none elsewhere); encoding any other value is an error.
 	Flags uint16
 	// Seq is the record's global sequence stamp under partitioned
 	// (multi-log) operation: a single counter shared by every log
 	// partition, assigned in append order, so recovery can merge N logs
-	// back into one redo order. Single-log databases always write 0
-	// here (the field reuses the header's former reserved word, keeping
-	// the single-log format byte-for-byte unchanged).
+	// back into one redo order. One-lane databases leave it 0, which
+	// costs no bytes.
 	Seq uint32
 	// TxnID is the owning transaction, 0 for system records.
 	TxnID uint64
@@ -116,8 +154,41 @@ type Header struct {
 	// PageID is the page the record touches, 0 if not page-related.
 	PageID uint64
 	// Aux is kind-specific: a CLR's UndoNextLSN, a checkpoint-end's
-	// begin LSN.
+	// begin LSN, a multi-log update's previous page seq.
 	Aux uint64
+}
+
+// flags returns the Flags value records of kind k carry.
+func (k Kind) flags() uint16 {
+	if k == KindCLR {
+		return FlagRedoOnly
+	}
+	return 0
+}
+
+// uvarintLen returns how many bytes v takes as a varint.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// size returns the encoded length of the header: frame, kind byte and
+// the fields present.
+func (h *Header) size() int {
+	n := MinRecordSize
+	if h.TxnID != 0 {
+		n += uvarintLen(h.TxnID)
+	}
+	if h.PrevLSN != lsn.Undefined {
+		n += uvarintLen(uint64(h.PrevLSN))
+	}
+	if h.PageID != 0 {
+		n += uvarintLen(h.PageID>>pageNoBits) + uvarintLen(h.PageID&pageNoMask)
+	}
+	if h.Aux != 0 {
+		n += uvarintLen(h.Aux)
+	}
+	if h.Seq != 0 {
+		n += uvarintLen(uint64(h.Seq))
+	}
+	return n
 }
 
 // Flag bits.
@@ -139,13 +210,22 @@ type Record struct {
 
 // Errors returned by the decoder.
 var (
-	// ErrTooShort means the input cannot contain a full header or the
-	// declared payload.
+	// ErrTooShort means the input cannot contain the smallest record or
+	// the declared length.
 	ErrTooShort = errors.New("logrec: input shorter than record")
 	// ErrBadLength means the header's TotalLen is impossible.
 	ErrBadLength = errors.New("logrec: invalid record length")
-	// ErrBadKind means the record kind is unknown.
+	// ErrBadKind means an encode request named no known record kind (every
+	// value of the kind byte's three bits is one, so Decode never says it).
 	ErrBadKind = errors.New("logrec: invalid record kind")
+	// ErrBadFlags means an encode request set Flags the kind does not
+	// imply; they are not logged and would not come back.
+	ErrBadFlags = errors.New("logrec: flags do not match record kind")
+	// ErrBadHeader means the bytes under a valid checksum are not the one
+	// encoding of any header: a field runs past TotalLen, a varint is
+	// longer than its value needs or overflows its field, or a field
+	// marked present holds its absent value.
+	ErrBadHeader = errors.New("logrec: malformed record header")
 	// ErrChecksum means the CRC does not match — a torn write or the
 	// first gap after a crash.
 	ErrChecksum = errors.New("logrec: checksum mismatch")
@@ -157,11 +237,8 @@ var (
 // for storage checksums.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Size returns the encoded size of a record with the given payload length.
-func Size(payloadLen int) int { return HeaderSize + payloadLen }
-
 // EncodedSize returns the record's full encoded length.
-func (r *Record) EncodedSize() int { return Size(len(r.Payload)) }
+func (r *Record) EncodedSize() int { return r.size() + len(r.Payload) }
 
 // EncodeInto writes the record into dst, which must be exactly
 // EncodedSize() bytes (the pre-reserved log-buffer region). It computes
@@ -170,24 +247,44 @@ func (r *Record) EncodeInto(dst []byte) error {
 	if len(r.Payload) > MaxPayload {
 		return ErrPayloadTooLarge
 	}
-	total := HeaderSize + len(r.Payload)
-	if len(dst) != total {
-		return fmt.Errorf("logrec: dst is %d bytes, record needs %d", len(dst), total)
-	}
 	if !r.Kind.Valid() {
 		return ErrBadKind
 	}
+	if r.Flags != r.Kind.flags() {
+		return ErrBadFlags
+	}
+	total := r.EncodedSize()
+	if len(dst) != total {
+		return fmt.Errorf("logrec: dst is %d bytes, record needs %d", len(dst), total)
+	}
 	binary.LittleEndian.PutUint32(dst[0:4], uint32(total))
 	// dst[4:8] = CRC, filled below.
-	binary.LittleEndian.PutUint16(dst[8:10], uint16(r.Kind))
-	binary.LittleEndian.PutUint16(dst[10:12], r.Flags)
-	binary.LittleEndian.PutUint32(dst[12:16], r.Seq)
-	binary.LittleEndian.PutUint64(dst[16:24], r.TxnID)
-	binary.LittleEndian.PutUint64(dst[24:32], uint64(r.PrevLSN))
-	binary.LittleEndian.PutUint64(dst[32:40], r.PageID)
-	binary.LittleEndian.PutUint64(dst[40:48], r.Aux)
-	copy(dst[HeaderSize:], r.Payload)
-	crc := crc32.Checksum(dst[8:total], castagnoli)
+	kb := byte(r.Kind - 1)
+	n := MinRecordSize
+	if r.TxnID != 0 {
+		kb |= hasTxnID
+		n += binary.PutUvarint(dst[n:], r.TxnID)
+	}
+	if r.PrevLSN != lsn.Undefined {
+		kb |= hasPrevLSN
+		n += binary.PutUvarint(dst[n:], uint64(r.PrevLSN))
+	}
+	if r.PageID != 0 {
+		kb |= hasPageID
+		n += binary.PutUvarint(dst[n:], r.PageID>>pageNoBits)
+		n += binary.PutUvarint(dst[n:], r.PageID&pageNoMask)
+	}
+	if r.Aux != 0 {
+		kb |= hasAux
+		n += binary.PutUvarint(dst[n:], r.Aux)
+	}
+	if r.Seq != 0 {
+		kb |= hasSeq
+		n += binary.PutUvarint(dst[n:], uint64(r.Seq))
+	}
+	dst[frameSize] = kb
+	copy(dst[n:], r.Payload)
+	crc := crc32.Checksum(dst[frameSize:total], castagnoli)
 	binary.LittleEndian.PutUint32(dst[4:8], crc)
 	return nil
 }
@@ -210,42 +307,72 @@ func PeekLen(src []byte) int {
 	return int(binary.LittleEndian.Uint32(src[0:4]))
 }
 
-// Decode parses one record from the front of src, verifying length, kind
-// and checksum. The returned record's Payload aliases src; callers that
-// retain it across buffer reuse must copy. consumed is the encoded length.
+// cursor reads the varints of a header or payload in order. ok turns
+// false at the first one that is missing, longer than its value needs or
+// outside its field's range, and stays false; src is what is left.
+type cursor struct {
+	src []byte
+	ok  bool
+}
+
+// uvarint consumes one varint whose value must lie in [lo, hi].
+func (c *cursor) uvarint(lo, hi uint64) uint64 {
+	v, n := binary.Uvarint(c.src)
+	if n <= 0 || v < lo || v > hi || n > 1 && c.src[n-1] == 0 {
+		c.ok = false
+		return 0
+	}
+	c.src = c.src[n:]
+	return v
+}
+
+// Decode parses one record from the front of src, verifying length,
+// checksum and that the header is the one encoding of its fields. The
+// returned record's Payload aliases src; callers that retain it across
+// buffer reuse must copy. consumed is the encoded length.
 func Decode(src []byte) (rec Record, consumed int, err error) {
-	if len(src) < HeaderSize {
+	if len(src) < MinRecordSize {
 		return Record{}, 0, ErrTooShort
 	}
 	total := int(binary.LittleEndian.Uint32(src[0:4]))
-	if total < HeaderSize || total > HeaderSize+MaxPayload {
+	if total < MinRecordSize || total > maxHeaderSize+MaxPayload {
 		return Record{}, 0, ErrBadLength
 	}
 	if len(src) < total {
 		return Record{}, 0, ErrTooShort
 	}
 	wantCRC := binary.LittleEndian.Uint32(src[4:8])
-	if crc32.Checksum(src[8:total], castagnoli) != wantCRC {
+	if crc32.Checksum(src[frameSize:total], castagnoli) != wantCRC {
 		return Record{}, 0, ErrChecksum
 	}
-	k := Kind(binary.LittleEndian.Uint16(src[8:10]))
-	if !k.Valid() {
-		return Record{}, 0, ErrBadKind
+	kb := src[frameSize]
+	k := Kind(kb&kindMask) + 1
+	rec.TotalLen, rec.CRC = uint32(total), wantCRC
+	rec.Kind, rec.Flags, rec.PrevLSN = k, k.flags(), lsn.Undefined
+	// A present field never holds its absent value: zero is a value only
+	// for PrevLSN and for one half of a page ID.
+	c := cursor{src: src[MinRecordSize:total], ok: true}
+	if kb&hasTxnID != 0 {
+		rec.TxnID = c.uvarint(1, math.MaxUint64)
 	}
-	rec = Record{
-		Header: Header{
-			TotalLen: uint32(total),
-			CRC:      wantCRC,
-			Kind:     k,
-			Flags:    binary.LittleEndian.Uint16(src[10:12]),
-			Seq:      binary.LittleEndian.Uint32(src[12:16]),
-			TxnID:    binary.LittleEndian.Uint64(src[16:24]),
-			PrevLSN:  lsn.LSN(binary.LittleEndian.Uint64(src[24:32])),
-			PageID:   binary.LittleEndian.Uint64(src[32:40]),
-			Aux:      binary.LittleEndian.Uint64(src[40:48]),
-		},
-		Payload: src[HeaderSize:total],
+	if kb&hasPrevLSN != 0 {
+		rec.PrevLSN = lsn.LSN(c.uvarint(0, uint64(lsn.Undefined)-1))
 	}
+	if kb&hasPageID != 0 {
+		space := c.uvarint(0, math.MaxUint64>>pageNoBits)
+		rec.PageID = space<<pageNoBits | c.uvarint(0, pageNoMask)
+		c.ok = c.ok && rec.PageID != 0
+	}
+	if kb&hasAux != 0 {
+		rec.Aux = c.uvarint(1, math.MaxUint64)
+	}
+	if kb&hasSeq != 0 {
+		rec.Seq = uint32(c.uvarint(1, math.MaxUint32))
+	}
+	if !c.ok || len(c.src) > MaxPayload {
+		return Record{}, 0, ErrBadHeader
+	}
+	rec.Payload = c.src
 	return rec, total, nil
 }
 

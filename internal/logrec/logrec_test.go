@@ -2,7 +2,10 @@ package logrec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -12,7 +15,7 @@ import (
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	rec := &Record{
 		Header: Header{
-			Kind:    KindUpdate,
+			Kind:    KindCLR,
 			Flags:   FlagRedoOnly,
 			TxnID:   77,
 			PrevLSN: 1234,
@@ -25,8 +28,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(buf) != HeaderSize+len(rec.Payload) {
-		t.Fatalf("encoded size %d", len(buf))
+	// Frame and kind byte, then 77, 1234 (two bytes), page 0/42 and 99.
+	if want := MinRecordSize + 1 + 2 + 2 + 1 + len(rec.Payload); len(buf) != want || rec.EncodedSize() != want {
+		t.Fatalf("encoded size %d (EncodedSize %d), want %d", len(buf), rec.EncodedSize(), want)
 	}
 	got, n, err := Decode(buf)
 	if err != nil {
@@ -35,7 +39,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if n != len(buf) {
 		t.Fatalf("consumed %d, want %d", n, len(buf))
 	}
-	if got.Kind != KindUpdate || got.TxnID != 77 || got.PrevLSN != 1234 ||
+	if got.Kind != KindCLR || got.TxnID != 77 || got.PrevLSN != 1234 ||
 		got.PageID != 42 || got.Aux != 99 || got.Flags != FlagRedoOnly {
 		t.Fatalf("header mismatch: %+v", got.Header)
 	}
@@ -46,7 +50,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestEncodeIntoWrongSize(t *testing.T) {
 	rec := NewCommit(1, lsn.Undefined)
-	if err := rec.EncodeInto(make([]byte, HeaderSize+1)); err == nil {
+	if err := rec.EncodeInto(make([]byte, rec.EncodedSize()+1)); err == nil {
 		t.Fatal("wrong-size dst must fail")
 	}
 }
@@ -62,6 +66,19 @@ func TestEncodeInvalidKind(t *testing.T) {
 	}
 }
 
+// Flags are implied by the kind, not logged: a value that would not come
+// back is refused at encode.
+func TestEncodeFlagsMustMatchKind(t *testing.T) {
+	for _, rec := range []*Record{
+		{Header: Header{Kind: KindUpdate, Flags: FlagRedoOnly}},
+		{Header: Header{Kind: KindCLR}},
+	} {
+		if _, err := rec.Encode(); !errors.Is(err, ErrBadFlags) {
+			t.Fatalf("%v with flags %#x: got %v, want ErrBadFlags", rec.Kind, rec.Flags, err)
+		}
+	}
+}
+
 func TestDecodeDetectsCorruption(t *testing.T) {
 	rec := NewPad(100)
 	buf, err := rec.Encode()
@@ -69,7 +86,7 @@ func TestDecodeDetectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip a payload byte: CRC must catch it.
-	buf[HeaderSize+3] ^= 0xFF
+	buf[MinRecordSize+3] ^= 0xFF
 	if _, _, err := Decode(buf); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("got %v, want ErrChecksum", err)
 	}
@@ -78,7 +95,7 @@ func TestDecodeDetectsCorruption(t *testing.T) {
 func TestDecodeDetectsHeaderCorruption(t *testing.T) {
 	rec := NewCommit(9, 5)
 	buf, _ := rec.Encode()
-	buf[16] ^= 0x01 // TxnID bit
+	buf[MinRecordSize] ^= 0x01 // TxnID bit
 	if _, _, err := Decode(buf); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("got %v, want ErrChecksum", err)
 	}
@@ -87,7 +104,7 @@ func TestDecodeDetectsHeaderCorruption(t *testing.T) {
 func TestDecodeTruncated(t *testing.T) {
 	rec := NewPad(200)
 	buf, _ := rec.Encode()
-	if _, _, err := Decode(buf[:40]); !errors.Is(err, ErrTooShort) {
+	if _, _, err := Decode(buf[:MinRecordSize-1]); !errors.Is(err, ErrTooShort) {
 		t.Fatalf("short header: got %v", err)
 	}
 	if _, _, err := Decode(buf[:150]); !errors.Is(err, ErrTooShort) {
@@ -96,8 +113,8 @@ func TestDecodeTruncated(t *testing.T) {
 }
 
 func TestDecodeBadLength(t *testing.T) {
-	buf := make([]byte, HeaderSize)
-	// TotalLen = 3 (< HeaderSize)
+	buf := make([]byte, MinRecordSize)
+	// TotalLen = 3 (< MinRecordSize)
 	buf[0] = 3
 	if _, _, err := Decode(buf); !errors.Is(err, ErrBadLength) {
 		t.Fatalf("got %v, want ErrBadLength", err)
@@ -212,25 +229,199 @@ func TestUpdatePayloadRoundTrip(t *testing.T) {
 }
 
 func TestUpdatePayloadMalformed(t *testing.T) {
-	if _, err := DecodeUpdate([]byte{1, 2, 3}); !errors.Is(err, ErrBadPayload) {
-		t.Fatalf("short: got %v", err)
+	for _, tc := range []struct {
+		name string
+		src  []byte
+	}{
+		{"empty", nil},
+		{"unknown op", []byte{99, 0, 'x'}},
+		{"set without a before length", []byte{byte(OpSet), 2, 3}},
+		{"before image longer than the payload", []byte{byte(OpSet), 0, 0, 5, 'a'}},
+		{"over-long slot varint", []byte{byte(OpInsert), 0x80, 0x00, 'x'}},
+		{"slot beyond uint16", []byte{byte(OpInsert), 0xff, 0xff, 0x04, 'x'}},
+		{"over-long offset varint", []byte{byte(OpSet), 0, 0x81, 0x00, 1, 'a', 'b'}},
+		{"shared first byte", []byte{byte(OpSet), 0, 0, 2, 'a', 'x', 'a', 'y'}},
+		{"shared last byte", []byte{byte(OpSet), 0, 0, 2, 'x', 'a', 'y', 'a'}},
+		{"empty splice away from offset 0", []byte{byte(OpSet), 0, 3, 0}},
+	} {
+		if _, err := DecodeUpdate(tc.src); !errors.Is(err, ErrBadPayload) {
+			t.Errorf("%s: got %v, want ErrBadPayload", tc.name, err)
+		}
 	}
-	u := UpdatePayload{Op: OpSet, After: []byte("x")}
-	enc := u.Encode(nil)
-	if _, err := DecodeUpdate(enc[:len(enc)-1]); !errors.Is(err, ErrBadPayload) {
-		t.Fatalf("truncated: got %v", err)
+}
+
+// frame wraps a kind byte, header fields and payload in a valid length
+// and checksum, so what Decode judges is the header under them.
+func frame(body ...byte) []byte {
+	buf := make([]byte, frameSize+len(body))
+	copy(buf[frameSize:], body)
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(buf)))
+	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(buf[frameSize:], castagnoli))
+	return buf
+}
+
+// TestDecodeRefusesNonCanonicalHeaders: under a valid checksum, a header
+// that is not the one spelling of its fields is ErrBadHeader — so a
+// record Decode accepts re-encodes to the bytes it came from.
+func TestDecodeRefusesNonCanonicalHeaders(t *testing.T) {
+	commit := byte(KindCommit - 1)
+	maxU64 := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"present TxnID of zero", []byte{commit | hasTxnID, 0}},
+		{"over-long TxnID", []byte{commit | hasTxnID, 0x81, 0x00}},
+		{"TxnID past the record's end", []byte{commit | hasTxnID}},
+		{"unterminated varint", []byte{commit | hasTxnID, 0x80}},
+		{"present PrevLSN of Undefined", append([]byte{commit | hasPrevLSN}, maxU64...)},
+		{"varint beyond 64 bits", append([]byte{commit | hasAux, 0xff}, maxU64...)},
+		{"present PageID of zero", []byte{commit | hasPageID, 0, 0}},
+		{"page space beyond 24 bits", []byte{commit | hasPageID, 0x80, 0x80, 0x80, 0x08, 1}},
+		{"page number beyond 40 bits", []byte{commit | hasPageID, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20}},
+		{"present Aux of zero", []byte{commit | hasAux, 0}},
+		{"present Seq of zero", []byte{commit | hasSeq, 0}},
+		{"Seq beyond 32 bits", []byte{commit | hasSeq, 0x80, 0x80, 0x80, 0x80, 0x10}},
+	} {
+		if _, _, err := Decode(frame(tc.body...)); !errors.Is(err, ErrBadHeader) {
+			t.Errorf("%s: got %v, want ErrBadHeader", tc.name, err)
+		}
 	}
-	enc2 := u.Encode(nil)
-	enc2[0] = 99 // bad op
-	if _, err := DecodeUpdate(enc2); !errors.Is(err, ErrBadPayload) {
-		t.Fatalf("bad op: got %v", err)
+	// The same frame around a well-formed header decodes.
+	if rec, _, err := Decode(frame(commit|hasTxnID|hasPrevLSN, 5, 0)); err != nil || rec.TxnID != 5 || rec.PrevLSN != 0 {
+		t.Fatalf("well-formed header: %+v, %v", rec.Header, err)
+	}
+}
+
+// TestAbsentFieldsCostNothing pins the sizes the format exists for: a
+// field at its absent value takes no bytes, a present one its varint.
+func TestAbsentFieldsCostNothing(t *testing.T) {
+	const page = 3<<40 | 1300 // storage.MakePageID(3, 1300)
+	for _, tc := range []struct {
+		name string
+		rec  *Record
+		want int
+	}{
+		{"checkpoint begin", &Record{Header: Header{Kind: KindCheckpointBegin, PrevLSN: lsn.Undefined}}, 9},
+		{"first commit of a log", NewCommit(1, lsn.Undefined), 10},
+		{"TPC-B commit", NewCommit(80_200, 33_000_000), 8 + 1 + 3 + 4},
+		{"TPC-B commit, lane of three", &Record{Header: Header{Kind: KindCommit, TxnID: 80_200, PrevLSN: 33_000_000, Seq: 400_000}}, 16 + 3},
+		{"page id", &Record{Header: Header{Kind: KindUpdate, PrevLSN: lsn.Undefined, PageID: page}}, 9 + 1 + 2},
+		{"TPC-B update", NewUpdate(80_200, 33_000_000, page, Splice(80, []byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{8, 7, 6, 5, 4, 3, 2, 1})), 8 + 1 + 3 + 4 + 3 + 4 + 16},
+		{"everything at its widest", &Record{Header: Header{Kind: KindCLR, Flags: FlagRedoOnly, TxnID: math.MaxUint64,
+			PrevLSN: lsn.Undefined - 1, PageID: math.MaxUint64, Aux: math.MaxUint64, Seq: math.MaxUint32}}, maxHeaderSize},
+	} {
+		buf, err := tc.rec.Encode()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(buf) != tc.want {
+			t.Errorf("%s: %d bytes, want %d", tc.name, len(buf), tc.want)
+		}
+		got, _, err := Decode(buf)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want := tc.rec.Header
+		want.TotalLen, want.CRC = got.TotalLen, got.CRC
+		if got.Header != want {
+			t.Errorf("%s: decoded %+v, encoded %+v", tc.name, got.Header, want)
+		}
+	}
+}
+
+// applySplice is what a splice means, on a plain byte slice.
+func applySplice(row []byte, u UpdatePayload) []byte {
+	out := append([]byte(nil), row[:u.Off]...)
+	out = append(out, u.After...)
+	return append(out, row[int(u.Off)+len(u.Before):]...)
+}
+
+// TestSpliceTrimsToWhatChanged: Splice keeps exactly the bytes between
+// the rows' common prefix and common suffix, the payload it makes is one
+// DecodeUpdate accepts, and it and its inverse turn each row into the
+// other.
+func TestSpliceTrimsToWhatChanged(t *testing.T) {
+	row := func(s string) []byte { return []byte(s) }
+	long := bytes.Repeat([]byte("0123456789"), 10)
+	field := append([]byte(nil), long...)
+	copy(field[8:16], "ABCDEFGH")
+	for _, tc := range []struct {
+		name          string
+		before, after []byte
+		off           uint32
+		b, a          string
+	}{
+		{"all changed", row("abcd"), row("wxyz"), 0, "abcd", "wxyz"},
+		{"nothing changed", row("same"), row("same"), 0, "", ""},
+		{"both empty", nil, nil, 0, "", ""},
+		{"first byte", row("abcd"), row("xbcd"), 0, "a", "x"},
+		{"last byte", row("abcd"), row("abcx"), 3, "d", "x"},
+		{"middle", row("abcdef"), row("abXYef"), 2, "cd", "XY"},
+		{"grow at the end", row("beta"), row("beta2"), 4, "", "2"},
+		{"shrink at the end", row("beta2"), row("beta"), 4, "2", ""},
+		{"grow in the middle", row("aXc"), row("aXYZc"), 2, "", "YZ"},
+		{"shrink to a repeated byte", row("aa"), row("a"), 1, "a", ""},
+		{"grow from empty", nil, row("new"), 0, "", "new"},
+		{"8-byte field of a 100-byte row", long, field, 8, "89012345", "ABCDEFGH"},
+		{"100-byte row, last byte", long, append(append([]byte(nil), long[:99]...), 'x'), 99, "9", "x"},
+	} {
+		u := Splice(7, tc.before, tc.after)
+		if u.Op != OpSet || u.Slot != 7 || u.Off != tc.off || string(u.Before) != tc.b || string(u.After) != tc.a {
+			t.Errorf("%s: Splice = off %d %q → %q, want off %d %q → %q", tc.name, u.Off, u.Before, u.After, tc.off, tc.b, tc.a)
+			continue
+		}
+		got, err := DecodeUpdate(u.Encode(nil))
+		if err != nil || got.Off != u.Off || !bytes.Equal(got.Before, u.Before) || !bytes.Equal(got.After, u.After) {
+			t.Errorf("%s: decoded %+v, %v", tc.name, got, err)
+		}
+		if fwd := applySplice(tc.before, u); !bytes.Equal(fwd, tc.after) {
+			t.Errorf("%s: applied %q, want %q", tc.name, fwd, tc.after)
+		}
+		if back := applySplice(tc.after, u.Inverse()); !bytes.Equal(back, tc.before) {
+			t.Errorf("%s: inverse applied %q, want %q", tc.name, back, tc.before)
+		}
+	}
+}
+
+// Property: for any two rows, Splice round-trips through the codec and
+// through application, both ways.
+func TestQuickSplice(t *testing.T) {
+	f := func(prefix, a, b, suffix []byte) bool {
+		before := append(append(append([]byte(nil), prefix...), a...), suffix...)
+		after := append(append(append([]byte(nil), prefix...), b...), suffix...)
+		u := Splice(1, before, after)
+		enc := u.Encode(nil)
+		got, err := DecodeUpdate(enc)
+		if err != nil || len(enc) != u.EncodedSize() || !bytes.Equal(got.Encode(nil), enc) {
+			return false
+		}
+		if len(u.Before)+len(u.After) > 0 && (int(u.Off) < len(prefix) || len(u.Before) > len(a) || len(u.After) > len(b)) {
+			return false
+		}
+		return bytes.Equal(applySplice(before, got), after) &&
+			bytes.Equal(applySplice(after, got.Inverse()), before)
+	}
+	if err := quick.Check(f, quickCfg()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Splice runs under the page latch of every update: it must not allocate.
+func TestSpliceDoesNotAllocate(t *testing.T) {
+	before, after := bytes.Repeat([]byte{7}, 100), bytes.Repeat([]byte{7}, 100)
+	after[9], after[12] = 1, 2
+	var rec Record
+	rec.SetUpdate(1, 2, 3, Splice(4, before, after)) // sizes the record's buffer
+	if n := testing.AllocsPerRun(100, func() { rec.SetUpdate(1, 2, 3, Splice(4, before, after)) }); n != 0 {
+		t.Fatalf("Splice + SetUpdate allocate %.0f objects", n)
 	}
 }
 
 func TestUpdateInverse(t *testing.T) {
-	set := UpdatePayload{Op: OpSet, Slot: 3, Before: []byte("a"), After: []byte("b")}
+	set := UpdatePayload{Op: OpSet, Slot: 3, Off: 9, Before: []byte("a"), After: []byte("b")}
 	inv := set.Inverse()
-	if inv.Op != OpSet || string(inv.Before) != "b" || string(inv.After) != "a" {
+	if inv.Op != OpSet || inv.Off != 9 || string(inv.Before) != "b" || string(inv.After) != "a" {
 		t.Fatalf("set inverse wrong: %+v", inv)
 	}
 	ins := UpdatePayload{Op: OpInsert, Slot: 3, After: []byte("row")}
@@ -298,17 +489,20 @@ func TestCheckpointMalformed(t *testing.T) {
 	if _, err := DecodeCheckpoint(enc[:len(enc)-1]); !errors.Is(err, ErrBadPayload) {
 		t.Fatalf("truncated: got %v", err)
 	}
+	enc[len(enc)-1] = 2 // Precommitted is 0 or 1
+	if _, err := DecodeCheckpoint(enc); !errors.Is(err, ErrBadPayload) {
+		t.Fatalf("precommitted byte 2: got %v", err)
+	}
 }
 
 func TestNewPadExactSize(t *testing.T) {
-	for _, size := range []int{0, 48, 49, 120, 12288} {
-		rec := NewPad(size)
-		want := size
-		if want < HeaderSize {
-			want = HeaderSize
+	for _, size := range []int{0, MinRecordSize, MinRecordSize + 1, 48, 49, 120, 12288} {
+		buf, err := NewPad(size).Encode()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if rec.EncodedSize() != want {
-			t.Fatalf("NewPad(%d): encoded size %d, want %d", size, rec.EncodedSize(), want)
+		if want := max(size, MinRecordSize); len(buf) != want {
+			t.Fatalf("NewPad(%d): encoded size %d, want %d", size, len(buf), want)
 		}
 	}
 }

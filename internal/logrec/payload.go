@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"aether/internal/lsn"
 )
@@ -41,63 +43,151 @@ func (o UpdateOp) String() string {
 // ErrBadPayload means a kind-specific payload failed to parse.
 var ErrBadPayload = errors.New("logrec: malformed payload")
 
-// UpdatePayload is the body of a KindUpdate record: a physiological,
-// slot-level change with both images so it can be redone and undone.
+// UpdatePayload is the body of a KindUpdate or KindCLR record: a
+// physiological, slot-level change with both images so it can be redone
+// and undone.
+//
+// An OpSet is a splice, row[Off : Off+len(Before)] → After: it logs the
+// bytes the update changed and where, not the row (Splice trims the two
+// row images to that). An insert carries the new row in After, a delete
+// the old one in Before; neither has an Off.
+//
+// Encoding (varints as in the record header, shortest form only):
+//
+//	OpSet     op byte | Slot | Off | len(Before) | Before | After
+//	OpInsert  op byte | Slot | After
+//	OpDelete  op byte | Slot | Before
+//
+// The last image runs to the end of the payload. DecodeUpdate accepts
+// only what Encode writes for a payload Splice could have made.
 type UpdatePayload struct {
 	// Op is the slot operation (set, insert, delete).
 	Op UpdateOp
 	// Slot is the target slot in the page's directory.
 	Slot uint16
+	// Off is where in the row an OpSet's images start (0 for other ops).
+	Off uint32
 	// Before is the pre-image (empty for inserts): the undo side.
 	Before []byte
 	// After is the post-image (empty for deletes): the redo side.
 	After []byte
 }
 
-// updateHdr = op(1) + pad(1) + slot(2) + beforeLen(4) + afterLen(4)
-const updateHdrSize = 12
+// Splice returns the OpSet that turns the row image before into after:
+// the two with their common prefix and then their common suffix trimmed,
+// and Off where what is left starts. The images alias the arguments. Two
+// equal rows make the empty splice at offset 0.
+func Splice(slot uint16, before, after []byte) UpdatePayload {
+	off := commonPrefix(before, after)
+	before, after = before[off:], after[off:]
+	tail := commonSuffix(before, after)
+	before, after = before[:len(before)-tail], after[:len(after)-tail]
+	if len(before) == 0 && len(after) == 0 {
+		off = 0
+	}
+	return UpdatePayload{Op: OpSet, Slot: slot, Off: uint32(off), Before: before, After: after}
+}
+
+// commonPrefix returns how many leading bytes a and b share, comparing
+// eight at a time.
+func commonPrefix(a, b []byte) int {
+	n, i := min(len(a), len(b)), 0
+	for ; i+8 <= n; i += 8 {
+		if x := binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]); x != 0 {
+			return i + bits.TrailingZeros64(x)/8
+		}
+	}
+	for i < n && a[i] == b[i] {
+		i++
+	}
+	return i
+}
+
+// commonSuffix returns how many trailing bytes a and b share.
+func commonSuffix(a, b []byte) int {
+	n, i := min(len(a), len(b)), 0
+	for ; i+8 <= n; i += 8 {
+		if x := binary.LittleEndian.Uint64(a[len(a)-i-8:]) ^ binary.LittleEndian.Uint64(b[len(b)-i-8:]); x != 0 {
+			return i + bits.LeadingZeros64(x)/8
+		}
+	}
+	for i < n && a[len(a)-1-i] == b[len(b)-1-i] {
+		i++
+	}
+	return i
+}
 
 // EncodedSize returns the payload's encoded length.
 func (u *UpdatePayload) EncodedSize() int {
-	return updateHdrSize + len(u.Before) + len(u.After)
+	n := 1 + uvarintLen(uint64(u.Slot))
+	switch u.Op {
+	case OpInsert:
+		return n + len(u.After)
+	case OpDelete:
+		return n + len(u.Before)
+	}
+	return n + uvarintLen(uint64(u.Off)) + uvarintLen(uint64(len(u.Before))) + len(u.Before) + len(u.After)
 }
 
-// Encode appends the payload to dst and returns the extended slice.
+// Encode appends the payload to dst and returns the extended slice. It
+// writes the fields the op has: an insert's Before and Off and a
+// delete's After and Off are not part of the payload.
 func (u *UpdatePayload) Encode(dst []byte) []byte {
-	var hdr [updateHdrSize]byte
-	hdr[0] = byte(u.Op)
-	binary.LittleEndian.PutUint16(hdr[2:4], u.Slot)
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(u.Before)))
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(u.After)))
-	dst = append(dst, hdr[:]...)
+	dst = append(dst, byte(u.Op))
+	dst = binary.AppendUvarint(dst, uint64(u.Slot))
+	switch u.Op {
+	case OpInsert:
+		return append(dst, u.After...)
+	case OpDelete:
+		return append(dst, u.Before...)
+	}
+	dst = binary.AppendUvarint(dst, uint64(u.Off))
+	dst = binary.AppendUvarint(dst, uint64(len(u.Before)))
 	dst = append(dst, u.Before...)
-	dst = append(dst, u.After...)
-	return dst
+	return append(dst, u.After...)
 }
 
-// DecodeUpdate parses a KindUpdate payload. The returned slices alias src.
+// DecodeUpdate parses a KindUpdate or KindCLR payload. The returned
+// slices alias src. Besides truncation, unknown ops and non-minimal
+// varints it refuses an OpSet whose images still share a first or a last
+// byte, or an empty one away from offset 0: such a payload has a shorter
+// spelling, and the log holds one spelling of everything.
 func DecodeUpdate(src []byte) (UpdatePayload, error) {
-	if len(src) < updateHdrSize {
+	if len(src) == 0 {
 		return UpdatePayload{}, ErrBadPayload
 	}
-	bl := int(binary.LittleEndian.Uint32(src[4:8]))
-	al := int(binary.LittleEndian.Uint32(src[8:12]))
-	if bl < 0 || al < 0 || updateHdrSize+bl+al != len(src) {
+	u := UpdatePayload{Op: UpdateOp(src[0])}
+	c := cursor{src: src[1:], ok: true}
+	u.Slot = uint16(c.uvarint(0, math.MaxUint16))
+	switch u.Op {
+	case OpInsert:
+		u.After = c.src
+	case OpDelete:
+		u.Before = c.src
+	case OpSet:
+		u.Off = uint32(c.uvarint(0, MaxPayload))
+		bl := int(c.uvarint(0, MaxPayload))
+		if !c.ok || bl > len(c.src) {
+			return UpdatePayload{}, ErrBadPayload
+		}
+		b, a := c.src[:bl], c.src[bl:]
+		if len(b) == 0 && len(a) == 0 && u.Off != 0 ||
+			len(b) > 0 && len(a) > 0 && (b[0] == a[0] || b[len(b)-1] == a[len(a)-1]) {
+			return UpdatePayload{}, ErrBadPayload
+		}
+		u.Before, u.After = b, a
+	default:
 		return UpdatePayload{}, ErrBadPayload
 	}
-	op := UpdateOp(src[0])
-	if op != OpSet && op != OpInsert && op != OpDelete {
+	if !c.ok {
 		return UpdatePayload{}, ErrBadPayload
 	}
-	return UpdatePayload{
-		Op:     op,
-		Slot:   binary.LittleEndian.Uint16(src[2:4]),
-		Before: src[updateHdrSize : updateHdrSize+bl],
-		After:  src[updateHdrSize+bl : updateHdrSize+bl+al],
-	}, nil
+	return u, nil
 }
 
-// Inverse returns the payload that undoes u, used when writing CLRs.
+// Inverse returns the payload that undoes u, used when writing CLRs: an
+// insert's is the delete of the same row and the other way round, a
+// splice's is the splice back at the same offset.
 func (u UpdatePayload) Inverse() UpdatePayload {
 	switch u.Op {
 	case OpInsert:
@@ -105,7 +195,7 @@ func (u UpdatePayload) Inverse() UpdatePayload {
 	case OpDelete:
 		return UpdatePayload{Op: OpInsert, Slot: u.Slot, After: u.Before}
 	default:
-		return UpdatePayload{Op: OpSet, Slot: u.Slot, Before: u.After, After: u.Before}
+		return UpdatePayload{Op: OpSet, Slot: u.Slot, Off: u.Off, Before: u.After, After: u.Before}
 	}
 }
 
@@ -185,6 +275,9 @@ func DecodeCheckpoint(src []byte) (CheckpointPayload, error) {
 	if nt > 0 {
 		out.ActiveTxns = make([]TxnTableEntry, nt)
 		for i := range out.ActiveTxns {
+			if src[off+16] > 1 {
+				return CheckpointPayload{}, ErrBadPayload
+			}
 			out.ActiveTxns[i] = TxnTableEntry{
 				TxnID:        binary.LittleEndian.Uint64(src[off : off+8]),
 				LastLSN:      lsn.LSN(binary.LittleEndian.Uint64(src[off+8 : off+16])),
@@ -276,15 +369,12 @@ func NewEnd(txnID uint64, prev lsn.LSN) *Record {
 }
 
 // NewPad builds a padding record whose total encoded size is exactly
-// size bytes (size >= HeaderSize). The microbenchmarks use this to sweep
-// record sizes precisely.
+// size bytes (at least MinRecordSize). The microbenchmarks use this to
+// sweep record sizes precisely.
 func NewPad(size int) *Record {
-	if size < HeaderSize {
-		size = HeaderSize
-	}
 	return &Record{
-		Header:  Header{Kind: KindPad},
-		Payload: make([]byte, size-HeaderSize),
+		Header:  Header{Kind: KindPad, PrevLSN: lsn.Undefined},
+		Payload: make([]byte, max(size, MinRecordSize)-MinRecordSize),
 	}
 }
 

@@ -206,12 +206,11 @@ func (m *LaneMerge) Covers(stamp uint64) bool {
 	return true
 }
 
-// Step is the distance between two made-up stamps: a record header on
-// one lane (what the smallest real record would advance the log by), 1
-// on N.
+// Step is the distance between two made-up stamps: what the smallest
+// real record would advance the log by on one lane, 1 on N.
 func (m *LaneMerge) Step() uint64 {
 	if len(m.lanes) == 1 {
-		return logrec.HeaderSize
+		return logrec.MinRecordSize
 	}
 	return 1
 }

@@ -37,8 +37,11 @@ func storesEqual(t *testing.T, want, got *storage.Store, ctx string) {
 
 // buildPITRLog assembles a log exercising every stash transition:
 // committed inserts and sets, a rolled-back transaction (CLR + End),
-// and a transaction left in flight at the end. Returns the log and
-// every record boundary.
+// and a transaction left in flight at the end — whose chain is an insert
+// and then ranged updates of every shape (same length, shorter, longer),
+// so a snapshot cut inside it stashes splices that only undo correctly in
+// reverse order against exactly the row they were logged on. Returns the
+// log and every record boundary.
 func buildPITRLog(t *testing.T) ([]byte, []uint64) {
 	t.Helper()
 	var lb logBuilder
@@ -62,14 +65,17 @@ func buildPITRLog(t *testing.T) ([]byte, []uint64) {
 	c1 := add(logrec.NewUpdate(3, lsn.Undefined, pidB,
 		logrec.UpdatePayload{Op: logrec.OpInsert, Slot: 0, After: []byte("gamma")}))
 	b2 := add(logrec.NewUpdate(2, b1, pidA,
-		logrec.UpdatePayload{Op: logrec.OpSet, Slot: 1, Before: []byte("beta"), After: []byte("beta2")}))
+		logrec.Splice(1, []byte("beta"), []byte("beta2"))))
 	clr := add(logrec.NewCLR(3, c1, pidB, lsn.Undefined,
 		logrec.UpdatePayload{Op: logrec.OpInsert, Slot: 0, After: []byte("gamma")}.Inverse()))
 	add(logrec.NewEnd(3, clr))
 	add(logrec.NewCommit(2, b2))
 	// txn 4: still in flight at the end of the log.
-	add(logrec.NewUpdate(4, lsn.Undefined, pidB,
+	prev := add(logrec.NewUpdate(4, lsn.Undefined, pidB,
 		logrec.UpdatePayload{Op: logrec.OpInsert, Slot: 1, After: []byte("delta")}))
+	for _, step := range [][2]string{{"delta", "deLTa"}, {"deLTa", "da"}, {"da", "data, longer"}, {"data, longer", "dAta, longer"}} {
+		prev = add(logrec.NewUpdate(4, prev, pidB, logrec.Splice(1, []byte(step[0]), []byte(step[1]))))
+	}
 	return lb.buf, cuts
 }
 
@@ -79,6 +85,7 @@ func buildPITRLog(t *testing.T) ([]byte, []uint64) {
 func TestReplayToPointSnapshotEquivalence(t *testing.T) {
 	log, cuts := buildPITRLog(t)
 	bounds := append([]uint64{0}, cuts...)
+	ranged := 0 // stashed updates that are splices, over all snapshots
 	for _, target := range bounds {
 		full, err := ReplayToPoint(nil, []Lane{{Log: log[:target]}}, target)
 		if err != nil {
@@ -95,12 +102,34 @@ func TestReplayToPointSnapshotEquivalence(t *testing.T) {
 			if snap.Cut != cut {
 				t.Fatalf("BuildSnapshot cut = %d, want %d", snap.Cut, cut)
 			}
+			for _, sr := range snap.Stash {
+				if up, err := logrec.DecodeUpdate(sr.Payload); err != nil {
+					t.Fatalf("snapshot at %d stashed an undecodable payload: %v", cut, err)
+				} else if up.Op == logrec.OpSet {
+					ranged++
+				}
+			}
 			chained, err := ReplayToPoint(snap, []Lane{{Log: log[cut:target], Base: lsn.LSN(cut)}}, target)
 			if err != nil {
 				t.Fatalf("chained replay %d -> %d: %v", cut, target, err)
 			}
 			storesEqual(t, full, chained, "snapshot at "+itoa(cut)+" to "+itoa(target))
 		}
+	}
+	if ranged == 0 {
+		t.Fatal("test invalid: no snapshot stashed a ranged update")
+	}
+	// And the state all of them agree on is the right one: at the end of
+	// the log transaction 4 is rolled back, splice by splice, to nothing.
+	final, err := ReplayToPoint(nil, []Lane{{Log: log}}, uint64(len(log)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mustPage(t, final, storage.MakePageID(1, 2)).Get(1); err == nil {
+		t.Fatal("in-flight transaction's row survived the restore")
+	}
+	if got, _ := mustPage(t, final, storage.MakePageID(1, 1)).Get(1); string(got) != "beta2" {
+		t.Fatalf("committed ranged update restored as %q, want beta2", got)
 	}
 }
 

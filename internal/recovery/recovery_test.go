@@ -84,7 +84,7 @@ func TestRecoverUndoLoser(t *testing.T) {
 	ins := logrec.UpdatePayload{Op: logrec.OpInsert, Slot: 0, After: []byte("base")}
 	insAt, _ := lb.add(t, logrec.NewUpdate(1, lsn.Undefined, pid, ins))
 	lb.add(t, logrec.NewCommit(1, insAt))
-	set := logrec.UpdatePayload{Op: logrec.OpSet, Slot: 0, Before: []byte("base"), After: []byte("evil")}
+	set := logrec.Splice(0, []byte("base"), []byte("evil"))
 	lb.add(t, logrec.NewUpdate(2, lsn.Undefined, pid, set))
 
 	st := storage.NewStore()
@@ -111,7 +111,7 @@ func TestRecoverCLRSkipsAlreadyUndone(t *testing.T) {
 	// rollback before crash). Recovery must undo only the insert.
 	ins := logrec.UpdatePayload{Op: logrec.OpInsert, Slot: 0, After: []byte("v1")}
 	insAt, _ := lb.add(t, logrec.NewUpdate(5, lsn.Undefined, pid, ins))
-	set := logrec.UpdatePayload{Op: logrec.OpSet, Slot: 0, Before: []byte("v1"), After: []byte("v2")}
+	set := logrec.Splice(0, []byte("v1"), []byte("v2"))
 	setAt, _ := lb.add(t, logrec.NewUpdate(5, insAt, pid, set))
 	lb.add(t, logrec.NewCLR(5, setAt, pid, insAt, set.Inverse()))
 
@@ -205,7 +205,7 @@ func TestRecoverTruncatedTailIsCleanEnd(t *testing.T) {
 	lb.add(t, logrec.NewCommit(1, uAt))
 	// Torn tail: half a record.
 	partial, _ := logrec.NewCommit(2, lsn.Undefined).Encode()
-	lb.buf = append(lb.buf, partial[:20]...)
+	lb.buf = append(lb.buf, partial[:len(partial)/2]...)
 
 	st := storage.NewStore()
 	res, err := Recover(Options{Log: lb.buf, Store: st})
@@ -252,9 +252,9 @@ func TestRecoverMultipleLosersInterleaved(t *testing.T) {
 	b1, _ := lb.add(t, logrec.NewUpdate(11, lsn.Undefined, p2,
 		logrec.UpdatePayload{Op: logrec.OpInsert, Slot: 0, After: []byte("b1")}))
 	lb.add(t, logrec.NewUpdate(10, a1, p1,
-		logrec.UpdatePayload{Op: logrec.OpSet, Slot: 0, Before: []byte("a1"), After: []byte("a2")}))
+		logrec.Splice(0, []byte("a1"), []byte("a2"))))
 	lb.add(t, logrec.NewUpdate(11, b1, p2,
-		logrec.UpdatePayload{Op: logrec.OpSet, Slot: 0, Before: []byte("b1"), After: []byte("b2")}))
+		logrec.Splice(0, []byte("b1"), []byte("b2"))))
 
 	st := storage.NewStore()
 	res, err := Recover(Options{Log: lb.buf, Store: st})

@@ -180,7 +180,7 @@ func (h *HeapFile) Read(rid RID) ([]byte, error) {
 	return data, nil
 }
 
-// Update overwrites the record at rid, logging before and after images.
+// Update overwrites the record at rid, logging the bytes that differ.
 func (h *HeapFile) Update(rid RID, data []byte, log LogFunc) error {
 	if len(data) > MaxRecordSize {
 		return ErrRecordTooBig
@@ -199,7 +199,7 @@ func (h *HeapFile) Update(rid RID, data []byte, log LogFunc) error {
 	if err != nil {
 		return ErrNotFound
 	}
-	up := logrec.UpdatePayload{Op: logrec.OpSet, Slot: rid.Slot, Before: before, After: data}
+	up := logrec.Splice(rid.Slot, before, data)
 	at, end, err := log(rid.Page, up)
 	if err != nil {
 		return err
@@ -212,7 +212,7 @@ func (h *HeapFile) Update(rid RID, data []byte, log LogFunc) error {
 }
 
 // Mutate applies fn to the record bytes under the exclusive latch,
-// logging old and new images in one step. It avoids the copy + re-read
+// logging what it changed (logrec.Splice) in one step. It avoids the copy + re-read
 // race of Read-then-Update and is the hot path the workloads use
 // (read-modify-write of a balance field).
 func (h *HeapFile) Mutate(rid RID, log LogFunc, fn func(cur []byte) ([]byte, error)) error {
@@ -234,7 +234,7 @@ func (h *HeapFile) Mutate(rid RID, log LogFunc, fn func(cur []byte) ([]byte, err
 	if err != nil {
 		return err
 	}
-	up := logrec.UpdatePayload{Op: logrec.OpSet, Slot: rid.Slot, Before: before, After: after}
+	up := logrec.Splice(rid.Slot, before, after)
 	at, end, err := log(rid.Page, up)
 	if err != nil {
 		return err

@@ -60,15 +60,16 @@ func TestHeapInsertReadUpdateDelete(t *testing.T) {
 	if _, err := h.Read(rid); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("read deleted: %v", err)
 	}
-	// Log saw insert, set, delete with correct images.
+	// Log saw insert, set, delete with correct images: the set carries
+	// the one byte that changed ("balance=1[0→5]0") and where.
 	if len(cl.ups) != 3 {
 		t.Fatalf("%d log records", len(cl.ups))
 	}
 	if cl.ups[0].Op != logrec.OpInsert || string(cl.ups[0].After) != "balance=100" {
 		t.Fatalf("insert record: %+v", cl.ups[0])
 	}
-	if cl.ups[1].Op != logrec.OpSet || string(cl.ups[1].Before) != "balance=100" ||
-		string(cl.ups[1].After) != "balance=150" {
+	if cl.ups[1].Op != logrec.OpSet || cl.ups[1].Off != 9 || string(cl.ups[1].Before) != "0" ||
+		string(cl.ups[1].After) != "5" {
 		t.Fatalf("set record: %+v", cl.ups[1])
 	}
 	if cl.ups[2].Op != logrec.OpDelete || string(cl.ups[2].Before) != "balance=150" {

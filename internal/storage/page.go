@@ -53,6 +53,9 @@ var (
 	ErrBadSlot      = errors.New("storage: no such slot")
 	ErrDeadSlot     = errors.New("storage: slot is dead")
 	ErrRecordTooBig = errors.New("storage: record exceeds page capacity")
+	// ErrBadSplice means an OpSet names bytes its row does not have: the
+	// page is not in the state the record was logged against.
+	ErrBadSplice = errors.New("storage: splice outside the row")
 )
 
 // Page is a slotted page: records grow up from the header, the slot
@@ -375,17 +378,52 @@ func (p *Page) compact() {
 	p.setFreeStart(off)
 }
 
+// splice replaces row[off : off+oldLen] of a live slot with repl. A
+// replacement of the same length — every fixed-width field update — is
+// patched where the row stands; one that changes the row's length
+// rebuilds it (resplice). A range the row does not have fails before
+// anything is written.
+func (p *Page) splice(slot, off, oldLen int, repl []byte) error {
+	row, err := p.View(slot)
+	if err != nil {
+		return err
+	}
+	end := off + oldLen
+	if end > len(row) {
+		return fmt.Errorf("%w: slot %d holds %d bytes, splice covers [%d, %d)", ErrBadSplice, slot, len(row), off, end)
+	}
+	if oldLen == len(repl) {
+		copy(row[off:], repl)
+		return nil
+	}
+	return p.resplice(slot, row[:off], repl, row[end:])
+}
+
+// resplice sets a slot to head+repl+tail, where head and tail alias the
+// slot's current row. It is splice's cold half, apart so that the page
+// of stack the new row is assembled in is not part of every update's
+// frame.
+func (p *Page) resplice(slot int, head, repl, tail []byte) error {
+	if len(head)+len(repl)+len(tail) > MaxRecordSize {
+		return ErrRecordTooBig
+	}
+	var buf [MaxRecordSize]byte
+	return p.Set(slot, append(append(append(buf[:0], head...), repl...), tail...))
+}
+
 // Apply performs a physiological update (from a log record) against the
 // page and stamps the page LSN. It is the single redo entry point: the
 // same function applies forward updates, rollback inverses and recovery
-// redo.
+// redo. Applying a length-changing splice twice is no more idempotent
+// than applying an insert twice; the callers' page-stamp guards see to
+// it that nothing is.
 func (p *Page) Apply(up logrec.UpdatePayload, at lsn.LSN) error {
 	var err error
 	switch up.Op {
 	case logrec.OpInsert:
 		err = p.Insert(int(up.Slot), up.After)
 	case logrec.OpSet:
-		err = p.Set(int(up.Slot), up.After)
+		err = p.splice(int(up.Slot), int(up.Off), len(up.Before), up.After)
 	case logrec.OpDelete:
 		err = p.Delete(int(up.Slot))
 	default:

@@ -175,6 +175,78 @@ func TestPageSetGrowWithCompaction(t *testing.T) {
 	}
 }
 
+// TestPageApplySplice: for every shape of change — all of the row, none
+// of it, its first or last byte, a longer or a shorter row — applying
+// the splice makes the new row, applying its inverse restores the page
+// byte for byte (a same-length splice is patched where the row stands, so
+// nothing else on the page may move), and a splice naming bytes the row
+// does not have errors without touching the page.
+func TestPageApplySplice(t *testing.T) {
+	base := bytes.Repeat([]byte("0123456789"), 10)
+	edit := func(f func(r []byte) []byte) []byte { return f(append([]byte(nil), base...)) }
+	for _, tc := range []struct {
+		name    string
+		after   []byte
+		inPlace bool
+	}{
+		{"all changed", bytes.Repeat([]byte("x"), 100), true},
+		{"nothing changed", base, true},
+		{"byte 0", edit(func(r []byte) []byte { r[0] = 'x'; return r }), true},
+		{"last byte", edit(func(r []byte) []byte { r[99] = 'x'; return r }), true},
+		{"8-byte field", edit(func(r []byte) []byte { copy(r[8:16], "ABCDEFGH"); return r }), true},
+		{"grow", edit(func(r []byte) []byte { return append(r[:50], append([]byte("inserted"), r[50:]...)...) }), false},
+		{"shrink", edit(func(r []byte) []byte { return append(r[:20], r[70:]...) }), false},
+		{"shrink to nothing", nil, false},
+	} {
+		p := NewPage(1)
+		for slot, row := range [][]byte{[]byte("left neighbour"), base, []byte("right neighbour")} {
+			if err := p.Insert(slot, row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		orig := p.Snapshot()
+		up := logrec.Splice(1, base, tc.after)
+		if err := p.Apply(up, 10); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got, _ := p.Get(1); !bytes.Equal(got, tc.after) {
+			t.Fatalf("%s: row is %q, want %q", tc.name, got, tc.after)
+		}
+		for slot, want := range map[int]string{0: "left neighbour", 2: "right neighbour"} {
+			if got, _ := p.Get(slot); string(got) != want {
+				t.Fatalf("%s: slot %d became %q", tc.name, slot, got)
+			}
+		}
+		if err := p.Apply(up.Inverse(), 0); err != nil {
+			t.Fatalf("%s: inverse: %v", tc.name, err)
+		}
+		if tc.inPlace {
+			if !bytes.Equal(p.Snapshot(), orig) {
+				t.Fatalf("%s: apply then inverse did not restore the page image", tc.name)
+			}
+		} else if got, _ := p.Get(1); !bytes.Equal(got, base) {
+			// The row moved to fresh space; its bytes are what must be back.
+			t.Fatalf("%s: after the inverse the row is %q", tc.name, got)
+		}
+
+		// One byte past the row's end, same length and not: refused, and
+		// the page — stamp included — is as it was.
+		before := p.Snapshot()
+		for _, bad := range []logrec.UpdatePayload{
+			{Op: logrec.OpSet, Slot: 1, Off: 93, Before: []byte("3456789!"), After: []byte("ABCDEFGH")},
+			{Op: logrec.OpSet, Slot: 1, Off: 101, After: []byte("tail")},
+			{Op: logrec.OpSet, Slot: 0, Off: 10, Before: []byte("bour?"), After: nil},
+		} {
+			if err := p.Apply(bad, 99); !errors.Is(err, ErrBadSplice) {
+				t.Fatalf("%s: splice [%d, %d) of slot %d: got %v, want ErrBadSplice", tc.name, bad.Off, int(bad.Off)+len(bad.Before), bad.Slot, err)
+			}
+			if !bytes.Equal(p.Snapshot(), before) {
+				t.Fatalf("%s: a refused splice changed the page", tc.name)
+			}
+		}
+	}
+}
+
 func TestPageApplyRoundTrip(t *testing.T) {
 	p := NewPage(1)
 	ins := logrec.UpdatePayload{Op: logrec.OpInsert, Slot: 0, After: []byte("row-v1")}
@@ -184,7 +256,7 @@ func TestPageApplyRoundTrip(t *testing.T) {
 	if p.LSN() != 100 {
 		t.Fatal("pageLSN not stamped")
 	}
-	set := logrec.UpdatePayload{Op: logrec.OpSet, Slot: 0, Before: []byte("row-v1"), After: []byte("row-v2")}
+	set := logrec.Splice(0, []byte("row-v1"), []byte("row-v2"))
 	if err := p.Apply(set, 200); err != nil {
 		t.Fatal(err)
 	}

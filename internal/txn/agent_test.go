@@ -2,6 +2,7 @@ package txn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"runtime"
 	"sync"
 	"testing"
@@ -303,8 +304,7 @@ func TestAgentScratchLogsSameBytes(t *testing.T) {
 	// Each record's PrevLSN is where the one before it starts.
 	first := logrec.NewUpdate(tx.ID(), lsn.Undefined, rid.Page,
 		logrec.UpdatePayload{Op: logrec.OpInsert, Slot: rid.Slot, After: row(2, 20)})
-	second := logrec.NewUpdate(tx.ID(), start, rid.Page,
-		logrec.UpdatePayload{Op: logrec.OpSet, Slot: rid.Slot, Before: row(2, 20), After: row(2, 21)})
+	second := logrec.NewUpdate(tx.ID(), start, rid.Page, logrec.Splice(rid.Slot, row(2, 20), row(2, 21)))
 	commit := logrec.NewCommit(tx.ID(), start.Add(first.EncodedSize()))
 	var want []byte
 	for _, rec := range []*logrec.Record{first, second, commit} {
@@ -345,6 +345,99 @@ func tpcbShape(t testing.TB, ag *Agent, tables *[4]*Table, keys [4]uint64, delta
 	if err := tx.Commit(CommitAsync, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestTPCBLogBytesBudget is the log-volume budget of one TPC-B-shaped
+// transaction — three updates of an 8-byte field in 100-byte rows, one
+// 100-byte insert, a commit — counted off the device: at most 300 bytes
+// on one lane (five 48-byte headers and three pairs of whole rows made
+// it 988), and on three lanes at most a seq and an edge more per record.
+// The engine here is a few records old, so its transaction IDs and LSNs
+// are one byte long; the same records re-encoded at the repository
+// benchmark's magnitudes (IDs to 80 200, 33 MB of log per cycle) must
+// fit the budget too. Every byte of the field changes, the most an
+// update can log.
+func TestTPCBLogBytesBudget(t *testing.T) {
+	const (
+		budget     = 300
+		seqAndEdge = 2 * binary.MaxVarintLen32 // per record, on N lanes
+		benchTxnID = 80_200
+		benchLSN   = 33_000_000
+	)
+	forEachLaneCount(t, func(t *testing.T, n int) {
+		h := newHarnessN(t, n, harnessLogConfig)
+		var tables [4]*Table // branch, teller, account, history
+		ag := h.eng.NewAgent()
+		defer ag.Close()
+		load := ag.Begin()
+		for i, name := range []string{"branch", "teller", "account", "history"} {
+			tables[i], _ = h.eng.CreateTable(name, nil)
+			if i == 3 {
+				break
+			}
+			r := make([]byte, 100)
+			copy(r, row(1, 0x0101010101010101))
+			if err := load.Insert(tables[i], 1, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := load.Commit(CommitSync, nil); err != nil {
+			t.Fatal(err)
+		}
+		h.flushAll(t)
+		var before []int64
+		for _, d := range h.devs {
+			before = append(before, d.DurableSize())
+		}
+
+		tpcbShape(t, ag, &tables, [4]uint64{1, 1, 1, 1}, 0x7e7e7e7e7e7e7e7e)
+		h.flushAll(t)
+
+		logged, atBench, records := 0, 0, 0
+		perKind := map[logrec.Kind][2]int{} // records, bytes
+		for i, d := range h.devs {
+			tail := make([]byte, d.DurableSize()-before[i])
+			if _, err := d.ReadAt(tail, before[i]); err != nil && len(tail) > 0 {
+				t.Fatal(err)
+			}
+			logged += len(tail)
+			it := logrec.NewIterator(tail, lsn.LSN(before[i]))
+			for rec, ok := it.Next(); ok; rec, ok = it.Next() {
+				records++
+				k := perKind[rec.Kind]
+				perKind[rec.Kind] = [2]int{k[0] + 1, k[1] + int(rec.TotalLen)}
+				if rec.Kind == logrec.KindUpdate {
+					up, err := logrec.DecodeUpdate(rec.Payload)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if up.Op == logrec.OpSet && (up.Off != 8 || len(up.Before) != 8 || len(up.After) != 8) {
+						t.Errorf("update logged row[%d:+%d] → %d bytes, want the 8-byte field at offset 8", up.Off, len(up.Before), len(up.After))
+					}
+				}
+				rec.TxnID = benchTxnID
+				if rec.PrevLSN.Valid() {
+					rec.PrevLSN += benchLSN
+				}
+				atBench += rec.EncodedSize()
+			}
+			if err := it.Err(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if records != 5 {
+			t.Fatalf("the transaction logged %d records, want 3 updates, 1 insert, 1 commit", records)
+		}
+		limit := budget
+		if n > 1 {
+			limit += records * seqAndEdge
+		}
+		t.Logf("%d lanes: %d bytes logged (%d at benchmark magnitudes), budget %d: update %v, commit %v [records, bytes]",
+			n, logged, atBench, limit, perKind[logrec.KindUpdate], perKind[logrec.KindCommit])
+		if logged > limit || atBench > limit {
+			t.Errorf("%d bytes logged, %d at benchmark magnitudes: budget %d", logged, atBench, limit)
+		}
+	})
 }
 
 // TestTxnAllocationBudget is the transaction layer's allocation budget.
@@ -407,7 +500,8 @@ func TestTxnAllocationBudget(t *testing.T) {
 
 // scratchCaps reports the capacities of everything the agent keeps
 // between transactions: undo entries, arena bytes, index-undo entries
-// and the record scratch's payload buffer.
+// and the record scratch's payload buffer. (The log appender's encode
+// buffer, which the record is copied through, is ap.ScratchCap.)
 func (a *Agent) scratchCaps() (undo, arena, index, rec int) {
 	if a.sc != nil {
 		undo, arena, index = cap(a.sc.undo), cap(a.sc.arena), cap(a.sc.indexUndo)
@@ -440,6 +534,11 @@ func TestAgentScratchRetention(t *testing.T) {
 	if undo, arena, index, rec := ag.scratchCaps(); undo <= maxUndoEntries || arena <= maxArenaBytes ||
 		index <= maxIndexUndo || rec <= maxRecordBuffer {
 		t.Fatalf("bulk transaction did not outgrow the caps: %d %d %d %d", undo, arena, index, rec)
+	}
+	// The appender never keeps the buffer it encoded the 5000-byte row's
+	// record in: there is no Begin to shed it at.
+	if got := ag.ap.ScratchCap(); got > maxRecordBuffer {
+		t.Fatalf("the appender kept a %d-byte encode buffer after the bulk transaction (max %d)", got, maxRecordBuffer)
 	}
 
 	small := ag.Begin()

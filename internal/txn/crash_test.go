@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"sync"
@@ -10,7 +11,9 @@ import (
 	"aether/internal/core"
 	"aether/internal/lockmgr"
 	"aether/internal/logdev"
+	"aether/internal/logrec"
 	"aether/internal/lsn"
+	"aether/internal/storage"
 )
 
 // restart brings the engine back up over the harness's devices and
@@ -587,4 +590,165 @@ func TestCrashRecoveryRandomized(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestCrashRecoveryMixedSpliceChain: a transaction whose chain mixes
+// same-length splices (patched where the row stands), splices that grow
+// and shrink their row (rebuilt elsewhere on the page), an insert and a
+// delete is rolled back to byte-identical rows wherever the crash cuts
+// its rollback: before the abort record (recovery writes every CLR),
+// between two CLRs (recovery redoes the first, then compensates the
+// rest — each against exactly the row bytes its splice was logged on),
+// after the last CLR (only the end record is missing), and after the
+// end. A splice is no more idempotent than an insert, so a CLR redone
+// twice or an update undone twice would leave rows of the wrong length
+// or fail the bounds check. Each recovered state must also survive a
+// second crash.
+func TestCrashRecoveryMixedSpliceChain(t *testing.T) {
+	long := func(k uint64, n int, fill byte) []byte {
+		r := bytes.Repeat([]byte{fill}, n)
+		copy(r, row(k, 7))
+		return r
+	}
+	seedRows := map[string]map[uint64][]byte{
+		"t": {1: long(1, 40, 'a'), 2: long(2, 16, 'b')},
+		"u": {1: long(1, 40, 'c'), 2: long(2, 60, 'd')},
+	}
+	forEachLaneCount(t, func(t *testing.T, n int) {
+		h := newHarnessN(t, n, harnessLogConfig)
+		tt, tu := h.twoTables(t)
+		tables := map[string]*Table{"t": tt, "u": tu}
+		ag := h.eng.NewAgent()
+		seed := ag.Begin() // homes where t lives
+		for _, name := range []string{"t", "u"} {
+			for k := uint64(1); k <= 2; k++ {
+				if err := seed.Insert(tables[name], k, seedRows[name][k]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := seed.Commit(CommitSync, nil); err != nil {
+			t.Fatal(err)
+		}
+
+		set := func(tx *Txn, tbl *Table, k uint64, to []byte) {
+			t.Helper()
+			if err := tx.Update(tbl, k, func([]byte) ([]byte, error) { return to, nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		loser := ag.Begin() // first write in u: another lane than the seed's on N = 3
+		field := long(1, 40, 'c')
+		copy(field[8:16], "8 bytes!")
+		set(loser, tu, 1, field)                                                   // same length
+		set(loser, tt, 1, long(1, 70, 'a'))                                        // grow at the end
+		set(loser, tu, 2, long(2, 24, 'd'))                                        // shrink
+		set(loser, tt, 1, append(long(1, 69, 'a'), 'Z'))                           // same length, inside the grown part
+		set(loser, tt, 1, long(1, 30, 'a'))                                        // shrink the grown row
+		set(loser, tu, 2, append(long(2, 20, 'd'), "MIDDLE-and-a-longer-tail"...)) // grow with a changed middle
+		if err := loser.Insert(tt, 5, long(5, 33, 'n')); err != nil {
+			t.Fatal(err)
+		}
+		if err := loser.Delete(tu, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := loser.Abort(); err != nil {
+			t.Fatal(err)
+		}
+		h.flushAll(t)
+		h.wantEdges(t, n)
+		ag.Close()
+
+		// The loser's lane, record by record: where its abort record, its
+		// CLRs and its end record start.
+		lane := loser.home
+		tail, _, err := logdev.ReadTail(h.devs[lane])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var abortAt, endAt int
+		var clrAt []int
+		it := logrec.NewIterator(tail, 0)
+		for rec, ok := it.Next(); ok; rec, ok = it.Next() {
+			if rec.TxnID != loser.ID() {
+				continue
+			}
+			switch rec.Kind {
+			case logrec.KindAbort:
+				abortAt = int(rec.LSN)
+			case logrec.KindCLR:
+				clrAt = append(clrAt, int(rec.LSN))
+			case logrec.KindEnd:
+				endAt = int(rec.LSN)
+			}
+		}
+		if len(clrAt) != 8 || abortAt == 0 || endAt == 0 {
+			t.Fatalf("rollback logged %d CLRs (abort at %d, end at %d), want one per update", len(clrAt), abortAt, endAt)
+		}
+
+		for _, cut := range []struct {
+			name string
+			at   int
+		}{
+			{"before the CLRs", abortAt},
+			{"after the abort record", clrAt[0]},
+			{"between two CLRs", clrAt[3]},
+			{"before the last CLR", clrAt[7]},
+			{"after the CLRs", endAt},
+			{"after the end record", len(tail)},
+		} {
+			t.Run(cut.name, func(t *testing.T) {
+				// The crashed machine: every other lane whole, the loser's
+				// cut at a record boundary, no page ever written back.
+				hc := &harness{arch: storage.NewMemArchive()}
+				for i, d := range h.devs {
+					img, _, err := logdev.ReadTail(d)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if i == lane {
+						img = img[:cut.at]
+					}
+					dev := logdev.NewMem(logdev.ProfileMemory)
+					if _, err := dev.Append(img); err != nil {
+						t.Fatal(err)
+					}
+					if err := dev.Sync(); err != nil {
+						t.Fatal(err)
+					}
+					hc.devs = append(hc.devs, dev)
+				}
+				check := func(eng *Engine, tables map[string]*Table, when string) {
+					t.Helper()
+					ag := eng.NewAgent()
+					defer ag.Close()
+					tx := ag.Begin()
+					for name, want := range seedRows {
+						got := map[uint64][]byte{}
+						if err := tx.Scan(tables[name], 0, ^uint64(0), func(k uint64, r []byte) bool {
+							got[k] = r
+							return true
+						}); err != nil {
+							t.Fatal(err)
+						}
+						if len(got) != len(want) {
+							t.Fatalf("%s: table %s holds %d rows, want %d", when, name, len(got), len(want))
+						}
+						for k, w := range want {
+							if !bytes.Equal(got[k], w) {
+								t.Fatalf("%s: %s[%d] = %q, want %q", when, name, k, got[k], w)
+							}
+						}
+					}
+					if err := tx.Commit(CommitSync, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				eng, tables := hc.restart(t, "t", "u")
+				check(eng, tables, "after recovery")
+				eng, tables = hc.hardCrashAndRestart(t, "t", "u")
+				check(eng, tables, "after a second crash")
+			})
+		}
+	})
 }

@@ -684,7 +684,7 @@ func (e *Engine) Checkpoint() error {
 	// Checkpoint records themselves always go to lane 0, so analysis has
 	// a single place to look.
 	e.log.SampleHorizon()
-	beginRec := &logrec.Record{Header: logrec.Header{Kind: logrec.KindCheckpointBegin}}
+	beginRec := &logrec.Record{Header: logrec.Header{Kind: logrec.KindCheckpointBegin, PrevLSN: lsn.Undefined}}
 	beginAt, _, _, beginStamp, err := e.ckptAp.Append(0, beginRec)
 	if err != nil {
 		return fmt.Errorf("txn: checkpoint begin: %w", err)
@@ -707,7 +707,7 @@ func (e *Engine) Checkpoint() error {
 	payload.DirtyPages = e.store.DirtyPages()
 
 	rec := &logrec.Record{
-		Header:  logrec.Header{Kind: logrec.KindCheckpointEnd, Aux: uint64(beginAt)},
+		Header:  logrec.Header{Kind: logrec.KindCheckpointEnd, PrevLSN: lsn.Undefined, Aux: uint64(beginAt)},
 		Payload: payload.Encode(nil),
 	}
 	_, end, _, _, err := e.ckptAp.Append(0, rec)

@@ -1,8 +1,8 @@
 package txn
 
 import (
-	"crypto/sha256"
 	"encoding/hex"
+	"os"
 	"testing"
 
 	"aether/internal/logdev"
@@ -10,12 +10,13 @@ import (
 	"aether/internal/lsn"
 )
 
-// oneLaneLogGolden is the SHA-256 of the log goldenScript leaves behind,
-// taken from the writer of the commit before the engine's two log paths
-// became one (PR 19, where a single log never met core.MultiLog). A
-// one-lane log must stay byte-identical to it: same records, same
-// addresses, no sequence stamps.
-const oneLaneLogGolden = "1370349a56215aefdb2859ee74ff9fd4d9dc0d28ae7b5d7da682da3f8649b58a"
+// oneLaneLogGolden holds, as a hex dump, the log goldenScript leaves
+// behind: record format 3 (ISSUE 24 — compact header, ranged update
+// images), where the same script wrote 2 065 bytes in the format before
+// it. A one-lane log must stay byte-identical to it: same records, same
+// addresses, no sequence stamps. A failure prints the dump to paste here
+// — after reading the diff: every changed byte is a format change.
+const oneLaneLogGolden = "testdata/one_lane_log.golden"
 
 // goldenScript is a fixed single-agent history touching every record
 // kind the engine writes: inserts, updates, one commit in each mode, an
@@ -121,8 +122,11 @@ func TestOneLaneLogGoldenBytes(t *testing.T) {
 	if seq := h.eng.Multi().LastSeq(); seq != 0 {
 		t.Errorf("a one-lane log consumed %d global seqs", seq)
 	}
-	sum := sha256.Sum256(data)
-	if got := hex.EncodeToString(sum[:]); got != oneLaneLogGolden {
-		t.Fatalf("one-lane log bytes changed: %d bytes, sha256 %s, want %s", len(data), got, oneLaneLogGolden)
+	want, err := os.ReadFile(oneLaneLogGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.Dump(data); got != string(want) {
+		t.Fatalf("one-lane log bytes changed: %d bytes, differing from %s; got:\n%s", len(data), oneLaneLogGolden, got)
 	}
 }

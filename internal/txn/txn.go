@@ -24,12 +24,14 @@ const (
 // undoEntry remembers one update for transaction-local rollback. Runtime
 // rollback uses this in-memory chain (every live transaction has its
 // records at hand); crash rollback reads the durable log instead. The
-// images live in the scratch's arena, before then after, from off.
+// images — what the record logged, so a splice's trimmed bytes, not its
+// rows — live in the scratch's arena, before then after, from img.
 type undoEntry struct {
 	pageID    uint64
 	at        lsn.LSN // LSN of the update record
 	prev      lsn.LSN // PrevLSN of that record (the next undo target)
-	off       int
+	img       int
+	off       uint32 // the payload's Off
 	beforeLen uint32
 	afterLen  uint32
 	slot      uint16
@@ -64,9 +66,9 @@ type txnScratch struct {
 // kept, so a steady workload below the caps never reallocates.
 const (
 	maxUndoEntries  = 256      // x 48 B = 12 kB: any OLTP transaction's updates
-	maxArenaBytes   = 64 << 10 // 256 entries' worth of 100-byte rows, both images
+	maxArenaBytes   = 64 << 10 // 256 entries' worth of inserted or deleted 250-byte rows
 	maxIndexUndo    = 256      // x 32 B = 8 kB: one per inserted or deleted row
-	maxRecordBuffer = 4 << 10  // what core.Appender's own encode buffer starts at
+	maxRecordBuffer = 4 << 10  // what core.Appender's own encode buffer is held to
 )
 
 // rearm readies the scratch for transaction t, which must be on the
@@ -169,7 +171,7 @@ func (t *Txn) logUpdate(pageID uint64, up logrec.UpdatePayload) (lsn.LSN, lsn.LS
 	// and rollback needs the originals.
 	sc := t.sc
 	sc.undo = append(sc.undo, undoEntry{
-		pageID: pageID, at: at, prev: prev, off: len(sc.arena),
+		pageID: pageID, at: at, prev: prev, img: len(sc.arena), off: up.Off,
 		beforeLen: uint32(len(up.Before)), afterLen: uint32(len(up.After)),
 		slot: up.Slot, op: up.Op,
 	})
@@ -183,11 +185,12 @@ func (t *Txn) logUpdate(pageID uint64, up logrec.UpdatePayload) (lsn.LSN, lsn.LS
 
 // payload rebuilds the update e recorded; its images alias the arena.
 func (sc *txnScratch) payload(e *undoEntry) logrec.UpdatePayload {
-	mid := e.off + int(e.beforeLen)
+	mid := e.img + int(e.beforeLen)
 	return logrec.UpdatePayload{
 		Op:     e.op,
 		Slot:   e.slot,
-		Before: sc.arena[e.off:mid:mid],
+		Off:    e.off,
+		Before: sc.arena[e.img:mid:mid],
 		After:  sc.arena[mid : mid+int(e.afterLen) : mid+int(e.afterLen)],
 	}
 }
