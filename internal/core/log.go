@@ -24,14 +24,17 @@
 // Whoever parks while a sync is in flight rides the next one, and the
 // interval timer only makes sure the daemon looks at detached work.
 //
-// One rule sits under both policies: flush pacing, measured from the
-// start of one flush to the start of the next. A commit that finds the
-// log idle is flushed at once. Behind a recent flush, a group somebody
-// is parked on (or that Flush, Force or Close asked for, or that has
-// reached X commits or L bytes) starts minFlushPeriod after it; a group
-// of detached commits only stays open for groupWindow. Either way a
-// stream of flushes is clocked by the program instead of by the device
-// (see minFlushPeriod and groupWindow for why).
+// One rule sits under both policies: a group is flushed as soon as
+// nothing more is coming. A group somebody is parked on, that Flush,
+// Force or Close asked for, or that has reached X commits or L bytes is
+// flushed at once — a parked commit that finds the log idle waits for
+// nothing but the device. A group of detached commits is held while its
+// commits keep arriving and closes when they stop (a silence of a few
+// mean inter-arrival gaps), or at groupWindow, the T, for a stream that
+// never pauses. Nothing wakes the daemon for a detached commit, so a
+// lone one waits for the next interval pass: FlushInterval, which on an
+// otherwise idle process the runtime's timer stretches to about a
+// millisecond (see sleepPrecise).
 package core
 
 import (
@@ -56,15 +59,16 @@ type Config struct {
 	Device logdev.Device
 	// FlushTxns closes a group of detached commits once this many commit
 	// subscriptions are pending (the "X transactions" group-commit
-	// trigger) instead of keeping it open for groupWindow. Default 128.
+	// trigger) even while more keep arriving. Default 128.
 	FlushTxns int
 	// FlushBytes closes a group once this many released bytes are pending
 	// (the "L bytes" trigger). Default 256KiB.
 	FlushBytes int
 	// FlushInterval is how long after a pass the daemon looks for pending
 	// work again when nothing woke it. A pass that finds a group of
-	// detached commits holds it until groupWindow after the previous
-	// flush started (the "T time elapsed" trigger). Default 50µs.
+	// detached commits holds it until their arrivals stop, or until
+	// groupWindow after the previous flush started (the "T time elapsed"
+	// trigger). Default 50µs.
 	FlushInterval time.Duration
 	// Breakdown, if set, receives PhaseLogWait time from WaitDurable —
 	// the synchronous-commit stall the time-breakdown figures plot.
@@ -114,56 +118,40 @@ type Stats struct {
 	// TruncatedBytes counts logical log bytes released behind the
 	// truncation horizon (recyclable by the device).
 	TruncatedBytes metrics.Counter
+	// GroupsStalled counts detached groups flushed because their commits
+	// stopped arriving.
+	GroupsStalled metrics.Counter
+	// GroupsCapped counts detached groups the daemon held open for the
+	// whole groupWindow: commit streams that never paused.
+	GroupsCapped metrics.Counter
 }
 
-// minFlushPeriod is flush pacing: the daemon does not start a flush
-// sooner than this after it started the previous one. It is measured
-// start to start, so a commit that arrives when the log has been quiet
-// that long waits for nothing, and a closed loop of blocking commits
-// runs at one flush per period as long as the device finishes inside
-// it — 2 500 commits/s per log, where a 0.2 ms fsync alone would allow
-// about 3 500.
-//
-// The price is paid for a rate that is a property of the program and not
-// of the hour: a commit stream clocked by the device inherits everything
-// the device does, and fsync on a shared host wanders by a quarter over
-// minutes and stalls for seconds, so whole runs of the same code differed
-// by 20 % (by 3 % paced). The period also bounds the fsync rate a log can
-// ask of a volume with an IOPS budget, and it is the window in which
-// other parked commits join the group.
-const minFlushPeriod = 400 * time.Microsecond
-
-// groupWindow is the pacing of a group nobody is parked on: the daemon
-// starts its flush this long after it started the previous one (at once
-// if the log has been quiet that long), unless the group reaches
-// FlushTxns commits or FlushBytes first or somebody parks on it. It is
-// the T of the paper's group-commit policy, and it is longer than
-// minFlushPeriod because the committers of such a group are detached:
-// their threads keep working, the wait costs them no throughput until
-// their pipeline is full, and every commit that joins shares the fsync.
-//
-// The value is what it takes for a full pipeline to turn over inside one
-// period, so that a client with a bounded number of commits in flight is
-// clocked by the window and not by the device. Flushed back to back, N
-// commits in flight split into two alternating groups of N/2 — one on
-// the device, one filling up — and the client runs at N/2 per fsync:
-// 64 in flight went from 33 000 to 63 000 commits/s with the hour, as a
-// 33 KB fsync went from 800 µs to 420 µs. Inside a window that holds an
-// fsync (≈ 0.5 ms, 0.7 ms in a slow hour) plus the time the client needs
-// to resubmit (32 TPC-B transactions per session, ≈ 0.6 ms) the whole
-// pipeline is one group, acknowledged once per window whatever the
-// device took: ≈ 61 of the 64 per ≈ 1.68 ms (the window plus the
-// daemon's wait for a processor behind two busy sessions), half the
-// fsyncs, and the two-second cycles of one run within 7 % of each other
-// while the fsync moves between 0.5 and 0.7 ms, where they were 25 %
-// apart. Only when the device is slower than the window allows does its
-// latency show again.
+// groupWindow is the cap: the longest the daemon holds a group of
+// detached commits open, measured from the start of the previous flush —
+// the T of the paper's group-commit policy. A group whose commits stop
+// arriving is flushed long before it (see stallGaps), so the cap only
+// closes a stream that never pauses, and it bounds how stale a gap the
+// arrival average can learn.
 const groupWindow = 1500 * time.Microsecond
 
+// stallGaps is the silence that closes a detached group, in mean
+// inter-arrival gaps: no subscription for max(paceSlice, stallGaps ×
+// the average gap) means nothing more is coming. With exponentially
+// distributed arrivals a gap four times the mean comes about 2 % of the
+// time, so a group that is still filling is rarely cut short, while a
+// full pipeline — no arrivals at all — is flushed within a slice or two.
+const stallGaps = 4
+
 // paceSlice bounds one sleep of the daemon while it holds a detached
-// group open: nanosleep cannot be woken, so a commit that parks meanwhile
-// is noticed at the end of the slice.
-const paceSlice = 200 * time.Microsecond
+// group open: nanosleep cannot be woken, so the slice is both how often
+// the daemon looks for the group's arrivals to have stopped and how late
+// it notices a commit that parks meanwhile.
+const paceSlice = 50 * time.Microsecond
+
+// flushBatch is the capacity of the daemon's staging buffer. A larger
+// group is copied out through a buffer of its own, so one burst does not
+// pin up to a whole ring (8 MiB a lane) on the log for life.
+const flushBatch = 1 << 20
 
 // ErrClosed is returned for operations on a closed log manager.
 var ErrClosed = errors.New("core: log manager closed")
@@ -196,7 +184,7 @@ type LogManager struct {
 	durNotify atomic.Pointer[durableNotify]
 
 	// parked counts the WaitDurable callers waiting right now: while it
-	// is non-zero the daemon paces by minFlushPeriod, not groupWindow.
+	// is non-zero the pending group is flushed at once.
 	parked atomic.Int32
 
 	mu       sync.Mutex
@@ -208,12 +196,20 @@ type LogManager struct {
 	stopCh   chan struct{}
 	doneCh   chan struct{}
 	flushReq bool
+	// lastArrival is when the latest subscription came, and arrivalGap
+	// the average gap between subscriptions (an EWMA, α = 1/8, each gap
+	// clamped to groupWindow): what tells a detached group that is still
+	// growing from one that has stopped.
+	lastArrival time.Time
+	arrivalGap  time.Duration
 
 	// lastFlush is when the daemon last started writing a batch to the
-	// device (daemon goroutine only) — what flush pacing counts from.
+	// device (daemon goroutine only) — what groupWindow counts from.
 	lastFlush time.Time
-	// ready is completeWaiters' batch, kept between flushes (daemon
-	// goroutine only).
+	// batch is the daemon's staging buffer, flushBatch bytes for the
+	// life of the log; ready is completeWaiters' batch, kept between
+	// flushes (both daemon goroutine only).
+	batch []byte
 	ready []waiter
 }
 
@@ -239,6 +235,7 @@ func New(cfg Config) (*LogManager, error) {
 		wakeCh: make(chan struct{}, 1),
 		stopCh: make(chan struct{}),
 		doneCh: make(chan struct{}),
+		batch:  make([]byte, flushBatch),
 	}
 	// The log resumes where the device left off: LSNs are stable log
 	// addresses, so the base of a restarted log is the durable size (an
@@ -489,8 +486,8 @@ func (lm *LogManager) OnDurable(end lsn.LSN, fn func(error)) {
 	lm.mu.Unlock()
 }
 
-// subscribeLocked registers a waiter and applies the group-commit
-// triggers. Caller holds lm.mu.
+// subscribeLocked registers a waiter, learns its arrival gap and applies
+// the group-commit triggers. Caller holds lm.mu.
 func (lm *LogManager) subscribeLocked(end lsn.LSN, fn func(error)) error {
 	if lm.failed != nil {
 		return lm.failed
@@ -499,6 +496,12 @@ func (lm *LogManager) subscribeLocked(end lsn.LSN, fn func(error)) error {
 		return ErrClosed
 	}
 	lm.waiters.push(waiter{end: end, fn: fn})
+	now := time.Now()
+	if !lm.lastArrival.IsZero() {
+		gap := min(now.Sub(lm.lastArrival), groupWindow)
+		lm.arrivalGap += (gap - lm.arrivalGap) / 8
+	}
+	lm.lastArrival = now
 	lm.pending++
 	if lm.pending >= lm.cfg.FlushTxns {
 		lm.wake()
@@ -661,7 +664,6 @@ func (lm *LogManager) Close() error {
 // threads never block on the device (§4.1).
 func (lm *LogManager) daemon() {
 	defer close(lm.doneCh)
-	batch := make([]byte, 0, 1<<20)
 	timer := time.NewTimer(lm.cfg.FlushInterval)
 	defer timer.Stop()
 	for {
@@ -673,11 +675,11 @@ func (lm *LogManager) daemon() {
 		case <-timer.C:
 		}
 
-		lm.flushOnce(&batch)
+		lm.flushOnce()
 
 		if stop {
 			// Final drain: one more pass in case inserts raced Close.
-			lm.flushOnce(&batch)
+			lm.flushOnce()
 			lm.failWaiters(ErrClosed)
 			return
 		}
@@ -691,64 +693,87 @@ func (lm *LogManager) daemon() {
 	}
 }
 
-// shouldFlush decides whether this daemon pass performs a flush: any
-// pending work is flushed. What woke the daemon — a parked WaitDurable
-// itself, the FlushTxns trigger via subscribeLocked, the FlushBytes
-// trigger via Append's wake, or the FlushInterval timer — does not
-// matter here; when the flush starts is pace's decision.
-func (lm *LogManager) shouldFlush(pendingBytes int) bool {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	return lm.flushReq || lm.closed || lm.pending > 0 || pendingBytes > 0
-}
+// groupState is the daemon's verdict on the group now pending.
+type groupState int
 
-// flushPeriod is the pacing the group now pending is under: groupWindow
-// while it is only detached commits and log nobody asked to harden, and
-// minFlushPeriod once somebody is parked on it, a flush was demanded, or
-// it holds FlushTxns commits or FlushBytes.
-func (lm *LogManager) flushPeriod() time.Duration {
+const (
+	groupGrowing groupState = iota // detached, commits still arriving: hold it
+	groupIdle                      // log nobody waits on, inside the window: leave it
+	groupDue                       // parked on, demanded, full, or unheld past the window: flush
+	groupStalled                   // detached, its commits stopped arriving: flush
+	groupCapped                    // detached, held to groupWindow: flush
+)
+
+// group judges the pending group at now and, while it is growing, says
+// how long the daemon may sleep before the verdict can change.
+func (lm *LogManager) group(now time.Time) (groupState, time.Duration) {
 	if lm.parked.Load() > 0 {
-		return minFlushPeriod
+		return groupDue, 0
 	}
 	if start, end := lm.rd.Pending(); int(end.Sub(start)) >= lm.cfg.FlushBytes {
-		return minFlushPeriod
+		return groupDue, 0
 	}
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
 	if lm.flushReq || lm.closed || lm.pending >= lm.cfg.FlushTxns {
-		return minFlushPeriod
+		return groupDue, 0
 	}
-	return groupWindow
-}
-
-// pace is flush pacing: it returns once the period the pending group is
-// under has passed since the previous flush started, and reports whether
-// it had to sleep. A detached group is held in slices, because the
-// period shrinks the moment somebody parks on it.
-func (lm *LogManager) pace() (slept bool) {
-	for {
-		wait := lm.flushPeriod() - time.Since(lm.lastFlush)
-		if wait <= 0 {
-			return slept
+	window := groupWindow - now.Sub(lm.lastFlush)
+	if len(lm.waiters) == 0 {
+		if window <= 0 {
+			return groupDue, 0
 		}
-		sleepPrecise(min(wait, paceSlice))
-		slept = true
+		return groupIdle, 0
+	}
+	quiet := max(paceSlice, stallGaps*lm.arrivalGap) - now.Sub(lm.lastArrival)
+	switch {
+	case quiet <= 0:
+		return groupStalled, 0
+	case window <= 0:
+		return groupCapped, 0
+	}
+	return groupGrowing, min(quiet, window, paceSlice)
+}
+
+// hold keeps the pending group open while it is growing, in slices,
+// because it is due the moment somebody parks on it. It reports whether
+// to flush the group now and whether it slept on it.
+func (lm *LogManager) hold() (flush, slept bool) {
+	for {
+		state, wait := lm.group(time.Now())
+		switch state {
+		case groupGrowing:
+			sleepPrecise(wait)
+			slept = true
+			continue
+		case groupIdle:
+			return false, slept
+		case groupStalled:
+			lm.stats.GroupsStalled.Inc()
+		case groupCapped:
+			if slept {
+				lm.stats.GroupsCapped.Inc()
+			}
+		}
+		return true, slept
 	}
 }
 
-// flushOnce drains the released region (if policy says so), makes it
-// durable, and completes satisfied waiters.
-func (lm *LogManager) flushOnce(batch *[]byte) {
+// flushOnce drains the released region (once the group-commit policy
+// closes the group), makes it durable, and completes satisfied waiters.
+func (lm *LogManager) flushOnce() {
 	start, end := lm.rd.Pending()
+	if start != end {
+		flush, slept := lm.hold()
+		if !flush {
+			return
+		}
+		if slept {
+			// Whatever was released while the daemon slept joins this group.
+			start, end = lm.rd.Pending()
+		}
+	}
 	pendingBytes := int(end.Sub(start))
-	if !lm.shouldFlush(pendingBytes) {
-		return
-	}
-	if pendingBytes > 0 && lm.pace() {
-		// Whatever was released while the daemon slept joins this group.
-		start, end = lm.rd.Pending()
-		pendingBytes = int(end.Sub(start))
-	}
 	lm.mu.Lock()
 	lm.flushReq = false
 	lm.pending = 0
@@ -773,10 +798,12 @@ func (lm *LogManager) flushOnce(batch *[]byte) {
 	if pendingBytes > 0 {
 		t0 := time.Now()
 		lm.lastFlush = t0
-		if cap(*batch) < pendingBytes {
-			*batch = make([]byte, 0, pendingBytes)
+		var b []byte
+		if pendingBytes <= len(lm.batch) {
+			b = lm.batch[:pendingBytes]
+		} else {
+			b = make([]byte, pendingBytes)
 		}
-		b := (*batch)[:pendingBytes]
 		lm.rd.CopyOut(b, start, end)
 		if _, err := lm.dev.Append(b); err != nil {
 			lm.fail(fmt.Errorf("core: device append: %w", err))

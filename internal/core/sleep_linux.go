@@ -6,7 +6,7 @@ import (
 )
 
 // sleepPrecise blocks the calling goroutine's thread for d. A Go timer
-// is no use for flush pacing: with every other goroutine parked the
+// is no use for holding a group open: with every other goroutine parked the
 // runtime waits for it in epoll_wait, whose timeout is in whole
 // milliseconds, so a 200 µs sleep returns after 1.08 ms (the same
 // rounding that made the 50 µs FlushInterval a 1.08 ms one).
