@@ -18,8 +18,16 @@ test-short:
 test-race:
 	$(GO) test -race -short ./...
 
+# Besides go vet: every durable write in the engine goes through
+# internal/vfs, where FaultFS and the soak can reach it. Non-test Go in the
+# root package and internal/ (vfs itself aside) may not call os's
+# file-writing functions; the read-only os.Open stays allowed.
 vet:
 	$(GO) vet ./...
+	@bad="$$(grep -HnE '\bos\.(OpenFile|Create|WriteFile|Rename|Remove|MkdirAll|Truncate)\(' \
+		$$(find . -maxdepth 1 -name '*.go' ! -name '*_test.go'; \
+		   find internal -name '*.go' ! -name '*_test.go' ! -path 'internal/vfs/*'))"; \
+	if [ -n "$$bad" ]; then echo "durable writes must go through internal/vfs:"; echo "$$bad"; exit 1; fi
 
 # Documentation lint: formatting, vet, every example and command builds,
 # and the godoc-coverage check — exported identifiers in EVERY internal

@@ -110,28 +110,29 @@ func (d DeviceProfile) internal() logdev.Profile {
 
 // Options configures a database.
 type Options struct {
-	// LogPath, if set, stores the write-ahead log in a real file (or,
-	// with SegmentSize set, a directory of segment files); otherwise an
-	// in-memory device with Device's latency profile is used (the
-	// paper's methodology). A file-backed database also keeps a paged
-	// database file next to the log (LogPath+".pagefile", or
-	// LogPath/pagefile.db for a segmented log): pages cleaned out of the
-	// dirty-page table at a checkpoint are recovered from it, not the
-	// log.
+	// LogPath, if set, names the directory that stores the database: the
+	// write-ahead log's segment files and MANIFEST, plus the paged
+	// database file (pagefile.db and its journal), from which pages
+	// cleaned out of the dirty-page table at a checkpoint are recovered
+	// instead of from the log. Unset, the log lives in memory with
+	// Device's latency profile (the paper's methodology). A regular file
+	// at LogPath — the single-file log of earlier versions — is refused
+	// (the error matches logdev's ErrFormat) and left untouched.
 	LogPath string
-	// SegmentSize, if > 0, stores the log on a segmented device: the
-	// append-only stream is spread over fixed-size segments, and every
-	// Checkpoint recycles the segments behind the release horizon, so
-	// both the disk footprint and restart-recovery work stay bounded.
-	// With LogPath set, LogPath names a directory holding the segment
-	// files plus the paged database file (pagefile.db and its journal) —
-	// the recycled log's data lives on as checkpointed page images.
+	// SegmentSize is the size of the fixed segments the log's
+	// append-only stream is spread over. 0 adopts the size a reopened
+	// log's MANIFEST records, and is 8 MiB for a new log. On every
+	// database, in-memory ones included, each Checkpoint recycles the
+	// segments behind the release horizon, so both the log's footprint and
+	// restart-recovery work stay bounded; below that horizon the log's
+	// data lives on as checkpointed page images, and RestoreTo needs a
+	// cold store (ArchiveDir or RemoteStore) to reach it.
 	SegmentSize int64
-	// ArchiveDir, if set (requires SegmentSize > 0), gives the log a cold
-	// store in this directory: dead segments are shipped there by a
-	// background archiver goroutine before their slots are recycled, so
-	// the hot log stays bounded while the full history remains restorable
-	// (RestoreTo, logdump). It is the same mechanism as RemoteStore — an
+	// ArchiveDir, if set, gives the log a cold store in this directory:
+	// dead segments are shipped there by a background archiver goroutine
+	// before their slots are recycled, so the hot log stays bounded while
+	// the full history remains restorable (RestoreTo, logdump). It is the
+	// same mechanism as RemoteStore — an
 	// object store, here a directory of CRC-enveloped object files
 	// (seg/, pack/, snap/) on the database's own filesystem, each
 	// installed through a synced temporary, a rename and a directory
@@ -144,10 +145,9 @@ type Options struct {
 	// the earlier one-file-per-segment archive layout is refused (the
 	// error matches logdev's ErrFormat) and left untouched.
 	ArchiveDir string
-	// RemoteStore, if set (requires SegmentSize > 0; mutually exclusive
-	// with ArchiveDir, which is the same thing on a local directory),
-	// archives dead segments into an S3-style object store: the cloud
-	// log tier. Every object carries a self-validating envelope, so torn
+	// RemoteStore, if set (mutually exclusive with ArchiveDir, which is
+	// the same thing on a local directory), archives dead segments into
+	// an S3-style object store: the cloud log tier. Every object carries a self-validating envelope, so torn
 	// uploads are detected and re-shipped; a failed upload leaves the
 	// segment parked on the hot device (its slot is never recycled until
 	// the store durably holds it) and the background archiver retries
@@ -192,11 +192,9 @@ type Options struct {
 	// partition. 0 and 1 are one lane of the same engine: LSN order is
 	// already a total order there, so nothing is stamped or enforced, the
 	// log bytes and the flat LogPath layout are those of an unpartitioned
-	// log, and Stats reports it as one (LogPartitions 0).
-	// File-backed partitioned logs require SegmentSize; LogPath then
-	// names a directory holding p0/ … pN-1/ plus the shared
-	// pagefile.db. The partition count is part of the on-disk layout:
-	// reopen with the same value.
+	// log, and Stats reports it as one (LogPartitions 0). On N, LogPath
+	// holds p0/ … pN-1/ plus the shared pagefile.db. The partition count
+	// is part of the on-disk layout: reopen with the same value.
 	LogPartitions int
 	// RoutePartition overrides the home-partition routing rule
 	// (meaningful only with LogPartitions >= 2): given a transaction ID
@@ -231,9 +229,6 @@ type Options struct {
 	// original behavior). Databases larger than RAM become usable at the
 	// cost of page-fault I/O on cache misses.
 	CachePages int
-	// CacheBytes expresses the same budget in bytes (rounded down to
-	// whole 8KiB pages, minimum one). Ignored when CachePages is set.
-	CacheBytes int64
 	// CleanerPages, if > 0 (meaningful only with a bounded cache), arms
 	// the background page cleaner: a goroutine that pre-cleans dirty,
 	// unpinned, cold pages — forcing the log, then batching the images
@@ -290,21 +285,12 @@ type DB struct {
 // re-create tables in the original order afterwards (CreateTable), and
 // table contents reappear automatically.
 func Open(opts Options) (*DB, error) {
-	if opts.ArchiveDir != "" && opts.SegmentSize <= 0 {
-		return nil, errors.New("aether: Options.ArchiveDir requires Options.SegmentSize (only segmented logs archive dead segments)")
-	}
-	if opts.RemoteStore != nil && opts.SegmentSize <= 0 {
-		return nil, errors.New("aether: Options.RemoteStore requires Options.SegmentSize (only segmented logs archive dead segments)")
-	}
 	if opts.RemoteStore != nil && opts.ArchiveDir != "" {
 		return nil, errors.New("aether: Options.RemoteStore and Options.ArchiveDir are mutually exclusive (one cold store per log)")
 	}
 	n := max(opts.LogPartitions, 1)
-	if n > 1 && opts.LogPath != "" && opts.SegmentSize <= 0 {
-		return nil, errors.New("aether: partitioned file-backed logs require Options.SegmentSize (each partition is a segmented directory)")
-	}
 	fs := opts.fsOrOS()
-	if opts.LogPath != "" && opts.SegmentSize > 0 {
+	if opts.LogPath != "" {
 		if err := logdev.CheckLaneLayout(fs, opts.LogPath, n); err != nil {
 			return nil, err
 		}
@@ -326,17 +312,13 @@ func Open(opts Options) (*DB, error) {
 	// One database file whatever the lane count: pages are
 	// lane-agnostic — only the log is sharded. Page images must survive
 	// the process for every file-backed log: checkpoints remove archived
-	// pages from the DPT (and a segmented log recycles what lies behind
-	// them), so a reopen's redo pass will not rebuild them from the log —
-	// the database file is their only copy.
+	// pages from the DPT and recycle the log behind them, so a reopen's
+	// redo pass will not rebuild them from the log — the database file is
+	// their only copy.
 	if opts.LogPath == "" {
 		db.archive = storage.NewMemArchive()
 	} else {
-		pfPath := opts.LogPath + ".pagefile"
-		if opts.SegmentSize > 0 {
-			pfPath = filepath.Join(opts.LogPath, "pagefile.db")
-		}
-		pf, err := storage.OpenPageFileFS(fs, pfPath)
+		pf, err := storage.OpenPageFileFS(fs, filepath.Join(opts.LogPath, "pagefile.db"))
 		if err != nil {
 			return fail(err)
 		}
@@ -348,7 +330,7 @@ func Open(opts Options) (*DB, error) {
 	}
 	if cold != nil {
 		for i := range db.lanes {
-			db.lanes[i].attachColdStore(cold, opts.SegmentSize, i, n)
+			db.lanes[i].attachColdStore(cold, i, n)
 		}
 	}
 	if err := db.start(); err != nil {
@@ -357,28 +339,12 @@ func Open(opts Options) (*DB, error) {
 	return db, nil
 }
 
-// cachePages resolves the CachePages/CacheBytes pair to a page budget
-// (0 = unbounded).
-func (o Options) cachePages() int64 {
-	if o.CachePages > 0 {
-		return int64(o.CachePages)
-	}
-	if o.CacheBytes > 0 {
-		n := o.CacheBytes / storage.PageSize
-		if n < 1 {
-			n = 1
-		}
-		return n
-	}
-	return 0
-}
-
 // start builds the engine over the device via the recovery path (a
 // fresh device just recovers an empty log).
 func (db *DB) start() error {
 	devs := make([]logdev.Device, len(db.lanes))
 	for i, l := range db.lanes {
-		devs[i] = l.dev
+		devs[i] = l.seg
 	}
 	eng, _, err := txn.Restart(txn.RestartConfig{
 		Devices:        devs,
@@ -392,7 +358,7 @@ func (db *DB) start() error {
 			SLI:             !db.opts.DisableSLI,
 		},
 		CheckpointEveryBytes: db.opts.CheckpointEveryBytes,
-		CachePages:           db.opts.cachePages(),
+		CachePages:           int64(db.opts.CachePages),
 		CleanerPages:         db.opts.CleanerPages,
 		CleanerInterval:      db.opts.CleanerInterval,
 		PrefetchDepth:        db.opts.PrefetchDepth,
@@ -425,7 +391,7 @@ func (db *DB) Close() error {
 func (db *DB) closeFiles() error {
 	var err error
 	for _, l := range db.lanes {
-		if cerr := l.dev.Close(); err == nil {
+		if cerr := l.seg.Close(); err == nil {
 			err = cerr
 		}
 	}
@@ -478,23 +444,22 @@ func (db *DB) Checkpoint() error { return db.eng.Checkpoint() }
 // Crash simulates power loss on an in-memory database and reopens it
 // with full ARIES recovery: every unflushed log byte is lost, committed
 // transactions survive, in-flight ones roll back. Tables are re-created
-// and indexes rebuilt automatically. File-backed databases return an
-// error (kill the process instead — that is the real crash test).
+// and indexes rebuilt automatically. File-backed databases (LogPath set)
+// return an error (kill the process instead — that is the real crash
+// test).
 func (db *DB) Crash() error {
-	for _, l := range db.lanes {
-		if l.mem == nil {
-			return errors.New("aether: Crash is only supported for in-memory devices")
-		}
+	if db.opts.LogPath != "" {
+		return errors.New("aether: Crash is only supported for in-memory databases")
 	}
 	// Freeze every lane before stopping the engine: power loss cuts all
 	// the logs at once, each at its own durable watermark.
 	for _, l := range db.lanes {
-		l.mem.CrashFreeze()
+		l.seg.CrashFreeze()
 	}
 	db.eng.Close()
 	db.eng.Multi().Close()
 	for _, l := range db.lanes {
-		l.mem.Remount()
+		l.seg.Remount()
 	}
 	if err := db.start(); err != nil {
 		return fmt.Errorf("aether: recovery failed: %w", err)
@@ -530,7 +495,7 @@ type Stats struct {
 	// horizon (bounded-log progress).
 	LogTruncatedBytes int64
 	// LogSegmentsRecycled counts whole segments recycled (deleted files
-	// or released memory regions); 0 without Options.SegmentSize.
+	// or released memory regions).
 	LogSegmentsRecycled int64
 	// LogSegmentsArchived counts dead segments shipped to the cold store
 	// (Options.ArchiveDir or RemoteStore) before their slots were
@@ -690,14 +655,12 @@ func (db *DB) Stats() Stats {
 		s.LogTruncations += ls.Truncations.Load()
 		s.LogTruncatedBytes += ls.TruncatedBytes.Load()
 		s.LogBase += int64(lm.Base())
-		s.LogFsyncs += l.dev.Stats().Fsyncs.Load()
-		if l.seg != nil {
-			segs, _ := l.seg.TruncStats()
-			s.LogSegmentsRecycled += segs
-			s.LogSegmentsArchived += l.seg.ArchivedSegments()
-			s.LogSegmentsPendingArchive += int64(len(l.seg.PendingArchive()))
-			s.LogTornTailRepaired += l.seg.RepairedTailBytes()
-		}
+		s.LogFsyncs += l.seg.Stats().Fsyncs.Load()
+		segs, _ := l.seg.TruncStats()
+		s.LogSegmentsRecycled += segs
+		s.LogSegmentsArchived += l.seg.ArchivedSegments()
+		s.LogSegmentsPendingArchive += int64(len(l.seg.PendingArchive()))
+		s.LogTornTailRepaired += l.seg.RepairedTailBytes()
 		if l.remote != nil {
 			s.LogPacksBuilt += l.remote.Stats().PacksBuilt
 		}

@@ -231,7 +231,7 @@ func TestPipelinedAckSurvivesCrash(t *testing.T) {
 }
 
 func TestFileBackedReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
+	path := filepath.Join(t.TempDir(), "wal.d")
 	db, err := Open(Options{LogPath: path})
 	if err != nil {
 		t.Fatal(err)

@@ -343,14 +343,6 @@ func TestRestoreToWithoutColdStore(t *testing.T) {
 	}
 }
 
-// ArchiveDir without SegmentSize is a configuration error, not a
-// silent no-op.
-func TestArchiveDirRequiresSegments(t *testing.T) {
-	if _, err := Open(Options{ArchiveDir: t.TempDir()}); err == nil {
-		t.Fatal("ArchiveDir without SegmentSize accepted")
-	}
-}
-
 // TestOldRecordFormatDirectoryRefused: a database directory whose
 // MANIFEST says format 2 — today's files around the record encoding
 // before this one (48-byte headers, whole-row images) — is refused by

@@ -174,38 +174,6 @@ func TestLargerThanMemoryFileBacked(t *testing.T) {
 	}
 }
 
-// TestCacheBytesOption: the byte-denominated budget rounds down to whole
-// pages and behaves like CachePages.
-func TestCacheBytesOption(t *testing.T) {
-	db, err := Open(Options{CacheBytes: 6 * 8192})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	tbl, err := db.CreateTable("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := db.Session()
-	defer s.Close()
-	for k := uint64(1); k <= 120; k++ {
-		tx := s.Begin()
-		if err := tx.Insert(tbl, k, wideRow(k, k)); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := db.Stats()
-	if st.CacheResident > 6 {
-		t.Fatalf("resident %d pages with a 6-page byte budget", st.CacheResident)
-	}
-	if st.PageEvictions == 0 {
-		t.Fatal("no evictions under a byte-denominated budget")
-	}
-}
-
 // TestUnsetCacheStaysResident: without the option nothing pages out —
 // today's fully resident behavior is preserved bit for bit.
 func TestUnsetCacheStaysResident(t *testing.T) {

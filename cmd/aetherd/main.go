@@ -9,13 +9,13 @@
 //	aetherd -db /var/lib/aether              # serve on the default address
 //	aetherd -db ./data -addr 127.0.0.1:7890  # explicit address (use :0 for an ephemeral port)
 //	aetherd -db ./data -mode sync            # default commit mode for transactions
-//	aetherd -db ./data -segment-size 1048576 -log-partitions 4
-//	                                         # shard the log across 4 devices; the
+//	aetherd -db ./data -log-partitions 4     # shard the log across 4 devices; the
 //	                                         # metrics page gains per-partition
 //	                                         # flush and dependency-stall counters
 //
-// The -db directory holds the write-ahead log, the page archive, and a
-// durable table catalog: every CreateTable appends the name to
+// The -db directory holds the write-ahead log and the page archive, both
+// in the segmented log directory <db>/logseg, and a durable table
+// catalog: every CreateTable appends the name to
 // <db>/catalog (fsynced) so a restart re-creates the tables in their
 // original order before recovery rebuilds the indexes. On startup
 // aetherd prints "listening on ADDR" once it accepts connections;
@@ -45,8 +45,8 @@ func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:7890", "TCP listen address (use :0 for an ephemeral port)")
 		dbDir      = flag.String("db", "", "database directory (required): log, page archive and table catalog live here")
-		segSize    = flag.Int64("segment-size", 0, "segmented-log segment size in bytes (0 = single log file)")
-		logParts   = flag.Int("log-partitions", 0, "shard the log across N partitions with enforced inter-log flush dependencies (requires -segment-size; 0/1 = single log)")
+		segSize    = flag.Int64("segment-size", 0, "log segment size in bytes (0 = the log's own size on reopen, 8 MiB for a new log)")
+		logParts   = flag.Int("log-partitions", 0, "shard the log across N partitions with enforced inter-log flush dependencies (0/1 = single log)")
 		ckptEvery  = flag.Int64("checkpoint-every", 8<<20, "background checkpoint cadence in appended log bytes (0 = manual only)")
 		cachePages = flag.Int("cache-pages", 0, "buffer-pool budget in pages (0 = fully memory-resident)")
 		cleaner    = flag.Int("cleaner-pages", 0, "background cleaner headroom in pages (0 = off)")
@@ -66,24 +66,22 @@ func run(addr, dbDir string, segSize, ckptEvery int64, logParts, cachePages, cle
 	if dbDir == "" {
 		return fmt.Errorf("-db is required")
 	}
-	if logParts >= 2 && segSize <= 0 {
-		return fmt.Errorf("-log-partitions requires -segment-size (each partition is a segmented directory)")
-	}
 	commitMode, err := parseMode(mode)
 	if err != nil {
 		return err
 	}
+	// An earlier version kept an unsegmented log in the single file
+	// <db>/log. Coming up on an empty <db>/logseg beside it would serve an
+	// empty database over the old data, so refuse and leave it be.
+	old := filepath.Join(dbDir, "log")
+	if _, err := os.Stat(old); err == nil {
+		return fmt.Errorf("%s is a single-file log, a layout this version does not read (the log is the segmented directory %s)", old, filepath.Join(dbDir, "logseg"))
+	}
 	if err := os.MkdirAll(dbDir, 0o755); err != nil {
 		return err
 	}
-
-	logPath := filepath.Join(dbDir, "log")
-	if segSize > 0 {
-		// A segmented log wants a directory of its own.
-		logPath = filepath.Join(dbDir, "logseg")
-	}
 	db, err := aether.Open(aether.Options{
-		LogPath:              logPath,
+		LogPath:              filepath.Join(dbDir, "logseg"),
 		SegmentSize:          segSize,
 		LogPartitions:        logParts,
 		Mode:                 commitMode,

@@ -1,10 +1,10 @@
 // Command logdump decodes a write-ahead log and prints its records —
 // the debugging companion every WAL implementation needs. It stops at
-// the first gap, exactly where recovery would. Pointed at a directory,
-// it decodes a segmented log and prints the segment layout and base
-// offset first, plus a summary of the paged database file if one lives
-// next to the log. Pointed at a pagefile itself, it dumps the slot
-// table.
+// the first gap, exactly where recovery would. Pointed at a database
+// directory, it decodes the segmented log and prints the segment layout
+// and base offset first, plus a summary of the paged database file if
+// one lives beside the log. Pointed at a pagefile itself, it dumps the
+// slot table.
 //
 // Cold-storage awareness: a segmented log whose dead segments were
 // archived (aether.Options.ArchiveDir, or a RemoteStore kept in a
@@ -26,19 +26,17 @@
 //
 // Usage:
 //
-//	logdump -f wal.log              # every record
 //	logdump -f wal.d                # segmented log directory (+ cold store, if present)
 //	logdump -f wal.d -archive cold  # segmented log with an explicit cold store
 //	logdump -f multi.d              # partitioned root: per-partition layout + merged seq view
-//	logdump -f wal.log -txn 42      # one transaction's chain
-//	logdump -f wal.log -stats       # kind histogram + volume (framing vs image bytes) only
+//	logdump -f wal.d -txn 42        # one transaction's chain
+//	logdump -f wal.d -stats         # kind histogram + volume (framing vs image bytes) only
 //	logdump -f wal.d/pagefile.db    # pagefile slot table
 //	logdump -archive cold           # cold store alone: raw/pack/snapshot
 //	                                # objects, decoded pack indexes, floor
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -62,12 +60,12 @@ Usage:
   logdump -archive <dir>
 
 The path may be:
-  a log file            every record, in LSN order
-  a segmented log dir   segment layout + base first; the cold store
-                        (auto-detected at <dir>/archive, or -archive) is
-                        listed — raw segments, packs, snapshots, floor —
-                        and stitched below the base so the dump covers
-                        history already recycled from the hot directory
+  a segmented log dir   segment layout + base, then every record in LSN
+                        order; the cold store (auto-detected at
+                        <dir>/archive, or -archive) is listed — raw
+                        segments, packs, snapshots, floor — and stitched
+                        below the base so the dump covers history
+                        already recycled from the hot directory
   a partitioned root    (p0/ present) each partition's segment layout,
                         then all partitions' records merged in global
                         seq order — the order recovery replays
@@ -93,7 +91,7 @@ Examples:
 
 func main() {
 	var (
-		path    = flag.String("f", "", "log file, segmented log directory, or pagefile to dump")
+		path    = flag.String("f", "", "segmented log directory or pagefile to dump")
 		archDir = flag.String("archive", "", "cold-store directory (default: <dir>/archive when present); without -f, list its objects")
 		txn     = flag.Uint64("txn", 0, "show only this transaction (0 = all)")
 		stats   = flag.Bool("stats", false, "print only summary statistics")
@@ -118,24 +116,15 @@ func main() {
 	}
 }
 
-// isPageFile recognizes the paged database file by name (the two names
-// Open uses), so pointing logdump at one dumps slots instead of
-// misreading page images as log records.
-func isPageFile(path string) bool {
-	base := filepath.Base(path)
-	return base == "pagefile.db" || strings.HasSuffix(base, ".pagefile")
-}
+// isPageFile recognizes the paged database file by the name Open gives
+// it, so pointing logdump at one dumps slots instead of misreading page
+// images as log records.
+func isPageFile(path string) bool { return filepath.Base(path) == "pagefile.db" }
 
-// pageFileFor returns the pagefile path Open would pair with this log
-// path, or "" if none exists.
+// pageFileFor returns the pagefile Open keeps in this log directory, or
+// "" if none exists.
 func pageFileFor(logPath string) string {
-	st, err := os.Stat(logPath)
-	var pf string
-	if err == nil && st.IsDir() {
-		pf = filepath.Join(logPath, "pagefile.db")
-	} else {
-		pf = logPath + ".pagefile"
-	}
+	pf := filepath.Join(logPath, "pagefile.db")
 	if _, err := os.Stat(pf); err != nil {
 		return ""
 	}
@@ -164,17 +153,6 @@ func dumpPageFile(path string, verbose bool) error {
 			s.Slot, s.PageID, storage.PageSpace(s.PageID), s.Version)
 	}
 	return nil
-}
-
-// openDevice opens path as a segmented log directory or a plain log
-// file. Directories open strictly read-only: logdump is a diagnostic
-// and must never repair, seed metadata, or unlink what it inspects.
-func openDevice(path string) (logdev.Device, error) {
-	st, err := os.Stat(path)
-	if err == nil && st.IsDir() {
-		return logdev.OpenSegmentedDirRO(path)
-	}
-	return logdev.OpenFile(path)
 }
 
 // printSlots explains the directory's durable horizon: both watermark
@@ -229,22 +207,16 @@ func lanePrefix(i, n int) string {
 }
 
 // dumpLane prints lane i of n's device layout and returns its restorable
-// log: for a segmented directory the archived history below the
-// truncation base stitched to the live tail, for a plain file the tail.
+// log: the archived history below the truncation base stitched to the
+// live tail. The directory opens strictly read-only: logdump is a
+// diagnostic and must never repair, seed metadata, or unlink what it
+// inspects.
 func dumpLane(path string, store *logdev.DirObjectStore, i, n int) (recovery.Lane, error) {
-	dev, err := openDevice(logdev.LaneDir(path, i, n))
+	seg, err := logdev.OpenSegmentedDirRO(logdev.LaneDir(path, i, n))
 	if err != nil {
 		return recovery.Lane{}, err
 	}
-	defer dev.Close()
-	seg, ok := dev.(*logdev.Segmented)
-	if !ok {
-		if store != nil {
-			return recovery.Lane{}, errors.New("-archive only applies to segmented log directories")
-		}
-		data, base, err := logdev.ReadTail(dev)
-		return recovery.Lane{Log: data, Base: lsn.LSN(base)}, err
-	}
+	defer seg.Close()
 	name := "segmented log"
 	if n > 1 {
 		name = fmt.Sprintf("partition %d", i)

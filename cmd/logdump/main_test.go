@@ -214,3 +214,17 @@ func tree(t *testing.T, dir string) map[string]string {
 	}
 	return out
 }
+
+// TestDumpRefusesPlainFile: a regular file that is not a pagefile — the
+// single-file log of earlier versions, say — is not a log this tool
+// reads, and it says so instead of decoding the bytes as records.
+func TestDumpRefusesPlainFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	if err := os.WriteFile(path, []byte("not a log directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := dump(path, "", 0, false)
+	if err == nil || !strings.Contains(err.Error(), "not a segmented log directory") {
+		t.Fatalf("dump of a plain file: %v, want a not-a-segmented-log-directory refusal", err)
+	}
+}

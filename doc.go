@@ -39,10 +39,10 @@
 //
 // # Bounded log
 //
-// With Options.SegmentSize set, the log lives on a segmented device:
-// the append-only stream is spread over fixed-size segments (files
-// under Options.LogPath, or in-memory regions) and every Checkpoint
-// recycles the segments behind the release horizon
+// The log lives on a segmented device: the append-only stream is spread
+// over fixed-size segments (Options.SegmentSize, 8 MiB by default) —
+// files in the directory Options.LogPath names, or in-memory regions —
+// and every Checkpoint recycles the segments behind the release horizon
 //
 //	release = min(checkpoint begin, oldest active-txn first LSN,
 //	              oldest dirty-page recLSN)
@@ -77,7 +77,7 @@
 //
 // # Durable watermark and torn-tail repair
 //
-// A segmented log persists a durable watermark on every Sync batch, in
+// The log persists a durable watermark on every Sync batch, in
 // the header of the segment file that holds the batch's last byte (two
 // CRC-protected ping-pong slots per file), with the same fsync that
 // persists the batch: a blocking commit is one fsync. Each slot records
@@ -110,9 +110,9 @@
 // # Paged database file
 //
 // File-backed databases persist page images in a single paged, slotted,
-// checksummed database file (pagefile.db next to a segmented log,
-// LogPath+".pagefile" next to a plain one). Each 8KiB page occupies a
-// fixed slot addressed by file offset, prefixed by a 32-byte header
+// checksummed database file, LogPath/pagefile.db beside the log's
+// segments. Each 8KiB page occupies a fixed slot addressed by file
+// offset, prefixed by a 32-byte header
 // (pageID, version, CRC-32C over identity plus image) that is verified
 // on every read. A checkpoint sweep writes all dirty pages sorted by
 // file offset in large coalesced writes, guarded against torn pages by
@@ -127,7 +127,7 @@
 //
 // # Bounded buffer pool (databases larger than RAM)
 //
-// With Options.CachePages (or CacheBytes) set, the page store becomes a
+// With Options.CachePages set, the page store becomes a
 // bounded cache over the database file instead of holding every page in
 // RAM: at most that many pages stay resident, misses fault the page in
 // through the checksummed read path, and a clock policy evicts to make

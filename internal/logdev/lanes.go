@@ -34,21 +34,33 @@ func CountLanes(fs vfs.FS, root string) int {
 
 // CheckLaneLayout rejects opening root with a lane count its on-disk
 // layout contradicts: reading a flat directory as N lanes, or N lanes as
-// fewer, would silently leave the other logs' records out of recovery.
+// fewer, would silently leave the other logs' records out of recovery. A
+// regular file at root — the single-file log an earlier version wrote —
+// is refused with ErrFormat and left as it is.
 func CheckLaneLayout(fs vfs.FS, root string, n int) error {
+	if st, err := fs.Stat(root); err == nil && !st.IsDir() {
+		return fmt.Errorf("%w: %s is a file, and the single-file log layout is gone (a log is a segmented directory)", ErrFormat, root)
+	}
 	if n == 1 {
 		if isDir(fs, LaneDir(root, 0, 2)) {
 			return fmt.Errorf("aether: %s holds a partitioned database; set Options.LogPartitions to its partition count", root)
 		}
 		return nil
 	}
-	if st, err := fs.Stat(filepath.Join(root, "MANIFEST")); err == nil && !st.IsDir() {
+	if HasManifest(fs, root) {
 		return fmt.Errorf("aether: %s holds a single-log segmented database; open it with LogPartitions 0 or 1", root)
 	}
 	if isDir(fs, LaneDir(root, n, n+1)) {
 		return fmt.Errorf("aether: %s has more than the requested %d log partitions; open it with its original LogPartitions", root, n)
 	}
 	return nil
+}
+
+// HasManifest reports whether dir already holds a segmented log, whose
+// MANIFEST then fixes its segment size.
+func HasManifest(fs vfs.FS, dir string) bool {
+	st, err := fs.Stat(filepath.Join(dir, manifestName))
+	return err == nil && !st.IsDir()
 }
 
 func isDir(fs vfs.FS, path string) bool {

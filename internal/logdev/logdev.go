@@ -3,8 +3,10 @@
 // The paper's ELR evaluation (§3.2) imposes log-device response times of
 // 0 (ramdisk), 100µs (flash), 1ms (fast disk) and 10ms (slow disk) using a
 // ramdisk plus high-resolution timers; Mem reproduces exactly that
-// methodology. File is a real file-backed device for durability beyond the
-// process.
+// methodology. Segmented is the database's log device: the same profiles
+// over fixed-size in-memory segments, or a directory of segment files
+// whose CRC'd watermark slots record where the durable bytes end — the one
+// device that outlives the process, and it does all its I/O through vfs.
 //
 // A device is an append-only byte stream with an explicit durability
 // barrier: bytes become durable only when Sync returns. The flush daemon is
@@ -16,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 	"time"
 
@@ -52,8 +53,8 @@ type Stats struct {
 	// Fsyncs counts the fsyncs a real device actually issued to honor
 	// them: for Segmented, every segment-file and segment-directory
 	// fsync (one per Sync in steady state; more when a batch spans or
-	// creates segments, or Open repairs a torn tail); for File, one per
-	// Sync. Simulated devices issue none.
+	// creates segments, or Open repairs a torn tail). Simulated devices
+	// issue none.
 	Fsyncs metrics.Counter
 	// BytesWritten counts bytes accepted by Append.
 	BytesWritten metrics.Counter
@@ -264,121 +265,6 @@ func (m *Mem) Close() error {
 // Stats implements Device.
 func (m *Mem) Stats() *Stats { return &m.stats }
 
-// File is a real file-backed device. Sync maps to fsync, so durability is
-// as real as the underlying filesystem provides.
-type File struct {
-	mu      sync.Mutex
-	f       *os.File
-	size    int64
-	durable int64
-	closed  bool
-	stats   Stats
-}
-
-// OpenFile opens (creating if needed) a file-backed log device. If the
-// file already has contents they are treated as the durable prefix, which
-// is how restart recovery reopens the log.
-func OpenFile(path string) (*File, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("logdev: open %s: %w", path, err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("logdev: stat %s: %w", path, err)
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("logdev: seek %s: %w", path, err)
-	}
-	return &File{f: f, size: st.Size(), durable: st.Size()}, nil
-}
-
-// Append implements Device.
-func (d *File) Append(p []byte) (int, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return 0, ErrClosed
-	}
-	n, err := d.f.Write(p)
-	d.size += int64(n)
-	d.stats.Appends.Inc()
-	d.stats.BytesWritten.Add(int64(n))
-	if err == nil && n < len(p) {
-		// Never account a partial append as a success: the missing tail
-		// would become a hole the flush daemon thinks is on disk.
-		err = io.ErrShortWrite
-	}
-	return n, err
-}
-
-// Sync implements Device via fsync.
-func (d *File) Sync() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
-	start := time.Now()
-	d.stats.Fsyncs.Inc()
-	if err := d.f.Sync(); err != nil {
-		return err
-	}
-	d.durable = d.size
-	d.stats.Syncs.Inc()
-	d.stats.SyncTime.Observe(time.Since(start))
-	return nil
-}
-
-// DurableSize implements Device.
-func (d *File) DurableSize() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.durable
-}
-
-// ReadAt implements Device.
-func (d *File) ReadAt(p []byte, off int64) (int, error) {
-	d.mu.Lock()
-	durable := d.durable
-	closed := d.closed
-	d.mu.Unlock()
-	if closed {
-		return 0, ErrClosed
-	}
-	if off < 0 {
-		return 0, fmt.Errorf("logdev: negative offset %d", off)
-	}
-	if off >= durable {
-		return 0, io.EOF
-	}
-	max := durable - off
-	if int64(len(p)) > max {
-		n, err := d.f.ReadAt(p[:max], off)
-		if err == nil {
-			err = io.EOF
-		}
-		return n, err
-	}
-	return d.f.ReadAt(p, off)
-}
-
-// Close implements Device.
-func (d *File) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return nil
-	}
-	d.closed = true
-	return d.f.Close()
-}
-
-// Stats implements Device.
-func (d *File) Stats() *Stats { return &d.stats }
-
 // ReadAll returns the full durable contents of a device — the recovery
 // scan's input.
 func ReadAll(dev Device) ([]byte, error) {
@@ -398,7 +284,4 @@ func ReadAll(dev Device) ([]byte, error) {
 	return buf, nil
 }
 
-var (
-	_ Device = (*Mem)(nil)
-	_ Device = (*File)(nil)
-)
+var _ Device = (*Mem)(nil)

@@ -1,10 +1,8 @@
 package logdev
 
 import (
-	"bytes"
 	"errors"
 	"io"
-	"path/filepath"
 	"testing"
 	"time"
 )
@@ -151,76 +149,6 @@ func TestMemStats(t *testing.T) {
 	if st.Appends.Load() != 2 || st.Syncs.Load() != 1 || st.BytesWritten.Load() != 5 {
 		t.Fatalf("stats: appends=%d syncs=%d bytes=%d",
 			st.Appends.Load(), st.Syncs.Load(), st.BytesWritten.Load())
-	}
-}
-
-func TestFileDeviceRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	d, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Append([]byte("persistent data")); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.DurableSize(); got != 15 {
-		t.Fatalf("durable: %d", got)
-	}
-	buf, err := ReadAll(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, []byte("persistent data")) {
-		t.Fatalf("contents: %q", buf)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal("double close should be nil")
-	}
-
-	// Reopen: existing contents are the durable prefix.
-	d2, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	if got := d2.DurableSize(); got != 15 {
-		t.Fatalf("reopened durable: %d", got)
-	}
-	if _, err := d2.Append([]byte("!")); err != nil {
-		t.Fatal(err)
-	}
-	if err := d2.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	buf, _ = ReadAll(d2)
-	if string(buf) != "persistent data!" {
-		t.Fatalf("after append: %q", buf)
-	}
-}
-
-func TestFileReadAtRespectsDurable(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	d, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	d.Append([]byte("0123456789"))
-	d.Sync()
-	d.Append([]byte("notyet"))
-	p := make([]byte, 16)
-	n, err := d.ReadAt(p, 4)
-	if n != 6 || (err != nil && err != io.EOF) {
-		t.Fatalf("ReadAt: n=%d err=%v", n, err)
-	}
-	if string(p[:n]) != "456789" {
-		t.Fatalf("ReadAt data: %q", p[:n])
 	}
 }
 

@@ -402,9 +402,10 @@ func (s *fileSegment) trim(n int64) error { return s.f.Truncate(SegmentHeaderSiz
 func (s *fileSegment) close() error       { return s.f.Close() }
 
 // OpenSegmentedDir opens (creating if needed) a directory-backed
-// segmented device. Existing segment files are the durable prefix, as
-// with OpenFile. segSize must match the directory's manifest if one
-// exists; pass 0 to adopt the manifest's value (reopen / logdump).
+// segmented device. Existing segment files, up to the durable
+// watermark, are the durable prefix. segSize must match the directory's
+// manifest if one exists; pass 0 to adopt the manifest's value (reopen /
+// logdump).
 func OpenSegmentedDir(dir string, segSize int64) (*Segmented, error) {
 	return openSegmentedDir(vfs.OS{}, dir, segSize, false)
 }

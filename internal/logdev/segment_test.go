@@ -274,19 +274,6 @@ func TestSegmentedSyncDoesNotPublishMidSyncAppends(t *testing.T) {
 	}
 }
 
-func TestFileReadAtNegativeOffset(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	f, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	appendSync(t, f, fill(32, 'f'))
-	if _, err := f.ReadAt(make([]byte, 8), -1); err == nil {
-		t.Fatal("negative offset accepted")
-	}
-}
-
 func TestOpenSegmentedDirRejectsMissingSize(t *testing.T) {
 	if _, err := OpenSegmentedDir(t.TempDir(), 0); err == nil {
 		t.Fatal("fresh segmented dir with no segment size accepted")

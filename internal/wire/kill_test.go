@@ -200,7 +200,7 @@ func TestKillMidCommitRecovers(t *testing.T) {
 // layout aetherd uses) and scans table "kv" into a key→value map.
 func readKVState(t *testing.T, dbDir string) map[uint64]uint64 {
 	t.Helper()
-	db, err := aether.Open(aether.Options{LogPath: filepath.Join(dbDir, "log")})
+	db, err := aether.Open(aether.Options{LogPath: filepath.Join(dbDir, "logseg")})
 	if err != nil {
 		t.Fatalf("reopen after kill: %v", err)
 	}

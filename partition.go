@@ -1,5 +1,6 @@
 // partition.go is the database's log lanes. Options.LogPartitions = N
-// shards the write-ahead log across N independent devices — one flush
+// shards the write-ahead log across N independent logdev.Segmented
+// devices (a directory each under Options.LogPath, or memory) — one flush
 // daemon, group-commit stream, durable watermark and archiver lane each
 // — behind one core.MultiLog; 0 and 1 are the same engine with one lane,
 // where the coordinator stamps with byte LSNs and coordinates nothing.
@@ -17,45 +18,34 @@ import (
 	"aether/internal/vfs"
 )
 
-// crashSim is implemented by in-memory log devices that can simulate
-// power loss (Crash support).
-type crashSim interface {
-	CrashFreeze()
-	Remount()
-}
+// defaultSegmentSize is the segment size of a new log whose
+// Options.SegmentSize is 0.
+const defaultSegmentSize = 8 << 20
 
-// lane is one log lane: its device and what is attached to it.
+// lane is one log lane: its device and the cold store attached to it.
 type lane struct {
-	dev    logdev.Device
-	mem    crashSim               // non-nil only for in-memory devices
-	seg    *logdev.Segmented      // non-nil only with Options.SegmentSize
+	seg    *logdev.Segmented
 	remote *logdev.RemoteArchiver // the cold store; non-nil with Options.ArchiveDir or RemoteStore
 }
 
-// openLane opens lane i of n's log device.
+// openLane opens lane i of n's log device: a segmented directory under
+// Options.LogPath, or segments in memory without one. A SegmentSize of 0
+// adopts the directory's MANIFEST on reopen and is defaultSegmentSize for
+// a new log.
 func openLane(opts Options, fs vfs.FS, i, n int) (lane, error) {
-	var l lane
-	switch {
-	case opts.LogPath != "" && opts.SegmentSize > 0:
-		s, err := logdev.OpenSegmentedDirFS(fs, logdev.LaneDir(opts.LogPath, i, n), opts.SegmentSize)
-		if err != nil {
-			return l, fmt.Errorf("aether: log lane %d: %w", i, err)
-		}
-		l.dev, l.seg = s, s
-	case opts.LogPath != "":
-		f, err := logdev.OpenFile(opts.LogPath)
-		if err != nil {
-			return l, err
-		}
-		l.dev = f
-	case opts.SegmentSize > 0:
-		s := logdev.NewSegmentedMem(opts.Device.internal(), opts.SegmentSize)
-		l.dev, l.seg, l.mem = s, s, s
-	default:
-		m := logdev.NewMem(opts.Device.internal())
-		l.dev, l.mem = m, m
+	size := max(opts.SegmentSize, 0)
+	dir := logdev.LaneDir(opts.LogPath, i, n)
+	if size == 0 && (opts.LogPath == "" || !logdev.HasManifest(fs, dir)) {
+		size = defaultSegmentSize
 	}
-	return l, nil
+	if opts.LogPath == "" {
+		return lane{seg: logdev.NewSegmentedMem(opts.Device.internal(), size)}, nil
+	}
+	s, err := logdev.OpenSegmentedDirFS(fs, dir, size)
+	if err != nil {
+		return lane{}, fmt.Errorf("aether: log lane %d: %w", i, err)
+	}
+	return lane{seg: s}, nil
 }
 
 // openColdStore resolves the two spellings of the cold store to the
@@ -79,8 +69,8 @@ func openColdStore(opts Options, fs vfs.FS) (logdev.ObjectStore, error) {
 // starts: the archiver has to be in place before the first truncation
 // parks a dead segment, and the engine only starts its background
 // archiver goroutine if the log can archive at engine construction.
-func (l *lane) attachColdStore(store logdev.ObjectStore, segSize int64, i, n int) {
-	l.remote = logdev.NewRemoteArchiver(store, logdev.LaneDir("", i, n), segSize)
+func (l *lane) attachColdStore(store logdev.ObjectStore, i, n int) {
+	l.remote = logdev.NewRemoteArchiver(store, logdev.LaneDir("", i, n), l.seg.SegmentSize())
 	l.seg.SetArchiver(l.remote)
 }
 
@@ -93,17 +83,9 @@ func (l *lane) attachColdStore(store logdev.ObjectStore, segSize int64, i, n int
 // mid-record at a segment boundary, so it is withheld rather than
 // returned unparseable).
 func (l *lane) restore(from int64) ([]byte, int64, error) {
-	if l.seg != nil {
-		data, start, err := l.seg.RestoreLog(l.remote, from)
-		if err != nil {
-			return nil, 0, fmt.Errorf("aether: restoring log: %w", err)
-		}
-		return data, start, nil
-	}
-	tail, base, err := logdev.ReadTail(l.dev)
+	data, start, err := l.seg.RestoreLog(l.remote, from)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("aether: restoring log: %w", err)
 	}
-	start := min(max(from, base), base+int64(len(tail)))
-	return tail[start-base:], start, nil
+	return data, start, nil
 }

@@ -314,17 +314,6 @@ func imageNames(img map[string][]byte) []string {
 	return names
 }
 
-// TestPartitionedRequiresSegments pins the config validation: a
-// file-backed partitioned log without SegmentSize is an error, and the
-// error mentions the missing option.
-func TestPartitionedRequiresSegments(t *testing.T) {
-	if _, err := Open(Options{LogPath: filepath.Join(t.TempDir(), "db"), LogPartitions: 2}); err == nil {
-		t.Fatal("file-backed LogPartitions without SegmentSize must fail")
-	} else if !strings.Contains(err.Error(), "SegmentSize") {
-		t.Fatalf("unhelpful error: %v", err)
-	}
-}
-
 // TestPartitionedCheckpointTruncation checks that checkpoints advance
 // every partition's truncation horizon (bounded logs in multi mode).
 func TestPartitionedCheckpointTruncation(t *testing.T) {

@@ -207,10 +207,9 @@ func TestTruncationHorizonRespectsActiveTxns(t *testing.T) {
 // for the archive-volatility bug: a checkpoint removes archived pages
 // from the DPT, so a later checkpoint's DPT snapshot no longer covers
 // them and reopen-redo skips their log records — their only copy is the
-// archive, which therefore must survive the process even for a plain
-// (non-segmented) file-backed log.
+// archive, which therefore must survive the process.
 func TestFileBackedReopenAfterCheckpointCleansDPT(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
+	path := filepath.Join(t.TempDir(), "wal.d")
 	db, err := Open(Options{LogPath: path})
 	if err != nil {
 		t.Fatal(err)
