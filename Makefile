@@ -1,7 +1,7 @@
-# Tier-1 verification is `make ci` (build + vet + docs + test + race + soak and fuzz smokes).
+# Tier-1 verification is `make ci` (build + vet + docs + test + race + soak, race-soak and fuzz smokes).
 GO ?= go
 
-.PHONY: build test test-short test-race vet docs bench-pair alloc-profile restart-profile soak-smoke soak fuzz-smoke ci
+.PHONY: build test test-short test-race vet docs bench-pair alloc-profile restart-profile soak-smoke soak soak-race soak-race-long fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -38,11 +38,11 @@ docs: vet
 	$(GO) build ./examples/... ./cmd/...
 	$(GO) run ./cmd/doccheck \
 		./internal/bench ./internal/core ./internal/distlog \
-		./internal/fsutil ./internal/lockmgr ./internal/logbuf \
-		./internal/logdev ./internal/logrec ./internal/lsn \
-		./internal/metrics ./internal/recovery ./internal/soak \
-		./internal/storage ./internal/txn ./internal/vfs \
-		./internal/wire ./internal/workload
+		./internal/lockmgr ./internal/logbuf ./internal/logdev \
+		./internal/logrec ./internal/lsn ./internal/metrics \
+		./internal/recovery ./internal/soak ./internal/storage \
+		./internal/txn ./internal/vfs ./internal/wire \
+		./internal/workload
 
 # Paired before/after of the repository's benchmark (BENCHMARK.json,
 # benchmark/README.md "Paired comparisons"): builds ./benchmark at BASE
@@ -113,6 +113,22 @@ soak: SEED ?= 1
 soak:
 	$(GO) run ./cmd/aethersoak -cycles 500 -seed $(SEED)
 
+# The soak-smoke profiles under the race detector, on seeds of their own
+# (11-13, so their fault schedules differ from the smoke's): the engine's
+# daemons race each other and recovery across power cuts. Six cycles a
+# profile keep it to seconds; `make soak-race-long` is the long form.
+soak-race:
+	$(GO) run -race ./cmd/aethersoak -cycles 6 -seed 11
+	$(GO) run -race ./cmd/aethersoak -cycles 6 -seed 12 -log-partitions 3
+	$(GO) run -race ./cmd/aethersoak -cycles 6 -seed 13 -points remote-archive,group-commit
+
+# Long race-detector soak, for bug hunting: SEED picks the fault
+# schedule, CYCLES its length.
+soak-race-long: SEED ?= 1
+soak-race-long: CYCLES ?= 100
+soak-race-long:
+	$(GO) run -race ./cmd/aethersoak -cycles $(CYCLES) -seed $(SEED)
+
 # Short coverage-guided fuzz runs over the hostile-input decoders: the
 # wire protocol's frames and requests, the cloud tier's object envelope
 # (segment, indexed pack, snapshot), the segment header's durable
@@ -134,6 +150,6 @@ fuzz-smoke:
 
 # The last step fails if anything above left the checkout dirty: no
 # target may rewrite a tracked file or drop an unignored one.
-ci: build vet docs test test-race soak-smoke fuzz-smoke
+ci: build vet docs test test-race soak-smoke soak-race fuzz-smoke
 	@dirty="$$(git status --porcelain)"; if [ -n "$$dirty" ]; then \
 		echo "make ci left the checkout dirty:"; echo "$$dirty"; exit 1; fi

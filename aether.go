@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"path/filepath"
 	"time"
 
@@ -238,10 +237,6 @@ type Options struct {
 	// frame drop; demand steals (Stats.StealWrites) drop to near zero.
 	// A good default is half the cache budget.
 	CleanerPages int
-	// CleanerInterval is the cleaner's polling cadence (default 2ms).
-	// Demand steals also nudge the cleaner awake immediately, so this
-	// only bounds how stale its headroom view can get between bursts.
-	CleanerInterval time.Duration
 	// PrefetchDepth, if > 0 (meaningful only with a bounded cache), arms
 	// sequential read-ahead: when page faults form a sequential run — a
 	// table scan, the rebuild walk after a reopen — up to this many pages
@@ -360,7 +355,6 @@ func (db *DB) start() error {
 		CheckpointEveryBytes: db.opts.CheckpointEveryBytes,
 		CachePages:           int64(db.opts.CachePages),
 		CleanerPages:         db.opts.CleanerPages,
-		CleanerInterval:      db.opts.CleanerInterval,
 		PrefetchDepth:        db.opts.PrefetchDepth,
 		Retention:            db.retentionConfig(),
 	})
@@ -395,8 +389,8 @@ func (db *DB) closeFiles() error {
 			err = cerr
 		}
 	}
-	if c, ok := db.archive.(io.Closer); ok {
-		if cerr := c.Close(); err == nil {
+	if db.archive != nil {
+		if cerr := db.archive.Close(); err == nil {
 			err = cerr
 		}
 	}
@@ -665,9 +659,7 @@ func (db *DB) Stats() Stats {
 			s.LogPacksBuilt += l.remote.Stats().PacksBuilt
 		}
 	}
-	if rr, ok := db.archive.(storage.ReadRetrier); ok {
-		s.ReadRetries = rr.ReadRetries()
-	}
+	s.ReadRetries = db.archive.ReadRetries()
 	s.LogSnapshots = es.SnapshotsTaken.Load()
 	s.LogObjectsPruned = es.RetentionPrunedObjects.Load()
 	s.RetentionFailures = es.RetentionFailures.Load()

@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 )
 
 // wideRow pads a row so ~5 fit per 8KiB page: modest key counts span
@@ -227,10 +226,9 @@ func TestCleanerMovesWritebacksOffTheFaultPath(t *testing.T) {
 	}
 	run := func(cleanerPages int) Stats {
 		db, err := Open(Options{
-			LogPath:         filepath.Join(t.TempDir(), "wal"),
-			CachePages:      budget,
-			CleanerPages:    cleanerPages,
-			CleanerInterval: time.Millisecond,
+			LogPath:      filepath.Join(t.TempDir(), "wal"),
+			CachePages:   budget,
+			CleanerPages: cleanerPages,
 		})
 		if err != nil {
 			t.Fatal(err)

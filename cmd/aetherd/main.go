@@ -37,7 +37,7 @@ import (
 	"time"
 
 	"aether"
-	"aether/internal/fsutil"
+	"aether/internal/vfs"
 	"aether/internal/wire"
 )
 
@@ -214,5 +214,5 @@ func appendCatalog(path, name string) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	return fsutil.SyncDir(filepath.Dir(path))
+	return vfs.OS{}.SyncDir(filepath.Dir(path))
 }

@@ -497,12 +497,14 @@ func Fig13(scale Scale) (*Table, error) {
 	}, w.Body())
 	_ = res
 	rig.Eng.Log().Flush()
-	data, err := logdev.ReadAll(rig.Dev)
+	tail, base, err := logdev.ReadTail(rig.Dev)
 	if err != nil {
 		return nil, err
 	}
-	// Analyze only the benchmark window (~the paper's 100kB slice).
-	window := data[loadEnd:]
+	// Analyze only the benchmark window (~the paper's 100kB slice). A
+	// checkpoint may have truncated the log past the load's end; the
+	// truncation base is a record boundary too.
+	window := tail[max(loadEnd, base)-base:]
 	if len(window) > 200<<10 {
 		window = window[:200<<10]
 	}

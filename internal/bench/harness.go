@@ -114,7 +114,7 @@ type Rig struct {
 	// Eng is the assembled transaction engine.
 	Eng *txn.Engine
 	// Dev is the simulated log device under the engine.
-	Dev *logdev.Mem
+	Dev *logdev.Segmented
 	// Breakdown holds the probes (nil unless configured).
 	Breakdown *metrics.Breakdown
 	lm        *core.LogManager

@@ -162,7 +162,7 @@ func RunPartitions(cfg PartitionConfig) (PartitionResult, error) {
 func runPartitionSide(cfg PartitionConfig, parts int) (PartitionRun, error) {
 	run := PartitionRun{Partitions: parts, Workers: cfg.Workers}
 	devs := make([]logdev.Device, parts)
-	mems := make([]*logdev.Mem, parts)
+	mems := make([]*logdev.Segmented, parts)
 	for i := range devs {
 		mems[i] = logdev.NewMem(cfg.Device)
 		devs[i] = mems[i]

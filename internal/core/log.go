@@ -574,23 +574,18 @@ func (lm *LogManager) Force(upTo lsn.LSN) error {
 }
 
 // Truncate releases the log prefix below before: the checkpointer's
-// horizon, forwarded to the device. Devices that cannot truncate make
-// this a no-op. before is clamped to the durable horizon (truncating
-// unflushed log would discard the only copy). It returns how many bytes
-// the device newly released.
+// horizon, forwarded to the device. before is clamped to the durable
+// horizon (truncating unflushed log would discard the only copy). It
+// returns how many bytes the device newly released.
 func (lm *LogManager) Truncate(before lsn.LSN) (int64, error) {
-	t, ok := lm.dev.(logdev.Truncator)
-	if !ok {
-		return 0, nil
-	}
 	if d := lm.durable.Load(); before > d {
 		before = d
 	}
-	old := t.Base()
-	if err := t.Truncate(int64(before)); err != nil {
+	old := lm.dev.Base()
+	if err := lm.dev.Truncate(int64(before)); err != nil {
 		return 0, fmt.Errorf("core: device truncate: %w", err)
 	}
-	released := t.Base() - old
+	released := lm.dev.Base() - old
 	if released > 0 {
 		lm.stats.Truncations.Inc()
 		lm.stats.TruncatedBytes.Add(released)
@@ -600,30 +595,17 @@ func (lm *LogManager) Truncate(before lsn.LSN) (int64, error) {
 
 // Base returns the log's truncation horizon: the address of the oldest
 // byte still readable on the device (0 if never truncated).
-func (lm *LogManager) Base() lsn.LSN {
-	return lsn.LSN(logdev.BaseOffset(lm.dev))
-}
+func (lm *LogManager) Base() lsn.LSN { return lsn.LSN(lm.dev.Base()) }
 
 // CanArchive reports whether the device ships dead segments to cold
-// storage before recycling them — i.e. it is an
-// logdev.ArchivingTruncator with an archiver attached. The engine's
+// storage before recycling them (an archiver is attached). The engine's
 // background archiver goroutine starts only when this is true.
-func (lm *LogManager) CanArchive() bool {
-	a, ok := lm.dev.(logdev.ArchivingTruncator)
-	return ok && a.HasArchiver()
-}
+func (lm *LogManager) CanArchive() bool { return lm.dev.HasArchiver() }
 
 // ArchivePending forwards to the device's archive-then-recycle drain:
 // every dead segment parked by a truncation is durably copied to cold
-// storage and only then has its slot recycled. Devices without
-// archiving make this a no-op.
-func (lm *LogManager) ArchivePending() (int, error) {
-	a, ok := lm.dev.(logdev.ArchivingTruncator)
-	if !ok {
-		return 0, nil
-	}
-	return a.ArchivePending()
-}
+// storage and only then has its slot recycled.
+func (lm *LogManager) ArchivePending() (int, error) { return lm.dev.ArchivePending() }
 
 // Flush asks the daemon to flush everything released so far without
 // waiting for it to complete. Combine with WaitDurable to force.

@@ -60,7 +60,7 @@ func TestAppendAndWaitDurable(t *testing.T) {
 		t.Fatalf("durable %v < %v", got, end)
 	}
 	// The device must hold a decodable stream of exactly those records.
-	data, err := logdev.ReadAll(dev)
+	data, _, err := logdev.ReadTail(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,16 +359,16 @@ func TestParkedWaiterWakesDaemon(t *testing.T) {
 }
 
 // latencyDev is an in-memory device whose Sync takes d, slept precisely:
-// logdev.Mem's profile latency is a time.Sleep, which a runtime with
+// a Profile's latency is a time.Sleep, which a runtime with
 // nothing else to run stretches to a millisecond.
 type latencyDev struct {
-	*logdev.Mem
+	*logdev.Segmented
 	d time.Duration
 }
 
 func (l latencyDev) Sync() error {
 	sleepPrecise(l.d)
-	return l.Mem.Sync()
+	return l.Segmented.Sync()
 }
 
 // Nothing clocks a blocking commit but the device: on a 50 µs, a 400 µs
@@ -775,7 +775,7 @@ func TestConcurrentCommitStress(t *testing.T) {
 			}
 			// Whole device stream decodes.
 			lm.Close()
-			data, err := logdev.ReadAll(dev)
+			data, _, err := logdev.ReadTail(dev)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -50,7 +50,7 @@ func mlUpdate(page uint64) *logrec.Record {
 // clamped by a dependency edge on the dead log must fail with an error,
 // not wait forever for a durable horizon that can never advance.
 func TestMultiLogDeadPartitionPoisonsDependents(t *testing.T) {
-	mems := []*logdev.Mem{
+	mems := []*logdev.Segmented{
 		logdev.NewMem(logdev.ProfileMemory),
 		logdev.NewMem(logdev.ProfileMemory),
 	}

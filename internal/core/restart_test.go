@@ -61,7 +61,7 @@ func TestRestartContinuesLSNSpace(t *testing.T) {
 	}
 
 	// The device now holds one contiguous decodable stream.
-	data, err := logdev.ReadAll(dev)
+	data, _, err := logdev.ReadTail(dev)
 	if err != nil {
 		t.Fatal(err)
 	}

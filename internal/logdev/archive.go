@@ -10,20 +10,6 @@ import (
 // the cold store does not hold a valid object for.
 var ErrNotArchived = errors.New("logdev: segment not archived")
 
-// ArchivingTruncator is the optional Truncator extension for devices
-// whose dead segments are shipped to cold storage before their slots
-// are recycled. The log manager forwards the background archiver's
-// drain calls through it.
-type ArchivingTruncator interface {
-	Truncator
-	// ArchivePending ships every dead segment awaiting recycle to the
-	// attached archiver and recycles it, returning how many were
-	// archived this pass.
-	ArchivePending() (int, error)
-	// HasArchiver reports whether an archiver is attached.
-	HasArchiver() bool
-}
-
 // RestoreRange reads the archived log bytes covering [from, to) from a,
 // whose segments are segSize bytes each. Only the newest contiguous run
 // of archived segments ending at `to` is restorable: if the oldest

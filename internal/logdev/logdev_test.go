@@ -24,7 +24,7 @@ func TestMemAppendSyncDurable(t *testing.T) {
 	if got := m.DurableSize(); got != 11 {
 		t.Fatalf("durable after sync: %d", got)
 	}
-	buf, err := ReadAll(m)
+	buf, _, err := ReadTail(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestMemCrashDropsUnsynced(t *testing.T) {
 	}
 	m.Append([]byte("volatile"))
 	m.Crash()
-	buf, err := ReadAll(m)
+	buf, _, err := ReadTail(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestMemCrashDropsUnsynced(t *testing.T) {
 	if err := m.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	buf, _ = ReadAll(m)
+	buf, _, _ = ReadTail(m)
 	if string(buf) != "durable.again" {
 		t.Fatalf("after restart: %q", buf)
 	}

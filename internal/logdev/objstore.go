@@ -24,7 +24,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"aether/internal/fsutil"
 	"aether/internal/vfs"
 )
 
@@ -364,7 +363,7 @@ func (d *DirObjectStore) Put(key string, data []byte) error {
 		return fmt.Errorf("logdev: object store: directory for %s: %w", key, err)
 	}
 	tmp := fmt.Sprintf("%s.%d.tmp", p, d.tmpSeq.Add(1))
-	if err := fsutil.WriteFileSyncFS(d.fs, tmp, data, 0o644); err != nil {
+	if err := vfs.WriteFileSync(d.fs, tmp, data, 0o644); err != nil {
 		_ = d.fs.Remove(tmp) // best effort: the next open sweeps what stays
 		return fmt.Errorf("logdev: object store: write %s: %w", key, err)
 	}

@@ -13,42 +13,15 @@ import (
 	"sync"
 	"time"
 
-	"aether/internal/fsutil"
 	"aether/internal/metrics"
 	"aether/internal/vfs"
 )
 
-// Truncator is the optional Device extension for bounded logs: devices
-// that can recycle the dead prefix behind a truncation horizon. The
-// horizon is a logical offset (an LSN); bytes below it are gone and
-// ReadAt refuses them. LSNs stay stable: DurableSize keeps counting from
-// the beginning of time, so a restarted log resumes at the same address.
-type Truncator interface {
-	Device
-	// Truncate advances the truncation horizon to before (clamped to the
-	// durable size) and recycles every whole segment below it. before
-	// must be a record boundary — recovery starts its scan exactly there.
-	Truncate(before int64) error
-	// Base returns the truncation horizon: the logical offset of the
-	// first readable byte (0 if nothing was ever truncated).
-	Base() int64
-}
-
-// BaseOffset returns dev's truncation horizon, or 0 for devices that
-// cannot truncate.
-func BaseOffset(dev Device) int64 {
-	if t, ok := dev.(Truncator); ok {
-		return t.Base()
-	}
-	return 0
-}
-
 // ReadTail reads the durable log suffix [base, durable) and returns it
 // together with its base offset — the recovery scan's input on a device
-// whose dead prefix was recycled. For untruncatable devices it is
-// ReadAll with base 0.
+// whose dead prefix was recycled.
 func ReadTail(dev Device) (data []byte, base int64, err error) {
-	base = BaseOffset(dev)
+	base = dev.Base()
 	size := dev.DurableSize()
 	if size < base {
 		return nil, 0, fmt.Errorf("logdev: durable size %d below truncation base %d", size, base)
@@ -119,9 +92,11 @@ type segBackend interface {
 // log recycling does, while LSNs remain stable addresses: logical offsets
 // never restart.
 //
-// The memory backend reproduces Mem's imposed-latency methodology and
-// crash simulation; the directory backend stores each segment as its own
-// file plus a MANIFEST recording the segment size and horizon.
+// It is the one log device, with two backends. The memory backend
+// (NewSegmentedMem) imposes a Profile's response times on every Sync and
+// simulates crashes (Crash, CrashFreeze, Remount); the directory backend
+// (OpenSegmentedDir) stores each segment as its own file plus a MANIFEST
+// recording the segment size and horizon.
 type Segmented struct {
 	profile Profile
 	segSize int64
@@ -158,10 +133,7 @@ type Segmented struct {
 	stats Stats
 }
 
-var (
-	_ Truncator          = (*Segmented)(nil)
-	_ ArchivingTruncator = (*Segmented)(nil)
-)
+var _ Device = (*Segmented)(nil)
 
 // memSegBackend keeps segments as heap buffers.
 type memSegBackend struct{ segSize int64 }
@@ -288,7 +260,7 @@ func (b *dirSegBackend) setBase(base int64) error {
 
 func (b *dirSegBackend) syncMeta() error {
 	b.fsyncs.Inc()
-	return fsutil.SyncDirFS(b.fs, b.dir)
+	return b.fs.SyncDir(b.dir)
 }
 
 func writeManifest(fs vfs.FS, dir string, segSize, base int64) error {
@@ -297,7 +269,7 @@ func writeManifest(fs vfs.FS, dir string, segSize, base int64) error {
 	// The temp file's bytes must be durable before the rename: a rename
 	// whose dentry hardens ahead of the data would leave an empty
 	// MANIFEST after a crash, making the directory unopenable.
-	if err := fsutil.WriteFileSyncFS(fs, tmp, []byte(body), 0o644); err != nil {
+	if err := vfs.WriteFileSync(fs, tmp, []byte(body), 0o644); err != nil {
 		return fmt.Errorf("logdev: write manifest: %w", err)
 	}
 	if err := fs.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
@@ -305,7 +277,7 @@ func writeManifest(fs vfs.FS, dir string, segSize, base int64) error {
 	}
 	// The horizon must be durable before callers act on it (Truncate
 	// unlinks segments right after this).
-	if err := fsutil.SyncDirFS(fs, dir); err != nil {
+	if err := fs.SyncDir(dir); err != nil {
 		return fmt.Errorf("logdev: sync manifest dir: %w", err)
 	}
 	return nil
@@ -443,7 +415,7 @@ func openSegmentedDir(fs vfs.FS, dir string, segSize int64, ro bool) (*Segmented
 		}
 		// The new directory's own dentry must be durable before anything
 		// inside it is: sync the parent (invariant 5's outermost layer).
-		if err := fsutil.SyncDirFS(fs, filepath.Dir(dir)); err != nil {
+		if err := fs.SyncDir(filepath.Dir(dir)); err != nil {
 			return nil, fmt.Errorf("logdev: sync parent of %s: %w", dir, err)
 		}
 	}
@@ -652,7 +624,7 @@ func (s *Segmented) Profile() Profile { return s.profile }
 // SegmentSize returns the fixed segment size.
 func (s *Segmented) SegmentSize() int64 { return s.segSize }
 
-// Base implements Truncator.
+// Base implements Device.
 func (s *Segmented) Base() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -931,7 +903,7 @@ func (s *Segmented) readLocked(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-// Truncate implements Truncator: advance the horizon, record it in the
+// Truncate implements Device: advance the horizon, record it in the
 // manifest — whether or not a segment dies under it, so a reopen starts
 // from it — and recycle every segment wholly below it. The newest
 // segment is always retained so a reopened directory can recompute the
@@ -1041,14 +1013,14 @@ func (s *Segmented) SetArchiver(a *RemoteArchiver) {
 	s.mu.Unlock()
 }
 
-// HasArchiver implements ArchivingTruncator.
+// HasArchiver implements Device.
 func (s *Segmented) HasArchiver() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.archiver != nil
 }
 
-// ArchivePending implements ArchivingTruncator: every pending dead
+// ArchivePending implements Device: every pending dead
 // segment is copied to the archiver (durably — Archive must not return
 // before its bytes are safe) and only then recycled. A failed archive
 // leaves the segment pending: its slot is never reused until cold
@@ -1187,7 +1159,8 @@ func (s *Segmented) memOnly(op string) {
 }
 
 // Crash simulates power loss: every byte not covered by a completed Sync
-// vanishes. Memory backend only.
+// vanishes. The device remains usable (as if remounted at restart).
+// Memory backend only.
 func (s *Segmented) Crash() {
 	s.memOnly("Crash")
 	s.mu.Lock()
@@ -1195,8 +1168,10 @@ func (s *Segmented) Crash() {
 	_ = s.trimToDurableLocked()
 }
 
-// CrashFreeze simulates power loss with the host still wired up, exactly
-// like Mem.CrashFreeze. Memory backend only.
+// CrashFreeze simulates power loss with the host still wired up: unsynced
+// bytes vanish and every subsequent write fails with ErrCrashed until
+// Remount. Tests use it to stop a still-running flush daemon from
+// extending the durable log past the crash point. Memory backend only.
 func (s *Segmented) CrashFreeze() {
 	s.memOnly("CrashFreeze")
 	s.mu.Lock()
@@ -1205,7 +1180,7 @@ func (s *Segmented) CrashFreeze() {
 	s.failErr = ErrCrashed
 }
 
-// Remount brings a frozen device back online.
+// Remount brings a frozen device back online (the restart).
 func (s *Segmented) Remount() {
 	s.memOnly("Remount")
 	s.mu.Lock()
@@ -1217,7 +1192,8 @@ func (s *Segmented) Remount() {
 }
 
 // FailWith injects err into every subsequent Append/Sync/Truncate until
-// cleared with FailWith(nil).
+// cleared with FailWith(nil). Tests use it to exercise the flush daemon's
+// error path.
 func (s *Segmented) FailWith(err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -54,7 +54,7 @@ type Options struct {
 	// Store is the page store. With an archive backend attached
 	// (storage.Store.SetBackend) it starts empty and faults pages in
 	// lazily as redo and undo touch them — restart memory is O(working
-	// set); a store pre-loaded via LoadArchive recovers identically.
+	// set).
 	Store *storage.Store
 	// VerifyArchive is Analysis.Recover's verifyArchive.
 	VerifyArchive bool

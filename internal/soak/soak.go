@@ -283,7 +283,6 @@ func openStack(fs vfs.FS, parts int, cloud *logdev.MemObjectStore) (*engineStack
 	rc.CheckpointEveryBytes = soakCkptBytes
 	rc.CachePages = soakCachePages
 	rc.CleanerPages = soakCleaner
-	rc.CleanerInterval = 500 * time.Microsecond
 	rc.PrefetchDepth = soakPrefetch
 	eng, _, err := txn.Restart(rc)
 	if err != nil {

@@ -23,26 +23,6 @@ type WAL interface {
 	Force(upTo lsn.LSN) error
 }
 
-// ArchiveContains is the optional Archive extension the buffer pool
-// prefers on the miss path: a cheap existence probe, so looking up a
-// page that exists nowhere does not first evict (and possibly steal) an
-// innocent resident page to make room for nothing.
-type ArchiveContains interface {
-	// Contains reports whether the archive holds an image for pid.
-	Contains(pid uint64) bool
-}
-
-// ArchivePageReader is the optional Archive extension the fault paths
-// prefer: a read that lands in the frame about to be installed, so a
-// fault allocates that frame and nothing else. The PageFile implements
-// it; other archives are read through Get and copied in.
-type ArchivePageReader interface {
-	// ReadPage reads and validates page pid's image into p. found is
-	// false, and p untouched, for a page the archive does not hold;
-	// after an error p's contents are undefined.
-	ReadPage(pid uint64, p *Page) (found bool, err error)
-}
-
 // CacheStats is a point-in-time snapshot of the buffer pool's counters.
 type CacheStats struct {
 	// Resident is how many pages are currently in RAM.
@@ -176,7 +156,7 @@ func (s *Store) getResident(pid uint64) *Page {
 // does fsync, runs before the lock is taken.
 func (s *Store) fault(pid uint64, create bool) (*Page, error) {
 	if !create {
-		if c, ok := s.backend.(ArchiveContains); ok && !c.Contains(pid) {
+		if !s.backend.Contains(pid) {
 			// Nothing to fault: don't evict a real page to make room
 			// for a lookup that was always going to come back empty.
 			// (A concurrent materialization of pid is indistinguishable
@@ -231,24 +211,13 @@ func (s *Store) fault(pid uint64, create bool) (*Page, error) {
 // read-ahead alike. found is false (and p still the empty page) if the
 // backend holds no image. The checks run in this order, all before the
 // caller installs the frame: the backend's own validation of what it
-// read (the PageFile: slot identity, version floor, CRC), then the
-// WAL-horizon check.
+// read (the PageFile: slot identity, version floor, CRC; MemArchive: the
+// image's length), then the WAL-horizon check.
 func (s *Store) loadFrame(pid uint64, p *Page) (found bool, err error) {
 	if s.backend == nil {
 		return false, nil
 	}
-	if r, ok := s.backend.(ArchivePageReader); ok {
-		found, err = r.ReadPage(pid, p)
-	} else {
-		var img []byte
-		if img, err = s.backend.Get(pid); err == nil && img != nil {
-			// LoadSnapshot validates the length before any header field
-			// is touched: a torn or truncated image from a backend
-			// without its own framing must fail loudly, not panic on the
-			// LSN read.
-			found, err = true, p.LoadSnapshot(img)
-		}
-	}
+	found, err = s.backend.ReadPage(pid, p)
 	if err != nil {
 		return false, fmt.Errorf("storage: faulting page %d: %w", pid, err)
 	}
@@ -530,7 +499,7 @@ func (s *Store) stealAndDrop(pid uint64, p *Page) bool {
 		// read latch is already held, here, and taking it again could
 		// deadlock behind a queued writer.
 		durable, wrote := s.wal.Durable(), false
-		err := batcherFor(s.backend).WriteBatch([]uint64{pid}, func(_ int, dst []byte) bool {
+		err := s.backend.WriteBatch([]uint64{pid}, func(_ int, dst []byte) bool {
 			_, wrote = p.copyDurable(dst, durable)
 			return wrote
 		})

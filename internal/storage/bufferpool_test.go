@@ -66,11 +66,6 @@ func (a *walCheckingArchive) check(pid uint64, img []byte) {
 	}
 }
 
-func (a *walCheckingArchive) Put(pid uint64, img []byte) error {
-	a.check(pid, img)
-	return a.MemArchive.Put(pid, img)
-}
-
 // WriteBatch checks every image the steal, cleaner and sweep paths hand
 // over, as it is handed over.
 func (a *walCheckingArchive) WriteBatch(pids []uint64, fill func(i int, dst []byte) bool) error {
@@ -251,9 +246,7 @@ func TestBufferPoolFaultRejectsImageBeyondDurable(t *testing.T) {
 	pid := MakePageID(1, 1)
 	img := NewPage(pid)
 	img.SetLSN(100)
-	if err := arch.Put(pid, img.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
+	arch.pages[pid] = img.Snapshot()
 	st := NewStore()
 	if err := st.SetBackend(arch); err != nil {
 		t.Fatal(err)
@@ -269,6 +262,28 @@ func TestBufferPoolFaultRejectsImageBeyondDurable(t *testing.T) {
 		t.Fatalf("fault after catch-up: %v", err)
 	}
 	p.Unpin()
+}
+
+// TestBufferPoolFaultRejectsShortImage: an archived image of the wrong
+// length — a torn or truncated write to the database file — fails the
+// fault loudly and installs nothing; it is never read as a page, nor
+// taken for a page that does not exist.
+func TestBufferPoolFaultRejectsShortImage(t *testing.T) {
+	arch := NewMemArchive()
+	pid := MakePageID(1, 1)
+	arch.pages[pid] = NewPage(pid).Snapshot()[:PageSize/2]
+	st := NewStore()
+	if err := st.SetBackend(arch); err != nil {
+		t.Fatal(err)
+	}
+	for _, get := range []func(uint64) (*Page, error){st.Get, st.GetOrCreate} {
+		if p, err := get(pid); err == nil || p != nil {
+			t.Fatalf("fault of a %d-byte image = (%v, %v), want an error", PageSize/2, p, err)
+		}
+	}
+	if cs := st.CacheStats(); cs.Resident != 0 || cs.Misses != 0 || len(st.PageIDs()) != 0 {
+		t.Fatalf("failed fault installed a frame: %+v, resident pages %v", cs, st.PageIDs())
+	}
 }
 
 func TestBufferPoolConcurrentPaging(t *testing.T) {

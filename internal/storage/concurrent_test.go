@@ -638,22 +638,21 @@ func TestPrefetchedPageIsColdAndConsumable(t *testing.T) {
 }
 
 // inflightArchive is the foil for TestReadAheadOverlapsPageReads: it
-// reads through the archive it wraps (hiding the pagefile's optional
-// fast paths, so every fault and every read-ahead comes through Get),
-// holds each read for delay as a device would, and records how many
-// were inside at once. With serial set every read first takes one mutex
-// — the pre-PR-6 pagefile, where no two reads could overlap whatever
-// the pool asked for.
+// reads through the archive it wraps — every fault and every read-ahead
+// comes through ReadPage — holds each read for delay as a device would,
+// and records how many were inside at once. With serial set every read
+// first takes one mutex — the pre-PR-6 pagefile, where no two reads could
+// overlap whatever the pool asked for.
 type inflightArchive struct {
 	Archive
 	delay  time.Duration
 	serial bool
 	mu     sync.Mutex
-	// in is the number of Gets currently inside; peak its maximum.
+	// in is the number of reads currently inside; peak its maximum.
 	in, peak atomic.Int64
 }
 
-func (a *inflightArchive) Get(pid uint64) ([]byte, error) {
+func (a *inflightArchive) ReadPage(pid uint64, p *Page) (bool, error) {
 	if a.serial {
 		a.mu.Lock()
 		defer a.mu.Unlock()
@@ -663,7 +662,7 @@ func (a *inflightArchive) Get(pid uint64) ([]byte, error) {
 	for m := a.peak.Load(); n > m && !a.peak.CompareAndSwap(m, n); m = a.peak.Load() {
 	}
 	time.Sleep(a.delay)
-	return a.Archive.Get(pid)
+	return a.Archive.ReadPage(pid, p)
 }
 
 // TestReadAheadOverlapsPageReads pins the mechanism behind the cold-scan

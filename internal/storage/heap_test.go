@@ -299,9 +299,9 @@ func TestArchiveRoundTrip(t *testing.T) {
 		t.Fatal("DPT not cleaned after archive")
 	}
 
-	// Restart: fresh store loads the archive and sees the row.
+	// Restart: a fresh store faults the page from the archive.
 	st2 := NewStore()
-	if err := st2.LoadArchive(arch); err != nil {
+	if err := st2.SetBackend(arch); err != nil {
 		t.Fatal(err)
 	}
 	p, err := st2.Get(rid.Page)

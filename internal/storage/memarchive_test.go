@@ -25,12 +25,16 @@ func TestMemArchivePutBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	imgs[0][0] ^= 0xFF // the archive must hold its own copy
-	got, err := a.Get(1)
-	if err != nil {
-		t.Fatal(err)
+	read := func(pid uint64) []byte {
+		t.Helper()
+		p := NewPage(pid)
+		if found, err := a.ReadPage(pid, p); !found || err != nil {
+			t.Fatalf("ReadPage(%d) = %v, %v", pid, found, err)
+		}
+		return p.Snapshot()
 	}
-	if !bytes.Equal(got, pfTestImage(1, 0x01)) {
-		t.Fatal("Get(1) changed after caller mutation, want the archive's own copy")
+	if !bytes.Equal(read(1), pfTestImage(1, 0x01)) {
+		t.Fatal("page 1 changed after caller mutation, want the archive's own copy")
 	}
 	pids, err := a.Pages()
 	if err != nil {
@@ -43,8 +47,7 @@ func TestMemArchivePutBatch(t *testing.T) {
 	if err := a.WriteBatch([]uint64{2}, copyFrom([][]byte{imgs[2]})); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = a.Get(2)
-	if !bytes.Equal(got, imgs[2]) {
-		t.Fatal("Get(2) after overwrite is not the new image")
+	if !bytes.Equal(read(2), imgs[2]) {
+		t.Fatal("page 2 after overwrite is not the new image")
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"aether/internal/fsutil"
 	"aether/internal/vfs"
 )
 
@@ -305,7 +304,7 @@ func OpenPageFileFS(fs vfs.FS, path string) (*PageFile, error) {
 	// Both files themselves must survive a crash, not just their bytes:
 	// the double-write guarantee is void if the journal's directory
 	// entry can vanish after its data was fsynced.
-	if err := fsutil.SyncDirFS(fs, filepath.Dir(path)); err != nil {
+	if err := fs.SyncDir(filepath.Dir(path)); err != nil {
 		pf.closeFiles()
 		return nil, fmt.Errorf("storage: sync pagefile dir: %w", err)
 	}
@@ -735,7 +734,7 @@ func (pf *PageFile) Slots() []SlotInfo {
 	return out
 }
 
-// WriteBatch implements ArchiveBatcher: the one write-back routine every
+// WriteBatch implements Archive: the one write-back routine every
 // path (sweep, cleaner, steal, PutBatch) goes through. The batch becomes
 // durable with exactly two device fsyncs (journal, then pagefile) no
 // matter how many pages it holds, and holds at most pfScratchEntries
@@ -968,12 +967,12 @@ func (pf *PageFile) PutBatch(batch []PageImage) error {
 	})
 }
 
-// Put implements Archive for single pages (tests, tools).
+// Put writes one page as a batch of its own (tests, tools).
 func (pf *PageFile) Put(pid uint64, img []byte) error {
 	return pf.PutBatch([]PageImage{{PID: pid, Img: img}})
 }
 
-// Get implements Archive ((nil, nil) for a page never archived): it
+// Get returns page pid's image ((nil, nil) for a page never archived): it
 // allocates a slot-sized buffer, reads and validates the page's slot
 // into it (readSlot) and returns the image part.
 func (pf *PageFile) Get(pid uint64) ([]byte, error) {
@@ -988,7 +987,7 @@ func (pf *PageFile) Get(pid uint64) ([]byte, error) {
 	return buf[pfSlotHdr:], nil
 }
 
-// ReadPage implements ArchivePageReader: the same read as Get, straight
+// ReadPage implements Archive: the same read as Get, straight
 // into the frame of the page the caller is about to install — a fault
 // allocates that frame and nothing else. found is false, and p
 // untouched, for a page never archived; after an error p's contents are
@@ -1076,7 +1075,7 @@ func (pf *PageFile) readSlot(pid uint64, s pfSlot, buf []byte) error {
 	}
 }
 
-// Contains implements ArchiveContains: a map lookup against the slot
+// Contains implements Archive: a map lookup against the slot
 // directory, no I/O — the buffer pool's cheap miss-path existence probe.
 func (pf *PageFile) Contains(pid uint64) bool {
 	pf.dir.RLock()
@@ -1178,9 +1177,4 @@ func (pf *PageFile) Close() error {
 	return err
 }
 
-var (
-	_ Archive           = (*PageFile)(nil)
-	_ ArchiveBatcher    = (*PageFile)(nil)
-	_ ArchiveContains   = (*PageFile)(nil)
-	_ ArchivePageReader = (*PageFile)(nil)
-)
+var _ Archive = (*PageFile)(nil)

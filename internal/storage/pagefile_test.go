@@ -314,7 +314,10 @@ func TestSweepFsyncsO1(t *testing.T) {
 	}
 }
 
-func TestStoreLoadArchiveFromPageFile(t *testing.T) {
+// TestStoreFaultsFromReopenedPageFile: a page the sweep archived faults
+// back, record and pageLSN intact, into a fresh store over the reopened
+// database file.
+func TestStoreFaultsFromReopenedPageFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pagefile.db")
 	pf := openPF(t, path)
 
@@ -333,7 +336,7 @@ func TestStoreLoadArchiveFromPageFile(t *testing.T) {
 
 	pf2 := openPF(t, path)
 	st2 := NewStore()
-	if err := st2.LoadArchive(pf2); err != nil {
+	if err := st2.SetBackend(pf2); err != nil {
 		t.Fatal(err)
 	}
 	p2, err := st2.Get(MakePageID(2, 1))

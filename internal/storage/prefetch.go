@@ -166,7 +166,7 @@ func (s *Store) prefetchOne(pid uint64) {
 	if resident {
 		return
 	}
-	if c, ok := s.backend.(ArchiveContains); ok && !c.Contains(pid) {
+	if !s.backend.Contains(pid) {
 		return
 	}
 	if !s.reservePrefetchFrame() {

@@ -243,21 +243,48 @@ func (s *Store) PageIDs() []uint64 {
 // sortPageIDs sorts page IDs ascending.
 func sortPageIDs(ids []uint64) { slices.Sort(ids) }
 
-// Archive is persistent page-image storage (the database file). Writing
-// a page to the archive must respect the WAL rule: the caller checks
-// pageLSN ≤ durable LSN before archiving.
+// Archive is the buffer pool's backing home for page images: the
+// database file (PageFile), or MemArchive, its in-memory twin for
+// in-memory databases and tests. Writing a page to the archive must
+// respect the WAL rule: the caller checks pageLSN ≤ durable LSN, under
+// the latch it copies the image under, before handing the image over.
 type Archive interface {
-	// Put stores the page image, which it must not keep a reference to
-	// (the caller reuses the buffer). A failed Put must be reported: the
-	// caller keeps the page dirty so the log behind it cannot be
-	// truncated away.
-	Put(pid uint64, img []byte) error
-	// Get returns the archived image (nil, nil for a page that was
-	// never archived). An I/O failure must be an error, not a silent
-	// miss: a missing-but-listed page is lost committed data.
-	Get(pid uint64) ([]byte, error)
-	// Pages lists archived page IDs.
+	// WriteBatch is the one entry point of every write-back path — the
+	// checkpoint sweep, the cleaner, the steal. It stores the pages named
+	// by pids: for each, in an order of its choosing, it calls fill(i,
+	// dst) once with i the page's index in pids and dst a PageSize buffer;
+	// fill copies the page's current image into dst and reports true, or
+	// reports false to leave the page out of the batch (it may not be
+	// written now — the WAL rule is the caller's to check, under the same
+	// latch as the copy). The caller says which pages; the archive asks
+	// for each image when it has somewhere to put it, so a batch of any
+	// size moves each image exactly once and holds a bounded number of
+	// them. A failed WriteBatch installs nothing the caller may rely on —
+	// every page stays dirty, so the log behind it cannot be truncated
+	// away.
+	WriteBatch(pids []uint64, fill func(i int, dst []byte) bool) error
+	// ReadPage reads and validates page pid's image into p, the frame
+	// the caller is about to install, so a fault allocates that frame and
+	// nothing else. found is false, and p untouched, for a page the
+	// archive does not hold; after an error p's contents are undefined.
+	// An I/O failure or an image that fails validation must be an error,
+	// not a silent miss: a missing-but-listed page is lost committed data.
+	ReadPage(pid uint64, p *Page) (found bool, err error)
+	// Contains reports whether the archive holds an image for pid: the
+	// miss path's cheap existence probe, so looking up a page that exists
+	// nowhere does not first evict (and possibly steal) an innocent
+	// resident page to make room for nothing.
+	Contains(pid uint64) bool
+	// Pages lists archived page IDs, sorted.
 	Pages() ([]uint64, error)
+	// Fsyncs returns how many device fsyncs the archive has issued; the
+	// checkpointer charges each sweep's delta to its sweep-fsync counter.
+	Fsyncs() int64
+	// ReadRetries returns how many optimistic reads (lock-free, validated
+	// by checksum) lost a race with a concurrent write and retried.
+	ReadRetries() int64
+	// Close releases the archive's resources.
+	Close() error
 }
 
 // MemArchive is an in-memory Archive (a simulated database file that
@@ -272,25 +299,38 @@ func NewMemArchive() *MemArchive {
 	return &MemArchive{pages: make(map[uint64][]byte)}
 }
 
-// Put implements Archive.
-func (a *MemArchive) Put(pid uint64, img []byte) error {
-	cp := make([]byte, len(img))
-	copy(cp, img)
-	a.mu.Lock()
-	a.pages[pid] = cp
-	a.mu.Unlock()
+// WriteBatch implements Archive. Each accepted page is filled into the
+// buffer the archive then keeps; memory writes cannot half-fail, so there
+// is no batch to roll back. fill runs without the archive's lock held.
+func (a *MemArchive) WriteBatch(pids []uint64, fill func(i int, dst []byte) bool) error {
+	for i, pid := range pids {
+		img := make([]byte, PageSize)
+		if !fill(i, img) {
+			continue
+		}
+		a.mu.Lock()
+		a.pages[pid] = img
+		a.mu.Unlock()
+	}
 	return nil
 }
 
-// Get implements Archive.
-func (a *MemArchive) Get(pid uint64) ([]byte, error) {
+// ReadPage implements Archive by loading the stored image into p. The
+// length is checked before any header field is touched, so an image of
+// the wrong size fails the fault loudly instead of installing a page
+// built from it. A stored image is never written again (WriteBatch
+// replaces it), so it is copied outside the lock.
+func (a *MemArchive) ReadPage(pid uint64, p *Page) (found bool, err error) {
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.pages[pid], nil
+	img, ok := a.pages[pid]
+	a.mu.Unlock()
+	if !ok {
+		return false, nil
+	}
+	return true, p.LoadSnapshot(img)
 }
 
-// Contains implements ArchiveContains (no I/O to save, but it keeps the
-// in-memory archive's miss path on par with the pagefile's).
+// Contains implements Archive.
 func (a *MemArchive) Contains(pid uint64) bool {
 	a.mu.Lock()
 	_, ok := a.pages[pid]
@@ -310,28 +350,17 @@ func (a *MemArchive) Pages() ([]uint64, error) {
 	return out, nil
 }
 
-// WriteBatch implements ArchiveBatcher, so in-memory runs take the same
-// write-back path as the PageFile. Each accepted page is filled into the
-// buffer the archive then keeps; memory writes cannot half-fail, so there
-// is no batch to roll back. fill runs without the archive's lock held.
-func (a *MemArchive) WriteBatch(pids []uint64, fill func(i int, dst []byte) bool) error {
-	for i, pid := range pids {
-		img := make([]byte, PageSize)
-		if !fill(i, img) {
-			continue
-		}
-		a.mu.Lock()
-		a.pages[pid] = img
-		a.mu.Unlock()
-	}
-	return nil
-}
+// Fsyncs implements Archive: memory issues none.
+func (a *MemArchive) Fsyncs() int64 { return 0 }
 
-var (
-	_ Archive         = (*MemArchive)(nil)
-	_ ArchiveBatcher  = (*MemArchive)(nil)
-	_ ArchiveContains = (*MemArchive)(nil)
-)
+// ReadRetries implements Archive: reads take the lock, so none retry.
+func (a *MemArchive) ReadRetries() int64 { return 0 }
+
+// Close implements Archive. The pages stay: they are the database file
+// a simulated crash leaves behind.
+func (a *MemArchive) Close() error { return nil }
+
+var _ Archive = (*MemArchive)(nil)
 
 // PageImage is one page bound for the archive.
 type PageImage struct {
@@ -339,67 +368,6 @@ type PageImage struct {
 	PID uint64
 	// Img is the page's snapshotted image.
 	Img []byte
-}
-
-// ArchiveBatcher is the Archive extension every write-back path — the
-// checkpoint sweep, the cleaner, the steal — goes through. The caller
-// says *which* pages; the archive decides the order and asks for each
-// image when it has somewhere to put it, so a batch of any size moves
-// each image exactly once (frame → the archive's own staging buffer)
-// and holds a bounded number of them. An archive that only has Put is
-// adapted by batcherFor.
-type ArchiveBatcher interface {
-	// WriteBatch stores the pages named by pids. For each, in an order
-	// of its choosing, it calls fill(i, dst) once with i the page's
-	// index in pids and dst a PageSize buffer; fill copies the page's
-	// current image into dst and reports true, or reports false to
-	// leave the page out of the batch (it may not be written now — the
-	// WAL rule is the caller's to check, under the same latch as the
-	// copy). The PageFile does this with O(1) device fsyncs per batch.
-	// A failed WriteBatch installs nothing the caller may rely on —
-	// every page stays dirty.
-	WriteBatch(pids []uint64, fill func(i int, dst []byte) bool) error
-}
-
-// batcherFor returns a's batch entry point: its own, or for an archive
-// that only has Put, a loop over one staging image. The first failed Put
-// fails the batch.
-func batcherFor(a Archive) ArchiveBatcher {
-	if b, ok := a.(ArchiveBatcher); ok {
-		return b
-	}
-	return putLoop{a}
-}
-
-// putLoop is batcherFor's adapter for an archive that only has Put.
-type putLoop struct{ a Archive }
-
-// WriteBatch implements ArchiveBatcher.
-func (l putLoop) WriteBatch(pids []uint64, fill func(i int, dst []byte) bool) error {
-	img := make([]byte, PageSize)
-	for i, pid := range pids {
-		if !fill(i, img) {
-			continue
-		}
-		if err := l.a.Put(pid, img); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// FsyncCounter is implemented by archives that count their device fsyncs;
-// the checkpointer charges the delta to its sweep-fsync counter.
-type FsyncCounter interface {
-	Fsyncs() int64
-}
-
-// ReadRetrier is implemented by archives whose read path is optimistic
-// (lock-free reads validated by checksum, retried on a racing write);
-// ReadRetries exposes how often the optimism lost. The PageFile
-// implements it; stats surfaces pick it up by type assertion.
-type ReadRetrier interface {
-	ReadRetries() int64
 }
 
 // wbClaim is one page a write-back pass owns: pinned, and holding its
@@ -445,7 +413,7 @@ func (s *Store) writeBack(a Archive, pids []uint64, claims []wbClaim, durable ls
 			s.signalCleaned()
 		}
 	}()
-	err = batcherFor(a).WriteBatch(pids, func(i int, dst []byte) bool {
+	err = a.WriteBatch(pids, func(i int, dst []byte) bool {
 		c := &claims[i]
 		c.page.Latch.RLock()
 		pl, ok := c.page.copyDurable(dst, durable)
@@ -546,48 +514,4 @@ func (s *Store) dirtyPIDs() []uint64 {
 	s.dirtyMu.Unlock()
 	sortPageIDs(out)
 	return out
-}
-
-// LoadArchive populates the store from an archive eagerly, faulting
-// every page into RAM at once. The restart path no longer uses it
-// (pages fault in lazily through the backend); it remains for tests and
-// tools that want a fully materialized store. Pages load through the
-// normal fault path, so a cache budget still bounds residency.
-func (s *Store) LoadArchive(a Archive) error {
-	pids, err := a.Pages()
-	if err != nil {
-		return err
-	}
-	for _, pid := range pids {
-		if s.backend == a {
-			if p := s.getResident(pid); p != nil {
-				// Already resident: fall through to the overwrite path
-				// below (LoadArchive's contract is archive-wins).
-				p.Unpin()
-			} else {
-				// GetOrCreate faults the image from this very archive;
-				// a separate a.Get here would read it twice.
-				p, err := s.GetOrCreate(pid)
-				if err != nil {
-					return err
-				}
-				p.Unpin()
-				continue
-			}
-		}
-		img, err := a.Get(pid)
-		if err != nil {
-			return err
-		}
-		p, err := s.GetOrCreate(pid)
-		if err != nil {
-			return err
-		}
-		err = p.LoadSnapshot(img)
-		p.Unpin()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

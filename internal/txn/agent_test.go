@@ -24,7 +24,7 @@ import (
 // stallDev is an in-memory log device whose Sync can be held up, so a
 // test decides how long a commit stays in flight.
 type stallDev struct {
-	*logdev.Mem
+	*logdev.Segmented
 	mu   sync.Mutex
 	hold chan struct{} // non-nil: Sync waits for it to be closed
 }
@@ -36,7 +36,7 @@ func (d *stallDev) Sync() error {
 	if hold != nil {
 		<-hold
 	}
-	return d.Mem.Sync()
+	return d.Segmented.Sync()
 }
 
 // stall holds up every Sync from now until release is first called.
@@ -56,10 +56,11 @@ func (d *stallDev) stall() (release func()) {
 	}
 }
 
-// nullDev is an in-memory log device that keeps nothing: the slice a
-// logdev.Mem grows allocates about five bytes per byte logged, which
-// would drown an allocation budget measured in bytes.
-type nullDev struct{ *logdev.Mem }
+// nullDev is an in-memory log device that keeps nothing: a memory-backed
+// device allocates a whole segment each time the log crosses into a new
+// one, a byte per byte logged, which would drown an allocation budget
+// measured in bytes.
+type nullDev struct{ *logdev.Segmented }
 
 func (nullDev) Append(p []byte) (int, error) { return len(p), nil }
 
@@ -109,7 +110,7 @@ func seedRows(t *testing.T, ag *Agent, tbl *Table, n uint64) {
 // committed transaction's locks and nothing else — which it would not if
 // the agent had re-armed the same Locker for the next transaction.
 func TestHoldLocksCommitKeepsNextTxnLocks(t *testing.T) {
-	dev := &stallDev{Mem: logdev.NewMem(logdev.ProfileMemory)}
+	dev := &stallDev{Segmented: logdev.NewMem(logdev.ProfileMemory)}
 	eng := newEngineOn(t, dev)
 	tbl, _ := eng.CreateTable("t", nil)
 	ag := eng.NewAgent()
@@ -170,7 +171,7 @@ func TestHoldLocksCommitKeepsNextTxnLocks(t *testing.T) {
 // scratch — updates the rows N wrote and aborts. Every row must read
 // back exactly what N committed, and N must still be acknowledged.
 func TestAbortBehindPipelinedCommit(t *testing.T) {
-	dev := &stallDev{Mem: logdev.NewMem(logdev.ProfileMemory)}
+	dev := &stallDev{Segmented: logdev.NewMem(logdev.ProfileMemory)}
 	eng := newEngineOn(t, dev)
 	tbl, _ := eng.CreateTable("t", nil)
 	ag := eng.NewAgent()

@@ -95,10 +95,10 @@ func TestAutoCheckpointAdvancesHorizon(t *testing.T) {
 	eng.Close()
 }
 
-// TestSweepFsyncCounterO1 asserts the acceptance property at the engine
+// TestCheckpointSweepFsyncsO1 asserts the acceptance property at the engine
 // level: one checkpoint sweeping ≥ 1000 dirty pages charges O(1) fsyncs
 // to the sweep-fsync counter.
-func TestSweepFsyncCounterO1(t *testing.T) {
+func TestCheckpointSweepFsyncsO1(t *testing.T) {
 	eng, _, _ := newAutoHarness(t, 0) // no background checkpointer: one inline sweep
 	const pages = 1000
 	st := eng.Store()

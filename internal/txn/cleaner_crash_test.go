@@ -35,7 +35,7 @@ func newGatedArchive(a storage.Archive) *gatedArchive {
 // on the test's own goroutine, which must not park — and this test runs
 // no checkpoints, so the parked caller is the cleaner.
 func (a *gatedArchive) WriteBatch(pids []uint64, fill func(i int, dst []byte) bool) error {
-	if err := a.Archive.(storage.ArchiveBatcher).WriteBatch(pids, fill); err != nil {
+	if err := a.Archive.WriteBatch(pids, fill); err != nil {
 		return err
 	}
 	if len(pids) >= 2 && a.gated.Load() {
@@ -47,15 +47,7 @@ func (a *gatedArchive) WriteBatch(pids []uint64, fill func(i int, dst []byte) bo
 	return nil
 }
 
-// Contains forwards the buffer pool's cheap existence probe.
-func (a *gatedArchive) Contains(pid uint64) bool {
-	if c, ok := a.Archive.(storage.ArchiveContains); ok {
-		return c.Contains(pid)
-	}
-	return false
-}
-
-func restartCleaned(t *testing.T, dev *logdev.Mem, arch storage.Archive, cachePages int64, cleanerPages int) (*Engine, int) {
+func restartCleaned(t *testing.T, dev *logdev.Segmented, arch storage.Archive, cachePages int64, cleanerPages int) (*Engine, int) {
 	t.Helper()
 	eng, res, err := Restart(RestartConfig{
 		Device:  dev,
@@ -63,10 +55,9 @@ func restartCleaned(t *testing.T, dev *logdev.Mem, arch storage.Archive, cachePa
 		LogConfig: core.Config{
 			Buffer: logbuf.Config{Variant: logbuf.VariantCD, Size: 1 << 20},
 		},
-		LockConfig:      lockmgr.Config{DeadlockTimeout: 300 * time.Millisecond, SLI: true},
-		CachePages:      cachePages,
-		CleanerPages:    cleanerPages,
-		CleanerInterval: time.Millisecond,
+		LockConfig:   lockmgr.Config{DeadlockTimeout: 300 * time.Millisecond, SLI: true},
+		CachePages:   cachePages,
+		CleanerPages: cleanerPages,
 	})
 	if err != nil {
 		t.Fatalf("restart: %v", err)

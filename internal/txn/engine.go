@@ -147,11 +147,6 @@ type Config struct {
 	// demand steal. Meaningful only with a bounded Store (SetCachePages)
 	// over an Archive backend; harmless otherwise. Stop it with Close.
 	CleanerPages int
-	// CleanerInterval is the cleaner's polling cadence (default 2ms).
-	// Demand steals additionally nudge it awake immediately, so the
-	// interval only bounds how stale the headroom view can get between
-	// bursts.
-	CleanerInterval time.Duration
 	// PrefetchDepth, if > 0, enables sequential read-ahead in the buffer
 	// pool: when faults form a sequential run (a scan, the restart
 	// rebuild), up to this many pages are read from the archive ahead of
@@ -296,7 +291,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.startArchiver()
 	}
 	if cfg.CleanerPages > 0 {
-		e.startCleaner(cfg.CleanerPages, cfg.CleanerInterval)
+		e.startCleaner(cfg.CleanerPages)
 	}
 	if len(cfg.Retention.Lanes) > 0 {
 		e.startRetention(cfg.Retention)
@@ -415,6 +410,11 @@ func (e *Engine) archivePassWithRetry(d *daemon) {
 	}
 }
 
+// cleanerInterval is the page cleaner's polling cadence. Demand steals
+// nudge the cleaner awake at once, so the interval only bounds how stale
+// its headroom view can get between bursts.
+const cleanerInterval = 2 * time.Millisecond
+
 // startCleaner wires the background page cleaner: a daemon that
 // pre-cleans dirty, cold pages whenever the buffer pool's free-or-clean
 // headroom drops below pages. It wakes on a short ticker and — more
@@ -422,11 +422,8 @@ func (e *Engine) archivePassWithRetry(d *daemon) {
 // callback), so a burst that outruns the ticker immediately re-arms it.
 // Like the checkpointer and the archiver, its work happens entirely off
 // the agent threads' fault path.
-func (e *Engine) startCleaner(pages int, interval time.Duration) {
-	if interval <= 0 {
-		interval = 2 * time.Millisecond
-	}
-	e.clean = startDaemon(interval, func(d *daemon) {
+func (e *Engine) startCleaner(pages int) {
+	e.clean = startDaemon(cleanerInterval, func(d *daemon) {
 		// Clean until headroom is restored, not just one batch: under
 		// sustained write pressure the ticker cadence alone would fall
 		// behind, and steals — each of which nudged the daemon — would
@@ -718,17 +715,9 @@ func (e *Engine) Checkpoint() error {
 		return fmt.Errorf("txn: checkpoint flush: %w", err)
 	}
 	if e.archive != nil {
-		t0 := time.Now()
-		var fsyncs0 int64
-		fc, hasFC := e.archive.(storage.FsyncCounter)
-		if hasFC {
-			fsyncs0 = fc.Fsyncs()
-		}
+		t0, fsyncs0 := time.Now(), e.archive.Fsyncs()
 		n := e.store.ArchiveDirtyPages(e.archive, e.log.Durable())
-		var df int64
-		if hasFC {
-			df = fc.Fsyncs() - fsyncs0
-		}
+		df := e.archive.Fsyncs() - fsyncs0
 		// A sweep that wrote pages but cleaned none (all re-dirtied
 		// mid-sweep) still did device work; count it by its fsyncs.
 		if n > 0 || df > 0 {
@@ -764,8 +753,7 @@ func (e *Engine) Checkpoint() error {
 // is dead. Undo never needs it (every live transaction's records start
 // at or above its first LSN), redo never needs it (pages dirtied below
 // it were archived by the page-cleaning sweep), and analysis never needs
-// it (it starts at this — now newest — checkpoint). Devices that cannot
-// truncate ignore the horizon.
+// it (it starts at this — now newest — checkpoint).
 func (e *Engine) releaseLSN(ckptBegin lsn.LSN) lsn.LSN {
 	release := ckptBegin
 	e.mu.Lock()

@@ -2,7 +2,6 @@ package txn
 
 import (
 	"fmt"
-	"time"
 
 	"aether/internal/core"
 	"aether/internal/lockmgr"
@@ -44,9 +43,6 @@ type RestartConfig struct {
 	// CleanerPages enables the engine's background page cleaner (see
 	// txn.Config.CleanerPages). Meaningful only with CachePages set.
 	CleanerPages int
-	// CleanerInterval is the cleaner's polling cadence (see
-	// txn.Config.CleanerInterval).
-	CleanerInterval time.Duration
 	// PrefetchDepth enables sequential read-ahead in the buffer pool (see
 	// txn.Config.PrefetchDepth). It is armed before recovery runs, so a
 	// redo pass walking pages in log order and the RebuildTables scan both
@@ -151,7 +147,6 @@ func Restart(cfg RestartConfig) (*Engine, *recovery.Result, error) {
 		Archive:              cfg.Archive,
 		CheckpointEveryBytes: cfg.CheckpointEveryBytes,
 		CleanerPages:         cfg.CleanerPages,
-		CleanerInterval:      cfg.CleanerInterval,
 		PrefetchDepth:        cfg.PrefetchDepth,
 		Retention:            cfg.Retention,
 	})

@@ -89,7 +89,7 @@ func TestRestartScansFromCheckpointHorizon(t *testing.T) {
 		if err := eng.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		horizon := logdev.BaseOffset(devs[0])
+		horizon := devs[0].Base()
 		_, end := sizes(eng, devs)
 		if ckptBegan < 1_000_000 || horizon < 1_000_000/int64(n)/2 {
 			t.Fatalf("test invalid: %d bytes logged before the checkpoint, lane 0's horizon %d", ckptBegan, horizon)

@@ -18,7 +18,7 @@ func stealRow(k uint64) []byte {
 	return append(row(k, k*7), make([]byte, 1500)...)
 }
 
-func restartBounded(t *testing.T, dev *logdev.Mem, arch storage.Archive, cachePages int64) (*Engine, int) {
+func restartBounded(t *testing.T, dev *logdev.Segmented, arch storage.Archive, cachePages int64) (*Engine, int) {
 	t.Helper()
 	eng, res, err := Restart(RestartConfig{
 		Device:  dev,

@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -28,7 +29,7 @@ func rowValue(b []byte) uint64 { return binary.LittleEndian.Uint64(b[8:16]) }
 // harness bundles an engine over crashable memory devices, one per log
 // lane.
 type harness struct {
-	devs []*logdev.Mem
+	devs []*logdev.Segmented
 	arch *storage.MemArchive
 	eng  *Engine
 }
@@ -401,6 +402,70 @@ func TestCheckpointRuns(t *testing.T) {
 	if h.eng.Stats().Checkpoints.Load() != 1 {
 		t.Fatal("checkpoint not counted")
 	}
+}
+
+// TestCheckpointTruncatesInMemoryLog: an in-memory log is the same
+// segmented device a file-backed one is, so a checkpoint advances its
+// truncation horizon and recycles the whole segments behind it — the
+// figure rigs' and in-memory databases' logs stay bounded too — and a
+// crash recovers from the horizon.
+func TestCheckpointTruncatesInMemoryLog(t *testing.T) {
+	h := newHarness(t)
+	dev := h.devs[0]
+	tbl, err := h.eng.CreateTable("t", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ag := h.eng.NewAgent()
+	defer ag.Close()
+	wide := func(v uint64) []byte { return append(row(1, v), bytes.Repeat([]byte{byte(v)}, 4000)...) }
+	tx := ag.Begin()
+	if err := tx.Insert(tbl, 1, wide(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(CommitSync, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.eng.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	first := dev.Base()
+	if first == 0 {
+		t.Fatal("checkpoint left the truncation base at 0")
+	}
+	// Every update rewrites the row's 4000 fill bytes, so each logs about
+	// 8 KB: enough of them fill the first segment.
+	v := uint64(0)
+	for dev.DurableSize() <= logdev.DefaultSegmentSize {
+		tx := ag.Begin()
+		for i := 0; i < 64; i++ {
+			v++
+			if err := tx.Update(tbl, 1, func([]byte) ([]byte, error) { return wide(v), nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(CommitSync, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h.eng.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if base := dev.Base(); base <= logdev.DefaultSegmentSize {
+		t.Fatalf("second checkpoint moved the base from %d to %d, want past the first segment", first, base)
+	}
+	if segs, _ := dev.TruncStats(); segs < 1 {
+		t.Fatal("no segment recycled behind the horizon")
+	}
+	eng, tables := h.hardCrashAndRestart(t, "t")
+	ag2 := eng.NewAgent()
+	defer ag2.Close()
+	check := ag2.Begin()
+	got, err := check.Read(tables["t"], 1)
+	if err != nil || !bytes.Equal(got, wide(v)) {
+		t.Fatalf("after the crash key 1 = %d bytes (%v), want the last update", len(got), err)
+	}
+	check.Commit(CommitSync, nil)
 }
 
 func TestCommitModeString(t *testing.T) {

@@ -9,8 +9,8 @@
 // engine is built from the same few primitives — positional file I/O,
 // fsync, rename-into-place, directory fsync — and the crash-ordering
 // invariants (ARCHITECTURE.md "Fsync-ordering invariants") are stated
-// in terms of them. Threading vfs.FS through fsutil, logdev and
-// storage lets one fault model exercise every layer.
+// in terms of them. Threading vfs.FS through logdev and storage lets one
+// fault model exercise every layer.
 package vfs
 
 import (
@@ -112,3 +112,22 @@ func (OS) SyncDir(dir string) error {
 }
 
 var _ FS = OS{}
+
+// WriteFileSync writes data to path on fs durably: the bytes are fsynced
+// before the file is closed. The caller still owns directory durability
+// (fs.SyncDir) if the file is new or renamed.
+func WriteFileSync(fs FS, path string, data []byte, perm os.FileMode) error {
+	f, err := fs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, perm)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}

@@ -128,8 +128,8 @@ func TestDefaultSegmentSize(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := db.lanes[0].seg.SegmentSize(); got != defaultSegmentSize {
-				t.Errorf("LogPath %q: segment size %d, want %d", logPath, got, defaultSegmentSize)
+			if got := db.lanes[0].seg.SegmentSize(); got != logdev.DefaultSegmentSize {
+				t.Errorf("LogPath %q: segment size %d, want %d", logPath, got, logdev.DefaultSegmentSize)
 			}
 			db.Close()
 		}

@@ -18,10 +18,6 @@ import (
 	"aether/internal/vfs"
 )
 
-// defaultSegmentSize is the segment size of a new log whose
-// Options.SegmentSize is 0.
-const defaultSegmentSize = 8 << 20
-
 // lane is one log lane: its device and the cold store attached to it.
 type lane struct {
 	seg    *logdev.Segmented
@@ -30,13 +26,13 @@ type lane struct {
 
 // openLane opens lane i of n's log device: a segmented directory under
 // Options.LogPath, or segments in memory without one. A SegmentSize of 0
-// adopts the directory's MANIFEST on reopen and is defaultSegmentSize for
-// a new log.
+// adopts the directory's MANIFEST on reopen and is
+// logdev.DefaultSegmentSize for a new log.
 func openLane(opts Options, fs vfs.FS, i, n int) (lane, error) {
 	size := max(opts.SegmentSize, 0)
 	dir := logdev.LaneDir(opts.LogPath, i, n)
 	if size == 0 && (opts.LogPath == "" || !logdev.HasManifest(fs, dir)) {
-		size = defaultSegmentSize
+		size = logdev.DefaultSegmentSize
 	}
 	if opts.LogPath == "" {
 		return lane{seg: logdev.NewSegmentedMem(opts.Device.internal(), size)}, nil
