@@ -131,11 +131,11 @@ soak-race-long:
 
 # Short coverage-guided fuzz runs over the hostile-input decoders: the
 # wire protocol's frames and requests, the cloud tier's object envelope
-# (segment, indexed pack, snapshot), the segment header's durable
-# watermark slots, and the log record with its update and checkpoint
-# payloads — none may panic, over-allocate, or round-trip
-# asymmetrically, no slot may be admitted over bytes that do not
-# match its data CRC, and no record may have two spellings. Ten seconds
+# and snapshot payload (only segment and snapshot objects decode), the
+# segment header's durable watermark slots, and the log record with its
+# update and checkpoint payloads — none may panic, over-allocate, or
+# round-trip asymmetrically, no slot may be admitted over bytes that do
+# not match its data CRC, and no record may have two spellings. Ten seconds
 # per target is enough to exercise the mutation corpus on every CI pass
 # (the record target keeps finding new coverage from a cold cache, and
 # the fuzzer's default minute of minimizing each find would eat the ten
@@ -144,7 +144,7 @@ soak-race-long:
 fuzz-smoke:
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 10s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzRequestRoundTrip$$' -fuzztime 10s
-	$(GO) test ./internal/logdev -run '^$$' -fuzz '^FuzzCompactedIndex$$' -fuzztime 10s
+	$(GO) test ./internal/logdev -run '^$$' -fuzz '^FuzzRemoteObject$$' -fuzztime 10s
 	$(GO) test ./internal/logdev -run '^$$' -fuzz '^FuzzSegmentHeader$$' -fuzztime 10s
 	$(GO) test ./internal/logrec -run '^$$' -fuzz '^FuzzRecordDecode$$' -fuzztime 10s -fuzzminimizetime 1s
 

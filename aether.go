@@ -133,21 +133,23 @@ type Options struct {
 	// the full history remains restorable (RestoreTo, logdump). It is the
 	// same mechanism as RemoteStore — an
 	// object store, here a directory of CRC-enveloped object files
-	// (seg/, pack/, snap/) on the database's own filesystem, each
-	// installed through a synced temporary, a rename and a directory
-	// fsync — so it compacts, snapshots and prunes exactly as described
-	// there, and every statement below that says "with a cold store"
-	// covers it. The conventional location for a file-backed log is
+	// (seg/, snap/) on the database's own filesystem, each installed
+	// through a synced temporary, a rename and a directory fsync — so it
+	// snapshots and prunes exactly as described there, and every
+	// statement below that says "with a cold store" covers it. The conventional location for a file-backed log is
 	// filepath.Join(LogPath, "archive"). A partitioned database
 	// (LogPartitions >= 2) keeps one lane per partition (ArchiveDir/p0,
 	// ArchiveDir/p1, …). A directory still holding the *.seg files of
-	// the earlier one-file-per-segment archive layout is refused (the
+	// the earlier one-file-per-segment archive layout, or the pack/
+	// objects earlier versions compacted segments into, is refused (the
 	// error matches logdev's ErrFormat) and left untouched.
 	ArchiveDir string
 	// RemoteStore, if set (mutually exclusive with ArchiveDir, which is
 	// the same thing on a local directory), archives dead segments into
-	// an S3-style object store: the cloud log tier. Every object carries a self-validating envelope, so torn
-	// uploads are detected and re-shipped; a failed upload leaves the
+	// an S3-style object store: the cloud log tier. Each archived
+	// segment is one write-once object until retention deletes it. Every
+	// object carries a self-validating envelope, so torn uploads are
+	// detected and re-shipped; a failed upload leaves the
 	// segment parked on the hot device (its slot is never recycled until
 	// the store durably holds it) and the background archiver retries
 	// with backoff. A partitioned database keeps one key-prefix lane per
@@ -155,12 +157,10 @@ type Options struct {
 	// NewDirObjectStore for a directory-backed store; any ObjectStore
 	// implementation works. A cold store enables DB.RestoreTo
 	// point-in-time recovery below the hot log's base and, with
-	// SnapshotEveryBytes, snapshot-anchored retention.
+	// SnapshotEveryBytes, snapshot-anchored retention. A store holding
+	// pack/ objects (an earlier version's compacted segments) is refused
+	// as under ArchiveDir.
 	RemoteStore ObjectStore
-	// CompactSegments, with a cold store, packs runs of at least this
-	// many contiguous raw segment objects into one larger immutable
-	// indexed pack object (background compaction; default 4).
-	CompactSegments int
 	// SnapshotEveryBytes, with a cold store on a single (unpartitioned)
 	// log, cuts a materialized snapshot object — page images plus the
 	// undo stash of in-flight transactions — every time this many new
@@ -169,7 +169,7 @@ type Options struct {
 	// distance from the nearest snapshot instead of total history. 0
 	// disables snapshots and pruning. Partitioned logs ignore it: their
 	// pages interleave across lanes, so the cold store keeps their full
-	// history (compaction still runs).
+	// history and runs no maintenance at all.
 	SnapshotEveryBytes int64
 	// RetainSnapshots, with SnapshotEveryBytes > 0, keeps only the
 	// newest N snapshot objects: older snapshots, and every log object
@@ -325,7 +325,9 @@ func Open(opts Options) (*DB, error) {
 	}
 	if cold != nil {
 		for i := range db.lanes {
-			db.lanes[i].attachColdStore(cold, i, n)
+			if err := db.lanes[i].attachColdStore(cold, i, n); err != nil {
+				return fail(err)
+			}
 		}
 	}
 	if err := db.start(); err != nil {
@@ -505,9 +507,6 @@ type Stats struct {
 	// ArchiveGaveUp counts archive passes abandoned after the retry
 	// budget; the segments stay parked until a later nudge succeeds.
 	ArchiveGaveUp int64
-	// LogPacksBuilt counts compaction runs in the cold store: contiguous
-	// raw segment objects merged into one immutable indexed pack object.
-	LogPacksBuilt int64
 	// LogSnapshots counts materialized snapshot objects the cold
 	// store's maintenance daemon uploaded (Options.SnapshotEveryBytes).
 	LogSnapshots int64
@@ -655,9 +654,6 @@ func (db *DB) Stats() Stats {
 		s.LogSegmentsArchived += l.seg.ArchivedSegments()
 		s.LogSegmentsPendingArchive += int64(len(l.seg.PendingArchive()))
 		s.LogTornTailRepaired += l.seg.RepairedTailBytes()
-		if l.remote != nil {
-			s.LogPacksBuilt += l.remote.Stats().PacksBuilt
-		}
 	}
 	s.ReadRetries = db.archive.ReadRetries()
 	s.LogSnapshots = es.SnapshotsTaken.Load()

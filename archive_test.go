@@ -100,8 +100,7 @@ func TestArchiverShipsDeadSegmentsBeforeRecycle(t *testing.T) {
 					st.LogSegmentsRecycled, st.LogSegmentsArchived)
 			}
 			// Every segment wholly below a lane's base is accounted for:
-			// in the cold store (raw or packed) or still in the hot
-			// directory.
+			// in the cold store or still in the hot directory.
 			for i, l := range db.lanes {
 				covered := make(map[int64]bool)
 				archived, err := l.remote.Segments()
@@ -134,15 +133,15 @@ func TestArchiverShipsDeadSegmentsBeforeRecycle(t *testing.T) {
 	}
 }
 
-// TestArchiveDirCompactsAndRestores: a local archive is the cloud tier on
-// a directory, so it compacts — pack objects appear under ArchiveDir, the
-// raw objects they fold disappear — and RestoreTo reads the history back
-// through the packs, also after a reopen.
-func TestArchiveDirCompactsAndRestores(t *testing.T) {
+// TestArchiveDirRestoresThroughSegmentObjects: a local archive is the
+// cloud tier on a directory — one write-once object under seg/ per
+// archived segment, nothing else — and RestoreTo reads the history back
+// through those objects, also after a reopen.
+func TestArchiveDirRestoresThroughSegmentObjects(t *testing.T) {
 	const segSize = 8 << 10
 	logDir := filepath.Join(t.TempDir(), "wal.d")
 	coldDir := filepath.Join(logDir, "archive")
-	opts := Options{LogPath: logDir, SegmentSize: segSize, ArchiveDir: coldDir, CompactSegments: 2}
+	opts := Options{LogPath: logDir, SegmentSize: segSize, ArchiveDir: coldDir}
 	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -157,20 +156,18 @@ func TestArchiveDirCompactsAndRestores(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, "compaction under ArchiveDir", func() bool {
+	waitFor(t, "archiver drain under ArchiveDir", func() bool {
 		s := db.Stats()
-		return s.LogPacksBuilt > 0 && s.LogSegmentsPendingArchive == 0
+		return s.LogSegmentsArchived > 0 && s.LogSegmentsPendingArchive == 0
 	})
-	packs, err := filepath.Glob(filepath.Join(coldDir, "pack", "*"))
-	if err != nil || len(packs) == 0 {
-		t.Fatalf("no pack objects under %s/pack (%v)", coldDir, err)
+	objs := dirImage(t, coldDir)
+	if int64(len(objs)) != db.Stats().LogSegmentsArchived {
+		t.Fatalf("%d objects under %s for %d archived segments: %v", len(objs), coldDir, db.Stats().LogSegmentsArchived, imageNames(objs))
 	}
-	packed, err := db.lanes[0].remote.Segments()
-	if err != nil || len(packed) == 0 || packed[0] != 0 {
-		t.Fatalf("cold store lists segments %v (%v), want a history from segment 0", packed, err)
-	}
-	if _, err := os.Stat(filepath.Join(coldDir, "seg", fmt.Sprintf("%016d", 0))); !os.IsNotExist(err) {
-		t.Fatalf("raw object of packed segment 0 survived compaction: %v", err)
+	for idx := int64(0); idx < int64(len(objs)); idx++ {
+		if _, ok := objs[filepath.Join("seg", fmt.Sprintf("%016d", idx))]; !ok {
+			t.Fatalf("no object for archived segment %d: %v", idx, imageNames(objs))
+		}
 	}
 	restoredKeys(t, db, "t", 400)
 	if err := db.Close(); err != nil {

@@ -9,14 +9,15 @@
 // Cold-storage awareness: a segmented log whose dead segments were
 // archived (aether.Options.ArchiveDir, or a RemoteStore kept in a
 // directory) keeps only the hot tail on the device. logdump lists the
-// cold store's objects — raw segments, packs with their decoded indexes,
-// snapshots, the retention floor — and stitches the archived history
+// cold store's objects — one per archived segment, the snapshots, and the
+// retention floor — and stitches the archived history
 // below the truncation base to the live tail so the dump covers the full
 // log from offset 0, including segments already recycled from the hot
 // directory. The store is auto-detected at <dir>/archive (the
 // conventional location) or named explicitly with -archive; it is opened
 // read-only (nothing is created, swept or repaired). -archive without -f
-// prints the object listing alone.
+// prints the object listing alone. A cold store an earlier version
+// compacted is refused, as Open refuses it.
 //
 // Pointed at a partitioned database root (Options.LogPartitions >= 2 —
 // recognized by its p0/ directory), it prints each partition's segment
@@ -32,8 +33,8 @@
 //	logdump -f wal.d -txn 42        # one transaction's chain
 //	logdump -f wal.d -stats         # kind histogram + volume (framing vs image bytes) only
 //	logdump -f wal.d/pagefile.db    # pagefile slot table
-//	logdump -archive cold           # cold store alone: raw/pack/snapshot
-//	                                # objects, decoded pack indexes, floor
+//	logdump -archive cold           # cold store alone: segment and
+//	                                # snapshot objects, floor
 package main
 
 import (
@@ -62,8 +63,8 @@ Usage:
 The path may be:
   a segmented log dir   segment layout + base, then every record in LSN
                         order; the cold store (auto-detected at
-                        <dir>/archive, or -archive) is listed — raw
-                        segments, packs, snapshots, floor — and stitched
+                        <dir>/archive, or -archive) is listed — archived
+                        segments, snapshots, floor — and stitched
                         below the base so the dump covers history
                         already recycled from the hot directory
   a partitioned root    (p0/ present) each partition's segment layout,
@@ -84,8 +85,8 @@ Examples:
                                    bytes split into framing and row images
   logdump -f wal.d -archive /cold  cold store in a non-default location
   logdump -f wal.d/pagefile.db     slot table of the database file
-  logdump -archive /cold           the cold store alone: raw segments,
-                                   packs (decoded indexes), snapshots, floor
+  logdump -archive /cold           the cold store alone: archived segments,
+                                   snapshots, floor
 `)
 }
 
@@ -242,11 +243,13 @@ func dumpLane(path string, store *logdev.DirObjectStore, i, n int) (recovery.Lan
 	var arch *logdev.RemoteArchiver
 	if store != nil {
 		prefix := lanePrefix(i, n)
-		fmt.Printf("cold store lane %q:\n", prefix)
-		if err := listColdLane(store, prefix); err != nil {
+		if arch, err = logdev.NewRemoteArchiver(store, prefix, seg.SegmentSize()); err != nil {
 			return recovery.Lane{}, err
 		}
-		arch = logdev.NewRemoteArchiver(store, prefix, seg.SegmentSize())
+		fmt.Printf("cold store lane %q:\n", prefix)
+		if err := listColdLane(store, arch, prefix); err != nil {
+			return recovery.Lane{}, err
+		}
 	}
 	data, base, err := seg.RestoreLog(arch, 0)
 	return recovery.Lane{Log: data, Base: lsn.LSN(base)}, err
@@ -394,9 +397,8 @@ func isDir(path string) bool {
 	return err == nil && st.IsDir()
 }
 
-// listColdStore prints what a cold store holds: the raw segment objects,
-// the compacted packs with their decoded indexes, the snapshot objects,
-// and the retention floor — per lane for a partitioned database (p0/,
+// listColdStore prints what a cold store holds: the segment objects, the
+// snapshot objects, and the retention floor — per lane for a partitioned database (p0/,
 // p1/, …), one unnamed lane otherwise. Torn objects (a crashed or cut
 // upload's prefix) are flagged, not errors: the archiver overwrites
 // them on its next pass.
@@ -407,10 +409,16 @@ func listColdStore(dir string) error {
 	}
 	n := logdev.CountLanes(vfs.OS{}, dir)
 	for i := 0; i < n; i++ {
-		if p := lanePrefix(i, n); p != "" {
-			fmt.Printf("lane %s\n", strings.TrimSuffix(p, "/"))
+		prefix := lanePrefix(i, n)
+		// Segment size 0: a listing never retrieves a segment.
+		arch, err := logdev.NewRemoteArchiver(store, prefix, 0)
+		if err != nil {
+			return err
 		}
-		if err := listColdLane(store, lanePrefix(i, n)); err != nil {
+		if prefix != "" {
+			fmt.Printf("lane %s\n", strings.TrimSuffix(prefix, "/"))
+		}
+		if err := listColdLane(store, arch, prefix); err != nil {
 			return err
 		}
 	}
@@ -430,14 +438,12 @@ func remoteObj(store logdev.ObjectStore, key string) (kind uint16, meta uint64, 
 	return kind, meta, payload, false, nil
 }
 
-func listColdLane(store logdev.ObjectStore, lane string) error {
-	var segSize int64
-	var minSeg int64 = -1
+func listColdLane(store logdev.ObjectStore, arch *logdev.RemoteArchiver, lane string) error {
 	segKeys, err := store.List(lane + "seg/")
 	if err != nil {
 		return err
 	}
-	fmt.Printf("raw segment objects: %d\n", len(segKeys))
+	fmt.Printf("segment objects: %d\n", len(segKeys))
 	for _, key := range segKeys {
 		_, idx, payload, torn, err := remoteObj(store, key)
 		if err != nil {
@@ -447,41 +453,8 @@ func listColdLane(store logdev.ObjectStore, lane string) error {
 			fmt.Printf("  %s  TORN (failed upload's prefix; re-shipped on the archiver's next pass)\n", key)
 			continue
 		}
-		segSize = int64(len(payload))
-		if minSeg < 0 || int64(idx) < minSeg {
-			minSeg = int64(idx)
-		}
+		segSize := int64(len(payload))
 		fmt.Printf("  segment %6d  [%d, %d)\n", idx, int64(idx)*segSize, (int64(idx)+1)*segSize)
-	}
-
-	packKeys, err := store.List(lane + "pack/")
-	if err != nil {
-		return err
-	}
-	fmt.Printf("pack objects: %d\n", len(packKeys))
-	for _, key := range packKeys {
-		_, _, payload, torn, err := remoteObj(store, key)
-		if err != nil {
-			return err
-		}
-		if torn {
-			fmt.Printf("  %s  TORN (failed upload's prefix; raw segments still cover it)\n", key)
-			continue
-		}
-		entries, derr := logdev.DecodePackIndex(payload)
-		if derr != nil {
-			fmt.Printf("  %s  bad index: %v\n", key, derr)
-			continue
-		}
-		first, last := entries[0].Idx, entries[len(entries)-1].Idx
-		if segSize == 0 && len(entries) > 0 {
-			segSize = int64(entries[0].Len)
-		}
-		if minSeg < 0 || first < minSeg {
-			minSeg = first
-		}
-		fmt.Printf("  pack %6d-%-6d  %d segments, [%d, %d), %d bytes indexed\n",
-			first, last, len(entries), first*segSize, (last+1)*segSize, len(payload))
 	}
 
 	snapKeys, err := store.List(lane + "snap/")
@@ -489,14 +462,13 @@ func listColdLane(store logdev.ObjectStore, lane string) error {
 		return err
 	}
 	fmt.Printf("snapshot objects: %d\n", len(snapKeys))
-	var oldestCut uint64
-	for i, key := range snapKeys {
-		_, cut, payload, torn, err := remoteObj(store, key)
+	for _, key := range snapKeys {
+		_, _, payload, torn, err := remoteObj(store, key)
 		if err != nil {
 			return err
 		}
 		if torn {
-			fmt.Printf("  %s  TORN (failed upload's prefix)\n", key)
+			fmt.Printf("  %s  TORN (failed upload's prefix; never a restore base, deleted by retention)\n", key)
 			continue
 		}
 		snap, derr := logdev.DecodeSnapshot(payload)
@@ -504,19 +476,13 @@ func listColdLane(store logdev.ObjectStore, lane string) error {
 			fmt.Printf("  %s  bad payload: %v\n", key, derr)
 			continue
 		}
-		if i == 0 {
-			oldestCut = cut
-		}
 		fmt.Printf("  snapshot cut=%-12d %d pages, %d stashed in-flight updates\n",
 			snap.Cut, len(snap.Pages), len(snap.Stash))
 	}
 
-	// The retention floor: 0 while the raw log still reaches genesis
-	// (snapshots are then just restore accelerators), the oldest
-	// snapshot's cut once pruning has removed history below it.
-	floor := uint64(0)
-	if len(snapKeys) > 0 && minSeg > 0 {
-		floor = oldestCut
+	floor, err := arch.Floor()
+	if err != nil {
+		return err
 	}
 	fmt.Printf("retention floor: %d (oldest restorable point)\n", floor)
 	return nil

@@ -11,8 +11,8 @@ import (
 // RestoreConfig parameterizes the point-in-time-restore microbenchmark:
 // the same deterministic workload is committed into two databases
 // archiving into in-memory object stores — one cutting materialized
-// snapshots at a fixed byte cadence, one keeping only raw (compacted)
-// history — and RestoreTo of the durable end is timed against both.
+// snapshots at a fixed byte cadence, one keeping only the archived
+// segments — and RestoreTo of the durable end is timed against both.
 // The snapshot side replays just the tail past the newest snapshot;
 // the raw side replays the whole history from genesis.
 type RestoreConfig struct {
@@ -28,10 +28,6 @@ type RestoreConfig struct {
 	SegmentSize int64
 	// SnapshotEveryBytes is the snapshot cadence on the snapshot side.
 	SnapshotEveryBytes int64
-	// CompactSegments arms cloud-tier compaction on both sides, so the
-	// raw side reads its history back through indexed packs — the
-	// realistic worst case, not a strawman.
-	CompactSegments int
 	// Iters is how many timed RestoreTo calls each side gets; the best
 	// run is reported (restores share nothing, so min is the honest
 	// figure on a noisy host).
@@ -48,8 +44,6 @@ type RestoreResult struct {
 	RestoreAt int64
 	// Snapshots is how many snapshot objects the snapshot side had cut.
 	Snapshots int64
-	// PacksBuilt counts compaction runs across both sides.
-	PacksBuilt int64
 	// SnapshotMS is the best RestoreTo latency via the newest snapshot.
 	SnapshotMS float64
 	// RawMS is the best RestoreTo latency via full from-genesis replay.
@@ -67,8 +61,8 @@ func (r RestoreResult) Speedup() float64 {
 // Table renders the comparison as one row per restore path.
 func (r RestoreResult) Table() *Table {
 	t := &Table{
-		Title: fmt.Sprintf("Restore latency: RestoreTo the durable end of %d txns (%d log bytes; %d snapshots cut, %d packs built)",
-			r.Txns, r.LogBytes, r.Snapshots, r.PacksBuilt),
+		Title: fmt.Sprintf("Restore latency: RestoreTo the durable end of %d txns (%d log bytes; %d snapshots cut)",
+			r.Txns, r.LogBytes, r.Snapshots),
 		Columns: []string{"path", "best ms", "speedup"},
 	}
 	t.AddRow("raw replay from genesis", fmt.Sprintf("%.2f", r.RawMS), "1.0x")
@@ -225,7 +219,7 @@ func diffRestored(want, got map[uint64][]byte) string {
 
 // RunRestore executes the restore-latency microbenchmark: commit the
 // identical workload into a snapshot-cutting database and a raw-only
-// one (both archiving into an in-memory cloud with compaction armed),
+// one (both archiving into an in-memory cloud),
 // then time RestoreTo of the durable end against each. Both restored
 // states must equal the workload's committed model — the speedup is
 // only meaningful if the fast path restores the same bytes.
@@ -245,9 +239,6 @@ func RunRestore(cfg RestoreConfig) (RestoreResult, error) {
 	if cfg.SnapshotEveryBytes <= 0 {
 		cfg.SnapshotEveryBytes = 32 << 10
 	}
-	if cfg.CompactSegments <= 0 {
-		cfg.CompactSegments = 4
-	}
 	if cfg.Iters <= 0 {
 		cfg.Iters = 3
 	}
@@ -257,7 +248,6 @@ func RunRestore(cfg RestoreConfig) (RestoreResult, error) {
 		db, err := aether.Open(aether.Options{
 			SegmentSize:        cfg.SegmentSize,
 			RemoteStore:        aether.NewMemObjectStore(),
-			CompactSegments:    cfg.CompactSegments,
 			SnapshotEveryBytes: snapshotEvery,
 			Mode:               aether.CommitSync,
 		})
@@ -299,8 +289,7 @@ func RunRestore(cfg RestoreConfig) (RestoreResult, error) {
 	if err != nil {
 		return res, fmt.Errorf("bench restore: snapshot side: %w", err)
 	}
-	stRaw, err := quiesceRemote(dbRaw)
-	if err != nil {
+	if _, err := quiesceRemote(dbRaw); err != nil {
 		return res, fmt.Errorf("bench restore: raw side: %w", err)
 	}
 	if stSnap.LogSnapshots == 0 {
@@ -308,7 +297,6 @@ func RunRestore(cfg RestoreConfig) (RestoreResult, error) {
 			cfg.SnapshotEveryBytes, res.Txns)
 	}
 	res.Snapshots = stSnap.LogSnapshots
-	res.PacksBuilt = stSnap.LogPacksBuilt + stRaw.LogPacksBuilt
 
 	res.RestoreAt = dbSnap.RestorePoint()
 	atRaw := dbRaw.RestorePoint()

@@ -6,22 +6,22 @@ import (
 	"testing"
 )
 
-// FuzzCompactedIndex fuzzes the cloud tier's object decoders — the
-// envelope, the pack index, and the snapshot payload — which parse
-// bytes fetched from a remote store that may hand back torn, truncated
-// or hostile objects. The decoders must reject garbage with an error,
-// never panic or over-allocate, and anything they accept must re-encode
-// to a decode-equal value.
-func FuzzCompactedIndex(f *testing.F) {
-	// Valid seeds: a two-segment pack and a snapshot with pages + stash.
+// FuzzRemoteObject fuzzes the cloud tier's object decoders — the
+// envelope and the snapshot payload — which parse bytes fetched from a
+// remote store that may hand back torn, truncated or hostile objects.
+// The decoders must reject garbage with an error, never panic or
+// over-allocate; only segment and snapshot envelopes are accepted (kind 2,
+// the retired compacted pack, must fail), and anything accepted must
+// re-encode to a decode-equal value.
+func FuzzRemoteObject(f *testing.F) {
 	seg := bytes.Repeat([]byte{0xAB}, 64)
-	f.Add(EncodeObject(ObjPack, 7, EncodePack(7, [][]byte{seg, seg})))
 	f.Add(EncodeObject(ObjSnapshot, 4096, EncodeSnapshot(&Snapshot{
 		Cut:   4096,
 		Pages: []SnapshotPage{{PID: 1, Image: []byte("page")}},
 		Stash: []SnapshotStashRec{{TxnID: 3, At: 100, PageID: 1, Payload: []byte("undo")}},
 	})))
 	f.Add(EncodeObject(ObjSegment, 42, seg))
+	f.Add(EncodeObject(2, 7, seg)) // a well-formed envelope of the retired kind
 	f.Add([]byte("AEOB"))
 	f.Add([]byte{})
 
@@ -35,20 +35,7 @@ func FuzzCompactedIndex(f *testing.F) {
 			t.Fatalf("envelope round-trip mismatch (kind %d)", kind)
 		}
 		switch kind {
-		case ObjPack:
-			entries, derr := DecodePackIndex(payload)
-			if derr != nil {
-				return
-			}
-			for i := range entries {
-				seg, serr := PackSegment(payload, entries, i)
-				if serr != nil {
-					t.Fatalf("index accepted but segment %d unreadable: %v", i, serr)
-				}
-				if len(seg) != int(entries[i].Len) {
-					t.Fatalf("segment %d: %d bytes, index says %d", i, len(seg), entries[i].Len)
-				}
-			}
+		case ObjSegment:
 		case ObjSnapshot:
 			s, derr := DecodeSnapshot(payload)
 			if derr != nil {
@@ -57,6 +44,8 @@ func FuzzCompactedIndex(f *testing.F) {
 			if !bytes.Equal(EncodeSnapshot(s), payload) {
 				t.Fatal("snapshot round-trip mismatch")
 			}
+		default:
+			t.Fatalf("accepted an object of kind %d", kind)
 		}
 	})
 }

@@ -263,7 +263,7 @@ func TestArchiveBeforeRecycle(t *testing.T) {
 	}
 	defer s.Close()
 	store := NewMemObjectStore()
-	arch := NewRemoteArchiver(store, "", 64)
+	arch := newArchiver(t, store)
 	s.SetArchiver(arch)
 
 	want := fill(300, 'q') // segments 0..4
@@ -372,7 +372,7 @@ func TestRestoreLogFallsBackToRecordAlignedBase(t *testing.T) {
 
 	// Partial archive (hole below segment 2): restorable bytes would
 	// begin at a segment boundary mid-record, so the base wins again.
-	arch := NewRemoteArchiver(NewMemObjectStore(), "", 64)
+	arch := newArchiver(t, NewMemObjectStore())
 	if err := arch.Archive(2, want[128:192]); err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +496,7 @@ func TestReopenDrainsPendingDeadSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arch := NewRemoteArchiver(NewMemObjectStore(), "", 64)
+	arch := newArchiver(t, NewMemObjectStore())
 	s.SetArchiver(arch)
 	want := fill(300, 'r')
 	appendSync(t, s, want)

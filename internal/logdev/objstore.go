@@ -211,7 +211,7 @@ func (m *MemObjectStore) List(prefix string) ([]string, error) {
 }
 
 // DirObjectStore is a file-per-object ObjectStore rooted at a
-// directory: key "pack/a-b" becomes <root>/pack/a-b. It is the local
+// directory: key "seg/000…042" becomes <root>/seg/000…042. It is the local
 // cold store (Options.ArchiveDir is a RemoteArchiver over one), so it
 // keeps the install discipline a cold store's acknowledgement stands on —
 // the caller unlinks its hot copy as soon as Put returns:
@@ -221,7 +221,7 @@ func (m *MemObjectStore) List(prefix string) ([]string, error) {
 //     leaves the old complete object or the new one under the final
 //     name, never a truncated or mixed one;
 //   - every directory the store creates — the root, lane prefixes,
-//     seg/, pack/, snap/ — has its own entry fsynced in its parent
+//     seg/, snap/ — has its own entry fsynced in its parent
 //     before the first Put beneath it returns, or a power loss could drop
 //     the directory wholesale with acknowledged objects inside;
 //   - temporaries a crash left behind are swept by the next write-side
@@ -391,7 +391,7 @@ func (d *DirObjectStore) Get(key string) ([]byte, error) {
 
 // Delete removes the object if present. The unlink is not fsynced: a
 // crash may bring a deleted object back, which every caller tolerates (a
-// raw segment beside its pack, a snapshot below the floor) — the reverse,
+// segment or snapshot below the retention floor) — the reverse,
 // an acknowledged object vanishing, is what Put's fsyncs rule out.
 func (d *DirObjectStore) Delete(key string) error {
 	if d.readOnly {

@@ -30,6 +30,17 @@ func forEachObjectStore(t *testing.T, fn func(t *testing.T, store ObjectStore)) 
 	})
 }
 
+// newArchiver is NewRemoteArchiver for 64-byte segments over a store it
+// accepts.
+func newArchiver(t *testing.T, store ObjectStore) *RemoteArchiver {
+	t.Helper()
+	ra, err := NewRemoteArchiver(store, "", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ra
+}
+
 // TestColdStoreRoundtripAndIdempotency: what is archived comes back
 // byte-identical, re-shipping a durable segment uploads nothing, and —
 // the case a "same size is the same bytes" check could never pass — an
@@ -37,7 +48,7 @@ func forEachObjectStore(t *testing.T, fn func(t *testing.T, store ObjectStore)) 
 // shipped again.
 func TestColdStoreRoundtripAndIdempotency(t *testing.T) {
 	forEachObjectStore(t, func(t *testing.T, store ObjectStore) {
-		ra := NewRemoteArchiver(store, "", 64)
+		ra := newArchiver(t, store)
 		want := fill(64, 'z')
 		if err := ra.Archive(7, want); err != nil {
 			t.Fatal(err)
@@ -85,8 +96,8 @@ func TestColdStoreRoundtripAndIdempotency(t *testing.T) {
 	})
 }
 
-// TestOldVersionObjectRefused: segment, pack and snapshot objects carry
-// log bytes and update payloads, so an object in the envelope version of
+// TestOldVersionObjectRefused: segment and snapshot objects carry log
+// bytes and update payloads, so an object in the envelope version of
 // the record encoding before this one (objVersion 1: 48-byte record
 // headers, whole-row images) is refused — ErrBadObject and ErrFormat —
 // by everything that would decode it, and neither read as torn and
@@ -101,13 +112,11 @@ func TestOldVersionObjectRefused(t *testing.T) {
 		t.Fatalf("DecodeObject of a version-1 object: %v, want ErrBadObject and ErrFormat", err)
 	}
 	forEachObjectStore(t, func(t *testing.T, store ObjectStore) {
-		ra := NewRemoteArchiver(store, "", 64)
+		ra := newArchiver(t, store)
 		snap := EncodeSnapshot(&Snapshot{Cut: 128, Stash: []SnapshotStashRec{{TxnID: 9, At: 100, PageID: 1, Payload: []byte("undo")}}})
-		pack := EncodePack(2, [][]byte{fill(64, 'p'), fill(64, 'q')})
 		objs := map[string][]byte{
-			ra.segKey(7):     old(ObjSegment, 7, fill(64, 'o')),
-			ra.packKey(2, 3): old(ObjPack, 2, pack),
-			ra.snapKey(128):  old(ObjSnapshot, 128, snap),
+			ra.segKey(7):    old(ObjSegment, 7, fill(64, 'o')),
+			ra.snapKey(128): old(ObjSnapshot, 128, snap),
 		}
 		for key, obj := range objs {
 			if err := store.Put(key, obj); err != nil {
@@ -119,9 +128,6 @@ func TestOldVersionObjectRefused(t *testing.T) {
 		}
 		if err := ra.Archive(7, fill(64, 'n')); !errors.Is(err, ErrFormat) {
 			t.Errorf("Archive over a version-1 segment: %v, want ErrFormat", err)
-		}
-		if _, err := ra.Retrieve(2); !errors.Is(err, ErrFormat) {
-			t.Errorf("Retrieve from a version-1 pack: %v, want ErrFormat", err)
 		}
 		if _, err := ra.GetSnapshot(128); !errors.Is(err, ErrFormat) {
 			t.Errorf("GetSnapshot of a version-1 snapshot: %v, want ErrFormat", err)
@@ -180,7 +186,7 @@ func TestRemoteArchiverFaults(t *testing.T) {
 			store := NewMemObjectStore()
 			s := NewSegmentedMem(ProfileMemory, 64)
 			defer s.Close()
-			ra := NewRemoteArchiver(store, "", 64)
+			ra := newArchiver(t, store)
 			s.SetArchiver(ra)
 
 			want := fill(320, 'r') // segments 0..4
@@ -276,118 +282,6 @@ func TestRemoteArchiverFaults(t *testing.T) {
 	}
 }
 
-// TestRemoteCompaction archives a run of raw segment objects, compacts
-// them into a pack, and checks every segment remains retrievable
-// byte-identically through the pack index — with the raw objects gone
-// and re-archiving still treated as a skip.
-func TestRemoteCompaction(t *testing.T) {
-	forEachObjectStore(t, testRemoteCompaction)
-}
-
-func testRemoteCompaction(t *testing.T, store ObjectStore) {
-	ra := NewRemoteArchiver(store, "", 64)
-	want := fill(8*64, 'c')
-	for idx := int64(0); idx < 8; idx++ {
-		if err := ra.Archive(idx, want[idx*64:(idx+1)*64]); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	packed, err := ra.CompactRaw(4, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if packed != 8 {
-		t.Fatalf("CompactRaw packed %d segments, want 8", packed)
-	}
-	raws, err := store.List("seg/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(raws) != 0 {
-		t.Fatalf("raw segment objects survived compaction: %v", raws)
-	}
-
-	segs, err := ra.Segments()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) != 8 || segs[0] != 0 || segs[7] != 7 {
-		t.Fatalf("Segments after compaction = %v, want 0..7", segs)
-	}
-	for idx := int64(0); idx < 8; idx++ {
-		got, err := ra.Retrieve(idx)
-		if err != nil {
-			t.Fatalf("Retrieve(%d) through pack: %v", idx, err)
-		}
-		if !bytes.Equal(got, want[idx*64:(idx+1)*64]) {
-			t.Fatalf("segment %d mismatch through pack", idx)
-		}
-	}
-
-	// A packed segment is durable: Archive must skip, not re-upload raw.
-	uploaded := ra.Stats().SegmentsUploaded
-	if err := ra.Archive(3, want[3*64:4*64]); err != nil {
-		t.Fatal(err)
-	}
-	if ra.Stats().SegmentsUploaded != uploaded {
-		t.Error("archive of packed segment re-uploaded it")
-	}
-
-	// Compacting again with nothing raw is a no-op.
-	if n, err := ra.CompactRaw(4, 64); err != nil || n != 0 {
-		t.Fatalf("second CompactRaw = (%d, %v), want (0, nil)", n, err)
-	}
-	if got := ra.Stats(); got.PacksBuilt == 0 || got.SegmentsPacked != 8 {
-		t.Fatalf("stats after compaction: %+v", got)
-	}
-}
-
-// TestRemoteCompactionRefusesTornRaw: a torn raw object must never be
-// immortalized inside an immutable pack — the compaction aborts, the
-// raw run survives, and once the segment is re-shipped the pack builds.
-func TestRemoteCompactionRefusesTornRaw(t *testing.T) {
-	store := NewMemObjectStore()
-	ra := NewRemoteArchiver(store, "", 64)
-	want := fill(4*64, 't')
-	for idx := int64(0); idx < 3; idx++ {
-		if err := ra.Archive(idx, want[idx*64:(idx+1)*64]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The last upload tears mid-object: the store keeps a prefix.
-	store.Arm(NetFault{TearPutAfter: 1})
-	if err := ra.Archive(3, want[3*64:]); err == nil {
-		t.Fatal("torn upload reported success")
-	}
-	store.Arm(NetFault{})
-
-	if _, err := ra.CompactRaw(4, 64); err == nil {
-		t.Fatal("CompactRaw packed a run containing a torn object")
-	}
-	// The healthy raw objects must have survived the abort.
-	for idx := int64(0); idx < 3; idx++ {
-		if _, err := ra.Retrieve(idx); err != nil {
-			t.Fatalf("Retrieve(%d) after aborted compaction: %v", idx, err)
-		}
-	}
-
-	// Re-ship the torn segment (detected as absent, overwritten), then
-	// compaction goes through.
-	if err := ra.Archive(3, want[3*64:]); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := ra.CompactRaw(4, 64); err != nil || n != 4 {
-		t.Fatalf("CompactRaw after re-ship = (%d, %v), want (4, nil)", n, err)
-	}
-	for idx := int64(0); idx < 4; idx++ {
-		got, err := ra.Retrieve(idx)
-		if err != nil || !bytes.Equal(got, want[idx*64:(idx+1)*64]) {
-			t.Fatalf("segment %d after re-ship + pack: %v", idx, err)
-		}
-	}
-}
-
 // TestRemoteSnapshotsAndPrune exercises the snapshot objects and the
 // retention invariant at the archiver layer: pruning keeps the newest N
 // snapshots and deletes exactly the log objects wholly below the oldest
@@ -397,7 +291,7 @@ func TestRemoteSnapshotsAndPrune(t *testing.T) {
 }
 
 func testRemoteSnapshotsAndPrune(t *testing.T, store ObjectStore) {
-	ra := NewRemoteArchiver(store, "", 64)
+	ra := newArchiver(t, store)
 	want := fill(4*64, 's')
 	for idx := int64(0); idx < 4; idx++ {
 		if err := ra.Archive(idx, want[idx*64:(idx+1)*64]); err != nil {
@@ -470,4 +364,90 @@ func testRemoteSnapshotsAndPrune(t *testing.T, store ObjectStore) {
 	if objs, pruned, err := ra.PruneToSnapshots(2); err != nil || objs != 0 || pruned != 0 {
 		t.Fatalf("second PruneToSnapshots = (%d, %d, %v), want (0, 0, nil)", objs, pruned, err)
 	}
+}
+
+// tear replaces the object under key with the prefix a torn upload
+// leaves: half its bytes, envelope intact.
+func tear(t *testing.T, store ObjectStore, key string) {
+	t.Helper()
+	obj, err := store.Get(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put(key, obj[:len(obj)/2]); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTornSnapshotIsAbsent: a snapshot whose upload tore is skipped by
+// every reader — the lookup falls back to the next older cut — and
+// retention never makes it the floor: it deletes it, and the next older
+// valid cut becomes the floor instead.
+func TestTornSnapshotIsAbsent(t *testing.T) {
+	forEachObjectStore(t, func(t *testing.T, store ObjectStore) {
+		ra := newArchiver(t, store)
+		for idx := int64(0); idx < 4; idx++ {
+			if err := ra.Archive(idx, fill(64, byte('a'+idx))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, cut := range []uint64{64, 128, 192, 256} {
+			if err := ra.PutSnapshot(&Snapshot{Cut: cut}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tear(t, store, ra.snapKey(192))
+		for _, c := range []struct{ at, want uint64 }{{200, 128}, {500, 256}} {
+			if sn, ok, err := ra.NewestSnapshotAtOrBelow(c.at); err != nil || !ok || sn.Cut != c.want {
+				t.Fatalf("NewestSnapshotAtOrBelow(%d) with 192 torn = (%v, %v, %v), want cut %d", c.at, sn, ok, err, c.want)
+			}
+		}
+		tear(t, store, ra.snapKey(256))
+		if sn, ok, err := ra.NewestSnapshotAtOrBelow(500); err != nil || !ok || sn.Cut != 128 {
+			t.Fatalf("NewestSnapshotAtOrBelow(500) with 192 and 256 torn = (%v, %v, %v), want cut 128", sn, ok, err)
+		}
+
+		// Keeping the newest one would make torn 256 the floor, and then
+		// torn 192: both go, 128 becomes the floor, and 64 and the two
+		// segments wholly below 128 are pruned.
+		if objs, snaps, err := ra.PruneToSnapshots(1); err != nil || objs != 2 || snaps != 3 {
+			t.Fatalf("PruneToSnapshots(1) over torn would-be floors = (%d, %d, %v), want (2, 3, nil)", objs, snaps, err)
+		}
+		if cuts, _ := ra.SnapshotCuts(); len(cuts) != 1 || cuts[0] != 128 {
+			t.Fatalf("SnapshotCuts after prune = %v, want [128]", cuts)
+		}
+		if floor, err := ra.Floor(); err != nil || floor != 128 {
+			t.Fatalf("Floor = (%d, %v), want 128", floor, err)
+		}
+	})
+}
+
+// TestPackLaneRefused: a cold-store lane holding pack/ objects — the
+// compacted layout earlier versions wrote — is refused with ErrFormat by
+// the archiver's constructor, lane by lane, and nothing is touched.
+func TestPackLaneRefused(t *testing.T) {
+	forEachObjectStore(t, func(t *testing.T, store ObjectStore) {
+		objs := map[string][]byte{
+			"p1/pack/0000000000000000-0000000000000003": []byte("a pack an earlier version wrote"),
+			"p1/seg/0000000000000004":                   EncodeObject(ObjSegment, 4, fill(64, 's')),
+		}
+		for key, obj := range objs {
+			if err := store.Put(key, obj); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := NewRemoteArchiver(store, "p1", 64); !errors.Is(err, ErrFormat) {
+			t.Fatalf("NewRemoteArchiver over a lane with pack objects: %v, want ErrFormat", err)
+		}
+		for _, prefix := range []string{"", "p0/"} {
+			if _, err := NewRemoteArchiver(store, prefix, 64); err != nil {
+				t.Fatalf("lane %q holds no pack objects, yet: %v", prefix, err)
+			}
+		}
+		for key, want := range objs {
+			if got, err := store.Get(key); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("%s was touched (err %v)", key, err)
+			}
+		}
+	})
 }

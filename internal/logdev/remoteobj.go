@@ -1,19 +1,19 @@
-// remoteobj.go defines the on-wire formats of the remote log tier's
-// three object kinds and their decoders. Every object starts with a
-// fixed self-validating envelope (magic, kind, meta, payload CRC-32C),
-// so a torn upload — the store kept a prefix, the client saw an error —
-// is detected on read and treated as if the object were absent. The
-// decoders are the fuzz surface: a corrupt or truncated index must fail
-// loudly, never misdirect replay (FuzzCompactedIndex).
+// remoteobj.go defines the on-wire formats of the remote log tier's two
+// object kinds and their decoders. Every object starts with a fixed
+// self-validating envelope (magic, kind, meta, payload CRC-32C), so a
+// torn upload — the store kept a prefix, the client saw an error — is
+// detected on read and treated as if the object were absent. The
+// decoders are the fuzz surface: a corrupt or truncated object must fail
+// loudly, never misdirect replay (FuzzRemoteObject).
 //
 // Object kinds:
 //
-//	segment   one raw log segment, payload = the segment's bytes
-//	pack      many contiguous segments compacted into one immutable
-//	          object: an index (idx, offset, length, CRC per segment)
-//	          followed by the concatenated segment bytes
+//	segment   one archived log segment, payload = the segment's bytes;
+//	          written once and never rewritten until retention deletes it
 //	snapshot  a materialized restore base at a log cut: page images plus
 //	          the undo stash of transactions straddling the cut
+//
+// Kind 2 is retired: it never decodes (ErrBadObject).
 package logdev
 
 import (
@@ -25,18 +25,16 @@ import (
 
 // Object kinds carried in the envelope.
 const (
-	// ObjSegment is a raw archived log segment.
+	// ObjSegment is an archived log segment.
 	ObjSegment = uint16(1)
-	// ObjPack is a compacted run of contiguous segments with an index.
-	ObjPack = uint16(2)
 	// ObjSnapshot is a materialized point-in-time restore base.
 	ObjSnapshot = uint16(3)
 )
 
 const (
 	objMagic = "AEOB"
-	// objVersion names the envelope and what its payloads hold: segment
-	// and pack objects are log bytes and a snapshot's stash is update
+	// objVersion names the envelope and what its payloads hold: a
+	// segment object is log bytes and a snapshot's stash is update
 	// payloads, so the version moves with the log's record encoding
 	// (2 = MANIFEST format 3's). An object of another version is refused,
 	// never handed to a decoder of the wrong encoding.
@@ -53,8 +51,7 @@ var remoteCRC = crc32.MakeTable(crc32.Castagnoli)
 var ErrBadObject = errors.New("logdev: bad remote object")
 
 // EncodeObject wraps payload in the self-validating envelope.
-// meta is kind-specific: the segment index, the pack's first segment
-// index, or the snapshot's cut LSN.
+// meta is kind-specific: the segment index or the snapshot's cut LSN.
 func EncodeObject(kind uint16, meta uint64, payload []byte) []byte {
 	buf := make([]byte, envelopeSize+len(payload))
 	copy(buf[0:4], objMagic)
@@ -68,8 +65,9 @@ func EncodeObject(kind uint16, meta uint64, payload []byte) []byte {
 }
 
 // DecodeObject validates the envelope and payload CRC and returns the
-// kind, meta and payload. Any mismatch — short buffer, wrong magic,
-// truncated or corrupt payload — returns ErrBadObject.
+// kind, meta and payload. Any mismatch — short buffer, wrong magic, a
+// kind other than segment or snapshot, truncated or corrupt payload —
+// returns ErrBadObject.
 func DecodeObject(data []byte) (kind uint16, meta uint64, payload []byte, err error) {
 	if len(data) < envelopeSize {
 		return 0, 0, nil, fmt.Errorf("%w: %d bytes, need %d for envelope", ErrBadObject, len(data), envelopeSize)
@@ -81,7 +79,7 @@ func DecodeObject(data []byte) (kind uint16, meta uint64, payload []byte, err er
 		return 0, 0, nil, fmt.Errorf("%w: object version %d, this version reads %d (%w)", ErrBadObject, v, objVersion, ErrFormat)
 	}
 	kind = binary.LittleEndian.Uint16(data[6:8])
-	if kind != ObjSegment && kind != ObjPack && kind != ObjSnapshot {
+	if kind != ObjSegment && kind != ObjSnapshot {
 		return 0, 0, nil, fmt.Errorf("%w: kind %d", ErrBadObject, kind)
 	}
 	meta = binary.LittleEndian.Uint64(data[8:16])
@@ -94,114 +92,6 @@ func DecodeObject(data []byte) (kind uint16, meta uint64, payload []byte, err er
 		return 0, 0, nil, fmt.Errorf("%w: payload checksum mismatch", ErrBadObject)
 	}
 	return kind, meta, payload, nil
-}
-
-// PackEntry locates one segment inside a pack object's payload.
-type PackEntry struct {
-	// Idx is the segment index (byte offset / segment size in the log).
-	Idx int64
-	// Off is the segment's byte offset within the pack payload, after
-	// the index block.
-	Off uint32
-	// Len is the segment's length in bytes.
-	Len uint32
-	// CRC is the CRC-32C of the segment's bytes.
-	CRC uint32
-}
-
-// packEntrySize is idx(8) off(4) len(4) crc(4).
-const packEntrySize = 20
-
-// maxPackEntries bounds index decode so a corrupt count cannot drive a
-// huge allocation; 1<<20 segments per pack is far beyond any real pack.
-const maxPackEntries = 1 << 20
-
-// EncodePack builds a pack payload: a count-prefixed index followed by
-// the concatenated segment bytes. Entries must be contiguous ascending
-// segment indexes; segs[i] is the raw bytes of the i-th segment.
-func EncodePack(first int64, segs [][]byte) []byte {
-	n := len(segs)
-	size := 4 + n*packEntrySize
-	for _, s := range segs {
-		size += len(s)
-	}
-	buf := make([]byte, 4, size)
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(n))
-	off := uint32(0)
-	for i, s := range segs {
-		var e [packEntrySize]byte
-		binary.LittleEndian.PutUint64(e[0:8], uint64(first+int64(i)))
-		binary.LittleEndian.PutUint32(e[8:12], off)
-		binary.LittleEndian.PutUint32(e[12:16], uint32(len(s)))
-		binary.LittleEndian.PutUint32(e[16:20], crc32.Checksum(s, remoteCRC))
-		buf = append(buf, e[:]...)
-		off += uint32(len(s))
-	}
-	for _, s := range segs {
-		buf = append(buf, s...)
-	}
-	return buf
-}
-
-// DecodePackIndex parses and validates a pack payload's index. It
-// checks the count bound, ascending contiguous segment indexes, exact
-// offset packing (entry i starts where i-1 ended) and that the data
-// area's size matches the index exactly — so a truncated or bit-flipped
-// index can never map a segment to the wrong bytes. The segment bytes
-// themselves are CRC-checked by PackSegment on extraction.
-func DecodePackIndex(payload []byte) ([]PackEntry, error) {
-	if len(payload) < 4 {
-		return nil, fmt.Errorf("%w: pack payload too short for index count", ErrBadObject)
-	}
-	n := binary.LittleEndian.Uint32(payload[0:4])
-	if n == 0 || n > maxPackEntries {
-		return nil, fmt.Errorf("%w: pack index count %d out of range", ErrBadObject, n)
-	}
-	idxEnd := 4 + int(n)*packEntrySize
-	if len(payload) < idxEnd {
-		return nil, fmt.Errorf("%w: pack payload %d bytes, index needs %d", ErrBadObject, len(payload), idxEnd)
-	}
-	dataLen := uint64(len(payload) - idxEnd)
-	entries := make([]PackEntry, n)
-	var next uint64
-	for i := range entries {
-		e := payload[4+i*packEntrySize:]
-		entries[i] = PackEntry{
-			Idx: int64(binary.LittleEndian.Uint64(e[0:8])),
-			Off: binary.LittleEndian.Uint32(e[8:12]),
-			Len: binary.LittleEndian.Uint32(e[12:16]),
-			CRC: binary.LittleEndian.Uint32(e[16:20]),
-		}
-		if entries[i].Idx < 0 {
-			return nil, fmt.Errorf("%w: pack entry %d: negative segment index", ErrBadObject, i)
-		}
-		if i > 0 && entries[i].Idx != entries[i-1].Idx+1 {
-			return nil, fmt.Errorf("%w: pack entry %d: segment %d does not follow %d", ErrBadObject, i, entries[i].Idx, entries[i-1].Idx)
-		}
-		if uint64(entries[i].Off) != next {
-			return nil, fmt.Errorf("%w: pack entry %d: offset %d, expected %d", ErrBadObject, i, entries[i].Off, next)
-		}
-		next += uint64(entries[i].Len)
-		if next > dataLen {
-			return nil, fmt.Errorf("%w: pack entry %d overruns data area (%d > %d)", ErrBadObject, i, next, dataLen)
-		}
-	}
-	if next != dataLen {
-		return nil, fmt.Errorf("%w: pack data area %d bytes, index covers %d", ErrBadObject, dataLen, next)
-	}
-	return entries, nil
-}
-
-// PackSegment extracts and CRC-verifies one segment from a pack
-// payload previously validated by DecodePackIndex.
-func PackSegment(payload []byte, entries []PackEntry, i int) ([]byte, error) {
-	base := 4 + len(entries)*packEntrySize
-	e := entries[i]
-	seg := payload[base+int(e.Off) : base+int(e.Off)+int(e.Len)]
-	if crc := crc32.Checksum(seg, remoteCRC); crc != e.CRC {
-		return nil, fmt.Errorf("%w: segment %d checksum mismatch inside pack", ErrBadObject, e.Idx)
-	}
-	return seg, nil
 }
 
 // SnapshotPage is one materialized page image in a snapshot object.

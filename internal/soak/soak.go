@@ -273,7 +273,13 @@ func openStack(fs vfs.FS, parts int, cloud *logdev.MemObjectStore) (*engineStack
 		}
 	}
 	for i, d := range devs {
-		d.SetArchiver(logdev.NewRemoteArchiver(store, logdev.LaneDir("", i, n), soakSegSize))
+		arch, err := logdev.NewRemoteArchiver(store, logdev.LaneDir("", i, n), soakSegSize)
+		if err != nil {
+			pf.Close()
+			closeD()
+			return nil, fmt.Errorf("open cold store lane %d: %w", i, err)
+		}
+		d.SetArchiver(arch)
 	}
 	rc.Archive = pf
 	rc.LogConfig = core.Config{

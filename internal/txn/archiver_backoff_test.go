@@ -29,7 +29,10 @@ func TestArchiverBackoffSurvivesTransientOutage(t *testing.T) {
 
 	dev := logdev.NewSegmentedMem(logdev.ProfileMemory, 8<<10)
 	store := logdev.NewMemObjectStore()
-	marc := logdev.NewRemoteArchiver(store, "", 8<<10)
+	marc, err := logdev.NewRemoteArchiver(store, "", 8<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dev.SetArchiver(marc)
 	// The outage: the next 5 uploads fail, then the store heals.
 	store.Arm(logdev.NetFault{FailPuts: 5, FailErr: errors.New("cold store unreachable")})
@@ -128,7 +131,11 @@ func TestArchiverBackoffGivesUpOnPermanentFailure(t *testing.T) {
 
 	dev := logdev.NewSegmentedMem(logdev.ProfileMemory, 8<<10)
 	store := logdev.NewMemObjectStore()
-	dev.SetArchiver(logdev.NewRemoteArchiver(store, "", 8<<10))
+	marc, err := logdev.NewRemoteArchiver(store, "", 8<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.SetArchiver(marc)
 	store.Arm(logdev.NetFault{Outage: errors.New("cold store gone")})
 
 	pf, err := storage.OpenPageFile(filepath.Join(t.TempDir(), "pagefile.db"))

@@ -47,7 +47,7 @@ func (d *daemon) loop(tick time.Duration, pass func(*daemon)) {
 		}
 		// A stop racing a pending wake-up must win, or Close would block
 		// behind a whole pass — a checkpoint, a cold-store copy, a
-		// compaction — that nobody needs.
+		// snapshot — that nobody needs.
 		if d.stopping() {
 			return
 		}

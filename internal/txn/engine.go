@@ -154,9 +154,10 @@ type Config struct {
 	// Prefetched frames are charged against the cache budget but never
 	// evict dirty pages. Meaningful only with an Archive backend.
 	PrefetchDepth int
-	// Retention, if it has lanes, starts the cloud-tier maintenance
-	// daemon: pack compaction, snapshot cutting and retention pruning
-	// against each lane's remote archiver. Stop it with Close.
+	// Retention, with a cold store and SnapshotEveryBytes > 0, starts the
+	// cold store's maintenance daemon on a one-lane log: snapshot cutting
+	// and retention pruning against its remote archiver. Stop it with
+	// Close.
 	Retention RetentionConfig
 }
 
@@ -210,12 +211,12 @@ type Stats struct {
 	// SnapshotsTaken counts materialized snapshot objects the cloud-tier
 	// maintenance daemon uploaded to the remote store.
 	SnapshotsTaken metrics.Counter
-	// RetentionPrunedObjects counts remote objects (snapshots, raw
-	// segments and packs) deleted by retention — always wholly below
-	// the oldest retained snapshot's cut.
+	// RetentionPrunedObjects counts remote objects (snapshots and
+	// segments) deleted by retention — always wholly below the oldest
+	// retained snapshot's cut.
 	RetentionPrunedObjects metrics.Counter
 	// RetentionFailures counts maintenance passes that errored
-	// (compaction, snapshotting or pruning); nothing is lost — the
+	// (snapshotting or pruning); nothing is lost — the
 	// next nudge retries with the floor unchanged.
 	RetentionFailures metrics.Counter
 }
@@ -243,7 +244,7 @@ type Engine struct {
 	// The background workers; nil when not configured. ckpt is the
 	// incremental checkpointer, arch ships dead log segments to the cold
 	// store, clean is the page cleaner, ret the cold store's maintenance
-	// (compaction, snapshots, pruning).
+	// (snapshots, pruning).
 	ckpt, arch, clean, ret *daemon
 
 	closeOnce sync.Once
@@ -293,7 +294,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.CleanerPages > 0 {
 		e.startCleaner(cfg.CleanerPages)
 	}
-	if len(cfg.Retention.Lanes) > 0 {
+	if cfg.Retention.Remote != nil && cfg.Retention.SnapshotEveryBytes > 0 {
 		e.startRetention(cfg.Retention)
 	}
 	return e, nil
@@ -736,8 +737,8 @@ func (e *Engine) Checkpoint() error {
 	}
 	// Truncation parks dead segments; the archiver goroutine ships them
 	// to cold storage and recycles their slots off the checkpoint path,
-	// and the cloud-tier maintenance daemon compacts and prunes what
-	// the archiver has landed.
+	// and the cold store's maintenance daemon snapshots the hardened log
+	// and prunes below the oldest snapshot it keeps.
 	e.arch.nudge()
 	e.ret.nudge()
 	e.stats.Checkpoints.Inc()

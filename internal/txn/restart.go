@@ -48,9 +48,8 @@ type RestartConfig struct {
 	// redo pass walking pages in log order and the RebuildTables scan both
 	// stream their faults. Meaningful only with Archive set.
 	PrefetchDepth int
-	// Retention arms the cloud-tier maintenance daemon (see
-	// txn.Config.Retention). Meaningful only when the log devices
-	// archive into a remote object store.
+	// Retention arms the cold store's maintenance daemon (see
+	// txn.Config.Retention).
 	Retention RetentionConfig
 }
 

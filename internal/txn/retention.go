@@ -1,19 +1,18 @@
-// retention.go is the cloud log tier's maintenance daemon: a fourth
+// retention.go is the cold store's maintenance daemon: a fourth
 // background goroutine beside the checkpointer, segment archiver and
-// page cleaner. Each pass it (1) compacts runs of raw per-segment
-// objects in the remote store into larger immutable indexed packs,
-// (2) cuts a new materialized snapshot object once enough new log has
-// hardened since the last cut, and (3) enforces retention by pruning
-// snapshots — and the log objects below the oldest one that remains.
+// page cleaner, run on a one-lane log that takes snapshots. Each pass it
+// (1) cuts a new materialized snapshot object once enough new log has
+// hardened since the last cut, and (2) enforces retention by pruning
+// snapshots — and the segment objects below the oldest one that remains.
 //
 // The retention invariant: nothing is ever pruned below the oldest
 // restorable point. The floor is the oldest retained snapshot's cut;
 // that snapshot materializes the replay of everything beneath it, so
 // every RestoreTo target at or above the floor stays reachable, and the
-// prune only ever removes objects wholly below it. With no snapshots
-// (partitioned lanes, or snapshotting disabled) the floor is zero and
-// the prune is a no-op — retention degrades to keep-everything, never
-// to lose-something.
+// prune only ever removes objects wholly below it. Without snapshots
+// (partitioned lanes, or snapshotting disabled) there is no daemon and
+// the floor is zero — retention degrades to keep-everything, never to
+// lose-something.
 package txn
 
 import (
@@ -23,80 +22,55 @@ import (
 	"aether/internal/recovery"
 )
 
-// RetentionLane couples one log's segmented device with its remote
-// archiver (partitioned databases have one lane per partition).
-type RetentionLane struct {
-	// Dev is the lane's segmented log device.
-	Dev *logdev.Segmented
-	// Remote is the lane's remote archiver over the object store.
-	Remote *logdev.RemoteArchiver
-}
-
-// RetentionConfig arms the cloud-tier maintenance daemon.
+// RetentionConfig arms the cold store's maintenance daemon on a one-lane
+// log: it runs when Remote is set and SnapshotEveryBytes > 0.
 type RetentionConfig struct {
-	// Lanes lists the log devices and their remote archivers; one lane
-	// for a single log, one per partition otherwise.
-	Lanes []RetentionLane
-	// CompactSegments packs runs of at least this many contiguous raw
-	// segment objects into one indexed pack object (default 4).
-	CompactSegments int
-	// MaxPackSegments caps segments per pack (default 64).
-	MaxPackSegments int
+	// Dev is the log's segmented device.
+	Dev *logdev.Segmented
+	// Remote is the log's archiver over the cold store.
+	Remote *logdev.RemoteArchiver
 	// SnapshotEveryBytes cuts a new snapshot object once this many new
 	// log bytes have hardened since the last cut. 0 disables snapshots
-	// (and therefore pruning). Only a single lane takes snapshots: a
-	// partitioned log's pages interleave across lanes, so its floor
-	// stays at zero and retention is compaction-only.
+	// (and therefore pruning).
 	SnapshotEveryBytes int64
 	// RetainSnapshots keeps the newest N snapshots; older snapshots and
-	// the log objects wholly below the oldest survivor are pruned.
+	// the segment objects wholly below the oldest survivor are pruned.
 	// 0 keeps every snapshot forever.
 	RetainSnapshots int
 }
 
-// startRetention wires the cloud-tier maintenance daemon, nudged after
-// every checkpoint (truncation is what parks segments for the archiver,
-// whose uploads are what compaction feeds on).
+// startRetention wires the maintenance daemon, nudged after every
+// checkpoint (truncation is what parks segments for the archiver, and
+// hardened log is what a snapshot cuts).
 func (e *Engine) startRetention(cfg RetentionConfig) {
-	if cfg.CompactSegments <= 0 {
-		cfg.CompactSegments = 4
-	}
-	if cfg.MaxPackSegments <= 0 {
-		cfg.MaxPackSegments = 64
-	}
 	e.ret = startDaemon(0, func(*daemon) { e.retentionPass(cfg) })
 	e.ret.nudge()
 }
 
-// retentionPass runs one compact → snapshot → prune cycle. Failures
-// are counted and left for the next nudge: like the archiver, the
-// daemon must never lose anything on error — a failed upload or prune
-// just leaves extra objects (or a stale floor) behind.
+// retentionPass runs one snapshot → prune cycle. Failures are counted
+// and left for the next nudge: like the archiver, the daemon must never
+// lose anything on error — a failed upload or prune just leaves extra
+// objects (or a stale floor) behind.
 func (e *Engine) retentionPass(cfg RetentionConfig) {
-	for _, lane := range cfg.Lanes {
-		if _, err := lane.Remote.CompactRaw(cfg.CompactSegments, cfg.MaxPackSegments); err != nil {
-			e.stats.RetentionFailures.Inc()
-		}
+	if err := e.snapshotPass(cfg); err != nil {
+		e.stats.RetentionFailures.Inc()
 	}
-	if len(cfg.Lanes) == 1 && cfg.SnapshotEveryBytes > 0 {
-		if err := e.snapshotPass(cfg.Lanes[0], cfg.SnapshotEveryBytes); err != nil {
+	if cfg.RetainSnapshots > 0 {
+		objs, snaps, err := cfg.Remote.PruneToSnapshots(cfg.RetainSnapshots)
+		e.stats.RetentionPrunedObjects.Add(int64(objs + snaps))
+		if err != nil {
 			e.stats.RetentionFailures.Inc()
-		}
-		if cfg.RetainSnapshots > 0 {
-			objs, snaps, err := cfg.Lanes[0].Remote.PruneToSnapshots(cfg.RetainSnapshots)
-			e.stats.RetentionPrunedObjects.Add(int64(objs + snaps))
-			if err != nil {
-				e.stats.RetentionFailures.Inc()
-			}
 		}
 	}
 }
 
 // snapshotPass cuts a new snapshot object if enough log has hardened
-// since the newest one, seeding the replay from that newest snapshot so
-// the cost is proportional to the new suffix, not total history.
-func (e *Engine) snapshotPass(lane RetentionLane, everyBytes int64) error {
-	cuts, err := lane.Remote.SnapshotCuts()
+// since the newest one, seeding the replay from the newest valid
+// snapshot so the cost is proportional to the new suffix, not total
+// history. A torn newest snapshot only delays the next cut; the seed
+// falls back past it.
+func (e *Engine) snapshotPass(cfg RetentionConfig) error {
+	cuts, err := cfg.Remote.SnapshotCuts()
 	if err != nil {
 		return err
 	}
@@ -104,17 +78,18 @@ func (e *Engine) snapshotPass(lane RetentionLane, everyBytes int64) error {
 	if len(cuts) > 0 {
 		lastCut = cuts[len(cuts)-1]
 	}
-	durable := lane.Dev.DurableSize()
-	if durable-int64(lastCut) < everyBytes {
+	if cfg.Dev.DurableSize()-int64(lastCut) < cfg.SnapshotEveryBytes {
 		return nil
 	}
-	var prev *logdev.Snapshot
-	if lastCut > 0 {
-		if prev, err = lane.Remote.GetSnapshot(lastCut); err != nil {
-			return err
-		}
+	prev, ok, err := cfg.Remote.NewestSnapshotAtOrBelow(lastCut)
+	if err != nil {
+		return err
 	}
-	data, start, err := lane.Dev.RestoreLog(lane.Remote, int64(lastCut))
+	lastCut = 0
+	if ok {
+		lastCut = prev.Cut
+	}
+	data, start, err := cfg.Dev.RestoreLog(cfg.Remote, int64(lastCut))
 	if err != nil {
 		return err
 	}
@@ -126,7 +101,7 @@ func (e *Engine) snapshotPass(lane RetentionLane, everyBytes int64) error {
 	if err != nil {
 		return err
 	}
-	if err := lane.Remote.PutSnapshot(snap); err != nil {
+	if err := cfg.Remote.PutSnapshot(snap); err != nil {
 		return err
 	}
 	e.stats.SnapshotsTaken.Inc()

@@ -64,10 +64,16 @@ func openColdStore(opts Options, fs vfs.FS) (logdev.ObjectStore, error) {
 // never blocks the others' truncation. It must run before the engine
 // starts: the archiver has to be in place before the first truncation
 // parks a dead segment, and the engine only starts its background
-// archiver goroutine if the log can archive at engine construction.
-func (l *lane) attachColdStore(store logdev.ObjectStore, i, n int) {
-	l.remote = logdev.NewRemoteArchiver(store, logdev.LaneDir("", i, n), l.seg.SegmentSize())
-	l.seg.SetArchiver(l.remote)
+// archiver goroutine if the log can archive at engine construction. A
+// cold-store lane an earlier version compacted is refused (ErrFormat).
+func (l *lane) attachColdStore(store logdev.ObjectStore, i, n int) error {
+	remote, err := logdev.NewRemoteArchiver(store, logdev.LaneDir("", i, n), l.seg.SegmentSize())
+	if err != nil {
+		return fmt.Errorf("aether: cold store: %w", err)
+	}
+	l.remote = remote
+	l.seg.SetArchiver(remote)
+	return nil
 }
 
 // restore reads the lane's log from logical offset from through the

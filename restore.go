@@ -190,18 +190,16 @@ func (db *DB) RestoreTo(at int64) (*RestoredDB, error) {
 }
 
 // retentionConfig assembles the engine's cold-store maintenance
-// configuration from the attached archivers (empty when the database has
-// no cold store).
+// configuration: snapshots and pruning on a one-lane log with a cold
+// store, nothing otherwise.
 func (db *DB) retentionConfig() txn.RetentionConfig {
-	cfg := txn.RetentionConfig{
-		CompactSegments:    db.opts.CompactSegments,
+	if len(db.lanes) != 1 {
+		return txn.RetentionConfig{}
+	}
+	return txn.RetentionConfig{
+		Dev:                db.lanes[0].seg,
+		Remote:             db.lanes[0].remote,
 		SnapshotEveryBytes: db.opts.SnapshotEveryBytes,
 		RetainSnapshots:    db.opts.RetainSnapshots,
 	}
-	for _, l := range db.lanes {
-		if l.remote != nil {
-			cfg.Lanes = append(cfg.Lanes, txn.RetentionLane{Dev: l.seg, Remote: l.remote})
-		}
-	}
-	return cfg
 }

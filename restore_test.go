@@ -64,7 +64,6 @@ func TestRestoreToSingle(t *testing.T) {
 	db, err := Open(Options{
 		SegmentSize:        4096,
 		RemoteStore:        store,
-		CompactSegments:    2,
 		SnapshotEveryBytes: 8192,
 		Mode:               CommitSync,
 	})
@@ -205,12 +204,11 @@ func TestRestoreToSingle(t *testing.T) {
 func TestRestoreToPartitioned(t *testing.T) {
 	store := NewMemObjectStore()
 	db, err := Open(Options{
-		SegmentSize:     4096,
-		LogPartitions:   4,
-		RoutePartition:  func(txnID uint64, _ uint32) int { return int(txnID % 4) },
-		RemoteStore:     store,
-		CompactSegments: 2,
-		Mode:            CommitSync,
+		SegmentSize:    4096,
+		LogPartitions:  4,
+		RoutePartition: func(txnID uint64, _ uint32) int { return int(txnID % 4) },
+		RemoteStore:    store,
+		Mode:           CommitSync,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +272,6 @@ func TestRetentionFloorProperty(t *testing.T) {
 	db, err := Open(Options{
 		SegmentSize:        4096,
 		RemoteStore:        store,
-		CompactSegments:    2,
 		SnapshotEveryBytes: 4096,
 		RetainSnapshots:    2,
 		Mode:               CommitSync,
