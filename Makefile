@@ -40,7 +40,7 @@ docs: vet
 		./internal/bench ./internal/core ./internal/distlog \
 		./internal/lockmgr ./internal/logbuf ./internal/logdev \
 		./internal/logrec ./internal/lsn ./internal/metrics \
-		./internal/recovery ./internal/soak ./internal/storage \
+		./internal/recovery ./internal/storage \
 		./internal/txn ./internal/vfs ./internal/wire \
 		./internal/workload
 
@@ -86,11 +86,12 @@ restart-profile:
 	$(GO) tool pprof -top -nodecount 25 .bench_build/restart/aether.test .bench_build/restart/cpu.prof
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 15 .bench_build/restart/aether.test .bench_build/restart/mem.prof
 
-# Crash-storm smoke: fixed-seed runs of the fault-injection soak
-# harness — 25 power-cut/recover cycles across every fault point
-# (group-commit, journal, pagefile, watermark, manifest, archive),
-# each cycle's recovered state checked against the committed-ops
-# model, then 15 more against a 3-partition log whose profile adds the
+# Crash-storm smoke: fixed-seed runs of the root package's TestSoak —
+# every incarnation opened with aether.Open over the fault-injection
+# filesystem. 25 power-cut/recover cycles across every fault point
+# (group-commit, journal, pagefile, watermark, manifest, archive), each
+# cycle's recovered state checked against the committed-ops model, then
+# 15 more against a 3-partition log whose profile adds the
 # partition-flush point (one log's fsync dies while the others keep
 # hardening; recovery's merge verifies no flush dependency was
 # violated), then 15 with the opt-in remote-archive point: the cold
@@ -100,34 +101,36 @@ restart-profile:
 # uploads mid-object or open outage windows — recovery must
 # never lose a committed transaction to a torn upload nor recycle a
 # parked segment before its bytes are durably remote. Fast enough for
-# every CI pass; `make soak` is the long form.
+# every CI pass; `make soak` is the long form. -v prints each run's
+# summary (cycles, commits, in-doubt commits, cuts per point).
+SOAK = $(GO) test -v -run '^TestSoak$$' -count=1
 soak-smoke:
-	$(GO) run ./cmd/aethersoak -cycles 25 -seed 1
-	$(GO) run ./cmd/aethersoak -cycles 15 -seed 2 -log-partitions 3
-	$(GO) run ./cmd/aethersoak -cycles 15 -seed 3 -points remote-archive,group-commit
+	$(SOAK) . -args -soak.cycles 25 -soak.seed 1
+	$(SOAK) . -args -soak.cycles 15 -soak.seed 2 -soak.log-partitions 3
+	$(SOAK) . -args -soak.cycles 15 -soak.seed 3 -soak.points remote-archive,group-commit
 
 # Long crash storm for release qualification / bug hunting. Pick a
-# fresh seed to explore new fault schedules; a failure prints the seed
-# that replays it.
+# fresh seed to explore new fault schedules; a divergence prints the
+# flags that replay it.
 soak: SEED ?= 1
 soak:
-	$(GO) run ./cmd/aethersoak -cycles 500 -seed $(SEED)
+	$(SOAK) -timeout 0 . -args -soak.cycles 500 -soak.seed $(SEED)
 
 # The soak-smoke profiles under the race detector, on seeds of their own
 # (11-13, so their fault schedules differ from the smoke's): the engine's
 # daemons race each other and recovery across power cuts. Six cycles a
 # profile keep it to seconds; `make soak-race-long` is the long form.
 soak-race:
-	$(GO) run -race ./cmd/aethersoak -cycles 6 -seed 11
-	$(GO) run -race ./cmd/aethersoak -cycles 6 -seed 12 -log-partitions 3
-	$(GO) run -race ./cmd/aethersoak -cycles 6 -seed 13 -points remote-archive,group-commit
+	$(SOAK) -race . -args -soak.cycles 6 -soak.seed 11
+	$(SOAK) -race . -args -soak.cycles 6 -soak.seed 12 -soak.log-partitions 3
+	$(SOAK) -race . -args -soak.cycles 6 -soak.seed 13 -soak.points remote-archive,group-commit
 
 # Long race-detector soak, for bug hunting: SEED picks the fault
 # schedule, CYCLES its length.
 soak-race-long: SEED ?= 1
 soak-race-long: CYCLES ?= 100
 soak-race-long:
-	$(GO) run -race ./cmd/aethersoak -cycles $(CYCLES) -seed $(SEED)
+	$(SOAK) -race -timeout 0 . -args -soak.cycles $(CYCLES) -soak.seed $(SEED)
 
 # Short coverage-guided fuzz runs over the hostile-input decoders: the
 # wire protocol's frames and requests, the cloud tier's object envelope

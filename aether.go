@@ -12,7 +12,6 @@ import (
 	"aether/internal/logbuf"
 	"aether/internal/logdev"
 	"aether/internal/metrics"
-	"aether/internal/recovery"
 	"aether/internal/storage"
 	"aether/internal/txn"
 	"aether/internal/vfs"
@@ -252,9 +251,9 @@ type Options struct {
 	DisableSLI bool
 	// fs, if non-nil, substitutes the filesystem every durable layer
 	// (segments, MANIFEST, watermark, pagefile, journal, archives) runs
-	// on — the fault-injection hook for crash tests. Unexported: only
-	// in-package tests and the soak harness (via its own wiring) may
-	// inject it; production code always runs on the real filesystem.
+	// on — the fault-injection hook for crash tests and the crash-storm
+	// soak. Unexported: only in-package tests may inject it; production
+	// code always runs on the real filesystem.
 	fs vfs.FS
 }
 
@@ -668,9 +667,6 @@ func (db *DB) Stats() Stats {
 	}
 	return s
 }
-
-// RecoveryInfo describes what a reopen had to do (file-backed opens).
-type RecoveryInfo = recovery.Result
 
 // Row builds a row whose first 8 bytes encode key — the convention the
 // built-in index rebuild relies on.

@@ -172,11 +172,7 @@ func runPartitionSide(cfg PartitionConfig, parts int) (PartitionRun, error) {
 			Buffer: logbuf.Config{Variant: logbuf.VariantCD, Size: 1 << 22},
 		},
 		LockConfig: lockmgr.Config{DeadlockTimeout: time.Second, SLI: true},
-	}
-	if parts >= 2 {
-		rc.Devices = devs
-	} else {
-		rc.Device = devs[0]
+		Devices:    devs,
 	}
 	eng, _, err := txn.Restart(rc)
 	if err != nil {
@@ -252,19 +248,13 @@ func runPartitionSide(cfg PartitionConfig, parts int) (PartitionRun, error) {
 
 	run.Commits = commits.Load()
 	ml := eng.Multi()
-	if ml != nil {
-		for i := 0; i < ml.NumParts(); i++ {
-			ls := ml.Part(i).Stats()
-			run.CommittedBytes += ls.InsertBytes.Load()
-			run.Flushes += ls.Flushes.Load()
-			run.DepStalls += ml.DepStalls(i)
-		}
-		run.DepEdges = ml.EdgesTotal()
-	} else {
-		ls := eng.Log().Stats()
-		run.CommittedBytes = ls.InsertBytes.Load()
-		run.Flushes = ls.Flushes.Load()
+	for i := 0; i < ml.NumParts(); i++ {
+		ls := ml.Part(i).Stats()
+		run.CommittedBytes += ls.InsertBytes.Load()
+		run.Flushes += ls.Flushes.Load()
+		run.DepStalls += ml.DepStalls(i)
 	}
+	run.DepEdges = ml.EdgesTotal()
 	if elapsed > 0 {
 		run.BytesPerSec = float64(run.CommittedBytes) / elapsed.Seconds()
 	}
@@ -281,11 +271,7 @@ func runPartitionSide(cfg PartitionConfig, parts int) (PartitionRun, error) {
 		m.CrashFreeze()
 	}
 	eng.Close()
-	if ml != nil {
-		ml.Close()
-	} else {
-		eng.Log().Close()
-	}
+	ml.Close()
 	for _, m := range mems {
 		m.Remount()
 	}
@@ -294,10 +280,6 @@ func runPartitionSide(cfg PartitionConfig, parts int) (PartitionRun, error) {
 		return run, fmt.Errorf("recovery after crash: %w", err)
 	}
 	eng2.Close()
-	if m2 := eng2.Multi(); m2 != nil {
-		m2.Close()
-	} else {
-		eng2.Log().Close()
-	}
+	eng2.Multi().Close()
 	return run, nil
 }

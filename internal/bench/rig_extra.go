@@ -12,15 +12,17 @@ import (
 	"aether/internal/txn"
 )
 
-// newRigWithFlushInterval builds a rig whose group-commit interval is
-// pinned (the AblationGroupCommit knob).
+// newRigWithFlushInterval builds a rig whose flush daemon looks for
+// pending detached commits every interval (the AblationGroupCommit knob).
 func newRigWithFlushInterval(interval time.Duration) (*Rig, error) {
 	dev := logdev.NewMem(logdev.ProfileFlash)
 	lm, err := core.New(core.Config{
 		Buffer:        logbuf.Config{Variant: logbuf.VariantCD, Size: 1 << 24},
 		Device:        dev,
 		FlushInterval: interval,
-		// Disable the other triggers so the interval alone governs.
+		// Disable the X-commits and L-bytes triggers: the first look that
+		// finds a group then holds it until its commits stop arriving or
+		// the group window has passed, and flushes it.
 		FlushTxns:  1 << 30,
 		FlushBytes: 1 << 30,
 	})

@@ -403,19 +403,6 @@ func (lm *LogManager) Poke() { lm.wake() }
 // ceiling of the log's written region.
 func (lm *LogManager) AppendEnd() lsn.LSN { return lm.appendEnd.Load() }
 
-// AppendBytes inserts an already-encoded record (microbenchmark path).
-func (a *Appender) AppendBytes(buf []byte) (at, end lsn.LSN, err error) {
-	at, err = a.ins.Insert(buf)
-	if err != nil {
-		return 0, 0, err
-	}
-	a.lm.stats.Inserts.Inc()
-	a.lm.stats.InsertBytes.Add(int64(len(buf)))
-	a.lm.appendEnd.AdvanceTo(at.Add(len(buf)))
-	a.lm.maybeWakeForBytes()
-	return at, at.Add(len(buf)), nil
-}
-
 // waiter is one durability subscription.
 type waiter struct {
 	end lsn.LSN

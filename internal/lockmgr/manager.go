@@ -13,10 +13,11 @@ import (
 // resolution policy (as in many production systems).
 var ErrLockTimeout = errors.New("lockmgr: lock wait timeout (possible deadlock)")
 
+// lockPartitions is the number of lock-table shards.
+const lockPartitions = 128
+
 // Config parameterizes a Manager.
 type Config struct {
-	// Partitions is the number of lock-table shards. Default 128.
-	Partitions int
 	// DeadlockTimeout bounds any single lock wait. Default 500ms.
 	DeadlockTimeout time.Duration
 	// SLI enables speculative lock inheritance: agent threads keep hot
@@ -24,15 +25,9 @@ type Config struct {
 	// queue for repeated access. The paper's experiments run Shore-MT
 	// with SLI to keep the lock manager off the critical path (§6.1).
 	SLI bool
-	// OnBlock, if set, is called once each time a request actually
-	// blocks — a scheduling event for the context-switch accounting.
-	OnBlock func()
 }
 
 func (c *Config) applyDefaults() {
-	if c.Partitions <= 0 {
-		c.Partitions = 128
-	}
 	if c.DeadlockTimeout <= 0 {
 		c.DeadlockTimeout = 500 * time.Millisecond
 	}
@@ -176,7 +171,7 @@ type waiter struct {
 // New builds a lock manager.
 func New(cfg Config) *Manager {
 	cfg.applyDefaults()
-	m := &Manager{cfg: cfg, parts: make([]partition, cfg.Partitions)}
+	m := &Manager{cfg: cfg, parts: make([]partition, lockPartitions)}
 	for i := range m.parts {
 		m.parts[i].locks = make(map[Key]*lockHead)
 	}
@@ -326,9 +321,6 @@ func (m *Manager) acquire(owner uint64, key Key, mode Mode, convert bool) error 
 // wait blocks on w until granted or timed out.
 func (m *Manager) wait(p *partition, h *lockHead, w *waiter) error {
 	m.stats.Blocks.Inc()
-	if m.cfg.OnBlock != nil {
-		m.cfg.OnBlock()
-	}
 	t0 := time.Now()
 	timer := time.NewTimer(m.cfg.DeadlockTimeout)
 	defer timer.Stop()
@@ -466,15 +458,4 @@ func (m *Manager) HeldModes(key Key) []Mode {
 		out = append(out, g.mode)
 	}
 	return out
-}
-
-// QueueLen returns the number of waiters on key.
-func (m *Manager) QueueLen(key Key) int {
-	p := m.part(key)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if h := p.locks[key]; h != nil {
-		return len(h.queue)
-	}
-	return 0
 }

@@ -340,7 +340,7 @@ func TestHierarchicalIntentions(t *testing.T) {
 }
 
 func TestMutualExclusionStress(t *testing.T) {
-	m := newMgr(t, Config{DeadlockTimeout: 5 * time.Second, Partitions: 16})
+	m := newMgr(t, Config{DeadlockTimeout: 5 * time.Second})
 	k := RowKey(9, 42)
 	var counter int // protected only by the X lock
 	const workers = 16
@@ -395,37 +395,6 @@ func TestManyKeysConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-func TestOnBlockHook(t *testing.T) {
-	var blocks int
-	var mu sync.Mutex
-	m := newMgr(t, Config{
-		DeadlockTimeout: time.Second,
-		OnBlock: func() {
-			mu.Lock()
-			blocks++
-			mu.Unlock()
-		},
-	})
-	k := RowKey(1, 1)
-	l1 := m.NewLocker(1, nil)
-	l1.Acquire(k, ModeX)
-	done := make(chan struct{})
-	go func() {
-		l2 := m.NewLocker(2, nil)
-		l2.Acquire(k, ModeX)
-		l2.ReleaseAll()
-		close(done)
-	}()
-	time.Sleep(10 * time.Millisecond)
-	l1.ReleaseAll()
-	<-done
-	mu.Lock()
-	defer mu.Unlock()
-	if blocks != 1 {
-		t.Fatalf("OnBlock called %d times, want 1", blocks)
-	}
 }
 
 func TestLockerResetGuard(t *testing.T) {

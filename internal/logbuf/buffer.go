@@ -72,9 +72,6 @@ type Config struct {
 	// Slots is the consolidation-array width; the paper fixes 4 after the
 	// Figure 12 sensitivity study. Default 4.
 	Slots int
-	// SlotPool is the number of pre-allocated consolidation slots cycled
-	// through the array. Default 8×Slots.
-	SlotPool int
 	// MaxGroup caps the bytes one consolidated group may claim, so a
 	// group can always fit in the ring. Default Size/8.
 	MaxGroup int
@@ -89,6 +86,10 @@ type Config struct {
 	LocalFill bool
 }
 
+// slotPool is the number of pre-allocated consolidation slots cycled
+// through the array: eight per array slot.
+func (c *Config) slotPool() int { return 8 * c.Slots }
+
 func (c *Config) applyDefaults() {
 	if c.Size <= 0 {
 		c.Size = 16 << 20
@@ -96,9 +97,6 @@ func (c *Config) applyDefaults() {
 	c.Size = ceilPow2(c.Size)
 	if c.Slots <= 0 {
 		c.Slots = 4
-	}
-	if c.SlotPool <= 0 {
-		c.SlotPool = 8 * c.Slots
 	}
 	if c.MaxGroup <= 0 {
 		c.MaxGroup = c.Size / 8

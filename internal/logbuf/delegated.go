@@ -125,7 +125,7 @@ func newDelegated(r *ring, cfg Config) *delegatedBuf {
 	d := &delegatedBuf{
 		r:    r,
 		cfg:  cfg,
-		arr:  newCArray(cfg.Slots, cfg.SlotPool, int64(cfg.MaxGroup)),
+		arr:  newCArray(cfg.Slots, cfg.slotPool(), int64(cfg.MaxGroup)),
 		next: cfg.Base,
 	}
 	d.q.r = r

@@ -101,7 +101,7 @@ func TestCeilPow2(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}
 	cfg.applyDefaults()
-	if cfg.Size != 16<<20 || cfg.Slots != 4 || cfg.SlotPool != 32 || cfg.MaxGroup != cfg.Size/8 {
+	if cfg.Size != 16<<20 || cfg.Slots != 4 || cfg.slotPool() != 32 || cfg.MaxGroup != cfg.Size/8 {
 		t.Fatalf("defaults wrong: %+v", cfg)
 	}
 	cfg2 := Config{Size: 1000, MaxGroup: 1 << 30}

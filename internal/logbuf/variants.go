@@ -233,7 +233,7 @@ func newConsolidated(r *ring, cfg Config) *consolidatedBuf {
 	return &consolidatedBuf{
 		r:    r,
 		cfg:  cfg,
-		arr:  newCArray(cfg.Slots, cfg.SlotPool, int64(cfg.MaxGroup)),
+		arr:  newCArray(cfg.Slots, cfg.slotPool(), int64(cfg.MaxGroup)),
 		next: cfg.Base,
 	}
 }
@@ -344,7 +344,7 @@ func newHybrid(r *ring, cfg Config) *hybridBuf {
 	return &hybridBuf{
 		r:    r,
 		cfg:  cfg,
-		arr:  newCArray(cfg.Slots, cfg.SlotPool, int64(cfg.MaxGroup)),
+		arr:  newCArray(cfg.Slots, cfg.slotPool(), int64(cfg.MaxGroup)),
 		next: cfg.Base,
 	}
 }

@@ -421,9 +421,6 @@ func (it *Iterator) Next() (Record, bool) {
 // Err returns the gap error, if the iterator stopped at one.
 func (it *Iterator) Err() error { return it.err }
 
-// Offset returns the number of bytes consumed so far.
-func (it *Iterator) Offset() int { return it.off }
-
 func allZero(b []byte) bool {
 	for _, c := range b {
 		if c != 0 {

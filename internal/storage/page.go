@@ -120,10 +120,6 @@ func (p *Page) buf() *[PageSize]byte { return (*[PageSize]byte)(p.frame[pfSlotHd
 // gone. Every pinned page must be unpinned exactly once.
 func (p *Page) Unpin() { p.pins.Add(-1) }
 
-// Pinned reports whether any reference currently pins the page (tests,
-// diagnostics; inherently racy for anything else).
-func (p *Page) Pinned() bool { return p.pins.Load() > 0 }
-
 // NewPage returns an initialized empty page.
 func NewPage(id uint64) *Page {
 	p := &Page{}

@@ -159,7 +159,6 @@ type PageFile struct {
 
 	fsyncs      atomic.Int64
 	batchPuts   atomic.Int64
-	pagesPut    atomic.Int64
 	slotWrites  atomic.Int64 // coalesced in-place writes issued
 	readRetries atomic.Int64 // optimistic reads that failed validation and retried
 }
@@ -687,9 +686,6 @@ func (pf *PageFile) SetSyncDelay(d time.Duration) {
 // counter the O(1)-fsyncs-per-sweep property is asserted against.
 func (pf *PageFile) Fsyncs() int64 { return pf.fsyncs.Load() }
 
-// PagesWritten returns how many page images batches have written.
-func (pf *PageFile) PagesWritten() int64 { return pf.pagesPut.Load() }
-
 // JournalReplayed returns how many page images the last Open restored
 // from the double-write journal (0 for a clean shutdown).
 func (pf *PageFile) JournalReplayed() int { return pf.journalReplayed }
@@ -801,7 +797,6 @@ func (pf *PageFile) WriteBatch(pids []uint64, fill func(i int, dst []byte) bool)
 	}
 	pf.installApplied()
 	pf.batchPuts.Add(1)
-	pf.pagesPut.Add(int64(count))
 	return nil
 }
 

@@ -132,9 +132,6 @@ func (t *Txn) appendRec(rec *logrec.Record) (at, end, pageStamp, recStamp lsn.LS
 // ID returns the transaction identifier.
 func (t *Txn) ID() uint64 { return t.id }
 
-// Writes returns how many update records the transaction has logged.
-func (t *Txn) Writes() int { return t.writes }
-
 // logUpdate is the storage.LogFunc for this transaction: append a
 // physiological update record, chain PrevLSN, and remember the undo.
 // It returns (recStamp, pageStamp): the values the heap feeds to

@@ -12,16 +12,19 @@ import (
 	"aether"
 )
 
+const (
+	// dialTimeout bounds each dial.
+	dialTimeout = 5 * time.Second
+	// clientWriteTimeout bounds each request write.
+	clientWriteTimeout = 10 * time.Second
+)
+
 // ClientOptions tunes a Client. Zero values pick usable defaults.
 type ClientOptions struct {
 	// Conns caps the connection pool (default 1). Each Session owns one
 	// connection exclusively for its lifetime; Session blocks when all
 	// connections are busy.
 	Conns int
-	// DialTimeout bounds each dial (default 5s).
-	DialTimeout time.Duration
-	// WriteTimeout bounds each request write (default 10s).
-	WriteTimeout time.Duration
 	// MaxFrame is the response-frame ceiling (DefaultMaxFrame when 0).
 	MaxFrame uint32
 }
@@ -30,12 +33,6 @@ func (o *ClientOptions) withDefaults() ClientOptions {
 	out := *o
 	if out.Conns <= 0 {
 		out.Conns = 1
-	}
-	if out.DialTimeout <= 0 {
-		out.DialTimeout = 5 * time.Second
-	}
-	if out.WriteTimeout <= 0 {
-		out.WriteTimeout = 10 * time.Second
 	}
 	if out.MaxFrame == 0 {
 		out.MaxFrame = DefaultMaxFrame
@@ -89,7 +86,7 @@ func Dial(addr string, opts ClientOptions) (*Client, error) {
 }
 
 func (c *Client) dial() (*cconn, error) {
-	nc, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
+	nc, err := net.DialTimeout("tcp", c.addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -314,7 +311,7 @@ func (cc *cconn) send(req *Request, pc *pendingCall) error {
 	cc.mu.Unlock()
 
 	frame := AppendRequest(nil, req)
-	cc.nc.SetWriteDeadline(time.Now().Add(cc.cl.opts.WriteTimeout))
+	cc.nc.SetWriteDeadline(time.Now().Add(clientWriteTimeout))
 	if _, err := cc.nc.Write(frame); err != nil {
 		err = fmt.Errorf("%w: %v", ErrConnClosed, err)
 		cc.close(err) // resolves every pending call, ours included

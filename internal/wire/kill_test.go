@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -12,7 +13,6 @@ import (
 	"time"
 
 	"aether"
-	"aether/internal/soak"
 )
 
 // buildAetherd compiles cmd/aetherd into a temp dir and returns the
@@ -70,7 +70,7 @@ func startAetherd(t *testing.T, bin, dbDir string, extra ...string) (*exec.Cmd, 
 }
 
 // TestKillMidCommitRecovers SIGKILLs a live aetherd while a commit is
-// in flight and verifies — with the soak harness's model checker —
+// in flight and verifies against a model of the acknowledged commits
 // that the on-disk state recovers to exactly the acknowledged commits,
 // plus at most the one in-doubt transaction whose ack the kill
 // swallowed. A restarted aetherd must then serve the recovered table
@@ -148,14 +148,14 @@ func TestKillMidCommitRecovers(t *testing.T) {
 
 	// Recover in-process and compare against the model.
 	got := readKVState(t, dbDir)
-	diffs := soak.DiffStates(model, got)
+	diffs := diffKV(model, got)
 	if len(diffs) > 0 {
 		withDoubt := make(map[uint64]uint64, len(model)+1)
 		for k, v := range model {
 			withDoubt[k] = v
 		}
 		withDoubt[inDoubtKey] = inDoubtKey * 7
-		if d2 := soak.DiffStates(withDoubt, got); len(d2) > 0 {
+		if d2 := diffKV(withDoubt, got); len(d2) > 0 {
 			t.Fatalf("recovered state diverges from model (and model+in-doubt):\nvs model: %v\nvs model+in-doubt: %v", diffs, d2)
 		}
 	}
@@ -194,6 +194,23 @@ func TestKillMidCommitRecovers(t *testing.T) {
 	if err := s2.Abort(); err != nil {
 		t.Fatalf("abort: %v", err)
 	}
+}
+
+// diffKV lists the differences between the model want and the
+// recovered state got (empty = equal).
+func diffKV(want, got map[uint64]uint64) []string {
+	var diffs []string
+	for k, v := range want {
+		if gv, ok := got[k]; !ok || gv != v {
+			diffs = append(diffs, fmt.Sprintf("key %d: got %d (present %v), want %d", k, gv, ok, v))
+		}
+	}
+	for k, v := range got {
+		if _, ok := want[k]; !ok {
+			diffs = append(diffs, fmt.Sprintf("key %d resurrected (value %d, want absent)", k, v))
+		}
+	}
+	return diffs
 }
 
 // readKVState opens the killed daemon's database in-process (the same

@@ -209,17 +209,6 @@ var (
 	ErrPoolExhausted = errors.New("wire: connection pool exhausted")
 )
 
-// IsTransportErr reports whether err means the connection itself
-// failed (closed, truncated, oversized or undecodable stream) rather
-// than the server answering with an error: a commit acknowledgement
-// resolved with a transport error has an unknown durable outcome.
-func IsTransportErr(err error) bool {
-	return errors.Is(err, ErrConnClosed) ||
-		errors.Is(err, ErrTruncatedFrame) ||
-		errors.Is(err, ErrFrameTooLarge) ||
-		errors.Is(err, ErrBadResponse)
-}
-
 // Request is one decoded request frame. Only the fields relevant to Op
 // are meaningful; EncodeRequest writes exactly those, and DecodeRequest
 // rejects payloads with trailing or missing bytes.

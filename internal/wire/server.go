@@ -16,6 +16,18 @@ import (
 	"aether"
 )
 
+const (
+	// maxScanRows caps rows per OpScan response; scan responses are
+	// additionally bounded by MaxFrame.
+	maxScanRows = 4096
+	// maxQueuedBytes bounds the per-connection response queue; a read
+	// loop outrunning the writer blocks (TCP backpressure) at this many
+	// queued bytes. Commit acknowledgements are exempt — the log daemon's
+	// callback must never block — and are bounded instead by the client's
+	// own pipelining depth.
+	maxQueuedBytes = 8 << 20
+)
+
 // ServerOptions tunes a Server. Zero values pick production defaults.
 type ServerOptions struct {
 	// ReadTimeout bounds how long a connection may sit idle (or stall
@@ -28,15 +40,6 @@ type ServerOptions struct {
 	// MaxFrame is the request-frame size ceiling (DefaultMaxFrame when
 	// zero). Oversized frames close the connection before allocation.
 	MaxFrame uint32
-	// MaxScanRows caps rows per OpScan response (default 4096); scan
-	// responses are additionally bounded by MaxFrame.
-	MaxScanRows uint32
-	// MaxQueuedBytes bounds the per-connection response queue; a read
-	// loop outrunning the writer blocks (TCP backpressure) at this many
-	// queued bytes. Commit acknowledgements are exempt — the log
-	// daemon's callback must never block — and are bounded instead by
-	// the client's own pipelining depth. Default 8MiB.
-	MaxQueuedBytes int
 	// OnCreateTable, when non-nil, runs after each successful
 	// OpCreateTable — the hook aetherd uses to append the name to its
 	// durable table catalog so a restart re-creates tables in the
@@ -57,12 +60,6 @@ func (o *ServerOptions) withDefaults() ServerOptions {
 	}
 	if out.MaxFrame == 0 {
 		out.MaxFrame = DefaultMaxFrame
-	}
-	if out.MaxScanRows == 0 {
-		out.MaxScanRows = 4096
-	}
-	if out.MaxQueuedBytes <= 0 {
-		out.MaxQueuedBytes = 8 << 20
 	}
 	return out
 }
@@ -164,15 +161,6 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.wg.Add(1)
 		go c.serve()
 	}
-}
-
-// ListenAndServe listens on addr and calls Serve.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
 }
 
 // Addr returns the listener address (nil before Serve).
@@ -432,7 +420,7 @@ func newConn(s *Server, nc net.Conn) *conn {
 		nc:         nc,
 		br:         bufio.NewReaderSize(nc, 64<<10),
 		sess:       s.db.Session(),
-		q:          newOutq(s.opts.MaxQueuedBytes),
+		q:          newOutq(maxQueuedBytes),
 		writerDone: make(chan struct{}),
 	}
 }
@@ -717,7 +705,7 @@ func (c *conn) handleScan(req *Request) bool {
 	if c.tx == nil {
 		return c.reply(req.ID, StatusNoTxn, nil)
 	}
-	limit := c.srv.opts.MaxScanRows
+	limit := uint32(maxScanRows)
 	if req.MaxRows > 0 && req.MaxRows < limit {
 		limit = req.MaxRows
 	}
