@@ -28,7 +28,8 @@ const (
 	BufferC
 	// BufferD uses decoupled buffer fill (Algorithm 3).
 	BufferD
-	// BufferCD is the paper's hybrid design (§5.3) — the default.
+	// BufferCD is the paper's hybrid design (§5.3). It is not the zero
+	// value: Options that name no Buffer get BufferBaseline.
 	BufferCD
 	// BufferCDME adds delegated buffer release (Algorithm 4, §A.3).
 	BufferCDME
@@ -202,7 +203,9 @@ type Options struct {
 	RoutePartition func(txnID uint64, space uint32) int
 	// Device is the simulated device class for in-memory logs.
 	Device DeviceProfile
-	// Buffer selects the log-buffer algorithm. Default BufferCD.
+	// Buffer selects the log-buffer algorithm. The zero value is
+	// BufferBaseline, the single-mutex buffer; the paper's pick is
+	// BufferCD.
 	Buffer BufferVariant
 	// Mode is the default commit protocol for Tx.Commit. Default
 	// CommitPipelined.

@@ -85,8 +85,9 @@
 // believes a slot only if those bytes are in the file and match, so a
 // slot that reached the disk ahead of its data falls back to the
 // previous Sync's. On reopen the watermark — not the segment file
-// sizes — is the durable horizon, which lets Open tell two failure
-// shapes apart: bytes beyond
+// sizes: a segment file is created at its full size, so no commit's
+// fsync grows it — is the durable horizon, which lets Open tell two
+// failure shapes apart: bytes beyond
 // the watermark are a torn tail (a power loss persisted unsynced bytes,
 // possibly in a later segment while dropping an earlier one's) and are
 // discarded, with the count reported in Stats.LogTornTailRepaired;

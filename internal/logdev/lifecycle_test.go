@@ -89,12 +89,13 @@ func TestTornTailTrimsPartialSegment(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Unsynced bytes the crash happened to persist in the tail segment.
-	f, err := os.OpenFile(segFile(dir, 1), os.O_WRONLY|os.O_APPEND, 0o644)
+	// Unsynced bytes the crash happened to persist in the tail segment,
+	// right after its 26 synced ones.
+	f, err := os.OpenFile(segFile(dir, 1), os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(fill(20, 'X')); err != nil {
+	if _, err := f.WriteAt(fill(20, 'X'), SegmentHeaderSize+26); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

@@ -6,10 +6,11 @@
 // methodology (§3.2) — log-device response times of 0 (ramdisk), 100µs
 // (flash), 1ms (fast disk) and 10ms (slow disk) imposed on a ramdisk with
 // high-resolution timers — and simulates crashes. The directory backend
-// (OpenSegmentedDir) keeps each segment as a file whose CRC'd watermark
-// slots record where the durable bytes end: the device that outlives the
-// process, doing all its I/O through vfs. Both truncate, recycle and
-// archive the same way.
+// (OpenSegmentedDir) keeps each segment as a file, created at its full
+// size (header plus segment) so that no commit's fsync grows it, whose
+// CRC'd watermark slots — not its length — record where the durable
+// bytes end: the device that outlives the process, doing all its I/O
+// through vfs. Both truncate, recycle and archive the same way.
 //
 // A device is an append-only byte stream with an explicit durability
 // barrier: bytes become durable only when Sync returns. The flush daemon is

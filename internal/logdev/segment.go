@@ -54,8 +54,8 @@ type SegmentInfo struct {
 type segment interface {
 	// writeAt writes p at off within the segment.
 	writeAt(p []byte, off int64) error
-	// readAt fills p from off within the segment, zero-filling anything
-	// never written (zero bytes read as pre-allocated space upstream).
+	// readAt fills p from off within the segment; anything never written
+	// reads as zeros.
 	readAt(p []byte, off int64) error
 	// sync makes the segment's written bytes durable.
 	sync() error
@@ -64,15 +64,16 @@ type segment interface {
 	// through logical offset durable, the last batch having added
 	// [from, durable) to this segment — one fsync for both.
 	harden(from, durable int64) error
-	// trim discards bytes at and beyond n (crash simulation).
+	// trim zeroes the bytes at and beyond n, leaving the segment its full
+	// size (torn-tail repair, crash simulation).
 	trim(n int64) error
 	close() error
 }
 
 // segBackend creates, persists and recycles segments.
 type segBackend interface {
-	// open returns segment idx, creating it if needed.
-	open(idx int64) (segment, error)
+	// create returns a new segment idx, its full size from birth.
+	create(idx int64) (segment, error)
 	// remove recycles segment idx permanently.
 	remove(idx int64, seg segment) error
 	// setBase durably records the truncation horizon. It is called
@@ -140,7 +141,7 @@ type memSegBackend struct{ segSize int64 }
 
 type memSegment struct{ buf []byte }
 
-func (b *memSegBackend) open(int64) (segment, error) {
+func (b *memSegBackend) create(int64) (segment, error) {
 	return &memSegment{buf: make([]byte, b.segSize)}, nil
 }
 func (b *memSegBackend) remove(int64, segment) error { return nil }
@@ -183,9 +184,9 @@ func NewSegmentedMem(p Profile, segSize int64) *Segmented {
 }
 
 // dirSegBackend stores each segment as dir/<index>.seg — a header
-// carrying the durable watermark (segheader.go), then the segment's log
-// bytes — plus a MANIFEST (format version, segment size, truncation
-// horizon).
+// carrying the durable watermark (segheader.go), then segSize bytes of
+// log space, allocated when the file is created — plus a MANIFEST
+// (format version, segment size, truncation horizon).
 type dirSegBackend struct {
 	fs      vfs.FS
 	dir     string
@@ -215,16 +216,30 @@ func (b *dirSegBackend) segPath(idx int64) string {
 	return filepath.Join(b.dir, fmt.Sprintf("%016d.seg", idx))
 }
 
-func (b *dirSegBackend) open(idx int64) (segment, error) {
-	flags := os.O_RDWR | os.O_CREATE
-	if b.ro {
-		flags = os.O_RDONLY
-	}
+func (b *dirSegBackend) open(idx int64, flags int) (*fileSegment, error) {
 	f, err := b.fs.OpenFile(b.segPath(idx), flags, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("logdev: open segment: %w", err)
 	}
 	return &fileSegment{f: f, b: b, start: idx * b.segSize}, nil
+}
+
+// create makes segment idx at its full size, header plus segSize zero
+// bytes, as a memory segment is. The segment's first harden fsync
+// persists that length and no later one changes it, so a commit's fsync
+// carries no file-size change (on ext4 that made a lone commit's fsync
+// about a third cheaper). The file's length then no longer says where
+// its log bytes end; the watermark alone does (openSegmentedDir).
+func (b *dirSegBackend) create(idx int64) (segment, error) {
+	seg, err := b.open(idx, os.O_RDWR|os.O_CREATE)
+	if err != nil {
+		return nil, err
+	}
+	if err := seg.f.Truncate(SegmentHeaderSize + b.segSize); err != nil {
+		seg.f.Close()
+		return nil, fmt.Errorf("logdev: size segment: %w", err)
+	}
+	return seg, nil
 }
 
 func (b *dirSegBackend) remove(idx int64, seg segment) error {
@@ -327,11 +342,13 @@ func (s *fileSegment) writeAt(p []byte, off int64) error {
 	return err
 }
 
+// readAt reads log bytes. Space past the data end holds the zeros the
+// segment's creation allocated; a file shorter than a full segment (one
+// written before segments were born full-size, or whose sizing a crash
+// undid) reads as zeros past its end too.
 func (s *fileSegment) readAt(p []byte, off int64) error {
 	n, err := s.f.ReadAt(p, SegmentHeaderSize+off)
 	if err == io.EOF {
-		// Bytes past the file's end were never written: read as zeros,
-		// which the record iterator treats as pre-allocated space.
 		for i := n; i < len(p); i++ {
 			p[i] = 0
 		}
@@ -370,8 +387,58 @@ func (s *fileSegment) harden(from, durable int64) error {
 	return nil
 }
 
-func (s *fileSegment) trim(n int64) error { return s.f.Truncate(SegmentHeaderSize + n) }
-func (s *fileSegment) close() error       { return s.f.Close() }
+func (s *fileSegment) trim(n int64) error {
+	if err := s.f.Truncate(SegmentHeaderSize + n); err != nil {
+		return err
+	}
+	return s.f.Truncate(SegmentHeaderSize + s.b.segSize)
+}
+func (s *fileSegment) close() error { return s.f.Close() }
+
+// tailBlock is how far past the watermark a reopen looks for a torn
+// tail: a clean reopen reads this much and writes nothing.
+const tailBlock = 4096
+
+// tornBytes returns how many bytes a crash left in seg past data offset
+// from, reading no further than end: 0 when the block at from reads as
+// zeros (allocated space nothing wrote), else the distance from from to
+// the last non-zero byte. buf is scratch of at least tailBlock bytes.
+func tornBytes(seg segment, from, end int64, buf []byte) (int64, error) {
+	if from >= end {
+		return 0, nil
+	}
+	blk := buf[:min(tailBlock, end-from)]
+	if err := seg.readAt(blk, from); err != nil {
+		return 0, err
+	}
+	if allZero(blk) {
+		return 0, nil
+	}
+	last := from - 1 // the last non-zero byte seen
+	for off := from; off < end; {
+		chunk := buf[:min(int64(len(buf)), end-off)]
+		if err := seg.readAt(chunk, off); err != nil {
+			return 0, err
+		}
+		for i := len(chunk) - 1; i >= 0; i-- {
+			if chunk[i] != 0 {
+				last = off + int64(i)
+				break
+			}
+		}
+		off += int64(len(chunk))
+	}
+	return last + 1 - from, nil
+}
+
+func allZero(p []byte) bool {
+	for _, b := range p {
+		if b != 0 {
+			return false
+		}
+	}
+	return true
+}
 
 // OpenSegmentedDir opens (creating if needed) a directory-backed
 // segmented device. Existing segment files, up to the durable
@@ -460,9 +527,12 @@ func openSegmentedDir(fs vfs.FS, dir string, segSize int64, ro bool) (*Segmented
 		s.closeSegmentsLocked()
 		return nil, err
 	}
-	minIdx, maxIdx := int64(math.MaxInt64), int64(-1)
+	flags := os.O_RDWR
+	if ro {
+		flags = os.O_RDONLY
+	}
+	minIdx := int64(math.MaxInt64)
 	sizes := make(map[int64]int64)
-	var lastLen int64
 	for _, e := range entries {
 		name := e.Name()
 		if !strings.HasSuffix(name, ".seg") {
@@ -476,44 +546,38 @@ func openSegmentedDir(fs vfs.FS, dir string, segSize int64, ro bool) (*Segmented
 		if ierr != nil {
 			return fail(ierr)
 		}
-		// A segment's log bytes are what follows its header; a file a
+		// What follows the header is the segment's log space: all of it
+		// for a file created full-size, only the bytes written for one
+		// that predates that (or whose sizing a crash undid); a file a
 		// crash left shorter than the header holds none.
 		dataLen := max(info.Size()-SegmentHeaderSize, 0)
 		if dataLen > segSize {
 			return fail(fmt.Errorf("logdev: segment %s holds %d log bytes, more than the segment size %d", name, dataLen, segSize))
 		}
-		seg, oerr := s.backend.open(idx)
+		seg, oerr := backend.open(idx, flags)
 		if oerr != nil {
 			return fail(oerr)
 		}
 		s.segs[idx] = seg
 		sizes[idx] = dataLen
-		if idx < minIdx {
-			minIdx = idx
-		}
-		if idx > maxIdx {
-			maxIdx, lastLen = idx, dataLen
-		}
+		minIdx = min(minIdx, idx)
 	}
-	if maxIdx >= 0 {
-		s.size = maxIdx*segSize + lastLen
-		if sb := minIdx * segSize; sb > s.base {
-			// The manifest update raced a crash; the surviving files are
-			// authoritative about what was recycled.
-			s.base = sb
-		}
+	if len(sizes) > 0 && minIdx*segSize > s.base {
+		// The manifest update raced a crash; the surviving files are
+		// authoritative about what was recycled.
+		s.base = minIdx * segSize
 	}
 
-	// The durable watermark decides where acknowledged durability ends.
-	// On-disk file sizes are NOT that boundary: a power loss can persist
-	// unsynced bytes in a later segment while dropping them from an
-	// earlier one. The watermark is the highest admissible header slot
-	// (segheader.go) over every segment file present: bytes beyond it
-	// are a torn tail (discard), bytes missing below it are real
-	// corruption (fail loudly). The truncation base is a floor: Truncate
-	// only ever records offsets at or below the durable horizon, and the
-	// one segment whose recycling can take the newest slot with it is
-	// the one that ends exactly at that base.
+	// The durable watermark decides where the log ends. File sizes say
+	// nothing about it: every segment is created full-size, and a power
+	// loss can persist unsynced bytes in a later segment while dropping
+	// them from an earlier one. The watermark is the highest admissible
+	// header slot (segheader.go) over every segment file present: bytes
+	// beyond it are a torn tail (discard), bytes missing below it are
+	// real corruption (fail loudly). The truncation base is a floor:
+	// Truncate only ever records offsets at or below the durable horizon,
+	// and the one segment whose recycling can take the newest slot with
+	// it is the one that ends exactly at that base.
 	wmVal := s.base
 	var admitted *fileSegment
 	admittedSlot := -1
@@ -552,67 +616,76 @@ func openSegmentedDir(fs vfs.FS, dir string, segSize int64, ro bool) (*Segmented
 				idx, sizes[idx], wmVal, need))
 		}
 	}
-	if s.size > wmVal {
-		// Torn tail: everything beyond the watermark was never covered
-		// by a completed Sync, so no committed work can live there.
-		// Clamp the log back to the watermark and make the repair
-		// durable before acknowledging the open. repairedTail counts
-		// the bytes actually on disk beyond the watermark (a crash can
-		// persist a later segment while dropping an earlier one's tail,
-		// so the span size-wmVal may include holes that hold nothing).
-		removed := false
-		for idx, seg := range s.segs {
-			segStart := idx * segSize
-			switch {
-			case segStart >= wmVal:
-				s.repairedTail += sizes[idx]
-				if ro {
-					// Leave the crash evidence on disk; just stop
-					// serving the torn segment.
-					seg.close()
-					delete(s.segs, idx)
-					continue
-				}
-				if err := s.backend.remove(idx, seg); err != nil {
-					return fail(fmt.Errorf("logdev: discard torn segment %d: %w", idx, err))
-				}
+	s.size, s.durable = wmVal, wmVal
+
+	// Torn tail: everything beyond the watermark was never covered by a
+	// completed Sync, so no committed work can live there, and nothing
+	// reads it (reads stop at the durable size). What a crash left there
+	// is counted (repairedTail) and zeroed, durably, before the open is
+	// acknowledged; segments wholly past the watermark go. A segment's
+	// space past the watermark is judged by its first block: zeros there
+	// are allocated space nothing wrote, so a clean reopen reads one
+	// block and writes nothing. A segment that starts exactly at the
+	// watermark and holds nothing stays: the log resumes in it.
+	removed := false
+	for idx, seg := range s.segs {
+		segStart := idx * segSize
+		if segStart+segSize <= wmVal {
+			continue
+		}
+		torn, terr := tornBytes(seg, max(wmVal-segStart, 0), sizes[idx], backend.crcBuf)
+		if terr != nil {
+			return fail(fmt.Errorf("logdev: read past the watermark in segment %d: %w", idx, terr))
+		}
+		s.repairedTail += torn
+		switch {
+		case segStart > wmVal || (segStart == wmVal && torn > 0):
+			if ro {
+				// Leave the crash evidence on disk; just stop serving
+				// the torn segment.
+				seg.close()
 				delete(s.segs, idx)
-				removed = true
-			case segStart+sizes[idx] > wmVal:
-				s.repairedTail += segStart + sizes[idx] - wmVal
-				if ro {
-					continue // clamped in memory via size/durable below
-				}
-				if err := seg.trim(wmVal - segStart); err != nil {
-					return fail(fmt.Errorf("logdev: trim torn segment %d: %w", idx, err))
-				}
-				if err := seg.sync(); err != nil {
-					return fail(fmt.Errorf("logdev: sync trimmed segment %d: %w", idx, err))
-				}
+				continue
 			}
-		}
-		if removed {
-			if err := s.backend.syncMeta(); err != nil {
-				return fail(err)
+			if err := backend.remove(idx, seg); err != nil {
+				return fail(fmt.Errorf("logdev: discard torn segment %d: %w", idx, err))
 			}
+			delete(s.segs, idx)
+			removed = true
+		case torn > 0 && !ro:
+			if err := seg.trim(wmVal - segStart); err != nil {
+				return fail(fmt.Errorf("logdev: trim torn segment %d: %w", idx, err))
+			}
+			if err := seg.sync(); err != nil {
+				return fail(fmt.Errorf("logdev: sync trimmed segment %d: %w", idx, err))
+			}
+			sizes[idx] = segSize
 		}
-		s.size = wmVal
 	}
-	if s.size < wmVal {
-		// Only possible when the watermark is the base and no file holds
-		// a byte at or above it (the check above found every byte in
-		// [base, watermark)): the live log is empty and resumes there.
-		s.size = wmVal
+	if removed {
+		if err := backend.syncMeta(); err != nil {
+			return fail(err)
+		}
 	}
-	s.durable = wmVal
 	// Segments wholly below the base are dead: a crash interrupted
 	// archive-then-recycle (or plain recycle). They hold only released
 	// history, so they wait in the pending set for ArchivePending to
 	// ship them to cold storage (or drop them) rather than serving reads.
+	tail := int64(-1)
 	for idx, seg := range s.segs {
 		if (idx+1)*segSize <= s.base {
 			s.pending[idx] = seg
 			delete(s.segs, idx)
+		} else {
+			tail = max(tail, idx)
+		}
+	}
+	if tail >= 0 && sizes[tail] < segSize && !ro {
+		// A tail file only as long as its data (written before segments
+		// were born full-size) gets its full size now, so no commit's
+		// fsync grows it; the next harden's fsync persists the length.
+		if err := s.segs[tail].(*fileSegment).f.Truncate(SegmentHeaderSize + segSize); err != nil {
+			return fail(fmt.Errorf("logdev: size tail segment %d: %w", tail, err))
 		}
 	}
 	return s, nil
@@ -684,7 +757,7 @@ func (s *Segmented) Append(p []byte) (int, error) {
 		segOff := s.size % s.segSize
 		seg := s.segs[idx]
 		if seg == nil {
-			sg, err := s.backend.open(idx)
+			sg, err := s.backend.create(idx)
 			if err != nil {
 				return written, err
 			}

@@ -3,6 +3,7 @@ package aether
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -56,22 +57,25 @@ func TestTornTailDoesNotEatNextCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The log's last bytes live in its newest segment file. (A build
-	// without segment directories kept them in LogPath itself.)
-	tail := opts.LogPath
-	if segs, _ := filepath.Glob(filepath.Join(opts.LogPath, "*.seg")); len(segs) > 0 {
-		tail = segs[len(segs)-1]
+	// The log's last bytes live in its newest segment file, which is
+	// allocated full-size: the fragment goes right after the durable end.
+	dev, err := logdev.OpenSegmentedDirRO(opts.LogPath)
+	if err != nil {
+		t.Fatal(err)
 	}
+	end, segSize := dev.DurableSize(), dev.SegmentSize()
+	dev.Close()
+	tail := filepath.Join(opts.LogPath, fmt.Sprintf("%016d.seg", end/segSize))
 	frag := make([]byte, 20)
 	binary.LittleEndian.PutUint32(frag, 64)
 	for i := 4; i < len(frag); i++ {
 		frag[i] = 0xAB
 	}
-	f, err := os.OpenFile(tail, os.O_WRONLY|os.O_APPEND, 0)
+	f, err := os.OpenFile(tail, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(frag); err != nil {
+	if _, err := f.WriteAt(frag, logdev.SegmentHeaderSize+end%segSize); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -79,6 +83,9 @@ func TestTornTailDoesNotEatNextCommit(t *testing.T) {
 	}
 
 	db, tbl = reopen(t, opts)
+	if got := db.Stats().LogTornTailRepaired; got != int64(len(frag)) {
+		t.Fatalf("Stats.LogTornTailRepaired = %d, want the %d-byte fragment", got, len(frag))
+	}
 	commitKey(t, db, tbl, 2) // acknowledged: CommitSync returned nil
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
