@@ -89,7 +89,7 @@ restart-profile:
 # Crash-storm smoke: fixed-seed runs of the root package's TestSoak —
 # every incarnation opened with aether.Open over the fault-injection
 # filesystem. 25 power-cut/recover cycles across every fault point
-# (group-commit, journal, pagefile, watermark, manifest, archive), each
+# (group-commit, pagecommit, pagefile, watermark, manifest, archive), each
 # cycle's recovered state checked against the committed-ops model, then
 # 15 more against a 3-partition log whose profile adds the
 # partition-flush point (one log's fsync dies while the others keep

@@ -111,7 +111,7 @@ func (d DeviceProfile) internal() logdev.Profile {
 type Options struct {
 	// LogPath, if set, names the directory that stores the database: the
 	// write-ahead log's segment files and MANIFEST, plus the paged
-	// database file (pagefile.db and its journal), from which pages
+	// database file (pagefile.db), from which pages
 	// cleaned out of the dirty-page table at a checkpoint are recovered
 	// instead of from the log. Unset, the log lives in memory with
 	// Device's latency profile (the paper's methodology). A regular file
@@ -223,8 +223,8 @@ type Options struct {
 	// file, faulted in on demand (CRC-verified) and evicted by a clock
 	// policy to make room. A clean victim is evicted by simply dropping
 	// its frame; a dirty victim must first be written back WAL-correctly
-	// (log forced up to its pageLSN, image through the double-write
-	// journal) — by the background cleaner ahead of demand when
+	// (log forced up to its pageLSN, image into a free slot of the
+	// database file) — by the background cleaner ahead of demand when
 	// CleanerPages is armed, or by the faulting caller itself (a demand
 	// steal) when not. 0 leaves the store fully memory-resident (the
 	// original behavior). Databases larger than RAM become usable at the
@@ -232,8 +232,8 @@ type Options struct {
 	CachePages int
 	// CleanerPages, if > 0 (meaningful only with a bounded cache), arms
 	// the background page cleaner: a goroutine that pre-cleans dirty,
-	// unpinned, cold pages — forcing the log, then batching the images
-	// through the double-write journal with O(1) fsyncs per pass —
+	// unpinned, cold pages — forcing the log, then writing the images to
+	// the database file as one batch with O(1) fsyncs per pass —
 	// whenever fewer than this many frames are free or clean. Faults
 	// under memory pressure then find clean victims and eviction is a
 	// frame drop; demand steals (Stats.StealWrites) drop to near zero.
@@ -253,7 +253,7 @@ type Options struct {
 	// DisableSLI turns off speculative lock inheritance.
 	DisableSLI bool
 	// fs, if non-nil, substitutes the filesystem every durable layer
-	// (segments, MANIFEST, watermark, pagefile, journal, archives) runs
+	// (segments, MANIFEST, watermark, pagefile, archives) runs
 	// on — the fault-injection hook for crash tests and the crash-storm
 	// soak. Unexported: only in-package tests may inject it; production
 	// code always runs on the real filesystem.
@@ -570,9 +570,10 @@ type Stats struct {
 	// faults that never happened. PrefetchReads − PrefetchHits is the
 	// wasted-read overshoot, bounded by the window size per stream.
 	PrefetchHits int64
-	// ReadRetries counts optimistic database-file reads that raced an
-	// in-place page write, failed checksum validation and retried — the
-	// observable cost of the lock-free read path (normally ~0).
+	// ReadRetries counts lock-free database-file reads that found their
+	// page's slot freed and reused by a later write-back, and looked the
+	// page up again — the observable cost of the lock-free read path
+	// (normally ~0).
 	ReadRetries int64
 	// LogPartitions is the number of log partitions (0 when the log is
 	// not partitioned). When partitioned, the Log* counters above are

@@ -6,7 +6,6 @@ package aether_test
 // the paper plots. Run with:
 //
 //	go test -bench=Fig -benchtime=1x            # quick sweeps
-//	go test -bench=Fig -benchtime=1x -tags=...  # see EXPERIMENTS.md for full runs
 //	AETHER_BENCH_FULL=1 go test -bench=Fig -benchtime=1x -timeout 2h
 //
 // The BenchmarkLogInsert* family are conventional b.N benchmarks of the

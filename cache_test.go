@@ -106,8 +106,8 @@ func TestLargerThanMemoryWorkload(t *testing.T) {
 }
 
 // TestLargerThanMemoryFileBacked drives the steal path through the real
-// pagefile: dirty pages evicted under pressure land in pagefile slots
-// via the double-write journal, and a reopen (fresh process state) faults
+// pagefile: dirty pages evicted under pressure land in free pagefile
+// slots, committed batch by batch, and a reopen (fresh process state) faults
 // them back CRC-verified.
 func TestLargerThanMemoryFileBacked(t *testing.T) {
 	dir := t.TempDir()

@@ -133,17 +133,17 @@ func pageFileFor(logPath string) string {
 }
 
 // dumpPageFile prints the database file's summary (and, when verbose,
-// its slot table). It is strictly read-only — the owning process may
-// have the database open, so logdump must never replay or truncate the
-// double-write journal; it only reports a pending one.
+// its live slot table). It is strictly read-only — the owning process may
+// have the database open, so logdump must never clear the slots a batch
+// that never committed left behind; it only counts them.
 func dumpPageFile(path string, verbose bool) error {
 	info, err := storage.ReadPageFileInfo(path)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("pagefile %s: %d pages, %d bytes", path, info.Pages, info.SizeBytes)
-	if info.JournalPending > 0 {
-		fmt.Printf(" (journal pending: %d pages, replayed on next open)", info.JournalPending)
+	if info.Uncommitted > 0 {
+		fmt.Printf(" (%d uncommitted slots, cleared on next open)", info.Uncommitted)
 	}
 	fmt.Println()
 	if !verbose {

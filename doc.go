@@ -112,19 +112,19 @@
 //
 // File-backed databases persist page images in a single paged, slotted,
 // checksummed database file, LogPath/pagefile.db beside the log's
-// segments. Each 8KiB page occupies a fixed slot addressed by file
-// offset, prefixed by a 32-byte header
-// (pageID, version, CRC-32C over identity plus image) that is verified
-// on every read. A checkpoint sweep writes all dirty pages sorted by
-// file offset in large coalesced writes, guarded against torn pages by
-// a double-write journal: the whole batch goes to pagefile.db.journal
-// and is fsynced once, then the images are written in place and fsynced
-// once — O(1) device fsyncs per sweep, however many pages it cleans,
-// and O(1) memory: each image is copied once, out of its frame, through
-// a quarter-megabyte buffer.
-// Open replays a committed journal (crash after the journal fsync) or
-// discards a torn one (crash before it); either way every slot ends
-// consistent.
+// segments. Each 8KiB page occupies a slot addressed by file offset,
+// prefixed by a 32-byte header (pageID, version, CRC-32C over identity
+// plus image) that is verified on every read. The file is copy-on-write:
+// a checkpoint sweep writes all dirty pages, in page-ID order, into the
+// lowest free slots in large coalesced writes — never over a page's live
+// copy — and fsyncs once; then it writes a commit record naming the
+// batch's highest version and fsyncs again, and only then frees the
+// slots the pages left. O(1) device fsyncs per sweep, however many pages
+// it cleans, each image written once, and O(1) memory: each image is
+// copied once, out of its frame, through a quarter-megabyte buffer.
+// Open takes each page's newest copy at or below the commit record and
+// clears whatever a batch that never committed left behind, so a crash
+// leaves every batch whole or absent.
 //
 // # Bounded buffer pool (databases larger than RAM)
 //
@@ -134,7 +134,7 @@
 // through the checksummed read path, and a clock policy evicts to make
 // room. Evicting a dirty page is a steal in the ARIES sense — the log
 // is forced up to the page's LSN first (the write-ahead rule), the
-// image goes through the double-write journal, and only then is the
+// image goes into a free slot of the database file, and only then is the
 // frame reclaimed. Recovery faults pages lazily too, so restart memory
 // is O(working set) rather than O(database). Stats.CacheResident,
 // PageMisses, PageEvictions and StealWrites expose the pool; with the
@@ -145,8 +145,8 @@
 // With Options.CleanerPages set on a bounded pool, dirty writebacks
 // leave the fault path entirely: a cleaner goroutine watches the
 // free-frame headroom and pre-cleans dirty, unpinned, cold pages in
-// batches — one log force covering the batch, one pass through the
-// double-write journal (O(1) fsyncs however many pages), then
+// batches — one log force covering the batch, one batch into the
+// database file (O(1) fsyncs however many pages), then
 // mark-clean — so the clock hand almost always finds clean victims and
 // eviction is a frame drop. Demand steals (Stats.StealWrites) collapse
 // toward zero and are replaced by batched Stats.CleanerWrites; a steal

@@ -87,7 +87,7 @@ func ExampleOptions_checkpointEveryBytes() {
 
 // ExampleOptions_cleanerPages arms the background page cleaner on a
 // bounded buffer pool: a goroutine writes dirty, cold pages back to the
-// database file ahead of demand — one log force and one journaled batch
+// database file ahead of demand — one log force and one two-fsync batch
 // per pass — so eviction under memory pressure finds clean victims and
 // drops frames instead of stalling the faulting transaction on a demand
 // steal's fsyncs.

@@ -2,9 +2,13 @@ package aether
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
+	"aether/internal/storage"
 	"aether/internal/vfs"
 )
 
@@ -204,4 +208,121 @@ func TestOneFsyncPerBlockingFlush(t *testing.T) {
 		t.Fatal("no commit completed in a single flush")
 	}
 	t.Logf("%d steady-state commits (%d in one flush = one fsync), %d segment switches", steady, singleFlush, switches)
+}
+
+// TestPageFileWriteErrorKeepsCommitsAcked: the database file's disk
+// starts failing every write. The first write-back that meets it — a
+// cleaner pass here — fails and leaves the page file failed; every later
+// one fails too and the pages stay dirty, so the log behind them is
+// kept. Commits never touch the page file and keep being acknowledged.
+// Once the disk is back, the file holds exactly the images it had
+// committed before the failure, and a reopen recovers every acknowledged
+// commit from it and the log.
+func TestPageFileWriteErrorKeepsCommitsAcked(t *testing.T) {
+	fs := vfs.NewFaultFS(6)
+	opts := Options{LogPath: "/db", SegmentSize: 4096, CachePages: 16, CleanerPages: 14, Mode: CommitSync, fs: fs}
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := db.Session()
+	want := map[uint64]string{}
+	put := func(key uint64, val string) {
+		t.Helper()
+		tx := s.Begin()
+		var err error
+		if _, ok := want[key]; ok {
+			err = tx.Update(tbl, key, func([]byte) ([]byte, error) { return Row(key, []byte(val)), nil })
+		} else {
+			err = tx.Insert(tbl, key, Row(key, []byte(val)))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatalf("commit of key %d: %v", key, err)
+		}
+		want[key] = val
+	}
+	filler := strings.Repeat("x", 900)
+	for key := uint64(1); key <= 40; key++ {
+		put(key, fmt.Sprintf("v1-%d-%s", key, filler))
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	committed := db.archive.(*storage.PageFile).Slots()
+	if len(committed) == 0 {
+		t.Fatal("the checkpoint wrote no page")
+	}
+
+	fs.AddRule(vfs.Rule{Op: vfs.OpWrite, Dir: "/db", Path: "pagefile.db", Err: errors.New("disk failing")})
+	deadline := time.Now().Add(10 * time.Second)
+	for round := 0; db.eng.Stats().CleanerFailures.Load() == 0; round++ {
+		if time.Now().After(deadline) {
+			t.Fatal("no cleaner pass met the failing disk")
+		}
+		for key := uint64(1); key <= 40; key += 3 {
+			put(key, fmt.Sprintf("v%d-%d-%s", round+2, key, filler))
+		}
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint over the failed page file: %v", err)
+	}
+	for key := uint64(41); key <= 60; key++ {
+		put(key, fmt.Sprintf("late-%d-%s", key, filler))
+	}
+	if dirty := db.eng.Store().DirtyPages(); len(dirty) == 0 {
+		t.Fatal("the failed write-backs cleaned pages")
+	}
+	s.Close()
+	db.Close()
+	fs.ClearRules()
+
+	pf, err := storage.OpenPageFileFS(fs, "/db/pagefile.db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pf.Slots(); fmt.Sprint(got) != fmt.Sprint(committed) {
+		t.Fatalf("page file after the failure:\n%v\nwant the images committed before it:\n%v", got, committed)
+	}
+	pf.Close()
+
+	db2, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	tbl2, err := db2.CreateTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db2.RebuildAfterRecovery(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := db2.Session()
+	defer s2.Close()
+	tx := s2.Begin()
+	got := map[uint64]string{}
+	if err := tx.Scan(tbl2, 0, 1<<20, func(key uint64, row []byte) bool {
+		got[key] = string(RowPayload(row))
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("reopen holds %d rows, %d were acknowledged", len(got), len(want))
+	}
+	for key, val := range want {
+		if got[key] != val {
+			t.Fatalf("key %d after reopen: %.12q, want %.12q", key, got[key], val)
+		}
+	}
 }

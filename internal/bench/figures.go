@@ -14,6 +14,31 @@ import (
 // This file implements one experiment per figure of the paper's
 // evaluation. Each returns a Table whose rows mirror the figure's series.
 
+// switchPenalty models the scheduler cost of descheduling and
+// redispatching an agent thread after a blocking commit ("each scheduling
+// decision consumes several microseconds of CPU time which cannot be
+// overlapped", §4). Go's scheduler is too cheap to show the paper's
+// Solaris overload on its own, so Figs. 2 and 4 burn it deterministically.
+const switchPenalty = 10 * time.Microsecond
+
+// withSwitchPenalty wraps body so that each transaction a blocking commit
+// mode acknowledged is followed by d of unoverlappable CPU on its client —
+// the rig's own stand-in for the context switch, kept off the engine's
+// commit path.
+func withSwitchPenalty(body workload.Body, mode txn.CommitMode, d time.Duration) workload.Body {
+	if d <= 0 || (mode != txn.CommitSync && mode != txn.CommitSyncELR) {
+		return body
+	}
+	return func(c *workload.Client) error {
+		err := body(c)
+		if err == nil {
+			for deadline := time.Now().Add(d); time.Now().Before(deadline); {
+			}
+		}
+		return err
+	}
+}
+
 // Fig2 reproduces Figure 2: the CPU-time breakdown of TPC-B as the
 // log-related bottlenecks are removed one by one. Bar 1 (baseline sync
 // commit): the machine idles most of the time, blocked on log flushes
@@ -32,7 +57,7 @@ func Fig2(scale Scale) (*Table, error) {
 	}
 	cfgs := []cfg{
 		{"log-io-latency (baseline)", txn.CommitSync, 0},
-		{"os-scheduler (+ELR)", txn.CommitSyncELR, 10 * time.Microsecond},
+		{"os-scheduler (+ELR)", txn.CommitSyncELR, switchPenalty},
 		{"log-buffer-contention (+pipelining)", txn.CommitPipelined, 0},
 	}
 	t := &Table{
@@ -41,10 +66,9 @@ func Fig2(scale Scale) (*Table, error) {
 	}
 	for _, c := range cfgs {
 		rig, err := NewRig(EngineConfig{
-			Variant:       logbuf.VariantBaseline,
-			Device:        logdev.ProfileFlash,
-			SwitchPenalty: c.penalty,
-			SLI:           true,
+			Variant: logbuf.VariantBaseline,
+			Device:  logdev.ProfileFlash,
+			SLI:     true,
 		})
 		if err != nil {
 			return nil, err
@@ -57,7 +81,7 @@ func Fig2(scale Scale) (*Table, error) {
 		before := rig.Snapshot()
 		res := workload.RunClosedLoop(rig.Eng, workload.Options{
 			Clients: clients, Duration: scale.runFor(), Mode: c.mode,
-		}, w.Body())
+		}, withSwitchPenalty(w.Body(), c.mode, c.penalty))
 		shares := Shares(before, rig.Snapshot(), clients, res.Elapsed)
 		t.AddRow(c.name,
 			fmt.Sprintf("%.0f", shares.Idle*100),
@@ -182,10 +206,9 @@ func Fig4(scale Scale) (*Table, error) {
 
 func fig4Run(scale Scale, mode txn.CommitMode, clients int) (workload.Result, error) {
 	rig, err := NewRig(EngineConfig{
-		Variant:       logbuf.VariantCD,
-		Device:        logdev.ProfileFlash,
-		SwitchPenalty: 10 * time.Microsecond,
-		SLI:           true,
+		Variant: logbuf.VariantCD,
+		Device:  logdev.ProfileFlash,
+		SLI:     true,
 	})
 	if err != nil {
 		return workload.Result{}, err
@@ -197,7 +220,7 @@ func fig4Run(scale Scale, mode txn.CommitMode, clients int) (workload.Result, er
 	}
 	res := workload.RunClosedLoop(rig.Eng, workload.Options{
 		Clients: clients, Duration: scale.runFor(), Mode: mode,
-	}, w.Body())
+	}, withSwitchPenalty(w.Body(), mode, switchPenalty))
 	return res, nil
 }
 

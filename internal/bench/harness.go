@@ -10,7 +10,6 @@
 // Absolute numbers differ from the paper's Sun Niagara II + Solaris
 // testbed; what the experiments reproduce is the *shape* of each figure:
 // who wins, by roughly what factor, and where the crossovers sit.
-// EXPERIMENTS.md records paper-vs-measured for every figure.
 package bench
 
 import (
@@ -63,8 +62,7 @@ func (s Scale) clientSweep() []int {
 // hardware context per thread (their T2 had 64); oversubscribing Go's
 // M:N scheduler with spin-waiting threads collapses the release chain
 // instead of saturating it, which would measure the runtime rather than
-// the algorithms. EXPERIMENTS.md discusses the effect (CDME, which
-// delegates instead of waiting, survives oversubscription).
+// the algorithms.
 func (s Scale) threadSweep() []int {
 	if s.Quick {
 		return []int{1, 2, 4, 8}
@@ -101,8 +99,6 @@ type EngineConfig struct {
 	Slots int
 	// Device is the simulated log device latency class.
 	Device logdev.Profile
-	// SwitchPenalty models the scheduler context-switch cost.
-	SwitchPenalty time.Duration
 	// SLI enables speculative lock inheritance.
 	SLI bool
 	// Breakdown, if set, attaches the time-breakdown probes.
@@ -137,9 +133,8 @@ func NewRig(cfg EngineConfig) (*Rig, error) {
 			Slots:     cfg.Slots,
 			Breakdown: bd,
 		},
-		Device:        dev,
-		Breakdown:     bd,
-		SwitchPenalty: cfg.SwitchPenalty,
+		Device:    dev,
+		Breakdown: bd,
 	})
 	if err != nil {
 		return nil, err

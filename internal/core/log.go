@@ -73,13 +73,6 @@ type Config struct {
 	// Breakdown, if set, receives PhaseLogWait time from WaitDurable —
 	// the synchronous-commit stall the time-breakdown figures plot.
 	Breakdown *metrics.Breakdown
-	// SwitchPenalty burns this much CPU on every blocking commit wait,
-	// modeling the scheduler cost of descheduling and redispatching an
-	// agent thread ("each scheduling decision consumes several
-	// microseconds of CPU time which cannot be overlapped", §4). Go's
-	// scheduler is too cheap to exhibit the paper's Solaris overload on
-	// its own; this knob reproduces it deterministically.
-	SwitchPenalty time.Duration
 }
 
 func (c *Config) applyDefaults() {
@@ -527,17 +520,7 @@ func (lm *LogManager) WaitDurable(end lsn.LSN) error {
 	if lm.cfg.Breakdown != nil {
 		lm.cfg.Breakdown.Add(metrics.PhaseLogWait, time.Since(t0))
 	}
-	if lm.cfg.SwitchPenalty > 0 {
-		burnCPU(lm.cfg.SwitchPenalty)
-	}
 	return err
-}
-
-// burnCPU spins for roughly d of unoverlappable CPU time.
-func burnCPU(d time.Duration) {
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-	}
 }
 
 // Force makes the log durable at least through upTo, blocking until it

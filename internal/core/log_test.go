@@ -159,7 +159,7 @@ func TestOnDurableOrdering(t *testing.T) {
 // sync is in flight on a 1 ms device, the other committers park and ride
 // the next flush together — at most one flush per two commits. Under
 // -short (the race run, where inserters spinning in the log buffer can
-// convoy and dribble commits in: ROADMAP 2(c)) only batching itself is
+// convoy and dribble commits in: ROADMAP 3(c)) only batching itself is
 // asserted.
 func TestGroupCommitBatches(t *testing.T) {
 	for _, workers := range []int{8, 16} {

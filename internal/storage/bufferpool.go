@@ -320,7 +320,7 @@ func (s *Store) waitForCleaner() {
 // are skipped, and the first quiet candidate is evicted. A clean victim
 // drops inline under evictMu — pure map work, no I/O. A dirty victim is
 // claimed via its writeback latch and *stolen outside evictMu*: the lock
-// is released across the steal's log force and journaled archive write,
+// is released across the steal's log force and archive batch,
 // so concurrent faults keep finding (and dropping) other victims while
 // one steal's fsyncs are in flight, instead of the whole pool queueing
 // behind them. Two full rotations without a victim means everything is
@@ -330,7 +330,7 @@ func (s *Store) waitForCleaner() {
 // to steal — or one that found every candidate writeback-claimed by an
 // in-flight pass — first pokes the cleaner and waits briefly for its
 // signal, then rescans: the pass's freshly cleaned pages become free
-// frame drops, and the steal (a log force plus journaled archive write
+// frame drops, and the steal (a log force plus an archive batch
 // on this fault's critical path) is avoided entirely. One wait per call;
 // if the pool is still all-dirty afterwards the steal proceeds, so
 // eviction can never hang on a cleaner that has nothing to clean.
@@ -399,7 +399,7 @@ scan:
 				s.hand++
 				continue
 			}
-			// Steal outside evictMu: the force + journaled write can take
+			// Steal outside evictMu: the force + archive batch can take
 			// milliseconds on a real device, and holding the eviction lock
 			// across them would queue every concurrent fault behind this one
 			// victim's fsyncs (the PR 4 bottleneck). The writeback latch keeps
@@ -474,7 +474,7 @@ func (s *Store) dropClean(pid uint64, p *Page) bool {
 
 // stealAndDrop writes a dirty victim back WAL-correctly and reclaims its
 // frame: the log is forced up to its pageLSN (the WAL rule, fsync
-// invariant 5a), the image goes through the backend's double-write path,
+// invariant 5a), the image goes to the backend as a batch of one,
 // and only then is the frame dropped. The caller owns the page's
 // writeback latch and has already left evictMu.
 //

@@ -13,15 +13,15 @@ import (
 // pages back to the archive *ahead of demand*, so the clock hand almost
 // always finds clean victims and eviction degenerates to a frame drop.
 // Without it, every fault arriving at a pool full of dirty pages pays
-// for a demand steal — a log force plus a journaled archive write — on
+// for a demand steal — a log force plus an archive batch — on
 // its own critical path.
 //
 // The cleaner preserves the same WAL ordering the steal path does, as
 // one batch (fsync invariant 5b in ARCHITECTURE.md): force the log up
-// to the batch's highest pageLSN, write every image through the
-// backend's double-write journal, and only then mark pages clean —
-// each step ordered after the previous one. Pages re-dirtied mid-pass
-// stay in the dirty-page table; the write was wasted, not wrong.
+// to the batch's highest pageLSN, write every image to the backend as
+// one batch, and only then mark pages clean — each step ordered after
+// the previous one. Pages re-dirtied mid-pass stay in the dirty-page
+// table; the write was wasted, not wrong.
 
 // SetStealNotify registers fn to be invoked whenever a demand steal
 // happens — the signal that eviction pressure outran the background
@@ -58,12 +58,11 @@ func (s *Store) NeedClean(target int) bool {
 // pages the clock will evict next — falling back to warm ones so a
 // uniformly hot pool still makes progress, forces the log once up to
 // the batch's highest pageLSN, and writes the batch back the way the
-// sweep does (writeBack: one batch through the backend's double-write
-// path, O(1) archive fsyncs per pass, each page cleaned if its LSN is
-// unchanged). It returns how many images it wrote. The per-page
-// writeback latch serializes it against the demand-steal path and the
-// checkpoint sweep, so a page's image is never written twice
-// concurrently.
+// sweep does (writeBack: one batch to the backend, O(1) archive fsyncs
+// per pass, each page cleaned if its LSN is unchanged). It returns how
+// many images it wrote. The per-page writeback latch serializes it
+// against the demand-steal path and the checkpoint sweep, so a page's
+// image is never written twice concurrently.
 //
 // A no-op (0, nil) for unbounded pools or stores without a backend and
 // WAL hook.

@@ -14,8 +14,8 @@ import (
 )
 
 // These tests pin down PR 6's concurrency contract: pagefile reads are
-// lock-free (validated by the slot CRC, retried on a torn race) and
-// never wait on a batch writer's fsyncs; the buffer pool's fault path
+// lock-free (validated by the slot header and CRC, retried when the slot
+// they looked up was reused) and never wait on a batch writer's fsyncs; the buffer pool's fault path
 // runs concurrently with the checkpoint sweep and the cleaner over the
 // same pages without torn images or lost updates. All of them are built
 // to run under -race (make test-race covers every package).
@@ -37,11 +37,12 @@ func pfVersionedImage(pid, version uint64) []byte {
 }
 
 // TestPageFileConcurrentReadersVsBatchWriters is the Layer 1 race
-// stress: readers Get pages lock-free while batch writers overwrite the
-// very same slots. Every successful read must return a committed image
-// — correct pageID, internally consistent body — never a torn mix of
-// two versions. Run with -race; the optimistic read path's retries are
-// expected (and counted), torn results are not.
+// stress: readers Get pages lock-free while batch writers rewrite the
+// very same pages, into the slots each other's batches keep freeing.
+// Every successful read must return a committed image — correct pageID,
+// internally consistent body — never a torn mix of two versions. Run
+// with -race; retries after a reused slot are expected (and counted),
+// torn results are not.
 func TestPageFileConcurrentReadersVsBatchWriters(t *testing.T) {
 	pf := openPF(t, filepath.Join(t.TempDir(), "pagefile.db"))
 	const pages = 48
@@ -140,7 +141,7 @@ func TestPageFileReadsNotBlockedByBatchFsyncs(t *testing.T) {
 	}
 	pf.SetSyncDelay(syncDelay)
 
-	// A fat batch over different pages: journal fsync + pagefile fsync
+	// A fat batch over different pages: data fsync + commit fsync
 	// = 2 × syncDelay of simulated device time.
 	batch := make([]PageImage, 64)
 	for i := range batch {

@@ -1,151 +1,135 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
-	"hash/crc32"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"aether/internal/vfs"
 )
 
-// pageChecksum is slotChecksum from the identity's parts.
-func pageChecksum(pid, version uint64, img []byte) uint32 {
-	var ident [16]byte
-	binary.LittleEndian.PutUint64(ident[0:8], pid)
-	binary.LittleEndian.PutUint64(ident[8:16], version)
-	return slotChecksum(ident[:], img)
-}
-
-// jnlSpec is one crafted journal entry for the hardening tests.
-type jnlSpec struct {
-	slot    uint64
-	pid     uint64
-	version uint64
-	badSum  bool // corrupt the per-entry page checksum
-}
-
-// buildJournal assembles raw journal bytes. With breakCRC the batch
-// checksum is flipped (a torn journal); with lieCount the header claims
-// that many entries regardless of the body.
-func buildJournal(entries []jnlSpec, breakCRC bool, lieCount int) []byte {
-	buf := make([]byte, pfJnlHdrSize+len(entries)*pfJnlEntrySize)
-	for i, e := range entries {
-		dst := buf[pfJnlHdrSize+i*pfJnlEntrySize:]
-		binary.LittleEndian.PutUint64(dst[0:8], e.slot)
-		binary.LittleEndian.PutUint64(dst[8:16], e.pid)
-		binary.LittleEndian.PutUint64(dst[16:24], e.version)
-		img := dst[pfJnlEntryHdr:pfJnlEntrySize]
-		sum := pageChecksum(e.pid, e.version, img)
-		if e.badSum {
-			sum ^= 0xDEADBEEF
-		}
-		binary.LittleEndian.PutUint32(dst[24:28], sum)
+// writeV1 lays down a pagefile of format 1 over fs — header version 1,
+// each page in its one slot at version i+1 — and, unless journal is nil,
+// the journal file beside it holding journal, all synced.
+func writeV1(t *testing.T, fs vfs.FS, path string, pages []PageImage, journal []byte) {
+	t.Helper()
+	buf := make([]byte, pfHeaderSize+len(pages)*pfSlotSize)
+	putHeader(buf)
+	binary.LittleEndian.PutUint32(buf[4:8], 1)
+	for i, pi := range pages {
+		e := buf[pfSlotOff(uint64(i)):]
+		binary.LittleEndian.PutUint64(e[0:8], pi.PID)
+		binary.LittleEndian.PutUint64(e[8:16], uint64(i+1))
+		copy(e[pfSlotHdr:pfSlotSize], pi.Img)
+		binary.LittleEndian.PutUint32(e[16:20], slotChecksum(e[0:16], e[pfSlotHdr:pfSlotSize]))
+		binary.LittleEndian.PutUint32(e[20:24], pfFlagUsed)
 	}
-	count := len(entries)
-	if lieCount > 0 {
-		count = lieCount
+	files := map[string][]byte{path: buf}
+	if journal != nil {
+		files[path+".journal"] = journal
 	}
-	binary.LittleEndian.PutUint32(buf[0:4], pfJournalMagic)
-	binary.LittleEndian.PutUint32(buf[4:8], pfVersion)
-	binary.LittleEndian.PutUint32(buf[8:12], uint32(count))
-	binary.LittleEndian.PutUint32(buf[12:16], PageSize)
-	sum := crc32.Checksum(buf[pfJnlHdrSize:], pfCRC)
-	if breakCRC {
-		sum ^= 1
-	}
-	binary.LittleEndian.PutUint32(buf[16:20], sum)
-	return buf
-}
-
-// TestPageFileJournalBounds feeds OpenPageFile corrupted journals and
-// headers. Absurd slot indices and lying sizes must fail loudly (an
-// error naming the problem — never a panic, never a silently ballooned
-// file); torn journals are discarded as the protocol demands.
-func TestPageFileJournalBounds(t *testing.T) {
-	valid := func(dir string) string {
-		path := filepath.Join(dir, "pagefile.db")
-		pf := openPF(t, path)
-		if err := pf.Put(1, pfTestImage(1, 0x11)); err != nil {
+	for name, data := range files {
+		f, err := fs.OpenFile(name, os.O_RDWR|os.O_CREATE, 0o644)
+		if err != nil {
 			t.Fatal(err)
 		}
-		pf.Close()
-		return path
+		if _, err := f.WriteAt(data, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
 	}
-
-	cases := []struct {
-		name    string
-		journal []byte
-		wantErr string // "" = Open must succeed (journal discarded)
-		pages   int    // expected page count when Open succeeds
-	}{
-		{
-			name:    "slot-overflows-int64-offset",
-			journal: buildJournal([]jnlSpec{{slot: 1 << 62, pid: 9, version: 1}}, false, 0),
-			wantErr: "absurd slot",
-		},
-		{
-			name:    "slot-beyond-file-plus-batch",
-			journal: buildJournal([]jnlSpec{{slot: 10_000, pid: 9, version: 1}}, false, 0),
-			wantErr: "absurd slot",
-		},
-		{
-			name:    "entry-checksum-corrupt",
-			journal: buildJournal([]jnlSpec{{slot: 0, pid: 1, version: 2, badSum: true}}, false, 0),
-			wantErr: "fails its checksum",
-		},
-		{
-			name:    "torn-batch-crc",
-			journal: buildJournal([]jnlSpec{{slot: 0, pid: 1, version: 2}}, true, 0),
-			pages:   1, // discarded: previous contents intact
-		},
-		{
-			name:    "count-exceeds-body",
-			journal: buildJournal([]jnlSpec{{slot: 0, pid: 1, version: 2}}, false, 50),
-			pages:   1, // fails parse → treated as torn, discarded
-		},
-		{
-			name:    "count-zero",
-			journal: buildJournal(nil, false, 0),
-			pages:   1,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			path := valid(dir)
-			if err := os.WriteFile(path+".journal", tc.journal, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			pf, err := OpenPageFile(path)
-			if tc.wantErr != "" {
-				if err == nil {
-					pf.Close()
-					t.Fatalf("Open accepted a journal with %s", tc.name)
-				}
-				if !strings.Contains(err.Error(), tc.wantErr) {
-					t.Fatalf("error %q does not mention %q", err, tc.wantErr)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("Open: %v", err)
-			}
-			defer pf.Close()
-			pids, err := pf.Pages()
-			if err != nil || len(pids) != tc.pages {
-				t.Fatalf("pages after open: %d (%v), want %d", len(pids), err, tc.pages)
-			}
-			if img, err := pf.Get(1); err != nil || len(img) != PageSize {
-				t.Fatalf("page 1 unreadable after discard: %v", err)
-			}
-		})
+	if err := fs.SyncDir(filepath.Dir(path)); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestPageFileTruncatedTailSlot documents the torn-write contract: a
-// pagefile cut mid-slot opens (the partial tail slot was never committed
-// without a journal to repair it) and every whole slot stays readable.
+// TestPageFileUpgradesV1: a format-1 file whose journal is empty opens as
+// format 2 — every slot committed, the watermark its highest version, the
+// journal gone for good — and takes copy-on-write batches. A power cut
+// inside the upgrade, after the commit record's fsync and on the header
+// write, leaves a format-1 file the next open upgrades.
+func TestPageFileUpgradesV1(t *testing.T) {
+	const path = "/db/pagefile.db"
+	fs := vfs.NewFaultFS(1)
+	if err := fs.MkdirAll("/db", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var pages []PageImage
+	for pid := uint64(1); pid <= 3; pid++ {
+		pages = append(pages, PageImage{PID: pid, Img: pfTestImage(pid, byte(pid))})
+	}
+	writeV1(t, fs, path, pages, []byte{})
+
+	fs.AddRule(vfs.Rule{Op: vfs.OpWrite, Dir: "/db", Path: "pagefile.db", OffBelow: pfSectorSize, Cut: true})
+	if _, err := OpenPageFileFS(fs, path); !errors.Is(err, vfs.ErrPowerCut) {
+		t.Fatalf("open cut inside the upgrade: %v", err)
+	}
+	fs.ClearRules()
+	fs.Recover()
+	if raw, _ := fs.ReadFile(path); binary.LittleEndian.Uint32(raw[4:8]) != 1 {
+		t.Fatal("a cut header write left a file that is not format 1")
+	}
+
+	pf := openPFFault(t, fs)
+	raw, err := fs.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, _, err := readCommit(bytes.NewReader(raw))
+	if err != nil || binary.LittleEndian.Uint32(raw[4:8]) != pfVersion || v != 3 {
+		t.Fatalf("upgraded file: format %d, watermark %d (%v); want %d and 3", binary.LittleEndian.Uint32(raw[4:8]), v, err, pfVersion)
+	}
+	want := map[uint64][]byte{}
+	for _, pi := range pages {
+		want[pi.PID] = pi.Img
+	}
+	expectPages(t, pf, want, nil, "upgraded")
+	want[2] = pfTestImage(2, 0x22)
+	want[4] = pfTestImage(4, 0x44)
+	if err := pf.PutBatch([]PageImage{{PID: 2, Img: want[2]}, {PID: 4, Img: want[4]}}); err != nil {
+		t.Fatal(err)
+	}
+	fs.PowerCut()
+	pf.Close()
+	fs.Recover()
+	if ents, err := fs.ReadDir("/db"); err != nil || len(ents) != 1 {
+		t.Fatalf("after the upgrade and a power cut /db holds %d files (%v), want the pagefile alone", len(ents), err)
+	}
+	pf2 := openPFFault(t, fs)
+	defer pf2.Close()
+	expectPages(t, pf2, want, nil, "upgraded, rewritten and reopened")
+}
+
+// TestPageFileRefusesV1Journal: a format-1 file whose journal holds a
+// batch is refused with an error naming the journal, and nothing is
+// written: only the version that wrote the batch can apply it.
+func TestPageFileRefusesV1Journal(t *testing.T) {
+	const path = "/db/pagefile.db"
+	fs := vfs.NewFaultFS(1)
+	if err := fs.MkdirAll("/db", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	writeV1(t, fs, path, []PageImage{{PID: 1, Img: pfTestImage(1, 0x01)}}, bytes.Repeat([]byte{0xAB}, 64))
+	w := fileWrites(fs)
+	_, err := OpenPageFileFS(fs, path)
+	if err == nil || !strings.Contains(err.Error(), path+".journal") {
+		t.Fatalf("open of a format-1 file with a pending journal: %v, want a refusal naming the journal", err)
+	}
+	if fileWrites(fs) != w {
+		t.Fatal("the refused open wrote to the file")
+	}
+}
+
+// TestPageFileTruncatedTailSlot: a pagefile cut mid-slot opens — the
+// partial tail slot is no page, and the open trims it off — and every
+// whole slot stays readable.
 func TestPageFileTruncatedTailSlot(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "pagefile.db")

@@ -32,7 +32,7 @@ func openPFFault(t *testing.T, fs vfs.FS) *PageFile {
 var (
 	tearDropped = func(sectors int) []bool { return nil }
 	// tearHead keeps each write's first half — and so all of a
-	// one-sector write, the journal header.
+	// one-sector write, the commit record.
 	tearHead = func(sectors int) []bool {
 		m := make([]bool, sectors)
 		for i := 0; i < (sectors+1)/2; i++ {
@@ -58,318 +58,217 @@ var (
 	}
 )
 
-// journalCut is one way for batch B to lose power.
-type journalCut struct {
+// leftovers lists the used slots above the file's commit watermark: what
+// a batch that never committed left behind.
+func leftovers(t *testing.T, fs vfs.FS) []uint64 {
+	t.Helper()
+	raw, err := fs.ReadFile("/db/pagefile.db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(raw)
+	v, _, err := readCommit(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := scanSlots(r, int64(len(raw)), v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc.uncommitted
+}
+
+// fileWrites counts the operations that change the pagefile.
+func fileWrites(fs *vfs.FaultFS) int64 {
+	ops := fs.OpCounts()
+	return ops[vfs.OpWrite] + ops[vfs.OpTruncate] + ops[vfs.OpSync]
+}
+
+// expectPages checks that pf serves want[pid] for every page of want and
+// nothing for the pages of absent.
+func expectPages(t *testing.T, pf *PageFile, want map[uint64][]byte, absent []uint64, what string) {
+	t.Helper()
+	for pid, img := range want {
+		if got, err := pf.Get(pid); err != nil || !bytes.Equal(got, img) {
+			t.Fatalf("%s: page %d is not the expected image (err=%v)", what, pid, err)
+		}
+	}
+	for _, pid := range absent {
+		if got, err := pf.Get(pid); err != nil || got != nil {
+			t.Fatalf("%s: page %d exists (err=%v), but only the uncommitted batch wrote it", what, pid, err)
+		}
+	}
+}
+
+// batchCut is one way for batch B to lose power.
+type batchCut struct {
 	name string
 	rule vfs.Rule
 	tear func(sectors int) []bool
-	// committed says the cut falls after B's journal fsync returned.
-	committed bool
 	// wantB says reopen must serve B; otherwise it must serve A.
 	wantB bool
 }
 
-// runJournalCut writes batch A durably, cuts power during batch B as c
-// says — tearing every unsynced write of every file the way c.tear
-// says — and checks the double-write contract on reopen:
-//
-//   - the file serves A whole or B whole, never a mix: every page of the
-//     served batch has that batch's image, a page only the other batch
-//     wrote has the other's image (A) or is absent (B's new pages);
-//   - a replay happens only for a journal whose batch CRC verifies, and
-//     replays a whole batch — B's, or A's own journal resurfacing
-//     because the unsynced truncation that retired it was lost, which
-//     rewrites what the file already holds;
-//   - before B's journal fsync returned, B may be served only if every
-//     journal byte persisted; after it, B must be.
-func runJournalCut(t *testing.T, a, b []PageImage, c journalCut) {
-	fs := vfs.NewFaultFS(1)
-	fs.SetTornWrites(true)
-	pf := openPFFault(t, fs)
-	if err := pf.PutBatch(a); err != nil {
-		t.Fatal(err)
-	}
-
-	fs.AddRule(c.rule)
-	fs.SetTearMask(func(_ string, sectors int) []bool { return c.tear(sectors) })
-	if err := pf.PutBatch(b); !errors.Is(err, vfs.ErrPowerCut) {
-		t.Fatalf("PutBatch under cut: err=%v, want ErrPowerCut", err)
-	}
-	pf.Close()
-	fs.ClearRules()
-	fs.Recover() // tears by the mask, which is therefore cleared after
-	fs.SetTearMask(nil)
-
-	pf2, err := OpenPageFileFS(fs, "/db/pagefile.db")
-	if err != nil {
-		t.Fatalf("reopen after cut: %v", err)
-	}
-	defer pf2.Close()
-	switch n := pf2.JournalReplayed(); {
-	case c.committed && n != len(b):
-		t.Errorf("committed journal of %d pages: %d replayed", len(b), n)
-	case n != 0 && n != len(a) && n != len(b):
-		t.Errorf("replayed %d pages: neither batch A (%d) nor batch B (%d) whole", n, len(a), len(b))
-	case !c.wantB && n != 0 && n != len(a):
-		t.Errorf("replayed %d pages of a journal whose batch was not committed", n)
-	}
-
-	served, other, name := a, b, "A"
-	if c.wantB {
-		served, other, name = b, a, "B"
-	}
-	in := make(map[uint64]bool)
-	for _, pi := range served {
-		in[pi.PID] = true
-		if got, err := pf2.Get(pi.PID); err != nil || !bytes.Equal(got, pi.Img) {
-			t.Fatalf("page %d: not batch %s's image (err=%v)", pi.PID, name, err)
-		}
-	}
-	for _, pi := range other {
-		if in[pi.PID] {
-			continue
-		}
-		got, err := pf2.Get(pi.PID)
-		switch {
-		case err != nil:
-			t.Fatalf("page %d: %v", pi.PID, err)
-		case c.wantB && !bytes.Equal(got, pi.Img):
-			t.Fatalf("page %d, which batch B left alone, lost batch A's image", pi.PID)
-		case !c.wantB && got != nil:
-			t.Fatalf("page %d exists, but only the uncommitted batch B wrote it", pi.PID)
-		}
-	}
-}
-
-// journal and pagefile name the two files in fault rules.
-func journalRule(r vfs.Rule) vfs.Rule {
-	r.Dir, r.Path, r.Cut = "/db", "pagefile.db.journal", true
-	return r
-}
-
+// pagefileRule aims r at the pagefile as a power cut.
 func pagefileRule(r vfs.Rule) vfs.Rule {
 	r.Dir, r.Path, r.Cut = "/db", "pagefile.db", true
 	return r
 }
 
-// TestPageFileJournalTornWrite drives the double-write protocol into
-// power cuts on either side of its commit point (the journal fsync)
-// with sector tearing, and checks the atomicity contract (see
-// runJournalCut): a batch is all-or-nothing. Cut before the journal
-// syncs — even if torn journal bytes persist — and reopen must serve the
-// previous batch; cut after (during the in-place pass) and reopen must
-// replay the journal and serve the new batch, however the in-place
-// writes tore.
-func TestPageFileJournalTornWrite(t *testing.T) {
-	a := []PageImage{
-		{PID: 1, Img: pfTestImage(1, 0x11)},
-		{PID: 2, Img: pfTestImage(2, 0x22)},
-		{PID: 3, Img: pfTestImage(3, 0x33)},
-	}
-	b := []PageImage{
-		{PID: 1, Img: pfTestImage(1, 0x44)},
-		{PID: 2, Img: pfTestImage(2, 0x55)},
-		{PID: 3, Img: pfTestImage(3, 0x66)},
-	}
-	// A slot write with every other sector lost.
-	alternate := func(sectors int) []bool {
-		m := make([]bool, sectors)
-		for i := range m {
-			m[i] = i%2 == 0
-		}
-		return m
-	}
-	for _, c := range []journalCut{
-		{name: "cut on journal write, dropped whole", rule: journalRule(vfs.Rule{Op: vfs.OpWrite}), tear: tearDropped},
-		{name: "cut on journal write, torn head persists", rule: journalRule(vfs.Rule{Op: vfs.OpWrite}), tear: tearHead},
-		{name: "cut on journal write, torn tail persists", rule: journalRule(vfs.Rule{Op: vfs.OpWrite}), tear: tearTail},
-		// Every journal write is unsynced and dropped: what resurfaces
-		// is batch A's own journal, whole — a legal, idempotent replay.
-		{name: "cut on journal fsync", rule: journalRule(vfs.Rule{Op: vfs.OpSync}), tear: tearDropped},
-		{name: "cut on in-place fsync after journal commit", rule: pagefileRule(vfs.Rule{Op: vfs.OpSync}), tear: tearDropped, committed: true, wantB: true},
-		{name: "cut on in-place fsync, slot write torn", rule: pagefileRule(vfs.Rule{Op: vfs.OpSync}), tear: alternate, committed: true, wantB: true},
-	} {
-		c := c
-		t.Run(c.name, func(t *testing.T) { runJournalCut(t, a, b, c) })
-	}
-}
-
-// TestPageFileJournalTornChunks is the same contract for a journal
-// written in several pieces: a batch more than three scratches long,
-// cut on every kind of write and sync it is made of, each with nothing,
-// the head or the tail of *every* unsynced write persisting. Batch B
-// rewrites nine pages in ten of batch A's — so its in-place runs are
-// short and many — and adds eleven pages of its own.
-func TestPageFileJournalTornChunks(t *testing.T) {
-	var a, b []PageImage
+// TestPageFileBatchCuts cuts power inside batch B at every kind of write
+// and sync it is made of — an image write into a freed slot, one past
+// the end of the file, the data fsync, the commit write and the commit
+// fsync — with nothing, the head or the tail of every unsynced write
+// persisting, and checks the copy-on-write contract on reopen:
+//
+//   - the file serves A whole or B whole, never a mix: every page of the
+//     served batch has that batch's image, a page only A wrote keeps it,
+//     and B's new pages exist only if B is served. B is served exactly
+//     when its commit sector persisted;
+//   - whatever B left above the watermark is cleared, and Cleared counts
+//     it;
+//   - a second reopen writes nothing;
+//   - a later batch whose watermark covers the cleared versions leaves
+//     the served images alone.
+//
+// A is two batches, so B's pages land both in slots A freed — single
+// writes, one per hole — and past the end, coalesced.
+func TestPageFileBatchCuts(t *testing.T) {
+	var a0, a1, b, c []PageImage
 	for pid := uint64(1); pid <= 100; pid++ {
-		a = append(a, PageImage{PID: pid, Img: pfTestImage(pid, 0xA0)})
+		a0 = append(a0, PageImage{PID: pid, Img: pfTestImage(pid, 0xA0)})
+		if pid%3 == 1 {
+			a1 = append(a1, PageImage{PID: pid, Img: pfTestImage(pid, 0xA1)})
+		}
 	}
 	for pid := uint64(1); pid <= 112; pid++ {
 		if pid%10 != 0 {
 			b = append(b, PageImage{PID: pid, Img: pfTestImage(pid, 0xB0)})
 		}
 	}
-	if len(b) < 100 || len(b) <= 3*pfScratchEntries {
-		t.Fatalf("batch B is %d pages: want at least 100 and more than three chunks of %d", len(b), pfScratchEntries)
+	for pid := uint64(1001); pid <= 1120; pid++ {
+		c = append(c, PageImage{PID: pid, Img: pfTestImage(pid, 0xC0)})
 	}
-	cuts := []journalCut{
-		{name: "cut on a middle chunk write", rule: journalRule(vfs.Rule{Op: vfs.OpWrite, After: 1})},
-		{name: "cut on the header write", rule: journalRule(vfs.Rule{Op: vfs.OpWrite, OffBelow: pfJnlHdrSize})},
-		{name: "cut on the journal fsync", rule: journalRule(vfs.Rule{Op: vfs.OpSync})},
-		{name: "cut on the read-back", rule: journalRule(vfs.Rule{Op: vfs.OpRead, After: 1}), committed: true, wantB: true},
-		{name: "cut on a middle in-place run", rule: pagefileRule(vfs.Rule{Op: vfs.OpWrite, After: 5}), committed: true, wantB: true},
-		{name: "cut on the pagefile fsync", rule: pagefileRule(vfs.Rule{Op: vfs.OpSync}), committed: true, wantB: true},
+	if len(c) <= len(b) {
+		t.Fatalf("batch C (%d pages) must carry the watermark past every version B used (%d)", len(c), len(b))
+	}
+	stateA := make(map[uint64][]byte)
+	for _, batch := range [][]PageImage{a0, a1} {
+		for _, pi := range batch {
+			stateA[pi.PID] = pi.Img
+		}
+	}
+	stateB := make(map[uint64][]byte)
+	for pid, img := range stateA {
+		stateB[pid] = img
+	}
+	var onlyB []uint64
+	for _, pi := range b {
+		if stateA[pi.PID] == nil {
+			onlyB = append(onlyB, pi.PID)
+		}
+		stateB[pi.PID] = pi.Img
+	}
+	holes := len(a1) // B's first writes go one slot at a time into the slots A1 freed
+
+	cuts := []struct {
+		name string
+		rule vfs.Rule
+		// committing says the commit record was written when the cut fell.
+		committing bool
+	}{
+		{"cut on an image write into a freed slot", vfs.Rule{Op: vfs.OpWrite, After: 5}, false},
+		{"cut on an image write past the end", vfs.Rule{Op: vfs.OpWrite, After: holes + 1}, false},
+		{"cut on the data fsync", vfs.Rule{Op: vfs.OpSync}, false},
+		{"cut on the commit write", vfs.Rule{Op: vfs.OpWrite, OffBelow: pfHeaderSize}, true},
+		{"cut on the commit fsync", vfs.Rule{Op: vfs.OpSync, After: 1}, true},
 	}
 	tears := []struct {
 		name string
 		tear func(sectors int) []bool
-	}{{"dropped whole", tearDropped}, {"head persists", tearHead}, {"tail persists", tearTail}}
-	for _, c := range cuts {
+		// keepsSector says the tear keeps a one-sector write whole.
+		keepsSector bool
+	}{{"dropped whole", tearDropped, false}, {"head persists", tearHead, true}, {"tail persists", tearTail, false}}
+	var table []batchCut
+	for _, cut := range cuts {
 		for _, tr := range tears {
-			c := c
-			c.name, c.tear = c.name+", "+tr.name, tr.tear
-			t.Run(c.name, func(t *testing.T) { runJournalCut(t, a, b, c) })
+			table = append(table, batchCut{name: cut.name + ", " + tr.name, rule: pagefileRule(cut.rule),
+				tear: tr.tear, wantB: cut.committing && tr.keepsSector})
 		}
 	}
-	// The one way to serve an uncommitted B: the fsync never returned,
-	// yet every byte it would have made durable persisted anyway.
-	t.Run("cut on the journal fsync, everything persists", func(t *testing.T) {
-		runJournalCut(t, a, b, journalCut{rule: journalRule(vfs.Rule{Op: vfs.OpSync}), tear: tearNothing, wantB: true})
-	})
-}
+	table = append(table, batchCut{name: "cut on the commit fsync, everything persists",
+		rule: pagefileRule(vfs.Rule{Op: vfs.OpSync, After: 1}), tear: tearNothing, wantB: true})
 
-// TestPageFileFailedJournalFreesSlots: a batch of new pages whose journal
-// phase fails (a transient write or sync error — a full disk, say) has
-// written nothing in place, so the slots it reserved past the end of the
-// file go back. Were they kept, a later, smaller batch holding one of its
-// pages would journal a slot the replay bound — slots in the file plus
-// entries in the batch — calls corrupt: phase 2 would fail, every later
-// batch fail re-applying that journal, and every later Open refuse it.
-func TestPageFileFailedJournalFreesSlots(t *testing.T) {
-	const old = 3
-	var batch []PageImage
-	for pid := uint64(100); pid < 200; pid++ {
-		batch = append(batch, PageImage{PID: pid, Img: pfTestImage(pid, 0xC0)})
-	}
-	for _, c := range []struct {
-		name string
-		rule vfs.Rule
-	}{
-		{"a middle chunk write fails", vfs.Rule{Op: vfs.OpWrite, After: 1, Times: 1}},
-		{"the journal fsync fails", vfs.Rule{Op: vfs.OpSync, Times: 1}},
-	} {
-		t.Run(c.name, func(t *testing.T) {
+	for _, cut := range table {
+		cut := cut
+		t.Run(cut.name, func(t *testing.T) {
 			fs := vfs.NewFaultFS(1)
+			fs.SetTornWrites(true)
 			pf := openPFFault(t, fs)
-			for pid := uint64(1); pid <= old; pid++ {
-				if err := pf.Put(pid, pfTestImage(pid, 0x0A)); err != nil {
+			for _, batch := range [][]PageImage{a0, a1} {
+				if err := pf.PutBatch(batch); err != nil {
 					t.Fatal(err)
 				}
 			}
-			c.rule.Dir, c.rule.Path = "/db", "pagefile.db.journal"
-			fs.AddRule(c.rule)
-			if err := pf.PutBatch(batch); !errors.Is(err, vfs.ErrInjected) {
-				t.Fatalf("PutBatch = %v, want the injected failure", err)
+			rule := fs.AddRule(cut.rule)
+			fs.SetTearMask(func(_ string, sectors int) []bool { return cut.tear(sectors) })
+			if err := pf.PutBatch(b); !errors.Is(err, vfs.ErrPowerCut) {
+				t.Fatalf("PutBatch under cut: err=%v, want ErrPowerCut", err)
 			}
-			if pf.nextSlot != old || len(pf.assigned) != 0 {
-				t.Fatalf("after the failed batch: nextSlot %d with %d slots reserved, want %d and none", pf.nextSlot, len(pf.assigned), old)
+			if fired := fs.RuleStats()[rule].Fired; fired != 1 {
+				t.Fatalf("the cut fired %d times", fired)
 			}
-			// A steal of one of its later pages, then a cleaner pass over
-			// sixteen more: each would have named slots far past the file.
-			if err := pf.Put(batch[60].PID, batch[60].Img); err != nil {
-				t.Fatalf("single-page batch after the failure: %v", err)
-			}
-			if err := pf.PutBatch(batch[70:86]); err != nil {
-				t.Fatalf("16-page batch after the failure: %v", err)
-			}
-			// And one left committed but unapplied, for Open to replay.
-			pf.crashAfterJournal = true
-			if err := pf.PutBatch(batch[90:95]); err != ErrSimulatedCrash {
-				t.Fatalf("PutBatch with crash point = %v, want ErrSimulatedCrash", err)
+			pf.Close()
+			fs.ClearRules()
+			fs.Recover() // tears by the mask, which is therefore cleared after
+			fs.SetTearMask(nil)
+			left := leftovers(t, fs)
+			t.Logf("%d slots left above the watermark", len(left))
+			if cut.wantB && len(left) != 0 {
+				t.Fatalf("B committed, yet %d slots lie above the watermark", len(left))
 			}
 
-			pf2, err := OpenPageFileFS(fs, "/db/pagefile.db")
-			if err != nil {
-				t.Fatalf("reopen: %v", err)
+			pf2 := openPFFault(t, fs)
+			want, absent, name := stateA, onlyB, "A"
+			if cut.wantB {
+				want, absent, name = stateB, nil, "B"
 			}
-			defer pf2.Close()
-			if n := pf2.JournalReplayed(); n != 5 {
-				t.Errorf("reopen replayed %d pages, want 5", n)
+			expectPages(t, pf2, want, absent, "after the cut, serving "+name)
+			if pf2.Cleared() != len(left) {
+				t.Errorf("reopen cleared %d slots, %d were left above the watermark", pf2.Cleared(), len(left))
 			}
-			written := append(append([]PageImage{batch[60]}, batch[70:86]...), batch[90:95]...)
-			for _, pi := range written {
-				if got, err := pf2.Get(pi.PID); err != nil || !bytes.Equal(got, pi.Img) {
-					t.Fatalf("page %d after reopen: err=%v", pi.PID, err)
-				}
+			if l := leftovers(t, fs); len(l) != 0 {
+				t.Fatalf("reopen left %d slots above the watermark", len(l))
 			}
-			if pages, err := pf2.Pages(); err != nil || len(pages) != old+len(written) {
-				t.Fatalf("reopen holds %d pages (err=%v), want %d", len(pages), err, old+len(written))
+			pf2.Close()
+
+			w := fileWrites(fs)
+			pf3 := openPFFault(t, fs)
+			if got := fileWrites(fs) - w; got != 0 || pf3.Cleared() != 0 {
+				t.Fatalf("second reopen issued %d writes/truncates/syncs and cleared %d slots, want none", got, pf3.Cleared())
 			}
-			if want := uint64(old + len(written)); pf2.nextSlot != want {
-				t.Errorf("file is %d slots long, want %d: the failed batch left holes", pf2.nextSlot, want)
+			if err := pf3.PutBatch(c); err != nil {
+				t.Fatal(err)
 			}
+			pf3.Close()
+			pf4 := openPFFault(t, fs)
+			defer pf4.Close()
+			expectPages(t, pf4, want, absent, "after a later batch, serving "+name)
 		})
 	}
 }
 
-// TestPageFileGoldenBytes pins the on-disk bytes: the pagefile after a
-// batch, the journal of a committed three-page batch and the pagefile
-// after that journal's replay hash to what the code before the streamed
-// writer produced for the same calls (pagefile v1, journal v1) — so
-// either version opens, and replays, what the other wrote. Batch B is
-// deliberately not in slot order: versions follow the caller's order,
-// entries the slots'.
-func TestPageFileGoldenBytes(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pagefile.db")
-	sum := func(name string) string {
-		raw, err := os.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fmt.Sprintf("%d bytes %x", len(raw), sha256.Sum256(raw))
-	}
-	pf := openPF(t, path)
-	if err := pf.PutBatch([]PageImage{
-		{PID: 42, Img: pfTestImage(42, 0xAA)},
-		{PID: 7, Img: pfTestImage(7, 0xBB)},
-		{PID: 99, Img: pfTestImage(99, 0xCC)},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := sum(path), "28768 bytes 9d06fb825313ec41521de308a9268c2dd46e18a7c3b21e670416583734f58d56"; got != want {
-		t.Errorf("pagefile after batch A:\n got %s\nwant %s", got, want)
-	}
-	pf.crashAfterJournal = true
-	if err := pf.PutBatch([]PageImage{
-		{PID: 5, Img: pfTestImage(5, 0xDD)},
-		{PID: 99, Img: pfTestImage(99, 0xEE)},
-		{PID: 42, Img: pfTestImage(42, 0xFF)},
-	}); err != ErrSimulatedCrash {
-		t.Fatalf("PutBatch with crash point = %v, want ErrSimulatedCrash", err)
-	}
-	if got, want := sum(path+".journal"), "24704 bytes 6f620e93d54907ea27aa38d82ef55dd25d2fe05241de2a7d99293895b178573d"; got != want {
-		t.Errorf("journal of batch B:\n got %s\nwant %s", got, want)
-	}
-	if n := openPF(t, path).JournalReplayed(); n != 3 {
-		t.Fatalf("reopen replayed %d pages, want 3", n)
-	}
-	if got, want := sum(path), "36992 bytes 939b7b02af58cd602e55e0b9aad91fdc689747809fefeda9d91f8e557af4268f"; got != want {
-		t.Errorf("pagefile after replaying batch B:\n got %s\nwant %s", got, want)
-	}
-}
-
-// TestPageFileJournalTornThenOverwrite: after recovering from a torn
-// journal the pagefile must accept new batches and keep them across a
-// clean reopen — the half-written journal leaves no residue.
-func TestPageFileJournalTornThenOverwrite(t *testing.T) {
+// TestPageFileTornBatchThenOverwrite: after recovering from a batch cut
+// mid-write, the pagefile accepts new batches and keeps them across a
+// clean reopen — the torn batch leaves no residue.
+func TestPageFileTornBatchThenOverwrite(t *testing.T) {
 	fs := vfs.NewFaultFS(1)
 	fs.SetTornWrites(true)
 	pf := openPFFault(t, fs)
 	if err := pf.PutBatch([]PageImage{{PID: 9, Img: pfTestImage(9, 0x0A)}}); err != nil {
 		t.Fatal(err)
 	}
-	fs.AddRule(vfs.Rule{Op: vfs.OpWrite, Dir: "/db", Path: "pagefile.db.journal", Cut: true})
+	fs.AddRule(pagefileRule(vfs.Rule{Op: vfs.OpWrite}))
 	if err := pf.Put(9, pfTestImage(9, 0x0B)); !errors.Is(err, vfs.ErrPowerCut) {
 		t.Fatalf("Put under cut: %v", err)
 	}
@@ -377,22 +276,110 @@ func TestPageFileJournalTornThenOverwrite(t *testing.T) {
 	fs.ClearRules()
 	fs.Recover()
 
-	pf2, err := OpenPageFileFS(fs, "/db/pagefile.db")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pf2 := openPFFault(t, fs)
 	v3 := pfTestImage(9, 0x0C)
 	if err := pf2.Put(9, v3); err != nil {
 		t.Fatalf("Put after recovery: %v", err)
 	}
 	pf2.Close()
 
-	pf3, err := OpenPageFileFS(fs, "/db/pagefile.db")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pf3 := openPFFault(t, fs)
 	defer pf3.Close()
 	if got, err := pf3.Get(9); err != nil || !bytes.Equal(got, v3) {
 		t.Fatalf("post-recovery batch lost: err=%v", err)
+	}
+}
+
+// TestPageFileFailedBatchFailsFile: a batch whose data fsync fails leaves
+// the file failed. Every later batch returns that error — a retry could
+// commit over the failed batch's leftovers, or over pages a failed fsync
+// dropped — while reads keep serving the committed images. Reopening is
+// the repair: it clears the leftovers, and batches work again.
+func TestPageFileFailedBatchFailsFile(t *testing.T) {
+	fs := vfs.NewFaultFS(1)
+	pf := openPFFault(t, fs)
+	var a, b []PageImage
+	for pid := uint64(1); pid <= 4; pid++ {
+		a = append(a, PageImage{PID: pid, Img: pfTestImage(pid, 0x0A)})
+		b = append(b, PageImage{PID: pid, Img: pfTestImage(pid, 0x0B)})
+	}
+	b = append(b, PageImage{PID: 5, Img: pfTestImage(5, 0x0B)})
+	stateA := map[uint64][]byte{}
+	for _, pi := range a {
+		stateA[pi.PID] = pi.Img
+	}
+	if err := pf.PutBatch(a); err != nil {
+		t.Fatal(err)
+	}
+	fs.AddRule(vfs.Rule{Op: vfs.OpSync, Dir: "/db", Path: "pagefile.db", Times: 1})
+	if err := pf.PutBatch(b); !errors.Is(err, vfs.ErrInjected) {
+		t.Fatalf("PutBatch with a failing fsync = %v, want the injected error", err)
+	}
+	fsyncs := pf.Fsyncs()
+	if err := pf.Put(6, pfTestImage(6, 0x0C)); !errors.Is(err, vfs.ErrInjected) {
+		t.Fatalf("batch after the failure = %v, want the first batch's error", err)
+	}
+	if pf.Fsyncs() != fsyncs {
+		t.Fatal("a batch on a failed file reached the disk")
+	}
+	expectPages(t, pf, stateA, []uint64{5, 6}, "failed file")
+	pf.Close()
+
+	pf2 := openPFFault(t, fs)
+	defer pf2.Close()
+	if pf2.Cleared() != len(b) {
+		t.Errorf("reopen cleared %d slots, want the failed batch's %d", pf2.Cleared(), len(b))
+	}
+	expectPages(t, pf2, stateA, []uint64{5, 6}, "reopened")
+	if err := pf2.PutBatch(b); err != nil {
+		t.Fatalf("batch after the reopen: %v", err)
+	}
+	if got, err := pf2.Get(5); err != nil || !bytes.Equal(got, b[4].Img) {
+		t.Fatalf("page 5 after the retried batch: err=%v", err)
+	}
+}
+
+// TestPageFileGoldenBytes pins the on-disk bytes of pagefile format 2:
+// the file after a first batch, after a second that rewrites two of its
+// pages into new slots and adds one, and after a third whose page takes
+// the lowest slot the second freed — commit records alternating between
+// the two sectors. Batches are deliberately not in page-ID order: slots
+// and versions follow page IDs.
+func TestPageFileGoldenBytes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pagefile.db")
+	sum := func() string {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%d bytes %x", len(raw), sha256.Sum256(raw))
+	}
+	pf := openPF(t, path)
+	for _, step := range []struct {
+		batch []PageImage
+		want  string
+	}{
+		{[]PageImage{
+			{PID: 42, Img: pfTestImage(42, 0xAA)},
+			{PID: 7, Img: pfTestImage(7, 0xBB)},
+			{PID: 99, Img: pfTestImage(99, 0xCC)},
+		}, "28768 bytes ca6d30929e5ec587784f10f1d7e7ca63ef934c97ba198581697e9ddd0059b923"},
+		{[]PageImage{
+			{PID: 5, Img: pfTestImage(5, 0xDD)},
+			{PID: 99, Img: pfTestImage(99, 0xEE)},
+			{PID: 42, Img: pfTestImage(42, 0xFF)},
+		}, "53440 bytes a48f7403bc2f49b1951a7d4e29d86d347530bc56c7325cf1ad21731e5ac85b53"},
+		{[]PageImage{{PID: 7, Img: pfTestImage(7, 0x77)}}, "53440 bytes a14feb7c329b0c23298adc61f96bb57f3cbc7dfe4c546ab2473d8fa950e1e8aa"},
+	} {
+		if err := pf.PutBatch(step.batch); err != nil {
+			t.Fatal(err)
+		}
+		if got := sum(); got != step.want {
+			t.Errorf("pagefile after batch of %d pages:\n got %s\nwant %s", len(step.batch), got, step.want)
+		}
+	}
+	want := []SlotInfo{{1, 7, 7}, {3, 5, 4}, {4, 42, 5}, {5, 99, 6}}
+	if got := pf.Slots(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("live slots %v, want %v", got, want)
 	}
 }

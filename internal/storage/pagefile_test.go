@@ -3,11 +3,11 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"aether/internal/lsn"
@@ -49,7 +49,7 @@ func TestPageFileRoundTripAndReopen(t *testing.T) {
 	if err := pf.PutBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	// Overwrite in a second batch: same slot, new version.
+	// Overwrite in a second batch: a new slot, a new version.
 	v2 := pfTestImage(42, 0xAD)
 	if err := pf.Put(42, v2); err != nil {
 		t.Fatal(err)
@@ -70,8 +70,8 @@ func TestPageFileRoundTripAndReopen(t *testing.T) {
 
 	// Reopen: directory rebuilt from slot headers, images verified on read.
 	pf2 := openPF(t, path)
-	if pf2.JournalReplayed() != 0 {
-		t.Fatalf("clean reopen replayed %d journal pages", pf2.JournalReplayed())
+	if pf2.Cleared() != 0 {
+		t.Fatalf("clean reopen cleared %d slots", pf2.Cleared())
 	}
 	if got, err := pf2.Get(42); err != nil || !bytes.Equal(got, v2) {
 		t.Fatalf("reopened Get(42): err=%v match=%v", err, bytes.Equal(got, v2))
@@ -79,52 +79,9 @@ func TestPageFileRoundTripAndReopen(t *testing.T) {
 	if got, err := pf2.Get(7); err != nil || !bytes.Equal(got, pfTestImage(7, 0xBB)) {
 		t.Fatalf("reopened Get(7): err=%v", err)
 	}
-	// A page written twice keeps one slot: 3 pages, 3 slots.
+	// A page written twice has one live slot: 3 pages, 3 live slots.
 	if slots := pf2.Slots(); len(slots) != 3 {
 		t.Fatalf("slots = %v, want 3 entries", slots)
-	}
-}
-
-// TestPageFileCrashBetweenJournalAndInPlace is the satellite crash test:
-// the process dies after the journal fsync but before any in-place
-// write; reopening must replay the journal and restore every image with
-// passing checksums.
-func TestPageFileCrashBetweenJournalAndInPlace(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pagefile.db")
-	pf := openPF(t, path)
-	// An initial durable batch the crash must not disturb.
-	if err := pf.Put(1, pfTestImage(1, 0x11)); err != nil {
-		t.Fatal(err)
-	}
-	pf.crashAfterJournal = true
-	batch := []PageImage{
-		{PID: 1, Img: pfTestImage(1, 0x12)}, // overwrite
-		{PID: 2, Img: pfTestImage(2, 0x22)}, // new page
-		{PID: 3, Img: pfTestImage(3, 0x33)}, // new page
-	}
-	if err := pf.PutBatch(batch); err != ErrSimulatedCrash {
-		t.Fatalf("PutBatch with crash point = %v, want ErrSimulatedCrash", err)
-	}
-
-	pf2 := openPF(t, path)
-	if pf2.JournalReplayed() != 3 {
-		t.Fatalf("reopen replayed %d pages, want 3", pf2.JournalReplayed())
-	}
-	want := map[uint64]byte{1: 0x12, 2: 0x22, 3: 0x33}
-	for pid, fill := range want {
-		got, err := pf2.Get(pid)
-		if err != nil {
-			t.Fatalf("Get(%d) after replay: %v", pid, err)
-		}
-		if !bytes.Equal(got, pfTestImage(pid, fill)) {
-			t.Fatalf("page %d image wrong after journal replay", pid)
-		}
-	}
-	// A second reopen must not replay again (journal was cleared).
-	pf2.Close()
-	pf3 := openPF(t, path)
-	if pf3.JournalReplayed() != 0 {
-		t.Fatalf("journal survived its replay: %d pages replayed again", pf3.JournalReplayed())
 	}
 }
 
@@ -145,92 +102,6 @@ func TestPageFileTornInitialHeaderRecovered(t *testing.T) {
 	pf2 := openPF(t, path)
 	if got, err := pf2.Get(1); err != nil || !bytes.Equal(got, pfTestImage(1, 0x10)) {
 		t.Fatalf("pagefile unusable after torn-header recovery: %v", err)
-	}
-}
-
-// TestPageFileTornJournalDiscarded: a crash mid-journal-write (before the
-// journal fsync returned) leaves a checksum-invalid journal; Open must
-// discard it and keep the previous batch intact.
-func TestPageFileTornJournalDiscarded(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pagefile.db")
-	pf := openPF(t, path)
-	if err := pf.Put(5, pfTestImage(5, 0x55)); err != nil {
-		t.Fatal(err)
-	}
-	pf.Close()
-
-	// Hand-craft a torn journal: valid header shape, corrupt entry bytes.
-	jnl := make([]byte, pfJnlHdrSize+pfJnlEntrySize)
-	binary.LittleEndian.PutUint32(jnl[0:4], pfJournalMagic)
-	binary.LittleEndian.PutUint32(jnl[4:8], pfVersion)
-	binary.LittleEndian.PutUint32(jnl[8:12], 1)
-	binary.LittleEndian.PutUint32(jnl[12:16], PageSize)
-	binary.LittleEndian.PutUint32(jnl[16:20], 0xDEADBEEF) // wrong batch CRC
-	if err := os.WriteFile(path+".journal", jnl, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	pf2 := openPF(t, path)
-	if pf2.JournalReplayed() != 0 {
-		t.Fatal("torn journal was replayed")
-	}
-	if got, err := pf2.Get(5); err != nil || !bytes.Equal(got, pfTestImage(5, 0x55)) {
-		t.Fatalf("previous batch damaged by torn journal: err=%v", err)
-	}
-	if st, err := os.Stat(path + ".journal"); err != nil || st.Size() != 0 {
-		t.Fatalf("torn journal not cleared: %v, %v", st, err)
-	}
-}
-
-// TestPageFileRetryAfterFailedBatchReusesSlot: a batch that fails after
-// slot assignment (transient I/O error) must not strand its slots — the
-// retry has to land the same pages in the same slots, or the file would
-// hold one page in two used slots and never reopen.
-func TestPageFileRetryAfterFailedBatchReusesSlot(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pagefile.db")
-	pf := openPF(t, path)
-	if err := pf.Put(1, pfTestImage(1, 0x01)); err != nil {
-		t.Fatal(err)
-	}
-	simErr := errors.New("simulated transient write failure")
-	pf.failApply = simErr
-	batch := []PageImage{
-		{PID: 2, Img: pfTestImage(2, 0x02)},
-		{PID: 3, Img: pfTestImage(3, 0x03)},
-	}
-	if err := pf.PutBatch(batch); err != simErr {
-		t.Fatalf("PutBatch = %v, want the injected failure", err)
-	}
-	// A *different* later batch must first re-apply the stranded journal
-	// (the failed batch's only intact copy) instead of overwriting it:
-	// pages 2 and 3 have to surface even though no retry included them.
-	if err := pf.PutBatch([]PageImage{{PID: 4, Img: pfTestImage(4, 0x04)}}); err != nil {
-		t.Fatal(err)
-	}
-	for pid, fill := range map[uint64]byte{2: 0x02, 3: 0x03, 4: 0x04} {
-		if got, err := pf.Get(pid); err != nil || !bytes.Equal(got, pfTestImage(pid, fill)) {
-			t.Fatalf("page %d lost after stranded-journal re-apply: %v", pid, err)
-		}
-	}
-	// Re-putting the once-failed pages reuses their reserved slots.
-	if err := pf.PutBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	slots := pf.Slots()
-	if len(slots) != 4 {
-		t.Fatalf("slots after retry = %v, want exactly 4", slots)
-	}
-	if pf.nextSlot != 4 {
-		t.Fatalf("nextSlot = %d after retry, want 4 (no slot leaked)", pf.nextSlot)
-	}
-	pf.Close()
-	// The file must reopen cleanly: no page in two slots.
-	pf2 := openPF(t, path)
-	if pages, err := pf2.Pages(); err != nil || len(pages) != 4 {
-		t.Fatalf("reopen after retried batch: %v, %v", pages, err)
-	}
-	if got, err := pf2.Get(3); err != nil || !bytes.Equal(got, pfTestImage(3, 0x03)) {
-		t.Fatalf("retried page unreadable: %v", err)
 	}
 }
 
@@ -259,10 +130,13 @@ func TestPageFileChecksumCatchesCorruption(t *testing.T) {
 }
 
 // TestSweepFsyncsO1 counts what a sweep asks of the filesystem, on the
-// fault filesystem's own op counters rather than the pagefile's: one
-// WriteBatch is two file fsyncs — the journal's commit point, the
-// pagefile's in-place writes — whether it carries 1 page, 32 or 200, and
-// the pagefile's Fsyncs counter says the same.
+// fault filesystem's own op counters and trace rather than the
+// pagefile's: one WriteBatch is two file fsyncs — the images', then the
+// commit record's — whether it carries 1 page, 32 or 200, and the
+// pagefile's Fsyncs counter says the same. Each image's bytes are written
+// once: the writes to the database file and anything beside it add up to
+// the pages' slots plus one sector for the commit record, and no second
+// file ever exists beside it.
 func TestSweepFsyncsO1(t *testing.T) {
 	for _, pages := range []int{1, 32, 200} {
 		t.Run(fmt.Sprintf("pages=%d", pages), func(t *testing.T) {
@@ -283,11 +157,24 @@ func TestSweepFsyncsO1(t *testing.T) {
 				p.Unpin()
 			}
 
-			ops, counted := fs.OpCounts(), pf.Fsyncs()
+			tr := fs.Trace()
+			ops, counted, seq := fs.OpCounts(), pf.Fsyncs(), tr[len(tr)-1].Seq
 			if n := st.ArchiveDirtyPages(pf, lsn.LSN(1)); n != pages {
 				t.Fatalf("sweep archived %d pages, want %d", n, pages)
 			}
 			after := fs.OpCounts()
+			written := 0
+			for _, e := range fs.Trace() {
+				if e.Seq > seq && e.Op == vfs.OpWrite && strings.HasPrefix(e.Path, "/db/pagefile.db") {
+					written += e.Len
+				}
+			}
+			if limit := pages*pfSlotSize + pfSectorSize; written > limit {
+				t.Fatalf("sweep of %d pages wrote %d bytes, want at most %d (each image once, one commit sector)", pages, written, limit)
+			}
+			if ents, err := fs.ReadDir("/db"); err != nil || len(ents) != 1 {
+				t.Fatalf("the database directory holds %d files (%v), want the pagefile alone", len(ents), err)
+			}
 			if got := after[vfs.OpSync] - ops[vfs.OpSync]; got != 2 {
 				t.Fatalf("sweep of %d pages issued %d file fsyncs, want exactly 2", pages, got)
 			}
@@ -311,6 +198,83 @@ func TestSweepFsyncsO1(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPageFileReclaimsReplacedSlots: a batch frees the slots its pages
+// leave once it commits, and the next batch takes the lowest free ones.
+// Rewriting the same 64 pages in 500 batches of 8 therefore keeps the
+// file within the live pages plus one batch — 72 slots — and every page
+// reopens at its last image.
+func TestPageFileReclaimsReplacedSlots(t *testing.T) {
+	const pages, batch, rounds = 64, 8, 500
+	fs := vfs.NewFaultFS(1)
+	pf := openPFFault(t, fs)
+	last := make(map[uint64][]byte)
+	put := func(from, n int, fill byte) {
+		var b []PageImage
+		for i := from; i < from+n; i++ {
+			pid := uint64(i%pages + 1)
+			last[pid] = pfTestImage(pid, fill)
+			b = append(b, PageImage{PID: pid, Img: last[pid]})
+		}
+		if err := pf.PutBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(0, pages, 0)
+	for r := 0; r < rounds; r++ {
+		put(r*batch, batch, byte(r+1))
+	}
+	st, err := fs.Stat("/db/pagefile.db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if limit := int64(pfHeaderSize + (pages+batch)*pfSlotSize); st.Size() > limit {
+		t.Fatalf("file is %d bytes (%d slots) after %d rewrites, want at most %d slots",
+			st.Size(), (st.Size()-pfHeaderSize)/pfSlotSize, rounds, pages+batch)
+	}
+	pf.Close()
+	pf2 := openPFFault(t, fs)
+	defer pf2.Close()
+	for pid, img := range last {
+		if got, err := pf2.Get(pid); err != nil || !bytes.Equal(got, img) {
+			t.Fatalf("page %d after reopen: not its last image (err=%v)", pid, err)
+		}
+	}
+}
+
+// TestPageFileReadRetriesReusedSlot: a reader that looked a page up,
+// then lost the race with two batches — the first moved the page to a
+// new slot, the second reused its old one for another page — finds the
+// other page there, looks the page up again, and returns its current
+// image, counting one retry.
+func TestPageFileReadRetriesReusedSlot(t *testing.T) {
+	pf := openPF(t, filepath.Join(t.TempDir(), "pagefile.db"))
+	if err := pf.Put(1, pfTestImage(1, 0x01)); err != nil {
+		t.Fatal(err)
+	}
+	stale, _, _ := pf.lookup(1)
+	current := pfTestImage(1, 0x02)
+	if err := pf.Put(1, current); err != nil {
+		t.Fatal(err)
+	}
+	if err := pf.Put(2, pfTestImage(2, 0x22)); err != nil {
+		t.Fatal(err)
+	}
+	if other, _, _ := pf.lookup(2); other.slot != stale.slot {
+		t.Fatalf("page 2 went to slot %d, not the freed slot %d", other.slot, stale.slot)
+	}
+	retries := pf.ReadRetries()
+	buf := make([]byte, pfSlotSize)
+	if err := pf.readSlot(1, stale, buf); err != nil {
+		t.Fatalf("read through the stale entry: %v", err)
+	}
+	if !bytes.Equal(buf[pfSlotHdr:], current) {
+		t.Fatal("read through the stale entry did not return the current image")
+	}
+	if got := pf.ReadRetries() - retries; got != 1 {
+		t.Fatalf("%d retries, want 1", got)
 	}
 }
 
@@ -356,11 +320,10 @@ func TestStoreFaultsFromReopenedPageFile(t *testing.T) {
 // evidence: what a checkpoint sweep allocates does not grow with the
 // images it moves. A 2 000-page (16 MB) sweep into a pagefile on the
 // real filesystem allocates under 1 MiB in all — the 263 KB scratch, the
-// pagefile's directory growing by 2 000 entries, 56 bytes of bookkeeping
-// a page — where copying every image three times (snapshot, journal,
-// coalesced run) took about 50 MB; a second sweep of the same pages
-// reuses the scratch and the lists and allocates under 64 KiB. Each costs
-// exactly two fsyncs.
+// pagefile's directory growing by 2 000 entries, the per-page lists —
+// where copying every image into a batch first would take 16 MB; a
+// second sweep of the same pages, into new slots, reuses the scratch and
+// the lists and allocates under 64 KiB. Each costs exactly two fsyncs.
 func TestSweepMemoryBounded(t *testing.T) {
 	const pages = 2000
 	st := NewStore()

@@ -261,7 +261,9 @@ type Archive interface {
 	// size moves each image exactly once and holds a bounded number of
 	// them. A failed WriteBatch installs nothing the caller may rely on —
 	// every page stays dirty, so the log behind it cannot be truncated
-	// away.
+	// away — and an archive on a device may refuse every later batch
+	// until it is reopened (PageFile: a retry is not safe), while reads
+	// keep serving what earlier batches installed.
 	WriteBatch(pids []uint64, fill func(i int, dst []byte) bool) error
 	// ReadPage reads and validates page pid's image into p, the frame
 	// the caller is about to install, so a fault allocates that frame and
@@ -280,8 +282,9 @@ type Archive interface {
 	// Fsyncs returns how many device fsyncs the archive has issued; the
 	// checkpointer charges each sweep's delta to its sweep-fsync counter.
 	Fsyncs() int64
-	// ReadRetries returns how many optimistic reads (lock-free, validated
-	// by checksum) lost a race with a concurrent write and retried.
+	// ReadRetries returns how many lock-free reads (validated by
+	// checksum) found the copy they looked up replaced and reused by a
+	// later write, and looked the page up again.
 	ReadRetries() int64
 	// Close releases the archive's resources.
 	Close() error

@@ -141,7 +141,7 @@ type Config struct {
 	// CleanerPages, if > 0, starts the background page cleaner: a
 	// goroutine that watches the buffer pool's free-frame headroom and
 	// pre-cleans dirty, unpinned, cold pages — forcing the log, then
-	// batching the images through the archive's double-write journal —
+	// writing the images to the archive as one batch —
 	// whenever fewer than this many frames are free or clean. Faults
 	// then find clean victims and eviction is a frame drop instead of a
 	// demand steal. Meaningful only with a bounded Store (SetCachePages)

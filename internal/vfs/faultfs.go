@@ -825,7 +825,7 @@ func (h *faultFile) Sync() error {
 }
 
 // Truncate resizes the volatile image; like any write it is lost on a
-// power cut unless synced first (the journal-retirement pattern).
+// power cut unless synced first.
 func (h *faultFile) Truncate(size int64) error {
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()

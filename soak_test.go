@@ -2,9 +2,9 @@ package aether
 
 // The crash-storm soak: a seeded workload runs against databases opened
 // with Open over a fault-injecting filesystem (vfs.FaultFS) — segmented
-// log + watermark + pagefile + double-write journal + cold store, exactly
-// the assembly that ships — and every cycle cuts power at a randomized
-// fault point: mid group-commit, mid journal sweep, mid watermark flip,
+// log + watermark + pagefile + cold store, exactly the assembly that
+// ships — and every cycle cuts power at a randomized fault point: mid
+// group-commit, mid pagefile commit, mid watermark flip,
 // mid archive install, mid steal/cleaner writeback. The next incarnation
 // is opened with Open again, and its state is checked against an
 // in-memory model of committed operations.
@@ -45,7 +45,7 @@ var (
 	soakSeedFlag   = flag.Int64("soak.seed", 1, "TestSoak: seed for the workload and the fault schedule (a divergence prints the flags that replay it)")
 	soakCyclesFlag = flag.Int("soak.cycles", 0, "TestSoak: crash-recover cycles to run; 0 skips TestSoak")
 	soakTxnsFlag   = flag.Int("soak.txns", 40, "TestSoak: transactions per cycle before a forced cut")
-	soakKeysFlag   = flag.Int("soak.keys", 48, "TestSoak: key-space size")
+	soakKeysFlag   = flag.Int("soak.keys", 200, "TestSoak: key-space size")
 	soakPointsFlag = flag.String("soak.points", "", "TestSoak: comma-separated fault points to arm (default: every local point the layout has; valid: "+joinPoints(allFaultPoints)+")")
 	soakPartsFlag  = flag.Int("soak.log-partitions", 0, "TestSoak: log partitions; 2 or more adds the partition-flush point")
 )
@@ -61,13 +61,14 @@ const (
 	// persisted, so whatever of it the cut tears in must be rejected and
 	// the bytes are a discardable torn tail (invariants 1/2).
 	faultGroupCommit faultPoint = "group-commit"
-	// faultJournal cuts during a write or fsync of the double-write
-	// journal — before the batch's commit point, so the pagefile must
-	// still hold the previous fully-applied batch (invariant 4).
-	faultJournal faultPoint = "journal"
-	// faultPagefile cuts during an in-place pagefile write or fsync — mid
-	// checkpoint sweep, demand steal, or cleaner writeback, after the
-	// journal committed; replay must repair the torn slots (4/5a).
+	// faultPageCommit cuts on a pagefile batch's commit-sector write or on
+	// its second fsync, the one that makes the commit record durable: the
+	// reopened file must serve the whole batch or none of it, and clear
+	// what it left above the watermark (invariant 6).
+	faultPageCommit faultPoint = "pagecommit"
+	// faultPagefile cuts during any pagefile write or fsync — mid
+	// checkpoint sweep, demand steal, or cleaner writeback; the images of
+	// a batch cut before its commit point must never be served (5/5a/6).
 	faultPagefile faultPoint = "pagefile"
 	// faultWatermark cuts during a segment-header slot write — the torn
 	// slot must read as unwritten and the other slot, holding the previous
@@ -107,7 +108,7 @@ const (
 // allFaultPoints adds the partitioned and the opt-in cloud point.
 var (
 	localFaultPoints = []faultPoint{
-		faultGroupCommit, faultJournal, faultPagefile,
+		faultGroupCommit, faultPageCommit, faultPagefile,
 		faultWatermark, faultManifest, faultArchive,
 	}
 	allFaultPoints = append(localFaultPoints[:len(localFaultPoints):len(localFaultPoints)],
@@ -128,7 +129,7 @@ type soakConfig struct {
 	seed   int64
 	cycles int
 	txns   int          // transactions per cycle before the harness cuts
-	keys   int          // key-space size: small, so updates and deletes hit live rows
+	keys   int          // key-space size: small enough that updates and deletes hit live rows, large enough that the table spans several pages and a pagefile batch carries more than one
 	points []faultPoint // profile cycles pick from; empty is the default profile
 	parts  int          // Options.LogPartitions
 	logf   func(format string, args ...any)
@@ -142,7 +143,7 @@ type soakResult struct {
 	inDoubt, inDoubtSurvived int
 	cuts                     map[faultPoint]int // real cuts per point, plus forcedCut
 	tornBytes                int64              // torn-tail bytes recovery discarded
-	journalReplays           int                // reopens that replayed the double-write journal
+	clearedReopens           int                // reopens that cleared slots a pagefile batch left uncommitted
 }
 
 // soakDivergence is the report for a cycle whose recovered state
@@ -249,8 +250,8 @@ func openSoakDB(fs *vfs.FaultFS, cfg soakConfig, cloud *MemObjectStore) (*DB, *T
 // matching operation stream every cycle. On a partitioned log the
 // log-directory points target one randomly chosen lane — vfs.Rule.Dir
 // matches the op's parent directory exactly, and a lane keeps its
-// segments and MANIFEST under p<i> (only pagefile.db and its journal
-// stay at the root) — and the archive point targets where that lane's
+// segments and MANIFEST under p<i> (only pagefile.db stays at the
+// root) — and the archive point targets where that lane's
 // segment objects are installed: seg/ under its cold-store prefix.
 func armFault(fs *vfs.FaultFS, rng *rand.Rand, point faultPoint, parts int) int {
 	logDir, archDir := soakLogDir, soakArchiveDir
@@ -264,8 +265,16 @@ func armFault(fs *vfs.FaultFS, rng *rand.Rand, point faultPoint, parts int) int 
 	switch point {
 	case faultGroupCommit:
 		r = vfs.Rule{Op: vfs.OpSync, Dir: logDir, Path: "*.seg", After: rng.Intn(24)}
-	case faultJournal:
-		r = vfs.Rule{Op: pick(vfs.OpWrite, vfs.OpSync), Dir: soakLogDir, Path: "pagefile.db.journal", After: rng.Intn(4)}
+	case faultPageCommit:
+		// The only pagefile writes inside the 4 KiB header block after
+		// Open are commit records, and its fsyncs alternate between a
+		// batch's images and its commit record: odd After values pick a
+		// commit fsync.
+		if rng.Intn(2) == 0 {
+			r = vfs.Rule{Op: vfs.OpWrite, Dir: soakLogDir, Path: "pagefile.db", OffBelow: 4096, After: rng.Intn(3)}
+		} else {
+			r = vfs.Rule{Op: vfs.OpSync, Dir: soakLogDir, Path: "pagefile.db", After: 2*rng.Intn(3) + 1}
+		}
 	case faultPagefile:
 		r = vfs.Rule{Op: pick(vfs.OpWrite, vfs.OpSync), Dir: soakLogDir, Path: "pagefile.db", After: rng.Intn(6)}
 	case faultWatermark:
@@ -493,8 +502,8 @@ func runSoak(cfg soakConfig) (soakResult, error) {
 			return res, diverged(cycle, fmt.Sprintf("reopen failed: %v", err))
 		}
 		res.tornBytes += db.Stats().LogTornTailRepaired
-		if db.archive.(*storage.PageFile).JournalReplayed() > 0 {
-			res.journalReplays++
+		if db.archive.(*storage.PageFile).Cleared() > 0 {
+			res.clearedReopens++
 		}
 		// The previous cycle's in-doubt transaction may have landed or
 		// not, but only atomically.
@@ -537,7 +546,7 @@ func runSoak(cfg soakConfig) (soakResult, error) {
 			res.inDoubt++
 		}
 		if !fired() {
-			// The journal, pagefile, manifest and archive sites and the
+			// The pagecommit, pagefile, manifest and archive sites and the
 			// uploads are reached by the background checkpointer and
 			// archiver, which a short workload can finish ahead of. Drive
 			// the same path once by hand so the armed fault gets its chance;
@@ -620,8 +629,8 @@ func TestSoak(t *testing.T) {
 		}
 	}
 	cuts = append(cuts, fmt.Sprintf("%s=%d", forcedCut, res.cuts[forcedCut]))
-	t.Logf("soak PASS: %d cycles, %d commits, %d in-doubt (%d survived); torn-tail bytes repaired %d, journal replays %d; cuts %s",
-		*soakCyclesFlag, res.commits, res.inDoubt, res.inDoubtSurvived, res.tornBytes, res.journalReplays, strings.Join(cuts, " "))
+	t.Logf("soak PASS: %d cycles, %d commits, %d in-doubt (%d survived); torn-tail bytes repaired %d, reopens clearing uncommitted pagefile slots %d; cuts %s",
+		*soakCyclesFlag, res.commits, res.inDoubt, res.inDoubtSurvived, res.tornBytes, res.clearedReopens, strings.Join(cuts, " "))
 }
 
 // TestSoakShortStorm runs a compact crash storm across the full one-lane
@@ -645,7 +654,7 @@ func TestSoakSingleFaultPoints(t *testing.T) {
 		p := p
 		t.Run(string(p), func(t *testing.T) {
 			t.Parallel()
-			res := soak(t, soakConfig{seed: 7, cycles: 12, txns: 20, keys: 24, points: []faultPoint{p}})
+			res := soak(t, soakConfig{seed: 7, cycles: 12, txns: 20, keys: 200, points: []faultPoint{p}})
 			requireCuts(t, res, p)
 		})
 	}
@@ -729,11 +738,11 @@ func TestApplyOpsAtomic(t *testing.T) {
 // through wrapping, and it names the cycle, the fault, the diffs, the
 // trace tail and the TestSoak flags that replay it.
 func TestIsDivergence(t *testing.T) {
-	cfg := soakConfig{seed: 5, txns: 20, keys: 24, points: []faultPoint{faultJournal, faultArchive}, parts: 3}
+	cfg := soakConfig{seed: 5, txns: 20, keys: 24, points: []faultPoint{faultPageCommit, faultArchive}, parts: 3}
 	err := fmt.Errorf("run: %w", &soakDivergence{
-		cfg: cfg, cycle: 2, point: faultJournal,
+		cfg: cfg, cycle: 2, point: faultPageCommit,
 		diffs: []string{"key 1 lost (want value 10)"},
-		trace: []vfs.TraceEntry{{Seq: 9, Op: vfs.OpSync, Path: "/db/pagefile.db.journal"}},
+		trace: []vfs.TraceEntry{{Seq: 9, Op: vfs.OpSync, Path: "/db/pagefile.db"}},
 	})
 	var d *soakDivergence
 	if !errors.As(err, &d) {
@@ -744,8 +753,8 @@ func TestIsDivergence(t *testing.T) {
 	}
 	msg := err.Error()
 	for _, want := range []string{
-		"cycle 2", "fault journal", "key 1 lost", "pagefile.db.journal",
-		"-soak.seed 5 -soak.cycles 2 -soak.txns 20 -soak.keys 24 -soak.points journal,archive -soak.log-partitions 3",
+		"cycle 2", "fault pagecommit", "key 1 lost", "#9 sync /db/pagefile.db",
+		"-soak.seed 5 -soak.cycles 2 -soak.txns 20 -soak.keys 24 -soak.points pagecommit,archive -soak.log-partitions 3",
 	} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("divergence report lacks %q:\n%s", want, msg)
