@@ -588,8 +588,8 @@ type Stats struct {
 	// balance.
 	PartitionBytes []int64
 	// DepEdges counts cross-partition page dependencies observed at
-	// append time: a page updated on one log and then on another. Same
-	// definition as the distlog simulator's edge count.
+	// append time: a page updated on one log and then on another
+	// (Appendix A.5's inter-log dependency).
 	DepEdges int64
 	// DepEdgesEnforced is the subset of DepEdges whose older record was
 	// not yet durable at append time and therefore registered a flush

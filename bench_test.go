@@ -81,9 +81,9 @@ func BenchmarkFig11_Skew(b *testing.B) { runFigure(b, "fig11") }
 // count sensitivity.
 func BenchmarkFig12_Slots(b *testing.B) { runFigure(b, "fig12") }
 
-// BenchmarkFig13_DistLog regenerates Figure 13: inter-log dependency
-// density of an 8-way split TPC-C log.
-func BenchmarkFig13_DistLog(b *testing.B) { runFigure(b, "fig13") }
+// BenchmarkFig13_LaneDeps regenerates Figure 13: the inter-log
+// dependencies TPC-C forms on a real 1-, 2-, 4- and 8-lane log.
+func BenchmarkFig13_LaneDeps(b *testing.B) { runFigure(b, "fig13") }
 
 // benchmarkInsert is the conventional-benchmark form of the log-insert
 // microbenchmark: every parallel worker inserts b.N/P records.

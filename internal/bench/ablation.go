@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"aether/internal/core"
 	"aether/internal/logbuf"
 	"aether/internal/logdev"
 	"aether/internal/txn"
@@ -26,7 +27,6 @@ func AblationELR(scale Scale) (*Table, error) {
 			rig, err := NewRig(EngineConfig{
 				Variant: logbuf.VariantCD,
 				Device:  logdev.ProfileFlash,
-				SLI:     true,
 			})
 			if err != nil {
 				return 0, err
@@ -86,7 +86,18 @@ func AblationGroupCommit(scale Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rig, err := newRigWithFlushInterval(d)
+		rig, err := NewRig(EngineConfig{
+			Variant: logbuf.VariantCD,
+			Device:  logdev.ProfileFlash,
+			Log: core.Config{
+				FlushInterval: d,
+				// Disable the X-commits and L-bytes triggers: the first look
+				// that finds a group then holds it until its commits stop
+				// arriving or the group window has passed, and flushes it.
+				FlushTxns:  1 << 30,
+				FlushBytes: 1 << 30,
+			},
+		})
 		if err != nil {
 			return nil, err
 		}

@@ -194,12 +194,36 @@ func TestFig12(t *testing.T) {
 	checkTable(t, tbl, len(quickScale.threadSweep()))
 }
 
+// TestFig13 checks Figure 13's shape on per-KB and per-commit counts,
+// never on throughput: one lane forms no edges and never stalls, every
+// split forms edges and enforces at most all of them, and eight lanes
+// flush more often per commit than one.
 func TestFig13(t *testing.T) {
-	tbl, err := Fig13(quickScale)
+	rows, err := fig13Rows(quickScale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkTable(t, tbl, 4)
+	checkTable(t, fig13Table(rows), 4)
+	for _, r := range rows {
+		if r.commits == 0 {
+			t.Fatalf("%d lanes: nothing committed", r.lanes)
+		}
+		if r.lanes == 1 {
+			if r.edges != 0 || r.stalls != 0 {
+				t.Fatalf("one lane: %d edges, %d dependency stalls, want none", r.edges, r.stalls)
+			}
+			continue
+		}
+		if r.edgesPerKB() <= 0 {
+			t.Fatalf("%d lanes: no cross-lane edges in %.1f KB", r.lanes, r.kb())
+		}
+		if r.enforced > r.edges {
+			t.Fatalf("%d lanes: %d enforced edges of %d", r.lanes, r.enforced, r.edges)
+		}
+	}
+	if one, eight := rows[0].flushesPerCommit(), rows[3].flushesPerCommit(); eight <= one {
+		t.Fatalf("flushes per commit: %.2f on eight lanes, %.2f on one", eight, one)
+	}
 }
 
 // TestFigureDispatch checks the registry itself: every name and alias

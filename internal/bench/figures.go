@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"aether/internal/distlog"
+	"aether/internal/core"
 	"aether/internal/logbuf"
 	"aether/internal/logdev"
 	"aether/internal/txn"
@@ -68,7 +68,6 @@ func Fig2(scale Scale) (*Table, error) {
 		rig, err := NewRig(EngineConfig{
 			Variant: logbuf.VariantBaseline,
 			Device:  logdev.ProfileFlash,
-			SLI:     true,
 		})
 		if err != nil {
 			return nil, err
@@ -140,7 +139,6 @@ func elrSpeedup(scale Scale, dev logdev.Profile, skew float64, clients int) (flo
 		rig, err := NewRig(EngineConfig{
 			Variant: logbuf.VariantCD,
 			Device:  dev,
-			SLI:     true,
 		})
 		if err != nil {
 			return 0, err
@@ -208,7 +206,6 @@ func fig4Run(scale Scale, mode txn.CommitMode, clients int) (workload.Result, er
 	rig, err := NewRig(EngineConfig{
 		Variant: logbuf.VariantCD,
 		Device:  logdev.ProfileFlash,
-		SLI:     true,
 	})
 	if err != nil {
 		return workload.Result{}, err
@@ -261,7 +258,6 @@ func Fig7(scale Scale) (*Table, error) {
 		rig, err := NewRig(EngineConfig{
 			Variant: logbuf.VariantBaseline,
 			Device:  logdev.ProfileMemory,
-			SLI:     true,
 		})
 		if err != nil {
 			return nil, err
@@ -395,7 +391,6 @@ func Fig9(scale Scale) (*Table, error) {
 			rig, err := NewRig(EngineConfig{
 				Variant: v.buf,
 				Device:  logdev.ProfileFlash,
-				SLI:     true,
 			})
 			if err != nil {
 				return nil, err
@@ -490,69 +485,121 @@ func Fig12(scale Scale) (*Table, error) {
 	return t, nil
 }
 
-// Fig13 reproduces Figure 13 / §A.5: run the TPC-C subset, split its
-// real log trace across 8 logs, and count the inter-log physical
-// dependencies a distributed log would have to enforce. Paper finding:
-// dependencies are pervasive and overwhelmingly tight over ~100kB of
-// log, making intra-node log distribution unattractive.
+// Fig13 reproduces Figure 13 / §A.5 on the engine's own partitioned log:
+// for N = 1, 2, 4, 8 it loads the TPC-C subset on an N-lane rig whose
+// transactions are homed on lane ID mod N, drives the same closed loop, and
+// reads the lanes' counters over the measured window. An edge is a page
+// update whose previous update sits on another lane; it is enforced when
+// that older record was not yet durable, so the younger lane could not
+// harden past it first (the engine's "tight"). Paper finding: dependencies
+// are pervasive and overwhelmingly tight, and most commits end up flushing
+// more than one log, making intra-node log distribution unattractive.
 func Fig13(scale Scale) (*Table, error) {
-	rig, err := NewRig(EngineConfig{
-		Variant: logbuf.VariantCD,
-		Device:  logdev.ProfileMemory,
-		SLI:     true,
-	})
+	rows, err := fig13Rows(scale)
 	if err != nil {
 		return nil, err
 	}
-	defer rig.Close()
-	w := workload.NewTPCC()
-	if scale.Quick {
-		w.Warehouses = 2
-		w.CustomersPerDistrict = 50
-		w.ItemsPerWarehouse = 200
-	}
-	if err := w.Setup(rig.Eng); err != nil {
-		return nil, err
-	}
-	loadEnd := rig.Dev.DurableSize()
-	res := workload.RunClosedLoop(rig.Eng, workload.Options{
-		Clients: 8, Duration: scale.runFor(), Mode: txn.CommitPipelined,
-	}, w.Body())
-	_ = res
-	rig.Eng.Log().Flush()
-	tail, base, err := logdev.ReadTail(rig.Dev)
-	if err != nil {
-		return nil, err
-	}
-	// Analyze only the benchmark window (~the paper's 100kB slice). A
-	// checkpoint may have truncated the log past the load's end; the
-	// truncation base is a record boundary too.
-	window := tail[max(loadEnd, base)-base:]
-	if len(window) > 200<<10 {
-		window = window[:200<<10]
-	}
-	// Re-align to a record boundary: the load ended on one.
-	trace := distlog.ExtractTrace(window)
+	return fig13Table(rows), nil
+}
+
+func fig13Table(rows []fig13Row) *Table {
 	t := &Table{
-		Title:   "Figure 13: inter-log dependencies, N-way split of a TPC-C log window",
-		Columns: []string{"logs", "records", "kb", "txns", "deps", "deps/KB", "tight%", "flush/txn", "forced/txn"},
+		Title:   "Figure 13: inter-log dependencies of TPC-C on an N-lane log, homed by transaction",
+		Columns: []string{"logs", "commits", "kb", "edges", "edges/KB", "enforced%", "dep stalls", "flush/commit"},
 	}
-	for _, logs := range []int{1, 2, 4, 8} {
-		r := distlog.Analyze(trace, distlog.Config{Logs: logs, TightWindow: 5})
-		// Commit-protocol simulation (§A.5's "most transactions flush
-		// multiple logs"): replay with a 16-txn in-flight window.
-		sim := distlog.ReplayLagged(trace, logs, 16)
-		t.AddRow(fmt.Sprint(logs),
-			fmt.Sprint(r.Records),
-			fmt.Sprintf("%.1f", float64(r.Bytes)/1024),
-			fmt.Sprint(r.Transactions),
-			fmt.Sprint(r.Dependencies),
-			fmt.Sprintf("%.1f", r.DependencyRate()),
-			fmt.Sprintf("%.0f", r.TightFraction()*100),
-			fmt.Sprintf("%.2f", sim.FlushesPerTxn),
-			fmt.Sprintf("%.2f", sim.ForcedPerCommit))
+	for _, r := range rows {
+		t.AddRow(fmt.Sprint(r.lanes),
+			fmt.Sprint(r.commits),
+			fmt.Sprintf("%.1f", r.kb()),
+			fmt.Sprint(r.edges),
+			fmt.Sprintf("%.1f", r.edgesPerKB()),
+			fmt.Sprintf("%.0f", r.enforcedFrac()*100),
+			fmt.Sprint(r.stalls),
+			fmt.Sprintf("%.2f", r.flushesPerCommit()))
 	}
-	return t, nil
+	return t
+}
+
+// fig13Row is one lane count's window of Figure 13: what the engine's
+// counters moved by while the closed loop ran.
+type fig13Row struct {
+	lanes                          int
+	commits, flushes               int64
+	bytes, edges, enforced, stalls int64
+}
+
+func (r fig13Row) kb() float64 { return float64(r.bytes) / 1024 }
+
+func (r fig13Row) edgesPerKB() float64 {
+	if r.bytes == 0 {
+		return 0
+	}
+	return float64(r.edges) / r.kb()
+}
+
+func (r fig13Row) enforcedFrac() float64 {
+	if r.edges == 0 {
+		return 0
+	}
+	return float64(r.enforced) / float64(r.edges)
+}
+
+func (r fig13Row) flushesPerCommit() float64 {
+	if r.commits == 0 {
+		return 0
+	}
+	return float64(r.flushes) / float64(r.commits)
+}
+
+// fig13Counters reads the log counters Figure 13 reports, summed over
+// lanes.
+func fig13Counters(ml *core.MultiLog) (r fig13Row) {
+	for i := 0; i < ml.NumParts(); i++ {
+		r.bytes += ml.Part(i).Stats().InsertBytes.Load()
+		r.stalls += ml.DepStalls(i)
+	}
+	r.edges, r.enforced = ml.EdgesTotal(), ml.EdgesEnforced()
+	return r
+}
+
+func fig13Rows(scale Scale) ([]fig13Row, error) {
+	var rows []fig13Row
+	for _, lanes := range []int{1, 2, 4, 8} {
+		rig, err := NewRig(EngineConfig{
+			Variant: logbuf.VariantCD,
+			Device:  logdev.ProfileMemory,
+			Lanes:   lanes,
+		})
+		if err != nil {
+			return nil, err
+		}
+		w := workload.NewTPCC()
+		if scale.Quick {
+			w.Warehouses = 2
+			w.CustomersPerDistrict = 50
+			w.ItemsPerWarehouse = 200
+		}
+		if err := w.Setup(rig.Eng); err != nil {
+			rig.Close()
+			return nil, err
+		}
+		before := fig13Counters(rig.Eng.Multi())
+		res := workload.RunClosedLoop(rig.Eng, workload.Options{
+			Clients: 8, Duration: scale.runFor(), Mode: txn.CommitPipelined,
+		}, w.Body())
+		after := fig13Counters(rig.Eng.Multi())
+		rig.Close()
+		rows = append(rows, fig13Row{
+			lanes:    lanes,
+			commits:  res.Completed,
+			flushes:  res.Flushes,
+			bytes:    after.bytes - before.bytes,
+			edges:    after.edges - before.edges,
+			enforced: after.enforced - before.enforced,
+			stalls:   after.stalls - before.stalls,
+		})
+	}
+	return rows, nil
 }
 
 // accountScale sizes the TPC-B account table.

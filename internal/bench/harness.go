@@ -95,61 +95,58 @@ func (s Scale) microThreads() int {
 type EngineConfig struct {
 	// Variant selects the log-buffer insert algorithm.
 	Variant logbuf.Variant
-	// Slots overrides the consolidation-array width (0 = default).
-	Slots int
-	// Device is the simulated log device latency class.
+	// Device is the simulated log device latency class of every lane.
 	Device logdev.Profile
-	// SLI enables speculative lock inheritance.
-	SLI bool
-	// Breakdown, if set, attaches the time-breakdown probes.
-	Breakdown *metrics.Breakdown
+	// Lanes is the log's lane count (0 or 1: one lane). With more, a
+	// transaction's home lane is its ID modulo Lanes, so consecutive
+	// transactions land on different lanes.
+	Lanes int
+	// Log carries the flush daemon's settings; the rig fills in the
+	// buffer, the device and the breakdown probes.
+	Log core.Config
 }
 
 // Rig is an assembled engine plus the probes the experiments read.
 type Rig struct {
 	// Eng is the assembled transaction engine.
 	Eng *txn.Engine
-	// Dev is the simulated log device under the engine.
-	Dev *logdev.Segmented
-	// Breakdown holds the probes (nil unless configured).
+	// Breakdown holds the time-breakdown probes attached to the log.
 	Breakdown *metrics.Breakdown
-	lm        *core.LogManager
 }
 
-// Close shuts the rig down.
-func (r *Rig) Close() { r.lm.Close() }
+// Close shuts the engine's daemons down, then its log.
+func (r *Rig) Close() {
+	r.Eng.Close()
+	r.Eng.Multi().Close()
+}
 
-// NewRig builds an engine with the given knobs.
+// NewRig opens an empty database the way every other assembly does,
+// through txn.Restart: one memory-backed log device per lane, a memory
+// page archive, and the lock manager with speculative lock inheritance.
 func NewRig(cfg EngineConfig) (*Rig, error) {
-	bd := cfg.Breakdown
-	if bd == nil {
-		bd = &metrics.Breakdown{}
+	bd := &metrics.Breakdown{}
+	devs := make([]logdev.Device, max(cfg.Lanes, 1))
+	for i := range devs {
+		devs[i] = logdev.NewMem(cfg.Device)
 	}
-	dev := logdev.NewMem(cfg.Device)
-	lm, err := core.New(core.Config{
-		Buffer: logbuf.Config{
-			Variant:   cfg.Variant,
-			Size:      1 << 24,
-			Slots:     cfg.Slots,
-			Breakdown: bd,
-		},
-		Device:    dev,
-		Breakdown: bd,
+	var route func(txnID uint64, space uint32) int
+	if n := uint64(len(devs)); n > 1 {
+		route = func(txnID uint64, _ uint32) int { return int(txnID % n) }
+	}
+	lc := cfg.Log
+	lc.Buffer = logbuf.Config{Variant: cfg.Variant, Size: 1 << 24, Breakdown: bd}
+	lc.Breakdown = bd
+	eng, _, err := txn.Restart(txn.RestartConfig{
+		Devices:        devs,
+		RoutePartition: route,
+		Archive:        storage.NewMemArchive(),
+		LogConfig:      lc,
+		LockConfig:     lockmgr.Config{DeadlockTimeout: 250 * time.Millisecond, SLI: true},
 	})
 	if err != nil {
 		return nil, err
 	}
-	eng, err := txn.NewEngine(txn.Config{
-		Log:     core.OneLane(lm),
-		Locks:   lockmgr.New(lockmgr.Config{DeadlockTimeout: 250 * time.Millisecond, SLI: cfg.SLI}),
-		Store:   storage.NewStore(),
-		Archive: storage.NewMemArchive(),
-	})
-	if err != nil {
-		lm.Close()
-		return nil, err
-	}
-	return &Rig{Eng: eng, Dev: dev, Breakdown: bd, lm: lm}, nil
+	return &Rig{Eng: eng, Breakdown: bd}, nil
 }
 
 // BreakdownSnapshot captures the probe state so a run's delta can be

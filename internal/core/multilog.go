@@ -148,10 +148,10 @@ type MultiLog struct {
 	horizons []horizonSample
 
 	// edgesTotal counts every cross-log page dependency observed at
-	// append time — the same definition internal/distlog's simulator
-	// uses, so the two can be cross-checked on one trace. edgesEnforced
-	// counts the subset that was still non-durable and had to be
-	// queued.
+	// append time: a page update whose previous update sits on another
+	// lane (Appendix A.5's count; the txn tests recount it from the
+	// lanes' records). edgesEnforced counts the subset that was still
+	// non-durable and had to be queued.
 	edgesTotal    atomic.Int64
 	edgesEnforced atomic.Int64
 
@@ -170,7 +170,7 @@ func NewMultiLog(lms []*LogManager, startSeq uint64) (*MultiLog, error) {
 		return nil, errors.New("core: MultiLog needs at least 1 lane")
 	}
 	if len(lms) == 1 {
-		ml := OneLane(lms[0])
+		ml := oneLane(lms[0])
 		ml.lastSeq.Store(startSeq)
 		return ml, nil
 	}
@@ -190,9 +190,9 @@ func NewMultiLog(lms []*LogManager, startSeq uint64) (*MultiLog, error) {
 	return ml, nil
 }
 
-// OneLane is NewMultiLog over a single manager, which cannot fail: what
-// a directly assembled engine (tests, the figure rig) passes as its log.
-func OneLane(lm *LogManager) *MultiLog {
+// oneLane is the coordinator over a single manager: lane 0 is the whole
+// log, and every call forwards to it.
+func oneLane(lm *LogManager) *MultiLog {
 	return &MultiLog{parts: []*logPartition{{lm: lm}}, one: lm}
 }
 
@@ -207,8 +207,8 @@ func (ml *MultiLog) Part(i int) *LogManager { return ml.parts[i].lm }
 func (ml *MultiLog) LastSeq() uint64 { return ml.lastSeq.Load() }
 
 // EdgesTotal returns the number of cross-log page dependencies observed
-// at append time (the distlog simulator's definition: the page's
-// previous update lives on a different log).
+// at append time: updates whose page's previous update lives on a
+// different log.
 func (ml *MultiLog) EdgesTotal() int64 { return ml.edgesTotal.Load() }
 
 // EdgesEnforced returns the subset of EdgesTotal whose older record was

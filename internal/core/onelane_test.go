@@ -62,7 +62,7 @@ func TestOneLaneAppendTakesNoCoordinatorLock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ml := OneLane(lm)
+	ml := oneLane(lm)
 	defer ml.Close()
 	ap := ml.NewAppender()
 

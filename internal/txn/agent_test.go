@@ -74,8 +74,12 @@ func newEngineOn(t *testing.T, dev logdev.Device) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ml, err := core.NewMultiLog([]*core.LogManager{lm}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng, err := NewEngine(Config{
-		Log:   core.OneLane(lm),
+		Log:   ml,
 		Locks: lockmgr.New(lockmgr.Config{DeadlockTimeout: 300 * time.Millisecond, SLI: true}),
 		Store: storage.NewStore(),
 	})

@@ -48,8 +48,12 @@ func TestArchiverBackoffSurvivesTransientOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ml, err := core.NewMultiLog([]*core.LogManager{lm}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng, err := NewEngine(Config{
-		Log:                  core.OneLane(lm),
+		Log:                  ml,
 		Locks:                lockmgr.New(lockmgr.Config{DeadlockTimeout: 300 * time.Millisecond, SLI: true}),
 		Store:                storage.NewStore(),
 		Archive:              pf,
@@ -149,8 +153,12 @@ func TestArchiverBackoffGivesUpOnPermanentFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ml, err := core.NewMultiLog([]*core.LogManager{lm}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng, err := NewEngine(Config{
-		Log:                  core.OneLane(lm),
+		Log:                  ml,
 		Locks:                lockmgr.New(lockmgr.Config{DeadlockTimeout: 300 * time.Millisecond, SLI: true}),
 		Store:                storage.NewStore(),
 		Archive:              pf,

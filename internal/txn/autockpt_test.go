@@ -28,8 +28,12 @@ func newAutoHarness(t *testing.T, everyBytes int64) (*Engine, *logdev.Segmented,
 	if err != nil {
 		t.Fatal(err)
 	}
+	ml, err := core.NewMultiLog([]*core.LogManager{lm}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng, err := NewEngine(Config{
-		Log:                  core.OneLane(lm),
+		Log:                  ml,
 		Locks:                lockmgr.New(lockmgr.Config{DeadlockTimeout: 300 * time.Millisecond, SLI: true}),
 		Store:                storage.NewStore(),
 		Archive:              pf,

@@ -58,12 +58,13 @@ type Result struct {
 	// Switches counts agent-thread scheduling events (blocking commit
 	// waits plus blocking lock waits) during the run.
 	Switches int64
-	// CommitBlocks counts only the log-flush blocks — the per-commit
-	// context switches flush pipelining eliminates (Figure 4's metric).
+	// CommitBlocks counts only the log-flush blocks, on every lane — the
+	// per-commit context switches flush pipelining eliminates (Figure 4's
+	// metric).
 	CommitBlocks int64
 	// LockBlocks counts blocking lock waits.
 	LockBlocks int64
-	// Flushes counts log device syncs during the run.
+	// Flushes counts log device syncs during the run, summed over lanes.
 	Flushes int64
 }
 
@@ -157,9 +158,8 @@ func RunClosedLoop(eng *txn.Engine, opts Options, body Body) Result {
 	}
 	d := &driver{eng: eng, mode: opts.Mode}
 
-	commitBlocks0 := eng.Log().Stats().SyncWaiters.Load()
+	commitBlocks0, flushes0 := logCounters(eng)
 	lockBlocks0 := eng.Locks().Stats().Blocks.Load()
-	flushes0 := eng.Log().Stats().Flushes.Load()
 
 	var busy atomic.Int64
 	start := time.Now()
@@ -188,12 +188,17 @@ func RunClosedLoop(eng *txn.Engine, opts Options, body Body) Result {
 		}(i)
 	}
 	wg.Wait()
-	// Drain pipelined acknowledgements so Completed is exact.
-	eng.Log().Flush()
+	// Drain pipelined acknowledgements so Completed is exact: flush every
+	// lane, without waiting on any (a wait would count as a commit block).
+	ml := eng.Multi()
+	for i := 0; i < ml.NumParts(); i++ {
+		ml.Part(i).Flush()
+	}
 	d.inflight.Wait()
 	elapsed := time.Since(start)
 
-	commitBlocks := eng.Log().Stats().SyncWaiters.Load() - commitBlocks0
+	commitBlocks, flushes := logCounters(eng)
+	commitBlocks -= commitBlocks0
 	lockBlocks := eng.Locks().Stats().Blocks.Load() - lockBlocks0
 	return Result{
 		Completed:    d.completed.Load(),
@@ -203,8 +208,20 @@ func RunClosedLoop(eng *txn.Engine, opts Options, body Body) Result {
 		Switches:     commitBlocks + lockBlocks,
 		CommitBlocks: commitBlocks,
 		LockBlocks:   lockBlocks,
-		Flushes:      eng.Log().Stats().Flushes.Load() - flushes0,
+		Flushes:      flushes - flushes0,
 	}
+}
+
+// logCounters sums the blocking commit waits and the flushes of every
+// lane: a blocking commit waits on its home lane, which need not be lane 0.
+func logCounters(eng *txn.Engine) (commitBlocks, flushes int64) {
+	ml := eng.Multi()
+	for i := 0; i < ml.NumParts(); i++ {
+		st := ml.Part(i).Stats()
+		commitBlocks += st.SyncWaiters.Load()
+		flushes += st.Flushes.Load()
+	}
+	return commitBlocks, flushes
 }
 
 // IsDeadlock reports whether err is a deadlock-timeout abort, which

@@ -108,8 +108,12 @@ func newEngine(t *testing.T) *txn.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ml, err := core.NewMultiLog([]*core.LogManager{lm}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng, err := txn.NewEngine(txn.Config{
-		Log:     core.OneLane(lm),
+		Log:     ml,
 		Locks:   lockmgr.New(lockmgr.Config{DeadlockTimeout: 200 * time.Millisecond, SLI: true}),
 		Store:   storage.NewStore(),
 		Archive: storage.NewMemArchive(),
@@ -263,6 +267,42 @@ func TestDriverCountsSwitches(t *testing.T) {
 	}
 	if got := eng.Log().Stats().SyncWaiters.Load() - sw0; got != 0 {
 		t.Fatalf("pipelined mode: %d agent commit blocks, want 0", got)
+	}
+}
+
+// TestDriverCountsEveryLane: on a two-lane log whose transactions are
+// homed by ID, every blocking commit waits on its own home lane, half of
+// them not on lane 0. The run's CommitBlocks must still be one per
+// committed transaction, and its flushes must include both lanes'.
+func TestDriverCountsEveryLane(t *testing.T) {
+	eng, _, err := txn.Restart(txn.RestartConfig{
+		Devices:        []logdev.Device{logdev.NewMem(logdev.ProfileMemory), logdev.NewMem(logdev.ProfileMemory)},
+		RoutePartition: func(txnID uint64, _ uint32) int { return int(txnID % 2) },
+		LogConfig:      core.Config{Buffer: logbuf.Config{Variant: logbuf.VariantCD, Size: 1 << 22}},
+		LockConfig:     lockmgr.Config{DeadlockTimeout: 200 * time.Millisecond, SLI: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		eng.Close()
+		eng.Multi().Close()
+	})
+	w := &TPCB{Branches: 2, AccountsPerBranch: 100}
+	if err := w.Setup(eng); err != nil {
+		t.Fatal(err)
+	}
+	res := RunClosedLoop(eng, Options{
+		Clients: 4, Duration: 200 * time.Millisecond, Mode: txn.CommitSync,
+	}, w.Body())
+	if res.Completed == 0 {
+		t.Fatal("no transactions completed")
+	}
+	if res.CommitBlocks != res.Completed {
+		t.Fatalf("%d commit blocks for %d blocking commits", res.CommitBlocks, res.Completed)
+	}
+	if lane0 := eng.Multi().Part(0).Stats().Flushes.Load(); res.Flushes <= lane0 {
+		t.Fatalf("run counted %d flushes, lane 0 alone has done %d", res.Flushes, lane0)
 	}
 }
 
