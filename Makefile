@@ -1,7 +1,7 @@
-# Tier-1 verification is `make ci` (build + vet + docs + test + race + soak, race-soak and fuzz smokes).
+# Tier-1 verification is `make ci` (build + vet + docs + test + race + logbuf race + soak, race-soak and fuzz smokes).
 GO ?= go
 
-.PHONY: build test test-short test-race vet docs bench-pair alloc-profile restart-profile soak-smoke soak soak-race soak-race-long fuzz-smoke ci
+.PHONY: build test test-short test-race logbuf-race vet docs bench-pair alloc-profile restart-profile soak-smoke soak soak-race soak-race-long fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,15 @@ test-short:
 # Every package under the race detector, stress soaks skipped.
 test-race:
 	$(GO) test -race -short ./...
+
+# The log buffer's concurrent stress tests under the race detector, over
+# every variant: test-race's -short skips them, and they are the only
+# tests where inserts race each other through the consolidation array,
+# the cross-goroutine unlock of a locked-release group and the release
+# queue.
+LOGBUF_STRESS = TestConcurrentNoGapsNoOverlap|TestSkewedSizes|TestWraparound|TestCDStallDiagnostic
+logbuf-race:
+	$(GO) test -race -count=1 -run '^($(LOGBUF_STRESS))$$' ./internal/logbuf
 
 # Besides go vet: every durable write in the engine goes through
 # internal/vfs, where FaultFS and the soak can reach it. Non-test Go in the
@@ -148,6 +157,6 @@ fuzz-smoke:
 
 # The last step fails if anything above left the checkout dirty: no
 # target may rewrite a tracked file or drop an unignored one.
-ci: build vet docs test test-race soak-smoke soak-race fuzz-smoke
+ci: build vet docs test test-race logbuf-race soak-smoke soak-race fuzz-smoke
 	@dirty="$$(git status --porcelain)"; if [ -n "$$dirty" ]; then \
 		echo "make ci left the checkout dirty:"; echo "$$dirty"; exit 1; fi

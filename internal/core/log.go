@@ -153,7 +153,7 @@ var ErrClosed = errors.New("core: log manager closed")
 // daemon, and the durable horizon.
 type LogManager struct {
 	cfg   Config
-	buf   logbuf.Buffer
+	buf   *logbuf.Buffer
 	rd    *logbuf.Reader
 	dev   logdev.Device
 	stats Stats
@@ -239,10 +239,6 @@ func New(cfg Config) (*LogManager, error) {
 	return lm, nil
 }
 
-// Buffer returns the underlying log buffer (for experiments that inspect
-// watermarks).
-func (lm *LogManager) Buffer() logbuf.Buffer { return lm.buf }
-
 // Stats returns the manager's counters.
 func (lm *LogManager) Stats() *Stats { return &lm.stats }
 
@@ -254,7 +250,7 @@ func (lm *LogManager) Durable() lsn.LSN { return lm.durable.Load() }
 // encode scratch buffer so record marshalling costs no allocation.
 type Appender struct {
 	lm      *LogManager
-	ins     logbuf.Inserter
+	ins     *logbuf.Inserter
 	scratch []byte
 }
 

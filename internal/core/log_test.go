@@ -872,6 +872,12 @@ func TestCommitPathAllocations(t *testing.T) {
 	if err := lm.WaitDurable(lm.AppendEnd()); err != nil {
 		t.Fatal(err)
 	}
+	// WaitDurable may return as soon as the horizon passes its end, while
+	// the daemon still runs that flush's other callbacks; Close returns
+	// once the daemon has run them all.
+	if err := lm.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if got := acked.Load(); got != 2*runs+1 {
 		t.Fatalf("%d of %d callbacks ran", got, 2*runs+1)
 	}

@@ -1,18 +1,30 @@
 // Package logbuf implements the paper's five log-buffer designs (§5 and
-// Appendix A) behind a single interface:
+// Appendix A). They are not five implementations: each is one point on
+// the two axes the paper varies, and one Buffer with one insert path
+// serves them all.
 //
-//   - Baseline — one mutex around LSN generation, buffer fill and release
-//     (Algorithm 1).
-//   - Consolidated (C) — consolidation-array backoff: threads that find the
-//     mutex busy combine their requests in a slot array so only group
-//     leaders compete for the buffer (Algorithms 2 and 5).
-//   - Decoupled (D) — the mutex covers only LSN generation; buffer fills
-//     proceed in parallel and are released in LSN order (Algorithm 3).
-//   - Hybrid (CD) — consolidation plus decoupled fill; bounded contention
-//     and full pipelining (§5.3).
-//   - Delegated (CDME) — CD plus a lock-free release queue that lets fast
-//     threads delegate their in-order release to a slower predecessor,
-//     immunizing throughput against skewed record sizes (Algorithm 4, §A.3).
+//   - consolidate: an insert that finds the mutex busy either joins the
+//     consolidation array, so only one group leader per slot competes for
+//     the mutex (yes), or queues on the mutex itself (no).
+//   - release: how a filled region reaches the flush daemon —
+//     locked: fill and publish inside the critical section;
+//     inOrder: unlock before the fill, then wait for every earlier byte
+//     to be released (the implicit release queue);
+//     delegated: join the release queue under the mutex; a thread whose
+//     predecessor is still filling hands its release to it and leaves.
+//
+// The variants are the rows of this table:
+//
+//	Variant   consolidate  release    paper
+//	Baseline  no           locked     Algorithm 1
+//	C         yes          locked     Algorithms 2 and 5 (§5.2, §A.2)
+//	D         no           inOrder    Algorithm 3 (§5.2)
+//	CD        yes          inOrder    §5.3
+//	CDME      yes          delegated  Algorithm 4 (§A.3)
+//
+// Under C a group's leader takes the mutex and the group holds it until
+// its last fill publishes, so fills within a group run in parallel but
+// fills across groups are serialized — the limitation CD removes.
 //
 // All variants share the same circular buffer and uphold the same
 // invariants: inserts get disjoint regions, regions are released to the
@@ -57,6 +69,29 @@ func (v Variant) String() string {
 
 // Variants lists all variants in presentation order.
 var Variants = []Variant{VariantBaseline, VariantC, VariantD, VariantCD, VariantCDME}
+
+// releaseMode is the release axis of the variant table.
+type releaseMode int
+
+const (
+	locked    releaseMode = iota // fill and publish inside the critical section
+	inOrder                      // unlock before the fill, then publishInOrder
+	delegated                    // join the relQueue under the lock, then relQueue.release
+)
+
+// design is a variant's row of the table in the package doc.
+type design struct {
+	consolidate bool
+	release     releaseMode
+}
+
+var designs = [numVariants]design{
+	VariantBaseline: {consolidate: false, release: locked},
+	VariantC:        {consolidate: true, release: locked},
+	VariantD:        {consolidate: false, release: inOrder},
+	VariantCD:       {consolidate: true, release: inOrder},
+	VariantCDME:     {consolidate: true, release: delegated},
+}
 
 // Config parameterizes a log buffer.
 type Config struct {
@@ -118,52 +153,61 @@ func ceilPow2(n int) int {
 // capacity.
 var ErrRecordTooLarge = errors.New("logbuf: record exceeds buffer capacity")
 
-// Inserter is a per-worker handle for inserting encoded records. Handles
-// are not safe for concurrent use; each goroutine takes its own, which
-// gives the algorithms their thread-local state (probe RNG, delegation
-// RNG, local-fill scratch) without any shared-state rendezvous.
-type Inserter interface {
-	// Insert copies one encoded record into the log and returns the LSN
-	// it was assigned (its address in the logical log stream).
-	Insert(rec []byte) (lsn.LSN, error)
-}
-
 // Buffer is a log buffer: many concurrent inserters, one reader (the
 // flush daemon).
-type Buffer interface {
-	// NewInserter returns a fresh per-goroutine insert handle.
-	NewInserter() Inserter
-	// Reader returns the flush daemon's view.
-	Reader() *Reader
-	// Variant reports the configured algorithm.
-	Variant() Variant
-	// Capacity returns the ring size in bytes.
-	Capacity() int
-	// MaxRecord returns the largest insertable record.
-	MaxRecord() int
+type Buffer struct {
+	r   *ring
+	cfg Config
+	design
+	arr *cArray // the consolidation array; nil unless consolidate
+
+	// Every insert reads the fields above and contends on the ones
+	// below; a cache line apart, the lock's traffic does not evict them.
+	_    [64]byte
+	mu   spinLock
+	next lsn.LSN
+	q    relQueue
 }
 
 // New builds a log buffer with the chosen variant.
-func New(cfg Config) (Buffer, error) {
+func New(cfg Config) (*Buffer, error) {
 	cfg.applyDefaults()
 	if cfg.Variant < 0 || cfg.Variant >= numVariants {
 		return nil, fmt.Errorf("logbuf: unknown variant %d", int(cfg.Variant))
 	}
-	r := newRing(cfg.Size, cfg.Base, cfg.Breakdown)
-	switch cfg.Variant {
-	case VariantBaseline:
-		return newBaseline(r, cfg), nil
-	case VariantC:
-		return newConsolidated(r, cfg), nil
-	case VariantD:
-		return newDecoupled(r, cfg), nil
-	case VariantCD:
-		return newHybrid(r, cfg), nil
-	case VariantCDME:
-		return newDelegated(r, cfg), nil
+	b := &Buffer{
+		r:      newRing(cfg.Size, cfg.Base, cfg.Breakdown),
+		cfg:    cfg,
+		design: designs[cfg.Variant],
+		next:   cfg.Base,
 	}
-	panic("unreachable")
+	b.q.r = b.r
+	if b.consolidate {
+		b.arr = newCArray(cfg.Slots, cfg.slotPool(), int64(cfg.MaxGroup))
+	}
+	return b, nil
 }
+
+// NewInserter returns a fresh per-goroutine insert handle.
+func (b *Buffer) NewInserter() *Inserter {
+	ins := &Inserter{b: b, rng: newXorshift()}
+	if b.cfg.LocalFill {
+		ins.local = make([]byte, b.cfg.MaxGroup)
+	}
+	return ins
+}
+
+// Reader returns the flush daemon's view.
+func (b *Buffer) Reader() *Reader { return &Reader{r: b.r} }
+
+// Variant reports the configured algorithm.
+func (b *Buffer) Variant() Variant { return b.cfg.Variant }
+
+// Capacity returns the ring size in bytes.
+func (b *Buffer) Capacity() int { return int(b.r.capacity) }
+
+// MaxRecord returns the largest insertable record.
+func (b *Buffer) MaxRecord() int { return b.cfg.MaxGroup }
 
 // Reader is the flush daemon's side of the buffer: it drains released
 // bytes and recycles their space.

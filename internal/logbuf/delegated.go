@@ -4,11 +4,11 @@ import (
 	"sync/atomic"
 
 	"aether/internal/lsn"
-	"aether/internal/metrics"
 )
 
-// This file implements the paper's CDME design (Algorithm 4, §A.3):
-// hybrid CD plus *delegated buffer release*. The in-order release rule
+// This file implements the release queue of the paper's CDME design
+// (Algorithm 4, §A.3): hybrid CD plus *delegated buffer release*, the
+// delegated row of the variant table. The in-order release rule
 // means many small inserts that finish in the shadow of one large insert
 // must all wait for it; CDME turns the implicit LSN release queue into a
 // physical lock-free queue so a finished thread can hand its release off
@@ -108,112 +108,4 @@ func (q *relQueue) release(n *relNode, rng *xorshift) {
 		// Successor had delegated: its release is ours too.
 		cur = next
 	}
-}
-
-// delegatedBuf is the CDME log buffer.
-type delegatedBuf struct {
-	r   *ring
-	cfg Config
-	arr *cArray
-	q   relQueue
-
-	mu   spinLock
-	next lsn.LSN
-}
-
-func newDelegated(r *ring, cfg Config) *delegatedBuf {
-	d := &delegatedBuf{
-		r:    r,
-		cfg:  cfg,
-		arr:  newCArray(cfg.Slots, cfg.slotPool(), int64(cfg.MaxGroup)),
-		next: cfg.Base,
-	}
-	d.q.r = r
-	return d
-}
-
-// Variant implements Buf.
-func (d *delegatedBuf) Variant() Variant { return VariantCDME }
-
-// Capacity implements Buf.
-func (d *delegatedBuf) Capacity() int { return int(d.r.capacity) }
-
-// MaxRecord implements Buf.
-func (d *delegatedBuf) MaxRecord() int { return d.cfg.MaxGroup }
-
-// Reader implements Buf.
-func (d *delegatedBuf) Reader() *Reader { return &Reader{r: d.r} }
-
-// NewInserter implements Buf.
-func (d *delegatedBuf) NewInserter() Inserter {
-	ins := &delegatedInserter{d: d, rng: newXorshift()}
-	if d.cfg.LocalFill {
-		ins.local = make([]byte, d.cfg.MaxGroup)
-	}
-	return ins
-}
-
-type delegatedInserter struct {
-	d     *delegatedBuf
-	rng   *xorshift
-	local []byte
-}
-
-// Insert implements Inserter — Algorithm 4 (§A.3), delegated buffer
-// release: inserters enqueue their filled regions and leave; a queue
-// leader publishes releases in order so no thread waits on a stalled
-// predecessor.
-func (ins *delegatedInserter) Insert(p []byte) (lsn.LSN, error) {
-	d := ins.d
-	size := int64(len(p))
-	if len(p) > d.cfg.MaxGroup {
-		return 0, ErrRecordTooLarge
-	}
-	var pt probeTimer
-	pt.start(d.cfg.Breakdown)
-
-	// Uncontended fast path: decoupled insert with a queued release.
-	if d.mu.TryLock() {
-		start := d.next
-		end := start.Add(len(p))
-		d.r.waitForSpace(end)
-		d.next = end
-		qn := d.q.join(start, end)
-		d.mu.Unlock()
-		pt.lap(metrics.PhaseLogContention)
-		fill(d.r, localBuf(ins.local, len(p)), start, p)
-		pt.lap(metrics.PhaseLogWork)
-		d.q.release(qn, ins.rng)
-		return start, nil
-	}
-
-	// Contention: consolidate; the group shares one queue node.
-	s, offset := d.arr.join(ins.rng, size)
-	var base lsn.LSN
-	var group int64
-	if offset == 0 {
-		d.mu.Lock()
-		group = d.arr.close(s)
-		base = d.next
-		end := base.Add(int(group))
-		d.r.waitForSpace(end)
-		d.next = end
-		s.qnode = d.q.join(base, end)
-		d.mu.Unlock()
-		s.notify(base, group)
-	} else {
-		base, group = s.wait()
-	}
-	pt.lap(metrics.PhaseLogContention)
-
-	my := base.Add(int(offset))
-	fill(d.r, localBuf(ins.local, len(p)), my, p)
-	pt.lap(metrics.PhaseLogWork)
-
-	if s.release(size) {
-		qn := s.qnode
-		s.free()
-		d.q.release(qn, ins.rng)
-	}
-	return my, nil
 }

@@ -17,7 +17,7 @@ import (
 // drain runs a background goroutine that immediately reclaims released
 // bytes (optionally collecting them) until stop is closed. It returns the
 // collected stream via the returned function.
-func drain(b Buffer, collect bool) (stop func() []byte) {
+func drain(b *Buffer, collect bool) (stop func() []byte) {
 	rd := b.Reader()
 	done := make(chan struct{})
 	var out []byte
@@ -265,13 +265,13 @@ func TestConcurrentNoGapsNoOverlap(t *testing.T) {
 	}
 }
 
-// TestSkewedSizes stresses the in-order release path with a strongly
-// bimodal size distribution (the Fig. 11 scenario) for CD and CDME.
+// TestSkewedSizes stresses every release path with a strongly bimodal
+// size distribution (the Fig. 11 scenario).
 func TestSkewedSizes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test: bimodal-size soak; run without -short")
 	}
-	for _, v := range []Variant{VariantCD, VariantCDME} {
+	for _, v := range Variants {
 		v := v
 		t.Run(v.String(), func(t *testing.T) {
 			t.Parallel()
@@ -422,6 +422,56 @@ func TestBreakdownProbe(t *testing.T) {
 	stop()
 	if bd.Get(metrics.PhaseLogWork) <= 0 {
 		t.Fatal("probe recorded no log work")
+	}
+}
+
+// TestSpaceWaitChargedOnce fills a 4 KiB ring with no reader draining it,
+// starts an insert that must wait for space, and frees the ring 50 ms
+// later. The log work and contention charged for that insert must not
+// exceed its wall time, and the wait must be charged as contention.
+func TestSpaceWaitChargedOnce(t *testing.T) {
+	for _, v := range Variants {
+		t.Run(v.String(), func(t *testing.T) {
+			var bd metrics.Breakdown
+			b, err := New(Config{Variant: v, Size: 4096, MaxGroup: 512, Breakdown: &bd})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ins := b.NewInserter()
+			rec := encodePayloadRecord(1, 256)
+			for i := 0; i < 4096/256; i++ {
+				if _, err := ins.Insert(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			work0, cont0 := bd.Get(metrics.PhaseLogWork), bd.Get(metrics.PhaseLogContention)
+			type result struct {
+				wall time.Duration
+				err  error
+			}
+			done := make(chan result, 1)
+			go func() {
+				t0 := time.Now()
+				_, err := ins.Insert(rec)
+				done <- result{time.Since(t0), err}
+			}()
+			time.Sleep(50 * time.Millisecond)
+			rd := b.Reader()
+			_, end := rd.Pending()
+			rd.MarkFlushed(end)
+			res := <-done
+			if res.err != nil {
+				t.Fatal(res.err)
+			}
+			work := bd.Get(metrics.PhaseLogWork) - work0
+			cont := bd.Get(metrics.PhaseLogContention) - cont0
+			if work+cont > res.wall {
+				t.Fatalf("charged work %v + contention %v to an insert that took %v", work, cont, res.wall)
+			}
+			if cont < res.wall/2 {
+				t.Fatalf("space wait of %v charged only %v as contention (work %v)", res.wall, cont, work)
+			}
+		})
 	}
 }
 

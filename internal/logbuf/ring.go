@@ -70,8 +70,8 @@ func (l *spinLock) Lock() {
 }
 
 // Unlock releases the lock. Like sync.Mutex, unlocking from a different
-// goroutine than the locker is allowed (variant C's group-exit relies on
-// it).
+// goroutine than the locker is allowed (a locked-release group's last
+// fill relies on it).
 func (l *spinLock) Unlock() {
 	l.v.Store(0)
 }
@@ -134,21 +134,12 @@ func newRing(size int, base lsn.LSN, bd *metrics.Breakdown) *ring {
 // i.e. no byte of it would overwrite unflushed data. Progress is
 // guaranteed because the flusher drains released bytes independently of
 // any lock the caller may hold, and every byte below the caller's region
-// eventually gets released (fills never block on acquisition).
+// eventually gets released (fills never block on acquisition). The wait
+// is not charged here: it falls inside the caller's contention lap.
 func (r *ring) waitForSpace(end lsn.LSN) {
-	if uint64(end)-uint64(r.flushed.Load()) <= r.capacity {
-		return
-	}
-	var t0 time.Time
-	if r.bd != nil {
-		t0 = time.Now()
-	}
 	var sp parkSpinner
 	for uint64(end)-uint64(r.flushed.Load()) > r.capacity {
 		sp.spin()
-	}
-	if r.bd != nil {
-		r.bd.Add(metrics.PhaseLogContention, time.Since(t0))
 	}
 }
 
@@ -199,7 +190,7 @@ func (r *ring) publishInOrder(start, end lsn.LSN) {
 }
 
 // publish advances the release frontier when the caller already holds
-// exclusive release rights (baseline and C hold the mutex here).
+// exclusive release rights (locked release: the mutex is held here).
 func (r *ring) publish(end lsn.LSN) {
 	r.released.Store(end)
 }

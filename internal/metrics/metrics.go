@@ -1,7 +1,7 @@
 // Package metrics provides the lightweight, allocation-free instrumentation
 // Aether's experiments are built on: atomic counters, power-of-two latency
-// histograms, and the per-phase time breakdown (work vs. lock wait vs. log
-// wait vs. log work vs. contention) that the paper's Figures 2 and 7 plot.
+// histograms, and the per-phase time breakdown (log work vs. log
+// contention vs. log wait) that the paper's Figures 2 and 7 plot.
 //
 // Everything here is safe for concurrent use and designed so the probes are
 // cheap enough to leave enabled in the hot paths being measured.
@@ -10,8 +10,6 @@ package metrics
 import (
 	"fmt"
 	"math/bits"
-	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -30,24 +28,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
-
-// Reset sets the counter back to zero.
-func (c *Counter) Reset() { c.v.Store(0) }
-
-// Gauge is an atomic value that can go up and down (e.g. in-flight
-// transactions). The zero value is ready to use.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Add adjusts the gauge by n (n may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
 // histBuckets is the number of power-of-two latency buckets. Bucket i holds
 // samples in [2^i, 2^(i+1)) nanoseconds; bucket 0 also holds zero. 48
@@ -144,15 +124,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	}
 }
 
-// Reset clears the histogram.
-func (h *Histogram) Reset() {
-	h.count.Store(0)
-	h.sum.Store(0)
-	for i := range h.bucket {
-		h.bucket[i].Store(0)
-	}
-}
-
 // String summarizes the histogram for human consumption.
 func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%v p50≤%v p99≤%v",
@@ -164,15 +135,9 @@ func (h *Histogram) String() string {
 type Phase int
 
 const (
-	// PhaseWork is useful transaction work outside the log and lock
-	// managers ("Other work" in Fig. 2).
-	PhaseWork Phase = iota
-	// PhaseLockWait is time blocked waiting for a logical database lock
-	// held by another transaction ("Other contention").
-	PhaseLockWait
 	// PhaseLogWork is time spent inside the log manager doing useful
 	// work: encoding and copying records ("Log mgr. work").
-	PhaseLogWork
+	PhaseLogWork Phase = iota
 	// PhaseLogContention is time spent waiting to enter the log buffer:
 	// mutex acquisition, consolidation-slot joins, in-order release waits
 	// ("Log mgr. contention").
@@ -181,14 +146,10 @@ const (
 	// continuation) spends waiting for its commit record to harden —
 	// the log-flush wait the paper calls delay (A).
 	PhaseLogWait
-	// PhaseIdle is time an agent thread had no runnable transaction.
-	PhaseIdle
 	numPhases
 )
 
-var phaseNames = [numPhases]string{
-	"work", "lock-wait", "log-work", "log-contention", "log-wait", "idle",
-}
+var phaseNames = [numPhases]string{"log-work", "log-contention", "log-wait"}
 
 // String returns the phase's short name.
 func (p Phase) String() string {
@@ -216,88 +177,3 @@ func (b *Breakdown) Add(p Phase, d time.Duration) {
 func (b *Breakdown) Get(p Phase) time.Duration {
 	return time.Duration(b.ns[p].Load())
 }
-
-// Total returns the sum over all phases.
-func (b *Breakdown) Total() time.Duration {
-	var t int64
-	for i := range b.ns {
-		t += b.ns[i].Load()
-	}
-	return time.Duration(t)
-}
-
-// Fractions returns each phase's share of the total, in phase order.
-// If nothing was recorded all shares are zero.
-func (b *Breakdown) Fractions() [int(numPhases)]float64 {
-	var out [int(numPhases)]float64
-	total := float64(b.Total())
-	if total == 0 {
-		return out
-	}
-	for i := range b.ns {
-		out[i] = float64(b.ns[i].Load()) / total
-	}
-	return out
-}
-
-// Reset clears all phases.
-func (b *Breakdown) Reset() {
-	for i := range b.ns {
-		b.ns[i].Store(0)
-	}
-}
-
-// String renders the breakdown as percentages, largest first, e.g.
-// "work 41.2% | log-wait 33.0% | ...".
-func (b *Breakdown) String() string {
-	fr := b.Fractions()
-	type pf struct {
-		p Phase
-		f float64
-	}
-	ps := make([]pf, 0, int(numPhases))
-	for i := 0; i < int(numPhases); i++ {
-		ps = append(ps, pf{Phase(i), fr[i]})
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].f > ps[j].f })
-	var sb strings.Builder
-	for i, e := range ps {
-		if e.f == 0 {
-			continue
-		}
-		if i > 0 && sb.Len() > 0 {
-			sb.WriteString(" | ")
-		}
-		fmt.Fprintf(&sb, "%s %.1f%%", e.p, e.f*100)
-	}
-	if sb.Len() == 0 {
-		return "(empty)"
-	}
-	return sb.String()
-}
-
-// Stopwatch measures consecutive phases on a single goroutine and reports
-// them into a Breakdown. It is not safe for concurrent use; each agent
-// thread owns one.
-type Stopwatch struct {
-	b     *Breakdown
-	phase Phase
-	start time.Time
-}
-
-// NewStopwatch returns a stopwatch reporting into b, initially in phase
-// PhaseIdle.
-func NewStopwatch(b *Breakdown) *Stopwatch {
-	return &Stopwatch{b: b, phase: PhaseIdle, start: time.Now()}
-}
-
-// Switch ends the current phase, charges its elapsed time, and enters p.
-func (s *Stopwatch) Switch(p Phase) {
-	now := time.Now()
-	s.b.Add(s.phase, now.Sub(s.start))
-	s.phase = p
-	s.start = now
-}
-
-// Stop ends the current phase and charges it; the stopwatch then idles.
-func (s *Stopwatch) Stop() { s.Switch(PhaseIdle) }
