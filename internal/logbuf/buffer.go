@@ -200,15 +200,6 @@ func (b *Buffer) NewInserter() *Inserter {
 // Reader returns the flush daemon's view.
 func (b *Buffer) Reader() *Reader { return &Reader{r: b.r} }
 
-// Variant reports the configured algorithm.
-func (b *Buffer) Variant() Variant { return b.cfg.Variant }
-
-// Capacity returns the ring size in bytes.
-func (b *Buffer) Capacity() int { return int(b.r.capacity) }
-
-// MaxRecord returns the largest insertable record.
-func (b *Buffer) MaxRecord() int { return b.cfg.MaxGroup }
-
 // Reader is the flush daemon's side of the buffer: it drains released
 // bytes and recycles their space.
 type Reader struct {

@@ -25,7 +25,7 @@ func drain(b *Buffer, collect bool) (stop func() []byte) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		scratch := make([]byte, b.Capacity())
+		scratch := make([]byte, b.r.capacity)
 		for {
 			start, end := rd.Pending()
 			if start == end {
@@ -121,7 +121,7 @@ func TestRecordTooLarge(t *testing.T) {
 			t.Fatal(err)
 		}
 		ins := b.NewInserter()
-		if _, err := ins.Insert(make([]byte, b.MaxRecord()+1)); !errors.Is(err, ErrRecordTooLarge) {
+		if _, err := ins.Insert(make([]byte, b.cfg.MaxGroup+1)); !errors.Is(err, ErrRecordTooLarge) {
 			t.Errorf("%v: got %v, want ErrRecordTooLarge", v, err)
 		}
 	}
@@ -532,13 +532,13 @@ func TestInserterIndependence(t *testing.T) {
 
 func TestCapacityAndMaxRecord(t *testing.T) {
 	b, _ := New(Config{Variant: VariantCD, Size: 1 << 16})
-	if b.Capacity() != 1<<16 {
-		t.Fatalf("capacity %d", b.Capacity())
+	if b.r.capacity != 1<<16 {
+		t.Fatalf("capacity %d", b.r.capacity)
 	}
-	if b.MaxRecord() != 1<<13 {
-		t.Fatalf("max record %d", b.MaxRecord())
+	if b.cfg.MaxGroup != 1<<13 {
+		t.Fatalf("max record %d", b.cfg.MaxGroup)
 	}
-	if b.Variant() != VariantCD {
+	if b.design != designs[VariantCD] {
 		t.Fatal("variant wrong")
 	}
 }
@@ -551,8 +551,8 @@ func ExampleNew() {
 	ins := b.NewInserter()
 	rec, _ := logrec.NewCommit(1, lsn.Undefined).Encode()
 	at, _ := ins.Insert(rec)
-	fmt.Println(at, b.Variant())
-	// Output: LSN(0) CD
+	fmt.Println(at)
+	// Output: LSN(0)
 }
 
 // TestBackpressure verifies inserters block (rather than overwrite) when
