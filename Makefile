@@ -30,13 +30,20 @@ logbuf-race:
 # Besides go vet: every durable write in the engine goes through
 # internal/vfs, where FaultFS and the soak can reach it. Non-test Go in the
 # root package and internal/ (vfs itself aside) may not call os's
-# file-writing functions; the read-only os.Open stays allowed.
+# file-writing functions; the read-only os.Open stays allowed. And there
+# is one crash model: no non-test Go outside internal/vfs declares a
+# Crash, CrashFreeze, Remount or PowerCut method, except aether's
+# DB.Crash, which cuts the power of an in-memory database's FaultFS.
 vet:
 	$(GO) vet ./...
 	@bad="$$(grep -HnE '\bos\.(OpenFile|Create|WriteFile|Rename|Remove|MkdirAll|Truncate)\(' \
 		$$(find . -maxdepth 1 -name '*.go' ! -name '*_test.go'; \
 		   find internal -name '*.go' ! -name '*_test.go' ! -path 'internal/vfs/*'))"; \
 	if [ -n "$$bad" ]; then echo "durable writes must go through internal/vfs:"; echo "$$bad"; exit 1; fi
+	@bad="$$(grep -HnE '^func \([^)]*\) (Crash|CrashFreeze|Remount|PowerCut)\(' \
+		$$(find . -path './.*' -prune -o -name '*.go' ! -name '*_test.go' ! -path './internal/vfs/*' -print) \
+		| grep -vE '^\./aether\.go:[0-9]+:func \(db \*DB\) Crash\(\)')"; \
+	if [ -n "$$bad" ]; then echo "power loss is simulated one way, by vfs.FaultFS (DB.Crash drives it):"; echo "$$bad"; exit 1; fi
 
 # Documentation lint: formatting, vet, every example and command builds,
 # and the godoc-coverage check — exported identifiers in EVERY internal

@@ -113,10 +113,13 @@ type Options struct {
 	// write-ahead log's segment files and MANIFEST, plus the paged
 	// database file (pagefile.db), from which pages
 	// cleaned out of the dirty-page table at a checkpoint are recovered
-	// instead of from the log. Unset, the log lives in memory with
-	// Device's latency profile (the paper's methodology). A regular file
-	// at LogPath — the single-file log of earlier versions — is refused
-	// (the error matches logdev's ErrFormat) and left untouched.
+	// instead of from the log. Unset, the database keeps the same files,
+	// written and fsynced the same way, on an in-memory filesystem of its
+	// own, with Device's latency profile added to every log sync (the
+	// paper's methodology: the real log on a ramdisk); it is gone when the
+	// process is, and DB.Crash cuts its power. A regular file at LogPath —
+	// the single-file log of earlier versions — is refused (the error
+	// matches logdev's ErrFormat) and left untouched.
 	LogPath string
 	// SegmentSize is the size of the fixed segments the log's
 	// append-only stream is spread over. 0 adopts the size a reopened
@@ -201,7 +204,9 @@ type Options struct {
 	// returns the home partition index (taken modulo LogPartitions).
 	// Must be pure and goroutine-safe. Nil uses the page space.
 	RoutePartition func(txnID uint64, space uint32) int
-	// Device is the simulated device class for in-memory logs.
+	// Device is the simulated device class for in-memory logs: its
+	// response time is paid by every log sync, on top of the in-memory
+	// filesystem's own. A file-backed log ignores it.
 	Device DeviceProfile
 	// Buffer selects the log-buffer algorithm. The zero value is
 	// BufferBaseline, the single-mutex buffer; the paper's pick is
@@ -270,7 +275,15 @@ func (o Options) fsOrOS() vfs.FS {
 
 // DB is an open database.
 type DB struct {
-	opts    Options
+	opts Options
+	// fs and root are where the log lanes and the database file live:
+	// Options.LogPath on the real (or injected) filesystem, or a
+	// directory of mem.
+	fs   vfs.FS
+	root string
+	// mem is an in-memory database's own filesystem, which Crash cuts
+	// the power to; nil when LogPath is set.
+	mem     *vfs.FaultFS
 	lanes   []lane // the log: one per partition, one in all when unpartitioned
 	archive storage.Archive
 	eng     *txn.Engine
@@ -285,22 +298,36 @@ func Open(opts Options) (*DB, error) {
 	if opts.RemoteStore != nil && opts.ArchiveDir != "" {
 		return nil, errors.New("aether: Options.RemoteStore and Options.ArchiveDir are mutually exclusive (one cold store per log)")
 	}
-	n := max(opts.LogPartitions, 1)
-	fs := opts.fsOrOS()
-	if opts.LogPath != "" {
-		if err := logdev.CheckLaneLayout(fs, opts.LogPath, n); err != nil {
-			return nil, err
-		}
+	db := &DB{opts: opts, fs: opts.fsOrOS(), root: opts.LogPath}
+	if opts.LogPath == "" {
+		// An in-memory database is the same engine, files and all, on an
+		// in-memory filesystem of its own.
+		db.mem = vfs.NewFaultFS(1)
+		db.fs, db.root = db.mem, "/db"
 	}
-	db := &DB{opts: opts}
-	// fail releases the descriptors a failed open acquired, or a caller
-	// retrying Open on a damaged database leaks them every attempt.
-	fail := func(err error) (*DB, error) {
-		db.closeFiles()
+	if err := db.open(); err != nil {
 		return nil, err
 	}
+	return db, nil
+}
+
+// open opens the lanes, the database file and the cold store under
+// db.root and starts the engine over them through recovery: Open's body,
+// and the restart after Crash.
+func (db *DB) open() error {
+	n := max(db.opts.LogPartitions, 1)
+	if err := logdev.CheckLaneLayout(db.fs, db.root, n); err != nil {
+		return err
+	}
+	db.lanes, db.archive = nil, nil
+	// fail releases the descriptors a failed open acquired, or a caller
+	// retrying Open on a damaged database leaks them every attempt.
+	fail := func(err error) error {
+		db.closeFiles()
+		return err
+	}
 	for i := 0; i < n; i++ {
-		l, err := openLane(opts, fs, i, n)
+		l, err := db.openLane(i, n)
 		if err != nil {
 			return fail(err)
 		}
@@ -308,20 +335,15 @@ func Open(opts Options) (*DB, error) {
 	}
 	// One database file whatever the lane count: pages are
 	// lane-agnostic — only the log is sharded. Page images must survive
-	// the process for every file-backed log: checkpoints remove archived
-	// pages from the DPT and recycle the log behind them, so a reopen's
-	// redo pass will not rebuild them from the log — the database file is
-	// their only copy.
-	if opts.LogPath == "" {
-		db.archive = storage.NewMemArchive()
-	} else {
-		pf, err := storage.OpenPageFileFS(fs, filepath.Join(opts.LogPath, "pagefile.db"))
-		if err != nil {
-			return fail(err)
-		}
-		db.archive = pf
+	// the process: checkpoints remove archived pages from the DPT and
+	// recycle the log behind them, so a reopen's redo pass will not
+	// rebuild them from the log — the database file is their only copy.
+	pf, err := storage.OpenPageFileFS(db.fs, filepath.Join(db.root, "pagefile.db"))
+	if err != nil {
+		return fail(err)
 	}
-	cold, err := openColdStore(opts, fs)
+	db.archive = pf
+	cold, err := openColdStore(db.opts, db.opts.fsOrOS())
 	if err != nil {
 		return fail(err)
 	}
@@ -332,20 +354,12 @@ func Open(opts Options) (*DB, error) {
 			}
 		}
 	}
-	if err := db.start(); err != nil {
-		return fail(err)
-	}
-	return db, nil
-}
-
-// start builds the engine over the device via the recovery path (a
-// fresh device just recovers an empty log).
-func (db *DB) start() error {
+	// The engine starts through recovery (a fresh log recovers empty).
 	devs := make([]logdev.Device, len(db.lanes))
 	for i, l := range db.lanes {
 		devs[i] = l.seg
 	}
-	eng, _, err := txn.Restart(txn.RestartConfig{
+	db.eng, _, err = txn.Restart(txn.RestartConfig{
 		Devices:        devs,
 		RoutePartition: db.opts.RoutePartition,
 		Archive:        db.archive,
@@ -363,9 +377,8 @@ func (db *DB) start() error {
 		Retention:            db.retentionConfig(),
 	})
 	if err != nil {
-		return err
+		return fail(err)
 	}
-	db.eng = eng
 	return nil
 }
 
@@ -440,26 +453,25 @@ func (db *DB) RebuildAfterRecovery() error {
 func (db *DB) Checkpoint() error { return db.eng.Checkpoint() }
 
 // Crash simulates power loss on an in-memory database and reopens it
-// with full ARIES recovery: every unflushed log byte is lost, committed
-// transactions survive, in-flight ones roll back. Tables are re-created
-// and indexes rebuilt automatically. File-backed databases (LogPath set)
-// return an error (kill the process instead — that is the real crash
-// test).
+// with full ARIES recovery: every byte the log or the database file had
+// not fsynced is lost, committed transactions survive, in-flight ones
+// roll back. Tables are re-created and indexes rebuilt automatically.
+// File-backed databases (LogPath set) return an error (kill the process
+// instead — that is the real crash test).
 func (db *DB) Crash() error {
-	if db.opts.LogPath != "" {
+	if db.mem == nil {
 		return errors.New("aether: Crash is only supported for in-memory databases")
 	}
-	// Freeze every lane before stopping the engine: power loss cuts all
-	// the logs at once, each at its own durable watermark.
-	for _, l := range db.lanes {
-		l.seg.CrashFreeze()
-	}
+	// Cut the power before stopping the engine: every lane stops at its
+	// own durable watermark at once, and the dying daemons' writes fail
+	// instead of extending it. Then the machine comes back up and the
+	// database opens the way Open opens it.
+	db.mem.PowerCut()
 	db.eng.Close()
 	db.eng.Multi().Close()
-	for _, l := range db.lanes {
-		l.seg.Remount()
-	}
-	if err := db.start(); err != nil {
+	db.closeFiles()
+	db.mem.Recover()
+	if err := db.open(); err != nil {
 		return fmt.Errorf("aether: recovery failed: %w", err)
 	}
 	names := db.tables
@@ -480,10 +492,10 @@ type Stats struct {
 	LogBytes   int64
 	LogFlushes int64
 	// LogFsyncs counts the fsyncs the log device(s) actually issued for
-	// those flushes: one per flush in steady state on a segmented log
-	// (the segment file, carrying data and durable watermark together),
-	// plus the earlier segment's and the directory's when a flush crosses
-	// into a new segment. 0 for in-memory devices.
+	// those flushes: one per flush in steady state (the segment file,
+	// carrying data and durable watermark together), plus the earlier
+	// segment's and the directory's when a flush crosses into a new
+	// segment — on an in-memory database's filesystem as on a disk.
 	LogFsyncs   int64
 	Checkpoints int64
 	// LogTruncations counts checkpoint-driven truncations that advanced
@@ -492,8 +504,8 @@ type Stats struct {
 	// LogTruncatedBytes counts logical log bytes released behind the
 	// horizon (bounded-log progress).
 	LogTruncatedBytes int64
-	// LogSegmentsRecycled counts whole segments recycled (deleted files
-	// or released memory regions).
+	// LogSegmentsRecycled counts whole segments recycled: segment files
+	// deleted, on disk or on an in-memory database's filesystem.
 	LogSegmentsRecycled int64
 	// LogSegmentsArchived counts dead segments shipped to the cold store
 	// (Options.ArchiveDir or RemoteStore) before their slots were

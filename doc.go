@@ -41,8 +41,9 @@
 //
 // The log lives on a segmented device: the append-only stream is spread
 // over fixed-size segments (Options.SegmentSize, 8 MiB by default) —
-// files in the directory Options.LogPath names, or in-memory regions —
-// and every Checkpoint recycles the segments behind the release horizon
+// files in the directory Options.LogPath names, or, for an in-memory
+// database, the same files on an in-memory filesystem of its own — and
+// every Checkpoint recycles the segments behind the release horizon
 //
 //	release = min(checkpoint begin, oldest active-txn first LSN,
 //	              oldest dirty-page recLSN)

@@ -121,8 +121,9 @@ func (r *Rig) Close() {
 }
 
 // NewRig opens an empty database the way every other assembly does,
-// through txn.Restart: one memory-backed log device per lane, a memory
-// page archive, and the lock manager with speculative lock inheritance.
+// through txn.Restart: one log device per lane and a database file, each
+// on an in-memory filesystem, and the lock manager with speculative lock
+// inheritance.
 func NewRig(cfg EngineConfig) (*Rig, error) {
 	bd := &metrics.Breakdown{}
 	devs := make([]logdev.Device, max(cfg.Lanes, 1))

@@ -11,6 +11,7 @@ import (
 	"aether/internal/logbuf"
 	"aether/internal/logdev"
 	"aether/internal/txn"
+	"aether/internal/vfs"
 )
 
 // PartitionConfig parameterizes the partition-scaling microbenchmark:
@@ -157,15 +158,30 @@ func RunPartitions(cfg PartitionConfig) (PartitionResult, error) {
 	return res, nil
 }
 
+// openPartitionLogs opens parts log devices in lane directories of fs,
+// each paying profile p's response time.
+func openPartitionLogs(fs vfs.FS, parts int, p logdev.Profile) ([]logdev.Device, error) {
+	devs := make([]logdev.Device, parts)
+	for i := range devs {
+		seg, err := logdev.OpenSegmentedDirFS(fs, logdev.LaneDir("/log", i, parts), logdev.DefaultSegmentSize)
+		if err != nil {
+			return nil, err
+		}
+		seg.SetProfile(p)
+		devs[i] = seg
+	}
+	return devs, nil
+}
+
 // runPartitionSide measures one configuration: parts simulated devices
-// under a full transaction engine, Workers concurrent commit streams.
+// on an in-memory filesystem under a full transaction engine, Workers
+// concurrent commit streams.
 func runPartitionSide(cfg PartitionConfig, parts int) (PartitionRun, error) {
 	run := PartitionRun{Partitions: parts, Workers: cfg.Workers}
-	devs := make([]logdev.Device, parts)
-	mems := make([]*logdev.Segmented, parts)
-	for i := range devs {
-		mems[i] = logdev.NewMem(cfg.Device)
-		devs[i] = mems[i]
+	fs := vfs.NewFaultFS(1)
+	devs, err := openPartitionLogs(fs, parts, cfg.Device)
+	if err != nil {
+		return run, err
 	}
 	rc := txn.RestartConfig{
 		LogConfig: core.Config{
@@ -267,13 +283,15 @@ func runPartitionSide(cfg PartitionConfig, parts int) (PartitionRun, error) {
 	// missing (ErrDependencyViolated). A run that commits at partitioned
 	// speed but violates dependency order must fail here, not pass on
 	// throughput alone.
-	for _, m := range mems {
-		m.CrashFreeze()
-	}
+	fs.PowerCut()
 	eng.Close()
 	ml.Close()
-	for _, m := range mems {
-		m.Remount()
+	for _, d := range devs {
+		d.Close()
+	}
+	fs.Recover()
+	if rc.Devices, err = openPartitionLogs(fs, parts, logdev.ProfileMemory); err != nil {
+		return run, fmt.Errorf("reopen after crash: %w", err)
 	}
 	eng2, _, err := txn.Restart(rc)
 	if err != nil {

@@ -764,6 +764,12 @@ func (lm *LogManager) flushOnce() {
 			lm.fail(fmt.Errorf("core: device sync: %w", err))
 			return
 		}
+		if lm.Failed() != nil {
+			// A failed log stays failed: a later fsync that succeeds
+			// says nothing of the bytes an earlier one failed to
+			// persist, so the durable horizon never moves again.
+			return
+		}
 		lm.durable.AdvanceTo(end)
 		lm.stats.Flushes.Inc()
 		lm.stats.FlushBytes.Add(int64(pendingBytes))

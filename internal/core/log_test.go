@@ -13,7 +13,21 @@ import (
 	"aether/internal/logdev"
 	"aether/internal/logrec"
 	"aether/internal/lsn"
+	"aether/internal/vfs"
 )
+
+// faultDev opens a log device on an in-memory filesystem whose faults
+// and power cuts the test controls.
+func faultDev(t *testing.T) (*logdev.Segmented, *vfs.FaultFS) {
+	t.Helper()
+	fs := vfs.NewFaultFS(1)
+	dev, err := logdev.OpenSegmentedDirFS(fs, "/log", logdev.DefaultSegmentSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dev.Close() })
+	return dev, fs
+}
 
 func newTestLM(t *testing.T, variant logbuf.Variant, dev logdev.Device) *LogManager {
 	t.Helper()
@@ -207,7 +221,7 @@ func TestGroupCommitBatches(t *testing.T) {
 }
 
 func TestDeviceFailurePropagates(t *testing.T) {
-	dev := logdev.NewMem(logdev.ProfileMemory)
+	dev, fs := faultDev(t)
 	lm := newTestLM(t, logbuf.VariantBaseline, dev)
 	ap := lm.NewAppender()
 	_, end, err := ap.Append(logrec.NewCommit(1, lsn.Undefined))
@@ -218,7 +232,7 @@ func TestDeviceFailurePropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("media gone")
-	dev.FailWith(boom)
+	fs.AddRule(vfs.Rule{Err: boom})
 	_, end2, err := ap.Append(logrec.NewCommit(2, lsn.Undefined))
 	if err != nil {
 		t.Fatal(err)
@@ -229,6 +243,41 @@ func TestDeviceFailurePropagates(t *testing.T) {
 	// Subsequent subscriptions fail immediately.
 	if err := lm.WaitDurable(end2.Add(10)); !errors.Is(err, boom) {
 		t.Fatalf("poisoned log accepted a waiter: %v", err)
+	}
+}
+
+// TestFailedSyncIsNeverRetried: after one failed fsync the log stays
+// failed even though the device's next fsync would succeed — a later
+// fsync says nothing of the bytes the failed one did not persist — so no
+// later commit is acknowledged and the durable horizon stays put.
+func TestFailedSyncIsNeverRetried(t *testing.T) {
+	dev, fs := faultDev(t)
+	lm := newTestLM(t, logbuf.VariantBaseline, dev)
+	ap := lm.NewAppender()
+	boom := errors.New("fsync: I/O error")
+	fs.AddRule(vfs.Rule{Op: vfs.OpSync, Times: 1, Err: boom})
+	_, end, err := ap.Append(logrec.NewCommit(1, lsn.Undefined))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lm.WaitDurable(end); !errors.Is(err, boom) {
+		t.Fatalf("commit over the failed fsync: %v, want the fsync error", err)
+	}
+	durable := lm.Durable()
+	var last lsn.LSN
+	for id := uint64(2); id < 5; id++ {
+		if _, last, err = ap.Append(logrec.NewCommit(id, lsn.Undefined)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The device's next fsync succeeds: wait until it has taken them.
+	lm.Flush()
+	waitFor(t, time.Second, func() bool { return dev.DurableSize() >= int64(last) })
+	if err := lm.WaitDurable(last); !errors.Is(err, boom) {
+		t.Fatalf("commit after the failed fsync: %v, want the fsync error", err)
+	}
+	if got := lm.Durable(); got != durable {
+		t.Fatalf("durable horizon moved from %v to %v after a failed fsync", durable, got)
 	}
 }
 

@@ -50,11 +50,10 @@ func mlUpdate(page uint64) *logrec.Record {
 // clamped by a dependency edge on the dead log must fail with an error,
 // not wait forever for a durable horizon that can never advance.
 func TestMultiLogDeadPartitionPoisonsDependents(t *testing.T) {
-	mems := []*logdev.Segmented{
-		logdev.NewMem(logdev.ProfileMemory),
-		logdev.NewMem(logdev.ProfileMemory),
-	}
-	ml := newTestMulti(t, []logdev.Device{mems[0], mems[1]})
+	// Partition 0 has a filesystem of its own, so its power can be cut
+	// while partition 1 keeps running.
+	dev0, fs0 := faultDev(t)
+	ml := newTestMulti(t, []logdev.Device{dev0, logdev.NewMem(logdev.ProfileMemory)})
 
 	// Page 42's first update lands on partition 0 and is left buffered
 	// (triggers are disarmed), so partition 1's conflicting update below
@@ -72,7 +71,7 @@ func TestMultiLogDeadPartitionPoisonsDependents(t *testing.T) {
 
 	// Partition 0's device dies before its buffered record hardens; its
 	// next flush attempt poisons partition 0.
-	mems[0].CrashFreeze()
+	fs0.PowerCut()
 	ml.Part(0).Flush()
 	waitFor(t, time.Second, func() bool { return ml.Part(0).Failed() != nil })
 

@@ -1,16 +1,18 @@
 // Package logdev models the stable storage the log is flushed to.
 //
 // There is one log device, Segmented: an append-only byte stream spread
-// over fixed-size segments, with two backends. The memory backend
-// (NewSegmentedMem, NewMem) reproduces the paper's ELR evaluation
-// methodology (§3.2) — log-device response times of 0 (ramdisk), 100µs
-// (flash), 1ms (fast disk) and 10ms (slow disk) imposed on a ramdisk with
-// high-resolution timers — and simulates crashes. The directory backend
-// (OpenSegmentedDir) keeps each segment as a file, created at its full
-// size (header plus segment) so that no commit's fsync grows it, whose
-// CRC'd watermark slots — not its length — record where the durable
-// bytes end: the device that outlives the process, doing all its I/O
-// through vfs. Both truncate, recycle and archive the same way.
+// over fixed-size segments in a directory on a vfs.FS. Each segment is a
+// file, created at its full size (header plus segment) so that no
+// commit's fsync grows it, whose CRC'd watermark slots — not its length —
+// record where the durable bytes end; a MANIFEST holds the segment size
+// and the truncation horizon. On the real filesystem (OpenSegmentedDir)
+// the device outlives the process. On an in-memory one (NewMem, or
+// OpenSegmentedDirFS over a vfs.FaultFS) it reproduces the paper's ELR
+// evaluation methodology (§3.2): the real log on a ramdisk, with
+// log-device response times of 0 (ramdisk), 100µs (flash), 1ms (fast
+// disk) and 10ms (slow disk) imposed by a Profile on every Sync. A crash
+// is a power cut of that filesystem followed by a reopen; the device
+// itself has no crash mode.
 //
 // A device is an append-only byte stream with an explicit durability
 // barrier: bytes become durable only when Sync returns. The flush daemon is
@@ -23,6 +25,7 @@ import (
 	"time"
 
 	"aether/internal/metrics"
+	"aether/internal/vfs"
 )
 
 // Device is what the log manager asks of its log volume: Segmented's
@@ -66,9 +69,17 @@ type Device interface {
 // NewMem and of a new database log that names none.
 const DefaultSegmentSize = 8 << 20
 
-// NewMem returns an empty in-memory device with the given latency
-// profile and DefaultSegmentSize segments.
-func NewMem(p Profile) *Segmented { return NewSegmentedMem(p, DefaultSegmentSize) }
+// NewMem returns an empty device with DefaultSegmentSize segments and
+// the given latency profile, in a directory of an in-memory filesystem
+// of its own: the segmented directory engine over a ramdisk.
+func NewMem(p Profile) *Segmented {
+	s, err := OpenSegmentedDirFS(vfs.NewFaultFS(1), "/log", DefaultSegmentSize)
+	if err != nil {
+		panic("logdev: in-memory device: " + err.Error()) // a fresh FaultFS cannot refuse it
+	}
+	s.SetProfile(p)
+	return s
+}
 
 // Stats counts device operations. Figures 4 and 5 use Syncs to show group
 // commit batching (fewer, larger I/Os as load grows).
@@ -77,10 +88,10 @@ type Stats struct {
 	Appends metrics.Counter
 	// Syncs counts completed Sync calls (durability barriers).
 	Syncs metrics.Counter
-	// Fsyncs counts the fsyncs the directory backend actually issued to
-	// honor them: every segment-file and segment-directory fsync (one per
-	// Sync in steady state; more when a batch spans or creates segments,
-	// or Open repairs a torn tail). The memory backend issues none.
+	// Fsyncs counts the fsyncs the device actually issued to honor them:
+	// every segment-file and segment-directory fsync (one per Sync in
+	// steady state; more when a batch spans or creates segments, or Open
+	// repairs a torn tail), on an in-memory filesystem as on a disk.
 	Fsyncs metrics.Counter
 	// BytesWritten counts bytes accepted by Append.
 	BytesWritten metrics.Counter
@@ -128,6 +139,3 @@ func (p Profile) simulateSync(pending int64) {
 		}
 	}
 }
-
-// ErrCrashed is returned by a frozen (crashed, not yet remounted) device.
-var ErrCrashed = errors.New("logdev: device crashed")

@@ -2,10 +2,46 @@ package logdev
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 	"time"
+
+	"aether/internal/vfs"
 )
+
+// memDev is a device on an in-memory filesystem of its own, as NewMem
+// builds one, with its filesystem at hand for power cuts and fault rules.
+type memDev struct {
+	*Segmented
+	fs *vfs.FaultFS
+}
+
+func newMemDev(t *testing.T, p Profile, segSize int64) *memDev {
+	t.Helper()
+	fs := vfs.NewFaultFS(1)
+	s, err := OpenSegmentedDirFS(fs, "/log", segSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetProfile(p)
+	return &memDev{Segmented: s, fs: fs}
+}
+
+// crash cuts the power under the device and reopens it from what the
+// filesystem kept, the way a restart would.
+func (m *memDev) crash(t *testing.T) {
+	t.Helper()
+	m.fs.PowerCut()
+	m.Close()
+	m.fs.Recover()
+	s, err := OpenSegmentedDirFS(m.fs, "/log", 0)
+	if err != nil {
+		t.Fatalf("reopen after power cut: %v", err)
+	}
+	s.SetProfile(m.profile)
+	m.Segmented = s
+}
 
 func TestMemAppendSyncDurable(t *testing.T) {
 	m := NewMem(ProfileMemory)
@@ -34,13 +70,13 @@ func TestMemAppendSyncDurable(t *testing.T) {
 }
 
 func TestMemCrashDropsUnsynced(t *testing.T) {
-	m := NewMem(ProfileMemory)
+	m := newMemDev(t, ProfileMemory, DefaultSegmentSize)
 	m.Append([]byte("durable."))
 	if err := m.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	m.Append([]byte("volatile"))
-	m.Crash()
+	m.crash(t)
 	buf, _, err := ReadTail(m)
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +84,7 @@ func TestMemCrashDropsUnsynced(t *testing.T) {
 	if string(buf) != "durable." {
 		t.Fatalf("after crash: %q", buf)
 	}
-	// Device stays usable after the crash (restart semantics).
+	// The reopened device appends where the durable log ended.
 	m.Append([]byte("again"))
 	if err := m.Sync(); err != nil {
 		t.Fatal(err)
@@ -110,19 +146,27 @@ func TestMemBandwidthThrottle(t *testing.T) {
 	}
 }
 
+// TestMemFailureInjection: an I/O error the filesystem returns reaches
+// the device's caller, and the device works again once the fault clears.
 func TestMemFailureInjection(t *testing.T) {
-	m := NewMem(ProfileMemory)
+	m := newMemDev(t, ProfileMemory, 64)
 	boom := errors.New("boom")
-	m.FailWith(boom)
+	m.fs.AddRule(vfs.Rule{Op: vfs.OpWrite, Err: boom})
 	if _, err := m.Append([]byte("x")); !errors.Is(err, boom) {
 		t.Fatalf("append: got %v", err)
 	}
+	m.fs.ClearRules()
+	if _, err := m.Append([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	m.fs.AddRule(vfs.Rule{Op: vfs.OpSync, Err: boom})
 	if err := m.Sync(); !errors.Is(err, boom) {
 		t.Fatalf("sync: got %v", err)
 	}
-	m.FailWith(nil)
-	if _, err := m.Append([]byte("x")); err != nil {
-		t.Fatalf("after clearing: %v", err)
+	m.fs.ClearRules()
+	appendSync(t, m, []byte("y"))
+	if got := m.DurableSize(); got != 2 {
+		t.Fatalf("durable after clearing = %d, want 1", got)
 	}
 }
 
@@ -161,5 +205,28 @@ func TestProfilesOrdering(t *testing.T) {
 	}
 	if ProfileSlowDisk.SyncLatency != 10*time.Millisecond {
 		t.Fatal("slow disk latency wrong")
+	}
+}
+
+// BenchmarkMemAppendSync is one flush group through an in-memory device:
+// Append, then Sync with its watermark read-back, slot write and fsync on
+// the in-memory filesystem. 220 B is one TPC-B transaction's log, 14 KiB
+// a pipelined group.
+func BenchmarkMemAppendSync(b *testing.B) {
+	for _, size := range []int{220, 14 << 10} {
+		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
+			m := NewMem(ProfileMemory)
+			defer m.Close()
+			p := make([]byte, size)
+			b.SetBytes(int64(size))
+			for i := 0; i < b.N; i++ {
+				if _, err := m.Append(p); err != nil {
+					b.Fatal(err)
+				}
+				if err := m.Sync(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -184,7 +184,7 @@ func TestRemoteArchiverFaults(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			store := NewMemObjectStore()
-			s := NewSegmentedMem(ProfileMemory, 64)
+			s := newMemDev(t, ProfileMemory, 64)
 			defer s.Close()
 			ra := newArchiver(t, store)
 			s.SetArchiver(ra)

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"aether/internal/metrics"
 	"aether/internal/vfs"
 )
 
@@ -50,72 +49,44 @@ type SegmentInfo struct {
 	Start, End int64
 }
 
-// segment is one fixed-size region of the logical log stream.
-type segment interface {
-	// writeAt writes p at off within the segment.
-	writeAt(p []byte, off int64) error
-	// readAt fills p from off within the segment; anything never written
-	// reads as zeros.
-	readAt(p []byte, off int64) error
-	// sync makes the segment's written bytes durable.
-	sync() error
-	// harden is sync plus the durable watermark: it makes the segment's
-	// bytes durable together with a record that the log is durable
-	// through logical offset durable, the last batch having added
-	// [from, durable) to this segment — one fsync for both.
-	harden(from, durable int64) error
-	// trim zeroes the bytes at and beyond n, leaving the segment its full
-	// size (torn-tail repair, crash simulation).
-	trim(n int64) error
-	close() error
-}
-
-// segBackend creates, persists and recycles segments.
-type segBackend interface {
-	// create returns a new segment idx, its full size from birth.
-	create(idx int64) (segment, error)
-	// remove recycles segment idx permanently.
-	remove(idx int64, seg segment) error
-	// setBase durably records the truncation horizon. It is called
-	// before any removal, so a crash can never leave the recorded base
-	// below a recycled segment.
-	setBase(base int64) error
-	// syncMeta makes segment creations durable (directory fsync);
-	// called by Sync before durability is acknowledged whenever new
-	// segments were opened since the last sync.
-	syncMeta() error
-}
-
 // Segmented is an append-only log device that spreads the logical byte
 // stream over fixed-size segments with a monotonic base offset. Whole
-// segments behind the truncation horizon are recycled (deleted files /
-// released memory), bounding the log's footprint the way LogBase-style
+// segments behind the truncation horizon are recycled (their files
+// deleted), bounding the log's footprint the way LogBase-style
 // log recycling does, while LSNs remain stable addresses: logical offsets
 // never restart.
 //
-// It is the one log device, with two backends. The memory backend
-// (NewSegmentedMem) imposes a Profile's response times on every Sync and
-// simulates crashes (Crash, CrashFreeze, Remount); the directory backend
-// (OpenSegmentedDir) stores each segment as its own file plus a MANIFEST
-// recording the segment size and horizon.
+// It is the one log device: a directory on a vfs.FS holding each segment
+// as its own file plus a MANIFEST recording the segment size and
+// horizon. On a real filesystem it outlives the process; on an in-memory
+// one (NewMem) it is the ramdisk of the paper's methodology, and a power
+// cut of that filesystem is its crash. Either way it may carry a Profile
+// whose response time every Sync pays on top of its own I/O.
 type Segmented struct {
 	profile Profile
 	segSize int64
-	backend segBackend
+	// fs and dir hold the segments, each dir/<index>.seg — a header
+	// carrying the durable watermark (segheader.go), then segSize bytes
+	// of log space, allocated when the file is created — and the
+	// MANIFEST (format version, segment size, truncation horizon).
+	fs  vfs.FS
+	dir string
 
 	// syncMu serializes Sync calls: each writes the header slot the
-	// previous one did not, through the backend's shared scratch space.
-	syncMu sync.Mutex
+	// previous one did not, through crcBuf and slotBuf, harden's scratch
+	// space, one of each for every segment.
+	syncMu  sync.Mutex
+	crcBuf  []byte
+	slotBuf [wmSlotSize]byte
 
 	mu      sync.Mutex
-	segs    map[int64]segment
-	pending map[int64]segment // dead segments awaiting archive-then-recycle
-	base    int64             // truncation horizon: first valid logical offset
-	size    int64             // logical append end (monotonic across truncation)
+	segs    map[int64]*fileSegment
+	pending map[int64]*fileSegment // dead segments awaiting archive-then-recycle
+	base    int64                  // truncation horizon: first valid logical offset
+	size    int64                  // logical append end (monotonic across truncation)
 	durable int64
 	newSegs bool // segments created since the last completed Sync
 	closed  bool
-	failErr error
 
 	archiver *RemoteArchiver // the cold store; nil: dead segments are recycled immediately
 	archMu   sync.Mutex      // serializes ArchivePending passes
@@ -136,117 +107,53 @@ type Segmented struct {
 
 var _ Device = (*Segmented)(nil)
 
-// memSegBackend keeps segments as heap buffers.
-type memSegBackend struct{ segSize int64 }
-
-type memSegment struct{ buf []byte }
-
-func (b *memSegBackend) create(int64) (segment, error) {
-	return &memSegment{buf: make([]byte, b.segSize)}, nil
-}
-func (b *memSegBackend) remove(int64, segment) error { return nil }
-func (b *memSegBackend) setBase(int64) error         { return nil }
-func (b *memSegBackend) syncMeta() error             { return nil }
-
-func (s *memSegment) writeAt(p []byte, off int64) error {
-	copy(s.buf[off:], p)
-	return nil
-}
-func (s *memSegment) readAt(p []byte, off int64) error {
-	copy(p, s.buf[off:])
-	return nil
-}
-func (s *memSegment) sync() error               { return nil }
-func (s *memSegment) harden(int64, int64) error { return nil }
-func (s *memSegment) trim(n int64) error {
-	tail := s.buf[n:]
-	for i := range tail {
-		tail[i] = 0
-	}
-	return nil
-}
-func (s *memSegment) close() error { return nil }
-
-// NewSegmentedMem returns an empty in-memory segmented device with the
-// given latency profile and segment size.
-func NewSegmentedMem(p Profile, segSize int64) *Segmented {
-	if segSize <= 0 {
-		panic("logdev: segment size must be positive")
-	}
-	return &Segmented{
-		profile: p,
-		segSize: segSize,
-		backend: &memSegBackend{segSize: segSize},
-		segs:    make(map[int64]segment),
-		pending: make(map[int64]segment),
-		lowRead: math.MaxInt64,
-	}
-}
-
-// dirSegBackend stores each segment as dir/<index>.seg — a header
-// carrying the durable watermark (segheader.go), then segSize bytes of
-// log space, allocated when the file is created — plus a MANIFEST
-// (format version, segment size, truncation horizon).
-type dirSegBackend struct {
-	fs      vfs.FS
-	dir     string
-	segSize int64
-	ro      bool // diagnostic open: never write or unlink anything
-	// fsyncs counts every segment-file and directory fsync issued
-	// (Stats.Fsyncs).
-	fsyncs *metrics.Counter
-	// crcBuf and slotBuf are harden's scratch space; Sync calls are
-	// serialized, so one of each serves every segment.
-	crcBuf  []byte
-	slotBuf [wmSlotSize]byte
-}
-
 // fileSegment is one segment file. Data offset 0 is file offset
 // SegmentHeaderSize: the header never shows through this type.
 type fileSegment struct {
 	f     vfs.File
-	b     *dirSegBackend
+	s     *Segmented
 	start int64 // logical offset of the segment's first log byte
 	// next is the header slot the next harden overwrites — never the
 	// one holding the newest acknowledged watermark.
 	next int
 }
 
-func (b *dirSegBackend) segPath(idx int64) string {
-	return filepath.Join(b.dir, fmt.Sprintf("%016d.seg", idx))
+func (s *Segmented) segPath(idx int64) string {
+	return filepath.Join(s.dir, fmt.Sprintf("%016d.seg", idx))
 }
 
-func (b *dirSegBackend) open(idx int64, flags int) (*fileSegment, error) {
-	f, err := b.fs.OpenFile(b.segPath(idx), flags, 0o644)
+func (s *Segmented) openSeg(idx int64, flags int) (*fileSegment, error) {
+	f, err := s.fs.OpenFile(s.segPath(idx), flags, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("logdev: open segment: %w", err)
 	}
-	return &fileSegment{f: f, b: b, start: idx * b.segSize}, nil
+	return &fileSegment{f: f, s: s, start: idx * s.segSize}, nil
 }
 
-// create makes segment idx at its full size, header plus segSize zero
-// bytes, as a memory segment is. The segment's first harden fsync
+// createSeg makes segment idx at its full size, header plus segSize zero
+// bytes. The segment's first harden fsync
 // persists that length and no later one changes it, so a commit's fsync
 // carries no file-size change (on ext4 that made a lone commit's fsync
 // about a third cheaper). The file's length then no longer says where
 // its log bytes end; the watermark alone does (openSegmentedDir).
-func (b *dirSegBackend) create(idx int64) (segment, error) {
-	seg, err := b.open(idx, os.O_RDWR|os.O_CREATE)
+func (s *Segmented) createSeg(idx int64) (*fileSegment, error) {
+	seg, err := s.openSeg(idx, os.O_RDWR|os.O_CREATE)
 	if err != nil {
 		return nil, err
 	}
-	if err := seg.f.Truncate(SegmentHeaderSize + b.segSize); err != nil {
+	if err := seg.f.Truncate(SegmentHeaderSize + s.segSize); err != nil {
 		seg.f.Close()
 		return nil, fmt.Errorf("logdev: size segment: %w", err)
 	}
 	return seg, nil
 }
 
-func (b *dirSegBackend) remove(idx int64, seg segment) error {
-	if err := seg.close(); err != nil {
+// removeSeg recycles segment idx permanently.
+func (s *Segmented) removeSeg(idx int64, seg *fileSegment) error {
+	if err := seg.f.Close(); err != nil {
 		return err
 	}
-	return b.fs.Remove(b.segPath(idx))
+	return s.fs.Remove(s.segPath(idx))
 }
 
 // manifestName holds the directory's format version, the segment size
@@ -269,13 +176,10 @@ const manifestFormat = 3
 // log encoding this version does not read.
 var ErrFormat = errors.New("logdev: unsupported segment directory format")
 
-func (b *dirSegBackend) setBase(base int64) error {
-	return writeManifest(b.fs, b.dir, b.segSize, base)
-}
-
-func (b *dirSegBackend) syncMeta() error {
-	b.fsyncs.Inc()
-	return b.fs.SyncDir(b.dir)
+// syncDir makes segment creations and removals durable.
+func (s *Segmented) syncDir() error {
+	s.stats.Fsyncs.Inc()
+	return s.fs.SyncDir(s.dir)
 }
 
 func writeManifest(fs vfs.FS, dir string, segSize, base int64) error {
@@ -357,22 +261,25 @@ func (s *fileSegment) readAt(p []byte, off int64) error {
 	return err
 }
 
+// sync makes the segment's written bytes durable.
 func (s *fileSegment) sync() error {
-	s.b.fsyncs.Inc()
+	s.s.stats.Fsyncs.Inc()
 	return s.f.Sync()
 }
 
-// harden writes the watermark slot for [from, durable) and fsyncs the
-// file once. The CRC is taken from the file itself (the page cache, at
+// harden makes the segment's bytes durable together with a record that
+// the log is durable through logical offset durable, the last batch having
+// added [from, durable) to this segment: it writes the watermark slot and
+// fsyncs the file once. The CRC is taken from the file itself (the page cache, at
 // this point), so it describes exactly the bytes the fsync is about to
 // persist and needs no state kept in step with Append across failed
 // Syncs.
 func (s *fileSegment) harden(from, durable int64) error {
-	crc, err := crcRange(s.f, SegmentHeaderSize+from-s.start, durable-from, s.b.crcBuf)
+	crc, err := crcRange(s.f, SegmentHeaderSize+from-s.start, durable-from, s.s.crcBuf)
 	if err != nil {
 		return fmt.Errorf("logdev: read back batch for watermark: %w", err)
 	}
-	slot := s.b.slotBuf[:]
+	slot := s.s.slotBuf[:]
 	wmSlot{Durable: durable, From: from, DataCRC: crc}.encode(slot)
 	if _, err := s.f.WriteAt(slot, int64(s.next)*wmSlotStride); err != nil {
 		return fmt.Errorf("logdev: write watermark: %w", err)
@@ -387,13 +294,14 @@ func (s *fileSegment) harden(from, durable int64) error {
 	return nil
 }
 
+// trim zeroes the bytes at and beyond n, leaving the segment its full
+// size (torn-tail repair).
 func (s *fileSegment) trim(n int64) error {
 	if err := s.f.Truncate(SegmentHeaderSize + n); err != nil {
 		return err
 	}
-	return s.f.Truncate(SegmentHeaderSize + s.b.segSize)
+	return s.f.Truncate(SegmentHeaderSize + s.s.segSize)
 }
-func (s *fileSegment) close() error { return s.f.Close() }
 
 // tailBlock is how far past the watermark a reopen looks for a torn
 // tail: a clean reopen reads this much and writes nothing.
@@ -403,7 +311,7 @@ const tailBlock = 4096
 // from, reading no further than end: 0 when the block at from reads as
 // zeros (allocated space nothing wrote), else the distance from from to
 // the last non-zero byte. buf is scratch of at least tailBlock bytes.
-func tornBytes(seg segment, from, end int64, buf []byte) (int64, error) {
+func tornBytes(seg *fileSegment, from, end int64, buf []byte) (int64, error) {
 	if from >= end {
 		return 0, nil
 	}
@@ -509,19 +417,16 @@ func openSegmentedDir(fs vfs.FS, dir string, segSize int64, ro bool) (*Segmented
 	if err != nil {
 		return nil, fmt.Errorf("logdev: read %s: %w", dir, err)
 	}
-	backend := &dirSegBackend{fs: fs, dir: dir, segSize: segSize, ro: ro, crcBuf: make([]byte, 64<<10)}
 	s := &Segmented{
 		segSize:  segSize,
-		backend:  backend,
-		segs:     make(map[int64]segment),
-		pending:  make(map[int64]segment),
+		fs:       fs,
+		dir:      dir,
+		crcBuf:   make([]byte, 64<<10),
+		segs:     make(map[int64]*fileSegment),
+		pending:  make(map[int64]*fileSegment),
 		base:     mbase,
 		lowRead:  math.MaxInt64,
 		readOnly: ro,
-	}
-	backend.fsyncs = &s.stats.Fsyncs
-	if ro {
-		s.failErr = ErrReadOnly
 	}
 	fail := func(err error) (*Segmented, error) {
 		s.closeSegmentsLocked()
@@ -554,7 +459,7 @@ func openSegmentedDir(fs vfs.FS, dir string, segSize int64, ro bool) (*Segmented
 		if dataLen > segSize {
 			return fail(fmt.Errorf("logdev: segment %s holds %d log bytes, more than the segment size %d", name, dataLen, segSize))
 		}
-		seg, oerr := backend.open(idx, flags)
+		seg, oerr := s.openSeg(idx, flags)
 		if oerr != nil {
 			return fail(oerr)
 		}
@@ -582,9 +487,8 @@ func openSegmentedDir(fs vfs.FS, dir string, segSize int64, ro bool) (*Segmented
 	var admitted *fileSegment
 	admittedSlot := -1
 	var reports []SegmentSlots // kept for SlotReports by read-only opens
-	for idx, seg := range s.segs {
-		fseg := seg.(*fileSegment)
-		rep, herr := inspectHeader(fseg.f, idx, segSize, sizes[idx], backend.crcBuf)
+	for idx, fseg := range s.segs {
+		rep, herr := inspectHeader(fseg.f, idx, segSize, sizes[idx], s.crcBuf)
 		if herr != nil {
 			return fail(herr)
 		}
@@ -633,7 +537,7 @@ func openSegmentedDir(fs vfs.FS, dir string, segSize int64, ro bool) (*Segmented
 		if segStart+segSize <= wmVal {
 			continue
 		}
-		torn, terr := tornBytes(seg, max(wmVal-segStart, 0), sizes[idx], backend.crcBuf)
+		torn, terr := tornBytes(seg, max(wmVal-segStart, 0), sizes[idx], s.crcBuf)
 		if terr != nil {
 			return fail(fmt.Errorf("logdev: read past the watermark in segment %d: %w", idx, terr))
 		}
@@ -643,11 +547,11 @@ func openSegmentedDir(fs vfs.FS, dir string, segSize int64, ro bool) (*Segmented
 			if ro {
 				// Leave the crash evidence on disk; just stop serving
 				// the torn segment.
-				seg.close()
+				seg.f.Close()
 				delete(s.segs, idx)
 				continue
 			}
-			if err := backend.remove(idx, seg); err != nil {
+			if err := s.removeSeg(idx, seg); err != nil {
 				return fail(fmt.Errorf("logdev: discard torn segment %d: %w", idx, err))
 			}
 			delete(s.segs, idx)
@@ -663,7 +567,7 @@ func openSegmentedDir(fs vfs.FS, dir string, segSize int64, ro bool) (*Segmented
 		}
 	}
 	if removed {
-		if err := backend.syncMeta(); err != nil {
+		if err := s.syncDir(); err != nil {
 			return fail(err)
 		}
 	}
@@ -684,15 +588,17 @@ func openSegmentedDir(fs vfs.FS, dir string, segSize int64, ro bool) (*Segmented
 		// A tail file only as long as its data (written before segments
 		// were born full-size) gets its full size now, so no commit's
 		// fsync grows it; the next harden's fsync persists the length.
-		if err := s.segs[tail].(*fileSegment).f.Truncate(SegmentHeaderSize + segSize); err != nil {
+		if err := s.segs[tail].f.Truncate(SegmentHeaderSize + segSize); err != nil {
 			return fail(fmt.Errorf("logdev: size tail segment %d: %w", tail, err))
 		}
 	}
 	return s, nil
 }
 
-// Profile returns the device's latency profile (zero for directories).
-func (s *Segmented) Profile() Profile { return s.profile }
+// SetProfile makes every later Sync pay p's response time before its own
+// I/O: the paper's device classes imposed on whatever filesystem the
+// device sits on. Set it before the device is shared.
+func (s *Segmented) SetProfile(p Profile) { s.profile = p }
 
 // SegmentSize returns the fixed segment size.
 func (s *Segmented) SegmentSize() int64 { return s.segSize }
@@ -740,16 +646,25 @@ func (s *Segmented) LowestRead() int64 {
 	return s.lowRead
 }
 
+// writable returns why the device refuses writes — closed, or opened
+// read-only — or nil. Caller holds s.mu.
+func (s *Segmented) writable() error {
+	if s.closed {
+		return ErrClosed
+	}
+	if s.readOnly {
+		return ErrReadOnly
+	}
+	return nil
+}
+
 // Append implements Device, splitting the write across segment
 // boundaries and creating segments on demand.
 func (s *Segmented) Append(p []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return 0, ErrClosed
-	}
-	if s.failErr != nil {
-		return 0, s.failErr
+	if err := s.writable(); err != nil {
+		return 0, err
 	}
 	written := 0
 	for len(p) > 0 {
@@ -757,7 +672,7 @@ func (s *Segmented) Append(p []byte) (int, error) {
 		segOff := s.size % s.segSize
 		seg := s.segs[idx]
 		if seg == nil {
-			sg, err := s.backend.create(idx)
+			sg, err := s.createSeg(idx)
 			if err != nil {
 				return written, err
 			}
@@ -793,19 +708,14 @@ func (s *Segmented) Sync() error {
 	s.syncMu.Lock()
 	defer s.syncMu.Unlock()
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	if s.failErr != nil {
-		err := s.failErr
+	if err := s.writable(); err != nil {
 		s.mu.Unlock()
 		return err
 	}
 	from, target := s.durable, s.size
 	newSegs := s.newSegs
 	s.newSegs = false
-	var dirtyBuf [4]segment
+	var dirtyBuf [4]*fileSegment
 	dirty := dirtyBuf[:0]
 	if target > from {
 		for idx := from / s.segSize; idx*s.segSize < target; idx++ {
@@ -832,14 +742,6 @@ func (s *Segmented) Sync() error {
 	if s.closed {
 		return ErrClosed
 	}
-	if s.failErr != nil {
-		return s.failErr
-	}
-	if target > s.size {
-		// A crash raced the sync and trimmed the device; only what
-		// survived can be durable.
-		target = s.size
-	}
 	if target > s.durable {
 		s.durable = target
 	}
@@ -849,17 +751,13 @@ func (s *Segmented) Sync() error {
 }
 
 // hardenBatch makes the batch [from, target), held by the segments in
-// dirty (in order; nil where a simulated crash removed one), durable in
-// the order Sync's comment gives.
-func (s *Segmented) hardenBatch(dirty []segment, newSegs bool, from, target int64) error {
-	var last segment
+// dirty (in order), durable in the order Sync's comment gives.
+func (s *Segmented) hardenBatch(dirty []*fileSegment, newSegs bool, from, target int64) error {
+	var last *fileSegment
 	if n := len(dirty); n > 0 {
 		dirty, last = dirty[:n-1], dirty[n-1]
 	}
 	for _, seg := range dirty {
-		if seg == nil {
-			continue
-		}
 		if err := seg.sync(); err != nil {
 			return err
 		}
@@ -868,7 +766,7 @@ func (s *Segmented) hardenBatch(dirty []segment, newSegs bool, from, target int6
 		// New segment files' directory entries must be durable before
 		// the bytes inside them are acknowledged: fsync of a file does
 		// not persist its dentry.
-		if err := s.backend.syncMeta(); err != nil {
+		if err := s.syncDir(); err != nil {
 			return err
 		}
 	}
@@ -990,12 +888,7 @@ func (s *Segmented) readLocked(p []byte, off int64) (int, error) {
 // a truncating checkpoint.
 func (s *Segmented) Truncate(before int64) error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	if s.failErr != nil {
-		err := s.failErr
+	if err := s.writable(); err != nil {
 		s.mu.Unlock()
 		return err
 	}
@@ -1014,7 +907,7 @@ func (s *Segmented) Truncate(before int64) error {
 		}
 	}
 	var dead []int64
-	deadSegs := make(map[int64]segment)
+	deadSegs := make(map[int64]*fileSegment)
 	for idx, seg := range s.segs {
 		if (idx+1)*s.segSize <= before && idx != maxIdx {
 			dead = append(dead, idx)
@@ -1030,14 +923,14 @@ func (s *Segmented) Truncate(before int64) error {
 	// horizon, not at wherever a segment boundary last fell. Truncate is
 	// called once per checkpoint; the manifest's two fsyncs are on no
 	// commit's path.
-	if err := s.backend.setBase(before); err != nil {
+	if err := writeManifest(s.fs, s.dir, s.segSize, before); err != nil {
 		return err
 	}
 	recycled := dead[:0]
 	var ioErr error
 	if !archiving {
 		for _, idx := range dead {
-			if err := s.backend.remove(idx, deadSegs[idx]); err != nil {
+			if err := s.removeSeg(idx, deadSegs[idx]); err != nil {
 				// The horizon stays put, so a retry at the same horizon
 				// re-enters and picks up the remaining dead segments.
 				ioErr = err
@@ -1108,18 +1001,14 @@ func (s *Segmented) ArchivePending() (int, error) {
 // archivePendingLocked is ArchivePending's body; caller holds s.archMu.
 func (s *Segmented) archivePendingLocked() (int, error) {
 	s.mu.Lock()
-	if s.closed {
+	if err := s.writable(); err != nil {
 		s.mu.Unlock()
-		return 0, ErrClosed
-	}
-	if s.readOnly {
-		s.mu.Unlock()
-		return 0, ErrReadOnly
+		return 0, err
 	}
 	arch := s.archiver
 	segSize := s.segSize
 	idxs := make([]int64, 0, len(s.pending))
-	pend := make(map[int64]segment, len(s.pending))
+	pend := make(map[int64]*fileSegment, len(s.pending))
 	for idx, seg := range s.pending {
 		idxs = append(idxs, idx)
 		pend[idx] = seg
@@ -1142,7 +1031,7 @@ func (s *Segmented) archivePendingLocked() (int, error) {
 				return archived, err
 			}
 		}
-		if err := s.backend.remove(idx, seg); err != nil {
+		if err := s.removeSeg(idx, seg); err != nil {
 			return archived, err
 		}
 		s.mu.Lock()
@@ -1202,85 +1091,14 @@ func (s *Segmented) RepairedTailBytes() int64 {
 	return s.repairedTail
 }
 
-// trimToDurableLocked discards everything beyond the durable horizon —
-// the simulated power loss. Caller holds s.mu.
-func (s *Segmented) trimToDurableLocked() error {
-	for idx, seg := range s.segs {
-		segStart := idx * s.segSize
-		switch {
-		case segStart >= s.durable:
-			if err := s.backend.remove(idx, seg); err != nil {
-				return err
-			}
-			delete(s.segs, idx)
-		case segStart+s.segSize > s.durable:
-			if err := seg.trim(s.durable - segStart); err != nil {
-				return err
-			}
-		}
-	}
-	s.size = s.durable
-	return nil
-}
-
-// memOnly panics unless the device uses the memory backend: crash
-// simulation on a real directory would silently destroy durable state.
-func (s *Segmented) memOnly(op string) {
-	if _, ok := s.backend.(*memSegBackend); !ok {
-		panic("logdev: " + op + " is only supported on memory-backed segmented devices")
-	}
-}
-
-// Crash simulates power loss: every byte not covered by a completed Sync
-// vanishes. The device remains usable (as if remounted at restart).
-// Memory backend only.
-func (s *Segmented) Crash() {
-	s.memOnly("Crash")
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_ = s.trimToDurableLocked()
-}
-
-// CrashFreeze simulates power loss with the host still wired up: unsynced
-// bytes vanish and every subsequent write fails with ErrCrashed until
-// Remount. Tests use it to stop a still-running flush daemon from
-// extending the durable log past the crash point. Memory backend only.
-func (s *Segmented) CrashFreeze() {
-	s.memOnly("CrashFreeze")
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_ = s.trimToDurableLocked()
-	s.failErr = ErrCrashed
-}
-
-// Remount brings a frozen device back online (the restart).
-func (s *Segmented) Remount() {
-	s.memOnly("Remount")
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if errors.Is(s.failErr, ErrCrashed) {
-		s.failErr = nil
-	}
-	_ = s.trimToDurableLocked()
-}
-
-// FailWith injects err into every subsequent Append/Sync/Truncate until
-// cleared with FailWith(nil). Tests use it to exercise the flush daemon's
-// error path.
-func (s *Segmented) FailWith(err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.failErr = err
-}
-
 // closeSegmentsLocked closes every open segment, live and pending.
 // Caller holds s.mu (or has exclusive access during construction).
 func (s *Segmented) closeSegmentsLocked() {
 	for _, seg := range s.segs {
-		seg.close()
+		seg.f.Close()
 	}
 	for _, seg := range s.pending {
-		seg.close()
+		seg.f.Close()
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"aether/internal/vfs"
 )
 
 // fill returns n bytes of a repeating pattern seeded by b.
@@ -31,7 +33,7 @@ func appendSync(t *testing.T, dev Device, p []byte) {
 
 func TestSegmentedAppendReadAcrossBoundaries(t *testing.T) {
 	for name, open := range map[string]func(t *testing.T) Device{
-		"mem": func(t *testing.T) Device { return NewSegmentedMem(ProfileMemory, 64) },
+		"mem": func(t *testing.T) Device { return newMemDev(t, ProfileMemory, 64) },
 		"dir": func(t *testing.T) Device {
 			s, err := OpenSegmentedDir(t.TempDir(), 64)
 			if err != nil {
@@ -160,17 +162,18 @@ func TestSegmentedDirReopenAfterTruncate(t *testing.T) {
 }
 
 func TestSegmentedMemCrashDropsUnsynced(t *testing.T) {
-	s := NewSegmentedMem(ProfileMemory, 64)
-	defer s.Close()
+	s := newMemDev(t, ProfileMemory, 64)
+	defer func() { s.Close() }()
 	appendSync(t, s, fill(100, 'd'))
 	if _, err := s.Append(fill(100, 'u')); err != nil { // unsynced
 		t.Fatal(err)
 	}
-	s.CrashFreeze()
-	if _, err := s.Append([]byte("x")); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("Append on frozen device: %v", err)
+	s.fs.PowerCut()
+	if _, err := s.Append([]byte("x")); !errors.Is(err, vfs.ErrPowerCut) {
+		t.Fatalf("Append after the power cut: %v", err)
 	}
-	s.Remount()
+	s.fs.Recover()
+	s.crash(t)
 	if got := s.DurableSize(); got != 100 {
 		t.Fatalf("DurableSize after crash = %d, want 100", got)
 	}
@@ -220,8 +223,8 @@ func TestSegmentedTruncateKeepsNewestSegment(t *testing.T) {
 // durable without paying for a sync: a crash right after Sync returned
 // must only preserve what was appended before the call.
 func TestMemSyncDoesNotPublishMidSyncAppends(t *testing.T) {
-	m := NewMem(Profile{Name: "slow", SyncLatency: 50 * time.Millisecond})
-	defer m.Close()
+	m := newMemDev(t, Profile{Name: "slow", SyncLatency: 50 * time.Millisecond}, DefaultSegmentSize)
+	defer func() { m.Close() }()
 	if _, err := m.Append(fill(100, 'a')); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +240,7 @@ func TestMemSyncDoesNotPublishMidSyncAppends(t *testing.T) {
 	if got := m.DurableSize(); got != 100 {
 		t.Fatalf("DurableSize after mid-sync append = %d, want 100 (mid-sync bytes must not be durable)", got)
 	}
-	m.Crash()
+	m.crash(t)
 	if _, err := m.ReadAt(make([]byte, 1), 100); err != io.EOF {
 		t.Fatalf("mid-sync append survived the crash: %v", err)
 	}
@@ -255,7 +258,7 @@ func TestMemSyncDoesNotPublishMidSyncAppends(t *testing.T) {
 
 // Same contract for the segmented device.
 func TestSegmentedSyncDoesNotPublishMidSyncAppends(t *testing.T) {
-	s := NewSegmentedMem(Profile{Name: "slow", SyncLatency: 50 * time.Millisecond}, 64)
+	s := newMemDev(t, Profile{Name: "slow", SyncLatency: 50 * time.Millisecond}, 64)
 	defer s.Close()
 	if _, err := s.Append(fill(100, 'a')); err != nil {
 		t.Fatal(err)

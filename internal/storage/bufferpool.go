@@ -211,8 +211,8 @@ func (s *Store) fault(pid uint64, create bool) (*Page, error) {
 // read-ahead alike. found is false (and p still the empty page) if the
 // backend holds no image. The checks run in this order, all before the
 // caller installs the frame: the backend's own validation of what it
-// read (the PageFile: slot identity, version floor, CRC; MemArchive: the
-// image's length), then the WAL-horizon check.
+// read (the PageFile's slot identity, version floor and CRC), then the
+// WAL-horizon check.
 func (s *Store) loadFrame(pid uint64, p *Page) (found bool, err error) {
 	if s.backend == nil {
 		return false, nil

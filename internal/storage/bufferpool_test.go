@@ -51,11 +51,11 @@ func (l *seqLog) log(pageID uint64, up logrec.UpdatePayload) (lsn.LSN, lsn.LSN, 
 	return l.next, l.next + 1, nil
 }
 
-// walCheckingArchive wraps MemArchive and fails the test if a page image
+// walCheckingArchive wraps an in-memory PageFile and fails the test if a page image
 // lands in the archive before the log covering it is durable — the WAL
 // rule the steal path must uphold.
 type walCheckingArchive struct {
-	*MemArchive
+	*PageFile
 	wal *fakeWAL
 	t   *testing.T
 }
@@ -69,7 +69,7 @@ func (a *walCheckingArchive) check(pid uint64, img []byte) {
 // WriteBatch checks every image the steal, cleaner and sweep paths hand
 // over, as it is handed over.
 func (a *walCheckingArchive) WriteBatch(pids []uint64, fill func(i int, dst []byte) bool) error {
-	return a.MemArchive.WriteBatch(pids, func(i int, dst []byte) bool {
+	return a.PageFile.WriteBatch(pids, func(i int, dst []byte) bool {
 		if !fill(i, dst) {
 			return false
 		}
@@ -78,12 +78,12 @@ func (a *walCheckingArchive) WriteBatch(pids []uint64, fill func(i int, dst []by
 	})
 }
 
-// poolHarness builds a bounded store over a WAL-checked MemArchive with
+// poolHarness builds a bounded store over a WAL-checked in-memory PageFile with
 // one heap on it.
 func poolHarness(t *testing.T, budget int64) (*Store, *HeapFile, *walCheckingArchive, *fakeWAL, *seqLog) {
 	t.Helper()
 	wal := &fakeWAL{}
-	arch := &walCheckingArchive{MemArchive: NewMemArchive(), wal: wal, t: t}
+	arch := &walCheckingArchive{PageFile: NewMemArchive(), wal: wal, t: t}
 	st := NewStore()
 	if err := st.SetBackend(arch); err != nil {
 		t.Fatal(err)
@@ -246,7 +246,9 @@ func TestBufferPoolFaultRejectsImageBeyondDurable(t *testing.T) {
 	pid := MakePageID(1, 1)
 	img := NewPage(pid)
 	img.SetLSN(100)
-	arch.pages[pid] = img.Snapshot()
+	if err := arch.Put(pid, img.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
 	st := NewStore()
 	if err := st.SetBackend(arch); err != nil {
 		t.Fatal(err)
@@ -269,9 +271,11 @@ func TestBufferPoolFaultRejectsImageBeyondDurable(t *testing.T) {
 // fault loudly and installs nothing; it is never read as a page, nor
 // taken for a page that does not exist.
 func TestBufferPoolFaultRejectsShortImage(t *testing.T) {
-	arch := NewMemArchive()
+	arch := shortImageArchive{NewMemArchive()}
 	pid := MakePageID(1, 1)
-	arch.pages[pid] = NewPage(pid).Snapshot()[:PageSize/2]
+	if err := arch.Put(pid, NewPage(pid).Snapshot()); err != nil {
+		t.Fatal(err)
+	}
 	st := NewStore()
 	if err := st.SetBackend(arch); err != nil {
 		t.Fatal(err)
@@ -284,6 +288,17 @@ func TestBufferPoolFaultRejectsShortImage(t *testing.T) {
 	if cs := st.CacheStats(); cs.Resident != 0 || cs.Misses != 0 || len(st.PageIDs()) != 0 {
 		t.Fatalf("failed fault installed a frame: %+v, resident pages %v", cs, st.PageIDs())
 	}
+}
+
+// shortImageArchive serves every stored image cut to half its length.
+type shortImageArchive struct{ *PageFile }
+
+func (a shortImageArchive) ReadPage(pid uint64, p *Page) (bool, error) {
+	img, err := a.Get(pid)
+	if err != nil {
+		return false, err
+	}
+	return true, p.LoadSnapshot(img[:PageSize/2])
 }
 
 func TestBufferPoolConcurrentPaging(t *testing.T) {

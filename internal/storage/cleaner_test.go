@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// countingArchive wraps MemArchive counting image writes per page, with
+// countingArchive wraps an in-memory PageFile counting image writes per page, with
 // an optional one-shot gate that parks the next write-back call *after*
 // its images have landed — the "cleaner wrote, but has not marked clean /
 // released the page yet" window the writeback-latch protocol is about.
@@ -13,7 +13,7 @@ import (
 // WriteBatch, so the gate is one-shot: the caller the test aimed at
 // parks, and whoever comes next (a steal racing a parked cleaner) passes.
 type countingArchive struct {
-	*MemArchive
+	*PageFile
 	mu   sync.Mutex
 	puts map[uint64]int
 
@@ -25,10 +25,10 @@ type countingArchive struct {
 
 func newCountingArchive() *countingArchive {
 	return &countingArchive{
-		MemArchive: NewMemArchive(),
-		puts:       make(map[uint64]int),
-		entered:    make(chan struct{}, 1),
-		release:    make(chan struct{}),
+		PageFile: NewMemArchive(),
+		puts:     make(map[uint64]int),
+		entered:  make(chan struct{}, 1),
+		release:  make(chan struct{}),
 	}
 }
 
@@ -45,7 +45,7 @@ func (a *countingArchive) putsFor(pid uint64) int {
 }
 
 func (a *countingArchive) WriteBatch(pids []uint64, fill func(i int, dst []byte) bool) error {
-	err := a.MemArchive.WriteBatch(pids, func(i int, dst []byte) bool {
+	err := a.PageFile.WriteBatch(pids, func(i int, dst []byte) bool {
 		if !fill(i, dst) {
 			return false
 		}

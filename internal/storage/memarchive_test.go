@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// The in-memory archive takes the same batched write-back path as the
-// PageFile: one WriteBatch installs every image fill accepts, and later
-// mutation of the caller's buffers must not leak into the archive.
+// The in-memory archive is a PageFile on an in-memory filesystem: one
+// WriteBatch installs every image fill accepts, and later mutation of the
+// caller's buffers must not leak into the archive.
 func TestMemArchivePutBatch(t *testing.T) {
 	a := NewMemArchive()
 	imgs := [][]byte{pfTestImage(1, 0x01), pfTestImage(2, 0x02), pfTestImage(3, 0x03)}

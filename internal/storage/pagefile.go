@@ -245,6 +245,17 @@ func OpenPageFile(path string) (*PageFile, error) {
 	return OpenPageFileFS(vfs.OS{}, path)
 }
 
+// NewMemArchive returns an empty database file on an in-memory
+// filesystem of its own: the archive of an in-memory engine, which writes
+// and fsyncs exactly as a file-backed one does.
+func NewMemArchive() *PageFile {
+	pf, err := OpenPageFileFS(vfs.NewFaultFS(1), "/pagefile.db")
+	if err != nil {
+		panic("storage: in-memory database file: " + err.Error()) // a fresh FaultFS cannot refuse it
+	}
+	return pf
+}
+
 // OpenPageFileFS is OpenPageFile over an arbitrary filesystem — the
 // fault-injection entry point.
 func OpenPageFileFS(fs vfs.FS, path string) (*PageFile, error) {

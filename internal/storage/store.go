@@ -244,9 +244,9 @@ func (s *Store) PageIDs() []uint64 {
 func sortPageIDs(ids []uint64) { slices.Sort(ids) }
 
 // Archive is the buffer pool's backing home for page images: the
-// database file (PageFile), or MemArchive, its in-memory twin for
-// in-memory databases and tests. Writing a page to the archive must
-// respect the WAL rule: the caller checks pageLSN ≤ durable LSN, under
+// database file (PageFile), on disk or, for in-memory databases and
+// tests, on an in-memory filesystem (NewMemArchive). Writing a page to
+// the archive must respect the WAL rule: the caller checks pageLSN ≤ durable LSN, under
 // the latch it copies the image under, before handing the image over.
 type Archive interface {
 	// WriteBatch is the one entry point of every write-back path — the
@@ -289,81 +289,6 @@ type Archive interface {
 	// Close releases the archive's resources.
 	Close() error
 }
-
-// MemArchive is an in-memory Archive (a simulated database file that
-// survives our simulated crashes).
-type MemArchive struct {
-	mu    sync.Mutex
-	pages map[uint64][]byte
-}
-
-// NewMemArchive returns an empty archive.
-func NewMemArchive() *MemArchive {
-	return &MemArchive{pages: make(map[uint64][]byte)}
-}
-
-// WriteBatch implements Archive. Each accepted page is filled into the
-// buffer the archive then keeps; memory writes cannot half-fail, so there
-// is no batch to roll back. fill runs without the archive's lock held.
-func (a *MemArchive) WriteBatch(pids []uint64, fill func(i int, dst []byte) bool) error {
-	for i, pid := range pids {
-		img := make([]byte, PageSize)
-		if !fill(i, img) {
-			continue
-		}
-		a.mu.Lock()
-		a.pages[pid] = img
-		a.mu.Unlock()
-	}
-	return nil
-}
-
-// ReadPage implements Archive by loading the stored image into p. The
-// length is checked before any header field is touched, so an image of
-// the wrong size fails the fault loudly instead of installing a page
-// built from it. A stored image is never written again (WriteBatch
-// replaces it), so it is copied outside the lock.
-func (a *MemArchive) ReadPage(pid uint64, p *Page) (found bool, err error) {
-	a.mu.Lock()
-	img, ok := a.pages[pid]
-	a.mu.Unlock()
-	if !ok {
-		return false, nil
-	}
-	return true, p.LoadSnapshot(img)
-}
-
-// Contains implements Archive.
-func (a *MemArchive) Contains(pid uint64) bool {
-	a.mu.Lock()
-	_, ok := a.pages[pid]
-	a.mu.Unlock()
-	return ok
-}
-
-// Pages implements Archive.
-func (a *MemArchive) Pages() ([]uint64, error) {
-	a.mu.Lock()
-	out := make([]uint64, 0, len(a.pages))
-	for pid := range a.pages {
-		out = append(out, pid)
-	}
-	a.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
-}
-
-// Fsyncs implements Archive: memory issues none.
-func (a *MemArchive) Fsyncs() int64 { return 0 }
-
-// ReadRetries implements Archive: reads take the lock, so none retry.
-func (a *MemArchive) ReadRetries() int64 { return 0 }
-
-// Close implements Archive. The pages stay: they are the database file
-// a simulated crash leaves behind.
-func (a *MemArchive) Close() error { return nil }
-
-var _ Archive = (*MemArchive)(nil)
 
 // PageImage is one page bound for the archive.
 type PageImage struct {

@@ -56,10 +56,9 @@ func (d *stallDev) stall() (release func()) {
 	}
 }
 
-// nullDev is an in-memory log device that keeps nothing: a memory-backed
-// device allocates a whole segment each time the log crosses into a new
-// one, a byte per byte logged, which would drown an allocation budget
-// measured in bytes.
+// nullDev is an in-memory log device that keeps nothing: an in-memory
+// device's filesystem allocates the bytes it is written, a byte per byte
+// logged, which would drown an allocation budget measured in bytes.
 type nullDev struct{ *logdev.Segmented }
 
 func (nullDev) Append(p []byte) (int, error) { return len(p), nil }

@@ -27,7 +27,7 @@ func TestArchiverBackoffSurvivesTransientOutage(t *testing.T) {
 		archBackoffMin, archBackoffMax, archMaxRetries = oldMin, oldMax, oldRetries
 	}()
 
-	dev := logdev.NewSegmentedMem(logdev.ProfileMemory, 8<<10)
+	dev, _ := memLog(t, 8<<10)
 	store := logdev.NewMemObjectStore()
 	marc, err := logdev.NewRemoteArchiver(store, "", 8<<10)
 	if err != nil {
@@ -133,7 +133,7 @@ func TestArchiverBackoffGivesUpOnPermanentFailure(t *testing.T) {
 		archBackoffMin, archBackoffMax, archMaxRetries = oldMin, oldMax, oldRetries
 	}()
 
-	dev := logdev.NewSegmentedMem(logdev.ProfileMemory, 8<<10)
+	dev, _ := memLog(t, 8<<10)
 	store := logdev.NewMemObjectStore()
 	marc, err := logdev.NewRemoteArchiver(store, "", 8<<10)
 	if err != nil {

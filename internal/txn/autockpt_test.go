@@ -16,7 +16,7 @@ import (
 // background incremental checkpointer armed and a real PageFile archive.
 func newAutoHarness(t *testing.T, everyBytes int64) (*Engine, *logdev.Segmented, *storage.PageFile) {
 	t.Helper()
-	dev := logdev.NewSegmentedMem(logdev.ProfileMemory, 16<<10)
+	dev, _ := memLog(t, 16<<10)
 	pf, err := storage.OpenPageFile(filepath.Join(t.TempDir(), "pagefile.db"))
 	if err != nil {
 		t.Fatal(err)

@@ -77,10 +77,9 @@ func restartCleaned(t *testing.T, dev *logdev.Segmented, arch storage.Archive, c
 // and reproduce every committed row exactly.
 func TestCleanerCrashBeforeMarkClean(t *testing.T) {
 	const cachePages = 4
-	dev := logdev.NewMem(logdev.ProfileMemory)
-	mem := storage.NewMemArchive()
-	arch := newGatedArchive(mem)
-	eng, _ := restartCleaned(t, dev, arch, cachePages, cachePages/2)
+	m := newFiles(t)
+	arch := newGatedArchive(m.arch)
+	eng, _ := restartCleaned(t, m.devs[0], arch, cachePages, cachePages/2)
 
 	tbl, err := eng.CreateTable("t", nil)
 	if err != nil {
@@ -132,14 +131,13 @@ func TestCleanerCrashBeforeMarkClean(t *testing.T) {
 	}
 
 	// Power loss NOW: cleaner wrote, never marked clean, never released.
-	dev.CrashFreeze()
+	m.fs.PowerCut()
 	close(arch.release) // let the parked goroutine drain so Close returns
 	eng.Close()
 	eng.Log().Close()
-	dev.Remount()
+	m.powerCut(t)
 
-	arch.gated.Store(false)
-	eng2, _ := restartCleaned(t, dev, arch, cachePages, cachePages/2)
+	eng2, _ := restartCleaned(t, m.devs[0], m.arch, cachePages, cachePages/2)
 	tbl2, err := eng2.CreateTable("t", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -174,9 +172,8 @@ func TestCleanerCrashBeforeMarkClean(t *testing.T) {
 // reproduce every committed value, within the same cache budget.
 func TestCleanerCrashRecoveryIdempotent(t *testing.T) {
 	const cachePages = 4
-	dev := logdev.NewMem(logdev.ProfileMemory)
-	arch := storage.NewMemArchive()
-	eng, _ := restartCleaned(t, dev, arch, cachePages, cachePages/2)
+	m := newFiles(t)
+	eng, _ := restartCleaned(t, m.devs[0], m.arch, cachePages, cachePages/2)
 
 	tbl, err := eng.CreateTable("t", nil)
 	if err != nil {
@@ -219,12 +216,12 @@ func TestCleanerCrashRecoveryIdempotent(t *testing.T) {
 		t.Skip("cleaner never ran under this scheduler; nothing to crash-test")
 	}
 
-	dev.CrashFreeze()
+	m.fs.PowerCut()
 	eng.Close()
 	eng.Log().Close()
-	dev.Remount()
+	m.powerCut(t)
 
-	eng2, _ := restartCleaned(t, dev, arch, cachePages, 0)
+	eng2, _ := restartCleaned(t, m.devs[0], m.arch, cachePages, 0)
 	tbl2, err := eng2.CreateTable("t", nil)
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@ import (
 	"aether/internal/logdev"
 	"aether/internal/logrec"
 	"aether/internal/lsn"
-	"aether/internal/storage"
+	"aether/internal/vfs"
 )
 
 // restart brings the engine back up over the harness's devices and
@@ -49,13 +49,12 @@ func (h *harness) restart(t *testing.T, tables ...string) (*Engine, map[string]*
 	return eng, out
 }
 
-// crashAndRestart crashes every device and brings the engine back up.
+// crashAndRestart stops the log, cuts the power and brings the engine
+// back up.
 func (h *harness) crashAndRestart(t *testing.T, tables ...string) (*Engine, map[string]*Table) {
 	t.Helper()
 	h.eng.Multi().Close() // stop the daemons; Close may flush already-released bytes
-	for _, d := range h.devs {
-		d.Crash() // drop everything unsynced
-	}
+	h.powerCut(t)         // drop everything unsynced
 	return h.restart(t, tables...)
 }
 
@@ -63,15 +62,11 @@ func (h *harness) crashAndRestart(t *testing.T, tables ...string) (*Engine, map[
 // (Close would drain the buffer — a graceful shutdown, not a crash).
 func (h *harness) hardCrashAndRestart(t *testing.T, tables ...string) (*Engine, map[string]*Table) {
 	t.Helper()
-	// Freeze every device at the crash point: the dying daemons' further
-	// writes fail instead of extending the durable log.
-	for _, d := range h.devs {
-		d.CrashFreeze()
-	}
-	h.eng.Multi().Close() // may report the injected crash error; that's the point
-	for _, d := range h.devs {
-		d.Remount()
-	}
+	// Cut the power at the crash point: the dying daemons' further writes
+	// fail instead of extending the durable log.
+	h.fs.PowerCut()
+	h.eng.Multi().Close() // may report the power cut's error; that's the point
+	h.powerCut(t)
 	return h.restart(t, tables...)
 }
 
@@ -268,9 +263,6 @@ func TestCrashRecoveryAsyncCommitLosesTail(t *testing.T) {
 			t.Fatal("async commit did not ack immediately")
 		}
 		// Crash before any flush: the "committed" row is gone.
-		for _, d := range h.devs {
-			d.Crash()
-		}
 		eng2, tables := h.hardCrashAndRestart(t, "t", "u")
 		ag2 := eng2.NewAgent()
 		defer ag2.Close()
@@ -705,7 +697,8 @@ func TestCrashRecoveryMixedSpliceChain(t *testing.T) {
 			t.Run(cut.name, func(t *testing.T) {
 				// The crashed machine: every other lane whole, the loser's
 				// cut at a record boundary, no page ever written back.
-				hc := &harness{arch: storage.NewMemArchive()}
+				hc := &harness{fs: vfs.NewFaultFS(1)}
+				hc.openFiles(t, len(h.devs))
 				for i, d := range h.devs {
 					img, _, err := logdev.ReadTail(d)
 					if err != nil {
@@ -714,14 +707,12 @@ func TestCrashRecoveryMixedSpliceChain(t *testing.T) {
 					if i == lane {
 						img = img[:cut.at]
 					}
-					dev := logdev.NewMem(logdev.ProfileMemory)
-					if _, err := dev.Append(img); err != nil {
+					if _, err := hc.devs[i].Append(img); err != nil {
 						t.Fatal(err)
 					}
-					if err := dev.Sync(); err != nil {
+					if err := hc.devs[i].Sync(); err != nil {
 						t.Fatal(err)
 					}
-					hc.devs = append(hc.devs, dev)
 				}
 				check := func(eng *Engine, tables map[string]*Table, when string) {
 					t.Helper()

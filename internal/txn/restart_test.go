@@ -135,7 +135,7 @@ func TestRestartScansFromCheckpointHorizon(t *testing.T) {
 // table whose pages hold keys out of page order, which the build has to
 // sort.
 func TestRebuildIndexMatchesHeap(t *testing.T) {
-	dev := logdev.NewMem(logdev.ProfileMemory)
+	dev, fs := memLog(t, logdev.DefaultSegmentSize)
 	eng := newEngineOn(t, dev)
 	names := []string{"ascending", "empty", "shuffled"}
 	tables := make(map[string]*Table)
@@ -175,7 +175,7 @@ func TestRebuildIndexMatchesHeap(t *testing.T) {
 	}
 	ag.Close()
 	eng.Log().Close()
-	dev.Crash()
+	dev = crashLog(t, dev, fs)
 
 	eng2, _, err := Restart(RestartConfig{Device: dev, LogConfig: restartLogConfig, LockConfig: restartLockConfig})
 	if err != nil {

@@ -43,9 +43,8 @@ func restartBounded(t *testing.T, dev *logdev.Segmented, arch storage.Archive, c
 // archive and redo only the log tail above its pageLSN.
 func TestStealCrashRecovery(t *testing.T) {
 	const cachePages = 4
-	dev := logdev.NewMem(logdev.ProfileMemory)
-	arch := storage.NewMemArchive()
-	eng, _ := restartBounded(t, dev, arch, cachePages)
+	m := newFiles(t)
+	eng, _ := restartBounded(t, m.devs[0], m.arch, cachePages)
 
 	tbl, err := eng.CreateTable("t", nil)
 	if err != nil {
@@ -73,7 +72,7 @@ func TestStealCrashRecovery(t *testing.T) {
 	if int64(len(eng.Store().PageIDs())) > cachePages {
 		t.Fatalf("resident %d pages, budget %d", len(eng.Store().PageIDs()), cachePages)
 	}
-	stolen, err := arch.Pages()
+	stolen, err := m.arch.Pages()
 	if err != nil || len(stolen) == 0 {
 		t.Fatalf("no stolen images in the archive: %v", err)
 	}
@@ -82,11 +81,11 @@ func TestStealCrashRecovery(t *testing.T) {
 	}
 
 	// Crash without a graceful shutdown.
-	dev.CrashFreeze()
+	m.fs.PowerCut()
 	eng.Log().Close()
-	dev.Remount()
+	m.powerCut(t)
 
-	eng2, redo := restartBounded(t, dev, arch, cachePages)
+	eng2, redo := restartBounded(t, m.devs[0], m.arch, cachePages)
 	// Redo must skip the updates already captured by the stolen images:
 	// strictly fewer records than the keys inserts that are all in the
 	// durable log (CommitSync), but more than zero (pages still resident
@@ -133,9 +132,8 @@ func TestStealCrashRecovery(t *testing.T) {
 // stolen image's pageLSN, landing on v2.
 func TestStealCrashRecoveryWithUpdates(t *testing.T) {
 	const cachePages = 4
-	dev := logdev.NewMem(logdev.ProfileMemory)
-	arch := storage.NewMemArchive()
-	eng, _ := restartBounded(t, dev, arch, cachePages)
+	m := newFiles(t)
+	eng, _ := restartBounded(t, m.devs[0], m.arch, cachePages)
 
 	tbl, err := eng.CreateTable("t", nil)
 	if err != nil {
@@ -171,11 +169,11 @@ func TestStealCrashRecoveryWithUpdates(t *testing.T) {
 	}
 	ag.Close()
 
-	dev.CrashFreeze()
+	m.fs.PowerCut()
 	eng.Log().Close()
-	dev.Remount()
+	m.powerCut(t)
 
-	eng2, _ := restartBounded(t, dev, arch, cachePages)
+	eng2, _ := restartBounded(t, m.devs[0], m.arch, cachePages)
 	tbl2, err := eng2.CreateTable("t", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -208,9 +206,8 @@ func TestStealCrashRecoveryWithUpdates(t *testing.T) {
 // pool against the fully resident baseline on the same crash image: both
 // must recover the identical database.
 func TestBoundedCacheMatchesUnboundedAfterCrash(t *testing.T) {
-	dev := logdev.NewMem(logdev.ProfileMemory)
-	arch := storage.NewMemArchive()
-	eng, _ := restartBounded(t, dev, arch, 3)
+	m := newFiles(t)
+	eng, _ := restartBounded(t, m.devs[0], m.arch, 3)
 	tbl, _ := eng.CreateTable("t", nil)
 	ag := eng.NewAgent()
 	const keys = 50
@@ -224,9 +221,9 @@ func TestBoundedCacheMatchesUnboundedAfterCrash(t *testing.T) {
 		}
 	}
 	ag.Close()
-	dev.CrashFreeze()
+	m.fs.PowerCut()
 	eng.Log().Close()
-	dev.Remount()
+	m.powerCut(t)
 
 	read := func(eng *Engine) map[uint64]uint64 {
 		tbl, err := eng.CreateTable("t", nil)
@@ -254,12 +251,11 @@ func TestBoundedCacheMatchesUnboundedAfterCrash(t *testing.T) {
 	// Recover bounded first (read-only recovery does not change the
 	// durable image the second recovery starts from: CLRs would, but
 	// this workload has no losers).
-	engBounded, _ := restartBounded(t, dev, arch, 3)
+	engBounded, _ := restartBounded(t, m.devs[0], m.arch, 3)
 	bounded := read(engBounded)
 	engBounded.Log().Close()
-	dev.CrashFreeze()
-	dev.Remount()
-	engFull, _ := restartBounded(t, dev, arch, 0) // unbounded
+	m.powerCut(t)
+	engFull, _ := restartBounded(t, m.devs[0], m.arch, 0) // unbounded
 	full := read(engFull)
 	if fmt.Sprint(bounded) != fmt.Sprint(full) {
 		t.Fatalf("bounded and unbounded recovery disagree:\nbounded:  %v\nunbounded: %v", bounded, full)

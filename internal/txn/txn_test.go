@@ -14,6 +14,7 @@ import (
 	"aether/internal/logbuf"
 	"aether/internal/logdev"
 	"aether/internal/storage"
+	"aether/internal/vfs"
 )
 
 // row encodes a (key, value) pair per the DefaultKeyOf convention.
@@ -26,11 +27,12 @@ func row(key, value uint64) []byte {
 
 func rowValue(b []byte) uint64 { return binary.LittleEndian.Uint64(b[8:16]) }
 
-// harness bundles an engine over crashable memory devices, one per log
-// lane.
+// harness bundles an engine over log lanes and a database file on one
+// in-memory filesystem, whose power the crash tests cut.
 type harness struct {
+	fs   *vfs.FaultFS
 	devs []*logdev.Segmented
-	arch *storage.MemArchive
+	arch *storage.PageFile
 	eng  *Engine
 }
 
@@ -41,11 +43,10 @@ func newHarness(t *testing.T) *harness { return newHarnessN(t, 1, harnessLogConf
 // newHarnessN builds a fresh n-lane engine whose lanes all run lcfg.
 func newHarnessN(t *testing.T, n int, lcfg core.Config) *harness {
 	t.Helper()
-	h := &harness{arch: storage.NewMemArchive()}
+	h := &harness{fs: vfs.NewFaultFS(1)}
+	h.openFiles(t, n)
 	lms := make([]*core.LogManager, n)
-	for i := range lms {
-		dev := logdev.NewMem(logdev.ProfileMemory)
-		h.devs = append(h.devs, dev)
+	for i, dev := range h.devs {
 		lcfg.Device = dev
 		lm, err := core.New(lcfg)
 		if err != nil {
@@ -68,6 +69,76 @@ func newHarnessN(t *testing.T, n int, lcfg core.Config) *harness {
 	}
 	t.Cleanup(func() { h.eng.Multi().Close() })
 	return h
+}
+
+// memLog opens a log device with segSize segments on an in-memory
+// filesystem of its own, returned for fault rules and power cuts.
+func memLog(t *testing.T, segSize int64) (*logdev.Segmented, *vfs.FaultFS) {
+	t.Helper()
+	fs := vfs.NewFaultFS(1)
+	dev, err := logdev.OpenSegmentedDirFS(fs, "/log", segSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dev, fs
+}
+
+// crashLog cuts the power under a memLog device and reopens it from
+// what its filesystem kept.
+func crashLog(t *testing.T, dev *logdev.Segmented, fs *vfs.FaultFS) *logdev.Segmented {
+	t.Helper()
+	fs.PowerCut()
+	dev.Close()
+	fs.Recover()
+	dev, err := logdev.OpenSegmentedDirFS(fs, "/log", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dev
+}
+
+// newFiles opens one log lane and the database file on a fresh
+// in-memory filesystem, for tests that assemble their own engine over
+// them.
+func newFiles(t *testing.T) *harness {
+	t.Helper()
+	h := &harness{fs: vfs.NewFaultFS(1)}
+	h.openFiles(t, 1)
+	return h
+}
+
+// openFiles opens n log lanes and the database file on h.fs: new ones,
+// or what a power cut left of the last ones.
+func (h *harness) openFiles(t *testing.T, n int) {
+	t.Helper()
+	h.devs = nil
+	for i := 0; i < n; i++ {
+		dev, err := logdev.OpenSegmentedDirFS(h.fs, logdev.LaneDir("/db", i, n), logdev.DefaultSegmentSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.devs = append(h.devs, dev)
+	}
+	arch, err := storage.OpenPageFileFS(h.fs, "/db/pagefile.db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.arch = arch
+}
+
+// powerCut cuts the power under every lane and the database file at
+// once, each log at its own durable watermark, and brings the machine
+// back up: the old handles die with the cut, and the files reopen from
+// what the filesystem kept.
+func (h *harness) powerCut(t *testing.T) {
+	t.Helper()
+	h.fs.PowerCut()
+	for _, d := range h.devs {
+		d.Close()
+	}
+	h.arch.Close()
+	h.fs.Recover()
+	h.openFiles(t, len(h.devs))
 }
 
 // forEachLaneCount runs fn as a subtest over one log lane and over

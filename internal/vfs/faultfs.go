@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -124,12 +123,75 @@ const traceCap = 512
 // volatile image (data) that ordinary reads and writes see. Sync
 // promotes data to synced; a power cut reverts data to synced, except
 // that unsynced writes may tear in at sector granularity.
+//
+// Each image holds only the bytes up to the furthest one written (its
+// materialized prefix); the rest of the file's length (size, syncedSize)
+// reads as zeros, so growing a file by Truncate costs no memory — a log
+// segment born at its full size is as long as what was appended to it.
 type fnode struct {
-	synced []byte
-	data   []byte
+	synced     []byte
+	data       []byte
+	size       int64 // the volatile length; data holds at most this many bytes
+	syncedSize int64 // the durable length
 	// unsynced lists the extents written since the last Sync, oldest
-	// first (the tearing candidates); empty after Sync or Truncate.
+	// first: what the next Sync copies into synced. Those from tearFrom
+	// on are the tearing candidates; a Truncate retires the earlier ones
+	// from tearing, not from the next Sync.
 	unsynced []extent
+	tearFrom int
+	// minLen is the shortest data has been since the last Sync. Sync cuts
+	// synced back to it before growing it to data's length, so bytes a
+	// Truncate cut away do not outlive it in the durable image.
+	minLen int
+}
+
+// promote makes the volatile image durable (Sync): synced keeps its
+// bytes below minLen, takes data's beyond it, and takes data's bytes
+// under every extent written since the last Sync — work proportional to
+// what changed, not to the file.
+func (n *fnode) promote() {
+	keep := min(len(n.synced), n.minLen)
+	n.synced = extend(n.synced[:keep], len(n.data), n.size)
+	copy(n.synced[keep:], n.data[keep:])
+	for _, w := range n.unsynced {
+		end := min(w.off+int64(w.len), int64(keep))
+		if w.off < end {
+			copy(n.synced[w.off:end], n.data[w.off:end])
+		}
+	}
+	n.syncedSize = n.size
+	n.unsynced, n.tearFrom = n.unsynced[:0], 0
+	n.minLen = len(n.data)
+}
+
+// extend returns b lengthened to n bytes, the new ones zero, for a file
+// limit bytes long. Capacity doubles, so a file that grows by appends is
+// copied O(1) times per byte; a file already sized (a segment born
+// full-size) up to wholeCap gets its whole length at once, and is never
+// copied to grow.
+func extend(b []byte, n int, limit int64) []byte {
+	if cap(b) < n {
+		c := max(int64(n), 2*int64(cap(b)))
+		if limit <= wholeCap {
+			c = max(c, limit)
+		}
+		b = append(make([]byte, 0, c), b...)
+	}
+	return append(b, make([]byte, n-len(b))...)
+}
+
+// wholeCap is the longest file extend allocates at its full length.
+const wholeCap = 64 << 20
+
+// resize sets the volatile length; growth reads as zeros and the writes
+// before it stop being tearing candidates.
+func (n *fnode) resize(size int64) {
+	if size < int64(len(n.data)) {
+		n.data = n.data[:size]
+	}
+	n.size = size
+	n.minLen = min(n.minLen, len(n.data))
+	n.tearFrom = len(n.unsynced)
 }
 
 // extent is one write's byte range.
@@ -195,7 +257,10 @@ type FaultFS struct {
 	rules []*ruleState
 	ops   map[Op]int64
 
-	trace    []TraceEntry
+	// trace is a ring of the last traceCap operations; traceSeq counts
+	// every operation ever recorded, so entry traceSeq-1 mod traceCap is
+	// the newest.
+	trace    [traceCap]TraceEntry
 	traceSeq uint64
 }
 
@@ -291,9 +356,11 @@ func (f *FaultFS) OpCounts() map[Op]int64 {
 func (f *FaultFS) Trace() []TraceEntry {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]TraceEntry, len(f.trace))
-	copy(out, f.trace)
-	return out
+	if f.traceSeq <= traceCap {
+		return append([]TraceEntry(nil), f.trace[:f.traceSeq]...)
+	}
+	head := f.traceSeq % traceCap
+	return append(append([]TraceEntry(nil), f.trace[head:]...), f.trace[:head]...)
 }
 
 // Cuts reports how many power cuts this FaultFS has suffered.
@@ -345,9 +412,9 @@ func (f *FaultFS) Recover() {
 // revert rolls a file's volatile image back to its synced bytes,
 // tearing unsynced writes in at sector granularity when enabled.
 func (f *FaultFS) revert(path string, n *fnode) {
-	if f.tornWrites && len(n.unsynced) > 0 {
+	if candidates := n.unsynced[n.tearFrom:]; f.tornWrites && len(candidates) > 0 {
 		img := append([]byte(nil), n.synced...)
-		candidates := n.unsynced
+		size := n.syncedSize
 		if f.tearMask == nil {
 			candidates = candidates[len(candidates)-1:]
 		}
@@ -370,33 +437,26 @@ func (f *FaultFS) revert(path string, n *fnode) {
 					continue
 				}
 				off := w.off + int64(s*f.sectorSize)
-				end := off + int64(f.sectorSize)
-				if max := w.off + int64(w.len); end > max {
-					end = max
-				}
+				end := min(off+int64(f.sectorSize), w.off+int64(w.len))
 				if int64(len(img)) < end {
 					img = append(img, make([]byte, end-int64(len(img)))...)
 				}
 				copy(img[off:end], n.data[off:end])
+				size = max(size, end)
 			}
 		}
-		n.synced = img
+		n.synced, n.syncedSize = img, size
 	}
-	n.data = append([]byte(nil), n.synced...)
-	n.unsynced = nil
+	n.data, n.size = append(n.data[:0], n.synced...), n.syncedSize
+	n.unsynced, n.tearFrom = nil, 0
+	n.minLen = len(n.data)
 }
 
 // record appends to the bounded op trace. Caller holds mu.
 func (f *FaultFS) record(op Op, path string, off int64, length int, err error) {
 	f.ops[op]++
+	f.trace[f.traceSeq%traceCap] = TraceEntry{Seq: f.traceSeq + 1, Op: op, Path: path, Off: off, Len: length, Err: err}
 	f.traceSeq++
-	e := TraceEntry{Seq: f.traceSeq, Op: op, Path: path, Off: off, Len: length, Err: err}
-	if len(f.trace) == traceCap {
-		copy(f.trace, f.trace[1:])
-		f.trace[traceCap-1] = e
-	} else {
-		f.trace = append(f.trace, e)
-	}
 }
 
 // check runs the fault rules for one operation. It returns the
@@ -492,12 +552,11 @@ func (f *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (File, error
 		}})
 	}
 	if flag&os.O_TRUNC != 0 {
-		n.data = nil
-		n.unsynced = nil
+		n.resize(0)
 	}
 	h := &faultFile{fs: f, path: name, n: n, gen: f.gen}
 	if flag&os.O_APPEND != 0 {
-		h.off = int64(len(n.data))
+		h.off = n.size
 	}
 	return h, nil
 }
@@ -569,43 +628,6 @@ func (f *FaultFS) removeLocked(name string) error {
 	return patherr(OpRemove, name, os.ErrNotExist)
 }
 
-// RemoveAll implements FS by removing the named tree, deepest entries
-// first. Each unlink is individually volatile until the relevant
-// directory syncs.
-func (f *FaultFS) RemoveAll(path string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	path = filepath.Clean(path)
-	if err, _ := f.enter(OpRemove, path, 0, 0); err != nil {
-		return patherr(OpRemove, path, err)
-	}
-	var victims []string
-	for p := range f.files {
-		if p == path || strings.HasPrefix(p, path+string(filepath.Separator)) {
-			victims = append(victims, p)
-		}
-	}
-	var dirVictims []string
-	for d := range f.dirs {
-		if d == path || strings.HasPrefix(d, path+string(filepath.Separator)) {
-			dirVictims = append(dirVictims, d)
-		}
-	}
-	for _, p := range victims {
-		if err := f.removeLocked(p); err != nil {
-			return err
-		}
-	}
-	// Deepest directories first so "not empty" checks pass.
-	sort.Slice(dirVictims, func(i, j int) bool { return len(dirVictims[i]) > len(dirVictims[j]) })
-	for _, d := range dirVictims {
-		if err := f.removeLocked(d); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // MkdirAll implements FS. Created directories are durable immediately
 // — a documented simplification: every caller creates its directories
 // once at setup, never on a crash path.
@@ -644,7 +666,7 @@ func (f *FaultFS) ReadDir(name string) ([]os.DirEntry, error) {
 	var out []os.DirEntry
 	for p, n := range f.files {
 		if filepath.Dir(p) == name {
-			out = append(out, &faultDirEntry{name: filepath.Base(p), size: int64(len(n.data))})
+			out = append(out, &faultDirEntry{name: filepath.Base(p), size: n.size})
 		}
 	}
 	for d := range f.dirs {
@@ -665,7 +687,7 @@ func (f *FaultFS) Stat(name string) (os.FileInfo, error) {
 		return nil, patherr(OpStat, name, err)
 	}
 	if n, ok := f.files[name]; ok {
-		return &faultFileInfo{name: filepath.Base(name), size: int64(len(n.data))}, nil
+		return &faultFileInfo{name: filepath.Base(name), size: n.size}, nil
 	}
 	if f.dirs[name] {
 		return &faultFileInfo{name: filepath.Base(name), dir: true}, nil
@@ -685,7 +707,9 @@ func (f *FaultFS) ReadFile(name string) ([]byte, error) {
 	if !ok {
 		return nil, patherr(OpRead, name, os.ErrNotExist)
 	}
-	return append([]byte(nil), n.data...), nil
+	out := make([]byte, n.size)
+	copy(out, n.data)
+	return out, nil
 }
 
 // SyncDir implements FS: all pending namespace operations in dir
@@ -747,10 +771,16 @@ func (h *faultFile) ReadAt(p []byte, off int64) (int, error) {
 	if err, _ := h.fs.enter(OpRead, h.path, off, len(p)); err != nil {
 		return 0, patherr(OpRead, h.path, err)
 	}
-	if off >= int64(len(h.n.data)) {
+	n := h.n
+	if off >= n.size {
 		return 0, io.EOF
 	}
-	nn := copy(p, h.n.data[off:])
+	nn := int(min(int64(len(p)), n.size-off))
+	c := 0
+	if off < int64(len(n.data)) {
+		c = copy(p[:nn], n.data[off:])
+	}
+	clear(p[c:nn]) // past the materialized prefix
 	if nn < len(p) {
 		return nn, io.EOF
 	}
@@ -781,8 +811,9 @@ func (h *faultFile) WriteAt(p []byte, off int64) (int, error) {
 // a tearing candidate. Caller holds fs.mu.
 func (h *faultFile) writeLocked(p []byte, off int64) {
 	end := off + int64(len(p))
+	h.n.size = max(h.n.size, end)
 	if int64(len(h.n.data)) < end {
-		h.n.data = append(h.n.data, make([]byte, end-int64(len(h.n.data)))...)
+		h.n.data = extend(h.n.data, int(end), h.n.size)
 	}
 	copy(h.n.data[off:end], p)
 	h.n.unsynced = append(h.n.unsynced, extent{off: off, len: len(p)})
@@ -808,8 +839,9 @@ func (h *faultFile) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// Sync promotes the volatile image to the durable one. It does not
-// make the file's directory entry durable.
+// Sync promotes the volatile image to the durable one, copying only what
+// changed since the last Sync. It does not make the file's directory
+// entry durable.
 func (h *faultFile) Sync() error {
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
@@ -819,8 +851,7 @@ func (h *faultFile) Sync() error {
 	if err, _ := h.fs.enter(OpSync, h.path, 0, 0); err != nil {
 		return patherr(OpSync, h.path, err)
 	}
-	h.n.synced = append([]byte(nil), h.n.data...)
-	h.n.unsynced = nil
+	h.n.promote()
 	return nil
 }
 
@@ -840,12 +871,7 @@ func (h *faultFile) Truncate(size int64) error {
 		h.fs.cut()
 		return patherr(OpTruncate, h.path, ErrPowerCut)
 	}
-	if size <= int64(len(h.n.data)) {
-		h.n.data = h.n.data[:size]
-	} else {
-		h.n.data = append(h.n.data, make([]byte, size-int64(len(h.n.data)))...)
-	}
-	h.n.unsynced = nil
+	h.n.resize(size)
 	return nil
 }
 
@@ -859,7 +885,7 @@ func (h *faultFile) Stat() (os.FileInfo, error) {
 	if err, _ := h.fs.enter(OpStat, h.path, 0, 0); err != nil {
 		return nil, patherr(OpStat, h.path, err)
 	}
-	return &faultFileInfo{name: filepath.Base(h.path), size: int64(len(h.n.data))}, nil
+	return &faultFileInfo{name: filepath.Base(h.path), size: h.n.size}, nil
 }
 
 // Close invalidates the handle. Closing is never faulted — a real

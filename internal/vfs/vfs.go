@@ -46,8 +46,6 @@ type FS interface {
 	Rename(oldname, newname string) error
 	// Remove unlinks a file.
 	Remove(name string) error
-	// RemoveAll removes a whole tree (legacy-archive cleanup).
-	RemoveAll(path string) error
 	// MkdirAll creates a directory and any missing parents.
 	MkdirAll(path string, perm os.FileMode) error
 	// ReadDir lists a directory in name order.
@@ -81,9 +79,6 @@ func (OS) Rename(oldname, newname string) error { return os.Rename(oldname, newn
 
 // Remove implements FS via os.Remove.
 func (OS) Remove(name string) error { return os.Remove(name) }
-
-// RemoveAll implements FS via os.RemoveAll.
-func (OS) RemoveAll(path string) error { return os.RemoveAll(path) }
 
 // MkdirAll implements FS via os.MkdirAll.
 func (OS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }

@@ -377,3 +377,120 @@ func TestFaultFSRuleOffBelow(t *testing.T) {
 		t.Fatalf("offset rule matched a Sync: %v", err)
 	}
 }
+
+// TestFaultFSIncrementalSync checks that Sync, which copies only what
+// changed since the last one, leaves the durable image a whole-file copy
+// would: through growth by Truncate, partial writes, a Sync, writes that
+// overlap it, a shrink and regrowth, another Sync, and a power cut that
+// drops the writes after it whole or tears them in.
+func TestFaultFSIncrementalSync(t *testing.T) {
+	fill := func(b byte, n int) []byte {
+		p := make([]byte, n)
+		for i := range p {
+			p[i] = b
+		}
+		return p
+	}
+	for _, torn := range []bool{false, true} {
+		t.Run(map[bool]string{false: "dropped", true: "torn"}[torn], func(t *testing.T) {
+			fs := NewFaultFS(1)
+			fs.SetSectorSize(4)
+			fs.SetTornWrites(torn)
+			// Keep the first sector of every write the cut finds unsynced.
+			fs.SetTearMask(func(_ string, sectors int) []bool {
+				keep := make([]bool, sectors)
+				keep[0] = true
+				return keep
+			})
+			f := mustOpen(t, fs, "/f", os.O_CREATE|os.O_RDWR)
+			if err := fs.SyncDir("/"); err != nil {
+				t.Fatal(err)
+			}
+			want := make([]byte, 64) // the durable image, kept by hand
+			if err := f.Truncate(64); err != nil {
+				t.Fatal(err)
+			}
+			writeAt(t, f, fill('A', 8), 4)
+			writeAt(t, f, fill('B', 8), 40)
+			if err := f.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			copy(want[4:], fill('A', 8))
+			copy(want[40:], fill('B', 8))
+
+			writeAt(t, f, fill('C', 6), 10) // straddles the A run
+			if err := f.Truncate(32); err != nil {
+				t.Fatal(err) // cuts the B run away ...
+			}
+			if err := f.Truncate(48); err != nil {
+				t.Fatal(err) // ... and the regrowth must read as zeros
+			}
+			writeAt(t, f, fill('D', 4), 44)
+			if err := f.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			want = want[:48]
+			copy(want[10:], fill('C', 6))
+			copy(want[32:], make([]byte, 16))
+			copy(want[44:], fill('D', 4))
+			if got := readAll(t, fs, "/f"); string(got) != string(want) {
+				t.Fatalf("volatile image after the second Sync:\n got %q\nwant %q", got, want)
+			}
+
+			writeAt(t, f, fill('E', 8), 0)
+			writeAt(t, f, fill('F', 8), 20)
+			if torn {
+				copy(want[0:], fill('E', 4))
+				copy(want[20:], fill('F', 4))
+			}
+			fs.PowerCut()
+			fs.Recover()
+			if got := readAll(t, fs, "/f"); string(got) != string(want) {
+				t.Fatalf("recovered image:\n got %q\nwant %q", got, want)
+			}
+		})
+	}
+}
+
+// TestFaultFSTraceRing checks the op trace keeps the newest entries, in
+// order, once more operations than it holds have run.
+func TestFaultFSTraceRing(t *testing.T) {
+	fs := NewFaultFS(1)
+	for i := 0; i < traceCap+10; i++ {
+		fs.Stat("/")
+	}
+	tr := fs.Trace()
+	if len(tr) != traceCap {
+		t.Fatalf("trace holds %d entries, want %d", len(tr), traceCap)
+	}
+	for i, e := range tr {
+		if want := uint64(11 + i); e.Seq != want {
+			t.Fatalf("trace[%d].Seq = %d, want %d", i, e.Seq, want)
+		}
+	}
+}
+
+// TestFaultFSTruncateGrowthIsSparse: a file grown by Truncate reads as
+// zeros to its new length, and neither of its images holds more than
+// the bytes written.
+func TestFaultFSTruncateGrowthIsSparse(t *testing.T) {
+	fs := NewFaultFS(1)
+	f := mustOpen(t, fs, "/f", os.O_CREATE|os.O_RDWR)
+	if err := f.Truncate(1 << 30); err != nil {
+		t.Fatal(err)
+	}
+	writeAt(t, f, []byte("x"), 4096)
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if n := fs.files["/f"]; len(n.data) != 4097 || len(n.synced) != 4097 {
+		t.Fatalf("images hold %d and %d bytes, want the 4097 written", len(n.data), len(n.synced))
+	}
+	buf := []byte("junkjunk")
+	if n, err := f.ReadAt(buf, 1<<30-8); n != 8 || err != nil || string(buf) != string(make([]byte, 8)) {
+		t.Fatalf("ReadAt at the end = (%d, %v, %q), want 8 zeros", n, err, buf)
+	}
+	if st, err := f.Stat(); err != nil || st.Size() != 1<<30 {
+		t.Fatalf("Stat = %v, %v, want size 1 GiB", st, err)
+	}
+}

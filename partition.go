@@ -1,6 +1,7 @@
 // partition.go is the database's log lanes. Options.LogPartitions = N
 // shards the write-ahead log across N independent logdev.Segmented
-// devices (a directory each under Options.LogPath, or memory) — one flush
+// devices (a directory each under Options.LogPath, or under an in-memory
+// database's own filesystem) — one flush
 // daemon, group-commit stream, durable watermark and archiver lane each
 // — behind one core.MultiLog; 0 and 1 are the same engine with one lane,
 // where the coordinator stamps with byte LSNs and coordinates nothing.
@@ -25,29 +26,31 @@ type lane struct {
 }
 
 // openLane opens lane i of n's log device: a segmented directory under
-// Options.LogPath, or segments in memory without one. A SegmentSize of 0
-// adopts the directory's MANIFEST on reopen and is
+// the database's root, on disk or on an in-memory database's own
+// filesystem, where it carries Options.Device's latency profile. A
+// SegmentSize of 0 adopts the directory's MANIFEST on reopen and is
 // logdev.DefaultSegmentSize for a new log.
-func openLane(opts Options, fs vfs.FS, i, n int) (lane, error) {
-	size := max(opts.SegmentSize, 0)
-	dir := logdev.LaneDir(opts.LogPath, i, n)
-	if size == 0 && (opts.LogPath == "" || !logdev.HasManifest(fs, dir)) {
+func (db *DB) openLane(i, n int) (lane, error) {
+	size := max(db.opts.SegmentSize, 0)
+	dir := logdev.LaneDir(db.root, i, n)
+	if size == 0 && !logdev.HasManifest(db.fs, dir) {
 		size = logdev.DefaultSegmentSize
 	}
-	if opts.LogPath == "" {
-		return lane{seg: logdev.NewSegmentedMem(opts.Device.internal(), size)}, nil
-	}
-	s, err := logdev.OpenSegmentedDirFS(fs, dir, size)
+	s, err := logdev.OpenSegmentedDirFS(db.fs, dir, size)
 	if err != nil {
 		return lane{}, fmt.Errorf("aether: log lane %d: %w", i, err)
+	}
+	if db.mem != nil {
+		s.SetProfile(db.opts.Device.internal())
 	}
 	return lane{seg: s}, nil
 }
 
 // openColdStore resolves the two spellings of the cold store to the
 // one mechanism: Options.RemoteStore is an object store already,
-// Options.ArchiveDir names a directory to keep one in — on the database's
-// filesystem, which is why it stays a path. nil when neither is set.
+// Options.ArchiveDir names a directory to keep one in — on fs, the real
+// (or injected) filesystem even for an in-memory database, which is why
+// it stays a path. nil when neither is set.
 func openColdStore(opts Options, fs vfs.FS) (logdev.ObjectStore, error) {
 	if opts.ArchiveDir == "" {
 		return opts.RemoteStore, nil
