@@ -255,7 +255,9 @@ type Options struct {
 	PrefetchDepth int
 	// DeadlockTimeout bounds lock waits (default 500ms).
 	DeadlockTimeout time.Duration
-	// DisableSLI turns off speculative lock inheritance.
+	// DisableSLI turns off speculative lock inheritance, with which a
+	// session keeps the table-level locks it took, uncontended, for its
+	// next transaction (row locks always go back at commit).
 	DisableSLI bool
 	// fs, if non-nil, substitutes the filesystem every durable layer
 	// (segments, MANIFEST, watermark, pagefile, archives) runs

@@ -13,7 +13,7 @@
 //     durability subscriptions (flush pipelining's detach/re-attach);
 //     and the coordinator that makes N >= 1 of them one log
 //   - internal/lockmgr — hierarchical 2PL with Early Lock Release and
-//     Speculative Lock Inheritance
+//     Speculative Lock Inheritance of table-level locks
 //   - internal/storage — slotted pages, heap files, B+Tree, and the
 //     demand-paged buffer pool over the database file
 //   - internal/txn — transactions, commit protocols, checkpoints

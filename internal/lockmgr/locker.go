@@ -26,9 +26,10 @@ type sliEntry struct {
 	reclaim atomic.Bool
 }
 
-// AgentCache holds the locks an agent thread has inherited across
-// transactions. It is owned by exactly one goroutine (the agent);
-// cross-thread coordination happens only through entry atomics.
+// AgentCache holds the table-level locks an agent thread has inherited
+// across transactions (Locker.ReleaseAll never offers it a row lock). It
+// is owned by exactly one goroutine (the agent); cross-thread
+// coordination happens only through entry atomics.
 type AgentCache struct {
 	entries map[Key]*sliEntry
 	// ring is the FIFO eviction order: the n cached keys, oldest at
@@ -171,8 +172,9 @@ func (l *Locker) Acquire(key Key, mode Mode) error {
 		return nil
 	}
 
-	// Speculative lock inheritance fast path.
-	if l.cache != nil {
+	// Speculative lock inheritance fast path: only table locks are ever
+	// cached.
+	if l.cache != nil && key.IsTable() {
 		if e := l.cache.get(key); e != nil {
 			if e.state.CompareAndSwap(sliValid, sliInUse) {
 				if Covers(e.mode, mode) {
@@ -209,10 +211,9 @@ func (l *Locker) Acquire(key Key, mode Mode) error {
 // ReleaseAll drops every lock the transaction holds. With ELR this is
 // called immediately after the commit record is inserted in the log —
 // before the flush — which is the entire mechanism of early lock release.
-// With SLI enabled, uncontended locks are retained in the agent cache
-// instead of being returned to the table.
+// With SLI enabled, uncontended table locks are retained in the agent
+// cache instead of being returned to the table; row locks always go back.
 func (l *Locker) ReleaseAll() {
-	big := len(l.held) > maxHeldReuse
 	for key, h := range l.held {
 		switch {
 		case h.sli != nil:
@@ -229,17 +230,18 @@ func (l *Locker) ReleaseAll() {
 				l.m.releaseCachedGrant(h.sli)
 				l.cache.remove(key)
 			}
-		case l.cache != nil:
+		case l.cache != nil && key.IsTable():
 			if e := l.m.tryCacheGrant(l.txn, key, l.cache); e != nil {
 				l.cachePut(key, e)
 			}
 		default:
 			l.m.release(l.txn, key)
 		}
-		delete(l.held, key)
 	}
-	if big {
+	if len(l.held) > maxHeldReuse {
 		l.held = make(map[Key]heldLock, 8)
+	} else {
+		clear(l.held)
 	}
 }
 
@@ -295,8 +297,8 @@ func (l *Locker) ReleaseAllToTable() {
 		} else {
 			l.m.release(l.txn, key)
 		}
-		delete(l.held, key)
 	}
+	clear(l.held)
 }
 
 // DropCache releases every lock the agent cache still holds (agent

@@ -13,17 +13,25 @@ import (
 // resolution policy (as in many production systems).
 var ErrLockTimeout = errors.New("lockmgr: lock wait timeout (possible deadlock)")
 
+// partitionBits is log2 of the number of lock-table shards: the low
+// partitionBits of Key.hash pick a key's partition, and the bits above
+// them its bucket there.
+const partitionBits = 7
+
 // lockPartitions is the number of lock-table shards.
-const lockPartitions = 128
+const lockPartitions = 1 << partitionBits
 
 // Config parameterizes a Manager.
 type Config struct {
 	// DeadlockTimeout bounds any single lock wait. Default 500ms.
 	DeadlockTimeout time.Duration
-	// SLI enables speculative lock inheritance: agent threads keep hot
-	// locks across transactions in an AgentCache, bypassing the wait
-	// queue for repeated access. The paper's experiments run Shore-MT
-	// with SLI to keep the lock manager off the critical path (§6.1).
+	// SLI enables speculative lock inheritance: agent threads keep the
+	// table-level locks they took, uncontended, across transactions in
+	// an AgentCache, bypassing the lock table on the next request for
+	// them. As in Shore-MT, whose SLI the paper's experiments run with to
+	// keep the lock manager off the critical path (§6.1), row locks are
+	// never inherited: they rarely repeat, so caching one only delays its
+	// release to an eviction.
 	SLI bool
 }
 
@@ -58,17 +66,27 @@ type Manager struct {
 	stats Stats
 }
 
-// partition is one lock-table shard. Lock heads and grants that leave
-// the table go onto its free lists (under mu, which every path that
-// creates or drops one already holds) and come back from there, so a
-// steady stream of acquire/release allocates nothing. The struct is 64
-// bytes, one cache line per partition.
+// partition is one lock-table shard: a chained hash table of lock heads,
+// indexed by the key's hash above the partition bits (the hash the
+// manager computed to pick the partition), with a power-of-two bucket
+// array that doubles when the heads outnumber the buckets and, like a Go
+// map, never shrinks. Lock heads and grants that leave the table go onto
+// its free lists (under mu, which every path that creates or drops one
+// already holds) and come back from there, so a steady stream of
+// acquire/release allocates nothing. The struct is padded to two cache
+// lines, so neighbouring partitions' latches never share one.
 type partition struct {
 	mu         sync.Mutex
-	locks      map[Key]*lockHead
+	buckets    []*lockHead
+	heads      int // heads linked into buckets
 	freeHeads  []*lockHead
 	freeGrants []*grant
+	_          [40]byte
 }
+
+// initialBuckets is each partition's bucket count before it grows: a
+// steady OLTP load keeps a few heads per partition.
+const initialBuckets = 8
 
 // maxFreeNodes bounds each of a partition's free lists: a transaction's
 // handful of locks spreads over 128 partitions, so 16 covers any steady
@@ -87,19 +105,54 @@ func popFree[T any](list *[]*T) *T {
 	return node
 }
 
-// head returns key's lock head, creating it if absent. Caller holds
-// p.mu.
-func (p *partition) head(key Key) *lockHead {
-	h := p.locks[key]
-	if h != nil {
+// find returns key's lock head, or nil. hash is key.hash() >>
+// partitionBits. Caller holds p.mu.
+func (p *partition) find(key Key, hash uint64) *lockHead {
+	for h := p.buckets[hash&uint64(len(p.buckets)-1)]; h != nil; h = h.next {
+		if h.key == key {
+			return h
+		}
+	}
+	return nil
+}
+
+// head returns key's lock head, creating it if absent. hash is as for
+// find. Caller holds p.mu.
+func (p *partition) head(key Key, hash uint64) *lockHead {
+	if h := p.find(key, hash); h != nil {
 		return h
 	}
-	if h = popFree(&p.freeHeads); h == nil {
+	if p.heads >= len(p.buckets) {
+		p.grow()
+	}
+	h := popFree(&p.freeHeads)
+	if h == nil {
 		h = new(lockHead)
 	}
-	h.key = key
-	p.locks[key] = h
+	h.key, h.hash = key, hash
+	p.link(h)
+	p.heads++
 	return h
+}
+
+// link puts h at the front of its bucket's chain. Caller holds p.mu.
+func (p *partition) link(h *lockHead) {
+	b := &p.buckets[h.hash&uint64(len(p.buckets)-1)]
+	h.next, *b = *b, h
+}
+
+// grow doubles the bucket array and relinks every head. Caller holds
+// p.mu.
+func (p *partition) grow() {
+	old := p.buckets
+	p.buckets = make([]*lockHead, 2*len(old))
+	for _, h := range old {
+		for h != nil {
+			next := h.next
+			p.link(h)
+			h = next
+		}
+	}
 }
 
 // dropIfIdle removes h from the table once nothing is granted or queued
@@ -108,7 +161,14 @@ func (p *partition) dropIfIdle(h *lockHead) {
 	if len(h.grants) != 0 || len(h.queue) != 0 {
 		return
 	}
-	delete(p.locks, h.key)
+	for link := &p.buckets[h.hash&uint64(len(p.buckets)-1)]; *link != nil; link = &(*link).next {
+		if *link == h {
+			*link = h.next
+			break
+		}
+	}
+	h.next = nil
+	p.heads--
 	if len(p.freeHeads) < maxFreeNodes {
 		p.freeHeads = append(p.freeHeads, h)
 	}
@@ -142,9 +202,12 @@ func (p *partition) ungrant(h *lockHead, g *grant) {
 	}
 }
 
-// lockHead is the per-object lock state: granted set plus FIFO queue.
+// lockHead is the per-object lock state: granted set plus FIFO queue,
+// linked into its partition's bucket chain by next.
 type lockHead struct {
 	key    Key
+	hash   uint64 // key.hash() >> partitionBits
+	next   *lockHead
 	grants []*grant
 	queue  []*waiter
 }
@@ -173,7 +236,7 @@ func New(cfg Config) *Manager {
 	cfg.applyDefaults()
 	m := &Manager{cfg: cfg, parts: make([]partition, lockPartitions)}
 	for i := range m.parts {
-		m.parts[i].locks = make(map[Key]*lockHead)
+		m.parts[i].buckets = make([]*lockHead, initialBuckets)
 	}
 	return m
 }
@@ -181,8 +244,11 @@ func New(cfg Config) *Manager {
 // Stats returns the manager's counters.
 func (m *Manager) Stats() *Stats { return &m.stats }
 
-func (m *Manager) part(k Key) *partition {
-	return &m.parts[k.hash()%uint64(len(m.parts))]
+// part returns k's partition and k's hash above the partition bits, the
+// index find and head take.
+func (m *Manager) part(k Key) (*partition, uint64) {
+	h := k.hash()
+	return &m.parts[h%lockPartitions], h >> partitionBits
 }
 
 func (h *lockHead) findGrant(owner uint64) *grant {
@@ -274,9 +340,9 @@ func (e *sliEntry) stealOrFlag() (stolen bool) {
 // the lock and mode is the conversion target. A waiter and its channel
 // exist only for a request that actually queues.
 func (m *Manager) acquire(owner uint64, key Key, mode Mode, convert bool) error {
-	p := m.part(key)
+	p, hash := m.part(key)
 	p.mu.Lock()
-	h := p.head(key)
+	h := p.head(key, hash)
 
 	var own *grant
 	if convert {
@@ -349,10 +415,10 @@ func (m *Manager) wait(p *partition, h *lockHead, w *waiter) error {
 
 // release drops owner's grant on key and wakes eligible waiters.
 func (m *Manager) release(owner uint64, key Key) {
-	p := m.part(key)
+	p, hash := m.part(key)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	h := p.locks[key]
+	h := p.find(key, hash)
 	if h == nil {
 		return
 	}
@@ -367,10 +433,10 @@ func (m *Manager) release(owner uint64, key Key) {
 // by the agent cache, if nothing is waiting. Returns the cache entry, or
 // nil if the lock was contended (in which case it was released normally).
 func (m *Manager) tryCacheGrant(owner uint64, key Key, cache *AgentCache) *sliEntry {
-	p := m.part(key)
+	p, hash := m.part(key)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	h := p.locks[key]
+	h := p.find(key, hash)
 	if h == nil {
 		return nil
 	}
@@ -394,10 +460,10 @@ func (m *Manager) tryCacheGrant(owner uint64, key Key, cache *AgentCache) *sliEn
 // releaseCachedGrant fully releases an inactive cached grant (reclaim or
 // eviction path). The caller must have transitioned e out of sliValid.
 func (m *Manager) releaseCachedGrant(e *sliEntry) {
-	p := m.part(e.key)
+	p, hash := m.part(e.key)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	h := p.locks[e.key]
+	h := p.find(e.key, hash)
 	if h == nil {
 		return
 	}
@@ -415,9 +481,9 @@ func (m *Manager) releaseCachedGrant(e *sliEntry) {
 // owner, optionally upgrading it to target. Returns an error if the
 // upgrade had to wait and timed out.
 func (m *Manager) adoptCached(owner uint64, e *sliEntry, target Mode) error {
-	p := m.part(e.key)
+	p, hash := m.part(e.key)
 	p.mu.Lock()
-	h := p.locks[e.key]
+	h := p.find(e.key, hash)
 	var g *grant
 	if h != nil {
 		for _, o := range h.grants {
@@ -446,10 +512,10 @@ func (m *Manager) adoptCached(owner uint64, e *sliEntry, target Mode) error {
 // HeldModes returns the granted modes on key, for tests and invariant
 // checks.
 func (m *Manager) HeldModes(key Key) []Mode {
-	p := m.part(key)
+	p, hash := m.part(key)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	h := p.locks[key]
+	h := p.find(key, hash)
 	if h == nil {
 		return nil
 	}

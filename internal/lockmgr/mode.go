@@ -1,9 +1,12 @@
 // Package lockmgr implements the hierarchical two-phase lock manager the
 // transactional substrate runs on: the standard IS/IX/S/SIX/X mode
-// lattice, a partitioned hash lock table with FIFO queuing and upgrade
-// priority, timeout-based deadlock resolution, Early Lock Release (§3),
-// and a simplified Speculative Lock Inheritance ([10] in the paper) that
-// lets agent threads retain hot locks across transactions.
+// lattice, a partitioned hash lock table (each partition a chained table
+// indexed by the same key hash that picked the partition) with FIFO
+// queuing and upgrade priority, timeout-based deadlock resolution, Early
+// Lock Release (§3), and a simplified Speculative Lock Inheritance ([10]
+// in the paper) that lets agent threads retain hot table-level locks
+// across transactions. As in Shore-MT, row locks are never inherited: a
+// row lock costs one latch trip to take and one to release.
 package lockmgr
 
 import "fmt"
@@ -103,7 +106,8 @@ func (k Key) String() string {
 	return fmt.Sprintf("space(%d)/obj(%d)", k.Space, k.Object)
 }
 
-// hash mixes the key into a partition index (fibonacci hashing).
+// hash mixes the key into a lock-table index (fibonacci hashing): its
+// low partitionBits pick the partition, the bits above them the bucket.
 func (k Key) hash() uint64 {
 	h := uint64(k.Space)*0x9E3779B97F4A7C15 ^ k.Object*0xC2B2AE3D27D4EB4F
 	h ^= h >> 29

@@ -9,10 +9,10 @@ import (
 func TestSLIRetainsUncontendedLock(t *testing.T) {
 	m := newMgr(t, Config{SLI: true})
 	cache := NewAgentCache(16)
-	k := RowKey(1, 7)
+	k := TableKey(7)
 
 	l := m.NewLocker(1, cache)
-	if err := l.Acquire(k, ModeX); err != nil {
+	if err := l.Acquire(k, ModeIX); err != nil {
 		t.Fatal(err)
 	}
 	l.ReleaseAll()
@@ -27,7 +27,7 @@ func TestSLIRetainsUncontendedLock(t *testing.T) {
 
 	// Next transaction on the same agent hits the cache.
 	l.Reset(2)
-	if err := l.Acquire(k, ModeX); err != nil {
+	if err := l.Acquire(k, ModeIX); err != nil {
 		t.Fatal(err)
 	}
 	if m.Stats().SLIHits.Load() != 1 {
@@ -39,17 +39,18 @@ func TestSLIRetainsUncontendedLock(t *testing.T) {
 func TestSLIStealByConflictingTxn(t *testing.T) {
 	m := newMgr(t, Config{SLI: true, DeadlockTimeout: time.Second})
 	cache := NewAgentCache(16)
-	k := RowKey(1, 7)
+	k := TableKey(7)
 
 	l := m.NewLocker(1, cache)
-	l.Acquire(k, ModeX)
+	l.Acquire(k, ModeIX)
 	l.ReleaseAll() // cached, inactive
 
-	// A different transaction takes the lock: it must steal the inactive
-	// cached grant without waiting.
+	// A different transaction reads the whole table: its S conflicts with
+	// the cached IX, so it must steal the inactive cached grant without
+	// waiting.
 	other := m.NewLocker(2, nil)
 	start := time.Now()
-	if err := other.Acquire(k, ModeX); err != nil {
+	if err := other.Acquire(k, ModeS); err != nil {
 		t.Fatal(err)
 	}
 	if time.Since(start) > 200*time.Millisecond {
@@ -63,7 +64,7 @@ func TestSLIStealByConflictingTxn(t *testing.T) {
 	// The agent's next acquire must notice the theft and go through the
 	// table.
 	l.Reset(3)
-	if err := l.Acquire(k, ModeX); err != nil {
+	if err := l.Acquire(k, ModeIX); err != nil {
 		t.Fatal(err)
 	}
 	if m.Stats().SLIHits.Load() != 0 {
@@ -75,18 +76,18 @@ func TestSLIStealByConflictingTxn(t *testing.T) {
 func TestSLIReclaimWhileInUse(t *testing.T) {
 	m := newMgr(t, Config{SLI: true, DeadlockTimeout: 2 * time.Second})
 	cache := NewAgentCache(16)
-	k := RowKey(1, 7)
+	k := TableKey(7)
 
 	l := m.NewLocker(1, cache)
-	l.Acquire(k, ModeX)
+	l.Acquire(k, ModeIX)
 	l.ReleaseAll()
 	l.Reset(2)
-	l.Acquire(k, ModeX) // adopt from cache (in use now)
+	l.Acquire(k, ModeIX) // adopt from cache (in use now)
 
 	got := make(chan error, 1)
 	go func() {
 		other := m.NewLocker(3, nil)
-		got <- other.Acquire(k, ModeX)
+		got <- other.Acquire(k, ModeS)
 	}()
 	select {
 	case <-got:
@@ -107,18 +108,18 @@ func TestSLIReclaimWhileInUse(t *testing.T) {
 func TestSLICompatibleRequestsCoexistWithCachedS(t *testing.T) {
 	m := newMgr(t, Config{SLI: true})
 	cache := NewAgentCache(16)
-	k := RowKey(1, 7)
+	k := TableKey(7)
 	l := m.NewLocker(1, cache)
 	l.Acquire(k, ModeS)
 	l.ReleaseAll() // cached S grant stays
 
 	// Another reader coexists with the cached S grant.
 	other := m.NewLocker(2, nil)
-	if err := other.Acquire(k, ModeS); err != nil {
+	if err := other.Acquire(k, ModeIS); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(m.HeldModes(k)); got != 2 {
-		t.Fatalf("grants: %d, want cached S + live S", got)
+		t.Fatalf("grants: %d, want cached S + live IS", got)
 	}
 	other.ReleaseAll()
 }
@@ -126,17 +127,20 @@ func TestSLICompatibleRequestsCoexistWithCachedS(t *testing.T) {
 func TestSLIUpgradeOfCachedLock(t *testing.T) {
 	m := newMgr(t, Config{SLI: true})
 	cache := NewAgentCache(16)
-	k := RowKey(1, 7)
+	k := TableKey(7)
 	l := m.NewLocker(1, cache)
-	l.Acquire(k, ModeS)
+	l.Acquire(k, ModeIS)
 	l.ReleaseAll()
+	if cache.Len() != 1 {
+		t.Fatalf("cache len %d before the upgrade", cache.Len())
+	}
 	l.Reset(2)
-	// Request X on a key cached in S: adopt + upgrade.
-	if err := l.Acquire(k, ModeX); err != nil {
+	// Request IX on a key cached in IS: adopt + upgrade.
+	if err := l.Acquire(k, ModeIX); err != nil {
 		t.Fatal(err)
 	}
 	modes := m.HeldModes(k)
-	if len(modes) != 1 || modes[0] != ModeX {
+	if len(modes) != 1 || modes[0] != ModeIX {
 		t.Fatalf("modes after cached upgrade: %v", modes)
 	}
 	// Entry left the cache (it was consumed by the upgrade).
@@ -149,19 +153,22 @@ func TestSLIUpgradeOfCachedLock(t *testing.T) {
 func TestSLIUpgradeOfAdoptedLockMidTxn(t *testing.T) {
 	m := newMgr(t, Config{SLI: true})
 	cache := NewAgentCache(16)
-	k := RowKey(1, 7)
+	k := TableKey(7)
 	l := m.NewLocker(1, cache)
-	l.Acquire(k, ModeS)
+	l.Acquire(k, ModeIX)
 	l.ReleaseAll()
 	l.Reset(2)
-	if err := l.Acquire(k, ModeS); err != nil { // adopt in S
+	if err := l.Acquire(k, ModeIX); err != nil { // adopt in IX
 		t.Fatal(err)
 	}
-	if err := l.Acquire(k, ModeX); err != nil { // upgrade the adopted lock
+	if m.Stats().SLIHits.Load() != 1 {
+		t.Fatalf("SLI hits: %d, want the adoption", m.Stats().SLIHits.Load())
+	}
+	if err := l.Acquire(k, ModeS); err != nil { // upgrade the adopted lock
 		t.Fatal(err)
 	}
 	modes := m.HeldModes(k)
-	if len(modes) != 1 || modes[0] != ModeX {
+	if len(modes) != 1 || modes[0] != ModeSIX {
 		t.Fatalf("modes: %v", modes)
 	}
 	l.ReleaseAll()
@@ -179,7 +186,7 @@ func TestSLICacheEviction(t *testing.T) {
 	cache := NewAgentCache(4)
 	l := m.NewLocker(1, cache)
 	for i := 1; i <= 10; i++ {
-		if err := l.Acquire(RowKey(1, uint64(i)), ModeX); err != nil {
+		if err := l.Acquire(TableKey(uint32(i)), ModeIX); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -190,7 +197,7 @@ func TestSLICacheEviction(t *testing.T) {
 	// Evicted keys must be fully released (no grants left behind).
 	held := 0
 	for i := 1; i <= 10; i++ {
-		held += len(m.HeldModes(RowKey(1, uint64(i))))
+		held += len(m.HeldModes(TableKey(uint32(i))))
 	}
 	if held != 4 {
 		t.Fatalf("%d grants remain, want 4 cached", held)
@@ -202,15 +209,18 @@ func TestSLIDropCache(t *testing.T) {
 	cache := NewAgentCache(16)
 	l := m.NewLocker(1, cache)
 	for i := 1; i <= 5; i++ {
-		l.Acquire(RowKey(1, uint64(i)), ModeX)
+		l.Acquire(TableKey(uint32(i)), ModeIX)
 	}
 	l.ReleaseAll()
+	if cache.Len() != 5 {
+		t.Fatalf("cache len %d before the drop", cache.Len())
+	}
 	l.DropCache()
 	if cache.Len() != 0 {
 		t.Fatalf("cache not empty: %d", cache.Len())
 	}
 	for i := 1; i <= 5; i++ {
-		if got := len(m.HeldModes(RowKey(1, uint64(i)))); got != 0 {
+		if got := len(m.HeldModes(TableKey(uint32(i)))); got != 0 {
 			t.Fatalf("key %d still has %d grants", i, got)
 		}
 	}
@@ -220,20 +230,20 @@ func TestSLIDisabledByConfig(t *testing.T) {
 	m := newMgr(t, Config{SLI: false})
 	cache := NewAgentCache(16)
 	l := m.NewLocker(1, cache) // cache ignored when SLI off
-	k := RowKey(1, 7)
-	l.Acquire(k, ModeX)
+	k := TableKey(7)
+	l.Acquire(k, ModeIX)
 	l.ReleaseAll()
 	if len(m.HeldModes(k)) != 0 {
 		t.Fatal("lock retained with SLI disabled")
 	}
 }
 
-// TestSLIStressHotKey runs many agents, each with a private hot key
-// (cache hits guaranteed) plus one shared key (mutual exclusion under
-// steal/reclaim churn).
+// TestSLIStressHotKey runs many agents, each with a private hot table
+// (cache hits guaranteed) plus one shared table they all lock exclusively
+// (mutual exclusion under steal/reclaim churn).
 func TestSLIStressHotKey(t *testing.T) {
 	m := newMgr(t, Config{SLI: true, DeadlockTimeout: 5 * time.Second})
-	shared := RowKey(1, 1)
+	shared := TableKey(1)
 	var counter int
 	const agents = 8
 	const perA = 150
@@ -247,7 +257,7 @@ func TestSLIStressHotKey(t *testing.T) {
 		go func(a int) {
 			defer wg.Done()
 			cache := NewAgentCache(16)
-			private := RowKey(2, uint64(a+1))
+			private := TableKey(uint32(a + 2))
 			l := m.NewLocker(0, cache)
 			defer l.DropCache()
 			for i := 0; i < perA; i++ {
@@ -256,7 +266,7 @@ func TestSLIStressHotKey(t *testing.T) {
 				id := nextTxn.n
 				nextTxn.Unlock()
 				l.Reset(id)
-				if err := l.Acquire(private, ModeX); err != nil {
+				if err := l.Acquire(private, ModeIX); err != nil {
 					t.Errorf("acquire private: %v", err)
 					return
 				}
@@ -282,8 +292,8 @@ func TestSLIStressHotKey(t *testing.T) {
 }
 
 // TestSLIReleaseDoesNotLoseSteal runs two agents with lock caches over a
-// few row keys, every transaction locking one of eight "tellers" and
-// then the one "branch" — a fixed order, so no wait can be a deadlock
+// few table keys, every transaction locking one of eight "tellers" and
+// then the one "branch", all exclusively — a fixed order, so no wait can be a deadlock
 // and each lasts as long as the other agent's transaction. A steal
 // request that arrives while ReleaseAll is handing an adopted lock back
 // to the cache must still be honoured: ReleaseAll used to read the
@@ -294,7 +304,7 @@ func TestSLIStressHotKey(t *testing.T) {
 // (about ten times in the rounds run here).
 func TestSLIReleaseDoesNotLoseSteal(t *testing.T) {
 	m := newMgr(t, Config{SLI: true, DeadlockTimeout: 50 * time.Millisecond})
-	branch := RowKey(2, 1)
+	branch := TableKey(100)
 	rounds := 1_500_000
 	if testing.Short() {
 		rounds = 100_000
@@ -310,7 +320,7 @@ func TestSLIReleaseDoesNotLoseSteal(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				l.Reset(uint64(2*i + a + 1))
 				x = x*1664525 + 1013904223
-				if l.Acquire(RowKey(1, uint64(x>>16)%8+1), ModeX) == nil {
+				if l.Acquire(TableKey(uint32(x>>16)%8+1), ModeX) == nil {
 					_ = l.Acquire(branch, ModeX) // a timeout is counted below
 				}
 				l.ReleaseAll()
@@ -321,4 +331,71 @@ func TestSLIReleaseDoesNotLoseSteal(t *testing.T) {
 	if n := m.Stats().Timeouts.Load(); n != 0 {
 		t.Fatalf("%d lock waits timed out", n)
 	}
+}
+
+// TestSLINeverInheritsRowLocks: a transaction's table lock stays with
+// its agent at commit, its row lock goes back to the table, and the next
+// transaction's request for the same row goes to the table too.
+func TestSLINeverInheritsRowLocks(t *testing.T) {
+	m := newMgr(t, Config{SLI: true})
+	cache := NewAgentCache(16)
+	table, row := TableKey(1), RowKey(1, 7)
+	l := m.NewLocker(1, cache)
+	for id := uint64(1); id <= 2; id++ {
+		l.Reset(id)
+		if err := l.Acquire(table, ModeIX); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Acquire(row, ModeX); err != nil {
+			t.Fatal(err)
+		}
+		l.ReleaseAll()
+		if got := m.HeldModes(row); len(got) != 0 {
+			t.Fatalf("txn %d: row still granted %v after commit", id, got)
+		}
+		if got := m.HeldModes(table); len(got) != 1 || got[0] != ModeIX {
+			t.Fatalf("txn %d: table grants %v, want the cached IX", id, got)
+		}
+		if cache.Len() != 1 {
+			t.Fatalf("txn %d: cache len %d, want the table alone", id, cache.Len())
+		}
+	}
+	if got := m.Stats().SLIHits.Load(); got != 1 {
+		t.Fatalf("SLI hits %d, want 1 (the table, second time)", got)
+	}
+}
+
+// TestTPCBLocksInheritOnlyTables counts what inheritance does to a stream
+// of TPC-B-shaped transactions on one agent: the four table IX locks are
+// cached once and hit by every later transaction, and no row lock —
+// random, so never repeated in time to be worth keeping — stays granted
+// after its commit.
+func TestTPCBLocksInheritOnlyTables(t *testing.T) {
+	const n = 1_000
+	m := newMgr(t, Config{SLI: true})
+	cache := NewAgentCache(0)
+	l := m.NewLocker(0, cache)
+	x := uint32(1)
+	for id := uint64(1); id <= n; id++ {
+		l.Reset(id)
+		tpcbLocks(t, l, &x)
+	}
+	st := m.Stats()
+	if got, want := st.SLIHits.Load(), int64(4*(n-1)); got != want {
+		t.Errorf("SLI hits %d, want %d", got, want)
+	}
+	if got := st.SLISteals.Load(); got != 0 {
+		t.Errorf("SLI steals %d, want 0", got)
+	}
+	if cache.Len() != 4 {
+		t.Errorf("cache holds %d locks, want the 4 tables", cache.Len())
+	}
+	for space := uint32(1); space <= 4; space++ {
+		for obj := uint64(1); obj <= 100_000; obj++ {
+			if got := m.HeldModes(RowKey(space, obj)); len(got) != 0 {
+				t.Fatalf("row %v still granted %v", RowKey(space, obj), got)
+			}
+		}
+	}
+	l.DropCache()
 }

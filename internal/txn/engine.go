@@ -603,8 +603,9 @@ func (e *Engine) RebuildTables() error {
 }
 
 // Agent is a per-worker transaction context: it owns a log appender, an
-// SLI lock cache, and the scratch its transactions build log records and
-// keep rollback state in. One per agent thread.
+// SLI lock cache (the table-level locks its transactions inherit from one
+// another; row locks are never cached), and the scratch its transactions
+// build log records and keep rollback state in. One per agent thread.
 type Agent struct {
 	eng   *Engine
 	ap    *core.MultiAppender
