@@ -33,7 +33,11 @@ logbuf-race:
 # file-writing functions; the read-only os.Open stays allowed. And there
 # is one crash model: no non-test Go outside internal/vfs declares a
 # Crash, CrashFreeze, Remount or PowerCut method, except aether's
-# DB.Crash, which cuts the power of an in-memory database's FaultFS.
+# DB.Crash, which cuts the power of an in-memory database's FaultFS. And
+# there is one way from log devices to a running engine, txn.Restart: no
+# Go file, tests included, opens the log with core.NewMultiLog outside
+# internal/core and internal/txn/restart.go, or builds an engine with
+# newEngine outside restart.go.
 vet:
 	$(GO) vet ./...
 	@bad="$$(grep -HnE '\bos\.(OpenFile|Create|WriteFile|Rename|Remove|MkdirAll|Truncate)\(' \
@@ -44,6 +48,10 @@ vet:
 		$$(find . -path './.*' -prune -o -name '*.go' ! -name '*_test.go' ! -path './internal/vfs/*' -print) \
 		| grep -vE '^\./aether\.go:[0-9]+:func \(db \*DB\) Crash\(\)')"; \
 	if [ -n "$$bad" ]; then echo "power loss is simulated one way, by vfs.FaultFS (DB.Crash drives it):"; echo "$$bad"; exit 1; fi
+	@gofiles="$$(find . -path './.*' -prune -o -name '*.go' ! -path './internal/txn/restart.go' -print)"; \
+	bad="$$(grep -HnE '\bNewMultiLog\(' $$gofiles | grep -v '^\./internal/core/'; \
+		grep -HnE '\bnewEngine\(' $$gofiles | grep -vE ':[0-9]+:func newEngine\(')"; \
+	if [ -n "$$bad" ]; then echo "an engine is assembled one way, by txn.Restart:"; echo "$$bad"; exit 1; fi
 
 # Documentation lint: formatting, vet, every example and command builds,
 # and the godoc-coverage check — exported identifiers in EVERY internal

@@ -35,19 +35,13 @@ const (
 	BufferCDME
 )
 
-func (v BufferVariant) internal() logbuf.Variant {
-	switch v {
-	case BufferBaseline:
-		return logbuf.VariantBaseline
-	case BufferC:
-		return logbuf.VariantC
-	case BufferD:
-		return logbuf.VariantD
-	case BufferCDME:
-		return logbuf.VariantCDME
-	default:
-		return logbuf.VariantCD
-	}
+// bufferVariants maps each BufferVariant to its log buffer.
+var bufferVariants = []logbuf.Variant{
+	BufferBaseline: logbuf.VariantBaseline,
+	BufferC:        logbuf.VariantC,
+	BufferD:        logbuf.VariantD,
+	BufferCD:       logbuf.VariantCD,
+	BufferCDME:     logbuf.VariantCDME,
 }
 
 // CommitMode selects the commit protocol (§3–§4).
@@ -67,17 +61,12 @@ const (
 	CommitAsync
 )
 
-func (m CommitMode) internal() txn.CommitMode {
-	switch m {
-	case CommitSync:
-		return txn.CommitSync
-	case CommitSyncELR:
-		return txn.CommitSyncELR
-	case CommitAsync:
-		return txn.CommitAsync
-	default:
-		return txn.CommitPipelined
-	}
+// commitModes maps each CommitMode to its commit protocol.
+var commitModes = []txn.CommitMode{
+	CommitPipelined: txn.CommitPipelined,
+	CommitSync:      txn.CommitSync,
+	CommitSyncELR:   txn.CommitSyncELR,
+	CommitAsync:     txn.CommitAsync,
 }
 
 // DeviceProfile selects the simulated log device class (§3.2).
@@ -94,18 +83,16 @@ const (
 	DeviceSlowDisk
 )
 
-func (d DeviceProfile) internal() logdev.Profile {
-	switch d {
-	case DeviceFlash:
-		return logdev.ProfileFlash
-	case DeviceFastDisk:
-		return logdev.ProfileFastDisk
-	case DeviceSlowDisk:
-		return logdev.ProfileSlowDisk
-	default:
-		return logdev.ProfileMemory
-	}
+// deviceProfiles maps each DeviceProfile to its latency profile.
+var deviceProfiles = []logdev.Profile{
+	DeviceMemory:   logdev.ProfileMemory,
+	DeviceFlash:    logdev.ProfileFlash,
+	DeviceFastDisk: logdev.ProfileFastDisk,
+	DeviceSlowDisk: logdev.ProfileSlowDisk,
 }
+
+// inTable reports whether the enum value i names an entry of table.
+func inTable[T any](table []T, i int) bool { return i >= 0 && i < len(table) }
 
 // Options configures a database.
 type Options struct {
@@ -295,10 +282,19 @@ type DB struct {
 // Open creates (or reopens, for a file-backed log with existing
 // contents) a database. Reopening runs ARIES recovery; the caller must
 // re-create tables in the original order afterwards (CreateTable), and
-// table contents reappear automatically.
+// table contents reappear automatically. A Buffer, Mode or Device that
+// names no value of its type is refused.
 func Open(opts Options) (*DB, error) {
 	if opts.RemoteStore != nil && opts.ArchiveDir != "" {
 		return nil, errors.New("aether: Options.RemoteStore and Options.ArchiveDir are mutually exclusive (one cold store per log)")
+	}
+	switch {
+	case !inTable(bufferVariants, int(opts.Buffer)):
+		return nil, fmt.Errorf("aether: Options.Buffer %d is not a BufferVariant", int(opts.Buffer))
+	case !inTable(commitModes, int(opts.Mode)):
+		return nil, fmt.Errorf("aether: Options.Mode %d is not a CommitMode", int(opts.Mode))
+	case !inTable(deviceProfiles, int(opts.Device)):
+		return nil, fmt.Errorf("aether: Options.Device %d is not a DeviceProfile", int(opts.Device))
 	}
 	db := &DB{opts: opts, fs: opts.fsOrOS(), root: opts.LogPath}
 	if opts.LogPath == "" {
@@ -366,7 +362,7 @@ func (db *DB) open() error {
 		RoutePartition: db.opts.RoutePartition,
 		Archive:        db.archive,
 		LogConfig: core.Config{
-			Buffer: logbuf.Config{Variant: db.opts.Buffer.internal(), Size: 1 << 23},
+			Buffer: logbuf.Config{Variant: bufferVariants[db.opts.Buffer], Size: 1 << 23},
 		},
 		LockConfig: lockmgr.Config{
 			DeadlockTimeout: db.opts.DeadlockTimeout,

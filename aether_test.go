@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -82,6 +83,68 @@ func TestBufferVariants(t *testing.T) {
 		}
 		s.Close()
 		db.Close()
+	}
+}
+
+// TestOutOfRangeEnumsRefused: an Options.Buffer, Mode or Device, or a
+// mode given to SetCommitMode, that names no value of its type is an
+// error that says which — not another variant, protocol or device run
+// in its place. A refused commit leaves the transaction open.
+func TestOutOfRangeEnumsRefused(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		opts    Options
+		setMode bool // Open succeeds; the transaction's mode is out of range
+		mode    CommitMode
+		want    string
+	}{
+		{name: "Buffer below", opts: Options{Buffer: -1}, want: "Options.Buffer -1"},
+		{name: "Buffer above", opts: Options{Buffer: BufferCDME + 1}, want: "Options.Buffer 5"},
+		{name: "Mode below", opts: Options{Mode: -1}, want: "Options.Mode -1"},
+		{name: "Mode above", opts: Options{Mode: CommitAsync + 1}, want: "Options.Mode 4"},
+		{name: "Device below", opts: Options{Device: -1}, want: "Options.Device -1"},
+		{name: "Device above", opts: Options{Device: DeviceSlowDisk + 1}, want: "Options.Device 4"},
+		{name: "SetCommitMode below", setMode: true, mode: -1, want: "commit mode -1"},
+		{name: "SetCommitMode above", setMode: true, mode: CommitAsync + 1, want: "commit mode 4"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db, err := Open(c.opts)
+			if !c.setMode {
+				if err == nil {
+					db.Close()
+					t.Fatalf("Open accepted %s", c.want)
+				}
+				if !strings.Contains(err.Error(), c.want) {
+					t.Fatalf("Open: %v, want an error naming %s", err, c.want)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			tbl, err := db.CreateTable("t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := db.Session()
+			defer s.Close()
+			tx := s.Begin()
+			if err := tx.Insert(tbl, 1, Row(1, []byte("x"))); err != nil {
+				t.Fatal(err)
+			}
+			tx.SetCommitMode(c.mode)
+			if err := tx.Commit(); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Commit: %v, want an error naming %s", err, c.want)
+			}
+			if err := tx.CommitAsyncAck(nil); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("CommitAsyncAck: %v, want an error naming %s", err, c.want)
+			}
+			tx.SetCommitMode(CommitSync)
+			if err := tx.Commit(); err != nil {
+				t.Fatalf("commit after the refused ones: %v", err)
+			}
+		})
 	}
 }
 

@@ -16,7 +16,9 @@
 //     Speculative Lock Inheritance of table-level locks
 //   - internal/storage — slotted pages, heap files, B+Tree, and the
 //     demand-paged buffer pool over the database file
-//   - internal/txn — transactions, commit protocols, checkpoints
+//   - internal/txn — transactions, commit protocols, checkpoints; its
+//     Restart is the one way from log devices to a running engine, and
+//     Open goes through it
 //   - internal/recovery — ARIES analysis/redo/undo and point-in-time
 //     replay, over one iterator that reads N >= 1 log lanes back in
 //     their total order

@@ -169,12 +169,12 @@ type LogManager struct {
 	notify     atomic.Pointer[appendNotify]
 	notifyNext atomic.Int64
 
-	// limiter, when set, clamps how far each flush may harden — the
-	// multi-log coordinator's hook for inter-log dependency edges.
-	limiter atomic.Pointer[flushLimiter]
-	// durNotify, when set, runs after every durable-horizon advance (on
-	// the daemon goroutine) — the coordinator's cross-log re-wake hook.
-	durNotify atomic.Pointer[durableNotify]
+	// limit (the A.5 flush clamp: how far a flush of [start, end) may
+	// harden) and durableAdvanced (run after each durable advance) are
+	// set by NewMultiLog on a lane of N >= 2 before the daemon starts,
+	// and read only by the daemon; nil otherwise.
+	limit           func(start, end lsn.LSN) lsn.LSN
+	durableAdvanced func()
 
 	// parked counts the WaitDurable callers waiting right now: while it
 	// is non-zero the pending group is flushed at once.
@@ -208,6 +208,16 @@ type LogManager struct {
 
 // New builds and starts a log manager; the flush daemon runs until Close.
 func New(cfg Config) (*LogManager, error) {
+	lm, err := newLane(cfg)
+	if err != nil {
+		return nil, err
+	}
+	go lm.daemon()
+	return lm, nil
+}
+
+// newLane builds a log manager whose daemon the caller starts.
+func newLane(cfg Config) (*LogManager, error) {
 	cfg.applyDefaults()
 	if cfg.Device == nil {
 		return nil, errors.New("core: Config.Device is required")
@@ -235,7 +245,6 @@ func New(cfg Config) (*LogManager, error) {
 	// existing log is read by recovery before the manager is built).
 	lm.durable.Store(cfg.Buffer.Base)
 	lm.appendEnd.Store(cfg.Buffer.Base)
-	go lm.daemon()
 	return lm, nil
 }
 
@@ -340,47 +349,6 @@ func (lm *LogManager) maybeNotifyAppend() {
 	if lm.notifyNext.CompareAndSwap(next, total+n.every) {
 		n.fn()
 	}
-}
-
-// flushLimiter wraps the flush-clamp callback so it can live in an
-// atomic.Pointer.
-type flushLimiter struct {
-	fn func(start, end lsn.LSN) lsn.LSN
-}
-
-// durableNotify wraps the durable-advance callback so it can live in an
-// atomic.Pointer.
-type durableNotify struct {
-	fn func(durable lsn.LSN)
-}
-
-// SetFlushLimiter installs fn as the daemon's flush clamp: before each
-// flush of the released region [start, end), the daemon replaces end
-// with fn(start, end) (which must return a record-aligned LSN in
-// [start, end]). The multi-log coordinator uses this to hold a
-// partition's flush at the first record whose inter-log dependency edge
-// is not yet durable — the paper's A.5 rule that a younger record's log
-// never hardens before the older record's log. fn runs on the daemon
-// goroutine and must not block. A nil fn clears the limiter.
-func (lm *LogManager) SetFlushLimiter(fn func(start, end lsn.LSN) lsn.LSN) {
-	if fn == nil {
-		lm.limiter.Store(nil)
-		return
-	}
-	lm.limiter.Store(&flushLimiter{fn: fn})
-}
-
-// SetDurableNotify arranges for fn(durable) to run on the daemon
-// goroutine after every durable-horizon advance. The multi-log
-// coordinator uses this to release dependency edges held on this log
-// and re-wake the partitions it was blocking. fn must not block. A nil
-// fn clears the subscription.
-func (lm *LogManager) SetDurableNotify(fn func(durable lsn.LSN)) {
-	if fn == nil {
-		lm.durNotify.Store(nil)
-		return
-	}
-	lm.durNotify.Store(&durableNotify{fn: fn})
 }
 
 // Poke nudges the flush daemon to run another pass (non-blocking,
@@ -727,12 +695,12 @@ func (lm *LogManager) flushOnce() {
 	lm.pending = 0
 	lm.mu.Unlock()
 
-	// The flush limiter may hold back the tail of the released region
+	// The flush clamp may hold back the tail of the released region
 	// (an inter-log dependency edge not yet durable). The held bytes
 	// stay pending; the coordinator pokes the daemon when the edge
 	// clears.
-	if l := lm.limiter.Load(); l != nil && pendingBytes > 0 {
-		limited := l.fn(start, end)
+	if lm.limit != nil && pendingBytes > 0 {
+		limited := lm.limit(start, end)
 		if limited < start {
 			limited = start
 		}
@@ -775,8 +743,8 @@ func (lm *LogManager) flushOnce() {
 		lm.stats.FlushBytes.Add(int64(pendingBytes))
 		lm.stats.GroupSize.Observe(time.Duration(pendingBytes)) // bytes, reusing histogram buckets
 		lm.stats.FlushLatency.Observe(time.Since(t0))
-		if n := lm.durNotify.Load(); n != nil {
-			n.fn(end)
+		if lm.durableAdvanced != nil {
+			lm.durableAdvanced()
 		}
 	}
 	lm.completeWaiters()

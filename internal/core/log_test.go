@@ -474,13 +474,22 @@ func TestFlushPacing(t *testing.T) {
 }
 
 // The group window is a cap, not a clock. Behind a flush that has just
-// started, a group of detached commits that stops growing is flushed
-// long before groupWindow; a stream that never pauses is held to it; and
-// the four early-close reasons still close a growing group at once. A
-// hiccup in a stream is a pause the rule is right to act on, so each
-// held or closed-early case needs one of several attempts that the
-// stall rule did not close.
+// started, a group of detached commits that stops growing is closed by
+// the stall rule, a stream that never pauses is held to the cap, and
+// the four early-close reasons close a growing group before either. Each
+// is checked by the daemon's own count of the rule that closed the
+// group (GroupsStalled, GroupsCapped), not by how long it took.
+//
+// A stream that goes quiet for as long as the stall rule waits after its
+// latest arrival has paused, and a stall is then the right verdict,
+// whatever the case meant to test; so is the cap for a close that came
+// after the window. The test measures its own stream against the rule's
+// wait and the window, and runs an attempt that paused again, on a
+// fresh log: on a reused one, earlier commits would have taught the
+// arrival average their own pace.
 func TestGroupWindow(t *testing.T) {
+	// open starts a log whose only group-commit triggers are the rules
+	// under test.
 	open := func(flushTxns int) (*LogManager, *Appender, func() lsn.LSN) {
 		lm, err := New(Config{
 			Buffer:        logbuf.Config{Variant: logbuf.VariantBaseline, Size: 1 << 18},
@@ -492,10 +501,9 @@ func TestGroupWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { lm.Close() })
 		ap := lm.NewAppender()
 		var id uint64
-		return lm, ap, func() lsn.LSN {
+		commit := func() lsn.LSN {
 			id++
 			_, end, err := ap.Append(logrec.NewCommit(id, lsn.Undefined))
 			if err != nil {
@@ -503,137 +511,178 @@ func TestGroupWindow(t *testing.T) {
 			}
 			return end
 		}
-	}
-
-	// A lone detached commit behind a parked one's flush: nothing more is
-	// coming, so the group closes a silence after its arrival. Each
-	// attempt opens a fresh log: on a reused one the attempts themselves
-	// would teach the arrival average their own period.
-	best, stalled := time.Hour, int64(0)
-	for i := 0; i < 50 && best >= groupWindow/2; i++ {
-		lm, _, commit := open(128)
-		before := time.Now()
+		// The first flush creates the device's first segment, which takes
+		// milliseconds: flushed behind it, a group would find the window
+		// spent before its first commit arrived.
 		if err := lm.WaitDurable(commit()); err != nil {
 			t.Fatal(err)
 		}
-		acked := make(chan error, 1)
-		lm.OnDurable(commit(), func(err error) { acked <- err })
-		lm.Poke()
-		select {
-		case err := <-acked:
-			if err != nil {
-				t.Fatal(err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("detached commit never acknowledged")
-		}
-		best = min(best, time.Since(before))
-		stalled += lm.Stats().GroupsStalled.Load()
-		lm.Close()
-	}
-	if best >= groupWindow/2 {
-		t.Fatalf("a group that stopped growing was held %v (best of 50), want under %v", best, groupWindow/2)
-	}
-	if stalled == 0 {
-		t.Fatal("no group was counted as closed by its arrivals stopping")
+		return lm, ap, commit
 	}
 
-	// stream has a parked commit start a flush on lm, then subscribes a
-	// detached commit every ~20 µs and runs closeGroup (if any) 200 µs in.
-	// It returns how long after that flush's start the stream's first
-	// commit was acknowledged, and whether the group was closed by its
-	// arrivals stopping.
-	stream := func(lm *LogManager, commit func() lsn.LSN, closeGroup func()) (time.Duration, bool) {
+	// quiet is how long the stall rule waits after the latest arrival
+	// before it closes lm's group.
+	quiet := func(lm *LogManager) time.Duration {
+		lm.mu.Lock()
+		defer lm.mu.Unlock()
+		return max(paceSlice, stallGaps*lm.arrivalGap)
+	}
+
+	// verdict is how far each counter moved by the time the group
+	// holding a stream's first detached commit was closed.
+	type verdict struct{ stalled, capped int64 }
+
+	// A stream subscribes a commit every pace: slow enough that the
+	// stall rule waits several hundred µs after each arrival, so that an
+	// ordinary scheduling delay of the test is not a pause. A window's
+	// worth of it is ~15 commits.
+	const pace = 100 * time.Microsecond
+
+	// stream has a parked commit start a flush on a fresh log, then
+	// subscribes a detached commit and, with more set, one more each
+	// pace until the first is acknowledged, running closeGroup (if any)
+	// 200 µs in. The counters are read on the daemon goroutine as it
+	// acknowledges the first commit, before it can close a later group.
+	//
+	// paused reports whether the attempt strayed from what it sets up:
+	//   - the first commit came so long after the parked one started
+	//     that the stall rule's wait after it outlasts the window (the
+	//     group is meant to be behind a flush that has just started);
+	//   - before closeGroup returned, the stream went quiet(lm) without
+	//     a subscription, from the start of one OnDurable call to the
+	//     end of the next or, with more set, to the acknowledgement
+	//     (once closeGroup has returned the group is due, and silence no
+	//     longer matters);
+	//   - closeGroup returned past the window.
+	type closer func(lm *LogManager, ap *Appender, commit func() lsn.LSN, detach func())
+	stream := func(flushTxns int, more bool, closeGroup closer) (v verdict, paused bool) {
+		lm, ap, commit := open(flushTxns)
+		defer lm.Close()
 		st := lm.Stats()
-		before := time.Now()
+		start := time.Now()
 		if err := lm.WaitDurable(commit()); err != nil {
 			t.Fatal(err)
 		}
-		stalled := st.GroupsStalled.Load()
-		acked := make(chan error, 1)
-		lm.OnDurable(commit(), func(err error) { acked <- err })
+		stalled, capped := st.GroupsStalled.Load(), st.GroupsCapped.Load()
+		type ack struct {
+			v  verdict
+			at time.Time
+		}
+		acked := make(chan ack, 1)
+		// last is when the latest subscription started and q the stall
+		// rule's wait after it; prev and qPrev the same for the one
+		// before.
+		last, q := start, time.Duration(0)
+		var prev time.Time
+		var qPrev time.Duration
+		closed := false
+		subscribe := func(fn func(error)) {
+			now := time.Now()
+			lm.OnDurable(commit(), fn)
+			if !closed {
+				paused = paused || (q > 0 && time.Since(last) >= q)
+			}
+			prev, qPrev = last, q
+			last, q = now, quiet(lm)
+		}
+		subscribe(func(err error) {
+			if err != nil {
+				t.Error(err)
+			}
+			acked <- ack{verdict{st.GroupsStalled.Load() - stalled, st.GroupsCapped.Load() - capped}, time.Now()}
+		})
+		paused = time.Since(start)+q >= groupWindow
+		detach := func() { subscribe(func(error) {}) }
 		lm.Poke()
-		last := time.Now()
 		closeAt := last.Add(200 * time.Microsecond)
 		for {
 			select {
-			case err := <-acked:
-				if err != nil {
-					t.Fatal(err)
+			case a := <-acked:
+				if more && !closed {
+					// A subscription that started after the
+					// acknowledgement says nothing of the silence before it.
+					if last.After(a.at) {
+						last, q = prev, qPrev
+					}
+					paused = paused || a.at.Sub(last) >= q
 				}
-				return time.Since(before), st.GroupsStalled.Load() != stalled
+				return a.v, paused
 			default:
 			}
 			now := time.Now()
 			if closeGroup != nil && now.After(closeAt) {
-				closeGroup()
-				closeGroup = nil
+				closeGroup(lm, ap, commit, detach)
+				closeGroup, closed = nil, true
+				paused = paused || time.Since(last) >= q || time.Since(start) >= groupWindow
 			}
-			if now.Sub(last) >= 20*time.Microsecond {
-				lm.OnDurable(commit(), func(error) {})
-				last = now
+			if more && now.Sub(last) >= pace {
+				detach()
 			}
-			runtime.Gosched() // a daemon readied by this goroutine may wait on its P
-			if now.Sub(before) > 5*time.Second {
+			if now.Sub(start) > 5*time.Second {
 				t.Fatal("detached commit never acknowledged")
 			}
+			runtime.Gosched() // a daemon readied by this goroutine may wait on its P
 		}
 	}
 
-	// A window's worth of the stream is ~75 commits: FlushTxns 128 never
-	// closes it.
-	lm, _, commit := open(128)
-	held := false
-	for i := 0; i < 20 && !held; i++ {
-		capped := lm.Stats().GroupsCapped.Load()
-		got, _ := stream(lm, commit, nil)
-		held = got >= groupWindow && lm.Stats().GroupsCapped.Load() == capped+1
+	// attempts runs stream until it neither pauses nor leaves the
+	// verdict unsettled, at most 50 times, and returns its verdict.
+	attempts := func(name string, settled func(verdict) bool, flushTxns int, more bool, closeGroup closer) verdict {
+		for i := 0; i < 50; i++ {
+			if v, paused := stream(flushTxns, more, closeGroup); !paused && settled(v) {
+				return v
+			}
+		}
+		t.Fatalf("%s: every one of 50 attempts paused or went unheld", name)
+		return verdict{}
 	}
-	if !held {
-		t.Fatalf("a stream that never paused was never held to the %v cap in 20 attempts", groupWindow)
+	always := func(verdict) bool { return true }
+
+	// A lone detached commit: nothing more is coming, so the stall rule
+	// closes its group.
+	if v := attempts("lone commit", always, 128, false, nil); v != (verdict{stalled: 1}) {
+		t.Errorf("a lone detached commit's group: %+v, want closed by the stall rule alone", v)
 	}
 
-	var parks sync.WaitGroup
-	defer parks.Wait()
+	// FlushTxns 128 never closes a window's worth of the stream, so only
+	// the cap can. A daemon that first looked at the group past the
+	// window held nothing and counts nothing: that attempt runs again.
+	held := func(v verdict) bool { return v != verdict{} }
+	if v := attempts("never pauses", held, 128, true, nil); v != (verdict{capped: 1}) {
+		t.Errorf("a stream that never paused: %+v, want its group held to the cap", v)
+	}
+
 	for _, c := range []struct {
 		name       string
-		flushTxns  int // the stream reaches 16 only ~300 µs in, after closeGroup
-		closeGroup func(lm *LogManager, ap *Appender, commit func() lsn.LSN)
+		flushTxns  int // the stream alone reaches 16 only past the window
+		closeGroup closer
 	}{
-		{"somebody parks", 128, func(lm *LogManager, _ *Appender, commit func() lsn.LSN) {
-			end := commit()
-			parks.Add(1)
-			go func() {
-				defer parks.Done()
-				if err := lm.WaitDurable(end); err != nil {
-					t.Error(err)
-				}
-			}()
-		}},
-		{"Flush", 128, func(lm *LogManager, _ *Appender, _ func() lsn.LSN) { lm.Flush() }},
-		{"FlushTxns commits", 16, func(lm *LogManager, _ *Appender, commit func() lsn.LSN) {
-			for i := 0; i < 16; i++ {
-				lm.OnDurable(commit(), func(error) {})
+		{"somebody parks", 128, func(lm *LogManager, _ *Appender, commit func() lsn.LSN, _ func()) {
+			if err := lm.WaitDurable(commit()); err != nil {
+				t.Error(err)
 			}
 		}},
-		{"FlushBytes", 128, func(_ *LogManager, ap *Appender, _ func() lsn.LSN) {
-			// Two appends, not many small ones: log bytes are not
-			// arrivals, so a slow run of them reads as a stall.
-			for i := 0; i < 2; i++ { // 2 * 9KiB > 16KiB
-				if _, _, err := ap.Append(logrec.NewPad(9 << 10)); err != nil {
+		{"Flush", 128, func(lm *LogManager, _ *Appender, _ func() lsn.LSN, _ func()) { lm.Flush() }},
+		{"FlushTxns commits", 16, func(_ *LogManager, _ *Appender, _ func() lsn.LSN, detach func()) {
+			for i := 0; i < 16; i++ {
+				detach()
+			}
+		}},
+		{"FlushBytes", 128, func(_ *LogManager, ap *Appender, _ func() lsn.LSN, detach func()) {
+			// Log bytes are not arrivals, so a slow run of them reads as
+			// a stall: a commit follows each append but the last.
+			for i := 0; i < 4; i++ { // 4 * 4.5KiB > 16KiB
+				if i > 0 {
+					detach()
+				}
+				if _, _, err := ap.Append(logrec.NewPad(9 << 9)); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}},
 	} {
-		lm, ap, commit := open(c.flushTxns)
-		early := false
-		for i := 0; i < 20 && !early; i++ {
-			got, stalled := stream(lm, commit, func() { c.closeGroup(lm, ap, commit) })
-			early = got < groupWindow && !stalled
-		}
-		if !early {
-			t.Errorf("%s: a growing group still waited out the window in 20 attempts", c.name)
+		if v := attempts(c.name, always, c.flushTxns, true, c.closeGroup); v != (verdict{}) {
+			t.Errorf("%s: %+v, want the group closed before either rule", c.name, v)
 		}
 	}
 }

@@ -20,8 +20,10 @@
 //     before that older record does.
 //
 // Which of the two applies is decided here and nowhere else (ml.one;
-// ARCHITECTURE.md, "Stamp domain"). The N >= 2 design leans on two
-// invariants:
+// ARCHITECTURE.md, "Stamp domain"), and so is how lanes are built: on
+// N >= 2, NewMultiLog fixes each lane's flush clamp (limit) before its
+// daemon starts, so no lane ever flushes without it. The N >= 2 design
+// leans on two invariants:
 //
 //  1. Within a partition, appends are serialized (appendMu), so LSN
 //     order equals global-seq order on every log. That makes the global
@@ -31,7 +33,7 @@
 //     already-flushed records, so its partition's clamp always sits
 //     after it.
 //  2. All of a transaction's records live on its home log, so a commit
-//     ack needs only the home log's durable horizon: the flush limiter
+//     ack needs only the home log's durable horizon: the flush clamp
 //     has already refused to harden the commit's log past any update
 //     whose cross-log dependency was not durable, which covers the
 //     touched-partition set transitively.
@@ -45,6 +47,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"aether/internal/logdev"
 	"aether/internal/logrec"
 	"aether/internal/lsn"
 )
@@ -92,8 +95,7 @@ type pageLast struct {
 
 // logPartition is one shard of the partitioned log.
 type logPartition struct {
-	idx int
-	lm  *LogManager
+	lm *LogManager
 
 	// appendMu serializes appends to this partition, guaranteeing that
 	// LSN order equals seq order on this log (invariant 1 above).
@@ -158,42 +160,41 @@ type MultiLog struct {
 	closed bool
 }
 
-// NewMultiLog builds a coordinator over the given per-lane log managers
-// (which must already be running). startSeq is the largest global
-// sequence stamp observed by recovery (0 for a fresh database, and
-// always on one lane); new records are stamped from startSeq+1. Over
-// two or more lanes the coordinator installs flush limiters and
-// durable-notify hooks on every manager; callers must not install their
-// own.
-func NewMultiLog(lms []*LogManager, startSeq uint64) (*MultiLog, error) {
-	if len(lms) < 1 {
+// NewMultiLog opens the log: one LogManager per device, in lane order,
+// running cfg and resuming at the device's durable size. startSeq is the
+// largest global sequence stamp recovery observed (0 for a fresh
+// database, and always on one lane); new records are stamped from
+// startSeq+1.
+func NewMultiLog(cfg Config, devs []logdev.Device, startSeq uint64) (*MultiLog, error) {
+	if len(devs) < 1 {
 		return nil, errors.New("core: MultiLog needs at least 1 lane")
 	}
-	if len(lms) == 1 {
-		ml := oneLane(lms[0])
-		ml.lastSeq.Store(startSeq)
-		return ml, nil
-	}
-	ml := &MultiLog{
-		parts:   make([]*logPartition, len(lms)),
-		pageMap: make(map[uint64]pageLast),
-	}
+	ml := &MultiLog{parts: make([]*logPartition, len(devs)), pageMap: make(map[uint64]pageLast)}
 	ml.lastSeq.Store(startSeq)
-	for i, lm := range lms {
-		p := &logPartition{idx: i, lm: lm, ap: lm.NewAppender()}
+	for i, dev := range devs {
+		lcfg := cfg
+		lcfg.Device = dev
+		lcfg.Buffer.Base = lsn.LSN(dev.DurableSize())
+		lm, err := newLane(lcfg)
+		if err != nil {
+			for _, p := range ml.parts[:i] {
+				p.lm.Close()
+			}
+			return nil, fmt.Errorf("core: log lane %d: %w", i, err)
+		}
+		p, lane := &logPartition{lm: lm}, i
+		if len(devs) > 1 {
+			p.ap = lm.NewAppender()
+			lm.limit = func(start, end lsn.LSN) lsn.LSN { return ml.limit(p, start, end) }
+			lm.durableAdvanced = func() { ml.pokeOthers(lane) }
+		}
 		ml.parts[i] = p
-		lm.SetFlushLimiter(func(start, end lsn.LSN) lsn.LSN {
-			return ml.limit(p, start, end)
-		})
-		lm.SetDurableNotify(func(lsn.LSN) { ml.pokeOthers(p.idx) })
+		go lm.daemon()
+	}
+	if len(devs) == 1 {
+		ml.one = ml.parts[0].lm
 	}
 	return ml, nil
-}
-
-// oneLane is the coordinator over a single manager: lane 0 is the whole
-// log, and every call forwards to it.
-func oneLane(lm *LogManager) *MultiLog {
-	return &MultiLog{parts: []*logPartition{{lm: lm}}, one: lm}
 }
 
 // NumParts returns the partition count.
@@ -213,7 +214,7 @@ func (ml *MultiLog) EdgesTotal() int64 { return ml.edgesTotal.Load() }
 
 // EdgesEnforced returns the subset of EdgesTotal whose older record was
 // not yet durable at append time and therefore had to be queued for the
-// flush limiter.
+// flush clamp.
 func (ml *MultiLog) EdgesEnforced() int64 { return ml.edgesEnforced.Load() }
 
 // DepStalls returns how many of partition i's flushes were clamped by
@@ -419,8 +420,8 @@ func (ml *MultiLog) limit(p *logPartition, start, end lsn.LSN) lsn.LSN {
 // pokeOthers nudges every partition except from: one log's durable
 // advance may have satisfied edges clamping the others.
 func (ml *MultiLog) pokeOthers(from int) {
-	for _, p := range ml.parts {
-		if p.idx != from {
+	for i, p := range ml.parts {
+		if i != from {
 			p.lm.Poke()
 		}
 	}
@@ -523,10 +524,14 @@ func (ml *MultiLog) StampFloor() lsn.LSN {
 }
 
 // FlushAll forces everything appended so far on every partition and
-// waits for it (used after recovery and at checkpoint barriers).
+// waits for it (Restart hardens recovery's records with it). A lane with
+// nothing to harden is left alone: a flush request it acted on later
+// would harden records appended after FlushAll returned.
 func (ml *MultiLog) FlushAll() error {
 	for _, p := range ml.parts {
-		p.lm.Flush()
+		if p.lm.Durable() < p.lm.AppendEnd() {
+			p.lm.Flush()
+		}
 	}
 	for _, p := range ml.parts {
 		if err := p.lm.WaitDurable(p.lm.AppendEnd()); err != nil {

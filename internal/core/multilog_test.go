@@ -11,26 +11,17 @@ import (
 	"aether/internal/lsn"
 )
 
-// newTestMulti builds a 2-partition MultiLog over the given devices with
-// flush triggers disarmed (huge thresholds, long interval) so the tests
+// newTestMulti opens a MultiLog over the given devices with flush
+// triggers disarmed (huge thresholds, long interval) so the tests
 // control exactly when each daemon flushes via Flush() pokes.
 func newTestMulti(t *testing.T, devs []logdev.Device) *MultiLog {
 	t.Helper()
-	lms := make([]*LogManager, len(devs))
-	for i, dev := range devs {
-		lm, err := New(Config{
-			Buffer:        logbuf.Config{Variant: logbuf.VariantCD, Size: 1 << 18},
-			Device:        dev,
-			FlushTxns:     1 << 20,
-			FlushBytes:    1 << 30,
-			FlushInterval: time.Hour,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lms[i] = lm
-	}
-	ml, err := NewMultiLog(lms, 0)
+	ml, err := NewMultiLog(Config{
+		Buffer:        logbuf.Config{Variant: logbuf.VariantCD, Size: 1 << 18},
+		FlushTxns:     1 << 20,
+		FlushBytes:    1 << 30,
+		FlushInterval: time.Hour,
+	}, devs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,14 +14,8 @@ import (
 // with LSNs, leaving Record.Seq 0 and the counter where it was — while
 // on two lanes the very next append is refused.
 func TestOneLaneConsumesNoSeq(t *testing.T) {
-	newLM := func() *LogManager {
-		lm, err := New(Config{Device: logdev.NewMem(logdev.ProfileMemory)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return lm
-	}
-	one, err := NewMultiLog([]*LogManager{newLM()}, maxSeq)
+	mem := func() logdev.Device { return logdev.NewMem(logdev.ProfileMemory) }
+	one, err := NewMultiLog(Config{}, []logdev.Device{mem()}, maxSeq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +36,7 @@ func TestOneLaneConsumesNoSeq(t *testing.T) {
 		t.Fatalf("one-lane appends moved the seq counter from %d to %d", uint64(maxSeq), got)
 	}
 
-	two, err := NewMultiLog([]*LogManager{newLM(), newLM()}, maxSeq)
+	two, err := NewMultiLog(Config{}, []logdev.Device{mem(), mem()}, maxSeq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +52,10 @@ func TestOneLaneConsumesNoSeq(t *testing.T) {
 // complete — none of them may pass through the N-lane machinery, which
 // would serialize the inserts the consolidation array runs in parallel.
 func TestOneLaneAppendTakesNoCoordinatorLock(t *testing.T) {
-	lm, err := New(Config{Device: logdev.NewMem(logdev.ProfileMemory)})
+	ml, err := NewMultiLog(Config{}, []logdev.Device{logdev.NewMem(logdev.ProfileMemory)}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ml := oneLane(lm)
 	defer ml.Close()
 	ap := ml.NewAppender()
 

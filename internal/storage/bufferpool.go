@@ -64,9 +64,6 @@ type CacheStats struct {
 // pages can never collide with archived ones that have not been faulted
 // yet. Call it once, before the store is shared between goroutines.
 func (s *Store) SetBackend(a Archive) error {
-	if s.backend == a {
-		return nil // already attached: skip the O(database) ID scan
-	}
 	s.backend = a
 	if a == nil {
 		return nil

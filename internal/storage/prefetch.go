@@ -49,17 +49,11 @@ type pfStream struct {
 }
 
 // SetPrefetch enables sequential read-ahead with at most depth pages
-// ahead of demand (0 disables). The first call must happen at setup,
-// before the store is shared between goroutines; re-arming with the
-// same depth is a no-op, so Restart's pre-recovery arming and
-// NewEngine's idempotent re-wiring don't rewrite fields that recovery-
-// spawned prefetch goroutines may still be reading.
+// ahead of demand (0 disables). Call it once at setup, before the store
+// is shared between goroutines.
 func (s *Store) SetPrefetch(depth int) {
 	if depth < 0 {
 		depth = 0
-	}
-	if depth == s.prefetchDepth {
-		return
 	}
 	s.prefetchDepth = depth
 	if depth > 0 {

@@ -6,11 +6,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
-	"aether/internal/core"
 	"aether/internal/lockmgr"
-	"aether/internal/logbuf"
 	"aether/internal/logdev"
 	"aether/internal/logrec"
 	"aether/internal/lsn"
@@ -63,30 +60,10 @@ type nullDev struct{ *logdev.Segmented }
 
 func (nullDev) Append(p []byte) (int, error) { return len(p), nil }
 
-// newEngineOn builds a single-log engine with lock inheritance over dev.
+// newEngineOn starts a single-log engine with lock inheritance over dev.
 func newEngineOn(t *testing.T, dev logdev.Device) *Engine {
 	t.Helper()
-	lm, err := core.New(core.Config{
-		Buffer: logbuf.Config{Variant: logbuf.VariantCD, Size: 1 << 20},
-		Device: dev,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ml, err := core.NewMultiLog([]*core.LogManager{lm}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewEngine(Config{
-		Log:   ml,
-		Locks: lockmgr.New(lockmgr.Config{DeadlockTimeout: 300 * time.Millisecond, SLI: true}),
-		Store: storage.NewStore(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { lm.Close() })
-	return eng
+	return startEngine(t, RestartConfig{Device: dev, LogConfig: harnessLogConfig})
 }
 
 func setValue(v uint64) func([]byte) ([]byte, error) {

@@ -6,12 +6,37 @@ import (
 	"testing"
 	"time"
 
-	"aether/internal/core"
-	"aether/internal/lockmgr"
-	"aether/internal/logbuf"
 	"aether/internal/logdev"
 	"aether/internal/storage"
 )
+
+// shrinkBackoff sets the archiver's retry schedule for one test and
+// puts it back after the engine's cleanup has stopped the archiver.
+func shrinkBackoff(t *testing.T, lo, hi time.Duration, retries int) {
+	oldMin, oldMax, oldRetries := archBackoffMin, archBackoffMax, archMaxRetries
+	archBackoffMin, archBackoffMax, archMaxRetries = lo, hi, retries
+	t.Cleanup(func() {
+		archBackoffMin, archBackoffMax, archMaxRetries = oldMin, oldMax, oldRetries
+	})
+}
+
+// startArchiving starts an engine over dev with the background
+// checkpointer armed and a page file, so that a commit stream truncates
+// the log and parks sealed segments for dev's archiver.
+func startArchiving(t *testing.T, dev *logdev.Segmented) *Engine {
+	t.Helper()
+	pf, err := storage.OpenPageFile(filepath.Join(t.TempDir(), "pagefile.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pf.Close() })
+	return startEngine(t, RestartConfig{
+		Device:               dev,
+		Archive:              pf,
+		LogConfig:            harnessLogConfig,
+		CheckpointEveryBytes: 16 << 10,
+	})
+}
 
 // TestArchiverBackoffSurvivesTransientOutage injects a 5-failure
 // cold-store outage and requires the background archiver to ride it
@@ -21,11 +46,7 @@ import (
 func TestArchiverBackoffSurvivesTransientOutage(t *testing.T) {
 	// Shrink the retry schedule so five failures resolve in
 	// milliseconds rather than the production ~150ms+.
-	oldMin, oldMax, oldRetries := archBackoffMin, archBackoffMax, archMaxRetries
-	archBackoffMin, archBackoffMax, archMaxRetries = 200*time.Microsecond, 2*time.Millisecond, 8
-	defer func() {
-		archBackoffMin, archBackoffMax, archMaxRetries = oldMin, oldMax, oldRetries
-	}()
+	shrinkBackoff(t, 200*time.Microsecond, 2*time.Millisecond, 8)
 
 	dev, _ := memLog(t, 8<<10)
 	store := logdev.NewMemObjectStore()
@@ -37,36 +58,7 @@ func TestArchiverBackoffSurvivesTransientOutage(t *testing.T) {
 	// The outage: the next 5 uploads fail, then the store heals.
 	store.Arm(logdev.NetFault{FailPuts: 5, FailErr: errors.New("cold store unreachable")})
 
-	pf, err := storage.OpenPageFile(filepath.Join(t.TempDir(), "pagefile.db"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lm, err := core.New(core.Config{
-		Buffer: logbuf.Config{Variant: logbuf.VariantCD, Size: 1 << 20},
-		Device: dev,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ml, err := core.NewMultiLog([]*core.LogManager{lm}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewEngine(Config{
-		Log:                  ml,
-		Locks:                lockmgr.New(lockmgr.Config{DeadlockTimeout: 300 * time.Millisecond, SLI: true}),
-		Store:                storage.NewStore(),
-		Archive:              pf,
-		CheckpointEveryBytes: 16 << 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		eng.Close()
-		eng.Log().Close()
-		pf.Close()
-	}()
+	eng := startArchiving(t, dev)
 	tbl, err := eng.CreateTable("t", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -123,15 +115,12 @@ func TestArchiverBackoffSurvivesTransientOutage(t *testing.T) {
 }
 
 // TestArchiverBackoffGivesUpOnPermanentFailure: a cold store that
-// never heals must not wedge the engine — the pass gives up after
+// does not heal must not wedge the engine — the pass gives up after
 // archMaxRetries, counts it, and leaves the segments parked on disk
-// for a later pass.
+// for a later pass. Once the store heals, the next nudge (a checkpoint's)
+// is that pass: every parked segment is archived and nothing gives up.
 func TestArchiverBackoffGivesUpOnPermanentFailure(t *testing.T) {
-	oldMin, oldMax, oldRetries := archBackoffMin, archBackoffMax, archMaxRetries
-	archBackoffMin, archBackoffMax, archMaxRetries = 100*time.Microsecond, 1*time.Millisecond, 3
-	defer func() {
-		archBackoffMin, archBackoffMax, archMaxRetries = oldMin, oldMax, oldRetries
-	}()
+	shrinkBackoff(t, 100*time.Microsecond, 1*time.Millisecond, 3)
 
 	dev, _ := memLog(t, 8<<10)
 	store := logdev.NewMemObjectStore()
@@ -142,36 +131,7 @@ func TestArchiverBackoffGivesUpOnPermanentFailure(t *testing.T) {
 	dev.SetArchiver(marc)
 	store.Arm(logdev.NetFault{Outage: errors.New("cold store gone")})
 
-	pf, err := storage.OpenPageFile(filepath.Join(t.TempDir(), "pagefile.db"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lm, err := core.New(core.Config{
-		Buffer: logbuf.Config{Variant: logbuf.VariantCD, Size: 1 << 20},
-		Device: dev,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ml, err := core.NewMultiLog([]*core.LogManager{lm}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewEngine(Config{
-		Log:                  ml,
-		Locks:                lockmgr.New(lockmgr.Config{DeadlockTimeout: 300 * time.Millisecond, SLI: true}),
-		Store:                storage.NewStore(),
-		Archive:              pf,
-		CheckpointEveryBytes: 16 << 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		eng.Close()
-		eng.Log().Close()
-		pf.Close()
-	}()
+	eng := startArchiving(t, dev)
 	tbl, err := eng.CreateTable("t", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +164,43 @@ func TestArchiverBackoffGivesUpOnPermanentFailure(t *testing.T) {
 		t.Fatalf("%d segments archived through a permanent outage", s.SegmentsArchived.Load())
 	}
 	// The unarchivable segments are parked, not lost or recycled.
-	if len(dev.PendingArchive()) == 0 {
+	parked := dev.PendingArchive()
+	if len(parked) == 0 {
 		t.Fatal("no segments parked awaiting archive")
+	}
+
+	// The store heals. Nothing retries by itself once a pass gave up;
+	// a checkpoint's nudge starts the pass that drains the parked set.
+	gaveUp := s.ArchiveGaveUp.Load()
+	store.Arm(logdev.NetFault{})
+	if err := eng.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	deadline = time.Now().Add(15 * time.Second)
+	var idxs []int64
+	for {
+		if idxs, err = marc.Segments(); err != nil {
+			t.Fatal(err)
+		}
+		if len(dev.PendingArchive()) == 0 && s.SegmentsArchived.Load() == int64(len(idxs)) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("healed store: %d segments still parked, %d archived, %d objects",
+				len(dev.PendingArchive()), s.SegmentsArchived.Load(), len(idxs))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	archived := make(map[int64]bool, len(idxs))
+	for _, idx := range idxs {
+		archived[idx] = true
+	}
+	for _, idx := range parked {
+		if !archived[idx] {
+			t.Fatalf("segment %d, parked during the outage, was not archived after it", idx)
+		}
+	}
+	if got := s.ArchiveGaveUp.Load(); got != gaveUp {
+		t.Fatalf("archiver gave up %d more times after the store healed", got-gaveUp)
 	}
 }

@@ -6,13 +6,12 @@ import (
 	"time"
 
 	"aether/internal/core"
-	"aether/internal/lockmgr"
 	"aether/internal/logbuf"
 	"aether/internal/logdev"
 	"aether/internal/storage"
 )
 
-// newAutoHarness builds an engine on a segmented memory log with the
+// newAutoHarness starts an engine on a segmented memory log with the
 // background incremental checkpointer armed and a real PageFile archive.
 func newAutoHarness(t *testing.T, everyBytes int64) (*Engine, *logdev.Segmented, *storage.PageFile) {
 	t.Helper()
@@ -21,31 +20,12 @@ func newAutoHarness(t *testing.T, everyBytes int64) (*Engine, *logdev.Segmented,
 	if err != nil {
 		t.Fatal(err)
 	}
-	lm, err := core.New(core.Config{
-		Buffer: logbuf.Config{Variant: logbuf.VariantCD, Size: 1 << 21},
-		Device: dev,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ml, err := core.NewMultiLog([]*core.LogManager{lm}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewEngine(Config{
-		Log:                  ml,
-		Locks:                lockmgr.New(lockmgr.Config{DeadlockTimeout: 300 * time.Millisecond, SLI: true}),
-		Store:                storage.NewStore(),
+	t.Cleanup(func() { pf.Close() })
+	eng := startEngine(t, RestartConfig{
+		Device:               dev,
 		Archive:              pf,
+		LogConfig:            core.Config{Buffer: logbuf.Config{Variant: logbuf.VariantCD, Size: 1 << 21}},
 		CheckpointEveryBytes: everyBytes,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		eng.Close()
-		eng.Log().Close()
-		pf.Close()
 	})
 	return eng, dev, pf
 }

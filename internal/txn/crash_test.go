@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"aether/internal/core"
-	"aether/internal/lockmgr"
 	"aether/internal/logdev"
 	"aether/internal/logrec"
 	"aether/internal/lsn"
@@ -20,19 +19,7 @@ import (
 // re-creates the named tables in order.
 func (h *harness) restart(t *testing.T, tables ...string) (*Engine, map[string]*Table) {
 	t.Helper()
-	devs := make([]logdev.Device, len(h.devs))
-	for i, d := range h.devs {
-		devs[i] = d
-	}
-	eng, _, err := Restart(RestartConfig{
-		Devices:    devs,
-		Archive:    h.arch,
-		LogConfig:  harnessLogConfig,
-		LockConfig: lockmgr.Config{DeadlockTimeout: 300 * time.Millisecond, SLI: true},
-	})
-	if err != nil {
-		t.Fatalf("restart: %v", err)
-	}
+	eng := h.start(t, harnessLogConfig)
 	out := make(map[string]*Table, len(tables))
 	for _, name := range tables {
 		tbl, err := eng.CreateTable(name, nil)
@@ -44,8 +31,6 @@ func (h *harness) restart(t *testing.T, tables ...string) (*Engine, map[string]*
 	if err := eng.RebuildTables(); err != nil {
 		t.Fatal(err)
 	}
-	h.eng = eng
-	t.Cleanup(func() { eng.Multi().Close() })
 	return eng, out
 }
 

@@ -5,7 +5,8 @@
 // Flush Pipelining.
 //
 // The package plays the role Shore-MT plays in the paper: the substrate
-// whose transactions exercise the log.
+// whose transactions exercise the log. Restart is the only way to build
+// an Engine, over fresh devices or ones holding a log to recover.
 package txn
 
 import (
@@ -111,56 +112,6 @@ type Table struct {
 	KeyOf func([]byte) uint64
 }
 
-// Config assembles an Engine.
-type Config struct {
-	// Log is the Aether log: one coordinator over N >= 1 lanes
-	// (required). Page stamps, DPT recLSNs, checkpoint ATT entries and
-	// the truncation horizon live in its stamp domain (core.MultiLog);
-	// commit waits go to each transaction's home lane.
-	Log *core.MultiLog
-	// Route picks a transaction's home lane, given the transaction ID
-	// and the page space of its first logged update; the result is taken
-	// modulo the lane count. Nil defaults to the page space, which keeps
-	// table-partitioned workloads log-local. Must be pure and
-	// goroutine-safe.
-	Route func(txnID uint64, space uint32) int
-	// Locks is the lock manager (required).
-	Locks *lockmgr.Manager
-	// Store is the page store; NewEngine wires Archive and Log into it
-	// as the buffer pool's backend and WAL hook (required).
-	Store *storage.Store
-	// Archive, if set, receives page images at checkpoints (the
-	// simulated database file).
-	Archive storage.Archive
-	// CheckpointEveryBytes, if > 0, starts the background incremental
-	// checkpointer: a goroutine that takes a fuzzy checkpoint (sweep,
-	// truncation and all) every time roughly this many bytes have been
-	// appended to the log — so the log stays bounded with zero client
-	// Checkpoint calls and zero commit-path stalls. Stop it with Close.
-	CheckpointEveryBytes int64
-	// CleanerPages, if > 0, starts the background page cleaner: a
-	// goroutine that watches the buffer pool's free-frame headroom and
-	// pre-cleans dirty, unpinned, cold pages — forcing the log, then
-	// writing the images to the archive as one batch —
-	// whenever fewer than this many frames are free or clean. Faults
-	// then find clean victims and eviction is a frame drop instead of a
-	// demand steal. Meaningful only with a bounded Store (SetCachePages)
-	// over an Archive backend; harmless otherwise. Stop it with Close.
-	CleanerPages int
-	// PrefetchDepth, if > 0, enables sequential read-ahead in the buffer
-	// pool: when faults form a sequential run (a scan, the restart
-	// rebuild), up to this many pages are read from the archive ahead of
-	// demand, concurrently, so the scan's faults become cache hits.
-	// Prefetched frames are charged against the cache budget but never
-	// evict dirty pages. Meaningful only with an Archive backend.
-	PrefetchDepth int
-	// Retention, with a cold store and SnapshotEveryBytes > 0, starts the
-	// cold store's maintenance daemon on a one-lane log: snapshot cutting
-	// and retention pruning against its remote archiver. Stop it with
-	// Close.
-	Retention RetentionConfig
-}
-
 // Stats exposes engine counters.
 type Stats struct {
 	// Commits counts committed transactions.
@@ -250,40 +201,24 @@ type Engine struct {
 	closeOnce sync.Once
 }
 
-// NewEngine builds an engine over the given components.
-func NewEngine(cfg Config) (*Engine, error) {
-	if cfg.Log == nil || cfg.Locks == nil || cfg.Store == nil {
-		return nil, errors.New("txn: Log, Locks and Store are required")
-	}
-	n := cfg.Log.NumParts()
-	route := cfg.Route
+// newEngine builds the engine over Restart's recovered log and store
+// and starts the background workers cfg arms.
+func newEngine(cfg RestartConfig, log *core.MultiLog, store *storage.Store) *Engine {
+	n := log.NumParts()
+	route := cfg.RoutePartition
 	if route == nil {
 		route = func(_ uint64, space uint32) int { return int(space) }
 	}
 	e := &Engine{
-		log:     cfg.Log,
+		log:     log,
 		route:   func(txnID uint64, space uint32) int { return route(txnID, space) % n },
-		locks:   cfg.Locks,
-		store:   cfg.Store,
+		locks:   lockmgr.New(cfg.LockConfig),
+		store:   store,
 		archive: cfg.Archive,
 		tables:  make(map[string]*Table),
 		spaces:  make(map[uint32]*Table),
 		att:     make(map[uint64]*Txn),
-		ckptAp:  cfg.Log.NewAppender(),
-	}
-	// Thread the WAL into the buffer pool: evicting a dirty page forces
-	// the log up to its pageLSN before the image may be stolen to the
-	// archive, and faulted images are checked against the durable
-	// horizon. (Restart wires the same hooks before recovery; repeating
-	// them here is idempotent and covers directly constructed engines.)
-	if cfg.Archive != nil {
-		if err := cfg.Store.SetBackend(cfg.Archive); err != nil {
-			return nil, err
-		}
-	}
-	cfg.Store.AttachWAL(cfg.Log)
-	if cfg.PrefetchDepth > 0 {
-		cfg.Store.SetPrefetch(cfg.PrefetchDepth)
+		ckptAp:  log.NewAppender(),
 	}
 	if cfg.CheckpointEveryBytes > 0 {
 		e.startAutoCheckpoint(cfg.CheckpointEveryBytes)
@@ -297,7 +232,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Retention.Remote != nil && cfg.Retention.SnapshotEveryBytes > 0 {
 		e.startRetention(cfg.Retention)
 	}
-	return e, nil
+	return e
 }
 
 // waitLM returns the log manager a transaction homed on lane `home`

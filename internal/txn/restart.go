@@ -11,8 +11,8 @@ import (
 	"aether/internal/storage"
 )
 
-// RestartConfig describes how to bring a database back from its durable
-// state (log device + optional page archive).
+// RestartConfig describes a database's durable state (log devices +
+// optional page archive) and the engine to run over it.
 type RestartConfig struct {
 	// Device is the one-lane spelling of Devices (ignored when Devices
 	// is set).
@@ -21,18 +21,20 @@ type RestartConfig struct {
 	// Recovery reads the lanes' tails in the total order and the engine
 	// runs over one core.MultiLog of as many lanes.
 	Devices []logdev.Device
-	// RoutePartition overrides the home-lane routing (see Config.Route).
-	// Nil defaults to page space modulo lane count.
+	// RoutePartition picks a transaction's home lane from its ID and the
+	// page space of its first logged update, modulo the lane count. Nil
+	// means the page space. Must be pure and goroutine-safe.
 	RoutePartition func(txnID uint64, space uint32) int
 	// Archive is the page archive (database file); may be nil.
 	Archive storage.Archive
-	// LogConfig configures the new log manager. Device and Buffer.Base
-	// are set by Restart.
+	// LogConfig configures every lane's log manager (core.NewMultiLog
+	// sets each lane's Device and Buffer.Base).
 	LogConfig core.Config
-	// LockConfig configures the new lock manager.
+	// LockConfig configures the lock manager.
 	LockConfig lockmgr.Config
-	// CheckpointEveryBytes enables the engine's background incremental
-	// checkpointer (see txn.Config.CheckpointEveryBytes).
+	// CheckpointEveryBytes, if > 0, starts the background checkpointer:
+	// a fuzzy checkpoint (sweep, truncation and all) each time roughly
+	// this many bytes have been appended to the log.
 	CheckpointEveryBytes int64
 	// CachePages, if > 0, bounds the page store to at most this many
 	// resident pages: pages beyond the budget fault in from Archive on
@@ -40,24 +42,28 @@ type RestartConfig struct {
 	// archive after the log is forced) to make room. 0 keeps the
 	// original fully memory-resident behavior. Requires Archive.
 	CachePages int64
-	// CleanerPages enables the engine's background page cleaner (see
-	// txn.Config.CleanerPages). Meaningful only with CachePages set.
+	// CleanerPages, if > 0, starts the background page cleaner: it
+	// writes dirty, unpinned, cold pages back to the archive in batches
+	// whenever fewer than this many frames are free or clean, so faults
+	// find clean victims. Meaningful only with CachePages set.
 	CleanerPages int
-	// PrefetchDepth enables sequential read-ahead in the buffer pool (see
-	// txn.Config.PrefetchDepth). It is armed before recovery runs, so a
-	// redo pass walking pages in log order and the RebuildTables scan both
-	// stream their faults. Meaningful only with Archive set.
+	// PrefetchDepth, if > 0, enables sequential read-ahead: when faults
+	// form a sequential run, up to this many pages are read from the
+	// archive ahead of demand. It is armed before recovery runs, so redo
+	// and the RebuildTables scan both stream their faults. Meaningful
+	// only with Archive set.
 	PrefetchDepth int
-	// Retention arms the cold store's maintenance daemon (see
-	// txn.Config.Retention).
+	// Retention, with a cold store and SnapshotEveryBytes > 0, starts the
+	// cold store's maintenance daemon (snapshots, pruning) on a one-lane
+	// log.
 	Retention RetentionConfig
 }
 
-// Restart performs crash recovery and returns a ready engine: read the
-// durable log, attach the archive as the page store's demand-paging
-// backend, run ARIES analysis/redo/undo (logging CLRs into the restarted
-// log), and hand back the engine. Pages are no longer loaded eagerly at
-// open — redo faults exactly the pages it touches, so restart memory is
+// Restart is the one way to build an engine, a fresh one included (its
+// devices are empty): read the durable log, attach the archive as the
+// page store's demand-paging backend, open the log (core.NewMultiLog),
+// run ARIES analysis/redo/undo (logging CLRs into it), and hand back the
+// engine. Redo faults exactly the pages it touches, so restart memory is
 // O(working set), not O(database). The caller must re-create its tables
 // in the original order and then call RebuildTables.
 func Restart(cfg RestartConfig) (*Engine, *recovery.Result, error) {
@@ -67,7 +73,7 @@ func Restart(cfg RestartConfig) (*Engine, *recovery.Result, error) {
 	}
 	// Read only the live tails: a truncated device recycled everything
 	// below its base, and recovery is O(log-since-checkpoint) because of
-	// it. LSNs are stable, so each new buffer resumes at base+len(tail).
+	// it. LSNs are stable, so each lane resumes at base+len(tail).
 	lanes := make([]recovery.Lane, len(devs))
 	for i, dev := range devs {
 		logData, base, err := logdev.ReadTail(dev)
@@ -91,34 +97,24 @@ func Restart(cfg RestartConfig) (*Engine, *recovery.Result, error) {
 		// pool ever sees — exactly what read-ahead is for.
 		store.SetPrefetch(cfg.PrefetchDepth)
 	}
-	// Analysis reads the tails only; the coordinator is then built at
-	// the sequence number they end at, so that redo's faults are checked
+	// Analysis reads the tails only; the log is then opened at the
+	// sequence number they end at, so that redo's faults are checked
 	// against, and undo's CLRs stamped above, everything on disk.
 	an, err := recovery.Analyze(lanes)
 	if err != nil {
 		return nil, nil, err
 	}
-	lms := make([]*core.LogManager, len(devs))
-	closeAll := func() {
-		for _, lm := range lms {
-			if lm != nil {
-				lm.Close()
-			}
-		}
-	}
-	for i, dev := range devs {
-		lcfg := cfg.LogConfig
-		lcfg.Device = dev
-		lcfg.Buffer.Base = lanes[i].Base.Add(len(lanes[i].Log))
-		if lms[i], err = core.New(lcfg); err != nil {
-			closeAll()
-			return nil, nil, fmt.Errorf("txn: log lane %d: %w", i, err)
-		}
-	}
-	ml, err := core.NewMultiLog(lms, an.LastSeq())
+	ml, err := core.NewMultiLog(cfg.LogConfig, devs, an.LastSeq())
 	if err != nil {
-		closeAll()
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("txn: %w", err)
+	}
+	// Each lane resumes at its device's durable size, which must be where
+	// recovery's tail ended, or new LSNs would not be where records land.
+	for i, l := range lanes {
+		if got, want := ml.Part(i).AppendEnd(), l.Base.Add(len(l.Log)); got != want {
+			ml.Close()
+			return nil, nil, fmt.Errorf("txn: log lane %d resumes at %v, but its recovered tail ends at %v", i, got, want)
+		}
 	}
 	// The WAL hook must be in place before recovery faults its first
 	// page: faulted images are verified against the durable horizon, and
@@ -138,21 +134,7 @@ func Restart(cfg RestartConfig) (*Engine, *recovery.Result, error) {
 		ml.Close()
 		return nil, nil, fmt.Errorf("txn: flushing recovery log: %w", err)
 	}
-	eng, err := NewEngine(Config{
-		Log:                  ml,
-		Route:                cfg.RoutePartition,
-		Locks:                lockmgr.New(cfg.LockConfig),
-		Store:                store,
-		Archive:              cfg.Archive,
-		CheckpointEveryBytes: cfg.CheckpointEveryBytes,
-		CleanerPages:         cfg.CleanerPages,
-		PrefetchDepth:        cfg.PrefetchDepth,
-		Retention:            cfg.Retention,
-	})
-	if err != nil {
-		ml.Close()
-		return nil, nil, err
-	}
+	eng := newEngine(cfg, ml, store)
 	// Transaction IDs continue above every ID recovery's analysis saw
 	// (see recovery.Result.MaxTxnID).
 	eng.nextTxn.Store(res.MaxTxnID)

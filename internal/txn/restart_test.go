@@ -3,6 +3,7 @@ package txn
 import (
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -248,5 +249,37 @@ func TestRebuildIndexMatchesHeap(t *testing.T) {
 	}
 	if err := check.Commit(CommitSync, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// shiftedDev is a log device whose durable size moves 16 bytes on after
+// its first reading: a lane that grew between recovery reading its tail
+// and the log reopening over it.
+type shiftedDev struct {
+	*logdev.Segmented
+	readings int
+}
+
+func (d *shiftedDev) DurableSize() int64 {
+	d.readings++
+	if d.readings > 1 {
+		return d.Segmented.DurableSize() + 16
+	}
+	return d.Segmented.DurableSize()
+}
+
+// TestRestartRefusesTailMismatch: the log reopens each lane at its
+// device's durable size, and recovery read the lane's tail up to where
+// it ended. Restart refuses to run when the two are not one address —
+// the new records' LSNs would not be where they land.
+func TestRestartRefusesTailMismatch(t *testing.T) {
+	dev, _ := memLog(t, logdev.DefaultSegmentSize)
+	eng, _, err := Restart(RestartConfig{Device: &shiftedDev{Segmented: dev}, LogConfig: restartLogConfig, LockConfig: restartLockConfig})
+	if err == nil {
+		eng.Multi().Close()
+		t.Fatal("restart ran over a lane that does not resume where its recovered tail ends")
+	}
+	if !strings.Contains(err.Error(), "log lane 0") {
+		t.Fatalf("restart error %q does not name the lane", err)
 	}
 }

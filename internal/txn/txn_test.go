@@ -36,39 +36,48 @@ type harness struct {
 	eng  *Engine
 }
 
-var harnessLogConfig = core.Config{Buffer: logbuf.Config{Variant: logbuf.VariantCD, Size: 1 << 20}}
+var (
+	harnessLogConfig  = core.Config{Buffer: logbuf.Config{Variant: logbuf.VariantCD, Size: 1 << 20}}
+	harnessLockConfig = lockmgr.Config{DeadlockTimeout: 300 * time.Millisecond, SLI: true}
+)
 
 func newHarness(t *testing.T) *harness { return newHarnessN(t, 1, harnessLogConfig) }
 
-// newHarnessN builds a fresh n-lane engine whose lanes all run lcfg.
+// newHarnessN starts a fresh n-lane engine whose lanes all run lcfg.
 func newHarnessN(t *testing.T, n int, lcfg core.Config) *harness {
 	t.Helper()
 	h := &harness{fs: vfs.NewFaultFS(1)}
 	h.openFiles(t, n)
-	lms := make([]*core.LogManager, n)
-	for i, dev := range h.devs {
-		lcfg.Device = dev
-		lm, err := core.New(lcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lms[i] = lm
-	}
-	ml, err := core.NewMultiLog(lms, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.eng, err = NewEngine(Config{
-		Log:     ml,
-		Locks:   lockmgr.New(lockmgr.Config{DeadlockTimeout: 300 * time.Millisecond, SLI: true}),
-		Store:   storage.NewStore(),
-		Archive: h.arch,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { h.eng.Multi().Close() })
+	h.start(t, lcfg)
 	return h
+}
+
+// start brings the engine up over the harness's files, its lanes
+// running lcfg.
+func (h *harness) start(t *testing.T, lcfg core.Config) *Engine {
+	t.Helper()
+	devs := make([]logdev.Device, len(h.devs))
+	for i, d := range h.devs {
+		devs[i] = d
+	}
+	h.eng = startEngine(t, RestartConfig{Devices: devs, Archive: h.arch, LogConfig: lcfg})
+	return h.eng
+}
+
+// startEngine brings an engine up through Restart with the tests' lock
+// settings, and stops its workers and closes its log when the test ends.
+func startEngine(t *testing.T, cfg RestartConfig) *Engine {
+	t.Helper()
+	cfg.LockConfig = harnessLockConfig
+	eng, _, err := Restart(cfg)
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	t.Cleanup(func() {
+		eng.Close()
+		eng.Multi().Close()
+	})
+	return eng
 }
 
 // memLog opens a log device with segSize segments on an in-memory
@@ -98,8 +107,8 @@ func crashLog(t *testing.T, dev *logdev.Segmented, fs *vfs.FaultFS) *logdev.Segm
 }
 
 // newFiles opens one log lane and the database file on a fresh
-// in-memory filesystem, for tests that assemble their own engine over
-// them.
+// in-memory filesystem, for tests that restart an engine over them with
+// settings of their own.
 func newFiles(t *testing.T) *harness {
 	t.Helper()
 	h := &harness{fs: vfs.NewFaultFS(1)}

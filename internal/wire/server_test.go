@@ -1,12 +1,14 @@
 package wire
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"net"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -414,6 +416,32 @@ func TestMalformedClients(t *testing.T) {
 		assertHealthy(t, addr)
 	})
 
+	t.Run("malformed body", func(t *testing.T) {
+		nc := rawConn(t, addr)
+		frame := make([]byte, 0, 16)
+		frame = append(frame, 0, 0, 0, 10)                                 // length = header + 1
+		frame = append(frame, 0, 0, 0, 0, 0, 0, 0, 8, byte(OpBegin), 0xFF) // id=8, Begin in mode 0xFF
+		if _, err := nc.Write(frame); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		// The frame is whole and its opcode known, but the body is not
+		// a request: StatusBadRequest, then the server hangs up.
+		payload, err := ReadFrame(nc, 1<<16)
+		if err != nil {
+			t.Fatalf("read error reply: %v", err)
+		}
+		resp, err := DecodeResponse(payload)
+		if err != nil {
+			t.Fatalf("decode error reply: %v", err)
+		}
+		if resp.ID != 8 || resp.Status != StatusBadRequest {
+			t.Fatalf("error reply = id %d status %d, want id 8 StatusBadRequest", resp.ID, resp.Status)
+		}
+		waitStat(t, "bad-request counter", func() bool { return srv.Stats().BadRequests >= 1 })
+		assertConnClosed(t, nc)
+		assertHealthy(t, addr)
+	})
+
 	t.Run("stalled reader", func(t *testing.T) {
 		// Seed one big row through a well-behaved session.
 		cl, err := Dial(addr, ClientOptions{})
@@ -460,9 +488,150 @@ func TestMalformedClients(t *testing.T) {
 	// All abuse closed only its own connection: the server's error
 	// counters match the abuse delivered, and nothing else died.
 	st := srv.Stats()
-	if st.Oversized != 1 || st.Truncated < 1 || st.UnknownOps != 1 || st.WriteTimeouts < 1 {
+	if st.Oversized != 1 || st.Truncated < 1 || st.UnknownOps != 1 || st.BadRequests != 1 || st.WriteTimeouts < 1 {
 		t.Fatalf("unexpected abuse counters: %+v", st)
 	}
+}
+
+// TestConnectionEndCounters: the three other ways a connection ends
+// without the client's say-so each count once — an idle connection is
+// closed past ReadTimeout, a connection dropped mid-transaction has its
+// transaction aborted, and a dial the listener hands over after
+// Shutdown began is refused.
+func TestConnectionEndCounters(t *testing.T) {
+	t.Run("read timeout", func(t *testing.T) {
+		srv, _, addr := startServer(t, aether.Options{}, ServerOptions{ReadTimeout: 100 * time.Millisecond})
+		nc := rawConn(t, addr)
+		waitStat(t, "read-timeout counter", func() bool { return srv.Stats().ReadTimeouts >= 1 })
+		assertConnClosed(t, nc)
+		if st := srv.Stats(); st.ReadTimeouts != 1 {
+			t.Fatalf("one idle connection, %d read timeouts", st.ReadTimeouts)
+		}
+	})
+
+	t.Run("dropped mid-transaction", func(t *testing.T) {
+		srv, _, addr := startServer(t, aether.Options{}, ServerOptions{})
+		cl, err := Dial(addr, ClientOptions{})
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		s, err := cl.Session()
+		if err != nil {
+			t.Fatalf("session: %v", err)
+		}
+		tbl, err := s.CreateTable("kv")
+		if err != nil {
+			t.Fatalf("create table: %v", err)
+		}
+		if err := s.Begin(); err != nil {
+			t.Fatalf("begin: %v", err)
+		}
+		if err := s.Insert(tbl, 1, u64(1)); err != nil {
+			t.Fatalf("insert: %v", err)
+		}
+		if err := s.Commit(); err != nil {
+			t.Fatalf("commit: %v", err)
+		}
+		if err := s.Begin(); err != nil {
+			t.Fatalf("begin: %v", err)
+		}
+		if err := s.Update(tbl, 1, u64(2)); err != nil {
+			t.Fatalf("update: %v", err)
+		}
+		// Hang up with the update uncommitted: with the pool closed, the
+		// session's connection closes with it.
+		cl.Close()
+		s.Close()
+		waitStat(t, "aborted-on-close counter", func() bool { return srv.Stats().TxnsAbortedOnClose >= 1 })
+
+		cl2, err := Dial(addr, ClientOptions{})
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer cl2.Close()
+		s2, err := cl2.Session()
+		if err != nil {
+			t.Fatalf("session: %v", err)
+		}
+		defer s2.Close()
+		tbl2, err := s2.OpenTable("kv") // table handles are per connection
+		if err != nil {
+			t.Fatalf("open table: %v", err)
+		}
+		if err := s2.Begin(); err != nil {
+			t.Fatalf("begin: %v", err)
+		}
+		got, err := s2.Read(tbl2, 1)
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		if !bytes.Equal(got, u64(1)) {
+			t.Fatalf("row 1 = %x after its updater hung up, want the committed %x", got, u64(1))
+		}
+		if err := s2.Commit(); err != nil {
+			t.Fatalf("commit: %v", err)
+		}
+		if st := srv.Stats(); st.TxnsAbortedOnClose != 1 {
+			t.Fatalf("one dropped transaction, %d aborted on close", st.TxnsAbortedOnClose)
+		}
+	})
+
+	t.Run("dial during shutdown", func(t *testing.T) {
+		db, err := aether.Open(aether.Options{})
+		if err != nil {
+			t.Fatalf("open db: %v", err)
+		}
+		defer db.Close()
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		defer ln.Close()
+		dl := &drainListener{Listener: ln, closing: make(chan struct{})}
+		srv := NewServer(db, ServerOptions{})
+		served := make(chan error, 1)
+		go func() { served <- srv.Serve(dl) }()
+
+		// The dial completes into the listen backlog; the server accepts
+		// it only once Shutdown has begun.
+		nc := rawConn(t, ln.Addr().String())
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Fatalf("Shutdown: %v", err)
+		}
+		if err := <-served; err != nil {
+			t.Fatalf("Serve: %v", err)
+		}
+		assertConnClosed(t, nc)
+		if st := srv.Stats(); st.Refused != 1 || st.Accepted != 0 {
+			t.Fatalf("one dial during shutdown: %d refused, %d accepted", st.Refused, st.Accepted)
+		}
+	})
+}
+
+// drainListener holds every Accept until Close, then hands over the one
+// connection already waiting in the backlog before it reports itself
+// closed: a dial that reaches the server while it drains. The wrapped
+// listener is the caller's to close.
+type drainListener struct {
+	net.Listener
+	closing  chan struct{}
+	once     sync.Once
+	accepted atomic.Bool
+}
+
+func (l *drainListener) Accept() (net.Conn, error) {
+	<-l.closing
+	if l.accepted.Swap(true) {
+		return nil, net.ErrClosed
+	}
+	return l.Listener.Accept()
+}
+
+func (l *drainListener) Close() error {
+	l.once.Do(func() { close(l.closing) })
+	return nil
 }
 
 // assertConnClosed asserts the server has hung up on nc.

@@ -98,35 +98,27 @@ func TestQuickZipfInRange(t *testing.T) {
 	}
 }
 
-func newEngine(t *testing.T) *txn.Engine {
+// openEngine starts an engine on an in-memory log and page archive.
+func openEngine(t *testing.T) *txn.Engine {
 	t.Helper()
-	dev := logdev.NewMem(logdev.ProfileMemory)
-	lm, err := core.New(core.Config{
-		Buffer: logbuf.Config{Variant: logbuf.VariantCD, Size: 1 << 22},
-		Device: dev,
+	eng, _, err := txn.Restart(txn.RestartConfig{
+		Device:     logdev.NewMem(logdev.ProfileMemory),
+		Archive:    storage.NewMemArchive(),
+		LogConfig:  core.Config{Buffer: logbuf.Config{Variant: logbuf.VariantCD, Size: 1 << 22}},
+		LockConfig: lockmgr.Config{DeadlockTimeout: 200 * time.Millisecond, SLI: true},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ml, err := core.NewMultiLog([]*core.LogManager{lm}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := txn.NewEngine(txn.Config{
-		Log:     ml,
-		Locks:   lockmgr.New(lockmgr.Config{DeadlockTimeout: 200 * time.Millisecond, SLI: true}),
-		Store:   storage.NewStore(),
-		Archive: storage.NewMemArchive(),
+	t.Cleanup(func() {
+		eng.Close()
+		eng.Multi().Close()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { lm.Close() })
 	return eng
 }
 
 func TestTPCBRunsAndStaysConsistent(t *testing.T) {
-	eng := newEngine(t)
+	eng := openEngine(t)
 	w := &TPCB{Branches: 4, AccountsPerBranch: 200}
 	if err := w.Setup(eng); err != nil {
 		t.Fatal(err)
@@ -146,7 +138,7 @@ func TestTPCBRunsAndStaysConsistent(t *testing.T) {
 }
 
 func TestTPCBSkewedStillConsistent(t *testing.T) {
-	eng := newEngine(t)
+	eng := openEngine(t)
 	w := &TPCB{Branches: 4, AccountsPerBranch: 100, AccessSkew: 2.0}
 	if err := w.Setup(eng); err != nil {
 		t.Fatal(err)
@@ -169,7 +161,7 @@ func TestTPCBAllCommitModes(t *testing.T) {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
 			t.Parallel()
-			eng := newEngine(t)
+			eng := openEngine(t)
 			w := &TPCB{Branches: 2, AccountsPerBranch: 100}
 			if err := w.Setup(eng); err != nil {
 				t.Fatal(err)
@@ -188,7 +180,7 @@ func TestTPCBAllCommitModes(t *testing.T) {
 }
 
 func TestTATPRunsFullMix(t *testing.T) {
-	eng := newEngine(t)
+	eng := openEngine(t)
 	w := &TATP{Subscribers: 500}
 	if err := w.Setup(eng); err != nil {
 		t.Fatal(err)
@@ -205,7 +197,7 @@ func TestTATPRunsFullMix(t *testing.T) {
 }
 
 func TestTATPUpdateLocationOnly(t *testing.T) {
-	eng := newEngine(t)
+	eng := openEngine(t)
 	w := &TATP{Subscribers: 500, UpdateLocationOnly: true}
 	if err := w.Setup(eng); err != nil {
 		t.Fatal(err)
@@ -225,7 +217,7 @@ func TestTATPUpdateLocationOnly(t *testing.T) {
 }
 
 func TestTPCCRuns(t *testing.T) {
-	eng := newEngine(t)
+	eng := openEngine(t)
 	w := &TPCC{Warehouses: 2, DistrictsPerWarehouse: 4, CustomersPerDistrict: 50, ItemsPerWarehouse: 200}
 	if err := w.Setup(eng); err != nil {
 		t.Fatal(err)
@@ -242,7 +234,7 @@ func TestTPCCRuns(t *testing.T) {
 }
 
 func TestDriverCountsSwitches(t *testing.T) {
-	eng := newEngine(t)
+	eng := openEngine(t)
 	w := &TPCB{Branches: 2, AccountsPerBranch: 100}
 	if err := w.Setup(eng); err != nil {
 		t.Fatal(err)

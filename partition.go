@@ -41,7 +41,7 @@ func (db *DB) openLane(i, n int) (lane, error) {
 		return lane{}, fmt.Errorf("aether: log lane %d: %w", i, err)
 	}
 	if db.mem != nil {
-		s.SetProfile(db.opts.Device.internal())
+		s.SetProfile(deviceProfiles[db.opts.Device])
 	}
 	return lane{seg: s}, nil
 }

@@ -1,6 +1,8 @@
 package aether
 
 import (
+	"fmt"
+
 	"aether/internal/txn"
 )
 
@@ -32,7 +34,9 @@ type Tx struct {
 	mode CommitMode
 }
 
-// SetCommitMode overrides the commit protocol for this transaction.
+// SetCommitMode overrides the commit protocol for this transaction. A
+// mode that is not a CommitMode makes Commit and CommitAsyncAck return
+// an error and leave the transaction open.
 func (t *Tx) SetCommitMode(m CommitMode) { t.mode = m }
 
 // Insert adds a row under key. Use Row to build rows with the key
@@ -69,7 +73,10 @@ func (t *Tx) Scan(table *Table, from, to uint64, fn func(key uint64, row []byte)
 // safe modes; immediately for CommitAsync). For fire-and-forget
 // pipelined commits use CommitAsyncAck.
 func (t *Tx) Commit() error {
-	mode := t.mode.internal()
+	mode, err := t.commitMode()
+	if err != nil {
+		return err
+	}
 	if mode == txn.CommitPipelined {
 		// A caller that blocks has nothing to detach from: pipelining
 		// minus the detach is early lock release plus a wait on the
@@ -87,7 +94,19 @@ func (t *Tx) Commit() error {
 // flush pipelining's detach — the session can immediately Begin the
 // next transaction. ack may be nil.
 func (t *Tx) CommitAsyncAck(ack func(error)) error {
-	return t.tx.Commit(t.mode.internal(), ack)
+	mode, err := t.commitMode()
+	if err != nil {
+		return err
+	}
+	return t.tx.Commit(mode, ack)
+}
+
+// commitMode resolves the transaction's commit mode.
+func (t *Tx) commitMode() (txn.CommitMode, error) {
+	if !inTable(commitModes, int(t.mode)) {
+		return 0, fmt.Errorf("aether: commit mode %d is not a CommitMode", int(t.mode))
+	}
+	return commitModes[t.mode], nil
 }
 
 // Abort rolls the transaction back.
