@@ -1,7 +1,7 @@
-# Tier-1 verification is `make ci` (build + vet + docs + test + race + logbuf race + soak, race-soak and fuzz smokes).
+# Tier-1 verification is `make ci` (build + vet + docs + test + race + logbuf race + group-commit race + soak, race-soak and fuzz smokes).
 GO ?= go
 
-.PHONY: build test test-short test-race logbuf-race vet docs bench-pair alloc-profile restart-profile soak-smoke soak soak-race soak-race-long fuzz-smoke ci
+.PHONY: build test test-short test-race logbuf-race group-commit-race vet docs bench-pair alloc-profile restart-profile soak-smoke soak soak-race soak-race-long fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,16 @@ test-race:
 LOGBUF_STRESS = TestConcurrentNoGapsNoOverlap|TestSkewedSizes|TestWraparound|TestCDStallDiagnostic
 logbuf-race:
 	$(GO) test -race -count=1 -run '^($(LOGBUF_STRESS))$$' ./internal/logbuf
+
+# The flush daemon's group-commit tests, twenty times each under the race
+# detector: what they assert depends on how commits, the daemon's passes
+# and the device's syncs interleave, so one clean run proves little.
+# -short, as in test-race: under the race detector inserters spinning in
+# the log buffer can convoy (ROADMAP item 3), which the tests' -short
+# bounds allow for.
+GROUP_COMMIT_TESTS = TestNextGroupFillsDuringFlush|TestPipelineIsOneGroup|TestSparseDetachedCommitsGroup|TestGroupCommitBatches|TestFlushPacing|TestFlushTrigger
+group-commit-race:
+	$(GO) test -race -short -count=20 -run '^($(GROUP_COMMIT_TESTS))$$' ./internal/core
 
 # Besides go vet: every durable write in the engine goes through
 # internal/vfs, where FaultFS and the soak can reach it. Non-test Go in the
@@ -172,6 +182,6 @@ fuzz-smoke:
 
 # The last step fails if anything above left the checkout dirty: no
 # target may rewrite a tracked file or drop an unignored one.
-ci: build vet docs test test-race logbuf-race soak-smoke soak-race fuzz-smoke
+ci: build vet docs test test-race logbuf-race group-commit-race soak-smoke soak-race fuzz-smoke
 	@dirty="$$(git status --porcelain)"; if [ -n "$$dirty" ]; then \
 		echo "make ci left the checkout dirty:"; echo "$$dirty"; exit 1; fi

@@ -62,14 +62,11 @@ func AblationELR(scale Scale) (*Table, error) {
 }
 
 // AblationGroupCommit sweeps the flush daemon's look interval
-// (core.Config.FlushInterval: how long after a pass it looks for pending
-// detached commits again) with the X-commits and L-bytes triggers off.
-// Below the group window (1.5 ms) the interval only decides when a group
-// is first noticed: the daemon then holds it until its commits stop
-// arriving, or until the window after the previous flush has passed, so
-// arrival pace and the window size the group. At or above the window
-// nothing holds a group back any more and the interval spaces the
-// flushes itself: groups grow with it and so does commit latency.
+// (core.Config.FlushInterval: how long after a pass it runs another when
+// nothing woke it) with the X-commits and L-bytes triggers off, so only
+// the timer paces the passes. Each pass flushes the detached commits it
+// finds, and those that arrive during the fsync wait for a later pass:
+// groups grow with the interval, and so does commit latency.
 func AblationGroupCommit(scale Scale) (*Table, error) {
 	t := &Table{
 		Title:   "Ablation: flush-daemon look interval, X/L triggers off (TPC-B, pipelined, flash device)",
@@ -91,9 +88,8 @@ func AblationGroupCommit(scale Scale) (*Table, error) {
 			Device:  logdev.ProfileFlash,
 			Log: core.Config{
 				FlushInterval: d,
-				// Disable the X-commits and L-bytes triggers: the first look
-				// that finds a group then holds it until its commits stop
-				// arriving or the group window has passed, and flushes it.
+				// Disable the X-commits and L-bytes triggers: only the
+				// interval timer starts a pass.
 				FlushTxns:  1 << 30,
 				FlushBytes: 1 << 30,
 			},

@@ -14,27 +14,22 @@
 //     agent thread) or synchronously (WaitDurable — the baseline's
 //     blocking commit, one scheduling event per transaction).
 //
-// What wakes the daemon is the group-commit policy, and it depends on
-// whether anybody is parked on the result. Asynchronous subscribers are
-// batched by the paper's triggers ("flush every X transactions, L bytes
-// logged, or T time elapsed, whichever comes first"): their threads keep
-// working, so a larger group costs them nothing. A synchronous
-// subscriber has parked its thread, so every microsecond before the
-// flush starts is commit latency: it wakes the daemon at subscription.
-// Whoever parks while a sync is in flight rides the next one, and the
-// interval timer only makes sure the daemon looks at detached work.
-//
-// One rule sits under both policies: a group is flushed as soon as
-// nothing more is coming. A group somebody is parked on, that Flush,
-// Force or Close asked for, or that has reached X commits or L bytes is
-// flushed at once — a parked commit that finds the log idle waits for
-// nothing but the device. A group of detached commits is held while its
-// commits keep arriving and closes when they stop (a silence of a few
-// mean inter-arrival gaps), or at groupWindow, the T, for a stream that
-// never pauses. Nothing wakes the daemon for a detached commit, so a
-// lone one waits for the next interval pass: FlushInterval, which on an
+// What starts a flush is whether anybody waits on it. Each daemon pass
+// flushes the released log whenever a commit waits on it — a detached one
+// (OnDurable) or a parked one (WaitDurable) — or when Flush, Force or
+// Close asked for it, or FlushBytes of it are pending; commits that
+// arrive while that flush syncs form the next group, so the next group
+// fills while this one hardens. The paper's triggers ("flush every X
+// transactions, L bytes logged, or T time elapsed, whichever comes
+// first") pace the passes: the FlushInterval timer, the FlushTxns
+// wake-up and the FlushBytes wake-up. A parked commit also wakes the
+// daemon itself, since every microsecond before its flush starts is
+// commit latency; a detached one does not (its thread keeps working, and
+// waking per pipelined commit multiplies flushes), so a lone detached
+// commit waits for the next interval pass: FlushInterval, which on an
 // otherwise idle process the runtime's timer stretches to about a
-// millisecond (see sleepPrecise).
+// millisecond. Released log nobody waits on is left for a later flush
+// until groupWindow after the previous one started.
 package core
 
 import (
@@ -57,18 +52,18 @@ type Config struct {
 	Buffer logbuf.Config
 	// Device is the stable storage the daemon flushes to.
 	Device logdev.Device
-	// FlushTxns closes a group of detached commits once this many commit
+	// FlushTxns wakes the daemon early once this many commit
 	// subscriptions are pending (the "X transactions" group-commit
-	// trigger) even while more keep arriving. Default 128.
+	// trigger), instead of leaving them to the next interval pass.
+	// Default 128.
 	FlushTxns int
-	// FlushBytes closes a group once this many released bytes are pending
-	// (the "L bytes" trigger). Default 256KiB.
+	// FlushBytes wakes the daemon once this many released bytes are
+	// pending (the "L bytes" trigger), and a pass flushes them whether or
+	// not anybody waits on them. Default 256KiB.
 	FlushBytes int
-	// FlushInterval is how long after a pass the daemon looks for pending
-	// work again when nothing woke it. A pass that finds a group of
-	// detached commits holds it until their arrivals stop, or until
-	// groupWindow after the previous flush started (the "T time elapsed"
-	// trigger). Default 50µs.
+	// FlushInterval is how long after a pass the daemon runs another when
+	// nothing woke it (the "T time elapsed" trigger); a pass flushes the
+	// log any commit waits on. Default 50µs.
 	FlushInterval time.Duration
 	// Breakdown, if set, receives PhaseLogWait time from WaitDurable —
 	// the synchronous-commit stall the time-breakdown figures plot.
@@ -111,35 +106,13 @@ type Stats struct {
 	// TruncatedBytes counts logical log bytes released behind the
 	// truncation horizon (recyclable by the device).
 	TruncatedBytes metrics.Counter
-	// GroupsStalled counts detached groups flushed because their commits
-	// stopped arriving.
-	GroupsStalled metrics.Counter
-	// GroupsCapped counts detached groups the daemon held open for the
-	// whole groupWindow: commit streams that never paused.
-	GroupsCapped metrics.Counter
 }
 
-// groupWindow is the cap: the longest the daemon holds a group of
-// detached commits open, measured from the start of the previous flush —
-// the T of the paper's group-commit policy. A group whose commits stop
-// arriving is flushed long before it (see stallGaps), so the cap only
-// closes a stream that never pauses, and it bounds how stale a gap the
-// arrival average can learn.
+// groupWindow is how long released log that no commit waits on, and
+// nobody asked to flush, stays pending, counted from the start of the
+// previous flush: such log (a transaction's records before its commit)
+// rides the next commit's flush instead of costing an fsync of its own.
 const groupWindow = 1500 * time.Microsecond
-
-// stallGaps is the silence that closes a detached group, in mean
-// inter-arrival gaps: no subscription for max(paceSlice, stallGaps ×
-// the average gap) means nothing more is coming. With exponentially
-// distributed arrivals a gap four times the mean comes about 2 % of the
-// time, so a group that is still filling is rarely cut short, while a
-// full pipeline — no arrivals at all — is flushed within a slice or two.
-const stallGaps = 4
-
-// paceSlice bounds one sleep of the daemon while it holds a detached
-// group open: nanosleep cannot be woken, so the slice is both how often
-// the daemon looks for the group's arrivals to have stopped and how late
-// it notices a commit that parks meanwhile.
-const paceSlice = 50 * time.Microsecond
 
 // flushBatch is the capacity of the daemon's staging buffer. A larger
 // group is copied out through a buffer of its own, so one burst does not
@@ -176,10 +149,6 @@ type LogManager struct {
 	limit           func(start, end lsn.LSN) lsn.LSN
 	durableAdvanced func()
 
-	// parked counts the WaitDurable callers waiting right now: while it
-	// is non-zero the pending group is flushed at once.
-	parked atomic.Int32
-
 	mu       sync.Mutex
 	waiters  waiterHeap
 	pending  int // commit subscriptions since last flush
@@ -189,12 +158,6 @@ type LogManager struct {
 	stopCh   chan struct{}
 	doneCh   chan struct{}
 	flushReq bool
-	// lastArrival is when the latest subscription came, and arrivalGap
-	// the average gap between subscriptions (an EWMA, α = 1/8, each gap
-	// clamped to groupWindow): what tells a detached group that is still
-	// growing from one that has stopped.
-	lastArrival time.Time
-	arrivalGap  time.Duration
 
 	// lastFlush is when the daemon last started writing a batch to the
 	// device (daemon goroutine only) — what groupWindow counts from.
@@ -360,11 +323,27 @@ func (lm *LogManager) Poke() { lm.wake() }
 // ceiling of the log's written region.
 func (lm *LogManager) AppendEnd() lsn.LSN { return lm.appendEnd.Load() }
 
-// waiter is one durability subscription.
+// waiter is one durability subscription: a detached subscriber's
+// continuation, or the channel a parked one waits on.
 type waiter struct {
 	end lsn.LSN
 	fn  func(error)
+	ch  chan error
 }
+
+// done completes the subscription with err.
+func (w *waiter) done(err error) {
+	if w.ch != nil {
+		w.ch <- err
+		return
+	}
+	w.fn(err)
+}
+
+// parkChans holds the channels WaitDurable parks on, so that a blocking
+// commit allocates neither a channel nor a closure. A channel goes back
+// to the pool only after its one value was received, so it is empty.
+var parkChans = sync.Pool{New: func() any { return make(chan error, 1) }}
 
 // waiterHeap is a min-heap of waiters by end LSN. It is hand-rolled
 // rather than driven through container/heap, whose Push and Pop box
@@ -391,7 +370,7 @@ func (h *waiterHeap) pop() waiter {
 	top := q[0]
 	n := len(q) - 1
 	q[0] = q[n]
-	q[n] = waiter{} // drop the callback reference
+	q[n] = waiter{} // drop the callback and channel references
 	q = q[:n]
 	for i := 0; ; {
 		least := i
@@ -421,31 +400,22 @@ func (lm *LogManager) OnDurable(end lsn.LSN, fn func(error)) {
 		fn(nil)
 		return
 	}
-	lm.mu.Lock()
-	if err := lm.subscribeLocked(end, fn); err != nil {
-		lm.mu.Unlock()
+	if err := lm.subscribe(waiter{end: end, fn: fn}); err != nil {
 		fn(err)
-		return
 	}
-	lm.mu.Unlock()
 }
 
-// subscribeLocked registers a waiter, learns its arrival gap and applies
-// the group-commit triggers. Caller holds lm.mu.
-func (lm *LogManager) subscribeLocked(end lsn.LSN, fn func(error)) error {
+// subscribe registers a waiter and applies the FlushTxns trigger.
+func (lm *LogManager) subscribe(w waiter) error {
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
 	if lm.failed != nil {
 		return lm.failed
 	}
 	if lm.closed {
 		return ErrClosed
 	}
-	lm.waiters.push(waiter{end: end, fn: fn})
-	now := time.Now()
-	if !lm.lastArrival.IsZero() {
-		gap := min(now.Sub(lm.lastArrival), groupWindow)
-		lm.arrivalGap += (gap - lm.arrivalGap) / 8
-	}
-	lm.lastArrival = now
+	lm.waiters.push(w)
 	lm.pending++
 	if lm.pending >= lm.cfg.FlushTxns {
 		lm.wake()
@@ -457,10 +427,10 @@ func (lm *LogManager) subscribeLocked(end lsn.LSN, fn func(error)) error {
 // traditional synchronous commit. Every call is one agent-thread
 // block/unblock pair, which is precisely the scheduling cost flush
 // pipelining eliminates. Because the caller is parked, the subscription
-// wakes the daemon instead of waiting for a group-commit trigger: a
-// flush starts at once, and commits that arrive while it syncs form the
-// next group. (OnDurable must not do the same — its callers keep
-// working, and waking per subscription multiplies flushes.)
+// wakes the daemon instead of waiting for the next pass: a flush starts
+// at once, and commits that arrive while it syncs form the next group.
+// (OnDurable must not do the same — its callers keep working, and waking
+// per subscription multiplies flushes.)
 func (lm *LogManager) WaitDurable(end lsn.LSN) error {
 	lm.stats.SyncWaiters.Inc()
 	if lm.durable.Load() >= end {
@@ -470,15 +440,11 @@ func (lm *LogManager) WaitDurable(end lsn.LSN) error {
 	if lm.cfg.Breakdown != nil {
 		t0 = time.Now()
 	}
-	ch := make(chan error, 1)
-	lm.parked.Add(1)
-	defer lm.parked.Add(-1)
-	lm.mu.Lock()
-	if err := lm.subscribeLocked(end, func(err error) { ch <- err }); err != nil {
-		lm.mu.Unlock()
+	ch := parkChans.Get().(chan error)
+	defer parkChans.Put(ch)
+	if err := lm.subscribe(waiter{end: end, ch: ch}); err != nil {
 		return err
 	}
-	lm.mu.Unlock()
 	lm.wake()
 	err := <-ch
 	if lm.cfg.Breakdown != nil {
@@ -609,87 +575,26 @@ func (lm *LogManager) daemon() {
 	}
 }
 
-// groupState is the daemon's verdict on the group now pending.
-type groupState int
-
-const (
-	groupGrowing groupState = iota // detached, commits still arriving: hold it
-	groupIdle                      // log nobody waits on, inside the window: leave it
-	groupDue                       // parked on, demanded, full, or unheld past the window: flush
-	groupStalled                   // detached, its commits stopped arriving: flush
-	groupCapped                    // detached, held to groupWindow: flush
-)
-
-// group judges the pending group at now and, while it is growing, says
-// how long the daemon may sleep before the verdict can change.
-func (lm *LogManager) group(now time.Time) (groupState, time.Duration) {
-	if lm.parked.Load() > 0 {
-		return groupDue, 0
-	}
-	if start, end := lm.rd.Pending(); int(end.Sub(start)) >= lm.cfg.FlushBytes {
-		return groupDue, 0
+// due reports whether this pass flushes the pending released log: a
+// commit waits on it, Flush, Force or Close asked for it, FlushBytes of it
+// are pending, or groupWindow has passed since the previous flush started.
+func (lm *LogManager) due(pendingBytes int) bool {
+	if pendingBytes >= lm.cfg.FlushBytes {
+		return true
 	}
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
-	if lm.flushReq || lm.closed || lm.pending >= lm.cfg.FlushTxns {
-		return groupDue, 0
-	}
-	window := groupWindow - now.Sub(lm.lastFlush)
-	if len(lm.waiters) == 0 {
-		if window <= 0 {
-			return groupDue, 0
-		}
-		return groupIdle, 0
-	}
-	quiet := max(paceSlice, stallGaps*lm.arrivalGap) - now.Sub(lm.lastArrival)
-	switch {
-	case quiet <= 0:
-		return groupStalled, 0
-	case window <= 0:
-		return groupCapped, 0
-	}
-	return groupGrowing, min(quiet, window, paceSlice)
+	return len(lm.waiters) > 0 || lm.flushReq || lm.closed || time.Since(lm.lastFlush) >= groupWindow
 }
 
-// hold keeps the pending group open while it is growing, in slices,
-// because it is due the moment somebody parks on it. It reports whether
-// to flush the group now and whether it slept on it.
-func (lm *LogManager) hold() (flush, slept bool) {
-	for {
-		state, wait := lm.group(time.Now())
-		switch state {
-		case groupGrowing:
-			sleepPrecise(wait)
-			slept = true
-			continue
-		case groupIdle:
-			return false, slept
-		case groupStalled:
-			lm.stats.GroupsStalled.Inc()
-		case groupCapped:
-			if slept {
-				lm.stats.GroupsCapped.Inc()
-			}
-		}
-		return true, slept
-	}
-}
-
-// flushOnce drains the released region (once the group-commit policy
-// closes the group), makes it durable, and completes satisfied waiters.
+// flushOnce drains the released region (when the pass is due), makes it
+// durable, and completes satisfied waiters.
 func (lm *LogManager) flushOnce() {
 	start, end := lm.rd.Pending()
-	if start != end {
-		flush, slept := lm.hold()
-		if !flush {
-			return
-		}
-		if slept {
-			// Whatever was released while the daemon slept joins this group.
-			start, end = lm.rd.Pending()
-		}
-	}
 	pendingBytes := int(end.Sub(start))
+	if pendingBytes > 0 && !lm.due(pendingBytes) {
+		return
+	}
 	lm.mu.Lock()
 	lm.flushReq = false
 	lm.pending = 0
@@ -762,7 +667,7 @@ func (lm *LogManager) completeWaiters() {
 	}
 	lm.mu.Unlock()
 	for i := range ready {
-		ready[i].fn(nil)
+		ready[i].done(nil)
 		ready[i] = waiter{} // drop the callback reference
 	}
 	lm.ready = ready
@@ -799,6 +704,6 @@ func (lm *LogManager) failWaiters(err error) {
 	}
 	lm.mu.Unlock()
 	for _, w := range rest {
-		w.fn(err)
+		w.done(err)
 	}
 }

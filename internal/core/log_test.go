@@ -313,34 +313,100 @@ func TestCloseDrainsAndCompletesWaiters(t *testing.T) {
 	}
 }
 
+// With the interval timer at an hour, nothing flushes the log until one
+// of the early triggers fires, and each of them starts a flush: a parked
+// WaitDurable, Flush, FlushTxns pending commit subscriptions and
+// FlushBytes pending bytes.
 func TestFlushTrigger(t *testing.T) {
 	dev := logdev.NewMem(logdev.ProfileMemory)
 	lm, err := New(Config{
 		Buffer:        logbuf.Config{Variant: logbuf.VariantBaseline, Size: 1 << 18},
 		Device:        dev,
 		FlushInterval: time.Hour,
-		FlushTxns:     1 << 30,
-		FlushBytes:    1 << 30,
+		FlushTxns:     16,
+		FlushBytes:    16 << 10,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lm.Close()
 	ap := lm.NewAppender()
-	_, end, _ := ap.Append(logrec.NewCommit(1, lsn.Undefined))
-	if lm.Durable() >= end {
-		t.Fatal("flushed without any trigger")
+	var id uint64
+	commit := func() lsn.LSN {
+		id++
+		_, end, err := ap.Append(logrec.NewCommit(id, lsn.Undefined))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return end
 	}
-	lm.Flush()
-	deadline := time.After(2 * time.Second)
-	for lm.Durable() < end {
-		select {
-		case <-deadline:
-			t.Fatal("Flush never made the record durable")
-		default:
-			time.Sleep(time.Millisecond)
+	var acked atomic.Int64
+	detach := func() { lm.OnDurable(commit(), func(error) { acked.Add(1) }) }
+	flushes := lm.Stats().Flushes.Load
+	// idle asserts that for 20 ms nothing flushes: the log holds
+	// unflushed work, but no trigger has fired.
+	idle := func(what string) {
+		t.Helper()
+		want := flushes()
+		time.Sleep(20 * time.Millisecond)
+		if got := flushes(); got != want {
+			t.Fatalf("before %s: %d flushes without a trigger", what, got-want)
 		}
 	}
+	// fires asserts that trigger, which returns the end of the log it
+	// wrote, starts one flush that hardens the log through that end.
+	fires := func(what string, trigger func() lsn.LSN) {
+		t.Helper()
+		want := flushes() + 1
+		end := trigger()
+		waitFor(t, 2*time.Second, func() bool { return flushes() >= want })
+		if got := flushes(); got != want || lm.Durable() < end {
+			t.Fatalf("%s: %d flushes hardened the log to %v, want %d to %v", what, got, lm.Durable(), want, end)
+		}
+	}
+
+	detach()
+	idle("a parked WaitDurable")
+	fires("a parked WaitDurable", func() lsn.LSN {
+		end := commit()
+		if err := lm.WaitDurable(end); err != nil {
+			t.Fatal(err)
+		}
+		return end
+	})
+
+	detach()
+	idle("Flush")
+	fires("Flush", func() lsn.LSN {
+		lm.Flush()
+		return lm.AppendEnd()
+	})
+
+	for i := 0; i < 15; i++ {
+		detach()
+	}
+	idle("FlushTxns")
+	fires("FlushTxns", func() lsn.LSN {
+		detach()
+		return lm.AppendEnd()
+	})
+
+	// Bytes nobody waits on: three pads stay below FlushBytes, the fourth
+	// crosses it.
+	pad := func() lsn.LSN {
+		_, end, err := ap.Append(logrec.NewPad(9 << 9)) // 4.5KiB
+		if err != nil {
+			t.Fatal(err)
+		}
+		return end
+	}
+	for i := 0; i < 3; i++ {
+		pad()
+	}
+	idle("FlushBytes")
+	fires("FlushBytes", pad)
+
+	waitFor(t, 2*time.Second, func() bool { return acked.Load() == 18 })
 }
 
 // TestParkedWaiterWakesDaemon pins the two halves of the wake-up policy
@@ -473,226 +539,116 @@ func TestFlushPacing(t *testing.T) {
 	}
 }
 
-// The group window is a cap, not a clock. Behind a flush that has just
-// started, a group of detached commits that stops growing is closed by
-// the stall rule, a stream that never pauses is held to the cap, and
-// the four early-close reasons close a growing group before either. Each
-// is checked by the daemon's own count of the rule that closed the
-// group (GroupsStalled, GroupsCapped), not by how long it took.
-//
-// A stream that goes quiet for as long as the stall rule waits after its
-// latest arrival has paused, and a stall is then the right verdict,
-// whatever the case meant to test; so is the cap for a close that came
-// after the window. The test measures its own stream against the rule's
-// wait and the window, and runs an attempt that paused again, on a
-// fresh log: on a reused one, earlier commits would have taught the
-// arrival average their own pace.
-func TestGroupWindow(t *testing.T) {
-	// open starts a log whose only group-commit triggers are the rules
-	// under test.
-	open := func(flushTxns int) (*LogManager, *Appender, func() lsn.LSN) {
-		lm, err := New(Config{
-			Buffer:        logbuf.Config{Variant: logbuf.VariantBaseline, Size: 1 << 18},
-			Device:        logdev.NewMem(logdev.ProfileMemory),
-			FlushInterval: time.Hour,
-			FlushTxns:     flushTxns,
-			FlushBytes:    16 << 10,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ap := lm.NewAppender()
-		var id uint64
-		commit := func() lsn.LSN {
-			id++
-			_, end, err := ap.Append(logrec.NewCommit(id, lsn.Undefined))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return end
-		}
-		// The first flush creates the device's first segment, which takes
-		// milliseconds: flushed behind it, a group would find the window
-		// spent before its first commit arrived.
-		if err := lm.WaitDurable(commit()); err != nil {
-			t.Fatal(err)
-		}
-		return lm, ap, commit
+// syncWatchDev is a latencyDev that counts, for each Sync, the commit
+// subscriptions made while it was in progress: the next group filling
+// while this one hardens.
+type syncWatchDev struct {
+	latencyDev
+	mu      sync.Mutex
+	gen     int     // odd while a Sync is in progress
+	arrived []int64 // per Sync, subscriptions made during it
+}
+
+func (w *syncWatchDev) Sync() error {
+	w.mu.Lock()
+	w.gen++
+	w.arrived = append(w.arrived, 0)
+	w.mu.Unlock()
+	err := w.latencyDev.Sync()
+	w.mu.Lock()
+	w.gen++
+	w.mu.Unlock()
+	return err
+}
+
+// subscribe makes a commit subscription and counts it against the Sync
+// it was made within, if any.
+func (w *syncWatchDev) subscribe(sub func()) {
+	w.mu.Lock()
+	gen := w.gen
+	w.mu.Unlock()
+	sub()
+	w.mu.Lock()
+	if gen%2 == 1 && w.gen == gen {
+		w.arrived[len(w.arrived)-1]++
 	}
+	w.mu.Unlock()
+}
 
-	// quiet is how long the stall rule waits after the latest arrival
-	// before it closes lm's group.
-	quiet := func(lm *LogManager) time.Duration {
-		lm.mu.Lock()
-		defer lm.mu.Unlock()
-		return max(paceSlice, stallGaps*lm.arrivalGap)
+// The daemon flushes a group as soon as a pass finds commits waiting on
+// it, and does not hold it for more to arrive, so the commits that come
+// while its sync is in progress form the next group. Two producers each
+// keep 32 detached commits in flight on a 400 µs device, spending 10 µs
+// on each transaction before its commit, so a refill outlasts the
+// interval between passes: at least half of the flushes after warm-up
+// have a subscription arrive during their sync. A daemon that held the
+// group until its arrivals stopped would take in every commit in flight
+// and leave none to arrive while it syncs.
+func TestNextGroupFillsDuringFlush(t *testing.T) {
+	dev := &syncWatchDev{latencyDev: latencyDev{logdev.NewMem(logdev.ProfileMemory), 400 * time.Microsecond}}
+	lm := newTestLM(t, logbuf.VariantCD, dev)
+	const producers, depth, commits = 2, 32, 32 * 60
+	// work stands in for a transaction's execution: 10 µs of CPU, with
+	// the scheduling points real work has.
+	work := func() {
+		for t0 := time.Now(); time.Since(t0) < 10*time.Microsecond; {
+			runtime.Gosched()
+		}
 	}
-
-	// verdict is how far each counter moved by the time the group
-	// holding a stream's first detached commit was closed.
-	type verdict struct{ stalled, capped int64 }
-
-	// A stream subscribes a commit every pace: slow enough that the
-	// stall rule waits several hundred µs after each arrival, so that an
-	// ordinary scheduling delay of the test is not a pause. A window's
-	// worth of it is ~15 commits.
-	const pace = 100 * time.Microsecond
-
-	// stream has a parked commit start a flush on a fresh log, then
-	// subscribes a detached commit and, with more set, one more each
-	// pace until the first is acknowledged, running closeGroup (if any)
-	// 200 µs in. The counters are read on the daemon goroutine as it
-	// acknowledges the first commit, before it can close a later group.
-	//
-	// paused reports whether the attempt strayed from what it sets up:
-	//   - the first commit came so long after the parked one started
-	//     that the stall rule's wait after it outlasts the window (the
-	//     group is meant to be behind a flush that has just started);
-	//   - before closeGroup returned, the stream went quiet(lm) without
-	//     a subscription, from the start of one OnDurable call to the
-	//     end of the next or, with more set, to the acknowledgement
-	//     (once closeGroup has returned the group is due, and silence no
-	//     longer matters);
-	//   - closeGroup returned past the window.
-	type closer func(lm *LogManager, ap *Appender, commit func() lsn.LSN, detach func())
-	stream := func(flushTxns int, more bool, closeGroup closer) (v verdict, paused bool) {
-		lm, ap, commit := open(flushTxns)
-		defer lm.Close()
-		st := lm.Stats()
-		start := time.Now()
-		if err := lm.WaitDurable(commit()); err != nil {
-			t.Fatal(err)
-		}
-		stalled, capped := st.GroupsStalled.Load(), st.GroupsCapped.Load()
-		type ack struct {
-			v  verdict
-			at time.Time
-		}
-		acked := make(chan ack, 1)
-		// last is when the latest subscription started and q the stall
-		// rule's wait after it; prev and qPrev the same for the one
-		// before.
-		last, q := start, time.Duration(0)
-		var prev time.Time
-		var qPrev time.Duration
-		closed := false
-		subscribe := func(fn func(error)) {
-			now := time.Now()
-			lm.OnDurable(commit(), fn)
-			if !closed {
-				paused = paused || (q > 0 && time.Since(last) >= q)
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			ap := lm.NewAppender()
+			slots := make(chan error, depth)
+			for i := 0; i < depth; i++ {
+				slots <- nil
 			}
-			prev, qPrev = last, q
-			last, q = now, quiet(lm)
-		}
-		subscribe(func(err error) {
-			if err != nil {
-				t.Error(err)
-			}
-			acked <- ack{verdict{st.GroupsStalled.Load() - stalled, st.GroupsCapped.Load() - capped}, time.Now()}
-		})
-		paused = time.Since(start)+q >= groupWindow
-		detach := func() { subscribe(func(error) {}) }
-		lm.Poke()
-		closeAt := last.Add(200 * time.Microsecond)
-		for {
-			select {
-			case a := <-acked:
-				if more && !closed {
-					// A subscription that started after the
-					// acknowledgement says nothing of the silence before it.
-					if last.After(a.at) {
-						last, q = prev, qPrev
-					}
-					paused = paused || a.at.Sub(last) >= q
+			ack := func(err error) { slots <- err }
+			for i := 0; i < commits+depth; i++ {
+				if err := <-slots; err != nil {
+					t.Error(err)
+					return
 				}
-				return a.v, paused
-			default:
-			}
-			now := time.Now()
-			if closeGroup != nil && now.After(closeAt) {
-				closeGroup(lm, ap, commit, detach)
-				closeGroup, closed = nil, true
-				paused = paused || time.Since(last) >= q || time.Since(start) >= groupWindow
-			}
-			if more && now.Sub(last) >= pace {
-				detach()
-			}
-			if now.Sub(start) > 5*time.Second {
-				t.Fatal("detached commit never acknowledged")
-			}
-			runtime.Gosched() // a daemon readied by this goroutine may wait on its P
-		}
-	}
-
-	// attempts runs stream until it neither pauses nor leaves the
-	// verdict unsettled, at most 50 times, and returns its verdict.
-	attempts := func(name string, settled func(verdict) bool, flushTxns int, more bool, closeGroup closer) verdict {
-		for i := 0; i < 50; i++ {
-			if v, paused := stream(flushTxns, more, closeGroup); !paused && settled(v) {
-				return v
-			}
-		}
-		t.Fatalf("%s: every one of 50 attempts paused or went unheld", name)
-		return verdict{}
-	}
-	always := func(verdict) bool { return true }
-
-	// A lone detached commit: nothing more is coming, so the stall rule
-	// closes its group.
-	if v := attempts("lone commit", always, 128, false, nil); v != (verdict{stalled: 1}) {
-		t.Errorf("a lone detached commit's group: %+v, want closed by the stall rule alone", v)
-	}
-
-	// FlushTxns 128 never closes a window's worth of the stream, so only
-	// the cap can. A daemon that first looked at the group past the
-	// window held nothing and counts nothing: that attempt runs again.
-	held := func(v verdict) bool { return v != verdict{} }
-	if v := attempts("never pauses", held, 128, true, nil); v != (verdict{capped: 1}) {
-		t.Errorf("a stream that never paused: %+v, want its group held to the cap", v)
-	}
-
-	for _, c := range []struct {
-		name       string
-		flushTxns  int // the stream alone reaches 16 only past the window
-		closeGroup closer
-	}{
-		{"somebody parks", 128, func(lm *LogManager, _ *Appender, commit func() lsn.LSN, _ func()) {
-			if err := lm.WaitDurable(commit()); err != nil {
-				t.Error(err)
-			}
-		}},
-		{"Flush", 128, func(lm *LogManager, _ *Appender, _ func() lsn.LSN, _ func()) { lm.Flush() }},
-		{"FlushTxns commits", 16, func(_ *LogManager, _ *Appender, _ func() lsn.LSN, detach func()) {
-			for i := 0; i < 16; i++ {
-				detach()
-			}
-		}},
-		{"FlushBytes", 128, func(_ *LogManager, ap *Appender, _ func() lsn.LSN, detach func()) {
-			// Log bytes are not arrivals, so a slow run of them reads as
-			// a stall: a commit follows each append but the last.
-			for i := 0; i < 4; i++ { // 4 * 4.5KiB > 16KiB
-				if i > 0 {
-					detach()
+				if i >= commits {
+					continue // draining the last acknowledgements
 				}
-				if _, _, err := ap.Append(logrec.NewPad(9 << 9)); err != nil {
-					t.Fatal(err)
+				work()
+				_, end, err := ap.Append(logrec.NewCommit(uint64(p<<32|i), lsn.Undefined))
+				if err != nil {
+					t.Error(err)
+					return
 				}
+				dev.subscribe(func() { lm.OnDurable(end, ack) })
 			}
-		}},
-	} {
-		if v := attempts(c.name, always, c.flushTxns, true, c.closeGroup); v != (verdict{}) {
-			t.Errorf("%s: %+v, want the group closed before either rule", c.name, v)
+		}(p)
+	}
+	wg.Wait()
+	dev.mu.Lock()
+	defer dev.mu.Unlock()
+	const warmup = 10
+	if len(dev.arrived) <= 2*warmup {
+		t.Fatalf("only %d flushes for %d commits", len(dev.arrived), producers*commits)
+	}
+	var filling int
+	for _, n := range dev.arrived[warmup:] {
+		if n > 0 {
+			filling++
 		}
+	}
+	flushes := len(dev.arrived) - warmup
+	t.Logf("%d commits: %d flushes after warm-up, %d with subscriptions arriving during the sync",
+		producers*commits, flushes, filling)
+	if 2*filling < flushes {
+		t.Fatalf("%d of %d flushes saw a subscription arrive during their sync, want at least half", filling, flushes)
 	}
 }
 
-// A closed loop keeping 32 detached commits in flight is one group per
-// turn: the stall rule waits for the pipeline to fill, so it flushes
-// ≈ commits/32 times, and the cap never has to close a group. The device
-// is ProfileFlash's 100 µs slept precisely, so the cap, which counts from
-// the previous flush's start, leaves the refill 1.4 ms. Under -short (the
-// race run) a refill can take that long, so the cap is not checked there.
+// A closed loop keeping 32 detached commits in flight is about one group
+// per turn: the producer refills the pipeline faster than the daemon's
+// next pass comes round, so the daemon flushes ≈ commits/32 times. The
+// device is ProfileFlash's 100 µs slept precisely.
 func TestPipelineIsOneGroup(t *testing.T) {
 	lm := newTestLM(t, logbuf.VariantCD, latencyDev{logdev.NewMem(logdev.ProfileMemory), logdev.ProfileFlash.SyncLatency})
 	ap := lm.NewAppender()
@@ -717,21 +673,17 @@ func TestPipelineIsOneGroup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := lm.Stats()
-	flushes := st.Flushes.Load()
-	t.Logf("%d commits, depth %d: %d flushes, %d closed by a stall, %d by the cap",
-		commits, depth, flushes, st.GroupsStalled.Load(), st.GroupsCapped.Load())
+	flushes := lm.Stats().Flushes.Load()
+	t.Logf("%d commits, depth %d: %d flushes", commits, depth, flushes)
 	if limit := 1.25 * commits / depth; float64(flushes) > limit {
 		t.Fatalf("%d flushes for %d commits at depth %d, want ≤ %.0f: the pipeline was split", flushes, commits, depth, limit)
-	}
-	if got := st.GroupsCapped.Load(); got != 0 && !testing.Short() {
-		t.Fatalf("%d groups held to the cap: a full pipeline has nothing more coming", got)
 	}
 }
 
 // Detached commits that arrive every ~300 µs (a wire client's pace) are
-// still grouped: the silence that closes a group scales with the gaps,
-// so the first one does not cut it.
+// still grouped: nothing wakes the daemon for a detached commit, and the
+// interval pass that picks it up comes about a millisecond later on a
+// process with nothing else to run.
 func TestSparseDetachedCommitsGroup(t *testing.T) {
 	lm := newTestLM(t, logbuf.VariantCD, nil)
 	ap := lm.NewAppender()
@@ -939,9 +891,10 @@ func TestAppendLargeRecordKeepsScratchSmall(t *testing.T) {
 
 // TestCommitPathAllocations is the log manager's allocation budget: in
 // steady state neither appending a TPC-B update record nor subscribing
-// to its durability and being called back allocates — the appender
-// encodes into its own buffer, and the durable-waiter heap and the
-// daemon's completion batch keep waiters by value in slices they reuse.
+// to its durability and being called back, nor a blocking commit that
+// parks on it, allocates — the appender encodes into its own buffer, the
+// durable-waiter heap and the daemon's completion batch keep waiters by
+// value in slices they reuse, and a parked waiter's channel is pooled.
 // (The count is process-wide, so it covers the daemon's side too; the
 // in-memory device's occasional growth is a fraction of an allocation
 // per run and rounds away.)
@@ -969,6 +922,21 @@ func TestCommitPathAllocations(t *testing.T) {
 	}
 	if err := lm.WaitDurable(lm.AppendEnd()); err != nil {
 		t.Fatal(err)
+	}
+	blocking := func() {
+		_, end, err := ap.Append(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lm.WaitDurable(end); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < runs; i++ {
+		blocking()
+	}
+	if got := testing.AllocsPerRun(runs, blocking); got != 0 {
+		t.Fatalf("%.0f allocations per append + blocking WaitDurable, budget 0", got)
 	}
 	// WaitDurable may return as soon as the horizon passes its end, while
 	// the daemon still runs that flush's other callbacks; Close returns

@@ -177,7 +177,10 @@ func extend(b []byte, n int, limit int64) []byte {
 		}
 		b = append(make([]byte, 0, c), b...)
 	}
-	return append(b, make([]byte, n-len(b))...)
+	old := len(b)
+	b = b[:n]
+	clear(b[old:])
+	return b
 }
 
 // wholeCap is the longest file extend allocates at its full length.

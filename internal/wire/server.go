@@ -23,9 +23,15 @@ const (
 	// maxQueuedBytes bounds the per-connection response queue; a read
 	// loop outrunning the writer blocks (TCP backpressure) at this many
 	// queued bytes. Commit acknowledgements are exempt — the log daemon's
-	// callback must never block — and are bounded instead by the client's
-	// own pipelining depth.
+	// callback must never block — and are bounded by maxPendingAcks
+	// instead.
 	maxQueuedBytes = 8 << 20
+	// maxPendingAcks bounds a connection's commit acknowledgements in
+	// flight (the commit not yet durable) plus queued (not yet written):
+	// at this many the read loop takes no further commit until one is
+	// written, so a client that pipelines commits and never reads its
+	// socket is held here until WriteTimeout closes it.
+	maxPendingAcks = 1024
 )
 
 // ServerOptions tunes a Server. Zero values pick production defaults.
@@ -298,16 +304,24 @@ func snakeCase(name string) string {
 // (backpressure against a stalled reader); commit acknowledgements
 // never block — the daemon callback must not stall the engine — and
 // are tracked so a graceful close waits for every pipelined ack to be
-// delivered first.
+// delivered first, and so the read loop starts no commit past
+// maxPendingAcks of them.
 type outq struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	frames   [][]byte
-	bytes    int
-	maxBytes int
-	acks     int  // commit acks started but not yet enqueued
-	drain    bool // finish queued frames + pending acks, then close
-	closed   bool // drop everything, conn is dead
+	mu         sync.Mutex
+	cond       *sync.Cond
+	frames     []outFrame
+	bytes      int
+	maxBytes   int
+	acks       int  // commit acks started but not yet enqueued
+	queuedAcks int  // commit acks enqueued but not yet written
+	drain      bool // finish queued frames + pending acks, then close
+	closed     bool // drop everything, conn is dead
+}
+
+// outFrame is one queued response frame.
+type outFrame struct {
+	b   []byte
+	ack bool // a commit acknowledgement
 }
 
 func newOutq(maxBytes int) *outq {
@@ -327,17 +341,26 @@ func (q *outq) push(frame []byte) bool {
 	if q.closed {
 		return false
 	}
-	q.frames = append(q.frames, frame)
+	q.frames = append(q.frames, outFrame{b: frame})
 	q.bytes += len(frame)
 	q.cond.Broadcast()
 	return true
 }
 
-// ackStarted records one in-flight commit acknowledgement.
-func (q *outq) ackStarted() {
+// ackStarted records one in-flight commit acknowledgement, first
+// blocking while maxPendingAcks are in flight or queued. It reports
+// false when the connection is already dead.
+func (q *outq) ackStarted() bool {
 	q.mu.Lock()
+	defer q.mu.Unlock()
+	for q.acks+q.queuedAcks >= maxPendingAcks && !q.closed {
+		q.cond.Wait()
+	}
+	if q.closed {
+		return false
+	}
 	q.acks++
-	q.mu.Unlock()
+	return true
 }
 
 // finishAck enqueues a commit acknowledgement without ever blocking
@@ -346,8 +369,9 @@ func (q *outq) finishAck(frame []byte) {
 	q.mu.Lock()
 	q.acks--
 	if !q.closed {
-		q.frames = append(q.frames, frame)
+		q.frames = append(q.frames, outFrame{b: frame, ack: true})
 		q.bytes += len(frame)
+		q.queuedAcks++
 	}
 	q.cond.Broadcast()
 	q.mu.Unlock()
@@ -368,6 +392,7 @@ func (q *outq) close() {
 	q.closed = true
 	q.frames = nil
 	q.bytes = 0
+	q.queuedAcks = 0
 	q.cond.Broadcast()
 	q.mu.Unlock()
 }
@@ -382,11 +407,14 @@ func (q *outq) next() (frame []byte, ok bool) {
 			return nil, false
 		}
 		if len(q.frames) > 0 {
-			frame = q.frames[0]
+			f := q.frames[0]
 			q.frames = q.frames[1:]
-			q.bytes -= len(frame)
+			q.bytes -= len(f.b)
+			if f.ack {
+				q.queuedAcks--
+			}
 			q.cond.Broadcast()
-			return frame, true
+			return f.b, true
 		}
 		if q.drain && q.acks == 0 {
 			return nil, false
@@ -672,11 +700,13 @@ func (c *conn) handleCommit(id uint64) bool {
 	if c.tx == nil {
 		return c.reply(id, StatusNoTxn, nil)
 	}
+	if !c.q.ackStarted() {
+		return false // serve aborts the open transaction
+	}
 	tx := c.tx
 	c.tx = nil
 	c.txActive.Store(false)
 	var responded atomic.Bool
-	c.q.ackStarted()
 	err := tx.CommitAsyncAck(func(err error) {
 		if !responded.CompareAndSwap(false, true) {
 			return

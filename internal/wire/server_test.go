@@ -634,6 +634,137 @@ func (l *drainListener) Close() error {
 	return nil
 }
 
+// pipeListener hands Serve the server ends of in-memory pipes: a pipe
+// buffers nothing, so a client that stops reading stalls the server's
+// writer at its first frame, with no kernel buffers to fill first.
+type pipeListener struct {
+	conns  chan net.Conn
+	closed chan struct{}
+	once   sync.Once
+}
+
+func newPipeListener() *pipeListener {
+	return &pipeListener{conns: make(chan net.Conn), closed: make(chan struct{})}
+}
+
+// dial returns the client end of a new connection to the server.
+func (l *pipeListener) dial() net.Conn {
+	client, server := net.Pipe()
+	l.conns <- server
+	return client
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case nc := <-l.conns:
+		return nc, nil
+	case <-l.closed:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error {
+	l.once.Do(func() { close(l.closed) })
+	return nil
+}
+
+func (l *pipeListener) Addr() net.Addr { return pipeAddr{} }
+
+type pipeAddr struct{}
+
+func (pipeAddr) Network() string { return "pipe" }
+func (pipeAddr) String() string  { return "pipe" }
+
+// TestCommitAcksBounded: a client that pipelines commits and never reads
+// a response is held at maxPendingAcks commit acknowledgements in flight
+// or queued — the read loop takes no further commit — until WriteTimeout
+// closes the connection.
+func TestCommitAcksBounded(t *testing.T) {
+	db, err := aether.Open(aether.Options{Mode: aether.CommitPipelined})
+	if err != nil {
+		t.Fatalf("open db: %v", err)
+	}
+	defer db.Close()
+	if _, err := db.CreateTable("kv"); err != nil {
+		t.Fatalf("create table: %v", err)
+	}
+	const writeTimeout = time.Second
+	srv := NewServer(db, ServerOptions{WriteTimeout: writeTimeout})
+	ln := newPipeListener()
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	defer func() {
+		srv.Close()
+		if err := <-served; err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+	}()
+
+	nc := ln.dial()
+	defer nc.Close()
+	sent := make(chan error, 1)
+	go func() {
+		// Open the table, then Begin, Insert, Commit without end; the
+		// write fails once the server closes the connection.
+		frame := AppendRequest(nil, &Request{ID: 1, Op: OpOpenTable, Name: "kv"})
+		_, err := nc.Write(frame)
+		for i := uint64(0); err == nil; i++ {
+			frame = AppendRequest(frame[:0], &Request{ID: 3*i + 2, Op: OpBegin, Mode: ModePipelined})
+			frame = AppendRequest(frame, &Request{ID: 3*i + 3, Op: OpInsert, Table: 1, Key: i, Row: aether.Row(i, u64(i))})
+			frame = AppendRequest(frame, &Request{ID: 3*i + 4, Op: OpCommit})
+			_, err = nc.Write(frame)
+		}
+		sent <- err
+	}()
+
+	// pending is the connection's commit acknowledgements in flight or
+	// queued, and whether the connection is still open.
+	pending := func() (int, bool) {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		for c := range srv.conns {
+			c.q.mu.Lock()
+			defer c.q.mu.Unlock()
+			return c.q.acks + c.q.queuedAcks, !c.q.closed
+		}
+		return 0, false
+	}
+	start := time.Now()
+	for {
+		n, open := pending()
+		if n > maxPendingAcks {
+			t.Fatalf("%d commit acknowledgements pending, bound %d", n, maxPendingAcks)
+		}
+		if n == maxPendingAcks {
+			break
+		}
+		if !open && time.Since(start) > 100*time.Millisecond {
+			t.Fatalf("connection closed with %d acknowledgements pending, before reaching the bound %d", n, maxPendingAcks)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Held there: the read loop reads no further request while the
+	// writer is stalled.
+	framesIn := srv.Stats().FramesIn
+	time.Sleep(100 * time.Millisecond)
+	if n, open := pending(); open && n != maxPendingAcks {
+		t.Fatalf("%d commit acknowledgements pending after the hold, want the bound %d", n, maxPendingAcks)
+	}
+	if got := srv.Stats().FramesIn; got != framesIn {
+		t.Fatalf("%d more requests read while the connection was held", got-framesIn)
+	}
+
+	waitStat(t, "write-timeout counter", func() bool { return srv.Stats().WriteTimeouts >= 1 })
+	if err := <-sent; err == nil {
+		t.Fatal("the client's writes never failed")
+	}
+	waitStat(t, "connection close", func() bool { return srv.Stats().Active == 0 })
+	if st := srv.Stats(); st.WriteTimeouts != 1 || st.CommitsAcked != maxPendingAcks || st.TxnsAbortedOnClose != 1 {
+		t.Fatalf("one stalled client: %d write timeouts, %d commits acknowledged, %d aborted on close; want 1, %d, 1",
+			st.WriteTimeouts, st.CommitsAcked, st.TxnsAbortedOnClose, maxPendingAcks)
+	}
+}
+
 // assertConnClosed asserts the server has hung up on nc.
 func assertConnClosed(t *testing.T, nc net.Conn) {
 	t.Helper()
