@@ -47,7 +47,10 @@ group-commit-race:
 # there is one way from log devices to a running engine, txn.Restart: no
 # Go file, tests included, opens the log with core.NewMultiLog outside
 # internal/core and internal/txn/restart.go, or builds an engine with
-# newEngine outside restart.go.
+# newEngine outside restart.go. And the log manager does not reach the
+# cold tier: the engine's cold-tier daemon drains the archiving lanes it
+# is handed (txn.ColdConfig), so no non-test Go in internal/core calls or
+# declares ArchivePending, HasArchiver or CanArchive.
 vet:
 	$(GO) vet ./...
 	@bad="$$(grep -HnE '\bos\.(OpenFile|Create|WriteFile|Rename|Remove|MkdirAll|Truncate)\(' \
@@ -62,6 +65,8 @@ vet:
 	bad="$$(grep -HnE '\bNewMultiLog\(' $$gofiles | grep -v '^\./internal/core/'; \
 		grep -HnE '\bnewEngine\(' $$gofiles | grep -vE ':[0-9]+:func newEngine\(')"; \
 	if [ -n "$$bad" ]; then echo "an engine is assembled one way, by txn.Restart:"; echo "$$bad"; exit 1; fi
+	@bad="$$(grep -HnE '\b(ArchivePending|HasArchiver|CanArchive)\b' $$(find internal/core -name '*.go' ! -name '*_test.go'))"; \
+	if [ -n "$$bad" ]; then echo "the cold tier is the engine's, not the log manager's (txn.ColdConfig):"; echo "$$bad"; exit 1; fi
 
 # Documentation lint: formatting, vet, every example and command builds,
 # and the godoc-coverage check — exported identifiers in EVERY internal

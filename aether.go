@@ -118,7 +118,7 @@ type Options struct {
 	// cold store (ArchiveDir or RemoteStore) to reach it.
 	SegmentSize int64
 	// ArchiveDir, if set, gives the log a cold store in this directory:
-	// dead segments are shipped there by a background archiver goroutine
+	// dead segments are shipped there by the engine's cold-tier daemon
 	// before their slots are recycled, so the hot log stays bounded while
 	// the full history remains restorable (RestoreTo, logdump). It is the
 	// same mechanism as RemoteStore — an
@@ -317,7 +317,6 @@ func (db *DB) open() error {
 	if err := logdev.CheckLaneLayout(db.fs, db.root, n); err != nil {
 		return err
 	}
-	db.lanes, db.archive = nil, nil
 	// fail releases the descriptors a failed open acquired, or a caller
 	// retrying Open on a damaged database leaks them every attempt.
 	fail := func(err error) error {
@@ -341,16 +340,20 @@ func (db *DB) open() error {
 		return fail(err)
 	}
 	db.archive = pf
-	cold, err := openColdStore(db.opts, db.opts.fsOrOS())
+	store, err := openColdStore(db.opts, db.opts.fsOrOS())
 	if err != nil {
 		return fail(err)
 	}
-	if cold != nil {
+	var cold txn.ColdConfig
+	if store != nil {
 		for i := range db.lanes {
-			if err := db.lanes[i].attachColdStore(cold, i, n); err != nil {
+			if err := db.lanes[i].attachColdStore(store, i, n); err != nil {
 				return fail(err)
 			}
+			cold.Lanes = append(cold.Lanes, db.lanes[i].seg)
 		}
+		cold.Remote = db.snapshotStore()
+		cold.SnapshotEveryBytes, cold.RetainSnapshots = db.opts.SnapshotEveryBytes, db.opts.RetainSnapshots
 	}
 	// The engine starts through recovery (a fresh log recovers empty).
 	devs := make([]logdev.Device, len(db.lanes))
@@ -372,7 +375,7 @@ func (db *DB) open() error {
 		CachePages:           int64(db.opts.CachePages),
 		CleanerPages:         db.opts.CleanerPages,
 		PrefetchDepth:        db.opts.PrefetchDepth,
-		Retention:            db.retentionConfig(),
+		Cold:                 cold,
 	})
 	if err != nil {
 		return fail(err)
@@ -383,12 +386,16 @@ func (db *DB) open() error {
 // Close flushes and stops the database and closes the log device (a
 // file-backed log releases its descriptors) and the database file. The
 // durable contents stay intact, so a file-backed database can be
-// reopened; Close is safe to call more than once.
+// reopened; Close is safe to call more than once, and after a Crash
+// whose reopen failed (there is no engine then, only files to release).
 func (db *DB) Close() error {
-	// Stop the background checkpointer first: it appends to the log and
-	// sweeps into the archive, both of which are about to close.
-	db.eng.Close()
-	err := db.eng.Multi().Close()
+	var err error
+	if db.eng != nil {
+		// Stop the background checkpointer first: it appends to the log
+		// and sweeps into the archive, both of which are about to close.
+		db.eng.Close()
+		err = db.eng.Multi().Close()
+	}
 	if cerr := db.closeFiles(); err == nil {
 		err = cerr
 	}
@@ -396,7 +403,8 @@ func (db *DB) Close() error {
 }
 
 // closeFiles closes every lane's device and the database file,
-// returning the first error.
+// returning the first error, and forgets them, so that a second call
+// closes nothing twice.
 func (db *DB) closeFiles() error {
 	var err error
 	for _, l := range db.lanes {
@@ -409,6 +417,7 @@ func (db *DB) closeFiles() error {
 			err = cerr
 		}
 	}
+	db.lanes, db.archive = nil, nil
 	return err
 }
 
@@ -467,6 +476,7 @@ func (db *DB) Crash() error {
 	db.mem.PowerCut()
 	db.eng.Close()
 	db.eng.Multi().Close()
+	db.eng = nil
 	db.closeFiles()
 	db.mem.Recover()
 	if err := db.open(); err != nil {
@@ -519,14 +529,14 @@ type Stats struct {
 	// ArchiveGaveUp counts archive passes abandoned after the retry
 	// budget; the segments stay parked until a later nudge succeeds.
 	ArchiveGaveUp int64
-	// LogSnapshots counts materialized snapshot objects the cold
-	// store's maintenance daemon uploaded (Options.SnapshotEveryBytes).
+	// LogSnapshots counts materialized snapshot objects the cold-tier
+	// daemon uploaded (Options.SnapshotEveryBytes).
 	LogSnapshots int64
 	// LogObjectsPruned counts cold-store objects retention deleted —
 	// always wholly below the oldest retained snapshot's cut.
 	LogObjectsPruned int64
-	// RetentionFailures counts cold-store maintenance passes that
-	// errored; nothing is lost, the next checkpoint retries.
+	// RetentionFailures counts snapshot and prune steps of cold-tier
+	// passes that errored; nothing is lost, the next checkpoint retries.
 	RetentionFailures int64
 	// RestoreFloor is the oldest restorable point (the oldest retained
 	// snapshot's cut): RestoreTo below it fails with ErrRestorePruned.
@@ -672,9 +682,9 @@ func (db *DB) Stats() Stats {
 	s.LogSnapshots = es.SnapshotsTaken.Load()
 	s.LogObjectsPruned = es.RetentionPrunedObjects.Load()
 	s.RetentionFailures = es.RetentionFailures.Load()
-	// Only a one-lane log takes snapshots, so only it can have a floor
-	// (and only it pays the object-store listing that reads one).
-	if r := db.lanes[0].remote; r != nil && n == 1 {
+	// Only a database that takes snapshots can have a floor (and only it
+	// pays the object-store listing that reads one).
+	if r := db.snapshotStore(); r != nil {
 		if floor, err := r.Floor(); err == nil {
 			s.RestoreFloor = int64(floor)
 		}

@@ -41,9 +41,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"aether/internal/logdev"
 	"aether/internal/logrec"
@@ -198,15 +198,6 @@ func coldStore(logPath, archDir string) (*logdev.DirObjectStore, error) {
 	return logdev.DirObjectStoreAt(archDir)
 }
 
-// lanePrefix is lane i of n's key prefix in the cold store ("" for the
-// one lane of an unpartitioned log).
-func lanePrefix(i, n int) string {
-	if p := logdev.LaneDir("", i, n); p != "" {
-		return p + "/"
-	}
-	return ""
-}
-
 // dumpLane prints lane i of n's device layout and returns its restorable
 // log: the archived history below the truncation base stitched to the
 // live tail. The directory opens strictly read-only: logdump is a
@@ -242,12 +233,12 @@ func dumpLane(path string, store *logdev.DirObjectStore, i, n int) (recovery.Lan
 	// (parked dead segments included).
 	var arch *logdev.RemoteArchiver
 	if store != nil {
-		prefix := lanePrefix(i, n)
-		if arch, err = logdev.NewRemoteArchiver(store, prefix, seg.SegmentSize()); err != nil {
+		lane := logdev.LaneDir("", i, n)
+		if arch, err = logdev.NewRemoteArchiver(store, lane, seg.SegmentSize()); err != nil {
 			return recovery.Lane{}, err
 		}
-		fmt.Printf("cold store lane %q:\n", prefix)
-		if err := listColdLane(store, arch, prefix); err != nil {
+		fmt.Printf("cold store lane %q:\n", lane)
+		if err := listColdLane(store, arch, lane); err != nil {
 			return recovery.Lane{}, err
 		}
 	}
@@ -409,16 +400,16 @@ func listColdStore(dir string) error {
 	}
 	n := logdev.CountLanes(vfs.OS{}, dir)
 	for i := 0; i < n; i++ {
-		prefix := lanePrefix(i, n)
+		lane := logdev.LaneDir("", i, n)
 		// Segment size 0: a listing never retrieves a segment.
-		arch, err := logdev.NewRemoteArchiver(store, prefix, 0)
+		arch, err := logdev.NewRemoteArchiver(store, lane, 0)
 		if err != nil {
 			return err
 		}
-		if prefix != "" {
-			fmt.Printf("lane %s\n", strings.TrimSuffix(prefix, "/"))
+		if lane != "" {
+			fmt.Printf("lane %s\n", lane)
 		}
-		if err := listColdLane(store, arch, prefix); err != nil {
+		if err := listColdLane(store, arch, lane); err != nil {
 			return err
 		}
 	}
@@ -438,8 +429,10 @@ func remoteObj(store logdev.ObjectStore, key string) (kind uint16, meta uint64, 
 	return kind, meta, payload, false, nil
 }
 
+// listColdLane prints the objects of one cold-store lane (a LaneDir
+// name, "" for an unpartitioned log) and its retention floor.
 func listColdLane(store logdev.ObjectStore, arch *logdev.RemoteArchiver, lane string) error {
-	segKeys, err := store.List(lane + "seg/")
+	segKeys, err := store.List(path.Join(lane, "seg") + "/")
 	if err != nil {
 		return err
 	}
@@ -457,7 +450,7 @@ func listColdLane(store logdev.ObjectStore, arch *logdev.RemoteArchiver, lane st
 		fmt.Printf("  segment %6d  [%d, %d)\n", idx, int64(idx)*segSize, (int64(idx)+1)*segSize)
 	}
 
-	snapKeys, err := store.List(lane + "snap/")
+	snapKeys, err := store.List(path.Join(lane, "snap") + "/")
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -77,58 +78,90 @@ func (s *tapStore) counts() (up, down int64, gets map[string]int, tornKey string
 	return
 }
 
-// TestColdStoreTraffic counts a cold store's traffic with default
-// options: every archived segment is uploaded once as one object of the
-// segment plus its 24-byte envelope, and restoring the durable end
-// downloads each of those objects exactly once and nothing else.
+// TestColdStoreTraffic counts a cold store's traffic: every archived
+// segment is uploaded once as one object of the segment plus its
+// 24-byte envelope, and restoring the durable end downloads each of
+// those objects exactly once and nothing else. It runs with default
+// options, and on three lanes with SnapshotEveryBytes set: snapshots
+// are a one-lane feature, so there every lane archives, no snapshot is
+// cut, the floor stays 0 and RestoreTo replays from the beginning.
 func TestColdStoreTraffic(t *testing.T) {
 	const segSize = 4096
-	store := newTapStore()
-	db, err := Open(Options{SegmentSize: segSize, RemoteStore: store, Mode: CommitSync})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	tbl, err := db.CreateTable("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for batch := uint64(0); batch < 4; batch++ {
-		writeRows(t, db, tbl, 1+batch*50, 1+(batch+1)*50)
-		if err := db.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, "archiver drain", func() bool {
-		s := db.Stats()
-		return s.LogSegmentsPendingArchive == 0 && s.LogSegmentsArchived > 0
-	})
-	archived := db.Stats().LogSegmentsArchived
-	keys, err := store.List("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(keys)) != archived {
-		t.Fatalf("cold store holds %d objects %v for %d archived segments, want one each", len(keys), keys, archived)
-	}
-	perObject := int64(segSize + 24)
-	if up, _, _, _ := store.counts(); up != archived*perObject {
-		t.Fatalf("uploaded %d bytes for %d archived segments, want %d × %d = %d",
-			up, archived, archived, perObject, archived*perObject)
-	}
+	for _, tc := range []struct {
+		name  string
+		lanes int
+		snap  int64
+	}{
+		{"default", 1, 0},
+		{"N=3/snapshots", 3, 4096},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := newTapStore()
+			db, err := Open(Options{
+				SegmentSize:        segSize,
+				RemoteStore:        store,
+				Mode:               CommitSync,
+				LogPartitions:      tc.lanes,
+				RoutePartition:     func(txnID uint64, _ uint32) int { return int(txnID) },
+				SnapshotEveryBytes: tc.snap,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			tbl, err := db.CreateTable("t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for batch := uint64(0); batch < 4; batch++ {
+				writeRows(t, db, tbl, 1+batch*50, 1+(batch+1)*50)
+				if err := db.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitFor(t, "archiver drain", func() bool {
+				s := db.Stats()
+				return s.LogSegmentsPendingArchive == 0 && s.LogSegmentsArchived > 0
+			})
+			st := db.Stats()
+			archived := st.LogSegmentsArchived
+			if st.LogSnapshots != 0 || st.RestoreFloor != 0 || st.RetentionFailures != 0 {
+				t.Fatalf("LogSnapshots %d, RestoreFloor %d, RetentionFailures %d, want no snapshot step at all",
+					st.LogSnapshots, st.RestoreFloor, st.RetentionFailures)
+			}
+			for i := 0; i < tc.lanes; i++ {
+				lane := logdev.LaneDir("", i, tc.lanes)
+				if segs, err := store.List(path.Join(lane, "seg") + "/"); err != nil || len(segs) == 0 {
+					t.Fatalf("lane %d archived %d segments (%v), want some", i, len(segs), err)
+				}
+			}
+			keys, err := store.List("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int64(len(keys)) != archived {
+				t.Fatalf("cold store holds %d objects %v for %d archived segments, want one each", len(keys), keys, archived)
+			}
+			perObject := int64(segSize + 24)
+			if up, _, _, _ := store.counts(); up != archived*perObject {
+				t.Fatalf("uploaded %d bytes for %d archived segments, want %d × %d = %d",
+					up, archived, archived, perObject, archived*perObject)
+			}
 
-	restoredKeys(t, db, "t", 200)
-	_, down, gets, _ := store.counts()
-	for _, key := range keys {
-		if gets[key] != 1 {
-			t.Errorf("restore downloaded %s %d times, want once", key, gets[key])
-		}
-	}
-	if len(gets) != len(keys) {
-		t.Errorf("restore downloaded %d distinct objects %v, want the %d segment objects", len(gets), gets, len(keys))
-	}
-	if down > archived*perObject {
-		t.Errorf("restore downloaded %d bytes, more than the %d the segment objects hold", down, archived*perObject)
+			restoredKeys(t, db, "t", 200)
+			_, down, gets, _ := store.counts()
+			for _, key := range keys {
+				if gets[key] != 1 {
+					t.Errorf("restore downloaded %s %d times, want once", key, gets[key])
+				}
+			}
+			if len(gets) != len(keys) {
+				t.Errorf("restore downloaded %d distinct objects %v, want the %d segment objects", len(gets), gets, len(keys))
+			}
+			if down > archived*perObject {
+				t.Errorf("restore downloaded %d bytes, more than the %d the segment objects hold", down, archived*perObject)
+			}
+		})
 	}
 }
 

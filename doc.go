@@ -101,8 +101,8 @@
 //
 // With a cold store — Options.ArchiveDir for a local directory,
 // Options.RemoteStore for any S3-style object store; one mechanism under
-// both — dead segments are not deleted at truncation: a background
-// archiver goroutine ships each one into the store as a CRC-enveloped
+// both — dead segments are not deleted at truncation: the engine's
+// cold-tier daemon ships each one into the store as a CRC-enveloped
 // object first, and only then recycles its slot — the hot log stays tiny
 // while the full history survives. DB.RestoreTo replays that history
 // stitched to the live tail (and cmd/logdump dumps it), so the committed

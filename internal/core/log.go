@@ -497,16 +497,6 @@ func (lm *LogManager) Truncate(before lsn.LSN) (int64, error) {
 // byte still readable on the device (0 if never truncated).
 func (lm *LogManager) Base() lsn.LSN { return lsn.LSN(lm.dev.Base()) }
 
-// CanArchive reports whether the device ships dead segments to cold
-// storage before recycling them (an archiver is attached). The engine's
-// background archiver goroutine starts only when this is true.
-func (lm *LogManager) CanArchive() bool { return lm.dev.HasArchiver() }
-
-// ArchivePending forwards to the device's archive-then-recycle drain:
-// every dead segment parked by a truncation is durably copied to cold
-// storage and only then has its slot recycled.
-func (lm *LogManager) ArchivePending() (int, error) { return lm.dev.ArchivePending() }
-
 // Flush asks the daemon to flush everything released so far without
 // waiting for it to complete. Combine with WaitDurable to force.
 func (lm *LogManager) Flush() {

@@ -30,7 +30,8 @@ import (
 
 // Device is what the log manager asks of its log volume: Segmented's
 // methods, as an interface so tests can wrap a device to delay or stall
-// its Append and Sync.
+// its Append and Sync. The cold tier is not part of it: the engine's
+// cold-tier daemon drains the Segmented lanes txn.ColdConfig names.
 type Device interface {
 	// Append buffers p in the device's volatile write cache. It returns
 	// the number of bytes accepted.
@@ -47,18 +48,13 @@ type Device interface {
 	// durable boundary, and offsets below Base are an error.
 	ReadAt(p []byte, off int64) (int, error)
 	// Truncate advances the truncation horizon to before (clamped to the
-	// durable size) and recycles every whole segment below it. before
+	// durable size) and recycles every whole segment below it (or, with
+	// an archiver attached, parks it for ArchivePending). before
 	// must be a record boundary — recovery starts its scan exactly there.
 	Truncate(before int64) error
 	// Base returns the truncation horizon: the logical offset of the
 	// first readable byte (0 if nothing was ever truncated).
 	Base() int64
-	// ArchivePending ships every dead segment awaiting recycle to the
-	// attached archiver and recycles it, returning how many were
-	// archived this pass.
-	ArchivePending() (int, error)
-	// HasArchiver reports whether an archiver is attached.
-	HasArchiver() bool
 	// Close releases resources; further operations fail.
 	Close() error
 	// Stats returns operation counters for the experiments.

@@ -12,7 +12,7 @@
 //
 // Failure discipline: Archive never loops internally. It validates,
 // uploads once, and reports errors to the caller — the engine's
-// archiver daemon owns backoff and retry, and a failed upload leaves
+// cold-tier daemon owns backoff and retry, and a failed upload leaves
 // the segment parked in the device's pending set (the slot is not
 // recycled until cold storage durably holds the bytes). A torn upload
 // leaves a truncated object in the store; the envelope CRC makes the
@@ -34,7 +34,7 @@ const (
 )
 
 // RemoteArchiver ships log segments to an ObjectStore: the one cold
-// store Segmented.SetArchiver attaches and the engine's archiver daemon
+// store Segmented.SetArchiver attaches and the engine's cold-tier daemon
 // drains into. Archive is durable before it returns (the segment file is
 // unlinked right after) and idempotent (a crash between Archive and the
 // recycle re-archives the same segment on the next pass).

@@ -805,25 +805,9 @@ func (s *Segmented) ReadAt(p []byte, off int64) (int, error) {
 	return s.readLocked(p, off)
 }
 
-// LiveStart returns the logical offset of the first byte still held by
-// a live segment — at or below Base(), since the segment containing the
-// base usually starts before it. Bytes in [LiveStart, Base) are dead to
-// ReadAt but physically present; restore paths read them with RawReadAt
-// instead of round-tripping them through cold storage.
-func (s *Segmented) LiveStart() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	start := s.size
-	for idx := range s.segs {
-		if o := idx * s.segSize; o < start {
-			start = o
-		}
-	}
-	return start
-}
-
 // RawReadAt reads the durable prefix ignoring the truncation horizon:
-// offsets down to LiveStart() are served even when below Base().
+// offsets below Base() are served while a live or parked segment still
+// holds them.
 // Restore-on-demand uses it to stitch archived history to the hot log;
 // recovery never does (it must prove it reads only the live tail).
 func (s *Segmented) RawReadAt(p []byte, off int64) (int, error) {
@@ -979,18 +963,11 @@ func (s *Segmented) SetArchiver(a *RemoteArchiver) {
 	s.mu.Unlock()
 }
 
-// HasArchiver implements Device.
-func (s *Segmented) HasArchiver() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.archiver != nil
-}
-
-// ArchivePending implements Device: every pending dead
-// segment is copied to the archiver (durably — Archive must not return
-// before its bytes are safe) and only then recycled. A failed archive
-// leaves the segment pending: its slot is never reused until cold
-// storage holds its history. Safe to call concurrently with appends,
+// ArchivePending drains the pending set: every dead segment is copied
+// to the archiver (durably — Archive must not return before its bytes
+// are safe) and only then recycled. A failed archive leaves the segment
+// pending: its slot is never reused until cold storage holds its
+// history. Safe to call concurrently with appends,
 // syncs and truncations; passes serialize among themselves.
 func (s *Segmented) ArchivePending() (int, error) {
 	s.archMu.Lock()

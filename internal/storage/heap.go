@@ -180,41 +180,11 @@ func (h *HeapFile) Read(rid RID) ([]byte, error) {
 	return data, nil
 }
 
-// Update overwrites the record at rid, logging the bytes that differ.
-func (h *HeapFile) Update(rid RID, data []byte, log LogFunc) error {
-	if len(data) > MaxRecordSize {
-		return ErrRecordTooBig
-	}
-	p, err := h.store.Get(rid.Page)
-	if err != nil {
-		return err
-	}
-	if p == nil {
-		return ErrNotFound
-	}
-	defer p.Unpin()
-	p.Latch.Lock()
-	defer p.Latch.Unlock()
-	before, err := p.View(int(rid.Slot))
-	if err != nil {
-		return ErrNotFound
-	}
-	up := logrec.Splice(rid.Slot, before, data)
-	at, end, err := log(rid.Page, up)
-	if err != nil {
-		return err
-	}
-	if err := p.Apply(up, end); err != nil {
-		return fmt.Errorf("storage: heap update apply: %w", err)
-	}
-	h.store.MarkDirty(rid.Page, at)
-	return nil
-}
-
 // Mutate applies fn to the record bytes under the exclusive latch,
-// logging what it changed (logrec.Splice) in one step. It avoids the copy + re-read
-// race of Read-then-Update and is the hot path the workloads use
-// (read-modify-write of a balance field).
+// logging what it changed (logrec.Splice) in one step: the update path
+// behind Txn.Update (read-modify-write of a balance field). A row fn
+// grows past what the page can hold fails with ErrPageFull (or
+// ErrRecordTooBig) before anything is logged.
 func (h *HeapFile) Mutate(rid RID, log LogFunc, fn func(cur []byte) ([]byte, error)) error {
 	p, err := h.store.Get(rid.Page)
 	if err != nil {
@@ -233,6 +203,17 @@ func (h *HeapFile) Mutate(rid RID, log LogFunc, fn func(cur []byte) ([]byte, err
 	after, err := fn(before)
 	if err != nil {
 		return err
+	}
+	// A row that grows must fit before its update is logged: a record
+	// the page then refused would be redone, and undone, against a row
+	// that never changed.
+	if len(after) > len(before) {
+		if len(after) > MaxRecordSize {
+			return ErrRecordTooBig
+		}
+		if !p.canGrow(int(rid.Slot), len(after)) {
+			return ErrPageFull
+		}
 	}
 	up := logrec.Splice(rid.Slot, before, after)
 	at, end, err := log(rid.Page, up)

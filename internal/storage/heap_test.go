@@ -47,7 +47,7 @@ func TestHeapInsertReadUpdateDelete(t *testing.T) {
 	if err != nil || string(got) != "balance=100" {
 		t.Fatalf("Read: %q %v", got, err)
 	}
-	if err := h.Update(rid, []byte("balance=150"), cl.log); err != nil {
+	if err := h.Mutate(rid, cl.log, func([]byte) ([]byte, error) { return []byte("balance=150"), nil }); err != nil {
 		t.Fatal(err)
 	}
 	got, _ = h.Read(rid)
@@ -108,6 +108,25 @@ func TestHeapMutate(t *testing.T) {
 	}
 	if len(cl.ups) != before {
 		t.Fatal("failed mutate logged a record")
+	}
+	// Growing the row past what the page can hold fails the same way:
+	// before anything is logged, with the row as it was.
+	for i := 0; i < 30; i++ {
+		if _, err := h.Insert(make([]byte, 248), cl.log); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before = len(cl.ups)
+	if err := h.Mutate(rid, cl.log, func([]byte) ([]byte, error) {
+		return make([]byte, 4008), nil
+	}); !errors.Is(err, ErrPageFull) {
+		t.Fatalf("growing past the page: %v, want ErrPageFull", err)
+	}
+	if len(cl.ups) != before {
+		t.Fatal("a row grown past its page was logged")
+	}
+	if got, _ := h.Read(rid); binary.LittleEndian.Uint64(got) != 123 {
+		t.Fatalf("after a refused grow: %x", got)
 	}
 }
 

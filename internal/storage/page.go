@@ -318,24 +318,34 @@ func (p *Page) Set(slot int, data []byte) error {
 		return nil
 	}
 	// Grow: abandon the old space (reclaimed by compaction).
-	need := len(data)
-	if PageSize-slotDirEntry*p.NumSlots()-p.freeStart() < need {
-		if p.liveBytes()-length+need+hdrSize+slotDirEntry*p.NumSlots() > PageSize {
-			return ErrPageFull
-		}
+	if !p.canGrow(slot, len(data)) {
+		return ErrPageFull
+	}
+	if !p.growsInPlace(len(data)) {
 		p.setSlot(slot, deadOffset, 0) // exclude old copy from compaction
 		p.compact()
-		off = p.freeStart()
-		copy(p.buf()[off:], data)
-		p.setSlot(slot, off, need)
-		p.setFreeStart(off + need)
-		return nil
 	}
-	newOff := p.freeStart()
-	copy(p.buf()[newOff:], data)
-	p.setSlot(slot, newOff, need)
-	p.setFreeStart(newOff + need)
+	off = p.freeStart()
+	copy(p.buf()[off:], data)
+	p.setSlot(slot, off, len(data))
+	p.setFreeStart(off + len(data))
 	return nil
+}
+
+// canGrow reports whether the live row in slot can be replaced by one of
+// size bytes, in the free space or after compaction. A caller that logs
+// an update before applying it (HeapFile.Mutate) asks first when the row
+// grows, so that no record is logged that the page then refuses.
+func (p *Page) canGrow(slot, size int) bool {
+	_, length := p.slotOffLen(slot)
+	return size <= length || p.growsInPlace(size) ||
+		p.liveBytes()-length+size+hdrSize+slotDirEntry*p.NumSlots() <= PageSize
+}
+
+// growsInPlace reports whether size bytes fit in the free space as it
+// stands, without compaction.
+func (p *Page) growsInPlace(size int) bool {
+	return PageSize-slotDirEntry*p.NumSlots()-p.freeStart() >= size
 }
 
 // Delete kills the record in a slot. The slot number stays reserved (so

@@ -35,6 +35,7 @@ func startArchiving(t *testing.T, dev *logdev.Segmented) *Engine {
 		Archive:              pf,
 		LogConfig:            harnessLogConfig,
 		CheckpointEveryBytes: 16 << 10,
+		Cold:                 ColdConfig{Lanes: []*logdev.Segmented{dev}},
 	})
 }
 

@@ -3,7 +3,7 @@ package txn
 import "time"
 
 // daemon is the one shape every background worker of the engine has —
-// checkpointer, segment archiver, page cleaner, cloud-tier maintenance:
+// checkpointer, cold tier, page cleaner:
 // a goroutine that runs one pass per wake-up, woken by a coalescing nudge
 // (and, optionally, a ticker), stopped by halt and joined by wait. The
 // loop and its stop-wins rule live here once; a worker is its pass body.

@@ -10,8 +10,7 @@ import (
 // TestDaemonStopBeatsPendingNudge drives the loop on the test's own
 // goroutine with both channels ready: a halt that races a pending nudge
 // must win every time, or Close would sit behind a whole pass — for the
-// retention daemon, which used to lack the recheck, a snapshot and a
-// prune.
+// cold-tier daemon, an archive drain, a snapshot and a prune.
 func TestDaemonStopBeatsPendingNudge(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		passes := 0

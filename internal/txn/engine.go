@@ -7,13 +7,19 @@
 // The package plays the role Shore-MT plays in the paper: the substrate
 // whose transactions exercise the log. Restart is the only way to build
 // an Engine, over fresh devices or ones holding a log to recover.
+//
+// An Engine runs at most three background daemons, one loop each
+// (daemon.go): the incremental checkpointer (CheckpointEveryBytes), the
+// page cleaner (CleanerPages), and the cold tier (ColdConfig, cold.go),
+// whose one pass archives every archiving lane's dead segments and then,
+// on a one-lane log, snapshots and prunes. Every checkpoint nudges the
+// cold tier once.
 package txn
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -140,7 +146,7 @@ type Stats struct {
 	SweepFsyncs metrics.Counter
 	// SweepDuration records wall-clock time per page-cleaning sweep.
 	SweepDuration metrics.Histogram
-	// SegmentsArchived counts dead log segments the background archiver
+	// SegmentsArchived counts dead log segments the cold-tier daemon
 	// shipped to cold storage before recycling their slots.
 	SegmentsArchived metrics.Counter
 	// ArchiveFailures counts background archive passes that errored
@@ -148,7 +154,7 @@ type Stats struct {
 	ArchiveFailures metrics.Counter
 	// ArchiveRetries counts backoff retries of a failed archive pass:
 	// transient cold-store outages are retried in-loop with bounded
-	// exponential backoff + jitter before the archiver gives up.
+	// exponential backoff + jitter before the pass gives up.
 	ArchiveRetries metrics.Counter
 	// ArchiveGaveUp counts archive passes abandoned after the retry
 	// budget was exhausted. The segments stay parked on disk; the next
@@ -159,16 +165,16 @@ type Stats struct {
 	// force or archive writeback failed); the affected pages stay dirty
 	// and the next pass — or a demand steal, or the sweep — retries.
 	CleanerFailures metrics.Counter
-	// SnapshotsTaken counts materialized snapshot objects the cloud-tier
-	// maintenance daemon uploaded to the remote store.
+	// SnapshotsTaken counts materialized snapshot objects the cold-tier
+	// daemon uploaded to the remote store.
 	SnapshotsTaken metrics.Counter
 	// RetentionPrunedObjects counts remote objects (snapshots and
 	// segments) deleted by retention — always wholly below the oldest
 	// retained snapshot's cut.
 	RetentionPrunedObjects metrics.Counter
-	// RetentionFailures counts maintenance passes that errored
-	// (snapshotting or pruning); nothing is lost — the
-	// next nudge retries with the floor unchanged.
+	// RetentionFailures counts the snapshot and prune steps of cold-tier
+	// passes that errored; nothing is lost — the next nudge retries with
+	// the floor unchanged.
 	RetentionFailures metrics.Counter
 }
 
@@ -193,10 +199,9 @@ type Engine struct {
 	ckptAp *core.MultiAppender
 
 	// The background workers; nil when not configured. ckpt is the
-	// incremental checkpointer, arch ships dead log segments to the cold
-	// store, clean is the page cleaner, ret the cold store's maintenance
-	// (snapshots, pruning).
-	ckpt, arch, clean, ret *daemon
+	// incremental checkpointer, cold the cold tier (archiving, snapshots,
+	// pruning; cold.go), clean the page cleaner.
+	ckpt, cold, clean *daemon
 
 	closeOnce sync.Once
 }
@@ -223,14 +228,11 @@ func newEngine(cfg RestartConfig, log *core.MultiLog, store *storage.Store) *Eng
 	if cfg.CheckpointEveryBytes > 0 {
 		e.startAutoCheckpoint(cfg.CheckpointEveryBytes)
 	}
-	if e.canArchive() {
-		e.startArchiver()
+	if len(cfg.Cold.Lanes) > 0 {
+		e.startCold(cfg.Cold)
 	}
 	if cfg.CleanerPages > 0 {
 		e.startCleaner(cfg.CleanerPages)
-	}
-	if cfg.Retention.Remote != nil && cfg.Retention.SnapshotEveryBytes > 0 {
-		e.startRetention(cfg.Retention)
 	}
 	return e
 }
@@ -240,31 +242,6 @@ func newEngine(cfg RestartConfig, log *core.MultiLog, store *storage.Store) *Eng
 // lane).
 func (e *Engine) waitLM(home int) *core.LogManager {
 	return e.log.Part(max(home, 0))
-}
-
-// canArchive reports whether any lane's device has an archiver attached.
-func (e *Engine) canArchive() bool {
-	for i := 0; i < e.log.NumParts(); i++ {
-		if e.log.Part(i).CanArchive() {
-			return true
-		}
-	}
-	return false
-}
-
-// archivePending drains every lane's archive-then-recycle queue,
-// returning the total segments shipped and the first error.
-func (e *Engine) archivePending() (int, error) {
-	total := 0
-	var first error
-	for i := 0; i < e.log.NumParts(); i++ {
-		n, err := e.log.Part(i).ArchivePending()
-		total += n
-		if err != nil && first == nil {
-			first = err
-		}
-	}
-	return total, first
 }
 
 // setAppendNotify arms (or, with a nil fn, clears) every lane's
@@ -295,57 +272,6 @@ func (e *Engine) startAutoCheckpoint(everyBytes int64) {
 	e.setAppendNotify(max(everyBytes/int64(e.log.NumParts()), 1), e.ckpt.nudge)
 }
 
-// startArchiver wires the background segment archiver: a daemon that
-// drains the log device's pending-dead set — copying each dead segment
-// to cold storage, then recycling its slot — whenever a checkpoint's
-// truncation parks new ones. It runs alongside (and independently of)
-// the checkpointer, so a slow cold store never stalls a checkpoint, let
-// alone a commit. The initial nudge drains segments a previous
-// incarnation left pending at the crash.
-func (e *Engine) startArchiver() {
-	e.arch = startDaemon(0, e.archivePassWithRetry)
-	e.arch.nudge()
-}
-
-// Archiver backoff tuning: a failed pass retries after archBackoffMin,
-// doubling (with up to 50% added jitter to spread simultaneous
-// retriers) up to archBackoffMax, at most archMaxRetries times per
-// nudge. Variables, not constants, so tests can shrink the schedule.
-var (
-	archBackoffMin = 10 * time.Millisecond
-	archBackoffMax = 2 * time.Second
-	archMaxRetries = 8
-)
-
-// archivePassWithRetry runs one archive drain pass, absorbing
-// transient cold-store failures with bounded exponential backoff +
-// jitter instead of parking the segments until the next checkpoint
-// happens to nudge again. Giving up is safe — dead segments stay on
-// disk until some pass succeeds — but each retry here shortens the
-// window in which a crash-plus-disk-loss could lose history.
-func (e *Engine) archivePassWithRetry(d *daemon) {
-	backoff := archBackoffMin
-	for attempt := 0; ; attempt++ {
-		n, err := e.archivePending()
-		e.stats.SegmentsArchived.Add(int64(n))
-		if err == nil {
-			return
-		}
-		e.stats.ArchiveFailures.Inc()
-		if attempt >= archMaxRetries {
-			e.stats.ArchiveGaveUp.Inc()
-			return
-		}
-		e.stats.ArchiveRetries.Inc()
-		if !d.sleep(backoff + time.Duration(rand.Int63n(int64(backoff/2)+1))) {
-			return
-		}
-		if backoff *= 2; backoff > archBackoffMax {
-			backoff = archBackoffMax
-		}
-	}
-}
-
 // cleanerInterval is the page cleaner's polling cadence. Demand steals
 // nudge the cleaner awake at once, so the interval only bounds how stale
 // its headroom view can get between bursts.
@@ -356,7 +282,7 @@ const cleanerInterval = 2 * time.Millisecond
 // headroom drops below pages. It wakes on a short ticker and — more
 // importantly — on every demand steal (the store's steal-pressure
 // callback), so a burst that outruns the ticker immediately re-arms it.
-// Like the checkpointer and the archiver, its work happens entirely off
+// Like the checkpointer and the cold tier, its work happens entirely off
 // the agent threads' fault path.
 func (e *Engine) startCleaner(pages int) {
 	e.clean = startDaemon(cleanerInterval, func(d *daemon) {
@@ -382,14 +308,13 @@ func (e *Engine) startCleaner(pages int) {
 
 // daemons lists the engine's background workers; the ones that were not
 // configured are nil, which every daemon method accepts.
-func (e *Engine) daemons() [4]*daemon {
-	return [4]*daemon{e.ckpt, e.arch, e.clean, e.ret}
+func (e *Engine) daemons() [3]*daemon {
+	return [3]*daemon{e.ckpt, e.cold, e.clean}
 }
 
-// Close stops the background incremental checkpointer, the segment
-// archiver, the page cleaner and the cloud-tier maintenance daemon,
-// waiting for in-flight work to finish: all four are told to stop before
-// any is waited on. Call it before closing the log. It is idempotent and
+// Close stops the background incremental checkpointer, the cold-tier
+// daemon and the page cleaner, waiting for in-flight work to finish: all
+// three are told to stop before any is waited on. Call it before closing the log. It is idempotent and
 // a no-op for engines running no daemons.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() {
@@ -452,17 +377,6 @@ func (e *Engine) Table(name string) *Table {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.tables[name]
-}
-
-// Tables lists registered tables.
-func (e *Engine) Tables() []*Table {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]*Table, 0, len(e.tables))
-	for _, t := range e.tables {
-		out = append(out, t)
-	}
-	return out
 }
 
 // RebuildTables reattaches pages to their heaps and rebuilds every
@@ -671,12 +585,11 @@ func (e *Engine) Checkpoint() error {
 		// failed checkpoint.
 		e.stats.TruncateFailures.Inc()
 	}
-	// Truncation parks dead segments; the archiver goroutine ships them
-	// to cold storage and recycles their slots off the checkpoint path,
-	// and the cold store's maintenance daemon snapshots the hardened log
-	// and prunes below the oldest snapshot it keeps.
-	e.arch.nudge()
-	e.ret.nudge()
+	// Truncation parks dead segments; the cold-tier daemon ships them to
+	// the cold store and recycles their slots off the checkpoint path,
+	// then snapshots the hardened log and prunes below the oldest
+	// snapshot it keeps.
+	e.cold.nudge()
 	e.stats.Checkpoints.Inc()
 	return nil
 }

@@ -53,10 +53,9 @@ type RestartConfig struct {
 	// and the RebuildTables scan both stream their faults. Meaningful
 	// only with Archive set.
 	PrefetchDepth int
-	// Retention, with a cold store and SnapshotEveryBytes > 0, starts the
-	// cold store's maintenance daemon (snapshots, pruning) on a one-lane
-	// log.
-	Retention RetentionConfig
+	// Cold, with any archiving lane, starts the cold-tier daemon
+	// (archiving; snapshots and pruning on a one-lane log; cold.go).
+	Cold ColdConfig
 }
 
 // Restart is the one way to build an engine, a fresh one included (its

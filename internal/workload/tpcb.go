@@ -206,9 +206,3 @@ func (w *TPCB) ConsistencyCheck(eng *txn.Engine) error {
 	}
 	return nil
 }
-
-// Tables returns the workload's tables (for recovery re-registration
-// order: branches, tellers, accounts, history).
-func (w *TPCB) Tables() []*txn.Table {
-	return []*txn.Table{w.branches, w.tellers, w.accounts, w.history}
-}

@@ -1,9 +1,13 @@
 package aether
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
+	"time"
+
+	"aether/internal/vfs"
 )
 
 // TestInMemoryDatabaseFsyncs: an in-memory database is the file-backed
@@ -143,5 +147,112 @@ func TestCrashKeepsAckedRollsBackInFlight(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestGrownRowPastItsPage grows a row past what its page can hold: the
+// update must fail before anything is logged, so that committing or
+// aborting the transaction afterwards leaves nothing for recovery to
+// redo or undo, and the database survives a crash with every row as it
+// was.
+func TestGrownRowPastItsPage(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		finish func(*Tx) error
+	}{
+		{"commit", (*Tx).Commit},
+		{"abort", (*Tx).Abort},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db, err := Open(Options{Mode: CommitSync, DeadlockTimeout: 200 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			tbl, err := db.CreateTable("t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			const rows = 30
+			payload := make([]byte, 240) // 248-byte rows: one page holds them all
+			s := db.Session()
+			for k := uint64(1); k <= rows; k++ {
+				tx := s.Begin()
+				if err := tx.Insert(tbl, k, Row(k, payload)); err != nil {
+					t.Fatal(err)
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tx := s.Begin()
+			grow := func([]byte) ([]byte, error) { return Row(5, make([]byte, 4000)), nil }
+			if err := tx.Update(tbl, 5, grow); err == nil {
+				t.Fatal("a row grown past its page was stored")
+			}
+			if err := tc.finish(tx); err != nil {
+				t.Fatalf("%s after the failed update: %v", tc.name, err)
+			}
+			s.Close()
+			verify := func(when string) {
+				t.Helper()
+				s := db.Session()
+				defer s.Close()
+				tx := s.Begin()
+				for k := uint64(1); k <= rows; k++ {
+					row, err := tx.Read(tbl, k)
+					if err != nil {
+						t.Fatalf("%s: row %d: %v", when, k, err)
+					}
+					if !bytes.Equal(row, Row(k, payload)) {
+						t.Fatalf("%s: row %d is %d bytes, want the %d it was written with", when, k, len(row), 8+len(payload))
+					}
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			verify("before the crash")
+			if err := db.Crash(); err != nil {
+				t.Fatal(err)
+			}
+			tbl, _ = db.LookupTable("t")
+			verify("after the crash")
+		})
+	}
+}
+
+// TestCloseAfterFailedCrash: when the reopen inside Crash fails — here
+// recovery cannot make its rollback of an in-flight transaction durable
+// — Crash reports it, and Close still releases the files instead of
+// reaching for the engine that never started.
+func TestCloseAfterFailedCrash(t *testing.T) {
+	db, err := Open(Options{Mode: CommitSync})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeRows(t, db, tbl, 1, 10)
+	loser := db.Session()
+	defer loser.Close()
+	tx := loser.Begin()
+	if err := tx.Insert(tbl, 100, Row(100, []byte("in flight"))); err != nil {
+		t.Fatal(err)
+	}
+	// One more commit hardens the in-flight insert's record too.
+	writeRows(t, db, tbl, 10, 11)
+
+	db.mem.AddRule(vfs.Rule{Op: vfs.OpSync, Path: "*.seg", Err: errors.New("fsync: I/O error")})
+	if err := db.Crash(); err == nil {
+		t.Fatal("Crash succeeded although recovery could not sync its rollback")
+	}
+	if err := db.Close(); err != nil {
+		t.Fatalf("Close after the failed Crash: %v", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
 	}
 }

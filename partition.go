@@ -66,9 +66,9 @@ func openColdStore(opts Options, fs vfs.FS) (logdev.ObjectStore, error) {
 // key prefix (a subdirectory, under Options.ArchiveDir), so a slow lane
 // never blocks the others' truncation. It must run before the engine
 // starts: the archiver has to be in place before the first truncation
-// parks a dead segment, and the engine only starts its background
-// archiver goroutine if the log can archive at engine construction. A
-// cold-store lane an earlier version compacted is refused (ErrFormat).
+// parks a dead segment, and the engine's cold-tier daemon drains the
+// lanes txn.ColdConfig names at engine construction. A cold-store lane
+// an earlier version compacted is refused (ErrFormat).
 func (l *lane) attachColdStore(store logdev.ObjectStore, i, n int) error {
 	remote, err := logdev.NewRemoteArchiver(store, logdev.LaneDir("", i, n), l.seg.SegmentSize())
 	if err != nil {

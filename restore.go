@@ -150,12 +150,11 @@ func (db *DB) RestoreTo(at int64) (*RestoredDB, error) {
 			spaces[name] = t.Space
 		}
 	}
-	// Snapshots are a one-lane feature (a cut is a byte offset, and N
-	// lanes' pages interleave): there, start from the newest one at or
-	// below the target; everywhere else, from the beginning of time.
+	// With snapshots, start from the newest one at or below the target;
+	// without, from the beginning of time.
 	var snap *logdev.Snapshot
 	var cut uint64
-	if r := db.lanes[0].remote; r != nil && len(db.lanes) == 1 {
+	if r := db.snapshotStore(); r != nil {
 		floor, err := r.Floor()
 		if err != nil {
 			return nil, fmt.Errorf("aether: RestoreTo(%d): reading retention floor: %w", at, err)
@@ -189,17 +188,13 @@ func (db *DB) RestoreTo(at int64) (*RestoredDB, error) {
 	return &RestoredDB{store: store, spaces: spaces, at: at}, nil
 }
 
-// retentionConfig assembles the engine's cold-store maintenance
-// configuration: snapshots and pruning on a one-lane log with a cold
-// store, nothing otherwise.
-func (db *DB) retentionConfig() txn.RetentionConfig {
+// snapshotStore is the cold store a database takes snapshots in, and so
+// the one whose floor bounds RestoreTo: the cold store of a one-lane
+// log. nil without a cold store, and on N lanes, where a cut (a byte
+// offset) means nothing because the lanes' pages interleave.
+func (db *DB) snapshotStore() *logdev.RemoteArchiver {
 	if len(db.lanes) != 1 {
-		return txn.RetentionConfig{}
+		return nil
 	}
-	return txn.RetentionConfig{
-		Dev:                db.lanes[0].seg,
-		Remote:             db.lanes[0].remote,
-		SnapshotEveryBytes: db.opts.SnapshotEveryBytes,
-		RetainSnapshots:    db.opts.RetainSnapshots,
-	}
+	return db.lanes[0].remote
 }
