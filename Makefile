@@ -1,7 +1,7 @@
-# Tier-1 verification is `make ci` (build + vet + docs + test + race + logbuf race + group-commit race + soak, race-soak and fuzz smokes).
+# Tier-1 verification is `make ci` (build + vet + docs + test + race + logbuf race + group-commit race + lock race + soak, race-soak and fuzz smokes).
 GO ?= go
 
-.PHONY: build test test-short test-race logbuf-race group-commit-race vet docs bench-pair alloc-profile restart-profile soak-smoke soak soak-race soak-race-long fuzz-smoke ci
+.PHONY: build test test-short test-race logbuf-race group-commit-race lock-race vet docs bench-pair alloc-profile restart-profile load-profile soak-smoke soak soak-race soak-race-long fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,13 @@ logbuf-race:
 GROUP_COMMIT_TESTS = TestNextGroupFillsDuringFlush|TestPipelineIsOneGroup|TestSparseDetachedCommitsGroup|TestGroupCommitBatches|TestFlushPacing|TestFlushTrigger
 group-commit-race:
 	$(GO) test -race -short -count=20 -run '^($(GROUP_COMMIT_TESTS))$$' ./internal/core
+
+# The lock manager's escalation tests, twenty times each under the race
+# detector: an escalation is granted or refused depending on what other
+# transactions hold at that instant, and it races the agent cache's
+# steal-or-adopt protocol.
+lock-race:
+	$(GO) test -race -count=20 -run '^TestEscalat' ./internal/lockmgr
 
 # Besides go vet: every durable write in the engine goes through
 # internal/vfs, where FaultFS and the soak can reach it. Non-test Go in the
@@ -120,6 +127,21 @@ restart-profile:
 	$(GO) tool pprof -top -nodecount 25 .bench_build/restart/aether.test .bench_build/restart/cpu.prof
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 15 .bench_build/restart/aether.test .bench_build/restart/mem.prof
 
+# Where a bulk load's time and memory go: runs the root BenchmarkLoadTPCB
+# (the repository benchmark's TPC-B load, which setup_s times: 100 000
+# accounts and the branches and tellers in 1 000-row transactions, then a
+# checkpoint; it also reports rows/s, lock heads pinned and slot entries
+# read per row) under a cpu profile and a memory profile sampling every
+# 4 KiB and prints both by function. Leaves its test binary and profiles
+# under .bench_build/ (ignored).
+load-profile: LOADS ?= 10
+load-profile:
+	mkdir -p .bench_build/load
+	$(GO) test -run '^$$' -bench '^BenchmarkLoadTPCB$$' -benchtime $(LOADS)x -benchmem \
+		-cpuprofile cpu.prof -memprofile mem.prof -memprofilerate 4096 -outputdir .bench_build/load -o .bench_build/load/aether.test .
+	$(GO) tool pprof -top -nodecount 25 .bench_build/load/aether.test .bench_build/load/cpu.prof
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 15 .bench_build/load/aether.test .bench_build/load/mem.prof
+
 # Crash-storm smoke: fixed-seed runs of the root package's TestSoak —
 # every incarnation opened with aether.Open over the fault-injection
 # filesystem. 25 power-cut/recover cycles across every fault point
@@ -187,6 +209,6 @@ fuzz-smoke:
 
 # The last step fails if anything above left the checkout dirty: no
 # target may rewrite a tracked file or drop an unignored one.
-ci: build vet docs test test-race logbuf-race group-commit-race soak-smoke soak-race fuzz-smoke
+ci: build vet docs test test-race logbuf-race group-commit-race lock-race soak-smoke soak-race fuzz-smoke
 	@dirty="$$(git status --porcelain)"; if [ -n "$$dirty" ]; then \
 		echo "make ci left the checkout dirty:"; echo "$$dirty"; exit 1; fi

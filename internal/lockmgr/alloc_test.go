@@ -52,8 +52,15 @@ func TestLockPathAllocations(t *testing.T) {
 // TestLockerDropsOutgrownMap: a Go map never shrinks, so the held-lock
 // map a bulk transaction grew must not be what Reset re-arms for the
 // session's next transactions; an ordinary transaction's map must be.
+// Another transaction holds IX on the table throughout, so escalation is
+// refused and the row locks pile up in the map.
 func TestLockerDropsOutgrownMap(t *testing.T) {
 	m := New(Config{})
+	other := m.NewLocker(99, nil)
+	if err := other.Acquire(TableKey(1), ModeIX); err != nil {
+		t.Fatal(err)
+	}
+	defer other.ReleaseAll()
 	l := m.NewLocker(1, nil)
 	heldMap := func() uintptr { return reflect.ValueOf(l.held).Pointer() }
 

@@ -105,15 +105,51 @@ func (c *AgentCache) Len() int { return len(c.entries) }
 type heldLock struct {
 	mode Mode
 	sli  *sliEntry // non-nil if adopted from the agent cache
+	// escalated marks a table lock an escalation took or strengthened:
+	// it goes back to the table at release, never into the agent cache.
+	escalated bool
 }
+
+// tableRows is a Locker's escalation state for one table.
+type tableRows struct {
+	space uint32
+	// rows counts the row locks taken on the table since the last
+	// escalation attempt there (or since the transaction began): an S
+	// escalation that a write later finds too weak is tried again, for
+	// X, escalateAfter uncovered rows on.
+	rows int
+	// covers is ModeS or ModeX once an escalation was granted: the row
+	// requests the table lock covers. ModeNone before.
+	covers Mode
+}
+
+// escalateAfter is how many row locks a transaction takes on one table
+// before it asks for the whole table instead (Locker).
+const escalateAfter = 64
 
 // Locker is a transaction's lock context. Not safe for concurrent use —
 // a transaction acquires locks from its one agent thread.
+//
+// A Locker escalates. When a transaction is about to take its
+// escalateAfter+1st row lock on one table, it asks for the table in S or
+// X, whichever covers the row request, and it only asks: the request is
+// granted at once or refused, never queued (Manager.tryAcquire). Granted,
+// every later row request the table lock covers returns without visiting
+// the lock table, so a bulk transaction holds at most escalateAfter row
+// locks and one table lock per table; the escalated lock goes back to the
+// table at release, never into the agent cache. Refused — another
+// transaction holds the table in a conflicting mode, IS or IX included —
+// the transaction goes on taking row locks and asks again escalateAfter
+// rows later. A transaction that never gets there pays one counter
+// increment per row lock.
 type Locker struct {
 	m     *Manager
 	txn   uint64
 	cache *AgentCache // shared across the agent's transactions; may be nil
 	held  map[Key]heldLock
+	// tables is the escalation state of each table the transaction took
+	// row locks on: a handful, so a slice searched in order beats a map.
+	tables []tableRows
 }
 
 // NewLocker returns a lock context for a transaction. cache may be nil
@@ -122,7 +158,7 @@ func (m *Manager) NewLocker(txnID uint64, cache *AgentCache) *Locker {
 	if !m.cfg.SLI {
 		cache = nil
 	}
-	return &Locker{m: m, txn: txnID, cache: cache, held: make(map[Key]heldLock, 8)}
+	return &Locker{m: m, txn: txnID, cache: cache, held: make(map[Key]heldLock, 8), tables: make([]tableRows, 0, 4)}
 }
 
 // Reset re-arms the locker for a new transaction: txn.Agent.Begin keeps
@@ -135,6 +171,7 @@ func (l *Locker) Reset(txnID uint64) {
 		panic("lockmgr: Reset with locks held")
 	}
 	l.txn = txnID
+	l.tables = l.tables[:0]
 }
 
 // HeldCount returns the number of locks this transaction holds.
@@ -142,9 +179,17 @@ func (l *Locker) HeldCount() int { return len(l.held) }
 
 // Acquire obtains key in at least the requested mode, blocking as needed.
 // It returns ErrLockTimeout if the wait exceeds the deadlock timeout, in
-// which case the transaction should abort.
+// which case the transaction should abort. A row request may instead
+// escalate to, or be covered by, its table's lock (Locker).
 func (l *Locker) Acquire(key Key, mode Mode) error {
 	l.m.stats.Acquires.Inc()
+	var tr *tableRows
+	if !key.IsTable() {
+		tr = l.tableRows(key.Space)
+		if tr.covers != ModeNone && Covers(tr.covers, mode) {
+			return nil
+		}
+	}
 	if h, ok := l.held[key]; ok {
 		if Covers(h.mode, mode) {
 			return nil
@@ -168,8 +213,18 @@ func (l *Locker) Acquire(key Key, mode Mode) error {
 		if err := l.m.acquire(l.txn, key, target, true); err != nil {
 			return err
 		}
-		l.held[key] = heldLock{mode: target}
+		l.held[key] = heldLock{mode: target, escalated: h.escalated}
 		return nil
+	}
+
+	if tr != nil {
+		if tr.rows == escalateAfter {
+			tr.rows = 0
+			if l.escalate(tr, mode) {
+				return nil
+			}
+		}
+		tr.rows++
 	}
 
 	// Speculative lock inheritance fast path: only table locks are ever
@@ -216,6 +271,8 @@ func (l *Locker) Acquire(key Key, mode Mode) error {
 func (l *Locker) ReleaseAll() {
 	for key, h := range l.held {
 		switch {
+		case h.escalated:
+			l.m.release(l.txn, key)
 		case h.sli != nil:
 			// Adopted from the cache: give it back, or surrender it if a
 			// conflicting transaction asked for it meanwhile. Publish
@@ -238,18 +295,75 @@ func (l *Locker) ReleaseAll() {
 			l.m.release(l.txn, key)
 		}
 	}
+	l.resetHeld()
+}
+
+// resetHeld forgets every held lock and every table's escalation state.
+func (l *Locker) resetHeld() {
 	if len(l.held) > maxHeldReuse {
 		l.held = make(map[Key]heldLock, 8)
 	} else {
 		clear(l.held)
 	}
+	l.tables = l.tables[:0]
 }
 
 // maxHeldReuse is the most locks a transaction may have held for its
 // Locker's map to be kept for the next one: a Go map never shrinks, so
-// the map a 20 000-row load grew is replaced rather than carried by the
-// session for life. 64 keeps every OLTP-sized transaction's map.
-const maxHeldReuse = 64
+// the map a transaction grew past this is replaced rather than carried
+// by the session for life. Escalation holds a bulk transaction to
+// escalateAfter row locks and one table lock per table, so 2 ×
+// escalateAfter keeps the map of every OLTP transaction and of a bulk
+// load into one table; only row locks on tables that refused to
+// escalate can outgrow it.
+const maxHeldReuse = 2 * escalateAfter
+
+// tableRows returns space's escalation state, adding it if the
+// transaction has none yet.
+func (l *Locker) tableRows(space uint32) *tableRows {
+	for i := range l.tables {
+		if l.tables[i].space == space {
+			return &l.tables[i]
+		}
+	}
+	l.tables = append(l.tables, tableRows{space: space})
+	return &l.tables[len(l.tables)-1]
+}
+
+// escalate asks, without waiting, for tr's table in the mode that covers
+// a row request in mode: S for a read, X otherwise, joined with whatever
+// the transaction holds on the table already. It reports whether the
+// lock was granted; refused, the transaction holds what it held before.
+func (l *Locker) escalate(tr *tableRows, mode Mode) bool {
+	covers := ModeX
+	if Covers(ModeS, mode) {
+		covers = ModeS
+	}
+	key := TableKey(tr.space)
+	h, held := l.held[key]
+	if h.sli != nil {
+		// Adopted from the agent cache: make it an ordinary grant of
+		// ours first, in the mode it has (which never waits). An
+		// escalated lock does not go back to the cache.
+		err := l.m.adoptCached(l.txn, h.sli, h.mode)
+		h.sli.state.Store(sliStolen)
+		l.cache.remove(key)
+		h.sli = nil
+		l.held[key] = h
+		if err != nil {
+			return false
+		}
+	}
+	target := Supremum(h.mode, covers)
+	if !l.m.tryAcquire(l.txn, key, target, held) {
+		l.m.stats.EscalationsRefused.Inc()
+		return false
+	}
+	l.held[key] = heldLock{mode: target, escalated: true}
+	tr.covers = covers
+	l.m.stats.Escalations.Inc()
+	return true
+}
 
 // cachePut records a newly cached grant, evicting the oldest entry if
 // the cache is full.
@@ -298,7 +412,7 @@ func (l *Locker) ReleaseAllToTable() {
 			l.m.release(l.txn, key)
 		}
 	}
-	clear(l.held)
+	l.resetHeld()
 }
 
 // DropCache releases every lock the agent cache still holds (agent

@@ -55,6 +55,12 @@ type Stats struct {
 	SLIHits metrics.Counter
 	// SLISteals counts cached locks reclaimed by other transactions.
 	SLISteals metrics.Counter
+	// Escalations counts table locks granted in place of a
+	// transaction's row locks (Locker).
+	Escalations metrics.Counter
+	// EscalationsRefused counts escalations refused because another
+	// transaction held the table in a conflicting mode.
+	EscalationsRefused metrics.Counter
 	// WaitTime records blocking lock-wait durations.
 	WaitTime metrics.Histogram
 }
@@ -384,6 +390,58 @@ func (m *Manager) acquire(owner uint64, key Key, mode Mode, convert bool) error 
 	return m.wait(p, h, w)
 }
 
+// tryAcquire grants owner key in mode if that is possible at once, and
+// otherwise refuses: it never queues and never waits. convert is as for
+// acquire. Inactive cached grants in the way are taken, as a blocking
+// request would take them; one in use by its agent's transaction refuses
+// the request like any other conflicting grant, and is not asked back.
+func (m *Manager) tryAcquire(owner uint64, key Key, mode Mode, convert bool) bool {
+	p, hash := m.part(key)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	h := p.head(key, hash)
+	var own *grant
+	if convert {
+		own = h.findGrant(owner)
+	}
+	// As in acquire: a conversion jumps the queue, a fresh request may
+	// not overtake anyone already waiting.
+	grantable := own != nil || len(h.queue) == 0
+	for _, g := range h.grants {
+		if g != own && !Compatible(g.mode, mode) && (g.sli == nil || g.sli.state.Load() != sliValid) {
+			grantable = false
+			break
+		}
+	}
+	for i := 0; grantable && i < len(h.grants); {
+		g := h.grants[i]
+		if g == own || Compatible(g.mode, mode) {
+			i++
+			continue
+		}
+		// An inactive cached grant, unless its agent adopted it since.
+		if !g.sli.state.CompareAndSwap(sliValid, sliStolen) {
+			grantable = false
+			break
+		}
+		p.ungrant(h, g)
+		m.stats.SLISteals.Inc()
+	}
+	if !grantable {
+		p.dropIfIdle(h)
+		return false
+	}
+	if own != nil {
+		if !Covers(own.mode, mode) {
+			m.stats.Upgrades.Inc()
+			own.mode = mode
+		}
+	} else {
+		p.grant(h, owner, mode)
+	}
+	return true
+}
+
 // wait blocks on w until granted or timed out.
 func (m *Manager) wait(p *partition, h *lockHead, w *waiter) error {
 	m.stats.Blocks.Inc()
@@ -507,6 +565,20 @@ func (m *Manager) adoptCached(owner uint64, e *sliEntry, target Mode) error {
 		return nil
 	}
 	return m.acquire(owner, e.key, Supremum(held, target), true)
+}
+
+// Heads returns how many lock heads the table holds: one per key that is
+// granted or waited for. Bulk tools read it to see what a transaction
+// pins (Locker's escalation bounds it).
+func (m *Manager) Heads() int {
+	n := 0
+	for i := range m.parts {
+		p := &m.parts[i]
+		p.mu.Lock()
+		n += p.heads
+		p.mu.Unlock()
+	}
+	return n
 }
 
 // HeldModes returns the granted modes on key, for tests and invariant

@@ -40,8 +40,14 @@ func checkTable(t *testing.T, m *Manager) int {
 // TestLockTableGrowsAndEmpties: a 20 000-row transaction grows the
 // partitions' bucket arrays past their initial size, every lock it holds
 // is found where it was linked, and releasing them leaves no head behind.
+// Another transaction holds IX on the table, so the rows never escalate;
+// its head is the one left until it releases too.
 func TestLockTableGrowsAndEmpties(t *testing.T) {
 	m := New(Config{SLI: true})
+	other := m.NewLocker(99, nil)
+	if err := other.Acquire(TableKey(1), ModeIX); err != nil {
+		t.Fatal(err)
+	}
 	l := m.NewLocker(1, NewAgentCache(0))
 	const rows = 20_000
 	for k := uint64(1); k <= rows; k++ {
@@ -49,8 +55,8 @@ func TestLockTableGrowsAndEmpties(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := checkTable(t, m); got != rows {
-		t.Fatalf("%d heads linked, want %d", got, rows)
+	if got := checkTable(t, m); got != rows+1 {
+		t.Fatalf("%d heads linked, want %d", got, rows+1)
 	}
 	grown := 0
 	for i := range m.parts {
@@ -67,6 +73,10 @@ func TestLockTableGrowsAndEmpties(t *testing.T) {
 		}
 	}
 	l.ReleaseAll()
+	if got := checkTable(t, m); got != 1 {
+		t.Fatalf("%d heads linked after release, want the other transaction's", got)
+	}
+	other.ReleaseAll()
 	if got := checkTable(t, m); got != 0 {
 		t.Fatalf("%d heads linked after release", got)
 	}

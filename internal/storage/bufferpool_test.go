@@ -38,17 +38,20 @@ func (w *fakeWAL) Force(upTo lsn.LSN) error {
 }
 
 // seqLog is a LogFunc handing out monotonically increasing LSNs, as the
-// real appender would.
+// real appender would, registering each page in st's dirty-page table
+// at its record's LSN first, as the LogFunc contract asks.
 type seqLog struct {
 	mu   sync.Mutex
 	next lsn.LSN
+	st   *Store
 }
 
-func (l *seqLog) log(pageID uint64, up logrec.UpdatePayload) (lsn.LSN, lsn.LSN, error) {
+func (l *seqLog) log(pageID uint64, up logrec.UpdatePayload) (lsn.LSN, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.next++
-	return l.next, l.next + 1, nil
+	l.st.MarkDirty(pageID, l.next)
+	return l.next + 1, nil
 }
 
 // walCheckingArchive wraps an in-memory PageFile and fails the test if a page image
@@ -90,7 +93,7 @@ func poolHarness(t *testing.T, budget int64) (*Store, *HeapFile, *walCheckingArc
 	}
 	st.AttachWAL(wal)
 	st.SetCachePages(budget)
-	return st, NewHeapFile(st, 1, "t"), arch, wal, &seqLog{}
+	return st, NewHeapFile(st, 1, "t"), arch, wal, &seqLog{st: st}
 }
 
 // bigRow builds a row large enough that few fit per page, so small
@@ -191,7 +194,7 @@ func TestBufferPoolNoWALRefusesDirtySteal(t *testing.T) {
 	}
 	st.SetCachePages(2)
 	h := NewHeapFile(st, 1, "t")
-	sl := &seqLog{}
+	sl := &seqLog{st: st}
 	for i := 0; i < 40; i++ {
 		if _, err := h.Insert(bigRow(i), sl.log); err != nil {
 			t.Fatal(err)

@@ -83,7 +83,7 @@ func cleanerHarness(t *testing.T, budget int64) (*Store, *HeapFile, *countingArc
 	}
 	st.AttachWAL(wal)
 	st.SetCachePages(budget)
-	return st, NewHeapFile(st, 1, "t"), arch, wal, &seqLog{}
+	return st, NewHeapFile(st, 1, "t"), arch, wal, &seqLog{st: st}
 }
 
 func TestCleanerPreCleansDirtyPages(t *testing.T) {

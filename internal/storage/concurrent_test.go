@@ -199,8 +199,8 @@ func TestPageFileReadsNotBlockedByBatchFsyncs(t *testing.T) {
 func TestStoreConcurrentFaultsVsSweepAndCleaner(t *testing.T) {
 	pf := openPF(t, filepath.Join(t.TempDir(), "pagefile.db"))
 	wal := &fakeWAL{}
-	sl := &seqLog{}
 	st := NewStore()
+	sl := &seqLog{st: st}
 	if err := st.SetBackend(pf); err != nil {
 		t.Fatal(err)
 	}
@@ -336,6 +336,7 @@ func TestStoreStealsVsStreamedSweepAndCleaner(t *testing.T) {
 	}
 	st.AttachWAL(wal)
 	st.SetCachePages(16)
+	sl.st = st
 	h := NewHeapFile(st, 1, "t")
 
 	const rows, updaters = 240, 2 // ≈ 48 pages
@@ -477,6 +478,7 @@ func TestPrefetchSequentialScanHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	build.AttachWAL(wal)
+	sl.st = build
 	h := NewHeapFile(build, 1, "t")
 	const rows = 200
 	for i := 0; i < rows; i++ {

@@ -4,28 +4,25 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"aether/internal/logrec"
 	"aether/internal/lsn"
 )
 
 // LogFunc is the storage→log callback: invoked under the page latch with
-// the physiological payload describing a mutation. It must append the
-// record to the log (chaining PrevLSN et al.) and return the record's
-// start LSN (at) and end LSN. The engine stamps pages with the END LSN —
-// "the page reflects the log up to here" — which keeps the redo test
-// unambiguous even for the record at LSN 0; the start LSN feeds the
-// dirty-page table, where redo must begin.
+// the physiological payload describing a mutation. It must register the
+// page in the store's dirty-page table (Store.MarkDirty) before the
+// record enters the log — the heap does not register it again — then
+// append the record (chaining PrevLSN et al.) and return the record's
+// END LSN. The engine stamps pages with it — "the page reflects the log
+// up to here" — which keeps the redo test unambiguous even for the
+// record at LSN 0.
 //
 // Inverting control this way keeps the WAL protocol airtight: the log
 // record is created while the latch pins the page state it describes, so
 // pageLSN ordering always matches log ordering.
-type LogFunc func(pageID uint64, up logrec.UpdatePayload) (at, end lsn.LSN, err error)
-
-// NopLog is a LogFunc for unlogged operations (loading fixtures).
-func NopLog(pageID uint64, up logrec.UpdatePayload) (at, end lsn.LSN, err error) {
-	return lsn.Zero, lsn.Zero, nil
-}
+type LogFunc func(pageID uint64, up logrec.UpdatePayload) (end lsn.LSN, err error)
 
 // ErrNotFound is returned when a RID does not name a live record.
 var ErrNotFound = errors.New("storage: record not found")
@@ -41,6 +38,8 @@ type HeapFile struct {
 	mu        sync.Mutex
 	avail     []uint64 // pages that may have free space (LIFO)
 	allocated []uint64 // every page ever owned by this heap
+
+	slotProbes atomic.Uint64 // slot-directory entries read choosing insert slots
 }
 
 // NewHeapFile creates an empty heap for the given space.
@@ -57,9 +56,8 @@ func (h *HeapFile) Space() uint32 { return h.space }
 // Adopt attaches an existing page to the heap (restart path). Pages must
 // be adopted in ascending ID order for placement determinism. free is
 // the page's FreeSpace, read by the caller under the page's latch and
-// passed in with the latch released: the heap's lock order is mu → page
-// latch (pickPage), so Adopt takes no latch and must not be called
-// under one.
+// passed in with the latch released: the heap never holds mu and a page
+// latch at once.
 func (h *HeapFile) Adopt(pid uint64, free int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -79,18 +77,20 @@ func (h *HeapFile) Pages() []uint64 {
 }
 
 // Insert places data in some page, logs the insert via log, and returns
-// the record's RID.
+// the record's RID. It latches one page, once, unless that page turns
+// out to be full.
 func (h *HeapFile) Insert(data []byte, log LogFunc) (RID, error) {
 	if len(data) > MaxRecordSize {
 		return RID{}, ErrRecordTooBig
 	}
 	for {
-		p, err := h.pickPage(len(data))
+		p, err := h.pickPage()
 		if err != nil {
 			return RID{}, err
 		}
 		p.Latch.Lock()
-		slot := p.FindInsertSlot()
+		slot, examined := p.findInsertSlot()
+		h.slotProbes.Add(uint64(examined))
 		if !p.CanFit(slot, len(data)) {
 			p.Latch.Unlock()
 			h.dropAvail(p.ID())
@@ -98,7 +98,7 @@ func (h *HeapFile) Insert(data []byte, log LogFunc) (RID, error) {
 			continue
 		}
 		up := logrec.UpdatePayload{Op: logrec.OpInsert, Slot: uint16(slot), After: data}
-		at, end, err := log(p.ID(), up)
+		end, err := log(p.ID(), up)
 		if err != nil {
 			p.Latch.Unlock()
 			p.Unpin()
@@ -109,7 +109,6 @@ func (h *HeapFile) Insert(data []byte, log LogFunc) (RID, error) {
 			p.Unpin()
 			return RID{}, fmt.Errorf("storage: heap insert apply: %w", err)
 		}
-		h.store.MarkDirty(p.ID(), at)
 		rid := RID{Page: p.ID(), Slot: uint16(slot)}
 		p.Latch.Unlock()
 		p.Unpin()
@@ -117,28 +116,25 @@ func (h *HeapFile) Insert(data []byte, log LogFunc) (RID, error) {
 	}
 }
 
-// pickPage returns a pinned page that may fit size bytes, allocating if
-// needed; the caller unpins it.
-func (h *HeapFile) pickPage(size int) (*Page, error) {
+// SlotProbes returns how many slot-directory entries the heap's inserts
+// have read to choose their slots: none per insert while pages are only
+// appended to.
+func (h *HeapFile) SlotProbes() uint64 { return h.slotProbes.Load() }
+
+// pickPage returns the pinned page an insert should try, allocating if
+// no page is available; the caller unpins it. Whether the row fits is
+// the caller's check, under the one latch it takes anyway.
+func (h *HeapFile) pickPage() (*Page, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for len(h.avail) > 0 {
-		pid := h.avail[len(h.avail)-1]
-		p, err := h.store.Get(pid)
+		p, err := h.store.Get(h.avail[len(h.avail)-1])
 		if err != nil {
 			return nil, err
 		}
-		if p == nil {
-			h.avail = h.avail[:len(h.avail)-1]
-			continue
-		}
-		p.Latch.RLock()
-		fits := p.CanFit(p.FindInsertSlot(), size)
-		p.Latch.RUnlock()
-		if fits {
+		if p != nil {
 			return p, nil
 		}
-		p.Unpin()
 		h.avail = h.avail[:len(h.avail)-1]
 	}
 	p := h.store.Allocate(h.space)
@@ -216,14 +212,13 @@ func (h *HeapFile) Mutate(rid RID, log LogFunc, fn func(cur []byte) ([]byte, err
 		}
 	}
 	up := logrec.Splice(rid.Slot, before, after)
-	at, end, err := log(rid.Page, up)
+	end, err := log(rid.Page, up)
 	if err != nil {
 		return err
 	}
 	if err := p.Apply(up, end); err != nil {
 		return fmt.Errorf("storage: heap mutate apply: %w", err)
 	}
-	h.store.MarkDirty(rid.Page, at)
 	return nil
 }
 
@@ -244,7 +239,7 @@ func (h *HeapFile) Delete(rid RID, log LogFunc) error {
 		return ErrNotFound
 	}
 	up := logrec.UpdatePayload{Op: logrec.OpDelete, Slot: rid.Slot, Before: before}
-	at, end, err := log(rid.Page, up)
+	end, err := log(rid.Page, up)
 	if err != nil {
 		p.Latch.Unlock()
 		return err
@@ -253,10 +248,9 @@ func (h *HeapFile) Delete(rid RID, log LogFunc) error {
 		p.Latch.Unlock()
 		return fmt.Errorf("storage: heap delete apply: %w", err)
 	}
-	h.store.MarkDirty(rid.Page, at)
-	// Drop the latch before touching the placement list: pickPage takes
-	// h.mu then the latch, so taking h.mu while latched would invert the
-	// lock order and deadlock.
+	// Drop the latch before touching the placement list: the heap never
+	// holds h.mu and a page latch at once (pickPage faults pages in
+	// under h.mu).
 	p.Latch.Unlock()
 	h.mu.Lock()
 	// The page regained space; make it placeable again.

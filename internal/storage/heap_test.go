@@ -19,25 +19,30 @@ type countingLog struct {
 	next lsn.LSN
 	ups  []logrec.UpdatePayload
 	pids []uint64
+	st   *Store // registers each page as dirty at its record's LSN
 }
 
-func (c *countingLog) log(pid uint64, up logrec.UpdatePayload) (lsn.LSN, lsn.LSN, error) {
+func (c *countingLog) log(pid uint64, up logrec.UpdatePayload) (lsn.LSN, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	at := c.next
+	c.st.MarkDirty(pid, c.next)
 	c.next += 48
 	cp := up
 	cp.Before = append([]byte(nil), up.Before...)
 	cp.After = append([]byte(nil), up.After...)
 	c.ups = append(c.ups, cp)
 	c.pids = append(c.pids, pid)
-	return at, c.next, nil
+	return c.next, nil
 }
+
+// nopLog is a LogFunc for heap tests that look at nothing but placement:
+// it logs nothing and leaves the dirty-page table alone.
+func nopLog(uint64, logrec.UpdatePayload) (lsn.LSN, error) { return lsn.Zero, nil }
 
 func TestHeapInsertReadUpdateDelete(t *testing.T) {
 	st := NewStore()
 	h := NewHeapFile(st, 1, "accounts")
-	cl := &countingLog{}
+	cl := &countingLog{st: st}
 
 	rid, err := h.Insert([]byte("balance=100"), cl.log)
 	if err != nil {
@@ -80,7 +85,7 @@ func TestHeapInsertReadUpdateDelete(t *testing.T) {
 func TestHeapMutate(t *testing.T) {
 	st := NewStore()
 	h := NewHeapFile(st, 1, "t")
-	cl := &countingLog{}
+	cl := &countingLog{st: st}
 	buf := make([]byte, 8)
 	binary.LittleEndian.PutUint64(buf, 100)
 	rid, _ := h.Insert(buf, cl.log)
@@ -133,7 +138,7 @@ func TestHeapMutate(t *testing.T) {
 func TestHeapSpillsAcrossPages(t *testing.T) {
 	st := NewStore()
 	h := NewHeapFile(st, 1, "big")
-	cl := &countingLog{}
+	cl := &countingLog{st: st}
 	rec := make([]byte, 1000)
 	var rids []RID
 	for i := 0; i < 50; i++ { // 50KB ≫ one 8KB page
@@ -164,7 +169,7 @@ func TestHeapDeleteMakesSpaceReusable(t *testing.T) {
 	rec := make([]byte, 2000)
 	var rids []RID
 	for i := 0; i < 8; i++ {
-		rid, err := h.Insert(rec, NopLog)
+		rid, err := h.Insert(rec, nopLog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,12 +177,12 @@ func TestHeapDeleteMakesSpaceReusable(t *testing.T) {
 	}
 	pagesBefore := len(h.Pages())
 	for _, rid := range rids {
-		if err := h.Delete(rid, NopLog); err != nil {
+		if err := h.Delete(rid, nopLog); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 8; i++ {
-		if _, err := h.Insert(rec, NopLog); err != nil {
+		if _, err := h.Insert(rec, nopLog); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,7 +197,7 @@ func TestHeapScan(t *testing.T) {
 	want := map[string]bool{}
 	for i := 0; i < 30; i++ {
 		data := []byte(fmt.Sprintf("row-%02d", i))
-		if _, err := h.Insert(data, NopLog); err != nil {
+		if _, err := h.Insert(data, nopLog); err != nil {
 			t.Fatal(err)
 		}
 		want[string(data)] = true
@@ -219,7 +224,7 @@ func TestHeapScan(t *testing.T) {
 func TestHeapConcurrentInserts(t *testing.T) {
 	st := NewStore()
 	h := NewHeapFile(st, 1, "t")
-	cl := &countingLog{}
+	cl := &countingLog{st: st}
 	const workers = 8
 	const perW = 300
 	var mu sync.Mutex
@@ -303,7 +308,7 @@ func TestStoreGetOrCreate(t *testing.T) {
 func TestArchiveRoundTrip(t *testing.T) {
 	st := NewStore()
 	h := NewHeapFile(st, 1, "t")
-	cl := &countingLog{}
+	cl := &countingLog{st: st}
 	rid, _ := h.Insert([]byte("archived row"), cl.log)
 
 	arch := NewMemArchive()
@@ -337,5 +342,67 @@ func TestRIDPack(t *testing.T) {
 	r := RID{Page: 123456, Slot: 789}
 	if got := UnpackRID(r.Pack()); got != r {
 		t.Fatalf("pack round trip: %+v", got)
+	}
+}
+
+// TestHeapLeavesDirtyPagesToTheLog: the LogFunc registers each page in
+// the dirty-page table, once per logged change, and the heap adds no
+// registration of its own. So a page's recLSN is the start of the first
+// record that dirtied it, whatever followed on the page, and a change
+// whose callback registers nothing leaves the table empty.
+func TestHeapLeavesDirtyPagesToTheLog(t *testing.T) {
+	st := NewStore()
+	h := NewHeapFile(st, 1, "t")
+	cl := &countingLog{st: st}
+	var rids []RID
+	for i := 0; i < 40; i++ { // 1000-byte rows: five pages
+		rid, err := h.Insert(make([]byte, 1000), cl.log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	for _, rid := range rids[:20] {
+		if err := h.Mutate(rid, cl.log, func(cur []byte) ([]byte, error) {
+			return append([]byte{1}, cur[1:]...), nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, rid := range rids[10:30] {
+		if err := h.Delete(rid, cl.log); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[uint64]lsn.LSN{}
+	for i, pid := range cl.pids {
+		if _, ok := want[pid]; !ok {
+			want[pid] = lsn.LSN(48 * i) // countingLog's start of record i
+		}
+	}
+	dpt := st.DirtyPages()
+	if len(dpt) != len(want) || len(want) < 5 {
+		t.Fatalf("%d dirty pages, %d pages logged", len(dpt), len(want))
+	}
+	for _, e := range dpt {
+		if e.RecLSN != want[e.PageID] {
+			t.Fatalf("page %d: recLSN %v, its first record starts at %v", e.PageID, e.RecLSN, want[e.PageID])
+		}
+	}
+
+	for _, e := range dpt {
+		st.MarkClean(e.PageID)
+	}
+	if _, err := h.Insert(make([]byte, 1000), nopLog); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Mutate(rids[0], nopLog, func(cur []byte) ([]byte, error) { return cur, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Delete(rids[0], nopLog); err != nil {
+		t.Fatal(err)
+	}
+	if dpt := st.DirtyPages(); len(dpt) != 0 {
+		t.Fatalf("the heap registered %d pages itself", len(dpt))
 	}
 }

@@ -101,6 +101,14 @@ type Page struct {
 	// no demand access has consumed yet; the first Get CASes it off and
 	// counts the prefetch hit (prefetch.go).
 	prefetched atomic.Bool
+	// firstFree is a lower bound on the page's first dead slot: every
+	// slot below it is live. It lives in memory only, guarded by the
+	// latch like the image. A page starts at 0 however it was built —
+	// empty, faulted in or loaded from a snapshot — FindInsertSlot raises
+	// it to the slot it finds, an insert into that slot moves it one
+	// past, and a slot that dies lowers it. So on a page that is only
+	// appended to, the slot choice reads no directory entry at all.
+	firstFree uint16
 
 	// frame holds the page exactly as a PageFile slot does — the 32-byte
 	// slot header, then the image — so a fault reads its slot straight
@@ -215,15 +223,29 @@ func (p *Page) View(slot int) ([]byte, error) {
 }
 
 // FindInsertSlot picks the slot a new record would occupy: the first dead
-// slot, or a fresh one. It does not modify the page.
+// slot, or a fresh one. It leaves the image alone but raises the page's
+// in-memory first-free bound to what it found, so the caller must hold
+// the latch exclusively. The search starts at that bound, so it returns
+// what a scan from slot 0 would, reading no entry at all on a page whose
+// slots never died.
 func (p *Page) FindInsertSlot() int {
+	slot, _ := p.findInsertSlot()
+	return slot
+}
+
+// findInsertSlot is FindInsertSlot, also reporting how many slot
+// directory entries it read (HeapFile.SlotProbes).
+func (p *Page) findInsertSlot() (slot, examined int) {
 	n := p.NumSlots()
-	for i := 0; i < n; i++ {
-		if off, _ := p.slotOffLen(i); off == deadOffset {
-			return i
+	slot = int(p.firstFree)
+	for ; slot < n; slot++ {
+		examined++
+		if off, _ := p.slotOffLen(slot); off == deadOffset {
+			break
 		}
 	}
-	return n
+	p.firstFree = uint16(slot)
+	return slot, examined
 }
 
 // CanFit reports whether a record of the given size can be placed in the
@@ -257,7 +279,9 @@ func (p *Page) liveBytes() int {
 
 // Insert places data into the given slot (dead or new). Callers pick the
 // slot with FindInsertSlot so the operation is deterministic and can be
-// replayed by redo.
+// replayed by redo, which may name any slot: one past the end grows the
+// directory with dead slots, which lie at or above the first-free bound
+// already.
 func (p *Page) Insert(slot int, data []byte) error {
 	if len(data) > MaxRecordSize {
 		return ErrRecordTooBig
@@ -297,6 +321,10 @@ func (p *Page) Insert(slot int, data []byte) error {
 	}
 	p.setSlot(slot, off, len(data))
 	p.setFreeStart(off + len(data))
+	if slot == int(p.firstFree) {
+		// Every slot below this one is live, and now this one is too.
+		p.firstFree++
+	}
 	return nil
 }
 
@@ -358,6 +386,9 @@ func (p *Page) Delete(slot int) error {
 		return ErrDeadSlot
 	}
 	p.setSlot(slot, deadOffset, 0)
+	if slot < int(p.firstFree) {
+		p.firstFree = uint16(slot)
+	}
 	return nil
 }
 
@@ -471,5 +502,6 @@ func (p *Page) LoadSnapshot(img []byte) error {
 		return fmt.Errorf("storage: snapshot is %d bytes, want %d", len(img), PageSize)
 	}
 	copy(p.buf()[:], img)
+	p.firstFree = 0
 	return nil
 }

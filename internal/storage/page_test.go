@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -398,5 +399,95 @@ func TestQuickPageMatchesReference(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fullScanSlot is the slot choice by definition: the first dead slot, or
+// a fresh one.
+func fullScanSlot(p *Page) int {
+	for i := 0; i < p.NumSlots(); i++ {
+		if off, _ := p.slotOffLen(i); off == deadOffset {
+			return i
+		}
+	}
+	return p.NumSlots()
+}
+
+// TestFindInsertSlotMatchesFullScan: over a random run of inserts,
+// deletes, resizing sets, redo inserts past the directory's end and
+// reloads from bytes, the page's first-free bound never makes
+// FindInsertSlot pick another slot than a scan from slot 0.
+func TestFindInsertSlotMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	p := NewPage(1)
+	var live []int
+	for step := 0; step < 20_000; step++ {
+		if got, want := p.FindInsertSlot(), fullScanSlot(p); got != want {
+			t.Fatalf("step %d: FindInsertSlot %d, full scan %d", step, got, want)
+		}
+		data := make([]byte, 1+rng.Intn(120))
+		switch op := rng.Intn(10); {
+		case op < 5: // insert where the heap would
+			slot := p.FindInsertSlot()
+			if !p.CanFit(slot, len(data)) {
+				continue
+			}
+			if err := p.Insert(slot, data); err != nil {
+				t.Fatalf("step %d: insert slot %d: %v", step, slot, err)
+			}
+			live = append(live, slot)
+		case op < 8: // delete a live slot
+			if len(live) == 0 {
+				continue
+			}
+			i := rng.Intn(len(live))
+			if err := p.Delete(live[i]); err != nil {
+				t.Fatalf("step %d: delete slot %d: %v", step, live[i], err)
+			}
+			live = append(live[:i], live[i+1:]...)
+		case op == 8: // resize a live row (may compact the page)
+			if len(live) == 0 {
+				continue
+			}
+			if err := p.Set(live[rng.Intn(len(live))], data); err != nil && !errors.Is(err, ErrPageFull) {
+				t.Fatalf("step %d: set: %v", step, err)
+			}
+		default: // redo past the end, or rebuild the page from its bytes
+			if rng.Intn(2) == 0 && p.NumSlots() < 200 && p.CanFit(p.NumSlots()+3, len(data)) {
+				slot := p.NumSlots() + 1 + rng.Intn(3)
+				if err := p.Insert(slot, data); err != nil {
+					t.Fatalf("step %d: redo insert slot %d: %v", step, slot, err)
+				}
+				live = append(live, slot)
+				continue
+			}
+			q := NewPage(1)
+			if err := q.LoadSnapshot(p.Snapshot()); err != nil {
+				t.Fatal(err)
+			}
+			p = q
+		}
+	}
+}
+
+// TestAppendOnlyHeapReadsNoSlotEntries: choosing an insert's slot on a
+// heap whose rows never died reads at most two slot-directory entries,
+// however many rows the heap holds.
+func TestAppendOnlyHeapReadsNoSlotEntries(t *testing.T) {
+	st := NewStore()
+	h := NewHeapFile(st, 1, "t")
+	row := make([]byte, 100)
+	worst := uint64(0)
+	for i := 1; i <= 20_000; i++ {
+		before := h.SlotProbes()
+		if _, err := h.Insert(row, nopLog); err != nil {
+			t.Fatal(err)
+		}
+		worst = max(worst, h.SlotProbes()-before)
+		if i == 100 || i == 20_000 {
+			if worst > 2 {
+				t.Fatalf("after %d rows: an insert read %d slot entries, want ≤ 2", i, worst)
+			}
+		}
 	}
 }

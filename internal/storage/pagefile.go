@@ -472,7 +472,13 @@ func scanSlots(f io.ReaderAt, size int64, v uint64) (pfScan, error) {
 	sc := pfScan{nSlots: uint64(n), live: make(map[uint64]pfSlot)}
 	hdr := make([]byte, pfSlotHdr)
 	for slot := uint64(0); slot < sc.nSlots; slot++ {
-		if _, err := io.ReadFull(io.NewSectionReader(f, pfSlotOff(slot), pfSlotHdr), hdr); err != nil {
+		// One pread per header, into the one buffer. A whole header is
+		// a success even if the reader adds io.EOF (ReadAt may, at the
+		// end of its input); anything shorter is not.
+		if n, err := f.ReadAt(hdr, pfSlotOff(slot)); n < len(hdr) {
+			if err == nil || err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
 			return sc, fmt.Errorf("storage: pagefile scan slot %d: %w", slot, err)
 		}
 		if binary.LittleEndian.Uint32(hdr[20:24])&pfFlagUsed == 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -188,5 +189,55 @@ func TestPageFileHeaderSizeMismatch(t *testing.T) {
 
 	if _, err := OpenPageFile(path); err == nil || !strings.Contains(err.Error(), "page size") {
 		t.Fatalf("mismatched page size must fail loudly, got %v", err)
+	}
+}
+
+// shortReaderAt serves r, except that reads at offset cut return only
+// half of what was asked, with no error.
+type shortReaderAt struct {
+	r   *bytes.Reader
+	cut int64
+}
+
+func (s shortReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	if off == s.cut {
+		return s.r.ReadAt(p[:len(p)/2], off)
+	}
+	return s.r.ReadAt(p, off)
+}
+
+// TestScanSlotsReadsHeadersInPlace: the open's slot scan reads each
+// 32-byte header into one buffer, so its allocations do not grow with the
+// slots it reads (only the directory of live pages does), and a header
+// that comes back short fails the open, naming its slot.
+func TestScanSlotsReadsHeadersInPlace(t *testing.T) {
+	// A file of unused slots: nothing goes into the live map.
+	scan := func(slots int) float64 {
+		raw := make([]byte, pfHeaderSize+slots*pfSlotSize)
+		r := bytes.NewReader(raw)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := scanSlots(r, int64(len(raw)), 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := scan(8), scan(2_000); many > few {
+		t.Fatalf("scanning 2 000 slots allocates %.0f objects, 8 slots %.0f", many, few)
+	}
+
+	raw := make([]byte, pfHeaderSize+4*pfSlotSize)
+	for slot := uint64(0); slot < 4; slot++ {
+		hdr := raw[pfSlotOff(slot):]
+		binary.LittleEndian.PutUint64(hdr[0:8], slot+1)
+		binary.LittleEndian.PutUint64(hdr[8:16], 1)
+		binary.LittleEndian.PutUint32(hdr[20:24], pfFlagUsed)
+	}
+	r := bytes.NewReader(raw)
+	if sc, err := scanSlots(r, int64(len(raw)), 1); err != nil || len(sc.live) != 4 {
+		t.Fatalf("whole file: %d live pages, err %v", len(sc.live), err)
+	}
+	_, err := scanSlots(shortReaderAt{r, pfSlotOff(2)}, int64(len(raw)), 1)
+	if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "slot 2:") {
+		t.Fatalf("short header read: %v, want an unexpected EOF naming slot 2", err)
 	}
 }

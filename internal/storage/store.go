@@ -180,8 +180,9 @@ func (s *Store) GetOrCreate(pid uint64) (*Page, error) {
 }
 
 // MarkDirty records that pid was modified at recLSN, if it is not
-// already dirty. Callers invoke it with the page latch held, right after
-// the first Apply since the page was last clean.
+// already dirty: the first registration wins. Callers invoke it with the
+// page latch held, before each logged change's record enters the log
+// (LogFunc) — once per change.
 func (s *Store) MarkDirty(pid uint64, recLSN lsn.LSN) {
 	s.dirtyMu.Lock()
 	if _, ok := s.dirty[pid]; !ok {

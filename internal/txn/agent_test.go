@@ -491,8 +491,9 @@ func (a *Agent) scratchCaps() (undo, arena, index, rec int) {
 }
 
 // TestAgentScratchRetention: what one bulk transaction grew is not what
-// the session carries afterwards. (The Locker's held-lock map has its
-// own test in lockmgr.)
+// the session carries afterwards. Its inserts grow the undo entries and
+// the index undo but keep no image, so it deletes rows as well to grow
+// the arena. (The Locker's held-lock map has its own test in lockmgr.)
 func TestAgentScratchRetention(t *testing.T) {
 	h := newHarness(t)
 	tbl, _ := h.eng.CreateTable("t", nil)
@@ -508,6 +509,11 @@ func TestAgentScratchRetention(t *testing.T) {
 	copy(big, row(20_001, 0))
 	if err := bulk.Insert(tbl, 20_001, big); err != nil {
 		t.Fatal(err)
+	}
+	for k := uint64(1); k <= 5_000; k++ { // 5 000 16-byte before images
+		if err := bulk.Delete(tbl, k); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := bulk.Commit(CommitSync, nil); err != nil {
 		t.Fatal(err)
@@ -528,7 +534,7 @@ func TestAgentScratchRetention(t *testing.T) {
 		t.Fatalf("after Begin: undo cap %d (max %d), arena %d (%d), index undo %d (%d), record %d (%d)",
 			undo, maxUndoEntries, arena, maxArenaBytes, index, maxIndexUndo, rec, maxRecordBuffer)
 	}
-	if err := small.Update(tbl, 1, setValue(1)); err != nil {
+	if err := small.Update(tbl, 10_000, setValue(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := small.Commit(CommitSync, nil); err != nil {

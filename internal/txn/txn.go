@@ -25,7 +25,9 @@ const (
 // rollback uses this in-memory chain (every live transaction has its
 // records at hand); crash rollback reads the durable log instead. The
 // images — what the record logged, so a splice's trimmed bytes, not its
-// rows — live in the scratch's arena, before then after, from img.
+// rows — live in the scratch's arena, before then after, from img. An
+// insert keeps none: its row is on the page until Abort deletes it, and
+// the CLR is built from what is there.
 type undoEntry struct {
 	pageID    uint64
 	at        lsn.LSN // LSN of the update record
@@ -66,7 +68,7 @@ type txnScratch struct {
 // kept, so a steady workload below the caps never reallocates.
 const (
 	maxUndoEntries  = 256      // x 48 B = 12 kB: any OLTP transaction's updates
-	maxArenaBytes   = 64 << 10 // 256 entries' worth of inserted or deleted 250-byte rows
+	maxArenaBytes   = 64 << 10 // 256 entries' worth of deleted 250-byte rows (an insert keeps no image)
 	maxIndexUndo    = 256      // x 32 B = 8 kB: one per inserted or deleted row
 	maxRecordBuffer = 4 << 10  // what core.Appender's own encode buffer is held to
 )
@@ -132,11 +134,11 @@ func (t *Txn) appendRec(rec *logrec.Record) (at, end, pageStamp, recStamp lsn.LS
 // ID returns the transaction identifier.
 func (t *Txn) ID() uint64 { return t.id }
 
-// logUpdate is the storage.LogFunc for this transaction: append a
-// physiological update record, chain PrevLSN, and remember the undo.
-// It returns (recStamp, pageStamp): the values the heap feeds to
-// MarkDirty and Page.Apply.
-func (t *Txn) logUpdate(pageID uint64, up logrec.UpdatePayload) (lsn.LSN, lsn.LSN, error) {
+// logUpdate is the storage.LogFunc for this transaction: register the
+// page as dirty, append a physiological update record, chain PrevLSN,
+// and remember the undo. It returns the record's page stamp, which the
+// heap feeds to Page.Apply.
+func (t *Txn) logUpdate(pageID uint64, up logrec.UpdatePayload) (lsn.LSN, error) {
 	prev := t.last.Load()
 	if prev == lsn.Undefined {
 		// Publish a conservative first-stamp lower bound before the
@@ -159,28 +161,31 @@ func (t *Txn) logUpdate(pageID uint64, up logrec.UpdatePayload) (lsn.LSN, lsn.LS
 	rec.SetUpdate(t.id, prev, pageID, up)
 	at, end, pageStamp, recStamp, err := t.appendRec(rec)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if prev == lsn.Undefined {
 		t.first.Store(recStamp)
 	}
 	// Keep the images: the payload aliases page memory that will change,
-	// and rollback needs the originals.
+	// and rollback needs the originals. An insert's row stays on the
+	// page, under our lock, for as long as rollback could want it.
 	sc := t.sc
-	sc.undo = append(sc.undo, undoEntry{
-		pageID: pageID, at: at, prev: prev, img: len(sc.arena), off: up.Off,
-		beforeLen: uint32(len(up.Before)), afterLen: uint32(len(up.After)),
-		slot: up.Slot, op: up.Op,
-	})
-	sc.arena = append(append(sc.arena, up.Before...), up.After...)
+	e := undoEntry{pageID: pageID, at: at, prev: prev, slot: up.Slot, op: up.Op}
+	if up.Op != logrec.OpInsert {
+		e.img, e.off = len(sc.arena), up.Off
+		e.beforeLen, e.afterLen = uint32(len(up.Before)), uint32(len(up.After))
+		sc.arena = append(append(sc.arena, up.Before...), up.After...)
+	}
+	sc.undo = append(sc.undo, e)
 	t.last.Store(at)
 	t.lastStamp.Store(recStamp)
 	t.lastEnd = end
 	t.writes++
-	return recStamp, pageStamp, nil
+	return pageStamp, nil
 }
 
-// payload rebuilds the update e recorded; its images alias the arena.
+// payload rebuilds the update e recorded, unless it is an insert (see
+// undoOn); its images alias the arena.
 func (sc *txnScratch) payload(e *undoEntry) logrec.UpdatePayload {
 	mid := e.img + int(e.beforeLen)
 	return logrec.UpdatePayload{
@@ -190,6 +195,41 @@ func (sc *txnScratch) payload(e *undoEntry) logrec.UpdatePayload {
 		Before: sc.arena[e.img:mid:mid],
 		After:  sc.arena[mid : mid+int(e.afterLen) : mid+int(e.afterLen)],
 	}
+}
+
+// undoOn logs and applies the CLR that undoes e on page, whose latch the
+// caller holds exclusively. Same protocol as the forward path
+// (storage.LogFunc): the CLR is logged and applied under the page latch,
+// so the page's stamps follow log order, and the page enters the DPT
+// before the record enters the log (see logUpdate). Dirtying under the
+// latch also keeps the eviction path's clean-vs-steal decision, read
+// from (pageLSN, DPT) under the same latch, consistent.
+//
+// An insert is undone by deleting the row it put in its slot, which is
+// still there — undo runs newest first, so whatever the transaction did
+// to the row later is undone already — and its CLR carries that row, as
+// it did when the undo image was a copy.
+func (t *Txn) undoOn(page *storage.Page, e *undoEntry) error {
+	var inv logrec.UpdatePayload
+	if e.op == logrec.OpInsert {
+		row, err := page.View(int(e.slot))
+		if err != nil {
+			return fmt.Errorf("inserted row in slot %d: %w", e.slot, err)
+		}
+		inv = logrec.UpdatePayload{Op: logrec.OpDelete, Slot: e.slot, Before: row}
+	} else {
+		inv = t.sc.payload(e).Inverse()
+	}
+	t.eng.store.MarkDirty(e.pageID, t.eng.log.StampFloor())
+	rec := &t.agent.rec
+	rec.SetCLR(t.id, t.last.Load(), e.pageID, e.prev, inv)
+	at, _, pageStamp, recStamp, err := t.appendRec(rec)
+	if err != nil {
+		return err
+	}
+	t.last.Store(at)
+	t.lastStamp.Store(recStamp)
+	return page.Apply(inv, pageStamp)
 }
 
 func (t *Txn) active() error {
@@ -466,7 +506,6 @@ func (t *Txn) Abort() error {
 		sc := t.sc
 		for i := len(sc.undo) - 1; i >= 0; i-- {
 			e := &sc.undo[i]
-			inv := sc.payload(e).Inverse()
 			page, ferr := t.eng.store.Get(e.pageID)
 			if ferr != nil {
 				return fmt.Errorf("txn: undo fault: %w", ferr)
@@ -474,22 +513,8 @@ func (t *Txn) Abort() error {
 			if page == nil {
 				return fmt.Errorf("txn: undo lost page %d", e.pageID)
 			}
-			// Same protocol as the forward path (storage.LogFunc): the
-			// CLR is logged and applied under the page latch, so the
-			// page's stamps follow log order, and the page enters the DPT
-			// before the record enters the log (see logUpdate). Dirtying
-			// under the latch also keeps the eviction path's
-			// clean-vs-steal decision, read from (pageLSN, DPT) under
-			// the same latch, consistent.
 			page.Latch.Lock()
-			t.eng.store.MarkDirty(e.pageID, t.eng.log.StampFloor())
-			rec.SetCLR(t.id, t.last.Load(), e.pageID, e.prev, inv)
-			at, _, pageStamp, recStamp, err := t.appendRec(rec)
-			if err == nil {
-				t.last.Store(at)
-				t.lastStamp.Store(recStamp)
-				err = page.Apply(inv, pageStamp)
-			}
+			err := t.undoOn(page, e)
 			page.Latch.Unlock()
 			page.Unpin()
 			if err != nil {
