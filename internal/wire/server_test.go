@@ -743,9 +743,18 @@ func TestCommitAcksBounded(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// Held there: the read loop reads no further request while the
-	// writer is stalled.
+	// Held there: the read loop goes on to read the next transaction's
+	// Begin, Insert and Commit, waits in that Commit for an ack slot, and
+	// reads no further request while the writer is stalled. That is one
+	// frame for OpenTable and three for each of maxPendingAcks+1
+	// transactions; the count is taken once the loop is there, not as
+	// soon as the acks reach the bound, while it may still be on its way.
+	const heldAt = 1 + 3*(maxPendingAcks+1)
+	waitStat(t, "the read loop to reach the next commit", func() bool { return srv.Stats().FramesIn >= heldAt })
 	framesIn := srv.Stats().FramesIn
+	if framesIn != heldAt {
+		t.Fatalf("the read loop read %d requests, want %d: it took the commit past the bound", framesIn, heldAt)
+	}
 	time.Sleep(100 * time.Millisecond)
 	if n, open := pending(); open && n != maxPendingAcks {
 		t.Fatalf("%d commit acknowledgements pending after the hold, want the bound %d", n, maxPendingAcks)
