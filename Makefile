@@ -57,7 +57,11 @@ lock-race:
 # newEngine outside restart.go. And the log manager does not reach the
 # cold tier: the engine's cold-tier daemon drains the archiving lanes it
 # is handed (txn.ColdConfig), so no non-test Go in internal/core calls or
-# declares ArchivePending, HasArchiver or CanArchive.
+# declares ArchivePending, HasArchiver or CanArchive. And the log is
+# replayed one way, by restart (a restore is a restart that stops): no Go
+# file, tests included, calls recovery's redo or compensate outside
+# internal/recovery/recovery.go, or recovery.NewLaneMerge outside
+# internal/recovery and cmd/logdump.
 vet:
 	$(GO) vet ./...
 	@bad="$$(grep -HnE '\bos\.(OpenFile|Create|WriteFile|Rename|Remove|MkdirAll|Truncate)\(' \
@@ -74,6 +78,10 @@ vet:
 	if [ -n "$$bad" ]; then echo "an engine is assembled one way, by txn.Restart:"; echo "$$bad"; exit 1; fi
 	@bad="$$(grep -HnE '\b(ArchivePending|HasArchiver|CanArchive)\b' $$(find internal/core -name '*.go' ! -name '*_test.go'))"; \
 	if [ -n "$$bad" ]; then echo "the cold tier is the engine's, not the log manager's (txn.ColdConfig):"; echo "$$bad"; exit 1; fi
+	@gofiles="$$(find . -path './.*' -prune -o -name '*.go' -print)"; \
+	bad="$$(grep -HnE '\b(redo|compensate)\(' $$gofiles | grep -vE '^\./internal/recovery/recovery\.go:'; \
+		grep -HnE '\bNewLaneMerge\(' $$gofiles | grep -vE '^\./(internal/recovery|cmd/logdump)/')"; \
+	if [ -n "$$bad" ]; then echo "the log is replayed one way, by restart (a restore is a restart that stops):"; echo "$$bad"; exit 1; fi
 
 # Documentation lint: formatting, vet, every example and command builds,
 # and the godoc-coverage check — exported identifiers in EVERY internal
@@ -156,7 +164,10 @@ load-profile:
 # becomes a cloud object store that survives power cuts, and cycles tear
 # uploads mid-object or open outage windows — recovery must
 # never lose a committed transaction to a torn upload nor recycle a
-# parked segment before its bytes are durably remote. Fast enough for
+# parked segment before its bytes are durably remote — and 10 more of
+# those on a 3-partition log. With the cloud the database also takes
+# snapshots and prunes behind them, and after every recovery RestoreTo
+# of the durable end must give back the recovered state. Fast enough for
 # every CI pass; `make soak` is the long form. -v prints each run's
 # summary (cycles, commits, in-doubt commits, cuts per point).
 SOAK = $(GO) test -v -run '^TestSoak$$' -count=1
@@ -164,6 +175,7 @@ soak-smoke:
 	$(SOAK) . -args -soak.cycles 25 -soak.seed 1
 	$(SOAK) . -args -soak.cycles 15 -soak.seed 2 -soak.log-partitions 3
 	$(SOAK) . -args -soak.cycles 15 -soak.seed 3 -soak.points remote-archive,group-commit
+	$(SOAK) . -args -soak.cycles 10 -soak.seed 6 -soak.points remote-archive,partition-flush -soak.log-partitions 3
 
 # Long crash storm for release qualification / bug hunting. Pick a
 # fresh seed to explore new fault schedules; a divergence prints the

@@ -11,6 +11,7 @@ import (
 	"aether/internal/lockmgr"
 	"aether/internal/logbuf"
 	"aether/internal/logdev"
+	"aether/internal/lsn"
 	"aether/internal/metrics"
 	"aether/internal/storage"
 	"aether/internal/txn"
@@ -275,8 +276,10 @@ type DB struct {
 	mem     *vfs.FaultFS
 	lanes   []lane // the log: one per partition, one in all when unpartitioned
 	archive storage.Archive
-	eng     *txn.Engine
-	tables  []string
+	// snaps holds the snapshots, with a cold store (nil without one).
+	snaps  *logdev.SnapshotStore
+	eng    *txn.Engine
+	tables []string
 }
 
 // Open creates (or reopens, for a file-backed log with existing
@@ -303,7 +306,7 @@ func Open(opts Options) (*DB, error) {
 		db.mem = vfs.NewFaultFS(1)
 		db.fs, db.root = db.mem, "/db"
 	}
-	if err := db.open(); err != nil {
+	if err := db.open(nil); err != nil {
 		return nil, err
 	}
 	return db, nil
@@ -311,8 +314,10 @@ func Open(opts Options) (*DB, error) {
 
 // open opens the lanes, the database file and the cold store under
 // db.root and starts the engine over them through recovery: Open's body,
-// and the restart after Crash.
-func (db *DB) open() error {
+// the restart after Crash, and a restore's opening of what it
+// materialized, whose analysis starts at checkpoint
+// (txn.RestartConfig.Checkpoint; nil: the last one).
+func (db *DB) open(checkpoint *lsn.LSN) error {
 	n := max(db.opts.LogPartitions, 1)
 	if err := logdev.CheckLaneLayout(db.fs, db.root, n); err != nil {
 		return err
@@ -346,13 +351,16 @@ func (db *DB) open() error {
 	}
 	var cold txn.ColdConfig
 	if store != nil {
+		remotes := make([]*logdev.RemoteArchiver, n)
 		for i := range db.lanes {
 			if err := db.lanes[i].attachColdStore(store, i, n); err != nil {
 				return fail(err)
 			}
 			cold.Lanes = append(cold.Lanes, db.lanes[i].seg)
+			remotes[i] = db.lanes[i].remote
 		}
-		cold.Remote = db.snapshotStore()
+		db.snaps = logdev.NewSnapshotStore(store, remotes)
+		cold.Snapshots, cold.Pages = db.snaps, pf
 		cold.SnapshotEveryBytes, cold.RetainSnapshots = db.opts.SnapshotEveryBytes, db.opts.RetainSnapshots
 	}
 	// The engine starts through recovery (a fresh log recovers empty).
@@ -376,6 +384,7 @@ func (db *DB) open() error {
 		CleanerPages:         db.opts.CleanerPages,
 		PrefetchDepth:        db.opts.PrefetchDepth,
 		Cold:                 cold,
+		Checkpoint:           checkpoint,
 	})
 	if err != nil {
 		return fail(err)
@@ -479,7 +488,7 @@ func (db *DB) Crash() error {
 	db.eng = nil
 	db.closeFiles()
 	db.mem.Recover()
-	if err := db.open(); err != nil {
+	if err := db.open(nil); err != nil {
 		return fmt.Errorf("aether: recovery failed: %w", err)
 	}
 	names := db.tables
@@ -682,10 +691,10 @@ func (db *DB) Stats() Stats {
 	s.LogSnapshots = es.SnapshotsTaken.Load()
 	s.LogObjectsPruned = es.RetentionPrunedObjects.Load()
 	s.RetentionFailures = es.RetentionFailures.Load()
-	// Only a database that takes snapshots can have a floor (and only it
+	// Only a database with a cold store can have a floor (and only it
 	// pays the object-store listing that reads one).
-	if r := db.snapshotStore(); r != nil {
-		if floor, err := r.Floor(); err == nil {
+	if db.snaps != nil {
+		if floor, err := db.snaps.Floor(); err == nil {
 			s.RestoreFloor = int64(floor)
 		}
 	}

@@ -39,6 +39,7 @@ func restoredKeys(t *testing.T, db *DB, table string, want uint64) {
 	if err != nil {
 		t.Fatalf("RestoreTo(%d): %v", at, err)
 	}
+	defer r.Close()
 	next := uint64(1)
 	if err := r.Scan(table, func(key uint64, _ []byte) bool {
 		if key != next {

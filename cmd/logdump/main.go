@@ -9,8 +9,9 @@
 // Cold-storage awareness: a segmented log whose dead segments were
 // archived (aether.Options.ArchiveDir, or a RemoteStore kept in a
 // directory) keeps only the hot tail on the device. logdump lists the
-// cold store's objects — one per archived segment, the snapshots, and the
-// retention floor — and stitches the archived history
+// cold store's objects — one per archived segment, and each snapshot's
+// manifest (restore point, checkpoint, per-lane low-water marks, page and
+// object counts) — and the retention floor, and stitches the archived history
 // below the truncation base to the live tail so the dump covers the full
 // log from offset 0, including segments already recycled from the hot
 // directory. The store is auto-detected at <dir>/archive (the
@@ -33,8 +34,8 @@
 //	logdump -f wal.d -txn 42        # one transaction's chain
 //	logdump -f wal.d -stats         # kind histogram + volume (framing vs image bytes) only
 //	logdump -f wal.d/pagefile.db    # pagefile slot table
-//	logdump -archive cold           # cold store alone: segment and
-//	                                # snapshot objects, floor
+//	logdump -archive cold           # cold store alone: segment
+//	                                # objects, snapshots, floor
 package main
 
 import (
@@ -203,10 +204,10 @@ func coldStore(logPath, archDir string) (*logdev.DirObjectStore, error) {
 // live tail. The directory opens strictly read-only: logdump is a
 // diagnostic and must never repair, seed metadata, or unlink what it
 // inspects.
-func dumpLane(path string, store *logdev.DirObjectStore, i, n int) (recovery.Lane, error) {
+func dumpLane(path string, store *logdev.DirObjectStore, i, n int) (recovery.Lane, *logdev.RemoteArchiver, error) {
 	seg, err := logdev.OpenSegmentedDirRO(logdev.LaneDir(path, i, n))
 	if err != nil {
-		return recovery.Lane{}, err
+		return recovery.Lane{}, nil, err
 	}
 	defer seg.Close()
 	name := "segmented log"
@@ -235,15 +236,15 @@ func dumpLane(path string, store *logdev.DirObjectStore, i, n int) (recovery.Lan
 	if store != nil {
 		lane := logdev.LaneDir("", i, n)
 		if arch, err = logdev.NewRemoteArchiver(store, lane, seg.SegmentSize()); err != nil {
-			return recovery.Lane{}, err
+			return recovery.Lane{}, nil, err
 		}
 		fmt.Printf("cold store lane %q:\n", lane)
-		if err := listColdLane(store, arch, lane); err != nil {
-			return recovery.Lane{}, err
+		if err := listColdLane(store, lane); err != nil {
+			return recovery.Lane{}, nil, err
 		}
 	}
 	data, base, err := seg.RestoreLog(arch, 0)
-	return recovery.Lane{Log: data, Base: lsn.LSN(base)}, err
+	return recovery.Lane{Log: data, Base: lsn.LSN(base)}, arch, err
 }
 
 // dump prints a log of any lane count: every lane's device layout, the
@@ -260,13 +261,19 @@ func dump(path, archDir string, txnFilter uint64, statsOnly bool) error {
 		return err
 	}
 	lanes := make([]recovery.Lane, n)
+	archs := make([]*logdev.RemoteArchiver, n)
 	var restorable int
 	for i := range lanes {
 		var err error
-		if lanes[i], err = dumpLane(path, store, i, n); err != nil {
+		if lanes[i], archs[i], err = dumpLane(path, store, i, n); err != nil {
 			return fmt.Errorf("lane %d: %w", i, err)
 		}
 		restorable += len(lanes[i].Log)
+	}
+	if store != nil {
+		if err := listSnapshots(store, archs); err != nil {
+			return err
+		}
 	}
 	fmt.Println()
 	if pfPath := pageFileFor(path); pfPath != "" {
@@ -388,32 +395,32 @@ func isDir(path string) bool {
 	return err == nil && st.IsDir()
 }
 
-// listColdStore prints what a cold store holds: the segment objects, the
-// snapshot objects, and the retention floor — per lane for a partitioned database (p0/,
-// p1/, …), one unnamed lane otherwise. Torn objects (a crashed or cut
-// upload's prefix) are flagged, not errors: the archiver overwrites
-// them on its next pass.
+// listColdStore prints what a cold store holds: the segment objects —
+// per lane for a partitioned database (p0/, p1/, …), one unnamed lane
+// otherwise — then the snapshots and the retention floor. Torn objects
+// (a crashed or cut upload's prefix) are flagged, not errors: the
+// archiver overwrites them on its next pass, retention deletes them.
 func listColdStore(dir string) error {
 	store, err := coldStore("", dir)
 	if err != nil {
 		return err
 	}
 	n := logdev.CountLanes(vfs.OS{}, dir)
-	for i := 0; i < n; i++ {
+	archs := make([]*logdev.RemoteArchiver, n)
+	for i := range archs {
 		lane := logdev.LaneDir("", i, n)
 		// Segment size 0: a listing never retrieves a segment.
-		arch, err := logdev.NewRemoteArchiver(store, lane, 0)
-		if err != nil {
+		if archs[i], err = logdev.NewRemoteArchiver(store, lane, 0); err != nil {
 			return err
 		}
 		if lane != "" {
 			fmt.Printf("lane %s\n", lane)
 		}
-		if err := listColdLane(store, arch, lane); err != nil {
+		if err := listColdLane(store, lane); err != nil {
 			return err
 		}
 	}
-	return nil
+	return listSnapshots(store, archs)
 }
 
 // remoteObj fetches and unwraps one object, tolerating torn uploads.
@@ -429,9 +436,9 @@ func remoteObj(store logdev.ObjectStore, key string) (kind uint16, meta uint64, 
 	return kind, meta, payload, false, nil
 }
 
-// listColdLane prints the objects of one cold-store lane (a LaneDir
-// name, "" for an unpartitioned log) and its retention floor.
-func listColdLane(store logdev.ObjectStore, arch *logdev.RemoteArchiver, lane string) error {
+// listColdLane prints the segment objects of one cold-store lane (a
+// LaneDir name, "" for an unpartitioned log).
+func listColdLane(store logdev.ObjectStore, lane string) error {
 	segKeys, err := store.List(path.Join(lane, "seg") + "/")
 	if err != nil {
 		return err
@@ -450,30 +457,34 @@ func listColdLane(store logdev.ObjectStore, arch *logdev.RemoteArchiver, lane st
 		fmt.Printf("  segment %6d  [%d, %d)\n", idx, int64(idx)*segSize, (int64(idx)+1)*segSize)
 	}
 
-	snapKeys, err := store.List(path.Join(lane, "snap") + "/")
+	return nil
+}
+
+// listSnapshots prints every snapshot manifest in the cold store — its
+// restore point, the checkpoint a restore's analysis starts at, each
+// lane's low-water mark, and how many pages and images objects it names
+// — and the retention floor.
+func listSnapshots(store logdev.ObjectStore, archs []*logdev.RemoteArchiver) error {
+	snaps := logdev.NewSnapshotStore(store, archs)
+	ats, err := snaps.Manifests()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("snapshot objects: %d\n", len(snapKeys))
-	for _, key := range snapKeys {
-		_, _, payload, torn, err := remoteObj(store, key)
+	fmt.Printf("snapshots: %d\n", len(ats))
+	for _, at := range ats {
+		m, err := snaps.GetManifest(at)
 		if err != nil {
-			return err
-		}
-		if torn {
-			fmt.Printf("  %s  TORN (failed upload's prefix; never a restore base, deleted by retention)\n", key)
+			fmt.Printf("  snapshot at=%d  TORN or unreadable (never a restore base, deleted by retention): %v\n", at, err)
 			continue
 		}
-		snap, derr := logdev.DecodeSnapshot(payload)
-		if derr != nil {
-			fmt.Printf("  %s  bad payload: %v\n", key, derr)
-			continue
+		lw := make([]uint64, len(m.Lanes))
+		for i, l := range m.Lanes {
+			lw[i] = l.LowWater
 		}
-		fmt.Printf("  snapshot cut=%-12d %d pages, %d stashed in-flight updates\n",
-			snap.Cut, len(snap.Pages), len(snap.Stash))
+		fmt.Printf("  snapshot at=%-12d checkpoint=%-12d low-water=%v  %d pages in %d images objects\n",
+			m.At, m.Checkpoint, lw, len(m.Pages), len(m.Objects()))
 	}
-
-	floor, err := arch.Floor()
+	floor, err := snaps.Floor()
 	if err != nil {
 		return err
 	}

@@ -16,17 +16,17 @@ import (
 
 // tapStore is an ObjectStore that counts what crosses it — bytes
 // uploaded, and per key the downloads and the bytes they moved — and can
-// tear the next snapshot upload the way a store that keeps a prefix
-// does.
+// tear the next upload under a prefix the way a store that keeps a
+// prefix does.
 type tapStore struct {
 	ObjectStore
 
-	mu       sync.Mutex
-	up       int64
-	gets     map[string]int
-	down     int64
-	tearSnap bool   // tear the next Put under snap/
-	tornKey  string // the key that tear left behind
+	mu      sync.Mutex
+	up      int64
+	gets    map[string]int
+	down    int64
+	tearDir string // tear the next Put under this prefix
+	tornKey string // the key that tear left behind
 }
 
 func newTapStore() *tapStore {
@@ -35,9 +35,9 @@ func newTapStore() *tapStore {
 
 func (s *tapStore) Put(key string, data []byte) error {
 	s.mu.Lock()
-	tear := s.tearSnap && strings.HasPrefix(key, "snap/")
+	tear := s.tearDir != "" && strings.HasPrefix(key, s.tearDir)
 	if tear {
-		s.tearSnap = false
+		s.tearDir = ""
 	}
 	s.mu.Unlock()
 	if tear {
@@ -80,11 +80,14 @@ func (s *tapStore) counts() (up, down int64, gets map[string]int, tornKey string
 
 // TestColdStoreTraffic counts a cold store's traffic: every archived
 // segment is uploaded once as one object of the segment plus its
-// 24-byte envelope, and restoring the durable end downloads each of
-// those objects exactly once and nothing else. It runs with default
-// options, and on three lanes with SnapshotEveryBytes set: snapshots
-// are a one-lane feature, so there every lane archives, no snapshot is
-// cut, the floor stays 0 and RestoreTo replays from the beginning.
+// 24-byte envelope, and restoring the durable end downloads each object
+// it reads exactly once. With default options nothing but segments is
+// uploaded, and the restore replays every segment object from the
+// beginning. On three lanes with SnapshotEveryBytes set, snapshots are
+// taken too — a snapshot is a page file and its cut a stamp, so the lane
+// count does not matter — and the restore reads the newest snapshot's
+// manifest and images objects and each lane's segment objects from its
+// low-water mark on.
 func TestColdStoreTraffic(t *testing.T) {
 	const segSize = 4096
 	for _, tc := range []struct {
@@ -121,13 +124,15 @@ func TestColdStoreTraffic(t *testing.T) {
 			}
 			waitFor(t, "archiver drain", func() bool {
 				s := db.Stats()
-				return s.LogSegmentsPendingArchive == 0 && s.LogSegmentsArchived > 0
+				return s.LogSegmentsPendingArchive == 0 && s.LogSegmentsArchived > 0 && (tc.snap == 0) == (s.LogSnapshots == 0)
 			})
+			// Stop the daemons: a snapshot pass still running would read
+			// the store beside the restore.
+			db.eng.Close()
 			st := db.Stats()
 			archived := st.LogSegmentsArchived
-			if st.LogSnapshots != 0 || st.RestoreFloor != 0 || st.RetentionFailures != 0 {
-				t.Fatalf("LogSnapshots %d, RestoreFloor %d, RetentionFailures %d, want no snapshot step at all",
-					st.LogSnapshots, st.RestoreFloor, st.RetentionFailures)
+			if st.RestoreFloor != 0 || st.RetentionFailures != 0 {
+				t.Fatalf("RestoreFloor %d, RetentionFailures %d, want 0 and 0: nothing is retained away", st.RestoreFloor, st.RetentionFailures)
 			}
 			for i := 0; i < tc.lanes; i++ {
 				lane := logdev.LaneDir("", i, tc.lanes)
@@ -139,82 +144,154 @@ func TestColdStoreTraffic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if int64(len(keys)) != archived {
-				t.Fatalf("cold store holds %d objects %v for %d archived segments, want one each", len(keys), keys, archived)
+			var segKeys, snapKeys []string
+			var snapBytes int64
+			for _, key := range keys {
+				if strings.Contains(key, "seg/") {
+					segKeys = append(segKeys, key)
+					continue
+				}
+				snapKeys = append(snapKeys, key)
+				obj, err := store.ObjectStore.Get(key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				snapBytes += int64(len(obj))
+			}
+			if int64(len(segKeys)) != archived {
+				t.Fatalf("cold store holds %d segment objects %v for %d archived segments, want one each", len(segKeys), segKeys, archived)
+			}
+			if tc.snap == 0 && len(snapKeys) != 0 {
+				t.Fatalf("cold store holds %v without snapshots", snapKeys)
+			}
+			if tc.snap > 0 && len(snapKeys) < 2*int(st.LogSnapshots) {
+				t.Fatalf("%d snapshots left %d objects %v, want a manifest and an images object each at least", st.LogSnapshots, len(snapKeys), snapKeys)
 			}
 			perObject := int64(segSize + 24)
-			if up, _, _, _ := store.counts(); up != archived*perObject {
-				t.Fatalf("uploaded %d bytes for %d archived segments, want %d × %d = %d",
-					up, archived, archived, perObject, archived*perObject)
+			if up, _, _, _ := store.counts(); up != archived*perObject+snapBytes {
+				t.Fatalf("uploaded %d bytes for %d archived segments and %d snapshot bytes, want %d × %d + %d = %d",
+					up, archived, snapBytes, archived, perObject, snapBytes, archived*perObject+snapBytes)
 			}
 
 			restoredKeys(t, db, "t", 200)
 			_, down, gets, _ := store.counts()
-			for _, key := range keys {
-				if gets[key] != 1 {
-					t.Errorf("restore downloaded %s %d times, want once", key, gets[key])
+			for key, n := range gets {
+				if n != 1 {
+					t.Errorf("restore downloaded %s %d times, want once", key, n)
 				}
 			}
-			if len(gets) != len(keys) {
-				t.Errorf("restore downloaded %d distinct objects %v, want the %d segment objects", len(gets), gets, len(keys))
+			if tc.snap == 0 {
+				for _, key := range keys {
+					if gets[key] != 1 {
+						t.Errorf("restore from genesis did not download %s", key)
+					}
+				}
+			} else {
+				newest, err := db.snaps.NewestAtOrBelow(uint64(db.RestorePoint()))
+				if err != nil || newest == nil {
+					t.Fatalf("no snapshot to restore from (%v)", err)
+				}
+				// (NewestAtOrBelow just downloaded the manifest once more.)
+				for _, ref := range newest.Objects() {
+					if key := fmt.Sprintf("image/%020d-%06d", ref.At, ref.Chunk); gets[key] != 1 {
+						t.Errorf("restore downloaded images object %s %d times, want once", key, gets[key])
+					}
+				}
+				for i, l := range newest.Lanes {
+					lane := logdev.LaneDir("", i, tc.lanes) + "/seg/"
+					for _, key := range segKeys {
+						var idx int64
+						fmt.Sscanf(strings.TrimPrefix(key, lane), "%d", &idx)
+						if strings.HasPrefix(key, lane) && gets[key] > 0 && (idx+1)*segSize <= int64(l.LowWater) {
+							t.Errorf("restore downloaded %s, wholly below lane %d's low-water mark %d", key, i, l.LowWater)
+						}
+					}
+				}
 			}
-			if down > archived*perObject {
-				t.Errorf("restore downloaded %d bytes, more than the %d the segment objects hold", down, archived*perObject)
+			if len(gets) == 0 || down > archived*perObject+snapBytes {
+				t.Errorf("restore downloaded %d objects and %d bytes, more than the %d the store holds", len(gets), down, archived*perObject+snapBytes)
 			}
 		})
 	}
 }
 
-// TestTornSnapshotSkipped: a snapshot upload the store tore is absent to
-// RestoreTo, which falls back to the older snapshot for a target above
-// the torn cut, and to the next snapshot pass, which seeds from that
-// older snapshot and cuts a new one instead of failing on every pass.
+// TestTornSnapshotSkipped: a snapshot upload the store tore — its
+// manifest, or one of its images objects — leaves no snapshot: RestoreTo
+// falls back to the older snapshot for a target above it, and the next
+// snapshot pass compares against that older snapshot and takes a new one
+// instead of failing on every pass. An images object damaged after its
+// snapshot was complete makes that snapshot absent to RestoreTo too.
 func TestTornSnapshotSkipped(t *testing.T) {
-	store := newTapStore()
-	db, err := Open(Options{SegmentSize: 4096, RemoteStore: store, SnapshotEveryBytes: 4096, Mode: CommitSync})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	tbl, err := db.CreateTable("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Each batch logs more than SnapshotEveryBytes and ends in a
-	// checkpoint, so the maintenance pass it nudges is due exactly once.
-	next := uint64(1)
-	batch := func() {
-		writeRows(t, db, tbl, next, next+20)
-		next += 20
-		if err := db.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	batch()
-	waitFor(t, "the first snapshot", func() bool { return db.Stats().LogSnapshots == 1 })
+	for _, dir := range []string{"manifest/", "image/"} {
+		t.Run(strings.TrimSuffix(dir, "/"), func(t *testing.T) {
+			store := newTapStore()
+			db, err := Open(Options{SegmentSize: 4096, RemoteStore: store, SnapshotEveryBytes: 4096, Mode: CommitSync})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			tbl, err := db.CreateTable("t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Each batch logs more than SnapshotEveryBytes and ends in a
+			// checkpoint, so the maintenance pass it nudges is due exactly
+			// once.
+			next := uint64(1)
+			batch := func() {
+				writeRows(t, db, tbl, next, next+20)
+				next += 20
+				if err := db.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			batch()
+			waitFor(t, "the first snapshot", func() bool { return db.Stats().LogSnapshots == 1 })
 
-	store.mu.Lock()
-	store.tearSnap = true
-	store.mu.Unlock()
-	batch()
-	var tornKey string
-	waitFor(t, "a torn snapshot upload", func() bool {
-		_, _, _, tornKey = store.counts()
-		return tornKey != ""
-	})
-	// A few more commits, too few for another snapshot: the newest
-	// snapshot at or below the target is the torn one.
-	writeRows(t, db, tbl, next, next+3)
-	next += 3
-	var tornCut int64
-	if _, err := fmt.Sscanf(strings.TrimPrefix(tornKey, "snap/"), "%d", &tornCut); err != nil || tornCut >= db.RestorePoint() {
-		t.Fatalf("torn snapshot %s does not lie below the restore target %d (%v)", tornKey, db.RestorePoint(), err)
-	}
-	restoredKeys(t, db, "t", next-1)
+			store.mu.Lock()
+			store.tearDir = dir
+			store.mu.Unlock()
+			batch()
+			var tornKey string
+			waitFor(t, "a torn snapshot upload", func() bool {
+				_, _, _, tornKey = store.counts()
+				return tornKey != "" && db.Stats().RetentionFailures == 1
+			})
+			// A few more commits, too few for another snapshot: the newest
+			// snapshot at or below the target would be the torn one.
+			writeRows(t, db, tbl, next, next+3)
+			next += 3
+			var tornAt int64
+			if _, err := fmt.Sscanf(strings.TrimPrefix(tornKey, dir), "%d", &tornAt); err != nil || tornAt >= db.RestorePoint() {
+				t.Fatalf("torn snapshot %s does not lie below the restore target %d (%v)", tornKey, db.RestorePoint(), err)
+			}
+			if st := db.Stats(); st.LogSnapshots != 1 {
+				t.Fatalf("LogSnapshots %d after a torn upload, want 1", st.LogSnapshots)
+			}
+			restoredKeys(t, db, "t", next-1)
 
-	batch()
-	waitFor(t, "a snapshot pass after the torn one", func() bool { return db.Stats().LogSnapshots == 2 })
-	restoredKeys(t, db, "t", next-1)
+			batch()
+			waitFor(t, "a snapshot pass after the torn one", func() bool { return db.Stats().LogSnapshots == 2 })
+			restoredKeys(t, db, "t", next-1)
+
+			// Damage the newest snapshot's first images object after the
+			// fact: the restore falls back past that snapshot.
+			db.eng.Close()
+			newest, err := db.snaps.NewestAtOrBelow(uint64(db.RestorePoint()))
+			if err != nil || newest == nil {
+				t.Fatalf("no snapshot (%v)", err)
+			}
+			key := fmt.Sprintf("image/%020d-%06d", newest.At, 0)
+			obj, err := store.ObjectStore.Get(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := store.ObjectStore.Put(key, obj[:len(obj)/2]); err != nil {
+				t.Fatal(err)
+			}
+			restoredKeys(t, db, "t", next-1)
+		})
+	}
 }
 
 // TestColdStorePackRefused: a cold store holding pack/ objects — segments

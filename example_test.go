@@ -196,6 +196,7 @@ func ExampleOptions_archiveDir() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		defer then.Close()
 		if err := then.Scan("events", func(uint64, []byte) bool { n++; return true }); err != nil {
 			log.Fatal(err)
 		}

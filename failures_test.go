@@ -140,7 +140,7 @@ func TestRetentionFailuresConverge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs.AddRule(vfs.Rule{Dir: "/cold/snap", Err: errors.New("snapshot store unreachable")})
+	fs.AddRule(vfs.Rule{Dir: "/cold/manifest", Err: errors.New("snapshot store unreachable")})
 	k := uint64(1)
 	round := func() {
 		t.Helper()

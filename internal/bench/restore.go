@@ -185,13 +185,16 @@ func timeRestore(db *aether.DB, at int64, table string, iters int) (map[uint64][
 		}
 		if state == nil {
 			state = make(map[uint64][]byte)
-			err := r.Scan(table, func(key uint64, row []byte) bool {
+			err = r.Scan(table, func(key uint64, row []byte) bool {
 				state[key] = append([]byte(nil), aether.RowPayload(row)...)
 				return true
 			})
-			if err != nil {
-				return nil, 0, err
-			}
+		}
+		if cerr := r.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return nil, 0, err
 		}
 	}
 	return state, best, nil

@@ -6,22 +6,24 @@ import (
 	"testing"
 )
 
-// FuzzRemoteObject fuzzes the cloud tier's object decoders — the
-// envelope and the snapshot payload — which parse bytes fetched from a
-// remote store that may hand back torn, truncated or hostile objects.
-// The decoders must reject garbage with an error, never panic or
-// over-allocate; only segment and snapshot envelopes are accepted (kind 2,
-// the retired compacted pack, must fail), and anything accepted must
-// re-encode to a decode-equal value.
+// FuzzRemoteObject fuzzes the cold store's object decoders — the
+// envelope, the images payload and the manifest payload — which parse
+// bytes fetched from a remote store that may hand back torn, truncated or
+// hostile objects. The decoders must reject garbage with an error, never
+// panic or over-allocate; only segment, images and manifest envelopes are
+// accepted (kinds 2 and 3, the retired pack and replayed snapshot, must
+// fail), and anything accepted must re-encode to the same bytes.
 func FuzzRemoteObject(f *testing.F) {
 	seg := bytes.Repeat([]byte{0xAB}, 64)
-	f.Add(EncodeObject(ObjSnapshot, 4096, EncodeSnapshot(&Snapshot{
-		Cut:   4096,
-		Pages: []SnapshotPage{{PID: 1, Image: []byte("page")}},
-		Stash: []SnapshotStashRec{{TxnID: 3, At: 100, PageID: 1, Payload: []byte("undo")}},
-	})))
+	images := []PageImage{{PID: 1, Image: []byte("page")}, {PID: 7, Image: bytes.Repeat([]byte{3}, 40)}}
+	man := &Manifest{At: 4096, Checkpoint: 3000, Lanes: []ManifestLane{{LowWater: 2048, End: 4096}},
+		Pages: []ManifestPage{{PID: 1, Version: 9, Object: ImageRef{At: 4096}}, {PID: 7, Version: 2, Object: ImageRef{At: 1024, Chunk: 1}}}}
+	f.Add(EncodeObject(ObjImages, 4096, EncodeImages(images)))
+	f.Add(EncodeObject(ObjManifest, 4096, EncodeManifest(man)))
 	f.Add(EncodeObject(ObjSegment, 42, seg))
-	f.Add(EncodeObject(2, 7, seg)) // a well-formed envelope of the retired kind
+	f.Add(EncodeObject(2, 7, seg))                               // a well-formed envelope of the retired pack kind
+	f.Add(EncodeObject(3, 4096, EncodeImages(images)))           // and of the retired replayed snapshot
+	f.Add(EncodeObject(ObjManifest, 4096, EncodeImages(images))) // a payload of the wrong kind
 	f.Add([]byte("AEOB"))
 	f.Add([]byte{})
 
@@ -36,13 +38,15 @@ func FuzzRemoteObject(f *testing.F) {
 		}
 		switch kind {
 		case ObjSegment:
-		case ObjSnapshot:
-			s, derr := DecodeSnapshot(payload)
-			if derr != nil {
-				return
+		case ObjImages:
+			pages, derr := DecodeImages(payload)
+			if derr == nil && !bytes.Equal(EncodeImages(pages), payload) {
+				t.Fatal("images round-trip mismatch")
 			}
-			if !bytes.Equal(EncodeSnapshot(s), payload) {
-				t.Fatal("snapshot round-trip mismatch")
+		case ObjManifest:
+			m, derr := DecodeManifest(payload)
+			if derr == nil && !bytes.Equal(EncodeManifest(m), payload) {
+				t.Fatal("manifest round-trip mismatch")
 			}
 		default:
 			t.Fatalf("accepted an object of kind %d", kind)

@@ -3,6 +3,9 @@ package logdev
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"aether/internal/vfs"
@@ -113,10 +116,11 @@ func TestOldVersionObjectRefused(t *testing.T) {
 	}
 	forEachObjectStore(t, func(t *testing.T, store ObjectStore) {
 		ra := newArchiver(t, store)
-		snap := EncodeSnapshot(&Snapshot{Cut: 128, Stash: []SnapshotStashRec{{TxnID: 9, At: 100, PageID: 1, Payload: []byte("undo")}}})
+		snaps := NewSnapshotStore(store, []*RemoteArchiver{ra})
+		man := EncodeManifest(&Manifest{At: 128, Lanes: []ManifestLane{{LowWater: 64, End: 128}}})
 		objs := map[string][]byte{
-			ra.segKey(7):    old(ObjSegment, 7, fill(64, 'o')),
-			ra.snapKey(128): old(ObjSnapshot, 128, snap),
+			ra.segKey(7):     old(ObjSegment, 7, fill(64, 'o')),
+			manifestKey(128): old(ObjManifest, 128, man),
 		}
 		for key, obj := range objs {
 			if err := store.Put(key, obj); err != nil {
@@ -129,8 +133,8 @@ func TestOldVersionObjectRefused(t *testing.T) {
 		if err := ra.Archive(7, fill(64, 'n')); !errors.Is(err, ErrFormat) {
 			t.Errorf("Archive over a version-1 segment: %v, want ErrFormat", err)
 		}
-		if _, err := ra.GetSnapshot(128); !errors.Is(err, ErrFormat) {
-			t.Errorf("GetSnapshot of a version-1 snapshot: %v, want ErrFormat", err)
+		if _, err := snaps.GetManifest(128); !errors.Is(err, ErrFormat) {
+			t.Errorf("GetManifest of a version-1 manifest: %v, want ErrFormat", err)
 		}
 		for key, want := range objs {
 			if got, err := store.Get(key); err != nil || !bytes.Equal(got, want) {
@@ -282,15 +286,46 @@ func TestRemoteArchiverFaults(t *testing.T) {
 	}
 }
 
-// TestRemoteSnapshotsAndPrune exercises the snapshot objects and the
-// retention invariant at the archiver layer: pruning keeps the newest N
-// snapshots and deletes exactly the log objects wholly below the oldest
-// survivor's cut — the floor.
-func TestRemoteSnapshotsAndPrune(t *testing.T) {
-	forEachObjectStore(t, testRemoteSnapshotsAndPrune)
+// putSnapshot uploads a one-lane snapshot at at, whose low-water mark
+// is at too: the pages in changed get new images (their bytes are the
+// page ID and at), every other page of prev keeps its images object.
+func putSnapshot(t *testing.T, snaps *SnapshotStore, prev *Manifest, at uint64, changed ...uint64) *Manifest {
+	t.Helper()
+	m := &Manifest{At: at, Checkpoint: at - 8, Lanes: []ManifestLane{{LowWater: at, End: at}}}
+	var images []PageImage
+	pids := append([]uint64(nil), changed...)
+	if prev != nil {
+		for _, p := range prev.Pages {
+			pids = append(pids, p.PID)
+		}
+	}
+	slices.Sort(pids)
+	for _, pid := range slices.Compact(pids) {
+		if slices.Contains(changed, pid) {
+			m.Pages = append(m.Pages, ManifestPage{PID: pid, Version: at})
+			images = append(images, PageImage{PID: pid, Image: []byte(fmt.Sprintf("page %d at %d", pid, at))})
+			continue
+		}
+		i := slices.IndexFunc(prev.Pages, func(p ManifestPage) bool { return p.PID == pid })
+		m.Pages = append(m.Pages, prev.Pages[i])
+	}
+	if err := snaps.Put(m, images); err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
-func testRemoteSnapshotsAndPrune(t *testing.T, store ObjectStore) {
+// TestSnapshotsAndPrune exercises snapshots and the retention invariant
+// at the cold-store layer: a snapshot uploads only the pages that
+// changed and points the rest at older images objects; pruning keeps the
+// newest N manifests, deletes the segment objects wholly below the
+// oldest survivor's low-water mark — the floor — and exactly the images
+// objects no survivor names.
+func TestSnapshotsAndPrune(t *testing.T) {
+	forEachObjectStore(t, testSnapshotsAndPrune)
+}
+
+func testSnapshotsAndPrune(t *testing.T, store ObjectStore) {
 	ra := newArchiver(t, store)
 	want := fill(4*64, 's')
 	for idx := int64(0); idx < 4; idx++ {
@@ -298,61 +333,55 @@ func testRemoteSnapshotsAndPrune(t *testing.T, store ObjectStore) {
 			t.Fatal(err)
 		}
 	}
-
-	snaps := []*Snapshot{
-		{Cut: 64, Pages: []SnapshotPage{{PID: 1, Image: []byte("page-a")}}},
-		{Cut: 128, Pages: []SnapshotPage{{PID: 1, Image: []byte("page-b")}},
-			Stash: []SnapshotStashRec{{TxnID: 9, At: 100, PageID: 1, Payload: []byte("undo")}}},
-		{Cut: 192, Pages: []SnapshotPage{{PID: 2, Image: []byte("page-c")}}},
-	}
-	for _, sn := range snaps {
-		if err := ra.PutSnapshot(sn); err != nil {
-			t.Fatal(err)
-		}
+	snaps := NewSnapshotStore(store, []*RemoteArchiver{ra})
+	s64 := putSnapshot(t, snaps, nil, 64, 1)
+	s128 := putSnapshot(t, snaps, s64, 128, 1, 2)
+	s192 := putSnapshot(t, snaps, s128, 192, 2)
+	if got := s192.Objects(); !slices.Equal(got, []ImageRef{{At: 128}, {At: 192}}) {
+		t.Fatalf("snapshot 192 names images objects %v, want page 1's of 128 and page 2's own", got)
 	}
 
-	// With the full raw history still present, snapshots are an
-	// accelerator, not a floor.
-	if floor, err := ra.Floor(); err != nil || floor != 0 {
+	// With the full raw history still present, snapshots shorten
+	// restores; they are not a floor.
+	if floor, err := snaps.Floor(); err != nil || floor != 0 {
 		t.Fatalf("Floor with raw history intact = (%d, %v), want 0", floor, err)
 	}
+	got, err := snaps.GetManifest(128)
+	if err != nil || !reflect.DeepEqual(got, s128) {
+		t.Fatalf("GetManifest(128) = (%+v, %v), want %+v", got, err, s128)
+	}
+	images, err := snaps.GetImages(ImageRef{At: 128})
+	if err != nil || len(images) != 2 || string(images[1].Image) != "page 2 at 128" {
+		t.Fatalf("GetImages(128) = (%q, %v), want pages 1 and 2 at 128", images, err)
+	}
+	if m, err := snaps.NewestAtOrBelow(150); err != nil || m == nil || m.At != 128 {
+		t.Fatalf("NewestAtOrBelow(150) = (%v, %v), want 128", m, err)
+	}
+	if m, err := snaps.NewestAtOrBelow(63); err != nil || m != nil {
+		t.Fatalf("NewestAtOrBelow(63) = (%v, %v): found a snapshot below every restore point", m, err)
+	}
 
-	got, err := ra.GetSnapshot(128)
+	objs, manifests, err := snaps.Prune(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Cut != 128 || len(got.Pages) != 1 || !bytes.Equal(got.Pages[0].Image, []byte("page-b")) ||
-		len(got.Stash) != 1 || !bytes.Equal(got.Stash[0].Payload, []byte("undo")) {
-		t.Fatalf("GetSnapshot(128) round-trip mismatch: %+v", got)
+	// Floor 128: segments 0 and 1 lie wholly below its low-water mark,
+	// and snapshot 64's manifest and its images object go.
+	if objs != 3 || manifests != 1 {
+		t.Fatalf("Prune(2) = (%d objects, %d manifests), want (3, 1)", objs, manifests)
 	}
-	if sn, ok, err := ra.NewestSnapshotAtOrBelow(150); err != nil || !ok || sn.Cut != 128 {
-		t.Fatalf("NewestSnapshotAtOrBelow(150) = (%v, %v, %v), want cut 128", sn, ok, err)
+	if ats, _ := snaps.Manifests(); !slices.Equal(ats, []uint64{128, 192}) {
+		t.Fatalf("Manifests after prune = %v, want [128 192]", ats)
 	}
-	if _, ok, err := ra.NewestSnapshotAtOrBelow(63); err != nil || ok {
-		t.Fatalf("NewestSnapshotAtOrBelow(63) found a snapshot below every cut (err %v)", err)
-	}
-
-	objs, pruned, err := ra.PruneToSnapshots(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Floor 128: raw segments 0 and 1 lie wholly below, snapshot 64 goes.
-	if objs != 2 || pruned != 1 {
-		t.Fatalf("PruneToSnapshots(2) = (%d objects, %d snapshots), want (2, 1)", objs, pruned)
-	}
-	if cuts, _ := ra.SnapshotCuts(); len(cuts) != 2 || cuts[0] != 128 {
-		t.Fatalf("SnapshotCuts after prune = %v, want [128 192]", cuts)
-	}
-	if floor, err := ra.Floor(); err != nil || floor != 128 {
+	if floor, err := snaps.Floor(); err != nil || floor != 128 {
 		t.Fatalf("Floor after prune = (%d, %v), want 128", floor, err)
 	}
-	// Everything at or above the floor is still there.
-	segs, err := ra.Segments()
-	if err != nil {
-		t.Fatal(err)
+	if _, err := snaps.GetImages(ImageRef{At: 64}); !errors.Is(err, ErrBadObject) {
+		t.Fatalf("snapshot 64's images survived the prune: %v", err)
 	}
-	if len(segs) != 2 || segs[0] != 2 || segs[1] != 3 {
-		t.Fatalf("Segments after prune = %v, want [2 3]", segs)
+	segs, err := ra.Segments()
+	if err != nil || !slices.Equal(segs, []int64{2, 3}) {
+		t.Fatalf("Segments after prune = (%v, %v), want [2 3]", segs, err)
 	}
 	for idx := int64(2); idx < 4; idx++ {
 		got, err := ra.Retrieve(idx)
@@ -361,9 +390,43 @@ func testRemoteSnapshotsAndPrune(t *testing.T, store ObjectStore) {
 		}
 	}
 	// Pruning is idempotent at the same retention depth.
-	if objs, pruned, err := ra.PruneToSnapshots(2); err != nil || objs != 0 || pruned != 0 {
-		t.Fatalf("second PruneToSnapshots = (%d, %d, %v), want (0, 0, nil)", objs, pruned, err)
+	if objs, manifests, err := snaps.Prune(2); err != nil || objs != 0 || manifests != 0 {
+		t.Fatalf("second Prune = (%d, %d, %v), want (0, 0, nil)", objs, manifests, err)
 	}
+	// Snapshot 128 leaves, but its images object stays: snapshot 192
+	// still finds page 1 there.
+	putSnapshot(t, snaps, s192, 256, 2)
+	if objs, manifests, err := snaps.Prune(2); err != nil || objs != 1 || manifests != 1 {
+		t.Fatalf("third Prune = (%d, %d, %v), want (1 segment, 1 manifest, nil)", objs, manifests, err)
+	}
+	if _, err := snaps.GetImages(ImageRef{At: 128}); err != nil {
+		t.Fatalf("an images object a retained manifest names was pruned: %v", err)
+	}
+}
+
+// TestSnapLaneRefused: a cold-store lane holding snap/ objects — the
+// replayed snapshots (kind 3) an earlier version cut — is refused with
+// ErrFormat by the archiver's constructor, and nothing is touched.
+func TestSnapLaneRefused(t *testing.T) {
+	forEachObjectStore(t, func(t *testing.T, store ObjectStore) {
+		objs := map[string][]byte{
+			"snap/00000000000000004096": EncodeObject(3, 4096, []byte("a snapshot an earlier version cut")),
+			"seg/0000000000000004":      EncodeObject(ObjSegment, 4, fill(64, 's')),
+		}
+		for key, obj := range objs {
+			if err := store.Put(key, obj); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := NewRemoteArchiver(store, "", 64); !errors.Is(err, ErrFormat) {
+			t.Fatalf("NewRemoteArchiver over a lane with snap objects: %v, want ErrFormat", err)
+		}
+		for key, want := range objs {
+			if got, err := store.Get(key); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("%s was touched (err %v)", key, err)
+			}
+		}
+	})
 }
 
 // tear replaces the object under key with the prefix a torn upload
@@ -379,10 +442,10 @@ func tear(t *testing.T, store ObjectStore, key string) {
 	}
 }
 
-// TestTornSnapshotIsAbsent: a snapshot whose upload tore is skipped by
-// every reader — the lookup falls back to the next older cut — and
-// retention never makes it the floor: it deletes it, and the next older
-// valid cut becomes the floor instead.
+// TestTornSnapshotIsAbsent: a snapshot whose manifest or images object
+// tore is skipped by every reader — the lookup falls back to the next
+// older one — and retention never makes it the floor: it deletes it, and
+// the next older whole snapshot becomes the floor instead.
 func TestTornSnapshotIsAbsent(t *testing.T) {
 	forEachObjectStore(t, func(t *testing.T, store ObjectStore) {
 		ra := newArchiver(t, store)
@@ -391,33 +454,40 @@ func TestTornSnapshotIsAbsent(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for _, cut := range []uint64{64, 128, 192, 256} {
-			if err := ra.PutSnapshot(&Snapshot{Cut: cut}); err != nil {
-				t.Fatal(err)
+		snaps := NewSnapshotStore(store, []*RemoteArchiver{ra})
+		var prev *Manifest
+		for _, at := range []uint64{32, 64, 128, 192, 256} {
+			prev = putSnapshot(t, snaps, prev, at, at)
+		}
+		tear(t, store, manifestKey(192))
+		for _, c := range []struct{ at, want uint64 }{{200, 128}, {300, 256}} {
+			if m, err := snaps.NewestAtOrBelow(c.at); err != nil || m == nil || m.At != c.want {
+				t.Fatalf("NewestAtOrBelow(%d) with 192 torn = (%v, %v), want %d", c.at, m, err, c.want)
 			}
 		}
-		tear(t, store, ra.snapKey(192))
-		for _, c := range []struct{ at, want uint64 }{{200, 128}, {500, 256}} {
-			if sn, ok, err := ra.NewestSnapshotAtOrBelow(c.at); err != nil || !ok || sn.Cut != c.want {
-				t.Fatalf("NewestSnapshotAtOrBelow(%d) with 192 torn = (%v, %v, %v), want cut %d", c.at, sn, ok, err, c.want)
-			}
+		tear(t, store, manifestKey(256))
+		if m, err := snaps.NewestAtOrBelow(300); err != nil || m == nil || m.At != 128 {
+			t.Fatalf("NewestAtOrBelow(300) with 192 and 256 torn = (%v, %v), want 128", m, err)
 		}
-		tear(t, store, ra.snapKey(256))
-		if sn, ok, err := ra.NewestSnapshotAtOrBelow(500); err != nil || !ok || sn.Cut != 128 {
-			t.Fatalf("NewestSnapshotAtOrBelow(500) with 192 and 256 torn = (%v, %v, %v), want cut 128", sn, ok, err)
-		}
+		// An images object torn after its upload: a store that did not
+		// upload it downloads it before trusting it as the floor.
+		tear(t, store, imageKey(ImageRef{At: 128}))
+		snaps = NewSnapshotStore(store, []*RemoteArchiver{ra})
 
-		// Keeping the newest one would make torn 256 the floor, and then
-		// torn 192: both go, 128 becomes the floor, and 64 and the two
-		// segments wholly below 128 are pruned.
-		if objs, snaps, err := ra.PruneToSnapshots(1); err != nil || objs != 2 || snaps != 3 {
-			t.Fatalf("PruneToSnapshots(1) over torn would-be floors = (%d, %d, %v), want (2, 3, nil)", objs, snaps, err)
+		// Keeping the newest one would make torn 256 the floor, then torn
+		// 192, then 128 with its torn images: all three go, 64 becomes
+		// the floor and 32 goes too, and segment 0, wholly below 64, is
+		// pruned with the images of 128, 192 and 256, which no survivor
+		// names (64 still names 32's).
+		objs, manifests, err := snaps.Prune(1)
+		if err != nil || objs != 4 || manifests != 4 {
+			t.Fatalf("Prune(1) over torn would-be floors = (%d, %d, %v), want (4, 4, nil)", objs, manifests, err)
 		}
-		if cuts, _ := ra.SnapshotCuts(); len(cuts) != 1 || cuts[0] != 128 {
-			t.Fatalf("SnapshotCuts after prune = %v, want [128]", cuts)
+		if ats, _ := snaps.Manifests(); !slices.Equal(ats, []uint64{64}) {
+			t.Fatalf("Manifests after prune = %v, want [64]", ats)
 		}
-		if floor, err := ra.Floor(); err != nil || floor != 128 {
-			t.Fatalf("Floor = (%d, %v), want 128", floor, err)
+		if floor, err := snaps.Floor(); err != nil || floor != 64 {
+			t.Fatalf("Floor = (%d, %v), want 64", floor, err)
 		}
 	})
 }

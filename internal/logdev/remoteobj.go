@@ -1,19 +1,22 @@
-// remoteobj.go defines the on-wire formats of the remote log tier's two
-// object kinds and their decoders. Every object starts with a fixed
+// remoteobj.go defines the on-wire formats of the cold store's object
+// kinds and their decoders. Every object starts with a fixed
 // self-validating envelope (magic, kind, meta, payload CRC-32C), so a
 // torn upload — the store kept a prefix, the client saw an error — is
 // detected on read and treated as if the object were absent. The
 // decoders are the fuzz surface: a corrupt or truncated object must fail
-// loudly, never misdirect replay (FuzzRemoteObject).
+// loudly, never misdirect a restore (FuzzRemoteObject).
 //
 // Object kinds:
 //
-//	segment   one archived log segment, payload = the segment's bytes;
-//	          written once and never rewritten until retention deletes it
-//	snapshot  a materialized restore base at a log cut: page images plus
-//	          the undo stash of transactions straddling the cut
+//	segment   one archived log segment, payload = the segment's bytes
+//	images    page images a snapshot copied out of the page file
+//	manifest  a snapshot: which images object holds each page's image,
+//	          the checkpoint they follow, and each lane's low-water mark
 //
-// Kind 2 is retired: it never decodes (ErrBadObject).
+// Every object is written once and never rewritten until retention
+// deletes it. Kinds 2 (compacted segment packs) and 3 (replayed
+// snapshots with an undo stash) are retired: they never decode
+// (ErrBadObject).
 package logdev
 
 import (
@@ -27,17 +30,19 @@ import (
 const (
 	// ObjSegment is an archived log segment.
 	ObjSegment = uint16(1)
-	// ObjSnapshot is a materialized point-in-time restore base.
-	ObjSnapshot = uint16(3)
+	// ObjImages holds page images a snapshot copied.
+	ObjImages = uint16(4)
+	// ObjManifest is a snapshot's manifest.
+	ObjManifest = uint16(5)
 )
 
 const (
 	objMagic = "AEOB"
 	// objVersion names the envelope and what its payloads hold: a
-	// segment object is log bytes and a snapshot's stash is update
-	// payloads, so the version moves with the log's record encoding
-	// (2 = MANIFEST format 3's). An object of another version is refused,
-	// never handed to a decoder of the wrong encoding.
+	// segment object is log bytes, so the version moves with the log's
+	// record encoding (2 = MANIFEST format 3's). An object of another
+	// version is refused, never handed to a decoder of the wrong
+	// encoding.
 	objVersion = uint16(2)
 	// envelopeSize is the fixed header before the payload:
 	// magic(4) version(2) kind(2) meta(8) payloadLen(4) crc(4).
@@ -51,7 +56,8 @@ var remoteCRC = crc32.MakeTable(crc32.Castagnoli)
 var ErrBadObject = errors.New("logdev: bad remote object")
 
 // EncodeObject wraps payload in the self-validating envelope.
-// meta is kind-specific: the segment index or the snapshot's cut LSN.
+// meta is kind-specific: the segment index, or the restore point of the
+// snapshot that wrote the images or manifest.
 func EncodeObject(kind uint16, meta uint64, payload []byte) []byte {
 	buf := make([]byte, envelopeSize+len(payload))
 	copy(buf[0:4], objMagic)
@@ -66,8 +72,8 @@ func EncodeObject(kind uint16, meta uint64, payload []byte) []byte {
 
 // DecodeObject validates the envelope and payload CRC and returns the
 // kind, meta and payload. Any mismatch — short buffer, wrong magic, a
-// kind other than segment or snapshot, truncated or corrupt payload —
-// returns ErrBadObject.
+// retired or unknown kind, truncated or corrupt payload — returns
+// ErrBadObject.
 func DecodeObject(data []byte) (kind uint16, meta uint64, payload []byte, err error) {
 	if len(data) < envelopeSize {
 		return 0, 0, nil, fmt.Errorf("%w: %d bytes, need %d for envelope", ErrBadObject, len(data), envelopeSize)
@@ -79,7 +85,7 @@ func DecodeObject(data []byte) (kind uint16, meta uint64, payload []byte, err er
 		return 0, 0, nil, fmt.Errorf("%w: object version %d, this version reads %d (%w)", ErrBadObject, v, objVersion, ErrFormat)
 	}
 	kind = binary.LittleEndian.Uint16(data[6:8])
-	if kind != ObjSegment && kind != ObjSnapshot {
+	if kind != ObjSegment && kind != ObjImages && kind != ObjManifest {
 		return 0, 0, nil, fmt.Errorf("%w: kind %d", ErrBadObject, kind)
 	}
 	meta = binary.LittleEndian.Uint64(data[8:16])
@@ -94,155 +100,186 @@ func DecodeObject(data []byte) (kind uint16, meta uint64, payload []byte, err er
 	return kind, meta, payload, nil
 }
 
-// SnapshotPage is one materialized page image in a snapshot object.
-type SnapshotPage struct {
+// PageImage is one page's image in an images object.
+type PageImage struct {
 	// PID is the page identifier.
 	PID uint64
-	// Image is the page's serialized bytes as of the snapshot cut.
+	// Image is the page's bytes as the page file held them.
 	Image []byte
 }
 
-// SnapshotStashRec is one not-yet-compensated update of a transaction
-// that straddles the snapshot cut: everything point-in-time restore
-// needs to undo it (its position for ordering, its page, and its update
-// payload whose before-image yields the inverse).
-type SnapshotStashRec struct {
-	// TxnID is the straddling transaction.
-	TxnID uint64
-	// At is the update record's LSN (single log) or seq (partitioned) —
-	// the global undo order key.
+// ImageRef names an images object: the restore point of the snapshot
+// that uploaded it, and its place among that snapshot's objects.
+type ImageRef struct {
+	At    uint64
+	Chunk uint32
+}
+
+// ManifestLane is one log lane as a snapshot found it.
+type ManifestLane struct {
+	// LowWater is where a restore seeded by the snapshot starts reading
+	// the lane: its truncation base right after the checkpoint released
+	// the log below (the engine's release horizon on that lane).
+	LowWater uint64
+	// End is the lane's durable size when the images were copied.
+	End uint64
+}
+
+// ManifestPage is one page of a snapshot's page file.
+type ManifestPage struct {
+	// PID is the page identifier.
+	PID uint64
+	// Version is the page-file version of the image, which tells the
+	// next snapshot whether the page changed since.
+	Version uint64
+	// Object is the images object holding the image.
+	Object ImageRef
+}
+
+// Manifest is a snapshot: a checkpoint's page file, as the images
+// objects that hold it, and where a restore it seeds starts replaying.
+type Manifest struct {
+	// At is the snapshot's restore point: the durable stamp read while
+	// the images were copied. Every image is stamped at or below it, so
+	// the snapshot seeds a restore to any point from At on.
 	At uint64
-	// PageID is the page the update touched.
-	PageID uint64
-	// Payload is the update record's encoded payload.
-	Payload []byte
+	// Checkpoint is the lane-0 address of the begin record of the
+	// checkpoint whose sweep the images follow: a restore's analysis
+	// starts there and at no later checkpoint.
+	Checkpoint uint64
+	// Lanes holds every log lane, in lane order.
+	Lanes []ManifestLane
+	// Pages lists every page, in ascending page-ID order.
+	Pages []ManifestPage
 }
 
-// Snapshot is a decoded snapshot object: replaying the log from Cut on
-// top of Pages reproduces any later point; Stash carries the undo
-// information for transactions still in flight at Cut.
-type Snapshot struct {
-	// Cut is the log offset (single log) or global seq (partitioned) up
-	// to which Pages already reflect the log.
-	Cut uint64
-	// Pages are the materialized page images as of Cut.
-	Pages []SnapshotPage
-	// Stash lists the un-compensated updates of transactions that were
-	// in flight at Cut, in ascending At order.
-	Stash []SnapshotStashRec
-}
+// maxObjectItems bounds decode-side allocations for item counts in the
+// face of corrupt headers.
+const maxObjectItems = 1 << 24
 
-// maxSnapshotItems bounds decode-side allocations for page and stash
-// counts in the face of corrupt headers.
-const maxSnapshotItems = 1 << 24
-
-// EncodeSnapshot serializes a snapshot into an object payload.
-func EncodeSnapshot(s *Snapshot) []byte {
-	size := 8 + 4 + 4
-	for _, p := range s.Pages {
+// EncodeImages serializes page images into an images object payload.
+func EncodeImages(pages []PageImage) []byte {
+	size := 4
+	for _, p := range pages {
 		size += 12 + len(p.Image)
 	}
-	for _, r := range s.Stash {
-		size += 28 + len(r.Payload)
-	}
-	buf := make([]byte, 0, size)
-	var u64 [8]byte
-	var u32 [4]byte
-	put64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(u64[:], v)
-		buf = append(buf, u64[:]...)
-	}
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(u32[:], v)
-		buf = append(buf, u32[:]...)
-	}
-	put64(s.Cut)
-	put32(uint32(len(s.Pages)))
-	for _, p := range s.Pages {
-		put64(p.PID)
-		put32(uint32(len(p.Image)))
+	buf := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(len(pages)))
+	for _, p := range pages {
+		buf = binary.LittleEndian.AppendUint64(buf, p.PID)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.Image)))
 		buf = append(buf, p.Image...)
-	}
-	put32(uint32(len(s.Stash)))
-	for _, r := range s.Stash {
-		put64(r.TxnID)
-		put64(r.At)
-		put64(r.PageID)
-		put32(uint32(len(r.Payload)))
-		buf = append(buf, r.Payload...)
 	}
 	return buf
 }
 
-// DecodeSnapshot parses a snapshot payload, validating every length
-// against the remaining buffer so truncation fails loudly.
-func DecodeSnapshot(payload []byte) (*Snapshot, error) {
-	pos := 0
-	need := func(n int) error {
-		if len(payload)-pos < n {
-			return fmt.Errorf("%w: snapshot truncated at offset %d (need %d more bytes)", ErrBadObject, pos, n)
+// DecodeImages parses an images payload; the images alias it.
+func DecodeImages(payload []byte) ([]PageImage, error) {
+	d := decoder{buf: payload, what: "images"}
+	n := d.count()
+	pages := make([]PageImage, 0, min(n, 1<<12))
+	for i := 0; i < n && d.err == nil; i++ {
+		pid := d.u64()
+		pages = append(pages, PageImage{PID: pid, Image: d.bytes(int(d.u32()))})
+	}
+	return pages, d.done()
+}
+
+// EncodeManifest serializes a manifest into an object payload.
+func EncodeManifest(m *Manifest) []byte {
+	buf := make([]byte, 0, 24+16*len(m.Lanes)+28*len(m.Pages))
+	buf = binary.LittleEndian.AppendUint64(buf, m.At)
+	buf = binary.LittleEndian.AppendUint64(buf, m.Checkpoint)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Lanes)))
+	for _, l := range m.Lanes {
+		buf = binary.LittleEndian.AppendUint64(buf, l.LowWater)
+		buf = binary.LittleEndian.AppendUint64(buf, l.End)
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Pages)))
+	for _, p := range m.Pages {
+		buf = binary.LittleEndian.AppendUint64(buf, p.PID)
+		buf = binary.LittleEndian.AppendUint64(buf, p.Version)
+		buf = binary.LittleEndian.AppendUint64(buf, p.Object.At)
+		buf = binary.LittleEndian.AppendUint32(buf, p.Object.Chunk)
+	}
+	return buf
+}
+
+// DecodeManifest parses a manifest payload. Pages out of ascending
+// page-ID order, or naming an images object of a later snapshot, are
+// refused.
+func DecodeManifest(payload []byte) (*Manifest, error) {
+	d := decoder{buf: payload, what: "manifest"}
+	m := &Manifest{At: d.u64(), Checkpoint: d.u64()}
+	n := d.count()
+	m.Lanes = make([]ManifestLane, 0, min(n, 1<<8))
+	for i := 0; i < n && d.err == nil; i++ {
+		m.Lanes = append(m.Lanes, ManifestLane{LowWater: d.u64(), End: d.u64()})
+	}
+	n = d.count()
+	m.Pages = make([]ManifestPage, 0, min(n, 1<<12))
+	for i := 0; i < n && d.err == nil; i++ {
+		p := ManifestPage{PID: d.u64(), Version: d.u64(), Object: ImageRef{At: d.u64(), Chunk: d.u32()}}
+		if d.err == nil && (p.Object.At > m.At || (i > 0 && p.PID <= m.Pages[i-1].PID)) {
+			d.err = fmt.Errorf("%w: manifest page %d out of order or naming a later snapshot", ErrBadObject, i)
 		}
+		m.Pages = append(m.Pages, p)
+	}
+	if err := d.done(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// decoder reads little-endian fields off a payload; the first overrun
+// sticks in err and every later read returns zero.
+type decoder struct {
+	buf  []byte
+	pos  int
+	what string
+	err  error
+}
+
+func (d *decoder) take(n int) []byte {
+	if d.err == nil && (n < 0 || len(d.buf)-d.pos < n) {
+		d.err = fmt.Errorf("%w: %s truncated at offset %d (need %d more bytes)", ErrBadObject, d.what, d.pos, n)
+	}
+	if d.err != nil {
 		return nil
 	}
-	get64 := func() uint64 {
-		v := binary.LittleEndian.Uint64(payload[pos:])
-		pos += 8
-		return v
+	b := d.buf[d.pos : d.pos+n : d.pos+n]
+	d.pos += n
+	return b
+}
+
+func (d *decoder) u64() uint64 {
+	if b := d.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
 	}
-	get32 := func() uint32 {
-		v := binary.LittleEndian.Uint32(payload[pos:])
-		pos += 4
-		return v
+	return 0
+}
+
+func (d *decoder) u32() uint32 {
+	if b := d.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
-	if err := need(12); err != nil {
-		return nil, err
+	return 0
+}
+
+func (d *decoder) bytes(n int) []byte { return d.take(n) }
+
+// count reads an item count, refusing one no honest object carries.
+func (d *decoder) count() int {
+	n := d.u32()
+	if d.err == nil && n > maxObjectItems {
+		d.err = fmt.Errorf("%w: %s count %d out of range", ErrBadObject, d.what, n)
 	}
-	s := &Snapshot{Cut: get64()}
-	nPages := get32()
-	if nPages > maxSnapshotItems {
-		return nil, fmt.Errorf("%w: snapshot page count %d out of range", ErrBadObject, nPages)
+	return int(n)
+}
+
+// done reports the first error, or trailing bytes after a clean read.
+func (d *decoder) done() error {
+	if d.err == nil && d.pos != len(d.buf) {
+		d.err = fmt.Errorf("%w: %d trailing bytes after %s", ErrBadObject, len(d.buf)-d.pos, d.what)
 	}
-	s.Pages = make([]SnapshotPage, 0, min(int(nPages), 1<<16))
-	for i := uint32(0); i < nPages; i++ {
-		if err := need(12); err != nil {
-			return nil, err
-		}
-		pid := get64()
-		ilen := get32()
-		if err := need(int(ilen)); err != nil {
-			return nil, err
-		}
-		s.Pages = append(s.Pages, SnapshotPage{PID: pid, Image: payload[pos : pos+int(ilen)]})
-		pos += int(ilen)
-	}
-	if err := need(4); err != nil {
-		return nil, err
-	}
-	nStash := get32()
-	if nStash > maxSnapshotItems {
-		return nil, fmt.Errorf("%w: snapshot stash count %d out of range", ErrBadObject, nStash)
-	}
-	s.Stash = make([]SnapshotStashRec, 0, min(int(nStash), 1<<16))
-	var prevAt uint64
-	for i := uint32(0); i < nStash; i++ {
-		if err := need(28); err != nil {
-			return nil, err
-		}
-		r := SnapshotStashRec{TxnID: get64(), At: get64(), PageID: get64()}
-		plen := get32()
-		if err := need(int(plen)); err != nil {
-			return nil, err
-		}
-		r.Payload = payload[pos : pos+int(plen)]
-		pos += int(plen)
-		if i > 0 && r.At <= prevAt {
-			return nil, fmt.Errorf("%w: snapshot stash not in ascending order at entry %d", ErrBadObject, i)
-		}
-		prevAt = r.At
-		s.Stash = append(s.Stash, r)
-	}
-	if pos != len(payload) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after snapshot", ErrBadObject, len(payload)-pos)
-	}
-	return s, nil
+	return d.err
 }

@@ -363,6 +363,25 @@ func OpenSegmentedDirFS(fs vfs.FS, dir string, segSize int64) (*Segmented, error
 	return openSegmentedDir(fs, dir, segSize, false)
 }
 
+// CreateSegmentedAt makes an empty segmented log in dir whose stream
+// begins at base, not at 0, and opens it: a restore's copy of a lane's
+// history from its low-water mark. dir must not hold a log yet.
+func CreateSegmentedAt(fs vfs.FS, dir string, segSize, base int64) (*Segmented, error) {
+	if HasManifest(fs, dir) {
+		return nil, fmt.Errorf("logdev: %s already holds a log", dir)
+	}
+	if err := fs.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("logdev: create %s: %w", dir, err)
+	}
+	if err := fs.SyncDir(filepath.Dir(dir)); err != nil {
+		return nil, fmt.Errorf("logdev: sync parent of %s: %w", dir, err)
+	}
+	if err := writeManifest(fs, dir, segSize, base); err != nil {
+		return nil, err
+	}
+	return openSegmentedDir(fs, dir, segSize, false)
+}
+
 // ErrReadOnly is returned for mutating operations on a device opened
 // with OpenSegmentedDirRO.
 var ErrReadOnly = errors.New("logdev: device opened read-only")
@@ -512,7 +531,7 @@ func openSegmentedDir(fs vfs.FS, dir string, segSize int64, ro bool) (*Segmented
 		}
 	}
 	s.openSlots = reports
-	for idx := s.base / segSize; idx*segSize < wmVal; idx++ {
+	for idx := s.base / segSize; idx*segSize < wmVal && s.base < wmVal; idx++ {
 		need := min(segSize, wmVal-idx*segSize)
 		if sizes[idx] < need {
 			return fail(fmt.Errorf(

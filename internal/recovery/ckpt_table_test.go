@@ -169,7 +169,7 @@ func TestCheckpointTableIsNamesNotFacts(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/N=%d", c.name, n), func(t *testing.T) {
 				ll := newLaneLogs(n)
 				c.build(t, ll)
-				a, err := Analyze(ll.tails())
+				a, err := Analyze(ll.tails(), nil)
 				if err != nil {
 					t.Fatal(err)
 				}

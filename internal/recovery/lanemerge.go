@@ -1,8 +1,9 @@
 // lanemerge.go is the one way the durable log is read back: a streaming
 // iterator over N >= 1 lane tails that yields every record with its
 // position in the total order and the stamp a page carries after
-// applying it. Restart recovery, point-in-time replay and logdump's
-// merged view all consume it; nothing else in the tree orders records.
+// applying it. Restart recovery (and so every restore, which is one) and
+// logdump's merged view consume it; nothing else in the tree orders
+// records.
 package recovery
 
 import (
@@ -46,7 +47,6 @@ type LaneMerge struct {
 	heads []logrec.Record
 	live  []bool
 	from  uint64 // N lanes: records ordered below it are skipped
-	stop  uint64 // N lanes: records stamped above it end their lane
 	top   uint64
 }
 
@@ -54,8 +54,7 @@ type LaneMerge struct {
 // lane.
 func NewLaneMerge(lanes []Lane) *LaneMerge {
 	m := &LaneMerge{
-		lanes: append([]Lane(nil), lanes...),
-		stop:  ^uint64(0),
+		lanes: lanes,
 		its:   make([]*logrec.Iterator, len(lanes)),
 		start: make([]int, len(lanes)),
 		heads: make([]logrec.Record, len(lanes)),
@@ -83,21 +82,6 @@ func (m *LaneMerge) From(order uint64) {
 	}
 }
 
-// Until makes the iterator end at the stamp stop, as if the log had been
-// cut there, and restarts it: nothing stamped above stop is yielded — or
-// read, so damage beyond the cut goes unnoticed as it would have then.
-// One lane is clipped to that log offset (a record crossing it is a torn
-// tail); on N lanes, each seq-ascending, the first seq above stop ends
-// its lane.
-func (m *LaneMerge) Until(stop uint64) {
-	if l := &m.lanes[0]; len(m.lanes) > 1 {
-		m.stop = stop
-	} else if stop < uint64(l.Base.Add(len(l.Log))) {
-		l.Log = l.Log[:max(stop, uint64(l.Base))-uint64(l.Base)]
-	}
-	m.From(m.from)
-}
-
 // advance loads lane i's next record into its head slot.
 func (m *LaneMerge) advance(i int) {
 	for {
@@ -109,10 +93,6 @@ func (m *LaneMerge) advance(i int) {
 			return
 		}
 		seq := uint64(m.heads[i].Seq)
-		if seq > m.stop {
-			m.live[i] = false
-			return
-		}
 		m.top = max(m.top, seq)
 		if seq >= m.from {
 			return
@@ -193,17 +173,6 @@ func (m *LaneMerge) Top() uint64 {
 		return uint64(m.lanes[0].Base.Add(len(m.lanes[0].Log)))
 	}
 	return m.top
-}
-
-// Covers reports whether the tails are known to reach stamp. One lane
-// knows: the stamp is a log offset, inside the tail or not. N lanes
-// cannot tell — seqs have gaps (a failed append spends one), so the
-// largest seq present says nothing about a larger durable one.
-func (m *LaneMerge) Covers(stamp uint64) bool {
-	if len(m.lanes) == 1 {
-		return stamp >= uint64(m.lanes[0].Base) && stamp <= m.Top()
-	}
-	return true
 }
 
 // Step is the distance between two made-up stamps: what the smallest

@@ -119,7 +119,7 @@ func Recover(opts Options) (*Result, error) {
 	if opts.Store == nil {
 		return nil, errors.New("recovery: Store is required")
 	}
-	a, err := Analyze([]Lane{{Log: opts.Log, Base: opts.Base}})
+	a, err := Analyze([]Lane{{Log: opts.Log, Base: opts.Base}}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -152,11 +152,17 @@ type Analysis struct {
 // one lane): what core.NewMultiLog resumes stamping above.
 func (a *Analysis) LastSeq() uint64 { return a.m.LastSeq() }
 
-// Analyze locates the last complete checkpoint (its records live on lane
-// 0) and runs the analysis pass over the lanes' durable tails (from
+// Analyze locates the checkpoint analysis starts at (its records live on
+// lane 0) and runs the analysis pass over the lanes' durable tails (from
 // logdev.ReadTail, in lane order), yielding the transaction table and
-// the dirty-page table that redo and undo work from.
-func Analyze(lanes []Lane) (*Analysis, error) {
+// the dirty-page table that redo and undo work from. With ckpt nil that
+// is the last complete checkpoint: a restart. Otherwise *ckpt is the
+// lane-0 address of the begin record of the checkpoint to start at, or
+// lsn.Undefined for none (the tails start at genesis): a restore, whose
+// page file is the one that checkpoint's snapshot copied. A later
+// checkpoint in its log must not be used — its dirty-page table
+// describes a page file the restore does not have.
+func Analyze(lanes []Lane, ckpt *lsn.LSN) (*Analysis, error) {
 	if len(lanes) == 0 {
 		return nil, errors.New("recovery: need at least one lane")
 	}
@@ -190,18 +196,21 @@ func Analyze(lanes []Lane) (*Analysis, error) {
 	// nothing else. So only a checkpoint that names somebody makes
 	// analysis read them: otherwise the pass starts at the begin record.
 	var begin, from uint64
-	beginAt, ckpt := findLastCheckpoint(lanes[0])
+	beginAt, cp, err := findCheckpoint(lanes[0], ckpt)
+	if err != nil {
+		return nil, err
+	}
 	res.CheckpointLSN = beginAt
 	if beginAt.Valid() {
 		if b, err := a.m.At(0, beginAt); err == nil {
 			begin, from = b.Order, b.Order
 		}
-		for _, e := range ckpt.ActiveTxns {
+		for _, e := range cp.ActiveTxns {
 			named[e.TxnID] = true
 			from = 0
 			res.MaxTxnID = max(res.MaxTxnID, e.TxnID)
 		}
-		for _, e := range ckpt.DirtyPages {
+		for _, e := range cp.DirtyPages {
 			a.dpt[e.PageID] = uint64(e.RecLSN)
 		}
 	}
@@ -414,8 +423,7 @@ func (a *Analysis) Recover(store *storage.Store, sink Sink, verifyArchive bool) 
 }
 
 // redo reapplies one update or CLR to its page unless the page already
-// reflects it, reporting whether it did. Restart redo and point-in-time
-// replay share it.
+// reflects it, reporting whether it did.
 func redo(store *storage.Store, mr *Merged) (bool, error) {
 	rec := &mr.Rec
 	// Lazy fault-in: a page archived before the crash (including one
@@ -490,19 +498,24 @@ func (c *undoCursor) move(m *LaneMerge, at lsn.LSN) {
 	}
 }
 
-// findLastCheckpoint scans lane 0's durable tail (the coordinator writes
-// checkpoints nowhere else) for the newest complete checkpoint and
-// returns its begin LSN and decoded payload.
-func findLastCheckpoint(lane Lane) (lsn.LSN, logrec.CheckpointPayload) {
+// findCheckpoint scans lane 0's durable tail (the coordinator writes
+// checkpoints nowhere else) for the checkpoint Analyze's ckpt names — the
+// newest complete one when it is nil — and returns its begin LSN and
+// decoded payload. A named checkpoint missing from the tail is an error;
+// lsn.Undefined names none and reads nothing.
+func findCheckpoint(lane Lane, want *lsn.LSN) (lsn.LSN, logrec.CheckpointPayload, error) {
 	begin := lsn.Undefined
 	var payload logrec.CheckpointPayload
+	if want != nil && !want.Valid() {
+		return begin, payload, nil
+	}
 	it := logrec.NewIterator(lane.Log, lane.Base)
 	for {
 		rec, ok := it.Next()
 		if !ok {
 			break
 		}
-		if rec.Kind != logrec.KindCheckpointEnd {
+		if rec.Kind != logrec.KindCheckpointEnd || (want != nil && lsn.LSN(rec.Aux) != *want) {
 			continue
 		}
 		p, err := logrec.DecodeCheckpoint(rec.Payload)
@@ -512,5 +525,8 @@ func findLastCheckpoint(lane Lane) (lsn.LSN, logrec.CheckpointPayload) {
 		begin = lsn.LSN(rec.Aux)
 		payload = p
 	}
-	return begin, payload
+	if want != nil && begin != *want {
+		return begin, payload, fmt.Errorf("recovery: checkpoint begun at %v is not in lane 0's log from %v", *want, lane.Base)
+	}
+	return begin, payload, nil
 }

@@ -75,7 +75,7 @@ func TestRecoveryStreamsTheTail(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)
-			a, err := Analyze(tails)
+			a, err := Analyze(tails, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -596,6 +596,16 @@ func slotInfos(live map[uint64]pfSlot) []SlotInfo {
 	return out
 }
 
+// HoldBatches runs fn with every batch held off: until it returns no
+// slot is written, freed or reused, so the Slots and Get calls it makes
+// see one committed state of the file. Reads proceed throughout. A
+// snapshot copies its images this way.
+func (pf *PageFile) HoldBatches(fn func() error) error {
+	pf.wmu.Lock()
+	defer pf.wmu.Unlock()
+	return fn()
+}
+
 // WriteBatch implements Archive: the one write-back routine every path
 // (sweep, cleaner, steal, PutBatch) goes through. The pages go to free
 // slots in page-ID order — fill is called under wmu, once per page, and a

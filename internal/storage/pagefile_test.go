@@ -7,8 +7,10 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"aether/internal/lsn"
 	"aether/internal/vfs"
@@ -364,5 +366,43 @@ func TestSweepMemoryBounded(t *testing.T) {
 	t.Logf("allocated: first sweep %d bytes, second %d", first, second)
 	if img, err := pf.Get(MakePageID(1, pages)); err != nil || lsn.LSN(binary.LittleEndian.Uint64(img[8:16])) != 2 {
 		t.Fatalf("last page after the second sweep: %v", err)
+	}
+}
+
+// TestHoldBatchesHoldsOffWriters: while HoldBatches runs its function no
+// batch writes, so the slots and images it reads stay one committed
+// state of the file — a snapshot's copy; the batch that waited behind it
+// lands once it returns.
+func TestHoldBatchesHoldsOffWriters(t *testing.T) {
+	pf := NewMemArchive()
+	defer pf.Close()
+	if err := pf.Put(1, pfTestImage(1, 'a')); err != nil {
+		t.Fatal(err)
+	}
+	before := pf.Slots()
+	done := make(chan error, 1)
+	err := pf.HoldBatches(func() error {
+		go func() { done <- pf.Put(1, pfTestImage(1, 'b')) }()
+		select {
+		case err := <-done:
+			return fmt.Errorf("a batch finished (%v) while batches were held off", err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		if got, err := pf.Get(1); err != nil || !bytes.Equal(got, pfTestImage(1, 'a')) {
+			return fmt.Errorf("page 1 changed under the hold (%v)", err)
+		}
+		if got := pf.Slots(); !slices.Equal(got, before) {
+			return fmt.Errorf("slots moved under the hold: %v → %v", before, got)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got, err := pf.Get(1); err != nil || !bytes.Equal(got, pfTestImage(1, 'b')) {
+		t.Fatalf("the held batch did not land after the hold (%v)", err)
 	}
 }

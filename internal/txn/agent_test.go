@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"aether/internal/lockmgr"
 	"aether/internal/logdev"
@@ -498,6 +499,36 @@ func TestAgentScratchRetention(t *testing.T) {
 	h := newHarness(t)
 	tbl, _ := h.eng.CreateTable("t", nil)
 	ag := h.eng.NewAgent()
+
+	// The caps hold a 1 000-row load transaction's scratch, so loading
+	// in such transactions back to back re-arms it rather than regrowing
+	// it, within a per-agent budget.
+	const budget = 192 << 10
+	if got := maxUndoEntries*int(unsafe.Sizeof(undoEntry{})) + maxArenaBytes +
+		maxIndexUndo*int(unsafe.Sizeof(indexUndo{})) + maxRecordBuffer; got > budget {
+		t.Fatalf("the caps let an agent keep %d bytes of scratch, over the %d-byte budget", got, budget)
+	}
+	for load := uint64(1); load <= 2; load++ {
+		tx := ag.Begin()
+		for k := load * 100_000; k < load*100_000+1000; k++ {
+			if err := tx.Insert(tbl, k, row(k, k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(CommitSync, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loadUndo, _, loadIndex, _ := ag.scratchCaps()
+	if loadUndo > maxUndoEntries || loadIndex > maxIndexUndo {
+		t.Fatalf("a 1 000-row load transaction grew undo to %d (cap %d) and index undo to %d (cap %d)", loadUndo, maxUndoEntries, loadIndex, maxIndexUndo)
+	}
+	if err := ag.Begin().Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if undo, _, index, _ := ag.scratchCaps(); undo != loadUndo || index != loadIndex {
+		t.Fatalf("the next Begin dropped a load transaction's scratch: undo %d → %d, index undo %d → %d", loadUndo, undo, loadIndex, index)
+	}
 
 	bulk := ag.Begin()
 	for k := uint64(1); k <= 20_000; k++ {

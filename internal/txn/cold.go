@@ -1,30 +1,33 @@
 // cold.go is the cold tier's one daemon, beside the checkpointer and the
 // page cleaner. Each pass, nudged by every checkpoint (truncation is
-// what parks dead segments, and hardened log is what a snapshot cuts),
-// (1) archives every archiving lane's parked dead segments and recycles
-// their slots, retrying with bounded backoff; then, on a one-lane log
-// that takes snapshots, (2) cuts a new materialized snapshot object once
-// enough new log has hardened since the last cut, and (3) prunes
-// snapshots beyond the newest RetainSnapshots, and the segment objects
-// wholly below the oldest one that remains.
+// what parks dead segments, and a checkpoint's sweep is what a snapshot
+// copies), (1) archives every archiving lane's parked dead segments and
+// recycles their slots, retrying with bounded backoff; then, when it
+// takes snapshots, (2) uploads a snapshot once enough new log has
+// hardened since the last one: the page-file images written since that
+// snapshot, and a manifest naming the images of every page, the
+// checkpoint they follow, the restore point and each lane's low-water
+// mark (logdev/snapshot.go); and (3) prunes snapshots beyond the newest
+// RetainSnapshots, each lane's segment objects wholly below the oldest
+// survivor's low-water mark, and images objects no survivor names.
 //
 // The retention invariant: nothing is ever pruned below the oldest
-// restorable point. The floor is the oldest retained snapshot's cut;
-// that snapshot materializes the replay of everything beneath it, so
-// every RestoreTo target at or above the floor stays reachable, and the
-// prune only ever removes objects wholly below it. Without snapshots
-// (partitioned lanes, or snapshotting disabled) the pass stops after
-// step 1 and the floor is zero — retention degrades to keep-everything,
-// never to lose-something.
+// restorable point. The floor is the oldest retained snapshot's restore
+// point; that snapshot holds every page as its checkpoint left it, and
+// each lane's log from its low-water mark is kept, so every RestoreTo
+// target at or above the floor stays reachable. Without snapshots the
+// pass stops after step 1 and the floor is zero — retention degrades to
+// keep-everything, never to lose-something.
 package txn
 
 import (
-	"fmt"
+	"cmp"
 	"math/rand"
+	"slices"
 	"time"
 
 	"aether/internal/logdev"
-	"aether/internal/recovery"
+	"aether/internal/storage"
 )
 
 // ColdConfig arms the cold-tier daemon: it runs when any lane archives.
@@ -33,17 +36,17 @@ type ColdConfig struct {
 	// (logdev.Segmented.SetArchiver). Each pass drains their parked dead
 	// segments.
 	Lanes []*logdev.Segmented
-	// Remote is the cold store snapshots go to. Set it only on a one-lane
-	// log (Lanes[0]'s archiver): a cut is a byte offset, and N lanes'
-	// pages interleave. nil takes no snapshots.
-	Remote *logdev.RemoteArchiver
-	// SnapshotEveryBytes cuts a new snapshot object once this many new
-	// log bytes have hardened since the last cut. 0 disables snapshots
-	// (and therefore pruning).
+	// Snapshots is where snapshots go, covering every lane in Lanes (which
+	// must then be all of them, in lane order). nil takes no snapshots.
+	Snapshots *logdev.SnapshotStore
+	// Pages is the page file a snapshot copies.
+	Pages *storage.PageFile
+	// SnapshotEveryBytes takes a new snapshot once this many new log
+	// bytes, summed over the lanes, have hardened since the last one. 0
+	// disables snapshots (and therefore pruning).
 	SnapshotEveryBytes int64
-	// RetainSnapshots keeps the newest N snapshots; older snapshots and
-	// the segment objects wholly below the oldest survivor are pruned.
-	// 0 keeps every snapshot forever.
+	// RetainSnapshots keeps the newest N snapshots; older ones, and what
+	// only they need, are pruned. 0 keeps every snapshot forever.
 	RetainSnapshots int
 }
 
@@ -58,15 +61,15 @@ type ColdConfig struct {
 func (e *Engine) startCold(cfg ColdConfig) {
 	e.cold = startDaemon(0, func(d *daemon) {
 		e.archiveWithRetry(d, cfg.Lanes)
-		if cfg.Remote == nil || cfg.SnapshotEveryBytes <= 0 || d.stopping() {
+		if cfg.Snapshots == nil || cfg.SnapshotEveryBytes <= 0 || d.stopping() {
 			return
 		}
 		if err := e.snapshotPass(cfg); err != nil {
 			e.stats.RetentionFailures.Inc()
 		}
 		if cfg.RetainSnapshots > 0 {
-			objs, snaps, err := cfg.Remote.PruneToSnapshots(cfg.RetainSnapshots)
-			e.stats.RetentionPrunedObjects.Add(int64(objs + snaps))
+			objs, manifests, err := cfg.Snapshots.Prune(cfg.RetainSnapshots)
+			e.stats.RetentionPrunedObjects.Add(int64(objs + manifests))
 			if err != nil {
 				e.stats.RetentionFailures.Inc()
 			}
@@ -120,45 +123,73 @@ func (e *Engine) archiveWithRetry(d *daemon, lanes []*logdev.Segmented) {
 	}
 }
 
-// snapshotPass cuts a new snapshot object if enough log has hardened
-// since the newest one, seeding the replay from the newest valid
-// snapshot so the cost is proportional to the new suffix, not total
-// history. A torn newest snapshot only delays the next cut; the seed
-// falls back past it.
+// snapshotPass takes a snapshot of the page file as the newest
+// checkpoint's sweep left it, once SnapshotEveryBytes of log have
+// hardened since the newest snapshot. Only images whose page-file version
+// differs from that snapshot's are copied and uploaded: a snapshot costs
+// what changed, not the database's size. A torn newest snapshot only
+// makes the next one copy more; the comparison falls back past it.
 func (e *Engine) snapshotPass(cfg ColdConfig) error {
-	dev := cfg.Lanes[0]
-	cuts, err := cfg.Remote.SnapshotCuts()
+	mark := e.lastCkpt.Load()
+	if mark == nil {
+		return nil // no checkpoint in this incarnation yet
+	}
+	prev, err := cfg.Snapshots.NewestAtOrBelow(^uint64(0))
 	if err != nil {
 		return err
 	}
-	var lastCut uint64
-	if len(cuts) > 0 {
-		lastCut = cuts[len(cuts)-1]
+	var grown int64
+	for i, seg := range cfg.Lanes {
+		grown += seg.DurableSize()
+		if prev != nil {
+			grown -= int64(prev.Lanes[i].End)
+		}
 	}
-	if dev.DurableSize()-int64(lastCut) < cfg.SnapshotEveryBytes {
+	if grown < cfg.SnapshotEveryBytes {
 		return nil
 	}
-	prev, ok, err := cfg.Remote.NewestSnapshotAtOrBelow(lastCut)
-	if err != nil {
+	// The restore point must cover the checkpoint's end record on every
+	// lane count: on N lanes it is durable on lane 0 before the global
+	// durable stamp need reach it.
+	if err := e.log.Force(mark.end); err != nil {
 		return err
 	}
-	lastCut = 0
-	if ok {
-		lastCut = prev.Cut
-	}
-	data, start, err := dev.RestoreLog(cfg.Remote, int64(lastCut))
-	if err != nil {
+	m := &logdev.Manifest{Checkpoint: uint64(mark.begin), Lanes: make([]logdev.ManifestLane, len(cfg.Lanes))}
+	var changed []logdev.PageImage
+	err = cfg.Pages.HoldBatches(func() error {
+		// Every image in the file was written at or below the durable
+		// stamp (WAL), and none can change until the copy is done.
+		m.At = uint64(e.log.Durable())
+		for i, seg := range cfg.Lanes {
+			m.Lanes[i] = logdev.ManifestLane{LowWater: mark.lowWater[i], End: uint64(seg.DurableSize())}
+		}
+		slots := cfg.Pages.Slots()
+		slices.SortFunc(slots, func(a, b storage.SlotInfo) int { return cmp.Compare(a.PageID, b.PageID) })
+		var old []logdev.ManifestPage
+		if prev != nil {
+			old = prev.Pages
+		}
+		for _, sl := range slots {
+			for len(old) > 0 && old[0].PID < sl.PageID {
+				old = old[1:]
+			}
+			if len(old) > 0 && old[0].PID == sl.PageID && old[0].Version == sl.Version {
+				m.Pages = append(m.Pages, old[0])
+				continue
+			}
+			img, err := cfg.Pages.Get(sl.PageID)
+			if err != nil {
+				return err
+			}
+			m.Pages = append(m.Pages, logdev.ManifestPage{PID: sl.PageID, Version: sl.Version})
+			changed = append(changed, logdev.PageImage{PID: sl.PageID, Image: img})
+		}
+		return nil
+	})
+	if err != nil || (prev != nil && m.At <= prev.At) {
 		return err
 	}
-	if uint64(start) > lastCut {
-		return fmt.Errorf("txn: snapshot: restore reaches back to %d, need %d", start, lastCut)
-	}
-	data = data[lastCut-uint64(start):]
-	snap, err := recovery.BuildSnapshot(prev, data, lastCut)
-	if err != nil {
-		return err
-	}
-	if err := cfg.Remote.PutSnapshot(snap); err != nil {
+	if err := cfg.Snapshots.Put(m, changed); err != nil {
 		return err
 	}
 	e.stats.SnapshotsTaken.Inc()

@@ -11,9 +11,9 @@
 // An Engine runs at most three background daemons, one loop each
 // (daemon.go): the incremental checkpointer (CheckpointEveryBytes), the
 // page cleaner (CleanerPages), and the cold tier (ColdConfig, cold.go),
-// whose one pass archives every archiving lane's dead segments and then,
-// on a one-lane log, snapshots and prunes. Every checkpoint nudges the
-// cold tier once.
+// whose one pass archives every archiving lane's dead segments, then
+// snapshots the page file and prunes. Every checkpoint nudges the cold
+// tier once.
 package txn
 
 import (
@@ -165,12 +165,12 @@ type Stats struct {
 	// force or archive writeback failed); the affected pages stay dirty
 	// and the next pass — or a demand steal, or the sweep — retries.
 	CleanerFailures metrics.Counter
-	// SnapshotsTaken counts materialized snapshot objects the cold-tier
-	// daemon uploaded to the remote store.
+	// SnapshotsTaken counts snapshots (a checkpoint's page images and
+	// their manifest) the cold-tier daemon uploaded to the cold store.
 	SnapshotsTaken metrics.Counter
-	// RetentionPrunedObjects counts remote objects (snapshots and
-	// segments) deleted by retention — always wholly below the oldest
-	// retained snapshot's cut.
+	// RetentionPrunedObjects counts cold-store objects (manifests, images
+	// objects and segments) retention deleted — none that the oldest
+	// retained snapshot, or the log from its low-water marks, needs.
 	RetentionPrunedObjects metrics.Counter
 	// RetentionFailures counts the snapshot and prune steps of cold-tier
 	// passes that errored; nothing is lost — the next nudge retries with
@@ -197,6 +197,9 @@ type Engine struct {
 
 	ckptMu sync.Mutex
 	ckptAp *core.MultiAppender
+	// lastCkpt is the newest checkpoint this engine completed, which the
+	// cold tier's next snapshot follows; nil before the first.
+	lastCkpt atomic.Pointer[checkpointMark]
 
 	// The background workers; nil when not configured. ckpt is the
 	// incremental checkpointer, cold the cold tier (archiving, snapshots,
@@ -558,7 +561,7 @@ func (e *Engine) Checkpoint() error {
 		Header:  logrec.Header{Kind: logrec.KindCheckpointEnd, PrevLSN: lsn.Undefined, Aux: uint64(beginAt)},
 		Payload: payload.Encode(nil),
 	}
-	_, end, _, _, err := e.ckptAp.Append(0, rec)
+	_, end, endStamp, _, err := e.ckptAp.Append(0, rec)
 	if err != nil {
 		return fmt.Errorf("txn: checkpoint end: %w", err)
 	}
@@ -585,13 +588,29 @@ func (e *Engine) Checkpoint() error {
 		// failed checkpoint.
 		e.stats.TruncateFailures.Inc()
 	}
+	mark := &checkpointMark{begin: beginAt, end: endStamp, lowWater: make([]uint64, e.log.NumParts())}
+	for i := range mark.lowWater {
+		mark.lowWater[i] = uint64(e.log.Part(i).Base())
+	}
+	e.lastCkpt.Store(mark)
 	// Truncation parks dead segments; the cold-tier daemon ships them to
 	// the cold store and recycles their slots off the checkpoint path,
-	// then snapshots the hardened log and prunes below the oldest
-	// snapshot it keeps.
+	// then snapshots the page file this sweep left and prunes below the
+	// oldest snapshot it keeps.
 	e.cold.nudge()
 	e.stats.Checkpoints.Inc()
 	return nil
+}
+
+// checkpointMark is what a snapshot needs of the checkpoint it follows:
+// where analysis starts (begin, a lane-0 address), the end record's page
+// stamp, which the snapshot's restore point must reach, and each lane's
+// low-water mark — its base right after the checkpoint released the log
+// below releaseLSN, from where a restart, and so a restore, reads it.
+type checkpointMark struct {
+	begin    lsn.LSN
+	end      lsn.LSN
+	lowWater []uint64
 }
 
 // releaseLSN computes the truncation horizon after a checkpoint whose

@@ -54,8 +54,13 @@ type RestartConfig struct {
 	// only with Archive set.
 	PrefetchDepth int
 	// Cold, with any archiving lane, starts the cold-tier daemon
-	// (archiving; snapshots and pruning on a one-lane log; cold.go).
+	// (archiving, snapshots and pruning; cold.go).
 	Cold ColdConfig
+	// Checkpoint, if set, is where analysis starts instead of the last
+	// checkpoint: the lane-0 address of a checkpoint's begin record, or
+	// lsn.Undefined for genesis (recovery.Analyze). A restore sets it to
+	// the checkpoint its snapshot followed.
+	Checkpoint *lsn.LSN
 }
 
 // Restart is the one way to build an engine, a fresh one included (its
@@ -99,7 +104,7 @@ func Restart(cfg RestartConfig) (*Engine, *recovery.Result, error) {
 	// Analysis reads the tails only; the log is then opened at the
 	// sequence number they end at, so that redo's faults are checked
 	// against, and undo's CLRs stamped above, everything on disk.
-	an, err := recovery.Analyze(lanes)
+	an, err := recovery.Analyze(lanes, cfg.Checkpoint)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -65,11 +65,14 @@ type txnScratch struct {
 // Retention caps: scratch that a transaction grew beyond these is
 // dropped at the next Begin instead of re-armed, so one bulk load does
 // not pin its working set on the session for life. Anything smaller is
-// kept, so a steady workload below the caps never reallocates.
+// kept, so a steady workload below the caps never reallocates — and
+// that includes loading in 1 000-row transactions, whose undo and index
+// undo slices append grows to 1 365 and 1 280 entries. Together the caps
+// hold an agent's scratch to about 190 kB.
 const (
-	maxUndoEntries  = 256      // x 48 B = 12 kB: any OLTP transaction's updates
+	maxUndoEntries  = 1536     // x 48 B = 72 kB: a 1 000-row load transaction's updates
 	maxArenaBytes   = 64 << 10 // 256 entries' worth of deleted 250-byte rows (an insert keeps no image)
-	maxIndexUndo    = 256      // x 32 B = 8 kB: one per inserted or deleted row
+	maxIndexUndo    = 1536     // x 32 B = 48 kB: one per inserted or deleted row
 	maxRecordBuffer = 4 << 10  // what core.Appender's own encode buffer is held to
 )
 

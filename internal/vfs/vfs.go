@@ -16,6 +16,7 @@ package vfs
 import (
 	"io"
 	"os"
+	"path/filepath"
 )
 
 // File is an open file: positional reads and writes, durability, and
@@ -125,4 +126,32 @@ func WriteFileSync(fs FS, path string, data []byte, perm os.FileMode) error {
 		return err
 	}
 	return f.Close()
+}
+
+// RemoveAll removes the directory dir and everything below it, durably:
+// each directory is synced once emptied, and the parent once dir is
+// gone, so a power cut cannot bring any of it back.
+func RemoveAll(fs FS, dir string) error {
+	entries, err := fs.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		p := filepath.Join(dir, e.Name())
+		if e.IsDir() {
+			err = RemoveAll(fs, p)
+		} else {
+			err = fs.Remove(p)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if err := fs.SyncDir(dir); err != nil {
+		return err
+	}
+	if err := fs.Remove(dir); err != nil {
+		return err
+	}
+	return fs.SyncDir(filepath.Dir(dir))
 }

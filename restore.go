@@ -1,23 +1,35 @@
-// restore.go is point-in-time recovery's public face: DB.RestoreTo
-// reconstructs the committed state at an arbitrary historical position
-// — a stamp: a log offset for a single log, a global sequence stamp for
-// a partitioned one; DB.RestorePoint captures such a position — by
-// stitching the cold store's snapshot and log objects to the hot log
-// and replaying (internal/recovery's PITR path). It also re-exports the
-// cold store's ObjectStore so Options.RemoteStore is usable without
-// reaching into internal packages.
+// restore.go is point-in-time recovery's public face. DB.RestorePoint
+// captures a position — a stamp: a log offset on one lane, a global
+// sequence stamp on N — and DB.RestoreTo reconstructs the committed state
+// at one by restarting a copy of the database that stops there. The
+// newest snapshot at or below the target (a checkpoint's page images,
+// from the cold store) becomes a fresh page file; each lane's log from
+// the snapshot's low-water mark through the target — the cold store's
+// segment objects stitched to the hot log — becomes a fresh log; and the
+// copy opens through the restart every Open runs, with analysis at the
+// snapshot's own checkpoint (at genesis without a snapshot) and the
+// transactions in flight at the target rolled back by restart's undo.
+// The copy lives on a private in-memory filesystem for an in-memory
+// database and in a scratch directory beside LogPath otherwise. This
+// file also re-exports the cold store's ObjectStore, so
+// Options.RemoteStore is usable without reaching into internal packages.
 package aether
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"os"
+	"path/filepath"
+	"slices"
+	"sync"
 
 	"aether/internal/logdev"
+	"aether/internal/logrec"
 	"aether/internal/lsn"
-	"aether/internal/recovery"
 	"aether/internal/storage"
-	"aether/internal/txn"
+	"aether/internal/vfs"
 )
 
 // ObjectStore is the S3-style object API the cloud log tier archives
@@ -42,9 +54,9 @@ func NewMemObjectStore() *MemObjectStore { return logdev.NewMemObjectStore() }
 func NewDirObjectStore(dir string) (ObjectStore, error) { return logdev.NewDirObjectStore(dir) }
 
 // ErrRestorePruned reports a RestoreTo target below the retention
-// floor: the history needed to reconstruct it was pruned (it lay wholly
-// below the oldest retained snapshot's cut). Stats.RestoreFloor is the
-// oldest point that remains restorable.
+// floor: the history needed to reconstruct it was pruned (it lay below
+// the oldest retained snapshot). Stats.RestoreFloor is the oldest point
+// that remains restorable.
 var ErrRestorePruned = errors.New("aether: restore point below retention floor (history pruned)")
 
 // RestorePoint returns the current durable position in RestoreTo's
@@ -55,88 +67,90 @@ var ErrRestorePruned = errors.New("aether: restore point below retention floor (
 func (db *DB) RestorePoint() int64 { return int64(db.eng.Multi().Durable()) }
 
 // RestoredDB is a read-only reconstruction of the database's committed
-// state at a historical position, returned by RestoreTo. It is
-// decoupled from the live database: pages were replayed from the log
-// into a private store.
+// state at a historical position, returned by RestoreTo. It is a
+// database of its own, decoupled from the live one, and reads through
+// its own buffer pool, bounded by the live database's
+// Options.CachePages. Close it when done: it holds an engine and the
+// files the restore made.
 type RestoredDB struct {
-	store  *storage.Store
-	spaces map[string]uint32
-	at     int64
+	db *DB
+	at int64
+	// scratch is the directory a file-backed database's restore made,
+	// which Close removes ("" for an in-memory one).
+	scratch string
 }
 
 // At returns the position the state was restored to.
 func (r *RestoredDB) At() int64 { return r.at }
 
+// table returns the restored handle of a table of the live database.
+func (r *RestoredDB) table(name string) (*Table, error) {
+	t := r.db.eng.Table(name)
+	if t == nil {
+		return nil, fmt.Errorf("aether: restored state has no table %q", name)
+	}
+	return &Table{t: t}, nil
+}
+
 // Scan visits the restored rows of a table in ascending key order,
-// calling fn until it returns false. Keys follow the Row convention
-// (first 8 bytes of the row). The table name must be one the live
+// calling fn until it returns false. The table name must be one the live
 // database had registered at RestoreTo time.
 func (r *RestoredDB) Scan(table string, fn func(key uint64, row []byte) bool) error {
-	space, ok := r.spaces[table]
-	if !ok {
-		return fmt.Errorf("aether: restored state has no table %q", table)
+	t, err := r.table(table)
+	if err != nil {
+		return err
 	}
-	type kv struct {
-		key uint64
-		row []byte
+	s := r.db.Session()
+	defer s.Close()
+	tx := s.Begin()
+	if err := tx.Scan(t, 0, math.MaxUint64, fn); err != nil {
+		tx.Abort()
+		return err
 	}
-	var rows []kv
-	for _, pid := range r.store.PageIDs() {
-		if storage.PageSpace(pid) != space {
-			continue
-		}
-		page, err := r.store.Get(pid)
-		if err != nil {
-			return err
-		}
-		for slot := 0; slot < page.NumSlots(); slot++ {
-			row, err := page.Get(slot)
-			if err != nil {
-				continue // dead slot
-			}
-			rows = append(rows, kv{key: txn.DefaultKeyOf(row), row: row})
-		}
-		page.Unpin()
-	}
-	sort.Slice(rows, func(a, b int) bool { return rows[a].key < rows[b].key })
-	for _, e := range rows {
-		if !fn(e.key, e.row) {
-			break
-		}
-	}
-	return nil
+	return tx.Commit()
 }
 
 // Get returns the restored row under key, or ErrKeyNotFound.
 func (r *RestoredDB) Get(table string, key uint64) ([]byte, error) {
-	var found []byte
-	err := r.Scan(table, func(k uint64, row []byte) bool {
-		if k == key {
-			found = append([]byte(nil), row...)
-			return false
-		}
-		return true
-	})
+	t, err := r.table(table)
 	if err != nil {
 		return nil, err
 	}
-	if found == nil {
-		return nil, ErrKeyNotFound
+	s := r.db.Session()
+	defer s.Close()
+	tx := s.Begin()
+	row, err := tx.Read(t, key)
+	if err != nil {
+		tx.Abort()
+		return nil, err
 	}
-	return found, nil
+	return row, tx.Commit()
+}
+
+// Close stops the restored database and removes the files the restore
+// made. Safe to call more than once.
+func (r *RestoredDB) Close() error {
+	err := r.db.Close()
+	if r.scratch != "" {
+		if rerr := vfs.RemoveAll(r.db.fs, r.scratch); err == nil {
+			err = rerr
+		}
+		r.scratch = ""
+	}
+	return err
 }
 
 // RestoreTo reconstructs the committed state at position at — a value
 // previously captured with RestorePoint (a durable log offset for a
-// single log, a global seq for a partitioned one). The restore replays
-// history from the cold store (Options.ArchiveDir or RemoteStore)
-// stitched to the hot log: with snapshots enabled, from the newest
-// snapshot at or below at; otherwise from the beginning of time.
-// Transactions without a durable commit at at are rolled back, so the
-// result is exactly the committed state a crash at that instant would
-// have recovered. Targets below the retention floor fail with
-// ErrRestorePruned; targets beyond the durable end fail (the future is
-// not restorable).
+// single log, a global seq for a partitioned one). The restore starts
+// from the newest snapshot at or below at that is whole (an older one
+// when a newer one's objects are torn), or from the beginning of time
+// without one, and replays history from the cold store (Options.ArchiveDir
+// or RemoteStore) stitched to the hot log. Transactions without a
+// durable commit at at are rolled back, so the result is exactly the
+// committed state a crash at that instant would have recovered. Targets
+// below the retention floor fail with ErrRestorePruned; targets beyond
+// the durable end fail (the future is not restorable).
 func (db *DB) RestoreTo(at int64) (*RestoredDB, error) {
 	if at < 0 {
 		return nil, fmt.Errorf("aether: RestoreTo(%d): negative position", at)
@@ -144,57 +158,186 @@ func (db *DB) RestoreTo(at int64) (*RestoredDB, error) {
 	if durable := db.RestorePoint(); at > durable {
 		return nil, fmt.Errorf("aether: RestoreTo(%d): beyond the durable end %d", at, durable)
 	}
-	spaces := make(map[string]uint32, len(db.tables))
-	for _, name := range db.tables {
-		if t := db.eng.Table(name); t != nil {
-			spaces[name] = t.Space
-		}
-	}
-	// With snapshots, start from the newest one at or below the target;
-	// without, from the beginning of time.
-	var snap *logdev.Snapshot
-	var cut uint64
-	if r := db.snapshotStore(); r != nil {
-		floor, err := r.Floor()
+	var snap *logdev.Manifest
+	if db.snaps != nil {
+		floor, err := db.snaps.Floor()
 		if err != nil {
 			return nil, fmt.Errorf("aether: RestoreTo(%d): reading retention floor: %w", at, err)
 		}
 		if uint64(at) < floor {
 			return nil, fmt.Errorf("%w: target %d, floor %d", ErrRestorePruned, at, floor)
 		}
-		s, ok, err := r.NewestSnapshotAtOrBelow(uint64(at))
-		if err != nil {
+		if snap, err = db.snaps.NewestAtOrBelow(uint64(at)); err != nil {
 			return nil, fmt.Errorf("aether: RestoreTo(%d): loading snapshot: %w", at, err)
 		}
-		if ok {
-			snap, cut = s, s.Cut
+	}
+	for {
+		r, err := db.restore(snap, uint64(at))
+		if snap == nil || !errors.Is(err, logdev.ErrBadObject) || errors.Is(err, logdev.ErrFormat) {
+			if err != nil {
+				return nil, fmt.Errorf("aether: RestoreTo(%d): %w", at, err)
+			}
+			return r, nil
+		}
+		// A torn or missing images object makes its snapshot absent.
+		if snap, err = db.snaps.NewestAtOrBelow(snap.At - 1); err != nil {
+			return nil, fmt.Errorf("aether: RestoreTo(%d): loading snapshot: %w", at, err)
 		}
 	}
-	lanes := make([]recovery.Lane, len(db.lanes))
-	for i, l := range db.lanes {
-		data, start, err := l.restore(int64(cut))
-		if err != nil {
-			return nil, fmt.Errorf("aether: RestoreTo(%d): lane %d: %w", at, i, err)
-		}
-		if uint64(start) > cut {
-			return nil, fmt.Errorf("aether: RestoreTo(%d): lane %d history reaches back to %d, need %d (archive incomplete)", at, i, start, cut)
-		}
-		lanes[i] = recovery.Lane{Log: data[cut-uint64(start):], Base: lsn.LSN(cut)}
-	}
-	store, err := recovery.ReplayToPoint(snap, lanes, uint64(at))
-	if err != nil {
-		return nil, fmt.Errorf("aether: RestoreTo(%d): %w", at, err)
-	}
-	return &RestoredDB{store: store, spaces: spaces, at: at}, nil
 }
 
-// snapshotStore is the cold store a database takes snapshots in, and so
-// the one whose floor bounds RestoreTo: the cold store of a one-lane
-// log. nil without a cold store, and on N lanes, where a cut (a byte
-// offset) means nothing because the lanes' pages interleave.
-func (db *DB) snapshotStore() *logdev.RemoteArchiver {
-	if len(db.lanes) != 1 {
-		return nil
+// restore materializes snapshot snap (nil: none, replay from genesis)
+// and each lane's log from its low-water mark through at, and opens the
+// result as a database whose analysis starts at snap's checkpoint.
+func (db *DB) restore(snap *logdev.Manifest, at uint64) (_ *RestoredDB, err error) {
+	n := len(db.lanes)
+	rdb := &DB{
+		opts: Options{
+			LogPartitions: db.opts.LogPartitions,
+			CachePages:    db.opts.CachePages,
+			PrefetchDepth: db.opts.PrefetchDepth,
+			Mode:          CommitSync,
+		},
+		fs: db.fs,
 	}
-	return db.lanes[0].remote
+	r := &RestoredDB{db: rdb, at: int64(at)}
+	if db.mem != nil {
+		rdb.mem = vfs.NewFaultFS(1)
+		rdb.fs, rdb.root = rdb.mem, "/db"
+	} else {
+		if rdb.root, err = scratchDir(db.fs, db.root); err != nil {
+			return nil, err
+		}
+		r.scratch = rdb.root
+	}
+	defer func() {
+		if err != nil {
+			r.Close()
+		}
+	}()
+	for i, l := range db.lanes {
+		var from int64
+		if snap != nil {
+			from = int64(snap.Lanes[i].LowWater)
+		}
+		data, start, err := l.restore(from)
+		if err != nil {
+			return nil, fmt.Errorf("lane %d: %w", i, err)
+		}
+		if start > from {
+			return nil, fmt.Errorf("lane %d history reaches back to %d, need %d (archive incomplete)", i, start, from)
+		}
+		data = data[from-start:]
+		cut, err := cutAt(data, uint64(from), at, n)
+		if err != nil {
+			return nil, fmt.Errorf("lane %d: %w", i, err)
+		}
+		seg, err := logdev.CreateSegmentedAt(rdb.fs, logdev.LaneDir(rdb.root, i, n), l.seg.SegmentSize(), from)
+		if err != nil {
+			return nil, err
+		}
+		_, err = seg.Append(data[:cut])
+		if err == nil {
+			err = seg.Sync()
+		}
+		if cerr := seg.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return nil, fmt.Errorf("lane %d: %w", i, err)
+		}
+	}
+	ckpt := lsn.Undefined
+	if snap != nil {
+		if err := db.materialize(snap, rdb); err != nil {
+			return nil, err
+		}
+		ckpt = lsn.LSN(snap.Checkpoint)
+	}
+	if err := rdb.open(&ckpt); err != nil {
+		return nil, err
+	}
+	for _, name := range db.tables {
+		if _, err := rdb.CreateTable(name); err != nil {
+			return nil, err
+		}
+	}
+	return r, rdb.RebuildAfterRecovery()
+}
+
+// materialize writes snapshot snap's page images into rdb's fresh page
+// file, one images object at a time.
+func (db *DB) materialize(snap *logdev.Manifest, rdb *DB) (err error) {
+	pf, err := storage.OpenPageFileFS(rdb.fs, filepath.Join(rdb.root, "pagefile.db"))
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := pf.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	for _, ref := range snap.Objects() {
+		images, err := db.snaps.GetImages(ref)
+		if err != nil {
+			return err
+		}
+		// An object may also hold images a later one superseded.
+		batch := make([]storage.PageImage, 0, len(images))
+		for _, img := range images {
+			i, ok := slices.BinarySearchFunc(snap.Pages, img.PID, func(p logdev.ManifestPage, pid uint64) int { return cmp.Compare(p.PID, pid) })
+			if ok && snap.Pages[i].Object == ref {
+				batch = append(batch, storage.PageImage{PID: img.PID, Img: img.Image})
+			}
+		}
+		if err := pf.PutBatch(batch); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// cutAt returns how many of data's bytes — a lane's log from offset
+// base — hold the records stamped at or below at: the lane as a crash at
+// at would have left it. One lane's stamp is a record's end offset, N
+// lanes' its global seq; either rises along a lane.
+func cutAt(data []byte, base, at uint64, lanes int) (int, error) {
+	it := logrec.NewIterator(data, lsn.LSN(base))
+	cut := 0
+	for {
+		rec, ok := it.Next()
+		if !ok {
+			break
+		}
+		end := int(uint64(rec.LSN)-base) + int(rec.TotalLen)
+		stamp := uint64(rec.Seq)
+		if lanes == 1 {
+			stamp = base + uint64(end)
+		}
+		if stamp > at {
+			return cut, nil
+		}
+		cut = end
+	}
+	return cut, it.Err()
+}
+
+// scratchMu keeps two restores from picking the same scratch directory.
+var scratchMu sync.Mutex
+
+// scratchDir makes the first free directory root.restore-<k> beside a
+// file-backed database's root.
+func scratchDir(fs vfs.FS, root string) (string, error) {
+	scratchMu.Lock()
+	defer scratchMu.Unlock()
+	for k := 1; ; k++ {
+		dir := fmt.Sprintf("%s.restore-%d", filepath.Clean(root), k)
+		_, err := fs.Stat(dir)
+		if errors.Is(err, os.ErrNotExist) {
+			return dir, fs.MkdirAll(dir, 0o755)
+		}
+		if err != nil {
+			return "", err
+		}
+	}
 }

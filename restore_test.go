@@ -22,9 +22,11 @@ func (m restoreModel) clone() restoreModel {
 	return c
 }
 
-// restoredState scans a table of a RestoredDB into a map.
+// restoredState scans a table of a RestoredDB into a map, and closes
+// the RestoredDB.
 func restoredState(t *testing.T, r *RestoredDB, table string) restoreModel {
 	t.Helper()
+	defer r.Close()
 	got := make(restoreModel)
 	if err := r.Scan(table, func(key uint64, row []byte) bool {
 		got[key] = append([]byte(nil), RowPayload(row)...)
@@ -264,10 +266,17 @@ func TestRestoreToPartitioned(t *testing.T) {
 
 // TestRetentionFloorProperty is the retention invariant: pruning never
 // reaches the oldest restorable point. Once retention has raised the
-// floor, RestoreTo at the exact floor succeeds and one LSN below fails with
-// the typed error — and every captured point at or above the floor
-// still round-trips.
+// floor, RestoreTo at the exact floor succeeds and one stamp below fails
+// with the typed error — and every captured point at or above the floor
+// still round-trips. It holds on three lanes as on one: a snapshot is a
+// page file and its restore point a stamp.
 func TestRetentionFloorProperty(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		t.Run(fmt.Sprintf("N=%d", n), func(t *testing.T) { testRetentionFloorProperty(t, n) })
+	}
+}
+
+func testRetentionFloorProperty(t *testing.T, lanes int) {
 	store := NewMemObjectStore()
 	db, err := Open(Options{
 		SegmentSize:        4096,
@@ -275,6 +284,8 @@ func TestRetentionFloorProperty(t *testing.T) {
 		SnapshotEveryBytes: 4096,
 		RetainSnapshots:    2,
 		Mode:               CommitSync,
+		LogPartitions:      lanes,
+		RoutePartition:     func(txnID uint64, _ uint32) int { return int(txnID) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -329,8 +340,10 @@ func TestRetentionFloorProperty(t *testing.T) {
 	floor := db.Stats().RestoreFloor
 
 	// Exactly at the floor: must succeed.
-	if _, err := db.RestoreTo(floor); err != nil {
+	if r, err := db.RestoreTo(floor); err != nil {
 		t.Fatalf("RestoreTo(floor %d): %v", floor, err)
+	} else {
+		r.Close()
 	}
 	// One below: typed error.
 	if _, err := db.RestoreTo(floor - 1); !errors.Is(err, ErrRestorePruned) {

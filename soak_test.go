@@ -226,7 +226,10 @@ func openSoakDB(fs *vfs.FaultFS, cfg soakConfig, cloud *MemObjectStore) (*DB, *T
 		fs:             fs,
 	}
 	if cloud != nil {
+		// The cloud also takes snapshots and prunes behind them, so every
+		// recovery's RestoreTo check restores from one.
 		opts.RemoteStore = cloud
+		opts.SnapshotEveryBytes, opts.RetainSnapshots = 8192, 2
 	} else {
 		opts.ArchiveDir = soakArchiveDir
 	}
@@ -403,6 +406,31 @@ func readSoakState(db *DB, tbl *Table, maxKey uint64) (map[uint64]uint64, error)
 	return out, tx.Commit()
 }
 
+// checkRestore restores db to its durable end and diffs the result
+// against the recovered state got.
+func checkRestore(db *DB, got map[uint64]uint64, maxKey uint64) []string {
+	at := db.RestorePoint()
+	r, err := db.RestoreTo(at)
+	if err != nil {
+		return []string{fmt.Sprintf("RestoreTo(%d) after recovery: %v", at, err)}
+	}
+	defer r.Close()
+	restored := make(map[uint64]uint64)
+	if err := r.Scan("soak", func(key uint64, row []byte) bool {
+		if key <= maxKey {
+			restored[key] = soakValue(row)
+		}
+		return true
+	}); err != nil {
+		return []string{fmt.Sprintf("scanning RestoreTo(%d): %v", at, err)}
+	}
+	var diffs []string
+	for _, d := range diffStates(got, restored) {
+		diffs = append(diffs, fmt.Sprintf("RestoreTo(%d) vs recovered: %s", at, d))
+	}
+	return diffs
+}
+
 // runSoakWorkload runs seeded transactions until the cycle's budget is
 // spent or an injected fault surfaces. It returns the number of
 // successful commits and the ops of the in-doubt transaction (non-nil
@@ -511,6 +539,11 @@ func runSoak(cfg soakConfig) (soakResult, error) {
 		diffs, landed := checkRecovered(model, inDoubt, got)
 		if err != nil {
 			diffs = []string{fmt.Sprintf("reading recovered state: %v", err)}
+		}
+		if len(diffs) == 0 && cloud != nil {
+			// A restore is a restart that stops: restoring the recovered
+			// durable end must give back exactly the recovered state.
+			diffs = checkRestore(db, got, uint64(cfg.keys)+1)
 		}
 		if len(diffs) > 0 {
 			db.Close()
