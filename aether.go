@@ -124,16 +124,16 @@ type Options struct {
 	// the full history remains restorable (RestoreTo, logdump). It is the
 	// same mechanism as RemoteStore — an
 	// object store, here a directory of CRC-enveloped object files
-	// (seg/, snap/) on the database's own filesystem, each installed
+	// (seg/, manifest/, image/) on the database's own filesystem, each installed
 	// through a synced temporary, a rename and a directory fsync — so it
 	// snapshots and prunes exactly as described there, and every
 	// statement below that says "with a cold store" covers it. The conventional location for a file-backed log is
 	// filepath.Join(LogPath, "archive"). A partitioned database
 	// (LogPartitions >= 2) keeps one lane per partition (ArchiveDir/p0,
 	// ArchiveDir/p1, …). A directory still holding the *.seg files of
-	// the earlier one-file-per-segment archive layout, or the pack/
-	// objects earlier versions compacted segments into, is refused (the
-	// error matches logdev's ErrFormat) and left untouched.
+	// the earlier one-file-per-segment archive layout, or earlier
+	// versions' pack/ or snap/ objects, is refused (the error matches
+	// logdev's ErrFormat) and left untouched.
 	ArchiveDir string
 	// RemoteStore, if set (mutually exclusive with ArchiveDir, which is
 	// the same thing on a local directory), archives dead segments into
@@ -144,30 +144,29 @@ type Options struct {
 	// segment parked on the hot device (its slot is never recycled until
 	// the store durably holds it) and the background archiver retries
 	// with backoff. A partitioned database keeps one key-prefix lane per
-	// partition (p0/, p1/, …). Use NewMemObjectStore for tests or
-	// NewDirObjectStore for a directory-backed store; any ObjectStore
-	// implementation works. A cold store enables DB.RestoreTo
-	// point-in-time recovery below the hot log's base and, with
-	// SnapshotEveryBytes, snapshot-anchored retention. A store holding
-	// pack/ objects (an earlier version's compacted segments) is refused
-	// as under ArchiveDir.
+	// partition (p0/, p1/, …); snapshots sit at the root (manifest/,
+	// image/). Use NewMemObjectStore for tests or NewDirObjectStore for a
+	// directory-backed store; any ObjectStore implementation works. A
+	// cold store enables DB.RestoreTo point-in-time recovery below the
+	// hot log's base and, with SnapshotEveryBytes, snapshot-anchored
+	// retention. A store holding an earlier version's pack/ or snap/
+	// objects is refused as under ArchiveDir.
 	RemoteStore ObjectStore
-	// SnapshotEveryBytes, with a cold store on a single (unpartitioned)
-	// log, cuts a materialized snapshot object — page images plus the
-	// undo stash of in-flight transactions — every time this many new
-	// log bytes have hardened. Snapshots anchor retention
-	// (RetainSnapshots) and make RestoreTo cost proportional to the
-	// distance from the nearest snapshot instead of total history. 0
-	// disables snapshots and pruning. Partitioned logs ignore it: their
-	// pages interleave across lanes, so the cold store keeps their full
-	// history and runs no maintenance at all.
+	// SnapshotEveryBytes, with a cold store, takes a snapshot after the
+	// checkpoint that finds this many new log bytes (summed over the
+	// lanes) hardened since the last one: the page images the
+	// checkpoint's sweep left — uploading only those written since the
+	// previous snapshot — and a manifest naming the checkpoint and each
+	// lane's low-water mark. Snapshots anchor retention (RetainSnapshots)
+	// and make RestoreTo replay only the log since the nearest one
+	// instead of total history. 0 disables snapshots and pruning.
 	SnapshotEveryBytes int64
 	// RetainSnapshots, with SnapshotEveryBytes > 0, keeps only the
-	// newest N snapshot objects: older snapshots, and every log object
-	// wholly below the oldest survivor's cut, are pruned. The oldest
-	// retained cut becomes the retention floor — RestoreTo below it
-	// fails with ErrRestorePruned; everything at or above it stays
-	// restorable. 0 keeps every snapshot (nothing is ever pruned).
+	// newest N snapshots, pruning older ones and what only they need.
+	// The oldest survivor's restore point becomes the retention floor —
+	// RestoreTo below it fails with ErrRestorePruned; everything at or
+	// above it stays restorable. 0 keeps every snapshot (nothing is ever
+	// pruned).
 	RetainSnapshots int
 	// LogPartitions, if >= 2, shards the write-ahead log across that
 	// many independent log devices — one flush daemon, group-commit
@@ -276,10 +275,10 @@ type DB struct {
 	mem     *vfs.FaultFS
 	lanes   []lane // the log: one per partition, one in all when unpartitioned
 	archive storage.Archive
-	// snaps holds the snapshots, with a cold store (nil without one).
-	snaps  *logdev.SnapshotStore
-	eng    *txn.Engine
-	tables []string
+	snaps   *logdev.SnapshotStore // the cold store's snapshots; nil without one
+	logBuf  int                   // log buffer bytes per lane
+	eng     *txn.Engine
+	tables  []string
 }
 
 // Open creates (or reopens, for a file-backed log with existing
@@ -299,7 +298,7 @@ func Open(opts Options) (*DB, error) {
 	case !inTable(deviceProfiles, int(opts.Device)):
 		return nil, fmt.Errorf("aether: Options.Device %d is not a DeviceProfile", int(opts.Device))
 	}
-	db := &DB{opts: opts, fs: opts.fsOrOS(), root: opts.LogPath}
+	db := &DB{opts: opts, fs: opts.fsOrOS(), root: opts.LogPath, logBuf: 1 << 23}
 	if opts.LogPath == "" {
 		// An in-memory database is the same engine, files and all, on an
 		// in-memory filesystem of its own.
@@ -314,9 +313,8 @@ func Open(opts Options) (*DB, error) {
 
 // open opens the lanes, the database file and the cold store under
 // db.root and starts the engine over them through recovery: Open's body,
-// the restart after Crash, and a restore's opening of what it
-// materialized, whose analysis starts at checkpoint
-// (txn.RestartConfig.Checkpoint; nil: the last one).
+// the restart after Crash, and a restore's, which names the checkpoint
+// analysis starts at (txn.RestartConfig.Checkpoint; nil: the last one).
 func (db *DB) open(checkpoint *lsn.LSN) error {
 	n := max(db.opts.LogPartitions, 1)
 	if err := logdev.CheckLaneLayout(db.fs, db.root, n); err != nil {
@@ -373,7 +371,7 @@ func (db *DB) open(checkpoint *lsn.LSN) error {
 		RoutePartition: db.opts.RoutePartition,
 		Archive:        db.archive,
 		LogConfig: core.Config{
-			Buffer: logbuf.Config{Variant: bufferVariants[db.opts.Buffer], Size: 1 << 23},
+			Buffer: logbuf.Config{Variant: bufferVariants[db.opts.Buffer], Size: db.logBuf},
 		},
 		LockConfig: lockmgr.Config{
 			DeadlockTimeout: db.opts.DeadlockTimeout,
@@ -538,18 +536,18 @@ type Stats struct {
 	// ArchiveGaveUp counts archive passes abandoned after the retry
 	// budget; the segments stay parked until a later nudge succeeds.
 	ArchiveGaveUp int64
-	// LogSnapshots counts materialized snapshot objects the cold-tier
-	// daemon uploaded (Options.SnapshotEveryBytes).
+	// LogSnapshots counts snapshots the cold-tier daemon uploaded
+	// (Options.SnapshotEveryBytes).
 	LogSnapshots int64
 	// LogObjectsPruned counts cold-store objects retention deleted —
-	// always wholly below the oldest retained snapshot's cut.
+	// never one the oldest retained snapshot needs.
 	LogObjectsPruned int64
 	// RetentionFailures counts snapshot and prune steps of cold-tier
 	// passes that errored; nothing is lost, the next checkpoint retries.
 	RetentionFailures int64
-	// RestoreFloor is the oldest restorable point (the oldest retained
-	// snapshot's cut): RestoreTo below it fails with ErrRestorePruned.
-	// 0 means the full history is retained.
+	// RestoreFloor is the oldest restorable stamp (the oldest retained
+	// snapshot's restore point): RestoreTo below it fails with
+	// ErrRestorePruned. 0 means the full history is retained.
 	RestoreFloor int64
 	// LogTornTailRepaired counts bytes the last Open discarded while
 	// repairing a torn tail: unsynced bytes a power loss happened to

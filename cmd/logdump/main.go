@@ -423,19 +423,6 @@ func listColdStore(dir string) error {
 	return listSnapshots(store, archs)
 }
 
-// remoteObj fetches and unwraps one object, tolerating torn uploads.
-func remoteObj(store logdev.ObjectStore, key string) (kind uint16, meta uint64, payload []byte, torn bool, err error) {
-	data, err := store.Get(key)
-	if err != nil {
-		return 0, 0, nil, false, err
-	}
-	kind, meta, payload, derr := logdev.DecodeObject(data)
-	if derr != nil {
-		return 0, 0, nil, true, nil
-	}
-	return kind, meta, payload, false, nil
-}
-
 // listColdLane prints the segment objects of one cold-store lane (a
 // LaneDir name, "" for an unpartitioned log).
 func listColdLane(store logdev.ObjectStore, lane string) error {
@@ -445,18 +432,17 @@ func listColdLane(store logdev.ObjectStore, lane string) error {
 	}
 	fmt.Printf("segment objects: %d\n", len(segKeys))
 	for _, key := range segKeys {
-		_, idx, payload, torn, err := remoteObj(store, key)
+		data, err := store.Get(key)
 		if err != nil {
 			return err
 		}
-		if torn {
+		if _, idx, payload, derr := logdev.DecodeObject(data); derr != nil {
 			fmt.Printf("  %s  TORN (failed upload's prefix; re-shipped on the archiver's next pass)\n", key)
-			continue
+		} else {
+			segSize := int64(len(payload))
+			fmt.Printf("  segment %6d  [%d, %d)\n", idx, int64(idx)*segSize, (int64(idx)+1)*segSize)
 		}
-		segSize := int64(len(payload))
-		fmt.Printf("  segment %6d  [%d, %d)\n", idx, int64(idx)*segSize, (int64(idx)+1)*segSize)
 	}
-
 	return nil
 }
 
@@ -477,12 +463,8 @@ func listSnapshots(store logdev.ObjectStore, archs []*logdev.RemoteArchiver) err
 			fmt.Printf("  snapshot at=%d  TORN or unreadable (never a restore base, deleted by retention): %v\n", at, err)
 			continue
 		}
-		lw := make([]uint64, len(m.Lanes))
-		for i, l := range m.Lanes {
-			lw[i] = l.LowWater
-		}
-		fmt.Printf("  snapshot at=%-12d checkpoint=%-12d low-water=%v  %d pages in %d images objects\n",
-			m.At, m.Checkpoint, lw, len(m.Pages), len(m.Objects()))
+		fmt.Printf("  snapshot at=%-12d checkpoint=%-12d lanes (low-water, end)=%v  %d pages in %d images objects\n",
+			m.At, m.Checkpoint, m.Lanes, len(m.Pages), len(m.Objects()))
 	}
 	floor, err := snaps.Floor()
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -194,6 +195,59 @@ func TestDumpStitchesColdStoreReadOnly(t *testing.T) {
 	}
 	if !strings.Contains(out, "commit           120 records") {
 		t.Fatalf("stitched dump does not hold all 120 commits:\n%s", out)
+	}
+}
+
+// TestDumpListsSnapshots: a database that takes snapshots leaves a
+// manifest per snapshot in its cold store, and dump prints each one —
+// restore point, checkpoint, every lane's low-water mark and end, pages
+// and images objects — on a partitioned log as on a flat one.
+func TestDumpListsSnapshots(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		dir := filepath.Join(t.TempDir(), "db")
+		db, err := aether.Open(aether.Options{
+			LogPath: dir, SegmentSize: 4096, ArchiveDir: filepath.Join(dir, "archive"), Mode: aether.CommitSync,
+			LogPartitions: n, SnapshotEveryBytes: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := db.CreateTable("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := db.Session()
+		for round := uint64(0); round < 2; round++ {
+			for k := round*20 + 1; k <= round*20+20; k++ {
+				tx := s.Begin()
+				if err := tx.Insert(tbl, k, aether.Row(k, make([]byte, 200))); err != nil {
+					t.Fatal(err)
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			for deadline := time.Now().Add(5 * time.Second); db.Stats().LogSnapshots <= int64(round); time.Sleep(5 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("N=%d round %d: no snapshot: %+v", n, round, db.Stats())
+				}
+			}
+		}
+		s.Close()
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		out := capture(t, func() error { return dump(dir, "", 0, true) })
+		line := regexp.MustCompile(fmt.Sprintf(`(?m)^  snapshot at=\d+ +checkpoint=\d+ +lanes \(low-water, end\)=\[\{\d+ \d+\}( \{\d+ \d+\}){%d}\]  [1-9]\d* pages in [1-9]\d* images objects$`, n-1))
+		if got := len(line.FindAllString(out, -1)); got != 2 || !strings.Contains(out, "snapshots: 2\n") || !strings.Contains(out, "retention floor: 0") {
+			t.Fatalf("N=%d: dump lists %d well-formed snapshot lines, want 2:\n%s", n, got, out)
+		}
+		if strings.Contains(out, "stashed") {
+			t.Fatalf("N=%d: dump still speaks of stashed updates:\n%s", n, out)
+		}
 	}
 }
 

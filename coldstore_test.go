@@ -340,6 +340,46 @@ func TestColdStorePackRefused(t *testing.T) {
 	}
 }
 
+// TestColdStoreSnapRefused: a cold store holding snap/ objects — the
+// replayed snapshots (envelope kind 3) an earlier version cut on a
+// one-lane log — is refused by Open with the typed format error through
+// either spelling of the cold store, and no object in it is touched.
+func TestColdStoreSnapRefused(t *testing.T) {
+	const snapKey = "snap/00000000000000036850"
+	snap := logdev.EncodeObject(3, 36850, []byte("a snapshot an earlier version cut"))
+	t.Run("RemoteStore", func(t *testing.T) {
+		store := NewMemObjectStore()
+		if err := store.Put(snapKey, snap); err != nil {
+			t.Fatal(err)
+		}
+		before := storeImage(t, store)
+		if _, err := Open(Options{RemoteStore: store}); !errors.Is(err, logdev.ErrFormat) {
+			t.Fatalf("Open over a store holding %s: %v, want logdev.ErrFormat", snapKey, err)
+		}
+		if after := storeImage(t, store); !reflect.DeepEqual(before, after) {
+			t.Fatalf("refused open changed the store: %v → %v", imageNames(before), imageNames(after))
+		}
+	})
+	t.Run("ArchiveDir", func(t *testing.T) {
+		logDir := filepath.Join(t.TempDir(), "wal.d")
+		coldDir := filepath.Join(logDir, "archive")
+		obj := filepath.Join(coldDir, filepath.FromSlash(snapKey))
+		if err := os.MkdirAll(filepath.Dir(obj), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(obj, snap, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := dirImage(t, coldDir)
+		if _, err := Open(Options{LogPath: logDir, ArchiveDir: coldDir}); !errors.Is(err, logdev.ErrFormat) {
+			t.Fatalf("Open over an archive holding %s: %v, want logdev.ErrFormat", snapKey, err)
+		}
+		if after := dirImage(t, coldDir); !reflect.DeepEqual(before, after) {
+			t.Fatalf("refused open changed the archive: %v → %v", imageNames(before), imageNames(after))
+		}
+	})
+}
+
 // storeImage maps every object in store to its bytes.
 func storeImage(t *testing.T, store ObjectStore) map[string][]byte {
 	t.Helper()

@@ -19,9 +19,9 @@
 //   - internal/txn — transactions, commit protocols, checkpoints; its
 //     Restart is the one way from log devices to a running engine, and
 //     Open goes through it
-//   - internal/recovery — ARIES analysis/redo/undo and point-in-time
-//     replay, over one iterator that reads N >= 1 log lanes back in
-//     their total order
+//   - internal/recovery — ARIES analysis/redo/undo, the one replay (a
+//     restore is a restart), over one iterator that reads N >= 1 log
+//     lanes back in their total order
 //   - internal/workload, internal/bench — the paper's workloads and
 //     the per-figure experiments (cmd/aetherbench -fig); the
 //     repository's own benchmark is the program in benchmark/, whose
@@ -104,9 +104,11 @@
 // both — dead segments are not deleted at truncation: the engine's
 // cold-tier daemon ships each one into the store as a CRC-enveloped
 // object first, and only then recycles its slot — the hot log stays tiny
-// while the full history survives. DB.RestoreTo replays that history
-// stitched to the live tail (and cmd/logdump dumps it), so the committed
-// state at any captured DB.RestorePoint stays reconstructible.
+// while the full history survives. DB.RestoreTo restarts a copy of the
+// database from the newest snapshot (a checkpoint's page images,
+// Options.SnapshotEveryBytes) and that history stitched to the live tail
+// (cmd/logdump dumps both), so any captured DB.RestorePoint stays
+// reconstructible.
 // Stats.LogSegmentsArchived and Stats.LogSegmentsPendingArchive track
 // the pipeline; while cold storage is unreachable, dead segments simply
 // wait on disk.

@@ -11,69 +11,28 @@ import (
 var ErrNotArchived = errors.New("logdev: segment not archived")
 
 // RestoreRange reads the archived log bytes covering [from, to) from a,
-// whose segments are segSize bytes each. Only the newest contiguous run
-// of archived segments ending at `to` is restorable: if the oldest
-// requested bytes are missing — because from predates the archive, or
-// because a hole interrupts it — the range is clamped up and the
-// returned start is the first offset of that contiguous run, with data
-// holding [start, to). Callers needing record-aligned output must
-// treat start > from as "older history unavailable" (a segment
-// boundary is not a record boundary); RemoteArchiver.Segments still
-// lists any orphaned segments stranded below a hole.
-func RestoreRange(a *RemoteArchiver, segSize, from, to int64) (data []byte, start int64, err error) {
+// whose segments are segSize bytes each, one download per segment. A
+// segment of the range the cold store does not hold is ErrNotArchived:
+// history below a hole cannot be handed to a record iterator anyway (a
+// segment boundary is not a record boundary).
+func RestoreRange(a *RemoteArchiver, segSize, from, to int64) ([]byte, error) {
 	if segSize <= 0 {
-		return nil, 0, fmt.Errorf("logdev: restore: segment size %d", segSize)
+		return nil, fmt.Errorf("logdev: restore: segment size %d", segSize)
 	}
-	if from < 0 {
-		from = 0
-	}
-	if from >= to {
-		return nil, to, nil
-	}
-	have, err := a.Segments()
-	if err != nil {
-		return nil, 0, fmt.Errorf("logdev: restore: %w", err)
-	}
-	present := make(map[int64]bool, len(have))
-	for _, idx := range have {
-		present[idx] = true
-	}
-	firstIdx, lastIdx := from/segSize, (to-1)/segSize
-	// Walk from the newest needed segment down: the first gap bounds
-	// how far back history can be restored contiguously.
-	startIdx := firstIdx
-	for idx := lastIdx; idx >= firstIdx; idx-- {
-		if !present[idx] {
-			if idx == lastIdx {
-				return nil, to, nil // nothing restorable in range
-			}
-			startIdx = idx + 1
-			break
-		}
-	}
-	start = startIdx * segSize
-	if start < from {
-		start = from
-	}
-	data = make([]byte, 0, to-start)
-	for idx := startIdx; idx <= lastIdx; idx++ {
+	from = max(from, 0)
+	data := make([]byte, 0, max(to-from, 0))
+	for idx := from / segSize; from < to && idx*segSize < to; idx++ {
 		seg, err := a.Retrieve(idx)
 		if err != nil {
-			return nil, 0, fmt.Errorf("logdev: restore segment %d: %w", idx, err)
+			return nil, fmt.Errorf("logdev: restore segment %d: %w", idx, err)
 		}
 		if int64(len(seg)) != segSize {
-			return nil, 0, fmt.Errorf("logdev: archived segment %d is %d bytes, want %d", idx, len(seg), segSize)
+			return nil, fmt.Errorf("logdev: archived segment %d is %d bytes, want %d", idx, len(seg), segSize)
 		}
-		lo, hi := int64(0), segSize
-		if segStart := idx * segSize; segStart < start {
-			lo = start - segStart
-		}
-		if segStart := idx * segSize; segStart+segSize > to {
-			hi = to - segStart
-		}
+		lo, hi := max(from-idx*segSize, 0), min(to-idx*segSize, segSize)
 		data = append(data, seg[lo:hi]...)
 	}
-	return data, start, nil
+	return data, nil
 }
 
 // RestoreLog returns the log bytes [start, durable end), stitching
@@ -92,9 +51,6 @@ func RestoreRange(a *RemoteArchiver, segSize, from, to int64) (data []byte, star
 // truncation can park segments mid-restore (they stay readable on the
 // device) but never recycle one out from under the read.
 func (s *Segmented) RestoreLog(arch *RemoteArchiver, from int64) ([]byte, int64, error) {
-	if from < 0 {
-		from = 0
-	}
 	s.archMu.Lock()
 	defer s.archMu.Unlock()
 	if arch != nil && !s.readOnly {
@@ -110,43 +66,31 @@ func (s *Segmented) RestoreLog(arch *RemoteArchiver, from int64) ([]byte, int64,
 	// the pending fallback) — a failed or read-only drain must not cost
 	// the restore their bytes.
 	liveStart := s.size
-	for idx := range s.segs {
-		if o := idx * s.segSize; o < liveStart {
-			liveStart = o
-		}
-	}
-	for idx := range s.pending {
-		if o := idx * s.segSize; o < liveStart {
-			liveStart = o
+	for _, segs := range []map[int64]*fileSegment{s.segs, s.pending} {
+		for idx := range segs {
+			liveStart = min(liveStart, idx*s.segSize)
 		}
 	}
 	s.mu.Unlock()
-	if from > durable {
-		from = durable
-	}
+	from = min(max(from, 0), durable)
 	start := from
 	var archData []byte
 	if from < liveStart {
+		err := ErrNotArchived
 		if arch != nil {
-			var err error
-			archData, start, err = RestoreRange(arch, s.segSize, from, liveStart)
-			if err != nil {
-				return nil, 0, err
-			}
-		} else {
-			start = liveStart
+			archData, err = RestoreRange(arch, s.segSize, from, liveStart)
+		}
+		if errors.Is(err, ErrNotArchived) {
+			// The archive cannot reach back to from: what it holds would
+			// begin mid-record at a segment boundary. Hand back the hot
+			// log from its record-aligned base instead.
+			archData, start, err = nil, base, nil
+		}
+		if err != nil {
+			return nil, 0, err
 		}
 	}
-	if start > from {
-		// The archive cannot reach back to from: anything it could
-		// restore would begin mid-record at a segment boundary. Hand
-		// back the hot log from its record-aligned base instead.
-		archData, start = nil, base
-	}
-	rawFrom := liveStart
-	if start > rawFrom {
-		rawFrom = start
-	}
+	rawFrom := max(liveStart, start)
 	live := make([]byte, durable-rawFrom)
 	for off := rawFrom; off < durable; {
 		n, err := s.RawReadAt(live[off-rawFrom:], off)

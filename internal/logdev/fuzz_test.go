@@ -15,7 +15,7 @@ import (
 // fail), and anything accepted must re-encode to the same bytes.
 func FuzzRemoteObject(f *testing.F) {
 	seg := bytes.Repeat([]byte{0xAB}, 64)
-	images := []PageImage{{PID: 1, Image: []byte("page")}, {PID: 7, Image: bytes.Repeat([]byte{3}, 40)}}
+	images := []PageImage{{PID: 1, Image: []byte("page")}, {PID: 7, Image: []byte("egap")}}
 	man := &Manifest{At: 4096, Checkpoint: 3000, Lanes: []ManifestLane{{LowWater: 2048, End: 4096}},
 		Pages: []ManifestPage{{PID: 1, Version: 9, Object: ImageRef{At: 4096}}, {PID: 7, Version: 2, Object: ImageRef{At: 1024, Chunk: 1}}}}
 	f.Add(EncodeObject(ObjImages, 4096, EncodeImages(images)))

@@ -326,23 +326,19 @@ func TestArchiveBeforeRecycle(t *testing.T) {
 
 	// Restore-on-demand: the archived history below the base reassembles
 	// byte-identically.
-	data, start, err := RestoreRange(arch, 64, 0, 192)
-	if err != nil {
-		t.Fatal(err)
+	data, err := RestoreRange(arch, 64, 0, 192)
+	if err != nil || !bytes.Equal(data, want[:192]) {
+		t.Fatalf("RestoreRange = (%d bytes, %v), want the full archived history", len(data), err)
 	}
-	if start != 0 || !bytes.Equal(data, want[:192]) {
-		t.Fatalf("RestoreRange start=%d len=%d, want full archived history", start, len(data))
+	if data, err := RestoreRange(arch, 64, 70, 150); err != nil || !bytes.Equal(data, want[70:150]) {
+		t.Fatalf("RestoreRange(70, 150) = (%d bytes, %v), want those bytes", len(data), err)
 	}
-	// A range predating the archive clamps up to the first restorable byte.
+	// A range reaching below what the archive holds is not restorable.
 	if err := store.Delete(arch.segKey(0)); err != nil {
 		t.Fatal(err)
 	}
-	data, start, err = RestoreRange(arch, 64, 0, 192)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if start != 64 || !bytes.Equal(data, want[64:192]) {
-		t.Fatalf("clamped RestoreRange start=%d, want 64", start)
+	if _, err := RestoreRange(arch, 64, 0, 192); !errors.Is(err, ErrNotArchived) {
+		t.Fatalf("RestoreRange over a missing segment: %v, want ErrNotArchived", err)
 	}
 }
 

@@ -315,17 +315,17 @@ func putSnapshot(t *testing.T, snaps *SnapshotStore, prev *Manifest, at uint64, 
 	return m
 }
 
-// TestSnapshotsAndPrune exercises snapshots and the retention invariant
+// TestRemoteSnapshotsAndPrune exercises snapshots and the retention invariant
 // at the cold-store layer: a snapshot uploads only the pages that
 // changed and points the rest at older images objects; pruning keeps the
 // newest N manifests, deletes the segment objects wholly below the
 // oldest survivor's low-water mark — the floor — and exactly the images
 // objects no survivor names.
-func TestSnapshotsAndPrune(t *testing.T) {
-	forEachObjectStore(t, testSnapshotsAndPrune)
+func TestRemoteSnapshotsAndPrune(t *testing.T) {
+	forEachObjectStore(t, testRemoteSnapshotsAndPrune)
 }
 
-func testSnapshotsAndPrune(t *testing.T, store ObjectStore) {
+func testRemoteSnapshotsAndPrune(t *testing.T, store ObjectStore) {
 	ra := newArchiver(t, store)
 	want := fill(4*64, 's')
 	for idx := int64(0); idx < 4; idx++ {
@@ -442,10 +442,10 @@ func tear(t *testing.T, store ObjectStore, key string) {
 	}
 }
 
-// TestTornSnapshotIsAbsent: a snapshot whose manifest or images object
-// tore is skipped by every reader — the lookup falls back to the next
-// older one — and retention never makes it the floor: it deletes it, and
-// the next older whole snapshot becomes the floor instead.
+// TestTornSnapshotIsAbsent: a snapshot whose manifest tore is skipped by
+// every reader — the lookup falls back to the next older one — and
+// retention never makes it the floor: it deletes it, and the next older
+// whole snapshot becomes the floor instead.
 func TestTornSnapshotIsAbsent(t *testing.T) {
 	forEachObjectStore(t, func(t *testing.T, store ObjectStore) {
 		ra := newArchiver(t, store)
@@ -469,25 +469,20 @@ func TestTornSnapshotIsAbsent(t *testing.T) {
 		if m, err := snaps.NewestAtOrBelow(300); err != nil || m == nil || m.At != 128 {
 			t.Fatalf("NewestAtOrBelow(300) with 192 and 256 torn = (%v, %v), want 128", m, err)
 		}
-		// An images object torn after its upload: a store that did not
-		// upload it downloads it before trusting it as the floor.
-		tear(t, store, imageKey(ImageRef{At: 128}))
-		snaps = NewSnapshotStore(store, []*RemoteArchiver{ra})
-
 		// Keeping the newest one would make torn 256 the floor, then torn
-		// 192, then 128 with its torn images: all three go, 64 becomes
-		// the floor and 32 goes too, and segment 0, wholly below 64, is
-		// pruned with the images of 128, 192 and 256, which no survivor
-		// names (64 still names 32's).
+		// 192: both go, 128 becomes the floor and 32 and 64 go too, and
+		// segments 0 and 1, wholly below 128, are pruned with the images
+		// of 192 and 256, which no survivor names (128 still names the
+		// older snapshots' images of pages it did not change).
 		objs, manifests, err := snaps.Prune(1)
 		if err != nil || objs != 4 || manifests != 4 {
 			t.Fatalf("Prune(1) over torn would-be floors = (%d, %d, %v), want (4, 4, nil)", objs, manifests, err)
 		}
-		if ats, _ := snaps.Manifests(); !slices.Equal(ats, []uint64{64}) {
-			t.Fatalf("Manifests after prune = %v, want [64]", ats)
+		if ats, _ := snaps.Manifests(); !slices.Equal(ats, []uint64{128}) {
+			t.Fatalf("Manifests after prune = %v, want [128]", ats)
 		}
-		if floor, err := snaps.Floor(); err != nil || floor != 64 {
-			t.Fatalf("Floor = (%d, %v), want 64", floor, err)
+		if floor, err := snaps.Floor(); err != nil || floor != 128 {
+			t.Fatalf("Floor = (%d, %v), want 128", floor, err)
 		}
 	})
 }

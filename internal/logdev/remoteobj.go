@@ -102,38 +102,31 @@ func DecodeObject(data []byte) (kind uint16, meta uint64, payload []byte, err er
 
 // PageImage is one page's image in an images object.
 type PageImage struct {
-	// PID is the page identifier.
-	PID uint64
-	// Image is the page's bytes as the page file held them.
-	Image []byte
+	PID   uint64 // the page
+	Image []byte // its bytes as the page file held them
 }
 
-// ImageRef names an images object: the restore point of the snapshot
-// that uploaded it, and its place among that snapshot's objects.
+// ImageRef names an images object.
 type ImageRef struct {
-	At    uint64
-	Chunk uint32
+	At    uint64 // the restore point of the snapshot that uploaded it
+	Chunk uint32 // its place among that snapshot's images objects
 }
 
 // ManifestLane is one log lane as a snapshot found it.
 type ManifestLane struct {
 	// LowWater is where a restore seeded by the snapshot starts reading
-	// the lane: its truncation base right after the checkpoint released
-	// the log below (the engine's release horizon on that lane).
+	// the lane: its base right after the checkpoint's truncation.
 	LowWater uint64
-	// End is the lane's durable size when the images were copied.
-	End uint64
+	End      uint64 // the lane's durable size when the images were copied
 }
 
-// ManifestPage is one page of a snapshot's page file.
+// ManifestPage is one page of a snapshot.
 type ManifestPage struct {
-	// PID is the page identifier.
-	PID uint64
-	// Version is the page-file version of the image, which tells the
-	// next snapshot whether the page changed since.
+	PID uint64 // the page
+	// Version is the page-file version of the image: the next snapshot
+	// uploads the page again only if it changed.
 	Version uint64
-	// Object is the images object holding the image.
-	Object ImageRef
+	Object  ImageRef // the images object holding the image
 }
 
 // Manifest is a snapshot: a checkpoint's page file, as the images
@@ -157,129 +150,93 @@ type Manifest struct {
 // face of corrupt headers.
 const maxObjectItems = 1 << 24
 
-// EncodeImages serializes page images into an images object payload.
+var le = binary.LittleEndian
+
+// EncodeImages serializes page images, all of one page's size, into an
+// images object payload: count and size, then each page ID and image.
 func EncodeImages(pages []PageImage) []byte {
-	size := 4
-	for _, p := range pages {
-		size += 12 + len(p.Image)
+	size := 0
+	if len(pages) > 0 {
+		size = len(pages[0].Image)
 	}
-	buf := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(len(pages)))
+	buf := le.AppendUint32(le.AppendUint32(nil, uint32(len(pages))), uint32(size))
 	for _, p := range pages {
-		buf = binary.LittleEndian.AppendUint64(buf, p.PID)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.Image)))
-		buf = append(buf, p.Image...)
+		buf = append(le.AppendUint64(buf, p.PID), p.Image[:size]...)
 	}
 	return buf
 }
 
 // DecodeImages parses an images payload; the images alias it.
-func DecodeImages(payload []byte) ([]PageImage, error) {
-	d := decoder{buf: payload, what: "images"}
-	n := d.count()
-	pages := make([]PageImage, 0, min(n, 1<<12))
-	for i := 0; i < n && d.err == nil; i++ {
-		pid := d.u64()
-		pages = append(pages, PageImage{PID: pid, Image: d.bytes(int(d.u32()))})
+func DecodeImages(p []byte) ([]PageImage, error) {
+	if len(p) < 8 {
+		return nil, fmt.Errorf("%w: images truncated", ErrBadObject)
 	}
-	return pages, d.done()
+	n, size := uint64(le.Uint32(p)), 8+uint64(le.Uint32(p[4:]))
+	if n > maxObjectItems || uint64(len(p)-8) != n*size {
+		return nil, fmt.Errorf("%w: %d bytes do not hold %d images of %d", ErrBadObject, len(p)-8, n, size-8)
+	}
+	pages := make([]PageImage, n)
+	for i := range pages {
+		e := p[8+uint64(i)*size : 8+uint64(i+1)*size]
+		pages[i] = PageImage{PID: le.Uint64(e), Image: e[8:]}
+	}
+	return pages, nil
 }
 
-// EncodeManifest serializes a manifest into an object payload.
+// EncodeManifest serializes a manifest into an object payload: At,
+// Checkpoint, the lanes and the pages, each list counted.
 func EncodeManifest(m *Manifest) []byte {
-	buf := make([]byte, 0, 24+16*len(m.Lanes)+28*len(m.Pages))
-	buf = binary.LittleEndian.AppendUint64(buf, m.At)
-	buf = binary.LittleEndian.AppendUint64(buf, m.Checkpoint)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Lanes)))
+	buf := le.AppendUint64(le.AppendUint64(nil, m.At), m.Checkpoint)
+	buf = le.AppendUint32(buf, uint32(len(m.Lanes)))
 	for _, l := range m.Lanes {
-		buf = binary.LittleEndian.AppendUint64(buf, l.LowWater)
-		buf = binary.LittleEndian.AppendUint64(buf, l.End)
+		buf = le.AppendUint64(le.AppendUint64(buf, l.LowWater), l.End)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Pages)))
-	for _, p := range m.Pages {
-		buf = binary.LittleEndian.AppendUint64(buf, p.PID)
-		buf = binary.LittleEndian.AppendUint64(buf, p.Version)
-		buf = binary.LittleEndian.AppendUint64(buf, p.Object.At)
-		buf = binary.LittleEndian.AppendUint32(buf, p.Object.Chunk)
+	buf = le.AppendUint32(buf, uint32(len(m.Pages)))
+	for _, pg := range m.Pages {
+		buf = le.AppendUint64(le.AppendUint64(buf, pg.PID), pg.Version)
+		buf = le.AppendUint32(le.AppendUint64(buf, pg.Object.At), pg.Object.Chunk)
 	}
 	return buf
 }
 
 // DecodeManifest parses a manifest payload. Pages out of ascending
-// page-ID order, or naming an images object of a later snapshot, are
+// page-ID order, or in an images object of a later snapshot, are
 // refused.
-func DecodeManifest(payload []byte) (*Manifest, error) {
-	d := decoder{buf: payload, what: "manifest"}
-	m := &Manifest{At: d.u64(), Checkpoint: d.u64()}
-	n := d.count()
-	m.Lanes = make([]ManifestLane, 0, min(n, 1<<8))
-	for i := 0; i < n && d.err == nil; i++ {
-		m.Lanes = append(m.Lanes, ManifestLane{LowWater: d.u64(), End: d.u64()})
+func DecodeManifest(p []byte) (*Manifest, error) {
+	if len(p) < 16 {
+		return nil, fmt.Errorf("%w: manifest truncated", ErrBadObject)
 	}
-	n = d.count()
-	m.Pages = make([]ManifestPage, 0, min(n, 1<<12))
-	for i := 0; i < n && d.err == nil; i++ {
-		p := ManifestPage{PID: d.u64(), Version: d.u64(), Object: ImageRef{At: d.u64(), Chunk: d.u32()}}
-		if d.err == nil && (p.Object.At > m.At || (i > 0 && p.PID <= m.Pages[i-1].PID)) {
-			d.err = fmt.Errorf("%w: manifest page %d out of order or naming a later snapshot", ErrBadObject, i)
+	m := &Manifest{At: le.Uint64(p), Checkpoint: le.Uint64(p[8:])}
+	n, p, err := count(p[16:], 16)
+	if err != nil || len(p) < 16*n {
+		return nil, fmt.Errorf("%w: manifest lanes truncated", ErrBadObject)
+	}
+	for ; n > 0; n, p = n-1, p[16:] {
+		m.Lanes = append(m.Lanes, ManifestLane{LowWater: le.Uint64(p), End: le.Uint64(p[8:])})
+	}
+	if n, p, err = count(p, 28); err != nil || len(p) != 28*n {
+		return nil, fmt.Errorf("%w: manifest pages truncated or trailed", ErrBadObject)
+	}
+	m.Pages = make([]ManifestPage, n)
+	for i := range m.Pages {
+		e := p[28*i:]
+		m.Pages[i] = ManifestPage{PID: le.Uint64(e), Version: le.Uint64(e[8:]), Object: ImageRef{At: le.Uint64(e[16:]), Chunk: le.Uint32(e[24:])}}
+		if m.Pages[i].Object.At > m.At || (i > 0 && m.Pages[i].PID <= m.Pages[i-1].PID) {
+			return nil, fmt.Errorf("%w: manifest page %d out of order or in a later snapshot", ErrBadObject, i)
 		}
-		m.Pages = append(m.Pages, p)
-	}
-	if err := d.done(); err != nil {
-		return nil, err
 	}
 	return m, nil
 }
 
-// decoder reads little-endian fields off a payload; the first overrun
-// sticks in err and every later read returns zero.
-type decoder struct {
-	buf  []byte
-	pos  int
-	what string
-	err  error
-}
-
-func (d *decoder) take(n int) []byte {
-	if d.err == nil && (n < 0 || len(d.buf)-d.pos < n) {
-		d.err = fmt.Errorf("%w: %s truncated at offset %d (need %d more bytes)", ErrBadObject, d.what, d.pos, n)
+// count reads an item count off p, refusing one that the rest of p
+// cannot hold at minSize bytes an item.
+func count(p []byte, minSize int) (int, []byte, error) {
+	if len(p) < 4 {
+		return 0, nil, fmt.Errorf("%w: count truncated", ErrBadObject)
 	}
-	if d.err != nil {
-		return nil
+	n := uint64(le.Uint32(p))
+	if n > maxObjectItems || n*uint64(minSize) > uint64(len(p)-4) {
+		return 0, nil, fmt.Errorf("%w: count %d out of range", ErrBadObject, n)
 	}
-	b := d.buf[d.pos : d.pos+n : d.pos+n]
-	d.pos += n
-	return b
-}
-
-func (d *decoder) u64() uint64 {
-	if b := d.take(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
-	}
-	return 0
-}
-
-func (d *decoder) u32() uint32 {
-	if b := d.take(4); b != nil {
-		return binary.LittleEndian.Uint32(b)
-	}
-	return 0
-}
-
-func (d *decoder) bytes(n int) []byte { return d.take(n) }
-
-// count reads an item count, refusing one no honest object carries.
-func (d *decoder) count() int {
-	n := d.u32()
-	if d.err == nil && n > maxObjectItems {
-		d.err = fmt.Errorf("%w: %s count %d out of range", ErrBadObject, d.what, n)
-	}
-	return int(n)
-}
-
-// done reports the first error, or trailing bytes after a clean read.
-func (d *decoder) done() error {
-	if d.err == nil && d.pos != len(d.buf) {
-		d.err = fmt.Errorf("%w: %d trailing bytes after %s", ErrBadObject, len(d.buf)-d.pos, d.what)
-	}
-	return d.err
+	return int(n), p[4:], nil
 }

@@ -1,28 +1,17 @@
 // snapshot.go is the cold store's snapshots. A snapshot is a
-// checkpoint's page file: the page images the page file held after the
-// checkpoint's sweep, uploaded as write-once images objects that each
-// hold images written since the previous snapshot, and named by a
-// manifest object. The manifest also gives the checkpoint a restore's
-// analysis starts at, the durable stamp the images were copied at (the
-// snapshot's restore point) and each lane's low-water mark, so a restore
-// is a restart: materialize the images into a fresh page file, replay
-// each lane from its low-water mark, stop at the target (aether's
-// RestoreTo). Retention keeps each lane's log from the oldest retained
-// manifest's low-water mark and deletes the images objects that no
-// retained manifest names.
-//
-// A snapshot is uploaded images first, manifest last, and a failed
-// upload abandons it, so a manifest only names objects whose upload
-// succeeded. A torn manifest, or one naming a damaged or missing images
-// object, is absent: a restore falls back to the next older snapshot,
-// and retention never makes it the floor.
+// checkpoint's page file: write-once images objects holding the images
+// written since the previous snapshot, and a manifest naming every
+// page's object, the checkpoint, the restore point and each lane's
+// low-water mark. Images go up first and the manifest last, so a
+// manifest names only objects whose upload succeeded; a torn manifest is
+// absent — a restore falls back past it (as past an images object
+// damaged since), and retention never makes it the floor.
 package logdev
 
 import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // Snapshot key layout, at the root of the cold store whatever the lane
@@ -40,17 +29,12 @@ const (
 type SnapshotStore struct {
 	store ObjectStore
 	lanes []*RemoteArchiver
-
-	mu sync.Mutex
-	// whole lists the images objects this store uploaded or read back
-	// intact: a prune need not download them to trust the floor.
-	whole map[ImageRef]bool
 }
 
 // NewSnapshotStore returns the snapshots of the log whose lanes archive
 // through lanes (in lane order), kept in store.
 func NewSnapshotStore(store ObjectStore, lanes []*RemoteArchiver) *SnapshotStore {
-	return &SnapshotStore{store: store, lanes: lanes, whole: make(map[ImageRef]bool)}
+	return &SnapshotStore{store: store, lanes: lanes}
 }
 
 func manifestKey(at uint64) string { return fmt.Sprintf("%s%020d", snapManifestDir, at) }
@@ -60,10 +44,10 @@ func imageKey(ref ImageRef) string {
 }
 
 // Put uploads snapshot m. images are the pages that changed since the
-// previous snapshot, in ascending page-ID order, each also listed in
-// m.Pages: Put stores them in images objects of m's own and points
-// their manifest entries there, then uploads the manifest. An error
-// leaves no manifest, so the snapshot does not exist.
+// previous snapshot, in ascending page-ID order and each listed in
+// m.Pages: Put stores them in images objects of m's own, points their
+// entries there, then uploads the manifest. An error leaves no manifest,
+// so no snapshot.
 func (s *SnapshotStore) Put(m *Manifest, images []PageImage) error {
 	next := 0
 	for i := range m.Pages {
@@ -73,15 +57,14 @@ func (s *SnapshotStore) Put(m *Manifest, images []PageImage) error {
 		}
 	}
 	if next != len(images) {
-		return fmt.Errorf("logdev: snapshot at %d: %d of %d images not in the manifest", m.At, len(images)-next, len(images))
+		return fmt.Errorf("logdev: snapshot at %d: %d images not in the manifest", m.At, len(images)-next)
 	}
 	for lo := 0; lo < len(images); lo += imagesPerObject {
-		ref := ImageRef{At: m.At, Chunk: uint32(lo / imagesPerObject)}
+		key := imageKey(ImageRef{At: m.At, Chunk: uint32(lo / imagesPerObject)})
 		obj := EncodeObject(ObjImages, m.At, EncodeImages(images[lo:min(lo+imagesPerObject, len(images))]))
-		if err := s.store.Put(imageKey(ref), obj); err != nil {
-			return fmt.Errorf("logdev: upload snapshot images %s: %w", imageKey(ref), err)
+		if err := s.store.Put(key, obj); err != nil {
+			return fmt.Errorf("logdev: upload snapshot images %s: %w", key, err)
 		}
-		s.markWhole(ref)
 	}
 	if err := s.store.Put(manifestKey(m.At), EncodeObject(ObjManifest, m.At, EncodeManifest(m))); err != nil {
 		return fmt.Errorf("logdev: upload snapshot manifest at %d: %w", m.At, err)
@@ -89,29 +72,19 @@ func (s *SnapshotStore) Put(m *Manifest, images []PageImage) error {
 	return nil
 }
 
-func (s *SnapshotStore) markWhole(ref ImageRef) {
-	s.mu.Lock()
-	s.whole[ref] = true
-	s.mu.Unlock()
-}
-
-// Manifests lists the restore points of the manifest objects,
-// ascending. It reads key names only, so a torn manifest is listed too
-// until retention deletes it.
+// Manifests lists the restore points of the manifest objects, ascending.
+// It reads key names only, so it lists a torn manifest too until
+// retention deletes it.
 func (s *SnapshotStore) Manifests() ([]uint64, error) {
 	keys, err := s.store.List(snapManifestDir)
-	if err != nil {
-		return nil, err
-	}
 	ats := make([]uint64, 0, len(keys))
 	for _, k := range keys {
 		var at uint64
 		if _, err := fmt.Sscanf(strings.TrimPrefix(k, snapManifestDir), "%d", &at); err == nil {
-			ats = append(ats, at)
+			ats = append(ats, at) // fixed-width keys: listed in stamp order
 		}
 	}
-	// Fixed-width decimal keys: the sorted listing is in stamp order.
-	return ats, nil
+	return ats, err
 }
 
 // GetManifest downloads and decodes the manifest of the snapshot at at.
@@ -126,11 +99,11 @@ func (s *SnapshotStore) GetManifest(at uint64) (*Manifest, error) {
 		return nil, fmt.Errorf("logdev: snapshot manifest at %d: %w", at, errOr(err, ErrBadObject))
 	}
 	m, err := DecodeManifest(payload)
+	if err == nil && (m.At != at || len(m.Lanes) != len(s.lanes)) {
+		err = fmt.Errorf("%w: manifest under key %d is at %d over %d lanes, want %d", ErrBadObject, at, m.At, len(m.Lanes), len(s.lanes))
+	}
 	if err != nil {
 		return nil, err
-	}
-	if m.At != at || len(m.Lanes) != len(s.lanes) {
-		return nil, fmt.Errorf("%w: manifest under key %d is at %d over %d lanes, want %d", ErrBadObject, at, m.At, len(m.Lanes), len(s.lanes))
 	}
 	return m, nil
 }
@@ -139,20 +112,16 @@ func (s *SnapshotStore) GetManifest(at uint64) (*Manifest, error) {
 // or below at, skipping torn ones; nil if there is none.
 func (s *SnapshotStore) NewestAtOrBelow(at uint64) (*Manifest, error) {
 	ats, err := s.Manifests()
-	if err != nil {
-		return nil, err
-	}
-	for i := len(ats) - 1; i >= 0; i-- {
+	for i := len(ats) - 1; i >= 0 && err == nil; i-- {
 		if ats[i] > at {
 			continue
 		}
 		m, err := s.GetManifest(ats[i])
-		if torn(err) {
-			continue
+		if !torn(err) {
+			return m, err
 		}
-		return m, err
 	}
-	return nil, nil
+	return nil, err
 }
 
 // GetImages downloads one images object. A torn, foreign or missing
@@ -160,21 +129,16 @@ func (s *SnapshotStore) NewestAtOrBelow(at uint64) (*Manifest, error) {
 func (s *SnapshotStore) GetImages(ref ImageRef) ([]PageImage, error) {
 	data, err := s.store.Get(imageKey(ref))
 	if errors.Is(err, ErrObjectNotFound) {
-		return nil, fmt.Errorf("%w: snapshot images %s missing", ErrBadObject, imageKey(ref))
+		err = ErrBadObject
 	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("logdev: snapshot images %s: %w", imageKey(ref), err)
 	}
 	kind, meta, payload, err := DecodeObject(data)
 	if err != nil || kind != ObjImages || meta != ref.At {
 		return nil, fmt.Errorf("logdev: snapshot images %s: %w", imageKey(ref), errOr(err, ErrBadObject))
 	}
-	pages, err := DecodeImages(payload)
-	if err != nil {
-		return nil, err
-	}
-	s.markWhole(ref)
-	return pages, nil
+	return DecodeImages(payload)
 }
 
 // Objects returns the images objects m names, in the order their pages
@@ -191,29 +155,10 @@ func (m *Manifest) Objects() []ImageRef {
 	return refs
 }
 
-// checkWhole reports the first images object m names that is not whole,
-// downloading those this store has not seen intact.
-func (s *SnapshotStore) checkWhole(m *Manifest) error {
-	for _, ref := range m.Objects() {
-		s.mu.Lock()
-		ok := s.whole[ref]
-		s.mu.Unlock()
-		if ok {
-			continue
-		}
-		if _, err := s.GetImages(ref); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Floor returns the oldest restorable point. It is 0 — every point
-// restorable — until retention has removed archived history: while
-// every lane's archived log (or none of it was archived yet) still
-// reaches back to genesis, snapshots merely shorten restores. Once a
-// lane's segment 0 is gone the floor is the oldest retained snapshot's
-// restore point (Prune only ever leaves a whole one there).
+// Floor returns the oldest restorable point: 0 while every lane's
+// archived log (or none was archived yet) reaches back to genesis, and
+// once a lane's segment 0 is gone the oldest retained snapshot's restore
+// point (Prune only ever leaves a whole one there).
 func (s *SnapshotStore) Floor() (uint64, error) {
 	ats, err := s.Manifests()
 	if err != nil || len(ats) == 0 {
@@ -231,58 +176,41 @@ func (s *SnapshotStore) Floor() (uint64, error) {
 	return 0, nil
 }
 
-// Prune enforces retention: keep the newest keep snapshots, delete the
-// older manifests, each lane's segment objects wholly below the oldest
-// survivor's low-water mark — the floor — and every images object no
-// surviving manifest names. Every point at or above the floor stays
-// restorable: the floor snapshot's images and each lane's log from its
-// low-water mark are untouched. A torn snapshot never becomes the floor:
-// it is deleted and the next older one takes its place. keep <= 0
-// prunes nothing. It returns the segment and images objects deleted,
-// and the manifests.
+// Prune keeps the newest keep snapshots (keep <= 0: all) and deletes
+// the older manifests, each lane's segment objects wholly below the
+// oldest survivor's — the floor's — low-water mark, and every images
+// object no survivor names. A torn snapshot never becomes the floor: it
+// is deleted and the next older one takes its place. It returns the
+// segment and images objects deleted, and the manifests.
 func (s *SnapshotStore) Prune(keep int) (objects, manifests int, err error) {
 	if keep <= 0 {
 		return 0, 0, nil
 	}
 	ats, err := s.Manifests()
-	if err != nil {
-		return 0, 0, err
-	}
 	var floor *Manifest
-	for len(ats) > keep {
+	for err == nil && len(ats) > keep && floor == nil {
 		at := len(ats) - keep
-		m, err := s.GetManifest(ats[at])
-		if err == nil {
-			err = s.checkWhole(m)
+		if floor, err = s.GetManifest(ats[at]); torn(err) {
+			if err = s.store.Delete(manifestKey(ats[at])); err == nil {
+				manifests++
+				ats = append(ats[:at], ats[at+1:]...)
+			}
 		}
-		if err == nil {
-			floor = m
-			break
-		}
-		if !torn(err) {
-			return 0, manifests, err
-		}
-		if err := s.store.Delete(manifestKey(ats[at])); err != nil {
-			return 0, manifests, err
-		}
-		manifests++
-		ats = append(ats[:at], ats[at+1:]...)
 	}
-	if floor == nil {
-		return 0, manifests, nil
+	if err != nil || floor == nil {
+		return 0, manifests, err
 	}
 	// Old manifests first: once they are gone the floor is durably
 	// advanced, and a crash mid-prune just leaves extra objects.
 	for _, at := range ats[:len(ats)-keep] {
 		if err := s.store.Delete(manifestKey(at)); err != nil {
-			return objects, manifests, err
+			return 0, manifests, err
 		}
 		manifests++
 	}
 	for i, lane := range s.lanes {
 		n, err := lane.pruneBelow(floor.Lanes[i].LowWater)
-		objects += n
-		if err != nil {
+		if objects += n; err != nil {
 			return objects, manifests, err
 		}
 	}
@@ -301,44 +229,33 @@ func (s *SnapshotStore) Prune(keep int) (objects, manifests int, err error) {
 		}
 	}
 	keys, err := s.store.List(snapImageDir)
-	if err != nil {
-		return objects, manifests, err
-	}
 	for _, key := range keys {
 		var ref ImageRef
-		if _, err := fmt.Sscanf(strings.TrimPrefix(key, snapImageDir), "%d-%d", &ref.At, &ref.Chunk); err != nil || named[ref] {
+		if _, serr := fmt.Sscanf(strings.TrimPrefix(key, snapImageDir), "%d-%d", &ref.At, &ref.Chunk); serr != nil || named[ref] {
 			continue
 		}
-		if err := s.store.Delete(key); err != nil {
-			return objects, manifests, err
+		if err = s.store.Delete(key); err != nil {
+			break
 		}
-		s.mu.Lock()
-		delete(s.whole, ref)
-		s.mu.Unlock()
 		objects++
 	}
-	return objects, manifests, nil
+	return objects, manifests, err
 }
 
 // pruneBelow deletes the segment objects lying wholly below offset
 // lowWater; the one holding it stays, since its tail is live log.
-func (r *RemoteArchiver) pruneBelow(lowWater uint64) (int, error) {
+func (r *RemoteArchiver) pruneBelow(lowWater uint64) (n int, err error) {
 	if r.segSize <= 0 {
 		return 0, fmt.Errorf("logdev: cold store lane %q: pruning needs the segment size", r.prefix)
 	}
 	segs, err := r.Segments()
-	if err != nil {
-		return 0, err
-	}
-	n := 0
 	for _, idx := range segs {
-		if uint64(idx+1)*uint64(r.segSize) > lowWater {
+		if uint64(idx+1)*uint64(r.segSize) > lowWater || err != nil {
 			break
 		}
-		if err := r.store.Delete(r.segKey(idx)); err != nil {
-			return n, err
+		if err = r.store.Delete(r.segKey(idx)); err == nil {
+			n++
 		}
-		n++
 	}
-	return n, nil
+	return n, err
 }

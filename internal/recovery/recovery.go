@@ -156,12 +156,10 @@ func (a *Analysis) LastSeq() uint64 { return a.m.LastSeq() }
 // lane 0) and runs the analysis pass over the lanes' durable tails (from
 // logdev.ReadTail, in lane order), yielding the transaction table and
 // the dirty-page table that redo and undo work from. With ckpt nil that
-// is the last complete checkpoint: a restart. Otherwise *ckpt is the
-// lane-0 address of the begin record of the checkpoint to start at, or
-// lsn.Undefined for none (the tails start at genesis): a restore, whose
-// page file is the one that checkpoint's snapshot copied. A later
-// checkpoint in its log must not be used — its dirty-page table
-// describes a page file the restore does not have.
+// is the last complete checkpoint. A restore names its snapshot's — by
+// its begin record's lane-0 address, or lsn.Undefined for none, from
+// genesis — since a later one's dirty-page table describes a page file
+// the restore does not have.
 func Analyze(lanes []Lane, ckpt *lsn.LSN) (*Analysis, error) {
 	if len(lanes) == 0 {
 		return nil, errors.New("recovery: need at least one lane")
@@ -499,10 +497,9 @@ func (c *undoCursor) move(m *LaneMerge, at lsn.LSN) {
 }
 
 // findCheckpoint scans lane 0's durable tail (the coordinator writes
-// checkpoints nowhere else) for the checkpoint Analyze's ckpt names — the
-// newest complete one when it is nil — and returns its begin LSN and
-// decoded payload. A named checkpoint missing from the tail is an error;
-// lsn.Undefined names none and reads nothing.
+// checkpoints nowhere else) for the checkpoint Analyze's ckpt names and
+// returns its begin LSN and decoded payload; one named but missing is an
+// error.
 func findCheckpoint(lane Lane, want *lsn.LSN) (lsn.LSN, logrec.CheckpointPayload, error) {
 	begin := lsn.Undefined
 	var payload logrec.CheckpointPayload

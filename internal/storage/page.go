@@ -474,7 +474,7 @@ func (p *Page) Apply(up logrec.UpdatePayload, at lsn.LSN) error {
 }
 
 // Snapshot returns a private copy of the raw page image, for callers
-// that keep it past the latch (PITR's snapshot builder, tests, probes).
+// that keep it past the latch (tests, probes).
 // The write-back paths do not use it: they copy the frame once, into the
 // archive's own staging buffer (Archive.WriteBatch).
 func (p *Page) Snapshot() []byte {

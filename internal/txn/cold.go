@@ -1,23 +1,18 @@
 // cold.go is the cold tier's one daemon, beside the checkpointer and the
-// page cleaner. Each pass, nudged by every checkpoint (truncation is
-// what parks dead segments, and a checkpoint's sweep is what a snapshot
-// copies), (1) archives every archiving lane's parked dead segments and
-// recycles their slots, retrying with bounded backoff; then, when it
-// takes snapshots, (2) uploads a snapshot once enough new log has
-// hardened since the last one: the page-file images written since that
-// snapshot, and a manifest naming the images of every page, the
-// checkpoint they follow, the restore point and each lane's low-water
-// mark (logdev/snapshot.go); and (3) prunes snapshots beyond the newest
-// RetainSnapshots, each lane's segment objects wholly below the oldest
-// survivor's low-water mark, and images objects no survivor names.
+// page cleaner. Each pass, nudged by every checkpoint (truncation parks
+// dead segments, and a sweep leaves the page file a snapshot copies),
+// (1) archives every archiving lane's parked dead segments and recycles
+// their slots, retrying with bounded backoff; then (2) snapshots the page
+// file once enough new log has hardened (logdev/snapshot.go), and (3)
+// prunes snapshots beyond the newest RetainSnapshots and what only they
+// need.
 //
 // The retention invariant: nothing is ever pruned below the oldest
-// restorable point. The floor is the oldest retained snapshot's restore
-// point; that snapshot holds every page as its checkpoint left it, and
-// each lane's log from its low-water mark is kept, so every RestoreTo
-// target at or above the floor stays reachable. Without snapshots the
-// pass stops after step 1 and the floor is zero — retention degrades to
-// keep-everything, never to lose-something.
+// restorable point, the oldest retained snapshot's restore point — that
+// snapshot holds every page, and each lane's log from its low-water mark
+// is kept. Without snapshots the pass stops after step 1 and the floor
+// is zero: retention degrades to keep-everything, never to
+// lose-something.
 package txn
 
 import (
@@ -36,14 +31,12 @@ type ColdConfig struct {
 	// (logdev.Segmented.SetArchiver). Each pass drains their parked dead
 	// segments.
 	Lanes []*logdev.Segmented
-	// Snapshots is where snapshots go, covering every lane in Lanes (which
-	// must then be all of them, in lane order). nil takes no snapshots.
+	// Snapshots is where snapshots of all the Lanes go; nil takes none.
 	Snapshots *logdev.SnapshotStore
 	// Pages is the page file a snapshot copies.
 	Pages *storage.PageFile
 	// SnapshotEveryBytes takes a new snapshot once this many new log
-	// bytes, summed over the lanes, have hardened since the last one. 0
-	// disables snapshots (and therefore pruning).
+	// bytes (all lanes) have hardened since the last one; 0 takes none.
 	SnapshotEveryBytes int64
 	// RetainSnapshots keeps the newest N snapshots; older ones, and what
 	// only they need, are pruned. 0 keeps every snapshot forever.
@@ -138,14 +131,14 @@ func (e *Engine) snapshotPass(cfg ColdConfig) error {
 	if err != nil {
 		return err
 	}
-	var grown int64
-	for i, seg := range cfg.Lanes {
-		grown += seg.DurableSize()
-		if prev != nil {
-			grown -= int64(prev.Lanes[i].End)
-		}
+	if prev == nil {
+		prev = &logdev.Manifest{Lanes: make([]logdev.ManifestLane, len(cfg.Lanes))}
 	}
-	if grown < cfg.SnapshotEveryBytes {
+	grown := -cfg.SnapshotEveryBytes
+	for i, seg := range cfg.Lanes {
+		grown += seg.DurableSize() - int64(prev.Lanes[i].End)
+	}
+	if grown < 0 {
 		return nil
 	}
 	// The restore point must cover the checkpoint's end record on every
@@ -165,10 +158,7 @@ func (e *Engine) snapshotPass(cfg ColdConfig) error {
 		}
 		slots := cfg.Pages.Slots()
 		slices.SortFunc(slots, func(a, b storage.SlotInfo) int { return cmp.Compare(a.PageID, b.PageID) })
-		var old []logdev.ManifestPage
-		if prev != nil {
-			old = prev.Pages
-		}
+		old := prev.Pages
 		for _, sl := range slots {
 			for len(old) > 0 && old[0].PID < sl.PageID {
 				old = old[1:]
@@ -186,7 +176,7 @@ func (e *Engine) snapshotPass(cfg ColdConfig) error {
 		}
 		return nil
 	})
-	if err != nil || (prev != nil && m.At <= prev.At) {
+	if err != nil || m.At <= prev.At {
 		return err
 	}
 	if err := cfg.Snapshots.Put(m, changed); err != nil {

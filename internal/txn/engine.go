@@ -603,14 +603,12 @@ func (e *Engine) Checkpoint() error {
 }
 
 // checkpointMark is what a snapshot needs of the checkpoint it follows:
-// where analysis starts (begin, a lane-0 address), the end record's page
-// stamp, which the snapshot's restore point must reach, and each lane's
-// low-water mark — its base right after the checkpoint released the log
-// below releaseLSN, from where a restart, and so a restore, reads it.
+// its begin record's lane-0 address, its end record's page stamp (which
+// the restore point must reach), and each lane's base right after the
+// checkpoint's truncation — where a restart, so a restore, reads from.
 type checkpointMark struct {
-	begin    lsn.LSN
-	end      lsn.LSN
-	lowWater []uint64
+	begin, end lsn.LSN
+	lowWater   []uint64
 }
 
 // releaseLSN computes the truncation horizon after a checkpoint whose

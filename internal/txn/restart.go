@@ -56,10 +56,9 @@ type RestartConfig struct {
 	// Cold, with any archiving lane, starts the cold-tier daemon
 	// (archiving, snapshots and pruning; cold.go).
 	Cold ColdConfig
-	// Checkpoint, if set, is where analysis starts instead of the last
-	// checkpoint: the lane-0 address of a checkpoint's begin record, or
-	// lsn.Undefined for genesis (recovery.Analyze). A restore sets it to
-	// the checkpoint its snapshot followed.
+	// Checkpoint, if set, names where analysis starts instead of the last
+	// checkpoint (recovery.Analyze): a restore's snapshot's checkpoint,
+	// or lsn.Undefined for genesis.
 	Checkpoint *lsn.LSN
 }
 

@@ -133,25 +133,23 @@ func WriteFileSync(fs FS, path string, data []byte, perm os.FileMode) error {
 // gone, so a power cut cannot bring any of it back.
 func RemoveAll(fs FS, dir string) error {
 	entries, err := fs.ReadDir(dir)
-	if err != nil {
-		return err
-	}
 	for _, e := range entries {
-		p := filepath.Join(dir, e.Name())
-		if e.IsDir() {
+		if p := filepath.Join(dir, e.Name()); err != nil {
+			break
+		} else if e.IsDir() {
 			err = RemoveAll(fs, p)
 		} else {
 			err = fs.Remove(p)
 		}
-		if err != nil {
-			return err
-		}
 	}
-	if err := fs.SyncDir(dir); err != nil {
-		return err
+	if err == nil {
+		err = fs.SyncDir(dir)
 	}
-	if err := fs.Remove(dir); err != nil {
-		return err
+	if err == nil {
+		err = fs.Remove(dir)
 	}
-	return fs.SyncDir(filepath.Dir(dir))
+	if err == nil {
+		err = fs.SyncDir(filepath.Dir(dir))
+	}
+	return err
 }

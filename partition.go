@@ -13,6 +13,7 @@
 package aether
 
 import (
+	"errors"
 	"fmt"
 
 	"aether/internal/logdev"
@@ -79,18 +80,27 @@ func (l *lane) attachColdStore(store logdev.ObjectStore, i, n int) error {
 	return nil
 }
 
-// restore reads the lane's log from logical offset from through the
-// durable end, stitching archived history below the device's base —
-// restored on demand from the lane's cold store — to the live tail. The
-// second result is the offset the first returned byte sits at: from
-// itself when the cold store and the device cover it contiguously, else
-// the truncation base (history the cold store cannot reach would begin
-// mid-record at a segment boundary, so it is withheld rather than
-// returned unparseable).
-func (l *lane) restore(from int64) ([]byte, int64, error) {
+// copyLog writes the lane's history from offset from through stamp at
+// — the cold store stitched to the device (Segmented.RestoreLog), cut as
+// a crash at at would have cut it (cutAt) — into a new log in dir on fs.
+func (l *lane) copyLog(fs vfs.FS, dir string, from int64, at uint64, lanes int) error {
 	data, start, err := l.seg.RestoreLog(l.remote, from)
-	if err != nil {
-		return nil, 0, fmt.Errorf("aether: restoring log: %w", err)
+	if err == nil && start > from {
+		err = fmt.Errorf("history reaches back to %d, need %d (archive incomplete)", start, from)
 	}
-	return data, start, nil
+	if err != nil {
+		return err
+	}
+	cut, err := cutAt(data, uint64(from), at, lanes)
+	if err != nil {
+		return err
+	}
+	seg, err := logdev.CreateSegmentedAt(fs, dir, l.seg.SegmentSize(), from)
+	if err != nil {
+		return err
+	}
+	if _, err = seg.Append(data[:cut]); err == nil {
+		err = seg.Sync()
+	}
+	return errors.Join(err, seg.Close())
 }

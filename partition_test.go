@@ -270,7 +270,7 @@ func TestLegacyLayoutCompat(t *testing.T) {
 	if seq := db.eng.Multi().LastSeq(); seq != 0 {
 		t.Fatalf("a one-lane log consumed %d global seqs", seq)
 	}
-	data, base, err := db.lanes[0].restore(0)
+	data, base, err := db.lanes[0].seg.RestoreLog(db.lanes[0].remote, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,18 +1,11 @@
-// restore.go is point-in-time recovery's public face. DB.RestorePoint
-// captures a position — a stamp: a log offset on one lane, a global
-// sequence stamp on N — and DB.RestoreTo reconstructs the committed state
-// at one by restarting a copy of the database that stops there. The
-// newest snapshot at or below the target (a checkpoint's page images,
-// from the cold store) becomes a fresh page file; each lane's log from
-// the snapshot's low-water mark through the target — the cold store's
-// segment objects stitched to the hot log — becomes a fresh log; and the
-// copy opens through the restart every Open runs, with analysis at the
-// snapshot's own checkpoint (at genesis without a snapshot) and the
-// transactions in flight at the target rolled back by restart's undo.
-// The copy lives on a private in-memory filesystem for an in-memory
-// database and in a scratch directory beside LogPath otherwise. This
-// file also re-exports the cold store's ObjectStore, so
-// Options.RemoteStore is usable without reaching into internal packages.
+// restore.go is point-in-time recovery's public face: DB.RestorePoint
+// captures a stamp (a log offset on one lane, a global seq on N), and
+// DB.RestoreTo restarts a copy of the database that stops there — the
+// newest snapshot at or below it as the page file, each lane's log from
+// the snapshot's low-water mark through it, analysis at the snapshot's
+// own checkpoint, and restart's undo for the transactions in flight. It
+// also re-exports the cold store's ObjectStore, so Options.RemoteStore
+// is usable without reaching into internal packages.
 package aether
 
 import (
@@ -23,7 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sync"
+	"sync/atomic"
 
 	"aether/internal/logdev"
 	"aether/internal/logrec"
@@ -67,11 +60,9 @@ var ErrRestorePruned = errors.New("aether: restore point below retention floor (
 func (db *DB) RestorePoint() int64 { return int64(db.eng.Multi().Durable()) }
 
 // RestoredDB is a read-only reconstruction of the database's committed
-// state at a historical position, returned by RestoreTo. It is a
-// database of its own, decoupled from the live one, and reads through
-// its own buffer pool, bounded by the live database's
-// Options.CachePages. Close it when done: it holds an engine and the
-// files the restore made.
+// state at a historical position, returned by RestoreTo: a database of
+// its own, reading through a buffer pool of the live one's CachePages.
+// Close it when done.
 type RestoredDB struct {
 	db *DB
 	at int64
@@ -83,112 +74,98 @@ type RestoredDB struct {
 // At returns the position the state was restored to.
 func (r *RestoredDB) At() int64 { return r.at }
 
-// table returns the restored handle of a table of the live database.
-func (r *RestoredDB) table(name string) (*Table, error) {
-	t := r.db.eng.Table(name)
+// read runs fn in a transaction of the restored database, over the
+// restored handle of a table of the live one.
+func (r *RestoredDB) read(table string, fn func(*Tx, *Table) error) error {
+	t := r.db.eng.Table(table)
 	if t == nil {
-		return nil, fmt.Errorf("aether: restored state has no table %q", name)
-	}
-	return &Table{t: t}, nil
-}
-
-// Scan visits the restored rows of a table in ascending key order,
-// calling fn until it returns false. The table name must be one the live
-// database had registered at RestoreTo time.
-func (r *RestoredDB) Scan(table string, fn func(key uint64, row []byte) bool) error {
-	t, err := r.table(table)
-	if err != nil {
-		return err
+		return fmt.Errorf("aether: restored state has no table %q", table)
 	}
 	s := r.db.Session()
 	defer s.Close()
 	tx := s.Begin()
-	if err := tx.Scan(t, 0, math.MaxUint64, fn); err != nil {
+	if err := fn(tx, &Table{t: t}); err != nil {
 		tx.Abort()
 		return err
 	}
 	return tx.Commit()
 }
 
+// Scan visits the restored rows of a table in ascending key order,
+// calling fn until it returns false. The table name must be one the live
+// database had registered at RestoreTo time.
+func (r *RestoredDB) Scan(table string, fn func(key uint64, row []byte) bool) error {
+	return r.read(table, func(tx *Tx, t *Table) error { return tx.Scan(t, 0, math.MaxUint64, fn) })
+}
+
 // Get returns the restored row under key, or ErrKeyNotFound.
-func (r *RestoredDB) Get(table string, key uint64) ([]byte, error) {
-	t, err := r.table(table)
-	if err != nil {
-		return nil, err
-	}
-	s := r.db.Session()
-	defer s.Close()
-	tx := s.Begin()
-	row, err := tx.Read(t, key)
-	if err != nil {
-		tx.Abort()
-		return nil, err
-	}
-	return row, tx.Commit()
+func (r *RestoredDB) Get(table string, key uint64) (row []byte, err error) {
+	err = r.read(table, func(tx *Tx, t *Table) error { row, err = tx.Read(t, key); return err })
+	return row, err
 }
 
 // Close stops the restored database and removes the files the restore
 // made. Safe to call more than once.
 func (r *RestoredDB) Close() error {
 	err := r.db.Close()
-	if r.scratch != "" {
-		if rerr := vfs.RemoveAll(r.db.fs, r.scratch); err == nil {
-			err = rerr
-		}
+	if dir := r.scratch; dir != "" {
 		r.scratch = ""
+		err = errors.Join(err, vfs.RemoveAll(r.db.fs, dir))
 	}
 	return err
 }
 
-// RestoreTo reconstructs the committed state at position at — a value
-// previously captured with RestorePoint (a durable log offset for a
-// single log, a global seq for a partitioned one). The restore starts
-// from the newest snapshot at or below at that is whole (an older one
-// when a newer one's objects are torn), or from the beginning of time
-// without one, and replays history from the cold store (Options.ArchiveDir
-// or RemoteStore) stitched to the hot log. Transactions without a
-// durable commit at at are rolled back, so the result is exactly the
-// committed state a crash at that instant would have recovered. Targets
-// below the retention floor fail with ErrRestorePruned; targets beyond
-// the durable end fail (the future is not restorable).
+// RestoreTo reconstructs the committed state at position at, a value
+// captured with RestorePoint. It starts from the newest whole snapshot at
+// or below at (from genesis without one) and replays history from the
+// cold store (Options.ArchiveDir or RemoteStore) stitched to the hot log;
+// transactions without a durable commit at at are rolled back, so the
+// result is the committed state a crash at that instant would have
+// recovered. Targets below the retention floor fail with
+// ErrRestorePruned; targets beyond the durable end fail.
 func (db *DB) RestoreTo(at int64) (*RestoredDB, error) {
-	if at < 0 {
-		return nil, fmt.Errorf("aether: RestoreTo(%d): negative position", at)
+	if durable := db.RestorePoint(); at < 0 || at > durable {
+		return nil, fmt.Errorf("aether: RestoreTo(%d): outside the log [0, %d] (the future is not restorable)", at, durable)
 	}
-	if durable := db.RestorePoint(); at > durable {
-		return nil, fmt.Errorf("aether: RestoreTo(%d): beyond the durable end %d", at, durable)
-	}
-	var snap *logdev.Manifest
+	// Without a snapshot the restore replays from genesis.
+	genesis := &logdev.Manifest{Checkpoint: uint64(lsn.Undefined), Lanes: make([]logdev.ManifestLane, len(db.lanes))}
+	snap := genesis
 	if db.snaps != nil {
 		floor, err := db.snaps.Floor()
-		if err != nil {
-			return nil, fmt.Errorf("aether: RestoreTo(%d): reading retention floor: %w", at, err)
-		}
-		if uint64(at) < floor {
+		if err == nil && uint64(at) < floor {
 			return nil, fmt.Errorf("%w: target %d, floor %d", ErrRestorePruned, at, floor)
 		}
-		if snap, err = db.snaps.NewestAtOrBelow(uint64(at)); err != nil {
-			return nil, fmt.Errorf("aether: RestoreTo(%d): loading snapshot: %w", at, err)
+		if m, serr := db.snaps.NewestAtOrBelow(uint64(at)); err == nil && m != nil {
+			snap, err = m, serr
+		} else if err == nil {
+			err = serr
+		}
+		if err != nil {
+			return nil, fmt.Errorf("aether: RestoreTo(%d): reading snapshots: %w", at, err)
 		}
 	}
 	for {
 		r, err := db.restore(snap, uint64(at))
-		if snap == nil || !errors.Is(err, logdev.ErrBadObject) || errors.Is(err, logdev.ErrFormat) {
+		if snap == genesis || !errors.Is(err, logdev.ErrBadObject) || errors.Is(err, logdev.ErrFormat) {
 			if err != nil {
 				return nil, fmt.Errorf("aether: RestoreTo(%d): %w", at, err)
 			}
 			return r, nil
 		}
 		// A torn or missing images object makes its snapshot absent.
-		if snap, err = db.snaps.NewestAtOrBelow(snap.At - 1); err != nil {
-			return nil, fmt.Errorf("aether: RestoreTo(%d): loading snapshot: %w", at, err)
+		m, err := db.snaps.NewestAtOrBelow(snap.At - 1)
+		if err != nil {
+			return nil, fmt.Errorf("aether: RestoreTo(%d): reading snapshots: %w", at, err)
+		}
+		if snap = genesis; m != nil {
+			snap = m
 		}
 	}
 }
 
-// restore materializes snapshot snap (nil: none, replay from genesis)
-// and each lane's log from its low-water mark through at, and opens the
-// result as a database whose analysis starts at snap's checkpoint.
+// restore materializes snapshot snap and each lane's log from its
+// low-water mark through at, and opens the result as a database whose
+// analysis starts at snap's checkpoint.
 func (db *DB) restore(snap *logdev.Manifest, at uint64) (_ *RestoredDB, err error) {
 	n := len(db.lanes)
 	rdb := &DB{
@@ -198,16 +175,16 @@ func (db *DB) restore(snap *logdev.Manifest, at uint64) (_ *RestoredDB, err erro
 			PrefetchDepth: db.opts.PrefetchDepth,
 			Mode:          CommitSync,
 		},
-		fs: db.fs,
+		fs:     db.fs,
+		logBuf: 1 << 20, // it logs nothing but its losers' rollback
 	}
 	r := &RestoredDB{db: rdb, at: int64(at)}
 	if db.mem != nil {
 		rdb.mem = vfs.NewFaultFS(1)
 		rdb.fs, rdb.root = rdb.mem, "/db"
+	} else if rdb.root, err = scratchDir(db.fs, db.root); err != nil {
+		return nil, err
 	} else {
-		if rdb.root, err = scratchDir(db.fs, db.root); err != nil {
-			return nil, err
-		}
 		r.scratch = rdb.root
 	}
 	defer func() {
@@ -216,43 +193,13 @@ func (db *DB) restore(snap *logdev.Manifest, at uint64) (_ *RestoredDB, err erro
 		}
 	}()
 	for i, l := range db.lanes {
-		var from int64
-		if snap != nil {
-			from = int64(snap.Lanes[i].LowWater)
-		}
-		data, start, err := l.restore(from)
-		if err != nil {
-			return nil, fmt.Errorf("lane %d: %w", i, err)
-		}
-		if start > from {
-			return nil, fmt.Errorf("lane %d history reaches back to %d, need %d (archive incomplete)", i, start, from)
-		}
-		data = data[from-start:]
-		cut, err := cutAt(data, uint64(from), at, n)
-		if err != nil {
-			return nil, fmt.Errorf("lane %d: %w", i, err)
-		}
-		seg, err := logdev.CreateSegmentedAt(rdb.fs, logdev.LaneDir(rdb.root, i, n), l.seg.SegmentSize(), from)
-		if err != nil {
-			return nil, err
-		}
-		_, err = seg.Append(data[:cut])
-		if err == nil {
-			err = seg.Sync()
-		}
-		if cerr := seg.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := l.copyLog(rdb.fs, logdev.LaneDir(rdb.root, i, n), int64(snap.Lanes[i].LowWater), at, n); err != nil {
 			return nil, fmt.Errorf("lane %d: %w", i, err)
 		}
 	}
-	ckpt := lsn.Undefined
-	if snap != nil {
-		if err := db.materialize(snap, rdb); err != nil {
-			return nil, err
-		}
-		ckpt = lsn.LSN(snap.Checkpoint)
+	ckpt := lsn.LSN(snap.Checkpoint)
+	if err := db.materialize(snap, rdb); err != nil {
+		return nil, err
 	}
 	if err := rdb.open(&ckpt); err != nil {
 		return nil, err
@@ -272,11 +219,7 @@ func (db *DB) materialize(snap *logdev.Manifest, rdb *DB) (err error) {
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if cerr := pf.Close(); err == nil {
-			err = cerr
-		}
-	}()
+	defer func() { err = errors.Join(err, pf.Close()) }()
 	for _, ref := range snap.Objects() {
 		images, err := db.snaps.GetImages(ref)
 		if err != nil {
@@ -322,21 +265,17 @@ func cutAt(data []byte, base, at uint64, lanes int) (int, error) {
 	return cut, it.Err()
 }
 
-// scratchMu keeps two restores from picking the same scratch directory.
-var scratchMu sync.Mutex
+// restores numbers this process's scratch directories.
+var restores atomic.Int64
 
-// scratchDir makes the first free directory root.restore-<k> beside a
-// file-backed database's root.
+// scratchDir makes a new directory root.restore-<k> beside a file-backed
+// database's root, skipping any a crashed process left behind.
 func scratchDir(fs vfs.FS, root string) (string, error) {
-	scratchMu.Lock()
-	defer scratchMu.Unlock()
-	for k := 1; ; k++ {
-		dir := fmt.Sprintf("%s.restore-%d", filepath.Clean(root), k)
-		_, err := fs.Stat(dir)
-		if errors.Is(err, os.ErrNotExist) {
+	for {
+		dir := fmt.Sprintf("%s.restore-%d", filepath.Clean(root), restores.Add(1))
+		if _, err := fs.Stat(dir); errors.Is(err, os.ErrNotExist) {
 			return dir, fs.MkdirAll(dir, 0o755)
-		}
-		if err != nil {
+		} else if err != nil {
 			return "", err
 		}
 	}

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"aether/internal/logdev"
+	"aether/internal/lsn"
 	"aether/internal/storage"
 )
 
@@ -139,6 +141,7 @@ func TestRestoreSnapshotEquivalence(t *testing.T) {
 			}
 			db.eng.Close()
 
+			genesis := &logdev.Manifest{Checkpoint: uint64(lsn.Undefined), Lanes: make([]logdev.ManifestLane, n)}
 			seeded := 0
 			for i, p := range points {
 				snap, err := db.snaps.NewestAtOrBelow(uint64(p.at))
@@ -155,7 +158,7 @@ func TestRestoreSnapshotEquivalence(t *testing.T) {
 				if d := diffModel(p.want, restoredState(t, r, "t")); d != "" {
 					t.Fatalf("point %d @ %d, seeded by a snapshot: %s", i, p.at, d)
 				}
-				r, err = db.restore(nil, uint64(p.at))
+				r, err = db.restore(genesis, uint64(p.at))
 				if err != nil {
 					t.Fatalf("restore of point %d @ %d from genesis: %v", i, p.at, err)
 				}
