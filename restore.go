@@ -127,39 +127,38 @@ func (db *DB) RestoreTo(at int64) (*RestoredDB, error) {
 	if durable := db.RestorePoint(); at < 0 || at > durable {
 		return nil, fmt.Errorf("aether: RestoreTo(%d): outside the log [0, %d] (the future is not restorable)", at, durable)
 	}
-	// Without a snapshot the restore replays from genesis.
+	// newest is the newest whole snapshot at or below stamp, or genesis:
+	// none, every lane from 0.
 	genesis := &logdev.Manifest{Checkpoint: uint64(lsn.Undefined), Lanes: make([]logdev.ManifestLane, len(db.lanes))}
-	snap := genesis
+	newest := func(stamp uint64) (*logdev.Manifest, error) {
+		if db.snaps == nil {
+			return genesis, nil
+		}
+		m, err := db.snaps.NewestAtOrBelow(stamp)
+		if m == nil {
+			m = genesis
+		}
+		return m, err
+	}
 	if db.snaps != nil {
-		floor, err := db.snaps.Floor()
-		if err == nil && uint64(at) < floor {
+		if floor, err := db.snaps.Floor(); err != nil {
+			return nil, fmt.Errorf("aether: RestoreTo(%d): reading retention floor: %w", at, err)
+		} else if uint64(at) < floor {
 			return nil, fmt.Errorf("%w: target %d, floor %d", ErrRestorePruned, at, floor)
 		}
-		if m, serr := db.snaps.NewestAtOrBelow(uint64(at)); err == nil && m != nil {
-			snap, err = m, serr
-		} else if err == nil {
-			err = serr
-		}
-		if err != nil {
-			return nil, fmt.Errorf("aether: RestoreTo(%d): reading snapshots: %w", at, err)
-		}
 	}
-	for {
-		r, err := db.restore(snap, uint64(at))
-		if snap == genesis || !errors.Is(err, logdev.ErrBadObject) || errors.Is(err, logdev.ErrFormat) {
-			if err != nil {
-				return nil, fmt.Errorf("aether: RestoreTo(%d): %w", at, err)
-			}
-			return r, nil
-		}
-		// A torn or missing images object makes its snapshot absent.
-		m, err := db.snaps.NewestAtOrBelow(snap.At - 1)
+	for snap, err := newest(uint64(at)); ; snap, err = newest(snap.At - 1) {
 		if err != nil {
 			return nil, fmt.Errorf("aether: RestoreTo(%d): reading snapshots: %w", at, err)
 		}
-		if snap = genesis; m != nil {
-			snap = m
+		r, err := db.restore(snap, uint64(at))
+		if snap != genesis && errors.Is(err, logdev.ErrBadObject) && !errors.Is(err, logdev.ErrFormat) {
+			continue // a torn or missing images object makes its snapshot absent
 		}
+		if err != nil {
+			return nil, fmt.Errorf("aether: RestoreTo(%d): %w", at, err)
+		}
+		return r, nil
 	}
 }
 
