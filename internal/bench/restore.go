@@ -10,11 +10,11 @@ import (
 
 // RestoreConfig parameterizes the point-in-time-restore microbenchmark:
 // the same deterministic workload is committed into two databases
-// archiving into in-memory object stores — one cutting materialized
-// snapshots at a fixed byte cadence, one keeping only the archived
-// segments — and RestoreTo of the durable end is timed against both.
-// The snapshot side replays just the tail past the newest snapshot;
-// the raw side replays the whole history from genesis.
+// archiving into in-memory object stores — one taking snapshots at a
+// fixed byte cadence, one keeping only the archived segments — and
+// RestoreTo of the durable end is timed against both. The snapshot side
+// restarts from the newest snapshot's page images and replays the log
+// after it; the raw side replays the whole history from genesis.
 type RestoreConfig struct {
 	// Batches x TxnsPerBatch is the committed-transaction count.
 	Batches int
@@ -23,8 +23,8 @@ type RestoreConfig struct {
 	// ValueBytes is the row payload size; with the per-record framing it
 	// sets how many log bytes the raw side must replay end to end.
 	ValueBytes int
-	// SegmentSize is the log segment size (snapshots cut on archived
-	// segment boundaries, so it bounds the snapshot side's tail).
+	// SegmentSize is the log segment size: the unit the cold store
+	// archives, and so restores download.
 	SegmentSize int64
 	// SnapshotEveryBytes is the snapshot cadence on the snapshot side.
 	SnapshotEveryBytes int64
@@ -42,7 +42,7 @@ type RestoreResult struct {
 	LogBytes int64
 	// RestoreAt is the snapshot side's restore target (its durable end).
 	RestoreAt int64
-	// Snapshots is how many snapshot objects the snapshot side had cut.
+	// Snapshots is how many snapshots the snapshot side had taken.
 	Snapshots int64
 	// SnapshotMS is the best RestoreTo latency via the newest snapshot.
 	SnapshotMS float64
