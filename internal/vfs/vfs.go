@@ -134,9 +134,10 @@ func WriteFileSync(fs FS, path string, data []byte, perm os.FileMode) error {
 func RemoveAll(fs FS, dir string) error {
 	entries, err := fs.ReadDir(dir)
 	for _, e := range entries {
-		if p := filepath.Join(dir, e.Name()); err != nil {
+		if err != nil {
 			break
-		} else if e.IsDir() {
+		}
+		if p := filepath.Join(dir, e.Name()); e.IsDir() {
 			err = RemoveAll(fs, p)
 		} else {
 			err = fs.Remove(p)
