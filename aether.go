@@ -284,7 +284,9 @@ type DB struct {
 // Open creates (or reopens, for a file-backed log with existing
 // contents) a database. Reopening runs ARIES recovery; the caller must
 // re-create tables in the original order afterwards (CreateTable), and
-// table contents reappear automatically. A Buffer, Mode or Device that
+// table contents reappear automatically. A file-backed Open also removes
+// the <LogPath>.restore-<k> directories of RestoreTo copies whose
+// process died before RestoredDB.Close. A Buffer, Mode or Device that
 // names no value of its type is refused.
 func Open(opts Options) (*DB, error) {
 	if opts.RemoteStore != nil && opts.ArchiveDir != "" {
@@ -307,6 +309,12 @@ func Open(opts Options) (*DB, error) {
 	}
 	if err := db.open(nil); err != nil {
 		return nil, err
+	}
+	if db.mem == nil {
+		if err := sweepScratch(db.fs, db.root); err != nil {
+			db.Close()
+			return nil, fmt.Errorf("aether: removing restore directories left behind: %w", err)
+		}
 	}
 	return db, nil
 }

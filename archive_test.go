@@ -342,12 +342,13 @@ func TestRestoreToWithoutColdStore(t *testing.T) {
 }
 
 // TestOldRecordFormatDirectoryRefused: a database directory whose
-// MANIFEST says format 2 — today's files around the record encoding
-// before this one (48-byte headers, whole-row images) — is refused by
-// Open with the typed format error at every lane count, and nothing in
-// it is touched: not the log, not the pagefile, not a stale temporary in
-// its cold store (sweeping those is the write-side open's job, and this
-// is not a directory it may write).
+// MANIFEST says format 3 or 2 — today's files around an earlier record
+// encoding (format 3: whole insert and delete rows, a CLR's undo-next as
+// is; format 2: 48-byte headers, whole-row images) — is refused by Open
+// with the typed format error at every lane count, and nothing in it is
+// touched: not the log, not the pagefile, not a stale temporary in its
+// cold store (sweeping those is the write-side open's job, and this is
+// not a directory it may write).
 func TestOldRecordFormatDirectoryRefused(t *testing.T) {
 	for _, n := range []int{1, 3} {
 		logDir := filepath.Join(t.TempDir(), "wal.d")
@@ -372,22 +373,6 @@ func TestOldRecordFormatDirectoryRefused(t *testing.T) {
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}
-		// What the parent commit's writer would have left: the same layout
-		// under the older format number.
-		for i := 0; i < n; i++ {
-			manifest := filepath.Join(logdev.LaneDir(logDir, i, n), "MANIFEST")
-			b, err := os.ReadFile(manifest)
-			if err != nil {
-				t.Fatal(err)
-			}
-			old := strings.Replace(string(b), "format 3\n", "format 2\n", 1)
-			if old == string(b) {
-				t.Fatalf("N=%d: %s does not say format 3: %q", n, manifest, b)
-			}
-			if err := os.WriteFile(manifest, []byte(old), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
 		stale := filepath.Join(opts.ArchiveDir, "seg", "0000000000000009.1.tmp")
 		if err := os.MkdirAll(filepath.Dir(stale), 0o755); err != nil {
 			t.Fatal(err)
@@ -395,12 +380,33 @@ func TestOldRecordFormatDirectoryRefused(t *testing.T) {
 		if err := os.WriteFile(stale, []byte("half an object"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		before := dirImage(t, logDir)
-		if _, err := Open(opts); !errors.Is(err, logdev.ErrFormat) {
-			t.Fatalf("N=%d: Open over a format-2 directory: %v, want logdev.ErrFormat", n, err)
+		manifests := make(map[string]string)
+		for i := 0; i < n; i++ {
+			manifest := filepath.Join(logdev.LaneDir(logDir, i, n), "MANIFEST")
+			b, err := os.ReadFile(manifest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(string(b), "format 4\n") {
+				t.Fatalf("N=%d: %s does not say format 4: %q", n, manifest, b)
+			}
+			manifests[manifest] = string(b)
 		}
-		if after := dirImage(t, logDir); !reflect.DeepEqual(before, after) {
-			t.Fatalf("N=%d: refused open changed the directory: %v → %v", n, imageNames(before), imageNames(after))
+		// What an earlier version's writer would have left: the same
+		// layout under the older format number.
+		for _, format := range []string{"format 3\n", "format 2\n"} {
+			for manifest, b := range manifests {
+				if err := os.WriteFile(manifest, []byte(strings.Replace(b, "format 4\n", format, 1)), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := dirImage(t, logDir)
+			if _, err := Open(opts); !errors.Is(err, logdev.ErrFormat) {
+				t.Fatalf("N=%d: Open over a %q directory: %v, want logdev.ErrFormat", n, format, err)
+			}
+			if after := dirImage(t, logDir); !reflect.DeepEqual(before, after) {
+				t.Fatalf("N=%d: refused open of a %q directory changed it: %v → %v", n, format, imageNames(before), imageNames(after))
+			}
 		}
 	}
 }

@@ -32,7 +32,7 @@
 //	logdump -f wal.d -archive cold  # segmented log with an explicit cold store
 //	logdump -f multi.d              # partitioned root: per-partition layout + merged seq view
 //	logdump -f wal.d -txn 42        # one transaction's chain
-//	logdump -f wal.d -stats         # kind histogram + volume (framing vs image bytes) only
+//	logdump -f wal.d -stats         # kind histogram + volume (framing vs image bytes, implied zeros) only
 //	logdump -f wal.d/pagefile.db    # pagefile slot table
 //	logdump -archive cold           # cold store alone: segment
 //	                                # objects, snapshots, floor
@@ -83,7 +83,9 @@ Flags:
 Examples:
   logdump -f wal.d                 dump a segmented log and its cold store
   logdump -f wal.d -stats          kind histogram and volume only, each kind's
-                                   bytes split into framing and row images
+                                   bytes split into framing and row images, and
+                                   the zero tails of inserted and deleted rows
+                                   that the log implies
   logdump -f wal.d -archive /cold  cold store in a non-default location
   logdump -f wal.d/pagefile.db     slot table of the database file
   logdump -archive /cold           the cold store alone: archived segments,
@@ -290,6 +292,7 @@ func dump(path, archDir string, txnFilter uint64, statsOnly bool) error {
 	kindCount := map[logrec.Kind]int{}
 	kindBytes := map[logrec.Kind]int{}
 	kindImage := map[logrec.Kind]int{}
+	kindZeros := map[logrec.Kind]int{}
 	txns := map[uint64]bool{}
 	records := 0
 	for {
@@ -301,7 +304,9 @@ func dump(path, archDir string, txnFilter uint64, statsOnly bool) error {
 		records++
 		kindCount[rec.Kind]++
 		kindBytes[rec.Kind] += int(rec.TotalLen)
-		kindImage[rec.Kind] += imageBytes(rec)
+		image, zeros := imageBytes(rec)
+		kindImage[rec.Kind] += image
+		kindZeros[rec.Kind] += zeros
 		txns[rec.TxnID] = true
 		if statsOnly || txnFilter != 0 && rec.TxnID != txnFilter {
 			continue
@@ -329,28 +334,38 @@ func dump(path, archDir string, txnFilter uint64, statsOnly bool) error {
 	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
 	// Per kind, what the log spends on saying which record this is
 	// (frame, header fields, payload lengths) against what it spends on
-	// the data recovery is after (row images, checkpoint tables).
+	// the data recovery is after (row images, checkpoint tables), and the
+	// zero tails of inserted and deleted rows, which it does not log.
 	for _, k := range kinds {
-		fmt.Printf("  %-11s %8d records %10d bytes = %d framing + %d image\n",
+		fmt.Printf("  %-11s %8d records %10d bytes = %d framing + %d image",
 			k, kindCount[k], kindBytes[k], kindBytes[k]-kindImage[k], kindImage[k])
+		if z := kindZeros[k]; z > 0 {
+			fmt.Printf(", %d implied zero bytes", z)
+		}
+		fmt.Println()
 	}
 	return nil
 }
 
 // imageBytes is how much of rec is the data it carries rather than the
 // description of it: an update's or CLR's before and after images, a
-// checkpoint's table entries. An update payload that does not decode
-// counts as framing.
-func imageBytes(rec logrec.Record) int {
+// checkpoint's table entries. zeros is the zero tail an insert's or
+// delete's row has beyond its logged image. An update payload that does
+// not decode counts as framing.
+func imageBytes(rec logrec.Record) (image, zeros int) {
 	switch rec.Kind {
 	case logrec.KindUpdate, logrec.KindCLR:
 		if up, err := logrec.DecodeUpdate(rec.Payload); err == nil {
-			return len(up.Before) + len(up.After)
+			image = len(up.Before) + len(up.After)
+			if up.Op != logrec.OpSet {
+				zeros = up.RowSize() - image
+			}
+			return image, zeros
 		}
 	case logrec.KindCheckpointEnd:
-		return max(len(rec.Payload)-8, 0) // less the two table counts
+		return max(len(rec.Payload)-8, 0), 0 // less the two table counts
 	}
-	return 0
+	return 0, 0
 }
 
 func printRecord(rec logrec.Record) {
@@ -366,9 +381,13 @@ func printRecord(rec logrec.Record) {
 				rec.LSN, rec.Kind, rec.TxnID, rec.PageID, extra)
 			return
 		}
-		fmt.Printf("%-12v %-10s txn=%-6d page=%-8d slot=%-4d %-6s off=%-4d before=%dB after=%dB prev=%v%s\n",
+		row := "" // an insert's or delete's row, zero tail and all
+		if up.Op != logrec.OpSet {
+			row = fmt.Sprintf(" row=%dB", up.RowSize())
+		}
+		fmt.Printf("%-12v %-10s txn=%-6d page=%-8d slot=%-4d %-6s off=%-4d before=%dB after=%dB%s prev=%v%s\n",
 			rec.LSN, rec.Kind, rec.TxnID, rec.PageID, up.Slot, up.Op, up.Off,
-			len(up.Before), len(up.After), prevStr(rec.PrevLSN), extra)
+			len(up.Before), len(up.After), row, prevStr(rec.PrevLSN), extra)
 	case logrec.KindCheckpointEnd:
 		p, err := logrec.DecodeCheckpoint(rec.Payload)
 		if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -40,7 +41,8 @@ func buildLog(t *testing.T, dir string, n int) {
 		if k%2 == 0 {
 			first, second = b, a
 		}
-		if err := tx.Insert(first, k, aether.Row(k, []byte("first"))); err != nil {
+		// A zero-padded row: its insert logs the bytes up to the padding.
+		if err := tx.Insert(first, k, aether.Row(k, []byte("first\x00\x00\x00\x00\x00\x00\x00"))); err != nil {
 			t.Fatal(err)
 		}
 		if err := tx.Insert(second, k, aether.Row(k, []byte("second"))); err != nil {
@@ -148,7 +150,7 @@ func TestDumpStitchesColdStoreReadOnly(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for k := uint64(round*60 + 1); k <= uint64(round*60+60); k++ {
 			tx := s.Begin()
-			if err := tx.Insert(tbl, k, aether.Row(k, make([]byte, 200))); err != nil { // ~3.5 segments a round
+			if err := tx.Insert(tbl, k, aether.Row(k, bytes.Repeat([]byte{0xa5}, 200))); err != nil { // ~3.5 segments a round
 				t.Fatal(err)
 			}
 			if err := tx.Commit(); err != nil {
@@ -220,7 +222,7 @@ func TestDumpListsSnapshots(t *testing.T) {
 		for round := uint64(0); round < 2; round++ {
 			for k := round*20 + 1; k <= round*20+20; k++ {
 				tx := s.Begin()
-				if err := tx.Insert(tbl, k, aether.Row(k, make([]byte, 200))); err != nil {
+				if err := tx.Insert(tbl, k, aether.Row(k, bytes.Repeat([]byte{0xa5}, 200))); err != nil {
 					t.Fatal(err)
 				}
 				if err := tx.Commit(); err != nil {

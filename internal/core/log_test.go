@@ -645,21 +645,55 @@ func TestNextGroupFillsDuringFlush(t *testing.T) {
 	}
 }
 
-// A closed loop keeping 32 detached commits in flight is about one group
-// per turn: the producer refills the pipeline faster than the daemon's
-// next pass comes round, so the daemon flushes ≈ commits/32 times. The
-// device is ProfileFlash's 100 µs slept precisely.
+// parkDev is an in-memory device whose Sync returns only once the
+// producer of TestPipelineIsOneGroup is parked waiting for a slot: every
+// commit it can have in flight is in the log before a flush completes.
+type parkDev struct {
+	*logdev.Segmented
+	parked chan struct{}
+}
+
+func (d parkDev) Sync() error {
+	<-d.parked
+	return d.Segmented.Sync()
+}
+
+// A closed loop keeping 32 detached commits in flight is one group per
+// turn: the producer refills the pipeline before the daemon's next pass
+// comes round, so the daemon flushes ≈ commits/32 times. The device
+// holds each flush until the producer has used up its slots, so whatever
+// a pass finds, the pipeline is whole again before the flush's
+// acknowledgements start the next refill; what is left to the scheduler
+// is only whether a refill lands before the next interval pass.
 func TestPipelineIsOneGroup(t *testing.T) {
-	lm := newTestLM(t, logbuf.VariantCD, latencyDev{logdev.NewMem(logdev.ProfileMemory), logdev.ProfileFlash.SyncLatency})
+	dev := parkDev{logdev.NewMem(logdev.ProfileMemory), make(chan struct{})}
+	lm := newTestLM(t, logbuf.VariantCD, dev)
 	ap := lm.NewAppender()
 	const depth, commits = 32, 32 * 40
 	slots := make(chan error, depth)
 	for i := 0; i < depth; i++ {
 		slots <- nil
 	}
+	// slot takes a free slot, parking for one if there is none: parked,
+	// the producer lets one flush's Sync return, unless an acknowledgement
+	// that needs no flush (its record hardened while it subscribed)
+	// frees a slot first.
+	slot := func() error {
+		select {
+		case err := <-slots:
+			return err
+		default:
+		}
+		select {
+		case err := <-slots:
+			return err
+		case dev.parked <- struct{}{}:
+			return <-slots
+		}
+	}
 	ack := func(err error) { slots <- err }
 	for i := 0; i < commits; i++ {
-		if err := <-slots; err != nil {
+		if err := slot(); err != nil {
 			t.Fatal(err)
 		}
 		_, end, err := ap.Append(logrec.NewCommit(uint64(i+1), lsn.Undefined))
@@ -669,7 +703,7 @@ func TestPipelineIsOneGroup(t *testing.T) {
 		lm.OnDurable(end, ack)
 	}
 	for i := 0; i < depth; i++ {
-		if err := <-slots; err != nil {
+		if err := slot(); err != nil {
 			t.Fatal(err)
 		}
 	}

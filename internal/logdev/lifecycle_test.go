@@ -164,11 +164,13 @@ func TestWatermarkRejectsMidLogCorruption(t *testing.T) {
 }
 
 // A directory in an earlier format — format 1's layout (MANIFEST without
-// a format line, headerless segments, a MANIFEST.durable watermark file)
-// or format 2's record encoding (today's files around 48-byte record
-// headers) — is refused with ErrFormat by both kinds of open and left
+// a format line, headerless segments, a MANIFEST.durable watermark file),
+// format 2's record encoding (today's files around 48-byte record
+// headers) or format 3's (whole insert and delete rows, a CLR's undo-next
+// as is) — is refused with ErrFormat by both kinds of open and left
 // untouched: reading format 1's segments as if they began with a header
-// would misplace every byte, and format 2's records fail every checksum.
+// would misplace every byte, format 2's records fail every checksum, and
+// format 3's inserts would be read as rows of the wrong length.
 func TestOldFormatDirectoryRefused(t *testing.T) {
 	for name, files := range map[string]map[string][]byte{
 		"format 1": {
@@ -178,6 +180,10 @@ func TestOldFormatDirectoryRefused(t *testing.T) {
 		},
 		"format 2": {
 			manifestName:           []byte("format 2\nsegsize 64\nbase 0\n"),
+			"0000000000000000.seg": append(make([]byte, SegmentHeaderSize), fill(40, 'o')...),
+		},
+		"format 3": {
+			manifestName:           []byte("format 3\nsegsize 64\nbase 0\n"),
 			"0000000000000000.seg": append(make([]byte, SegmentHeaderSize), fill(40, 'o')...),
 		},
 	} {

@@ -100,45 +100,51 @@ func TestColdStoreRoundtripAndIdempotency(t *testing.T) {
 }
 
 // TestOldVersionObjectRefused: segment and snapshot objects carry log
-// bytes and update payloads, so an object in the envelope version of
-// the record encoding before this one (objVersion 1: 48-byte record
-// headers, whole-row images) is refused — ErrBadObject and ErrFormat —
-// by everything that would decode it, and neither read as torn and
-// overwritten nor handed to today's record decoder.
+// bytes and update payloads, so an object in the envelope version of an
+// earlier record encoding (objVersion 2: whole insert and delete rows, a
+// CLR's undo-next as is; objVersion 1: 48-byte record headers, whole-row
+// images) is refused — ErrBadObject and ErrFormat — by everything that
+// would decode it, and neither read as torn and overwritten nor handed
+// to today's record decoder.
 func TestOldVersionObjectRefused(t *testing.T) {
-	old := func(kind uint16, meta uint64, payload []byte) []byte {
+	old := func(version byte, kind uint16, meta uint64, payload []byte) []byte {
 		obj := EncodeObject(kind, meta, payload)
-		obj[4], obj[5] = 1, 0 // the version field; the payload CRC does not cover it
+		obj[4], obj[5] = version, 0 // the version field; the payload CRC does not cover it
 		return obj
 	}
-	if _, _, _, err := DecodeObject(old(ObjSegment, 7, fill(64, 'o'))); !errors.Is(err, ErrBadObject) || !errors.Is(err, ErrFormat) {
-		t.Fatalf("DecodeObject of a version-1 object: %v, want ErrBadObject and ErrFormat", err)
+	versions := []byte{2, 1}
+	for _, v := range versions {
+		if _, _, _, err := DecodeObject(old(v, ObjSegment, 7, fill(64, 'o'))); !errors.Is(err, ErrBadObject) || !errors.Is(err, ErrFormat) {
+			t.Fatalf("DecodeObject of a version-%d object: %v, want ErrBadObject and ErrFormat", v, err)
+		}
 	}
 	forEachObjectStore(t, func(t *testing.T, store ObjectStore) {
 		ra := newArchiver(t, store)
 		snaps := NewSnapshotStore(store, []*RemoteArchiver{ra})
 		man := EncodeManifest(&Manifest{At: 128, Lanes: []ManifestLane{{LowWater: 64, End: 128}}})
-		objs := map[string][]byte{
-			ra.segKey(7):     old(ObjSegment, 7, fill(64, 'o')),
-			manifestKey(128): old(ObjManifest, 128, man),
-		}
-		for key, obj := range objs {
-			if err := store.Put(key, obj); err != nil {
-				t.Fatal(err)
+		for _, v := range versions {
+			objs := map[string][]byte{
+				ra.segKey(7):     old(v, ObjSegment, 7, fill(64, 'o')),
+				manifestKey(128): old(v, ObjManifest, 128, man),
 			}
-		}
-		if _, err := ra.Retrieve(7); !errors.Is(err, ErrFormat) {
-			t.Errorf("Retrieve of a version-1 segment: %v, want ErrFormat", err)
-		}
-		if err := ra.Archive(7, fill(64, 'n')); !errors.Is(err, ErrFormat) {
-			t.Errorf("Archive over a version-1 segment: %v, want ErrFormat", err)
-		}
-		if _, err := snaps.GetManifest(128); !errors.Is(err, ErrFormat) {
-			t.Errorf("GetManifest of a version-1 manifest: %v, want ErrFormat", err)
-		}
-		for key, want := range objs {
-			if got, err := store.Get(key); err != nil || !bytes.Equal(got, want) {
-				t.Errorf("%s was touched (err %v)", key, err)
+			for key, obj := range objs {
+				if err := store.Put(key, obj); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := ra.Retrieve(7); !errors.Is(err, ErrFormat) {
+				t.Errorf("Retrieve of a version-%d segment: %v, want ErrFormat", v, err)
+			}
+			if err := ra.Archive(7, fill(64, 'n')); !errors.Is(err, ErrFormat) {
+				t.Errorf("Archive over a version-%d segment: %v, want ErrFormat", v, err)
+			}
+			if _, err := snaps.GetManifest(128); !errors.Is(err, ErrFormat) {
+				t.Errorf("GetManifest of a version-%d manifest: %v, want ErrFormat", v, err)
+			}
+			for key, want := range objs {
+				if got, err := store.Get(key); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("version %d: %s was touched (err %v)", v, key, err)
+				}
 			}
 		}
 	})

@@ -13,7 +13,9 @@ import (
 // DecodeUpdate or DecodeCheckpoint on what it yields. Whatever the
 // input, none may panic; nothing they return is larger than the input it
 // came from (images alias it, tables are counted against its length
-// before they are made); and whatever they accept re-encodes to exactly
+// before they are made), and the row an insert or delete stands for —
+// its image and then zeros — is no longer than a page holds, however
+// short the input; and whatever they accept re-encodes to exactly
 // the bytes it was decoded from — the log holds one spelling of
 // everything, so a record cannot mean one thing to the code that wrote it
 // and another to the code that reads it.
@@ -36,6 +38,10 @@ func FuzzRecordDecode(f *testing.F) {
 		NewUpdate(42, 4096, 3<<40|17, up),
 		NewUpdate(42, lsn.Undefined, 1<<40, UpdatePayload{Op: OpInsert, Slot: 300, After: row}),
 		NewUpdate(42, 0, 5, UpdatePayload{Op: OpDelete, Slot: 1, Before: row[:10]}),
+		NewUpdate(42, 0, 5, UpdatePayload{Op: OpInsert, Slot: 2, After: append(row[:19:19], make([]byte, 81)...)}),
+		NewUpdate(42, 0, 5, UpdatePayload{Op: OpInsert, Slot: 2, After: make([]byte, 100)}),
+		NewUpdate(42, 0, 5, UpdatePayload{Op: OpDelete, Slot: 2, Before: row[:1]}),
+		NewCLR(42, 0, 5, lsn.Undefined, UpdatePayload{Op: OpDelete, Slot: 2, Before: make([]byte, 100)}),
 		clr,
 		NewCommit(42, 8192),
 		NewPad(64),
@@ -51,6 +57,8 @@ func FuzzRecordDecode(f *testing.F) {
 	}
 	f.Add([]byte{byte(KindCommit-1) | hasTxnID, 0x81, 0x00}) // over-long varint
 	f.Add([]byte{byte(OpSet), 0, 0, 1, 'a', 'a'})            // untrimmed splice
+	f.Add([]byte{byte(OpInsert), 0, 3, 'a', 0})              // image ending in a zero byte
+	f.Add([]byte{byte(OpDelete), 0, 1, 'a', 'b'})            // image longer than its row
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzRecord(t, data)
@@ -91,6 +99,9 @@ func fuzzUpdate(t *testing.T, src []byte) {
 	if len(u.Before)+len(u.After) >= len(src) || u.EncodedSize() != len(src) {
 		t.Fatalf("update of %d bytes decoded to images of %d + %d, EncodedSize %d", len(src), len(u.Before), len(u.After), u.EncodedSize())
 	}
+	if u.Op != OpSet && (u.RowLen > MaxRowLen || int(u.RowLen) < len(u.Before)+len(u.After)) {
+		t.Fatalf("%v decoded to a %d-byte row from a %d-byte image", u.Op, u.RowLen, len(u.Before)+len(u.After))
+	}
 	if again := u.Encode(nil); !bytes.Equal(again, src) {
 		t.Fatalf("update does not re-encode byte-identically:\n got %x\nfrom %x", again, src)
 	}
@@ -99,7 +110,7 @@ func fuzzUpdate(t *testing.T, src []byte) {
 			t.Fatalf("accepted an OpSet that Splice would trim further: %q → %q", u.Before, u.After)
 		}
 	}
-	if inv := u.Inverse().Inverse(); inv.Op != u.Op || inv.Slot != u.Slot || inv.Off != u.Off ||
+	if inv := u.Inverse().Inverse(); inv.Op != u.Op || inv.Slot != u.Slot || inv.Off != u.Off || inv.RowLen != u.RowLen ||
 		!bytes.Equal(inv.Before, u.Before) || !bytes.Equal(inv.After, u.After) {
 		t.Fatalf("inverse is not an involution on %+v", u)
 	}

@@ -35,7 +35,7 @@ const (
 	// images.
 	KindUpdate
 	// KindCLR is a compensation log record written during rollback;
-	// redo-only, with Aux holding the UndoNext LSN.
+	// redo-only, with Aux holding the UndoNext LSN (plus one).
 	KindCLR
 	// KindCommit marks a transaction commit. A transaction is committed
 	// iff its commit record is durable.
@@ -153,8 +153,8 @@ type Header struct {
 	PrevLSN lsn.LSN
 	// PageID is the page the record touches, 0 if not page-related.
 	PageID uint64
-	// Aux is kind-specific: a CLR's UndoNextLSN, a checkpoint-end's
-	// begin LSN, a multi-log update's previous page seq.
+	// Aux is kind-specific: a CLR's UndoNextLSN plus one (Record.UndoNext),
+	// a checkpoint-end's begin LSN, a multi-log update's previous page seq.
 	Aux uint64
 }
 

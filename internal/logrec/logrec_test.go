@@ -243,9 +243,103 @@ func TestUpdatePayloadMalformed(t *testing.T) {
 		{"shared first byte", []byte{byte(OpSet), 0, 0, 2, 'a', 'x', 'a', 'y'}},
 		{"shared last byte", []byte{byte(OpSet), 0, 0, 2, 'x', 'a', 'y', 'a'}},
 		{"empty splice away from offset 0", []byte{byte(OpSet), 0, 3, 0}},
+		{"insert without a row length", []byte{byte(OpInsert), 0}},
+		{"insert image ending in a zero byte", []byte{byte(OpInsert), 0, 3, 'a', 0}},
+		{"delete image ending in a zero byte", []byte{byte(OpDelete), 0, 3, 0}},
+		{"insert image longer than its row", []byte{byte(OpInsert), 0, 1, 'a', 'b'}},
+		{"over-long row length varint", []byte{byte(OpInsert), 0, 0x82, 0x00, 'a'}},
+		{"row longer than a page holds", binary.AppendUvarint([]byte{byte(OpDelete), 0}, MaxRowLen+1)},
 	} {
 		if _, err := DecodeUpdate(tc.src); !errors.Is(err, ErrBadPayload) {
 			t.Errorf("%s: got %v, want ErrBadPayload", tc.name, err)
+		}
+	}
+}
+
+// TestRowImageDropsZeroTail: an insert's or delete's row is logged as
+// its length and its bytes up to the last non-zero one, and decodes to
+// that image and the length; its inverse keeps the length, and both
+// re-encode to the same bytes.
+func TestRowImageDropsZeroTail(t *testing.T) {
+	padded := append([]byte("key:1"), make([]byte, 95)...)
+	for _, tc := range []struct {
+		name string
+		row  []byte
+		want []byte // the payload after op and slot
+	}{
+		{"zero-padded row", padded, append([]byte{100}, "key:1"...)},
+		{"all-zero row", make([]byte, 100), []byte{100}},
+		{"no zero tail", []byte("full"), []byte{4, 'f', 'u', 'l', 'l'}},
+		{"one-byte row", []byte{7}, []byte{1, 7}},
+		{"one zero byte", []byte{0}, []byte{1}},
+		{"empty row", nil, []byte{0}},
+		{"zero inside the image", []byte{1, 0, 2, 0}, []byte{4, 1, 0, 2}},
+	} {
+		for _, u := range []UpdatePayload{
+			{Op: OpInsert, Slot: 3, After: tc.row},
+			{Op: OpDelete, Slot: 3, Before: tc.row},
+		} {
+			enc := u.Encode(nil)
+			if want := append([]byte{byte(u.Op), 3}, tc.want...); !bytes.Equal(enc, want) || u.EncodedSize() != len(enc) {
+				t.Errorf("%s %v: encoded %x (EncodedSize %d), want %x", tc.name, u.Op, enc, u.EncodedSize(), want)
+				continue
+			}
+			got, err := DecodeUpdate(enc)
+			if err != nil {
+				t.Errorf("%s %v: %v", tc.name, u.Op, err)
+				continue
+			}
+			img := got.After
+			if u.Op == OpDelete {
+				img = got.Before
+			}
+			if int(got.RowLen) != len(tc.row) || !bytes.Equal(img, tc.want[1:]) {
+				t.Errorf("%s %v: decoded %d-byte row %x, want %d bytes %x", tc.name, u.Op, got.RowLen, img, len(tc.row), tc.want[1:])
+			}
+			inv, again := got.Inverse(), got.Inverse().Inverse()
+			if inv.RowLen != got.RowLen || !bytes.Equal(again.Encode(nil), enc) {
+				t.Errorf("%s %v: inverse %+v does not keep the row", tc.name, u.Op, inv)
+			}
+			if back, err := DecodeUpdate(inv.Encode(nil)); err != nil || back.RowLen != got.RowLen {
+				t.Errorf("%s %v: inverse decoded %+v, %v", tc.name, u.Op, back, err)
+			}
+		}
+	}
+}
+
+// Encoding an insert trims its row where it stands: re-arming a record
+// with a zero-padded row allocates nothing.
+func TestRowImageEncodeDoesNotAllocate(t *testing.T) {
+	row := append([]byte("history row"), make([]byte, 89)...)
+	up := UpdatePayload{Op: OpInsert, Slot: 4, After: row}
+	var rec Record
+	rec.SetUpdate(1, 2, 3, up)
+	if n := testing.AllocsPerRun(100, func() { rec.SetUpdate(1, 2, 3, up); rec.SetCLR(1, 2, 3, 4, up.Inverse()) }); n != 0 {
+		t.Fatalf("SetUpdate + SetCLR of a zero-padded row allocate %.0f objects", n)
+	}
+	if len(rec.Payload) != 3+len("history row") {
+		t.Fatalf("CLR payload %x carries the zero tail", rec.Payload)
+	}
+}
+
+// A CLR stores its undo-next pointer plus one: the end of a chain is the
+// absent Aux and costs no bytes, and LSN 0 stays a pointer.
+func TestCLRUndoNextEndsChainFree(t *testing.T) {
+	up := UpdatePayload{Op: OpInsert, Slot: 1, After: []byte("r")}
+	end := NewCLR(5, 88, 7, lsn.Undefined, up)
+	toZero := NewCLR(5, 88, 7, 0, up)
+	if end.Aux != 0 || end.UndoNext() != lsn.Undefined || end.EncodedSize() != toZero.EncodedSize()-1 {
+		t.Fatalf("chain-end CLR: Aux %d, UndoNext %v, %d bytes against %d for undo-next 0",
+			end.Aux, end.UndoNext(), end.EncodedSize(), toZero.EncodedSize())
+	}
+	for _, rec := range []*Record{end, toZero} {
+		buf, err := rec.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := Decode(buf)
+		if err != nil || got.UndoNext() != rec.UndoNext() {
+			t.Fatalf("CLR with undo-next %v decoded to %v, %v", rec.UndoNext(), got.UndoNext(), err)
 		}
 	}
 }
@@ -624,7 +718,7 @@ func TestSetInPlaceEncodesLikeFresh(t *testing.T) {
 		{"update", func(r *Record) { r.SetUpdate(42, 4096, 77, up) },
 			Record{Header: Header{Kind: KindUpdate, TxnID: 42, PrevLSN: 4096, PageID: 77}, Payload: up.Encode(nil)}},
 		{"clr", func(r *Record) { r.SetCLR(42, 4096, 77, 1024, inv) },
-			Record{Header: Header{Kind: KindCLR, Flags: FlagRedoOnly, TxnID: 42, PrevLSN: 4096, PageID: 77, Aux: 1024}, Payload: inv.Encode(nil)}},
+			Record{Header: Header{Kind: KindCLR, Flags: FlagRedoOnly, TxnID: 42, PrevLSN: 4096, PageID: 77, Aux: 1024 + 1}, Payload: inv.Encode(nil)}},
 		{"commit", func(r *Record) { r.Reset(KindCommit, 42, 4096) },
 			Record{Header: Header{Kind: KindCommit, TxnID: 42, PrevLSN: 4096}}},
 	}

@@ -50,13 +50,16 @@ var ErrBadPayload = errors.New("logrec: malformed payload")
 // An OpSet is a splice, row[Off : Off+len(Before)] → After: it logs the
 // bytes the update changed and where, not the row (Splice trims the two
 // row images to that). An insert carries the new row in After, a delete
-// the old one in Before; neither has an Off.
+// the old one in Before; neither has an Off. Their row is logged the same
+// way, as a splice from an all-zero row of the same length: its length
+// and its bytes up to the last non-zero one, the rest of the row being
+// implied zeros.
 //
 // Encoding (varints as in the record header, shortest form only):
 //
 //	OpSet     op byte | Slot | Off | len(Before) | Before | After
-//	OpInsert  op byte | Slot | After
-//	OpDelete  op byte | Slot | Before
+//	OpInsert  op byte | Slot | row length | After without its zero tail
+//	OpDelete  op byte | Slot | row length | Before without its zero tail
 //
 // The last image runs to the end of the payload. DecodeUpdate accepts
 // only what Encode writes for a payload Splice could have made.
@@ -71,7 +74,16 @@ type UpdatePayload struct {
 	Before []byte
 	// After is the post-image (empty for deletes): the redo side.
 	After []byte
+	// RowLen is an insert's or delete's row length where its image stops
+	// short of it: the row is the image followed by zeros. DecodeUpdate
+	// sets it; a caller that hands over the whole row may leave it 0.
+	RowLen uint32
 }
+
+// MaxRowLen is the longest row a page holds: storage.MaxRecordSize, an
+// 8 KiB page less its 24-byte header and one 4-byte slot entry. An insert
+// or delete that names a longer row is malformed.
+const MaxRowLen = 8192 - 24 - 4
 
 // Splice returns the OpSet that turns the row image before into after:
 // the two with their common prefix and then their common suffix trimmed,
@@ -117,29 +129,52 @@ func commonSuffix(a, b []byte) int {
 	return i
 }
 
+// significant returns len(b) less b's trailing zero bytes.
+func significant(b []byte) int {
+	n := len(b)
+	for n >= 8 && binary.LittleEndian.Uint64(b[n-8:]) == 0 {
+		n -= 8
+	}
+	for n > 0 && b[n-1] == 0 {
+		n--
+	}
+	return n
+}
+
+// image returns an insert's After or a delete's Before.
+func (u *UpdatePayload) image() []byte {
+	if u.Op == OpInsert {
+		return u.After
+	}
+	return u.Before
+}
+
+// RowSize returns the length of an insert's or delete's row: RowLen, or
+// its image's length if that is longer. The row is the image and then
+// RowSize - len(image) zeros.
+func (u *UpdatePayload) RowSize() int { return max(int(u.RowLen), len(u.image())) }
+
 // EncodedSize returns the payload's encoded length.
 func (u *UpdatePayload) EncodedSize() int {
 	n := 1 + uvarintLen(uint64(u.Slot))
 	switch u.Op {
-	case OpInsert:
-		return n + len(u.After)
-	case OpDelete:
-		return n + len(u.Before)
+	case OpInsert, OpDelete:
+		return n + uvarintLen(uint64(u.RowSize())) + significant(u.image())
 	}
 	return n + uvarintLen(uint64(u.Off)) + uvarintLen(uint64(len(u.Before))) + len(u.Before) + len(u.After)
 }
 
 // Encode appends the payload to dst and returns the extended slice. It
 // writes the fields the op has: an insert's Before and Off and a
-// delete's After and Off are not part of the payload.
+// delete's After and Off are not part of the payload, and an insert's
+// or delete's row goes without its zero tail.
 func (u *UpdatePayload) Encode(dst []byte) []byte {
 	dst = append(dst, byte(u.Op))
 	dst = binary.AppendUvarint(dst, uint64(u.Slot))
 	switch u.Op {
-	case OpInsert:
-		return append(dst, u.After...)
-	case OpDelete:
-		return append(dst, u.Before...)
+	case OpInsert, OpDelete:
+		img := u.image()
+		return append(binary.AppendUvarint(dst, uint64(u.RowSize())), img[:significant(img)]...)
 	}
 	dst = binary.AppendUvarint(dst, uint64(u.Off))
 	dst = binary.AppendUvarint(dst, uint64(len(u.Before)))
@@ -148,10 +183,13 @@ func (u *UpdatePayload) Encode(dst []byte) []byte {
 }
 
 // DecodeUpdate parses a KindUpdate or KindCLR payload. The returned
-// slices alias src. Besides truncation, unknown ops and non-minimal
-// varints it refuses an OpSet whose images still share a first or a last
-// byte, or an empty one away from offset 0: such a payload has a shorter
-// spelling, and the log holds one spelling of everything.
+// slices alias src; an insert's or delete's image is its row without the
+// zero tail, and RowLen the row's length. Besides truncation, unknown ops
+// and non-minimal varints it refuses an OpSet whose images still share a
+// first or a last byte, or an empty one away from offset 0, and an insert
+// or delete whose image ends in a zero byte or runs past its row length,
+// or whose row is longer than MaxRowLen: such a payload has a shorter
+// spelling or means no row, and the log holds one spelling of everything.
 func DecodeUpdate(src []byte) (UpdatePayload, error) {
 	if len(src) == 0 {
 		return UpdatePayload{}, ErrBadPayload
@@ -160,10 +198,18 @@ func DecodeUpdate(src []byte) (UpdatePayload, error) {
 	c := cursor{src: src[1:], ok: true}
 	u.Slot = uint16(c.uvarint(0, math.MaxUint16))
 	switch u.Op {
-	case OpInsert:
-		u.After = c.src
-	case OpDelete:
-		u.Before = c.src
+	case OpInsert, OpDelete:
+		n := c.uvarint(0, MaxRowLen)
+		img := c.src
+		if !c.ok || len(img) > int(n) || len(img) > 0 && img[len(img)-1] == 0 {
+			return UpdatePayload{}, ErrBadPayload
+		}
+		u.RowLen = uint32(n)
+		if u.Op == OpInsert {
+			u.After = img
+		} else {
+			u.Before = img
+		}
 	case OpSet:
 		u.Off = uint32(c.uvarint(0, MaxPayload))
 		bl := int(c.uvarint(0, MaxPayload))
@@ -191,9 +237,9 @@ func DecodeUpdate(src []byte) (UpdatePayload, error) {
 func (u UpdatePayload) Inverse() UpdatePayload {
 	switch u.Op {
 	case OpInsert:
-		return UpdatePayload{Op: OpDelete, Slot: u.Slot, Before: u.After}
+		return UpdatePayload{Op: OpDelete, Slot: u.Slot, Before: u.After, RowLen: u.RowLen}
 	case OpDelete:
-		return UpdatePayload{Op: OpInsert, Slot: u.Slot, After: u.Before}
+		return UpdatePayload{Op: OpInsert, Slot: u.Slot, After: u.Before, RowLen: u.RowLen}
 	default:
 		return UpdatePayload{Op: OpSet, Slot: u.Slot, Off: u.Off, Before: u.After, After: u.Before}
 	}
@@ -320,12 +366,14 @@ func (r *Record) SetUpdate(txnID uint64, prev lsn.LSN, pageID uint64, p UpdatePa
 }
 
 // SetCLR re-arms r in place as a compensation record that redoes p (the
-// inverse of the undone update) and chains rollback to undoNext.
+// inverse of the undone update) and chains rollback to undoNext. Aux
+// holds undoNext plus one, so that the end of a chain (lsn.Undefined)
+// is Aux's absent value and costs no bytes.
 func (r *Record) SetCLR(txnID uint64, prev lsn.LSN, pageID uint64, undoNext lsn.LSN, p UpdatePayload) {
 	r.Reset(KindCLR, txnID, prev)
 	r.Flags = FlagRedoOnly
 	r.PageID = pageID
-	r.Aux = uint64(undoNext)
+	r.Aux = uint64(undoNext) + 1
 	r.setPayload(p)
 }
 
@@ -378,8 +426,8 @@ func NewPad(size int) *Record {
 	}
 }
 
-// UndoNext returns the CLR's undo-next pointer.
-func (r *Record) UndoNext() lsn.LSN { return lsn.LSN(r.Aux) }
+// UndoNext returns the CLR's undo-next pointer (see SetCLR).
+func (r *Record) UndoNext() lsn.LSN { return lsn.LSN(r.Aux - 1) }
 
 // PrevPageSeq returns, for a multi-log update record, the global
 // sequence stamp of the page's previous update at the time this record

@@ -47,6 +47,10 @@ const (
 // MaxRecordSize is the largest record a page can hold.
 const MaxRecordSize = PageSize - hdrSize - slotDirEntry
 
+// The log refuses an insert or delete of a row longer than a page holds;
+// this fails to compile if the two bounds part.
+var _ = [1]struct{}{}[MaxRecordSize-logrec.MaxRowLen]
+
 // Errors returned by page operations.
 var (
 	ErrPageFull     = errors.New("storage: page full")
@@ -282,8 +286,12 @@ func (p *Page) liveBytes() int {
 // replayed by redo, which may name any slot: one past the end grows the
 // directory with dead slots, which lie at or above the first-free bound
 // already.
-func (p *Page) Insert(slot int, data []byte) error {
-	if len(data) > MaxRecordSize {
+func (p *Page) Insert(slot int, data []byte) error { return p.insert(slot, data, len(data)) }
+
+// insert places a row of size bytes into slot: data and then zeros, the
+// row a logged insert's image stands for.
+func (p *Page) insert(slot int, data []byte, size int) error {
+	if size > MaxRecordSize {
 		return ErrRecordTooBig
 	}
 	n := p.NumSlots()
@@ -308,19 +316,20 @@ func (p *Page) Insert(slot int, data []byte) error {
 	if slot == n {
 		needDir = slotDirEntry
 	}
-	if PageSize-slotDirEntry*n-needDir-p.freeStart() < len(data) {
-		if p.liveBytes()+len(data)+hdrSize+slotDirEntry*n+needDir > PageSize {
+	if PageSize-slotDirEntry*n-needDir-p.freeStart() < size {
+		if p.liveBytes()+size+hdrSize+slotDirEntry*n+needDir > PageSize {
 			return ErrPageFull
 		}
 		p.compact()
 	}
 	off := p.freeStart()
-	copy(p.buf()[off:], data)
+	row := p.buf()[off : off+size]
+	clear(row[copy(row, data):])
 	if slot == n {
 		p.setNumSlots(n + 1)
 	}
-	p.setSlot(slot, off, len(data))
-	p.setFreeStart(off + len(data))
+	p.setSlot(slot, off, size)
+	p.setFreeStart(off + size)
 	if slot == int(p.firstFree) {
 		// Every slot below this one is live, and now this one is too.
 		p.firstFree++
@@ -451,14 +460,16 @@ func (p *Page) resplice(slot int, head, repl, tail []byte) error {
 // Apply performs a physiological update (from a log record) against the
 // page and stamps the page LSN. It is the single redo entry point: the
 // same function applies forward updates, rollback inverses and recovery
-// redo. Applying a length-changing splice twice is no more idempotent
+// redo. An insert writes its row's zero tail itself, so a decoded one
+// (whose image stops at the last non-zero byte) needs no copy of the
+// row. Applying a length-changing splice twice is no more idempotent
 // than applying an insert twice; the callers' page-stamp guards see to
 // it that nothing is.
 func (p *Page) Apply(up logrec.UpdatePayload, at lsn.LSN) error {
 	var err error
 	switch up.Op {
 	case logrec.OpInsert:
-		err = p.Insert(int(up.Slot), up.After)
+		err = p.insert(int(up.Slot), up.After, up.RowSize())
 	case logrec.OpSet:
 		err = p.splice(int(up.Slot), int(up.Off), len(up.Before), up.After)
 	case logrec.OpDelete:

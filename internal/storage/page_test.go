@@ -286,6 +286,94 @@ func TestPageApplyRoundTrip(t *testing.T) {
 	}
 }
 
+// dirtyPage returns an empty page whose free space holds junk, so that a
+// row applied to it shows any byte the apply did not write.
+func dirtyPage(id uint64) *Page {
+	img := NewPage(id).Snapshot()
+	for i := hdrSize; i < PageSize; i++ {
+		img[i] = 0xee
+	}
+	p := NewPage(id)
+	if err := p.LoadSnapshot(img); err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// Property: a row with any zero tail goes through the log and back onto
+// a page byte for byte — Encode, DecodeUpdate (which drops the tail) and
+// Apply (which writes it) — as an insert, a delete, and the CLR of each.
+func TestQuickRowImageApplies(t *testing.T) {
+	roundTrip := func(u logrec.UpdatePayload) logrec.UpdatePayload {
+		got, err := logrec.DecodeUpdate(u.Encode(nil))
+		if err != nil {
+			t.Fatalf("%v of a %d-byte row: %v", u.Op, max(len(u.Before), len(u.After)), err)
+		}
+		return got
+	}
+	f := func(head []byte, tail uint8, slot uint8) bool {
+		row := append(append([]byte(nil), head...), make([]byte, tail)...)
+		s := int(slot % 8)
+		p := dirtyPage(1)
+		ins := roundTrip(logrec.UpdatePayload{Op: logrec.OpInsert, Slot: uint16(s), After: row})
+		if err := p.Apply(ins, 1); err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.Get(s)
+		if err != nil || !bytes.Equal(got, row) {
+			return false
+		}
+		if err := p.Apply(roundTrip(ins.Inverse()), 2); err != nil { // the insert's CLR
+			t.Fatal(err)
+		}
+		if _, err := p.Get(s); !errors.Is(err, ErrDeadSlot) {
+			return false
+		}
+		if err := p.Insert(s, row); err != nil {
+			t.Fatal(err)
+		}
+		del := roundTrip(logrec.UpdatePayload{Op: logrec.OpDelete, Slot: uint16(s), Before: row})
+		if err := p.Apply(del, 3); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Apply(roundTrip(del.Inverse()), 4); err != nil { // the delete's CLR
+			t.Fatal(err)
+		}
+		got, err = p.Get(s)
+		return err == nil && bytes.Equal(got, row)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Redo, compensate and rollback apply decoded inserts: decoding one and
+// applying it, zero tail and all, allocates nothing.
+func TestApplyTrimmedInsertDoesNotAllocate(t *testing.T) {
+	ins := logrec.UpdatePayload{Op: logrec.OpInsert, After: append([]byte("history row"), make([]byte, 89)...)}
+	enc := ins.Encode(nil)
+	empty := dirtyPage(1).Snapshot()
+	p := NewPage(1)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := p.LoadSnapshot(empty); err != nil {
+			t.Fatal(err)
+		}
+		up, err := logrec.DecodeUpdate(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Apply(up, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got, _ := p.Get(0); !bytes.Equal(got, ins.After) {
+		t.Fatalf("applied row %q, want %q", got, ins.After)
+	}
+	if allocs != 0 {
+		t.Fatalf("decode + apply of a trimmed insert allocate %.0f objects", allocs)
+	}
+}
+
 func TestPageSnapshotRoundTrip(t *testing.T) {
 	p := NewPage(42)
 	p.Insert(0, []byte("persist me"))

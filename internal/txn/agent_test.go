@@ -321,6 +321,7 @@ func tpcbShape(t testing.TB, ag *Agent, tables *[4]*Table, keys [4]uint64, delta
 	}
 	hist := make([]byte, 100)
 	copy(hist, row(keys[3], delta))
+	binary.LittleEndian.PutUint64(hist[16:], keys[2]) // the account, as the benchmark's history rows hold it
 	if err := tx.Insert(tables[3], keys[3], hist); err != nil {
 		t.Fatal(err)
 	}
@@ -329,23 +330,33 @@ func tpcbShape(t testing.TB, ag *Agent, tables *[4]*Table, keys [4]uint64, delta
 	}
 }
 
-// TestTPCBLogBytesBudget is the log-volume budget of one TPC-B-shaped
-// transaction — three updates of an 8-byte field in 100-byte rows, one
-// 100-byte insert, a commit — counted off the device: at most 300 bytes
-// on one lane (five 48-byte headers and three pairs of whole rows made
-// it 988), and on three lanes at most a seq and an edge more per record.
-// The engine here is a few records old, so its transaction IDs and LSNs
-// are one byte long; the same records re-encoded at the repository
-// benchmark's magnitudes (IDs to 80 200, 33 MB of log per cycle) must
-// fit the budget too. Every byte of the field changes, the most an
-// update can log.
+// TestTPCBLogBytesBudget is the log-volume budget of one TPC-B
+// transaction shaped as the repository benchmark makes them — three
+// updates of an 8-byte balance in 100-byte rows, one zero-padded 100-byte
+// history row holding its key, the delta and the account, a commit —
+// counted off the device. The engine here is a few records old, so its
+// transaction IDs, LSNs and page numbers are one or two bytes long; the
+// same records re-encoded at the benchmark's magnitudes (IDs to 80 200,
+// 33 MB of log per cycle, thousands of pages a table) must fit the budget
+// too: at most 150 bytes on one lane (five 48-byte headers and whole rows
+// made it 988, whole history rows 246), the history insert at most 45 of
+// them, and on three lanes at most a seq and an edge more per record. A
+// balance of a few million moved by a negative delta of the benchmark's
+// range changes its three low bytes, and the negative delta fills the
+// history row's whole amount field: the most a benchmark history row
+// logs.
 func TestTPCBLogBytesBudget(t *testing.T) {
 	const (
-		budget     = 300
-		seqAndEdge = 2 * binary.MaxVarintLen32 // per record, on N lanes
-		benchTxnID = 80_200
-		benchLSN   = 33_000_000
+		budget       = 150
+		insertBudget = 45
+		seqAndEdge   = 2 * binary.MaxVarintLen32 // per record, on N lanes
+		benchTxnID   = 80_200
+		benchLSN     = 33_000_000
+		benchPageNo  = 5_000
+		balance      = 3_000_000
+		delta        = -654_321
 	)
+	keys := [4]uint64{1, 1, 100_000, 2<<40 | 1} // branch, teller, account, history as the benchmark numbers them
 	forEachLaneCount(t, func(t *testing.T, n int) {
 		h := newHarnessN(t, n, harnessLogConfig)
 		var tables [4]*Table // branch, teller, account, history
@@ -358,8 +369,8 @@ func TestTPCBLogBytesBudget(t *testing.T) {
 				break
 			}
 			r := make([]byte, 100)
-			copy(r, row(1, 0x0101010101010101))
-			if err := load.Insert(tables[i], 1, r); err != nil {
+			copy(r, row(keys[i], balance))
+			if err := load.Insert(tables[i], keys[i], r); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -372,10 +383,11 @@ func TestTPCBLogBytesBudget(t *testing.T) {
 			before = append(before, d.DurableSize())
 		}
 
-		tpcbShape(t, ag, &tables, [4]uint64{1, 1, 1, 1}, 0x7e7e7e7e7e7e7e7e)
+		d := int64(delta)
+		tpcbShape(t, ag, &tables, keys, uint64(d))
 		h.flushAll(t)
 
-		logged, atBench, records := 0, 0, 0
+		logged, atBench, insertAtBench, records := 0, 0, 0, 0
 		perKind := map[logrec.Kind][2]int{} // records, bytes
 		for i, d := range h.devs {
 			tail := make([]byte, d.DurableSize()-before[i])
@@ -388,20 +400,25 @@ func TestTPCBLogBytesBudget(t *testing.T) {
 				records++
 				k := perKind[rec.Kind]
 				perKind[rec.Kind] = [2]int{k[0] + 1, k[1] + int(rec.TotalLen)}
+				var up logrec.UpdatePayload
 				if rec.Kind == logrec.KindUpdate {
-					up, err := logrec.DecodeUpdate(rec.Payload)
-					if err != nil {
+					var err error
+					if up, err = logrec.DecodeUpdate(rec.Payload); err != nil {
 						t.Fatal(err)
 					}
-					if up.Op == logrec.OpSet && (up.Off != 8 || len(up.Before) != 8 || len(up.After) != 8) {
-						t.Errorf("update logged row[%d:+%d] → %d bytes, want the 8-byte field at offset 8", up.Off, len(up.Before), len(up.After))
+					if up.Op == logrec.OpSet && (up.Off < 8 || int(up.Off)+len(up.Before) > 16 || len(up.Before) != len(up.After)) {
+						t.Errorf("update logged row[%d:+%d] → %d bytes, want bytes of the balance at [8, 16)", up.Off, len(up.Before), len(up.After))
 					}
+					rec.PageID += benchPageNo
 				}
 				rec.TxnID = benchTxnID
 				if rec.PrevLSN.Valid() {
 					rec.PrevLSN += benchLSN
 				}
 				atBench += rec.EncodedSize()
+				if up.Op == logrec.OpInsert {
+					insertAtBench = rec.EncodedSize()
+				}
 			}
 			if err := it.Err(); err != nil {
 				t.Fatal(err)
@@ -410,16 +427,59 @@ func TestTPCBLogBytesBudget(t *testing.T) {
 		if records != 5 {
 			t.Fatalf("the transaction logged %d records, want 3 updates, 1 insert, 1 commit", records)
 		}
-		limit := budget
+		limit, insertLimit := budget, insertBudget
 		if n > 1 {
 			limit += records * seqAndEdge
+			insertLimit += seqAndEdge
 		}
-		t.Logf("%d lanes: %d bytes logged (%d at benchmark magnitudes), budget %d: update %v, commit %v [records, bytes]",
-			n, logged, atBench, limit, perKind[logrec.KindUpdate], perKind[logrec.KindCommit])
+		t.Logf("%d lanes: %d bytes logged (%d at benchmark magnitudes, the insert %d), budget %d (insert %d): update %v, commit %v [records, bytes]",
+			n, logged, atBench, insertAtBench, limit, insertLimit, perKind[logrec.KindUpdate], perKind[logrec.KindCommit])
 		if logged > limit || atBench > limit {
 			t.Errorf("%d bytes logged, %d at benchmark magnitudes: budget %d", logged, atBench, limit)
 		}
+		if insertAtBench > insertLimit {
+			t.Errorf("the history insert is %d bytes at benchmark magnitudes: budget %d", insertAtBench, insertLimit)
+		}
 	})
+}
+
+// TestCLRChainEndCarriesNoAux: rolling back a one-update transaction
+// logs one CLR, whose undo-next is the end of the chain; the end of a
+// chain is the absent Aux, so the record spends no bytes on it.
+func TestCLRChainEndCarriesNoAux(t *testing.T) {
+	h := newHarness(t)
+	tbl, _ := h.eng.CreateTable("t", nil)
+	ag := h.eng.NewAgent()
+	defer ag.Close()
+	tx := ag.Begin()
+	if err := tx.Insert(tbl, 1, row(1, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	h.flushAll(t)
+	dev := h.devs[0]
+	data := make([]byte, dev.DurableSize())
+	if _, err := dev.RawReadAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	var clrs []logrec.Record
+	it := logrec.NewIterator(data, 0)
+	for rec, ok := it.Next(); ok; rec, ok = it.Next() {
+		if rec.Kind == logrec.KindCLR {
+			clrs = append(clrs, rec)
+		}
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(clrs) != 1 {
+		t.Fatalf("rollback of one insert logged %d CLRs, want 1", len(clrs))
+	}
+	if clr := clrs[0]; clr.Aux != 0 || clr.UndoNext() != lsn.Undefined {
+		t.Fatalf("the chain-ending CLR carries Aux %d (undo-next %v), want none", clr.Aux, clr.UndoNext())
+	}
 }
 
 // TestTxnAllocationBudget is the transaction layer's allocation budget.
@@ -536,7 +596,7 @@ func TestAgentScratchRetention(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	big := make([]byte, 5000)
+	big := bytes.Repeat([]byte{0xa5}, 5000) // no zero tail: the record carries all of it
 	copy(big, row(20_001, 0))
 	if err := bulk.Insert(tbl, 20_001, big); err != nil {
 		t.Fatal(err)

@@ -9,11 +9,13 @@ import (
 )
 
 // oneLaneLogGolden holds, as a hex dump, the log goldenScript leaves
-// behind: record format 3 (ISSUE 24 — compact header, ranged update
-// images), where the same script wrote 2 065 bytes in the format before
-// it. A one-lane log must stay byte-identical to it: same records, same
-// addresses, no sequence stamps. A failure prints the dump to paste here
-// — after reading the diff: every changed byte is a format change.
+// behind: record format 4 (compact header, ranged update images, insert
+// and delete rows without their zero tail, a CLR's undo-next stored plus
+// one), 577 bytes, where the same script wrote 648 in format 3 and 2 065
+// in format 2. A one-lane log must stay byte-identical to it: same
+// records, same addresses, no sequence stamps. A failure prints the dump
+// to paste here — after reading the diff: every changed byte is a format
+// change.
 const oneLaneLogGolden = "testdata/one_lane_log.golden"
 
 // goldenScript is a fixed single-agent history touching every record

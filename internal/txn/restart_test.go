@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"bytes"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -77,7 +78,7 @@ func TestRestartScansFromCheckpointHorizon(t *testing.T) {
 		for k := uint64(1); k <= 256; {
 			tx := ag.Begin()
 			for i := 0; i < 8; i, k = i+1, k+1 {
-				if err := tx.Insert(tbls[int(k/8)%len(tbls)], k, append(row(k, k*7), make([]byte, 4000)...)); err != nil {
+				if err := tx.Insert(tbls[int(k/8)%len(tbls)], k, append(row(k, k*7), bytes.Repeat([]byte{0xa5}, 4000)...)); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -16,7 +16,9 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sync/atomic"
+	"strconv"
+	"strings"
+	"sync"
 
 	"aether/internal/logdev"
 	"aether/internal/logrec"
@@ -105,12 +107,16 @@ func (r *RestoredDB) Get(table string, key uint64) (row []byte, err error) {
 }
 
 // Close stops the restored database and removes the files the restore
-// made. Safe to call more than once.
+// made; what a failed removal leaves, the next Open of the database
+// removes. Safe to call more than once.
 func (r *RestoredDB) Close() error {
 	err := r.db.Close()
 	if dir := r.scratch; dir != "" {
 		r.scratch = ""
 		err = errors.Join(err, vfs.RemoveAll(r.db.fs, dir))
+		scratch.mu.Lock()
+		delete(scratch.live, scratchKey{r.db.fs, dir})
+		scratch.mu.Unlock()
 	}
 	return err
 }
@@ -264,18 +270,66 @@ func cutAt(data []byte, base, at uint64, lanes int) (int, error) {
 	return cut, it.Err()
 }
 
-// restores numbers this process's scratch directories.
-var restores atomic.Int64
+// scratch numbers this process's scratch directories and holds those of
+// its open RestoredDBs, which sweepScratch spares. It is process-wide
+// because the directories are: two DBs of one process may share a path.
+var scratch struct {
+	mu   sync.Mutex
+	n    int64
+	live map[scratchKey]bool
+}
+
+type scratchKey struct {
+	fs  vfs.FS
+	dir string
+}
 
 // scratchDir makes a new directory root.restore-<k> beside a file-backed
-// database's root, skipping any a crashed process left behind.
+// database's root, skipping any that exists, and holds it until
+// RestoredDB.Close.
 func scratchDir(fs vfs.FS, root string) (string, error) {
+	scratch.mu.Lock()
+	defer scratch.mu.Unlock()
 	for {
-		dir := fmt.Sprintf("%s.restore-%d", filepath.Clean(root), restores.Add(1))
+		scratch.n++
+		dir := fmt.Sprintf("%s.restore-%d", filepath.Clean(root), scratch.n)
 		if _, err := fs.Stat(dir); errors.Is(err, os.ErrNotExist) {
-			return dir, fs.MkdirAll(dir, 0o755)
+			if err := fs.MkdirAll(dir, 0o755); err != nil {
+				return "", err
+			}
+			if scratch.live == nil {
+				scratch.live = make(map[scratchKey]bool)
+			}
+			scratch.live[scratchKey{fs, dir}] = true
+			return dir, nil
 		} else if err != nil {
 			return "", err
 		}
 	}
+}
+
+// sweepScratch removes, durably, every root.restore-<k> directory beside
+// a file-backed database's root that no open RestoredDB of this process
+// holds: those a process that died before RestoredDB.Close left behind.
+func sweepScratch(fs vfs.FS, root string) error {
+	root = filepath.Clean(root)
+	parent, prefix := filepath.Dir(root), filepath.Base(root)+".restore-"
+	entries, err := fs.ReadDir(parent)
+	if err != nil {
+		return err
+	}
+	scratch.mu.Lock()
+	defer scratch.mu.Unlock()
+	for _, e := range entries {
+		k, ok := strings.CutPrefix(e.Name(), prefix)
+		if _, perr := strconv.ParseUint(k, 10, 64); !ok || perr != nil || !e.IsDir() {
+			continue
+		}
+		if dir := filepath.Join(parent, e.Name()); !scratch.live[scratchKey{fs, dir}] {
+			if err := vfs.RemoveAll(fs, dir); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"testing"
 	"time"
 
 	"aether/internal/logdev"
+	"aether/internal/vfs"
 )
 
 // restoreModel tracks the expected committed state at each captured
@@ -366,5 +368,81 @@ func testRetentionFloorProperty(t *testing.T, lanes int) {
 	}
 	if checked == 0 {
 		t.Fatal("no captured point at or above the floor; test drove too little history")
+	}
+}
+
+// TestRestoreScratchSweptOnOpen: a file-backed RestoreTo keeps its copy
+// in <LogPath>.restore-<k> until RestoredDB.Close. One whose process dies
+// first — here, the power fails and its Close cannot remove anything —
+// leaves the directory behind, and the next Open of the database removes
+// it. A RestoredDB still open in this process keeps its directory across
+// another Open of the same path.
+func TestRestoreScratchSweptOnOpen(t *testing.T) {
+	fs := vfs.NewFaultFS(11)
+	opts := Options{LogPath: "/db", SegmentSize: 4096, Mode: CommitSync, fs: fs}
+	open := func() (*DB, *Table) {
+		t.Helper()
+		db, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := db.CreateTable("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.RebuildAfterRecovery(); err != nil {
+			t.Fatal(err)
+		}
+		return db, tbl
+	}
+	exists := func(dir string) bool {
+		t.Helper()
+		_, err := fs.Stat(dir)
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
+			t.Fatal(err)
+		}
+		return err == nil
+	}
+
+	db, tbl := open()
+	writeRows(t, db, tbl, 1, 6)
+	r, err := db.RestoreTo(db.RestorePoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	left := r.scratch
+	fs.PowerCut()
+	r.Close()
+	db.Close()
+	fs.Recover()
+	if !exists(left) {
+		t.Fatalf("test invalid: the power cut took %s with it", left)
+	}
+	db, tbl = open()
+	if exists(left) {
+		t.Fatalf("Open left %s, which no RestoredDB holds", left)
+	}
+
+	r, err = db.RestoreTo(db.RestorePoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := r.scratch
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, _ = open()
+	defer db.Close()
+	if !exists(held) {
+		t.Fatalf("Open removed %s under an open RestoredDB", held)
+	}
+	if row, err := r.Get("t", 5); err != nil || len(row) == 0 {
+		t.Fatalf("the open RestoredDB lost row 5: %q, %v", row, err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if exists(held) {
+		t.Fatalf("RestoredDB.Close left %s", held)
 	}
 }

@@ -1,17 +1,19 @@
 package aether
 
 import (
+	"bytes"
 	"path/filepath"
 	"testing"
 )
 
 // writeRows commits each key in [from, to) in its own transaction with a
-// payload large enough to push the log through segments quickly.
+// payload large enough to push the log through segments quickly (and
+// not zero: a row's zero tail is not logged).
 func writeRows(t *testing.T, db *DB, tbl *Table, from, to uint64) {
 	t.Helper()
 	s := db.Session()
 	defer s.Close()
-	payload := make([]byte, 256)
+	payload := bytes.Repeat([]byte{0xa5}, 256)
 	for k := from; k < to; k++ {
 		tx := s.Begin()
 		if err := tx.Insert(tbl, k, Row(k, payload)); err != nil {
@@ -263,7 +265,7 @@ func TestReopenStartsAtCheckpointHorizon(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := db.Session()
-	payload := make([]byte, 4000)
+	payload := bytes.Repeat([]byte{0xa5}, 4000)
 	for k := uint64(1); k <= 256; {
 		tx := s.Begin()
 		for i := 0; i < 8; i, k = i+1, k+1 {
