@@ -433,7 +433,7 @@ func (r *Record) UndoNext() lsn.LSN { return lsn.LSN(r.Aux - 1) }
 // sequence stamp of the page's previous update at the time this record
 // was appended — the dependency edge recovery verifies when merging N
 // logs. It is 0 for single-log records, for a page's first update, and
-// for every non-update kind (a CLR's Aux is its UndoNextLSN).
+// for every non-update kind (a CLR's Aux holds its UndoNextLSN).
 func (r *Record) PrevPageSeq() uint64 {
 	if r.Kind != KindUpdate {
 		return 0
