@@ -32,7 +32,7 @@
 //	logdump -f wal.d -archive cold  # segmented log with an explicit cold store
 //	logdump -f multi.d              # partitioned root: per-partition layout + merged seq view
 //	logdump -f wal.d -txn 42        # one transaction's chain
-//	logdump -f wal.d -stats         # kind histogram + volume (framing vs image bytes, implied zeros) only
+//	logdump -f wal.d -stats         # kind histogram + volume (framing vs image bytes, implied zeros, framing per field) only
 //	logdump -f wal.d/pagefile.db    # pagefile slot table
 //	logdump -archive cold           # cold store alone: segment
 //	                                # objects, snapshots, floor
@@ -85,7 +85,9 @@ Examples:
   logdump -f wal.d -stats          kind histogram and volume only, each kind's
                                    bytes split into framing and row images, and
                                    the zero tails of inserted and deleted rows
-                                   that the log implies
+                                   that the log implies; then the framing per
+                                   field (length, CRC, kind byte, each header
+                                   field, the payload's own lengths)
   logdump -f wal.d -archive /cold  cold store in a non-default location
   logdump -f wal.d/pagefile.db     slot table of the database file
   logdump -archive /cold           the cold store alone: archived segments,
@@ -289,10 +291,7 @@ func dump(path, archDir string, txnFilter uint64, statsOnly bool) error {
 	}
 
 	m := recovery.NewLaneMerge(lanes)
-	kindCount := map[logrec.Kind]int{}
-	kindBytes := map[logrec.Kind]int{}
-	kindImage := map[logrec.Kind]int{}
-	kindZeros := map[logrec.Kind]int{}
+	perKind := map[logrec.Kind]*kindStats{}
 	txns := map[uint64]bool{}
 	records := 0
 	for {
@@ -302,11 +301,12 @@ func dump(path, archDir string, txnFilter uint64, statsOnly bool) error {
 		}
 		rec := mr.Rec
 		records++
-		kindCount[rec.Kind]++
-		kindBytes[rec.Kind] += int(rec.TotalLen)
-		image, zeros := imageBytes(rec)
-		kindImage[rec.Kind] += image
-		kindZeros[rec.Kind] += zeros
+		ks := perKind[rec.Kind]
+		if ks == nil {
+			ks = &kindStats{}
+			perKind[rec.Kind] = ks
+		}
+		ks.add(rec)
 		txns[rec.TxnID] = true
 		if statsOnly || txnFilter != 0 && rec.TxnID != txnFilter {
 			continue
@@ -327,24 +327,53 @@ func dump(path, archDir string, txnFilter uint64, statsOnly bool) error {
 		fmt.Printf("\n%d records, %d restorable bytes (from offset %d), %d distinct transactions\n",
 			records, restorable, uint64(lanes[0].Base), len(txns))
 	}
-	kinds := make([]logrec.Kind, 0, len(kindCount))
-	for k := range kindCount {
+	kinds := make([]logrec.Kind, 0, len(perKind))
+	for k := range perKind {
 		kinds = append(kinds, k)
 	}
 	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
 	// Per kind, what the log spends on saying which record this is
 	// (frame, header fields, payload lengths) against what it spends on
 	// the data recovery is after (row images, checkpoint tables), and the
-	// zero tails of inserted and deleted rows, which it does not log.
+	// zero tails of inserted and deleted rows, which it does not log;
+	// then the framing field by field.
 	for _, k := range kinds {
+		ks := perKind[k]
 		fmt.Printf("  %-11s %8d records %10d bytes = %d framing + %d image",
-			k, kindCount[k], kindBytes[k], kindBytes[k]-kindImage[k], kindImage[k])
-		if z := kindZeros[k]; z > 0 {
-			fmt.Printf(", %d implied zero bytes", z)
+			k, ks.records, ks.bytes, ks.bytes-ks.image, ks.image)
+		if ks.zeros > 0 {
+			fmt.Printf(", %d implied zero bytes", ks.zeros)
 		}
-		fmt.Println()
+		s := ks.sizes
+		fmt.Printf("\n%14sframing = length %d + crc %d + kind %d + txn %d + prev %d + page %d + aux %d + seq %d + payload %d\n",
+			"", s.Length, s.CRC, s.Kind, s.TxnID, s.PrevLSN, s.PageID, s.Aux, s.Seq, s.Payload-ks.image)
 	}
 	return nil
+}
+
+// kindStats sums the records of one kind: their count, bytes, image and
+// implied zero bytes, and the bytes of each part of their encoding.
+type kindStats struct {
+	records, bytes, image, zeros int
+	sizes                        logrec.Sizes
+}
+
+func (ks *kindStats) add(rec logrec.Record) {
+	image, zeros := imageBytes(rec)
+	ks.records++
+	ks.bytes += int(rec.TotalLen)
+	ks.image += image
+	ks.zeros += zeros
+	s, sum := rec.Sizes(), &ks.sizes
+	sum.Length += s.Length
+	sum.CRC += s.CRC
+	sum.Kind += s.Kind
+	sum.TxnID += s.TxnID
+	sum.PrevLSN += s.PrevLSN
+	sum.PageID += s.PageID
+	sum.Aux += s.Aux
+	sum.Seq += s.Seq
+	sum.Payload += s.Payload
 }
 
 // imageBytes is how much of rec is the data it carries rather than the

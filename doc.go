@@ -64,19 +64,20 @@
 //
 // # Log records
 //
-// The log says what changed and little else. A record is an 8-byte
-// frame (length, CRC-32C), one byte naming its kind and which header
-// fields follow, those fields as varints — transaction, backchain, page,
-// and the multi-lane stamp and edge, each free when absent — and a
+// The log says what changed and little else. A record is a frame (a
+// varint length, one byte below 128, and a CRC-32C), one byte naming its
+// kind and which header fields follow, those fields as varints —
+// transaction, backchain, page, and the multi-lane stamp and edge, each
+// free when absent; commit and end records carry no backchain — and a
 // payload. An update's payload is a splice: the offset in the row and
 // the bytes before and after, trimmed to what differs; an insert's or
 // delete's is the row's length and its bytes up to the last non-zero
 // one, the rest being implied zeros. So a TPC-B transaction (three
 // 8-byte balance changes in 100-byte rows, one zero-padded 100-byte
-// insert, a commit) logs about 140 bytes. Every record has one
+// insert, a commit) logs about 121 bytes. Every record has one
 // encoding and the decoders accept no other. A log directory carries
-// its format in its MANIFEST (format 4) and a cold-store object in its
-// envelope (version 3); Open refuses earlier ones with an error that
+// its format in its MANIFEST (format 5) and a cold-store object in its
+// envelope (version 4); Open refuses earlier ones with an error that
 // matches logdev.ErrFormat and changes nothing. ARCHITECTURE.md, "The
 // log record", has the layout.
 //

@@ -323,11 +323,26 @@ func (lm *LogManager) Poke() { lm.wake() }
 // ceiling of the log's written region.
 func (lm *LogManager) AppendEnd() lsn.LSN { return lm.appendEnd.Load() }
 
-// waiter is one durability subscription: a detached subscriber's
-// continuation, or the channel a parked one waits on.
+// Hardener is a detached durability subscriber (OnDurable). A pointer
+// to a value with a Hardened method subscribes without allocating, where
+// a method value or closure would cost an allocation per subscription.
+type Hardener interface {
+	// Hardened runs once, on the daemon goroutine, when the subscribed
+	// end is durable (err nil) or the log has failed or closed.
+	Hardened(err error)
+}
+
+// HardenedFunc adapts a function to Hardener.
+type HardenedFunc func(error)
+
+// Hardened calls f(err).
+func (f HardenedFunc) Hardened(err error) { f(err) }
+
+// waiter is one durability subscription: a detached subscriber, or the
+// channel a parked one waits on.
 type waiter struct {
 	end lsn.LSN
-	fn  func(error)
+	h   Hardener
 	ch  chan error
 }
 
@@ -337,7 +352,7 @@ func (w *waiter) done(err error) {
 		w.ch <- err
 		return
 	}
-	w.fn(err)
+	w.h.Hardened(err)
 }
 
 // parkChans holds the channels WaitDurable parks on, so that a blocking
@@ -390,18 +405,19 @@ func (h *waiterHeap) pop() waiter {
 	return top
 }
 
-// OnDurable arranges for fn(nil) to run (on the daemon goroutine) once
-// the durable horizon reaches end. If the log has failed or is closed,
-// fn runs immediately with the error. This is flush pipelining's
-// detach: the calling agent thread keeps executing other transactions.
-func (lm *LogManager) OnDurable(end lsn.LSN, fn func(error)) {
+// OnDurable arranges for h.Hardened(nil) to run (on the daemon
+// goroutine) once the durable horizon reaches end. If the log has failed
+// or is closed, it runs immediately with the error. This is flush
+// pipelining's detach: the calling agent thread keeps executing other
+// transactions.
+func (lm *LogManager) OnDurable(end lsn.LSN, h Hardener) {
 	lm.stats.AsyncWaiters.Inc()
 	if lm.durable.Load() >= end {
-		fn(nil)
+		h.Hardened(nil)
 		return
 	}
-	if err := lm.subscribe(waiter{end: end, fn: fn}); err != nil {
-		fn(err)
+	if err := lm.subscribe(waiter{end: end, h: h}); err != nil {
+		h.Hardened(err)
 	}
 }
 

@@ -98,7 +98,7 @@ func TestAppendAndWaitDurable(t *testing.T) {
 func TestWaitDurableAlreadyDurable(t *testing.T) {
 	lm := newTestLM(t, logbuf.VariantBaseline, nil)
 	ap := lm.NewAppender()
-	_, end, err := ap.Append(logrec.NewCommit(1, lsn.Undefined))
+	_, end, err := ap.Append(logrec.NewCommit(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,12 +118,12 @@ func TestWaitDurableAlreadyDurable(t *testing.T) {
 func TestOnDurableRunsContinuation(t *testing.T) {
 	lm := newTestLM(t, logbuf.VariantCD, nil)
 	ap := lm.NewAppender()
-	_, end, err := ap.Append(logrec.NewCommit(7, lsn.Undefined))
+	_, end, err := ap.Append(logrec.NewCommit(7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ch := make(chan error, 1)
-	lm.OnDurable(end, func(err error) { ch <- err })
+	lm.OnDurable(end, HardenedFunc(func(err error) { ch <- err }))
 	select {
 	case err := <-ch:
 		if err != nil {
@@ -149,17 +149,17 @@ func TestOnDurableOrdering(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for i := 0; i < n; i++ {
-		_, end, err := ap.Append(logrec.NewCommit(uint64(i), lsn.Undefined))
+		_, end, err := ap.Append(logrec.NewCommit(uint64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		i := i
-		lm.OnDurable(end, func(err error) {
+		lm.OnDurable(end, HardenedFunc(func(err error) {
 			mu.Lock()
 			order = append(order, i)
 			mu.Unlock()
 			wg.Done()
-		})
+		}))
 	}
 	wg.Wait()
 	for i := 1; i < len(order); i++ {
@@ -197,7 +197,7 @@ func TestGroupCommitBatches(t *testing.T) {
 					defer wg.Done()
 					ap := lm.NewAppender()
 					for i := 0; i < perW; i++ {
-						_, end, err := ap.Append(logrec.NewCommit(uint64(w*1000+i), lsn.Undefined))
+						_, end, err := ap.Append(logrec.NewCommit(uint64(w*1000 + i)))
 						if err == nil {
 							err = lm.WaitDurable(end)
 						}
@@ -224,7 +224,7 @@ func TestDeviceFailurePropagates(t *testing.T) {
 	dev, fs := faultDev(t)
 	lm := newTestLM(t, logbuf.VariantBaseline, dev)
 	ap := lm.NewAppender()
-	_, end, err := ap.Append(logrec.NewCommit(1, lsn.Undefined))
+	_, end, err := ap.Append(logrec.NewCommit(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestDeviceFailurePropagates(t *testing.T) {
 	}
 	boom := errors.New("media gone")
 	fs.AddRule(vfs.Rule{Err: boom})
-	_, end2, err := ap.Append(logrec.NewCommit(2, lsn.Undefined))
+	_, end2, err := ap.Append(logrec.NewCommit(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestFailedSyncIsNeverRetried(t *testing.T) {
 	ap := lm.NewAppender()
 	boom := errors.New("fsync: I/O error")
 	fs.AddRule(vfs.Rule{Op: vfs.OpSync, Times: 1, Err: boom})
-	_, end, err := ap.Append(logrec.NewCommit(1, lsn.Undefined))
+	_, end, err := ap.Append(logrec.NewCommit(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestFailedSyncIsNeverRetried(t *testing.T) {
 	durable := lm.Durable()
 	var last lsn.LSN
 	for id := uint64(2); id < 5; id++ {
-		if _, last, err = ap.Append(logrec.NewCommit(id, lsn.Undefined)); err != nil {
+		if _, last, err = ap.Append(logrec.NewCommit(id)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -293,7 +293,7 @@ func TestCloseDrainsAndCompletesWaiters(t *testing.T) {
 		t.Fatal(err)
 	}
 	ap := lm.NewAppender()
-	_, end, err := ap.Append(logrec.NewCommit(1, lsn.Undefined))
+	_, end, err := ap.Append(logrec.NewCommit(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,14 +334,14 @@ func TestFlushTrigger(t *testing.T) {
 	var id uint64
 	commit := func() lsn.LSN {
 		id++
-		_, end, err := ap.Append(logrec.NewCommit(id, lsn.Undefined))
+		_, end, err := ap.Append(logrec.NewCommit(id))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return end
 	}
 	var acked atomic.Int64
-	detach := func() { lm.OnDurable(commit(), func(error) { acked.Add(1) }) }
+	detach := func() { lm.OnDurable(commit(), HardenedFunc(func(error) { acked.Add(1) })) }
 	flushes := lm.Stats().Flushes.Load
 	// idle asserts that for 20 ms nothing flushes: the log holds
 	// unflushed work, but no trigger has fired.
@@ -430,12 +430,12 @@ func TestParkedWaiterWakesDaemon(t *testing.T) {
 	defer lm.Close()
 	ap := lm.NewAppender()
 
-	_, end1, err := ap.Append(logrec.NewCommit(1, lsn.Undefined))
+	_, end1, err := ap.Append(logrec.NewCommit(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	detached := make(chan error, 1)
-	lm.OnDurable(end1, func(err error) { detached <- err })
+	lm.OnDurable(end1, HardenedFunc(func(err error) { detached <- err }))
 	select {
 	case <-detached:
 		t.Fatal("an OnDurable subscription alone started a flush")
@@ -445,7 +445,7 @@ func TestParkedWaiterWakesDaemon(t *testing.T) {
 		t.Fatalf("%d flushes with every trigger disabled and nobody parked", got)
 	}
 
-	_, end2, err := ap.Append(logrec.NewCommit(2, lsn.Undefined))
+	_, end2, err := ap.Append(logrec.NewCommit(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +516,7 @@ func TestFlushPacing(t *testing.T) {
 				start := time.Now()
 				for i := 0; i < commits; i++ {
 					id++
-					_, end, err := ap.Append(logrec.NewCommit(id, lsn.Undefined))
+					_, end, err := ap.Append(logrec.NewCommit(id))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -615,12 +615,12 @@ func TestNextGroupFillsDuringFlush(t *testing.T) {
 					continue // draining the last acknowledgements
 				}
 				work()
-				_, end, err := ap.Append(logrec.NewCommit(uint64(p<<32|i), lsn.Undefined))
+				_, end, err := ap.Append(logrec.NewCommit(uint64(p<<32 | i)))
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				dev.subscribe(func() { lm.OnDurable(end, ack) })
+				dev.subscribe(func() { lm.OnDurable(end, HardenedFunc(ack)) })
 			}
 		}(p)
 	}
@@ -696,11 +696,11 @@ func TestPipelineIsOneGroup(t *testing.T) {
 		if err := slot(); err != nil {
 			t.Fatal(err)
 		}
-		_, end, err := ap.Append(logrec.NewCommit(uint64(i+1), lsn.Undefined))
+		_, end, err := ap.Append(logrec.NewCommit(uint64(i + 1)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		lm.OnDurable(end, ack)
+		lm.OnDurable(end, HardenedFunc(ack))
 	}
 	for i := 0; i < depth; i++ {
 		if err := slot(); err != nil {
@@ -725,11 +725,11 @@ func TestSparseDetachedCommitsGroup(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(commits)
 	for i := 0; i < commits; i++ {
-		_, end, err := ap.Append(logrec.NewCommit(uint64(i+1), lsn.Undefined))
+		_, end, err := ap.Append(logrec.NewCommit(uint64(i + 1)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		lm.OnDurable(end, func(error) { wg.Done() })
+		lm.OnDurable(end, HardenedFunc(func(error) { wg.Done() }))
 		sleepPrecise(300 * time.Microsecond)
 	}
 	wg.Wait()
@@ -829,7 +829,7 @@ func TestConcurrentCommitStress(t *testing.T) {
 							t.Error(err)
 							return
 						}
-						_, end, err := ap.Append(logrec.NewCommit(uint64(w*perW+i), lsn.Undefined))
+						_, end, err := ap.Append(logrec.NewCommit(uint64(w*perW + i)))
 						if err != nil {
 							t.Error(err)
 							return
@@ -842,12 +842,12 @@ func TestConcurrentCommitStress(t *testing.T) {
 							completed.Add(1)
 						} else {
 							done.Add(1)
-							lm.OnDurable(end, func(err error) {
+							lm.OnDurable(end, HardenedFunc(func(err error) {
 								if err == nil {
 									completed.Add(1)
 								}
 								done.Done()
-							})
+							}))
 						}
 					}
 					done.Wait()
@@ -884,10 +884,10 @@ func TestConcurrentCommitStress(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	lm := newTestLM(t, logbuf.VariantCD, nil)
 	ap := lm.NewAppender()
-	_, end, _ := ap.Append(logrec.NewCommit(1, lsn.Undefined))
+	_, end, _ := ap.Append(logrec.NewCommit(1))
 	lm.WaitDurable(end)
 	ch := make(chan struct{})
-	lm.OnDurable(end, func(error) { close(ch) })
+	lm.OnDurable(end, HardenedFunc(func(error) { close(ch) }))
 	<-ch
 	st := lm.Stats()
 	if st.Inserts.Load() != 1 || st.SyncWaiters.Load() != 1 || st.AsyncWaiters.Load() != 1 {
@@ -945,7 +945,7 @@ func TestCommitPathAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lm.OnDurable(end, ack)
+		lm.OnDurable(end, HardenedFunc(ack))
 	}
 	const runs = 2_000
 	for i := 0; i < runs; i++ {

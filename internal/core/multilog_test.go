@@ -103,7 +103,7 @@ func TestMultiLogClampedCommitPokesTargetLane(t *testing.T) {
 	if _, _, _, err := ml.Append(1, mlUpdate(7)); err != nil {
 		t.Fatal(err)
 	}
-	_, end, _, err := ml.Append(1, logrec.NewCommit(1, lsn.Undefined))
+	_, end, _, err := ml.Append(1, logrec.NewCommit(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func TestRestartContinuesLSNSpace(t *testing.T) {
 	ap := lm1.NewAppender()
 	var end lsn.LSN
 	for i := 0; i < 20; i++ {
-		_, e, err := ap.Append(logrec.NewCommit(uint64(i), lsn.Undefined))
+		_, e, err := ap.Append(logrec.NewCommit(uint64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func TestRestartContinuesLSNSpace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lm2.Close()
-	at, end2, err := lm2.NewAppender().Append(logrec.NewCommit(99, lsn.Undefined))
+	at, end2, err := lm2.NewAppender().Append(logrec.NewCommit(99))
 	if err != nil {
 		t.Fatal(err)
 	}

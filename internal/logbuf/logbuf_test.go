@@ -549,7 +549,7 @@ func ExampleNew() {
 		panic(err)
 	}
 	ins := b.NewInserter()
-	rec, _ := logrec.NewCommit(1, lsn.Undefined).Encode()
+	rec, _ := logrec.NewCommit(1).Encode()
 	at, _ := ins.Insert(rec)
 	fmt.Println(at)
 	// Output: LSN(0)

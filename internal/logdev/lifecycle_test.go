@@ -166,11 +166,13 @@ func TestWatermarkRejectsMidLogCorruption(t *testing.T) {
 // A directory in an earlier format — format 1's layout (MANIFEST without
 // a format line, headerless segments, a MANIFEST.durable watermark file),
 // format 2's record encoding (today's files around 48-byte record
-// headers) or format 3's (whole insert and delete rows, a CLR's undo-next
-// as is) — is refused with ErrFormat by both kinds of open and left
+// headers), format 3's (whole insert and delete rows, a CLR's undo-next
+// as is) or format 4's (a fixed 8-byte frame, chained commit and end
+// records) — is refused with ErrFormat by both kinds of open and left
 // untouched: reading format 1's segments as if they began with a header
-// would misplace every byte, format 2's records fail every checksum, and
-// format 3's inserts would be read as rows of the wrong length.
+// would misplace every byte, format 2's and format 4's records would be
+// framed at the wrong length, and format 3's inserts would be read as
+// rows of the wrong length.
 func TestOldFormatDirectoryRefused(t *testing.T) {
 	for name, files := range map[string]map[string][]byte{
 		"format 1": {
@@ -184,6 +186,10 @@ func TestOldFormatDirectoryRefused(t *testing.T) {
 		},
 		"format 3": {
 			manifestName:           []byte("format 3\nsegsize 64\nbase 0\n"),
+			"0000000000000000.seg": append(make([]byte, SegmentHeaderSize), fill(40, 'o')...),
+		},
+		"format 4": {
+			manifestName:           []byte("format 4\nsegsize 64\nbase 0\n"),
 			"0000000000000000.seg": append(make([]byte, SegmentHeaderSize), fill(40, 'o')...),
 		},
 	} {

@@ -2,6 +2,7 @@ package logrec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"aether/internal/lsn"
@@ -43,7 +44,7 @@ func FuzzRecordDecode(f *testing.F) {
 		NewUpdate(42, 0, 5, UpdatePayload{Op: OpDelete, Slot: 2, Before: row[:1]}),
 		NewCLR(42, 0, 5, lsn.Undefined, UpdatePayload{Op: OpDelete, Slot: 2, Before: make([]byte, 100)}),
 		clr,
-		NewCommit(42, 8192),
+		NewCommit(42),
 		NewPad(64),
 		{Header: Header{Kind: KindCheckpointEnd, PrevLSN: lsn.Undefined, Aux: 12345}, Payload: ckpt.Encode(nil)},
 	} {
@@ -52,17 +53,23 @@ func FuzzRecordDecode(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(buf)
-		f.Add(buf[frameSize:])
+		_, n := binary.Uvarint(buf)
+		f.Add(buf[n+crcSize:])
 		f.Add(rec.Payload)
 	}
 	f.Add([]byte{byte(KindCommit-1) | hasTxnID, 0x81, 0x00}) // over-long varint
-	f.Add([]byte{byte(OpSet), 0, 0, 1, 'a', 'a'})            // untrimmed splice
-	f.Add([]byte{byte(OpInsert), 0, 3, 'a', 0})              // image ending in a zero byte
-	f.Add([]byte{byte(OpDelete), 0, 1, 'a', 'b'})            // image longer than its row
+	f.Add([]byte{byte(KindCommit-1) | hasPrevLSN, 5})        // a commit's PrevLSN
+	pad, _ := NewPad(64).Encode()
+	f.Add(append([]byte{63 | 0x80, 0}, pad[1:]...)) // non-shortest length
+	f.Add(append([]byte{0}, pad[1:]...))            // zero length
+	f.Add(append([]byte{64}, pad[1:]...))           // length past the input
+	f.Add([]byte{byte(OpSet), 0, 0, 1, 'a', 'a'})   // untrimmed splice
+	f.Add([]byte{byte(OpInsert), 0, 3, 'a', 0})     // image ending in a zero byte
+	f.Add([]byte{byte(OpDelete), 0, 1, 'a', 'b'})   // image longer than its row
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzRecord(t, data)
-		fuzzRecord(t, frame(data...))
+		fuzzRecord(t, framed(data...))
 		fuzzUpdate(t, data)
 		fuzzCheckpoint(t, data)
 	})

@@ -1,15 +1,16 @@
 // Package logrec defines the on-log record format shared by every log
 // buffer variant, the flush daemon and ARIES recovery.
 //
-// A record is a fixed 8-byte frame (length and checksum), one byte naming
-// its kind and which header fields follow, those fields as varints, and an
-// arbitrary payload — the composable shape the consolidation array
-// exploits (§5.1: "two successive requests also begin with a log header
-// and end with an arbitrary payload"). A field that holds its absent
-// value costs no bytes, so a one-lane commit record is 16 bytes or fewer
-// where Shore-MT's smallest record is 48 (§A.3). The checksum lets recovery stop at the
-// first torn or missing record — the paper's requirement that "recovery
-// must stop at the first gap it encounters". ARCHITECTURE.md, "The log
+// A record is a frame (a varint length and a 4-byte checksum), one byte
+// naming its kind and which header fields follow, those fields as
+// varints, and an arbitrary payload — the composable shape the
+// consolidation array exploits (§5.1: "two successive requests also begin
+// with a log header and end with an arbitrary payload"). A field that
+// holds its absent value costs no bytes, and a commit or end record
+// carries no back-pointer, so a one-lane TPC-B commit record is 9 bytes
+// where Shore-MT's smallest record is 48 (§A.3). The checksum lets
+// recovery stop at the first torn or missing record — the paper's
+// requirement that "recovery must stop at the first gap it encounters". ARCHITECTURE.md, "The log
 // record", has the layout byte by byte.
 package logrec
 
@@ -38,12 +39,14 @@ const (
 	// redo-only, with Aux holding the UndoNext LSN (plus one).
 	KindCLR
 	// KindCommit marks a transaction commit. A transaction is committed
-	// iff its commit record is durable.
+	// iff its commit record is durable. It carries no PrevLSN: nothing
+	// walks back from a commit, since undo only follows losers' chains.
 	KindCommit
 	// KindAbort marks the start of a rollback decision.
 	KindAbort
 	// KindEnd marks a transaction fully finished (post-commit or
-	// post-rollback bookkeeping done).
+	// post-rollback bookkeeping done). Like a commit, it carries no
+	// PrevLSN.
 	KindEnd
 	// KindCheckpointBegin opens a fuzzy checkpoint.
 	KindCheckpointBegin
@@ -73,10 +76,15 @@ func (k Kind) String() string {
 // Valid reports whether k is a known record kind other than KindInvalid.
 func (k Kind) Valid() bool { return k > KindInvalid && k < numKinds }
 
-// MinRecordSize is the smallest encoded record: the frame and the kind
-// byte of a record whose every other field is absent (a pad, a
-// checkpoint-begin).
-const MinRecordSize = frameSize + 1
+// Chained reports whether records of kind k carry a PrevLSN. Commit and
+// end records do not: each closes the chain it follows, and no walk ever
+// starts from one, so neither logs a back-pointer nor starts a chain.
+func (k Kind) Chained() bool { return k != KindCommit && k != KindEnd }
+
+// MinRecordSize is the smallest encoded record: a one-byte length, the
+// checksum and the kind byte of a record whose every other field is
+// absent (a pad, a checkpoint-begin).
+const MinRecordSize = 1 + crcSize + 1
 
 // MaxPayload bounds a single record's payload. Shore-MT's largest record
 // is 12KiB; we allow up to 16MiB so the skew experiments (Fig. 11) can
@@ -84,13 +92,16 @@ const MinRecordSize = frameSize + 1
 const MaxPayload = 16 << 20
 
 const (
-	// frameSize is the fixed part every reader can rely on before it
-	// knows anything else: TotalLen, then the CRC-32C of what follows.
-	frameSize = 8
+	// crcSize is the CRC-32C that follows the length.
+	crcSize = 4
+	// maxLenSize is the widest length varint: every record is shorter
+	// than 1<<28 bytes (checked below).
+	maxLenSize = 4
 	// maxHeaderSize is a header with every field present at its widest:
-	// frame, kind byte, TxnID, PrevLSN and Aux at 10 bytes each, the page
-	// ID's 24-bit space and 40-bit number at 4 and 6, Seq at 5.
-	maxHeaderSize = MinRecordSize + 3*binary.MaxVarintLen64 + 4 + 6 + binary.MaxVarintLen32
+	// length, checksum, kind byte, TxnID, PrevLSN and Aux at 10 bytes
+	// each, the page ID's 24-bit space and 40-bit number at 4 and 6, Seq
+	// at 5.
+	maxHeaderSize = maxLenSize + crcSize + 1 + 3*binary.MaxVarintLen64 + 4 + 6 + binary.MaxVarintLen32
 
 	// The kind byte: the kind, less one, in the low three bits and one
 	// presence bit per optional field above them, in field order.
@@ -108,27 +119,33 @@ const (
 	pageNoMask = 1<<pageNoBits - 1
 )
 
-// Header is the preamble of every log record. TotalLen and CRC are the
-// fixed little-endian frame; the rest is encoded only where it differs
-// from its absent value.
+// The largest record's length fits a maxLenSize-byte varint.
+const _ = uint(1<<(7*maxLenSize) - 1 - (maxHeaderSize + MaxPayload))
+
+// Header is the preamble of every log record. The length and CRC are the
+// frame; the rest is encoded only where it differs from its absent value.
 //
-// Layout (offsets in bytes):
+// Layout, in order:
 //
-//	0  TotalLen uint32  — header + payload length
-//	4  CRC      uint32  — CRC-32C over bytes [8, TotalLen)
-//	8  kind byte        — Kind-1 in bits 0-2; bits 3-7 say which of the
-//	                      five fields below follow, in this order
-//	   TxnID    uvarint — absent = 0
-//	   PrevLSN  uvarint — absent = lsn.Undefined
-//	   PageID   uvarint space, uvarint page number — absent = 0
-//	   Aux      uvarint — absent = 0
-//	   Seq      uvarint — absent = 0
-//	   payload          — the rest, up to TotalLen
+//	length   uvarint — the bytes after it: TotalLen less its own width,
+//	                   at least MinRecordSize-1
+//	CRC      uint32  — little-endian CRC-32C over the bytes after it,
+//	                   to the end of the record
+//	kind byte        — Kind-1 in bits 0-2; bits 3-7 say which of the
+//	                   five fields below follow, in this order
+//	TxnID    uvarint — absent = 0
+//	PrevLSN  uvarint — absent = lsn.Undefined; never on a commit or end
+//	PageID   uvarint space, uvarint page number — absent = 0
+//	Aux      uvarint — absent = 0
+//	Seq      uvarint — absent = 0
+//	payload          — the rest, up to TotalLen
 //
 // Varints are encoding/binary's, in their shortest form only; a present
 // field never holds its absent value. Flags is not logged: the kind
 // implies it. So a record has exactly one encoding, and Decode accepts
-// nothing else.
+// nothing else. Because the length counts only what follows it, a length
+// of 127 makes a 128-byte record and one of 128 a 130-byte record: no
+// record is 129 bytes long, nor 16 386 or 2 097 155 (see NewPad).
 type Header struct {
 	// TotalLen is the record's full encoded length: header + payload.
 	TotalLen uint32
@@ -149,7 +166,8 @@ type Header struct {
 	// TxnID is the owning transaction, 0 for system records.
 	TxnID uint64
 	// PrevLSN backchains to the same transaction's previous record
-	// (lsn.Undefined for its first): rollback and undo walk it.
+	// (lsn.Undefined for its first): rollback and undo walk it. Commit
+	// and end records carry none (Kind.Chained).
 	PrevLSN lsn.LSN
 	// PageID is the page the record touches, 0 if not page-related.
 	PageID uint64
@@ -169,10 +187,10 @@ func (k Kind) flags() uint16 {
 // uvarintLen returns how many bytes v takes as a varint.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-// size returns the encoded length of the header: frame, kind byte and
-// the fields present.
-func (h *Header) size() int {
-	n := MinRecordSize
+// bodySize returns the encoded length of the header after the length
+// varint: checksum, kind byte and the fields present.
+func (h *Header) bodySize() int {
+	n := crcSize + 1
 	if h.TxnID != 0 {
 		n += uvarintLen(h.TxnID)
 	}
@@ -189,6 +207,51 @@ func (h *Header) size() int {
 		n += uvarintLen(uint64(h.Seq))
 	}
 	return n
+}
+
+// Sizes is a record's encoded length split into its parts, in bytes.
+type Sizes struct {
+	// Length is the length varint's width.
+	Length int
+	// CRC is the checksum's width, 4.
+	CRC int
+	// Kind is the kind byte's width, 1.
+	Kind int
+	// TxnID is the TxnID varint's width, 0 if absent.
+	TxnID int
+	// PrevLSN is the PrevLSN varint's width, 0 if absent.
+	PrevLSN int
+	// PageID is the width of the page ID's two varints, 0 if absent.
+	PageID int
+	// Aux is the Aux varint's width, 0 if absent.
+	Aux int
+	// Seq is the Seq varint's width, 0 if absent.
+	Seq int
+	// Payload is the payload's length.
+	Payload int
+}
+
+// Sizes returns how the record's EncodedSize bytes divide among its
+// parts.
+func (r *Record) Sizes() Sizes {
+	s := Sizes{CRC: crcSize, Kind: 1, Payload: len(r.Payload)}
+	if r.TxnID != 0 {
+		s.TxnID = uvarintLen(r.TxnID)
+	}
+	if r.PrevLSN != lsn.Undefined {
+		s.PrevLSN = uvarintLen(uint64(r.PrevLSN))
+	}
+	if r.PageID != 0 {
+		s.PageID = uvarintLen(r.PageID>>pageNoBits) + uvarintLen(r.PageID&pageNoMask)
+	}
+	if r.Aux != 0 {
+		s.Aux = uvarintLen(r.Aux)
+	}
+	if r.Seq != 0 {
+		s.Seq = uvarintLen(uint64(r.Seq))
+	}
+	s.Length = uvarintLen(uint64(r.bodySize() + len(r.Payload)))
+	return s
 }
 
 // Flag bits.
@@ -213,7 +276,8 @@ var (
 	// ErrTooShort means the input cannot contain the smallest record or
 	// the declared length.
 	ErrTooShort = errors.New("logrec: input shorter than record")
-	// ErrBadLength means the header's TotalLen is impossible.
+	// ErrBadLength means the record's length is impossible: too small,
+	// too large, or a varint longer than its value needs.
 	ErrBadLength = errors.New("logrec: invalid record length")
 	// ErrBadKind means an encode request named no known record kind (every
 	// value of the kind byte's three bits is one, so Decode never says it).
@@ -221,6 +285,9 @@ var (
 	// ErrBadFlags means an encode request set Flags the kind does not
 	// imply; they are not logged and would not come back.
 	ErrBadFlags = errors.New("logrec: flags do not match record kind")
+	// ErrBadPrevLSN means an encode request gave a commit or end record a
+	// PrevLSN; those kinds log none, so it would not come back.
+	ErrBadPrevLSN = errors.New("logrec: commit and end records carry no PrevLSN")
 	// ErrBadHeader means the bytes under a valid checksum are not the one
 	// encoding of any header: a field runs past TotalLen, a varint is
 	// longer than its value needs or overflows its field, or a field
@@ -238,7 +305,10 @@ var (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // EncodedSize returns the record's full encoded length.
-func (r *Record) EncodedSize() int { return r.size() + len(r.Payload) }
+func (r *Record) EncodedSize() int {
+	rest := r.bodySize() + len(r.Payload)
+	return uvarintLen(uint64(rest)) + rest
+}
 
 // EncodeInto writes the record into dst, which must be exactly
 // EncodedSize() bytes (the pre-reserved log-buffer region). It computes
@@ -253,14 +323,19 @@ func (r *Record) EncodeInto(dst []byte) error {
 	if r.Flags != r.Kind.flags() {
 		return ErrBadFlags
 	}
-	total := r.EncodedSize()
+	if r.PrevLSN != lsn.Undefined && !r.Kind.Chained() {
+		return ErrBadPrevLSN
+	}
+	rest := r.bodySize() + len(r.Payload)
+	total := uvarintLen(uint64(rest)) + rest
 	if len(dst) != total {
 		return fmt.Errorf("logrec: dst is %d bytes, record needs %d", len(dst), total)
 	}
-	binary.LittleEndian.PutUint32(dst[0:4], uint32(total))
-	// dst[4:8] = CRC, filled below.
+	crcAt := binary.PutUvarint(dst, uint64(rest))
+	// dst[crcAt:crcAt+4] = CRC, filled below.
+	kindAt := crcAt + crcSize
 	kb := byte(r.Kind - 1)
-	n := MinRecordSize
+	n := kindAt + 1
 	if r.TxnID != 0 {
 		kb |= hasTxnID
 		n += binary.PutUvarint(dst[n:], r.TxnID)
@@ -282,10 +357,10 @@ func (r *Record) EncodeInto(dst []byte) error {
 		kb |= hasSeq
 		n += binary.PutUvarint(dst[n:], uint64(r.Seq))
 	}
-	dst[frameSize] = kb
+	dst[kindAt] = kb
 	copy(dst[n:], r.Payload)
-	crc := crc32.Checksum(dst[frameSize:total], castagnoli)
-	binary.LittleEndian.PutUint32(dst[4:8], crc)
+	crc := crc32.Checksum(dst[kindAt:total], castagnoli)
+	binary.LittleEndian.PutUint32(dst[crcAt:kindAt], crc)
 	return nil
 }
 
@@ -298,13 +373,31 @@ func (r *Record) Encode() ([]byte, error) {
 	return buf, nil
 }
 
-// PeekLen reads the TotalLen field from the front of src without
-// validating the rest. It returns 0 if src is shorter than 4 bytes.
+// PeekLen returns the TotalLen of the record at the front of src from
+// its length alone, without validating the rest. It returns 0 if src
+// does not begin with a whole, valid length.
 func PeekLen(src []byte) int {
-	if len(src) < 4 {
+	total, _, err := frame(src)
+	if err != nil {
 		return 0
 	}
-	return int(binary.LittleEndian.Uint32(src[0:4]))
+	return total
+}
+
+// frame reads the length at the front of src and returns the record's
+// TotalLen and where its checksum starts. ErrTooShort means src ends
+// inside the length; ErrBadLength, that the length is not the shortest
+// spelling of a possible one.
+func frame(src []byte) (total, crcAt int, err error) {
+	rest, n := binary.Uvarint(src)
+	switch {
+	case n == 0:
+		return 0, 0, ErrTooShort
+	case n < 0 || n > 1 && src[n-1] == 0 ||
+		rest < MinRecordSize-1 || rest > maxHeaderSize+MaxPayload:
+		return 0, 0, ErrBadLength
+	}
+	return n + int(rest), n, nil
 }
 
 // cursor reads the varints of a header or payload in order. ok turns
@@ -331,32 +424,31 @@ func (c *cursor) uvarint(lo, hi uint64) uint64 {
 // returned record's Payload aliases src; callers that retain it across
 // buffer reuse must copy. consumed is the encoded length.
 func Decode(src []byte) (rec Record, consumed int, err error) {
-	if len(src) < MinRecordSize {
-		return Record{}, 0, ErrTooShort
-	}
-	total := int(binary.LittleEndian.Uint32(src[0:4]))
-	if total < MinRecordSize || total > maxHeaderSize+MaxPayload {
-		return Record{}, 0, ErrBadLength
+	total, crcAt, err := frame(src)
+	if err != nil {
+		return Record{}, 0, err
 	}
 	if len(src) < total {
 		return Record{}, 0, ErrTooShort
 	}
-	wantCRC := binary.LittleEndian.Uint32(src[4:8])
-	if crc32.Checksum(src[frameSize:total], castagnoli) != wantCRC {
+	kindAt := crcAt + crcSize
+	wantCRC := binary.LittleEndian.Uint32(src[crcAt:kindAt])
+	if crc32.Checksum(src[kindAt:total], castagnoli) != wantCRC {
 		return Record{}, 0, ErrChecksum
 	}
-	kb := src[frameSize]
+	kb := src[kindAt]
 	k := Kind(kb&kindMask) + 1
 	rec.TotalLen, rec.CRC = uint32(total), wantCRC
 	rec.Kind, rec.Flags, rec.PrevLSN = k, k.flags(), lsn.Undefined
 	// A present field never holds its absent value: zero is a value only
 	// for PrevLSN and for one half of a page ID.
-	c := cursor{src: src[MinRecordSize:total], ok: true}
+	c := cursor{src: src[kindAt+1 : total], ok: true}
 	if kb&hasTxnID != 0 {
 		rec.TxnID = c.uvarint(1, math.MaxUint64)
 	}
 	if kb&hasPrevLSN != 0 {
 		rec.PrevLSN = lsn.LSN(c.uvarint(0, uint64(lsn.Undefined)-1))
+		c.ok = c.ok && k.Chained()
 	}
 	if kb&hasPageID != 0 {
 		space := c.uvarint(0, math.MaxUint64>>pageNoBits)

@@ -28,7 +28,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Frame and kind byte, then 77, 1234 (two bytes), page 0/42 and 99.
+	// Length, checksum and kind byte, then 77, 1234 (two bytes), page
+	// 0/42 and 99.
 	if want := MinRecordSize + 1 + 2 + 2 + 1 + len(rec.Payload); len(buf) != want || rec.EncodedSize() != want {
 		t.Fatalf("encoded size %d (EncodedSize %d), want %d", len(buf), rec.EncodedSize(), want)
 	}
@@ -49,7 +50,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestEncodeIntoWrongSize(t *testing.T) {
-	rec := NewCommit(1, lsn.Undefined)
+	rec := NewCommit(1)
 	if err := rec.EncodeInto(make([]byte, rec.EncodedSize()+1)); err == nil {
 		t.Fatal("wrong-size dst must fail")
 	}
@@ -93,9 +94,9 @@ func TestDecodeDetectsCorruption(t *testing.T) {
 }
 
 func TestDecodeDetectsHeaderCorruption(t *testing.T) {
-	rec := NewCommit(9, 5)
+	rec := NewCommit(9)
 	buf, _ := rec.Encode()
-	buf[MinRecordSize] ^= 0x01 // TxnID bit
+	buf[MinRecordSize] ^= 0x01 // the TxnID
 	if _, _, err := Decode(buf); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("got %v, want ErrChecksum", err)
 	}
@@ -112,23 +113,118 @@ func TestDecodeTruncated(t *testing.T) {
 	}
 }
 
+// TestDecodeBadLength: a length that is not the shortest spelling of a
+// possible one is ErrBadLength, whatever follows it; one that runs past
+// the input is ErrTooShort. PeekLen reads neither.
 func TestDecodeBadLength(t *testing.T) {
-	buf := make([]byte, MinRecordSize)
-	// TotalLen = 3 (< MinRecordSize)
-	buf[0] = 3
-	if _, _, err := Decode(buf); !errors.Is(err, ErrBadLength) {
-		t.Fatalf("got %v, want ErrBadLength", err)
+	pad, _ := NewPad(64).Encode() // length 63 in one byte
+	body := pad[1:]
+	for _, tc := range []struct {
+		name string
+		src  []byte
+		want error
+	}{
+		{"zero length", append([]byte{0}, body...), ErrBadLength},
+		{"length below the smallest record", append([]byte{MinRecordSize - 2}, body...), ErrBadLength},
+		{"non-shortest length", append([]byte{63 | 0x80, 0}, body...), ErrBadLength},
+		{"non-shortest length of 128", append([]byte{0x80, 0x81, 0}, make([]byte, 128)...), ErrBadLength},
+		{"length past MaxPayload", append(binary.AppendUvarint(nil, maxHeaderSize+MaxPayload+1), body...), ErrBadLength},
+		{"length beyond 64 bits", bytes.Repeat([]byte{0xff}, 11), ErrBadLength},
+		{"length past the input", append([]byte{64}, body...), ErrTooShort},
+		{"unterminated length", []byte{0x80}, ErrTooShort},
+		{"empty input", nil, ErrTooShort},
+	} {
+		if _, _, err := Decode(tc.src); !errors.Is(err, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
+		}
+		if tc.want == ErrBadLength {
+			if got := PeekLen(tc.src); got != 0 {
+				t.Errorf("%s: PeekLen %d, want 0", tc.name, got)
+			}
+		}
 	}
 }
 
 func TestPeekLen(t *testing.T) {
-	rec := NewPad(128)
-	buf, _ := rec.Encode()
-	if got := PeekLen(buf); got != 128 {
-		t.Fatalf("PeekLen: got %d", got)
+	for _, size := range []int{MinRecordSize, 128, 300} {
+		buf, _ := NewPad(size).Encode()
+		if got := PeekLen(buf); got != size {
+			t.Fatalf("PeekLen of a %d-byte record: got %d", size, got)
+		}
 	}
-	if got := PeekLen(buf[:3]); got != 0 {
-		t.Fatalf("PeekLen short: got %d", got)
+	buf, _ := NewPad(300).Encode()
+	if got := PeekLen(buf[:1]); got != 0 {
+		t.Fatalf("PeekLen inside a two-byte length: got %d", got)
+	}
+}
+
+// TestLengthVarintBoundaries: on each side of the length varint's width
+// steps, and at the largest payload, a record encodes to EncodedSize
+// bytes with its length in the shortest varint, and decodes whole.
+func TestLengthVarintBoundaries(t *testing.T) {
+	for _, tc := range []struct {
+		rest, width int // the length's value and its width in bytes
+	}{
+		{MinRecordSize - 1, 1},
+		{127, 1}, {128, 2},
+		{16_383, 2}, {16_384, 3},
+		{crcSize + 1 + MaxPayload, 4},
+	} {
+		rec := &Record{Header: Header{Kind: KindPad, PrevLSN: lsn.Undefined}, Payload: make([]byte, tc.rest-crcSize-1)}
+		buf, err := rec.Encode()
+		if err != nil {
+			t.Fatalf("length %d: %v", tc.rest, err)
+		}
+		if len(buf) != tc.width+tc.rest || rec.EncodedSize() != len(buf) {
+			t.Fatalf("length %d: %d bytes (EncodedSize %d), want %d", tc.rest, len(buf), rec.EncodedSize(), tc.width+tc.rest)
+		}
+		if v, n := binary.Uvarint(buf); int(v) != tc.rest || n != tc.width {
+			t.Fatalf("length %d: the frame says %d in %d bytes", tc.rest, v, n)
+		}
+		got, n, err := Decode(buf)
+		if err != nil || n != len(buf) || int(got.TotalLen) != len(buf) || len(got.Payload) != len(rec.Payload) || PeekLen(buf) != len(buf) {
+			t.Fatalf("length %d: decoded %d bytes, TotalLen %d, payload %d, PeekLen %d: %v",
+				tc.rest, n, got.TotalLen, len(got.Payload), PeekLen(buf), err)
+		}
+		if _, _, err := Decode(buf[:tc.width-1]); !errors.Is(err, ErrTooShort) {
+			t.Fatalf("length %d cut inside its varint: %v, want ErrTooShort", tc.rest, err)
+		}
+		if _, _, err := Decode(buf[:len(buf)-1]); !errors.Is(err, ErrTooShort) {
+			t.Fatalf("length %d one byte short: %v, want ErrTooShort", tc.rest, err)
+		}
+	}
+	big := &Record{Header: Header{Kind: KindPad, PrevLSN: lsn.Undefined}, Payload: make([]byte, MaxPayload+1)}
+	if _, err := big.Encode(); !errors.Is(err, ErrPayloadTooLarge) {
+		t.Fatalf("payload past MaxPayload: %v, want ErrPayloadTooLarge", err)
+	}
+}
+
+// TestCommitAndEndCarryNoPrevLSN: commit and end records log no
+// back-pointer — an encode request with one is refused, and a presence
+// bit for one under a valid checksum is a malformed header — while an
+// abort, which undo does walk back from, keeps its own.
+func TestCommitAndEndCarryNoPrevLSN(t *testing.T) {
+	for _, k := range []Kind{KindCommit, KindEnd} {
+		rec := &Record{Header: Header{Kind: k, TxnID: 80_200, PrevLSN: 33_000_000}}
+		if _, err := rec.Encode(); !errors.Is(err, ErrBadPrevLSN) {
+			t.Errorf("%v with a PrevLSN: got %v, want ErrBadPrevLSN", k, err)
+		}
+		if _, _, err := Decode(framed(byte(k-1)|hasTxnID|hasPrevLSN, 5, 7)); !errors.Is(err, ErrBadHeader) {
+			t.Errorf("%v with a PrevLSN bit: got %v, want ErrBadHeader", k, err)
+		}
+		if k.Chained() {
+			t.Errorf("%v is chained", k)
+		}
+	}
+	if n := NewCommit(80_200).EncodedSize(); n != MinRecordSize+3 {
+		t.Errorf("TPC-B commit: %d bytes, want %d", n, MinRecordSize+3)
+	}
+	abort, err := NewAbort(9, 5).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _, err := Decode(abort); err != nil || got.PrevLSN != 5 || !got.Kind.Chained() {
+		t.Fatalf("abort decoded to %+v, %v", got.Header, err)
 	}
 }
 
@@ -344,21 +440,19 @@ func TestCLRUndoNextEndsChainFree(t *testing.T) {
 	}
 }
 
-// frame wraps a kind byte, header fields and payload in a valid length
+// framed wraps a kind byte, header fields and payload in a valid length
 // and checksum, so what Decode judges is the header under them.
-func frame(body ...byte) []byte {
-	buf := make([]byte, frameSize+len(body))
-	copy(buf[frameSize:], body)
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(buf)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(buf[frameSize:], castagnoli))
-	return buf
+func framed(body ...byte) []byte {
+	buf := binary.AppendUvarint(nil, uint64(crcSize+len(body)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(body, castagnoli))
+	return append(buf, body...)
 }
 
 // TestDecodeRefusesNonCanonicalHeaders: under a valid checksum, a header
 // that is not the one spelling of its fields is ErrBadHeader — so a
 // record Decode accepts re-encodes to the bytes it came from.
 func TestDecodeRefusesNonCanonicalHeaders(t *testing.T) {
-	commit := byte(KindCommit - 1)
+	commit, abort := byte(KindCommit-1), byte(KindAbort-1)
 	maxU64 := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}
 	for _, tc := range []struct {
 		name string
@@ -368,7 +462,8 @@ func TestDecodeRefusesNonCanonicalHeaders(t *testing.T) {
 		{"over-long TxnID", []byte{commit | hasTxnID, 0x81, 0x00}},
 		{"TxnID past the record's end", []byte{commit | hasTxnID}},
 		{"unterminated varint", []byte{commit | hasTxnID, 0x80}},
-		{"present PrevLSN of Undefined", append([]byte{commit | hasPrevLSN}, maxU64...)},
+		{"present PrevLSN of Undefined", append([]byte{abort | hasPrevLSN}, maxU64...)},
+		{"commit with a PrevLSN", []byte{commit | hasPrevLSN, 0}},
 		{"varint beyond 64 bits", append([]byte{commit | hasAux, 0xff}, maxU64...)},
 		{"present PageID of zero", []byte{commit | hasPageID, 0, 0}},
 		{"page space beyond 24 bits", []byte{commit | hasPageID, 0x80, 0x80, 0x80, 0x08, 1}},
@@ -377,12 +472,12 @@ func TestDecodeRefusesNonCanonicalHeaders(t *testing.T) {
 		{"present Seq of zero", []byte{commit | hasSeq, 0}},
 		{"Seq beyond 32 bits", []byte{commit | hasSeq, 0x80, 0x80, 0x80, 0x80, 0x10}},
 	} {
-		if _, _, err := Decode(frame(tc.body...)); !errors.Is(err, ErrBadHeader) {
+		if _, _, err := Decode(framed(tc.body...)); !errors.Is(err, ErrBadHeader) {
 			t.Errorf("%s: got %v, want ErrBadHeader", tc.name, err)
 		}
 	}
 	// The same frame around a well-formed header decodes.
-	if rec, _, err := Decode(frame(commit|hasTxnID|hasPrevLSN, 5, 0)); err != nil || rec.TxnID != 5 || rec.PrevLSN != 0 {
+	if rec, _, err := Decode(framed(abort|hasTxnID|hasPrevLSN, 5, 0)); err != nil || rec.TxnID != 5 || rec.PrevLSN != 0 {
 		t.Fatalf("well-formed header: %+v, %v", rec.Header, err)
 	}
 }
@@ -396,14 +491,15 @@ func TestAbsentFieldsCostNothing(t *testing.T) {
 		rec  *Record
 		want int
 	}{
-		{"checkpoint begin", &Record{Header: Header{Kind: KindCheckpointBegin, PrevLSN: lsn.Undefined}}, 9},
-		{"first commit of a log", NewCommit(1, lsn.Undefined), 10},
-		{"TPC-B commit", NewCommit(80_200, 33_000_000), 8 + 1 + 3 + 4},
-		{"TPC-B commit, lane of three", &Record{Header: Header{Kind: KindCommit, TxnID: 80_200, PrevLSN: 33_000_000, Seq: 400_000}}, 16 + 3},
-		{"page id", &Record{Header: Header{Kind: KindUpdate, PrevLSN: lsn.Undefined, PageID: page}}, 9 + 1 + 2},
-		{"TPC-B update", NewUpdate(80_200, 33_000_000, page, Splice(80, []byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{8, 7, 6, 5, 4, 3, 2, 1})), 8 + 1 + 3 + 4 + 3 + 4 + 16},
+		{"checkpoint begin", &Record{Header: Header{Kind: KindCheckpointBegin, PrevLSN: lsn.Undefined}}, 6},
+		{"first commit of a log", NewCommit(1), 7},
+		{"TPC-B commit", NewCommit(80_200), 6 + 3},
+		{"TPC-B commit, lane of three", &Record{Header: Header{Kind: KindCommit, TxnID: 80_200, PrevLSN: lsn.Undefined, Seq: 400_000}}, 9 + 3},
+		{"page id", &Record{Header: Header{Kind: KindUpdate, PrevLSN: lsn.Undefined, PageID: page}}, 6 + 1 + 2},
+		{"TPC-B update", NewUpdate(80_200, 33_000_000, page, Splice(80, []byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{8, 7, 6, 5, 4, 3, 2, 1})), 6 + 3 + 4 + 3 + 4 + 16},
+		// Every field at its widest is a 50-byte rest: a one-byte length.
 		{"everything at its widest", &Record{Header: Header{Kind: KindCLR, Flags: FlagRedoOnly, TxnID: math.MaxUint64,
-			PrevLSN: lsn.Undefined - 1, PageID: math.MaxUint64, Aux: math.MaxUint64, Seq: math.MaxUint32}}, maxHeaderSize},
+			PrevLSN: lsn.Undefined - 1, PageID: math.MaxUint64, Aux: math.MaxUint64, Seq: math.MaxUint32}}, maxHeaderSize - maxLenSize + 1},
 	} {
 		buf, err := tc.rec.Encode()
 		if err != nil {
@@ -589,8 +685,16 @@ func TestCheckpointMalformed(t *testing.T) {
 	}
 }
 
+// TestNewPadExactSize: NewPad hits every size the figures sweep (Fig. 8's
+// record sizes, Fig. 11's outliers) and every size beside a length
+// varint's width step, except the three no record has, for which it
+// builds one a byte longer.
 func TestNewPadExactSize(t *testing.T) {
-	for _, size := range []int{0, MinRecordSize, MinRecordSize + 1, 48, 49, 120, 12288} {
+	sizes := []int{0, MinRecordSize, MinRecordSize + 1, 48, 49, 120, 12288,
+		360, 1200, 4096, 12000, // Fig. 8 (right)
+		512, 2048, 8192, 16_384, 65_536, 262_144, // Fig. 11's outliers
+		127, 128, 130, 131, 16_383, 16_385, 16_387, 1<<21 + 2, 1<<21 + 4}
+	for _, size := range sizes {
 		buf, err := NewPad(size).Encode()
 		if err != nil {
 			t.Fatal(err)
@@ -599,19 +703,28 @@ func TestNewPadExactSize(t *testing.T) {
 			t.Fatalf("NewPad(%d): encoded size %d, want %d", size, len(buf), want)
 		}
 	}
+	for _, size := range []int{129, 16_386, 1<<21 + 3} {
+		buf, err := NewPad(size).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(buf) != size+1 {
+			t.Fatalf("NewPad(%d), a size no record has: encoded size %d, want %d", size, len(buf), size+1)
+		}
+	}
 }
 
 func TestConstructors(t *testing.T) {
-	c := NewCommit(5, 88)
-	if c.Kind != KindCommit || c.TxnID != 5 || c.PrevLSN != 88 {
+	c := NewCommit(5)
+	if c.Kind != KindCommit || c.TxnID != 5 || c.PrevLSN != lsn.Undefined {
 		t.Fatal("NewCommit wrong")
 	}
 	a := NewAbort(5, 88)
-	if a.Kind != KindAbort {
+	if a.Kind != KindAbort || a.PrevLSN != 88 {
 		t.Fatal("NewAbort wrong")
 	}
-	e := NewEnd(5, 88)
-	if e.Kind != KindEnd {
+	e := NewEnd(5)
+	if e.Kind != KindEnd || e.PrevLSN != lsn.Undefined {
 		t.Fatal("NewEnd wrong")
 	}
 	clr := NewCLR(5, 88, 7, 44, UpdatePayload{Op: OpSet, After: []byte("x")})
@@ -719,8 +832,10 @@ func TestSetInPlaceEncodesLikeFresh(t *testing.T) {
 			Record{Header: Header{Kind: KindUpdate, TxnID: 42, PrevLSN: 4096, PageID: 77}, Payload: up.Encode(nil)}},
 		{"clr", func(r *Record) { r.SetCLR(42, 4096, 77, 1024, inv) },
 			Record{Header: Header{Kind: KindCLR, Flags: FlagRedoOnly, TxnID: 42, PrevLSN: 4096, PageID: 77, Aux: 1024 + 1}, Payload: inv.Encode(nil)}},
-		{"commit", func(r *Record) { r.Reset(KindCommit, 42, 4096) },
-			Record{Header: Header{Kind: KindCommit, TxnID: 42, PrevLSN: 4096}}},
+		{"commit", func(r *Record) { r.Reset(KindCommit, 42, lsn.Undefined) },
+			Record{Header: Header{Kind: KindCommit, TxnID: 42, PrevLSN: lsn.Undefined}}},
+		{"abort", func(r *Record) { r.Reset(KindAbort, 42, 4096) },
+			Record{Header: Header{Kind: KindAbort, TxnID: 42, PrevLSN: 4096}}},
 	}
 	var scratch Record
 	for _, dirty := range cases {

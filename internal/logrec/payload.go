@@ -346,7 +346,8 @@ func DecodeCheckpoint(src []byte) (CheckpointPayload, error) {
 }
 
 // Reset re-arms r in place as a payload-less record of the given kind
-// (commit, abort, end): every header field is overwritten and the
+// (commit, abort, end; prev is lsn.Undefined for a commit or an end,
+// which carry none): every header field is overwritten and the
 // payload is emptied, keeping its capacity for the next Set call. A
 // caller that owns one Record per goroutine builds each record it
 // appends this way instead of allocating one; the New* constructors are
@@ -402,8 +403,8 @@ func NewCLR(txnID uint64, prev lsn.LSN, pageID uint64, undoNext lsn.LSN, p Updat
 }
 
 // NewCommit builds a commit record.
-func NewCommit(txnID uint64, prev lsn.LSN) *Record {
-	return &Record{Header: Header{Kind: KindCommit, TxnID: txnID, PrevLSN: prev}}
+func NewCommit(txnID uint64) *Record {
+	return &Record{Header: Header{Kind: KindCommit, TxnID: txnID, PrevLSN: lsn.Undefined}}
 }
 
 // NewAbort builds an abort record.
@@ -412,17 +413,29 @@ func NewAbort(txnID uint64, prev lsn.LSN) *Record {
 }
 
 // NewEnd builds an end record.
-func NewEnd(txnID uint64, prev lsn.LSN) *Record {
-	return &Record{Header: Header{Kind: KindEnd, TxnID: txnID, PrevLSN: prev}}
+func NewEnd(txnID uint64) *Record {
+	return &Record{Header: Header{Kind: KindEnd, TxnID: txnID, PrevLSN: lsn.Undefined}}
 }
 
 // NewPad builds a padding record whose total encoded size is exactly
-// size bytes (at least MinRecordSize). The microbenchmarks use this to
-// sweep record sizes precisely.
+// size bytes, or MinRecordSize if size is smaller. The microbenchmarks
+// use this to sweep record sizes precisely. No record is 129, 16 386 or
+// 2 097 155 bytes long (the length counts only the bytes after it, and
+// grows by a byte at 128, 16 384 and 2 097 152 of them): for those three
+// sizes NewPad builds a record one byte longer.
 func NewPad(size int) *Record {
+	size = max(size, MinRecordSize)
+	w := 1 // the length's width
+	for uvarintLen(uint64(size-w)) > w {
+		w++
+	}
+	rest := size - w
+	if uvarintLen(uint64(rest)) < w {
+		rest++
+	}
 	return &Record{
 		Header:  Header{Kind: KindPad, PrevLSN: lsn.Undefined},
-		Payload: make([]byte, max(size, MinRecordSize)-MinRecordSize),
+		Payload: make([]byte, rest-crcSize-1),
 	}
 }
 

@@ -126,8 +126,8 @@ func TestCheckpointTableIsNamesNotFacts(t *testing.T) {
 			// the begin record stays a winner: the tail says so.
 			name: "entry-precommitted-commit-durable", lanes: []int{1, 2},
 			build: func(t *testing.T, ll *laneLogs) {
-				at, u := ll.add(t, 1, logrec.NewUpdate(9, lsn.Undefined, pidKept, ins(0, "kept")))
-				_, c := ll.add(t, 1, logrec.NewCommit(9, at))
+				_, u := ll.add(t, 1, logrec.NewUpdate(9, lsn.Undefined, pidKept, ins(0, "kept")))
+				_, c := ll.add(t, 1, logrec.NewCommit(9))
 				ll.checkpoint(t, logrec.CheckpointPayload{
 					ActiveTxns: []logrec.TxnTableEntry{{TxnID: 9, LastLSN: c, Precommitted: true}},
 					DirtyPages: []logrec.DirtyPageEntry{{PageID: pidKept, RecLSN: u}},
@@ -148,8 +148,8 @@ func TestCheckpointTableIsNamesNotFacts(t *testing.T) {
 			// home lane, stays a winner though its entry trails it.
 			name: "entry-ahead-of-home-lane", lanes: []int{2},
 			build: func(t *testing.T, ll *laneLogs) {
-				at9, u9 := ll.add(t, 1, logrec.NewUpdate(9, lsn.Undefined, pidKept, ins(0, "kept")))
-				ll.add(t, 1, logrec.NewCommit(9, at9))
+				_, u9 := ll.add(t, 1, logrec.NewUpdate(9, lsn.Undefined, pidKept, ins(0, "kept")))
+				ll.add(t, 1, logrec.NewCommit(9))
 				_, u7 := ll.add(t, 1, logrec.NewUpdate(7, lsn.Undefined, pid, ins(0, "gone")))
 				lostCommit := ll.skipSeq()
 				ll.checkpoint(t, logrec.CheckpointPayload{

@@ -254,13 +254,14 @@ func Analyze(lanes []Lane, ckpt *lsn.LSN) (*Analysis, error) {
 // (the stream is in total order). A record that starts a chain starts a
 // transaction: whatever an earlier holder of the same ID left in the
 // tail — IDs restart below a checkpoint that named nobody — is not its
-// history.
+// history. A commit record carries no PrevLSN but starts nothing: it
+// closes the chain its transaction's entry holds.
 func (a *Analysis) touch(mr *Merged) *txnStatus {
 	st := a.att[mr.Rec.TxnID]
 	if st == nil {
 		st = &txnStatus{}
 		a.att[mr.Rec.TxnID] = st
-	} else if !mr.Rec.PrevLSN.Valid() {
+	} else if mr.Rec.Kind.Chained() && !mr.Rec.PrevLSN.Valid() {
 		*st = txnStatus{}
 	}
 	st.lane, st.last = mr.Lane, mr.Rec.LSN
@@ -374,7 +375,7 @@ func (a *Analysis) Recover(store *storage.Store, sink Sink, verifyArchive bool) 
 		}
 		if !c.at.Valid() {
 			if sink != nil {
-				if _, _, _, _, err := sink.Append(c.lane, logrec.NewEnd(id, c.clrPrev)); err != nil {
+				if _, _, _, _, err := sink.Append(c.lane, logrec.NewEnd(id)); err != nil {
 					return nil, fmt.Errorf("recovery: undo end: %w", err)
 				}
 			}
@@ -388,7 +389,7 @@ func (a *Analysis) Recover(store *storage.Store, sink Sink, verifyArchive bool) 
 		}
 		mr := &c.rec
 		rec := &mr.Rec
-		next := rec.PrevLSN // abort and commit markers: follow the backchain
+		next := rec.PrevLSN // an abort marker: follow the backchain
 		switch rec.Kind {
 		case logrec.KindUpdate:
 			up, err := logrec.DecodeUpdate(rec.Payload)

@@ -60,8 +60,8 @@ func TestRecoverRedoWinner(t *testing.T) {
 	var lb logBuilder
 	pid := storage.MakePageID(1, 1)
 	up := logrec.UpdatePayload{Op: logrec.OpInsert, Slot: 0, After: []byte("hello")}
-	uAt, _ := lb.add(t, logrec.NewUpdate(7, lsn.Undefined, pid, up))
-	lb.add(t, logrec.NewCommit(7, uAt))
+	_, _ = lb.add(t, logrec.NewUpdate(7, lsn.Undefined, pid, up))
+	lb.add(t, logrec.NewCommit(7))
 
 	st := storage.NewStore()
 	res, err := Recover(Options{Log: lb.buf, Store: st})
@@ -82,8 +82,8 @@ func TestRecoverUndoLoser(t *testing.T) {
 	pid := storage.MakePageID(1, 1)
 	// Winner inserts the row; loser overwrites it; no commit for loser.
 	ins := logrec.UpdatePayload{Op: logrec.OpInsert, Slot: 0, After: []byte("base")}
-	insAt, _ := lb.add(t, logrec.NewUpdate(1, lsn.Undefined, pid, ins))
-	lb.add(t, logrec.NewCommit(1, insAt))
+	_, _ = lb.add(t, logrec.NewUpdate(1, lsn.Undefined, pid, ins))
+	lb.add(t, logrec.NewCommit(1))
 	set := logrec.Splice(0, []byte("base"), []byte("evil"))
 	lb.add(t, logrec.NewUpdate(2, lsn.Undefined, pid, set))
 
@@ -170,7 +170,7 @@ func TestRecoverPrecommittedInCheckpointIsWinner(t *testing.T) {
 	pid := storage.MakePageID(1, 1)
 	up := logrec.UpdatePayload{Op: logrec.OpInsert, Slot: 0, After: []byte("keep")}
 	uAt, _ := lb.add(t, logrec.NewUpdate(9, lsn.Undefined, pid, up))
-	cAt, _ := lb.add(t, logrec.NewCommit(9, uAt))
+	cAt, _ := lb.add(t, logrec.NewCommit(9))
 	// Checkpoint after the commit record but before the end record: the
 	// ATT entry carries Precommitted=true.
 	beginAt, _ := lb.add(t, &logrec.Record{Header: logrec.Header{Kind: logrec.KindCheckpointBegin}})
@@ -201,10 +201,10 @@ func TestRecoverTruncatedTailIsCleanEnd(t *testing.T) {
 	var lb logBuilder
 	pid := storage.MakePageID(1, 1)
 	up := logrec.UpdatePayload{Op: logrec.OpInsert, Slot: 0, After: []byte("ok")}
-	uAt, _ := lb.add(t, logrec.NewUpdate(1, lsn.Undefined, pid, up))
-	lb.add(t, logrec.NewCommit(1, uAt))
+	_, _ = lb.add(t, logrec.NewUpdate(1, lsn.Undefined, pid, up))
+	lb.add(t, logrec.NewCommit(1))
 	// Torn tail: half a record.
-	partial, _ := logrec.NewCommit(2, lsn.Undefined).Encode()
+	partial, _ := logrec.NewCommit(2).Encode()
 	lb.buf = append(lb.buf, partial[:len(partial)/2]...)
 
 	st := storage.NewStore()
@@ -221,8 +221,8 @@ func TestRecoverIdempotent(t *testing.T) {
 	var lb logBuilder
 	pid := storage.MakePageID(1, 1)
 	up := logrec.UpdatePayload{Op: logrec.OpInsert, Slot: 0, After: []byte("x")}
-	uAt, _ := lb.add(t, logrec.NewUpdate(1, lsn.Undefined, pid, up))
-	lb.add(t, logrec.NewCommit(1, uAt))
+	_, _ = lb.add(t, logrec.NewUpdate(1, lsn.Undefined, pid, up))
+	lb.add(t, logrec.NewCommit(1))
 
 	st := storage.NewStore()
 	if _, err := Recover(Options{Log: lb.buf, Store: st}); err != nil {

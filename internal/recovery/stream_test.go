@@ -49,7 +49,7 @@ func TestRecoveryStreamsTheTail(t *testing.T) {
 				at, _ = ll.add(t, 0, stamp(logrec.NewUpdate(setup, at, storage.MakePageID(1, uint64(pg+1)),
 					logrec.UpdatePayload{Op: logrec.OpInsert, Slot: 0, After: val(0)}), pg))
 			}
-			ll.add(t, 0, logrec.NewCommit(setup, at))
+			ll.add(t, 0, logrec.NewCommit(setup))
 			for id := 1; id <= txns; id++ {
 				prev[id] = lsn.Undefined
 			}
@@ -67,7 +67,7 @@ func TestRecoveryStreamsTheTail(t *testing.T) {
 				}
 			}
 			for id := 1; id < txns; id++ {
-				ll.add(t, id%n, logrec.NewCommit(uint64(id), prev[id]))
+				ll.add(t, id%n, logrec.NewCommit(uint64(id)))
 			}
 			tails := ll.tails()
 

@@ -30,16 +30,30 @@ type BTree struct {
 const btreeOrder = 64
 
 type btreeNode struct {
-	leaf     bool
+	leaf bool
+	// lastIns is where the leaf's latest insert landed: an insert just
+	// after it continues an ascending run.
+	lastIns  int32
 	keys     []uint64
 	children []*btreeNode // internal nodes: len(keys)+1
 	values   []uint64     // leaves: len(keys)
 	next     *btreeNode   // leaf chain for scans
 }
 
+// newLeaf and newInternal make a node with room for the one key more
+// than btreeOrder it holds just before it splits, so no insert into it
+// regrows a slice.
+func newLeaf() *btreeNode {
+	return &btreeNode{leaf: true, keys: make([]uint64, 0, btreeOrder+1), values: make([]uint64, 0, btreeOrder+1)}
+}
+
+func newInternal() *btreeNode {
+	return &btreeNode{keys: make([]uint64, 0, btreeOrder+1), children: make([]*btreeNode, 0, btreeOrder+2)}
+}
+
 // NewBTree returns an empty tree.
 func NewBTree() *BTree {
-	return &BTree{root: &btreeNode{leaf: true}}
+	return &BTree{root: newLeaf()}
 }
 
 // BTreeEntry is one key→value pair handed to BTree.Build.
@@ -169,10 +183,9 @@ func (t *BTree) Put(key, value uint64) bool {
 	defer t.mu.Unlock()
 	inserted, split, sepKey, right := t.insert(t.root, key, value)
 	if split {
-		newRoot := &btreeNode{
-			keys:     []uint64{sepKey},
-			children: []*btreeNode{t.root, right},
-		}
+		newRoot := newInternal()
+		newRoot.keys = append(newRoot.keys, sepKey)
+		newRoot.children = append(newRoot.children, t.root, right)
 		t.root = newRoot
 	}
 	if inserted {
@@ -189,12 +202,17 @@ func (t *BTree) insert(n *btreeNode, key, value uint64) (inserted, split bool, s
 			n.values[i] = value
 			return false, false, 0, nil
 		}
+		if len(n.keys) == btreeOrder && (i == btreeOrder || i == int(n.lastIns)+1) {
+			r := n.splitRun(i, key, value)
+			return true, true, r.keys[0], r
+		}
 		n.keys = append(n.keys, 0)
 		copy(n.keys[i+1:], n.keys[i:])
 		n.keys[i] = key
 		n.values = append(n.values, 0)
 		copy(n.values[i+1:], n.values[i:])
 		n.values[i] = value
+		n.lastIns = int32(i)
 		if len(n.keys) > btreeOrder {
 			sep, r := n.splitLeaf()
 			return true, true, sep, r
@@ -218,14 +236,35 @@ func (t *BTree) insert(n *btreeNode, key, value uint64) (inserted, split bool, s
 	return inserted, false, 0, nil
 }
 
+// splitRun splits a full leaf where key lands as the next key of an
+// ascending run — past its last key, or just after the key inserted last
+// (the history index's keys are one such run per client, interleaved).
+// The leaf keeps what lies below key, and key; the new right leaf takes
+// the rest, or key alone past the last key. So the run goes on filling
+// one leaf, and every leaf it leaves behind is full rather than half
+// full, as a split in the middle would leave it.
+func (n *btreeNode) splitRun(i int, key, value uint64) (right *btreeNode) {
+	right = newLeaf()
+	right.next, n.next = n.next, right
+	if i == len(n.keys) {
+		right.keys = append(right.keys, key)
+		right.values = append(right.values, value)
+		return right
+	}
+	right.keys = append(right.keys, n.keys[i:]...)
+	right.values = append(right.values, n.values[i:]...)
+	n.keys = append(n.keys[:i], key)
+	n.values = append(n.values[:i], value)
+	n.lastIns = int32(i)
+	return right
+}
+
 func (n *btreeNode) splitLeaf() (sep uint64, right *btreeNode) {
 	mid := len(n.keys) / 2
-	right = &btreeNode{
-		leaf:   true,
-		keys:   append([]uint64(nil), n.keys[mid:]...),
-		values: append([]uint64(nil), n.values[mid:]...),
-		next:   n.next,
-	}
+	right = newLeaf()
+	right.keys = append(right.keys, n.keys[mid:]...)
+	right.values = append(right.values, n.values[mid:]...)
+	right.next = n.next
 	n.keys = n.keys[:mid]
 	n.values = n.values[:mid]
 	n.next = right
@@ -235,10 +274,9 @@ func (n *btreeNode) splitLeaf() (sep uint64, right *btreeNode) {
 func (n *btreeNode) splitInternal() (sep uint64, right *btreeNode) {
 	mid := len(n.keys) / 2
 	sep = n.keys[mid]
-	right = &btreeNode{
-		keys:     append([]uint64(nil), n.keys[mid+1:]...),
-		children: append([]*btreeNode(nil), n.children[mid+1:]...),
-	}
+	right = newInternal()
+	right.keys = append(right.keys, n.keys[mid+1:]...)
+	right.children = append(right.children, n.children[mid+1:]...)
 	n.keys = n.keys[:mid]
 	n.children = n.children[:mid+1]
 	return sep, right

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -411,5 +412,50 @@ func TestBTreeBulkBuildEqualsPuts(t *testing.T) {
 		if v, ok := bt.Get(e.Key); !ok || v != e.Value {
 			t.Fatalf("after a Put into the first leaf, entry %d (key %d) reads %d,%v", i, e.Key, v, ok)
 		}
+	}
+}
+
+// TestBTreeAppendAllocation: TPC-B's history index takes its keys as
+// interleaved ascending ranges, one per client. Each key lands just after
+// the key its range inserted last; a full leaf splits right there, so the
+// leaves a range leaves behind are full, and every node is born with room
+// for the one key too many it holds before a split, so no insert regrows
+// a slice. What a Put allocates is then its share of the new nodes: about
+// 20 bytes for a 16-byte entry, where middle splits and regrown slices
+// cost 59.
+func TestBTreeAppendAllocation(t *testing.T) {
+	const (
+		puts     = 10_000
+		maxBytes = 24 // per Put
+	)
+	bt := NewBTree()
+	var next [2]uint64
+	put := func(i int) {
+		c := i % 2
+		next[c]++
+		bt.Put(uint64(c+1)<<40|next[c], uint64(i))
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < puts; i++ {
+		put(i)
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(after.TotalAlloc-before.TotalAlloc) / puts
+	leaves := 0
+	n := bt.root
+	for !n.leaf {
+		n = n.children[0]
+	}
+	for ; n != nil; n = n.next {
+		leaves++
+	}
+	t.Logf("%.1f bytes allocated per Put, %d leaves for %d keys", per, leaves, bt.Len())
+	if per > maxBytes {
+		t.Errorf("%.1f bytes allocated per Put of an ascending range, budget %d", per, maxBytes)
+	}
+	if want := puts/btreeOrder + 2; leaves > want {
+		t.Errorf("%d leaves for %d keys in two ascending ranges, want at most %d: split leaves are left part empty", leaves, puts, want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"aether/internal/lsn"
+	"aether/internal/vfs"
 )
 
 // These tests pin down PR 6's concurrency contract: pagefile reads are
@@ -121,16 +123,54 @@ func TestPageFileConcurrentReadersVsBatchWriters(t *testing.T) {
 	t.Logf("read retries under contention: %d", pf.ReadRetries())
 }
 
-// TestPageFileReadsNotBlockedByBatchFsyncs is the PR's latency
-// acceptance property: a Get concurrent with an in-progress PutBatch
-// completes without waiting for the batch's fsyncs. With a simulated
-// 40ms device sync, the batch's two fsyncs pin it down for ≥80ms while
-// every concurrent read of an unrelated (committed) page must return in
-// a small fraction of one sync delay — before this PR both shared one
-// mutex and each read ate the full batch latency.
+// syncHold is a filesystem whose files' Syncs, once hold is set, each
+// signal held and then wait until hold is closed: a device fsync that
+// takes exactly as long as the test says.
+type syncHold struct {
+	vfs.FS
+	hold chan struct{} // set before the syncing goroutine starts
+	held chan struct{} // one value per held Sync, sent without blocking
+}
+
+func (fs *syncHold) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
+	f, err := fs.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return heldSyncFile{f, fs}, nil
+}
+
+type heldSyncFile struct {
+	vfs.File
+	fs *syncHold
+}
+
+func (f heldSyncFile) Sync() error {
+	if f.fs.hold != nil {
+		select {
+		case f.fs.held <- struct{}{}:
+		default:
+		}
+		<-f.fs.hold
+	}
+	return f.File.Sync()
+}
+
+// TestPageFileReadsNotBlockedByBatchFsyncs is the page file's latency
+// property: a Get concurrent with an in-progress PutBatch completes
+// without waiting for the batch's fsyncs. The batch's first fsync is
+// held until the reads are done, so every read of a committed page runs
+// while the batch is stuck inside an fsync: a read that waited for it
+// would never return, and the batch ends only after the reads have.
+// (Before reads were lock-free, both shared one mutex and each read ate
+// the full batch latency.)
 func TestPageFileReadsNotBlockedByBatchFsyncs(t *testing.T) {
-	const syncDelay = 40 * time.Millisecond
-	pf := openPF(t, filepath.Join(t.TempDir(), "pagefile.db"))
+	fs := &syncHold{FS: vfs.OS{}}
+	pf, err := OpenPageFileFS(fs, filepath.Join(t.TempDir(), "pagefile.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pf.Close()
 	const resident = 8
 	seed := make([]PageImage, resident)
 	for i := range seed {
@@ -139,54 +179,50 @@ func TestPageFileReadsNotBlockedByBatchFsyncs(t *testing.T) {
 	if err := pf.PutBatch(seed); err != nil {
 		t.Fatal(err)
 	}
-	pf.SetSyncDelay(syncDelay)
 
-	// A fat batch over different pages: data fsync + commit fsync
-	// = 2 × syncDelay of simulated device time.
+	// A batch over different pages, whose fsyncs wait for the test.
 	batch := make([]PageImage, 64)
 	for i := range batch {
 		pid := uint64(100 + i)
 		batch[i] = PageImage{PID: pid, Img: pfVersionedImage(pid, 2)}
 	}
+	fs.hold, fs.held = make(chan struct{}), make(chan struct{}, 1)
 	batchDone := make(chan error, 1)
-	start := time.Now()
 	go func() { batchDone <- pf.PutBatch(batch) }()
+	<-fs.held
 
-	// Read committed pages for the whole window the batch is in flight.
-	var worst time.Duration
-	reads := 0
-	for {
-		select {
-		case err := <-batchDone:
-			if err != nil {
-				t.Fatal(err)
+	const reads = 1000
+	readsDone := make(chan error, 1)
+	go func() {
+		for i := 0; i < reads; i++ {
+			pid := uint64(1 + i%resident)
+			img, err := pf.Get(pid)
+			if err != nil || img == nil {
+				readsDone <- fmt.Errorf("concurrent Get(%d): %v", pid, err)
+				return
 			}
-			if reads == 0 {
-				t.Skip("batch finished before any concurrent read was timed")
-			}
-			if elapsed := time.Since(start); elapsed < 2*syncDelay {
-				t.Fatalf("batch finished in %v — simulated sync delay not in effect", elapsed)
-			}
-			// The acceptance bound: no read waited out a device fsync.
-			// syncDelay/2 is ~20ms of headroom for a microsecond-scale
-			// pread even on a loaded CI machine.
-			if worst >= syncDelay/2 {
-				t.Fatalf("worst concurrent read took %v against a %v device sync (reads serialized behind the batch)", worst, syncDelay)
-			}
-			t.Logf("%d reads concurrent with the batch; worst %v vs %v batch window", reads, worst, 2*syncDelay)
-			return
-		default:
 		}
-		pid := uint64(1 + reads%resident)
-		t0 := time.Now()
-		img, err := pf.Get(pid)
-		if d := time.Since(t0); d > worst {
-			worst = d
+		readsDone <- nil
+	}()
+	select {
+	case err := <-readsDone:
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err != nil || img == nil {
-			t.Fatalf("concurrent Get(%d): %v", pid, err)
+	case err := <-batchDone:
+		t.Fatalf("the batch finished (%v) while its fsync was held", err)
+	case <-time.After(time.Minute):
+		close(fs.hold)
+		t.Fatalf("%d reads of committed pages did not finish while the batch's fsync was held: reads wait on batch fsyncs", reads)
+	}
+	close(fs.hold)
+	if err := <-batchDone; err != nil {
+		t.Fatal(err)
+	}
+	for _, pi := range batch {
+		if img, err := pf.Get(pi.PID); err != nil || img == nil {
+			t.Fatalf("Get(%d) after the batch: %v", pi.PID, err)
 		}
-		reads++
 	}
 }
 

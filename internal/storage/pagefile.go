@@ -139,7 +139,6 @@ type PageFile struct {
 
 	closed atomic.Bool
 
-	syncDelay atomic.Int64 // simulated device sync latency, ns (benchmarks)
 	readDelay atomic.Int64 // simulated per-pread device latency, ns (benchmarks)
 
 	fsyncs      atomic.Int64
@@ -524,33 +523,22 @@ func (pf *PageFile) clearUncommitted(slots []uint64, size, end int64) error {
 	return nil
 }
 
-// fsync syncs the file and counts it, modeling the configured device
-// latency (the same simulated-device methodology the log devices use).
+// fsync syncs the file and counts it.
 func (pf *PageFile) fsync() error {
 	if err := pf.f.Sync(); err != nil {
 		return err
 	}
 	pf.fsyncs.Add(1)
-	if d := time.Duration(pf.syncDelay.Load()); d > 0 {
-		time.Sleep(d)
-	}
 	return nil
 }
 
 // SetReadDelay adds a simulated per-read device latency (benchmarks
-// use it to model a real disk's page-read cost, the same methodology as
-// SetSyncDelay): every Get attempt sleeps d after its pread. On
+// use it to model a real disk's page-read cost): every Get attempt sleeps d after its pread. On
 // tmpfs-backed test runs a pread is sub-microsecond, which would make
 // read-pipelining benchmarks measure scheduler noise; a few hundred
 // microseconds of modeled latency makes the overlap win deterministic.
 func (pf *PageFile) SetReadDelay(d time.Duration) {
 	pf.readDelay.Store(int64(d))
-}
-
-// SetSyncDelay adds a simulated per-fsync device latency (benchmarks
-// model flash/disk sync cost deterministically; 0 disables).
-func (pf *PageFile) SetSyncDelay(d time.Duration) {
-	pf.syncDelay.Store(int64(d))
 }
 
 // Fsyncs returns how many device fsyncs the pagefile has issued — the

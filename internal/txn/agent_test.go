@@ -287,7 +287,7 @@ func TestAgentScratchLogsSameBytes(t *testing.T) {
 	first := logrec.NewUpdate(tx.ID(), lsn.Undefined, rid.Page,
 		logrec.UpdatePayload{Op: logrec.OpInsert, Slot: rid.Slot, After: row(2, 20)})
 	second := logrec.NewUpdate(tx.ID(), start, rid.Page, logrec.Splice(rid.Slot, row(2, 20), row(2, 21)))
-	commit := logrec.NewCommit(tx.ID(), start.Add(first.EncodedSize()))
+	commit := logrec.NewCommit(tx.ID())
 	var want []byte
 	for _, rec := range []*logrec.Record{first, second, commit} {
 		b, err := rec.Encode()
@@ -338,17 +338,19 @@ func tpcbShape(t testing.TB, ag *Agent, tables *[4]*Table, keys [4]uint64, delta
 // transaction IDs, LSNs and page numbers are one or two bytes long; the
 // same records re-encoded at the benchmark's magnitudes (IDs to 80 200,
 // 33 MB of log per cycle, thousands of pages a table) must fit the budget
-// too: at most 150 bytes on one lane (five 48-byte headers and whole rows
-// made it 988, whole history rows 246), the history insert at most 45 of
-// them, and on three lanes at most a seq and an edge more per record. A
+// too: at most 122 bytes on one lane (121 in format 5; five 48-byte
+// headers and whole rows made it 988, whole history rows 246, fixed
+// 8-byte frames and a chained commit 140), the history insert at most 38
+// of them, and on three lanes at most a seq and an edge more per record.
+// A commit that carried its PrevLSN would add 4 bytes and miss it. A
 // balance of a few million moved by a negative delta of the benchmark's
 // range changes its three low bytes, and the negative delta fills the
 // history row's whole amount field: the most a benchmark history row
 // logs.
 func TestTPCBLogBytesBudget(t *testing.T) {
 	const (
-		budget       = 150
-		insertBudget = 45
+		budget       = 122
+		insertBudget = 38
 		seqAndEdge   = 2 * binary.MaxVarintLen32 // per record, on N lanes
 		benchTxnID   = 80_200
 		benchLSN     = 33_000_000
@@ -482,25 +484,10 @@ func TestCLRChainEndCarriesNoAux(t *testing.T) {
 	}
 }
 
-// TestTxnAllocationBudget is the transaction layer's allocation budget.
-// One TPC-B-shaped transaction costs the engine two small objects — the
-// Txn (96 B) and the completion the log daemon calls (16 B) — and the
-// generator here five more (its closure, a 112-byte copy per update, the
-// history row: ~465 B): seven allocations against 51 before the agent
-// owned the scratch. A growing history table amortises to another
-// ~170 B (an 8 KiB page per 70 rows, index nodes, dirty-page entries),
-// so ~750 B in all against 5 kB. The ceilings leave room for size-class
-// changes, not for a lost site.
-func TestTxnAllocationBudget(t *testing.T) {
-	const (
-		maxAllocs = 8
-		maxBytes  = 1100
-		accounts  = 1000
-	)
-	eng := newEngineOn(t, nullDev{logdev.NewMem(logdev.ProfileMemory)})
-	var tables [4]*Table // branch, teller, account, history
-	ag := eng.NewAgent()
-	defer ag.Close()
+// loadTPCB creates TPC-B's four tables on eng — 10 branches, 100
+// tellers, accounts accounts and an empty history — with 100-byte rows.
+func loadTPCB(t *testing.T, eng *Engine, ag *Agent, accounts uint64) (tables [4]*Table) {
+	t.Helper()
 	load := ag.Begin()
 	for i, name := range []string{"branch", "teller", "account", "history"} {
 		tables[i], _ = eng.CreateTable(name, nil)
@@ -515,6 +502,27 @@ func TestTxnAllocationBudget(t *testing.T) {
 	if err := load.Commit(CommitSync, nil); err != nil {
 		t.Fatal(err)
 	}
+	return tables
+}
+
+// TestTxnAllocationBudget is the transaction layer's allocation budget.
+// One TPC-B-shaped transaction costs the engine one small object, the
+// Txn (96 B), and the generator here five more (its closure, a 112-byte
+// copy per update, the history row: ~465 B): six allocations against 51
+// before the agent owned the scratch. A growing history table amortises
+// to another ~150 B (an 8 KiB page per 70 rows, index nodes, dirty-page
+// entries), so ~700 B in all against 5 kB. The ceilings leave room for
+// size-class changes, not for a lost site.
+func TestTxnAllocationBudget(t *testing.T) {
+	const (
+		maxAllocs = 7
+		maxBytes  = 1100
+		accounts  = 1000
+	)
+	eng := newEngineOn(t, nullDev{logdev.NewMem(logdev.ProfileMemory)})
+	ag := eng.NewAgent()
+	defer ag.Close()
+	tables := loadTPCB(t, eng, ag, accounts)
 	seq := uint64(0)
 	txn := func() {
 		seq++
@@ -537,6 +545,52 @@ func TestTxnAllocationBudget(t *testing.T) {
 		t.Errorf("%d bytes allocated per transaction, budget %d", got, maxBytes)
 	} else {
 		t.Logf("%d bytes allocated per transaction (budget %d)", got, maxBytes)
+	}
+}
+
+// TestPipelinedCommitAllocatesOnlyTxn: a TPC-B-shaped transaction
+// committed CommitPipelined, from a generator that allocates nothing,
+// allocates one object: its Txn. The detached commit subscribes the Txn
+// itself for its completion, where a method value would cost 16 bytes a
+// commit, and the history table's pages and index nodes amortise below
+// one allocation a transaction.
+func TestPipelinedCommitAllocatesOnlyTxn(t *testing.T) {
+	const accounts = 1000
+	eng := newEngineOn(t, nullDev{logdev.NewMem(logdev.ProfileMemory)})
+	ag := eng.NewAgent()
+	defer ag.Close()
+	tables := loadTPCB(t, eng, ag, accounts)
+	var seq uint64
+	next := make([]byte, 0, 100)
+	add := func(cur []byte) ([]byte, error) {
+		next = append(next[:0], cur...)
+		binary.LittleEndian.PutUint64(next[8:16], rowValue(cur)+seq)
+		return next, nil
+	}
+	hist := make([]byte, 100)
+	txn := func() {
+		seq++
+		tx := ag.Begin()
+		for i, key := range [3]uint64{seq%10 + 1, seq%100 + 1, seq*7919%accounts + 1} {
+			if err := tx.Update(tables[i], key, add); err != nil {
+				t.Fatal(err)
+			}
+		}
+		binary.LittleEndian.PutUint64(hist[0:8], seq)
+		binary.LittleEndian.PutUint64(hist[8:16], seq)
+		if err := tx.Insert(tables[3], seq, hist); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(CommitPipelined, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 5_000
+	for i := 0; i < runs; i++ {
+		txn()
+	}
+	if got := testing.AllocsPerRun(runs, txn); got != 1 {
+		t.Errorf("%.0f allocations per pipelined transaction, want 1 (its Txn)", got)
 	}
 }
 

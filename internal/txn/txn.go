@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"aether/internal/core"
 	"aether/internal/lockmgr"
 	"aether/internal/logrec"
 	"aether/internal/lsn"
@@ -380,7 +381,7 @@ func (t *Txn) Commit(mode CommitMode, whenDone func(error)) error {
 	}
 
 	rec := &t.agent.rec
-	rec.Reset(logrec.KindCommit, t.id, t.last.Load())
+	rec.Reset(logrec.KindCommit, t.id, lsn.Undefined)
 	at, end, _, recStamp, err := t.appendRec(rec)
 	if err != nil {
 		return err
@@ -425,7 +426,7 @@ func (t *Txn) Commit(mode CommitMode, whenDone func(error)) error {
 		// and recycling this txn's records while it can still come back
 		// as a recovery loser would leave its undo chain unreadable.
 		t.sc.locker.ReleaseAll()
-		lm.OnDurable(end, t.hardened)
+		lm.OnDurable(end, t)
 		if whenDone != nil {
 			whenDone(nil)
 		}
@@ -436,7 +437,7 @@ func (t *Txn) Commit(mode CommitMode, whenDone func(error)) error {
 		// daemon completes the transaction when the record hardens.
 		t.sc.locker.ReleaseAll()
 		t.whenDone = whenDone
-		lm.OnDurable(end, t.hardened)
+		lm.OnDurable(end, t)
 		return nil
 
 	case CommitPipelinedHoldLocks:
@@ -451,18 +452,20 @@ func (t *Txn) Commit(mode CommitMode, whenDone func(error)) error {
 			t.agent.sc = nil
 		}
 		t.whenDone = whenDone
-		lm.OnDurable(end, func(err error) {
+		lm.OnDurable(end, core.HardenedFunc(func(err error) {
 			locker.ReleaseAllToTable()
-			t.hardened(err)
-		})
+			t.Hardened(err)
+		}))
 		return nil
 	}
 	return fmt.Errorf("txn: unknown commit mode %d", int(mode))
 }
 
-// hardened completes a detached commit on the log daemon's goroutine,
+// Hardened completes a detached commit on the log daemon's goroutine,
 // once the commit record is durable (or the log has failed with err).
-func (t *Txn) hardened(err error) {
+// It makes *Txn a core.Hardener, so a detached commit subscribes without
+// allocating.
+func (t *Txn) Hardened(err error) {
 	t.finishCommit(err == nil)
 	if done := t.whenDone; done != nil {
 		// The agent's scratch keeps its last transaction reachable; do
@@ -531,7 +534,7 @@ func (t *Txn) Abort() error {
 				u.tbl.Index.Delete(u.key)
 			}
 		}
-		rec.Reset(logrec.KindEnd, t.id, t.last.Load())
+		rec.Reset(logrec.KindEnd, t.id, lsn.Undefined)
 		at, endEnd, _, endStamp, aerr := t.appendRec(rec)
 		t.state.Store(stAborted)
 		t.sc.locker.ReleaseAll()
@@ -549,7 +552,7 @@ func (t *Txn) Abort() error {
 		// or a crash could find a loser whose undo chain was recycled.
 		// Capture only what the callback needs, not the whole Txn.
 		eng, id := t.eng, t.id
-		t.eng.waitLM(t.home).OnDurable(endEnd, func(error) { eng.attRemove(id) })
+		t.eng.waitLM(t.home).OnDurable(endEnd, core.HardenedFunc(func(error) { eng.attRemove(id) }))
 		return nil
 	}
 
