@@ -61,7 +61,9 @@ lock-race:
 # replayed one way, by restart (a restore is a restart that stops): no Go
 # file, tests included, calls recovery's redo or compensate outside
 # internal/recovery/recovery.go, or recovery.NewLaneMerge outside
-# internal/recovery and cmd/logdump.
+# internal/recovery and cmd/logdump. And a frame enters the buffer pool
+# one way, storage's install: non-test Go under internal/storage holds
+# exactly one assignment into a shard's page map.
 vet:
 	$(GO) vet ./...
 	@bad="$$(grep -HnE '\bos\.(OpenFile|Create|WriteFile|Rename|Remove|MkdirAll|Truncate)\(' \
@@ -82,6 +84,8 @@ vet:
 	bad="$$(grep -HnE '\b(redo|compensate)\(' $$gofiles | grep -vE '^\./internal/recovery/recovery\.go:'; \
 		grep -HnE '\bNewLaneMerge\(' $$gofiles | grep -vE '^\./(internal/recovery|cmd/logdump)/')"; \
 	if [ -n "$$bad" ]; then echo "the log is replayed one way, by restart (a restore is a restart that stops):"; echo "$$bad"; exit 1; fi
+	@hits="$$(grep -HnE '\.pages\[[^]]*\][[:space:]]*=[^=]' $$(find internal/storage -name '*.go' ! -name '*_test.go'))"; \
+	if [ "$$(printf '%s\n' "$$hits" | grep -c .)" -ne 1 ]; then echo "a frame enters the buffer pool one way, storage's install (one assignment into a shard's page map):"; echo "$$hits"; exit 1; fi
 
 # Documentation lint: formatting, vet, every example and command builds,
 # and the godoc-coverage check — exported identifiers in EVERY internal

@@ -174,7 +174,7 @@ func TestCheckpointTableIsNamesNotFacts(t *testing.T) {
 					t.Fatal(err)
 				}
 				st := storage.NewStore()
-				res, err := a.Recover(st, nil, false)
+				res, err := a.Recover(st, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -51,13 +51,10 @@ type Options struct {
 	// oldest active-transaction first LSN, oldest dirty-page recLSN)
 	// guarantees everything below it is already archived or finished.
 	Base lsn.LSN
-	// Store is the page store. With an archive backend attached
-	// (storage.Store.SetBackend) it starts empty and faults pages in
-	// lazily as redo and undo touch them — restart memory is O(working
-	// set).
+	// Store is the page store. It starts empty and faults pages in from
+	// its page file (storage.Store.SetBackend) lazily as redo and undo
+	// touch them — restart memory is O(working set).
 	Store *storage.Store
-	// VerifyArchive is Analysis.Recover's verifyArchive.
-	VerifyArchive bool
 }
 
 // Sink receives the CLRs and end records undo generates, appended to
@@ -123,7 +120,7 @@ func Recover(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return a.Recover(opts.Store, nil, opts.VerifyArchive)
+	return a.Recover(opts.Store, nil)
 }
 
 // txnStatus is an analysis-phase transaction-table entry: where the
@@ -277,42 +274,19 @@ func (a *Analysis) touch(mr *Merged) *txnStatus {
 // without one it applies inverses under made-up stamps above the top of
 // the log (single-crash recovery only).
 //
-// verifyArchive asserts that every page already resident in store
-// carries a stamp at or below the top of the durable log. The checkpoint
-// sweep and the steal path only archive pages whose stamp is durable, so
-// an image from beyond the log is a WAL violation or a corrupt database
-// file — redoing on top of it would silently skip updates. Pages faulted
-// lazily from an attached backend get the same check at fault time (with
-// a WAL attached to the store), so the flag covers only the pre-resident
-// set. Leave it unset for stores that were not archive-loaded (pages
-// stamped by unlogged undo legitimately carry stamps past the log end).
-func (a *Analysis) Recover(store *storage.Store, sink Sink, verifyArchive bool) (*Result, error) {
+// Every image redo reads is faulted from the store's page file, and with
+// a WAL attached to the store (storage.Store.AttachWAL) the fault refuses
+// one stamped beyond the durable log: the checkpoint sweep and the steal
+// path only archive pages whose stamp is durable, so such an image is a
+// WAL violation or a corrupt database file, and redoing on top of it
+// would silently skip updates.
+func (a *Analysis) Recover(store *storage.Store, sink Sink) (*Result, error) {
 	m, res := a.m, a.res
 	top := m.Top()
 
-	// (Slot checksums were already verified by the archive's read path;
-	// this is the cross-check between the two durable artifacts.)
 	res.ArchivedPages = len(store.PageIDs())
 	faults0 := store.CacheStats().Misses
 	defer func() { res.ArchivedPages += int(store.CacheStats().Misses - faults0) }()
-	if verifyArchive {
-		for _, pid := range store.PageIDs() {
-			p, err := store.Get(pid)
-			if err != nil {
-				return nil, fmt.Errorf("recovery: verify: %w", err)
-			}
-			if p == nil {
-				continue
-			}
-			stamp := uint64(p.LSN())
-			p.Unpin()
-			if stamp > top {
-				return nil, fmt.Errorf(
-					"recovery: archived page %d is stamped %d, beyond the top of the durable log %d (archive ahead of log: WAL violation or corruption)",
-					pid, stamp, top)
-			}
-		}
-	}
 
 	// ---- Redo, in the total order. ----
 	// (Entries below a lane's base belong to pages the checkpointer

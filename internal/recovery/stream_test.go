@@ -79,7 +79,7 @@ func TestRecoveryStreamsTheTail(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := a.Recover(st, nil, false)
+			res, err := a.Recover(st, nil)
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)

@@ -31,8 +31,9 @@ const btreeOrder = 64
 
 type btreeNode struct {
 	leaf bool
-	// lastIns is where the leaf's latest insert landed: an insert just
-	// after it continues an ascending run.
+	// lastIns is where the node's latest insert landed — a leaf's key,
+	// an internal node's separator: an insert just after it continues an
+	// ascending run.
 	lastIns  int32
 	keys     []uint64
 	children []*btreeNode // internal nodes: len(keys)+1
@@ -221,17 +222,23 @@ func (t *BTree) insert(n *btreeNode, key, value uint64) (inserted, split bool, s
 	}
 	ci := childIndex(n.keys, key)
 	inserted, childSplit, childSep, childRight := t.insert(n.children[ci], key, value)
-	if childSplit {
-		n.keys = append(n.keys, 0)
-		copy(n.keys[ci+1:], n.keys[ci:])
-		n.keys[ci] = childSep
-		n.children = append(n.children, nil)
-		copy(n.children[ci+2:], n.children[ci+1:])
-		n.children[ci+1] = childRight
-		if len(n.keys) > btreeOrder {
-			sep, r := n.splitInternal()
-			return inserted, true, sep, r
-		}
+	if !childSplit {
+		return inserted, false, 0, nil
+	}
+	if len(n.keys) == btreeOrder && (ci == btreeOrder || ci == int(n.lastIns)+1) {
+		sep, r := n.splitInternalRun(ci, childSep, childRight)
+		return inserted, true, sep, r
+	}
+	n.keys = append(n.keys, 0)
+	copy(n.keys[ci+1:], n.keys[ci:])
+	n.keys[ci] = childSep
+	n.children = append(n.children, nil)
+	copy(n.children[ci+2:], n.children[ci+1:])
+	n.children[ci+1] = childRight
+	n.lastIns = int32(ci)
+	if len(n.keys) > btreeOrder {
+		sep, r := n.splitInternal()
+		return inserted, true, sep, r
 	}
 	return inserted, false, 0, nil
 }
@@ -269,6 +276,28 @@ func (n *btreeNode) splitLeaf() (sep uint64, right *btreeNode) {
 	n.values = n.values[:mid]
 	n.next = right
 	return right.keys[0], right
+}
+
+// splitInternalRun is splitRun one level up: a full internal node whose
+// child at ci split, where the child's separator sep and new right
+// sibling r continue an ascending run of separators. The node keeps what
+// lies below sep, and sep with r; the new right node takes the rest, or
+// r alone past the last separator, and the separator that parts them
+// goes up. So every internal node an ascending load leaves behind is
+// full, as every leaf is.
+func (n *btreeNode) splitInternalRun(ci int, sep uint64, r *btreeNode) (up uint64, right *btreeNode) {
+	right = newInternal()
+	if ci == len(n.keys) {
+		right.children = append(right.children, r)
+		return sep, right
+	}
+	up = n.keys[ci]
+	right.keys = append(right.keys, n.keys[ci+1:]...)
+	right.children = append(right.children, n.children[ci+1:]...)
+	n.keys = append(n.keys[:ci], sep)
+	n.children = append(n.children[:ci+1], r)
+	n.lastIns = int32(ci)
+	return up, right
 }
 
 func (n *btreeNode) splitInternal() (sep uint64, right *btreeNode) {

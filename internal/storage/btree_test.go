@@ -459,3 +459,34 @@ func TestBTreeAppendAllocation(t *testing.T) {
 		t.Errorf("%d leaves for %d keys in two ascending ranges, want at most %d: split leaves are left part empty", leaves, puts, want)
 	}
 }
+
+// TestBTreeAscendingInternalNodesFull: an ascending load splits every
+// level where the run goes on, not in the middle, so the inner levels
+// are packed as the leaves are: after 100 000 ascending Puts into an
+// empty tree, every node but the rightmost on each level is full.
+func TestBTreeAscendingInternalNodesFull(t *testing.T) {
+	const puts = 100_000
+	bt := NewBTree()
+	for k := uint64(1); k <= puts; k++ {
+		bt.Put(k, k)
+	}
+	levels := 0
+	for level := []*btreeNode{bt.root}; len(level) > 0 && !level[0].leaf; levels++ {
+		var below []*btreeNode
+		for i, n := range level {
+			if i < len(level)-1 && len(n.keys) != btreeOrder {
+				t.Errorf("level %d node %d of %d holds %d keys, want %d", levels, i, len(level), len(n.keys), btreeOrder)
+			}
+			below = append(below, n.children...)
+		}
+		level = below
+	}
+	if levels < 2 {
+		t.Fatalf("%d internal levels; the load must split internal nodes", levels)
+	}
+	for k := uint64(1); k <= puts; k += 997 {
+		if v, ok := bt.Get(k); !ok || v != k {
+			t.Fatalf("Get(%d) = %d,%v", k, v, ok)
+		}
+	}
+}

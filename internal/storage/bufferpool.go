@@ -57,17 +57,15 @@ type CacheStats struct {
 	PrefetchHits int64
 }
 
-// SetBackend attaches the page archive as the store's backing home:
-// pages absent from RAM are faulted in from it on demand, and evicted
-// dirty pages are stolen back to it. It also advances every space's
-// page allocator past the backend's existing IDs, so freshly allocated
-// pages can never collide with archived ones that have not been faulted
-// yet. Call it once, before the store is shared between goroutines.
+// SetBackend replaces the store's page archive — an empty in-memory one
+// since NewStore — with a, the database's own: pages absent from RAM are
+// faulted in from it on demand, and evicted dirty pages are stolen back
+// to it. It also advances every space's page allocator past the
+// archive's existing IDs, so freshly allocated pages can never collide
+// with archived ones that have not been faulted yet. Call it once,
+// before the store is shared between goroutines.
 func (s *Store) SetBackend(a Archive) error {
 	s.backend = a
-	if a == nil {
-		return nil
-	}
 	pids, err := a.Pages()
 	if err != nil {
 		return fmt.Errorf("storage: reading backend page ids: %w", err)
@@ -118,29 +116,80 @@ func (s *Store) CacheStats() CacheStats {
 	}
 }
 
-// getResident returns the page if it is in RAM, pinned and with its
-// reference bit set; nil on a cache miss. The pin is taken under the
-// shard lock, which is what excludes it against eviction.
-func (s *Store) getResident(pid uint64) *Page {
+// pin returns the page pinned if it is in RAM; nil on a cache miss. The
+// pin is taken under the shard lock, which is what excludes it against
+// eviction. A demand access touches the page (sets its second-chance
+// bit); a write-back pass's lookup must not — reading a page only to
+// write it back must not make it look hot to the clock, or cleaning a
+// page would shield it from the very eviction the cleaning enables.
+// cold reports whether the reference bit was clear at lookup time.
+func (s *Store) pin(pid uint64, touch bool) (p *Page, cold bool) {
 	sh := s.shard(pid)
 	sh.mu.RLock()
-	p := sh.pages[pid]
+	p = sh.pages[pid]
 	if p != nil {
 		p.pins.Add(1)
-		p.ref.Store(true)
+		if touch {
+			p.ref.Store(true)
+		} else {
+			cold = !p.ref.Load()
+		}
 	}
 	sh.mu.RUnlock()
-	return p
+	return p, cold
 }
 
-// fault brings a non-resident page into RAM: read its image from the
-// backend into a fresh frame (loadFrame: validated by the backend's own
-// read path, then cross-checked against the durable log), make room
-// within the cache budget, and install it pinned — the frame becomes
-// visible in the shard only after every check has passed. With create
-// set, a page the backend has never seen materializes empty (redo
-// rebuilding a never-archived page); the space allocator is advanced
-// past it.
+// fault returns page pid pinned for a demand access (Get, GetOrCreate):
+// resident, or brought into RAM by reserving a frame — stealing a dirty
+// victim if it must — and installing the page. With create set, a page
+// the backend has never seen materializes empty (redo rebuilding a
+// never-archived page).
+func (s *Store) fault(pid uint64, create bool) (*Page, error) {
+	if p, _ := s.pin(pid, true); p != nil {
+		s.notePrefetchHit(p, pid)
+		return p, nil
+	}
+	kind := faultIn
+	if create {
+		kind = faultOrCreate
+	} else if !s.backend.Contains(pid) {
+		// Nothing to fault: don't evict a real page to make room for a
+		// lookup that was always going to come back empty. (A concurrent
+		// materialization of pid is indistinguishable from this lookup
+		// having run a moment earlier.)
+		return nil, nil
+	}
+	s.reserveFrame(true)
+	return s.install(pid, kind)
+}
+
+// installKind says how install fills a frame and hands it out.
+type installKind uint8
+
+const (
+	// faultIn reads the page's image from the backend; a page the
+	// backend does not hold is not installed.
+	faultIn installKind = iota
+	// faultOrCreate reads the image, or installs an empty page if the
+	// backend holds none; the space allocator is advanced past it.
+	faultOrCreate
+	// allocated installs an empty page without a read: a freshly
+	// allocated ID is in no backend.
+	allocated
+	// readAhead reads the image as faultIn does, but installs the page
+	// unpinned, its reference bit clear and prefetched set, and returns
+	// nil.
+	readAhead
+)
+
+// install is the one way a frame enters the pool, for a frame the
+// caller has reserved (reserveFrame). Under pid's shard lock it either
+// finds the page already resident — a concurrent fault, or read-ahead
+// landing this very page — and gives the reservation back, or fills a
+// fresh frame (loadFrame: validated by the backend's own read path, then
+// cross-checked against the durable log) and makes it visible only after
+// every check has passed. A demand install returns the page pinned, its
+// reference bit set.
 //
 // The backend read happens under the shard's exclusive lock. That is
 // what makes the read-install pair atomic against a full concurrent
@@ -150,70 +199,70 @@ func (s *Store) getResident(pid uint64) *Page {
 // the same page (one read, no duplicate-install race). The cost is the
 // backend read (directory lookup + pread + CRC, no fsync) blocking the
 // shard's other 1/64th of lookups for its duration; eviction I/O, which
-// does fsync, runs before the lock is taken.
-func (s *Store) fault(pid uint64, create bool) (*Page, error) {
-	if !create {
-		if !s.backend.Contains(pid) {
-			// Nothing to fault: don't evict a real page to make room
-			// for a lookup that was always going to come back empty.
-			// (A concurrent materialization of pid is indistinguishable
-			// from this lookup having run a moment earlier.)
-			return nil, nil
-		}
-	}
-	s.reserveFrame()
+// does fsync, runs in reserveFrame, before the lock is taken.
+func (s *Store) install(pid uint64, kind installKind) (*Page, error) {
+	demand := kind != readAhead
 	sh := s.shard(pid)
 	sh.mu.Lock()
 	if cur := sh.pages[pid]; cur != nil {
-		// Installed while we waited for the lock (a concurrent fault, or
-		// the read-ahead pipeline landing this very page — a prefetch hit).
-		cur.pins.Add(1)
-		cur.ref.Store(true)
+		if demand {
+			cur.pins.Add(1)
+			cur.ref.Store(true)
+		}
 		sh.mu.Unlock()
 		s.releaseFrame()
+		if !demand {
+			return nil, nil
+		}
 		s.notePrefetchHit(cur, pid)
 		return cur, nil
 	}
 	p := NewPage(pid)
-	missed, err := s.loadFrame(pid, p)
-	if err != nil || (!missed && !create) {
-		sh.mu.Unlock()
-		s.releaseFrame()
-		return nil, err
+	found := false
+	if kind != allocated {
+		var err error
+		if found, err = s.loadFrame(pid, p); err != nil || (!found && kind != faultOrCreate) {
+			sh.mu.Unlock()
+			s.releaseFrame()
+			return nil, err
+		}
 	}
-	p.pins.Store(1)
-	p.ref.Store(true)
-	sh.pages[pid] = p
-	if missed {
-		s.misses.Add(1)
+	if demand {
+		p.pins.Store(1)
+		p.ref.Store(true)
 	} else {
+		p.prefetched.Store(true)
+	}
+	sh.pages[pid] = p
+	if kind == faultOrCreate && !found {
 		s.advanceSeq(pid)
 	}
 	// noteResident takes evictMu, so it runs after the shard lock drops
 	// (lock order is evictMu → shard, never the reverse). The page is
-	// findable — and pinned — the moment the lock drops; it merely
-	// joins the clock a beat later.
+	// findable the moment the lock drops; it merely joins the clock a
+	// beat later.
 	sh.mu.Unlock()
 	s.noteResident(pid)
-	if missed {
+	switch {
+	case !demand:
+		s.prefetchReads.Add(1)
+		return nil, nil
+	case found:
 		// A real backend read: feed the stream tracker so a sequential
 		// fault pattern opens the read-ahead window (prefetch.go).
+		s.misses.Add(1)
 		s.noteAccess(pid)
 	}
 	return p, nil
 }
 
 // loadFrame fills p — a fresh frame, not yet visible to anyone — with
-// page pid's image from the backend, for the demand fault and the
-// read-ahead alike. found is false (and p still the empty page) if the
-// backend holds no image. The checks run in this order, all before the
-// caller installs the frame: the backend's own validation of what it
-// read (the PageFile's slot identity, version floor and CRC), then the
-// WAL-horizon check.
+// page pid's image from the backend. found is false (and p still the
+// empty page) if the backend holds no image. The checks run in this
+// order, all before install makes the frame visible: the backend's own
+// validation of what it read (the PageFile's slot identity, version
+// floor and CRC), then the WAL-horizon check.
 func (s *Store) loadFrame(pid uint64, p *Page) (found bool, err error) {
-	if s.backend == nil {
-		return false, nil
-	}
 	found, err = s.backend.ReadPage(pid, p)
 	if err != nil {
 		return false, fmt.Errorf("storage: faulting page %d: %w", pid, err)
@@ -247,19 +296,26 @@ func (s *Store) noteResident(pid uint64) {
 // faulter sees the others' reservations, so two racing misses at
 // resident == budget-1 cannot both conclude there is room. A caller
 // whose install does not happen (error, lost race) must releaseFrame.
-// The reservation is abandoned (transient overshoot) only when no
-// unpinned, stealable victim exists — the alternative would be
-// deadlocking a fault against its own caller's pins.
-func (s *Store) reserveFrame() {
+//
+// steal says whether the caller may write a dirty victim back. A demand
+// fault or Allocate may, and when no unpinned, stealable victim exists
+// it keeps its reservation anyway (transient overshoot; the alternative
+// would be deadlocking a fault against its own caller's pins).
+// Read-ahead may not: it is the one resident-set citizen with no right
+// to push out anything that costs I/O, so when no clean victim exists it
+// withdraws its reservation and reports false.
+func (s *Store) reserveFrame(steal bool) bool {
 	s.resident.Add(1)
-	if s.budget <= 0 {
-		return
-	}
-	for s.resident.Load() > s.budget {
-		if !s.evictOne() {
-			return
+	for s.budget > 0 && s.resident.Load() > s.budget {
+		if !s.evictOne(steal) {
+			if steal {
+				return true
+			}
+			s.releaseFrame()
+			return false
 		}
 	}
+	return true
 }
 
 // releaseFrame returns an unused reservation taken by reserveFrame.
@@ -331,7 +387,11 @@ func (s *Store) waitForCleaner() {
 // on this fault's critical path) is avoided entirely. One wait per call;
 // if the pool is still all-dirty afterwards the steal proceeds, so
 // eviction can never hang on a cleaner that has nothing to clean.
-func (s *Store) evictOne() bool {
+//
+// Without steal (read-ahead) dirty pages are skipped, not stolen — no
+// log force, no archive write, no waiting on the cleaner — and only a
+// clean victim is taken.
+func (s *Store) evictOne(steal bool) bool {
 	waited := false
 scan:
 	for {
@@ -374,9 +434,10 @@ scan:
 				s.hand++
 				continue
 			}
-			if s.backend == nil || s.wal == nil {
-				// Nowhere safe to steal to: dirty pages are not evictable
-				// (overshoot over a WAL violation).
+			if !steal || s.wal == nil {
+				// The caller may not write back, or without a WAL hook
+				// there is no safe way to: dirty pages are not victims
+				// (overshoot, or withdraw, over a WAL violation).
 				s.hand++
 				continue
 			}
@@ -421,7 +482,7 @@ scan:
 			s.evictMu.Lock()
 		}
 		s.evictMu.Unlock()
-		if blocked && !waited && s.stealNotify != nil {
+		if steal && blocked && !waited && s.stealNotify != nil {
 			// Every candidate was claimed by an in-flight writeback pass.
 			// Waiting for its signal beats overshooting the budget.
 			s.waitForCleaner()
@@ -457,16 +518,7 @@ func (s *Store) dropClean(pid uint64, p *Page) bool {
 		// Dirtied between the caller's check and our latch acquisition.
 		return false
 	}
-	sh := s.shard(pid)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.pages[pid] != p || p.pins.Load() > 0 {
-		return false
-	}
-	delete(sh.pages, pid)
-	s.resident.Add(-1)
-	s.evictions.Add(1)
-	return true
+	return s.dropFrame(pid, p, false)
 }
 
 // stealAndDrop writes a dirty victim back WAL-correctly and reclaims its
@@ -513,17 +565,23 @@ func (s *Store) stealAndDrop(pid uint64, p *Page) bool {
 			s.stealNotify()
 		}
 	}
+	return s.dropFrame(pid, p, dirty)
+}
 
-	// Final re-validation under the shard lock (new pins are taken under
-	// it, so pins == 0 here means no reference can appear before the
-	// delete below).
+// dropFrame is the one way a frame leaves the pool, for dropClean and
+// stealAndDrop alike. A final re-validation under the shard lock (new
+// pins are taken under it, so pins == 0 here means no reference can
+// appear before the delete) keeps a frame that was pinned meanwhile. A
+// stolen page leaves the DPT in the same critical section as its frame
+// leaves RAM, so a dirty page is always resident.
+func (s *Store) dropFrame(pid uint64, p *Page, stolen bool) bool {
 	sh := s.shard(pid)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.pages[pid] != p || p.pins.Load() > 0 {
 		return false
 	}
-	if dirty {
+	if stolen {
 		s.MarkClean(pid)
 	}
 	delete(sh.pages, pid)
@@ -559,9 +617,6 @@ func (s *Store) advanceSeq(pid uint64) {
 // alone no longer enumerates the database.
 func (s *Store) AllPageIDs() ([]uint64, error) {
 	ids := s.PageIDs()
-	if s.backend == nil {
-		return ids, nil
-	}
 	archived, err := s.backend.Pages()
 	if err != nil {
 		return nil, fmt.Errorf("storage: listing backend pages: %w", err)

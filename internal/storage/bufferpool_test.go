@@ -152,6 +152,48 @@ func TestBufferPoolBoundedResidency(t *testing.T) {
 	}
 }
 
+// TestStorePagesToItsOwnPageFile: a store with no backend attached still
+// has a page file, an in-memory one, so a bounded pool with a WAL hook
+// steals its dirty victims into it, faults them back and stays within
+// its budget.
+func TestStorePagesToItsOwnPageFile(t *testing.T) {
+	const budget = 4
+	wal := &fakeWAL{}
+	st := NewStore()
+	st.AttachWAL(wal)
+	st.SetCachePages(budget)
+	h := NewHeapFile(st, 1, "t")
+	sl := &seqLog{st: st}
+	const rows = 60 // ≈ 12 pages: three times the budget
+	rids := make([]RID, rows)
+	for i := range rids {
+		rid, err := h.Insert(bigRow(i), sl.log)
+		if err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+		rids[i] = rid
+		if r := st.CacheStats().Resident; r > budget {
+			t.Fatalf("insert %d: resident %d exceeds budget %d", i, r, budget)
+		}
+	}
+	if cs := st.CacheStats(); cs.StealWrites == 0 {
+		t.Fatalf("no dirty victim was written back: %+v", cs)
+	}
+	misses0 := st.CacheStats().Misses
+	for i, rid := range rids {
+		got, err := h.Read(rid)
+		if err != nil || string(got) != string(bigRow(i)) {
+			t.Fatalf("row %d after paging: %v", i, err)
+		}
+		if r := st.CacheStats().Resident; r > budget {
+			t.Fatalf("read %d: resident %d exceeds budget %d", i, r, budget)
+		}
+	}
+	if st.CacheStats().Misses == misses0 {
+		t.Fatal("reads of stolen pages faulted nothing back")
+	}
+}
+
 func TestBufferPoolPinBlocksEviction(t *testing.T) {
 	const budget = 2
 	st, h, _, _, sl := poolHarness(t, budget)

@@ -36,9 +36,9 @@ func (s *Store) SetStealNotify(fn func()) { s.stealNotify = fn }
 // stale entries; counters are read without a global lock), which only
 // ever makes the cleaner slightly eager or slightly lazy, never
 // incorrect. Always false for an unbounded pool or one that cannot
-// write pages back.
+// write pages back (no WAL hook).
 func (s *Store) NeedClean(target int) bool {
-	if s.budget <= 0 || s.backend == nil || s.wal == nil || target <= 0 {
+	if s.budget <= 0 || s.wal == nil || target <= 0 {
 		return false
 	}
 	resident := s.resident.Load()
@@ -64,10 +64,9 @@ func (s *Store) NeedClean(target int) bool {
 // against the demand-steal path and the checkpoint sweep, so a page's
 // image is never written twice concurrently.
 //
-// A no-op (0, nil) for unbounded pools or stores without a backend and
-// WAL hook.
+// A no-op (0, nil) for unbounded pools or stores without a WAL hook.
 func (s *Store) CleanBatch(max int) (int, error) {
-	if s.backend == nil || s.wal == nil || s.budget <= 0 || max <= 0 {
+	if s.wal == nil || s.budget <= 0 || max <= 0 {
 		return 0, nil
 	}
 	pids, claims, maxLSN := s.claimVictims(max)
@@ -132,9 +131,9 @@ func (s *Store) claimVictims(max int) (pids []uint64, claims []wbClaim, maxLSN l
 			if _, dup := claimed[e.PageID]; dup {
 				continue
 			}
-			p, cold := s.pinNoRef(e.PageID)
+			p, cold := s.pin(e.PageID, false)
 			if p == nil {
-				continue // stale DPT entry; the sweep reconciles those
+				continue // stolen since the DPT snapshot
 			}
 			if (wantCold && !cold) || p.pins.Load() > 1 {
 				p.Unpin()
@@ -223,21 +222,4 @@ func (s *Store) orderByClockDistance(dirty []logrec.DirtyPageEntry) []logrec.Dir
 		return di < dj
 	})
 	return dirty
-}
-
-// pinNoRef pins a resident page WITHOUT setting its second-chance bit —
-// the cleaner's lookup. Reading a page only to write it back must not
-// make it look hot to the clock, or cleaning a page would shield it
-// from the very eviction the cleaning enables. cold reports whether the
-// reference bit was clear at lookup time.
-func (s *Store) pinNoRef(pid uint64) (p *Page, cold bool) {
-	sh := s.shard(pid)
-	sh.mu.RLock()
-	p = sh.pages[pid]
-	if p != nil {
-		p.pins.Add(1)
-		cold = !p.ref.Load()
-	}
-	sh.mu.RUnlock()
-	return p, cold
 }

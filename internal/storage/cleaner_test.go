@@ -177,7 +177,7 @@ func TestCleanerSkipsPinnedAndClaimedPages(t *testing.T) {
 	var claimed *Page
 	for _, pid := range st.PageIDs() {
 		if pid != rid.Page && st.isDirty(pid) {
-			p, _ := st.pinNoRef(pid)
+			p, _ := st.pin(pid, false)
 			if p == nil {
 				continue
 			}
@@ -291,7 +291,7 @@ func TestFailedStealKeepsPageEvictable(t *testing.T) {
 	}
 	victim.Unpin()
 	done := make(chan bool, 1)
-	go func() { done <- st.evictOne() }()
+	go func() { done <- st.evictOne(true) }()
 	select {
 	case <-arch.entered:
 	case ok := <-done:
@@ -318,7 +318,7 @@ func TestFailedStealKeepsPageEvictable(t *testing.T) {
 	// able to reclaim it rather than skip it forever.
 	evicted := false
 	for i := 0; i < 8 && !evicted; i++ {
-		evicted = st.evictOne()
+		evicted = st.evictOne(true)
 	}
 	if !evicted {
 		t.Fatal("no frame reclaimable after the failed steal — victim lost its clock entry")

@@ -590,7 +590,7 @@ func TestPrefetchNeverStealsDirtyPages(t *testing.T) {
 	}
 
 	// Every frame dirty: a prefetch reservation must fail clean.
-	if st.reservePrefetchFrame() {
+	if st.reserveFrame(false) {
 		t.Fatal("prefetch reserved a frame out of an all-dirty pool")
 	}
 	after := st.CacheStats()
@@ -606,7 +606,7 @@ func TestPrefetchNeverStealsDirtyPages(t *testing.T) {
 	if n, err := st.CleanBatch(budget); err != nil || n == 0 {
 		t.Fatalf("CleanBatch: n=%d err=%v", n, err)
 	}
-	if !st.reservePrefetchFrame() {
+	if !st.reserveFrame(false) {
 		t.Fatal("prefetch could not reserve a frame from a cleaned pool")
 	}
 	st.releaseFrame()

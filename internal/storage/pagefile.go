@@ -292,14 +292,8 @@ func (pf *PageFile) open() error {
 		}
 		return nil
 	}
-	version, err := readHeader(pf.f, pf.path)
-	if err != nil {
+	if err := readHeader(pf.f, pf.path); err != nil {
 		return err
-	}
-	if version == 1 {
-		if err := pf.upgradeV1(size); err != nil {
-			return err
-		}
 	}
 	v, sector, err := readCommit(pf.f)
 	if err != nil {
@@ -345,24 +339,25 @@ func putHeader(hdr []byte) {
 	binary.LittleEndian.PutUint32(hdr[8:12], PageSize)
 }
 
-// readHeader checks f's header and returns its format version: 2, or 1
-// for a file written with the double-write journal of earlier versions.
-func readHeader(f io.ReaderAt, path string) (uint32, error) {
+// readHeader checks f's header: the magic, format pfVersion and the page
+// size. A file of any other format is refused untouched, as a log
+// directory of an older format is: format 1, the in-place layout behind
+// a double-write journal, predates every log format this version reads.
+func readHeader(f io.ReaderAt, path string) error {
 	hdr := make([]byte, 12)
 	if _, err := io.ReadFull(io.NewSectionReader(f, 0, 12), hdr); err != nil {
-		return 0, fmt.Errorf("storage: pagefile header: %w", err)
+		return fmt.Errorf("storage: pagefile header: %w", err)
 	}
 	if m := binary.LittleEndian.Uint32(hdr[0:4]); m != pfMagic {
-		return 0, fmt.Errorf("storage: %s is not a pagefile (magic %#x)", path, m)
+		return fmt.Errorf("storage: %s is not a pagefile (magic %#x)", path, m)
 	}
-	v := binary.LittleEndian.Uint32(hdr[4:8])
-	if v != 1 && v != pfVersion {
-		return 0, fmt.Errorf("storage: pagefile format version %d, want %d", v, pfVersion)
+	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != pfVersion {
+		return fmt.Errorf("storage: %s has unsupported pagefile format %d (want %d)", path, v, pfVersion)
 	}
 	if ps := binary.LittleEndian.Uint32(hdr[8:12]); ps != PageSize {
-		return 0, fmt.Errorf("storage: pagefile page size %d, want %d", ps, PageSize)
+		return fmt.Errorf("storage: pagefile page size %d, want %d", ps, PageSize)
 	}
-	return v, nil
+	return nil
 }
 
 // putCommit encodes the commit record for v into rec.
@@ -390,59 +385,6 @@ func readCommit(f io.ReaderAt) (v uint64, sector int, err error) {
 		}
 	}
 	return v, sector, nil
-}
-
-// upgradeV1 turns a version-1 file — every used slot the one copy of its
-// page, written in place behind a double-write journal — into version 2:
-// V becomes the highest slot version, so every slot counts as committed.
-// A version-1 journal holding a batch is refused: only the version that
-// wrote it can apply it. The commit record goes down and is fsynced
-// before the header names version 2, so a crash between the two leaves a
-// version-1 file, upgraded again on the next open. Then the empty journal
-// goes and the directory is synced.
-func (pf *PageFile) upgradeV1(size int64) error {
-	jpath := pf.path + ".journal"
-	jst, err := pf.fs.Stat(jpath)
-	hasJournal := err == nil
-	switch {
-	case hasJournal && jst.Size() > 0:
-		return fmt.Errorf("storage: %s holds a batch of pagefile format 1 that was never applied; open the database with the version that wrote it first", jpath)
-	case err != nil && !errors.Is(err, os.ErrNotExist):
-		return fmt.Errorf("storage: pagefile upgrade: %w", err)
-	}
-	sc, err := scanSlots(pf.f, size, ^uint64(0))
-	if err != nil {
-		return err
-	}
-	var v uint64
-	for _, s := range sc.live {
-		v = max(v, s.version)
-	}
-	rec := make([]byte, pfCommitRec)
-	putCommit(rec, v)
-	if _, err := pf.f.WriteAt(rec, pfCommitOff(0)); err != nil {
-		return fmt.Errorf("storage: pagefile upgrade: %w", err)
-	}
-	if err := pf.fsync(); err != nil {
-		return fmt.Errorf("storage: pagefile upgrade: %w", err)
-	}
-	hdr := make([]byte, 12)
-	putHeader(hdr)
-	if _, err := pf.f.WriteAt(hdr, 0); err != nil {
-		return fmt.Errorf("storage: pagefile upgrade: %w", err)
-	}
-	if err := pf.fsync(); err != nil {
-		return fmt.Errorf("storage: pagefile upgrade: %w", err)
-	}
-	if hasJournal {
-		if err := pf.fs.Remove(jpath); err != nil {
-			return fmt.Errorf("storage: pagefile upgrade: %w", err)
-		}
-	}
-	if err := pf.fs.SyncDir(filepath.Dir(pf.path)); err != nil {
-		return fmt.Errorf("storage: pagefile upgrade: %w", err)
-	}
-	return nil
 }
 
 // pfScan is what the slot headers say, read against a commit watermark.
@@ -879,28 +821,24 @@ type PageFileInfo struct {
 }
 
 // ReadPageFileInfo inspects a pagefile without modifying anything — no
-// clearing, no upgrade — so it is safe to run against a database another
-// process has open. (OpenPageFile, by contrast, takes ownership.) A
-// format-1 file reads as its upgrade would: every slot committed.
+// clearing — so it is safe to run against a database another process
+// has open. (OpenPageFile, by contrast, takes ownership.)
 func ReadPageFileInfo(path string) (*PageFileInfo, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("storage: read pagefile: %w", err)
 	}
 	defer f.Close()
-	version, err := readHeader(f, path)
-	if err != nil {
+	if err := readHeader(f, path); err != nil {
 		return nil, err
 	}
 	st, err := f.Stat()
 	if err != nil {
 		return nil, fmt.Errorf("storage: read pagefile: %w", err)
 	}
-	v := ^uint64(0)
-	if version == pfVersion {
-		if v, _, err = readCommit(f); err != nil {
-			return nil, err
-		}
+	v, _, err := readCommit(f)
+	if err != nil {
+		return nil, err
 	}
 	sc, err := scanSlots(f, st.Size(), v)
 	if err != nil {

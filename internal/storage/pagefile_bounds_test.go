@@ -51,80 +51,31 @@ func writeV1(t *testing.T, fs vfs.FS, path string, pages []PageImage, journal []
 	}
 }
 
-// TestPageFileUpgradesV1: a format-1 file whose journal is empty opens as
-// format 2 — every slot committed, the watermark its highest version, the
-// journal gone for good — and takes copy-on-write batches. A power cut
-// inside the upgrade, after the commit record's fsync and on the header
-// write, leaves a format-1 file the next open upgrades.
-func TestPageFileUpgradesV1(t *testing.T) {
-	const path = "/db/pagefile.db"
-	fs := vfs.NewFaultFS(1)
-	if err := fs.MkdirAll("/db", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	var pages []PageImage
-	for pid := uint64(1); pid <= 3; pid++ {
-		pages = append(pages, PageImage{PID: pid, Img: pfTestImage(pid, byte(pid))})
-	}
-	writeV1(t, fs, path, pages, []byte{})
-
-	fs.AddRule(vfs.Rule{Op: vfs.OpWrite, Dir: "/db", Path: "pagefile.db", OffBelow: pfSectorSize, Cut: true})
-	if _, err := OpenPageFileFS(fs, path); !errors.Is(err, vfs.ErrPowerCut) {
-		t.Fatalf("open cut inside the upgrade: %v", err)
-	}
-	fs.ClearRules()
-	fs.Recover()
-	if raw, _ := fs.ReadFile(path); binary.LittleEndian.Uint32(raw[4:8]) != 1 {
-		t.Fatal("a cut header write left a file that is not format 1")
-	}
-
-	pf := openPFFault(t, fs)
-	raw, err := fs.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, _, err := readCommit(bytes.NewReader(raw))
-	if err != nil || binary.LittleEndian.Uint32(raw[4:8]) != pfVersion || v != 3 {
-		t.Fatalf("upgraded file: format %d, watermark %d (%v); want %d and 3", binary.LittleEndian.Uint32(raw[4:8]), v, err, pfVersion)
-	}
-	want := map[uint64][]byte{}
-	for _, pi := range pages {
-		want[pi.PID] = pi.Img
-	}
-	expectPages(t, pf, want, nil, "upgraded")
-	want[2] = pfTestImage(2, 0x22)
-	want[4] = pfTestImage(4, 0x44)
-	if err := pf.PutBatch([]PageImage{{PID: 2, Img: want[2]}, {PID: 4, Img: want[4]}}); err != nil {
-		t.Fatal(err)
-	}
-	fs.PowerCut()
-	pf.Close()
-	fs.Recover()
-	if ents, err := fs.ReadDir("/db"); err != nil || len(ents) != 1 {
-		t.Fatalf("after the upgrade and a power cut /db holds %d files (%v), want the pagefile alone", len(ents), err)
-	}
-	pf2 := openPFFault(t, fs)
-	defer pf2.Close()
-	expectPages(t, pf2, want, nil, "upgraded, rewritten and reopened")
-}
-
-// TestPageFileRefusesV1Journal: a format-1 file whose journal holds a
-// batch is refused with an error naming the journal, and nothing is
-// written: only the version that wrote the batch can apply it.
-func TestPageFileRefusesV1Journal(t *testing.T) {
+// TestPageFileRefusesV1: a format-1 file — pages in place behind a
+// double-write journal — is refused with an error naming its format, and
+// the open writes nothing: the file and its journal are left as they
+// were.
+func TestPageFileRefusesV1(t *testing.T) {
 	const path = "/db/pagefile.db"
 	fs := vfs.NewFaultFS(1)
 	if err := fs.MkdirAll("/db", 0o755); err != nil {
 		t.Fatal(err)
 	}
 	writeV1(t, fs, path, []PageImage{{PID: 1, Img: pfTestImage(1, 0x01)}}, bytes.Repeat([]byte{0xAB}, 64))
+	file, _ := fs.ReadFile(path)
+	journal, _ := fs.ReadFile(path + ".journal")
 	w := fileWrites(fs)
 	_, err := OpenPageFileFS(fs, path)
-	if err == nil || !strings.Contains(err.Error(), path+".journal") {
-		t.Fatalf("open of a format-1 file with a pending journal: %v, want a refusal naming the journal", err)
+	if err == nil || !strings.Contains(err.Error(), "pagefile format 1") {
+		t.Fatalf("open of a format-1 file: %v, want a refusal naming format 1", err)
 	}
 	if fileWrites(fs) != w {
 		t.Fatal("the refused open wrote to the file")
+	}
+	for name, want := range map[string][]byte{path: file, path + ".journal": journal} {
+		if got, err := fs.ReadFile(name); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s changed under the refused open (%v)", name, err)
+		}
 	}
 }
 

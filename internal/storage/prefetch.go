@@ -9,13 +9,14 @@ package storage
 //
 // Design rules, in order of importance:
 //
-//  1. Prefetch never harms the working set. Frames are charged against
-//     the same CachePages budget as demand faults, but room is made with
-//     clean-only eviction (evictCleanOne): a prefetch that would have to
-//     steal a dirty page — an fsync on somebody's behalf for a page
-//     nobody asked for yet — is dropped instead. Prefetched pages are
-//     installed unpinned with the reference bit CLEAR, so an unconsumed
-//     prefetch is the clock's first victim, never a squatter.
+//  1. Prefetch never harms the working set. Frames are reserved and
+//     installed the way demand faults do it (reserveFrame, install),
+//     against the same CachePages budget, but the reservation may not
+//     steal: a prefetch that would have to write a dirty page back — an
+//     fsync on somebody's behalf for a page nobody asked for yet — is
+//     dropped instead. Prefetched pages are installed unpinned with the
+//     reference bit CLEAR, so an unconsumed prefetch is the clock's
+//     first victim, never a squatter.
 //  2. Bounded and backpressured. At most PrefetchDepth reads are in
 //     flight (prefetchSem); when the pipeline is full, further window
 //     issues are dropped, not queued — the demand fault path remains
@@ -69,7 +70,7 @@ func (s *Store) SetPrefetch(depth int) {
 // prefetch is off (one comparison); O(pfStreams) map-free work under
 // pfMu otherwise.
 func (s *Store) noteAccess(pid uint64) {
-	if s.prefetchDepth <= 0 || s.backend == nil {
+	if s.prefetchDepth <= 0 {
 		return
 	}
 	s.pfMu.Lock()
@@ -141,48 +142,22 @@ func (s *Store) noteAccess(pid uint64) {
 	}
 }
 
-// prefetchOne reads one page from the backend and installs it unpinned,
-// reference bit clear, prefetched flag set — or gives up silently: a
-// prefetch is a hint, and every failure mode (resident already, absent
-// from the backend, no clean frame available, read or validation error)
-// is handled by the demand fault that may follow. It reads through the
-// fault path's loadFrame — straight into the frame it installs, the same
-// validation and WAL-horizon check before the frame is visible — under
-// the same read-under-shard-lock discipline that makes an install atomic
-// against a concurrent install → modify → steal → evict cycle of the
-// same page.
+// prefetchOne reads one page from the backend and installs it through
+// the demand fault's install, unpinned, reference bit clear, prefetched
+// flag set — or gives up silently: a prefetch is a hint, and every
+// failure mode (resident already, absent from the backend, no clean
+// frame available, read or validation error) is handled by the demand
+// fault that may follow.
 func (s *Store) prefetchOne(pid uint64) {
 	defer func() { <-s.prefetchSem }()
 	sh := s.shard(pid)
 	sh.mu.RLock()
 	_, resident := sh.pages[pid]
 	sh.mu.RUnlock()
-	if resident {
+	if resident || !s.backend.Contains(pid) || !s.reserveFrame(false) {
 		return
 	}
-	if !s.backend.Contains(pid) {
-		return
-	}
-	if !s.reservePrefetchFrame() {
-		return
-	}
-	sh.mu.Lock()
-	if sh.pages[pid] != nil {
-		sh.mu.Unlock()
-		s.releaseFrame()
-		return
-	}
-	p := NewPage(pid)
-	if found, err := s.loadFrame(pid, p); err != nil || !found {
-		sh.mu.Unlock()
-		s.releaseFrame()
-		return
-	}
-	p.prefetched.Store(true)
-	sh.pages[pid] = p
-	sh.mu.Unlock()
-	s.noteResident(pid)
-	s.prefetchReads.Add(1)
+	s.install(pid, readAhead)
 }
 
 // notePrefetchHit consumes a page's prefetched flag on its first demand
@@ -194,61 +169,4 @@ func (s *Store) notePrefetchHit(p *Page, pid uint64) {
 		s.prefetchHits.Add(1)
 		s.noteAccess(pid)
 	}
-}
-
-// reservePrefetchFrame counts a prefetched page into the residency
-// total, making room with clean-only eviction. False (reservation
-// withdrawn) when no clean victim exists: prefetch never steals a dirty
-// page and never overshoots the budget — it is the one resident-set
-// citizen with no right to push anything out that costs I/O.
-func (s *Store) reservePrefetchFrame() bool {
-	s.resident.Add(1)
-	if s.budget <= 0 {
-		return true
-	}
-	for s.resident.Load() > s.budget {
-		if !s.evictCleanOne() {
-			s.resident.Add(-1)
-			return false
-		}
-	}
-	return true
-}
-
-// evictCleanOne reclaims one frame from a clean, cold, unpinned page —
-// the only eviction prefetch may perform. Dirty pages are skipped, not
-// stolen (no log force, no archive write, no waiting on the cleaner);
-// referenced pages lose their second-chance bit exactly as the demand
-// clock would age them.
-func (s *Store) evictCleanOne() bool {
-	s.evictMu.Lock()
-	defer s.evictMu.Unlock()
-	limit := 2 * len(s.clock)
-	for scanned := 0; scanned <= limit; scanned++ {
-		if len(s.clock) == 0 {
-			break
-		}
-		if s.hand >= len(s.clock) {
-			s.hand = 0
-		}
-		pid := s.clock[s.hand]
-		sh := s.shard(pid)
-		sh.mu.RLock()
-		p := sh.pages[pid]
-		sh.mu.RUnlock()
-		if p == nil {
-			s.clockRemoveAtHand()
-			continue
-		}
-		if p.pins.Load() > 0 || p.ref.CompareAndSwap(true, false) || p.wb.Load() || s.isDirty(pid) {
-			s.hand++
-			continue
-		}
-		if s.dropClean(pid, p) {
-			s.clockRemoveAtHand()
-			return true
-		}
-		s.hand++
-	}
-	return false
 }

@@ -28,14 +28,14 @@ func UnpackRID(v uint64) RID { return RID{Page: v >> 16, Slot: uint16(v & 0xFFFF
 // storeShards is the page-map shard count.
 const storeShards = 64
 
-// Store is the page store: a demand-paged buffer pool over an optional
-// Archive backend. It owns page lookup/creation/fault-in, residency and
+// Store is the page store: a demand-paged buffer pool over an Archive
+// backend — an in-memory page file until SetBackend attaches the
+// database's own. It owns page lookup/creation/fault-in, residency and
 // pinning, the clock eviction policy with WAL-correct dirty steal, the
 // background-cleaner machinery that writes dirty pages back ahead of
 // demand (cleaner.go), the dirty-page table (DPT) used by checkpoints,
-// and page-image archival. Without a backend (SetBackend) it
-// degenerates to the original fully memory-resident store; without a
-// budget (SetCachePages) nothing is ever evicted.
+// and page-image archival. Without a budget (SetCachePages) nothing is
+// ever evicted.
 //
 // Page IDs encode their owning space (table) in the top 24 bits:
 // pid = space<<40 | seq. Recovery relies on this to reattach redo-created
@@ -50,7 +50,7 @@ type Store struct {
 	dirty   map[uint64]lsn.LSN // pageID → recLSN (first LSN that dirtied it)
 
 	// Buffer pool state (bufferpool.go, cleaner.go).
-	backend     Archive // home of pages; nil = RAM is the only copy
+	backend     Archive // home of pages
 	wal         WAL     // flush-before-steal + fault verification; may be nil
 	budget      int64   // max resident pages; 0 = unbounded
 	stealNotify func()  // demand-steal pressure callback; may be nil
@@ -107,12 +107,14 @@ type storeShard struct {
 	pages map[uint64]*Page
 }
 
-// NewStore returns an empty store. Page sequence numbers start at 1 in
-// every space.
+// NewStore returns an empty store over an empty in-memory page file
+// (NewMemArchive; SetBackend replaces it). Page sequence numbers start
+// at 1 in every space.
 func NewStore() *Store {
 	s := &Store{
-		dirty: make(map[uint64]lsn.LSN),
-		seq:   make(map[uint32]*atomic.Uint64),
+		dirty:   make(map[uint64]lsn.LSN),
+		seq:     make(map[uint32]*atomic.Uint64),
+		backend: NewMemArchive(),
 	}
 	for i := range s.shards {
 		s.shards[i].pages = make(map[uint64]*Page)
@@ -139,16 +141,8 @@ func (s *Store) spaceSeq(space uint32) *atomic.Uint64 {
 // pinned; call Unpin when done. Room is made within the cache budget
 // first (best-effort: allocation itself never fails).
 func (s *Store) Allocate(space uint32) *Page {
-	s.reserveFrame()
-	pid := MakePageID(space, s.spaceSeq(space).Add(1))
-	p := NewPage(pid)
-	p.pins.Store(1)
-	p.ref.Store(true)
-	sh := s.shard(pid)
-	sh.mu.Lock()
-	sh.pages[pid] = p
-	sh.mu.Unlock()
-	s.noteResident(pid)
+	s.reserveFrame(true)
+	p, _ := s.install(MakePageID(space, s.spaceSeq(space).Add(1)), allocated) // an allocated frame reads nothing, so cannot fail
 	return p
 }
 
@@ -157,27 +151,12 @@ func (s *Store) Allocate(space uint32) *Page {
 // RAM nor in the backend. A non-nil error is a failed or rejected fault
 // (backend I/O error, checksum failure, image beyond the durable log);
 // it must not be treated as "absent". Call Unpin when done.
-func (s *Store) Get(pid uint64) (*Page, error) {
-	if p := s.getResident(pid); p != nil {
-		s.notePrefetchHit(p, pid)
-		return p, nil
-	}
-	if s.backend == nil {
-		return nil, nil
-	}
-	return s.fault(pid, false)
-}
+func (s *Store) Get(pid uint64) (*Page, error) { return s.fault(pid, false) }
 
 // GetOrCreate returns the page pinned, faulting it from the backend or
 // creating an empty one if it exists nowhere (redo uses this to rebuild
 // pages never archived). Call Unpin when done.
-func (s *Store) GetOrCreate(pid uint64) (*Page, error) {
-	if p := s.getResident(pid); p != nil {
-		s.notePrefetchHit(p, pid)
-		return p, nil
-	}
-	return s.fault(pid, true)
-}
+func (s *Store) GetOrCreate(pid uint64) (*Page, error) { return s.fault(pid, true) }
 
 // MarkDirty records that pid was modified at recLSN, if it is not
 // already dirty: the first registration wins. Callers invoke it with the
@@ -225,8 +204,8 @@ func (s *Store) MinRecLSN() lsn.LSN {
 }
 
 // PageIDs returns the IDs of the pages currently resident in RAM
-// (sorted). With a backend attached this is the cached subset, not the
-// database; use AllPageIDs to enumerate everything.
+// (sorted): the cached subset, not the database; use AllPageIDs to
+// enumerate everything.
 func (s *Store) PageIDs() []uint64 {
 	var out []uint64
 	for i := range s.shards {
@@ -390,28 +369,19 @@ func (s *Store) writeBack(a Archive, pids []uint64, claims []wbClaim, durable ls
 // cleaner and the steal path never have a second write of the same page
 // in flight).
 func (s *Store) ArchiveDirtyPages(a Archive, durable lsn.LSN) int {
-	if a == nil {
-		return 0
-	}
 	dirty := s.dirtyPIDs()
 	pids := dirty[:0]
 	claims := make([]wbClaim, 0, len(dirty))
 	for _, pid := range dirty {
-		// Resident-only lookup: a dirty page is always resident (the
-		// only way out of RAM is a steal, which cleans it first), so a
-		// non-resident entry is stale — faulting it back just to
+		// Resident-only lookup: a dirty page is always resident (it
+		// enters the DPT pinned, and its frame leaves RAM only clean or
+		// cleaned by its steal: dropFrame), so a page missing here was
+		// stolen since the snapshot — faulting it back just to
 		// re-archive the image the steal already wrote would waste a
-		// read, a cache frame and a write. pinNoRef, not getResident:
-		// archiving a page must not make it look hot to the clock.
-		p, _ := s.pinNoRef(pid)
+		// read, a cache frame and a write. Untouched: archiving a page
+		// must not make it look hot to the clock.
+		p, _ := s.pin(pid, false)
 		if p == nil {
-			if s.isDirty(pid) {
-				// Still in the live DPT yet nowhere in RAM or reachable
-				// state: a vanished page (legacy stores without a
-				// backend). Clean it so it cannot pin the truncation
-				// horizon forever.
-				s.MarkClean(pid)
-			}
 			continue
 		}
 		if !p.wb.CompareAndSwap(false, true) {

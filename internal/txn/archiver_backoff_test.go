@@ -90,6 +90,10 @@ func TestArchiverBackoffSurvivesTransientOutage(t *testing.T) {
 		}
 	}
 
+	// Stop the cold-tier daemon and the checkpointer before counting:
+	// archiving that goes on after the loop could move the archive's
+	// count and the engine's apart between the two reads below.
+	eng.Close()
 	s := eng.Stats()
 	if s.ArchiveGaveUp.Load() != 0 {
 		t.Fatalf("archiver gave up %d times during a 5-failure outage (max retries %d)",

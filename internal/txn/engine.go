@@ -568,18 +568,16 @@ func (e *Engine) Checkpoint() error {
 	if err := e.waitLM(0).WaitDurable(end); err != nil {
 		return fmt.Errorf("txn: checkpoint flush: %w", err)
 	}
-	if e.archive != nil {
-		t0, fsyncs0 := time.Now(), e.archive.Fsyncs()
-		n := e.store.ArchiveDirtyPages(e.archive, e.log.Durable())
-		df := e.archive.Fsyncs() - fsyncs0
-		// A sweep that wrote pages but cleaned none (all re-dirtied
-		// mid-sweep) still did device work; count it by its fsyncs.
-		if n > 0 || df > 0 {
-			e.stats.Sweeps.Inc()
-			e.stats.SweepPages.Add(int64(n))
-			e.stats.SweepFsyncs.Add(df)
-			e.stats.SweepDuration.Observe(time.Since(t0))
-		}
+	t0, fsyncs0 := time.Now(), e.archive.Fsyncs()
+	n := e.store.ArchiveDirtyPages(e.archive, e.log.Durable())
+	df := e.archive.Fsyncs() - fsyncs0
+	// A sweep that wrote pages but cleaned none (all re-dirtied
+	// mid-sweep) still did device work; count it by its fsyncs.
+	if n > 0 || df > 0 {
+		e.stats.Sweeps.Inc()
+		e.stats.SweepPages.Add(int64(n))
+		e.stats.SweepFsyncs.Add(df)
+		e.stats.SweepDuration.Observe(time.Since(t0))
 	}
 	if _, err := e.log.Truncate(e.releaseLSN(beginStamp)); err != nil {
 		// The checkpoint itself is durable and the sweep succeeded;

@@ -12,7 +12,7 @@ import (
 )
 
 // RestartConfig describes a database's durable state (log devices +
-// optional page archive) and the engine to run over it.
+// page archive) and the engine to run over it.
 type RestartConfig struct {
 	// Device is the one-lane spelling of Devices (ignored when Devices
 	// is set).
@@ -25,7 +25,10 @@ type RestartConfig struct {
 	// page space of its first logged update, modulo the lane count. Nil
 	// means the page space. Must be pure and goroutine-safe.
 	RoutePartition func(txnID uint64, space uint32) int
-	// Archive is the page archive (database file); may be nil.
+	// Archive is the page archive (database file). Nil gives the engine
+	// an empty in-memory one (storage.NewMemArchive) that lives as long
+	// as the engine: without a log that covers every page, a second
+	// Restart over the same devices cannot rebuild what it held.
 	Archive storage.Archive
 	// LogConfig configures every lane's log manager (core.NewMultiLog
 	// sets each lane's Device and Buffer.Base).
@@ -39,8 +42,8 @@ type RestartConfig struct {
 	// CachePages, if > 0, bounds the page store to at most this many
 	// resident pages: pages beyond the budget fault in from Archive on
 	// demand and are evicted (dirty ones stolen back through the
-	// archive after the log is forced) to make room. 0 keeps the
-	// original fully memory-resident behavior. Requires Archive.
+	// archive after the log is forced) to make room. 0 keeps every page
+	// resident.
 	CachePages int64
 	// CleanerPages, if > 0, starts the background page cleaner: it
 	// writes dirty, unpinned, cold pages back to the archive in batches
@@ -50,8 +53,7 @@ type RestartConfig struct {
 	// PrefetchDepth, if > 0, enables sequential read-ahead: when faults
 	// form a sequential run, up to this many pages are read from the
 	// archive ahead of demand. It is armed before recovery runs, so redo
-	// and the RebuildTables scan both stream their faults. Meaningful
-	// only with Archive set.
+	// and the RebuildTables scan both stream their faults.
 	PrefetchDepth int
 	// Cold, with any archiving lane, starts the cold-tier daemon
 	// (archiving, snapshots and pruning; cold.go).
@@ -85,11 +87,12 @@ func Restart(cfg RestartConfig) (*Engine, *recovery.Result, error) {
 		}
 		lanes[i] = recovery.Lane{Log: logData, Base: lsn.LSN(base)}
 	}
+	if cfg.Archive == nil {
+		cfg.Archive = storage.NewMemArchive()
+	}
 	store := storage.NewStore()
-	if cfg.Archive != nil {
-		if err := store.SetBackend(cfg.Archive); err != nil {
-			return nil, nil, fmt.Errorf("txn: attaching archive: %w", err)
-		}
+	if err := store.SetBackend(cfg.Archive); err != nil {
+		return nil, nil, fmt.Errorf("txn: attaching archive: %w", err)
 	}
 	if cfg.CachePages > 0 {
 		store.SetCachePages(cfg.CachePages)
@@ -121,11 +124,9 @@ func Restart(cfg RestartConfig) (*Engine, *recovery.Result, error) {
 	}
 	// The WAL hook must be in place before recovery faults its first
 	// page: faulted images are verified against the durable horizon, and
-	// any eviction during redo may need to steal through it. (That check
-	// covers pages reaching the store through the archive; the
-	// verify-archive flag below covers any page already resident.)
+	// any eviction during redo may need to steal through it.
 	store.AttachWAL(ml)
-	res, err := an.Recover(store, ml.NewAppender(), cfg.Archive != nil)
+	res, err := an.Recover(store, ml.NewAppender())
 	if err != nil {
 		ml.Close()
 		return nil, nil, err
