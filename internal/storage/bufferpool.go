@@ -268,7 +268,7 @@ func (s *Store) loadFrame(pid uint64, p *Page) (found bool, err error) {
 		return false, fmt.Errorf("storage: faulting page %d: %w", pid, err)
 	}
 	if found && s.wal != nil {
-		// VerifyArchive at fault granularity: the sweep and the steal
+		// The archive-vs-log check, per fault: the sweep and the steal
 		// path only write images whose pageLSN is durable, so an image
 		// past the durable horizon is a WAL violation or a corrupt
 		// database file; redoing on top of it would silently skip

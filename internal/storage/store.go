@@ -142,7 +142,8 @@ func (s *Store) spaceSeq(space uint32) *atomic.Uint64 {
 // first (best-effort: allocation itself never fails).
 func (s *Store) Allocate(space uint32) *Page {
 	s.reserveFrame(true)
-	p, _ := s.install(MakePageID(space, s.spaceSeq(space).Add(1)), allocated) // an allocated frame reads nothing, so cannot fail
+	// An allocated frame reads nothing, so its install cannot fail.
+	p, _ := s.install(MakePageID(space, s.spaceSeq(space).Add(1)), allocated)
 	return p
 }
 
