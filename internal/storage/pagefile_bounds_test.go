@@ -51,19 +51,31 @@ func writeV1(t *testing.T, fs vfs.FS, path string, pages []PageImage, journal []
 	}
 }
 
-// TestPageFileRefusesV1: a format-1 file — pages in place behind a
-// double-write journal — is refused with an error naming its format, and
-// the open writes nothing: the file and its journal are left as they
-// were.
+// TestPageFileRefusesV1: a format-1 file whose journal is empty — the
+// file an older version upgraded in place — is refused with an error
+// naming its format, and the open writes nothing.
 func TestPageFileRefusesV1(t *testing.T) {
+	expectV1Refused(t, []byte{})
+}
+
+// TestPageFileRefusesV1Journal: a format-1 file whose journal holds a
+// batch is refused the same way, and the file and its journal are left
+// as they were: only the version that wrote the batch can apply it.
+func TestPageFileRefusesV1Journal(t *testing.T) {
+	expectV1Refused(t, bytes.Repeat([]byte{0xAB}, 64))
+}
+
+// expectV1Refused lays down a format-1 file beside journal and checks
+// that opening it fails naming format 1 and changes neither file.
+func expectV1Refused(t *testing.T, journal []byte) {
+	t.Helper()
 	const path = "/db/pagefile.db"
 	fs := vfs.NewFaultFS(1)
 	if err := fs.MkdirAll("/db", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	writeV1(t, fs, path, []PageImage{{PID: 1, Img: pfTestImage(1, 0x01)}}, bytes.Repeat([]byte{0xAB}, 64))
+	writeV1(t, fs, path, []PageImage{{PID: 1, Img: pfTestImage(1, 0x01)}}, journal)
 	file, _ := fs.ReadFile(path)
-	journal, _ := fs.ReadFile(path + ".journal")
 	w := fileWrites(fs)
 	_, err := OpenPageFileFS(fs, path)
 	if err == nil || !strings.Contains(err.Error(), "pagefile format 1") {
