@@ -63,7 +63,10 @@ lock-race:
 # internal/recovery/recovery.go, or recovery.NewLaneMerge outside
 # internal/recovery and cmd/logdump. And a frame enters the buffer pool
 # one way, storage's install: non-test Go under internal/storage holds
-# exactly one assignment into a shard's page map.
+# exactly one assignment into a shard's page map. And the log device keeps
+# one set of segment files, live and dead alike, and recycles the dead
+# ones by one drain: non-test Go under internal/logdev declares exactly
+# one struct field of type map[int64]*fileSegment.
 vet:
 	$(GO) vet ./...
 	@bad="$$(grep -HnE '\bos\.(OpenFile|Create|WriteFile|Rename|Remove|MkdirAll|Truncate)\(' \
@@ -86,6 +89,10 @@ vet:
 	if [ -n "$$bad" ]; then echo "the log is replayed one way, by restart (a restore is a restart that stops):"; echo "$$bad"; exit 1; fi
 	@hits="$$(grep -HnE '\.pages\[[^]]*\][[:space:]]*=[^=]' $$(find internal/storage -name '*.go' ! -name '*_test.go'))"; \
 	if [ "$$(printf '%s\n' "$$hits" | grep -c .)" -ne 1 ]; then echo "a frame enters the buffer pool one way, storage's install (one assignment into a shard's page map):"; echo "$$hits"; exit 1; fi
+	@hits="$$(grep -HnE '^[[:space:]]+[A-Za-z_][A-Za-z0-9_]*([[:space:]]*,[[:space:]]*[A-Za-z_][A-Za-z0-9_]*)*[[:space:]]+map\[int64\]\*fileSegment\b' \
+		$$(find internal/logdev -name '*.go' ! -name '*_test.go'))"; \
+	fields="$$(printf '%s\n' "$$hits" | sed -E 's/^[^:]*:[0-9]+:[[:space:]]*//; s/[[:space:]]+map\[int64\].*//' | tr ',' '\n' | grep -c .)"; \
+	if [ "$$fields" -ne 1 ]; then echo "the log device keeps one set of segment files, drained one way (one map[int64]*fileSegment field):"; echo "$$hits"; exit 1; fi
 
 # Documentation lint: formatting, vet, every example and command builds,
 # and the godoc-coverage check — exported identifiers in EVERY internal
@@ -159,6 +166,9 @@ load-profile:
 # filesystem. 25 power-cut/recover cycles across every fault point
 # (group-commit, pagecommit, pagefile, watermark, manifest, archive), each
 # cycle's recovered state checked against the committed-ops model, then
+# 15 with no archive point armed, so with no cold store, as the gated
+# benchmark workloads run: after every recovery a checkpoint must leave
+# no dead segment file on disk, whatever the power cuts brought back, then
 # 15 more against a 3-partition log whose profile adds the
 # partition-flush point (one log's fsync dies while the others keep
 # hardening; recovery's merge verifies no flush dependency was
@@ -177,6 +187,7 @@ load-profile:
 SOAK = $(GO) test -v -run '^TestSoak$$' -count=1
 soak-smoke:
 	$(SOAK) . -args -soak.cycles 25 -soak.seed 1
+	$(SOAK) . -args -soak.cycles 15 -soak.seed 4 -soak.points group-commit,manifest,watermark
 	$(SOAK) . -args -soak.cycles 15 -soak.seed 2 -soak.log-partitions 3
 	$(SOAK) . -args -soak.cycles 15 -soak.seed 3 -soak.points remote-archive,group-commit
 	$(SOAK) . -args -soak.cycles 10 -soak.seed 6 -soak.points remote-archive,partition-flush -soak.log-partitions 3

@@ -140,8 +140,8 @@ type Options struct {
 	// an S3-style object store: the cloud log tier. Each archived
 	// segment is one write-once object until retention deletes it. Every
 	// object carries a self-validating envelope, so torn uploads are
-	// detected and re-shipped; a failed upload leaves the
-	// segment parked on the hot device (its slot is never recycled until
+	// detected and re-shipped; a failed upload leaves the dead
+	// segment on the hot device (its slot is never recycled until
 	// the store durably holds it) and the background archiver retries
 	// with backoff. A partitioned database keeps one key-prefix lane per
 	// partition (p0/, p1/, …); snapshots sit at the root (manifest/,
@@ -534,15 +534,17 @@ type Stats struct {
 	// (Options.ArchiveDir or RemoteStore) before their slots were
 	// recycled.
 	LogSegmentsArchived int64
-	// LogSegmentsPendingArchive is how many dead segments currently
-	// await the background archiver; they stay on disk until cold
-	// storage has them.
+	// LogSegmentsPendingArchive is how many dead segments (wholly below
+	// the truncation base, the newest aside) are still on disk, with or
+	// without a cold store: with one they wait for the cold tier to
+	// archive them, without one for the next truncation to recycle
+	// them.
 	LogSegmentsPendingArchive int64
 	// ArchiveRetries counts backoff retries of failed cold-store
 	// archive passes (transient outages the archiver rode out).
 	ArchiveRetries int64
 	// ArchiveGaveUp counts archive passes abandoned after the retry
-	// budget; the segments stay parked until a later nudge succeeds.
+	// budget; the dead segments stay on disk until a later nudge succeeds.
 	ArchiveGaveUp int64
 	// LogSnapshots counts snapshots the cold-tier daemon uploaded
 	// (Options.SnapshotEveryBytes).

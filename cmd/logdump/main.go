@@ -162,7 +162,7 @@ func dumpPageFile(path string, verbose bool) error {
 }
 
 // printSlots explains the directory's durable horizon: both watermark
-// slots of every segment file's header (torn and parked segments
+// slots of every segment file's header (torn and dead segments
 // included), what each claims, whether its own CRC and the CRC of the
 // bytes it covers check out, and which one the open believed.
 func printSlots(seg *logdev.Segmented) {
@@ -231,11 +231,11 @@ func dumpLane(path string, store *logdev.DirObjectStore, i, n int) (recovery.Lan
 	}
 	printSlots(seg)
 	if pend := seg.PendingArchive(); len(pend) > 0 {
-		fmt.Printf("  pending archive: %v  (dead, recycled only after cold storage has them)\n", pend)
+		fmt.Printf("  pending archive: %v  (dead, recycled by the next truncation; with a cold store, only after it has them)\n", pend)
 	}
 	// Read-only device + read-only store: RestoreLog skips the drain and
 	// stitches what is already archived to the bytes still on the device
-	// (parked dead segments included).
+	// (dead segments included).
 	var arch *logdev.RemoteArchiver
 	if store != nil {
 		lane := logdev.LaneDir("", i, n)

@@ -52,7 +52,8 @@
 //
 // so both the disk footprint and restart-recovery work stay bounded:
 // recovery reads the log from the truncation base (Stats.LogBase), not
-// from byte 0. LSNs are stable log addresses and never restart, so a
+// from byte 0. A dead segment a crash left on disk, or a power cut
+// brought back after its unlink, is recycled by the next Checkpoint. LSNs are stable log addresses and never restart, so a
 // truncated log resumes exactly where it left off.
 //
 // With Options.CheckpointEveryBytes set, a background incremental
@@ -112,9 +113,10 @@
 // Options.SnapshotEveryBytes) and that history stitched to the live tail
 // (cmd/logdump dumps both), so any captured DB.RestorePoint stays
 // reconstructible.
-// Stats.LogSegmentsArchived and Stats.LogSegmentsPendingArchive track
-// the pipeline; while cold storage is unreachable, dead segments simply
-// wait on disk.
+// Stats.LogSegmentsArchived tracks the pipeline, and
+// Stats.LogSegmentsPendingArchive counts dead segments still on disk,
+// with or without a cold store; while cold storage is unreachable, dead
+// segments simply wait there.
 //
 // # Paged database file
 //

@@ -159,6 +159,8 @@ type LogManager struct {
 	doneCh   chan struct{}
 	flushReq bool
 
+	// passes counts the daemon's passes, flushing or not (tests read it).
+	passes atomic.Int64
 	// lastFlush is when the daemon last started writing a batch to the
 	// device (daemon goroutine only) — what groupWindow counts from.
 	lastFlush time.Time
@@ -596,6 +598,7 @@ func (lm *LogManager) due(pendingBytes int) bool {
 // flushOnce drains the released region (when the pass is due), makes it
 // durable, and completes satisfied waiters.
 func (lm *LogManager) flushOnce() {
+	lm.passes.Add(1)
 	start, end := lm.rd.Pending()
 	pendingBytes := int(end.Sub(start))
 	if pendingBytes > 0 && !lm.due(pendingBytes) {

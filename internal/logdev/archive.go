@@ -46,30 +46,26 @@ func RestoreRange(a *RemoteArchiver, segSize, from, to int64) ([]byte, error) {
 // from itself must be a record boundary: 0, the base, or an LSN a
 // previous call returned.
 //
-// The whole operation — draining pending dead segments to arch (when
-// non-nil), then reading — runs under the archive mutex: a concurrent
-// truncation can park segments mid-restore (they stay readable on the
-// device) but never recycle one out from under the read.
+// The whole operation — draining dead segments to arch (when non-nil),
+// then reading — runs under the archive mutex, which the drain takes: a
+// concurrent truncation can kill segments mid-restore (they stay
+// readable on the device) but never recycle one out from under the read.
 func (s *Segmented) RestoreLog(arch *RemoteArchiver, from int64) ([]byte, int64, error) {
 	s.archMu.Lock()
 	defer s.archMu.Unlock()
 	if arch != nil && !s.readOnly {
-		if _, err := s.archivePendingLocked(); err != nil {
-			return nil, 0, fmt.Errorf("logdev: draining pending segments: %w", err)
+		if _, err := s.drainLocked(s.Base()); err != nil {
+			return nil, 0, fmt.Errorf("logdev: draining dead segments: %w", err)
 		}
 	}
 	s.mu.Lock()
 	durable := s.durable
 	base := s.base
-	// The device's oldest physically-present byte: live segments plus
-	// any dead segments still parked for the archiver (readable through
-	// the pending fallback) — a failed or read-only drain must not cost
-	// the restore their bytes.
+	// The device's oldest physically-present byte, dead segments included:
+	// a failed or read-only drain must not cost the restore their bytes.
 	liveStart := s.size
-	for _, segs := range []map[int64]*fileSegment{s.segs, s.pending} {
-		for idx := range segs {
-			liveStart = min(liveStart, idx*s.segSize)
-		}
+	for idx := range s.segs {
+		liveStart = min(liveStart, idx*s.segSize)
 	}
 	s.mu.Unlock()
 	from = min(max(from, 0), durable)

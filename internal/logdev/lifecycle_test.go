@@ -547,3 +547,54 @@ func TestReopenDrainsPendingDeadSegments(t *testing.T) {
 		}
 	}
 }
+
+// A power cut undoes the drain's unlinks (they are not made durable), so
+// the reopened device holds segment files wholly below its MANIFEST's
+// base with no archiver to ship them. They are ordinary dead segments:
+// the next Truncate recycles them, even though its horizon does not move.
+func TestTruncateRecyclesDeadSegmentsACrashLeft(t *testing.T) {
+	m := newMemDev(t, ProfileMemory, 64)
+	defer func() { m.Close() }()
+	want := fill(300, 'd') // segments 0..4
+	appendSync(t, m, want)
+	if err := m.Truncate(200); err != nil { // segments 0,1,2 dead
+		t.Fatal(err)
+	}
+	m.crash(t)
+	if got := m.Base(); got != 200 {
+		t.Fatalf("Base = %d after the power cut, want the MANIFEST's 200", got)
+	}
+	for idx := int64(0); idx < 3; idx++ {
+		if _, err := m.fs.Stat(segFile("/log", idx)); err != nil {
+			t.Fatalf("segment %d did not come back with the power cut: %v", idx, err)
+		}
+	}
+	if got := m.PendingArchive(); len(got) != 3 {
+		t.Fatalf("PendingArchive = %v after the power cut, want the 3 dead segments", got)
+	}
+	if got := m.Segments(); len(got) != 2 || got[0].Index != 3 {
+		t.Fatalf("Segments = %v, want the live segments 3 and 4 only", got)
+	}
+
+	if err := m.Truncate(200); err != nil {
+		t.Fatal(err)
+	}
+	for idx := int64(0); idx < 3; idx++ {
+		if _, err := m.fs.Stat(segFile("/log", idx)); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("dead segment %d survived the next truncation: %v", idx, err)
+		}
+	}
+	if got := m.PendingArchive(); len(got) != 0 {
+		t.Fatalf("PendingArchive = %v after the truncation, want empty", got)
+	}
+	if segs, _ := m.TruncStats(); segs != 3 {
+		t.Fatalf("TruncStats = %d recycled, want 3", segs)
+	}
+	p := make([]byte, 100)
+	if _, err := m.ReadAt(p, 200); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(p, want[200:]) {
+		t.Fatal("live tail mismatch after the drain")
+	}
+}

@@ -48,9 +48,11 @@ type Device interface {
 	// durable boundary, and offsets below Base are an error.
 	ReadAt(p []byte, off int64) (int, error)
 	// Truncate advances the truncation horizon to before (clamped to the
-	// durable size) and recycles every whole segment below it (or, with
-	// an archiver attached, parks it for ArchivePending). before
-	// must be a record boundary — recovery starts its scan exactly there.
+	// durable size). Without an archiver attached it then recycles every
+	// dead segment — wholly below the horizon, the newest aside — even
+	// when the horizon did not move; with one, the cold tier's drain
+	// archives and recycles them. before must be a record boundary —
+	// recovery starts its scan exactly there.
 	Truncate(before int64) error
 	// Base returns the truncation horizon: the logical offset of the
 	// first readable byte (0 if nothing was ever truncated).

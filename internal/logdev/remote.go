@@ -13,8 +13,8 @@
 // Failure discipline: Archive never loops internally. It validates,
 // uploads once, and reports errors to the caller — the engine's
 // cold-tier daemon owns backoff and retry, and a failed upload leaves
-// the segment parked in the device's pending set (the slot is not
-// recycled until cold storage durably holds the bytes). A torn upload
+// the dead segment on disk, where the next drain finds it (the slot is
+// not recycled until cold storage durably holds the bytes). A torn upload
 // leaves a truncated object in the store; the envelope CRC makes the
 // next attempt detect it, treat the object as absent and re-upload.
 package logdev
@@ -102,7 +102,7 @@ func (r *RemoteArchiver) segKey(idx int64) string {
 // torn or corrupt existing object is overwritten, one another version
 // wrote (ErrFormat) is not — that is somebody else's history, not
 // damage. Errors are returned without retrying — the caller's backoff
-// owns that, and the segment stays parked in the device's pending set.
+// owns that, and the dead segment stays on disk for the next drain.
 func (r *RemoteArchiver) Archive(idx int64, data []byte) error {
 	if int64(len(data)) != r.segSize {
 		return fmt.Errorf("logdev: remote archive segment %d: %d bytes, want %d", idx, len(data), r.segSize)

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -79,16 +80,17 @@ type Segmented struct {
 	crcBuf  []byte
 	slotBuf [wmSlotSize]byte
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// segs is every segment file present. Those wholly below the base,
+	// the newest aside, are dead (deadLocked) and wait for the drain.
 	segs    map[int64]*fileSegment
-	pending map[int64]*fileSegment // dead segments awaiting archive-then-recycle
-	base    int64                  // truncation horizon: first valid logical offset
-	size    int64                  // logical append end (monotonic across truncation)
+	base    int64 // truncation horizon: first valid logical offset
+	size    int64 // logical append end (monotonic across truncation)
 	durable int64
 	newSegs bool // segments created since the last completed Sync
 	closed  bool
 
-	archiver *RemoteArchiver // the cold store; nil: dead segments are recycled immediately
+	archiver *RemoteArchiver // the cold store; nil: Truncate drains dead segments itself
 	archMu   sync.Mutex      // serializes ArchivePending passes
 	readOnly bool            // diagnostic open: no writes, no repair on disk
 
@@ -199,8 +201,8 @@ func writeManifest(fs vfs.FS, dir string, segSize, base int64) error {
 	if err := fs.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
 		return fmt.Errorf("logdev: install manifest: %w", err)
 	}
-	// The horizon must be durable before callers act on it (Truncate
-	// unlinks segments right after this).
+	// The horizon must be durable before callers act on it (the drain
+	// unlinks segments below it).
 	if err := fs.SyncDir(dir); err != nil {
 		return fmt.Errorf("logdev: sync manifest dir: %w", err)
 	}
@@ -447,7 +449,6 @@ func openSegmentedDir(fs vfs.FS, dir string, segSize int64, ro bool) (*Segmented
 		dir:      dir,
 		crcBuf:   make([]byte, 64<<10),
 		segs:     make(map[int64]*fileSegment),
-		pending:  make(map[int64]*fileSegment),
 		base:     mbase,
 		lowRead:  math.MaxInt64,
 		readOnly: ro,
@@ -595,19 +596,7 @@ func openSegmentedDir(fs vfs.FS, dir string, segSize int64, ro bool) (*Segmented
 			return fail(err)
 		}
 	}
-	// Segments wholly below the base are dead: a crash interrupted
-	// archive-then-recycle (or plain recycle). They hold only released
-	// history, so they wait in the pending set for ArchivePending to
-	// ship them to cold storage (or drop them) rather than serving reads.
-	tail := int64(-1)
-	for idx, seg := range s.segs {
-		if (idx+1)*segSize <= s.base {
-			s.pending[idx] = seg
-			delete(s.segs, idx)
-		} else {
-			tail = max(tail, idx)
-		}
-	}
+	tail := s.newestLocked()
 	if tail >= 0 && sizes[tail] < segSize && !ro {
 		// A tail file only as long as its data (written before segments
 		// were born full-size) gets its full size now, so no commit's
@@ -638,6 +627,7 @@ func (s *Segmented) Base() int64 {
 func (s *Segmented) Segments() []SegmentInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	dead := len(s.deadLocked(s.base)) // dead segments precede every live one
 	out := make([]SegmentInfo, 0, len(s.segs))
 	for idx := range s.segs {
 		end := (idx + 1) * s.segSize
@@ -647,7 +637,32 @@ func (s *Segmented) Segments() []SegmentInfo {
 		out = append(out, SegmentInfo{Index: idx, Start: idx * s.segSize, End: end})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
-	return out
+	return out[dead:]
+}
+
+// newestLocked returns the highest segment index present, or -1. Caller
+// holds s.mu.
+func (s *Segmented) newestLocked() int64 {
+	newest := int64(-1)
+	for idx := range s.segs {
+		newest = max(newest, idx)
+	}
+	return newest
+}
+
+// deadLocked lists, in logical order, the segments dead under horizon:
+// every one wholly below it but the newest, which stays so a reopen can
+// recompute the logical layout from what remains. Caller holds s.mu.
+func (s *Segmented) deadLocked(horizon int64) []int64 {
+	newest := s.newestLocked()
+	var dead []int64
+	for idx := range s.segs {
+		if idx != newest && (idx+1)*s.segSize <= horizon {
+			dead = append(dead, idx)
+		}
+	}
+	slices.Sort(dead)
+	return dead
 }
 
 // TruncStats returns how many whole segments and how many logical bytes
@@ -830,8 +845,7 @@ func (s *Segmented) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // RawReadAt reads the durable prefix ignoring the truncation horizon:
-// offsets below Base() are served while a live or parked segment still
-// holds them.
+// offsets below Base() are served while a segment file still holds them.
 // Restore-on-demand uses it to stitch archived history to the hot log;
 // recovery never does (it must prove it reads only the live tail).
 func (s *Segmented) RawReadAt(p []byte, off int64) (int, error) {
@@ -846,7 +860,7 @@ func (s *Segmented) RawReadAt(p []byte, off int64) (int, error) {
 	return s.readLocked(p, off)
 }
 
-// readLocked serves a read from the live segments. Caller holds s.mu
+// readLocked serves a read from the segment files. Caller holds s.mu
 // and has validated off against its chosen lower bound.
 func (s *Segmented) readLocked(p []byte, off int64) (int, error) {
 	if off >= s.durable {
@@ -864,11 +878,6 @@ func (s *Segmented) readLocked(p []byte, off int64) (int, error) {
 		chunk := min(s.segSize-segOff, end-cur)
 		seg := s.segs[idx]
 		if seg == nil {
-			// A dead segment parked for the archiver is still on the
-			// device; restore reads (below the base) serve from it.
-			seg = s.pending[idx]
-		}
-		if seg == nil {
 			return n, fmt.Errorf("logdev: segment %d missing (holds offset %d)", idx, cur)
 		}
 		if err := seg.readAt(p[n:n+int(chunk)], segOff); err != nil {
@@ -882,14 +891,13 @@ func (s *Segmented) readLocked(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-// Truncate implements Device: advance the horizon, record it in the
+// Truncate implements Device: advance the horizon and record it in the
 // manifest — whether or not a segment dies under it, so a reopen starts
-// from it — and recycle every segment wholly below it. The newest
-// segment is always retained so a reopened directory can recompute the
-// logical layout from what remains.
-// With an Archiver attached, dead segments are not recycled here: they
-// move to the pending set, where ArchivePending ships them to cold
-// storage before freeing their slots (archive-before-recycle).
+// from it. With no cold store attached it then runs the drain
+// (ArchivePending), also when the horizon did not move: a dead segment a
+// crash left behind, or a power cut brought back, is recycled by the next
+// truncation. With one attached, the cold tier runs the drain, shipping
+// each dead segment before recycling it (archive-before-recycle).
 // Callers are expected to serialize Truncate (the checkpointer does);
 // Append/Sync/ReadAt stay concurrent — the manifest fsyncs and unlinks
 // run outside the device mutex so the flush daemon never stalls behind
@@ -900,152 +908,107 @@ func (s *Segmented) Truncate(before int64) error {
 		s.mu.Unlock()
 		return err
 	}
-	if before > s.durable {
-		before = s.durable
-	}
-	if before <= s.base {
-		s.mu.Unlock()
-		return nil
-	}
-	archiving := s.archiver != nil
-	var maxIdx int64 = -1
-	for idx := range s.segs {
-		if idx > maxIdx {
-			maxIdx = idx
-		}
-	}
-	var dead []int64
-	deadSegs := make(map[int64]*fileSegment)
-	for idx, seg := range s.segs {
-		if (idx+1)*s.segSize <= before && idx != maxIdx {
-			dead = append(dead, idx)
-			deadSegs[idx] = seg
-		}
-	}
+	before = max(min(before, s.durable), s.base)
+	advance := before > s.base
+	drain := s.archiver == nil
 	s.mu.Unlock()
 
-	// Persist the horizon whenever it advances, and before unlinking: a
-	// crash in between finds a manifest that already points past every
-	// segment we were about to drop, and a reopen — after a crash or a
-	// clean Close — starts its recovery scan at the last checkpoint's
-	// horizon, not at wherever a segment boundary last fell. Truncate is
-	// called once per checkpoint; the manifest's two fsyncs are on no
-	// commit's path.
-	if err := writeManifest(s.fs, s.dir, s.segSize, before); err != nil {
-		return err
-	}
-	recycled := dead[:0]
-	var ioErr error
-	if !archiving {
-		for _, idx := range dead {
-			if err := s.removeSeg(idx, deadSegs[idx]); err != nil {
-				// The horizon stays put, so a retry at the same horizon
-				// re-enters and picks up the remaining dead segments.
-				ioErr = err
-				break
-			}
-			recycled = append(recycled, idx)
+	if advance {
+		// Persist the horizon before anything below it is recycled: a
+		// crash in between finds a manifest that already points past
+		// every segment the drain was about to drop, and a reopen — after
+		// a crash or a clean Close — starts its recovery scan at the last
+		// checkpoint's horizon, not at wherever a segment boundary last
+		// fell. Truncate is called once per checkpoint; the manifest's
+		// two fsyncs are on no commit's path.
+		if err := writeManifest(s.fs, s.dir, s.segSize, before); err != nil {
+			return err
 		}
 	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if archiving {
-		// Park the dead segments for the background archiver: their
-		// bytes are dead to readers (below the horizon) but their slots
-		// stay occupied until cold storage has them.
-		for _, idx := range dead {
-			s.pending[idx] = deadSegs[idx]
-			delete(s.segs, idx)
-		}
-	} else {
-		for _, idx := range recycled {
-			delete(s.segs, idx)
-			s.truncatedSegments++
-		}
+	var err error
+	if drain {
+		s.archMu.Lock()
+		_, err = s.drainLocked(before)
+		s.archMu.Unlock()
 	}
-	if ioErr != nil {
-		return ioErr
-	}
-	// Advance the in-memory horizon only once the recycle (or the
-	// handoff to the pending set) completed.
-	if before > s.base {
+	if advance {
+		// The horizon is published once the segments below it are gone,
+		// so Base never runs ahead of the recycling it stands for.
+		s.mu.Lock()
 		s.truncatedBytes += before - s.base
 		s.base = before
+		s.mu.Unlock()
 	}
-	return nil
+	return err
 }
 
 // SetArchiver attaches cold storage for dead segments: from now on
-// Truncate parks dead segments in the pending set instead of deleting
-// them, and ArchivePending ships them to a before recycling. Attach the
-// archiver right after Open, before the first Truncate; a nil a detaches
-// it (pending segments then drain as plain recycles).
+// Truncate leaves them to ArchivePending, which ships them to a before
+// recycling them. Attach the archiver right after Open, before the first
+// Truncate; a nil a detaches it.
 func (s *Segmented) SetArchiver(a *RemoteArchiver) {
 	s.mu.Lock()
 	s.archiver = a
 	s.mu.Unlock()
 }
 
-// ArchivePending drains the pending set: every dead segment is copied
-// to the archiver (durably — Archive must not return before its bytes
-// are safe) and only then recycled. A failed archive leaves the segment
-// pending: its slot is never reused until cold storage holds its
-// history. Safe to call concurrently with appends,
-// syncs and truncations; passes serialize among themselves.
+// ArchivePending is the drain: it recycles every dead segment, in logical
+// order, copying each to the archiver first when one is attached
+// (durably — Archive must not return before its bytes are safe). A
+// failed archive stops the drain with the segment still on disk: its
+// slot is never reused until cold storage holds its history. Unlinks are
+// not made durable: a power cut may bring a recycled segment back, dead,
+// and the next drain recycles it again. Safe to call concurrently with
+// appends, syncs and truncations; passes serialize among themselves. It
+// returns how many segments it archived.
 func (s *Segmented) ArchivePending() (int, error) {
 	s.archMu.Lock()
 	defer s.archMu.Unlock()
-	return s.archivePendingLocked()
+	return s.drainLocked(s.Base())
 }
 
-// archivePendingLocked is ArchivePending's body; caller holds s.archMu.
-func (s *Segmented) archivePendingLocked() (int, error) {
+// drainLocked is the drain of the segments dead under horizon (at or
+// above the base); caller holds s.archMu.
+func (s *Segmented) drainLocked(horizon int64) (int, error) {
 	s.mu.Lock()
 	if err := s.writable(); err != nil {
 		s.mu.Unlock()
 		return 0, err
 	}
 	arch := s.archiver
-	segSize := s.segSize
-	idxs := make([]int64, 0, len(s.pending))
-	pend := make(map[int64]*fileSegment, len(s.pending))
-	for idx, seg := range s.pending {
-		idxs = append(idxs, idx)
-		pend[idx] = seg
+	dead := s.deadLocked(horizon)
+	segs := make([]*fileSegment, len(dead))
+	for i, idx := range dead {
+		segs[i] = s.segs[idx]
 	}
 	s.mu.Unlock()
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
 
 	archived := 0
-	for _, idx := range idxs {
-		seg := pend[idx]
+	for i, idx := range dead {
 		if arch != nil {
-			data := make([]byte, segSize)
-			if err := seg.readAt(data, 0); err != nil {
+			data := make([]byte, s.segSize)
+			if err := segs[i].readAt(data, 0); err != nil {
 				return archived, fmt.Errorf("logdev: read dead segment %d: %w", idx, err)
 			}
 			if err := arch.Archive(idx, data); err != nil {
-				// Cold storage is down: the segment stays pending and
-				// on disk. Recycling without the archive would erase
-				// the only copy of its history.
+				// Cold storage is down: the segment stays on disk.
+				// Recycling without the archive would erase the only
+				// copy of its history.
 				return archived, err
 			}
 		}
-		if err := s.removeSeg(idx, seg); err != nil {
+		if err := s.removeSeg(idx, segs[i]); err != nil {
 			return archived, err
 		}
 		s.mu.Lock()
-		delete(s.pending, idx)
+		delete(s.segs, idx)
 		s.truncatedSegments++
 		if arch != nil {
 			s.archivedSegments++
+			archived++
 		}
 		closed := s.closed
 		s.mu.Unlock()
-		if arch != nil {
-			archived++
-		}
 		if closed {
 			break
 		}
@@ -1053,18 +1016,13 @@ func (s *Segmented) archivePendingLocked() (int, error) {
 	return archived, nil
 }
 
-// PendingArchive lists the dead segments awaiting archive-then-recycle,
-// in logical order. Tests and logdump use it to prove no slot is reused
-// before its history reaches cold storage.
+// PendingArchive lists the dead segments still on disk, waiting for the
+// drain, in logical order. Tests and logdump use it to prove no slot is
+// reused before its history reaches cold storage.
 func (s *Segmented) PendingArchive() []int64 {
 	s.mu.Lock()
-	out := make([]int64, 0, len(s.pending))
-	for idx := range s.pending {
-		out = append(out, idx)
-	}
-	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	defer s.mu.Unlock()
+	return s.deadLocked(s.base)
 }
 
 // ArchivedSegments returns how many dead segments ArchivePending has
@@ -1075,7 +1033,7 @@ func (s *Segmented) ArchivedSegments() int64 {
 	return s.archivedSegments
 }
 
-// SlotReports returns every segment file's header — live and parked
+// SlotReports returns every segment file's header — live and dead
 // segments alike, torn ones included — as OpenSegmentedDirRO judged it,
 // in logical order: which slots were written whole, what they claim,
 // whether the bytes they cover check out, and which one the durable
@@ -1092,13 +1050,10 @@ func (s *Segmented) RepairedTailBytes() int64 {
 	return s.repairedTail
 }
 
-// closeSegmentsLocked closes every open segment, live and pending.
-// Caller holds s.mu (or has exclusive access during construction).
+// closeSegmentsLocked closes every open segment. Caller holds s.mu (or
+// has exclusive access during construction).
 func (s *Segmented) closeSegmentsLocked() {
 	for _, seg := range s.segs {
-		seg.f.Close()
-	}
-	for _, seg := range s.pending {
 		seg.f.Close()
 	}
 }

@@ -1,7 +1,7 @@
 // cold.go is the cold tier's one daemon, beside the checkpointer and the
-// page cleaner. Each pass, nudged by every checkpoint (truncation parks
-// dead segments, and a sweep leaves the page file a snapshot copies),
-// (1) archives every archiving lane's parked dead segments and recycles
+// page cleaner. Each pass, nudged by every checkpoint (truncation kills
+// segments, and a sweep leaves the page file a snapshot copies),
+// (1) archives every archiving lane's dead segments and recycles
 // their slots, retrying with bounded backoff; then (2) snapshots the page
 // file once enough new log has hardened (logdev/snapshot.go), and (3)
 // prunes snapshots beyond the newest RetainSnapshots and what only they
@@ -28,8 +28,8 @@ import (
 // ColdConfig arms the cold-tier daemon: it runs when any lane archives.
 type ColdConfig struct {
 	// Lanes lists every lane's device that has a cold store attached
-	// (logdev.Segmented.SetArchiver). Each pass drains their parked dead
-	// segments.
+	// (logdev.Segmented.SetArchiver). Each pass drains their dead
+	// segments (logdev.Segmented.ArchivePending).
 	Lanes []*logdev.Segmented
 	// Snapshots is where snapshots of all the Lanes go; nil takes none.
 	Snapshots *logdev.SnapshotStore
@@ -48,9 +48,9 @@ type ColdConfig struct {
 // checkpointer, so a slow cold store never stalls a checkpoint, let
 // alone a commit. Failures are counted and left for the next nudge: the
 // daemon must never lose anything on error — a failed upload or prune
-// just leaves extra objects (or a stale floor, or segments parked on
-// disk) behind. The initial nudge drains segments a previous incarnation
-// left parked at the crash.
+// just leaves extra objects (or a stale floor, or dead segments on disk)
+// behind. The initial nudge drains dead segments a previous incarnation
+// left on disk at the crash.
 func (e *Engine) startCold(cfg ColdConfig) {
 	e.cold = startDaemon(0, func(d *daemon) {
 		e.archiveWithRetry(d, cfg.Lanes)
@@ -83,7 +83,7 @@ var (
 
 // archiveWithRetry drains every lane's archive-then-recycle queue,
 // absorbing transient cold-store failures with bounded exponential
-// backoff + jitter instead of parking the segments until the next
+// backoff + jitter instead of leaving the segments on disk until the next
 // checkpoint happens to nudge again. Giving up is safe — dead segments
 // stay on disk until some pass succeeds — but each retry here shortens
 // the window in which a crash-plus-disk-loss could lose history.

@@ -157,7 +157,7 @@ type Stats struct {
 	// exponential backoff + jitter before the pass gives up.
 	ArchiveRetries metrics.Counter
 	// ArchiveGaveUp counts archive passes abandoned after the retry
-	// budget was exhausted. The segments stay parked on disk; the next
+	// budget was exhausted. The dead segments stay on disk; the next
 	// nudge (any later truncation, restore, or Close-side drain) tries
 	// again, so nothing is lost — only delayed.
 	ArchiveGaveUp metrics.Counter
@@ -591,7 +591,7 @@ func (e *Engine) Checkpoint() error {
 		mark.lowWater[i] = uint64(e.log.Part(i).Base())
 	}
 	e.lastCkpt.Store(mark)
-	// Truncation parks dead segments; the cold-tier daemon ships them to
+	// Truncation kills segments; the cold-tier daemon ships them to
 	// the cold store and recycles their slots off the checkpoint path,
 	// then snapshots the page file this sweep left and prunes below the
 	// oldest snapshot it keeps.

@@ -66,10 +66,11 @@ func openColdStore(opts Options, fs vfs.FS) (logdev.ObjectStore, error) {
 // attachColdStore gives lane i of n its own lane of the cold store — a
 // key prefix (a subdirectory, under Options.ArchiveDir), so a slow lane
 // never blocks the others' truncation. It must run before the engine
-// starts: the archiver has to be in place before the first truncation
-// parks a dead segment, and the engine's cold-tier daemon drains the
-// lanes txn.ColdConfig names at engine construction. A cold-store lane
-// an earlier version compacted is refused (ErrFormat).
+// starts: the archiver has to be in place before the first truncation,
+// which would otherwise recycle dead segments unarchived, and the
+// engine's cold-tier daemon drains the lanes txn.ColdConfig names at
+// engine construction. A cold-store lane an earlier version compacted is
+// refused (ErrFormat).
 func (l *lane) attachColdStore(store logdev.ObjectStore, i, n int) error {
 	remote, err := logdev.NewRemoteArchiver(store, logdev.LaneDir("", i, n), l.seg.SegmentSize())
 	if err != nil {

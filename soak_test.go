@@ -2,8 +2,9 @@ package aether
 
 // The crash-storm soak: a seeded workload runs against databases opened
 // with Open over a fault-injecting filesystem (vfs.FaultFS) — segmented
-// log + watermark + pagefile + cold store, exactly the assembly that
-// ships — and every cycle cuts power at a randomized fault point: mid
+// log + watermark + pagefile, plus a cold store when the profile arms an
+// archive point, exactly the assembly that ships — and every cycle cuts
+// power at a randomized fault point: mid
 // group-commit, mid pagefile commit, mid watermark flip,
 // mid archive install, mid steal/cleaner writeback. The next incarnation
 // is opened with Open again, and its state is checked against an
@@ -203,9 +204,21 @@ func parseFaultPoints(s string) ([]faultPoint, error) {
 	return out, nil
 }
 
+// archives reports whether the profile arms a cold-store point. Without
+// one the database has no cold store, like the gated benchmark workloads.
+func (c soakConfig) archives() bool {
+	for _, p := range c.points {
+		if p == faultArchive || p == faultRemoteArchive {
+			return true
+		}
+	}
+	return false
+}
+
 // openSoakDB opens the next incarnation through Open and re-creates the
 // soak's table. The cold store is the cloud when there is one, else a
-// directory on fs — where power cuts reach it too.
+// directory on fs — where power cuts reach it too — when the profile
+// arms the archive point, else none.
 func openSoakDB(fs *vfs.FaultFS, cfg soakConfig, cloud *MemObjectStore) (*DB, *Table, error) {
 	n := uint64(max(cfg.parts, 1))
 	opts := Options{
@@ -225,12 +238,13 @@ func openSoakDB(fs *vfs.FaultFS, cfg soakConfig, cloud *MemObjectStore) (*DB, *T
 		RoutePartition: func(txnID uint64, _ uint32) int { return int(txnID % n) },
 		fs:             fs,
 	}
-	if cloud != nil {
+	switch {
+	case cloud != nil:
 		// The cloud also takes snapshots and prunes behind them, so every
 		// recovery's RestoreTo check restores from one.
 		opts.RemoteStore = cloud
 		opts.SnapshotEveryBytes, opts.RetainSnapshots = 8192, 2
-	} else {
+	case cfg.archives():
 		opts.ArchiveDir = soakArchiveDir
 	}
 	db, err := Open(opts)
@@ -431,6 +445,28 @@ func checkRestore(db *DB, got map[uint64]uint64, maxKey uint64) []string {
 	return diffs
 }
 
+// checkNoDeadSegments checkpoints a database without a cold store and
+// lists what of its dead log survived: the truncation is the only thing
+// that recycles a dead segment there, so none may be left, whatever the
+// power cuts brought back.
+func checkNoDeadSegments(db *DB) []string {
+	if err := db.Checkpoint(); err != nil {
+		return []string{fmt.Sprintf("checkpoint after recovery: %v", err)}
+	}
+	var diffs []string
+	if n := db.Stats().LogSegmentsPendingArchive; n != 0 {
+		diffs = append(diffs, fmt.Sprintf("LogSegmentsPendingArchive = %d after a checkpoint, want 0", n))
+	}
+	dead, err := deadSegmentFiles(db)
+	if err != nil {
+		return append(diffs, fmt.Sprintf("listing segment files: %v", err))
+	}
+	for _, f := range dead {
+		diffs = append(diffs, fmt.Sprintf("dead segment file %s outlived a checkpoint", f))
+	}
+	return diffs
+}
+
 // runSoakWorkload runs seeded transactions until the cycle's budget is
 // spent or an injected fault surfaces. It returns the number of
 // successful commits and the ops of the in-doubt transaction (non-nil
@@ -544,6 +580,9 @@ func runSoak(cfg soakConfig) (soakResult, error) {
 			// A restore is a restart that stops: restoring the recovered
 			// durable end must give back exactly the recovered state.
 			diffs = checkRestore(db, got, uint64(cfg.keys)+1)
+		}
+		if len(diffs) == 0 && !cfg.archives() {
+			diffs = checkNoDeadSegments(db)
 		}
 		if len(diffs) > 0 {
 			db.Close()
