@@ -53,8 +53,9 @@
 // so both the disk footprint and restart-recovery work stay bounded:
 // recovery reads the log from the truncation base (Stats.LogBase), not
 // from byte 0. A dead segment a crash left on disk, or a power cut
-// brought back after its unlink, is recycled by the next Checkpoint. LSNs are stable log addresses and never restart, so a
-// truncated log resumes exactly where it left off.
+// brought back after its unlink, is recycled by the next Checkpoint.
+// LSNs are stable log addresses and never restart, so a truncated log
+// resumes exactly where it left off.
 //
 // With Options.CheckpointEveryBytes set, a background incremental
 // checkpointer takes those checkpoints automatically: a goroutine fires

@@ -4,9 +4,9 @@ package aether
 // with Open over a fault-injecting filesystem (vfs.FaultFS) — segmented
 // log + watermark + pagefile, plus a cold store when the profile arms an
 // archive point, exactly the assembly that ships — and every cycle cuts
-// power at a randomized fault point: mid
-// group-commit, mid pagefile commit, mid watermark flip,
-// mid archive install, mid steal/cleaner writeback. The next incarnation
+// power at a randomized fault point: mid group-commit, mid pagefile
+// commit, mid watermark flip, mid archive install, mid steal/cleaner
+// writeback. The next incarnation
 // is opened with Open again, and its state is checked against an
 // in-memory model of committed operations.
 //
