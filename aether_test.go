@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestOpenInsertReadClose(t *testing.T) {
@@ -407,6 +408,82 @@ func TestScan(t *testing.T) {
 		t.Fatalf("early stop: %d", n)
 	}
 	tx.Commit()
+}
+
+// TestRowKeyZeroIsNotTheTable: row 0 is a row, not its table's lock. A
+// transaction that updates row 0 and stays open holds that row alone, so
+// another session reads and commits row 5 at once, with the lock wait
+// bounded only by an hour's DeadlockTimeout; and so does it once the
+// first session has committed and its next transaction has inherited
+// the first one's locks (speculative lock inheritance).
+func TestRowKeyZeroIsNotTheTable(t *testing.T) {
+	for _, sli := range []bool{true, false} {
+		t.Run(fmt.Sprintf("SLI=%v", sli), func(t *testing.T) {
+			db, err := Open(Options{DeadlockTimeout: time.Hour, DisableSLI: !sli})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			tbl, err := db.CreateTable("t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			writer, reader := db.Session(), db.Session()
+			defer writer.Close()
+			defer reader.Close()
+			load := writer.Begin()
+			for _, k := range []uint64{0, 5} {
+				if err := load.Insert(tbl, k, Row(k, []byte("v0"))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := load.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			// readRow5 reads and commits row 5 on the reader's session
+			// while hold is open, giving up after a second: then it
+			// ends hold, so the stuck read returns, and fails.
+			readRow5 := func(what string, hold *Tx) {
+				t.Helper()
+				done := make(chan error, 1)
+				go func() {
+					tx := reader.Begin()
+					if _, err := tx.Read(tbl, 5); err != nil {
+						tx.Abort()
+						done <- err
+						return
+					}
+					done <- tx.Commit()
+				}()
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Fatalf("%s: reading row 5: %v", what, err)
+					}
+				case <-time.After(time.Second):
+					hold.Abort()
+					<-done
+					t.Fatalf("%s: a read of row 5 still waits after a second", what)
+				}
+			}
+			t1 := writer.Begin()
+			if err := t1.Update(tbl, 0, func([]byte) ([]byte, error) { return Row(0, []byte("v1")), nil }); err != nil {
+				t.Fatal(err)
+			}
+			readRow5("T1 holds an update of row 0", t1)
+			if err := t1.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			next := writer.Begin() // adopts what T1's session cached, under SLI
+			if _, err := next.Read(tbl, 0); err != nil {
+				t.Fatal(err)
+			}
+			readRow5("the writer's next transaction holds row 0", next)
+			if err := next.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }
 
 func TestScanBlocksWriters(t *testing.T) {

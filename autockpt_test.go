@@ -7,7 +7,10 @@ import (
 )
 
 // waitLogBaseAbove drives commits until Stats.LogBase exceeds prev (the
-// background checkpointer is the only thing advancing it here).
+// background checkpointer is the only thing advancing it here) and
+// Stats.AutoCheckpoints counts a checkpoint: the checkpointer moves the
+// base inside Checkpoint and counts the checkpoint only once that
+// returns, so a base that moved does not yet mean a counted checkpoint.
 func waitLogBaseAbove(t *testing.T, db *DB, tbl *Table, from uint64, prev int64) uint64 {
 	t.Helper()
 	s := db.Session()
@@ -15,7 +18,7 @@ func waitLogBaseAbove(t *testing.T, db *DB, tbl *Table, from uint64, prev int64)
 	payload := make([]byte, 256)
 	deadline := time.Now().Add(15 * time.Second)
 	k := from
-	for db.Stats().LogBase <= prev {
+	for st := db.Stats(); st.LogBase <= prev || st.AutoCheckpoints == 0; st = db.Stats() {
 		if time.Now().After(deadline) {
 			t.Fatalf("LogBase stuck at %d (auto checkpoints: %d)",
 				db.Stats().LogBase, db.Stats().AutoCheckpoints)

@@ -32,7 +32,7 @@
 //	logdump -f wal.d -archive cold  # segmented log with an explicit cold store
 //	logdump -f multi.d              # partitioned root: per-partition layout + merged seq view
 //	logdump -f wal.d -txn 42        # one transaction's chain
-//	logdump -f wal.d -stats         # kind histogram + volume (framing vs image bytes, implied zeros, framing per field) only
+//	logdump -f wal.d -stats         # kind histogram + volume (framing vs image bytes, implied zeros, framing and update payload per field) only
 //	logdump -f wal.d/pagefile.db    # pagefile slot table
 //	logdump -archive cold           # cold store alone: segment
 //	                                # objects, snapshots, floor
@@ -87,7 +87,9 @@ Examples:
                                    the zero tails of inserted and deleted rows
                                    that the log implies; then the framing per
                                    field (length, CRC, kind byte, each header
-                                   field, the payload's own lengths)
+                                   field, the payload's own lengths) and an
+                                   update's payload per field (op, slot, off,
+                                   delta, X, tail, row length, row)
   logdump -f wal.d -archive /cold  cold store in a non-default location
   logdump -f wal.d/pagefile.db     slot table of the database file
   logdump -archive /cold           the cold store alone: archived segments,
@@ -347,19 +349,38 @@ func dump(path, archDir string, txnFilter uint64, statsOnly bool) error {
 		s := ks.sizes
 		fmt.Printf("\n%14sframing = length %d + crc %d + kind %d + txn %d + prev %d + page %d + aux %d + seq %d + payload %d\n",
 			"", s.Length, s.CRC, s.Kind, s.TxnID, s.PrevLSN, s.PageID, s.Aux, s.Seq, s.Payload-ks.image)
+		if p := ks.payload; p != (logrec.PayloadSizes{}) {
+			fmt.Printf("%14spayload = op %d + slot %d + off %d + delta %d + x %d + tail %d + row length %d + row %d\n",
+				"", p.Op, p.Slot, p.Off, p.Delta, p.X, p.Tail, p.RowLen, p.Row)
+		}
 	}
 	return nil
 }
 
 // kindStats sums the records of one kind: their count, bytes, image and
-// implied zero bytes, and the bytes of each part of their encoding.
+// implied zero bytes, the bytes of each part of their encoding, and
+// those of each field of their update payloads.
 type kindStats struct {
 	records, bytes, image, zeros int
 	sizes                        logrec.Sizes
+	payload                      logrec.PayloadSizes
 }
 
 func (ks *kindStats) add(rec logrec.Record) {
 	image, zeros := imageBytes(rec)
+	if rec.Kind == logrec.KindUpdate || rec.Kind == logrec.KindCLR {
+		if up, err := logrec.DecodeUpdate(rec.Payload); err == nil {
+			s, sum := up.Sizes(), &ks.payload
+			sum.Op += s.Op
+			sum.Slot += s.Slot
+			sum.Off += s.Off
+			sum.Delta += s.Delta
+			sum.X += s.X
+			sum.Tail += s.Tail
+			sum.RowLen += s.RowLen
+			sum.Row += s.Row
+		}
+	}
 	ks.records++
 	ks.bytes += int(rec.TotalLen)
 	ks.image += image
@@ -377,15 +398,15 @@ func (ks *kindStats) add(rec logrec.Record) {
 }
 
 // imageBytes is how much of rec is the data it carries rather than the
-// description of it: an update's or CLR's before and after images, a
-// checkpoint's table entries. zeros is the zero tail an insert's or
+// description of it: a splice's X and tail, an insert's or delete's row
+// image, a checkpoint's table entries. zeros is the zero tail an insert's or
 // delete's row has beyond its logged image. An update payload that does
 // not decode counts as framing.
 func imageBytes(rec logrec.Record) (image, zeros int) {
 	switch rec.Kind {
 	case logrec.KindUpdate, logrec.KindCLR:
 		if up, err := logrec.DecodeUpdate(rec.Payload); err == nil {
-			image = len(up.Before) + len(up.After)
+			image = len(up.Before) + len(up.After) + len(up.X) + len(up.Tail)
 			if up.Op != logrec.OpSet {
 				zeros = up.RowSize() - image
 			}
@@ -410,13 +431,18 @@ func printRecord(rec logrec.Record) {
 				rec.LSN, rec.Kind, rec.TxnID, rec.PageID, extra)
 			return
 		}
-		row := "" // an insert's or delete's row, zero tail and all
-		if up.Op != logrec.OpSet {
-			row = fmt.Sprintf(" row=%dB", up.RowSize())
+		var change string
+		switch {
+		case up.Op != logrec.OpSet: // the logged image and the row, zero tail and all
+			change = fmt.Sprintf("before=%dB after=%dB row=%dB", len(up.Before), len(up.After), up.RowSize())
+		case up.Delta != 0:
+			change = fmt.Sprintf("x=%x delta=%+d tail=%x", up.X, up.Delta, up.Tail)
+		default:
+			change = fmt.Sprintf("x=%x", up.X)
 		}
-		fmt.Printf("%-12v %-10s txn=%-6d page=%-8d slot=%-4d %-6s off=%-4d before=%dB after=%dB%s prev=%v%s\n",
+		fmt.Printf("%-12v %-10s txn=%-6d page=%-8d slot=%-4d %-6s off=%-4d %s prev=%v%s\n",
 			rec.LSN, rec.Kind, rec.TxnID, rec.PageID, up.Slot, up.Op, up.Off,
-			len(up.Before), len(up.After), row, prevStr(rec.PrevLSN), extra)
+			change, prevStr(rec.PrevLSN), extra)
 	case logrec.KindCheckpointEnd:
 		p, err := logrec.DecodeCheckpoint(rec.Payload)
 		if err != nil {

@@ -49,9 +49,15 @@ func buildLog(t *testing.T, dir string, n int) {
 			t.Fatal(err)
 		}
 		if k >= 3 {
-			// A ranged update: the splice shows as off= and two short images.
+			// A ranged update: the splice shows as off= and x=, the XOR
+			// of the byte that changed; the second one grows its row by
+			// a byte, so it shows its delta and tail too.
+			next := []byte("sEcond")
+			if k == 4 {
+				next = []byte("sEconds")
+			}
 			if err := tx.Update(second, k, func(row []byte) ([]byte, error) {
-				return aether.Row(k, []byte("sEcond")), nil
+				return aether.Row(k, next), nil
 			}); err != nil {
 				t.Fatal(err)
 			}

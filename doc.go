@@ -72,14 +72,15 @@
 // transaction, backchain, page, and the multi-lane stamp and edge, each
 // free when absent; commit and end records carry no backchain — and a
 // payload. An update's payload is a splice: the offset in the row and
-// the bytes before and after, trimmed to what differs; an insert's or
-// delete's is the row's length and its bytes up to the last non-zero
-// one, the rest being implied zeros. So a TPC-B transaction (three
-// 8-byte balance changes in 100-byte rows, one zero-padded 100-byte
-// insert, a commit) logs about 121 bytes. Every record has one
+// the bytes that differ, logged once as before ⊕ after (and, if the row
+// changes length, the change and the longer image's extra bytes); an
+// insert's or delete's is the row's length and its bytes up to the last
+// non-zero one, the rest being implied zeros. So a TPC-B transaction
+// (three 8-byte balance changes in 100-byte rows, one zero-padded
+// 100-byte insert, a commit) logs about 109 bytes. Every record has one
 // encoding and the decoders accept no other. A log directory carries
-// its format in its MANIFEST (format 5) and a cold-store object in its
-// envelope (version 4); Open refuses earlier ones with an error that
+// its format in its MANIFEST (format 6) and a cold-store object in its
+// envelope (version 5); Open refuses earlier ones with an error that
 // matches logdev.ErrFormat and changes nothing. ARCHITECTURE.md, "The
 // log record", has the layout.
 //

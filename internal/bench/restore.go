@@ -111,8 +111,7 @@ func restoreWorkload(db *aether.DB, tbl *aether.Table, cfg RestoreConfig) (map[u
 	}
 	for b := 0; b < cfg.Batches; b++ {
 		for i := 0; i < cfg.TxnsPerBatch; i++ {
-			// +1: row key 0 aliases the table lock (never insert it).
-			key := uint64(b*cfg.TxnsPerBatch+i) + 1
+			key := uint64(b*cfg.TxnsPerBatch + i)
 			tx := s.Begin()
 			if err := tx.Insert(tbl, key, aether.Row(key, val(key, 0))); err != nil {
 				tx.Abort()

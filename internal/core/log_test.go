@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
@@ -59,7 +60,7 @@ func TestAppendAndWaitDurable(t *testing.T) {
 	var end lsn.LSN
 	for i := 0; i < 10; i++ {
 		rec := logrec.NewUpdate(uint64(i), lsn.Undefined, 1, logrec.UpdatePayload{
-			Op: logrec.OpSet, After: []byte("value"),
+			Op: logrec.OpSet, X: []byte("value"),
 		})
 		_, e, err := ap.Append(rec)
 		if err != nil {
@@ -828,7 +829,7 @@ func TestConcurrentCommitStress(t *testing.T) {
 					var done sync.WaitGroup
 					for i := 0; i < perW; i++ {
 						rec := logrec.NewUpdate(uint64(w), lsn.Undefined, uint64(i),
-							logrec.UpdatePayload{Op: logrec.OpSet, After: make([]byte, 64)})
+							logrec.UpdatePayload{Op: logrec.OpSet, X: bytes.Repeat([]byte{1}, 64)})
 						if _, _, err := ap.Append(rec); err != nil {
 							t.Error(err)
 							return
@@ -940,7 +941,7 @@ func TestCommitPathAllocations(t *testing.T) {
 	lm := newTestLM(t, logbuf.VariantCD, nil)
 	ap := lm.NewAppender()
 	rec := logrec.NewUpdate(42, 4096, 77, logrec.UpdatePayload{
-		Op: logrec.OpSet, Slot: 5, Before: make([]byte, 100), After: make([]byte, 100),
+		Op: logrec.OpSet, Slot: 5, Off: 8, X: []byte{1, 2, 3, 4, 5, 6, 7, 8},
 	})
 	var acked atomic.Int64
 	ack := func(error) { acked.Add(1) }

@@ -31,7 +31,7 @@ func newTestMulti(t *testing.T, devs []logdev.Device) *MultiLog {
 
 func mlUpdate(page uint64) *logrec.Record {
 	return logrec.NewUpdate(1, lsn.Undefined, page, logrec.UpdatePayload{
-		Op: logrec.OpSet, After: []byte("value"),
+		Op: logrec.OpSet, X: []byte("value"),
 	})
 }
 

@@ -83,6 +83,64 @@ func TestEscalationCoversRows(t *testing.T) {
 	}
 }
 
+// TestRowZeroIsARow: row key 0 is a row like any other, not its table's
+// key — a transaction holding X on row 0 leaves the table free for
+// another's intention lock — and it counts toward escalation: 65 row
+// requests that include row 0 escalate at the 65th.
+func TestRowZeroIsARow(t *testing.T) {
+	if RowKey(1, 0) == TableKey(1) || RowKey(1, 0).IsTable() || !TableKey(1).IsTable() {
+		t.Fatalf("RowKey(1, 0) = %v aliases TableKey(1) = %v", RowKey(1, 0), TableKey(1))
+	}
+	if RowKey(1, 0).hash() == TableKey(1).hash() {
+		t.Fatalf("row 0 and its table hash alike")
+	}
+	m := newMgr(t, Config{DeadlockTimeout: time.Hour})
+	w := m.NewLocker(1, nil)
+	if err := w.Acquire(TableKey(1), ModeIX); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Acquire(RowKey(1, 0), ModeX); err != nil {
+		t.Fatal(err)
+	}
+	r := m.NewLocker(2, nil)
+	done := make(chan error, 1)
+	go func() {
+		if err := r.Acquire(TableKey(1), ModeIS); err != nil {
+			done <- err
+			return
+		}
+		done <- r.Acquire(RowKey(1, 5), ModeS)
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a read of row 5 waits behind an update of row 0")
+	}
+	r.ReleaseAll()
+	w.ReleaseAll()
+
+	b := m.NewLocker(3, nil)
+	for k := uint64(0); k < escalateAfter+1; k++ {
+		if err := b.Acquire(TableKey(2), ModeIX); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Acquire(RowKey(2, k), ModeX); err != nil {
+			t.Fatal(err)
+		}
+		escalated := m.Stats().Escalations.Load() == 1
+		if want := k == escalateAfter; escalated != want {
+			t.Fatalf("after %d row requests from row 0 up, escalated %v, want %v", k+1, escalated, want)
+		}
+	}
+	if got := m.HeldModes(TableKey(2)); len(got) != 1 || got[0] != ModeX {
+		t.Fatalf("table grants %v after the escalation, want one X", got)
+	}
+	b.ReleaseAll()
+}
+
 // TestEscalationRefusedWithoutWaiting: while another transaction holds IS
 // or IX on the table, every escalation is refused at once — the bulk
 // transaction goes on with row locks, asking again every 64 rows, and

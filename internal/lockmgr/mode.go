@@ -76,27 +76,30 @@ func Supremum(a, b Mode) Mode { return sup[a][b] }
 // Covers reports whether holding mode a satisfies a request for mode b.
 func Covers(a, b Mode) bool { return Supremum(a, b) == a }
 
-// Key names a lockable object. Space identifies a table (or other
-// container); Object identifies a row within it, with Object==0 reserved
-// for the container itself (the hierarchy parent).
+// Key names a lockable object: a table (or other container) or a row
+// within one. Which of the two it is belongs to the key, not to a value
+// of Object, so every uint64 is a row's legal Object.
 type Key struct {
 	// Space identifies the container (table).
 	Space uint32
-	// Object identifies the row; 0 names the container itself.
+	// table marks the container's own key (TableKey); it sits in the
+	// padding after Space, so a Key stays 16 bytes.
+	table bool
+	// Object identifies the row; 0 in a table's key.
 	Object uint64
 }
 
 // TableKey returns the container-level key for a space.
-func TableKey(space uint32) Key { return Key{Space: space} }
+func TableKey(space uint32) Key { return Key{Space: space, table: true} }
 
-// RowKey returns the row-level key for an object in a space. Object must
-// be nonzero (zero names the table itself).
+// RowKey returns the row-level key for an object in a space. Every
+// object, 0 included, names a row: no row key is its table's.
 func RowKey(space uint32, object uint64) Key {
 	return Key{Space: space, Object: object}
 }
 
 // IsTable reports whether k names a container rather than a row.
-func (k Key) IsTable() bool { return k.Object == 0 }
+func (k Key) IsTable() bool { return k.table }
 
 // String formats the key for diagnostics.
 func (k Key) String() string {
@@ -110,6 +113,9 @@ func (k Key) String() string {
 // low partitionBits pick the partition, the bits above them the bucket.
 func (k Key) hash() uint64 {
 	h := uint64(k.Space)*0x9E3779B97F4A7C15 ^ k.Object*0xC2B2AE3D27D4EB4F
+	if k.table {
+		h ^= 0xD6E8FEB86659FD93
+	}
 	h ^= h >> 29
 	h *= 0xBF58476D1CE4E5B9
 	h ^= h >> 32

@@ -101,7 +101,8 @@ func TestColdStoreRoundtripAndIdempotency(t *testing.T) {
 
 // TestOldVersionObjectRefused: segment and snapshot objects carry log
 // bytes and update payloads, so an object in the envelope version of an
-// earlier record encoding (objVersion 3: a fixed 8-byte record frame,
+// earlier record encoding (objVersion 4: an update's before and after
+// images both logged; objVersion 3: a fixed 8-byte record frame,
 // chained commit and end records; objVersion 2: whole insert and delete
 // rows, a CLR's undo-next as is; objVersion 1: 48-byte record headers,
 // whole-row images) is refused — ErrBadObject and ErrFormat — by everything that
@@ -113,7 +114,7 @@ func TestOldVersionObjectRefused(t *testing.T) {
 		obj[4], obj[5] = version, 0 // the version field; the payload CRC does not cover it
 		return obj
 	}
-	versions := []byte{3, 2, 1}
+	versions := []byte{4, 3, 2, 1}
 	for _, v := range versions {
 		if _, _, _, err := DecodeObject(old(v, ObjSegment, 7, fill(64, 'o'))); !errors.Is(err, ErrBadObject) || !errors.Is(err, ErrFormat) {
 			t.Fatalf("DecodeObject of a version-%d object: %v, want ErrBadObject and ErrFormat", v, err)

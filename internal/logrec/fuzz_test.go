@@ -28,7 +28,9 @@ func FuzzRecordDecode(f *testing.F) {
 	row := bytes.Repeat([]byte("0123456789"), 10)
 	changed := append([]byte(nil), row...)
 	copy(changed[8:16], "ABCDEFGH")
-	up := Splice(5, row, changed)
+	up := Splice(nil, 5, row, changed)
+	grow := Splice(nil, 5, row, append(changed[:50:50], row[40:]...))
+	shrink := grow.Inverse()
 	ckpt := CheckpointPayload{
 		ActiveTxns: []TxnTableEntry{{TxnID: 7, LastLSN: 4096, Precommitted: true}, {TxnID: 9, LastLSN: lsn.Undefined}},
 		DirtyPages: []DirtyPageEntry{{PageID: 3<<40 | 17, RecLSN: 100}},
@@ -37,6 +39,8 @@ func FuzzRecordDecode(f *testing.F) {
 	clr.Seq = 77
 	for _, rec := range []*Record{
 		NewUpdate(42, 4096, 3<<40|17, up),
+		NewUpdate(42, 4096, 3<<40|17, grow),
+		NewCLR(42, 8192, 3<<40|17, 4096, shrink),
 		NewUpdate(42, lsn.Undefined, 1<<40, UpdatePayload{Op: OpInsert, Slot: 300, After: row}),
 		NewUpdate(42, 0, 5, UpdatePayload{Op: OpDelete, Slot: 1, Before: row[:10]}),
 		NewUpdate(42, 0, 5, UpdatePayload{Op: OpInsert, Slot: 2, After: append(row[:19:19], make([]byte, 81)...)}),
@@ -60,12 +64,15 @@ func FuzzRecordDecode(f *testing.F) {
 	f.Add([]byte{byte(KindCommit-1) | hasTxnID, 0x81, 0x00}) // over-long varint
 	f.Add([]byte{byte(KindCommit-1) | hasPrevLSN, 5})        // a commit's PrevLSN
 	pad, _ := NewPad(64).Encode()
-	f.Add(append([]byte{63 | 0x80, 0}, pad[1:]...)) // non-shortest length
-	f.Add(append([]byte{0}, pad[1:]...))            // zero length
-	f.Add(append([]byte{64}, pad[1:]...))           // length past the input
-	f.Add([]byte{byte(OpSet), 0, 0, 1, 'a', 'a'})   // untrimmed splice
-	f.Add([]byte{byte(OpInsert), 0, 3, 'a', 0})     // image ending in a zero byte
-	f.Add([]byte{byte(OpDelete), 0, 1, 'a', 'b'})   // image longer than its row
+	f.Add(append([]byte{63 | 0x80, 0}, pad[1:]...))     // non-shortest length
+	f.Add(append([]byte{0}, pad[1:]...))                // zero length
+	f.Add(append([]byte{64}, pad[1:]...))               // length past the input
+	f.Add([]byte{byte(OpSet), 0, 0, 0, 'a'})            // X starting with a zero byte
+	f.Add([]byte{byte(OpSet) | opResize, 0, 0, 0, 'a'}) // the resize bit with a zero delta
+	f.Add([]byte{byte(OpSet), 0, 0, 'a', 'b', 0})       // a tail with no resize
+	f.Add([]byte{byte(OpSet) | opResize, 0, 0, 4, 'a'}) // a tail longer than the payload
+	f.Add([]byte{byte(OpInsert), 0, 3, 'a', 0})         // image ending in a zero byte
+	f.Add([]byte{byte(OpDelete), 0, 1, 'a', 'b'})       // image longer than its row
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzRecord(t, data)
@@ -103,8 +110,8 @@ func fuzzUpdate(t *testing.T, src []byte) {
 	if err != nil {
 		return
 	}
-	if len(u.Before)+len(u.After) >= len(src) || u.EncodedSize() != len(src) {
-		t.Fatalf("update of %d bytes decoded to images of %d + %d, EncodedSize %d", len(src), len(u.Before), len(u.After), u.EncodedSize())
+	if img := len(u.Before) + len(u.After) + len(u.X) + len(u.Tail); img >= len(src) || u.EncodedSize() != len(src) {
+		t.Fatalf("update of %d bytes decoded to %d image bytes, EncodedSize %d", len(src), img, u.EncodedSize())
 	}
 	if u.Op != OpSet && (u.RowLen > MaxRowLen || int(u.RowLen) < len(u.Before)+len(u.After)) {
 		t.Fatalf("%v decoded to a %d-byte row from a %d-byte image", u.Op, u.RowLen, len(u.Before)+len(u.After))
@@ -113,12 +120,24 @@ func fuzzUpdate(t *testing.T, src []byte) {
 		t.Fatalf("update does not re-encode byte-identically:\n got %x\nfrom %x", again, src)
 	}
 	if u.Op == OpSet {
-		if s := Splice(u.Slot, u.Before, u.After); len(s.Before) != len(u.Before) || len(s.After) != len(u.After) {
-			t.Fatalf("accepted an OpSet that Splice would trim further: %q → %q", u.Before, u.After)
+		// Apply the splice to a row that is zero where X lands: the
+		// result and the row must be the rows Splice makes it from, and
+		// the inverse must take the one back to the other.
+		before := make([]byte, int(u.Off)+len(u.X), int(u.Off)+len(u.X)+len(u.Tail)+1)
+		if u.Delta < 0 {
+			before = append(before, u.Tail...)
+		}
+		before = append(before, 0xFF) // a suffix that ends neither image's tail
+		after := applySplice(before, u)
+		if s := Splice(nil, u.Slot, before, after); u.Delta == 0 && (s.Off != u.Off || !bytes.Equal(s.X, u.X)) {
+			t.Fatalf("accepted an OpSet that Splice would spell otherwise: off %d X %x, Splice makes off %d X %x", u.Off, u.X, s.Off, s.X)
+		}
+		if back := applySplice(after, u.Inverse()); !bytes.Equal(back, before) {
+			t.Fatalf("inverse of %+v turns %x back into %x", u, after, back)
 		}
 	}
-	if inv := u.Inverse().Inverse(); inv.Op != u.Op || inv.Slot != u.Slot || inv.Off != u.Off || inv.RowLen != u.RowLen ||
-		!bytes.Equal(inv.Before, u.Before) || !bytes.Equal(inv.After, u.After) {
+	if inv := u.Inverse().Inverse(); inv.Op != u.Op || inv.Slot != u.Slot || inv.Off != u.Off || inv.RowLen != u.RowLen || inv.Delta != u.Delta ||
+		!bytes.Equal(inv.Before, u.Before) || !bytes.Equal(inv.After, u.After) || !bytes.Equal(inv.X, u.X) || !bytes.Equal(inv.Tail, u.Tail) {
 		t.Fatalf("inverse is not an involution on %+v", u)
 	}
 }

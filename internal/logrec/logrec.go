@@ -8,7 +8,9 @@
 // with a log header and end with an arbitrary payload"). A field that
 // holds its absent value costs no bytes, and a commit or end record
 // carries no back-pointer, so a one-lane TPC-B commit record is 9 bytes
-// where Shore-MT's smallest record is 48 (§A.3). The checksum lets
+// where Shore-MT's smallest record is 48 (§A.3). An update's payload
+// logs the bytes it changed once, as before ⊕ after (UpdatePayload), so
+// a TPC-B balance update is 22 bytes. The checksum lets
 // recovery stop at the first torn or missing record — the paper's
 // requirement that "recovery must stop at the first gap it encounters". ARCHITECTURE.md, "The log
 // record", has the layout byte by byte.

@@ -2,6 +2,7 @@ package logrec
 
 import (
 	"bytes"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -304,23 +305,23 @@ func TestIteratorEmpty(t *testing.T) {
 }
 
 func TestUpdatePayloadRoundTrip(t *testing.T) {
-	u := UpdatePayload{
-		Op:     OpSet,
-		Slot:   7,
-		Before: []byte("old"),
-		After:  []byte("newer"),
-	}
-	enc := u.Encode(nil)
-	if len(enc) != u.EncodedSize() {
-		t.Fatalf("size mismatch: %d vs %d", len(enc), u.EncodedSize())
-	}
-	got, err := DecodeUpdate(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Op != OpSet || got.Slot != 7 ||
-		!bytes.Equal(got.Before, u.Before) || !bytes.Equal(got.After, u.After) {
-		t.Fatalf("round trip mismatch: %+v", got)
+	for _, u := range []UpdatePayload{
+		{Op: OpSet, Slot: 7, Off: 3, X: []byte("\x01a"), Tail: []byte("er"), Delta: 2},
+		{Op: OpSet, Slot: 7, Off: 3, X: []byte("\x01a"), Tail: []byte("er"), Delta: -2},
+		{Op: OpSet, Slot: 300, Off: 90, X: []byte("\x01\x00a")},
+	} {
+		enc := u.Encode(nil)
+		if len(enc) != u.EncodedSize() {
+			t.Fatalf("size mismatch: %d vs %d", len(enc), u.EncodedSize())
+		}
+		got, err := DecodeUpdate(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Op != OpSet || got.Slot != u.Slot || got.Off != u.Off || got.Delta != u.Delta ||
+			!bytes.Equal(got.X, u.X) || !bytes.Equal(got.Tail, u.Tail) {
+			t.Fatalf("round trip mismatch: %+v, want %+v", got, u)
+		}
 	}
 }
 
@@ -331,14 +332,22 @@ func TestUpdatePayloadMalformed(t *testing.T) {
 	}{
 		{"empty", nil},
 		{"unknown op", []byte{99, 0, 'x'}},
-		{"set without a before length", []byte{byte(OpSet), 2, 3}},
-		{"before image longer than the payload", []byte{byte(OpSet), 0, 0, 5, 'a'}},
+		{"set without an offset", []byte{byte(OpSet), 2}},
+		{"resize longer than the payload", []byte{byte(OpSet) | opResize, 0, 0, 10, 'a'}},
 		{"over-long slot varint", []byte{byte(OpInsert), 0x80, 0x00, 'x'}},
 		{"slot beyond uint16", []byte{byte(OpInsert), 0xff, 0xff, 0x04, 'x'}},
-		{"over-long offset varint", []byte{byte(OpSet), 0, 0x81, 0x00, 1, 'a', 'b'}},
-		{"shared first byte", []byte{byte(OpSet), 0, 0, 2, 'a', 'x', 'a', 'y'}},
-		{"shared last byte", []byte{byte(OpSet), 0, 0, 2, 'x', 'a', 'y', 'a'}},
-		{"empty splice away from offset 0", []byte{byte(OpSet), 0, 3, 0}},
+		{"over-long offset varint", []byte{byte(OpSet), 0, 0x81, 0x00, 'a'}},
+		{"offset beyond a row", binary.AppendUvarint([]byte{byte(OpSet), 0}, MaxRowLen+1)},
+		{"X starting with a zero byte (shared first byte)", []byte{byte(OpSet), 0, 0, 0, 'a'}},
+		{"X of a resize starting with a zero byte", []byte{byte(OpSet) | opResize, 0, 0, 2, 0, 'a'}},
+		{"X ending in a zero byte (shared last byte)", []byte{byte(OpSet), 0, 0, 'a', 0}},
+		{"tail with no resize", []byte{byte(OpSet), 0, 0, 'a', 'b', 0, 0}},
+		{"resize of zero bytes", []byte{byte(OpSet) | opResize, 0, 0, 0, 'a'}},
+		{"over-long delta varint", []byte{byte(OpSet) | opResize, 0, 0, 0x82, 0x00, 'a'}},
+		{"resize beyond a row", binary.AppendUvarint([]byte{byte(OpSet) | opResize, 0, 0}, 2*MaxRowLen+1)},
+		{"resize bit on an insert", []byte{byte(OpInsert) | opResize, 0, 1, 'a'}},
+		{"resize bit on a delete", []byte{byte(OpDelete) | opResize, 0, 1, 'a'}},
+		{"empty splice away from offset 0", []byte{byte(OpSet), 0, 3}},
 		{"insert without a row length", []byte{byte(OpInsert), 0}},
 		{"insert image ending in a zero byte", []byte{byte(OpInsert), 0, 3, 'a', 0}},
 		{"delete image ending in a zero byte", []byte{byte(OpDelete), 0, 3, 0}},
@@ -496,7 +505,7 @@ func TestAbsentFieldsCostNothing(t *testing.T) {
 		{"TPC-B commit", NewCommit(80_200), 6 + 3},
 		{"TPC-B commit, lane of three", &Record{Header: Header{Kind: KindCommit, TxnID: 80_200, PrevLSN: lsn.Undefined, Seq: 400_000}}, 9 + 3},
 		{"page id", &Record{Header: Header{Kind: KindUpdate, PrevLSN: lsn.Undefined, PageID: page}}, 6 + 1 + 2},
-		{"TPC-B update", NewUpdate(80_200, 33_000_000, page, Splice(80, []byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{8, 7, 6, 5, 4, 3, 2, 1})), 6 + 3 + 4 + 3 + 4 + 16},
+		{"TPC-B update", NewUpdate(80_200, 33_000_000, page, Splice(nil, 80, []byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{8, 7, 6, 5, 4, 3, 2, 1})), 6 + 3 + 4 + 3 + 3 + 8},
 		// Every field at its widest is a 50-byte rest: a one-byte length.
 		{"everything at its widest", &Record{Header: Header{Kind: KindCLR, Flags: FlagRedoOnly, TxnID: math.MaxUint64,
 			PrevLSN: lsn.Undefined - 1, PageID: math.MaxUint64, Aux: math.MaxUint64, Seq: math.MaxUint32}}, maxHeaderSize - maxLenSize + 1},
@@ -520,17 +529,35 @@ func TestAbsentFieldsCostNothing(t *testing.T) {
 	}
 }
 
-// applySplice is what a splice means, on a plain byte slice.
+// applySplice is what a splice means, on a plain byte slice: X XORed
+// into row[Off:], then Tail inserted after it or |Delta| bytes removed
+// there.
 func applySplice(row []byte, u UpdatePayload) []byte {
-	out := append([]byte(nil), row[:u.Off]...)
-	out = append(out, u.After...)
-	return append(out, row[int(u.Off)+len(u.Before):]...)
+	end := int(u.Off) + len(u.X)
+	out := append([]byte(nil), row[:end]...)
+	subtle.XORBytes(out[u.Off:], out[u.Off:], u.X)
+	if u.Delta > 0 {
+		out = append(out, u.Tail...)
+	}
+	return append(out, row[end+max(-int(u.Delta), 0):]...)
+}
+
+// spliced returns the images a splice turns into each other, b into a:
+// X is b ⊕ a over their common length and Tail the longer one's rest.
+func spliced(b, a string) (x, tail []byte, delta int32) {
+	n := min(len(b), len(a))
+	x = make([]byte, n)
+	subtle.XORBytes(x, []byte(b[:n]), []byte(a[:n]))
+	if len(a) > n {
+		return x, []byte(a[n:]), int32(len(a) - n)
+	}
+	return x, []byte(b[n:]), -int32(len(b) - n)
 }
 
 // TestSpliceTrimsToWhatChanged: Splice keeps exactly the bytes between
-// the rows' common prefix and common suffix, the payload it makes is one
-// DecodeUpdate accepts, and it and its inverse turn each row into the
-// other.
+// the rows' common prefix and common suffix, spelt as their XOR and the
+// longer one's rest; the payload it makes is one DecodeUpdate accepts,
+// and it and its inverse turn each row into the other.
 func TestSpliceTrimsToWhatChanged(t *testing.T) {
 	row := func(s string) []byte { return []byte(s) }
 	long := bytes.Repeat([]byte("0123456789"), 10)
@@ -540,7 +567,7 @@ func TestSpliceTrimsToWhatChanged(t *testing.T) {
 		name          string
 		before, after []byte
 		off           uint32
-		b, a          string
+		b, a          string // the trimmed images
 	}{
 		{"all changed", row("abcd"), row("wxyz"), 0, "abcd", "wxyz"},
 		{"nothing changed", row("same"), row("same"), 0, "", ""},
@@ -551,18 +578,22 @@ func TestSpliceTrimsToWhatChanged(t *testing.T) {
 		{"grow at the end", row("beta"), row("beta2"), 4, "", "2"},
 		{"shrink at the end", row("beta2"), row("beta"), 4, "2", ""},
 		{"grow in the middle", row("aXc"), row("aXYZc"), 2, "", "YZ"},
+		{"grow and change", row("aXc"), row("aYZWc"), 1, "X", "YZW"},
+		{"shrink and change", row("aYZWc"), row("aXc"), 1, "YZW", "X"},
 		{"shrink to a repeated byte", row("aa"), row("a"), 1, "a", ""},
 		{"grow from empty", nil, row("new"), 0, "", "new"},
 		{"8-byte field of a 100-byte row", long, field, 8, "89012345", "ABCDEFGH"},
 		{"100-byte row, last byte", long, append(append([]byte(nil), long[:99]...), 'x'), 99, "9", "x"},
 	} {
-		u := Splice(7, tc.before, tc.after)
-		if u.Op != OpSet || u.Slot != 7 || u.Off != tc.off || string(u.Before) != tc.b || string(u.After) != tc.a {
-			t.Errorf("%s: Splice = off %d %q → %q, want off %d %q → %q", tc.name, u.Off, u.Before, u.After, tc.off, tc.b, tc.a)
+		u := Splice(nil, 7, tc.before, tc.after)
+		x, tail, delta := spliced(tc.b, tc.a)
+		if u.Op != OpSet || u.Slot != 7 || u.Off != tc.off || !bytes.Equal(u.X, x) || !bytes.Equal(u.Tail, tail) || u.Delta != delta {
+			t.Errorf("%s: Splice = off %d X %x tail %q delta %d, want off %d X %x tail %q delta %d",
+				tc.name, u.Off, u.X, u.Tail, u.Delta, tc.off, x, tail, delta)
 			continue
 		}
 		got, err := DecodeUpdate(u.Encode(nil))
-		if err != nil || got.Off != u.Off || !bytes.Equal(got.Before, u.Before) || !bytes.Equal(got.After, u.After) {
+		if err != nil || got.Off != u.Off || !bytes.Equal(got.X, u.X) || !bytes.Equal(got.Tail, u.Tail) || got.Delta != u.Delta {
 			t.Errorf("%s: decoded %+v, %v", tc.name, got, err)
 		}
 		if fwd := applySplice(tc.before, u); !bytes.Equal(fwd, tc.after) {
@@ -575,18 +606,20 @@ func TestSpliceTrimsToWhatChanged(t *testing.T) {
 }
 
 // Property: for any two rows, Splice round-trips through the codec and
-// through application, both ways.
+// through application, both ways, and logs no byte outside what
+// differs.
 func TestQuickSplice(t *testing.T) {
 	f := func(prefix, a, b, suffix []byte) bool {
 		before := append(append(append([]byte(nil), prefix...), a...), suffix...)
 		after := append(append(append([]byte(nil), prefix...), b...), suffix...)
-		u := Splice(1, before, after)
+		u := Splice(nil, 1, before, after)
 		enc := u.Encode(nil)
 		got, err := DecodeUpdate(enc)
 		if err != nil || len(enc) != u.EncodedSize() || !bytes.Equal(got.Encode(nil), enc) {
 			return false
 		}
-		if len(u.Before)+len(u.After) > 0 && (int(u.Off) < len(prefix) || len(u.Before) > len(a) || len(u.After) > len(b)) {
+		grown, shrunk := max(int(u.Delta), 0), max(-int(u.Delta), 0)
+		if len(u.X)+len(u.Tail) > 0 && (int(u.Off) < len(prefix) || len(u.X)+shrunk > len(a) || len(u.X)+grown > len(b)) {
 			return false
 		}
 		return bytes.Equal(applySplice(before, got), after) &&
@@ -602,16 +635,17 @@ func TestSpliceDoesNotAllocate(t *testing.T) {
 	before, after := bytes.Repeat([]byte{7}, 100), bytes.Repeat([]byte{7}, 100)
 	after[9], after[12] = 1, 2
 	var rec Record
-	rec.SetUpdate(1, 2, 3, Splice(4, before, after)) // sizes the record's buffer
-	if n := testing.AllocsPerRun(100, func() { rec.SetUpdate(1, 2, 3, Splice(4, before, after)) }); n != 0 {
+	x := make([]byte, 0, 8)                             // the caller's X scratch, reused
+	rec.SetUpdate(1, 2, 3, Splice(x, 4, before, after)) // sizes the record's buffer
+	if n := testing.AllocsPerRun(100, func() { rec.SetUpdate(1, 2, 3, Splice(x, 4, before, after)) }); n != 0 {
 		t.Fatalf("Splice + SetUpdate allocate %.0f objects", n)
 	}
 }
 
 func TestUpdateInverse(t *testing.T) {
-	set := UpdatePayload{Op: OpSet, Slot: 3, Off: 9, Before: []byte("a"), After: []byte("b")}
+	set := UpdatePayload{Op: OpSet, Slot: 3, Off: 9, X: []byte("a"), Tail: []byte("bc"), Delta: 2}
 	inv := set.Inverse()
-	if inv.Op != OpSet || inv.Off != 9 || string(inv.Before) != "b" || string(inv.After) != "a" {
+	if inv.Op != OpSet || inv.Off != 9 || string(inv.X) != "a" || string(inv.Tail) != "bc" || inv.Delta != -2 {
 		t.Fatalf("set inverse wrong: %+v", inv)
 	}
 	ins := UpdatePayload{Op: OpInsert, Slot: 3, After: []byte("row")}
@@ -727,7 +761,7 @@ func TestConstructors(t *testing.T) {
 	if e.Kind != KindEnd || e.PrevLSN != lsn.Undefined {
 		t.Fatal("NewEnd wrong")
 	}
-	clr := NewCLR(5, 88, 7, 44, UpdatePayload{Op: OpSet, After: []byte("x")})
+	clr := NewCLR(5, 88, 7, 44, UpdatePayload{Op: OpSet, X: []byte("x")})
 	if clr.Kind != KindCLR || clr.UndoNext() != 44 || clr.Flags&FlagRedoOnly == 0 {
 		t.Fatal("NewCLR wrong")
 	}
@@ -796,13 +830,18 @@ func TestQuickBitFlipDetected(t *testing.T) {
 	}
 }
 
-// Property: update payload inverse is an involution and swaps images.
+// Property: a splice's inverse negates its Delta and keeps its bytes,
+// so inverting twice gives the splice back.
 func TestQuickUpdateInverseInvolution(t *testing.T) {
-	f := func(slot uint16, before, after []byte) bool {
-		u := UpdatePayload{Op: OpSet, Slot: slot, Before: before, After: after}
-		inv2 := u.Inverse().Inverse()
-		return inv2.Op == u.Op && inv2.Slot == u.Slot &&
-			bytes.Equal(inv2.Before, u.Before) && bytes.Equal(inv2.After, u.After)
+	f := func(slot uint16, off uint16, x, tail []byte, shrink bool) bool {
+		u := UpdatePayload{Op: OpSet, Slot: slot, Off: uint32(off), X: x, Tail: tail, Delta: int32(len(tail))}
+		if shrink {
+			u.Delta = -u.Delta
+		}
+		inv, inv2 := u.Inverse(), u.Inverse().Inverse()
+		return inv.Delta == -u.Delta && bytes.Equal(inv.X, u.X) && bytes.Equal(inv.Tail, u.Tail) &&
+			inv2.Op == u.Op && inv2.Slot == u.Slot && inv2.Off == u.Off && inv2.Delta == u.Delta &&
+			bytes.Equal(inv2.X, u.X) && bytes.Equal(inv2.Tail, u.Tail)
 	}
 	if err := quick.Check(f, quickCfg()); err != nil {
 		t.Fatal(err)
@@ -821,7 +860,7 @@ func quickCfg() *quick.Config {
 // log.
 func TestSetInPlaceEncodesLikeFresh(t *testing.T) {
 	before, after := bytes.Repeat([]byte{0xB0}, 100), bytes.Repeat([]byte{0xAF}, 100)
-	up := UpdatePayload{Op: OpSet, Slot: 5, Before: before, After: after}
+	up := Splice(nil, 5, before, after)
 	inv := up.Inverse()
 	cases := []struct {
 		name string

@@ -1,11 +1,13 @@
 package logrec
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"aether/internal/lsn"
 )
@@ -19,7 +21,7 @@ import (
 type UpdateOp uint8
 
 const (
-	// OpSet overwrites a slot's bytes (before → after).
+	// OpSet splices a slot's row (before → after).
 	OpSet UpdateOp = iota + 1
 	// OpInsert adds a record at a slot (undo = delete).
 	OpInsert
@@ -44,41 +46,58 @@ func (o UpdateOp) String() string {
 var ErrBadPayload = errors.New("logrec: malformed payload")
 
 // UpdatePayload is the body of a KindUpdate or KindCLR record: a
-// physiological, slot-level change with both images so it can be redone
-// and undone.
+// physiological, slot-level change that can be redone and undone.
 //
-// An OpSet is a splice, row[Off : Off+len(Before)] → After: it logs the
-// bytes the update changed and where, not the row (Splice trims the two
-// row images to that). An insert carries the new row in After, a delete
-// the old one in Before; neither has an Off. Their row is logged the same
-// way, as a splice from an all-zero row of the same length: its length
-// and its bytes up to the last non-zero one, the rest of the row being
-// implied zeros.
+// An OpSet is a splice: it turns row[Off : Off+len(b)] into a, where b
+// and a are what Splice leaves of the row's before and after images once
+// their common prefix and suffix are trimmed. It logs the bytes that
+// changed once, not twice: X is b ⊕ a over the bytes both cover, and
+// Tail is the longer one's remaining bytes. Delta is the row's change in
+// length, len(a) − len(b), so Tail holds |Delta| bytes: the row gains
+// them at Off+len(X) when Delta > 0 and loses them there when Delta < 0.
+// XOR is its own inverse, so an OpSet undoes itself with Delta negated.
+// An insert carries the new row in After, a delete the old one in
+// Before; neither has an Off. Their row is logged as its length and its
+// bytes up to the last non-zero one, the rest of the row being implied
+// zeros.
 //
 // Encoding (varints as in the record header, shortest form only):
 //
-//	OpSet     op byte | Slot | Off | len(Before) | Before | After
+//	OpSet     op byte | Slot | Off | X                  (Delta = 0)
+//	OpSet     op byte | Slot | Off | zigzag(Delta) | X | Tail
 //	OpInsert  op byte | Slot | row length | After without its zero tail
 //	OpDelete  op byte | Slot | row length | Before without its zero tail
 //
-// The last image runs to the end of the payload. DecodeUpdate accepts
-// only what Encode writes for a payload Splice could have made.
+// An OpSet that resizes its row sets opResize in its op byte; Tail is
+// the payload's last |Delta| bytes and X what comes before them. The
+// last image runs to the end of the payload. DecodeUpdate accepts only
+// what Encode writes for a payload Splice could have made.
 type UpdatePayload struct {
 	// Op is the slot operation (set, insert, delete).
 	Op UpdateOp
 	// Slot is the target slot in the page's directory.
 	Slot uint16
-	// Off is where in the row an OpSet's images start (0 for other ops).
+	// Off is where in the row an OpSet's splice starts (0 for other ops).
 	Off uint32
-	// Before is the pre-image (empty for inserts): the undo side.
+	// X is an OpSet's before ⊕ after over the bytes both images cover.
+	X []byte
+	// Tail is an OpSet's longer image's bytes past len(X): |Delta| of them.
+	Tail []byte
+	// Delta is an OpSet's change in row length, after less before.
+	Delta int32
+	// Before is a delete's row (empty for other ops): the undo side.
 	Before []byte
-	// After is the post-image (empty for deletes): the redo side.
+	// After is an insert's row (empty for other ops): the redo side.
 	After []byte
 	// RowLen is an insert's or delete's row length where its image stops
 	// short of it: the row is the image followed by zeros. DecodeUpdate
 	// sets it; a caller that hands over the whole row may leave it 0.
 	RowLen uint32
 }
+
+// opResize flags, in an OpSet's op byte, the zigzag Delta that follows
+// Off: only a splice that changes its row's length pays for one.
+const opResize = 0x80
 
 // MaxRowLen is the longest row a page holds: storage.MaxRecordSize, an
 // 8 KiB page less its 24-byte header and one 4-byte slot entry. An insert
@@ -87,9 +106,11 @@ const MaxRowLen = 8192 - 24 - 4
 
 // Splice returns the OpSet that turns the row image before into after:
 // the two with their common prefix and then their common suffix trimmed,
-// and Off where what is left starts. The images alias the arguments. Two
-// equal rows make the empty splice at offset 0.
-func Splice(slot uint16, before, after []byte) UpdatePayload {
+// Off where what is left starts, and that rest spelt as X and Tail. X is
+// written over dst's backing array, which is reallocated only if it is
+// too short; Tail aliases before or after. Two equal rows make the empty
+// splice at offset 0.
+func Splice(dst []byte, slot uint16, before, after []byte) UpdatePayload {
 	off := commonPrefix(before, after)
 	before, after = before[off:], after[off:]
 	tail := commonSuffix(before, after)
@@ -97,7 +118,14 @@ func Splice(slot uint16, before, after []byte) UpdatePayload {
 	if len(before) == 0 && len(after) == 0 {
 		off = 0
 	}
-	return UpdatePayload{Op: OpSet, Slot: slot, Off: uint32(off), Before: before, After: after}
+	n := min(len(before), len(after))
+	x := slices.Grow(dst[:0], n)[:n]
+	subtle.XORBytes(x, before[:n], after[:n])
+	u := UpdatePayload{Op: OpSet, Slot: slot, Off: uint32(off), X: x, Tail: after[n:], Delta: int32(len(after) - len(before))}
+	if u.Delta < 0 {
+		u.Tail = before[n:]
+	}
+	return u
 }
 
 // commonPrefix returns how many leading bytes a and b share, comparing
@@ -141,6 +169,9 @@ func significant(b []byte) int {
 	return n
 }
 
+// zigzag maps a signed Delta onto the unsigned varint that spells it.
+func zigzag(d int32) uint64 { return uint64(uint32(d<<1) ^ uint32(d>>31)) }
+
 // image returns an insert's After or a delete's Before.
 func (u *UpdatePayload) image() []byte {
 	if u.Op == OpInsert {
@@ -154,22 +185,46 @@ func (u *UpdatePayload) image() []byte {
 // RowSize - len(image) zeros.
 func (u *UpdatePayload) RowSize() int { return max(int(u.RowLen), len(u.image())) }
 
-// EncodedSize returns the payload's encoded length.
-func (u *UpdatePayload) EncodedSize() int {
-	n := 1 + uvarintLen(uint64(u.Slot))
+// PayloadSizes is an update payload's encoded length split into its
+// fields, in bytes: the op byte and the slot, then an OpSet's offset,
+// Delta (only when it resizes its row), X and Tail, or an insert's or
+// delete's row length and row image.
+type PayloadSizes struct {
+	Op, Slot, Off, Delta, X, Tail, RowLen, Row int
+}
+
+// Sizes returns how the payload's EncodedSize bytes divide among its
+// fields.
+func (u *UpdatePayload) Sizes() PayloadSizes {
+	s := PayloadSizes{Op: 1, Slot: uvarintLen(uint64(u.Slot))}
 	switch u.Op {
 	case OpInsert, OpDelete:
-		return n + uvarintLen(uint64(u.RowSize())) + significant(u.image())
+		s.RowLen, s.Row = uvarintLen(uint64(u.RowSize())), significant(u.image())
+		return s
 	}
-	return n + uvarintLen(uint64(u.Off)) + uvarintLen(uint64(len(u.Before))) + len(u.Before) + len(u.After)
+	s.Off, s.X, s.Tail = uvarintLen(uint64(u.Off)), len(u.X), len(u.Tail)
+	if u.Delta != 0 {
+		s.Delta = uvarintLen(zigzag(u.Delta))
+	}
+	return s
+}
+
+// EncodedSize returns the payload's encoded length.
+func (u *UpdatePayload) EncodedSize() int {
+	s := u.Sizes()
+	return s.Op + s.Slot + s.Off + s.Delta + s.X + s.Tail + s.RowLen + s.Row
 }
 
 // Encode appends the payload to dst and returns the extended slice. It
-// writes the fields the op has: an insert's Before and Off and a
-// delete's After and Off are not part of the payload, and an insert's
-// or delete's row goes without its zero tail.
+// writes the fields the op has — an OpSet's Off, Delta, X and Tail, an
+// insert's After or a delete's Before without the row's zero tail — and
+// none of the others.
 func (u *UpdatePayload) Encode(dst []byte) []byte {
-	dst = append(dst, byte(u.Op))
+	op := byte(u.Op)
+	if u.Op == OpSet && u.Delta != 0 {
+		op |= opResize
+	}
+	dst = append(dst, op)
 	dst = binary.AppendUvarint(dst, uint64(u.Slot))
 	switch u.Op {
 	case OpInsert, OpDelete:
@@ -177,24 +232,32 @@ func (u *UpdatePayload) Encode(dst []byte) []byte {
 		return append(binary.AppendUvarint(dst, uint64(u.RowSize())), img[:significant(img)]...)
 	}
 	dst = binary.AppendUvarint(dst, uint64(u.Off))
-	dst = binary.AppendUvarint(dst, uint64(len(u.Before)))
-	dst = append(dst, u.Before...)
-	return append(dst, u.After...)
+	if u.Delta != 0 {
+		dst = binary.AppendUvarint(dst, zigzag(u.Delta))
+	}
+	return append(append(dst, u.X...), u.Tail...)
 }
 
 // DecodeUpdate parses a KindUpdate or KindCLR payload. The returned
 // slices alias src; an insert's or delete's image is its row without the
 // zero tail, and RowLen the row's length. Besides truncation, unknown ops
-// and non-minimal varints it refuses an OpSet whose images still share a
-// first or a last byte, or an empty one away from offset 0, and an insert
-// or delete whose image ends in a zero byte or runs past its row length,
-// or whose row is longer than MaxRowLen: such a payload has a shorter
-// spelling or means no row, and the log holds one spelling of everything.
+// and non-minimal varints it refuses an OpSet whose X starts with a zero
+// byte (the splice starts later), or whose row keeps its length and
+// whose X ends in a zero byte or is empty away from offset 0, or that
+// flags a resize of zero bytes or of more bytes than it carries; and an
+// insert or delete whose image ends in a zero byte or runs past its row
+// length, or whose row is longer than MaxRowLen: such a payload has a
+// shorter spelling or means no row, and the log holds one spelling of
+// everything.
 func DecodeUpdate(src []byte) (UpdatePayload, error) {
 	if len(src) == 0 {
 		return UpdatePayload{}, ErrBadPayload
 	}
-	u := UpdatePayload{Op: UpdateOp(src[0])}
+	u := UpdatePayload{Op: UpdateOp(src[0] &^ opResize)}
+	resize := src[0]&opResize != 0
+	if resize && u.Op != OpSet {
+		return UpdatePayload{}, ErrBadPayload
+	}
 	c := cursor{src: src[1:], ok: true}
 	u.Slot = uint16(c.uvarint(0, math.MaxUint16))
 	switch u.Op {
@@ -211,17 +274,21 @@ func DecodeUpdate(src []byte) (UpdatePayload, error) {
 			u.Before = img
 		}
 	case OpSet:
-		u.Off = uint32(c.uvarint(0, MaxPayload))
-		bl := int(c.uvarint(0, MaxPayload))
-		if !c.ok || bl > len(c.src) {
+		u.Off = uint32(c.uvarint(0, MaxRowLen))
+		if resize {
+			z := c.uvarint(1, 2*MaxRowLen)
+			u.Delta = int32(z>>1) ^ -int32(z&1)
+		}
+		tail := int(max(u.Delta, -u.Delta))
+		if !c.ok || tail > len(c.src) {
 			return UpdatePayload{}, ErrBadPayload
 		}
-		b, a := c.src[:bl], c.src[bl:]
-		if len(b) == 0 && len(a) == 0 && u.Off != 0 ||
-			len(b) > 0 && len(a) > 0 && (b[0] == a[0] || b[len(b)-1] == a[len(a)-1]) {
+		x := c.src[:len(c.src)-tail]
+		if len(x) > 0 && x[0] == 0 ||
+			!resize && (len(x) == 0 && u.Off != 0 || len(x) > 0 && x[len(x)-1] == 0) {
 			return UpdatePayload{}, ErrBadPayload
 		}
-		u.Before, u.After = b, a
+		u.X, u.Tail = x, c.src[len(x):]
 	default:
 		return UpdatePayload{}, ErrBadPayload
 	}
@@ -233,7 +300,7 @@ func DecodeUpdate(src []byte) (UpdatePayload, error) {
 
 // Inverse returns the payload that undoes u, used when writing CLRs: an
 // insert's is the delete of the same row and the other way round, a
-// splice's is the splice back at the same offset.
+// splice's is the same splice with Delta negated.
 func (u UpdatePayload) Inverse() UpdatePayload {
 	switch u.Op {
 	case OpInsert:
@@ -241,7 +308,7 @@ func (u UpdatePayload) Inverse() UpdatePayload {
 	case OpDelete:
 		return UpdatePayload{Op: OpInsert, Slot: u.Slot, After: u.Before, RowLen: u.RowLen}
 	default:
-		return UpdatePayload{Op: OpSet, Slot: u.Slot, Off: u.Off, Before: u.After, After: u.Before}
+		return UpdatePayload{Op: OpSet, Slot: u.Slot, Off: u.Off, X: u.X, Tail: u.Tail, Delta: -u.Delta}
 	}
 }
 

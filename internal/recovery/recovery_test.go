@@ -84,7 +84,7 @@ func TestRecoverUndoLoser(t *testing.T) {
 	ins := logrec.UpdatePayload{Op: logrec.OpInsert, Slot: 0, After: []byte("base")}
 	_, _ = lb.add(t, logrec.NewUpdate(1, lsn.Undefined, pid, ins))
 	lb.add(t, logrec.NewCommit(1))
-	set := logrec.Splice(0, []byte("base"), []byte("evil"))
+	set := logrec.Splice(nil, 0, []byte("base"), []byte("evil"))
 	lb.add(t, logrec.NewUpdate(2, lsn.Undefined, pid, set))
 
 	st := storage.NewStore()
@@ -104,6 +104,40 @@ func TestRecoverUndoLoser(t *testing.T) {
 	}
 }
 
+// TestRedoSkipsSpliceItsStampCovers: a splice XORs its bytes into the
+// row, so applying one twice undoes it. Redo must therefore leave alone
+// a page whose stamp already covers the record — here a page written
+// back after the committed update, the row's insert already truncated
+// from the log — and the row must keep the update.
+func TestRedoSkipsSpliceItsStampCovers(t *testing.T) {
+	var lb logBuilder
+	pid := storage.MakePageID(1, 1)
+	set := logrec.Splice(nil, 0, []byte("base"), []byte("evil"))
+	_, setEnd := lb.add(t, logrec.NewUpdate(2, lsn.Undefined, pid, set))
+	lb.add(t, logrec.NewCommit(2))
+
+	st := storage.NewStore()
+	p, err := st.GetOrCreate(pid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Insert(0, []byte("evil")); err != nil {
+		t.Fatal(err)
+	}
+	p.SetLSN(setEnd)
+	p.Unpin()
+	res, err := Recover(Options{Log: lb.buf, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RedoApplied != 0 {
+		t.Fatalf("redo applied %d records to a page that reflects them all", res.RedoApplied)
+	}
+	if got, err := mustPage(t, st, pid).Get(0); err != nil || string(got) != "evil" {
+		t.Fatalf("row after recovery: %q %v, want the committed update's \"evil\"", got, err)
+	}
+}
+
 func TestRecoverCLRSkipsAlreadyUndone(t *testing.T) {
 	var lb logBuilder
 	pid := storage.MakePageID(1, 1)
@@ -111,7 +145,7 @@ func TestRecoverCLRSkipsAlreadyUndone(t *testing.T) {
 	// rollback before crash). Recovery must undo only the insert.
 	ins := logrec.UpdatePayload{Op: logrec.OpInsert, Slot: 0, After: []byte("v1")}
 	insAt, _ := lb.add(t, logrec.NewUpdate(5, lsn.Undefined, pid, ins))
-	set := logrec.Splice(0, []byte("v1"), []byte("v2"))
+	set := logrec.Splice(nil, 0, []byte("v1"), []byte("v2"))
 	setAt, _ := lb.add(t, logrec.NewUpdate(5, insAt, pid, set))
 	lb.add(t, logrec.NewCLR(5, setAt, pid, insAt, set.Inverse()))
 
@@ -252,9 +286,9 @@ func TestRecoverMultipleLosersInterleaved(t *testing.T) {
 	b1, _ := lb.add(t, logrec.NewUpdate(11, lsn.Undefined, p2,
 		logrec.UpdatePayload{Op: logrec.OpInsert, Slot: 0, After: []byte("b1")}))
 	lb.add(t, logrec.NewUpdate(10, a1, p1,
-		logrec.Splice(0, []byte("a1"), []byte("a2"))))
+		logrec.Splice(nil, 0, []byte("a1"), []byte("a2"))))
 	lb.add(t, logrec.NewUpdate(11, b1, p2,
-		logrec.Splice(0, []byte("b1"), []byte("b2"))))
+		logrec.Splice(nil, 0, []byte("b1"), []byte("b2"))))
 
 	st := storage.NewStore()
 	res, err := Recover(Options{Log: lb.buf, Store: st})

@@ -60,7 +60,7 @@ func TestRecoveryStreamsTheTail(t *testing.T) {
 				pg := (id - 1) + txns*((i/txns)%2)
 				next := uint64(i + 1)
 				prev[id], _ = ll.add(t, id%n, stamp(logrec.NewUpdate(uint64(id), prev[id], storage.MakePageID(1, uint64(pg+1)),
-					logrec.Splice(0, val(cur[pg]), val(next))), pg))
+					logrec.Splice(nil, 0, val(cur[pg]), val(next))), pg))
 				cur[pg] = next
 				if id != txns { // the last transaction never commits
 					committed[pg] = next

@@ -423,7 +423,7 @@ func TestStoreStealsVsStreamedSweepAndCleaner(t *testing.T) {
 			i := rng.Intn(rows/updaters)*updaters + u
 			n++
 			v := n
-			err := h.Mutate(rids[i], sl.log, func([]byte) ([]byte, error) { return stamp(i, v), nil })
+			err := h.Mutate(rids[i], new([]byte), sl.log, func([]byte) ([]byte, error) { return stamp(i, v), nil })
 			if err != nil {
 				return err
 			}

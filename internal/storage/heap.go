@@ -178,10 +178,12 @@ func (h *HeapFile) Read(rid RID) ([]byte, error) {
 
 // Mutate applies fn to the record bytes under the exclusive latch,
 // logging what it changed (logrec.Splice) in one step: the update path
-// behind Txn.Update (read-modify-write of a balance field). A row fn
-// grows past what the page can hold fails with ErrPageFull (or
-// ErrRecordTooBig) before anything is logged.
-func (h *HeapFile) Mutate(rid RID, log LogFunc, fn func(cur []byte) ([]byte, error)) error {
+// behind Txn.Update (read-modify-write of a balance field). The splice's
+// X is built in *x, the caller's scratch, which keeps whatever it grew
+// to so that updates do not allocate. A row fn grows past what the page
+// can hold fails with ErrPageFull (or ErrRecordTooBig) before anything
+// is logged.
+func (h *HeapFile) Mutate(rid RID, x *[]byte, log LogFunc, fn func(cur []byte) ([]byte, error)) error {
 	p, err := h.store.Get(rid.Page)
 	if err != nil {
 		return err
@@ -211,7 +213,8 @@ func (h *HeapFile) Mutate(rid RID, log LogFunc, fn func(cur []byte) ([]byte, err
 			return ErrPageFull
 		}
 	}
-	up := logrec.Splice(rid.Slot, before, after)
+	up := logrec.Splice(*x, rid.Slot, before, after)
+	*x = up.X
 	end, err := log(rid.Page, up)
 	if err != nil {
 		return err

@@ -30,6 +30,8 @@ func (c *countingLog) log(pid uint64, up logrec.UpdatePayload) (lsn.LSN, error) 
 	cp := up
 	cp.Before = append([]byte(nil), up.Before...)
 	cp.After = append([]byte(nil), up.After...)
+	cp.X = append([]byte(nil), up.X...)
+	cp.Tail = append([]byte(nil), up.Tail...)
 	c.ups = append(c.ups, cp)
 	c.pids = append(c.pids, pid)
 	return c.next, nil
@@ -52,7 +54,7 @@ func TestHeapInsertReadUpdateDelete(t *testing.T) {
 	if err != nil || string(got) != "balance=100" {
 		t.Fatalf("Read: %q %v", got, err)
 	}
-	if err := h.Mutate(rid, cl.log, func([]byte) ([]byte, error) { return []byte("balance=150"), nil }); err != nil {
+	if err := h.Mutate(rid, new([]byte), cl.log, func([]byte) ([]byte, error) { return []byte("balance=150"), nil }); err != nil {
 		t.Fatal(err)
 	}
 	got, _ = h.Read(rid)
@@ -73,8 +75,8 @@ func TestHeapInsertReadUpdateDelete(t *testing.T) {
 	if cl.ups[0].Op != logrec.OpInsert || string(cl.ups[0].After) != "balance=100" {
 		t.Fatalf("insert record: %+v", cl.ups[0])
 	}
-	if cl.ups[1].Op != logrec.OpSet || cl.ups[1].Off != 9 || string(cl.ups[1].Before) != "0" ||
-		string(cl.ups[1].After) != "5" {
+	if cl.ups[1].Op != logrec.OpSet || cl.ups[1].Off != 9 || !bytes.Equal(cl.ups[1].X, []byte{'0' ^ '5'}) ||
+		cl.ups[1].Delta != 0 || len(cl.ups[1].Tail) != 0 {
 		t.Fatalf("set record: %+v", cl.ups[1])
 	}
 	if cl.ups[2].Op != logrec.OpDelete || string(cl.ups[2].Before) != "balance=150" {
@@ -90,7 +92,7 @@ func TestHeapMutate(t *testing.T) {
 	binary.LittleEndian.PutUint64(buf, 100)
 	rid, _ := h.Insert(buf, cl.log)
 
-	err := h.Mutate(rid, cl.log, func(cur []byte) ([]byte, error) {
+	err := h.Mutate(rid, new([]byte), cl.log, func(cur []byte) ([]byte, error) {
 		v := binary.LittleEndian.Uint64(cur)
 		out := make([]byte, 8)
 		binary.LittleEndian.PutUint64(out, v+23)
@@ -106,7 +108,7 @@ func TestHeapMutate(t *testing.T) {
 	// Mutate with failing fn leaves the record untouched and logs nothing.
 	before := len(cl.ups)
 	sentinel := errors.New("nope")
-	if err := h.Mutate(rid, cl.log, func([]byte) ([]byte, error) {
+	if err := h.Mutate(rid, new([]byte), cl.log, func([]byte) ([]byte, error) {
 		return nil, sentinel
 	}); !errors.Is(err, sentinel) {
 		t.Fatal(err)
@@ -122,7 +124,7 @@ func TestHeapMutate(t *testing.T) {
 		}
 	}
 	before = len(cl.ups)
-	if err := h.Mutate(rid, cl.log, func([]byte) ([]byte, error) {
+	if err := h.Mutate(rid, new([]byte), cl.log, func([]byte) ([]byte, error) {
 		return make([]byte, 4008), nil
 	}); !errors.Is(err, ErrPageFull) {
 		t.Fatalf("growing past the page: %v, want ErrPageFull", err)
@@ -363,7 +365,7 @@ func TestHeapLeavesDirtyPagesToTheLog(t *testing.T) {
 		rids = append(rids, rid)
 	}
 	for _, rid := range rids[:20] {
-		if err := h.Mutate(rid, cl.log, func(cur []byte) ([]byte, error) {
+		if err := h.Mutate(rid, new([]byte), cl.log, func(cur []byte) ([]byte, error) {
 			return append([]byte{1}, cur[1:]...), nil
 		}); err != nil {
 			t.Fatal(err)
@@ -396,7 +398,7 @@ func TestHeapLeavesDirtyPagesToTheLog(t *testing.T) {
 	if _, err := h.Insert(make([]byte, 1000), nopLog); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Mutate(rids[0], nopLog, func(cur []byte) ([]byte, error) { return cur, nil }); err != nil {
+	if err := h.Mutate(rids[0], new([]byte), nopLog, func(cur []byte) ([]byte, error) { return cur, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.Delete(rids[0], nopLog); err != nil {

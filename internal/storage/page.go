@@ -17,6 +17,7 @@
 package storage
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -424,37 +425,46 @@ func (p *Page) compact() {
 	p.setFreeStart(off)
 }
 
-// splice replaces row[off : off+oldLen] of a live slot with repl. A
-// replacement of the same length — every fixed-width field update — is
-// patched where the row stands; one that changes the row's length
-// rebuilds it (resplice). A range the row does not have fails before
-// anything is written.
-func (p *Page) splice(slot, off, oldLen int, repl []byte) error {
+// splice applies an OpSet to a live slot: it XORs x into row[off :
+// off+len(x)] and then, if the row changes length, inserts tail there
+// (delta > 0) or removes the -delta bytes that follow (delta < 0). One of
+// the same length — every fixed-width field update — is patched where
+// the row stands; one that changes the row's length rebuilds it
+// (resplice). A range the row does not have fails before anything is
+// written.
+func (p *Page) splice(slot, off int, x, tail []byte, delta int) error {
 	row, err := p.View(slot)
 	if err != nil {
 		return err
 	}
-	end := off + oldLen
-	if end > len(row) {
-		return fmt.Errorf("%w: slot %d holds %d bytes, splice covers [%d, %d)", ErrBadSplice, slot, len(row), off, end)
+	end := off + len(x)
+	cut := end + max(-delta, 0) // the row's bytes from cut on follow the splice
+	if cut > len(row) || len(tail) != max(delta, -delta) {
+		return fmt.Errorf("%w: slot %d holds %d bytes, splice covers [%d, %d) and a %d-byte tail for a %+d resize",
+			ErrBadSplice, slot, len(row), off, cut, len(tail), delta)
 	}
-	if oldLen == len(repl) {
-		copy(row[off:], repl)
+	if delta == 0 {
+		subtle.XORBytes(row[off:end], row[off:end], x)
 		return nil
 	}
-	return p.resplice(slot, row[:off], repl, row[end:])
+	if delta < 0 {
+		tail = nil
+	}
+	return p.resplice(slot, row, off, end, cut, x, tail)
 }
 
-// resplice sets a slot to head+repl+tail, where head and tail alias the
-// slot's current row. It is splice's cold half, apart so that the page
-// of stack the new row is assembled in is not part of every update's
-// frame.
-func (p *Page) resplice(slot int, head, repl, tail []byte) error {
-	if len(head)+len(repl)+len(tail) > MaxRecordSize {
+// resplice sets a slot to row[:off], row[off:end] ⊕ x, ins and row[cut:],
+// where row is the slot's current row. It is splice's cold half, apart
+// so that the page of stack the new row is assembled in is not part of
+// every update's frame.
+func (p *Page) resplice(slot int, row []byte, off, end, cut int, x, ins []byte) error {
+	if end+len(ins)+len(row)-cut > MaxRecordSize {
 		return ErrRecordTooBig
 	}
 	var buf [MaxRecordSize]byte
-	return p.Set(slot, append(append(append(buf[:0], head...), repl...), tail...))
+	out := append(append(buf[:0], row[:end]...), ins...)
+	subtle.XORBytes(out[off:end], out[off:end], x)
+	return p.Set(slot, append(out, row[cut:]...))
 }
 
 // Apply performs a physiological update (from a log record) against the
@@ -462,16 +472,18 @@ func (p *Page) resplice(slot int, head, repl, tail []byte) error {
 // same function applies forward updates, rollback inverses and recovery
 // redo. An insert writes its row's zero tail itself, so a decoded one
 // (whose image stops at the last non-zero byte) needs no copy of the
-// row. Applying a length-changing splice twice is no more idempotent
-// than applying an insert twice; the callers' page-stamp guards see to
-// it that nothing is.
+// row. Nothing it applies is idempotent: a splice XORs its X into the
+// row, so applying one twice undoes it, and an insert applied twice
+// fails. Every caller applies each record exactly once — the forward
+// path and rollback under the page latch as they log, and recovery's
+// redo only where the page's stamp is below the record's.
 func (p *Page) Apply(up logrec.UpdatePayload, at lsn.LSN) error {
 	var err error
 	switch up.Op {
 	case logrec.OpInsert:
 		err = p.insert(int(up.Slot), up.After, up.RowSize())
 	case logrec.OpSet:
-		err = p.splice(int(up.Slot), int(up.Off), len(up.Before), up.After)
+		err = p.splice(int(up.Slot), int(up.Off), up.X, up.Tail, int(up.Delta))
 	case logrec.OpDelete:
 		err = p.Delete(int(up.Slot))
 	default:

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -206,7 +207,7 @@ func TestPageApplySplice(t *testing.T) {
 			}
 		}
 		orig := p.Snapshot()
-		up := logrec.Splice(1, base, tc.after)
+		up := logrec.Splice(nil, 1, base, tc.after)
 		if err := p.Apply(up, 10); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -234,15 +235,119 @@ func TestPageApplySplice(t *testing.T) {
 		// the page — stamp included — is as it was.
 		before := p.Snapshot()
 		for _, bad := range []logrec.UpdatePayload{
-			{Op: logrec.OpSet, Slot: 1, Off: 93, Before: []byte("3456789!"), After: []byte("ABCDEFGH")},
-			{Op: logrec.OpSet, Slot: 1, Off: 101, After: []byte("tail")},
-			{Op: logrec.OpSet, Slot: 0, Off: 10, Before: []byte("bour?"), After: nil},
+			{Op: logrec.OpSet, Slot: 1, Off: 93, X: []byte("\x013456789")},
+			{Op: logrec.OpSet, Slot: 1, Off: 101, Tail: []byte("tail"), Delta: 4},
+			{Op: logrec.OpSet, Slot: 0, Off: 10, Tail: []byte("bour?"), Delta: -5},
+			{Op: logrec.OpSet, Slot: 1, Off: 0, Tail: []byte("ab"), Delta: 3}, // a tail that is not |Delta| bytes
 		} {
 			if err := p.Apply(bad, 99); !errors.Is(err, ErrBadSplice) {
-				t.Fatalf("%s: splice [%d, %d) of slot %d: got %v, want ErrBadSplice", tc.name, bad.Off, int(bad.Off)+len(bad.Before), bad.Slot, err)
+				t.Fatalf("%s: splice at %d of slot %d, X %d bytes, Delta %d: got %v, want ErrBadSplice", tc.name, bad.Off, bad.Slot, len(bad.X), bad.Delta, err)
 			}
 			if !bytes.Equal(p.Snapshot(), before) {
 				t.Fatalf("%s: a refused splice changed the page", tc.name)
+			}
+		}
+	}
+}
+
+// TestSpliceRoundTripOnPage: for random row pairs of every shape an
+// update makes — the same length, grown, shrunk, identical, changed at
+// the first or the last byte, an 8-byte balance that changes sign — the
+// splice between them goes through the codec (Splice, Encode,
+// DecodeUpdate) and, applied to a page holding the before row, makes the
+// after row; its inverse, applied after it, gives the before row back.
+// Neighbouring rows are untouched throughout.
+func TestSpliceRoundTripOnPage(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	randRow := func(n int) []byte {
+		r := make([]byte, n)
+		rng.Read(r)
+		return r
+	}
+	shapes := []struct {
+		name string
+		make func() (before, after []byte)
+	}{
+		{"same length", func() ([]byte, []byte) {
+			b := randRow(1 + rng.Intn(200))
+			a := append([]byte(nil), b...)
+			for i := rng.Intn(len(a)); i < len(a) && rng.Intn(4) > 0; i++ {
+				a[i] = byte(rng.Intn(256))
+			}
+			return b, a
+		}},
+		{"grow", func() ([]byte, []byte) {
+			b := randRow(rng.Intn(200))
+			at := rng.Intn(len(b) + 1)
+			return b, append(append(append([]byte(nil), b[:at]...), randRow(1+rng.Intn(40))...), b[at:]...)
+		}},
+		{"shrink", func() ([]byte, []byte) {
+			b := randRow(1 + rng.Intn(200))
+			at := rng.Intn(len(b))
+			cut := at + 1 + rng.Intn(len(b)-at)
+			return b, append(append([]byte(nil), b[:at]...), b[cut:]...)
+		}},
+		{"identical", func() ([]byte, []byte) {
+			b := randRow(rng.Intn(200))
+			return b, append([]byte(nil), b...)
+		}},
+		{"first byte", func() ([]byte, []byte) {
+			b := randRow(1 + rng.Intn(200))
+			a := append([]byte(nil), b...)
+			a[0] ^= byte(1 + rng.Intn(255))
+			return b, a
+		}},
+		{"last byte", func() ([]byte, []byte) {
+			b := randRow(1 + rng.Intn(200))
+			a := append([]byte(nil), b...)
+			a[len(a)-1] ^= byte(1 + rng.Intn(255))
+			return b, a
+		}},
+		{"int64 changes sign", func() ([]byte, []byte) {
+			b := randRow(100)
+			v := int64(1 + rng.Intn(1_000_000))
+			binary.LittleEndian.PutUint64(b[8:], uint64(v))
+			a := append([]byte(nil), b...)
+			binary.LittleEndian.PutUint64(a[8:], uint64(-v-int64(rng.Intn(1000))))
+			return b, a
+		}},
+	}
+	var x []byte
+	for _, sh := range shapes {
+		for i := 0; i < 200; i++ {
+			before, after := sh.make()
+			up := logrec.Splice(x, 1, before, after)
+			x = up.X
+			enc := up.Encode(nil)
+			dec, err := logrec.DecodeUpdate(enc)
+			if err != nil {
+				t.Fatalf("%s: %x → %x: decode: %v", sh.name, before, after, err)
+			}
+			if again := dec.Encode(nil); !bytes.Equal(again, enc) {
+				t.Fatalf("%s: re-encoded %x, want %x", sh.name, again, enc)
+			}
+			p := NewPage(1)
+			for slot, row := range [][]byte{[]byte("left"), before, []byte("right")} {
+				if err := p.Insert(slot, row); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := p.Apply(dec, 10); err != nil {
+				t.Fatalf("%s: %x → %x: apply: %v", sh.name, before, after, err)
+			}
+			if got, _ := p.Get(1); !bytes.Equal(got, after) {
+				t.Fatalf("%s: applied %x to %x: got %x, want %x", sh.name, enc, before, got, after)
+			}
+			if err := p.Apply(dec.Inverse(), 11); err != nil {
+				t.Fatalf("%s: %x → %x: inverse: %v", sh.name, before, after, err)
+			}
+			if got, _ := p.Get(1); !bytes.Equal(got, before) {
+				t.Fatalf("%s: inverse of %x on %x: got %x, want %x", sh.name, enc, after, got, before)
+			}
+			for slot, want := range map[int]string{0: "left", 2: "right"} {
+				if got, _ := p.Get(slot); string(got) != want {
+					t.Fatalf("%s: slot %d became %q", sh.name, slot, got)
+				}
 			}
 		}
 	}
@@ -257,7 +362,7 @@ func TestPageApplyRoundTrip(t *testing.T) {
 	if p.LSN() != 100 {
 		t.Fatal("pageLSN not stamped")
 	}
-	set := logrec.Splice(0, []byte("row-v1"), []byte("row-v2"))
+	set := logrec.Splice(nil, 0, []byte("row-v1"), []byte("row-v2"))
 	if err := p.Apply(set, 200); err != nil {
 		t.Fatal(err)
 	}

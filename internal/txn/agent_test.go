@@ -286,7 +286,7 @@ func TestAgentScratchLogsSameBytes(t *testing.T) {
 	// Each record's PrevLSN is where the one before it starts.
 	first := logrec.NewUpdate(tx.ID(), lsn.Undefined, rid.Page,
 		logrec.UpdatePayload{Op: logrec.OpInsert, Slot: rid.Slot, After: row(2, 20)})
-	second := logrec.NewUpdate(tx.ID(), start, rid.Page, logrec.Splice(rid.Slot, row(2, 20), row(2, 21)))
+	second := logrec.NewUpdate(tx.ID(), start, rid.Page, logrec.Splice(nil, rid.Slot, row(2, 20), row(2, 21)))
 	commit := logrec.NewCommit(tx.ID())
 	var want []byte
 	for _, rec := range []*logrec.Record{first, second, commit} {
@@ -338,9 +338,10 @@ func tpcbShape(t testing.TB, ag *Agent, tables *[4]*Table, keys [4]uint64, delta
 // transaction IDs, LSNs and page numbers are one or two bytes long; the
 // same records re-encoded at the benchmark's magnitudes (IDs to 80 200,
 // 33 MB of log per cycle, thousands of pages a table) must fit the budget
-// too: at most 122 bytes on one lane (121 in format 5; five 48-byte
-// headers and whole rows made it 988, whole history rows 246, fixed
-// 8-byte frames and a chained commit 140), the history insert at most 38
+// too: at most 110 bytes on one lane (109 in format 6, where an update
+// logs its changed bytes once as before ⊕ after; both images made it
+// 121, five 48-byte headers and whole rows 988, whole history rows 246,
+// fixed 8-byte frames and a chained commit 140), the history insert at most 38
 // of them, and on three lanes at most a seq and an edge more per record.
 // A commit that carried its PrevLSN would add 4 bytes and miss it. A
 // balance of a few million moved by a negative delta of the benchmark's
@@ -349,7 +350,7 @@ func tpcbShape(t testing.TB, ag *Agent, tables *[4]*Table, keys [4]uint64, delta
 // logs.
 func TestTPCBLogBytesBudget(t *testing.T) {
 	const (
-		budget       = 122
+		budget       = 110
 		insertBudget = 38
 		seqAndEdge   = 2 * binary.MaxVarintLen32 // per record, on N lanes
 		benchTxnID   = 80_200
@@ -408,8 +409,8 @@ func TestTPCBLogBytesBudget(t *testing.T) {
 					if up, err = logrec.DecodeUpdate(rec.Payload); err != nil {
 						t.Fatal(err)
 					}
-					if up.Op == logrec.OpSet && (up.Off < 8 || int(up.Off)+len(up.Before) > 16 || len(up.Before) != len(up.After)) {
-						t.Errorf("update logged row[%d:+%d] → %d bytes, want bytes of the balance at [8, 16)", up.Off, len(up.Before), len(up.After))
+					if up.Op == logrec.OpSet && (up.Off < 8 || int(up.Off)+len(up.X) > 16 || up.Delta != 0) {
+						t.Errorf("update logged X over row[%d:+%d] and a %+d resize, want bytes of the balance at [8, 16)", up.Off, len(up.X), up.Delta)
 					}
 					rec.PageID += benchPageNo
 				}
@@ -619,7 +620,7 @@ func TestAgentScratchRetention(t *testing.T) {
 	// it, within a per-agent budget.
 	const budget = 192 << 10
 	if got := maxUndoEntries*int(unsafe.Sizeof(undoEntry{})) + maxArenaBytes +
-		maxIndexUndo*int(unsafe.Sizeof(indexUndo{})) + maxRecordBuffer; got > budget {
+		maxIndexUndo*int(unsafe.Sizeof(indexUndo{})) + 2*maxRecordBuffer; got > budget {
 		t.Fatalf("the caps let an agent keep %d bytes of scratch, over the %d-byte budget", got, budget)
 	}
 	for load := uint64(1); load <= 2; load++ {

@@ -2,12 +2,15 @@ package txn
 
 import (
 	"testing"
+
+	"aether/internal/logrec"
 )
 
 // TestInsertKeepsNoUndoImage: an insert-only transaction leaves no bytes
 // in its undo arena — each insert's undo entry names the slot and the
-// CLR is built from the row on the page — while a delete keeps its
-// before image there.
+// CLR is built from the row on the page — while a delete keeps there
+// what it logged: its row, without the zero tail, behind the op, the slot
+// and the row's length.
 func TestInsertKeepsNoUndoImage(t *testing.T) {
 	h := newHarness(t)
 	tbl, _ := h.eng.CreateTable("t", nil)
@@ -26,8 +29,9 @@ func TestInsertKeepsNoUndoImage(t *testing.T) {
 	if err := tx.Delete(tbl, 1); err != nil {
 		t.Fatal(err)
 	}
-	if arena := len(tx.sc.arena); arena != len(row(1, 1)) {
-		t.Fatalf("a delete kept %d arena bytes, want its %d-byte row", arena, len(row(1, 1)))
+	del := logrec.UpdatePayload{Op: logrec.OpDelete, Slot: tx.sc.undo[len(tx.sc.undo)-1].slot, Before: row(1, 1)}
+	if arena := len(tx.sc.arena); arena != del.EncodedSize() {
+		t.Fatalf("a delete kept %d arena bytes, want its %d-byte payload", arena, del.EncodedSize())
 	}
 	if err := tx.Commit(CommitSync, nil); err != nil {
 		t.Fatal(err)

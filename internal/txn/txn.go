@@ -25,20 +25,18 @@ const (
 // undoEntry remembers one update for transaction-local rollback. Runtime
 // rollback uses this in-memory chain (every live transaction has its
 // records at hand); crash rollback reads the durable log instead. The
-// images — what the record logged, so a splice's trimmed bytes, not its
-// rows — live in the scratch's arena, before then after, from img. An
-// insert keeps none: its row is on the page until Abort deletes it, and
-// the CLR is built from what is there.
+// payload the record logged — a splice's X and tail, a delete's row
+// without its zero tail — lives in the scratch's arena, n bytes from
+// img. An insert keeps none: its row is on the page until Abort deletes
+// it, and the CLR is built from what is there.
 type undoEntry struct {
-	pageID    uint64
-	at        lsn.LSN // LSN of the update record
-	prev      lsn.LSN // PrevLSN of that record (the next undo target)
-	img       int
-	off       uint32 // the payload's Off
-	beforeLen uint32
-	afterLen  uint32
-	slot      uint16
-	op        logrec.UpdateOp
+	pageID uint64
+	at     lsn.LSN // LSN of the update record
+	prev   lsn.LSN // PrevLSN of that record (the next undo target)
+	img    int
+	n      uint32
+	slot   uint16
+	op     logrec.UpdateOp
 }
 
 // indexUndo is the index half of undoing an Insert (delete the key) or
@@ -59,7 +57,8 @@ type txnScratch struct {
 	owner     *Txn
 	locker    *lockmgr.Locker
 	undo      []undoEntry
-	arena     []byte // before and after images of every undo entry
+	arena     []byte // the logged payload of every undo entry
+	x         []byte // the splice X of the update in flight (HeapFile.Mutate)
 	indexUndo []indexUndo
 }
 
@@ -69,12 +68,12 @@ type txnScratch struct {
 // kept, so a steady workload below the caps never reallocates — and
 // that includes loading in 1 000-row transactions, whose undo and index
 // undo slices append grows to 1 365 and 1 280 entries. Together the caps
-// hold an agent's scratch to about 190 kB.
+// hold an agent's scratch to about 180 kB.
 const (
-	maxUndoEntries  = 1536     // x 48 B = 72 kB: a 1 000-row load transaction's updates
+	maxUndoEntries  = 1536     // x 40 B = 60 kB: a 1 000-row load transaction's updates
 	maxArenaBytes   = 64 << 10 // 256 entries' worth of deleted 250-byte rows (an insert keeps no image)
 	maxIndexUndo    = 1536     // x 32 B = 48 kB: one per inserted or deleted row
-	maxRecordBuffer = 4 << 10  // what core.Appender's own encode buffer is held to
+	maxRecordBuffer = 4 << 10  // what core.Appender's own encode buffer, and the splice X scratch, are held to
 )
 
 // rearm readies the scratch for transaction t, which must be on the
@@ -87,6 +86,9 @@ func (sc *txnScratch) rearm(t *Txn) {
 	}
 	if cap(sc.arena) > maxArenaBytes {
 		sc.arena = nil
+	}
+	if cap(sc.x) > maxRecordBuffer {
+		sc.x = nil
 	}
 	if cap(sc.indexUndo) > maxIndexUndo {
 		sc.indexUndo = nil
@@ -170,15 +172,15 @@ func (t *Txn) logUpdate(pageID uint64, up logrec.UpdatePayload) (lsn.LSN, error)
 	if prev == lsn.Undefined {
 		t.first.Store(recStamp)
 	}
-	// Keep the images: the payload aliases page memory that will change,
-	// and rollback needs the originals. An insert's row stays on the
-	// page, under our lock, for as long as rollback could want it.
+	// Keep what was logged: the payload aliases page memory that will
+	// change and scratch the next update reuses, and rollback needs it.
+	// An insert's row stays on the page, under our lock, for as long as
+	// rollback could want it.
 	sc := t.sc
 	e := undoEntry{pageID: pageID, at: at, prev: prev, slot: up.Slot, op: up.Op}
 	if up.Op != logrec.OpInsert {
-		e.img, e.off = len(sc.arena), up.Off
-		e.beforeLen, e.afterLen = uint32(len(up.Before)), uint32(len(up.After))
-		sc.arena = append(append(sc.arena, up.Before...), up.After...)
+		e.img, e.n = len(sc.arena), uint32(len(rec.Payload))
+		sc.arena = append(sc.arena, rec.Payload...)
 	}
 	sc.undo = append(sc.undo, e)
 	t.last.Store(at)
@@ -188,17 +190,10 @@ func (t *Txn) logUpdate(pageID uint64, up logrec.UpdatePayload) (lsn.LSN, error)
 	return pageStamp, nil
 }
 
-// payload rebuilds the update e recorded, unless it is an insert (see
-// undoOn); its images alias the arena.
-func (sc *txnScratch) payload(e *undoEntry) logrec.UpdatePayload {
-	mid := e.img + int(e.beforeLen)
-	return logrec.UpdatePayload{
-		Op:     e.op,
-		Slot:   e.slot,
-		Off:    e.off,
-		Before: sc.arena[e.img:mid:mid],
-		After:  sc.arena[mid : mid+int(e.afterLen) : mid+int(e.afterLen)],
-	}
+// payload decodes the update e recorded, unless it is an insert (see
+// undoOn); its slices alias the arena.
+func (sc *txnScratch) payload(e *undoEntry) (logrec.UpdatePayload, error) {
+	return logrec.DecodeUpdate(sc.arena[e.img : e.img+int(e.n)])
 }
 
 // undoOn logs and applies the CLR that undoes e on page, whose latch the
@@ -222,7 +217,11 @@ func (t *Txn) undoOn(page *storage.Page, e *undoEntry) error {
 		}
 		inv = logrec.UpdatePayload{Op: logrec.OpDelete, Slot: e.slot, Before: row}
 	} else {
-		inv = t.sc.payload(e).Inverse()
+		up, err := t.sc.payload(e)
+		if err != nil {
+			return fmt.Errorf("undo of the record at %v: %w", e.at, err)
+		}
+		inv = up.Inverse()
 	}
 	t.eng.store.MarkDirty(e.pageID, t.eng.log.StampFloor())
 	rec := &t.agent.rec
@@ -305,7 +304,7 @@ func (t *Txn) Update(tbl *Table, key uint64, fn func(row []byte) ([]byte, error)
 	if !ok {
 		return ErrKeyNotFound
 	}
-	return tbl.Heap.Mutate(storage.UnpackRID(packed), t.logUpdate, fn)
+	return tbl.Heap.Mutate(storage.UnpackRID(packed), &t.sc.x, t.logUpdate, fn)
 }
 
 // Delete removes the row under key.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
 	"path/filepath"
 	"sync"
@@ -930,5 +931,85 @@ func TestScanOverWire(t *testing.T) {
 	}
 	if err := s.Abort(); err != nil {
 		t.Fatalf("abort: %v", err)
+	}
+}
+
+// TestKeyZeroOverWire: key 0 is a row like any other. A client inserts
+// and reads it, and while its transaction still holds key 0 a second
+// client reads and commits key 5 at once — with an hour's deadlock
+// timeout, only a lock on the whole table could keep it waiting.
+func TestKeyZeroOverWire(t *testing.T) {
+	_, _, addr := startServer(t, aether.Options{DeadlockTimeout: time.Hour}, ServerOptions{})
+	session := func() *Session {
+		cl, err := Dial(addr, ClientOptions{})
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		s, err := cl.Session()
+		if err != nil {
+			t.Fatalf("session: %v", err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+	a, b := session(), session()
+	tbl, err := a.CreateTable("kv")
+	if err != nil {
+		t.Fatalf("create table: %v", err)
+	}
+	if err := a.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []uint64{0, 5} {
+		if err := a.Insert(tbl, k, u64(k+100)); err != nil {
+			t.Fatalf("insert %d: %v", k, err)
+		}
+	}
+	if err := a.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	btbl, err := b.OpenTable("kv")
+	if err != nil {
+		t.Fatalf("open table: %v", err)
+	}
+	if err := a.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Update(tbl, 0, u64(200)); err != nil {
+		t.Fatalf("update key 0: %v", err)
+	}
+	if row, err := a.Read(tbl, 0); err != nil || binary.BigEndian.Uint64(row) != 200 {
+		t.Fatalf("read key 0: %x, %v", row, err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		if err := b.Begin(); err != nil {
+			done <- err
+			return
+		}
+		row, err := b.Read(btbl, 5)
+		if err == nil && binary.BigEndian.Uint64(row) != 105 {
+			err = fmt.Errorf("key 5 holds %x", row)
+		}
+		if err != nil {
+			b.Abort()
+			done <- err
+			return
+		}
+		done <- b.Commit()
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("second client reading key 5: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		a.Abort()
+		<-done
+		t.Fatal("a read of key 5 waits behind a transaction that holds key 0")
+	}
+	if err := a.Commit(); err != nil {
+		t.Fatal(err)
 	}
 }
