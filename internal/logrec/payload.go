@@ -186,11 +186,25 @@ func (u *UpdatePayload) image() []byte {
 func (u *UpdatePayload) RowSize() int { return max(int(u.RowLen), len(u.image())) }
 
 // PayloadSizes is an update payload's encoded length split into its
-// fields, in bytes: the op byte and the slot, then an OpSet's offset,
-// Delta (only when it resizes its row), X and Tail, or an insert's or
-// delete's row length and row image.
+// fields, in bytes.
 type PayloadSizes struct {
-	Op, Slot, Off, Delta, X, Tail, RowLen, Row int
+	// Op is the op byte's width, 1.
+	Op int
+	// Slot is the Slot varint's width.
+	Slot int
+	// Off is an OpSet's Off varint's width.
+	Off int
+	// Delta is an OpSet's zigzag Delta varint's width, 0 if its row
+	// keeps its length.
+	Delta int
+	// X is the length of an OpSet's X.
+	X int
+	// Tail is the length of an OpSet's Tail.
+	Tail int
+	// RowLen is an insert's or delete's row length varint's width.
+	RowLen int
+	// Row is the length of an insert's or delete's row image.
+	Row int
 }
 
 // Sizes returns how the payload's EncodedSize bytes divide among its
