@@ -1,7 +1,6 @@
 package logrec
 
 import (
-	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -120,7 +119,9 @@ func Splice(dst []byte, slot uint16, before, after []byte) UpdatePayload {
 	}
 	n := min(len(before), len(after))
 	x := slices.Grow(dst[:0], n)[:n]
-	subtle.XORBytes(x, before[:n], after[:n])
+	for i := range x {
+		x[i] = before[i] ^ after[i]
+	}
 	u := UpdatePayload{Op: OpSet, Slot: slot, Off: uint32(off), X: x, Tail: after[n:], Delta: int32(len(after) - len(before))}
 	if u.Delta < 0 {
 		u.Tail = before[n:]

@@ -17,7 +17,6 @@
 package storage
 
 import (
-	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -444,7 +443,7 @@ func (p *Page) splice(slot, off int, x, tail []byte, delta int) error {
 			ErrBadSplice, slot, len(row), off, cut, len(tail), delta)
 	}
 	if delta == 0 {
-		subtle.XORBytes(row[off:end], row[off:end], x)
+		xorInto(row[off:end], x)
 		return nil
 	}
 	if delta < 0 {
@@ -463,8 +462,16 @@ func (p *Page) resplice(slot int, row []byte, off, end, cut int, x, ins []byte) 
 	}
 	var buf [MaxRecordSize]byte
 	out := append(append(buf[:0], row[:end]...), ins...)
-	subtle.XORBytes(out[off:end], out[off:end], x)
+	xorInto(out[off:end], x)
 	return p.Set(slot, append(out, row[cut:]...))
+}
+
+// xorInto XORs x into dst, which is as long: a splice's X is a few
+// bytes, too few to pay for a call.
+func xorInto(dst, x []byte) {
+	for i, b := range x {
+		dst[i] ^= b
+	}
 }
 
 // Apply performs a physiological update (from a log record) against the
