@@ -190,12 +190,6 @@ func (t *Txn) logUpdate(pageID uint64, up logrec.UpdatePayload) (lsn.LSN, error)
 	return pageStamp, nil
 }
 
-// payload decodes the update e recorded, unless it is an insert (see
-// undoOn); its slices alias the arena.
-func (sc *txnScratch) payload(e *undoEntry) (logrec.UpdatePayload, error) {
-	return logrec.DecodeUpdate(sc.arena[e.img : e.img+int(e.n)])
-}
-
 // undoOn logs and applies the CLR that undoes e on page, whose latch the
 // caller holds exclusively. Same protocol as the forward path
 // (storage.LogFunc): the CLR is logged and applied under the page latch,
@@ -217,7 +211,7 @@ func (t *Txn) undoOn(page *storage.Page, e *undoEntry) error {
 		}
 		inv = logrec.UpdatePayload{Op: logrec.OpDelete, Slot: e.slot, Before: row}
 	} else {
-		up, err := t.sc.payload(e)
+		up, err := logrec.DecodeUpdate(t.sc.arena[e.img : e.img+int(e.n)])
 		if err != nil {
 			return fmt.Errorf("undo of the record at %v: %w", e.at, err)
 		}
