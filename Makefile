@@ -66,7 +66,11 @@ lock-race:
 # exactly one assignment into a shard's page map. And the log device keeps
 # one set of segment files, live and dead alike, and recycles the dead
 # ones by one drain: non-test Go under internal/logdev declares exactly
-# one struct field of type map[int64]*fileSegment.
+# one struct field of type map[int64]*fileSegment. And the paper's
+# figures have one run loop and their workloads one loader: non-test Go
+# under internal/bench calls workload.RunClosedLoop only in harness.go,
+# and non-test Go under internal/workload calls CreateTable only in
+# load.go.
 vet:
 	$(GO) vet ./...
 	@bad="$$(grep -HnE '\bos\.(OpenFile|Create|WriteFile|Rename|Remove|MkdirAll|Truncate)\(' \
@@ -93,6 +97,10 @@ vet:
 		$$(find internal/logdev -name '*.go' ! -name '*_test.go'))"; \
 	fields="$$(printf '%s\n' "$$hits" | sed -E 's/^[^:]*:[0-9]+:[[:space:]]*//; s/[[:space:]]+map\[int64\].*//' | tr ',' '\n' | grep -c .)"; \
 	if [ "$$fields" -ne 1 ]; then echo "the log device keeps one set of segment files, drained one way (one map[int64]*fileSegment field):"; echo "$$hits"; exit 1; fi
+	@bad="$$(grep -HnE '\bRunClosedLoop\(' $$(find internal/bench -name '*.go' ! -name '*_test.go' ! -path internal/bench/harness.go))"; \
+	if [ -n "$$bad" ]; then echo "a figure drives the engine one way, through internal/bench/harness.go's run loop:"; echo "$$bad"; exit 1; fi
+	@bad="$$(grep -HnE '\bCreateTable\(' $$(find internal/workload -name '*.go' ! -name '*_test.go' ! -path internal/workload/load.go))"; \
+	if [ -n "$$bad" ]; then echo "a workload's tables are created and loaded one way, by internal/workload/load.go:"; echo "$$bad"; exit 1; fi
 
 # Documentation lint: formatting, vet, every example and command builds,
 # and the godoc-coverage check — exported identifiers in EVERY internal

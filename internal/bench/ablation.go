@@ -8,7 +8,6 @@ import (
 	"aether/internal/logbuf"
 	"aether/internal/logdev"
 	"aether/internal/txn"
-	"aether/internal/workload"
 )
 
 // AblationELR isolates the claim at the end of §6.4: "flush pipelining
@@ -23,29 +22,21 @@ func AblationELR(scale Scale) (*Table, error) {
 		Columns: []string{"clients", "pipelined+ELR", "pipelined-no-ELR", "ELR gain"},
 	}
 	for _, clients := range scale.clientSweep() {
-		run := func(mode txn.CommitMode) (float64, error) {
-			rig, err := NewRig(EngineConfig{
-				Variant: logbuf.VariantCD,
-				Device:  logdev.ProfileFlash,
+		tps := func(mode txn.CommitMode) (float64, error) {
+			out, err := run(scale, rig{
+				variant: logbuf.VariantCD,
+				device:  logdev.ProfileFlash,
+				load:    tpcb(scale, 1.25),
+				clients: clients,
+				mode:    mode,
 			})
-			if err != nil {
-				return 0, err
-			}
-			defer rig.Close()
-			w := &workload.TPCB{Branches: 10, AccountsPerBranch: accountScale(scale), AccessSkew: 1.25}
-			if err := w.Setup(rig.Eng); err != nil {
-				return 0, err
-			}
-			res := workload.RunClosedLoop(rig.Eng, workload.Options{
-				Clients: clients, Duration: scale.runFor(), Mode: mode,
-			}, w.Body())
-			return res.Throughput(), nil
+			return out.res.Throughput(), err
 		}
-		with, err := run(txn.CommitPipelined)
+		with, err := tps(txn.CommitPipelined)
 		if err != nil {
 			return nil, err
 		}
-		without, err := run(txn.CommitPipelinedHoldLocks)
+		without, err := tps(txn.CommitPipelinedHoldLocks)
 		if err != nil {
 			return nil, err
 		}
@@ -83,28 +74,24 @@ func AblationGroupCommit(scale Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rig, err := NewRig(EngineConfig{
-			Variant: logbuf.VariantCD,
-			Device:  logdev.ProfileFlash,
-			Log: core.Config{
+		out, err := run(scale, rig{
+			variant: logbuf.VariantCD,
+			device:  logdev.ProfileFlash,
+			log: core.Config{
 				FlushInterval: d,
 				// Disable the X-commits and L-bytes triggers: only the
 				// interval timer starts a pass.
 				FlushTxns:  1 << 30,
 				FlushBytes: 1 << 30,
 			},
+			load:    tpcb(scale, 0),
+			clients: clients,
+			mode:    txn.CommitPipelined,
 		})
 		if err != nil {
 			return nil, err
 		}
-		w := &workload.TPCB{Branches: 10, AccountsPerBranch: accountScale(scale)}
-		if err := w.Setup(rig.Eng); err != nil {
-			rig.Close()
-			return nil, err
-		}
-		res := workload.RunClosedLoop(rig.Eng, workload.Options{
-			Clients: clients, Duration: scale.runFor(), Mode: txn.CommitPipelined,
-		}, w.Body())
+		res := out.res
 		perSync := 0.0
 		if res.Flushes > 0 {
 			perSync = float64(res.Completed) / float64(res.Flushes)
@@ -113,7 +100,6 @@ func AblationGroupCommit(scale Scale) (*Table, error) {
 			fmt.Sprintf("%.1f", res.Throughput()/1000),
 			fmt.Sprintf("%.0f", float64(res.Flushes)/res.Elapsed.Seconds()),
 			fmt.Sprintf("%.1f", perSync))
-		rig.Close()
 	}
 	return t, nil
 }

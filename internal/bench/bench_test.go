@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"aether/internal/logbuf"
+	"aether/internal/workload"
 )
 
 // quickScale keeps the experiment smoke tests fast.
@@ -84,17 +85,16 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestSharesClamps(t *testing.T) {
-	sh := Shares(BreakdownSnapshot{}, BreakdownSnapshot{
-		logWork: time.Second, logContention: time.Second,
-		logWait: time.Second, lockWait: time.Second,
-	}, 1, time.Second)
+	sh := shares(window{
+		logWork: time.Second, logContention: time.Second, lockWait: time.Second,
+	}, workload.Result{Elapsed: time.Second, CommitWait: time.Second}, 1)
 	if sh.OtherWork != 0 {
 		t.Fatalf("other work should clamp to 0: %+v", sh)
 	}
 	if s := (TimeShares{}).String(); s == "" {
 		t.Fatal("empty shares string")
 	}
-	if (Shares(BreakdownSnapshot{}, BreakdownSnapshot{}, 0, 0) != TimeShares{}) {
+	if (shares(window{}, workload.Result{}, 0) != TimeShares{}) {
 		t.Fatal("zero capacity shares")
 	}
 }

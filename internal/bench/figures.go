@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"aether/internal/core"
 	"aether/internal/logbuf"
 	"aether/internal/logdev"
 	"aether/internal/txn"
@@ -26,7 +25,7 @@ const switchPenalty = 10 * time.Microsecond
 // the rig's own stand-in for the context switch, kept off the engine's
 // commit path.
 func withSwitchPenalty(body workload.Body, mode txn.CommitMode, d time.Duration) workload.Body {
-	if d <= 0 || (mode != txn.CommitSync && mode != txn.CommitSyncELR) {
+	if d <= 0 || !mode.Blocking() {
 		return body
 	}
 	return func(c *workload.Client) error {
@@ -65,31 +64,25 @@ func Fig2(scale Scale) (*Table, error) {
 		Columns: []string{"config", "idle%", "lock-cont%", "log-cont%", "log-work%", "other%", "ktps"},
 	}
 	for _, c := range cfgs {
-		rig, err := NewRig(EngineConfig{
-			Variant: logbuf.VariantBaseline,
-			Device:  logdev.ProfileFlash,
+		out, err := run(scale, rig{
+			variant: logbuf.VariantBaseline,
+			device:  logdev.ProfileFlash,
+			load:    tpcb(scale, 0.85),
+			clients: clients,
+			mode:    c.mode,
+			penalty: c.penalty,
 		})
 		if err != nil {
 			return nil, err
 		}
-		w := &workload.TPCB{Branches: 10, AccountsPerBranch: accountScale(scale), AccessSkew: 0.85}
-		if err := w.Setup(rig.Eng); err != nil {
-			rig.Close()
-			return nil, err
-		}
-		before := rig.Snapshot()
-		res := workload.RunClosedLoop(rig.Eng, workload.Options{
-			Clients: clients, Duration: scale.runFor(), Mode: c.mode,
-		}, withSwitchPenalty(w.Body(), c.mode, c.penalty))
-		shares := Shares(before, rig.Snapshot(), clients, res.Elapsed)
+		sh := out.shares
 		t.AddRow(c.name,
-			fmt.Sprintf("%.0f", shares.Idle*100),
-			fmt.Sprintf("%.0f", shares.OtherContention*100),
-			fmt.Sprintf("%.0f", shares.LogContention*100),
-			fmt.Sprintf("%.0f", shares.LogWork*100),
-			fmt.Sprintf("%.0f", shares.OtherWork*100),
-			fmt.Sprintf("%.1f", res.Throughput()/1000))
-		rig.Close()
+			fmt.Sprintf("%.0f", sh.Idle*100),
+			fmt.Sprintf("%.0f", sh.OtherContention*100),
+			fmt.Sprintf("%.0f", sh.LogContention*100),
+			fmt.Sprintf("%.0f", sh.LogWork*100),
+			fmt.Sprintf("%.0f", sh.OtherWork*100),
+			fmt.Sprintf("%.1f", out.res.Throughput()/1000))
 	}
 	return t, nil
 }
@@ -135,29 +128,21 @@ func skewCols(skews []float64) []string {
 }
 
 func elrSpeedup(scale Scale, dev logdev.Profile, skew float64, clients int) (float64, error) {
-	run := func(mode txn.CommitMode) (float64, error) {
-		rig, err := NewRig(EngineConfig{
-			Variant: logbuf.VariantCD,
-			Device:  dev,
+	tps := func(mode txn.CommitMode) (float64, error) {
+		out, err := run(scale, rig{
+			variant: logbuf.VariantCD,
+			device:  dev,
+			load:    tpcb(scale, skew),
+			clients: clients,
+			mode:    mode,
 		})
-		if err != nil {
-			return 0, err
-		}
-		defer rig.Close()
-		w := &workload.TPCB{Branches: 10, AccountsPerBranch: accountScale(scale), AccessSkew: skew}
-		if err := w.Setup(rig.Eng); err != nil {
-			return 0, err
-		}
-		res := workload.RunClosedLoop(rig.Eng, workload.Options{
-			Clients: clients, Duration: scale.runFor(), Mode: mode,
-		}, w.Body())
-		return res.Throughput(), nil
+		return out.res.Throughput(), err
 	}
-	base, err := run(txn.CommitSync)
+	base, err := tps(txn.CommitSync)
 	if err != nil {
 		return 0, err
 	}
-	elr, err := run(txn.CommitSyncELR)
+	elr, err := tps(txn.CommitSyncELR)
 	if err != nil {
 		return 0, err
 	}
@@ -203,22 +188,15 @@ func Fig4(scale Scale) (*Table, error) {
 }
 
 func fig4Run(scale Scale, mode txn.CommitMode, clients int) (workload.Result, error) {
-	rig, err := NewRig(EngineConfig{
-		Variant: logbuf.VariantCD,
-		Device:  logdev.ProfileFlash,
+	out, err := run(scale, rig{
+		variant: logbuf.VariantCD,
+		device:  logdev.ProfileFlash,
+		load:    tpcb(scale, 0),
+		clients: clients,
+		mode:    mode,
+		penalty: switchPenalty,
 	})
-	if err != nil {
-		return workload.Result{}, err
-	}
-	defer rig.Close()
-	w := &workload.TPCB{Branches: 10, AccountsPerBranch: accountScale(scale)}
-	if err := w.Setup(rig.Eng); err != nil {
-		return workload.Result{}, err
-	}
-	res := workload.RunClosedLoop(rig.Eng, workload.Options{
-		Clients: clients, Duration: scale.runFor(), Mode: mode,
-	}, withSwitchPenalty(w.Body(), mode, switchPenalty))
-	return res, nil
+	return out.res, err
 }
 
 // Fig5 reproduces Figure 5: TPC-B throughput vs clients for the
@@ -255,30 +233,23 @@ func Fig7(scale Scale) (*Table, error) {
 		Columns: []string{"clients", "log-cont%", "log-work%", "lock-cont%", "other%", "ktps"},
 	}
 	for _, clients := range scale.clientSweep() {
-		rig, err := NewRig(EngineConfig{
-			Variant: logbuf.VariantBaseline,
-			Device:  logdev.ProfileMemory,
+		out, err := run(scale, rig{
+			variant: logbuf.VariantBaseline,
+			device:  logdev.ProfileMemory,
+			load:    updateLocation(scale),
+			clients: clients,
+			mode:    txn.CommitPipelined,
 		})
 		if err != nil {
 			return nil, err
 		}
-		w := &workload.TATP{Subscribers: subscriberScale(scale), UpdateLocationOnly: true}
-		if err := w.Setup(rig.Eng); err != nil {
-			rig.Close()
-			return nil, err
-		}
-		before := rig.Snapshot()
-		res := workload.RunClosedLoop(rig.Eng, workload.Options{
-			Clients: clients, Duration: scale.runFor(), Mode: txn.CommitPipelined,
-		}, w.Body())
-		shares := Shares(before, rig.Snapshot(), clients, res.Elapsed)
+		sh := out.shares
 		t.AddRow(fmt.Sprint(clients),
-			fmt.Sprintf("%.1f", shares.LogContention*100),
-			fmt.Sprintf("%.1f", shares.LogWork*100),
-			fmt.Sprintf("%.1f", shares.OtherContention*100),
-			fmt.Sprintf("%.1f", (shares.OtherWork+shares.Idle)*100),
-			fmt.Sprintf("%.1f", res.Throughput()/1000))
-		rig.Close()
+			fmt.Sprintf("%.1f", sh.LogContention*100),
+			fmt.Sprintf("%.1f", sh.LogWork*100),
+			fmt.Sprintf("%.1f", sh.OtherContention*100),
+			fmt.Sprintf("%.1f", (sh.OtherWork+sh.Idle)*100),
+			fmt.Sprintf("%.1f", out.res.Throughput()/1000))
 	}
 	return t, nil
 }
@@ -296,20 +267,26 @@ func Fig8Left(scale Scale) (*Table, error) {
 	for _, threads := range scale.threadSweep() {
 		row := []string{fmt.Sprint(threads)}
 		for _, v := range variants {
-			res, err := RunMicro(MicroConfig{
-				Variant:    v,
-				Threads:    threads,
-				RecordSize: 120,
-				Duration:   scale.runFor(),
-			})
+			cell, err := microCell(scale, MicroConfig{Variant: v, Threads: threads, RecordSize: 120})
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, fmt.Sprintf("%.3f", res.GBps()))
+			row = append(row, cell)
 		}
 		t.AddRow(row...)
 	}
 	return t, nil
+}
+
+// microCell runs one insert microbenchmark for the scale's run length and
+// formats its bandwidth as a GB/s cell.
+func microCell(scale Scale, cfg MicroConfig) (string, error) {
+	cfg.Duration = scale.runFor()
+	res, err := RunMicro(cfg)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("%.3f", res.GBps()), nil
 }
 
 func variantCols(vs []logbuf.Variant) []string {
@@ -338,29 +315,22 @@ func Fig8Right(scale Scale) (*Table, error) {
 	for _, size := range sizes {
 		row := []string{fmt.Sprint(size)}
 		for _, v := range variants {
-			res, err := RunMicro(MicroConfig{
-				Variant:    v,
-				Threads:    threads,
-				RecordSize: size,
-				Duration:   scale.runFor(),
-			})
+			cell, err := microCell(scale, MicroConfig{Variant: v, Threads: threads, RecordSize: size})
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, fmt.Sprintf("%.3f", res.GBps()))
+			row = append(row, cell)
 		}
-		res, err := RunMicro(MicroConfig{
+		cell, err := microCell(scale, MicroConfig{
 			Variant:    logbuf.VariantCD,
 			Threads:    threads,
 			RecordSize: size,
-			Duration:   scale.runFor(),
 			LocalFill:  true,
 		})
 		if err != nil {
 			return nil, err
 		}
-		row = append(row, fmt.Sprintf("%.3f", res.GBps()))
-		t.AddRow(row...)
+		t.AddRow(append(row, cell)...)
 	}
 	return t, nil
 }
@@ -388,23 +358,17 @@ func Fig9(scale Scale) (*Table, error) {
 	for _, clients := range scale.clientSweep() {
 		row := []string{fmt.Sprint(clients)}
 		for _, v := range variants {
-			rig, err := NewRig(EngineConfig{
-				Variant: v.buf,
-				Device:  logdev.ProfileFlash,
+			out, err := run(scale, rig{
+				variant: v.buf,
+				device:  logdev.ProfileFlash,
+				load:    updateLocation(scale),
+				clients: clients,
+				mode:    v.mode,
 			})
 			if err != nil {
 				return nil, err
 			}
-			w := &workload.TATP{Subscribers: subscriberScale(scale), UpdateLocationOnly: true}
-			if err := w.Setup(rig.Eng); err != nil {
-				rig.Close()
-				return nil, err
-			}
-			res := workload.RunClosedLoop(rig.Eng, workload.Options{
-				Clients: clients, Duration: scale.runFor(), Mode: v.mode,
-			}, w.Body())
-			row = append(row, fmt.Sprintf("%.1f", res.Throughput()/1000))
-			rig.Close()
+			row = append(row, fmt.Sprintf("%.1f", out.res.Throughput()/1000))
 		}
 		t.AddRow(row...)
 	}
@@ -429,18 +393,17 @@ func Fig11(scale Scale) (*Table, error) {
 	for _, out := range outliers {
 		row := []string{fmt.Sprint(out)}
 		for _, v := range []logbuf.Variant{logbuf.VariantCD, logbuf.VariantCDME} {
-			res, err := RunMicro(MicroConfig{
+			cell, err := microCell(scale, MicroConfig{
 				Variant:      v,
 				Threads:      threads,
 				RecordSize:   48,
-				Duration:     scale.runFor(),
 				OutlierEvery: 60,
 				OutlierSize:  out,
 			})
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, fmt.Sprintf("%.3f", res.GBps()))
+			row = append(row, cell)
 		}
 		t.AddRow(row...)
 	}
@@ -468,17 +431,11 @@ func Fig12(scale Scale) (*Table, error) {
 	for _, th := range threads {
 		row := []string{fmt.Sprint(th)}
 		for _, s := range slots {
-			res, err := RunMicro(MicroConfig{
-				Variant:    logbuf.VariantC,
-				Threads:    th,
-				RecordSize: 120,
-				Duration:   scale.runFor(),
-				Slots:      s,
-			})
+			cell, err := microCell(scale, MicroConfig{Variant: logbuf.VariantC, Threads: th, RecordSize: 120, Slots: s})
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, fmt.Sprintf("%.3f", res.GBps()))
+			row = append(row, cell)
 		}
 		t.AddRow(row...)
 	}
@@ -523,9 +480,9 @@ func fig13Table(rows []fig13Row) *Table {
 // fig13Row is one lane count's window of Figure 13: what the engine's
 // counters moved by while the closed loop ran.
 type fig13Row struct {
-	lanes                          int
-	commits, flushes               int64
-	bytes, edges, enforced, stalls int64
+	lanes            int
+	commits, flushes int64
+	window
 }
 
 func (r fig13Row) kb() float64 { return float64(r.bytes) / 1024 }
@@ -551,71 +508,54 @@ func (r fig13Row) flushesPerCommit() float64 {
 	return float64(r.flushes) / float64(r.commits)
 }
 
-// fig13Counters reads the log counters Figure 13 reports, summed over
-// lanes.
-func fig13Counters(ml *core.MultiLog) (r fig13Row) {
-	for i := 0; i < ml.NumParts(); i++ {
-		r.bytes += ml.Part(i).Stats().InsertBytes.Load()
-		r.stalls += ml.DepStalls(i)
-	}
-	r.edges, r.enforced = ml.EdgesTotal(), ml.EdgesEnforced()
-	return r
-}
-
 func fig13Rows(scale Scale) ([]fig13Row, error) {
 	var rows []fig13Row
 	for _, lanes := range []int{1, 2, 4, 8} {
-		rig, err := NewRig(EngineConfig{
-			Variant: logbuf.VariantCD,
-			Device:  logdev.ProfileMemory,
-			Lanes:   lanes,
-		})
-		if err != nil {
-			return nil, err
-		}
 		w := workload.NewTPCC()
 		if scale.Quick {
 			w.Warehouses = 2
 			w.CustomersPerDistrict = 50
 			w.ItemsPerWarehouse = 200
 		}
-		if err := w.Setup(rig.Eng); err != nil {
-			rig.Close()
+		out, err := run(scale, rig{
+			variant: logbuf.VariantCD,
+			device:  logdev.ProfileMemory,
+			lanes:   lanes,
+			load:    w,
+			clients: 8,
+			mode:    txn.CommitPipelined,
+		})
+		if err != nil {
 			return nil, err
 		}
-		before := fig13Counters(rig.Eng.Multi())
-		res := workload.RunClosedLoop(rig.Eng, workload.Options{
-			Clients: 8, Duration: scale.runFor(), Mode: txn.CommitPipelined,
-		}, w.Body())
-		after := fig13Counters(rig.Eng.Multi())
-		rig.Close()
 		rows = append(rows, fig13Row{
-			lanes:    lanes,
-			commits:  res.Completed,
-			flushes:  res.Flushes,
-			bytes:    after.bytes - before.bytes,
-			edges:    after.edges - before.edges,
-			enforced: after.enforced - before.enforced,
-			stalls:   after.stalls - before.stalls,
+			lanes:   lanes,
+			commits: out.res.Completed,
+			flushes: out.res.Flushes,
+			window:  out.window,
 		})
 	}
 	return rows, nil
 }
 
-// accountScale sizes the TPC-B account table.
-func accountScale(s Scale) int {
+// tpcb is the figures' TPC-B: the paper's 10 branches, accounts sized
+// by the scale, branches drawn with the given zipfian skew.
+func tpcb(s Scale, skew float64) *workload.TPCB {
+	accounts := 10000
 	if s.Quick {
-		return 200
+		accounts = 200
 	}
-	return 10000
+	return &workload.TPCB{Branches: 10, AccountsPerBranch: accounts, AccessSkew: skew}
 }
 
-// subscriberScale sizes the TATP subscriber table.
-func subscriberScale(s Scale) int {
+// updateLocation is the figures' TATP: subscribers sized by the scale,
+// the UpdateLocation transaction only.
+func updateLocation(s Scale) *workload.TATP {
+	subscribers := 100000
 	if s.Quick {
-		return 1000
+		subscribers = 1000
 	}
-	return 100000
+	return &workload.TATP{Subscribers: subscribers, UpdateLocationOnly: true}
 }
 
 // experiment is one entry of the registry: a name, the shorthands

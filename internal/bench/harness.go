@@ -4,8 +4,11 @@
 // scaling, restore latency) kept here until ./benchmark has a workload
 // for them. One registry (figures.go) names them all; the root-level
 // bench_test.go and cmd/aetherbench expose them as testing.B benchmarks
-// and a CLI. The repository's benchmark — the one changes are measured
-// against — is ./benchmark, not this package.
+// and a CLI. Every figure that drives the engine does it through one run
+// loop, run in harness.go: assemble over txn.Restart, load, drive
+// workload.RunClosedLoop, read the probes around it, close. The insert
+// figures run RunMicro. The repository's benchmark — the one changes are
+// measured against — is ./benchmark, not this package.
 //
 // Absolute numbers differ from the paper's Sun Niagara II + Solaris
 // testbed; what the experiments reproduce is the *shape* of each figure:
@@ -25,6 +28,7 @@ import (
 	"aether/internal/metrics"
 	"aether/internal/storage"
 	"aether/internal/txn"
+	"aether/internal/workload"
 )
 
 // Scale selects experiment sizing. Quick keeps everything test-friendly
@@ -91,52 +95,67 @@ func (s Scale) microThreads() int {
 	return max
 }
 
-// EngineConfig assembles a full engine for workload experiments.
-type EngineConfig struct {
-	// Variant selects the log-buffer insert algorithm.
-	Variant logbuf.Variant
-	// Device is the simulated log device latency class of every lane.
-	Device logdev.Profile
-	// Lanes is the log's lane count (0 or 1: one lane). With more, a
-	// transaction's home lane is its ID modulo Lanes, so consecutive
+// rig is one closed-loop run of a figure: the engine to assemble, the
+// workload to load into it and how to drive it.
+type rig struct {
+	// variant selects the log-buffer insert algorithm.
+	variant logbuf.Variant
+	// device is the simulated log device latency class of every lane.
+	device logdev.Profile
+	// lanes is the log's lane count (0 or 1: one lane). With more, a
+	// transaction's home lane is its ID modulo lanes, so consecutive
 	// transactions land on different lanes.
-	Lanes int
-	// Log carries the flush daemon's settings; the rig fills in the
-	// buffer, the device and the breakdown probes.
-	Log core.Config
+	lanes int
+	// log carries the flush daemon's settings; run fills in the buffer
+	// and the device.
+	log core.Config
+	// load is the workload: Setup fills the empty database, Body is
+	// each client's transaction.
+	load interface {
+		Setup(*txn.Engine) error
+		Body() workload.Body
+	}
+	// clients and mode drive the closed loop.
+	clients int
+	mode    txn.CommitMode
+	// penalty is the switch cost burnt after each blocking commit
+	// (withSwitchPenalty); 0 burns none.
+	penalty time.Duration
 }
 
-// Rig is an assembled engine plus the probes the experiments read.
-type Rig struct {
-	// Eng is the assembled transaction engine.
-	Eng *txn.Engine
-	// Breakdown holds the time-breakdown probes attached to the log.
-	Breakdown *metrics.Breakdown
+// window is what the probes counted while a closed loop ran: the log
+// buffer's two phases and the lock manager's waits, and the log counters
+// Figure 13 reads, summed over lanes.
+type window struct {
+	logWork, logContention, lockWait time.Duration
+	bytes, edges, enforced, stalls   int64
 }
 
-// Close shuts the engine's daemons down, then its log.
-func (r *Rig) Close() {
-	r.Eng.Close()
-	r.Eng.Multi().Close()
+// outcome is one run's measurements.
+type outcome struct {
+	res    workload.Result
+	shares TimeShares
+	window
 }
 
-// NewRig opens an empty database the way every other assembly does,
-// through txn.Restart: one log device per lane and a database file, each
-// on an in-memory filesystem, and the lock manager with speculative lock
-// inheritance.
-func NewRig(cfg EngineConfig) (*Rig, error) {
+// run opens an empty database the way every other assembly does, through
+// txn.Restart — one log device per lane and a database file, each on an
+// in-memory filesystem, and the lock manager with speculative lock
+// inheritance — loads r's workload, drives it for the scale's run length
+// and closes the database. Every figure that runs the engine runs it
+// here.
+func run(scale Scale, r rig) (outcome, error) {
 	bd := &metrics.Breakdown{}
-	devs := make([]logdev.Device, max(cfg.Lanes, 1))
+	devs := make([]logdev.Device, max(r.lanes, 1))
 	for i := range devs {
-		devs[i] = logdev.NewMem(cfg.Device)
+		devs[i] = logdev.NewMem(r.device)
 	}
 	var route func(txnID uint64, space uint32) int
 	if n := uint64(len(devs)); n > 1 {
 		route = func(txnID uint64, _ uint32) int { return int(txnID % n) }
 	}
-	lc := cfg.Log
-	lc.Buffer = logbuf.Config{Variant: cfg.Variant, Size: 1 << 24, Breakdown: bd}
-	lc.Breakdown = bd
+	lc := r.log
+	lc.Buffer = logbuf.Config{Variant: r.variant, Size: 1 << 24, Breakdown: bd}
 	eng, _, err := txn.Restart(txn.RestartConfig{
 		Devices:        devs,
 		RoutePartition: route,
@@ -145,25 +164,36 @@ func NewRig(cfg EngineConfig) (*Rig, error) {
 		LockConfig:     lockmgr.Config{DeadlockTimeout: 250 * time.Millisecond, SLI: true},
 	})
 	if err != nil {
-		return nil, err
+		return outcome{}, err
 	}
-	return &Rig{Eng: eng, Breakdown: bd}, nil
+	defer func() {
+		eng.Close()
+		eng.Multi().Close()
+	}()
+	if err := r.load.Setup(eng); err != nil {
+		return outcome{}, err
+	}
+	var w window
+	w.add(eng, bd, -1)
+	res := workload.RunClosedLoop(eng, workload.Options{
+		Clients: r.clients, Duration: scale.runFor(), Mode: r.mode,
+	}, withSwitchPenalty(r.load.Body(), r.mode, r.penalty))
+	w.add(eng, bd, 1)
+	return outcome{res: res, shares: shares(w, res, r.clients), window: w}, nil
 }
 
-// BreakdownSnapshot captures the probe state so a run's delta can be
-// computed.
-type BreakdownSnapshot struct {
-	logWork, logContention, logWait time.Duration
-	lockWait                        time.Duration
-}
-
-// Snapshot reads the current probe totals.
-func (r *Rig) Snapshot() BreakdownSnapshot {
-	return BreakdownSnapshot{
-		logWork:       r.Breakdown.Get(metrics.PhaseLogWork),
-		logContention: r.Breakdown.Get(metrics.PhaseLogContention),
-		logWait:       r.Breakdown.Get(metrics.PhaseLogWait),
-		lockWait:      r.Eng.Locks().Stats().WaitTime.Sum(),
+// add adds sign times the probes' running totals to w: subtracting them
+// before the loop and adding them after leaves what the loop counted.
+func (w *window) add(eng *txn.Engine, bd *metrics.Breakdown, sign int64) {
+	ml := eng.Multi()
+	w.logWork += time.Duration(sign) * bd.Get(metrics.PhaseLogWork)
+	w.logContention += time.Duration(sign) * bd.Get(metrics.PhaseLogContention)
+	w.lockWait += time.Duration(sign) * eng.Locks().Stats().WaitTime.Sum()
+	w.edges += sign * ml.EdgesTotal()
+	w.enforced += sign * ml.EdgesEnforced()
+	for i := 0; i < ml.NumParts(); i++ {
+		w.bytes += sign * ml.Part(i).Stats().InsertBytes.Load()
+		w.stalls += sign * ml.DepStalls(i)
 	}
 }
 
@@ -189,16 +219,17 @@ func (t TimeShares) String() string {
 		t.OtherWork*100, t.OtherContention*100, t.LogWork*100, t.LogContention*100, t.Idle*100)
 }
 
-// Shares converts probe deltas over a run into machine-time fractions.
-func Shares(before, after BreakdownSnapshot, clients int, elapsed time.Duration) TimeShares {
-	capacity := float64(clients) * elapsed.Seconds()
+// shares converts a run's window into machine-time fractions; idle is
+// the time its clients spent in blocking commits (res.CommitWait).
+func shares(w window, res workload.Result, clients int) TimeShares {
+	capacity := float64(clients) * res.Elapsed.Seconds()
 	if capacity <= 0 {
 		return TimeShares{}
 	}
-	lw := (after.logWork - before.logWork).Seconds() / capacity
-	lc := (after.logContention - before.logContention).Seconds() / capacity
-	idle := (after.logWait - before.logWait).Seconds() / capacity
-	lockW := (after.lockWait - before.lockWait).Seconds() / capacity
+	lw := w.logWork.Seconds() / capacity
+	lc := w.logContention.Seconds() / capacity
+	idle := res.CommitWait.Seconds() / capacity
+	lockW := w.lockWait.Seconds() / capacity
 	other := 1 - lw - lc - idle - lockW
 	if other < 0 {
 		other = 0

@@ -65,9 +65,6 @@ type Config struct {
 	// nothing woke it (the "T time elapsed" trigger); a pass flushes the
 	// log any commit waits on. Default 50µs.
 	FlushInterval time.Duration
-	// Breakdown, if set, receives PhaseLogWait time from WaitDurable —
-	// the synchronous-commit stall the time-breakdown figures plot.
-	Breakdown *metrics.Breakdown
 }
 
 func (c *Config) applyDefaults() {
@@ -454,21 +451,13 @@ func (lm *LogManager) WaitDurable(end lsn.LSN) error {
 	if lm.durable.Load() >= end {
 		return nil
 	}
-	var t0 time.Time
-	if lm.cfg.Breakdown != nil {
-		t0 = time.Now()
-	}
 	ch := parkChans.Get().(chan error)
 	defer parkChans.Put(ch)
 	if err := lm.subscribe(waiter{end: end, ch: ch}); err != nil {
 		return err
 	}
 	lm.wake()
-	err := <-ch
-	if lm.cfg.Breakdown != nil {
-		lm.cfg.Breakdown.Add(metrics.PhaseLogWait, time.Since(t0))
-	}
-	return err
+	return <-ch
 }
 
 // Force makes the log durable at least through upTo, blocking until it

@@ -130,8 +130,9 @@ func (h *Histogram) String() string {
 		h.Count(), h.Mean(), h.Quantile(0.50), h.Quantile(0.99))
 }
 
-// Phase identifies where a transaction's wall-clock time is spent. These
-// are exactly the categories of the paper's time-breakdown figures.
+// Phase identifies where a log insert's wall-clock time is spent: the two
+// log-manager categories of the paper's time-breakdown figures, timed
+// inside the log buffer's insert.
 type Phase int
 
 const (
@@ -142,14 +143,10 @@ const (
 	// mutex acquisition, consolidation-slot joins, in-order release waits
 	// ("Log mgr. contention").
 	PhaseLogContention
-	// PhaseLogWait is time a committing transaction (or its detached
-	// continuation) spends waiting for its commit record to harden —
-	// the log-flush wait the paper calls delay (A).
-	PhaseLogWait
 	numPhases
 )
 
-var phaseNames = [numPhases]string{"log-work", "log-contention", "log-wait"}
+var phaseNames = [numPhases]string{"log-work", "log-contention"}
 
 // String returns the phase's short name.
 func (p Phase) String() string {

@@ -90,6 +90,10 @@ func (m CommitMode) String() string {
 	return fmt.Sprintf("mode(%d)", int(m))
 }
 
+// Blocking reports whether Commit parks the calling agent until the
+// commit record is durable: CommitSync and CommitSyncELR.
+func (m CommitMode) Blocking() bool { return m == CommitSync || m == CommitSyncELR }
+
 // DefaultKeyOf extracts a row's key assuming the row starts with the key
 // encoded as 8 little-endian bytes — the convention all built-in
 // workloads follow. Index rebuild at restart depends on it.

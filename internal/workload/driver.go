@@ -66,6 +66,11 @@ type Result struct {
 	LockBlocks int64
 	// Flushes counts log device syncs during the run, summed over lanes.
 	Flushes int64
+	// CommitWait is the wall-clock the clients spent inside blocking
+	// commits (CommitSync, CommitSyncELR), summed over clients: the
+	// flush wait the paper's time breakdowns plot as idle. The detaching
+	// modes never block on the log, so under them it is 0.
+	CommitWait time.Duration
 }
 
 // CommitBlockRate returns commit-blocking scheduling events per second.
@@ -108,10 +113,10 @@ func (r Result) String() string {
 }
 
 type driver struct {
-	eng       *txn.Engine
 	mode      txn.CommitMode
 	completed atomic.Int64
 	aborted   atomic.Int64
+	wait      atomic.Int64 // ns spent in blocking commits
 	inflight  sync.WaitGroup
 	stopped   atomic.Bool
 }
@@ -119,9 +124,13 @@ type driver struct {
 // CommitTxn commits tx under the driver's commit mode and wires the
 // completion accounting. For pipelined modes it returns immediately; the
 // driver waits for all outstanding acknowledgements before reporting.
+// A blocking commit is timed into the run's CommitWait.
 func (c *Client) CommitTxn(tx *txn.Txn) error {
 	d := c.drv
 	d.inflight.Add(1)
+	if d.mode.Blocking() {
+		defer func(t0 time.Time) { d.wait.Add(int64(time.Since(t0))) }(time.Now())
+	}
 	err := tx.Commit(d.mode, func(err error) {
 		if err == nil {
 			d.completed.Add(1)
@@ -156,7 +165,7 @@ func RunClosedLoop(eng *txn.Engine, opts Options, body Body) Result {
 	if opts.Duration <= 0 {
 		opts.Duration = time.Second
 	}
-	d := &driver{eng: eng, mode: opts.Mode}
+	d := &driver{mode: opts.Mode}
 
 	commitBlocks0, flushes0 := logCounters(eng)
 	lockBlocks0 := eng.Locks().Stats().Blocks.Load()
@@ -209,6 +218,7 @@ func RunClosedLoop(eng *txn.Engine, opts Options, body Body) Result {
 		CommitBlocks: commitBlocks,
 		LockBlocks:   lockBlocks,
 		Flushes:      flushes - flushes0,
+		CommitWait:   time.Duration(d.wait.Load()),
 	}
 }
 

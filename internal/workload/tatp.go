@@ -2,7 +2,6 @@ package workload
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"aether/internal/txn"
 )
@@ -50,80 +49,41 @@ func (w *TATP) Setup(eng *txn.Engine) error {
 	if w.Subscribers <= 0 {
 		w.Subscribers = 10000
 	}
-	var err error
-	if w.subscriber, err = eng.CreateTable("tatp_subscriber", nil); err != nil {
-		return err
-	}
-	if w.accessInfo, err = eng.CreateTable("tatp_access_info", nil); err != nil {
-		return err
-	}
-	if w.specialFac, err = eng.CreateTable("tatp_special_facility", nil); err != nil {
-		return err
-	}
-	if w.callFwd, err = eng.CreateTable("tatp_call_forwarding", nil); err != nil {
-		return err
-	}
-
-	ag := eng.NewAgent()
-	defer ag.Close()
-	tx := ag.Begin()
-	rows := 0
-	maybeCommit := func() error {
-		rows++
-		if rows%2000 == 0 {
-			if err := tx.Commit(txn.CommitSync, nil); err != nil {
-				return err
+	return load(eng, []table{
+		{"tatp_subscriber", &w.subscriber},
+		{"tatp_access_info", &w.accessInfo},
+		{"tatp_special_facility", &w.specialFac},
+		{"tatp_call_forwarding", &w.callFwd},
+	}, func(put put) {
+		// Deterministic pseudo-random cardinalities (reproducible loads).
+		next := tatpCardinalities()
+		for s := 1; s <= w.Subscribers; s++ {
+			sid := uint64(s)
+			put(w.subscriber, sid, tatpRow(sid, 96, 0x5A))
+			for ai := 0; ai <= next(4); ai++ {
+				put(w.accessInfo, aiKey(sid, ai), tatpRow(aiKey(sid, ai), 40, 0xA1))
 			}
-			tx = ag.Begin()
+			for sf := 0; sf <= next(4); sf++ {
+				put(w.specialFac, sfKey(sid, sf), tatpRow(sfKey(sid, sf), 40, 0xB2))
+				for cf := 0; cf < next(4); cf++ {
+					k := cfKey(sid, sf, cf*8)
+					put(w.callFwd, k, tatpRow(k, 40, 0xC3))
+				}
+			}
 		}
-		return nil
-	}
-	// Deterministic pseudo-random cardinalities (reproducible loads).
+	})
+}
+
+// tatpCardinalities returns the xorshift stream that draws the load's
+// per-subscriber row counts: next(n) is in [0, n).
+func tatpCardinalities() func(n int) int {
 	h := uint64(88172645463325252)
-	next := func(n int) int {
+	return func(n int) int {
 		h ^= h << 13
 		h ^= h >> 7
 		h ^= h << 17
 		return int(h % uint64(n))
 	}
-	for s := 1; s <= w.Subscribers; s++ {
-		sid := uint64(s)
-		if err := tx.Insert(w.subscriber, sid, tatpRow(sid, 96, 0x5A)); err != nil {
-			return fmt.Errorf("workload: load subscriber %d: %w", s, err)
-		}
-		if err := maybeCommit(); err != nil {
-			return err
-		}
-		for ai := 0; ai <= next(4); ai++ {
-			if err := tx.Insert(w.accessInfo, aiKey(sid, ai), tatpRow(aiKey(sid, ai), 40, 0xA1)); err != nil {
-				return err
-			}
-			if err := maybeCommit(); err != nil {
-				return err
-			}
-		}
-		for sf := 0; sf <= next(4); sf++ {
-			if err := tx.Insert(w.specialFac, sfKey(sid, sf), tatpRow(sfKey(sid, sf), 40, 0xB2)); err != nil {
-				return err
-			}
-			if err := maybeCommit(); err != nil {
-				return err
-			}
-			for cf := 0; cf < next(4); cf++ {
-				k := cfKey(sid, sf, cf*8)
-				if err := tx.Insert(w.callFwd, k, tatpRow(k, 40, 0xC3)); err != nil {
-					return err
-				}
-				if err := maybeCommit(); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	if err := tx.Commit(txn.CommitSync, nil); err != nil {
-		return err
-	}
-	return eng.Checkpoint()
 }
 
 // Body returns the driver body running the standard TATP mix

@@ -58,9 +58,8 @@ func tpcbSetBalance(row []byte, bal int64) []byte {
 // TellersPerBranch is fixed by the TPC-B specification.
 const TellersPerBranch = 10
 
-// Setup creates and populates the four tables. Loading commits in
-// batches through the normal transactional path, then checkpoints so
-// the load is archived.
+// Setup creates and populates the four tables through the one loader:
+// every branch with its tellers and accounts, and no history.
 func (w *TPCB) Setup(eng *txn.Engine) error {
 	if w.Branches <= 0 {
 		w.Branches = 10
@@ -70,58 +69,24 @@ func (w *TPCB) Setup(eng *txn.Engine) error {
 	}
 	w.branchZipf = NewZipf(w.Branches, w.AccessSkew)
 
-	var err error
-	if w.branches, err = eng.CreateTable("tpcb_branches", nil); err != nil {
-		return err
-	}
-	if w.tellers, err = eng.CreateTable("tpcb_tellers", nil); err != nil {
-		return err
-	}
-	if w.accounts, err = eng.CreateTable("tpcb_accounts", nil); err != nil {
-		return err
-	}
-	if w.history, err = eng.CreateTable("tpcb_history", nil); err != nil {
-		return err
-	}
-
-	ag := eng.NewAgent()
-	defer ag.Close()
-	tx := ag.Begin()
-	rows := 0
-	commit := func() error {
-		if err := tx.Commit(txn.CommitSync, nil); err != nil {
-			return err
-		}
-		tx = ag.Begin()
-		return nil
-	}
-	for b := 1; b <= w.Branches; b++ {
-		if err := tx.Insert(w.branches, uint64(b), tpcbRow(uint64(b), 0)); err != nil {
-			return fmt.Errorf("workload: load branch %d: %w", b, err)
-		}
-		for t := 0; t < TellersPerBranch; t++ {
-			tid := uint64((b-1)*TellersPerBranch + t + 1)
-			if err := tx.Insert(w.tellers, tid, tpcbRow(tid, 0)); err != nil {
-				return fmt.Errorf("workload: load teller %d: %w", tid, err)
+	return load(eng, []table{
+		{"tpcb_branches", &w.branches},
+		{"tpcb_tellers", &w.tellers},
+		{"tpcb_accounts", &w.accounts},
+		{"tpcb_history", &w.history},
+	}, func(put put) {
+		for b := 1; b <= w.Branches; b++ {
+			put(w.branches, uint64(b), tpcbRow(uint64(b), 0))
+			for t := 0; t < TellersPerBranch; t++ {
+				tid := uint64((b-1)*TellersPerBranch + t + 1)
+				put(w.tellers, tid, tpcbRow(tid, 0))
+			}
+			for a := 0; a < w.AccountsPerBranch; a++ {
+				aid := uint64((b-1)*w.AccountsPerBranch + a + 1)
+				put(w.accounts, aid, tpcbRow(aid, 0))
 			}
 		}
-		for a := 0; a < w.AccountsPerBranch; a++ {
-			aid := uint64((b-1)*w.AccountsPerBranch + a + 1)
-			if err := tx.Insert(w.accounts, aid, tpcbRow(aid, 0)); err != nil {
-				return fmt.Errorf("workload: load account %d: %w", aid, err)
-			}
-			rows++
-			if rows%2000 == 0 {
-				if err := commit(); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	if err := tx.Commit(txn.CommitSync, nil); err != nil {
-		return err
-	}
-	return eng.Checkpoint()
+	})
 }
 
 // Body returns the transaction body for the driver: the TPC-B profile

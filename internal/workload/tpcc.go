@@ -2,7 +2,6 @@ package workload
 
 import (
 	"encoding/binary"
-	"fmt"
 	"sync/atomic"
 
 	"aether/internal/txn"
@@ -58,78 +57,31 @@ func (w *TPCC) cKey(wid, did, cid int) uint64 {
 }
 func (w *TPCC) sKey(wid, iid int) uint64 { return uint64(wid)*1_000_000 + uint64(iid) }
 
-// Setup creates and loads the tables, then checkpoints.
+// Setup creates the tables and loads warehouses, districts, customers
+// and stock; orders, order lines and history start empty.
 func (w *TPCC) Setup(eng *txn.Engine) error {
-	var err error
-	if w.warehouse, err = eng.CreateTable("tpcc_warehouse", nil); err != nil {
-		return err
-	}
-	if w.district, err = eng.CreateTable("tpcc_district", nil); err != nil {
-		return err
-	}
-	if w.customer, err = eng.CreateTable("tpcc_customer", nil); err != nil {
-		return err
-	}
-	if w.stock, err = eng.CreateTable("tpcc_stock", nil); err != nil {
-		return err
-	}
-	if w.orders, err = eng.CreateTable("tpcc_orders", nil); err != nil {
-		return err
-	}
-	if w.orderLine, err = eng.CreateTable("tpcc_order_line", nil); err != nil {
-		return err
-	}
-	if w.history, err = eng.CreateTable("tpcc_history", nil); err != nil {
-		return err
-	}
-
-	ag := eng.NewAgent()
-	defer ag.Close()
-	tx := ag.Begin()
-	rows := 0
-	maybeCommit := func() error {
-		rows++
-		if rows%2000 == 0 {
-			if err := tx.Commit(txn.CommitSync, nil); err != nil {
-				return err
-			}
-			tx = ag.Begin()
-		}
-		return nil
-	}
-	for wid := 1; wid <= w.Warehouses; wid++ {
-		if err := tx.Insert(w.warehouse, uint64(wid), tpccRow(uint64(wid), 96)); err != nil {
-			return fmt.Errorf("workload: load warehouse %d: %w", wid, err)
-		}
-		for did := 1; did <= w.DistrictsPerWarehouse; did++ {
-			if err := tx.Insert(w.district, w.dKey(wid, did), tpccRow(w.dKey(wid, did), 96)); err != nil {
-				return err
-			}
-			if err := maybeCommit(); err != nil {
-				return err
-			}
-			for cid := 1; cid <= w.CustomersPerDistrict; cid++ {
-				if err := tx.Insert(w.customer, w.cKey(wid, did, cid), tpccRow(w.cKey(wid, did, cid), 128)); err != nil {
-					return err
-				}
-				if err := maybeCommit(); err != nil {
-					return err
+	return load(eng, []table{
+		{"tpcc_warehouse", &w.warehouse},
+		{"tpcc_district", &w.district},
+		{"tpcc_customer", &w.customer},
+		{"tpcc_stock", &w.stock},
+		{"tpcc_orders", &w.orders},
+		{"tpcc_order_line", &w.orderLine},
+		{"tpcc_history", &w.history},
+	}, func(put put) {
+		for wid := 1; wid <= w.Warehouses; wid++ {
+			put(w.warehouse, uint64(wid), tpccRow(uint64(wid), 96))
+			for did := 1; did <= w.DistrictsPerWarehouse; did++ {
+				put(w.district, w.dKey(wid, did), tpccRow(w.dKey(wid, did), 96))
+				for cid := 1; cid <= w.CustomersPerDistrict; cid++ {
+					put(w.customer, w.cKey(wid, did, cid), tpccRow(w.cKey(wid, did, cid), 128))
 				}
 			}
-		}
-		for iid := 1; iid <= w.ItemsPerWarehouse; iid++ {
-			if err := tx.Insert(w.stock, w.sKey(wid, iid), tpccRow(w.sKey(wid, iid), 64)); err != nil {
-				return err
-			}
-			if err := maybeCommit(); err != nil {
-				return err
+			for iid := 1; iid <= w.ItemsPerWarehouse; iid++ {
+				put(w.stock, w.sKey(wid, iid), tpccRow(w.sKey(wid, iid), 64))
 			}
 		}
-	}
-	if err := tx.Commit(txn.CommitSync, nil); err != nil {
-		return err
-	}
-	return eng.Checkpoint()
+	})
 }
 
 // Body returns the driver body: 50% NewOrder, 50% Payment (the two

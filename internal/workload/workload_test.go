@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -172,11 +173,84 @@ func TestTPCBAllCommitModes(t *testing.T) {
 			if res.Completed == 0 {
 				t.Fatalf("mode %v: nothing completed", mode)
 			}
+			// Only the blocking modes park a client in its commit.
+			if mode.Blocking() && res.CommitWait <= 0 || !mode.Blocking() && res.CommitWait != 0 {
+				t.Fatalf("mode %v: commit wait %v", mode, res.CommitWait)
+			}
 			if err := w.ConsistencyCheck(eng); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
+}
+
+// TestLoadCardinalities: after Setup on a fresh engine, every table holds
+// exactly the rows its load inserts. Each load is more than one batch, so
+// both a batch commit and the final commit are covered.
+func TestLoadCardinalities(t *testing.T) {
+	count := func(t *testing.T, eng *txn.Engine, tables ...*txn.Table) []int {
+		t.Helper()
+		ag := eng.NewAgent()
+		defer ag.Close()
+		tx := ag.Begin()
+		defer tx.Commit(txn.CommitSync, nil)
+		n := make([]int, len(tables))
+		for i, tbl := range tables {
+			if err := tx.Scan(tbl, 0, math.MaxUint64, func(uint64, []byte) bool { n[i]++; return true }); err != nil {
+				t.Fatalf("scan %s: %v", tbl.Name, err)
+			}
+		}
+		return n
+	}
+	check := func(t *testing.T, got, want []int) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Fatalf("rows per table %v, want %v", got, want)
+		}
+	}
+	t.Run("TPCB", func(t *testing.T) {
+		eng := openEngine(t)
+		w := &TPCB{Branches: 3, AccountsPerBranch: 700}
+		if err := w.Setup(eng); err != nil {
+			t.Fatal(err)
+		}
+		check(t, count(t, eng, w.branches, w.tellers, w.accounts, w.history), []int{3, 30, 2100, 0})
+	})
+	t.Run("TPCC", func(t *testing.T) {
+		eng := openEngine(t)
+		w := NewTPCC()
+		w.Warehouses, w.CustomersPerDistrict, w.ItemsPerWarehouse = 2, 100, 200
+		if err := w.Setup(eng); err != nil {
+			t.Fatal(err)
+		}
+		check(t, count(t, eng, w.warehouse, w.district, w.customer, w.stock, w.orders, w.orderLine, w.history),
+			[]int{2, 20, 2000, 400, 0, 0, 0})
+	})
+	t.Run("TATP", func(t *testing.T) {
+		eng := openEngine(t)
+		w := &TATP{Subscribers: 500}
+		if err := w.Setup(eng); err != nil {
+			t.Fatal(err)
+		}
+		// Replay the load's draws, loop for loop.
+		want := []int{w.Subscribers, 0, 0, 0}
+		next := tatpCardinalities()
+		for s := 0; s < w.Subscribers; s++ {
+			for ai := 0; ai <= next(4); ai++ {
+				want[1]++
+			}
+			for sf := 0; sf <= next(4); sf++ {
+				want[2]++
+				for cf := 0; cf < next(4); cf++ {
+					want[3]++
+				}
+			}
+		}
+		check(t, count(t, eng, w.subscriber, w.accessInfo, w.specialFac, w.callFwd), want)
+		if total := want[0] + want[1] + want[2] + want[3]; total <= loadBatch {
+			t.Fatalf("TATP load of %d rows fits one batch", total)
+		}
+	})
 }
 
 func TestTATPRunsFullMix(t *testing.T) {
