@@ -229,7 +229,9 @@ soak-race-long:
 # segment header's durable watermark slots, and the log record with its
 # update and checkpoint payloads — none may panic, over-allocate, or
 # round-trip asymmetrically, no slot may be admitted over bytes that do
-# not match its data CRC, and no record may have two spellings. Ten seconds
+# not match its data CRC, and no record may have two spellings; and the
+# fault filesystem, which keeps one image per file, must recover every
+# file as the two-image model in its tests does. Ten seconds
 # per target is enough to exercise the mutation corpus on every CI pass
 # (the record target keeps finding new coverage from a cold cache, and
 # the fuzzer's default minute of minimizing each find would eat the ten
@@ -241,6 +243,7 @@ fuzz-smoke:
 	$(GO) test ./internal/logdev -run '^$$' -fuzz '^FuzzRemoteObject$$' -fuzztime 10s
 	$(GO) test ./internal/logdev -run '^$$' -fuzz '^FuzzSegmentHeader$$' -fuzztime 10s
 	$(GO) test ./internal/logrec -run '^$$' -fuzz '^FuzzRecordDecode$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/vfs -run '^$$' -fuzz '^FuzzFaultFSModel$$' -fuzztime 10s
 
 # The last step fails if anything above left the checkout dirty: no
 # target may rewrite a tracked file or drop an unignored one.

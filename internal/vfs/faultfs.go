@@ -119,49 +119,63 @@ func (t TraceEntry) String() string {
 
 const traceCap = 512
 
-// fnode is an in-memory inode: the durable image (synced) and the
-// volatile image (data) that ordinary reads and writes see. Sync
-// promotes data to synced; a power cut reverts data to synced, except
-// that unsynced writes may tear in at sector granularity.
+// fnode is an in-memory inode. It keeps one byte image, the volatile one
+// that reads and writes see. The durable image is not stored: it is the
+// volatile image with the bytes changed since the last Sync put back,
+// newest first, cut to the durable length. So Sync copies nothing, and a
+// power cut puts back only what changed, except that unsynced writes may
+// tear in at sector granularity.
 //
-// Each image holds only the bytes up to the furthest one written (its
+// The image holds only the bytes up to the furthest one written (its
 // materialized prefix); the rest of the file's length (size, syncedSize)
 // reads as zeros, so growing a file by Truncate costs no memory — a log
 // segment born at its full size is as long as what was appended to it.
+// An append past the durable prefix changes no durable byte, so a log
+// write saves nothing.
 type fnode struct {
-	synced     []byte
 	data       []byte
 	size       int64 // the volatile length; data holds at most this many bytes
+	syncedLen  int   // the durable image's materialized prefix
 	syncedSize int64 // the durable length
+	// saved lists the ranges of the durable prefix overwritten or cut
+	// away since the last Sync, oldest first; savedBytes holds what they
+	// held before, end to end. Both keep their capacity across Syncs, so
+	// a header rewritten in place at every Sync allocates nothing.
+	saved      []extent
+	savedBytes []byte
 	// unsynced lists the extents written since the last Sync, oldest
-	// first: what the next Sync copies into synced. Those from tearFrom
-	// on are the tearing candidates; a Truncate retires the earlier ones
-	// from tearing, not from the next Sync.
+	// first. Those from tearFrom on are the tearing candidates; a
+	// Truncate retires the earlier ones from tearing.
 	unsynced []extent
 	tearFrom int
-	// minLen is the shortest data has been since the last Sync. Sync cuts
-	// synced back to it before growing it to data's length, so bytes a
-	// Truncate cut away do not outlive it in the durable image.
-	minLen int
 }
 
-// promote makes the volatile image durable (Sync): synced keeps its
-// bytes below minLen, takes data's beyond it, and takes data's bytes
-// under every extent written since the last Sync — work proportional to
-// what changed, not to the file.
-func (n *fnode) promote() {
-	keep := min(len(n.synced), n.minLen)
-	n.synced = extend(n.synced[:keep], len(n.data), n.size)
-	copy(n.synced[keep:], n.data[keep:])
-	for _, w := range n.unsynced {
-		end := min(w.off+int64(w.len), int64(keep))
-		if w.off < end {
-			copy(n.synced[w.off:end], n.data[w.off:end])
-		}
+// save keeps the bytes of [off, end) that the durable prefix holds,
+// before a write or a shrink changes them.
+func (n *fnode) save(off, end int64) {
+	end = min(end, int64(n.syncedLen), int64(len(n.data)))
+	if off < end {
+		n.saved = append(n.saved, extent{off: off, len: int(end - off)})
+		n.savedBytes = append(n.savedBytes, n.data[off:end]...)
 	}
-	n.syncedSize = n.size
+}
+
+// put writes p into the image at off, growing the file if it ends past
+// it.
+func (n *fnode) put(p []byte, off int64) {
+	end := off + int64(len(p))
+	n.size = max(n.size, end)
+	if int64(len(n.data)) < end {
+		n.data = extend(n.data, int(end), n.size)
+	}
+	copy(n.data[off:end], p)
+}
+
+// sync makes the volatile image durable (Sync). It copies nothing.
+func (n *fnode) sync() {
+	n.syncedLen, n.syncedSize = len(n.data), n.size
+	n.saved, n.savedBytes = n.saved[:0], n.savedBytes[:0]
 	n.unsynced, n.tearFrom = n.unsynced[:0], 0
-	n.minLen = len(n.data)
 }
 
 // extend returns b lengthened to n bytes, the new ones zero, for a file
@@ -190,14 +204,14 @@ const wholeCap = 64 << 20
 // before it stop being tearing candidates.
 func (n *fnode) resize(size int64) {
 	if size < int64(len(n.data)) {
+		n.save(size, int64(len(n.data)))
 		n.data = n.data[:size]
 	}
 	n.size = size
-	n.minLen = min(n.minLen, len(n.data))
 	n.tearFrom = len(n.unsynced)
 }
 
-// extent is one write's byte range.
+// extent is one byte range of a file.
 type extent struct {
 	off int64
 	len int
@@ -219,7 +233,9 @@ type nsOp struct {
 //     writes in at sector granularity: the most recent one under the
 //     seeded RNG, every one of them (oldest first) under a TearMask
 //     hook, so table-driven tests can persist any subset of what a
-//     crash could.
+//     crash could. Each file is held once: a write saves the durable
+//     bytes it overwrites, Sync drops what was saved, and a power cut
+//     puts it back.
 //   - Namespace changes (create, rename, remove) are volatile until
 //     SyncDir on the parent directory; a power cut rolls pending ones
 //     back in reverse order. Syncing a file does NOT persist its
@@ -412,12 +428,14 @@ func (f *FaultFS) Recover() {
 	f.gen++
 }
 
-// revert rolls a file's volatile image back to its synced bytes,
-// tearing unsynced writes in at sector granularity when enabled.
+// revert rolls a file's volatile image back to its durable one, tearing
+// unsynced writes in at sector granularity when enabled.
 func (f *FaultFS) revert(path string, n *fnode) {
+	// The sectors that tear in are read first: the rollback overwrites
+	// them.
+	var torn []extent
+	var tornBytes []byte
 	if candidates := n.unsynced[n.tearFrom:]; f.tornWrites && len(candidates) > 0 {
-		img := append([]byte(nil), n.synced...)
-		size := n.syncedSize
 		if f.tearMask == nil {
 			candidates = candidates[len(candidates)-1:]
 		}
@@ -441,18 +459,24 @@ func (f *FaultFS) revert(path string, n *fnode) {
 				}
 				off := w.off + int64(s*f.sectorSize)
 				end := min(off+int64(f.sectorSize), w.off+int64(w.len))
-				if int64(len(img)) < end {
-					img = append(img, make([]byte, end-int64(len(img)))...)
-				}
-				copy(img[off:end], n.data[off:end])
-				size = max(size, end)
+				torn = append(torn, extent{off: off, len: int(end - off)})
+				tornBytes = append(tornBytes, n.data[off:end]...)
 			}
 		}
-		n.synced, n.syncedSize = img, size
 	}
-	n.data, n.size = append(n.data[:0], n.synced...), n.syncedSize
-	n.unsynced, n.tearFrom = nil, 0
-	n.minLen = len(n.data)
+	// The saved ranges reach the durable prefix's end whenever a shrink
+	// cut the image short of it, so putting them back regrows it.
+	at := len(n.savedBytes)
+	for i := len(n.saved) - 1; i >= 0; i-- {
+		at -= n.saved[i].len
+		n.put(n.savedBytes[at:at+n.saved[i].len], n.saved[i].off)
+	}
+	n.data, n.size = n.data[:n.syncedLen], n.syncedSize
+	for _, r := range torn {
+		n.put(tornBytes[:r.len], r.off)
+		tornBytes = tornBytes[r.len:]
+	}
+	n.sync()
 }
 
 // record appends to the bounded op trace. Caller holds mu.
@@ -813,12 +837,8 @@ func (h *faultFile) WriteAt(p []byte, off int64) (int, error) {
 // writeLocked applies a write to the volatile image and records it as
 // a tearing candidate. Caller holds fs.mu.
 func (h *faultFile) writeLocked(p []byte, off int64) {
-	end := off + int64(len(p))
-	h.n.size = max(h.n.size, end)
-	if int64(len(h.n.data)) < end {
-		h.n.data = extend(h.n.data, int(end), h.n.size)
-	}
-	copy(h.n.data[off:end], p)
+	h.n.save(off, off+int64(len(p)))
+	h.n.put(p, off)
 	h.n.unsynced = append(h.n.unsynced, extent{off: off, len: len(p)})
 }
 
@@ -842,9 +862,8 @@ func (h *faultFile) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// Sync promotes the volatile image to the durable one, copying only what
-// changed since the last Sync. It does not make the file's directory
-// entry durable.
+// Sync makes the volatile image the durable one, copying nothing. It
+// does not make the file's directory entry durable.
 func (h *faultFile) Sync() error {
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
@@ -854,7 +873,7 @@ func (h *faultFile) Sync() error {
 	if err, _ := h.fs.enter(OpSync, h.path, 0, 0); err != nil {
 		return patherr(OpSync, h.path, err)
 	}
-	h.n.promote()
+	h.n.sync()
 	return nil
 }
 

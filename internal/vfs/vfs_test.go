@@ -378,9 +378,8 @@ func TestFaultFSRuleOffBelow(t *testing.T) {
 	}
 }
 
-// TestFaultFSIncrementalSync checks that Sync, which copies only what
-// changed since the last one, leaves the durable image a whole-file copy
-// would: through growth by Truncate, partial writes, a Sync, writes that
+// TestFaultFSIncrementalSync checks that Sync, which copies nothing,
+// leaves the durable image a whole-file copy would: through growth by Truncate, partial writes, a Sync, writes that
 // overlap it, a shrink and regrowth, another Sync, and a power cut that
 // drops the writes after it whole or tears them in.
 func TestFaultFSIncrementalSync(t *testing.T) {
@@ -471,8 +470,8 @@ func TestFaultFSTraceRing(t *testing.T) {
 }
 
 // TestFaultFSTruncateGrowthIsSparse: a file grown by Truncate reads as
-// zeros to its new length, and neither of its images holds more than
-// the bytes written.
+// zeros to its new length, and its image holds no more than the bytes
+// written, durable or not.
 func TestFaultFSTruncateGrowthIsSparse(t *testing.T) {
 	fs := NewFaultFS(1)
 	f := mustOpen(t, fs, "/f", os.O_CREATE|os.O_RDWR)
@@ -483,8 +482,8 @@ func TestFaultFSTruncateGrowthIsSparse(t *testing.T) {
 	if err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if n := fs.files["/f"]; len(n.data) != 4097 || len(n.synced) != 4097 {
-		t.Fatalf("images hold %d and %d bytes, want the 4097 written", len(n.data), len(n.synced))
+	if n := fs.files["/f"]; len(n.data) != 4097 || n.syncedLen != 4097 {
+		t.Fatalf("image holds %d bytes, %d of them durable, want the 4097 written", len(n.data), n.syncedLen)
 	}
 	buf := []byte("junkjunk")
 	if n, err := f.ReadAt(buf, 1<<30-8); n != 8 || err != nil || string(buf) != string(make([]byte, 8)) {
@@ -492,5 +491,62 @@ func TestFaultFSTruncateGrowthIsSparse(t *testing.T) {
 	}
 	if st, err := f.Stat(); err != nil || st.Size() != 1<<30 {
 		t.Fatalf("Stat = %v, %v, want size 1 GiB", st, err)
+	}
+}
+
+// TestFaultFSSyncCopiesNothing counts what the one-image FaultFS saves
+// and allocates on a log segment's pattern: appends into a file born
+// full-size by Truncate save no bytes, an in-place rewrite below the
+// durable prefix (a watermark slot) saves exactly its own, and neither
+// followed by Sync allocates.
+func TestFaultFSSyncCopiesNothing(t *testing.T) {
+	fs := NewFaultFS(1)
+	f := mustOpen(t, fs, "/seg", os.O_CREATE|os.O_RDWR)
+	if err := f.Truncate(4096 + 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	writeAt(t, f, make([]byte, 4096), 0)
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	n := fs.files["/seg"]
+	rec, off := make([]byte, 100), int64(4096)
+	for i := 0; i < 1000; i++ {
+		writeAt(t, f, rec, off)
+		off += int64(len(rec))
+		if len(n.saved) != 0 || len(n.savedBytes) != 0 {
+			t.Fatalf("append %d saved %d bytes in %d ranges, want none", i, len(n.savedBytes), len(n.saved))
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slot := make([]byte, 28)
+	writeAt(t, f, slot, 64)
+	if len(n.savedBytes) != len(slot) {
+		t.Fatalf("a %d-byte rewrite saved %d bytes", len(slot), len(n.savedBytes))
+	}
+	rewrite := func() {
+		if _, err := f.WriteAt(slot, 64); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendSync := func() {
+		if _, err := f.WriteAt(rec, off); err != nil {
+			t.Fatal(err)
+		}
+		off += int64(len(rec))
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a := testing.AllocsPerRun(100, rewrite); a != 0 {
+		t.Errorf("rewrite below the durable prefix + Sync: %.1f allocations, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, appendSync); a != 0 {
+		t.Errorf("append + Sync: %.1f allocations, want 0", a)
 	}
 }
