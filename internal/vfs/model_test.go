@@ -122,8 +122,8 @@ const modelSector = 4
 // side over three files. Each operation takes four bytes: kind, file and
 // two operands. Writes land below and past the durable prefix and overlap
 // one another; Truncate grows files and shrinks them below the durable
-// prefix; after every operation the live files must match, and after
-// every power cut the recovered ones.
+// prefix; after every operation the file it touched must match, and
+// after every power cut every recovered one.
 func runModel(t *testing.T, mode tearMode, seed int64, prog []byte) {
 	t.Helper()
 	paths := []string{"/a", "/b", "/c"}
@@ -154,9 +154,10 @@ func runModel(t *testing.T, mode tearMode, seed int64, prog []byte) {
 		}
 		models[i].sync()
 	}
-	check := func(step int, what string) {
+	check := func(step int, what string, files ...int) {
 		t.Helper()
-		for i, p := range paths {
+		for _, i := range files {
+			p := paths[i]
 			got, want := readAll(t, fs, p), models[i].live
 			st, err := fs.Stat(p)
 			if err != nil {
@@ -177,6 +178,7 @@ func runModel(t *testing.T, mode tearMode, seed int64, prog []byte) {
 			data[j] = byte(1 + (step*31+j)%255)
 		}
 		var what string
+		touched := []int{i}
 		switch kind {
 		case 0, 1: // anywhere in the first 80 bytes
 			what = "WriteAt"
@@ -228,8 +230,9 @@ func runModel(t *testing.T, mode tearMode, seed int64, prog []byte) {
 				models[k].cut(p, mode, mask, rng)
 			}
 			open()
+			touched = []int{0, 1, 2}
 		}
-		check(step/4, what)
+		check(step/4, what, touched...)
 	}
 }
 

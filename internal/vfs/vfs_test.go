@@ -379,9 +379,10 @@ func TestFaultFSRuleOffBelow(t *testing.T) {
 }
 
 // TestFaultFSIncrementalSync checks that Sync, which copies nothing,
-// leaves the durable image a whole-file copy would: through growth by Truncate, partial writes, a Sync, writes that
-// overlap it, a shrink and regrowth, another Sync, and a power cut that
-// drops the writes after it whole or tears them in.
+// leaves the durable image a whole-file copy would: through growth by
+// Truncate, partial writes, a Sync, writes that overlap it, a shrink and
+// regrowth, another Sync, and a power cut that drops the writes after it
+// whole or tears them in.
 func TestFaultFSIncrementalSync(t *testing.T) {
 	fill := func(b byte, n int) []byte {
 		p := make([]byte, n)
