@@ -70,7 +70,9 @@ lock-race:
 # figures have one run loop and their workloads one loader: non-test Go
 # under internal/bench calls workload.RunClosedLoop only in harness.go,
 # and non-test Go under internal/workload calls CreateTable only in
-# load.go.
+# load.go. The run loop is also the one place there that builds an
+# engine: non-test Go under internal/bench calls txn.Restart only in
+# harness.go.
 vet:
 	$(GO) vet ./...
 	@bad="$$(grep -HnE '\bos\.(OpenFile|Create|WriteFile|Rename|Remove|MkdirAll|Truncate)\(' \
@@ -97,7 +99,7 @@ vet:
 		$$(find internal/logdev -name '*.go' ! -name '*_test.go'))"; \
 	fields="$$(printf '%s\n' "$$hits" | sed -E 's/^[^:]*:[0-9]+:[[:space:]]*//; s/[[:space:]]+map\[int64\].*//' | tr ',' '\n' | grep -c .)"; \
 	if [ "$$fields" -ne 1 ]; then echo "the log device keeps one set of segment files, drained one way (one map[int64]*fileSegment field):"; echo "$$hits"; exit 1; fi
-	@bad="$$(grep -HnE '\bRunClosedLoop\(' $$(find internal/bench -name '*.go' ! -name '*_test.go' ! -path internal/bench/harness.go))"; \
+	@bad="$$(grep -HnE '\b(RunClosedLoop|txn\.Restart)\(' $$(find internal/bench -name '*.go' ! -name '*_test.go' ! -path internal/bench/harness.go))"; \
 	if [ -n "$$bad" ]; then echo "a figure drives the engine one way, through internal/bench/harness.go's run loop:"; echo "$$bad"; exit 1; fi
 	@bad="$$(grep -HnE '\bCreateTable\(' $$(find internal/workload -name '*.go' ! -name '*_test.go' ! -path internal/workload/load.go))"; \
 	if [ -n "$$bad" ]; then echo "a workload's tables are created and loaded one way, by internal/workload/load.go:"; echo "$$bad"; exit 1; fi

@@ -466,7 +466,7 @@ func fig13Table(rows []fig13Row) *Table {
 	}
 	for _, r := range rows {
 		t.AddRow(fmt.Sprint(r.lanes),
-			fmt.Sprint(r.commits),
+			fmt.Sprint(r.res.Completed),
 			fmt.Sprintf("%.1f", r.kb()),
 			fmt.Sprint(r.edges),
 			fmt.Sprintf("%.1f", r.edgesPerKB()),
@@ -480,9 +480,8 @@ func fig13Table(rows []fig13Row) *Table {
 // fig13Row is one lane count's window of Figure 13: what the engine's
 // counters moved by while the closed loop ran.
 type fig13Row struct {
-	lanes            int
-	commits, flushes int64
-	window
+	lanes int
+	outcome
 }
 
 func (r fig13Row) kb() float64 { return float64(r.bytes) / 1024 }
@@ -502,10 +501,10 @@ func (r fig13Row) enforcedFrac() float64 {
 }
 
 func (r fig13Row) flushesPerCommit() float64 {
-	if r.commits == 0 {
+	if r.res.Completed == 0 {
 		return 0
 	}
-	return float64(r.flushes) / float64(r.commits)
+	return float64(r.res.Flushes) / float64(r.res.Completed)
 }
 
 func fig13Rows(scale Scale) ([]fig13Row, error) {
@@ -528,12 +527,7 @@ func fig13Rows(scale Scale) ([]fig13Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, fig13Row{
-			lanes:   lanes,
-			commits: out.res.Completed,
-			flushes: out.res.Flushes,
-			window:  out.window,
-		})
+		rows = append(rows, fig13Row{lanes, out})
 	}
 	return rows, nil
 }

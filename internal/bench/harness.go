@@ -28,6 +28,7 @@ import (
 	"aether/internal/metrics"
 	"aether/internal/storage"
 	"aether/internal/txn"
+	"aether/internal/vfs"
 	"aether/internal/workload"
 )
 
@@ -104,8 +105,10 @@ type rig struct {
 	device logdev.Profile
 	// lanes is the log's lane count (0 or 1: one lane). With more, a
 	// transaction's home lane is its ID modulo lanes, so consecutive
-	// transactions land on different lanes.
-	lanes int
+	// transactions land on different lanes, or with homeByTable the page
+	// space of its first write modulo lanes (the engine's default).
+	lanes       int
+	homeByTable bool
 	// log carries the flush daemon's settings; run fills in the buffer
 	// and the device.
 	log core.Config
@@ -121,6 +124,8 @@ type rig struct {
 	// penalty is the switch cost burnt after each blocking commit
 	// (withSwitchPenalty); 0 burns none.
 	penalty time.Duration
+	// duration is the measured window; 0 is the scale's run length.
+	duration time.Duration
 }
 
 // window is what the probes counted while a closed loop ran: the log
@@ -139,47 +144,89 @@ type outcome struct {
 }
 
 // run opens an empty database the way every other assembly does, through
-// txn.Restart — one log device per lane and a database file, each on an
+// txn.Restart — one log device per lane and a database file on one
 // in-memory filesystem, and the lock manager with speculative lock
-// inheritance — loads r's workload, drives it for the scale's run length
-// and closes the database. Every figure that runs the engine runs it
-// here.
+// inheritance — loads r's workload, drives it for the window and closes
+// the database. Every experiment that runs the engine runs it here. A
+// multi-lane run then cuts the power and restarts: recovery refuses lanes
+// hardened out of dependency order (recovery.ErrDependencyViolated), and
+// so does run, whatever it measured.
 func run(scale Scale, r rig) (outcome, error) {
 	bd := &metrics.Breakdown{}
-	devs := make([]logdev.Device, max(r.lanes, 1))
-	for i := range devs {
-		devs[i] = logdev.NewMem(r.device)
+	cfg := txn.RestartConfig{
+		LogConfig:  r.log,
+		LockConfig: lockmgr.Config{DeadlockTimeout: 250 * time.Millisecond, SLI: true},
 	}
-	var route func(txnID uint64, space uint32) int
-	if n := uint64(len(devs)); n > 1 {
-		route = func(txnID uint64, _ uint32) int { return int(txnID % n) }
+	cfg.LogConfig.Buffer = logbuf.Config{Variant: r.variant, Size: 1 << 24, Breakdown: bd}
+	if n := uint64(r.lanes); n > 1 && !r.homeByTable {
+		cfg.RoutePartition = func(txnID uint64, _ uint32) int { return int(txnID % n) }
 	}
-	lc := r.log
-	lc.Buffer = logbuf.Config{Variant: r.variant, Size: 1 << 24, Breakdown: bd}
-	eng, _, err := txn.Restart(txn.RestartConfig{
-		Devices:        devs,
-		RoutePartition: route,
-		Archive:        storage.NewMemArchive(),
-		LogConfig:      lc,
-		LockConfig:     lockmgr.Config{DeadlockTimeout: 250 * time.Millisecond, SLI: true},
-	})
+	fs := vfs.NewFaultFS(1)
+	eng, stop, err := r.start(fs, cfg)
+	defer func() { stop() }()
 	if err != nil {
 		return outcome{}, err
 	}
-	defer func() {
-		eng.Close()
-		eng.Multi().Close()
-	}()
 	if err := r.load.Setup(eng); err != nil {
 		return outcome{}, err
+	}
+	d := r.duration
+	if d == 0 {
+		d = scale.runFor()
 	}
 	var w window
 	w.add(eng, bd, -1)
 	res := workload.RunClosedLoop(eng, workload.Options{
-		Clients: r.clients, Duration: scale.runFor(), Mode: r.mode,
+		Clients: r.clients, Duration: d, Mode: r.mode,
 	}, withSwitchPenalty(r.load.Body(), r.mode, r.penalty))
 	w.add(eng, bd, 1)
-	return outcome{res: res, shares: shares(w, res, r.clients), window: w}, nil
+	out := outcome{res: res, shares: shares(w, res, r.clients), window: w}
+	if r.lanes <= 1 {
+		return out, nil
+	}
+	// The power goes before the engine stops, so every lane stops at its
+	// own durable watermark at once (DB.Crash's order).
+	fs.PowerCut()
+	stop()
+	fs.Recover()
+	if _, stop, err = r.start(fs, cfg); err != nil {
+		return out, fmt.Errorf("bench: restart after the %d-lane window: %w", r.lanes, err)
+	}
+	return out, nil
+}
+
+// start opens r's lanes (segmented logs under /log paying r.device's
+// response time) and database file on fs and starts an engine over them
+// through txn.Restart, recovering what they hold. stop closes whatever
+// start opened, also when it failed.
+func (r rig) start(fs vfs.FS, cfg txn.RestartConfig) (eng *txn.Engine, stop func(), err error) {
+	stop = func() {
+		if eng != nil {
+			eng.Close()
+			eng.Multi().Close()
+		}
+		for _, d := range cfg.Devices {
+			d.Close()
+		}
+		if cfg.Archive != nil {
+			cfg.Archive.Close()
+		}
+	}
+	for i, n := 0, max(r.lanes, 1); i < n; i++ {
+		seg, err := logdev.OpenSegmentedDirFS(fs, logdev.LaneDir("/log", i, n), logdev.DefaultSegmentSize)
+		if err != nil {
+			return nil, stop, err
+		}
+		seg.SetProfile(r.device)
+		cfg.Devices = append(cfg.Devices, seg)
+	}
+	pf, err := storage.OpenPageFileFS(fs, "/pagefile.db")
+	if err != nil {
+		return nil, stop, err
+	}
+	cfg.Archive = pf
+	eng, _, err = txn.Restart(cfg)
+	return eng, stop, err
 }
 
 // add adds sign times the probes' running totals to w: subtracting them

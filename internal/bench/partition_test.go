@@ -15,8 +15,9 @@ import (
 // also commit at least 1.5× the bytes/s of one log on one such device:
 // the devices are sleep-clocked, so the ratio is the simulation's, but a
 // stalled host can still sink one attempt, hence best of 3 (measured:
-// 3.58×). Partitioning that merely re-serializes behind cross-log waits
-// fails here even though every run is correct.
+// 2.18–2.68× over 20 runs on 2 vCPUs). Partitioning that merely
+// re-serializes behind cross-log waits fails here even though every run
+// is correct.
 func TestRunPartitionsShort(t *testing.T) {
 	attempts, dur := 3, 250*time.Millisecond
 	if testing.Short() {

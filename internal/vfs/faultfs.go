@@ -421,8 +421,15 @@ func (f *FaultFS) Recover() {
 		f.pend[i].undo(f)
 	}
 	f.pend = nil
-	for p, n := range f.files {
-		f.revert(p, n)
+	// In path order: every tear draws from the one RNG, so a seed fixes
+	// the crash state only if the files are visited in a fixed order.
+	paths := make([]string, 0, len(f.files))
+	for p := range f.files {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	for _, p := range paths {
+		f.revert(p, f.files[p])
 	}
 	f.frozen = false
 	f.gen++

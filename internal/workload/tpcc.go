@@ -2,6 +2,7 @@ package workload
 
 import (
 	"encoding/binary"
+	"slices"
 	"sync/atomic"
 
 	"aether/internal/txn"
@@ -129,15 +130,21 @@ func (w *TPCC) newOrder(c *Client, tx *txn.Txn, wid, did, cid int) error {
 	if err := tx.Insert(w.orders, oid, tpccRow(oid, 48)); err != nil {
 		return err
 	}
-	lines := 5 + c.Rng.Intn(11)
-	for l := 0; l < lines; l++ {
+	// Stock rows go in key order: after warehouse, district and customer
+	// (payment's order too), every lock is taken in one total order.
+	stock := make([]uint64, 5+c.Rng.Intn(11))
+	for l := range stock {
 		iid := c.Rng.Intn(w.ItemsPerWarehouse) + 1
 		// 1% remote warehouse, per spec — the cross-log dependency source.
 		swid := wid
 		if w.Warehouses > 1 && c.Rng.Intn(100) == 0 {
 			swid = c.Rng.Intn(w.Warehouses) + 1
 		}
-		if err := tx.Update(w.stock, w.sKey(swid, iid), func(r []byte) ([]byte, error) {
+		stock[l] = w.sKey(swid, iid)
+	}
+	slices.Sort(stock)
+	for l, sk := range stock {
+		if err := tx.Update(w.stock, sk, func(r []byte) ([]byte, error) {
 			out := append([]byte(nil), r...)
 			binary.LittleEndian.PutUint32(out[8:12], binary.LittleEndian.Uint32(r[8:12])+1)
 			return out, nil
