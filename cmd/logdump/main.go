@@ -31,7 +31,7 @@
 //	logdump -f wal.d                # segmented log directory (+ cold store, if present)
 //	logdump -f wal.d -archive cold  # segmented log with an explicit cold store
 //	logdump -f multi.d              # partitioned root: per-partition layout + merged seq view
-//	logdump -f wal.d -txn 42        # one transaction's chain
+//	logdump -f wal.d -txn 42        # one transaction's records
 //	logdump -f wal.d -stats         # kind histogram + volume (framing vs image bytes, implied zeros, framing and update payload per field) only
 //	logdump -f wal.d/pagefile.db    # pagefile slot table
 //	logdump -archive cold           # cold store alone: segment
@@ -347,8 +347,8 @@ func dump(path, archDir string, txnFilter uint64, statsOnly bool) error {
 			fmt.Printf(", %d implied zero bytes", ks.zeros)
 		}
 		s := ks.sizes
-		fmt.Printf("\n%14sframing = length %d + crc %d + kind %d + txn %d + prev %d + page %d + aux %d + seq %d + payload %d\n",
-			"", s.Length, s.CRC, s.Kind, s.TxnID, s.PrevLSN, s.PageID, s.Aux, s.Seq, s.Payload-ks.image)
+		fmt.Printf("\n%14sframing = length %d + crc %d + kind %d + txn %d + page %d + aux %d + seq %d + payload %d\n",
+			"", s.Length, s.CRC, s.Kind, s.TxnID, s.PageID, s.Aux, s.Seq, s.Payload-ks.image)
 		if p := ks.payload; p != (logrec.PayloadSizes{}) {
 			fmt.Printf("%14spayload = op %d + slot %d + off %d + delta %d + x %d + tail %d + row length %d + row %d\n",
 				"", p.Op, p.Slot, p.Off, p.Delta, p.X, p.Tail, p.RowLen, p.Row)
@@ -390,7 +390,6 @@ func (ks *kindStats) add(rec logrec.Record) {
 	sum.CRC += s.CRC
 	sum.Kind += s.Kind
 	sum.TxnID += s.TxnID
-	sum.PrevLSN += s.PrevLSN
 	sum.PageID += s.PageID
 	sum.Aux += s.Aux
 	sum.Seq += s.Seq
@@ -440,9 +439,9 @@ func printRecord(rec logrec.Record) {
 		default:
 			change = fmt.Sprintf("x=%x", up.X)
 		}
-		fmt.Printf("%-12v %-10s txn=%-6d page=%-8d slot=%-4d %-6s off=%-4d %s prev=%v%s\n",
+		fmt.Printf("%-12v %-10s txn=%-6d page=%-8d slot=%-4d %-6s off=%-4d %s%s%s\n",
 			rec.LSN, rec.Kind, rec.TxnID, rec.PageID, up.Slot, up.Op, up.Off,
-			change, prevStr(rec.PrevLSN), extra)
+			change, firstMark(rec), extra)
 	case logrec.KindCheckpointEnd:
 		p, err := logrec.DecodeCheckpoint(rec.Payload)
 		if err != nil {
@@ -452,16 +451,17 @@ func printRecord(rec logrec.Record) {
 		fmt.Printf("%-12v %-10s begin=%v att=%d dpt=%d\n",
 			rec.LSN, rec.Kind, lsn.LSN(rec.Aux), len(p.ActiveTxns), len(p.DirtyPages))
 	default:
-		fmt.Printf("%-12v %-10s txn=%-6d prev=%v\n",
-			rec.LSN, rec.Kind, rec.TxnID, prevStr(rec.PrevLSN))
+		fmt.Printf("%-12v %-10s txn=%d%s\n", rec.LSN, rec.Kind, rec.TxnID, firstMark(rec))
 	}
 }
 
-func prevStr(l lsn.LSN) string {
-	if !l.Valid() {
-		return "-"
+// firstMark marks a transaction's first record: where recovery starts
+// collecting it, should it be a loser.
+func firstMark(rec logrec.Record) string {
+	if rec.First {
+		return " first"
 	}
-	return l.String()
+	return ""
 }
 
 func isDir(path string) bool {
@@ -483,7 +483,9 @@ func listColdStore(dir string) error {
 	archs := make([]*logdev.RemoteArchiver, n)
 	for i := range archs {
 		lane := logdev.LaneDir("", i, n)
-		// Segment size 0: a listing never retrieves a segment.
+		// Segment size 0: a listing never retrieves a segment, and its
+		// floor takes a lane with no segment object left and a
+		// low-water mark past 0 for pruned (SnapshotStore.Floor).
 		if archs[i], err = logdev.NewRemoteArchiver(store, lane, 0); err != nil {
 			return err
 		}

@@ -69,18 +69,20 @@
 // The log says what changed and little else. A record is a frame (a
 // varint length, one byte below 128, and a CRC-32C), one byte naming its
 // kind and which header fields follow, those fields as varints —
-// transaction, backchain, page, and the multi-lane stamp and edge, each
-// free when absent; commit and end records carry no backchain — and a
-// payload. An update's payload is a splice: the offset in the row and
+// transaction, page, and the multi-lane stamp and edge, each free when
+// absent — and a payload. No record points back at its transaction's
+// previous one: a bit of the kind byte marks a transaction's first
+// record, and recovery collects a loser's records by reading forward
+// from there. An update's payload is a splice: the offset in the row and
 // the bytes that differ, logged once as before ⊕ after (and, if the row
 // changes length, the change and the longer image's extra bytes); an
 // insert's or delete's is the row's length and its bytes up to the last
 // non-zero one, the rest being implied zeros. So a TPC-B transaction
 // (three 8-byte balance changes in 100-byte rows, one zero-padded
-// 100-byte insert, a commit) logs about 109 bytes. Every record has one
+// 100-byte insert, a commit) logs about 97 bytes. Every record has one
 // encoding and the decoders accept no other. A log directory carries
-// its format in its MANIFEST (format 6) and a cold-store object in its
-// envelope (version 5); Open refuses earlier ones with an error that
+// its format in its MANIFEST (format 7) and a cold-store object in its
+// envelope (version 6); Open refuses earlier ones with an error that
 // matches logdev.ErrFormat and changes nothing. ARCHITECTURE.md, "The
 // log record", has the layout.
 //

@@ -1,6 +1,7 @@
 package aether
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -325,4 +326,87 @@ func TestPageFileWriteErrorKeepsCommitsAcked(t *testing.T) {
 			t.Fatalf("key %d after reopen: %.12q, want %.12q", key, got[key], val)
 		}
 	}
+}
+
+// TestAbortRetryResumesRollback: a rollback that fails part way — the
+// page of the transaction's older update was evicted, and faulting it
+// back in fails once — leaves the transaction to a retried Abort, which
+// resumes where the failure stopped. The newer update, compensated
+// before the failure, is not compensated again (an update logs its
+// changed bytes as an XOR, so a second undo would put the write back),
+// and both rows hold their committed values, before a crash and after.
+func TestAbortRetryResumesRollback(t *testing.T) {
+	db, err := Open(Options{CachePages: 8, Mode: CommitSync})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl, err := db.CreateTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 200 // of about 900 bytes: far more pages than the pool holds
+	val := func(tag string, key uint64) []byte {
+		return Row(key, []byte(fmt.Sprintf("%s-%d-%s", tag, key, strings.Repeat("x", 900))))
+	}
+	s := db.Session()
+	load := s.Begin()
+	for key := uint64(1); key <= rows; key++ {
+		if err := load.Insert(tbl, key, val("old", key)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := load.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+
+	set := func(row []byte) func([]byte) ([]byte, error) {
+		return func([]byte) ([]byte, error) { return row, nil }
+	}
+	tx := s.Begin()
+	if err := tx.Update(tbl, 1, set(val("new", 1))); err != nil {
+		t.Fatal(err)
+	}
+	for key := uint64(rows / 4); key < rows; key++ { // evicts the first row's page
+		if _, err := tx.Read(tbl, key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Update(tbl, rows, set(val("new", rows))); err != nil {
+		t.Fatal(err)
+	}
+	db.mem.AddRule(vfs.Rule{Op: vfs.OpRead, Path: "pagefile.db", Times: 1})
+	if err := tx.Abort(); err == nil || !strings.Contains(err.Error(), "undo fault") {
+		t.Fatalf("Abort with the first row's page unreadable: %v, want an undo fault", err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatalf("retried Abort: %v", err)
+	}
+	check := func(when string) {
+		t.Helper()
+		rd := s.Begin()
+		for _, key := range []uint64{1, rows} {
+			got, err := rd.Read(tbl, key)
+			if err != nil || !bytes.Equal(got, val("old", key)) {
+				t.Fatalf("%s: row %d reads %.12q (%v), want its committed value", when, key, got, err)
+			}
+		}
+		if err := rd.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after the retried abort")
+	s.Close()
+	if err := db.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if tbl, err = db.LookupTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	s = db.Session()
+	check("after a crash")
+	s.Close()
 }

@@ -132,8 +132,8 @@ type rig struct {
 // buffer's two phases and the lock manager's waits, and the log counters
 // Figure 13 reads, summed over lanes.
 type window struct {
-	logWork, logContention, lockWait time.Duration
-	bytes, edges, enforced, stalls   int64
+	logWork, logContention, lockWait       time.Duration
+	bytes, edges, enforced, stalls, checks int64
 }
 
 // outcome is one run's measurements.
@@ -241,6 +241,7 @@ func (w *window) add(eng *txn.Engine, bd *metrics.Breakdown, sign int64) {
 	for i := 0; i < ml.NumParts(); i++ {
 		w.bytes += sign * ml.Part(i).Stats().InsertBytes.Load()
 		w.stalls += sign * ml.DepStalls(i)
+		w.checks += sign * ml.DepChecks(i)
 	}
 }
 

@@ -40,11 +40,14 @@ type PartitionRun struct {
 	// DepEdges counts cross-log flush dependencies observed at append
 	// time (0 on the single-log side).
 	DepEdges int64
-	// DepStalls counts flush passes clamped below their buffered tail
+	// DepChecks counts flush passes the dependency limiter judged: every
+	// pass with released bytes to flush, whether it then synced or not.
+	DepChecks int64
+	// DepStalls counts those of them clamped below their buffered tail
 	// waiting for another log.
 	DepStalls int64
-	// StallRate is DepStalls/Flushes — the fraction of flush passes
-	// the dependency limiter held back.
+	// StallRate is DepStalls/DepChecks — the fraction of flush passes
+	// the dependency limiter held back, between 0 and 1.
 	StallRate float64
 }
 
@@ -121,8 +124,9 @@ func RunPartitions(cfg PartitionConfig) (PartitionResult, error) {
 			BytesPerSec: float64(out.bytes) / out.res.Elapsed.Seconds(),
 			Flushes:     out.res.Flushes,
 			DepEdges:    out.edges,
+			DepChecks:   out.checks,
 			DepStalls:   out.stalls,
-			StallRate:   float64(out.stalls) / float64(max(out.res.Flushes, 1)),
+			StallRate:   float64(out.stalls) / float64(max(out.checks, 1)),
 		}
 	}
 	res := PartitionResult{Single: sides[0], Multi: sides[1]}

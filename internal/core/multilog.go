@@ -115,8 +115,9 @@ type logPartition struct {
 	holdActive bool
 	hold       lsn.LSN
 
-	// depStalls counts flushes clamped by an unsatisfied edge.
-	depStalls atomic.Int64
+	// depChecks counts the flush passes limit judged; depStalls, those
+	// of them it clamped by an unsatisfied edge.
+	depChecks, depStalls atomic.Int64
 }
 
 // horizonSample is one (seq, per-partition append end) snapshot taken
@@ -217,9 +218,15 @@ func (ml *MultiLog) EdgesTotal() int64 { return ml.edgesTotal.Load() }
 // flush clamp.
 func (ml *MultiLog) EdgesEnforced() int64 { return ml.edgesEnforced.Load() }
 
-// DepStalls returns how many of partition i's flushes were clamped by
-// an unsatisfied dependency edge.
+// DepStalls returns how many of partition i's flush passes were clamped
+// by an unsatisfied dependency edge, whether or not they then flushed
+// anything.
 func (ml *MultiLog) DepStalls(i int) int64 { return ml.parts[i].depStalls.Load() }
+
+// DepChecks returns how many of partition i's flush passes the
+// dependency limiter judged: every pass with released bytes to flush.
+// DepStalls counts a subset of them.
+func (ml *MultiLog) DepChecks(i int) int64 { return ml.parts[i].depChecks.Load() }
 
 // pageTracked reports whether the record kind participates in page
 // dependency tracking (it modifies a page during redo).
@@ -369,6 +376,7 @@ func (ml *MultiLog) Append(part int, rec *logrec.Record) (at, end lsn.LSN, seq u
 // enforcement that a younger record's log never hardens before the
 // older record's log reaches its LSN.
 func (ml *MultiLog) limit(p *logPartition, start, end lsn.LSN) lsn.LSN {
+	p.depChecks.Add(1)
 	ml.depMu.Lock()
 	limited := end
 	var depErr error

@@ -168,13 +168,16 @@ func TestWatermarkRejectsMidLogCorruption(t *testing.T) {
 // format 2's record encoding (today's files around 48-byte record
 // headers), format 3's (whole insert and delete rows, a CLR's undo-next
 // as is), format 4's (a fixed 8-byte frame, chained commit and end
-// records) or format 5's (an update's before and after images both
-// logged) — is refused with ErrFormat by both kinds of open and left
+// records), format 5's (an update's before and after images both
+// logged) or format 6's (a back-pointer on every record but a commit or
+// an end) — is refused with ErrFormat by both kinds of open and left
 // untouched: reading format 1's segments as if they began with a header
 // would misplace every byte, format 2's and format 4's records would be
 // framed at the wrong length, format 3's inserts would be read as rows
-// of the wrong length, and format 5's updates would be XORed into their
-// rows as if their images were one.
+// of the wrong length, format 5's updates would be XORed into their
+// rows as if their images were one, and format 6's back-pointer bit
+// would read as the first-record mark, its back-pointer as the fields
+// after it.
 func TestOldFormatDirectoryRefused(t *testing.T) {
 	for name, files := range map[string]map[string][]byte{
 		"format 1": {
@@ -196,6 +199,10 @@ func TestOldFormatDirectoryRefused(t *testing.T) {
 		},
 		"format 5": {
 			manifestName:           []byte("format 5\nsegsize 64\nbase 0\n"),
+			"0000000000000000.seg": append(make([]byte, SegmentHeaderSize), fill(40, 'o')...),
+		},
+		"format 6": {
+			manifestName:           []byte("format 6\nsegsize 64\nbase 0\n"),
 			"0000000000000000.seg": append(make([]byte, SegmentHeaderSize), fill(40, 'o')...),
 		},
 	} {

@@ -101,7 +101,8 @@ func TestColdStoreRoundtripAndIdempotency(t *testing.T) {
 
 // TestOldVersionObjectRefused: segment and snapshot objects carry log
 // bytes and update payloads, so an object in the envelope version of an
-// earlier record encoding (objVersion 4: an update's before and after
+// earlier record encoding (objVersion 5: a back-pointer on every record
+// but a commit or an end; objVersion 4: an update's before and after
 // images both logged; objVersion 3: a fixed 8-byte record frame,
 // chained commit and end records; objVersion 2: whole insert and delete
 // rows, a CLR's undo-next as is; objVersion 1: 48-byte record headers,
@@ -114,7 +115,7 @@ func TestOldVersionObjectRefused(t *testing.T) {
 		obj[4], obj[5] = version, 0 // the version field; the payload CRC does not cover it
 		return obj
 	}
-	versions := []byte{4, 3, 2, 1}
+	versions := []byte{5, 4, 3, 2, 1}
 	for _, v := range versions {
 		if _, _, _, err := DecodeObject(old(v, ObjSegment, 7, fill(64, 'o'))); !errors.Is(err, ErrBadObject) || !errors.Is(err, ErrFormat) {
 			t.Fatalf("DecodeObject of a version-%d object: %v, want ErrBadObject and ErrFormat", v, err)
@@ -410,6 +411,38 @@ func testRemoteSnapshotsAndPrune(t *testing.T, store ObjectStore) {
 	if _, err := snaps.GetImages(ImageRef{At: 128}); err != nil {
 		t.Fatalf("an images object a retained manifest names was pruned: %v", err)
 	}
+}
+
+// TestFloorAfterPruneEmptiesLane: a lane that has archived nothing yet,
+// its oldest snapshot's low-water mark still in its first segment,
+// reads from 0, so the floor is genesis; once prune has deleted every
+// segment object the lane archived, the floor is the oldest manifest —
+// not genesis, which an empty list of segment objects also looks like.
+func TestFloorAfterPruneEmptiesLane(t *testing.T) {
+	forEachObjectStore(t, func(t *testing.T, store ObjectStore) {
+		ra := newArchiver(t, store)
+		snaps := NewSnapshotStore(store, []*RemoteArchiver{ra})
+		s32 := putSnapshot(t, snaps, nil, 32, 1)
+		if floor, err := snaps.Floor(); err != nil || floor != 0 {
+			t.Fatalf("Floor with nothing archived and low water 32 = (%d, %v), want 0", floor, err)
+		}
+		for idx := int64(0); idx < 2; idx++ {
+			if err := ra.Archive(idx, fill(64, byte('a'+idx))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		putSnapshot(t, snaps, s32, 128, 1)
+		objs, manifests, err := snaps.Prune(1)
+		if err != nil || objs != 3 || manifests != 1 {
+			t.Fatalf("Prune(1) = (%d objects, %d manifests, %v), want both segments and snapshot 32's images, and its manifest", objs, manifests, err)
+		}
+		if segs, err := ra.Segments(); err != nil || len(segs) != 0 {
+			t.Fatalf("Segments after prune = (%v, %v), want none", segs, err)
+		}
+		if floor, err := snaps.Floor(); err != nil || floor != 128 {
+			t.Fatalf("Floor with every segment object pruned = (%d, %v), want the oldest manifest, 128", floor, err)
+		}
+	})
 }
 
 // TestSnapLaneRefused: a cold-store lane holding snap/ objects — the

@@ -164,21 +164,23 @@ func (s *Segmented) removeSeg(idx int64, seg *fileSegment) error {
 const manifestName = "MANIFEST"
 
 // manifestFormat is the directory layout and log encoding this code
-// reads and writes: 6 = segment files start with a watermark header and
+// reads and writes: 7 = segment files start with a watermark header and
 // hold records in logrec's compact encoding (a varint length and a CRC,
-// presence byte, varint fields, no back-pointer on commit and end
-// records, an update's changed bytes logged once as before ⊕ after,
-// insert and delete rows without their zero tail, a CLR's undo-next
-// stored plus one). Format 5 (the same with an update's before and
-// after images both logged), format 4 (that around a fixed 8-byte
-// frame, with commit and end records chained),
-// format 3 (that, with whole insert and delete rows and a CLR's
-// undo-next as is), format 2 (the same files around fixed 48-byte record
-// headers and whole-row images) and format 1 (no "format" line;
-// headerless segments beside a MANIFEST.durable watermark file) are
-// refused with ErrFormat rather than guessed at: a reader of one record
-// encoding misreads or refuses the records of another.
-const manifestFormat = 6
+// presence byte, varint fields, no back-pointer on any record but a
+// kind-byte bit on a transaction's first, an update's changed bytes
+// logged once as before ⊕ after, insert and delete rows without their
+// zero tail, a CLR's undo-next stored plus one). Format 6 (the same with
+// a back-pointer on every record but a commit or an end, and that bit
+// its presence bit), format 5 (that with an update's before and after
+// images both logged), format 4 (that around a fixed 8-byte frame, with
+// commit and end records chained), format 3 (that, with whole insert
+// and delete rows and a CLR's undo-next as is), format 2 (the same files
+// around fixed 48-byte record headers and whole-row images) and format 1
+// (no "format" line; headerless segments beside a MANIFEST.durable
+// watermark file) are refused with ErrFormat rather than guessed at: a
+// reader of one record encoding misreads or refuses the records of
+// another.
+const manifestFormat = 7
 
 // ErrFormat is returned by the OpenSegmentedDir family for a directory,
 // and by the cold store's readers for an object, written in a layout or

@@ -155,21 +155,41 @@ func (m *Manifest) Objects() []ImageRef {
 	return refs
 }
 
-// Floor returns the oldest restorable point: 0 while every lane's
-// archived log (or none was archived yet) reaches back to genesis, and
-// once a lane's segment 0 is gone the oldest retained snapshot's restore
-// point (Prune only ever leaves a whole one there).
+// Floor returns the oldest restorable point: 0 while every lane's log
+// from offset 0 can still be read, and otherwise the oldest retained
+// snapshot's restore point (Prune only ever leaves a whole one there). A
+// lane reads from 0 while its segment 0 object exists, or while it has
+// recycled no segment: then it has archived none, and the oldest
+// manifest's low-water mark on it still lies in its first segment (or,
+// where the segment size is unknown, at 0). A lane whose list of segment
+// objects is empty for any other reason may have been pruned bare.
 func (s *SnapshotStore) Floor() (uint64, error) {
 	ats, err := s.Manifests()
 	if err != nil || len(ats) == 0 {
 		return 0, err
 	}
-	for _, lane := range s.lanes {
+	var oldest *Manifest
+	for i, lane := range s.lanes {
 		segs, err := lane.Segments()
 		if err != nil {
 			return 0, err
 		}
-		if len(segs) > 0 && segs[0] != 0 {
+		if len(segs) > 0 {
+			if segs[0] != 0 {
+				return ats[0], nil
+			}
+			continue
+		}
+		if oldest == nil {
+			// A torn manifest is deleted by retention, one gone by a
+			// concurrent prune: either way the floor is at least its.
+			if oldest, err = s.GetManifest(ats[0]); torn(err) || errors.Is(err, ErrObjectNotFound) {
+				return ats[0], nil
+			} else if err != nil {
+				return 0, err
+			}
+		}
+		if oldest.Lanes[i].LowWater >= uint64(max(lane.segSize, 1)) {
 			return ats[0], nil
 		}
 	}

@@ -35,22 +35,26 @@ func FuzzRecordDecode(f *testing.F) {
 		ActiveTxns: []TxnTableEntry{{TxnID: 7, LastLSN: 4096, Precommitted: true}, {TxnID: 9, LastLSN: lsn.Undefined}},
 		DirtyPages: []DirtyPageEntry{{PageID: 3<<40 | 17, RecLSN: 100}},
 	}
-	clr := NewCLR(42, 8192, 3<<40|17, 4096, up.Inverse())
+	clr := NewCLR(42, 3<<40|17, 4096, up.Inverse())
 	clr.Seq = 77
+	firstAbort := NewAbort(42)
+	firstAbort.First = true
 	for _, rec := range []*Record{
 		NewUpdate(42, 4096, 3<<40|17, up),
 		NewUpdate(42, 4096, 3<<40|17, grow),
-		NewCLR(42, 8192, 3<<40|17, 4096, shrink),
+		NewCLR(42, 3<<40|17, 4096, shrink),
 		NewUpdate(42, lsn.Undefined, 1<<40, UpdatePayload{Op: OpInsert, Slot: 300, After: row}),
+		NewUpdate(42, lsn.Undefined, 3<<40|17, up),
+		firstAbort,
 		NewUpdate(42, 0, 5, UpdatePayload{Op: OpDelete, Slot: 1, Before: row[:10]}),
 		NewUpdate(42, 0, 5, UpdatePayload{Op: OpInsert, Slot: 2, After: append(row[:19:19], make([]byte, 81)...)}),
 		NewUpdate(42, 0, 5, UpdatePayload{Op: OpInsert, Slot: 2, After: make([]byte, 100)}),
 		NewUpdate(42, 0, 5, UpdatePayload{Op: OpDelete, Slot: 2, Before: row[:1]}),
-		NewCLR(42, 0, 5, lsn.Undefined, UpdatePayload{Op: OpDelete, Slot: 2, Before: make([]byte, 100)}),
+		NewCLR(42, 5, lsn.Undefined, UpdatePayload{Op: OpDelete, Slot: 2, Before: make([]byte, 100)}),
 		clr,
 		NewCommit(42),
 		NewPad(64),
-		{Header: Header{Kind: KindCheckpointEnd, PrevLSN: lsn.Undefined, Aux: 12345}, Payload: ckpt.Encode(nil)},
+		{Header: Header{Kind: KindCheckpointEnd, Aux: 12345}, Payload: ckpt.Encode(nil)},
 	} {
 		buf, err := rec.Encode()
 		if err != nil {
@@ -61,8 +65,10 @@ func FuzzRecordDecode(f *testing.F) {
 		f.Add(buf[n+crcSize:])
 		f.Add(rec.Payload)
 	}
-	f.Add([]byte{byte(KindCommit-1) | hasTxnID, 0x81, 0x00}) // over-long varint
-	f.Add([]byte{byte(KindCommit-1) | hasPrevLSN, 5})        // a commit's PrevLSN
+	f.Add([]byte{byte(KindCommit-1) | hasTxnID, 0x81, 0x00})  // over-long varint
+	f.Add([]byte{byte(KindCommit-1) | hasTxnID | isFirst, 5}) // a commit marked first
+	f.Add([]byte{byte(KindEnd-1) | hasTxnID | isFirst, 5})    // an end marked first
+	f.Add([]byte{byte(KindUpdate-1) | isFirst})               // a first record of no transaction
 	pad, _ := NewPad(64).Encode()
 	f.Add(append([]byte{63 | 0x80, 0}, pad[1:]...))     // non-shortest length
 	f.Add(append([]byte{0}, pad[1:]...))                // zero length

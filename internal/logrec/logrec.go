@@ -6,14 +6,16 @@
 // varints, and an arbitrary payload — the composable shape the
 // consolidation array exploits (§5.1: "two successive requests also begin
 // with a log header and end with an arbitrary payload"). A field that
-// holds its absent value costs no bytes, and a commit or end record
-// carries no back-pointer, so a one-lane TPC-B commit record is 9 bytes
-// where Shore-MT's smallest record is 48 (§A.3). An update's payload
-// logs the bytes it changed once, as before ⊕ after (UpdatePayload), so
-// a TPC-B balance update is 22 bytes. The checksum lets
-// recovery stop at the first torn or missing record — the paper's
-// requirement that "recovery must stop at the first gap it encounters". ARCHITECTURE.md, "The log
-// record", has the layout byte by byte.
+// holds its absent value costs no bytes, so a one-lane TPC-B commit
+// record is 9 bytes where Shore-MT's smallest record is 48 (§A.3). No
+// record points back at its transaction's previous one: a bit in the
+// kind byte marks a transaction's first record (Header.First), and
+// recovery collects a loser's records by reading forward from there. An
+// update's payload logs the bytes it changed once, as before ⊕ after
+// (UpdatePayload), so a TPC-B balance update is 18 bytes. The checksum
+// lets recovery stop at the first torn or missing record — the paper's
+// requirement that "recovery must stop at the first gap it encounters".
+// ARCHITECTURE.md, "The log record", has the layout byte by byte.
 package logrec
 
 import (
@@ -41,14 +43,14 @@ const (
 	// redo-only, with Aux holding the UndoNext LSN (plus one).
 	KindCLR
 	// KindCommit marks a transaction commit. A transaction is committed
-	// iff its commit record is durable. It carries no PrevLSN: nothing
-	// walks back from a commit, since undo only follows losers' chains.
+	// iff its commit record is durable. It is never a transaction's
+	// first record.
 	KindCommit
 	// KindAbort marks the start of a rollback decision.
 	KindAbort
 	// KindEnd marks a transaction fully finished (post-commit or
-	// post-rollback bookkeeping done). Like a commit, it carries no
-	// PrevLSN.
+	// post-rollback bookkeeping done). Like a commit, it is never a
+	// transaction's first record.
 	KindEnd
 	// KindCheckpointBegin opens a fuzzy checkpoint.
 	KindCheckpointBegin
@@ -78,11 +80,6 @@ func (k Kind) String() string {
 // Valid reports whether k is a known record kind other than KindInvalid.
 func (k Kind) Valid() bool { return k > KindInvalid && k < numKinds }
 
-// Chained reports whether records of kind k carry a PrevLSN. Commit and
-// end records do not: each closes the chain it follows, and no walk ever
-// starts from one, so neither logs a back-pointer nor starts a chain.
-func (k Kind) Chained() bool { return k != KindCommit && k != KindEnd }
-
 // MinRecordSize is the smallest encoded record: a one-byte length, the
 // checksum and the kind byte of a record whose every other field is
 // absent (a pad, a checkpoint-begin).
@@ -100,19 +97,19 @@ const (
 	// than 1<<28 bytes (checked below).
 	maxLenSize = 4
 	// maxHeaderSize is a header with every field present at its widest:
-	// length, checksum, kind byte, TxnID, PrevLSN and Aux at 10 bytes
-	// each, the page ID's 24-bit space and 40-bit number at 4 and 6, Seq
-	// at 5.
-	maxHeaderSize = maxLenSize + crcSize + 1 + 3*binary.MaxVarintLen64 + 4 + 6 + binary.MaxVarintLen32
+	// length, checksum, kind byte, TxnID and Aux at 10 bytes each, the
+	// page ID's 24-bit space and 40-bit number at 4 and 6, Seq at 5.
+	maxHeaderSize = maxLenSize + crcSize + 1 + 2*binary.MaxVarintLen64 + 4 + 6 + binary.MaxVarintLen32
 
-	// The kind byte: the kind, less one, in the low three bits and one
-	// presence bit per optional field above them, in field order.
-	kindMask   = 0x07
-	hasTxnID   = 0x08
-	hasPrevLSN = 0x10
-	hasPageID  = 0x20
-	hasAux     = 0x40
-	hasSeq     = 0x80
+	// The kind byte: the kind, less one, in the low three bits, the
+	// first-record mark, and one presence bit per optional field, in
+	// field order.
+	kindMask  = 0x07
+	hasTxnID  = 0x08
+	isFirst   = 0x10
+	hasPageID = 0x20
+	hasAux    = 0x40
+	hasSeq    = 0x80
 
 	// A page ID is logged as two varints split where storage.MakePageID
 	// joins them — space above bit 40, page number below — because both
@@ -133,21 +130,23 @@ const _ = uint(1<<(7*maxLenSize) - 1 - (maxHeaderSize + MaxPayload))
 //	                   at least MinRecordSize-1
 //	CRC      uint32  — little-endian CRC-32C over the bytes after it,
 //	                   to the end of the record
-//	kind byte        — Kind-1 in bits 0-2; bits 3-7 say which of the
-//	                   five fields below follow, in this order
+//	kind byte        — Kind-1 in bits 0-2; bit 4 is First; bits 3, 5,
+//	                   6 and 7 say which of the four fields below
+//	                   follow, in this order
 //	TxnID    uvarint — absent = 0
-//	PrevLSN  uvarint — absent = lsn.Undefined; never on a commit or end
 //	PageID   uvarint space, uvarint page number — absent = 0
 //	Aux      uvarint — absent = 0
 //	Seq      uvarint — absent = 0
 //	payload          — the rest, up to TotalLen
 //
 // Varints are encoding/binary's, in their shortest form only; a present
-// field never holds its absent value. Flags is not logged: the kind
-// implies it. So a record has exactly one encoding, and Decode accepts
-// nothing else. Because the length counts only what follows it, a length
-// of 127 makes a 128-byte record and one of 128 a 130-byte record: no
-// record is 129 bytes long, nor 16 386 or 2 097 155 (see NewPad).
+// field never holds its absent value, and First is set only on a
+// record with a TxnID that is not a commit or an end. Flags is not
+// logged: the kind implies it. So a record has exactly one encoding, and
+// Decode accepts nothing else. Because the length counts only what
+// follows it, a length of 127 makes a 128-byte record and one of 128 a
+// 130-byte record: no record is 129 bytes long, nor 16 386 or 2 097 155
+// (see NewPad).
 type Header struct {
 	// TotalLen is the record's full encoded length: header + payload.
 	TotalLen uint32
@@ -167,15 +166,23 @@ type Header struct {
 	Seq uint32
 	// TxnID is the owning transaction, 0 for system records.
 	TxnID uint64
-	// PrevLSN backchains to the same transaction's previous record
-	// (lsn.Undefined for its first): rollback and undo walk it. Commit
-	// and end records carry none (Kind.Chained).
-	PrevLSN lsn.LSN
+	// First marks the transaction's first record: where recovery starts
+	// collecting a loser's updates, and where analysis forgets an
+	// earlier holder of the same ID. It costs no bytes (a kind-byte
+	// bit), and a commit or end record never carries it.
+	First bool
 	// PageID is the page the record touches, 0 if not page-related.
 	PageID uint64
 	// Aux is kind-specific: a CLR's UndoNextLSN plus one (Record.UndoNext),
 	// a checkpoint-end's begin LSN, a multi-log update's previous page seq.
 	Aux uint64
+}
+
+// canBeFirst reports whether the record may carry First: it belongs to
+// a transaction, and it is not a commit or an end, which only ever
+// follow a transaction's other records.
+func (h *Header) canBeFirst() bool {
+	return h.TxnID != 0 && h.Kind != KindCommit && h.Kind != KindEnd
 }
 
 // flags returns the Flags value records of kind k carry.
@@ -195,9 +202,6 @@ func (h *Header) bodySize() int {
 	n := crcSize + 1
 	if h.TxnID != 0 {
 		n += uvarintLen(h.TxnID)
-	}
-	if h.PrevLSN != lsn.Undefined {
-		n += uvarintLen(uint64(h.PrevLSN))
 	}
 	if h.PageID != 0 {
 		n += uvarintLen(h.PageID>>pageNoBits) + uvarintLen(h.PageID&pageNoMask)
@@ -221,8 +225,6 @@ type Sizes struct {
 	Kind int
 	// TxnID is the TxnID varint's width, 0 if absent.
 	TxnID int
-	// PrevLSN is the PrevLSN varint's width, 0 if absent.
-	PrevLSN int
 	// PageID is the width of the page ID's two varints, 0 if absent.
 	PageID int
 	// Aux is the Aux varint's width, 0 if absent.
@@ -239,9 +241,6 @@ func (r *Record) Sizes() Sizes {
 	s := Sizes{CRC: crcSize, Kind: 1, Payload: len(r.Payload)}
 	if r.TxnID != 0 {
 		s.TxnID = uvarintLen(r.TxnID)
-	}
-	if r.PrevLSN != lsn.Undefined {
-		s.PrevLSN = uvarintLen(uint64(r.PrevLSN))
 	}
 	if r.PageID != 0 {
 		s.PageID = uvarintLen(r.PageID>>pageNoBits) + uvarintLen(r.PageID&pageNoMask)
@@ -287,13 +286,16 @@ var (
 	// ErrBadFlags means an encode request set Flags the kind does not
 	// imply; they are not logged and would not come back.
 	ErrBadFlags = errors.New("logrec: flags do not match record kind")
-	// ErrBadPrevLSN means an encode request gave a commit or end record a
-	// PrevLSN; those kinds log none, so it would not come back.
-	ErrBadPrevLSN = errors.New("logrec: commit and end records carry no PrevLSN")
+	// ErrBadFirst means an encode request marked as its transaction's
+	// first a record that cannot be one: a commit, an end, or a record
+	// with no TxnID. Decode refuses the mark there, so it would not come
+	// back.
+	ErrBadFirst = errors.New("logrec: only a transaction's update, CLR or abort can be its first record")
 	// ErrBadHeader means the bytes under a valid checksum are not the one
 	// encoding of any header: a field runs past TotalLen, a varint is
 	// longer than its value needs or overflows its field, or a field
-	// marked present holds its absent value.
+	// marked present holds its absent value, or a record that cannot be
+	// a transaction's first is marked as one.
 	ErrBadHeader = errors.New("logrec: malformed record header")
 	// ErrChecksum means the CRC does not match — a torn write or the
 	// first gap after a crash.
@@ -325,8 +327,8 @@ func (r *Record) EncodeInto(dst []byte) error {
 	if r.Flags != r.Kind.flags() {
 		return ErrBadFlags
 	}
-	if r.PrevLSN != lsn.Undefined && !r.Kind.Chained() {
-		return ErrBadPrevLSN
+	if r.First && !r.canBeFirst() {
+		return ErrBadFirst
 	}
 	rest := r.bodySize() + len(r.Payload)
 	total := uvarintLen(uint64(rest)) + rest
@@ -342,9 +344,8 @@ func (r *Record) EncodeInto(dst []byte) error {
 		kb |= hasTxnID
 		n += binary.PutUvarint(dst[n:], r.TxnID)
 	}
-	if r.PrevLSN != lsn.Undefined {
-		kb |= hasPrevLSN
-		n += binary.PutUvarint(dst[n:], uint64(r.PrevLSN))
+	if r.First {
+		kb |= isFirst
 	}
 	if r.PageID != 0 {
 		kb |= hasPageID
@@ -441,17 +442,14 @@ func Decode(src []byte) (rec Record, consumed int, err error) {
 	kb := src[kindAt]
 	k := Kind(kb&kindMask) + 1
 	rec.TotalLen, rec.CRC = uint32(total), wantCRC
-	rec.Kind, rec.Flags, rec.PrevLSN = k, k.flags(), lsn.Undefined
+	rec.Kind, rec.Flags, rec.First = k, k.flags(), kb&isFirst != 0
 	// A present field never holds its absent value: zero is a value only
-	// for PrevLSN and for one half of a page ID.
+	// for one half of a page ID.
 	c := cursor{src: src[kindAt+1 : total], ok: true}
 	if kb&hasTxnID != 0 {
 		rec.TxnID = c.uvarint(1, math.MaxUint64)
 	}
-	if kb&hasPrevLSN != 0 {
-		rec.PrevLSN = lsn.LSN(c.uvarint(0, uint64(lsn.Undefined)-1))
-		c.ok = c.ok && k.Chained()
-	}
+	c.ok = c.ok && (!rec.First || rec.canBeFirst())
 	if kb&hasPageID != 0 {
 		space := c.uvarint(0, math.MaxUint64>>pageNoBits)
 		rec.PageID = space<<pageNoBits | c.uvarint(0, pageNoMask)

@@ -16,12 +16,12 @@ import (
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	rec := &Record{
 		Header: Header{
-			Kind:    KindCLR,
-			Flags:   FlagRedoOnly,
-			TxnID:   77,
-			PrevLSN: 1234,
-			PageID:  42,
-			Aux:     99,
+			Kind:   KindCLR,
+			Flags:  FlagRedoOnly,
+			TxnID:  77,
+			First:  true,
+			PageID: 42,
+			Aux:    99,
 		},
 		Payload: []byte("hello physiological logging"),
 	}
@@ -29,9 +29,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Length, checksum and kind byte, then 77, 1234 (two bytes), page
-	// 0/42 and 99.
-	if want := MinRecordSize + 1 + 2 + 2 + 1 + len(rec.Payload); len(buf) != want || rec.EncodedSize() != want {
+	// Length, checksum and kind byte (First costs nothing), then 77,
+	// page 0/42 and 99.
+	if want := MinRecordSize + 1 + 2 + 1 + len(rec.Payload); len(buf) != want || rec.EncodedSize() != want {
 		t.Fatalf("encoded size %d (EncodedSize %d), want %d", len(buf), rec.EncodedSize(), want)
 	}
 	got, n, err := Decode(buf)
@@ -41,7 +41,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if n != len(buf) {
 		t.Fatalf("consumed %d, want %d", n, len(buf))
 	}
-	if got.Kind != KindCLR || got.TxnID != 77 || got.PrevLSN != 1234 ||
+	if got.Kind != KindCLR || got.TxnID != 77 || !got.First ||
 		got.PageID != 42 || got.Aux != 99 || got.Flags != FlagRedoOnly {
 		t.Fatalf("header mismatch: %+v", got.Header)
 	}
@@ -171,7 +171,7 @@ func TestLengthVarintBoundaries(t *testing.T) {
 		{16_383, 2}, {16_384, 3},
 		{crcSize + 1 + MaxPayload, 4},
 	} {
-		rec := &Record{Header: Header{Kind: KindPad, PrevLSN: lsn.Undefined}, Payload: make([]byte, tc.rest-crcSize-1)}
+		rec := &Record{Header: Header{Kind: KindPad}, Payload: make([]byte, tc.rest-crcSize-1)}
 		buf, err := rec.Encode()
 		if err != nil {
 			t.Fatalf("length %d: %v", tc.rest, err)
@@ -194,38 +194,66 @@ func TestLengthVarintBoundaries(t *testing.T) {
 			t.Fatalf("length %d one byte short: %v, want ErrTooShort", tc.rest, err)
 		}
 	}
-	big := &Record{Header: Header{Kind: KindPad, PrevLSN: lsn.Undefined}, Payload: make([]byte, MaxPayload+1)}
+	big := &Record{Header: Header{Kind: KindPad}, Payload: make([]byte, MaxPayload+1)}
 	if _, err := big.Encode(); !errors.Is(err, ErrPayloadTooLarge) {
 		t.Fatalf("payload past MaxPayload: %v, want ErrPayloadTooLarge", err)
 	}
 }
 
-// TestCommitAndEndCarryNoPrevLSN: commit and end records log no
-// back-pointer — an encode request with one is refused, and a presence
-// bit for one under a valid checksum is a malformed header — while an
-// abort, which undo does walk back from, keeps its own.
-func TestCommitAndEndCarryNoPrevLSN(t *testing.T) {
-	for _, k := range []Kind{KindCommit, KindEnd} {
-		rec := &Record{Header: Header{Kind: k, TxnID: 80_200, PrevLSN: 33_000_000}}
-		if _, err := rec.Encode(); !errors.Is(err, ErrBadPrevLSN) {
-			t.Errorf("%v with a PrevLSN: got %v, want ErrBadPrevLSN", k, err)
+// TestFirstRecordMark: the first-record mark costs no bytes and round
+// trips on every kind a transaction can open with, and only there: on a
+// commit, an end or a record with no TxnID an encode request for it is
+// refused, and the bit under a valid checksum is a malformed header.
+func TestFirstRecordMark(t *testing.T) {
+	up := Splice(nil, 80, []byte{1, 2, 3, 4}, []byte{4, 3, 2, 1})
+	for _, rec := range []*Record{
+		NewUpdate(80_200, 33_000_000, 3<<40|1300, up),
+		NewCLR(80_200, 3<<40|1300, 4096, up.Inverse()),
+		NewAbort(80_200),
+	} {
+		later, err := rec.Encode()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, _, err := Decode(framed(byte(k-1)|hasTxnID|hasPrevLSN, 5, 7)); !errors.Is(err, ErrBadHeader) {
-			t.Errorf("%v with a PrevLSN bit: got %v, want ErrBadHeader", k, err)
+		rec.First = true
+		first, err := rec.Encode()
+		if err != nil {
+			t.Fatalf("%v marked first: %v", rec.Kind, err)
 		}
-		if k.Chained() {
-			t.Errorf("%v is chained", k)
+		if len(first) != len(later) {
+			t.Errorf("%v: the mark costs %d bytes", rec.Kind, len(first)-len(later))
+		}
+		got, _, err := Decode(first)
+		if err != nil || !got.First || got.Kind != rec.Kind || got.TxnID != rec.TxnID {
+			t.Errorf("%v marked first decoded to %+v, %v", rec.Kind, got.Header, err)
+		}
+		if got, _, err := Decode(later); err != nil || got.First {
+			t.Errorf("unmarked %v decoded to %+v, %v", rec.Kind, got.Header, err)
+		}
+	}
+	if !NewUpdate(5, lsn.Undefined, 7, up).First || NewUpdate(5, 0, 7, up).First {
+		t.Error("NewUpdate marks first exactly the update with no previous record")
+	}
+	for _, h := range []Header{
+		{Kind: KindCommit, TxnID: 80_200, First: true},
+		{Kind: KindEnd, TxnID: 80_200, First: true},
+		{Kind: KindAbort, First: true},
+		{Kind: KindPad, First: true},
+	} {
+		if _, err := (&Record{Header: h}).Encode(); !errors.Is(err, ErrBadFirst) {
+			t.Errorf("%v (txn %d) marked first: got %v, want ErrBadFirst", h.Kind, h.TxnID, err)
+		}
+		kb := byte(h.Kind-1) | isFirst
+		body := []byte{kb}
+		if h.TxnID != 0 {
+			body = []byte{kb | hasTxnID, 5}
+		}
+		if _, _, err := Decode(framed(body...)); !errors.Is(err, ErrBadHeader) {
+			t.Errorf("%v (txn %d) with the first bit: got %v, want ErrBadHeader", h.Kind, h.TxnID, err)
 		}
 	}
 	if n := NewCommit(80_200).EncodedSize(); n != MinRecordSize+3 {
 		t.Errorf("TPC-B commit: %d bytes, want %d", n, MinRecordSize+3)
-	}
-	abort, err := NewAbort(9, 5).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _, err := Decode(abort); err != nil || got.PrevLSN != 5 || !got.Kind.Chained() {
-		t.Fatalf("abort decoded to %+v, %v", got.Header, err)
 	}
 }
 
@@ -419,7 +447,7 @@ func TestRowImageEncodeDoesNotAllocate(t *testing.T) {
 	up := UpdatePayload{Op: OpInsert, Slot: 4, After: row}
 	var rec Record
 	rec.SetUpdate(1, 2, 3, up)
-	if n := testing.AllocsPerRun(100, func() { rec.SetUpdate(1, 2, 3, up); rec.SetCLR(1, 2, 3, 4, up.Inverse()) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { rec.SetUpdate(1, 2, 3, up); rec.SetCLR(1, 3, 4, up.Inverse()) }); n != 0 {
 		t.Fatalf("SetUpdate + SetCLR of a zero-padded row allocate %.0f objects", n)
 	}
 	if len(rec.Payload) != 3+len("history row") {
@@ -431,8 +459,8 @@ func TestRowImageEncodeDoesNotAllocate(t *testing.T) {
 // absent Aux and costs no bytes, and LSN 0 stays a pointer.
 func TestCLRUndoNextEndsChainFree(t *testing.T) {
 	up := UpdatePayload{Op: OpInsert, Slot: 1, After: []byte("r")}
-	end := NewCLR(5, 88, 7, lsn.Undefined, up)
-	toZero := NewCLR(5, 88, 7, 0, up)
+	end := NewCLR(5, 7, lsn.Undefined, up)
+	toZero := NewCLR(5, 7, 0, up)
 	if end.Aux != 0 || end.UndoNext() != lsn.Undefined || end.EncodedSize() != toZero.EncodedSize()-1 {
 		t.Fatalf("chain-end CLR: Aux %d, UndoNext %v, %d bytes against %d for undo-next 0",
 			end.Aux, end.UndoNext(), end.EncodedSize(), toZero.EncodedSize())
@@ -471,8 +499,8 @@ func TestDecodeRefusesNonCanonicalHeaders(t *testing.T) {
 		{"over-long TxnID", []byte{commit | hasTxnID, 0x81, 0x00}},
 		{"TxnID past the record's end", []byte{commit | hasTxnID}},
 		{"unterminated varint", []byte{commit | hasTxnID, 0x80}},
-		{"present PrevLSN of Undefined", append([]byte{abort | hasPrevLSN}, maxU64...)},
-		{"commit with a PrevLSN", []byte{commit | hasPrevLSN, 0}},
+		{"first record of no transaction", []byte{abort | isFirst}},
+		{"commit marked first", []byte{commit | hasTxnID | isFirst, 5}},
 		{"varint beyond 64 bits", append([]byte{commit | hasAux, 0xff}, maxU64...)},
 		{"present PageID of zero", []byte{commit | hasPageID, 0, 0}},
 		{"page space beyond 24 bits", []byte{commit | hasPageID, 0x80, 0x80, 0x80, 0x08, 1}},
@@ -486,7 +514,7 @@ func TestDecodeRefusesNonCanonicalHeaders(t *testing.T) {
 		}
 	}
 	// The same frame around a well-formed header decodes.
-	if rec, _, err := Decode(framed(abort|hasTxnID|hasPrevLSN, 5, 0)); err != nil || rec.TxnID != 5 || rec.PrevLSN != 0 {
+	if rec, _, err := Decode(framed(abort|hasTxnID|isFirst, 5)); err != nil || rec.TxnID != 5 || !rec.First {
 		t.Fatalf("well-formed header: %+v, %v", rec.Header, err)
 	}
 }
@@ -500,15 +528,16 @@ func TestAbsentFieldsCostNothing(t *testing.T) {
 		rec  *Record
 		want int
 	}{
-		{"checkpoint begin", &Record{Header: Header{Kind: KindCheckpointBegin, PrevLSN: lsn.Undefined}}, 6},
+		{"checkpoint begin", &Record{Header: Header{Kind: KindCheckpointBegin}}, 6},
 		{"first commit of a log", NewCommit(1), 7},
 		{"TPC-B commit", NewCommit(80_200), 6 + 3},
-		{"TPC-B commit, lane of three", &Record{Header: Header{Kind: KindCommit, TxnID: 80_200, PrevLSN: lsn.Undefined, Seq: 400_000}}, 9 + 3},
-		{"page id", &Record{Header: Header{Kind: KindUpdate, PrevLSN: lsn.Undefined, PageID: page}}, 6 + 1 + 2},
-		{"TPC-B update", NewUpdate(80_200, 33_000_000, page, Splice(nil, 80, []byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{8, 7, 6, 5, 4, 3, 2, 1})), 6 + 3 + 4 + 3 + 3 + 8},
-		// Every field at its widest is a 50-byte rest: a one-byte length.
+		{"TPC-B commit, lane of three", &Record{Header: Header{Kind: KindCommit, TxnID: 80_200, Seq: 400_000}}, 9 + 3},
+		{"page id", &Record{Header: Header{Kind: KindUpdate, PageID: page}}, 6 + 1 + 2},
+		{"TPC-B update", NewUpdate(80_200, 33_000_000, page, Splice(nil, 80, []byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{8, 7, 6, 5, 4, 3, 2, 1})), 6 + 3 + 3 + 3 + 8},
+		{"TPC-B first update", NewUpdate(80_200, lsn.Undefined, page, Splice(nil, 80, []byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{8, 7, 6, 5, 4, 3, 2, 1})), 6 + 3 + 3 + 3 + 8},
+		// Every field at its widest is a 40-byte rest: a one-byte length.
 		{"everything at its widest", &Record{Header: Header{Kind: KindCLR, Flags: FlagRedoOnly, TxnID: math.MaxUint64,
-			PrevLSN: lsn.Undefined - 1, PageID: math.MaxUint64, Aux: math.MaxUint64, Seq: math.MaxUint32}}, maxHeaderSize - maxLenSize + 1},
+			First: true, PageID: math.MaxUint64, Aux: math.MaxUint64, Seq: math.MaxUint32}}, maxHeaderSize - maxLenSize + 1},
 	} {
 		buf, err := tc.rec.Encode()
 		if err != nil {
@@ -750,19 +779,19 @@ func TestNewPadExactSize(t *testing.T) {
 
 func TestConstructors(t *testing.T) {
 	c := NewCommit(5)
-	if c.Kind != KindCommit || c.TxnID != 5 || c.PrevLSN != lsn.Undefined {
+	if c.Kind != KindCommit || c.TxnID != 5 || c.First {
 		t.Fatal("NewCommit wrong")
 	}
-	a := NewAbort(5, 88)
-	if a.Kind != KindAbort || a.PrevLSN != 88 {
+	a := NewAbort(5)
+	if a.Kind != KindAbort || a.TxnID != 5 || a.First {
 		t.Fatal("NewAbort wrong")
 	}
 	e := NewEnd(5)
-	if e.Kind != KindEnd || e.PrevLSN != lsn.Undefined {
+	if e.Kind != KindEnd || e.TxnID != 5 || e.First {
 		t.Fatal("NewEnd wrong")
 	}
-	clr := NewCLR(5, 88, 7, 44, UpdatePayload{Op: OpSet, X: []byte("x")})
-	if clr.Kind != KindCLR || clr.UndoNext() != 44 || clr.Flags&FlagRedoOnly == 0 {
+	clr := NewCLR(5, 7, 44, UpdatePayload{Op: OpSet, X: []byte("x")})
+	if clr.Kind != KindCLR || clr.UndoNext() != 44 || clr.Flags&FlagRedoOnly == 0 || clr.First {
 		t.Fatal("NewCLR wrong")
 	}
 	u := NewUpdate(5, 88, 7, UpdatePayload{Op: OpInsert, After: []byte("x")})
@@ -782,12 +811,13 @@ func TestKindString(t *testing.T) {
 
 // Property: any payload round-trips bit-exactly through encode/decode.
 func TestQuickRecordRoundTrip(t *testing.T) {
-	f := func(txn uint64, prev uint64, page uint64, aux uint64, payload []byte) bool {
+	f := func(txn uint64, first bool, page uint64, aux uint64, payload []byte) bool {
 		if len(payload) > MaxPayload {
 			payload = payload[:MaxPayload]
 		}
+		first = first && txn != 0
 		rec := &Record{
-			Header:  Header{Kind: KindUpdate, TxnID: txn, PrevLSN: lsn.LSN(prev), PageID: page, Aux: aux},
+			Header:  Header{Kind: KindUpdate, TxnID: txn, First: first, PageID: page, Aux: aux},
 			Payload: payload,
 		}
 		buf, err := rec.Encode()
@@ -798,7 +828,7 @@ func TestQuickRecordRoundTrip(t *testing.T) {
 		if err != nil || n != len(buf) {
 			return false
 		}
-		return got.TxnID == txn && got.PrevLSN == lsn.LSN(prev) &&
+		return got.TxnID == txn && got.First == first &&
 			got.PageID == page && got.Aux == aux && bytes.Equal(got.Payload, payload)
 	}
 	if err := quick.Check(f, quickCfg()); err != nil {
@@ -868,13 +898,15 @@ func TestSetInPlaceEncodesLikeFresh(t *testing.T) {
 		want Record
 	}{
 		{"update", func(r *Record) { r.SetUpdate(42, 4096, 77, up) },
-			Record{Header: Header{Kind: KindUpdate, TxnID: 42, PrevLSN: 4096, PageID: 77}, Payload: up.Encode(nil)}},
-		{"clr", func(r *Record) { r.SetCLR(42, 4096, 77, 1024, inv) },
-			Record{Header: Header{Kind: KindCLR, Flags: FlagRedoOnly, TxnID: 42, PrevLSN: 4096, PageID: 77, Aux: 1024 + 1}, Payload: inv.Encode(nil)}},
-		{"commit", func(r *Record) { r.Reset(KindCommit, 42, lsn.Undefined) },
-			Record{Header: Header{Kind: KindCommit, TxnID: 42, PrevLSN: lsn.Undefined}}},
-		{"abort", func(r *Record) { r.Reset(KindAbort, 42, 4096) },
-			Record{Header: Header{Kind: KindAbort, TxnID: 42, PrevLSN: 4096}}},
+			Record{Header: Header{Kind: KindUpdate, TxnID: 42, PageID: 77}, Payload: up.Encode(nil)}},
+		{"first update", func(r *Record) { r.SetUpdate(42, lsn.Undefined, 77, up) },
+			Record{Header: Header{Kind: KindUpdate, TxnID: 42, First: true, PageID: 77}, Payload: up.Encode(nil)}},
+		{"clr", func(r *Record) { r.SetCLR(42, 77, 1024, inv) },
+			Record{Header: Header{Kind: KindCLR, Flags: FlagRedoOnly, TxnID: 42, PageID: 77, Aux: 1024 + 1}, Payload: inv.Encode(nil)}},
+		{"commit", func(r *Record) { r.Reset(KindCommit, 42) },
+			Record{Header: Header{Kind: KindCommit, TxnID: 42}}},
+		{"abort", func(r *Record) { r.Reset(KindAbort, 42) },
+			Record{Header: Header{Kind: KindAbort, TxnID: 42}}},
 	}
 	var scratch Record
 	for _, dirty := range cases {

@@ -428,32 +428,37 @@ func DecodeCheckpoint(src []byte) (CheckpointPayload, error) {
 }
 
 // Reset re-arms r in place as a payload-less record of the given kind
-// (commit, abort, end; prev is lsn.Undefined for a commit or an end,
-// which carry none): every header field is overwritten and the
-// payload is emptied, keeping its capacity for the next Set call. A
-// caller that owns one Record per goroutine builds each record it
-// appends this way instead of allocating one; the New* constructors are
-// the same calls on a fresh Record, so both encode to the same bytes.
-func (r *Record) Reset(kind Kind, txnID uint64, prev lsn.LSN) {
-	r.Header = Header{Kind: kind, TxnID: txnID, PrevLSN: prev}
+// (commit, abort, end) that is not its transaction's first: every header
+// field is overwritten and the payload is emptied, keeping its capacity
+// for the next Set call. A caller that owns one Record per goroutine
+// builds each record it appends this way instead of allocating one; the
+// New* constructors are the same calls on a fresh Record, so both encode
+// to the same bytes.
+func (r *Record) Reset(kind Kind, txnID uint64) {
+	r.Header = Header{Kind: kind, TxnID: txnID}
 	r.LSN = 0
 	r.Payload = r.Payload[:0]
 }
 
 // SetUpdate re-arms r in place as an update record carrying p, encoding
-// the payload into r.Payload's existing capacity when it fits.
+// the payload into r.Payload's existing capacity when it fits. prev is
+// the address of the transaction's previous record, lsn.Undefined if
+// this is its first: the log keeps only which (Header.First). An update
+// of no transaction (txnID 0) is no transaction's first.
 func (r *Record) SetUpdate(txnID uint64, prev lsn.LSN, pageID uint64, p UpdatePayload) {
-	r.Reset(KindUpdate, txnID, prev)
+	r.Reset(KindUpdate, txnID)
+	r.First = txnID != 0 && !prev.Valid()
 	r.PageID = pageID
 	r.setPayload(p)
 }
 
 // SetCLR re-arms r in place as a compensation record that redoes p (the
-// inverse of the undone update) and chains rollback to undoNext. Aux
-// holds undoNext plus one, so that the end of a chain (lsn.Undefined)
-// is Aux's absent value and costs no bytes.
-func (r *Record) SetCLR(txnID uint64, prev lsn.LSN, pageID uint64, undoNext lsn.LSN, p UpdatePayload) {
-	r.Reset(KindCLR, txnID, prev)
+// inverse of the undone update) and tells undo to go on at undoNext: the
+// undone update's predecessor in its transaction, lsn.Undefined once
+// nothing is left. Aux holds undoNext plus one, so that the end of a
+// rollback is Aux's absent value and costs no bytes.
+func (r *Record) SetCLR(txnID uint64, pageID uint64, undoNext lsn.LSN, p UpdatePayload) {
+	r.Reset(KindCLR, txnID)
 	r.Flags = FlagRedoOnly
 	r.PageID = pageID
 	r.Aux = uint64(undoNext) + 1
@@ -469,34 +474,33 @@ func (r *Record) setPayload(p UpdatePayload) {
 	r.Payload = p.Encode(r.Payload[:0])
 }
 
-// NewUpdate builds a ready-to-insert update record.
+// NewUpdate builds a ready-to-insert update record (see SetUpdate).
 func NewUpdate(txnID uint64, prev lsn.LSN, pageID uint64, p UpdatePayload) *Record {
 	r := new(Record)
 	r.SetUpdate(txnID, prev, pageID, p)
 	return r
 }
 
-// NewCLR builds a compensation record that redoes p (the inverse of the
-// undone update) and chains rollback to undoNext.
-func NewCLR(txnID uint64, prev lsn.LSN, pageID uint64, undoNext lsn.LSN, p UpdatePayload) *Record {
+// NewCLR builds a compensation record (see SetCLR).
+func NewCLR(txnID uint64, pageID uint64, undoNext lsn.LSN, p UpdatePayload) *Record {
 	r := new(Record)
-	r.SetCLR(txnID, prev, pageID, undoNext, p)
+	r.SetCLR(txnID, pageID, undoNext, p)
 	return r
 }
 
 // NewCommit builds a commit record.
 func NewCommit(txnID uint64) *Record {
-	return &Record{Header: Header{Kind: KindCommit, TxnID: txnID, PrevLSN: lsn.Undefined}}
+	return &Record{Header: Header{Kind: KindCommit, TxnID: txnID}}
 }
 
 // NewAbort builds an abort record.
-func NewAbort(txnID uint64, prev lsn.LSN) *Record {
-	return &Record{Header: Header{Kind: KindAbort, TxnID: txnID, PrevLSN: prev}}
+func NewAbort(txnID uint64) *Record {
+	return &Record{Header: Header{Kind: KindAbort, TxnID: txnID}}
 }
 
 // NewEnd builds an end record.
 func NewEnd(txnID uint64) *Record {
-	return &Record{Header: Header{Kind: KindEnd, TxnID: txnID, PrevLSN: lsn.Undefined}}
+	return &Record{Header: Header{Kind: KindEnd, TxnID: txnID}}
 }
 
 // NewPad builds a padding record whose total encoded size is exactly
@@ -516,7 +520,7 @@ func NewPad(size int) *Record {
 		rest++
 	}
 	return &Record{
-		Header:  Header{Kind: KindPad, PrevLSN: lsn.Undefined},
+		Header:  Header{Kind: KindPad},
 		Payload: make([]byte, rest-crcSize-1),
 	}
 }

@@ -126,7 +126,8 @@ func (m *LaneMerge) place(lane int, rec logrec.Record) Merged {
 }
 
 // At decodes the record at address at on the given lane — the random
-// access undo's backward chain walk needs — without moving the iterator.
+// access undo needs to reread a loser's update — without moving the
+// iterator.
 func (m *LaneMerge) At(lane int, at lsn.LSN) (Merged, error) {
 	l := m.lanes[lane]
 	if at < l.Base {

@@ -4,6 +4,14 @@
 // compensation log records, so recovery itself is crash-tolerant and can
 // be repeated any number of times.
 //
+// No record points back at its transaction's previous one. Analysis
+// keeps of each transaction the positions of its first record (the one
+// marked logrec.Header.First) and its newest; undo reads the merge
+// forward once, from the oldest loser's first record, collecting each
+// loser's updates — a CLR drops those above its undo-next, which an
+// interrupted rollback already compensated — and then compensates them
+// newest first across all losers.
+//
 // There is one recovery core (Analyze, then Analysis.Recover) for every
 // lane count. It reads the durable tails through LaneMerge, which hands
 // it each record with its position in the total order and its page stamp
@@ -27,7 +35,7 @@
 // below min(checkpoint begin, oldest active-txn first record, oldest
 // dirty-page recLSN), so analysis starts at the surviving checkpoint,
 // redo never needs what lies below the base (pages dirtied there were
-// archived first), and undo chains never reach below it.
+// archived first), and no loser's first record lies below it.
 package recovery
 
 import (
@@ -123,13 +131,26 @@ func Recover(opts Options) (*Result, error) {
 	return a.Recover(opts.Store, nil)
 }
 
-// txnStatus is an analysis-phase transaction-table entry: where the
-// transaction's newest durable record sits, and whether a commit record
-// was among them.
+// txnStatus is an analysis-phase transaction-table entry: the positions
+// of the transaction's first and newest durable records in the total
+// order, and whether a commit record was among them. Undo fills in the
+// updates of a loser it has still to compensate.
 type txnStatus struct {
-	lane      int
-	last      lsn.LSN // home-lane address of the newest record
+	lane        int    // the home lane, where all its records are
+	first, last uint64 // orders of its first and newest records
+	// opened says the record at first carries logrec.Header.First: the
+	// transaction's history starts in the tails, not below them.
+	opened    bool
 	committed bool
+	// undo holds a loser's updates not yet compensated, oldest first.
+	undo []pending
+}
+
+// pending is a loser's update that undo has still to compensate: its
+// home-lane address and its order.
+type pending struct {
+	at    lsn.LSN
+	order uint64
 }
 
 // Analysis is the outcome of the passes that read only the log — the
@@ -248,20 +269,17 @@ func Analyze(lanes []Lane, ckpt *lsn.LSN) (*Analysis, error) {
 }
 
 // touch returns the record's transaction entry, advanced to the record
-// (the stream is in total order). A record that starts a chain starts a
+// (the stream is in total order). A record marked first starts a
 // transaction: whatever an earlier holder of the same ID left in the
 // tail — IDs restart below a checkpoint that named nobody — is not its
-// history. A commit record carries no PrevLSN but starts nothing: it
-// closes the chain its transaction's entry holds.
+// history.
 func (a *Analysis) touch(mr *Merged) *txnStatus {
 	st := a.att[mr.Rec.TxnID]
-	if st == nil {
-		st = &txnStatus{}
+	if st == nil || mr.Rec.First {
+		st = &txnStatus{first: mr.Order, opened: mr.Rec.First}
 		a.att[mr.Rec.TxnID] = st
-	} else if mr.Rec.Kind.Chained() && !mr.Rec.PrevLSN.Valid() {
-		*st = txnStatus{}
 	}
-	st.lane, st.last = mr.Lane, mr.Rec.LSN
+	st.lane, st.last = mr.Lane, mr.Order
 	return st
 }
 
@@ -319,80 +337,128 @@ func (a *Analysis) Recover(store *storage.Store, sink Sink) (*Result, error) {
 	}
 
 	// ---- Undo losers, newest record first. ----
-	cursors := make(map[uint64]*undoCursor)
+	losers := make(map[uint64]*txnStatus)
+	from, to := uint64(lsn.Undefined), uint64(0)
 	for id, st := range a.att {
 		if st.committed {
 			res.Winners = append(res.Winners, id)
 			continue
 		}
+		// Truncation never releases log below an active transaction's
+		// first record, so a loser's history must survive in full.
+		if !st.opened {
+			return nil, fmt.Errorf("recovery: loser %d: its first record (lane %d) is not in any durable tail", id, st.lane)
+		}
 		res.Losers = append(res.Losers, id)
-		cursors[id] = &undoCursor{lane: st.lane, clrPrev: st.last}
-		cursors[id].move(m, st.last)
+		losers[id] = st
+		from, to = min(from, st.first), max(to, st.last)
 	}
 	sort.Slice(res.Winners, func(i, j int) bool { return res.Winners[i] < res.Winners[j] })
 	sort.Slice(res.Losers, func(i, j int) bool { return res.Losers[i] < res.Losers[j] })
+	if err := a.collect(losers, from, to); err != nil {
+		return nil, err
+	}
 
+	// ARIES undoes the update with the largest order across all losers;
+	// a loser with nothing left to undo is finished first, with an end
+	// record on its home lane.
 	synth, step := top, m.Step()
-	for len(cursors) > 0 {
-		// ARIES undoes the record with the largest order across all
-		// losers; an exhausted (or unreadable) chain is dealt with first.
+	open := append([]uint64(nil), res.Losers...)
+	for {
 		var id uint64
-		var c *undoCursor
-		for tid, cc := range cursors {
-			if !cc.at.Valid() || cc.err != nil {
-				c, id = cc, tid
-				break
-			}
-			if c == nil || cc.rec.Order > c.rec.Order {
-				c, id = cc, tid
-			}
-		}
-		if !c.at.Valid() {
-			if sink != nil {
-				if _, _, _, _, err := sink.Append(c.lane, logrec.NewEnd(id)); err != nil {
-					return nil, fmt.Errorf("recovery: undo end: %w", err)
+		var st *txnStatus
+		live := open[:0]
+		for _, lid := range open {
+			l := losers[lid]
+			if len(l.undo) == 0 {
+				if sink != nil {
+					if _, _, _, _, err := sink.Append(l.lane, logrec.NewEnd(lid)); err != nil {
+						return nil, fmt.Errorf("recovery: undo end: %w", err)
+					}
 				}
+				continue
 			}
-			delete(cursors, id)
-			continue
+			live = append(live, lid)
+			if st == nil || l.undo[len(l.undo)-1].order > st.undo[len(st.undo)-1].order {
+				id, st = lid, l
+			}
 		}
-		// Truncation never releases log below an active transaction's
-		// first record, so a loser's chain must survive in full.
-		if c.err != nil {
-			return nil, fmt.Errorf("recovery: loser %d: record at %v (lane %d) not in any durable tail: %w", id, c.at, c.lane, c.err)
+		if open = live; st == nil {
+			break
 		}
-		mr := &c.rec
+		p := st.undo[len(st.undo)-1]
+		st.undo = st.undo[:len(st.undo)-1]
+		mr, err := m.At(st.lane, p.at)
+		if err != nil {
+			return nil, fmt.Errorf("recovery: loser %d: record at %v (lane %d) not in any durable tail: %w", id, p.at, st.lane, err)
+		}
 		rec := &mr.Rec
-		next := rec.PrevLSN // an abort marker: follow the backchain
-		switch rec.Kind {
-		case logrec.KindUpdate:
-			up, err := logrec.DecodeUpdate(rec.Payload)
-			if err != nil {
-				return nil, fmt.Errorf("recovery: undo decode at %d: %w", mr.Order, err)
-			}
-			inv := up.Inverse()
-			var pageStamp, recStamp lsn.LSN
-			if sink != nil {
-				clr := logrec.NewCLR(id, c.clrPrev, rec.PageID, rec.PrevLSN, inv)
-				c.clrPrev, _, pageStamp, recStamp, err = sink.Append(c.lane, clr)
-				if err != nil {
-					return nil, fmt.Errorf("recovery: undo CLR: %w", err)
-				}
-			} else {
-				synth += step
-				pageStamp, recStamp = lsn.LSN(synth), lsn.LSN(synth)
-			}
-			if err := compensate(store, rec.PageID, inv, pageStamp, recStamp); err != nil {
-				return nil, fmt.Errorf("recovery: undo at %d: %w", mr.Order, err)
-			}
-			res.UndoApplied++
-		case logrec.KindCLR:
-			// Already compensated: skip to what the CLR says is next.
-			next = rec.UndoNext()
+		up, err := logrec.DecodeUpdate(rec.Payload)
+		if err != nil {
+			return nil, fmt.Errorf("recovery: undo decode at %d: %w", mr.Order, err)
 		}
-		c.move(m, next)
+		inv := up.Inverse()
+		var pageStamp, recStamp lsn.LSN
+		if sink != nil {
+			next := lsn.Undefined
+			if n := len(st.undo); n > 0 {
+				next = st.undo[n-1].at
+			}
+			_, _, pageStamp, recStamp, err = sink.Append(st.lane, logrec.NewCLR(id, rec.PageID, next, inv))
+			if err != nil {
+				return nil, fmt.Errorf("recovery: undo CLR: %w", err)
+			}
+		} else {
+			synth += step
+			pageStamp, recStamp = lsn.LSN(synth), lsn.LSN(synth)
+		}
+		if err := compensate(store, rec.PageID, inv, pageStamp, recStamp); err != nil {
+			return nil, fmt.Errorf("recovery: undo at %d: %w", mr.Order, err)
+		}
+		res.UndoApplied++
 	}
 	return res, nil
+}
+
+// collect reads the merge forward over [from, to] — from the oldest
+// loser's first record to the newest loser record — and leaves in each
+// loser's entry the updates it has still to compensate. A CLR (logged by
+// a rollback the crash cut short, or by an earlier recovery) says
+// everything above its undo-next is compensated already, and its
+// undo-next must then be the newest update left.
+func (a *Analysis) collect(losers map[uint64]*txnStatus, from, to uint64) error {
+	if len(losers) == 0 {
+		return nil
+	}
+	m := a.m
+	m.From(from)
+	for {
+		mr, ok := m.Next()
+		if !ok || mr.Order > to {
+			break
+		}
+		st := losers[mr.Rec.TxnID]
+		if st == nil || mr.Order < st.first || mr.Order > st.last {
+			continue
+		}
+		switch mr.Rec.Kind {
+		case logrec.KindUpdate:
+			st.undo = append(st.undo, pending{at: mr.Rec.LSN, order: mr.Order})
+		case logrec.KindCLR:
+			next := mr.Rec.UndoNext()
+			for n := len(st.undo); n > 0 && (!next.Valid() || st.undo[n-1].at > next); n = len(st.undo) {
+				st.undo = st.undo[:n-1]
+			}
+			if n := len(st.undo); next.Valid() && (n == 0 || st.undo[n-1].at != next) {
+				return fmt.Errorf("recovery: loser %d: the CLR at %v (lane %d) goes on at %v, which is no update of it in any durable tail",
+					mr.Rec.TxnID, mr.Rec.LSN, mr.Lane, next)
+			}
+		}
+	}
+	if err := m.Err(); err != nil {
+		return fmt.Errorf("recovery: undo: %w", err)
+	}
+	return nil
 }
 
 // redo reapplies one update or CLR to its page unless the page already
@@ -448,27 +514,6 @@ func compensate(store *storage.Store, pid uint64, inv logrec.UpdatePayload, page
 	}
 	store.MarkDirty(pid, recStamp)
 	return nil
-}
-
-// undoCursor walks one loser's chain backwards through its home lane: at
-// is the address of the chain's current record (Undefined once the chain
-// is exhausted), rec that record (its Order is the cross-loser undo
-// order) or err why it could not be read, and clrPrev the PrevLSN for
-// the next CLR.
-type undoCursor struct {
-	lane    int
-	at      lsn.LSN
-	rec     Merged
-	err     error
-	clrPrev lsn.LSN
-}
-
-// move steps the cursor to the record at the given address.
-func (c *undoCursor) move(m *LaneMerge, at lsn.LSN) {
-	c.at, c.rec, c.err = at, Merged{}, nil
-	if at.Valid() {
-		c.rec, c.err = m.At(c.lane, at)
-	}
 }
 
 // findCheckpoint scans lane 0's durable tail (the coordinator writes

@@ -146,8 +146,8 @@ func TestRecoverCLRSkipsAlreadyUndone(t *testing.T) {
 	ins := logrec.UpdatePayload{Op: logrec.OpInsert, Slot: 0, After: []byte("v1")}
 	insAt, _ := lb.add(t, logrec.NewUpdate(5, lsn.Undefined, pid, ins))
 	set := logrec.Splice(nil, 0, []byte("v1"), []byte("v2"))
-	setAt, _ := lb.add(t, logrec.NewUpdate(5, insAt, pid, set))
-	lb.add(t, logrec.NewCLR(5, setAt, pid, insAt, set.Inverse()))
+	lb.add(t, logrec.NewUpdate(5, insAt, pid, set))
+	lb.add(t, logrec.NewCLR(5, pid, insAt, set.Inverse()))
 
 	st := storage.NewStore()
 	res, err := Recover(Options{Log: lb.buf, Store: st})
@@ -279,8 +279,8 @@ func TestRecoverMultipleLosersInterleaved(t *testing.T) {
 	var lb logBuilder
 	p1 := storage.MakePageID(1, 1)
 	p2 := storage.MakePageID(1, 2)
-	// Two losers interleaved across two pages; undo must process the
-	// combined chain in reverse LSN order.
+	// Two losers interleaved across two pages; undo must process their
+	// combined updates in reverse LSN order.
 	a1, _ := lb.add(t, logrec.NewUpdate(10, lsn.Undefined, p1,
 		logrec.UpdatePayload{Op: logrec.OpInsert, Slot: 0, After: []byte("a1")}))
 	b1, _ := lb.add(t, logrec.NewUpdate(11, lsn.Undefined, p2,

@@ -13,11 +13,13 @@ import (
 
 // TestRecoveryStreamsTheTail: recovery reads the tails through a merge
 // that holds one record per lane, and remembers of each transaction only
-// where its newest record sits — so what it allocates is bounded by the
-// lanes, the transactions and the pages, not by the length of the tail.
-// A tail of 200 000 updates by six long transactions (one of them a
-// loser with a 33 000-record chain to walk back) over 16 pages recovers
-// within 4 MiB of allocation in total, at one lane and at three. (The
+// where its first and newest records sit, and of a loser the address and
+// order of each update it has still to undo (16 bytes a record) — so
+// what it allocates is bounded by the lanes, the transactions, the
+// losers' updates and the pages, not by the length of the tail. A tail
+// of 200 000 updates by six long transactions (one of them a loser with
+// 33 000 updates to undo) over 16 pages recovers within 4 MiB of
+// allocation in total, at one lane and at three. (The
 // engines this core replaced held every decoded record of an N-lane tail
 // in a slice, plus a map from seq to slice index: a hundred bytes a
 // record.)

@@ -283,7 +283,7 @@ func TestAgentScratchLogsSameBytes(t *testing.T) {
 	packed, _ := tbl.Index.Get(2)
 	rid := storage.UnpackRID(packed)
 
-	// Each record's PrevLSN is where the one before it starts.
+	// The first record is marked first, and no record points back.
 	first := logrec.NewUpdate(tx.ID(), lsn.Undefined, rid.Page,
 		logrec.UpdatePayload{Op: logrec.OpInsert, Slot: rid.Slot, After: row(2, 20)})
 	second := logrec.NewUpdate(tx.ID(), start, rid.Page, logrec.Splice(nil, rid.Slot, row(2, 20), row(2, 21)))
@@ -335,26 +335,26 @@ func tpcbShape(t testing.TB, ag *Agent, tables *[4]*Table, keys [4]uint64, delta
 // updates of an 8-byte balance in 100-byte rows, one zero-padded 100-byte
 // history row holding its key, the delta and the account, a commit —
 // counted off the device. The engine here is a few records old, so its
-// transaction IDs, LSNs and page numbers are one or two bytes long; the
-// same records re-encoded at the benchmark's magnitudes (IDs to 80 200,
-// 33 MB of log per cycle, thousands of pages a table) must fit the budget
-// too: at most 110 bytes on one lane (109 in format 6, where an update
-// logs its changed bytes once as before ⊕ after; both images made it
-// 121, five 48-byte headers and whole rows 988, whole history rows 246,
-// fixed 8-byte frames and a chained commit 140), the history insert at most 38
+// transaction IDs and page numbers are one or two bytes long; the same
+// records re-encoded at the benchmark's magnitudes (IDs to 80 200,
+// thousands of pages a table) must fit the budget too: at most 98 bytes
+// on one lane (97 in format 7, where no record points back at its
+// transaction's previous one; format 6's 4-byte back-pointer on the
+// three records after the first made it 109, both images 121, five
+// 48-byte headers and whole rows 988, whole history rows 246, fixed
+// 8-byte frames and a chained commit 140), the history insert at most 34
 // of them, and on three lanes at most a seq and an edge more per record.
-// A commit that carried its PrevLSN would add 4 bytes and miss it. A
-// balance of a few million moved by a negative delta of the benchmark's
-// range changes its three low bytes, and the negative delta fills the
-// history row's whole amount field: the most a benchmark history row
-// logs.
+// A back-pointer on those three records would add 12 bytes and miss it.
+// A balance of a few million moved by a negative delta of the
+// benchmark's range changes its three low bytes, and the negative delta
+// fills the history row's whole amount field: the most a benchmark
+// history row logs.
 func TestTPCBLogBytesBudget(t *testing.T) {
 	const (
-		budget       = 110
-		insertBudget = 38
+		budget       = 98
+		insertBudget = 34
 		seqAndEdge   = 2 * binary.MaxVarintLen32 // per record, on N lanes
 		benchTxnID   = 80_200
-		benchLSN     = 33_000_000
 		benchPageNo  = 5_000
 		balance      = 3_000_000
 		delta        = -654_321
@@ -415,9 +415,6 @@ func TestTPCBLogBytesBudget(t *testing.T) {
 					rec.PageID += benchPageNo
 				}
 				rec.TxnID = benchTxnID
-				if rec.PrevLSN.Valid() {
-					rec.PrevLSN += benchLSN
-				}
 				atBench += rec.EncodedSize()
 				if up.Op == logrec.OpInsert {
 					insertAtBench = rec.EncodedSize()

@@ -501,7 +501,6 @@ func (a *Agent) Close() {
 // the scratch, and the agent starts a new one.
 func (a *Agent) Begin() *Txn {
 	t := &Txn{eng: a.eng, agent: a, id: a.eng.nextTxn.Add(1), home: -1}
-	t.last.Store(lsn.Undefined)
 	t.lastStamp.Store(lsn.Undefined)
 	t.first.Store(lsn.Undefined)
 	if a.sc != nil && a.sc.owner.state.Load() != stActive {
@@ -539,7 +538,7 @@ func (e *Engine) Checkpoint() error {
 	// Checkpoint records themselves always go to lane 0, so analysis has
 	// a single place to look.
 	e.log.SampleHorizon()
-	beginRec := &logrec.Record{Header: logrec.Header{Kind: logrec.KindCheckpointBegin, PrevLSN: lsn.Undefined}}
+	beginRec := &logrec.Record{Header: logrec.Header{Kind: logrec.KindCheckpointBegin}}
 	beginAt, _, _, beginStamp, err := e.ckptAp.Append(0, beginRec)
 	if err != nil {
 		return fmt.Errorf("txn: checkpoint begin: %w", err)
@@ -562,7 +561,7 @@ func (e *Engine) Checkpoint() error {
 	payload.DirtyPages = e.store.DirtyPages()
 
 	rec := &logrec.Record{
-		Header:  logrec.Header{Kind: logrec.KindCheckpointEnd, PrevLSN: lsn.Undefined, Aux: uint64(beginAt)},
+		Header:  logrec.Header{Kind: logrec.KindCheckpointEnd, Aux: uint64(beginAt)},
 		Payload: payload.Encode(nil),
 	}
 	_, end, endStamp, _, err := e.ckptAp.Append(0, rec)

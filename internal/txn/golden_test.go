@@ -9,12 +9,13 @@ import (
 )
 
 // oneLaneLogGolden holds, as a hex dump, the log goldenScript leaves
-// behind: record format 6 (a varint length, compact header, no
-// back-pointer on commit and end records, an update's changed bytes
-// logged once as before ⊕ after, insert and delete rows without their
-// zero tail, a CLR's undo-next stored plus one), 456 bytes, where the
-// same script wrote 475 in format 5, 577 in format 4, 648 in format 3
-// and 2 065 in format 2. A one-lane log must stay byte-identical to it: same
+// behind: record format 7 (a varint length, compact header, no
+// back-pointer on any record but a kind-byte bit on a transaction's
+// first, an update's changed bytes logged once as before ⊕ after,
+// insert and delete rows without their zero tail, a CLR's undo-next
+// stored plus one), 439 bytes, where the same script wrote 456 in format
+// 6, 475 in format 5, 577 in format 4, 648 in format 3 and 2 065 in
+// format 2. A one-lane log must stay byte-identical to it: same
 // records, same addresses, no sequence stamps. A failure prints the dump
 // to paste here — after reading the diff: every changed byte is a format
 // change.

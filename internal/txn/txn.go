@@ -23,16 +23,16 @@ const (
 )
 
 // undoEntry remembers one update for transaction-local rollback. Runtime
-// rollback uses this in-memory chain (every live transaction has its
-// records at hand); crash rollback reads the durable log instead. The
-// payload the record logged — a splice's X and tail, a delete's row
-// without its zero tail — lives in the scratch's arena, n bytes from
-// img. An insert keeps none: its row is on the page until Abort deletes
-// it, and the CLR is built from what is there.
+// rollback uses these in-memory entries (every live transaction has its
+// records at hand); crash rollback collects a loser's records from the
+// durable log instead. The payload the record logged — a splice's X and
+// tail, a delete's row without its zero tail — lives in the scratch's
+// arena, n bytes from img. An insert keeps none: its row is on the page
+// until Abort deletes it, and the CLR is built from what is there.
 type undoEntry struct {
 	pageID uint64
 	at     lsn.LSN // LSN of the update record
-	prev   lsn.LSN // PrevLSN of that record (the next undo target)
+	prev   lsn.LSN // the transaction's record before it: its CLR's undo-next
 	img    int
 	n      uint32
 	slot   uint16
@@ -109,13 +109,16 @@ type Txn struct {
 	id    uint64
 	sc    *txnScratch
 
-	last lsn.Atomic // most recent log record's home-lane LSN (PrevLSN chain)
-	// lastStamp is that record's recStamp, which the checkpoint ATT
-	// snapshots next to the transaction's name.
+	// lastStamp is the most recent log record's recStamp, which the
+	// checkpoint ATT snapshots next to the transaction's name.
 	lastStamp lsn.Atomic
 	// first pins the truncation horizon: the first record's recStamp.
 	first lsn.Atomic
 	state atomic.Int32 // atomic: checkpoint and daemon callbacks read it
+	// aborting is set once Abort has logged the abort record: the
+	// transaction does no more work, and a retried Abort resumes its
+	// rollback instead of starting another.
+	aborting bool
 
 	// home is the transaction's log lane, assigned from its first logged
 	// update's page space (-1 until then).
@@ -141,11 +144,17 @@ func (t *Txn) appendRec(rec *logrec.Record) (at, end, pageStamp, recStamp lsn.LS
 func (t *Txn) ID() uint64 { return t.id }
 
 // logUpdate is the storage.LogFunc for this transaction: register the
-// page as dirty, append a physiological update record, chain PrevLSN,
-// and remember the undo. It returns the record's page stamp, which the
-// heap feeds to Page.Apply.
+// page as dirty, append a physiological update record (marked first if
+// it is), and remember the undo. It returns the record's page stamp,
+// which the heap feeds to Page.Apply.
 func (t *Txn) logUpdate(pageID uint64, up logrec.UpdatePayload) (lsn.LSN, error) {
-	prev := t.last.Load()
+	// The transaction's previous record is its newest update (an update
+	// never follows its abort): the new entry's undo-next, or none.
+	sc := t.sc
+	prev := lsn.Undefined
+	if n := len(sc.undo); n > 0 {
+		prev = sc.undo[n-1].at
+	}
 	if prev == lsn.Undefined {
 		// Publish a conservative first-stamp lower bound before the
 		// insert reserves a real address. The durable horizon can never
@@ -176,14 +185,12 @@ func (t *Txn) logUpdate(pageID uint64, up logrec.UpdatePayload) (lsn.LSN, error)
 	// change and scratch the next update reuses, and rollback needs it.
 	// An insert's row stays on the page, under our lock, for as long as
 	// rollback could want it.
-	sc := t.sc
 	e := undoEntry{pageID: pageID, at: at, prev: prev, slot: up.Slot, op: up.Op}
 	if up.Op != logrec.OpInsert {
 		e.img, e.n = len(sc.arena), uint32(len(rec.Payload))
 		sc.arena = append(sc.arena, rec.Payload...)
 	}
 	sc.undo = append(sc.undo, e)
-	t.last.Store(at)
 	t.lastStamp.Store(recStamp)
 	t.lastEnd = end
 	t.writes++
@@ -219,18 +226,17 @@ func (t *Txn) undoOn(page *storage.Page, e *undoEntry) error {
 	}
 	t.eng.store.MarkDirty(e.pageID, t.eng.log.StampFloor())
 	rec := &t.agent.rec
-	rec.SetCLR(t.id, t.last.Load(), e.pageID, e.prev, inv)
-	at, _, pageStamp, recStamp, err := t.appendRec(rec)
+	rec.SetCLR(t.id, e.pageID, e.prev, inv)
+	_, _, pageStamp, recStamp, err := t.appendRec(rec)
 	if err != nil {
 		return err
 	}
-	t.last.Store(at)
 	t.lastStamp.Store(recStamp)
 	return page.Apply(inv, pageStamp)
 }
 
 func (t *Txn) active() error {
-	if t.state.Load() != stActive {
+	if t.state.Load() != stActive || t.aborting {
 		return ErrTxnDone
 	}
 	return nil
@@ -374,12 +380,11 @@ func (t *Txn) Commit(mode CommitMode, whenDone func(error)) error {
 	}
 
 	rec := &t.agent.rec
-	rec.Reset(logrec.KindCommit, t.id, lsn.Undefined)
-	at, end, _, recStamp, err := t.appendRec(rec)
+	rec.Reset(logrec.KindCommit, t.id)
+	_, end, _, recStamp, err := t.appendRec(rec)
 	if err != nil {
 		return err
 	}
-	t.last.Store(at)
 	t.lastStamp.Store(recStamp)
 	t.lastEnd = end
 	t.state.Store(stPrecommitted)
@@ -417,7 +422,7 @@ func (t *Txn) Commit(mode CommitMode, whenDone func(error)) error {
 		// stay in the ATT until the commit record hardens, though: the
 		// truncation horizon treats ATT absence as "durably finished",
 		// and recycling this txn's records while it can still come back
-		// as a recovery loser would leave its undo chain unreadable.
+		// as a recovery loser would leave its first records unreadable.
 		t.sc.locker.ReleaseAll()
 		lm.OnDurable(end, t)
 		if whenDone != nil {
@@ -480,9 +485,12 @@ func (t *Txn) finishCommit(ok bool) {
 	t.eng.attRemove(t.id)
 }
 
-// Abort rolls the transaction back: walk the undo chain newest-first,
+// Abort rolls the transaction back: walk the undo entries newest-first,
 // apply inverses, and log a CLR for each so a crash mid-rollback resumes
 // correctly. Violates-precommit attempts are rejected (ELR condition 2).
+// A rollback that fails part way leaves the transaction unusable but for
+// another Abort, which resumes where the failure stopped: each entry is
+// dropped once its CLR is logged and applied, so none is undone twice.
 func (t *Txn) Abort() error {
 	switch t.state.Load() {
 	case stActive:
@@ -494,17 +502,19 @@ func (t *Txn) Abort() error {
 
 	if t.writes > 0 {
 		rec := &t.agent.rec
-		rec.Reset(logrec.KindAbort, t.id, t.last.Load())
-		at, _, _, recStamp, err := t.appendRec(rec)
-		if err != nil {
-			return err
+		if !t.aborting {
+			rec.Reset(logrec.KindAbort, t.id)
+			_, _, _, recStamp, err := t.appendRec(rec)
+			if err != nil {
+				return err
+			}
+			t.aborting = true
+			t.lastStamp.Store(recStamp)
 		}
-		t.last.Store(at)
-		t.lastStamp.Store(recStamp)
 
 		sc := t.sc
-		for i := len(sc.undo) - 1; i >= 0; i-- {
-			e := &sc.undo[i]
+		for n := len(sc.undo); n > 0; n = len(sc.undo) {
+			e := &sc.undo[n-1]
 			page, ferr := t.eng.store.Get(e.pageID)
 			if ferr != nil {
 				return fmt.Errorf("txn: undo fault: %w", ferr)
@@ -519,6 +529,7 @@ func (t *Txn) Abort() error {
 			if err != nil {
 				return fmt.Errorf("txn: undo page %d: %w", e.pageID, err)
 			}
+			sc.undo = sc.undo[:n-1]
 		}
 		for i := len(sc.indexUndo) - 1; i >= 0; i-- {
 			if u := sc.indexUndo[i]; u.put {
@@ -526,23 +537,24 @@ func (t *Txn) Abort() error {
 			} else {
 				u.tbl.Index.Delete(u.key)
 			}
+			sc.indexUndo[i] = indexUndo{}
 		}
-		rec.Reset(logrec.KindEnd, t.id, lsn.Undefined)
-		at, endEnd, _, endStamp, aerr := t.appendRec(rec)
+		sc.indexUndo = sc.indexUndo[:0]
+		rec.Reset(logrec.KindEnd, t.id)
+		_, endEnd, _, endStamp, aerr := t.appendRec(rec)
 		t.state.Store(stAborted)
 		t.sc.locker.ReleaseAll()
 		t.eng.stats.Aborts.Inc()
 		if aerr != nil {
 			// No end record: stay in the ATT so the txn's first LSN
 			// keeps pinning the truncation horizon — a crash must still
-			// find the whole undo chain.
+			// find every record of the transaction.
 			return aerr
 		}
-		t.last.Store(at)
 		t.lastStamp.Store(endStamp)
 		// Leave the ATT only once the rollback is durable: until then
 		// the txn's first LSN must keep pinning the truncation horizon,
-		// or a crash could find a loser whose undo chain was recycled.
+		// or a crash could find a loser whose first records were recycled.
 		// Capture only what the callback needs, not the whole Txn.
 		eng, id := t.eng, t.id
 		t.eng.waitLM(t.home).OnDurable(endEnd, core.HardenedFunc(func(error) { eng.attRemove(id) }))

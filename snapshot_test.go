@@ -2,13 +2,16 @@ package aether
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"aether/internal/logdev"
 	"aether/internal/lsn"
 	"aether/internal/storage"
+	"aether/internal/vfs"
 )
 
 // putRows commits one transaction that sets each key in keys to a row of
@@ -434,5 +437,65 @@ func TestSnapshotsPinNoSlots(t *testing.T) {
 	}
 	if d := diffModel(model, restoredState(t, r, "t")); d != "" {
 		t.Fatal(d)
+	}
+}
+
+// TestRestoreBelowPrunedFloorRefused: once retention has pruned every
+// segment object the lane archived — one snapshot kept, the log well
+// past its first segments — genesis is gone, so the floor is the oldest
+// snapshot's restore point: Stats reports it, and a RestoreTo below it
+// is refused with ErrRestorePruned.
+func TestRestoreBelowPrunedFloorRefused(t *testing.T) {
+	db, err := Open(Options{
+		LogPath:            "/db",
+		SegmentSize:        4096,
+		ArchiveDir:         "/cold",
+		SnapshotEveryBytes: 8192,
+		RetainSnapshots:    1,
+		Mode:               CommitSync,
+		fs:                 vfs.NewFaultFS(1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl, err := db.CreateTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The cold-tier daemon archives, snapshots and prunes behind the
+	// checkpoints, one pass per nudge: write until a pass has left no
+	// segment object, and the daemon has nothing more to do.
+	prunedBare := func() bool {
+		segs, err := db.lanes[0].remote.Segments()
+		return err == nil && len(segs) == 0 && db.Stats().LogObjectsPruned > 0
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for k := uint64(1); ; k += 40 {
+		if prunedBare() {
+			time.Sleep(50 * time.Millisecond) // for a pass the last checkpoint nudged
+			if prunedBare() {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			st := db.Stats()
+			t.Fatalf("no pass pruned every segment object: %d objects pruned, %d snapshots", st.LogObjectsPruned, st.LogSnapshots)
+		}
+		writeRows(t, db, tbl, k, k+40)
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := db.Stats()
+	if st.RestoreFloor == 0 {
+		t.Fatalf("floor 0 with every segment object pruned (%d objects, %d snapshots), want the oldest snapshot's restore point",
+			st.LogObjectsPruned, st.LogSnapshots)
+	}
+	if r, err := db.RestoreTo(1); !errors.Is(err, ErrRestorePruned) {
+		if err == nil {
+			r.Close()
+		}
+		t.Fatalf("RestoreTo(1) below floor %d: %v, want ErrRestorePruned", st.RestoreFloor, err)
 	}
 }
