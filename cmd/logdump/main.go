@@ -1,6 +1,8 @@
 // Command logdump decodes a write-ahead log and prints its records —
 // the debugging companion every WAL implementation needs. It stops at
-// the first gap, exactly where recovery would. Pointed at a database
+// the first gap, exactly where recovery would, and before the records
+// it judges every seal — the record each flush closes its batch with —
+// against the bytes it covers. Pointed at a database
 // directory, it decodes the segmented log and prints the segment layout
 // and base offset first, plus a summary of the paged database file if
 // one lives beside the log. Pointed at a pagefile itself, it dumps the
@@ -39,6 +41,7 @@
 package main
 
 import (
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"os"
@@ -86,8 +89,9 @@ Examples:
                                    bytes split into framing and row images, and
                                    the zero tails of inserted and deleted rows
                                    that the log implies; then the framing per
-                                   field (length, CRC, kind byte, each header
-                                   field, the payload's own lengths) and an
+                                   field (length, kind byte, each header
+                                   field, the payload's own lengths), the
+                                   seals' bytes on a line of their own, and an
                                    update's payload per field (op, slot, off,
                                    delta, X, tail, row length, row)
   logdump -f wal.d -archive /cold  cold store in a non-default location
@@ -269,12 +273,18 @@ func dump(path, archDir string, txnFilter uint64, statsOnly bool) error {
 	lanes := make([]recovery.Lane, n)
 	archs := make([]*logdev.RemoteArchiver, n)
 	var restorable int
+	var seals []sealVerdict
 	for i := range lanes {
 		var err error
 		if lanes[i], archs[i], err = dumpLane(path, store, i, n); err != nil {
 			return fmt.Errorf("lane %d: %w", i, err)
 		}
 		restorable += len(lanes[i].Log)
+		lane := judgeSeals(lanes[i])
+		if !statsOnly {
+			printSeals(lane, lanes[i])
+		}
+		seals = append(seals, lane...)
 	}
 	if store != nil {
 		if err := listSnapshots(store, archs); err != nil {
@@ -347,14 +357,77 @@ func dump(path, archDir string, txnFilter uint64, statsOnly bool) error {
 			fmt.Printf(", %d implied zero bytes", ks.zeros)
 		}
 		s := ks.sizes
-		fmt.Printf("\n%14sframing = length %d + crc %d + kind %d + txn %d + page %d + aux %d + seq %d + payload %d\n",
-			"", s.Length, s.CRC, s.Kind, s.TxnID, s.PageID, s.Aux, s.Seq, s.Payload-ks.image)
+		fmt.Printf("\n%14sframing = length %d + kind %d + txn %d + page %d + aux %d + seq %d + payload %d\n",
+			"", s.Length, s.Kind, s.TxnID, s.PageID, s.Aux, s.Seq, s.Payload-ks.image)
 		if p := ks.payload; p != (logrec.PayloadSizes{}) {
 			fmt.Printf("%14spayload = op %d + slot %d + off %d + delta %d + x %d + tail %d + row length %d + row %d\n",
 				"", p.Op, p.Slot, p.Off, p.Delta, p.X, p.Tail, p.RowLen, p.Row)
 		}
 	}
+	// A seal is framing for a whole flush: its bytes are no kind's.
+	sealBytes := 0
+	for _, sv := range seals {
+		sealBytes += sv.size
+	}
+	fmt.Printf("  %-11s %8d records %10d bytes (each closes a batch: its length and CRC-32C)\n", "seal", len(seals), sealBytes)
 	return nil
+}
+
+// sealVerdict is one seal as logdump judges it: where it sits and how
+// long it is, the batch it closes, and whether that batch matches the
+// length and the CRC-32C it carries.
+type sealVerdict struct {
+	at, from lsn.LSN
+	size     int
+	length   bool // the batch is as long as the seal says
+	crc      bool // and its CRC-32C is the seal's
+}
+
+// judgeSeals walks a lane's log record by record, as far as the records
+// decode, and judges every seal on the way against the bytes since the
+// one before. Unlike recovery it goes on past a bad seal, so a dump shows
+// them all.
+func judgeSeals(l recovery.Lane) []sealVerdict {
+	var seals []sealVerdict
+	from := 0
+	for off := 0; off < len(l.Log); {
+		rec, n, err := logrec.Decode(l.Log[off:])
+		if err != nil {
+			break
+		}
+		if rec.IsSeal() {
+			seals = append(seals, sealVerdict{
+				at: l.Base.Add(off), from: l.Base.Add(from), size: n,
+				length: rec.Aux == uint64(off-from),
+				crc:    binary.LittleEndian.Uint32(rec.Payload) == logrec.BatchCRC(l.Log[from:off]),
+			})
+			from = off + n
+		}
+		off += n
+	}
+	return seals
+}
+
+// printSeals prints a lane's seal verdicts, and what of its log no seal
+// closes.
+func printSeals(seals []sealVerdict, l recovery.Lane) {
+	for _, sv := range seals {
+		verdict := "crc ok"
+		switch {
+		case !sv.length:
+			verdict = "length BAD (the seal closes a batch of another length)"
+		case !sv.crc:
+			verdict = "crc BAD (the batch's bytes differ from those sealed: rot)"
+		}
+		fmt.Printf("  seal    %-12v covers [%d, %d)  %s\n", sv.at, uint64(sv.from), uint64(sv.at), verdict)
+	}
+	sealed := l.Base
+	if n := len(seals); n > 0 {
+		sealed = seals[n-1].at.Add(seals[n-1].size)
+	}
+	if end := l.Base.Add(len(l.Log)); sealed < end {
+		fmt.Printf("  unsealed [%d, %d): no seal closes it (recovery stops there)\n", uint64(sealed), uint64(end))
+	}
 }
 
 // kindStats sums the records of one kind: their count, bytes, image and
@@ -387,7 +460,6 @@ func (ks *kindStats) add(rec logrec.Record) {
 	ks.zeros += zeros
 	s, sum := rec.Sizes(), &ks.sizes
 	sum.Length += s.Length
-	sum.CRC += s.CRC
 	sum.Kind += s.Kind
 	sum.TxnID += s.TxnID
 	sum.PageID += s.PageID

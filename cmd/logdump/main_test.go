@@ -14,29 +14,54 @@ import (
 	"time"
 
 	"aether"
+	"aether/internal/core"
 	"aether/internal/logdev"
+	"aether/internal/storage"
+	"aether/internal/txn"
 )
 
 // buildLog writes a small deterministic history — two tables, so that
 // on three lanes transactions home on different lanes and share pages —
-// into a fresh n-lane segmented database and closes it.
+// into a fresh n-lane segmented database and closes it. It assembles the
+// engine as aether.Open does, but with a flush daemon that only flushes
+// when a commit waits: each flush closes its batch with a seal, so the
+// daemon's timer would otherwise decide where the seals, and with them
+// every later record, fall.
 func buildLog(t *testing.T, dir string, n int) {
 	t.Helper()
-	db, err := aether.Open(aether.Options{LogPath: dir, SegmentSize: 4096, LogPartitions: n, Mode: aether.CommitSync})
+	devs := make([]logdev.Device, n)
+	for i := range devs {
+		seg, err := logdev.OpenSegmentedDir(logdev.LaneDir(dir, i, n), 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer seg.Close()
+		devs[i] = seg
+	}
+	pf, err := storage.OpenPageFile(filepath.Join(dir, "pagefile.db"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := db.CreateTable("a")
+	defer pf.Close()
+	eng, _, err := txn.Restart(txn.RestartConfig{
+		Devices:   devs,
+		Archive:   pf,
+		LogConfig: core.Config{FlushInterval: time.Hour},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := db.CreateTable("b")
+	a, err := eng.CreateTable("a", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := db.Session()
+	b, err := eng.CreateTable("b", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ag := eng.NewAgent()
 	for k := uint64(1); k <= 4; k++ {
-		tx := s.Begin()
+		tx := ag.Begin()
 		first, second := a, b
 		if k%2 == 0 {
 			first, second = b, a
@@ -68,12 +93,13 @@ func buildLog(t *testing.T, dir string, n int) {
 			}
 			continue
 		}
-		if err := tx.Commit(); err != nil {
+		if err := tx.Commit(txn.CommitSync, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s.Close()
-	if err := db.Close(); err != nil {
+	ag.Close()
+	eng.Close()
+	if err := eng.Multi().Close(); err != nil {
 		t.Fatal(err)
 	}
 }

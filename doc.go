@@ -67,7 +67,7 @@
 // # Log records
 //
 // The log says what changed and little else. A record is a frame (a
-// varint length, one byte below 128, and a CRC-32C), one byte naming its
+// varint length, one byte below 128), one byte naming its
 // kind and which header fields follow, those fields as varints —
 // transaction, page, and the multi-lane stamp and edge, each free when
 // absent — and a payload. No record points back at its transaction's
@@ -79,10 +79,13 @@
 // insert's or delete's is the row's length and its bytes up to the last
 // non-zero one, the rest being implied zeros. So a TPC-B transaction
 // (three 8-byte balance changes in 100-byte rows, one zero-padded
-// 100-byte insert, a commit) logs about 97 bytes. Every record has one
-// encoding and the decoders accept no other. A log directory carries
-// its format in its MANIFEST (format 7) and a cold-store object in its
-// envelope (version 6); Open refuses earlier ones with an error that
+// 100-byte insert, a commit) logs about 77 bytes. No record carries a
+// checksum: each flush closes the batch it hardens with a seal, a record
+// holding the batch's length and CRC-32C, and recovery checks every
+// batch against its seal before it replays a byte of it. Every record
+// has one encoding and the decoders accept no other. A log directory
+// carries its format in its MANIFEST (format 8) and a cold-store object
+// in its envelope (version 7); Open refuses earlier ones with an error that
 // matches logdev.ErrFormat and changes nothing. ARCHITECTURE.md, "The
 // log record", has the layout.
 //
@@ -92,7 +95,8 @@
 // the header of the segment file that holds the batch's last byte (two
 // CRC-protected ping-pong slots per file), with the same fsync that
 // persists the batch: a blocking commit is one fsync. Each slot records
-// the byte range its Sync added and that range's CRC, and a reopen
+// the byte range its Sync added and that range's CRC, taken from the
+// bytes as they were appended (a Sync reads nothing back), and a reopen
 // believes a slot only if those bytes are in the file and match, so a
 // slot that reached the disk ahead of its data falls back to the
 // previous Sync's. On reopen the watermark — not the segment file

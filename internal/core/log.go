@@ -8,7 +8,8 @@
 //   - Agent threads insert records through per-thread Appenders; inserts
 //     never perform I/O and never block on it.
 //   - A single daemon goroutine drains the buffer's released region to the
-//     log device, so agent threads never touch it.
+//     log device, so agent threads never touch it, and closes each batch
+//     it hardens with a seal, the batch's length and CRC-32C (seal.go).
 //   - Transactions subscribe to the durable horizon: asynchronously
 //     (OnDurable — flush pipelining's detach/re-attach, no blocking on the
 //     agent thread) or synchronously (WaitDurable — the baseline's
@@ -29,12 +30,14 @@
 // commit waits for the next interval pass: FlushInterval, which on an
 // otherwise idle process the runtime's timer stretches to about a
 // millisecond. Released log nobody waits on is left for a later flush
-// until groupWindow after the previous one started.
+// until a timer pass finds groupWindow gone since the previous one
+// started.
 package core
 
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,8 +86,11 @@ func (c *Config) applyDefaults() {
 type Stats struct {
 	// Inserts counts records appended.
 	Inserts metrics.Counter
-	// InsertBytes counts bytes appended.
+	// InsertBytes counts bytes appended, seals included.
 	InsertBytes metrics.Counter
+	// Seals counts the seals inserted (seal.go): one per flush that
+	// hardened new records, plus one per N-lane edge record.
+	Seals metrics.Counter
 	// Flushes counts device sync operations performed by the daemon.
 	Flushes metrics.Counter
 	// FlushBytes counts bytes made durable.
@@ -146,15 +152,19 @@ type LogManager struct {
 	limit           func(start, end lsn.LSN) lsn.LSN
 	durableAdvanced func()
 
-	mu       sync.Mutex
-	waiters  waiterHeap
-	pending  int // commit subscriptions since last flush
-	failed   error
-	closed   bool
-	wakeCh   chan struct{}
-	stopCh   chan struct{}
-	doneCh   chan struct{}
-	flushReq bool
+	mu      sync.Mutex
+	waiters waiterHeap
+	pending int // commit subscriptions since last flush
+	failed  error
+	closed  bool
+	wakeCh  chan struct{}
+	stopCh  chan struct{}
+	doneCh  chan struct{}
+	// flushTo is where the log's append end stood when Flush last asked
+	// for a flush: a pass flushes until it has hardened that far. A
+	// request a flush has already met does not make a later pass flush
+	// what was appended since — every flush costs a seal.
+	flushTo lsn.LSN
 
 	// passes counts the daemon's passes, flushing or not (tests read it).
 	passes atomic.Int64
@@ -162,10 +172,18 @@ type LogManager struct {
 	// device (daemon goroutine only) — what groupWindow counts from.
 	lastFlush time.Time
 	// batch is the daemon's staging buffer, flushBatch bytes for the
-	// life of the log; ready is completeWaiters' batch, kept between
-	// flushes (both daemon goroutine only).
-	batch []byte
-	ready []waiter
+	// life of the log; ready is completeWaiters' batch, and sealing the
+	// seals a flush hardens, kept between flushes (all daemon goroutine
+	// only).
+	batch   []byte
+	ready   []waiter
+	sealing []sealMark
+
+	// seals is the lane's seal book, sealer the daemon's own (seal.go).
+	seals  sealBook
+	sealer *sealer
+	// ends holds hardened seals, where Truncate may cut (under mu).
+	ends sealEnds
 }
 
 // New builds and starts a log manager; the flush daemon runs until Close.
@@ -204,9 +222,14 @@ func newLane(cfg Config) (*LogManager, error) {
 	}
 	// The log resumes where the device left off: LSNs are stable log
 	// addresses, so the base of a restarted log is the durable size (an
-	// existing log is read by recovery before the manager is built).
+	// existing log is read by recovery before the manager is built). Both
+	// it and the device's base are seal ends: every harden and every
+	// truncation ended at one.
 	lm.durable.Store(cfg.Buffer.Base)
 	lm.appendEnd.Store(cfg.Buffer.Base)
+	lm.seals.last = cfg.Buffer.Base
+	lm.sealer = newSealer(lm, lm.rd.Inserter())
+	lm.ends = newSealEnds(lsn.LSN(cfg.Device.Base()), cfg.Buffer.Base)
 	return lm, nil
 }
 
@@ -481,13 +504,15 @@ func (lm *LogManager) Force(upTo lsn.LSN) error {
 }
 
 // Truncate releases the log prefix below before: the checkpointer's
-// horizon, forwarded to the device. before is clamped to the durable
-// horizon (truncating unflushed log would discard the only copy). It
-// returns how many bytes the device newly released.
+// horizon, forwarded to the device. before is rounded down to a hardened
+// seal's end, so the new base starts a batch its seal can vouch for —
+// which also clamps it to the durable horizon (truncating unflushed log
+// would discard the only copy). It returns how many bytes the device
+// newly released.
 func (lm *LogManager) Truncate(before lsn.LSN) (int64, error) {
-	if d := lm.durable.Load(); before > d {
-		before = d
-	}
+	lm.mu.Lock()
+	before = lm.ends.floor(before)
+	lm.mu.Unlock()
 	old := lm.dev.Base()
 	if err := lm.dev.Truncate(int64(before)); err != nil {
 		return 0, fmt.Errorf("core: device truncate: %w", err)
@@ -504,11 +529,11 @@ func (lm *LogManager) Truncate(before lsn.LSN) (int64, error) {
 // byte still readable on the device (0 if never truncated).
 func (lm *LogManager) Base() lsn.LSN { return lsn.LSN(lm.dev.Base()) }
 
-// Flush asks the daemon to flush everything released so far without
+// Flush asks the daemon to flush everything appended so far without
 // waiting for it to complete. Combine with WaitDurable to force.
 func (lm *LogManager) Flush() {
 	lm.mu.Lock()
-	lm.flushReq = true
+	lm.flushTo = max(lm.flushTo, lm.appendEnd.Load(), lm.rd.Released())
 	lm.mu.Unlock()
 	lm.wake()
 }
@@ -546,19 +571,20 @@ func (lm *LogManager) daemon() {
 	timer := time.NewTimer(lm.cfg.FlushInterval)
 	defer timer.Stop()
 	for {
-		stop := false
+		stop, timed := false, false
 		select {
 		case <-lm.stopCh:
 			stop = true
 		case <-lm.wakeCh:
 		case <-timer.C:
+			timed = true
 		}
 
-		lm.flushOnce()
+		lm.flushOnce(timed)
 
 		if stop {
 			// Final drain: one more pass in case inserts raced Close.
-			lm.flushOnce()
+			lm.flushOnce(false)
 			lm.failWaiters(ErrClosed)
 			return
 		}
@@ -572,45 +598,58 @@ func (lm *LogManager) daemon() {
 	}
 }
 
-// due reports whether this pass flushes the pending released log: a
-// commit waits on it, Flush, Force or Close asked for it, FlushBytes of it
-// are pending, or groupWindow has passed since the previous flush started.
-func (lm *LogManager) due(pendingBytes int) bool {
+// due reports whether this pass flushes the pending released log, which
+// starts at start: a commit waits on it, Flush, Force or Close asked for
+// it, FlushBytes of it are pending, or — on a timer pass — groupWindow
+// has passed since the previous flush started. A pass somebody woke for
+// a request another pass met flushes nothing nobody asked for, so where
+// a run's seals fall depends on its requests, not on how late a wake-up
+// ran.
+func (lm *LogManager) due(start lsn.LSN, pendingBytes int, timed bool) bool {
 	if pendingBytes >= lm.cfg.FlushBytes {
 		return true
 	}
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
-	return len(lm.waiters) > 0 || lm.flushReq || lm.closed || time.Since(lm.lastFlush) >= groupWindow
+	return len(lm.waiters) > 0 || lm.flushTo > start || lm.closed || timed && time.Since(lm.lastFlush) >= groupWindow
 }
 
 // flushOnce drains the released region (when the pass is due), makes it
-// durable, and completes satisfied waiters.
-func (lm *LogManager) flushOnce() {
+// durable, and completes satisfied waiters; timed says the FlushInterval
+// timer started the pass.
+func (lm *LogManager) flushOnce(timed bool) {
 	lm.passes.Add(1)
 	start, end := lm.rd.Pending()
 	pendingBytes := int(end.Sub(start))
-	if pendingBytes > 0 && !lm.due(pendingBytes) {
+	if pendingBytes > 0 && !lm.due(start, pendingBytes, timed) {
 		return
 	}
 	lm.mu.Lock()
-	lm.flushReq = false
 	lm.pending = 0
 	lm.mu.Unlock()
 
-	// The flush clamp may hold back the tail of the released region
-	// (an inter-log dependency edge not yet durable). The held bytes
-	// stay pending; the coordinator pokes the daemon when the edge
-	// clears.
-	if lm.limit != nil && pendingBytes > 0 {
-		limited := lm.limit(start, end)
-		if limited < start {
-			limited = start
+	// Seal what is pending, then harden to the newest seal the clamp
+	// allows.
+	if pendingBytes > 0 {
+		last, err := lm.sealer.seal()
+		if err != nil {
+			lm.fail(fmt.Errorf("core: seal: %w", err))
+			return
 		}
-		if limited > end {
-			limited = end
+		// Under delegated release the seal's insert may return before its
+		// release; every byte before it is in flight only as a fill.
+		for lm.rd.Released() < last {
+			runtime.Gosched()
 		}
-		end = limited
+		end = last
+		// The flush clamp may hold back the tail of the sealed region
+		// (an inter-log dependency edge not yet durable). The held bytes
+		// stay pending; the coordinator pokes the daemon when the edge
+		// clears.
+		if lm.limit != nil {
+			end = max(min(lm.limit(start, end), end), start)
+		}
+		end = lm.sealedEnd(start, end)
 		pendingBytes = int(end.Sub(start))
 	}
 
@@ -624,6 +663,7 @@ func (lm *LogManager) flushOnce() {
 			b = make([]byte, pendingBytes)
 		}
 		lm.rd.CopyOut(b, start, end)
+		finishSeals(b, start, lm.sealing)
 		if _, err := lm.dev.Append(b); err != nil {
 			lm.fail(fmt.Errorf("core: device append: %w", err))
 			return
@@ -631,6 +671,7 @@ func (lm *LogManager) flushOnce() {
 		// Ring space is reusable as soon as the bytes are in the device's
 		// write path; durability is published only after Sync.
 		lm.rd.MarkFlushed(end)
+		lm.seals.hardened(end)
 		if err := lm.dev.Sync(); err != nil {
 			lm.fail(fmt.Errorf("core: device sync: %w", err))
 			return
@@ -641,6 +682,9 @@ func (lm *LogManager) flushOnce() {
 			// persist, so the durable horizon never moves again.
 			return
 		}
+		lm.mu.Lock()
+		lm.ends.add(lm.sealing[len(lm.sealing)-1])
+		lm.mu.Unlock()
 		lm.durable.AdvanceTo(end)
 		lm.stats.Flushes.Inc()
 		lm.stats.FlushBytes.Add(int64(pendingBytes))
@@ -651,6 +695,17 @@ func (lm *LogManager) flushOnce() {
 		}
 	}
 	lm.completeWaiters()
+}
+
+// sealedEnd returns how far a flush of [start, end) hardens: the end of
+// the newest pending seal at or below end (start if there is none),
+// leaving in lm.sealing the seals of [start, that end) for finishSeals.
+func (lm *LogManager) sealedEnd(start, end lsn.LSN) lsn.LSN {
+	lm.sealing = lm.seals.hardenable(lm.sealing[:0], end)
+	if n := len(lm.sealing); n > 0 {
+		return lm.sealing[n-1].end
+	}
+	return start
 }
 
 // completeWaiters pops every waiter whose end is durable and runs its

@@ -46,6 +46,45 @@ func newTestLM(t *testing.T, variant logbuf.Variant, dev logdev.Device) *LogMana
 	return lm
 }
 
+// encoded returns rec's encoding.
+func encoded(t *testing.T, rec *logrec.Record) []byte {
+	t.Helper()
+	buf, err := rec.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+// checkDevice reads the device's durable stream and checks that it holds
+// exactly the inserted records, each at the address its append returned
+// and byte for byte as encoded, between the seals that vouch for them.
+// The seals' CRCs are taken from the ring, so they would vouch for a
+// torn or overlapping insert too: the byte comparison is what catches
+// one.
+func checkDevice(t *testing.T, dev logdev.Device, inserted map[lsn.LSN][]byte) {
+	t.Helper()
+	data, base, err := logdev.ReadTail(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := logrec.NewIterator(data, lsn.LSN(base))
+	n := 0
+	for rec, ok := it.Next(); ok; rec, ok = it.Next() {
+		want, found := inserted[rec.LSN]
+		if !found {
+			t.Fatalf("the device holds a %v record at %v, where no append put one", rec.Kind, rec.LSN)
+		}
+		if got := data[rec.LSN.Sub(lsn.LSN(base)):][:rec.TotalLen]; !bytes.Equal(got, want) {
+			t.Fatalf("the record at %v differs from the %d bytes appended there", rec.LSN, len(want))
+		}
+		n++
+	}
+	if it.Err() != nil || n != len(inserted) {
+		t.Fatalf("device stream: %d of %d records, err %v", n, len(inserted), it.Err())
+	}
+}
+
 func TestNewRequiresDevice(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("nil device must be rejected")
@@ -58,14 +97,16 @@ func TestAppendAndWaitDurable(t *testing.T) {
 	ap := lm.NewAppender()
 
 	var end lsn.LSN
+	inserted := make(map[lsn.LSN][]byte)
 	for i := 0; i < 10; i++ {
 		rec := logrec.NewUpdate(uint64(i), lsn.Undefined, 1, logrec.UpdatePayload{
 			Op: logrec.OpSet, X: []byte("value"),
 		})
-		_, e, err := ap.Append(rec)
+		at, e, err := ap.Append(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
+		inserted[at] = encoded(t, rec)
 		end = e
 	}
 	if err := lm.WaitDurable(end); err != nil {
@@ -74,26 +115,8 @@ func TestAppendAndWaitDurable(t *testing.T) {
 	if got := lm.Durable(); got < end {
 		t.Fatalf("durable %v < %v", got, end)
 	}
-	// The device must hold a decodable stream of exactly those records.
-	data, _, err := logdev.ReadTail(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	it := logrec.NewIterator(data, 0)
-	n := 0
-	for {
-		rec, ok := it.Next()
-		if !ok {
-			break
-		}
-		if rec.Kind != logrec.KindUpdate || rec.TxnID != uint64(n) {
-			t.Fatalf("record %d wrong: %+v", n, rec.Header)
-		}
-		n++
-	}
-	if it.Err() != nil || n != 10 {
-		t.Fatalf("device stream: n=%d err=%v", n, it.Err())
-	}
+	// The device must hold a sealed stream of exactly those records.
+	checkDevice(t, dev, inserted)
 }
 
 func TestWaitDurableAlreadyDurable(t *testing.T) {
@@ -771,8 +794,8 @@ func TestLargeFlushKeepsBatchSmall(t *testing.T) {
 	if err := lm.WaitDurable(end); err != nil {
 		t.Fatal(err)
 	}
-	if got := lm.Stats().Flushes.Load(); got != 1 || dev.DurableSize() != int64(end) {
-		t.Fatalf("%d flushes left %d of %d bytes durable, want one flush of all of them", got, dev.DurableSize(), end)
+	if got, sealed := lm.Stats().Flushes.Load(), int64(end)+int64(logrec.SealSize(int(end))); got != 1 || dev.DurableSize() != sealed {
+		t.Fatalf("%d flushes left %d of %d bytes durable, want one flush of all of them and their seal", got, dev.DurableSize(), sealed)
 	}
 	if got := cap(lm.batch); got != flushBatch {
 		t.Fatalf("the daemon keeps a %d-byte staging buffer after a %d-byte group, want %d", got, end, flushBatch)
@@ -819,6 +842,8 @@ func TestConcurrentCommitStress(t *testing.T) {
 			lm := newTestLM(t, v, dev)
 			var completed atomic.Int64
 			var wg sync.WaitGroup
+			var mu sync.Mutex
+			inserted := make(map[lsn.LSN][]byte)
 			const workers = 12
 			const perW = 150
 			for w := 0; w < workers; w++ {
@@ -829,16 +854,21 @@ func TestConcurrentCommitStress(t *testing.T) {
 					var done sync.WaitGroup
 					for i := 0; i < perW; i++ {
 						rec := logrec.NewUpdate(uint64(w), lsn.Undefined, uint64(i),
-							logrec.UpdatePayload{Op: logrec.OpSet, X: bytes.Repeat([]byte{1}, 64)})
-						if _, _, err := ap.Append(rec); err != nil {
-							t.Error(err)
-							return
-						}
-						_, end, err := ap.Append(logrec.NewCommit(uint64(w*perW + i)))
+							logrec.UpdatePayload{Op: logrec.OpSet, X: bytes.Repeat([]byte{byte(w*perW + i)}, 64)})
+						at, _, err := ap.Append(rec)
 						if err != nil {
 							t.Error(err)
 							return
 						}
+						commit := logrec.NewCommit(uint64(w*perW + i))
+						cat, end, err := ap.Append(commit)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						mu.Lock()
+						inserted[at], inserted[cat] = encoded(t, rec), encoded(t, commit)
+						mu.Unlock()
 						if i%2 == 0 {
 							if err := lm.WaitDurable(end); err != nil {
 								t.Error(err)
@@ -862,26 +892,12 @@ func TestConcurrentCommitStress(t *testing.T) {
 			if got := completed.Load(); got != workers*perW {
 				t.Fatalf("completed %d, want %d", got, workers*perW)
 			}
-			// Whole device stream decodes.
+			// The whole device stream is the records appended.
 			lm.Close()
-			data, _, err := logdev.ReadTail(dev)
-			if err != nil {
-				t.Fatal(err)
+			if len(inserted) != workers*perW*2 {
+				t.Fatalf("%d distinct append addresses, want %d", len(inserted), workers*perW*2)
 			}
-			it := logrec.NewIterator(data, 0)
-			n := 0
-			for {
-				if _, ok := it.Next(); !ok {
-					break
-				}
-				n++
-			}
-			if it.Err() != nil {
-				t.Fatalf("stream gap: %v", it.Err())
-			}
-			if n != workers*perW*2 {
-				t.Fatalf("decoded %d records, want %d", n, workers*perW*2)
-			}
+			checkDevice(t, dev, inserted)
 		})
 	}
 }

@@ -98,9 +98,12 @@ type logPartition struct {
 	lm *LogManager
 
 	// appendMu serializes appends to this partition, guaranteeing that
-	// LSN order equals seq order on this log (invariant 1 above).
+	// LSN order equals seq order on this log (invariant 1 above). sealer
+	// seals the log ahead of a record that must wait on an edge (used
+	// under appendMu).
 	appendMu sync.Mutex
 	ap       *Appender
+	sealer   *sealer
 
 	// All three below are guarded by MultiLog.depMu.
 	//
@@ -186,6 +189,7 @@ func NewMultiLog(cfg Config, devs []logdev.Device, startSeq uint64) (*MultiLog, 
 		p, lane := &logPartition{lm: lm}, i
 		if len(devs) > 1 {
 			p.ap = lm.NewAppender()
+			p.sealer = newSealer(lm, lm.buf.NewInserter())
 			lm.limit = func(start, end lsn.LSN) lsn.LSN { return ml.limit(p, start, end) }
 			lm.durableAdvanced = func() { ml.pokeOthers(lane) }
 		}
@@ -316,10 +320,11 @@ func (ml *MultiLog) Append(part int, rec *logrec.Record) (at, end lsn.LSN, seq u
 				if need > target.Durable() {
 					needEdge = true
 					// Clamp this partition's flush at the current
-					// released end until the edge is registered: the
+					// append end until the edge is registered: the
 					// daemon must not see the new record before its
 					// edge (appendMu means ours is the only in-flight
-					// append here, so released end == AppendEnd).
+					// append here; a seal the daemon inserts meanwhile
+					// lies past the hold, which only holds it back).
 					p.holdActive = true
 					p.hold = p.lm.AppendEnd()
 				}
@@ -345,7 +350,15 @@ func (ml *MultiLog) Append(part int, rec *logrec.Record) (at, end lsn.LSN, seq u
 	p.marks = append(p.marks, seqMark{end: lsn.Undefined, seq: seq})
 	ml.depMu.Unlock()
 
-	at, end, err = p.ap.Append(rec)
+	if needEdge {
+		// The edge clamps this lane's flushes at the record, and a flush
+		// hardens to a seal: seal what precedes it, or a clamped lane
+		// could not harden the records its clamp allows (seal.go).
+		_, err = p.sealer.seal()
+	}
+	if err == nil {
+		at, end, err = p.ap.Append(rec)
+	}
 
 	ml.depMu.Lock()
 	if err != nil {

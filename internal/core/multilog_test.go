@@ -123,7 +123,7 @@ func TestMultiLogClampedCommitPokesTargetLane(t *testing.T) {
 	if ml.DepStalls(1) == 0 {
 		t.Fatal("lane 1 was never clamped: the test did not exercise the edge")
 	}
-	if got := ml.Part(0).Durable(); got != ml.Part(0).AppendEnd() {
+	if got := ml.Part(0).Durable(); got < ml.Part(0).AppendEnd() {
 		t.Fatalf("target lane durable %v, want its append end %v", got, ml.Part(0).AppendEnd())
 	}
 }

@@ -149,6 +149,12 @@ func ceilPow2(n int) int {
 	return p
 }
 
+// ReaderRoom is how many bytes of the ring every insert leaves free but
+// the reader's own (Reader.Inserter): room for the record the flush
+// daemon closes a batch with (a seal, at most logrec.MaxSealSize bytes),
+// so the daemon never waits for space that only its own flush can free.
+const ReaderRoom = 16
+
 // ErrRecordTooLarge is returned when a record exceeds the buffer's group
 // capacity.
 var ErrRecordTooLarge = errors.New("logbuf: record exceeds buffer capacity")
@@ -190,7 +196,7 @@ func New(cfg Config) (*Buffer, error) {
 
 // NewInserter returns a fresh per-goroutine insert handle.
 func (b *Buffer) NewInserter() *Inserter {
-	ins := &Inserter{b: b, rng: newXorshift()}
+	ins := &Inserter{b: b, rng: newXorshift(), room: ReaderRoom}
 	if b.cfg.LocalFill {
 		ins.local = make([]byte, b.cfg.MaxGroup)
 	}
@@ -198,12 +204,22 @@ func (b *Buffer) NewInserter() *Inserter {
 }
 
 // Reader returns the flush daemon's view.
-func (b *Buffer) Reader() *Reader { return &Reader{r: b.r} }
+func (b *Buffer) Reader() *Reader { return &Reader{r: b.r, b: b} }
 
 // Reader is the flush daemon's side of the buffer: it drains released
 // bytes and recycles their space.
 type Reader struct {
 	r *ring
+	b *Buffer
+}
+
+// Inserter returns the reader's own insert handle. Its inserts may use
+// the ReaderRoom bytes every other insert leaves free, so one of at most
+// that size never waits for ring space.
+func (rd *Reader) Inserter() *Inserter {
+	ins := rd.b.NewInserter()
+	ins.room = 0
+	return ins
 }
 
 // Pending returns the current released-but-unflushed region [start, end).

@@ -63,6 +63,9 @@ type Inserter struct {
 	b     *Buffer
 	rng   *xorshift
 	local []byte
+	// room is how many bytes of the ring the inserter's inserts leave
+	// free: ReaderRoom, or 0 for the reader's own (Reader.Inserter).
+	room int
 }
 
 // Insert copies one encoded record into the log and returns the LSN it
@@ -85,12 +88,43 @@ func (ins *Inserter) Insert(p []byte) (lsn.LSN, error) {
 		}
 		b.mu.Lock()
 	}
-	start, end, qn := b.reserve(len(p))
+	return ins.place(p, &pt), nil
+}
+
+// place reserves, fills and publishes p for a caller holding the mutex.
+func (ins *Inserter) place(p []byte, pt *probeTimer) lsn.LSN {
+	b := ins.b
+	start, end, qn := b.reserve(len(p), ins.room)
 	pt.lap(metrics.PhaseLogContention)
 	ins.fill(start, p)
 	pt.lap(metrics.PhaseLogWork)
 	b.publish(start, end, qn, ins.rng)
-	return start, nil
+	return start
+}
+
+// InsertAt is Insert for a record whose bytes depend on the address it
+// gets, such as a seal, whose length field is the distance to the
+// previous one: build runs once, under the buffer's mutex, with that
+// address, and returns the encoded record, at most max bytes, or nothing
+// to insert nothing. It must be quick and must not insert. The record
+// never joins a consolidation group (its size is not known before it has
+// an address); otherwise it takes Insert's path (place).
+func (ins *Inserter) InsertAt(max int, build func(at lsn.LSN) []byte) (lsn.LSN, error) {
+	b := ins.b
+	if max > b.cfg.MaxGroup {
+		return 0, ErrRecordTooLarge
+	}
+	var pt probeTimer
+	pt.start(b.cfg.Breakdown)
+	b.mu.Lock()
+	b.waitForRoom(max, ins.room)
+	p := build(b.next)
+	if len(p) == 0 {
+		at := b.next
+		b.mu.Unlock()
+		return at, nil
+	}
+	return ins.place(p, &pt), nil
 }
 
 // insertGroup is consolidation-array backoff (Algorithm 2): the group's
@@ -106,7 +140,7 @@ func (ins *Inserter) insertGroup(p []byte, pt *probeTimer) lsn.LSN {
 	if offset == 0 {
 		b.mu.Lock()
 		group = b.arr.close(s)
-		base, _, s.qnode = b.reserve(int(group))
+		base, _, s.qnode = b.reserve(int(group), ins.room)
 		s.notify(base, group)
 	} else {
 		base, group = s.wait()
@@ -128,15 +162,15 @@ func (ins *Inserter) insertGroup(p []byte, pt *probeTimer) lsn.LSN {
 }
 
 // reserve claims the next n bytes of the log for a caller holding the
-// mutex, waiting for the flush daemon to free ring space if it must (the
-// caller's next probe lap charges that wait as contention). Unless the
-// variant releases under the lock, it drops the mutex before the fill;
-// under delegated release it first queues the region's release node, so
-// queue order is LSN order.
-func (b *Buffer) reserve(n int) (start, end lsn.LSN, qn *relNode) {
+// mutex, leaving room bytes of the ring free and waiting for the flush
+// daemon to free space if it must (the caller's next probe lap charges
+// that wait as contention). Unless the variant releases under the lock,
+// it drops the mutex before the fill; under delegated release it first
+// queues the region's release node, so queue order is LSN order.
+func (b *Buffer) reserve(n, room int) (start, end lsn.LSN, qn *relNode) {
+	b.waitForRoom(n, room)
 	start = b.next
 	end = start.Add(n)
-	b.r.waitForSpace(end)
 	b.next = end
 	switch b.release {
 	case inOrder:
@@ -146,6 +180,22 @@ func (b *Buffer) reserve(n int) (start, end lsn.LSN, qn *relNode) {
 		b.mu.Unlock()
 	}
 	return start, end, qn
+}
+
+// waitForRoom returns, with the mutex held as on entry, once the next n
+// bytes fit in the ring with room bytes to spare. It waits with the
+// mutex dropped: the reader may have to insert (Reader.Inserter) before
+// its next flush can free the space.
+func (b *Buffer) waitForRoom(n, room int) {
+	for {
+		flushed := b.r.flushed.Load()
+		if b.r.fits(b.next.Add(n+room), flushed) {
+			return
+		}
+		b.mu.Unlock()
+		b.r.waitForFlush(flushed)
+		b.mu.Lock()
+	}
 }
 
 // publish hands the filled region [start, end) to the flush daemon.

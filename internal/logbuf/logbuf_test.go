@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -60,18 +61,57 @@ func drain(b *Buffer, collect bool) (stop func() []byte) {
 }
 
 // encodePayloadRecord builds an encoded record whose payload starts with a
-// uint64 tag so the test can identify records in the drained stream.
+// uint64 tag, so the test can identify records in the drained stream,
+// and goes on with bytes that differ from record to record, so a torn or
+// overlapping insert shows in checkStream's byte comparison.
 func encodePayloadRecord(tag uint64, size int) []byte {
 	if size < logrec.MinRecordSize+8 {
 		size = logrec.MinRecordSize + 8
 	}
 	rec := logrec.NewPad(size)
 	binary.LittleEndian.PutUint64(rec.Payload[:8], tag)
+	for i := 8; i < len(rec.Payload); i++ {
+		rec.Payload[i] = byte(tag*31 + uint64(i))
+	}
 	buf, err := rec.Encode()
 	if err != nil {
 		panic(err)
 	}
 	return buf
+}
+
+// checkStream checks that the drained stream is exactly the inserted
+// records, each at the address its insert returned: they tile the stream
+// with no gap and no overlap, and every byte of each is the byte
+// inserted. The stream is raw — nothing seals it — so the byte
+// comparison is what catches a torn or overlapping insert.
+func checkStream(t *testing.T, stream []byte, inserted map[lsn.LSN][]byte) {
+	t.Helper()
+	at := make([]lsn.LSN, 0, len(inserted))
+	for l := range inserted {
+		at = append(at, l)
+	}
+	slices.Sort(at)
+	off := 0
+	for _, l := range at {
+		rec := inserted[l]
+		if l != lsn.LSN(off) {
+			t.Fatalf("the record inserted at %v follows stream bytes up to %d: a gap or an overlap", l, off)
+		}
+		if off+len(rec) > len(stream) {
+			t.Fatalf("the %d-byte record inserted at %v runs past the %d-byte stream", len(rec), l, len(stream))
+		}
+		if !bytes.Equal(stream[off:off+len(rec)], rec) {
+			t.Fatalf("the stream's bytes at %v differ from the %d-byte record inserted there", l, len(rec))
+		}
+		if n := logrec.PeekLen(stream[off:]); n != len(rec) {
+			t.Fatalf("the record at %v frames %d bytes, want %d", l, n, len(rec))
+		}
+		off += len(rec)
+	}
+	if off != len(stream) {
+		t.Fatalf("the stream holds %d bytes past the last inserted record", len(stream)-off)
+	}
 }
 
 func TestVariantString(t *testing.T) {
@@ -139,7 +179,7 @@ func TestSingleThreadedStream(t *testing.T) {
 			}
 			stop := drain(b, true)
 			ins := b.NewInserter()
-			var wantLSNs []lsn.LSN
+			inserted := make(map[lsn.LSN][]byte)
 			cursor := lsn.Zero
 			for i := 0; i < 200; i++ {
 				rec := encodePayloadRecord(uint64(i), 56+i%300)
@@ -150,31 +190,10 @@ func TestSingleThreadedStream(t *testing.T) {
 				if got != cursor {
 					t.Fatalf("insert %d: LSN %v, want %v", i, got, cursor)
 				}
-				wantLSNs = append(wantLSNs, got)
+				inserted[got] = rec
 				cursor = cursor.Add(len(rec))
 			}
-			stream := stop()
-			it := logrec.NewIterator(stream, 0)
-			var n int
-			for {
-				rec, ok := it.Next()
-				if !ok {
-					break
-				}
-				if rec.LSN != wantLSNs[n] {
-					t.Fatalf("record %d at %v, want %v", n, rec.LSN, wantLSNs[n])
-				}
-				if tag := binary.LittleEndian.Uint64(rec.Payload[:8]); tag != uint64(n) {
-					t.Fatalf("record %d has tag %d", n, tag)
-				}
-				n++
-			}
-			if it.Err() != nil {
-				t.Fatalf("stream gap: %v", it.Err())
-			}
-			if n != 200 {
-				t.Fatalf("decoded %d records, want 200", n)
-			}
+			checkStream(t, stop(), inserted)
 		})
 	}
 }
@@ -201,14 +220,14 @@ func TestConcurrentNoGapsNoOverlap(t *testing.T) {
 			}
 			stop := drain(b, true)
 
-			lsnsCh := make(chan map[lsn.LSN]uint64, workers)
+			lsnsCh := make(chan map[lsn.LSN][]byte, workers)
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
 					ins := b.NewInserter()
-					mine := make(map[lsn.LSN]uint64, perW)
+					mine := make(map[lsn.LSN][]byte, perW)
 					for i := 0; i < perW; i++ {
 						tag := uint64(w)<<32 | uint64(i)
 						size := 56 + (w*131+i*17)%400
@@ -218,49 +237,26 @@ func TestConcurrentNoGapsNoOverlap(t *testing.T) {
 							t.Errorf("insert: %v", err)
 							return
 						}
-						mine[at] = tag
+						mine[at] = rec
 					}
 					lsnsCh <- mine
 				}(w)
 			}
 			wg.Wait()
 			close(lsnsCh)
-			want := make(map[lsn.LSN]uint64)
+			want := make(map[lsn.LSN][]byte)
 			for m := range lsnsCh {
-				for k, tag := range m {
+				for k, rec := range m {
 					if _, dup := want[k]; dup {
 						t.Fatalf("two records claim LSN %v", k)
 					}
-					want[k] = tag
+					want[k] = rec
 				}
 			}
-
-			stream := stop()
-			it := logrec.NewIterator(stream, 0)
-			seen := 0
-			for {
-				rec, ok := it.Next()
-				if !ok {
-					break
-				}
-				tag := binary.LittleEndian.Uint64(rec.Payload[:8])
-				wantTag, present := want[rec.LSN]
-				if !present {
-					t.Fatalf("decoded record at unclaimed LSN %v", rec.LSN)
-				}
-				if tag != wantTag {
-					t.Fatalf("LSN %v: tag %x, want %x", rec.LSN, tag, wantTag)
-				}
-				delete(want, rec.LSN)
-				seen++
+			if len(want) != workers*perW {
+				t.Fatalf("%d inserts returned, want %d", len(want), workers*perW)
 			}
-			if it.Err() != nil {
-				t.Fatalf("stream gap: %v", it.Err())
-			}
-			if seen != workers*perW {
-				t.Fatalf("decoded %d records, want %d (missing %d)",
-					seen, workers*perW, len(want))
-			}
+			checkStream(t, stop(), want)
 		})
 	}
 }
@@ -281,6 +277,8 @@ func TestSkewedSizes(t *testing.T) {
 			}
 			stop := drain(b, true)
 			var wg sync.WaitGroup
+			var mu sync.Mutex
+			inserted := make(map[lsn.LSN][]byte)
 			const workers = 12
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
@@ -292,30 +290,23 @@ func TestSkewedSizes(t *testing.T) {
 						if (w*150+i)%60 == 0 {
 							size = 16 << 10 // outlier
 						}
-						if _, err := ins.Insert(encodePayloadRecord(uint64(w*1000+i), size)); err != nil {
+						rec := encodePayloadRecord(uint64(w*1000+i), size)
+						at, err := ins.Insert(rec)
+						if err != nil {
 							t.Errorf("insert: %v", err)
 							return
 						}
+						mu.Lock()
+						inserted[at] = rec
+						mu.Unlock()
 					}
 				}(w)
 			}
 			wg.Wait()
-			stream := stop()
-			it := logrec.NewIterator(stream, 0)
-			n := 0
-			for {
-				_, ok := it.Next()
-				if !ok {
-					break
-				}
-				n++
+			if len(inserted) != workers*150 {
+				t.Fatalf("%d distinct insert addresses, want %d", len(inserted), workers*150)
 			}
-			if it.Err() != nil {
-				t.Fatalf("gap: %v", it.Err())
-			}
-			if n != workers*150 {
-				t.Fatalf("decoded %d, want %d", n, workers*150)
-			}
+			checkStream(t, stop(), inserted)
 		})
 	}
 }
@@ -375,33 +366,21 @@ func TestWraparound(t *testing.T) {
 		}
 		stop := drain(b, true)
 		ins := b.NewInserter()
+		inserted := make(map[lsn.LSN][]byte)
 		total := 0
 		for i := 0; i < 500; i++ {
 			rec := encodePayloadRecord(uint64(i), 56+(i%5)*100)
-			if _, err := ins.Insert(rec); err != nil {
+			at, err := ins.Insert(rec)
+			if err != nil {
 				t.Fatalf("%v: %v", v, err)
 			}
+			if at != lsn.LSN(total) {
+				t.Fatalf("%v: insert %d at %v, want %d", v, i, at, total)
+			}
+			inserted[at] = rec
 			total += len(rec)
 		}
-		stream := stop()
-		if len(stream) != total {
-			t.Fatalf("%v: drained %d bytes, want %d", v, len(stream), total)
-		}
-		it := logrec.NewIterator(stream, 0)
-		n := 0
-		for {
-			rec, ok := it.Next()
-			if !ok {
-				break
-			}
-			if tag := binary.LittleEndian.Uint64(rec.Payload[:8]); tag != uint64(n) {
-				t.Fatalf("%v: record %d has tag %d", v, n, tag)
-			}
-			n++
-		}
-		if n != 500 || it.Err() != nil {
-			t.Fatalf("%v: n=%d err=%v", v, n, it.Err())
-		}
+		checkStream(t, stop(), inserted)
 	}
 }
 
@@ -425,7 +404,8 @@ func TestBreakdownProbe(t *testing.T) {
 	}
 }
 
-// TestSpaceWaitChargedOnce fills a 4 KiB ring with no reader draining it,
+// TestSpaceWaitChargedOnce fills a 4 KiB ring (all but the reader's
+// room) with no reader draining it,
 // starts an insert that must wait for space, and frees the ring 50 ms
 // later. The log work and contention charged for that insert must not
 // exceed its wall time, and the wait must be charged as contention.
@@ -439,7 +419,7 @@ func TestSpaceWaitChargedOnce(t *testing.T) {
 			}
 			ins := b.NewInserter()
 			rec := encodePayloadRecord(1, 256)
-			for i := 0; i < 4096/256; i++ {
+			for i := 0; i < (4096-ReaderRoom)/256; i++ {
 				if _, err := ins.Insert(rec); err != nil {
 					t.Fatal(err)
 				}
@@ -556,7 +536,11 @@ func ExampleNew() {
 }
 
 // TestBackpressure verifies inserters block (rather than overwrite) when
-// the ring is full and resume when the reader drains it.
+// the ring is full and resume when the reader drains it — and that the
+// ring keeps ReaderRoom bytes for the reader's own insert, which goes in
+// on a ring full to everyone else, while another insert waits for space,
+// without waiting itself: a flush daemon that must seal a batch before it
+// can free space never waits for space only it can free.
 func TestBackpressure(t *testing.T) {
 	for _, v := range []Variant{VariantBaseline, VariantCD, VariantCDME} {
 		v := v
@@ -567,11 +551,15 @@ func TestBackpressure(t *testing.T) {
 			}
 			ins := b.NewInserter()
 			rec := encodePayloadRecord(1, 256)
-			// Fill the ring with NO reader draining.
-			for i := 0; i < 4096/256; i++ {
+			// Fill the ring, but for the reader's room, with NO reader
+			// draining.
+			for i := 0; i < (4096-ReaderRoom)/256; i++ {
 				if _, err := ins.Insert(rec); err != nil {
 					t.Fatal(err)
 				}
+			}
+			if _, err := ins.Insert(encodePayloadRecord(1, (4096-ReaderRoom)%256)); err != nil {
+				t.Fatal(err)
 			}
 			// The next insert must block.
 			done := make(chan lsn.LSN, 1)
@@ -587,8 +575,17 @@ func TestBackpressure(t *testing.T) {
 				t.Fatalf("insert did not block on a full ring (got %v)", at)
 			case <-time.After(50 * time.Millisecond):
 			}
-			// Drain one record's worth: the blocked insert completes.
 			rd := b.Reader()
+			room := make([]byte, ReaderRoom)
+			room[0] = ReaderRoom - 1 // a well-formed frame, for the stream's sake
+			seal := func(at lsn.LSN) []byte { return room }
+			if at, err := rd.Inserter().InsertAt(ReaderRoom, seal); err != nil || at != lsn.LSN(4096-ReaderRoom) {
+				t.Fatalf("the reader's insert into its room: at %v, %v", at, err)
+			}
+			if _, end := rd.Pending(); end != 4096 {
+				t.Fatalf("released %v after the reader's insert, want the full ring", end)
+			}
+			// Drain one record's worth: the blocked insert completes.
 			start, end := rd.Pending()
 			if end.Sub(start) == 0 {
 				t.Fatal("nothing pending on a full ring")

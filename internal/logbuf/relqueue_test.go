@@ -105,7 +105,9 @@ func TestRelQueueConcurrent(t *testing.T) {
 				mu.Lock()
 				start := next
 				end := start.Add(size)
-				q.r.waitForSpace(end)
+				for f := q.r.flushed.Load(); !q.r.fits(end, f); f = q.r.flushed.Load() {
+					q.r.waitForFlush(f)
+				}
 				next = end
 				n := q.join(start, end)
 				mu.Unlock()

@@ -106,7 +106,7 @@ func (s *parkSpinner) spin() {
 // [released, next)    — acquired by inserters, fills in flight.
 //
 // A writer may only touch bytes whose LSN is within capacity of the
-// flushed watermark, which waitForSpace enforces.
+// flushed watermark, which Buffer.waitForRoom enforces.
 type ring struct {
 	buf      []byte
 	capacity uint64
@@ -130,15 +130,21 @@ func newRing(size int, base lsn.LSN, bd *metrics.Breakdown) *ring {
 	return r
 }
 
-// waitForSpace blocks until the region ending at end fits in the ring,
-// i.e. no byte of it would overwrite unflushed data. Progress is
+// fits reports whether the region ending at end fits in the ring while
+// the flush watermark is at flushed: no byte of it would overwrite
+// unflushed data.
+func (r *ring) fits(end, flushed lsn.LSN) bool {
+	return uint64(end)-uint64(flushed) <= r.capacity
+}
+
+// waitForFlush blocks until the flush watermark passes from. Progress is
 // guaranteed because the flusher drains released bytes independently of
 // any lock the caller may hold, and every byte below the caller's region
 // eventually gets released (fills never block on acquisition). The wait
 // is not charged here: it falls inside the caller's contention lap.
-func (r *ring) waitForSpace(end lsn.LSN) {
+func (r *ring) waitForFlush(from lsn.LSN) {
 	var sp parkSpinner
-	for uint64(end)-uint64(r.flushed.Load()) > r.capacity {
+	for r.flushed.Load() == from {
 		sp.spin()
 	}
 }

@@ -169,15 +169,16 @@ func TestWatermarkRejectsMidLogCorruption(t *testing.T) {
 // headers), format 3's (whole insert and delete rows, a CLR's undo-next
 // as is), format 4's (a fixed 8-byte frame, chained commit and end
 // records), format 5's (an update's before and after images both
-// logged) or format 6's (a back-pointer on every record but a commit or
-// an end) — is refused with ErrFormat by both kinds of open and left
+// logged), format 6's (a back-pointer on every record but a commit or
+// an end) or format 7's (a CRC-32C in every record's frame, no seals) —
+// is refused with ErrFormat by both kinds of open and left
 // untouched: reading format 1's segments as if they began with a header
 // would misplace every byte, format 2's and format 4's records would be
 // framed at the wrong length, format 3's inserts would be read as rows
 // of the wrong length, format 5's updates would be XORed into their
-// rows as if their images were one, and format 6's back-pointer bit
+// rows as if their images were one, format 6's back-pointer bit
 // would read as the first-record mark, its back-pointer as the fields
-// after it.
+// after it, and format 7's checksums as the kind byte and the fields.
 func TestOldFormatDirectoryRefused(t *testing.T) {
 	for name, files := range map[string]map[string][]byte{
 		"format 1": {
@@ -203,6 +204,10 @@ func TestOldFormatDirectoryRefused(t *testing.T) {
 		},
 		"format 6": {
 			manifestName:           []byte("format 6\nsegsize 64\nbase 0\n"),
+			"0000000000000000.seg": append(make([]byte, SegmentHeaderSize), fill(40, 'o')...),
+		},
+		"format 7": {
+			manifestName:           []byte("format 7\nsegsize 64\nbase 0\n"),
 			"0000000000000000.seg": append(make([]byte, SegmentHeaderSize), fill(40, 'o')...),
 		},
 	} {

@@ -21,7 +21,12 @@ import (
 // to the platter, so the order is established by verification instead:
 // each slot records the range of bytes its Sync added to the segment
 // and their CRC-32C, and a reopen believes a slot only if those bytes
-// are in the file and match (admissible). A slot that reached the disk
+// are in the file and match (admissible). The CRC is taken from the
+// bytes Append was handed, as it writes them (Segmented.runs), so a
+// harden writes and fsyncs and reads nothing back; only a reopen reads
+// the covered bytes, to check them. The slot knows nothing of records:
+// what the log's own seals vouch for is logrec's business, and a seal
+// mismatch below the watermark is corruption recovery reports. A slot that reached the disk
 // ahead of its data is rejected, and the watermark falls back to the
 // previous slot — written by the previous Sync, fully fsynced before
 // this one began, and never overwritten by it, because the two slots of
@@ -55,7 +60,7 @@ type wmSlot struct {
 	// From is where the Sync that wrote the slot started in this
 	// segment: it added the bytes [From, Durable).
 	From int64
-	// DataCRC is the CRC-32C of those bytes.
+	// DataCRC is the CRC-32C of those bytes, as they were appended.
 	DataCRC uint32
 }
 
@@ -83,8 +88,8 @@ func decodeWMSlot(src []byte) (w wmSlot, ok bool) {
 }
 
 // crcRange returns the CRC-32C of n bytes of f starting at off, reading
-// through buf. Short files are an error: the caller asked for bytes
-// that must exist.
+// through buf — what a reopen checks a slot's DataCRC against. Short
+// files are an error: the caller asked for bytes that must exist.
 func crcRange(f io.ReaderAt, off, n int64, buf []byte) (uint32, error) {
 	var crc uint32
 	for n > 0 {

@@ -3,6 +3,7 @@ package logdev
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -74,8 +75,9 @@ type Segmented struct {
 	dir string
 
 	// syncMu serializes Sync calls: each writes the header slot the
-	// previous one did not, through crcBuf and slotBuf, harden's scratch
-	// space, one of each for every segment.
+	// previous one did not, through slotBuf, harden's scratch space, one
+	// for every segment. crcBuf is the open's scratch for reading back
+	// what the slots cover.
 	syncMu  sync.Mutex
 	crcBuf  []byte
 	slotBuf [wmSlotSize]byte
@@ -89,6 +91,14 @@ type Segmented struct {
 	durable int64
 	newSegs bool // segments created since the last completed Sync
 	closed  bool
+	// runs are the CRC-32Cs a watermark slot records, taken from the
+	// bytes Append is handed rather than read back: runs[0] covers what
+	// was appended since the durable end, runs[1], while a Sync is in
+	// flight (syncing), what was appended since that Sync's target.
+	// Each restarts where a segment begins, as a slot covers only its
+	// own segment's bytes.
+	runs    [2]crcRun
+	syncing bool
 
 	archiver *RemoteArchiver // the cold store; nil: Truncate drains dead segments itself
 	archMu   sync.Mutex      // serializes ArchivePending passes
@@ -108,6 +118,21 @@ type Segmented struct {
 }
 
 var _ Device = (*Segmented)(nil)
+
+// crcRun is the CRC-32C of the log bytes from from to the append end.
+type crcRun struct {
+	from int64
+	crc  uint32
+}
+
+// add extends the run with p, appended at logical offset off, all in one
+// segment of segSize bytes; a run restarts at a segment's first byte.
+func (r *crcRun) add(p []byte, off, segSize int64) {
+	if off%segSize == 0 && off > r.from {
+		*r = crcRun{from: off}
+	}
+	r.crc = crc32.Update(r.crc, wmCRC, p)
+}
 
 // fileSegment is one segment file. Data offset 0 is file offset
 // SegmentHeaderSize: the header never shows through this type.
@@ -164,23 +189,25 @@ func (s *Segmented) removeSeg(idx int64, seg *fileSegment) error {
 const manifestName = "MANIFEST"
 
 // manifestFormat is the directory layout and log encoding this code
-// reads and writes: 7 = segment files start with a watermark header and
-// hold records in logrec's compact encoding (a varint length and a CRC,
-// presence byte, varint fields, no back-pointer on any record but a
-// kind-byte bit on a transaction's first, an update's changed bytes
-// logged once as before ⊕ after, insert and delete rows without their
-// zero tail, a CLR's undo-next stored plus one). Format 6 (the same with
-// a back-pointer on every record but a commit or an end, and that bit
-// its presence bit), format 5 (that with an update's before and after
-// images both logged), format 4 (that around a fixed 8-byte frame, with
-// commit and end records chained), format 3 (that, with whole insert
-// and delete rows and a CLR's undo-next as is), format 2 (the same files
-// around fixed 48-byte record headers and whole-row images) and format 1
-// (no "format" line; headerless segments beside a MANIFEST.durable
-// watermark file) are refused with ErrFormat rather than guessed at: a
-// reader of one record encoding misreads or refuses the records of
-// another.
-const manifestFormat = 7
+// reads and writes: 8 = segment files start with a watermark header and
+// hold records in logrec's compact encoding (a varint length, presence
+// byte, varint fields, no back-pointer on any record but a kind-byte bit
+// on a transaction's first, an update's changed bytes logged once as
+// before ⊕ after, insert and delete rows without their zero tail, a
+// CLR's undo-next stored plus one), no checksum in any record, and
+// every flushed batch closed by a seal carrying its length and CRC-32C.
+// Format 7 (the same with a CRC-32C in every record's frame and no
+// seals), format 6 (that with a back-pointer on every record but a
+// commit or an end, and that bit its presence bit), format 5 (that with
+// an update's before and after images both logged), format 4 (that
+// around a fixed 8-byte frame, with commit and end records chained),
+// format 3 (that, with whole insert and delete rows and a CLR's
+// undo-next as is), format 2 (the same files around fixed 48-byte record
+// headers and whole-row images) and format 1 (no "format" line;
+// headerless segments beside a MANIFEST.durable watermark file) are
+// refused with ErrFormat rather than guessed at: a reader of one record
+// encoding misreads or refuses the records of another.
+const manifestFormat = 8
 
 // ErrFormat is returned by the OpenSegmentedDir family for a directory,
 // and by the cold store's readers for an object, written in a layout or
@@ -280,16 +307,9 @@ func (s *fileSegment) sync() error {
 
 // harden makes the segment's bytes durable together with a record that
 // the log is durable through logical offset durable, the last batch having
-// added [from, durable) to this segment: it writes the watermark slot and
-// fsyncs the file once. The CRC is taken from the file itself (the page cache, at
-// this point), so it describes exactly the bytes the fsync is about to
-// persist and needs no state kept in step with Append across failed
-// Syncs.
-func (s *fileSegment) harden(from, durable int64) error {
-	crc, err := crcRange(s.f, SegmentHeaderSize+from-s.start, durable-from, s.s.crcBuf)
-	if err != nil {
-		return fmt.Errorf("logdev: read back batch for watermark: %w", err)
-	}
+// added [from, durable) to this segment, whose CRC-32C is crc: it writes
+// the watermark slot and fsyncs the file once.
+func (s *fileSegment) harden(from, durable int64, crc uint32) error {
 	slot := s.s.slotBuf[:]
 	wmSlot{Durable: durable, From: from, DataCRC: crc}.encode(slot)
 	if _, err := s.f.WriteAt(slot, int64(s.next)*wmSlotStride); err != nil {
@@ -550,6 +570,7 @@ func openSegmentedDir(fs vfs.FS, dir string, segSize int64, ro bool) (*Segmented
 		}
 	}
 	s.size, s.durable = wmVal, wmVal
+	s.runs[0] = crcRun{from: wmVal}
 
 	// Torn tail: everything beyond the watermark was never covered by a
 	// completed Sync, so no committed work can live there, and nothing
@@ -727,6 +748,10 @@ func (s *Segmented) Append(p []byte) (int, error) {
 		if err := seg.writeAt(p[:n], segOff); err != nil {
 			return written, err
 		}
+		s.runs[0].add(p[:n], s.size, s.segSize)
+		if s.syncing {
+			s.runs[1].add(p[:n], s.size, s.segSize)
+		}
 		s.size += int64(n)
 		written += n
 		p = p[n:]
@@ -756,6 +781,8 @@ func (s *Segmented) Sync() error {
 		return err
 	}
 	from, target := s.durable, s.size
+	run := s.runs[0]
+	s.runs[1], s.syncing = crcRun{from: target}, true
 	newSegs := s.newSegs
 	s.newSegs = false
 	var dirtyBuf [4]*fileSegment
@@ -769,19 +796,22 @@ func (s *Segmented) Sync() error {
 
 	start := time.Now()
 	s.profile.simulateSync(target - from)
-	if err := s.hardenBatch(dirty, newSegs, from, target); err != nil {
+	if err := s.hardenBatch(dirty, newSegs, run, target); err != nil {
+		s.mu.Lock()
+		// The next Sync covers this one's bytes again: keep runs[0].
+		s.syncing = false
 		if newSegs {
 			// Re-arm the metadata sync so the next Sync retries the
 			// directory fsync.
-			s.mu.Lock()
 			s.newSegs = true
-			s.mu.Unlock()
 		}
+		s.mu.Unlock()
 		return err
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.runs[0], s.syncing = s.runs[1], false
 	if s.closed {
 		return ErrClosed
 	}
@@ -793,9 +823,10 @@ func (s *Segmented) Sync() error {
 	return nil
 }
 
-// hardenBatch makes the batch [from, target), held by the segments in
-// dirty (in order), durable in the order Sync's comment gives.
-func (s *Segmented) hardenBatch(dirty []*fileSegment, newSegs bool, from, target int64) error {
+// hardenBatch makes the batch ending at target, held by the segments in
+// dirty (in order), durable in the order Sync's comment gives; run is the
+// CRC of its bytes in the last of them.
+func (s *Segmented) hardenBatch(dirty []*fileSegment, newSegs bool, run crcRun, target int64) error {
 	var last *fileSegment
 	if n := len(dirty); n > 0 {
 		dirty, last = dirty[:n-1], dirty[n-1]
@@ -816,8 +847,7 @@ func (s *Segmented) hardenBatch(dirty []*fileSegment, newSegs bool, from, target
 	if last == nil {
 		return nil
 	}
-	lastStart := (target - 1) / s.segSize * s.segSize
-	return last.harden(max(from, lastStart), target)
+	return last.harden(run.from, target, run.crc)
 }
 
 // DurableSize implements Device. The size is logical: it includes the

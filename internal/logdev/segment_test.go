@@ -304,3 +304,73 @@ func TestSegmentedDoubleCloseAndStrayFiles(t *testing.T) {
 		t.Fatal("stray segment file accepted")
 	}
 }
+
+// TestHardenReadsNothingBack counts, not times, what a harden costs in
+// reads: a watermark slot's data CRC comes from the bytes Append is
+// handed, so 1 000 append+Sync hardens — segment switches and batches
+// that straddle them included — read not one byte of a segment file
+// (reading each batch back for its CRC cost a pread per harden). A reopen
+// then admits the last slot: the CRC taken on the way in is the CRC of
+// what the file holds.
+func TestHardenReadsNothingBack(t *testing.T) {
+	fs := vfs.NewFaultFS(1)
+	dev, err := OpenSegmentedDirFS(fs, "/log", 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := fs.OpCounts()[vfs.OpRead]
+	for i := 0; i < 1000; i++ {
+		appendSync(t, dev, fill(1+i*37%300, byte(i)))
+	}
+	if got := fs.OpCounts()[vfs.OpRead] - reads; got != 0 {
+		t.Fatalf("1 000 hardens read segment files %d times, want 0", got)
+	}
+	durable := dev.DurableSize()
+	if err := dev.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fs.PowerCut()
+	fs.Recover()
+	dev, err = OpenSegmentedDirFS(fs, "/log", 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dev.Close()
+	if got := dev.DurableSize(); got != durable {
+		t.Fatalf("reopen after a power cut: durable %d, want %d (the last slot's data CRC did not match its bytes)", got, durable)
+	}
+}
+
+// TestSlotAfterFailedSyncCoversBoth: a Sync that fails leaves its bytes
+// to the next one, whose slot must vouch for them and for what was
+// appended since — the CRC run is not restarted by a Sync that did not
+// complete.
+func TestSlotAfterFailedSyncCoversBoth(t *testing.T) {
+	fs := vfs.NewFaultFS(1)
+	dev, err := OpenSegmentedDirFS(fs, "/log", 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendSync(t, dev, fill(100, 1))
+	fs.AddRule(vfs.Rule{Op: vfs.OpSync, Times: 1})
+	if _, err := dev.Append(fill(200, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.Sync(); err == nil {
+		t.Fatal("the injected fsync failure did not fail Sync")
+	}
+	appendSync(t, dev, fill(50, 3))
+	if err := dev.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fs.PowerCut()
+	fs.Recover()
+	dev, err = OpenSegmentedDirFS(fs, "/log", 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dev.Close()
+	if got := dev.DurableSize(); got != 350 {
+		t.Fatalf("reopen: durable %d, want 350", got)
+	}
+}

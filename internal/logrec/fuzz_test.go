@@ -22,8 +22,10 @@ import (
 // and another to the code that reads it.
 //
 // The input is tried as a record as found, as the body of a record whose
-// length and checksum are right (so the checksum is not what stops a
-// malformed header), and as either payload on its own.
+// length is right, and as either payload on its own. No checksum stands
+// behind any of it — a record's bytes are vouched for by its batch's
+// seal, not by itself — so these structural refusals are all that stands
+// between a malformed header and the code that reads it.
 func FuzzRecordDecode(f *testing.F) {
 	row := bytes.Repeat([]byte("0123456789"), 10)
 	changed := append([]byte(nil), row...)
@@ -54,6 +56,7 @@ func FuzzRecordDecode(f *testing.F) {
 		clr,
 		NewCommit(42),
 		NewPad(64),
+		{Header: Header{Kind: KindPad, Aux: 4000}, Payload: []byte{1, 2, 3, 4}},
 		{Header: Header{Kind: KindCheckpointEnd, Aux: 12345}, Payload: ckpt.Encode(nil)},
 	} {
 		buf, err := rec.Encode()
@@ -62,7 +65,7 @@ func FuzzRecordDecode(f *testing.F) {
 		}
 		f.Add(buf)
 		_, n := binary.Uvarint(buf)
-		f.Add(buf[n+crcSize:])
+		f.Add(buf[n:])
 		f.Add(rec.Payload)
 	}
 	f.Add([]byte{byte(KindCommit-1) | hasTxnID, 0x81, 0x00})  // over-long varint
@@ -159,4 +162,103 @@ func fuzzCheckpoint(t *testing.T, src []byte) {
 	if again := c.Encode(nil); !bytes.Equal(again, src) {
 		t.Fatalf("checkpoint does not re-encode byte-identically:\n got %x\nfrom %x", again, src)
 	}
+}
+
+// FuzzSealedStream fuzzes the iterator over a stream of sealed batches —
+// the bytes a lane's flushes leave — with one byte changed or the stream
+// cut short, as rot or a torn write leaves it. Whatever the input, the
+// iterator stops, yields every record of each batch wholly below the
+// damage and no record of any other, and a changed byte is a gap (Err),
+// never a clean end: no record is ever yielded from a batch whose seal
+// fails.
+func FuzzSealedStream(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 40, 41, 42, 43, 200, 201}, uint32(3), byte(0x01), false)
+	f.Add([]byte{3, 6, 9, 12, 15}, uint32(17), byte(0x80), false)
+	f.Add([]byte{1, 5, 130, 131, 255, 254, 7}, uint32(0), byte(0xFF), false)
+	f.Add([]byte{1, 5, 130, 131, 255, 254, 7}, uint32(40), byte(0), true)
+	f.Add([]byte{250, 251, 252, 253}, uint32(1000), byte(0x10), false)
+	f.Fuzz(func(t *testing.T, shape []byte, at uint32, x byte, cut bool) {
+		const base = 4096
+		stream, recs, ends := sealedStream(t, shape[:min(len(shape), 64)])
+		if len(stream) == 0 {
+			return
+		}
+		pos := int(at % uint32(len(stream)))
+		if cut {
+			stream = stream[:pos]
+		} else {
+			stream[pos] ^= max(x, 1)
+		}
+		good := 0 // the end of the last batch wholly below the damage
+		for _, end := range ends {
+			if end <= pos {
+				good = end
+			}
+		}
+		it := NewIterator(stream, base)
+		n := 0
+		for ; ; n++ {
+			rec, ok := it.Next()
+			if !ok {
+				break
+			}
+			if n >= len(recs) || recs[n][1] > good {
+				t.Fatalf("yielded a record at %v, past the last batch its seal vouches for (%d)", rec.LSN, base+good)
+			}
+			if want := recs[n]; rec.LSN != lsn.LSN(base+want[0]) || int(rec.TotalLen) != want[1]-want[0] {
+				t.Fatalf("record %d: at %v, %d bytes; want %d, %d bytes", n, rec.LSN, rec.TotalLen, base+want[0], want[1]-want[0])
+			}
+		}
+		if want := countBelow(recs, good); n != want {
+			t.Fatalf("yielded %d records, want the %d below %d (err %v)", n, want, good, it.Err())
+		}
+		if !cut && it.Err() == nil {
+			t.Fatalf("a byte changed at %d, and the iterator ended cleanly", pos)
+		}
+		if m, err := Verify(stream, base); m != good || (err == nil) != (it.Err() == nil) {
+			t.Fatalf("Verify vouches for %d bytes (%v), the iterator for %d (%v)", m, err, good, it.Err())
+		}
+	})
+}
+
+// sealedStream builds a stream of sealed batches from shape, a record
+// per byte — the byte picks its kind and size — with a seal after every
+// byte divisible by three and at the end. It returns each record's
+// [start, end) offsets and each batch's end (its seal's).
+func sealedStream(t *testing.T, shape []byte) (stream []byte, recs [][2]int, ends []int) {
+	from := 0
+	for i, b := range shape {
+		var rec *Record
+		switch b % 4 {
+		case 0:
+			rec = NewPad(int(b))
+		case 1:
+			rec = NewCommit(uint64(b))
+		case 2:
+			rec = NewUpdate(uint64(i)+1, lsn.Undefined, uint64(b), Splice(nil, uint16(i), shape[:i], shape[1:i+1]))
+		default:
+			rec = &Record{Header: Header{Kind: KindAbort, TxnID: uint64(b), Seq: uint32(i) + 1}}
+		}
+		buf, err := rec.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, [2]int{len(stream), len(stream) + len(buf)})
+		stream = append(stream, buf...)
+		if b%3 == 0 || i == len(shape)-1 {
+			stream = AppendSeal(stream, from)
+			from = len(stream)
+			ends = append(ends, from)
+		}
+	}
+	return stream, recs, ends
+}
+
+// countBelow counts the records that end at or below end.
+func countBelow(recs [][2]int, end int) int {
+	n := 0
+	for n < len(recs) && recs[n][1] <= end {
+		n++
+	}
+	return n
 }

@@ -1,21 +1,27 @@
 // Package logrec defines the on-log record format shared by every log
 // buffer variant, the flush daemon and ARIES recovery.
 //
-// A record is a frame (a varint length and a 4-byte checksum), one byte
-// naming its kind and which header fields follow, those fields as
-// varints, and an arbitrary payload — the composable shape the
-// consolidation array exploits (§5.1: "two successive requests also begin
-// with a log header and end with an arbitrary payload"). A field that
-// holds its absent value costs no bytes, so a one-lane TPC-B commit
-// record is 9 bytes where Shore-MT's smallest record is 48 (§A.3). No
-// record points back at its transaction's previous one: a bit in the
-// kind byte marks a transaction's first record (Header.First), and
-// recovery collects a loser's records by reading forward from there. An
-// update's payload logs the bytes it changed once, as before ⊕ after
-// (UpdatePayload), so a TPC-B balance update is 18 bytes. The checksum
-// lets recovery stop at the first torn or missing record — the paper's
-// requirement that "recovery must stop at the first gap it encounters".
-// ARCHITECTURE.md, "The log record", has the layout byte by byte.
+// A record is a frame (a varint length), one byte naming its kind and
+// which header fields follow, those fields as varints, and an arbitrary
+// payload — the composable shape the consolidation array exploits (§5.1:
+// "two successive requests also begin with a log header and end with an
+// arbitrary payload"). A field that holds its absent value costs no
+// bytes, so a one-lane TPC-B commit record is 5 bytes where Shore-MT's
+// smallest record is 48 (§A.3). No record points back at its
+// transaction's previous one: a bit in the kind byte marks a
+// transaction's first record (Header.First), and recovery collects a
+// loser's records by reading forward from there. An update's payload logs
+// the bytes it changed once, as before ⊕ after (UpdatePayload), so a
+// TPC-B balance update is 14 bytes.
+//
+// No record carries a checksum. The flush daemon closes every batch it
+// hardens with a seal (PutSeal): a pad record whose Aux is the batch's
+// length and whose payload is the batch's CRC-32C. The Iterator checks
+// each batch against its seal before it yields any of the batch's
+// records, so recovery stops at the first torn, missing or rotten byte —
+// the paper's requirement that "recovery must stop at the first gap it
+// encounters" — at the cost of one checksum per flush rather than one per
+// record. ARCHITECTURE.md, "The log record", has the layout byte by byte.
 package logrec
 
 import (
@@ -59,7 +65,8 @@ const (
 	// to the matching begin record.
 	KindCheckpointEnd
 	// KindPad fills space the microbenchmark and tests reserve without
-	// semantic content; recovery skips it.
+	// semantic content; recovery skips it. A pad with an Aux is a seal
+	// (PutSeal), which the Iterator checks and never yields.
 	KindPad
 	numKinds
 )
@@ -80,10 +87,10 @@ func (k Kind) String() string {
 // Valid reports whether k is a known record kind other than KindInvalid.
 func (k Kind) Valid() bool { return k > KindInvalid && k < numKinds }
 
-// MinRecordSize is the smallest encoded record: a one-byte length, the
-// checksum and the kind byte of a record whose every other field is
-// absent (a pad, a checkpoint-begin).
-const MinRecordSize = 1 + crcSize + 1
+// MinRecordSize is the smallest encoded record: a one-byte length and
+// the kind byte of a record whose every other field is absent (a pad, a
+// checkpoint-begin).
+const MinRecordSize = 1 + 1
 
 // MaxPayload bounds a single record's payload. Shore-MT's largest record
 // is 12KiB; we allow up to 16MiB so the skew experiments (Fig. 11) can
@@ -91,15 +98,15 @@ const MinRecordSize = 1 + crcSize + 1
 const MaxPayload = 16 << 20
 
 const (
-	// crcSize is the CRC-32C that follows the length.
+	// crcSize is a seal's payload: the CRC-32C of the batch it closes.
 	crcSize = 4
 	// maxLenSize is the widest length varint: every record is shorter
 	// than 1<<28 bytes (checked below).
 	maxLenSize = 4
 	// maxHeaderSize is a header with every field present at its widest:
-	// length, checksum, kind byte, TxnID and Aux at 10 bytes each, the
-	// page ID's 24-bit space and 40-bit number at 4 and 6, Seq at 5.
-	maxHeaderSize = maxLenSize + crcSize + 1 + 2*binary.MaxVarintLen64 + 4 + 6 + binary.MaxVarintLen32
+	// length, kind byte, TxnID and Aux at 10 bytes each, the page ID's
+	// 24-bit space and 40-bit number at 4 and 6, Seq at 5.
+	maxHeaderSize = maxLenSize + 1 + 2*binary.MaxVarintLen64 + 4 + 6 + binary.MaxVarintLen32
 
 	// The kind byte: the kind, less one, in the low three bits, the
 	// first-record mark, and one presence bit per optional field, in
@@ -121,15 +128,13 @@ const (
 // The largest record's length fits a maxLenSize-byte varint.
 const _ = uint(1<<(7*maxLenSize) - 1 - (maxHeaderSize + MaxPayload))
 
-// Header is the preamble of every log record. The length and CRC are the
-// frame; the rest is encoded only where it differs from its absent value.
+// Header is the preamble of every log record. The length is the frame;
+// the rest is encoded only where it differs from its absent value.
 //
 // Layout, in order:
 //
 //	length   uvarint — the bytes after it: TotalLen less its own width,
 //	                   at least MinRecordSize-1
-//	CRC      uint32  — little-endian CRC-32C over the bytes after it,
-//	                   to the end of the record
 //	kind byte        — Kind-1 in bits 0-2; bit 4 is First; bits 3, 5,
 //	                   6 and 7 say which of the four fields below
 //	                   follow, in this order
@@ -141,7 +146,8 @@ const _ = uint(1<<(7*maxLenSize) - 1 - (maxHeaderSize + MaxPayload))
 //
 // Varints are encoding/binary's, in their shortest form only; a present
 // field never holds its absent value, and First is set only on a
-// record with a TxnID that is not a commit or an end. Flags is not
+// record with a TxnID that is not a commit or an end; a pad with an Aux
+// is a seal, with nothing but its Aux and a 4-byte payload. Flags is not
 // logged: the kind implies it. So a record has exactly one encoding, and
 // Decode accepts nothing else. Because the length counts only what
 // follows it, a length of 127 makes a 128-byte record and one of 128 a
@@ -150,9 +156,6 @@ const _ = uint(1<<(7*maxLenSize) - 1 - (maxHeaderSize + MaxPayload))
 type Header struct {
 	// TotalLen is the record's full encoded length: header + payload.
 	TotalLen uint32
-	// CRC is the CRC-32C over the encoded bytes after the checksum
-	// field; a mismatch marks a torn write or the post-crash gap.
-	CRC uint32
 	// Kind discriminates the record type (update, commit, CLR, ...).
 	Kind Kind
 	// Flags holds the Flag* bits the kind implies (FlagRedoOnly on CLRs,
@@ -174,7 +177,8 @@ type Header struct {
 	// PageID is the page the record touches, 0 if not page-related.
 	PageID uint64
 	// Aux is kind-specific: a CLR's UndoNextLSN plus one (Record.UndoNext),
-	// a checkpoint-end's begin LSN, a multi-log update's previous page seq.
+	// a checkpoint-end's begin LSN, a multi-log update's previous page
+	// seq, a seal's batch length.
 	Aux uint64
 }
 
@@ -196,10 +200,20 @@ func (k Kind) flags() uint16 {
 // uvarintLen returns how many bytes v takes as a varint.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
+// IsSeal reports whether the header is a seal's: a pad with an Aux.
+func (h *Header) IsSeal() bool { return h.Kind == KindPad && h.Aux != 0 }
+
+// sealShape reports whether a record with this header and a payload of n
+// bytes is either no seal or a well-formed one: a seal carries its Aux
+// and a CRC-32C, nothing else.
+func (h *Header) sealShape(n int) bool {
+	return !h.IsSeal() || n == crcSize && h.TxnID == 0 && h.PageID == 0 && h.Seq == 0
+}
+
 // bodySize returns the encoded length of the header after the length
-// varint: checksum, kind byte and the fields present.
+// varint: the kind byte and the fields present.
 func (h *Header) bodySize() int {
-	n := crcSize + 1
+	n := 1
 	if h.TxnID != 0 {
 		n += uvarintLen(h.TxnID)
 	}
@@ -219,8 +233,6 @@ func (h *Header) bodySize() int {
 type Sizes struct {
 	// Length is the length varint's width.
 	Length int
-	// CRC is the checksum's width, 4.
-	CRC int
 	// Kind is the kind byte's width, 1.
 	Kind int
 	// TxnID is the TxnID varint's width, 0 if absent.
@@ -238,7 +250,7 @@ type Sizes struct {
 // Sizes returns how the record's EncodedSize bytes divide among its
 // parts.
 func (r *Record) Sizes() Sizes {
-	s := Sizes{CRC: crcSize, Kind: 1, Payload: len(r.Payload)}
+	s := Sizes{Kind: 1, Payload: len(r.Payload)}
 	if r.TxnID != 0 {
 		s.TxnID = uvarintLen(r.TxnID)
 	}
@@ -291,15 +303,16 @@ var (
 	// with no TxnID. Decode refuses the mark there, so it would not come
 	// back.
 	ErrBadFirst = errors.New("logrec: only a transaction's update, CLR or abort can be its first record")
-	// ErrBadHeader means the bytes under a valid checksum are not the one
-	// encoding of any header: a field runs past TotalLen, a varint is
-	// longer than its value needs or overflows its field, or a field
-	// marked present holds its absent value, or a record that cannot be
-	// a transaction's first is marked as one.
+	// ErrBadHeader means the bytes are not the one encoding of any
+	// header: a field runs past TotalLen, a varint is longer than its
+	// value needs or overflows its field, a field marked present holds
+	// its absent value, a record that cannot be a transaction's first is
+	// marked as one, or a pad with an Aux is not a seal's shape.
 	ErrBadHeader = errors.New("logrec: malformed record header")
-	// ErrChecksum means the CRC does not match — a torn write or the
-	// first gap after a crash.
-	ErrChecksum = errors.New("logrec: checksum mismatch")
+	// ErrBadSeal means a batch does not match the seal that closes it —
+	// its length or its CRC-32C differ, a torn write or rotten bytes —
+	// or a stream ends in a batch that no seal closes.
+	ErrBadSeal = errors.New("logrec: batch does not match its seal")
 	// ErrPayloadTooLarge means an encode request exceeded MaxPayload.
 	ErrPayloadTooLarge = errors.New("logrec: payload too large")
 )
@@ -307,6 +320,43 @@ var (
 // castagnoli is the CRC-32C table; Castagnoli is the standard polynomial
 // for storage checksums.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// MaxSealSize is the largest seal: a one-byte length, the kind byte, the
+// widest Aux and the CRC.
+const MaxSealSize = 1 + 1 + binary.MaxVarintLen64 + crcSize
+
+// SealSize returns the encoded length of the seal of an n-byte batch.
+func SealSize(n int) int { return 1 + 1 + uvarintLen(uint64(n)) + crcSize }
+
+// PutSeal encodes into dst, which must hold SealSize(n) bytes, the seal
+// of an n-byte batch (n >= 1) whose CRC-32C is crc: a pad whose Aux is n
+// and whose payload is the CRC. It returns the seal's length. The CRC
+// is the seal's last four bytes, so a seal encoded before its batch is
+// complete can be finished by PutSealCRC.
+func PutSeal(dst []byte, n int, crc uint32) int {
+	size := SealSize(n)
+	dst[0] = byte(size - 1)
+	dst[1] = byte(KindPad-1) | hasAux
+	binary.PutUvarint(dst[2:], uint64(n))
+	PutSealCRC(dst[:size], crc)
+	return size
+}
+
+// PutSealCRC writes crc into the encoded seal.
+func PutSealCRC(seal []byte, crc uint32) {
+	binary.LittleEndian.PutUint32(seal[len(seal)-crcSize:], crc)
+}
+
+// BatchCRC returns the CRC-32C a seal carries for batch.
+func BatchCRC(batch []byte) uint32 { return crc32.Checksum(batch, castagnoli) }
+
+// AppendSeal appends to dst the seal of the batch that dst[from:] holds.
+func AppendSeal(dst []byte, from int) []byte {
+	n := len(dst) - from
+	var seal [MaxSealSize]byte
+	k := PutSeal(seal[:], n, BatchCRC(dst[from:]))
+	return append(dst, seal[:k]...)
+}
 
 // EncodedSize returns the record's full encoded length.
 func (r *Record) EncodedSize() int {
@@ -316,7 +366,7 @@ func (r *Record) EncodedSize() int {
 
 // EncodeInto writes the record into dst, which must be exactly
 // EncodedSize() bytes (the pre-reserved log-buffer region). It computes
-// TotalLen and CRC; the caller's values for those fields are ignored.
+// TotalLen; the caller's value is ignored.
 func (r *Record) EncodeInto(dst []byte) error {
 	if len(r.Payload) > MaxPayload {
 		return ErrPayloadTooLarge
@@ -330,14 +380,15 @@ func (r *Record) EncodeInto(dst []byte) error {
 	if r.First && !r.canBeFirst() {
 		return ErrBadFirst
 	}
+	if !r.sealShape(len(r.Payload)) {
+		return fmt.Errorf("%w: a pad with an Aux is a seal, which carries a %d-byte CRC and nothing else", ErrBadHeader, crcSize)
+	}
 	rest := r.bodySize() + len(r.Payload)
 	total := uvarintLen(uint64(rest)) + rest
 	if len(dst) != total {
 		return fmt.Errorf("logrec: dst is %d bytes, record needs %d", len(dst), total)
 	}
-	crcAt := binary.PutUvarint(dst, uint64(rest))
-	// dst[crcAt:crcAt+4] = CRC, filled below.
-	kindAt := crcAt + crcSize
+	kindAt := binary.PutUvarint(dst, uint64(rest))
 	kb := byte(r.Kind - 1)
 	n := kindAt + 1
 	if r.TxnID != 0 {
@@ -362,8 +413,6 @@ func (r *Record) EncodeInto(dst []byte) error {
 	}
 	dst[kindAt] = kb
 	copy(dst[n:], r.Payload)
-	crc := crc32.Checksum(dst[kindAt:total], castagnoli)
-	binary.LittleEndian.PutUint32(dst[crcAt:kindAt], crc)
 	return nil
 }
 
@@ -388,10 +437,10 @@ func PeekLen(src []byte) int {
 }
 
 // frame reads the length at the front of src and returns the record's
-// TotalLen and where its checksum starts. ErrTooShort means src ends
-// inside the length; ErrBadLength, that the length is not the shortest
-// spelling of a possible one.
-func frame(src []byte) (total, crcAt int, err error) {
+// TotalLen and where its kind byte is. ErrTooShort means src ends inside
+// the length; ErrBadLength, that the length is not the shortest spelling
+// of a possible one.
+func frame(src []byte) (total, kindAt int, err error) {
 	rest, n := binary.Uvarint(src)
 	switch {
 	case n == 0:
@@ -422,26 +471,23 @@ func (c *cursor) uvarint(lo, hi uint64) uint64 {
 	return v
 }
 
-// Decode parses one record from the front of src, verifying length,
-// checksum and that the header is the one encoding of its fields. The
-// returned record's Payload aliases src; callers that retain it across
-// buffer reuse must copy. consumed is the encoded length.
+// Decode parses one record from the front of src, verifying its length
+// and that the header is the one encoding of its fields. It checks no
+// checksum: a record is only as sound as the batch its seal vouches for
+// (Iterator). The returned record's Payload aliases src; callers that
+// retain it across buffer reuse must copy. consumed is the encoded
+// length.
 func Decode(src []byte) (rec Record, consumed int, err error) {
-	total, crcAt, err := frame(src)
+	total, kindAt, err := frame(src)
 	if err != nil {
 		return Record{}, 0, err
 	}
 	if len(src) < total {
 		return Record{}, 0, ErrTooShort
 	}
-	kindAt := crcAt + crcSize
-	wantCRC := binary.LittleEndian.Uint32(src[crcAt:kindAt])
-	if crc32.Checksum(src[kindAt:total], castagnoli) != wantCRC {
-		return Record{}, 0, ErrChecksum
-	}
 	kb := src[kindAt]
 	k := Kind(kb&kindMask) + 1
-	rec.TotalLen, rec.CRC = uint32(total), wantCRC
+	rec.TotalLen = uint32(total)
 	rec.Kind, rec.Flags, rec.First = k, k.flags(), kb&isFirst != 0
 	// A present field never holds its absent value: zero is a value only
 	// for one half of a page ID.
@@ -461,54 +507,135 @@ func Decode(src []byte) (rec Record, consumed int, err error) {
 	if kb&hasSeq != 0 {
 		rec.Seq = uint32(c.uvarint(1, math.MaxUint32))
 	}
-	if !c.ok || len(c.src) > MaxPayload {
+	if !c.ok || len(c.src) > MaxPayload || !rec.sealShape(len(c.src)) {
 		return Record{}, 0, ErrBadHeader
 	}
 	rec.Payload = c.src
 	return rec, total, nil
 }
 
-// Iterator walks a linear log byte stream record by record, stopping
-// cleanly at the first gap (torn record, bad checksum, or truncation) —
-// exactly how ARIES scans the log after a crash.
+// Iterator walks a linear log byte stream record by record, a batch at
+// a time: before it yields any record of a batch it finds the seal that
+// closes the batch and checks the batch's length and CRC-32C against it,
+// so no record of a torn, short or rotten batch ever comes out. It stops
+// cleanly where the stream ends, or holds only zero bytes, at a batch
+// boundary — a durable log ends at a seal, and what follows it is space
+// nothing wrote — and at a gap (Err) anywhere else, a stream cut inside a
+// batch included: exactly how ARIES scans the log after a crash. Seals
+// themselves are never yielded.
 type Iterator struct {
 	data []byte
 	base lsn.LSN // LSN of data[0]
-	off  int
-	err  error
+	off  int     // the next record
+	// sealed is where the checked prefix ends: the newest seal checked,
+	// or all of data for an iterator over checked bytes; batch is where
+	// the newest checked batch begins.
+	sealed, batch int
+	err           error
 }
 
 // NewIterator returns an iterator over data, whose first byte sits at
-// base in the logical log.
+// base in the logical log and starts a batch: a lane's base and every
+// seal's end do.
 func NewIterator(data []byte, base lsn.LSN) *Iterator {
 	return &Iterator{data: data, base: base}
+}
+
+// NewVerifiedIterator returns an iterator over bytes Verify has already
+// checked: it may start at any record, mid-batch too, and passes over
+// seals without checking them again.
+func NewVerifiedIterator(data []byte, base lsn.LSN) *Iterator {
+	return &Iterator{data: data, base: base, sealed: len(data)}
+}
+
+// Verify checks data, a stream whose first byte sits at base and starts
+// a batch, against its seals as an Iterator does, and returns how many
+// of its bytes they vouch for: through the last good seal. err is the
+// gap an Iterator would stop at, nil at a clean end.
+func Verify(data []byte, base lsn.LSN) (int, error) {
+	it := Iterator{data: data, base: base}
+	for it.checkBatch() {
+		it.off = it.sealed
+	}
+	return it.sealed, it.err
 }
 
 // Next returns the next record, or ok=false when the stream ends (at a
 // gap or clean end). After ok=false, Err distinguishes a clean end (nil)
 // from a detected gap.
 func (it *Iterator) Next() (Record, bool) {
-	if it.err != nil {
-		return Record{}, false
-	}
-	rest := it.data[it.off:]
-	if len(rest) == 0 {
-		return Record{}, false
-	}
-	rec, n, err := Decode(rest)
-	if err != nil {
-		// A run of zero bytes is pre-allocated, never-written space:
-		// a clean end rather than corruption.
-		if errors.Is(err, ErrTooShort) || allZero(rest) {
-			return Record{}, false
+	for it.err == nil {
+		if it.off == it.sealed && !it.checkBatch() {
+			break
 		}
-		it.err = fmt.Errorf("logrec: stream gap at %v: %w", it.base.Add(it.off), err)
-		return Record{}, false
+		rest := it.data[it.off:it.sealed]
+		rec, n, err := Decode(rest)
+		if err != nil {
+			// A run of zero bytes is pre-allocated, never-written space:
+			// a clean end rather than corruption.
+			if !errors.Is(err, ErrTooShort) && !allZero(rest) {
+				it.fail(0, err)
+			}
+			break
+		}
+		rec.LSN = it.base.Add(it.off)
+		it.off += n
+		if !rec.IsSeal() {
+			return rec, true
+		}
 	}
-	rec.LSN = it.base.Add(it.off)
-	it.off += n
-	return rec, true
+	return Record{}, false
 }
+
+// checkBatch finds the seal that closes the batch starting at it.off and
+// checks the batch against it, moving it.sealed to the seal's end. It
+// reports false at a clean end of the stream and at a gap (it.err).
+func (it *Iterator) checkBatch() bool {
+	rest := it.data[it.off:]
+	for pos := 0; ; {
+		total, kindAt, err := frame(rest[pos:])
+		if err == nil && total > len(rest)-pos {
+			err = ErrTooShort
+		}
+		if err != nil {
+			if pos == 0 && allZero(rest) {
+				return false
+			}
+			it.fail(pos, fmt.Errorf("%w: no seal closes the batch at %v: %w", ErrBadSeal, it.base.Add(it.off), err))
+			return false
+		}
+		if kb := rest[pos+kindAt]; Kind(kb&kindMask)+1 != KindPad || kb&hasAux == 0 {
+			pos += total
+			continue
+		}
+		seal, _, err := Decode(rest[pos:])
+		if err != nil {
+			it.fail(pos, fmt.Errorf("%w: the batch at %v ends in a malformed seal: %w", ErrBadSeal, it.base.Add(it.off), err))
+			return false
+		}
+		if seal.Aux != uint64(pos) {
+			it.fail(0, fmt.Errorf("%w: the seal at %v closes %d bytes, the batch before it is %d",
+				ErrBadSeal, it.base.Add(it.off+pos), seal.Aux, pos))
+			return false
+		}
+		if binary.LittleEndian.Uint32(seal.Payload) != BatchCRC(rest[:pos]) {
+			it.fail(0, fmt.Errorf("%w: the %d bytes before the seal at %v fail its CRC-32C",
+				ErrBadSeal, pos, it.base.Add(it.off+pos)))
+			return false
+		}
+		it.batch, it.sealed = it.off, it.off+pos+total
+		return true
+	}
+}
+
+// fail stops the iterator at a gap pos bytes past the next record.
+func (it *Iterator) fail(pos int, err error) {
+	it.err = fmt.Errorf("logrec: stream gap at %v: %w", it.base.Add(it.off+pos), err)
+}
+
+// Batch returns the address where the batch of the record Next last
+// returned begins: the previous seal's end, or the stream's start.
+func (it *Iterator) Batch() lsn.LSN { return it.base.Add(it.batch) }
 
 // Err returns the gap error, if the iterator stopped at one.
 func (it *Iterator) Err() error { return it.err }

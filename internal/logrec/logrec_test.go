@@ -5,7 +5,6 @@ import (
 	"crypto/subtle"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"math"
 	"testing"
 	"testing/quick"
@@ -29,8 +28,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Length, checksum and kind byte (First costs nothing), then 77,
-	// page 0/42 and 99.
+	// Length and kind byte (First costs nothing), then 77, page 0/42 and
+	// 99.
 	if want := MinRecordSize + 1 + 2 + 1 + len(rec.Payload); len(buf) != want || rec.EncodedSize() != want {
 		t.Fatalf("encoded size %d (EncodedSize %d), want %d", len(buf), rec.EncodedSize(), want)
 	}
@@ -81,25 +80,88 @@ func TestEncodeFlagsMustMatchKind(t *testing.T) {
 	}
 }
 
-func TestDecodeDetectsCorruption(t *testing.T) {
-	rec := NewPad(100)
-	buf, err := rec.Encode()
-	if err != nil {
-		t.Fatal(err)
+// sealed returns the records' encodings as one batch closed by its seal.
+func sealed(t testing.TB, recs ...*Record) []byte {
+	t.Helper()
+	var buf []byte
+	for _, rec := range recs {
+		b, err := rec.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = append(buf, b...)
 	}
-	// Flip a payload byte: CRC must catch it.
+	return AppendSeal(buf, 0)
+}
+
+// drain runs an iterator over data to its end and returns what it
+// yielded and where it stopped.
+func drain(data []byte, base lsn.LSN) ([]Record, error) {
+	it := NewIterator(data, base)
+	var got []Record
+	for {
+		rec, ok := it.Next()
+		if !ok {
+			return got, it.Err()
+		}
+		got = append(got, rec)
+	}
+}
+
+func TestDecodeDetectsCorruption(t *testing.T) {
+	buf := sealed(t, NewPad(100))
+	// Flip a payload byte: the seal's CRC must catch it, and the
+	// iterator must not yield the record.
 	buf[MinRecordSize+3] ^= 0xFF
-	if _, _, err := Decode(buf); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("got %v, want ErrChecksum", err)
+	if got, err := drain(buf, 0); !errors.Is(err, ErrBadSeal) || len(got) != 0 {
+		t.Fatalf("got %d records, %v; want none, ErrBadSeal", len(got), err)
 	}
 }
 
 func TestDecodeDetectsHeaderCorruption(t *testing.T) {
-	rec := NewCommit(9)
-	buf, _ := rec.Encode()
+	buf := sealed(t, NewCommit(9))
 	buf[MinRecordSize] ^= 0x01 // the TxnID
-	if _, _, err := Decode(buf); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("got %v, want ErrChecksum", err)
+	if got, err := drain(buf, 0); !errors.Is(err, ErrBadSeal) || len(got) != 0 {
+		t.Fatalf("got %d records, %v; want none, ErrBadSeal", len(got), err)
+	}
+}
+
+// TestSealShape: a seal is a pad with an Aux and a 4-byte payload and
+// nothing else; every other pad with an Aux is refused at encode and at
+// decode, and a seal round trips through both.
+func TestSealShape(t *testing.T) {
+	var seal [MaxSealSize]byte
+	for _, n := range []int{1, 127, 128, 16_383, 16_384, 1 << 30} {
+		k := PutSeal(seal[:], n, 0xC0FFEE)
+		if k != SealSize(n) {
+			t.Fatalf("seal of %d bytes: %d long, SealSize says %d", n, k, SealSize(n))
+		}
+		rec, m, err := Decode(seal[:k])
+		if err != nil || m != k || rec.Kind != KindPad || rec.Aux != uint64(n) || binary.LittleEndian.Uint32(rec.Payload) != 0xC0FFEE {
+			t.Fatalf("seal of %d bytes decoded to %+v (%d bytes), %v", n, rec.Header, m, err)
+		}
+		if again, err := rec.Encode(); err != nil || !bytes.Equal(again, seal[:k]) {
+			t.Fatalf("seal of %d bytes re-encodes to %x, %v; want %x", n, again, err, seal[:k])
+		}
+	}
+	pad := byte(KindPad-1) | hasAux
+	for _, tc := range []struct {
+		name string
+		rec  Record
+		body []byte
+	}{
+		{"three-byte CRC", Record{Header: Header{Kind: KindPad, Aux: 9}, Payload: make([]byte, 3)}, []byte{pad, 9, 1, 2, 3}},
+		{"five-byte CRC", Record{Header: Header{Kind: KindPad, Aux: 9}, Payload: make([]byte, 5)}, []byte{pad, 9, 1, 2, 3, 4, 5}},
+		{"a TxnID", Record{Header: Header{Kind: KindPad, TxnID: 3, Aux: 9}, Payload: make([]byte, 4)}, []byte{pad | hasTxnID, 3, 9, 1, 2, 3, 4}},
+		{"a PageID", Record{Header: Header{Kind: KindPad, PageID: 3, Aux: 9}, Payload: make([]byte, 4)}, []byte{pad | hasPageID, 0, 3, 9, 1, 2, 3, 4}},
+		{"a Seq", Record{Header: Header{Kind: KindPad, Aux: 9, Seq: 3}}, []byte{pad | hasSeq, 9, 3, 1, 2, 3, 4}},
+	} {
+		if _, err := tc.rec.Encode(); !errors.Is(err, ErrBadHeader) {
+			t.Errorf("seal with %s: encode %v, want ErrBadHeader", tc.name, err)
+		}
+		if _, _, err := Decode(framed(tc.body...)); !errors.Is(err, ErrBadHeader) {
+			t.Errorf("seal with %s: decode %v, want ErrBadHeader", tc.name, err)
+		}
 	}
 }
 
@@ -169,9 +231,9 @@ func TestLengthVarintBoundaries(t *testing.T) {
 		{MinRecordSize - 1, 1},
 		{127, 1}, {128, 2},
 		{16_383, 2}, {16_384, 3},
-		{crcSize + 1 + MaxPayload, 4},
+		{1 + MaxPayload, 4},
 	} {
-		rec := &Record{Header: Header{Kind: KindPad}, Payload: make([]byte, tc.rest-crcSize-1)}
+		rec := &Record{Header: Header{Kind: KindPad}, Payload: make([]byte, tc.rest-1)}
 		buf, err := rec.Encode()
 		if err != nil {
 			t.Fatalf("length %d: %v", tc.rest, err)
@@ -257,59 +319,82 @@ func TestFirstRecordMark(t *testing.T) {
 	}
 }
 
+// TestIteratorWalksStream: the iterator yields every record of a stream
+// of sealed batches at its address, and none of the seals.
 func TestIteratorWalksStream(t *testing.T) {
 	var stream []byte
-	var sizes []int
+	var lsns []lsn.LSN
 	for i := 0; i < 10; i++ {
-		rec := NewPad(48 + i*13)
-		buf, _ := rec.Encode()
+		buf, _ := NewPad(48 + i*13).Encode()
+		lsns = append(lsns, lsn.LSN(1000+len(stream)))
 		stream = append(stream, buf...)
-		sizes = append(sizes, len(buf))
-	}
-	it := NewIterator(stream, 1000)
-	var got []Record
-	for {
-		rec, ok := it.Next()
-		if !ok {
-			break
+		if i%3 == 2 {
+			stream = AppendSeal(stream, int(lsns[i-2]-1000))
 		}
-		got = append(got, rec)
 	}
-	if it.Err() != nil {
-		t.Fatalf("unexpected gap: %v", it.Err())
+	stream = AppendSeal(stream, int(lsns[9]-1000))
+	got, err := drain(stream, 1000)
+	if err != nil {
+		t.Fatalf("unexpected gap: %v", err)
 	}
 	if len(got) != 10 {
 		t.Fatalf("decoded %d records, want 10", len(got))
 	}
-	wantLSN := lsn.LSN(1000)
 	for i, rec := range got {
-		if rec.LSN != wantLSN {
-			t.Fatalf("record %d LSN %v, want %v", i, rec.LSN, wantLSN)
+		if rec.LSN != lsns[i] || rec.Aux != 0 {
+			t.Fatalf("record %d at %v (Aux %d), want a pad at %v", i, rec.LSN, rec.Aux, lsns[i])
 		}
-		wantLSN = wantLSN.Add(sizes[i])
+	}
+	if n, err := Verify(stream, 1000); n != len(stream) || err != nil {
+		t.Fatalf("Verify: %d of %d bytes, %v", n, len(stream), err)
 	}
 }
 
+// TestIteratorStopsAtGap: a corrupt batch is a gap, and the iterator
+// yields none of its records, the first of them included.
 func TestIteratorStopsAtGap(t *testing.T) {
-	a, _ := NewPad(64).Encode()
-	b, _ := NewPad(64).Encode()
-	stream := append(append([]byte{}, a...), b...)
-	stream[70] ^= 0xFF // corrupt second record
+	first := sealed(t, NewPad(64))
+	stream := append(append([]byte{}, first...), sealed(t, NewPad(64), NewPad(64))...)
+	stream[len(first)+70] ^= 0xFF // corrupt the second batch's second record
 	it := NewIterator(stream, 0)
 	if _, ok := it.Next(); !ok {
-		t.Fatal("first record should decode")
+		t.Fatal("the first batch should decode")
 	}
 	if _, ok := it.Next(); ok {
-		t.Fatal("second record should be a gap")
+		t.Fatal("the second batch should be a gap")
 	}
-	if it.Err() == nil {
-		t.Fatal("iterator should report the gap")
+	if !errors.Is(it.Err(), ErrBadSeal) {
+		t.Fatalf("iterator should report the gap as ErrBadSeal, got %v", it.Err())
+	}
+	if n, err := Verify(stream, 0); n != len(first) || !errors.Is(err, ErrBadSeal) {
+		t.Fatalf("Verify: %d bytes, %v; want %d, ErrBadSeal", n, err, len(first))
+	}
+}
+
+// TestIteratorRefusesUnsealedTail: records no seal closes are never
+// yielded; a stream that ends in them ends at a gap.
+func TestIteratorRefusesUnsealedTail(t *testing.T) {
+	first := sealed(t, NewPad(64))
+	tail, _ := NewCommit(7).Encode()
+	stream := append(append(append([]byte{}, first...), tail...), make([]byte, 20)...)
+	got, err := drain(stream, 0)
+	if len(got) != 1 || !errors.Is(err, ErrBadSeal) {
+		t.Fatalf("got %d records, %v; want the first batch's one, then ErrBadSeal", len(got), err)
+	}
+	// Over checked bytes the verified iterator yields what the seals
+	// vouch for, starting mid-batch too, and skips the seals.
+	two := sealed(t, NewPad(64), NewCommit(7))
+	it := NewVerifiedIterator(two[64:], 64)
+	if rec, ok := it.Next(); !ok || rec.Kind != KindCommit || rec.LSN != 64 {
+		t.Fatalf("verified iterator from mid-batch: %+v, %v", rec.Header, ok)
+	}
+	if _, ok := it.Next(); ok || it.Err() != nil {
+		t.Fatalf("verified iterator yielded the seal, or stopped at %v", it.Err())
 	}
 }
 
 func TestIteratorCleanEndOnZeros(t *testing.T) {
-	a, _ := NewPad(64).Encode()
-	stream := append(append([]byte{}, a...), make([]byte, 100)...)
+	stream := append(sealed(t, NewPad(64)), make([]byte, 100)...)
 	it := NewIterator(stream, 0)
 	if _, ok := it.Next(); !ok {
 		t.Fatal("first record should decode")
@@ -477,15 +562,13 @@ func TestCLRUndoNextEndsChainFree(t *testing.T) {
 	}
 }
 
-// framed wraps a kind byte, header fields and payload in a valid length
-// and checksum, so what Decode judges is the header under them.
+// framed wraps a kind byte, header fields and payload in a valid length,
+// so what Decode judges is the header after it.
 func framed(body ...byte) []byte {
-	buf := binary.AppendUvarint(nil, uint64(crcSize+len(body)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(body, castagnoli))
-	return append(buf, body...)
+	return append(binary.AppendUvarint(nil, uint64(len(body))), body...)
 }
 
-// TestDecodeRefusesNonCanonicalHeaders: under a valid checksum, a header
+// TestDecodeRefusesNonCanonicalHeaders: after a valid length, a header
 // that is not the one spelling of its fields is ErrBadHeader — so a
 // record Decode accepts re-encodes to the bytes it came from.
 func TestDecodeRefusesNonCanonicalHeaders(t *testing.T) {
@@ -528,14 +611,15 @@ func TestAbsentFieldsCostNothing(t *testing.T) {
 		rec  *Record
 		want int
 	}{
-		{"checkpoint begin", &Record{Header: Header{Kind: KindCheckpointBegin}}, 6},
-		{"first commit of a log", NewCommit(1), 7},
-		{"TPC-B commit", NewCommit(80_200), 6 + 3},
-		{"TPC-B commit, lane of three", &Record{Header: Header{Kind: KindCommit, TxnID: 80_200, Seq: 400_000}}, 9 + 3},
-		{"page id", &Record{Header: Header{Kind: KindUpdate, PageID: page}}, 6 + 1 + 2},
-		{"TPC-B update", NewUpdate(80_200, 33_000_000, page, Splice(nil, 80, []byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{8, 7, 6, 5, 4, 3, 2, 1})), 6 + 3 + 3 + 3 + 8},
-		{"TPC-B first update", NewUpdate(80_200, lsn.Undefined, page, Splice(nil, 80, []byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{8, 7, 6, 5, 4, 3, 2, 1})), 6 + 3 + 3 + 3 + 8},
-		// Every field at its widest is a 40-byte rest: a one-byte length.
+		{"checkpoint begin", &Record{Header: Header{Kind: KindCheckpointBegin}}, 2},
+		{"first commit of a log", NewCommit(1), 3},
+		{"TPC-B commit", NewCommit(80_200), 2 + 3},
+		{"TPC-B commit, lane of three", &Record{Header: Header{Kind: KindCommit, TxnID: 80_200, Seq: 400_000}}, 5 + 3},
+		{"page id", &Record{Header: Header{Kind: KindUpdate, PageID: page}}, 2 + 1 + 2},
+		{"TPC-B update", NewUpdate(80_200, 33_000_000, page, Splice(nil, 80, []byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{8, 7, 6, 5, 4, 3, 2, 1})), 2 + 3 + 3 + 3 + 8},
+		{"TPC-B first update", NewUpdate(80_200, lsn.Undefined, page, Splice(nil, 80, []byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{8, 7, 6, 5, 4, 3, 2, 1})), 2 + 3 + 3 + 3 + 8},
+		{"seal of a TPC-B flush", &Record{Header: Header{Kind: KindPad, Aux: 4_000}, Payload: make([]byte, 4)}, 2 + 2 + 4},
+		// Every field at its widest is a 36-byte rest: a one-byte length.
 		{"everything at its widest", &Record{Header: Header{Kind: KindCLR, Flags: FlagRedoOnly, TxnID: math.MaxUint64,
 			First: true, PageID: math.MaxUint64, Aux: math.MaxUint64, Seq: math.MaxUint32}}, maxHeaderSize - maxLenSize + 1},
 	} {
@@ -551,7 +635,7 @@ func TestAbsentFieldsCostNothing(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		want := tc.rec.Header
-		want.TotalLen, want.CRC = got.TotalLen, got.CRC
+		want.TotalLen = got.TotalLen
 		if got.Header != want {
 			t.Errorf("%s: decoded %+v, encoded %+v", tc.name, got.Header, want)
 		}
@@ -836,7 +920,8 @@ func TestQuickRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: a single flipped bit anywhere in the encoding is detected.
+// Property: a single flipped bit anywhere in a sealed batch, its seal
+// included, is detected: the iterator yields nothing and reports a gap.
 func TestQuickBitFlipDetected(t *testing.T) {
 	f := func(payload []byte, pos uint16, bit uint8) bool {
 		if len(payload) == 0 {
@@ -845,15 +930,11 @@ func TestQuickBitFlipDetected(t *testing.T) {
 		if len(payload) > 512 {
 			payload = payload[:512]
 		}
-		rec := &Record{Header: Header{Kind: KindPad}, Payload: payload}
-		buf, err := rec.Encode()
-		if err != nil {
-			return false
-		}
+		buf := sealed(t, &Record{Header: Header{Kind: KindPad}, Payload: payload})
 		p := int(pos) % len(buf)
 		buf[p] ^= 1 << (bit % 8)
-		_, _, err = Decode(buf)
-		return err != nil
+		got, err := drain(buf, 0)
+		return len(got) == 0 && err != nil
 	}
 	if err := quick.Check(f, quickCfg()); err != nil {
 		t.Fatal(err)

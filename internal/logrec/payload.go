@@ -521,7 +521,7 @@ func NewPad(size int) *Record {
 	}
 	return &Record{
 		Header:  Header{Kind: KindPad},
-		Payload: make([]byte, rest-crcSize-1),
+		Payload: make([]byte, rest-1),
 	}
 }
 

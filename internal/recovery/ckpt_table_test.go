@@ -62,7 +62,7 @@ func (ll *laneLogs) checkpoint(t *testing.T, p logrec.CheckpointPayload) {
 func (ll *laneLogs) tails() []Lane {
 	out := make([]Lane, len(ll.lanes))
 	for i := range ll.lanes {
-		out[i] = Lane{Log: ll.lanes[i].buf}
+		out[i] = Lane{Log: ll.lanes[i].log()}
 	}
 	return out
 }

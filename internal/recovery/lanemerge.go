@@ -3,7 +3,10 @@
 // position in the total order and the stamp a page carries after
 // applying it. Restart recovery (and so every restore, which is one) and
 // logdump's merged view consume it; nothing else in the tree orders
-// records.
+// records. It checks every lane's tail against its seals once, when it
+// is built, and from then on reads only the bytes they vouch for: a
+// pass from any position, and the random access undo makes, never
+// replays a byte past the last good seal.
 package recovery
 
 import (
@@ -41,7 +44,8 @@ type Merged struct {
 // iteration with an O(1) seek; N lanes are a k-way merge by global seq
 // holding one decoded record per lane — never the whole tail.
 type LaneMerge struct {
-	lanes []Lane
+	lanes []Lane // each cut at its last good seal
+	bad   error  // the first lane whose seals failed
 	its   []*logrec.Iterator
 	start []int // byte offset each lane's iterator began at
 	heads []logrec.Record
@@ -50,15 +54,24 @@ type LaneMerge struct {
 	top   uint64
 }
 
-// NewLaneMerge returns an iterator positioned at the start of every
-// lane.
+// NewLaneMerge checks every lane's tail, which must start a batch (a
+// lane's base does), against its seals, and returns an iterator over the
+// bytes they vouch for, positioned at the start of every lane. A lane
+// whose seals fail is read up to its last good one, and Err reports it.
 func NewLaneMerge(lanes []Lane) *LaneMerge {
 	m := &LaneMerge{
-		lanes: lanes,
+		lanes: make([]Lane, len(lanes)),
 		its:   make([]*logrec.Iterator, len(lanes)),
 		start: make([]int, len(lanes)),
 		heads: make([]logrec.Record, len(lanes)),
 		live:  make([]bool, len(lanes)),
+	}
+	for i, l := range lanes {
+		n, err := logrec.Verify(l.Log, l.Base)
+		m.lanes[i] = Lane{Log: l.Log[:n], Base: l.Base}
+		if err != nil && m.bad == nil {
+			m.bad = fmt.Errorf("lane %d: %w", i, err)
+		}
 	}
 	m.From(0)
 	return m
@@ -77,7 +90,7 @@ func (m *LaneMerge) From(order uint64) {
 			off = int(min(order-uint64(l.Base), uint64(len(l.Log))))
 		}
 		m.start[i] = off
-		m.its[i] = logrec.NewIterator(l.Log[off:], l.Base.Add(off))
+		m.its[i] = logrec.NewVerifiedIterator(l.Log[off:], l.Base.Add(off))
 		m.advance(i)
 	}
 }
@@ -127,7 +140,7 @@ func (m *LaneMerge) place(lane int, rec logrec.Record) Merged {
 
 // At decodes the record at address at on the given lane — the random
 // access undo needs to reread a loser's update — without moving the
-// iterator.
+// iterator. It reads only bytes the lane's seals vouch for.
 func (m *LaneMerge) At(lane int, at lsn.LSN) (Merged, error) {
 	l := m.lanes[lane]
 	if at < l.Base {
@@ -144,9 +157,13 @@ func (m *LaneMerge) At(lane int, at lsn.LSN) (Merged, error) {
 	return m.place(lane, rec), nil
 }
 
-// Err reports the first lane that stopped at a gap (a torn or corrupt
-// record with log behind it) rather than at its clean end.
+// Err reports the first lane whose seals failed (a torn, short or rotten
+// batch with log behind it, or a tail no seal closes), or that stopped
+// at a malformed record, rather than at its clean end.
 func (m *LaneMerge) Err() error {
+	if m.bad != nil {
+		return m.bad
+	}
 	for i, it := range m.its {
 		if err := it.Err(); err != nil {
 			return fmt.Errorf("lane %d: %w", i, err)

@@ -189,6 +189,11 @@ func Analyze(lanes []Lane, ckpt *lsn.LSN) (*Analysis, error) {
 		dpt: make(map[uint64]uint64),
 	}
 	res := a.res
+	// Every seal in the tails is checked before anything is read from
+	// them: a batch that fails its seal below the watermark is corruption.
+	if err := a.m.Err(); err != nil {
+		return nil, fmt.Errorf("recovery: analysis: %w", err)
+	}
 
 	// named is the checkpoint's transaction table, read as a list of
 	// names and not of facts. The engine publishes a transaction's
@@ -212,7 +217,7 @@ func Analyze(lanes []Lane, ckpt *lsn.LSN) (*Analysis, error) {
 	// nothing else. So only a checkpoint that names somebody makes
 	// analysis read them: otherwise the pass starts at the begin record.
 	var begin, from uint64
-	beginAt, cp, err := findCheckpoint(lanes[0], ckpt)
+	beginAt, cp, err := findCheckpoint(a.m.lanes[0], ckpt)
 	if err != nil {
 		return nil, err
 	}
@@ -516,7 +521,7 @@ func compensate(store *storage.Store, pid uint64, inv logrec.UpdatePayload, page
 	return nil
 }
 
-// findCheckpoint scans lane 0's durable tail (the coordinator writes
+// findCheckpoint scans lane 0's checked tail (the coordinator writes
 // checkpoints nowhere else) for the checkpoint Analyze's ckpt names and
 // returns its begin LSN and decoded payload; one named but missing is an
 // error.
@@ -526,7 +531,7 @@ func findCheckpoint(lane Lane, want *lsn.LSN) (lsn.LSN, logrec.CheckpointPayload
 	if want != nil && !want.Valid() {
 		return begin, payload, nil
 	}
-	it := logrec.NewIterator(lane.Log, lane.Base)
+	it := logrec.NewVerifiedIterator(lane.Log, lane.Base)
 	for {
 		rec, ok := it.Next()
 		if !ok {

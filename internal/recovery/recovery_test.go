@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"errors"
 	"testing"
 
 	"aether/internal/logrec"
@@ -10,7 +11,18 @@ import (
 
 // logBuilder assembles a synthetic durable log image.
 type logBuilder struct {
-	buf []byte
+	buf    []byte
+	sealed int // where the batch log() has not sealed yet starts
+}
+
+// log seals what was added since the last call, as a flush would, and
+// returns the image.
+func (b *logBuilder) log() []byte {
+	if b.sealed < len(b.buf) {
+		b.buf = logrec.AppendSeal(b.buf, b.sealed)
+		b.sealed = len(b.buf)
+	}
+	return b.buf
 }
 
 func (b *logBuilder) add(t *testing.T, rec *logrec.Record) (at, end lsn.LSN) {
@@ -64,7 +76,7 @@ func TestRecoverRedoWinner(t *testing.T) {
 	lb.add(t, logrec.NewCommit(7))
 
 	st := storage.NewStore()
-	res, err := Recover(Options{Log: lb.buf, Store: st})
+	res, err := Recover(Options{Log: lb.log(), Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +100,7 @@ func TestRecoverUndoLoser(t *testing.T) {
 	lb.add(t, logrec.NewUpdate(2, lsn.Undefined, pid, set))
 
 	st := storage.NewStore()
-	res, err := Recover(Options{Log: lb.buf, Store: st})
+	res, err := Recover(Options{Log: lb.log(), Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +138,7 @@ func TestRedoSkipsSpliceItsStampCovers(t *testing.T) {
 	}
 	p.SetLSN(setEnd)
 	p.Unpin()
-	res, err := Recover(Options{Log: lb.buf, Store: st})
+	res, err := Recover(Options{Log: lb.log(), Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +162,7 @@ func TestRecoverCLRSkipsAlreadyUndone(t *testing.T) {
 	lb.add(t, logrec.NewCLR(5, pid, insAt, set.Inverse()))
 
 	st := storage.NewStore()
-	res, err := Recover(Options{Log: lb.buf, Store: st})
+	res, err := Recover(Options{Log: lb.log(), Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +194,7 @@ func TestRecoverUsesCheckpointATT(t *testing.T) {
 	})
 
 	st := storage.NewStore()
-	res, err := Recover(Options{Log: lb.buf, Store: st})
+	res, err := Recover(Options{Log: lb.log(), Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +230,7 @@ func TestRecoverPrecommittedInCheckpointIsWinner(t *testing.T) {
 	})
 
 	st := storage.NewStore()
-	res, err := Recover(Options{Log: lb.buf, Store: st})
+	res, err := Recover(Options{Log: lb.log(), Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,23 +243,35 @@ func TestRecoverPrecommittedInCheckpointIsWinner(t *testing.T) {
 	}
 }
 
+// TestRecoverTruncatedTailIsCleanEnd: a durable image ends at a seal —
+// the device's watermark only ever covers whole sealed batches — and what
+// follows it there is space nothing wrote: recovery ends cleanly at it.
+// A batch whose seal never came, with the same bytes claimed durable, is
+// no clean end but a gap, and recovery refuses it.
 func TestRecoverTruncatedTailIsCleanEnd(t *testing.T) {
 	var lb logBuilder
 	pid := storage.MakePageID(1, 1)
 	up := logrec.UpdatePayload{Op: logrec.OpInsert, Slot: 0, After: []byte("ok")}
 	_, _ = lb.add(t, logrec.NewUpdate(1, lsn.Undefined, pid, up))
 	lb.add(t, logrec.NewCommit(1))
-	// Torn tail: half a record.
+	durable := len(lb.log())
+	// Torn tail: half a record of a batch never sealed.
 	partial, _ := logrec.NewCommit(2).Encode()
 	lb.buf = append(lb.buf, partial[:len(partial)/2]...)
 
+	// What the device hands recovery: the bytes up to its watermark, then
+	// the zeros its open leaves past it.
 	st := storage.NewStore()
-	res, err := Recover(Options{Log: lb.buf, Store: st})
+	image := append(append([]byte(nil), lb.buf[:durable]...), make([]byte, len(partial))...)
+	res, err := Recover(Options{Log: image, Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Winners) != 1 {
 		t.Fatalf("winners: %v", res.Winners)
+	}
+	if _, err := Recover(Options{Log: lb.buf, Store: storage.NewStore()}); !errors.Is(err, logrec.ErrBadSeal) {
+		t.Fatalf("recovery over an unsealed batch claimed durable: %v, want ErrBadSeal", err)
 	}
 }
 
@@ -259,10 +283,10 @@ func TestRecoverIdempotent(t *testing.T) {
 	lb.add(t, logrec.NewCommit(1))
 
 	st := storage.NewStore()
-	if _, err := Recover(Options{Log: lb.buf, Store: st}); err != nil {
+	if _, err := Recover(Options{Log: lb.log(), Store: st}); err != nil {
 		t.Fatal(err)
 	}
-	res2, err := Recover(Options{Log: lb.buf, Store: st})
+	res2, err := Recover(Options{Log: lb.log(), Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +315,7 @@ func TestRecoverMultipleLosersInterleaved(t *testing.T) {
 		logrec.Splice(nil, 0, []byte("b1"), []byte("b2"))))
 
 	st := storage.NewStore()
-	res, err := Recover(Options{Log: lb.buf, Store: st})
+	res, err := Recover(Options{Log: lb.log(), Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,5 +327,43 @@ func TestRecoverMultipleLosersInterleaved(t *testing.T) {
 	}
 	if _, err := mustPage(t, st, p2).Get(0); err == nil {
 		t.Fatal("loser 11 insert survived")
+	}
+}
+
+// TestNothingPastABadSealIsReplayed: a batch whose seal fails ends what
+// the merge reads — a pass from any position stops before it, and the
+// random access undo makes refuses an address in it — and recovery
+// reports it before it touches a page.
+func TestNothingPastABadSealIsReplayed(t *testing.T) {
+	var lb logBuilder
+	pid := storage.MakePageID(1, 1)
+	_, _ = lb.add(t, logrec.NewUpdate(1, lsn.Undefined, pid, logrec.UpdatePayload{Op: logrec.OpInsert, Slot: 0, After: []byte("ok")}))
+	lb.add(t, logrec.NewCommit(1))
+	good := len(lb.log())
+	loser, _ := lb.add(t, logrec.NewUpdate(2, lsn.Undefined, pid, logrec.UpdatePayload{Op: logrec.OpInsert, Slot: 1, After: []byte("rot")}))
+	image := lb.log()
+	image[len(image)-1] ^= 0x40 // the second batch's seal: its CRC
+
+	m := NewLaneMerge([]Lane{{Log: image}})
+	if err := m.Err(); !errors.Is(err, logrec.ErrBadSeal) {
+		t.Fatalf("merge over a bad seal: %v, want ErrBadSeal", err)
+	}
+	if _, err := m.At(0, loser); err == nil {
+		t.Fatalf("At(%v), in the batch whose seal failed, read a record", loser)
+	}
+	for _, from := range []uint64{0, uint64(loser)} {
+		m.From(from)
+		for mr, ok := m.Next(); ok; mr, ok = m.Next() {
+			if int(mr.Rec.LSN) >= good {
+				t.Fatalf("From(%d) yielded the record at %v, past the last good seal at %d", from, mr.Rec.LSN, good)
+			}
+		}
+	}
+	st := storage.NewStore()
+	if _, err := Recover(Options{Log: image, Store: st}); !errors.Is(err, logrec.ErrBadSeal) {
+		t.Fatalf("recovery over a bad seal: %v, want ErrBadSeal", err)
+	}
+	if ids := st.PageIDs(); len(ids) != 0 {
+		t.Fatalf("recovery refused the log but touched pages %v", ids)
 	}
 }

@@ -681,7 +681,8 @@ func TestCrashRecoveryMixedSpliceChain(t *testing.T) {
 		} {
 			t.Run(cut.name, func(t *testing.T) {
 				// The crashed machine: every other lane whole, the loser's
-				// cut at a record boundary, no page ever written back.
+				// cut at a record boundary as if a flush had ended there,
+				// no page ever written back.
 				hc := &harness{fs: vfs.NewFaultFS(1)}
 				hc.openFiles(t, len(h.devs))
 				for i, d := range h.devs {
@@ -690,7 +691,7 @@ func TestCrashRecoveryMixedSpliceChain(t *testing.T) {
 						t.Fatal(err)
 					}
 					if i == lane {
-						img = img[:cut.at]
+						img = sealedCut(t, img, cut.at)
 					}
 					if _, err := hc.devs[i].Append(img); err != nil {
 						t.Fatal(err)
@@ -732,4 +733,23 @@ func TestCrashRecoveryMixedSpliceChain(t *testing.T) {
 			})
 		}
 	})
+}
+
+// sealedCut returns a lane's log, from offset 0, cut at at, a record
+// boundary, with the batch it ends in sealed anew: what a crash right
+// after a flush that ended there would leave.
+func sealedCut(t *testing.T, tail []byte, at int) []byte {
+	t.Helper()
+	it := logrec.NewIterator(tail, 0)
+	batch, end := 0, 0
+	for rec, ok := it.Next(); ok && int(rec.LSN) < at; rec, ok = it.Next() {
+		batch, end = int(it.Batch()), int(rec.LSN)+int(rec.TotalLen)
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if end < at { // a seal lies between the last record and the cut
+		return tail[:at]
+	}
+	return logrec.AppendSeal(tail[:at:at], batch)
 }

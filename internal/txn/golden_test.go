@@ -4,29 +4,38 @@ import (
 	"encoding/hex"
 	"os"
 	"testing"
+	"time"
 
+	"aether/internal/core"
 	"aether/internal/logrec"
 )
 
 // oneLaneLogGolden holds, as a hex dump, the log goldenScript leaves
-// behind: record format 7 (a varint length, compact header, no
-// back-pointer on any record but a kind-byte bit on a transaction's
-// first, an update's changed bytes logged once as before ⊕ after,
-// insert and delete rows without their zero tail, a CLR's undo-next
-// stored plus one), 439 bytes, where the same script wrote 456 in format
-// 6, 475 in format 5, 577 in format 4, 648 in format 3 and 2 065 in
-// format 2. A one-lane log must stay byte-identical to it: same
-// records, same addresses, no sequence stamps. A failure prints the dump
-// to paste here — after reading the diff: every changed byte is a format
-// change.
+// behind: record format 8 (a varint length and no checksum, compact
+// header, no back-pointer on any record but a kind-byte bit on a
+// transaction's first, an update's changed bytes logged once as before ⊕
+// after, insert and delete rows without their zero tail, a CLR's
+// undo-next stored plus one, each flush's batch closed by a seal), 386
+// bytes, where the same script wrote 439 in format 7, 456 in format 6,
+// 475 in format 5, 577 in format 4, 648 in format 3 and 2 065 in format
+// 2. A one-lane log must stay byte-identical to it: same records, same
+// addresses, no sequence stamps. A failure prints the dump to paste here
+// — after reading the diff: every changed byte is a format change.
 const oneLaneLogGolden = "testdata/one_lane_log.golden"
+
+// goldenLogConfig is the harness's log with a flush daemon that flushes
+// only when a commit waits or somebody asks.
+var goldenLogConfig = core.Config{Buffer: harnessLogConfig.Buffer, FlushInterval: time.Hour}
 
 // goldenScript is a fixed single-agent history touching every record
 // kind the engine writes: inserts, updates, one commit in each mode, an
 // abort with CLRs, and a checkpoint that names an active transaction. It
 // waits out every background completion before the checkpoint, so the
 // checkpoint's tables — and with them every byte — are the same on every
-// run.
+// run. It flushes the log itself after a detached commit, so it runs
+// under goldenLogConfig, whose daemon flushes only when asked: a flush
+// seals its batch, and where the seals fall must not be the timer's
+// choice.
 func goldenScript(t *testing.T, eng *Engine) {
 	t.Helper()
 	quiesce := func() {
@@ -61,6 +70,7 @@ func goldenScript(t *testing.T, eng *Engine) {
 		if err := tx.Commit(mode, func(err error) { done <- err }); err != nil {
 			t.Fatal(err)
 		}
+		eng.Log().Flush()
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +109,7 @@ func goldenScript(t *testing.T, eng *Engine) {
 // writes: the coordinator in front of the log must cost it nothing that
 // shows in the log.
 func TestOneLaneLogGoldenBytes(t *testing.T) {
-	h := newHarness(t)
+	h := newHarnessN(t, 1, goldenLogConfig)
 	goldenScript(t, h.eng)
 	// The script's checkpoint truncates the log; read it from byte 0,
 	// below the truncation base, which the live segment still holds.

@@ -81,18 +81,26 @@ func (l *lane) attachColdStore(store logdev.ObjectStore, i, n int) error {
 	return nil
 }
 
-// copyLog writes the lane's history from offset from through stamp at
-// — the cold store stitched to the device (Segmented.RestoreLog), cut as
-// a crash at at would have cut it (cutAt) — into a new log in dir on fs.
+// errHistoryGone is copyLog's refusal when neither the cold store nor
+// the device holds the lane's history back to where the copy must start
+// — an archive that never had it, or a prune that deleted it while the
+// restore ran.
+var errHistoryGone = errors.New("archive incomplete")
+
+// copyLog writes the lane's history from offset from — a snapshot's
+// low-water mark, a base the lane once had, so a batch's start — through
+// stamp at — the cold store stitched to the device (Segmented.RestoreLog),
+// cut and sealed as a crash at at would have left it (cutAt) — into a new
+// log in dir on fs.
 func (l *lane) copyLog(fs vfs.FS, dir string, from int64, at uint64, lanes int) error {
 	data, start, err := l.seg.RestoreLog(l.remote, from)
 	if err == nil && start > from {
-		err = fmt.Errorf("history reaches back to %d, need %d (archive incomplete)", start, from)
+		err = fmt.Errorf("history reaches back to %d, need %d (%w)", start, from, errHistoryGone)
 	}
 	if err != nil {
 		return err
 	}
-	cut, err := cutAt(data, uint64(from), at, lanes)
+	kept, err := cutAt(data, uint64(from), at, lanes)
 	if err != nil {
 		return err
 	}
@@ -100,7 +108,7 @@ func (l *lane) copyLog(fs vfs.FS, dir string, from int64, at uint64, lanes int) 
 	if err != nil {
 		return err
 	}
-	if _, err = seg.Append(data[:cut]); err == nil {
+	if _, err = seg.Append(kept); err == nil {
 		err = seg.Sync()
 	}
 	return errors.Join(err, seg.Close())

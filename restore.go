@@ -146,25 +146,51 @@ func (db *DB) RestoreTo(at int64) (*RestoredDB, error) {
 		}
 		return m, err
 	}
+	// belowFloor reads the retention floor and refuses at below it.
+	belowFloor := func() (uint64, error) {
+		f, err := db.snaps.Floor()
+		if err != nil {
+			return 0, fmt.Errorf("aether: RestoreTo(%d): reading retention floor: %w", at, err)
+		}
+		if uint64(at) < f {
+			return f, fmt.Errorf("%w: target %d, floor %d", ErrRestorePruned, at, f)
+		}
+		return f, nil
+	}
 	if db.snaps != nil {
-		if floor, err := db.snaps.Floor(); err != nil {
-			return nil, fmt.Errorf("aether: RestoreTo(%d): reading retention floor: %w", at, err)
-		} else if uint64(at) < floor {
-			return nil, fmt.Errorf("%w: target %d, floor %d", ErrRestorePruned, at, floor)
+		if _, err := belowFloor(); err != nil {
+			return nil, err
 		}
 	}
-	for snap, err := newest(uint64(at)); ; snap, err = newest(snap.At - 1) {
+	retried := false
+	for snap, err := newest(uint64(at)); ; {
 		if err != nil {
 			return nil, fmt.Errorf("aether: RestoreTo(%d): reading snapshots: %w", at, err)
 		}
-		r, err := db.restore(snap, uint64(at))
-		if snap != genesis && errors.Is(err, logdev.ErrBadObject) && !errors.Is(err, logdev.ErrFormat) {
-			continue // a torn or missing images object makes its snapshot absent
+		r, rerr := db.restore(snap, uint64(at))
+		switch {
+		case rerr == nil:
+			return r, nil
+		case errors.Is(rerr, errHistoryGone) && db.snaps != nil:
+			// A prune that ran since the floor was read deleted history
+			// this snapshot needs. Below the floor it now has, the target
+			// is gone; above it, the newest snapshot at or below the
+			// target is retained whole, so one retry from there is enough
+			// unless yet another prune overtakes it.
+			f, ferr := belowFloor()
+			if ferr != nil {
+				return nil, ferr
+			}
+			if snap, err = newest(uint64(at)); retried || err == nil && snap.At < f {
+				return nil, fmt.Errorf("%w: target %d, floor %d", ErrRestorePruned, at, f)
+			}
+			retried = true
+		case snap != genesis && errors.Is(rerr, logdev.ErrBadObject) && !errors.Is(rerr, logdev.ErrFormat):
+			// A torn or missing images object makes its snapshot absent.
+			snap, err = newest(snap.At - 1)
+		default:
+			return nil, fmt.Errorf("aether: RestoreTo(%d): %w", at, rerr)
 		}
-		if err != nil {
-			return nil, fmt.Errorf("aether: RestoreTo(%d): %w", at, err)
-		}
-		return r, nil
 	}
 }
 
@@ -245,13 +271,15 @@ func (db *DB) materialize(snap *logdev.Manifest, rdb *DB) (err error) {
 	return nil
 }
 
-// cutAt returns how many of data's bytes — a lane's log from offset
-// base — hold the records stamped at or below at: the lane as a crash at
-// at would have left it. One lane's stamp is a record's end offset, N
+// cutAt returns data — a lane's log from offset base, which starts a
+// batch — cut as a crash at at would have left it: the records stamped at
+// or below at, the batch they end in sealed anew (a cut inside a batch
+// keeps only part of what its seal vouched for, and a cut at its end
+// keeps the seal it had). One lane's stamp is a record's end offset, N
 // lanes' its global seq; either rises along a lane.
-func cutAt(data []byte, base, at uint64, lanes int) (int, error) {
+func cutAt(data []byte, base, at uint64, lanes int) ([]byte, error) {
 	it := logrec.NewIterator(data, lsn.LSN(base))
-	cut := 0
+	cut, batch := 0, 0
 	for {
 		rec, ok := it.Next()
 		if !ok {
@@ -263,11 +291,17 @@ func cutAt(data []byte, base, at uint64, lanes int) (int, error) {
 			stamp = base + uint64(end)
 		}
 		if stamp > at {
-			return cut, nil
+			break
 		}
-		cut = end
+		cut, batch = end, int(uint64(it.Batch())-base)
 	}
-	return cut, it.Err()
+	if err := it.Err(); err != nil {
+		return nil, err
+	}
+	if cut == batch {
+		return data[:cut], nil
+	}
+	return logrec.AppendSeal(data[:cut:cut], batch), nil
 }
 
 // scratch numbers this process's scratch directories and holds those of

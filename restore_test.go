@@ -5,10 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"aether/internal/logdev"
+	"aether/internal/logrec"
 	"aether/internal/vfs"
 )
 
@@ -444,5 +448,130 @@ func TestRestoreScratchSweptOnOpen(t *testing.T) {
 	}
 	if exists(held) {
 		t.Fatalf("RestoredDB.Close left %s", held)
+	}
+}
+
+// pruneOnSegmentGet is a cold store whose first GET of a segment object,
+// once armed, runs prune before it answers: a retention pass that lands
+// while a restore copies the log.
+type pruneOnSegmentGet struct {
+	ObjectStore
+	armed atomic.Bool
+	once  sync.Once
+	prune func()
+}
+
+func (s *pruneOnSegmentGet) Get(key string) ([]byte, error) {
+	if s.armed.Load() && strings.HasPrefix(key, "seg/") {
+		s.once.Do(s.prune)
+	}
+	return s.ObjectStore.Get(key)
+}
+
+// TestRestoreRacingPruneIsTyped: a restore reads the floor, picks the
+// newest snapshot at or below its target and copies the lane's log from
+// that snapshot's low-water mark; a prune that advances the floor past
+// the target meanwhile deletes the segment objects the copy needs. The
+// restore then reports what happened — ErrRestorePruned, with the target
+// and the floor it saw — not the copy's untyped refusal.
+func TestRestoreRacingPruneIsTyped(t *testing.T) {
+	store := &pruneOnSegmentGet{ObjectStore: NewMemObjectStore()}
+	db, err := Open(Options{RemoteStore: store, SegmentSize: 4096, SnapshotEveryBytes: 4096, Mode: CommitSync})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl, err := db.CreateTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Checkpoint until the cold tier has taken snapshots enough for a
+	// prune to a single one to leave the target below the floor and its
+	// snapshot's segment objects deleted.
+	snapshots := func(n int64) {
+		deadline := time.Now().Add(10 * time.Second)
+		for k := uint64(1); db.Stats().LogSnapshots < n; k += 20 {
+			if time.Now().After(deadline) {
+				t.Fatalf("the cold tier took %d snapshots, want %d", db.Stats().LogSnapshots, n)
+			}
+			writeRows(t, db, tbl, 1000*uint64(n)+k, 1000*uint64(n)+k+20)
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	snapshots(1)
+	target := db.RestorePoint()
+	snapshots(4)
+	if db.Stats().LogSegmentsArchived == 0 {
+		t.Fatal("test invalid: no segment was archived")
+	}
+	var pruned atomic.Bool
+	store.prune = func() {
+		pruned.Store(true)
+		if _, _, err := db.snaps.Prune(1); err != nil {
+			t.Error(err)
+		}
+	}
+	store.armed.Store(true)
+	r, err := db.RestoreTo(target)
+	if !pruned.Load() {
+		t.Fatalf("RestoreTo(%d) read no segment object: %v", target, err)
+	}
+	if err == nil {
+		r.Close()
+		t.Fatalf("RestoreTo(%d) succeeded after a prune to one snapshot deleted its history", target)
+	}
+	if !errors.Is(err, ErrRestorePruned) {
+		t.Fatalf("RestoreTo(%d) racing a prune: %v, want ErrRestorePruned", target, err)
+	}
+	if floor := db.Stats().RestoreFloor; floor <= target || !strings.Contains(err.Error(), fmt.Sprintf("floor %d", floor)) {
+		t.Fatalf("RestoreTo(%d): %v, want it to name the floor %d", target, err, floor)
+	}
+}
+
+// TestCutAtSealsWhatItKeeps: a restore that stops inside a batch keeps
+// only part of what the batch's seal vouched for, so it seals what it
+// keeps; one that stops at a batch's end keeps the seal the batch had.
+// Either way the copy's seals vouch for every byte of it.
+func TestCutAtSealsWhatItKeeps(t *testing.T) {
+	const base = 4096
+	var data []byte
+	var ends []int // each record's end, in data
+	batch := func(recs ...*logrec.Record) {
+		from := len(data)
+		for _, rec := range recs {
+			b, err := rec.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			data = append(data, b...)
+			ends = append(ends, len(data))
+		}
+		data = logrec.AppendSeal(data, from)
+	}
+	batch(logrec.NewCommit(1), logrec.NewCommit(2))
+	first := len(data)
+	batch(logrec.NewCommit(3), logrec.NewCommit(4), logrec.NewCommit(5))
+	for i, end := range ends {
+		kept, err := cutAt(data, base, uint64(base+end), 1)
+		if err != nil {
+			t.Fatalf("cut after record %d: %v", i, err)
+		}
+		if n, err := logrec.Verify(kept, base); n != len(kept) || err != nil {
+			t.Fatalf("cut after record %d: the seals vouch for %d of %d kept bytes: %v", i, n, len(kept), err)
+		}
+		start, sealEnd := 0, first // the batch the record is in
+		if i > 1 {
+			start, sealEnd = first, len(data)
+		}
+		if i == 1 || i == 4 { // a batch's last record: its own seal stays
+			if !bytes.Equal(kept, data[:sealEnd]) {
+				t.Fatalf("cut at the end of a batch kept %d bytes, want the %d through its seal", len(kept), sealEnd)
+			}
+		} else if !bytes.Equal(kept[:end], data[:end]) || len(kept) != end+logrec.SealSize(end-start) {
+			t.Fatalf("cut after record %d kept %d bytes, want its %d and a seal of the batch's part", i, len(kept), end)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"aether/internal/logdev"
+	"aether/internal/logrec"
 	"aether/internal/lsn"
 	"aether/internal/storage"
 	"aether/internal/vfs"
@@ -226,11 +227,12 @@ func TestRestoreRollsBackInflight(t *testing.T) {
 				{after, restoreModel{1: []byte("one"), 2: []byte("two")}},
 			}
 			if n == 1 {
-				// One byte short of the end of t2's commit record.
+				// One byte short of the end of t2's commit record (the
+				// seal of its flush follows it).
 				cases = append(cases, struct {
 					at   int64
 					want restoreModel
-				}{before - 1, restoreModel{}})
+				}{lastRecordEnd(t, db, before) - 1, restoreModel{}})
 			}
 			for _, c := range cases {
 				r, err := db.RestoreTo(c.at)
@@ -243,6 +245,28 @@ func TestRestoreRollsBackInflight(t *testing.T) {
 			}
 		})
 	}
+}
+
+// lastRecordEnd returns the end of the last record on a one-lane
+// database's log that ends at or below point: a restore point taken
+// after a flush is that flush's seal's end, past its last record.
+func lastRecordEnd(t *testing.T, db *DB, point int64) int64 {
+	t.Helper()
+	data, base, err := logdev.ReadTail(db.lanes[0].seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := base
+	it := logrec.NewIterator(data, lsn.LSN(base))
+	for rec, ok := it.Next(); ok; rec, ok = it.Next() {
+		if e := int64(rec.LSN) + int64(rec.TotalLen); e <= point {
+			end = e
+		}
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return end
 }
 
 // TestRestoreAnalysisStartsAtSnapshotCheckpoint: a restore's log runs
