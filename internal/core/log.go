@@ -88,9 +88,6 @@ type Stats struct {
 	Inserts metrics.Counter
 	// InsertBytes counts bytes appended, seals included.
 	InsertBytes metrics.Counter
-	// Seals counts the seals inserted (seal.go): one per flush that
-	// hardened new records, plus one per N-lane edge record.
-	Seals metrics.Counter
 	// Flushes counts device sync operations performed by the daemon.
 	Flushes metrics.Counter
 	// FlushBytes counts bytes made durable.
@@ -641,15 +638,15 @@ func (lm *LogManager) flushOnce(timed bool) {
 		for lm.rd.Released() < last {
 			runtime.Gosched()
 		}
-		end = last
 		// The flush clamp may hold back the tail of the sealed region
 		// (an inter-log dependency edge not yet durable). The held bytes
 		// stay pending; the coordinator pokes the daemon when the edge
 		// clears.
+		limit := last
 		if lm.limit != nil {
-			end = max(min(lm.limit(start, end), end), start)
+			limit = max(min(lm.limit(start, last), last), start)
 		}
-		end = lm.sealedEnd(start, end)
+		end = lm.sealedEnd(start, limit, last)
 		pendingBytes = int(end.Sub(start))
 	}
 
@@ -697,11 +694,12 @@ func (lm *LogManager) flushOnce(timed bool) {
 	lm.completeWaiters()
 }
 
-// sealedEnd returns how far a flush of [start, end) hardens: the end of
-// the newest pending seal at or below end (start if there is none),
+// sealedEnd returns how far a flush of the released log [start,
+// released) clamped at limit hardens: the end of the newest pending seal
+// it may harden through (sealBook.hardenable; start if there is none),
 // leaving in lm.sealing the seals of [start, that end) for finishSeals.
-func (lm *LogManager) sealedEnd(start, end lsn.LSN) lsn.LSN {
-	lm.sealing = lm.seals.hardenable(lm.sealing[:0], end)
+func (lm *LogManager) sealedEnd(start, limit, released lsn.LSN) lsn.LSN {
+	lm.sealing = lm.seals.hardenable(lm.sealing[:0], limit, released)
 	if n := len(lm.sealing); n > 0 {
 		return lm.sealing[n-1].end
 	}

@@ -324,7 +324,8 @@ func (ml *MultiLog) Append(part int, rec *logrec.Record) (at, end lsn.LSN, seq u
 					// daemon must not see the new record before its
 					// edge (appendMu means ours is the only in-flight
 					// append here; a seal the daemon inserts meanwhile
-					// lies past the hold, which only holds it back).
+					// starts at or past the hold and holds no record,
+					// so a flush may harden one that starts at it).
 					p.holdActive = true
 					p.hold = p.lm.AppendEnd()
 				}

@@ -6,9 +6,9 @@
 // path like any record, so it takes an address in the lane's stream:
 //
 //   - the daemon seals everything inserted so far at the start of each
-//     flush, and hardens to the newest seal the release has reached and
-//     its clamp allows — so every durable end, and every base Truncate
-//     leaves, is a seal's end, where a batch starts;
+//     flush, and hardens to the newest seal the release has reached that
+//     starts at or below its clamp — so every durable end, and every base
+//     Truncate leaves, is a seal's end, where a batch starts;
 //   - on N >= 2 lanes, an append that must wait on an inter-log edge
 //     first seals what precedes it, so a flush clamped at that record can
 //     still harden everything before it (the progress argument of
@@ -51,19 +51,25 @@ type sealer struct {
 	lm    *LogManager
 	ins   *logbuf.Inserter
 	buf   [logrec.MaxSealSize]byte
-	build func(lsn.LSN) []byte // encode, bound once so a seal allocates nothing
+	empty func(lsn.LSN) bool   // sealed, bound once so a seal allocates nothing
+	build func(lsn.LSN) []byte // encode, likewise
 }
 
 func newSealer(lm *LogManager, ins *logbuf.Inserter) *sealer {
 	s := &sealer{lm: lm, ins: ins}
-	s.build = s.encode
+	s.empty, s.build = s.sealed, s.encode
 	return s
 }
 
 // seal closes everything inserted on the lane so far with a seal, unless
 // the newest record already is one, and returns the newest seal's end.
+//
+// The daemon's seal never waits for ring space: every other insert
+// leaves ReaderRoom bytes free, so while anything is unsealed the room
+// is there, and when nothing is — a pass clamped below its own seal left
+// that seal in the room — there is nothing to insert.
 func (s *sealer) seal() (lsn.LSN, error) {
-	if _, err := s.ins.InsertAt(logrec.MaxSealSize, s.build); err != nil {
+	if _, err := s.ins.InsertAt(logrec.MaxSealSize, s.empty, s.build); err != nil {
 		return 0, err
 	}
 	b := &s.lm.seals
@@ -72,33 +78,40 @@ func (s *sealer) seal() (lsn.LSN, error) {
 	return b.last, nil
 }
 
-// encode builds the seal for address at; it runs under the buffer's
-// mutex, so the seal is in the book before any flush can reach it. Its
-// CRC is left zero for the daemon to finish.
+// sealed reports whether the newest record before at is a seal, under the
+// buffer's mutex: then there is nothing to seal.
+func (s *sealer) sealed(at lsn.LSN) bool {
+	b := &s.lm.seals
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return at == b.last
+}
+
+// encode builds the seal for address at, past at least one unsealed
+// byte; it runs under the buffer's mutex, so the seal is in the book
+// before any flush can reach it. Its CRC is left zero for the daemon to
+// finish.
 func (s *sealer) encode(at lsn.LSN) []byte {
 	b := &s.lm.seals
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	n := int(at.Sub(b.last))
-	if n == 0 {
-		return nil
-	}
-	k := logrec.PutSeal(s.buf[:], n, 0)
+	k := logrec.PutSeal(s.buf[:], int(at.Sub(b.last)), 0)
 	b.last = at.Add(k)
 	b.pending = append(b.pending, sealMark{at: at, end: b.last})
-	s.lm.stats.Seals.Inc()
 	s.lm.stats.InsertBytes.Add(int64(k))
 	return s.buf[:k]
 }
 
-// hardenable copies into dst the pending seals that end at or below
-// limit and returns them: the newest one's end is how far a flush may
-// harden.
-func (b *sealBook) hardenable(dst []sealMark, limit lsn.LSN) []sealMark {
+// hardenable copies into dst the pending seals a flush may harden through
+// and returns them: those that end at or below released and start at or
+// below limit, the flush clamp. A seal holds no record, so one that starts
+// at the clamp hardens nothing the clamp holds back. The newest one's end
+// is how far the flush hardens.
+func (b *sealBook) hardenable(dst []sealMark, limit, released lsn.LSN) []sealMark {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for _, m := range b.pending {
-		if m.end > limit {
+		if m.at > limit || m.end > released {
 			break
 		}
 		dst = append(dst, m)
@@ -132,11 +145,13 @@ func finishSeals(batch []byte, start lsn.LSN, seals []sealMark) {
 
 // sealEnds is a bounded list of hardened seals, ascending, the base
 // always first and the newest always last: where Truncate may cut the
-// log, so a lane's base is always a batch's start. When it fills it keeps
-// every other seal, the base among them, and from then on records a new
-// one only gap bytes past the one before the newest (else the newest
-// moves up), doubling gap each time — so a cut lands at most a few
-// percent of the live log below its target.
+// log, so a lane's base is always a batch's start. A new seal is recorded
+// only gap bytes past the one before the newest (else the newest moves
+// up). When the list fills it keeps every other seal, the base among
+// them, and doubles gap; when a cut drops seals, gap is set anew from the
+// live log they leave, a 1/maxSealEnds share of it. So a cut lands a few
+// percent of the live log below its target, the live log of now rather
+// than the largest there ever was.
 type sealEnds struct {
 	seals []sealMark
 	gap   uint64
@@ -181,6 +196,10 @@ func (e *sealEnds) floor(at lsn.LSN) lsn.LSN {
 	for i+1 < len(e.seals) && e.seals[i+1].at <= at {
 		i++
 	}
-	e.seals = append(e.seals[:0], e.seals[i:]...)
+	if i > 0 {
+		e.seals = append(e.seals[:0], e.seals[i:]...)
+		live := uint64(e.seals[len(e.seals)-1].end.Sub(e.seals[0].end))
+		e.gap = max(1, live/maxSealEnds)
+	}
 	return e.seals[0].end
 }

@@ -35,6 +35,7 @@ package logbuf
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"aether/internal/lsn"
 	"aether/internal/metrics"
@@ -173,6 +174,9 @@ type Buffer struct {
 	mu   spinLock
 	next lsn.LSN
 	q    relQueue
+	// waiting is raised while an ordinary insert waits for ring space
+	// (waitForRoom): later ordinary inserts queue behind it.
+	waiting atomic.Bool
 }
 
 // New builds a log buffer with the chosen variant.

@@ -105,11 +105,14 @@ func (ins *Inserter) place(p []byte, pt *probeTimer) lsn.LSN {
 // InsertAt is Insert for a record whose bytes depend on the address it
 // gets, such as a seal, whose length field is the distance to the
 // previous one: build runs once, under the buffer's mutex, with that
-// address, and returns the encoded record, at most max bytes, or nothing
-// to insert nothing. It must be quick and must not insert. The record
-// never joins a consolidation group (its size is not known before it has
-// an address); otherwise it takes Insert's path (place).
-func (ins *Inserter) InsertAt(max int, build func(at lsn.LSN) []byte) (lsn.LSN, error) {
+// address, and returns the encoded record, at most max bytes. It must be
+// quick and must not insert. empty, asked under the mutex too, reports
+// that there is nothing to insert at an address: InsertAt then returns it
+// at once and never waits for room, so a record that only closes what
+// came before it is not held up by a ring that holds nothing new. The
+// record never joins a consolidation group (its size is not known before
+// it has an address); otherwise it takes Insert's path (place).
+func (ins *Inserter) InsertAt(max int, empty func(at lsn.LSN) bool, build func(at lsn.LSN) []byte) (lsn.LSN, error) {
 	b := ins.b
 	if max > b.cfg.MaxGroup {
 		return 0, ErrRecordTooLarge
@@ -117,14 +120,12 @@ func (ins *Inserter) InsertAt(max int, build func(at lsn.LSN) []byte) (lsn.LSN, 
 	var pt probeTimer
 	pt.start(b.cfg.Breakdown)
 	b.mu.Lock()
-	b.waitForRoom(max, ins.room)
-	p := build(b.next)
-	if len(p) == 0 {
+	if !b.waitForRoom(max, ins.room, empty) {
 		at := b.next
 		b.mu.Unlock()
 		return at, nil
 	}
-	return ins.place(p, &pt), nil
+	return ins.place(build(b.next), &pt), nil
 }
 
 // insertGroup is consolidation-array backoff (Algorithm 2): the group's
@@ -168,7 +169,7 @@ func (ins *Inserter) insertGroup(p []byte, pt *probeTimer) lsn.LSN {
 // it drops the mutex before the fill; under delegated release it first
 // queues the region's release node, so queue order is LSN order.
 func (b *Buffer) reserve(n, room int) (start, end lsn.LSN, qn *relNode) {
-	b.waitForRoom(n, room)
+	b.waitForRoom(n, room, nil)
 	start = b.next
 	end = start.Add(n)
 	b.next = end
@@ -182,20 +183,47 @@ func (b *Buffer) reserve(n, room int) (start, end lsn.LSN, qn *relNode) {
 	return start, end, qn
 }
 
-// waitForRoom returns, with the mutex held as on entry, once the next n
-// bytes fit in the ring with room bytes to spare. It waits with the
-// mutex dropped: the reader may have to insert (Reader.Inserter) before
-// its next flush can free the space.
-func (b *Buffer) waitForRoom(n, room int) {
+// waitForRoom returns true, with the mutex held as on entry, once the
+// next n bytes fit in the ring with room bytes to spare — or false, as
+// soon as empty (if not nil) reports nothing to insert at the next
+// address. It waits with the mutex dropped, so the reader can insert
+// (Reader.Inserter) before its next flush frees the space. The first
+// ordinary insert that must wait raises b.waiting, and later ones queue
+// behind it until it has its room, as they would behind a mutex held
+// through the wait: a stream of small records cannot take, piece by
+// piece, the space a large one waits for. The reader's inserts (room 0)
+// never queue.
+func (b *Buffer) waitForRoom(n, room int, empty func(at lsn.LSN) bool) (fits bool) {
+	queued := false
 	for {
+		if empty != nil && empty(b.next) {
+			break
+		}
 		flushed := b.r.flushed.Load()
-		if b.r.fits(b.next.Add(n+room), flushed) {
-			return
+		first := room == 0 || queued || !b.waiting.Load()
+		if first && b.r.fits(b.next.Add(n+room), flushed) {
+			fits = true
+			break
+		}
+		if first && room != 0 {
+			queued = true
+			b.waiting.Store(true)
 		}
 		b.mu.Unlock()
-		b.r.waitForFlush(flushed)
+		if first {
+			b.r.waitForFlush(flushed)
+		} else {
+			var sp parkSpinner
+			for b.waiting.Load() {
+				sp.spin()
+			}
+		}
 		b.mu.Lock()
 	}
+	if queued {
+		b.waiting.Store(false)
+	}
+	return fits
 }
 
 // publish hands the filled region [start, end) to the flush daemon.

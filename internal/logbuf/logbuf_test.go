@@ -578,8 +578,9 @@ func TestBackpressure(t *testing.T) {
 			rd := b.Reader()
 			room := make([]byte, ReaderRoom)
 			room[0] = ReaderRoom - 1 // a well-formed frame, for the stream's sake
+			empty := func(lsn.LSN) bool { return false }
 			seal := func(at lsn.LSN) []byte { return room }
-			if at, err := rd.Inserter().InsertAt(ReaderRoom, seal); err != nil || at != lsn.LSN(4096-ReaderRoom) {
+			if at, err := rd.Inserter().InsertAt(ReaderRoom, empty, seal); err != nil || at != lsn.LSN(4096-ReaderRoom) {
 				t.Fatalf("the reader's insert into its room: at %v, %v", at, err)
 			}
 			if _, end := rd.Pending(); end != 4096 {
@@ -597,6 +598,59 @@ func TestBackpressure(t *testing.T) {
 			case <-done:
 			case <-time.After(2 * time.Second):
 				t.Fatal("insert stayed blocked after drain")
+			}
+		})
+	}
+}
+
+// TestWaitingInsertKeepsItsPlace: an insert that waits for ring space
+// keeps its place. A later, smaller insert that would fit in space freed
+// meanwhile waits behind it, so a stream of small records cannot take,
+// piece by piece, the space a large one waits for.
+func TestWaitingInsertKeepsItsPlace(t *testing.T) {
+	for _, v := range Variants {
+		t.Run(v.String(), func(t *testing.T) {
+			b, err := New(Config{Variant: v, Size: 4096, MaxGroup: 2048})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ins := b.NewInserter()
+			for i := 0; i < (4096-ReaderRoom)/256; i++ {
+				if _, err := ins.Insert(encodePayloadRecord(1, 256)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			insert := func(size int) <-chan lsn.LSN {
+				done := make(chan lsn.LSN, 1)
+				go func() {
+					at, err := b.NewInserter().Insert(encodePayloadRecord(2, size))
+					if err != nil {
+						t.Error(err)
+					}
+					done <- at
+				}()
+				return done
+			}
+			large := insert(1024)
+			deadline := time.Now().Add(5 * time.Second)
+			for !b.waiting.Load() {
+				if time.Now().After(deadline) {
+					t.Fatal("the large insert never waited for space")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			small := insert(64)
+			rd := b.Reader()
+			rd.MarkFlushed(256) // room for the small record, not the large
+			select {
+			case at := <-small:
+				t.Fatalf("a small insert went in at %v ahead of a large one waiting for space", at)
+			case <-time.After(50 * time.Millisecond):
+			}
+			_, end := rd.Pending()
+			rd.MarkFlushed(end)
+			if l, s := <-large, <-small; s < l {
+				t.Fatalf("the small insert went in at %v, before the large one waiting ahead of it (%v)", s, l)
 			}
 		})
 	}

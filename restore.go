@@ -273,10 +273,11 @@ func (db *DB) materialize(snap *logdev.Manifest, rdb *DB) (err error) {
 
 // cutAt returns data — a lane's log from offset base, which starts a
 // batch — cut as a crash at at would have left it: the records stamped at
-// or below at, the batch they end in sealed anew (a cut inside a batch
-// keeps only part of what its seal vouched for, and a cut at its end
-// keeps the seal it had). One lane's stamp is a record's end offset, N
-// lanes' its global seq; either rises along a lane.
+// or below at, and the seal of the batch they end in. A cut at a batch's
+// end keeps the seal the batch had; a cut inside one keeps only part of
+// what that seal vouched for, so it seals what it keeps, in place: data
+// past the cut is overwritten. One lane's stamp is a record's end offset,
+// N lanes' its global seq; either rises along a lane.
 func cutAt(data []byte, base, at uint64, lanes int) ([]byte, error) {
 	it := logrec.NewIterator(data, lsn.LSN(base))
 	cut, batch := 0, 0
@@ -301,7 +302,11 @@ func cutAt(data []byte, base, at uint64, lanes int) ([]byte, error) {
 	if cut == batch {
 		return data[:cut], nil
 	}
-	return logrec.AppendSeal(data[:cut:cut], batch), nil
+	// The iterator checked the batch's seal before it yielded the batch.
+	if seal, n, err := logrec.Decode(data[cut:]); err == nil && seal.IsSeal() && seal.Aux == uint64(cut-batch) {
+		return data[:cut+n], nil
+	}
+	return logrec.AppendSeal(data[:cut], batch), nil
 }
 
 // scratch numbers this process's scratch directories and holds those of

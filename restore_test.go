@@ -555,9 +555,13 @@ func TestCutAtSealsWhatItKeeps(t *testing.T) {
 	first := len(data)
 	batch(logrec.NewCommit(3), logrec.NewCommit(4), logrec.NewCommit(5))
 	for i, end := range ends {
-		kept, err := cutAt(data, base, uint64(base+end), 1)
+		in := bytes.Clone(data) // cutAt seals in place
+		kept, err := cutAt(in, base, uint64(base+end), 1)
 		if err != nil {
 			t.Fatalf("cut after record %d: %v", i, err)
+		}
+		if &kept[0] != &in[0] {
+			t.Fatalf("cut after record %d copied the log it keeps", i)
 		}
 		if n, err := logrec.Verify(kept, base); n != len(kept) || err != nil {
 			t.Fatalf("cut after record %d: the seals vouch for %d of %d kept bytes: %v", i, n, len(kept), err)
