@@ -61,7 +61,11 @@ lock-race:
 # replayed one way, by restart (a restore is a restart that stops): no Go
 # file, tests included, calls recovery's redo or compensate outside
 # internal/recovery/recovery.go, or recovery.NewLaneMerge outside
-# internal/recovery and cmd/logdump. And a frame enters the buffer pool
+# internal/recovery and cmd/logdump. And a transaction's slot is mapped
+# back to its ID one way, by recovery's lane merge: non-test Go outside
+# internal/logrec and internal/recovery/lanemerge.go neither indexes a
+# table by a slot (a record's .Slot) nor assigns a record's TxnID. And a
+# frame enters the buffer pool
 # one way, storage's install: non-test Go under internal/storage holds
 # exactly one assignment into a shard's page map. And the log device keeps
 # one set of segment files, live and dead alike, and recycles the dead
@@ -93,6 +97,9 @@ vet:
 	bad="$$(grep -HnE '\b(redo|compensate)\(' $$gofiles | grep -vE '^\./internal/recovery/recovery\.go:'; \
 		grep -HnE '\bNewLaneMerge\(' $$gofiles | grep -vE '^\./(internal/recovery|cmd/logdump)/')"; \
 	if [ -n "$$bad" ]; then echo "the log is replayed one way, by restart (a restore is a restart that stops):"; echo "$$bad"; exit 1; fi
+	@bad="$$(grep -HnE '\[[^]]*\.Slot\]|\.TxnID[[:space:]]*=[^=]' \
+		$$(find . -path './.*' -prune -o -name '*.go' ! -name '*_test.go' ! -path './internal/logrec/*' ! -path './internal/recovery/lanemerge.go' -print))"; \
+	if [ -n "$$bad" ]; then echo "a slot is resolved one way, by recovery's lane merge (internal/recovery/lanemerge.go):"; echo "$$bad"; exit 1; fi
 	@hits="$$(grep -HnE '\.pages\[[^]]*\][[:space:]]*=[^=]' $$(find internal/storage -name '*.go' ! -name '*_test.go'))"; \
 	if [ "$$(printf '%s\n' "$$hits" | grep -c .)" -ne 1 ]; then echo "a frame enters the buffer pool one way, storage's install (one assignment into a shard's page map):"; echo "$$hits"; exit 1; fi
 	@hits="$$(grep -HnE '^[[:space:]]+[A-Za-z_][A-Za-z0-9_]*([[:space:]]*,[[:space:]]*[A-Za-z_][A-Za-z0-9_]*)*[[:space:]]+map\[int64\]\*fileSegment\b' \
@@ -233,7 +240,9 @@ soak-race-long:
 # round-trip asymmetrically, no slot may be admitted over bytes that do
 # not match its data CRC, and no record may have two spellings; the
 # sealed record stream, where no changed or missing byte may let a record
-# of a batch whose seal fails through; and the
+# of a batch whose seal fails through; the slot resolver, which must name
+# every record's true transaction over random agent histories, truncated
+# bases and lost lane tails, on one lane and three; and the
 # fault filesystem, which keeps one image per file, must recover every
 # file as the two-image model in its tests does. Ten seconds
 # per target is enough to exercise the mutation corpus on every CI pass
@@ -248,6 +257,7 @@ fuzz-smoke:
 	$(GO) test ./internal/logdev -run '^$$' -fuzz '^FuzzSegmentHeader$$' -fuzztime 10s
 	$(GO) test ./internal/logrec -run '^$$' -fuzz '^FuzzRecordDecode$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/logrec -run '^$$' -fuzz '^FuzzSealedStream$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/recovery -run '^$$' -fuzz '^FuzzSlotResolve$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/vfs -run '^$$' -fuzz '^FuzzFaultFSModel$$' -fuzztime 10s
 
 # The last step fails if anything above left the checkout dirty: no

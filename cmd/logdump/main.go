@@ -28,6 +28,12 @@
 // ordered by global sequence stamp: the exact order recovery replays,
 // read through recovery's own lane-merge iterator.
 //
+// Every record names its transaction by the ID recovery resolves: a
+// transaction's first record logs its ID and the one-byte slot its later
+// records carry instead, and logdump prints (and -txn filters on) the ID
+// the slot stands for. A slot whose first record lies below the base
+// prints as txn=?(slot N).
+//
 // Usage:
 //
 //	logdump -f wal.d                # segmented log directory (+ cold store, if present)
@@ -89,7 +95,8 @@ Examples:
                                    bytes split into framing and row images, and
                                    the zero tails of inserted and deleted rows
                                    that the log implies; then the framing per
-                                   field (length, kind byte, each header
+                                   field (length, kind byte, full txn IDs
+                                   and txn slots apart, each other header
                                    field, the payload's own lengths), the
                                    seals' bytes on a line of their own, and an
                                    update's payload per field (op, slot, off,
@@ -357,8 +364,8 @@ func dump(path, archDir string, txnFilter uint64, statsOnly bool) error {
 			fmt.Printf(", %d implied zero bytes", ks.zeros)
 		}
 		s := ks.sizes
-		fmt.Printf("\n%14sframing = length %d + kind %d + txn %d + page %d + aux %d + seq %d + payload %d\n",
-			"", s.Length, s.Kind, s.TxnID, s.PageID, s.Aux, s.Seq, s.Payload-ks.image)
+		fmt.Printf("\n%14sframing = length %d + kind %d + txn id %d + txn slot %d + page %d + aux %d + seq %d + payload %d\n",
+			"", s.Length, s.Kind, s.TxnID, s.Slots, s.PageID, s.Aux, s.Seq, s.Payload-ks.image)
 		if p := ks.payload; p != (logrec.PayloadSizes{}) {
 			fmt.Printf("%14spayload = op %d + slot %d + off %d + delta %d + x %d + tail %d + row length %d + row %d\n",
 				"", p.Op, p.Slot, p.Off, p.Delta, p.X, p.Tail, p.RowLen, p.Row)
@@ -462,6 +469,7 @@ func (ks *kindStats) add(rec logrec.Record) {
 	sum.Length += s.Length
 	sum.Kind += s.Kind
 	sum.TxnID += s.TxnID
+	sum.Slots += s.Slots
 	sum.PageID += s.PageID
 	sum.Aux += s.Aux
 	sum.Seq += s.Seq
@@ -498,8 +506,8 @@ func printRecord(rec logrec.Record) {
 			extra = fmt.Sprintf(" undoNext=%v", rec.UndoNext())
 		}
 		if err != nil {
-			fmt.Printf("%-12v %-10s txn=%-6d page=%-8d <bad payload>%s\n",
-				rec.LSN, rec.Kind, rec.TxnID, rec.PageID, extra)
+			fmt.Printf("%-12v %-10s txn=%-6s page=%-8d <bad payload>%s\n",
+				rec.LSN, rec.Kind, txnName(rec), rec.PageID, extra)
 			return
 		}
 		var change string
@@ -511,8 +519,8 @@ func printRecord(rec logrec.Record) {
 		default:
 			change = fmt.Sprintf("x=%x", up.X)
 		}
-		fmt.Printf("%-12v %-10s txn=%-6d page=%-8d slot=%-4d %-6s off=%-4d %s%s%s\n",
-			rec.LSN, rec.Kind, rec.TxnID, rec.PageID, up.Slot, up.Op, up.Off,
+		fmt.Printf("%-12v %-10s txn=%-6s page=%-8d slot=%-4d %-6s off=%-4d %s%s%s\n",
+			rec.LSN, rec.Kind, txnName(rec), rec.PageID, up.Slot, up.Op, up.Off,
 			change, firstMark(rec), extra)
 	case logrec.KindCheckpointEnd:
 		p, err := logrec.DecodeCheckpoint(rec.Payload)
@@ -523,17 +531,29 @@ func printRecord(rec logrec.Record) {
 		fmt.Printf("%-12v %-10s begin=%v att=%d dpt=%d\n",
 			rec.LSN, rec.Kind, lsn.LSN(rec.Aux), len(p.ActiveTxns), len(p.DirtyPages))
 	default:
-		fmt.Printf("%-12v %-10s txn=%d%s\n", rec.LSN, rec.Kind, rec.TxnID, firstMark(rec))
+		fmt.Printf("%-12v %-10s txn=%s%s\n", rec.LSN, rec.Kind, txnName(rec), firstMark(rec))
 	}
 }
 
-// firstMark marks a transaction's first record: where recovery starts
-// collecting it, should it be a loser.
-func firstMark(rec logrec.Record) string {
-	if rec.First {
-		return " first"
+// txnName is the record's transaction as recovery resolved it, or the
+// slot it carries where the slot's binding lies below the base.
+func txnName(rec logrec.Record) string {
+	if rec.TxnID == 0 && rec.Slot != 0 {
+		return fmt.Sprintf("?(slot %d)", rec.Slot)
 	}
-	return ""
+	return fmt.Sprint(rec.TxnID)
+}
+
+// firstMark marks a transaction's first record — where recovery starts
+// collecting it, should it be a loser — and the slot it binds.
+func firstMark(rec logrec.Record) string {
+	switch {
+	case !rec.First:
+		return ""
+	case rec.Slot != 0:
+		return fmt.Sprintf(" first, txn slot %d", rec.Slot)
+	}
+	return " first"
 }
 
 func isDir(path string) bool {

@@ -159,6 +159,35 @@ func TestDumpGolden(t *testing.T) {
 	}
 }
 
+// TestDumpFiltersResolvedTxn: -txn keeps a transaction's records by the
+// ID recovery resolves, so the records after its first, which carry only
+// its slot, are kept with it — at one lane and at three, where the slot
+// passes between transactions homed on different lanes.
+func TestDumpFiltersResolvedTxn(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		t.Run(fmt.Sprintf("N=%d", n), func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "db")
+			buildLog(t, dir, n)
+			out := capture(t, func() error { return dump(dir, "", 3, false) })
+			var kinds []string
+			for _, line := range strings.Split(out, "\n") {
+				f := strings.Fields(line[max(strings.Index(line, "LSN("), 0):])
+				if len(f) < 3 || !strings.HasPrefix(f[2], "txn=") {
+					continue // not a record
+				}
+				if f[2] != "txn=3" {
+					t.Errorf("-txn 3 printed %q", line)
+				}
+				kinds = append(kinds, f[1])
+			}
+			// Transaction 3 inserts twice, updates once and rolls back.
+			if got := strings.Join(kinds, " "); got != "update update update abort clr clr clr end" {
+				t.Fatalf("-txn 3 printed %q, want its eight records", got)
+			}
+		})
+	}
+}
+
 // TestDumpStitchesColdStoreReadOnly: pointed at a log whose dead segments
 // went to <dir>/archive, dump lists the store's objects, reads the whole
 // history back through them from offset 0, and leaves every file —

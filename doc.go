@@ -73,19 +73,21 @@
 // absent — and a payload. No record points back at its transaction's
 // previous one: a bit of the kind byte marks a transaction's first
 // record, and recovery collects a loser's records by reading forward
-// from there. An update's payload is a splice: the offset in the row and
+// from there. Only that first record names the transaction in full; it
+// binds a one-byte slot, lent by the transaction's session, which the
+// later records carry instead and recovery maps back. An update's payload is a splice: the offset in the row and
 // the bytes that differ, logged once as before ⊕ after (and, if the row
 // changes length, the change and the longer image's extra bytes); an
 // insert's or delete's is the row's length and its bytes up to the last
 // non-zero one, the rest being implied zeros. So a TPC-B transaction
 // (three 8-byte balance changes in 100-byte rows, one zero-padded
-// 100-byte insert, a commit) logs about 77 bytes. No record carries a
+// 100-byte insert, a commit) logs about 70 bytes. No record carries a
 // checksum: each flush closes the batch it hardens with a seal, a record
 // holding the batch's length and CRC-32C, and recovery checks every
 // batch against its seal before it replays a byte of it. Every record
 // has one encoding and the decoders accept no other. A log directory
-// carries its format in its MANIFEST (format 8) and a cold-store object
-// in its envelope (version 7); Open refuses earlier ones with an error that
+// carries its format in its MANIFEST (format 9) and a cold-store object
+// in its envelope (version 8); Open refuses earlier ones with an error that
 // matches logdev.ErrFormat and changes nothing. ARCHITECTURE.md, "The
 // log record", has the layout.
 //

@@ -189,15 +189,17 @@ func (s *Segmented) removeSeg(idx int64, seg *fileSegment) error {
 const manifestName = "MANIFEST"
 
 // manifestFormat is the directory layout and log encoding this code
-// reads and writes: 8 = segment files start with a watermark header and
+// reads and writes: 9 = segment files start with a watermark header and
 // hold records in logrec's compact encoding (a varint length, presence
 // byte, varint fields, no back-pointer on any record but a kind-byte bit
-// on a transaction's first, an update's changed bytes logged once as
-// before ⊕ after, insert and delete rows without their zero tail, a
-// CLR's undo-next stored plus one), no checksum in any record, and
-// every flushed batch closed by a seal carrying its length and CRC-32C.
-// Format 7 (the same with a CRC-32C in every record's frame and no
-// seals), format 6 (that with a back-pointer on every record but a
+// on a transaction's first, which alone names the transaction in full
+// and binds a one-byte slot that its later records carry instead, an
+// update's changed bytes logged once as before ⊕ after, insert and
+// delete rows without their zero tail, a CLR's undo-next stored plus
+// one), no checksum in any record, and every flushed batch closed by a
+// seal carrying its length and CRC-32C. Format 8 (the same with the
+// full TxnID on every record of a transaction), format 7 (that with a
+// CRC-32C in every record's frame and no seals), format 6 (that with a back-pointer on every record but a
 // commit or an end, and that bit its presence bit), format 5 (that with
 // an update's before and after images both logged), format 4 (that
 // around a fixed 8-byte frame, with commit and end records chained),
@@ -207,7 +209,7 @@ const manifestName = "MANIFEST"
 // headerless segments beside a MANIFEST.durable watermark file) are
 // refused with ErrFormat rather than guessed at: a reader of one record
 // encoding misreads or refuses the records of another.
-const manifestFormat = 8
+const manifestFormat = 9
 
 // ErrFormat is returned by the OpenSegmentedDir family for a directory,
 // and by the cold store's readers for an object, written in a layout or

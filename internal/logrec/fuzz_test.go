@@ -41,6 +41,12 @@ func FuzzRecordDecode(f *testing.F) {
 	clr.Seq = 77
 	firstAbort := NewAbort(42)
 	firstAbort.First = true
+	// The four ways a record names its transaction: a first record's ID
+	// and slot, a later record's slot, a later record's full ID (the
+	// update below, and recovery's CLRs and end records), none.
+	firstBySlot := NewUpdate(80_200, lsn.Undefined, 3<<40|17, up)
+	firstBySlot.Slot = MaxSlot
+	commitBySlot := &Record{Header: Header{Kind: KindCommit, Slot: 3, Seq: 9}}
 	for _, rec := range []*Record{
 		NewUpdate(42, 4096, 3<<40|17, up),
 		NewUpdate(42, 4096, 3<<40|17, grow),
@@ -48,6 +54,9 @@ func FuzzRecordDecode(f *testing.F) {
 		NewUpdate(42, lsn.Undefined, 1<<40, UpdatePayload{Op: OpInsert, Slot: 300, After: row}),
 		NewUpdate(42, lsn.Undefined, 3<<40|17, up),
 		firstAbort,
+		firstBySlot,
+		commitBySlot,
+		NewEnd(42),
 		NewUpdate(42, 0, 5, UpdatePayload{Op: OpDelete, Slot: 1, Before: row[:10]}),
 		NewUpdate(42, 0, 5, UpdatePayload{Op: OpInsert, Slot: 2, After: append(row[:19:19], make([]byte, 81)...)}),
 		NewUpdate(42, 0, 5, UpdatePayload{Op: OpInsert, Slot: 2, After: make([]byte, 100)}),
@@ -68,10 +77,14 @@ func FuzzRecordDecode(f *testing.F) {
 		f.Add(buf[n:])
 		f.Add(rec.Payload)
 	}
-	f.Add([]byte{byte(KindCommit-1) | hasTxnID, 0x81, 0x00})  // over-long varint
-	f.Add([]byte{byte(KindCommit-1) | hasTxnID | isFirst, 5}) // a commit marked first
-	f.Add([]byte{byte(KindEnd-1) | hasTxnID | isFirst, 5})    // an end marked first
-	f.Add([]byte{byte(KindUpdate-1) | isFirst})               // a first record of no transaction
+	f.Add([]byte{byte(KindCommit-1) | hasTxnID, 0x81, 0x00})     // over-long varint
+	f.Add([]byte{byte(KindCommit-1) | isFirst, 0x81, 0x00})      // over-long full ID
+	f.Add([]byte{byte(KindCommit-1) | hasTxnID | isFirst, 5, 1}) // a commit marked first
+	f.Add([]byte{byte(KindEnd-1) | hasTxnID | isFirst, 5, 1})    // an end marked first
+	f.Add([]byte{byte(KindUpdate-1) | hasTxnID | isFirst, 5})    // a first record without its slot
+	f.Add([]byte{byte(KindUpdate-1) | hasTxnID | isFirst, 0, 1}) // a first record of no transaction
+	f.Add([]byte{byte(KindCommit-1) | hasTxnID, 0})              // a slot of zero
+	f.Add([]byte{byte(KindCommit-1) | hasTxnID, 0x80, 0x01})     // a slot above MaxSlot
 	pad, _ := NewPad(64).Encode()
 	f.Add(append([]byte{63 | 0x80, 0}, pad[1:]...))     // non-shortest length
 	f.Add(append([]byte{0}, pad[1:]...))                // zero length

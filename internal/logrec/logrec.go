@@ -6,11 +6,14 @@
 // payload — the composable shape the consolidation array exploits (§5.1:
 // "two successive requests also begin with a log header and end with an
 // arbitrary payload"). A field that holds its absent value costs no
-// bytes, so a one-lane TPC-B commit record is 5 bytes where Shore-MT's
+// bytes, so a one-lane TPC-B commit record is 3 bytes where Shore-MT's
 // smallest record is 48 (§A.3). No record points back at its
 // transaction's previous one: a bit in the kind byte marks a
 // transaction's first record (Header.First), and recovery collects a
-// loser's records by reading forward from there. An update's payload logs
+// loser's records by reading forward from there. Only that first record
+// names the transaction in full; it also names a one-byte slot
+// (Header.Slot), which the transaction's later records carry in place
+// of the ID and recovery maps back to it. An update's payload logs
 // the bytes it changed once, as before ⊕ after (UpdatePayload), so a
 // TPC-B balance update is 14 bytes.
 //
@@ -92,6 +95,10 @@ func (k Kind) Valid() bool { return k > KindInvalid && k < numKinds }
 // checkpoint-begin).
 const MinRecordSize = 1 + 1
 
+// MaxSlot is the largest slot (Header.Slot): a slot is one byte, a
+// varint below 128.
+const MaxSlot = 127
+
 // MaxPayload bounds a single record's payload. Shore-MT's largest record
 // is 12KiB; we allow up to 16MiB so the skew experiments (Fig. 11) can
 // push outliers to 64KiB+ and beyond.
@@ -104,13 +111,14 @@ const (
 	// than 1<<28 bytes (checked below).
 	maxLenSize = 4
 	// maxHeaderSize is a header with every field present at its widest:
-	// length, kind byte, TxnID and Aux at 10 bytes each, the page ID's
-	// 24-bit space and 40-bit number at 4 and 6, Seq at 5.
-	maxHeaderSize = maxLenSize + 1 + 2*binary.MaxVarintLen64 + 4 + 6 + binary.MaxVarintLen32
+	// length, kind byte, TxnID and Aux at 10 bytes each, the slot at 1,
+	// the page ID's 24-bit space and 40-bit number at 4 and 6, Seq at 5.
+	maxHeaderSize = maxLenSize + 1 + 2*binary.MaxVarintLen64 + 1 + 4 + 6 + binary.MaxVarintLen32
 
-	// The kind byte: the kind, less one, in the low three bits, the
-	// first-record mark, and one presence bit per optional field, in
-	// field order.
+	// The kind byte: the kind, less one, in the low three bits, the two
+	// bits that say how the record names its transaction (see Header),
+	// and one presence bit per optional field after those, in field
+	// order.
 	kindMask  = 0x07
 	hasTxnID  = 0x08
 	isFirst   = 0x10
@@ -135,24 +143,37 @@ const _ = uint(1<<(7*maxLenSize) - 1 - (maxHeaderSize + MaxPayload))
 //
 //	length   uvarint — the bytes after it: TotalLen less its own width,
 //	                   at least MinRecordSize-1
-//	kind byte        — Kind-1 in bits 0-2; bit 4 is First; bits 3, 5,
-//	                   6 and 7 say which of the four fields below
-//	                   follow, in this order
-//	TxnID    uvarint — absent = 0
+//	kind byte        — Kind-1 in bits 0-2; bits 3 and 4 say how the
+//	                   record names its transaction; bits 5, 6 and 7
+//	                   say which of the three fields after that follow,
+//	                   in this order
+//	name             — by bits 3 and 4 (see below)
 //	PageID   uvarint space, uvarint page number — absent = 0
 //	Aux      uvarint — absent = 0
 //	Seq      uvarint — absent = 0
 //	payload          — the rest, up to TotalLen
+//
+// The name is one of four, by bits 3 (TxnID) and 4 (First):
+//
+//	both     — the transaction's first record: TxnID uvarint, then its
+//	           Slot, 0 for none
+//	bit 3    — a later record of a transaction with a slot: the Slot
+//	           (1..MaxSlot) alone, and TxnID is 0 until recovery's
+//	           LaneMerge resolves it
+//	bit 4    — a later record of a transaction without one: TxnID
+//	           uvarint
+//	neither  — no transaction
 //
 // Varints are encoding/binary's, in their shortest form only; a present
 // field never holds its absent value, and First is set only on a
 // record with a TxnID that is not a commit or an end; a pad with an Aux
 // is a seal, with nothing but its Aux and a 4-byte payload. Flags is not
 // logged: the kind implies it. So a record has exactly one encoding, and
-// Decode accepts nothing else. Because the length counts only what
-// follows it, a length of 127 makes a 128-byte record and one of 128 a
-// 130-byte record: no record is 129 bytes long, nor 16 386 or 2 097 155
-// (see NewPad).
+// Decode accepts nothing else. (A later record with a Slot encodes the
+// slot alone, whatever its TxnID: the writer knows both.) Because the
+// length counts only what follows it, a length of 127 makes a 128-byte
+// record and one of 128 a 130-byte record: no record is 129 bytes long,
+// nor 16 386 or 2 097 155 (see NewPad).
 type Header struct {
 	// TotalLen is the record's full encoded length: header + payload.
 	TotalLen uint32
@@ -167,12 +188,22 @@ type Header struct {
 	// back into one redo order. One-lane databases leave it 0, which
 	// costs no bytes.
 	Seq uint32
-	// TxnID is the owning transaction, 0 for system records.
+	// TxnID is the owning transaction, 0 for system records. A record
+	// decoded from the log that names its transaction by Slot alone
+	// reads 0 here until LaneMerge resolves the slot.
 	TxnID uint64
+	// Slot is the one-byte name (1..MaxSlot) the transaction's agent
+	// lends it, 0 for none. Its first record logs the binding — TxnID,
+	// then Slot — and its later records log only the slot. A slot is
+	// passed to another transaction only once its holder can log no
+	// more, so read in log order the newest binding of a slot names the
+	// record's transaction.
+	Slot uint8
 	// First marks the transaction's first record: where recovery starts
-	// collecting a loser's updates, and where analysis forgets an
-	// earlier holder of the same ID. It costs no bytes (a kind-byte
-	// bit), and a commit or end record never carries it.
+	// collecting a loser's updates, where analysis forgets an earlier
+	// holder of the same ID, and where a slot is bound. It costs no
+	// bytes of its own (a kind-byte bit), and a commit or end record
+	// never carries it.
 	First bool
 	// PageID is the page the record touches, 0 if not page-related.
 	PageID uint64
@@ -207,16 +238,28 @@ func (h *Header) IsSeal() bool { return h.Kind == KindPad && h.Aux != 0 }
 // bytes is either no seal or a well-formed one: a seal carries its Aux
 // and a CRC-32C, nothing else.
 func (h *Header) sealShape(n int) bool {
-	return !h.IsSeal() || n == crcSize && h.TxnID == 0 && h.PageID == 0 && h.Seq == 0
+	return !h.IsSeal() || n == crcSize && h.TxnID == 0 && h.Slot == 0 && h.PageID == 0 && h.Seq == 0
+}
+
+// nameSizes returns the encoded widths of the header's full TxnID and of
+// its slot (see Header's layout).
+func (h *Header) nameSizes() (id, slot int) {
+	switch {
+	case h.First:
+		return uvarintLen(h.TxnID), 1
+	case h.Slot != 0:
+		return 0, 1
+	case h.TxnID != 0:
+		return uvarintLen(h.TxnID), 0
+	}
+	return 0, 0
 }
 
 // bodySize returns the encoded length of the header after the length
 // varint: the kind byte and the fields present.
 func (h *Header) bodySize() int {
-	n := 1
-	if h.TxnID != 0 {
-		n += uvarintLen(h.TxnID)
-	}
+	id, slot := h.nameSizes()
+	n := 1 + id + slot
 	if h.PageID != 0 {
 		n += uvarintLen(h.PageID>>pageNoBits) + uvarintLen(h.PageID&pageNoMask)
 	}
@@ -235,8 +278,12 @@ type Sizes struct {
 	Length int
 	// Kind is the kind byte's width, 1.
 	Kind int
-	// TxnID is the TxnID varint's width, 0 if absent.
+	// TxnID is the full TxnID varint's width, 0 if the record names its
+	// transaction by slot alone or has none.
 	TxnID int
+	// Slots is the slot's width: 1 on a first record and on a record
+	// that names its transaction by slot, 0 elsewhere.
+	Slots int
 	// PageID is the width of the page ID's two varints, 0 if absent.
 	PageID int
 	// Aux is the Aux varint's width, 0 if absent.
@@ -251,9 +298,7 @@ type Sizes struct {
 // parts.
 func (r *Record) Sizes() Sizes {
 	s := Sizes{Kind: 1, Payload: len(r.Payload)}
-	if r.TxnID != 0 {
-		s.TxnID = uvarintLen(r.TxnID)
-	}
+	s.TxnID, s.Slots = r.nameSizes()
 	if r.PageID != 0 {
 		s.PageID = uvarintLen(r.PageID>>pageNoBits) + uvarintLen(r.PageID&pageNoMask)
 	}
@@ -303,11 +348,15 @@ var (
 	// with no TxnID. Decode refuses the mark there, so it would not come
 	// back.
 	ErrBadFirst = errors.New("logrec: only a transaction's update, CLR or abort can be its first record")
+	// ErrBadSlot means an encode request named a slot above MaxSlot,
+	// which does not fit its one byte.
+	ErrBadSlot = errors.New("logrec: slot out of range")
 	// ErrBadHeader means the bytes are not the one encoding of any
 	// header: a field runs past TotalLen, a varint is longer than its
 	// value needs or overflows its field, a field marked present holds
-	// its absent value, a record that cannot be a transaction's first is
-	// marked as one, or a pad with an Aux is not a seal's shape.
+	// its absent value or a slot lies outside its range, a record that
+	// cannot be a transaction's first is marked as one, or a pad with an
+	// Aux is not a seal's shape.
 	ErrBadHeader = errors.New("logrec: malformed record header")
 	// ErrBadSeal means a batch does not match the seal that closes it —
 	// its length or its CRC-32C differ, a torn write or rotten bytes —
@@ -380,6 +429,9 @@ func (r *Record) EncodeInto(dst []byte) error {
 	if r.First && !r.canBeFirst() {
 		return ErrBadFirst
 	}
+	if r.Slot > MaxSlot {
+		return ErrBadSlot
+	}
 	if !r.sealShape(len(r.Payload)) {
 		return fmt.Errorf("%w: a pad with an Aux is a seal, which carries a %d-byte CRC and nothing else", ErrBadHeader, crcSize)
 	}
@@ -391,12 +443,19 @@ func (r *Record) EncodeInto(dst []byte) error {
 	kindAt := binary.PutUvarint(dst, uint64(rest))
 	kb := byte(r.Kind - 1)
 	n := kindAt + 1
-	if r.TxnID != 0 {
-		kb |= hasTxnID
+	switch {
+	case r.First:
+		kb |= hasTxnID | isFirst
 		n += binary.PutUvarint(dst[n:], r.TxnID)
-	}
-	if r.First {
+		dst[n] = r.Slot
+		n++
+	case r.Slot != 0:
+		kb |= hasTxnID
+		dst[n] = r.Slot
+		n++
+	case r.TxnID != 0:
 		kb |= isFirst
+		n += binary.PutUvarint(dst[n:], r.TxnID)
 	}
 	if r.PageID != 0 {
 		kb |= hasPageID
@@ -488,14 +547,21 @@ func Decode(src []byte) (rec Record, consumed int, err error) {
 	kb := src[kindAt]
 	k := Kind(kb&kindMask) + 1
 	rec.TotalLen = uint32(total)
-	rec.Kind, rec.Flags, rec.First = k, k.flags(), kb&isFirst != 0
+	rec.Kind, rec.Flags = k, k.flags()
 	// A present field never holds its absent value: zero is a value only
-	// for one half of a page ID.
+	// for one half of a page ID, and for a first record's slot.
 	c := cursor{src: src[kindAt+1 : total], ok: true}
-	if kb&hasTxnID != 0 {
+	switch kb & (hasTxnID | isFirst) {
+	case hasTxnID | isFirst:
+		rec.First = true
+		rec.TxnID = c.uvarint(1, math.MaxUint64)
+		rec.Slot = uint8(c.uvarint(0, MaxSlot))
+		c.ok = c.ok && rec.canBeFirst()
+	case hasTxnID:
+		rec.Slot = uint8(c.uvarint(1, MaxSlot))
+	case isFirst:
 		rec.TxnID = c.uvarint(1, math.MaxUint64)
 	}
-	c.ok = c.ok && (!rec.First || rec.canBeFirst())
 	if kb&hasPageID != 0 {
 		space := c.uvarint(0, math.MaxUint64>>pageNoBits)
 		rec.PageID = space<<pageNoBits | c.uvarint(0, pageNoMask)

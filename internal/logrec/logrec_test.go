@@ -18,6 +18,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			Kind:   KindCLR,
 			Flags:  FlagRedoOnly,
 			TxnID:  77,
+			Slot:   9,
 			First:  true,
 			PageID: 42,
 			Aux:    99,
@@ -28,9 +29,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Length and kind byte (First costs nothing), then 77, page 0/42 and
-	// 99.
-	if want := MinRecordSize + 1 + 2 + 1 + len(rec.Payload); len(buf) != want || rec.EncodedSize() != want {
+	// Length and kind byte (First costs nothing), then 77 and slot 9,
+	// page 0/42 and 99.
+	if want := MinRecordSize + 1 + 1 + 2 + 1 + len(rec.Payload); len(buf) != want || rec.EncodedSize() != want {
 		t.Fatalf("encoded size %d (EncodedSize %d), want %d", len(buf), rec.EncodedSize(), want)
 	}
 	got, n, err := Decode(buf)
@@ -40,7 +41,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if n != len(buf) {
 		t.Fatalf("consumed %d, want %d", n, len(buf))
 	}
-	if got.Kind != KindCLR || got.TxnID != 77 || !got.First ||
+	if got.Kind != KindCLR || got.TxnID != 77 || got.Slot != 9 || !got.First ||
 		got.PageID != 42 || got.Aux != 99 || got.Flags != FlagRedoOnly {
 		t.Fatalf("header mismatch: %+v", got.Header)
 	}
@@ -262,10 +263,14 @@ func TestLengthVarintBoundaries(t *testing.T) {
 	}
 }
 
-// TestFirstRecordMark: the first-record mark costs no bytes and round
-// trips on every kind a transaction can open with, and only there: on a
-// commit, an end or a record with no TxnID an encode request for it is
-// refused, and the bit under a valid checksum is a malformed header.
+// TestFirstRecordMark: the first-record mark and the four ways a record
+// names its transaction (Header's layout) round trip on every kind a
+// transaction can open with. A first record costs its full ID and one
+// byte of slot, 0 for none; a later
+// record costs one byte with a slot, and reads back with TxnID 0 (the
+// resolver's job), or its full ID without one. On a commit, an end or a
+// record with no TxnID an encode request for the first mark is refused,
+// and the first-record bits there are a malformed header.
 func TestFirstRecordMark(t *testing.T) {
 	up := Splice(nil, 80, []byte{1, 2, 3, 4}, []byte{4, 3, 2, 1})
 	for _, rec := range []*Record{
@@ -273,28 +278,40 @@ func TestFirstRecordMark(t *testing.T) {
 		NewCLR(80_200, 3<<40|1300, 4096, up.Inverse()),
 		NewAbort(80_200),
 	} {
-		later, err := rec.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec.First = true
-		first, err := rec.Encode()
-		if err != nil {
-			t.Fatalf("%v marked first: %v", rec.Kind, err)
-		}
-		if len(first) != len(later) {
-			t.Errorf("%v: the mark costs %d bytes", rec.Kind, len(first)-len(later))
-		}
-		got, _, err := Decode(first)
-		if err != nil || !got.First || got.Kind != rec.Kind || got.TxnID != rec.TxnID {
-			t.Errorf("%v marked first decoded to %+v, %v", rec.Kind, got.Header, err)
-		}
-		if got, _, err := Decode(later); err != nil || got.First {
-			t.Errorf("unmarked %v decoded to %+v, %v", rec.Kind, got.Header, err)
+		bare := rec.EncodedSize() - 3 // less the 3-byte ID
+		for _, tc := range []struct {
+			first     bool
+			slot      uint8
+			id, slots int    // the bytes Sizes gives each
+			want      Header // the name as it reads back
+		}{
+			{true, 7, 3, 1, Header{TxnID: 80_200, Slot: 7, First: true}},
+			{true, 0, 3, 1, Header{TxnID: 80_200, First: true}},
+			{false, MaxSlot, 0, 1, Header{Slot: MaxSlot}},
+			{false, 0, 3, 0, Header{TxnID: 80_200}},
+		} {
+			rec.First, rec.Slot = tc.first, tc.slot
+			buf, err := rec.Encode()
+			if err != nil {
+				t.Fatalf("%v first=%v slot=%d: %v", rec.Kind, tc.first, tc.slot, err)
+			}
+			if size := bare + tc.id + tc.slots; len(buf) != size || rec.EncodedSize() != size {
+				t.Errorf("%v first=%v slot=%d: %d bytes (EncodedSize %d), want %d", rec.Kind, tc.first, tc.slot, len(buf), rec.EncodedSize(), size)
+			}
+			got, _, err := Decode(buf)
+			if err != nil || got.Kind != rec.Kind || got.TxnID != tc.want.TxnID || got.Slot != tc.want.Slot || got.First != tc.want.First {
+				t.Errorf("%v first=%v slot=%d decoded to %+v, %v", rec.Kind, tc.first, tc.slot, got.Header, err)
+			}
+			if s := rec.Sizes(); s.TxnID != tc.id || s.Slots != tc.slots {
+				t.Errorf("%v first=%v slot=%d: Sizes gives %d ID and %d slot bytes", rec.Kind, tc.first, tc.slot, s.TxnID, s.Slots)
+			}
 		}
 	}
 	if !NewUpdate(5, lsn.Undefined, 7, up).First || NewUpdate(5, 0, 7, up).First {
 		t.Error("NewUpdate marks first exactly the update with no previous record")
+	}
+	if _, err := (&Record{Header: Header{Kind: KindCommit, Slot: MaxSlot + 1}}).Encode(); !errors.Is(err, ErrBadSlot) {
+		t.Errorf("slot %d: got %v, want ErrBadSlot", MaxSlot+1, err)
 	}
 	for _, h := range []Header{
 		{Kind: KindCommit, TxnID: 80_200, First: true},
@@ -305,17 +322,18 @@ func TestFirstRecordMark(t *testing.T) {
 		if _, err := (&Record{Header: h}).Encode(); !errors.Is(err, ErrBadFirst) {
 			t.Errorf("%v (txn %d) marked first: got %v, want ErrBadFirst", h.Kind, h.TxnID, err)
 		}
-		kb := byte(h.Kind-1) | isFirst
-		body := []byte{kb}
-		if h.TxnID != 0 {
-			body = []byte{kb | hasTxnID, 5}
+		if h.TxnID == 0 {
+			continue
 		}
-		if _, _, err := Decode(framed(body...)); !errors.Is(err, ErrBadHeader) {
-			t.Errorf("%v (txn %d) with the first bit: got %v, want ErrBadHeader", h.Kind, h.TxnID, err)
+		if _, _, err := Decode(framed(byte(h.Kind-1)|hasTxnID|isFirst, 5, 1)); !errors.Is(err, ErrBadHeader) {
+			t.Errorf("%v with the first-record bits: got %v, want ErrBadHeader", h.Kind, err)
 		}
 	}
 	if n := NewCommit(80_200).EncodedSize(); n != MinRecordSize+3 {
 		t.Errorf("TPC-B commit: %d bytes, want %d", n, MinRecordSize+3)
+	}
+	if n := (&Record{Header: Header{Kind: KindCommit, TxnID: 80_200, Slot: 1}}).EncodedSize(); n != MinRecordSize+1 {
+		t.Errorf("TPC-B commit by slot: %d bytes, want %d", n, MinRecordSize+1)
 	}
 }
 
@@ -578,12 +596,18 @@ func TestDecodeRefusesNonCanonicalHeaders(t *testing.T) {
 		name string
 		body []byte
 	}{
-		{"present TxnID of zero", []byte{commit | hasTxnID, 0}},
-		{"over-long TxnID", []byte{commit | hasTxnID, 0x81, 0x00}},
-		{"TxnID past the record's end", []byte{commit | hasTxnID}},
-		{"unterminated varint", []byte{commit | hasTxnID, 0x80}},
-		{"first record of no transaction", []byte{abort | isFirst}},
-		{"commit marked first", []byte{commit | hasTxnID | isFirst, 5}},
+		{"present TxnID of zero", []byte{commit | isFirst, 0}},
+		{"over-long TxnID", []byte{commit | isFirst, 0x81, 0x00}},
+		{"TxnID past the record's end", []byte{commit | isFirst}},
+		{"unterminated varint", []byte{commit | isFirst, 0x80}},
+		{"present slot of zero", []byte{commit | hasTxnID, 0}},
+		{"slot past the record's end", []byte{commit | hasTxnID}},
+		{"slot above MaxSlot", []byte{commit | hasTxnID, 0x80, 0x01}},
+		{"over-long slot", []byte{commit | hasTxnID, 0x85, 0x00}},
+		{"first record without its slot", []byte{abort | hasTxnID | isFirst, 5}},
+		{"first record's slot above MaxSlot", []byte{abort | hasTxnID | isFirst, 5, 0x80, 0x01}},
+		{"first record of TxnID zero", []byte{abort | hasTxnID | isFirst, 0, 1}},
+		{"commit marked first", []byte{commit | hasTxnID | isFirst, 5, 1}},
 		{"varint beyond 64 bits", append([]byte{commit | hasAux, 0xff}, maxU64...)},
 		{"present PageID of zero", []byte{commit | hasPageID, 0, 0}},
 		{"page space beyond 24 bits", []byte{commit | hasPageID, 0x80, 0x80, 0x80, 0x08, 1}},
@@ -597,7 +621,7 @@ func TestDecodeRefusesNonCanonicalHeaders(t *testing.T) {
 		}
 	}
 	// The same frame around a well-formed header decodes.
-	if rec, _, err := Decode(framed(abort|hasTxnID|isFirst, 5)); err != nil || rec.TxnID != 5 || !rec.First {
+	if rec, _, err := Decode(framed(abort|hasTxnID|isFirst, 5, 3)); err != nil || rec.TxnID != 5 || rec.Slot != 3 || !rec.First {
 		t.Fatalf("well-formed header: %+v, %v", rec.Header, err)
 	}
 }
@@ -613,14 +637,15 @@ func TestAbsentFieldsCostNothing(t *testing.T) {
 	}{
 		{"checkpoint begin", &Record{Header: Header{Kind: KindCheckpointBegin}}, 2},
 		{"first commit of a log", NewCommit(1), 3},
-		{"TPC-B commit", NewCommit(80_200), 2 + 3},
-		{"TPC-B commit, lane of three", &Record{Header: Header{Kind: KindCommit, TxnID: 80_200, Seq: 400_000}}, 5 + 3},
+		{"TPC-B commit, full ID", NewCommit(80_200), 2 + 3},
+		{"TPC-B commit", &Record{Header: Header{Kind: KindCommit, Slot: 12}}, 2 + 1},
+		{"TPC-B commit, lane of three", &Record{Header: Header{Kind: KindCommit, Slot: 12, Seq: 400_000}}, 5 + 1},
 		{"page id", &Record{Header: Header{Kind: KindUpdate, PageID: page}}, 2 + 1 + 2},
-		{"TPC-B update", NewUpdate(80_200, 33_000_000, page, Splice(nil, 80, []byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{8, 7, 6, 5, 4, 3, 2, 1})), 2 + 3 + 3 + 3 + 8},
-		{"TPC-B first update", NewUpdate(80_200, lsn.Undefined, page, Splice(nil, 80, []byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{8, 7, 6, 5, 4, 3, 2, 1})), 2 + 3 + 3 + 3 + 8},
+		{"TPC-B update", withSlot(NewUpdate(0, 33_000_000, page, Splice(nil, 80, []byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{8, 7, 6, 5, 4, 3, 2, 1})), 12), 2 + 1 + 3 + 3 + 8},
+		{"TPC-B first update", withSlot(NewUpdate(80_200, lsn.Undefined, page, Splice(nil, 80, []byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{8, 7, 6, 5, 4, 3, 2, 1})), 12), 2 + 3 + 1 + 3 + 3 + 8},
 		{"seal of a TPC-B flush", &Record{Header: Header{Kind: KindPad, Aux: 4_000}, Payload: make([]byte, 4)}, 2 + 2 + 4},
-		// Every field at its widest is a 36-byte rest: a one-byte length.
-		{"everything at its widest", &Record{Header: Header{Kind: KindCLR, Flags: FlagRedoOnly, TxnID: math.MaxUint64,
+		// Every field at its widest is a 37-byte rest: a one-byte length.
+		{"everything at its widest", &Record{Header: Header{Kind: KindCLR, Flags: FlagRedoOnly, TxnID: math.MaxUint64, Slot: MaxSlot,
 			First: true, PageID: math.MaxUint64, Aux: math.MaxUint64, Seq: math.MaxUint32}}, maxHeaderSize - maxLenSize + 1},
 	} {
 		buf, err := tc.rec.Encode()
@@ -640,6 +665,12 @@ func TestAbsentFieldsCostNothing(t *testing.T) {
 			t.Errorf("%s: decoded %+v, encoded %+v", tc.name, got.Header, want)
 		}
 	}
+}
+
+// withSlot sets rec's slot.
+func withSlot(rec *Record, slot uint8) *Record {
+	rec.Slot = slot
+	return rec
 }
 
 // applySplice is what a splice means, on a plain byte slice: X XORed
@@ -895,13 +926,16 @@ func TestKindString(t *testing.T) {
 
 // Property: any payload round-trips bit-exactly through encode/decode.
 func TestQuickRecordRoundTrip(t *testing.T) {
-	f := func(txn uint64, first bool, page uint64, aux uint64, payload []byte) bool {
+	f := func(txn uint64, slot uint8, first bool, page uint64, aux uint64, payload []byte) bool {
 		if len(payload) > MaxPayload {
 			payload = payload[:MaxPayload]
 		}
-		first = first && txn != 0
+		first, slot = first && txn != 0, slot%(MaxSlot+1)
+		if slot != 0 && !first {
+			txn = 0 // named by the slot alone: the resolver's to fill in
+		}
 		rec := &Record{
-			Header:  Header{Kind: KindUpdate, TxnID: txn, First: first, PageID: page, Aux: aux},
+			Header:  Header{Kind: KindUpdate, TxnID: txn, Slot: slot, First: first, PageID: page, Aux: aux},
 			Payload: payload,
 		}
 		buf, err := rec.Encode()
@@ -912,7 +946,7 @@ func TestQuickRecordRoundTrip(t *testing.T) {
 		if err != nil || n != len(buf) {
 			return false
 		}
-		return got.TxnID == txn && got.First == first &&
+		return got.TxnID == txn && got.Slot == slot && got.First == first &&
 			got.PageID == page && got.Aux == aux && bytes.Equal(got.Payload, payload)
 	}
 	if err := quick.Check(f, quickCfg()); err != nil {
@@ -993,7 +1027,7 @@ func TestSetInPlaceEncodesLikeFresh(t *testing.T) {
 	for _, dirty := range cases {
 		for _, tc := range cases {
 			dirty.set(&scratch)
-			scratch.Seq, scratch.Aux, scratch.LSN = 9, 8, 7 // as a multi-log append leaves it
+			scratch.Seq, scratch.Aux, scratch.LSN, scratch.Slot = 9, 8, 7, 6 // as an agent's multi-log append leaves it
 			tc.set(&scratch)
 			got, err := scratch.Encode()
 			if err != nil {

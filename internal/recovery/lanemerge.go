@@ -7,6 +7,11 @@
 // is built, and from then on reads only the bytes they vouch for: a
 // pass from any position, and the random access undo makes, never
 // replays a byte past the last good seal.
+//
+// It is also the one place a slot is mapped back to its transaction
+// (logrec.Header.Slot): every record a pass yields names its transaction
+// by TxnID, as the engine wrote it, whether the log spelt out the ID or
+// carried only the slot.
 package recovery
 
 import (
@@ -32,7 +37,9 @@ type Merged struct {
 	Rec logrec.Record
 	// Order is the record's position in the total order: its LSN on one
 	// lane (where LSN order already is the total order), its global seq
-	// on N.
+	// on N. Rec.TxnID is resolved: a record logged with only a slot
+	// names the transaction whose first record bound that slot, or 0 if
+	// that first record lies below the lane's base (see LaneMerge).
 	Order uint64
 	// Stamp is what a page image carries once the record is applied: the
 	// record's end LSN on one lane, its global seq on N. A page whose
@@ -41,8 +48,20 @@ type Merged struct {
 }
 
 // LaneMerge iterates lane tails in the total order. One lane is plain
-// iteration with an O(1) seek; N lanes are a k-way merge by global seq
-// holding one decoded record per lane — never the whole tail.
+// iteration with a seek; N lanes are a k-way merge by global seq holding
+// one decoded record per lane — never the whole tail.
+//
+// It resolves slots as it goes. A transaction's first record binds its
+// slot, and a record that carries only the slot names the transaction of
+// the slot's newest binding in the total order. That is the record's own
+// transaction: an agent passes its slot on only once the holder can log
+// nothing more, so every record of one holder precedes the next holder's
+// first record in the total order, whichever lanes the two are homed on.
+// The binding must also lie on the record's lane, where all of its
+// transaction's records are: one on another lane belongs to an earlier
+// holder, and means the record's own first record lies below its lane's
+// base — which truncation allows only for a transaction that finished —
+// so the record stays unresolved (TxnID 0).
 type LaneMerge struct {
 	lanes []Lane // each cut at its last good seal
 	bad   error  // the first lane whose seals failed
@@ -52,6 +71,15 @@ type LaneMerge struct {
 	live  []bool
 	from  uint64 // N lanes: records ordered below it are skipped
 	top   uint64
+	slots [logrec.MaxSlot + 1]binding
+}
+
+// binding is a slot's newest binding: the transaction whose first record
+// named it, that record's lane and its order.
+type binding struct {
+	txn   uint64
+	lane  int
+	order uint64
 }
 
 // NewLaneMerge checks every lane's tail, which must start a batch (a
@@ -78,16 +106,23 @@ func NewLaneMerge(lanes []Lane) *LaneMerge {
 }
 
 // From repositions the iterator at the first record whose Order is at
-// or above order. On one lane order must be a record's LSN (or lie
-// outside the tail): the seek is O(1). On N lanes every lane restarts at
-// its base and records below order are decoded and dropped — lanes are
-// only ordered, not indexed, by seq.
+// or above order, with every slot bound as a pass from the lanes' bases
+// would have left it there. On one lane order must be a record's LSN (or
+// lie outside the tail): the iterator seeks, and the records it skips
+// are read for their slot bindings only. On N lanes every lane restarts
+// at its base and records below order are decoded, bound and dropped —
+// lanes are only ordered, not indexed, by seq.
 func (m *LaneMerge) From(order uint64) {
 	m.from = order
+	m.slots = [logrec.MaxSlot + 1]binding{}
 	for i, l := range m.lanes {
 		off := 0
 		if len(m.lanes) == 1 && order > uint64(l.Base) {
 			off = int(min(order-uint64(l.Base), uint64(len(l.Log))))
+			it := logrec.NewVerifiedIterator(l.Log[:off], l.Base)
+			for rec, ok := it.Next(); ok; rec, ok = it.Next() {
+				m.bind(i, &rec, uint64(rec.LSN))
+			}
 		}
 		m.start[i] = off
 		m.its[i] = logrec.NewVerifiedIterator(l.Log[off:], l.Base.Add(off))
@@ -110,6 +145,29 @@ func (m *LaneMerge) advance(i int) {
 		if seq >= m.from {
 			return
 		}
+		m.bind(i, &m.heads[i], seq)
+	}
+}
+
+// bind records the slot binding rec makes, if it is a first record with
+// a slot, unless the slot already holds a newer one (From reads the
+// lanes below its order one after another, not in the total order).
+func (m *LaneMerge) bind(lane int, rec *logrec.Record, order uint64) {
+	if rec.First && rec.Slot != 0 && order >= m.slots[rec.Slot].order {
+		m.slots[rec.Slot] = binding{txn: rec.TxnID, lane: lane, order: order}
+	}
+}
+
+// resolve binds the slot of a first record Next yields, and names the
+// transaction of a record that carries only a slot (see LaneMerge).
+func (m *LaneMerge) resolve(mr *Merged) {
+	rec := &mr.Rec
+	if rec.First {
+		m.bind(mr.Lane, rec, mr.Order)
+	} else if rec.TxnID == 0 && rec.Slot != 0 {
+		if b := m.slots[rec.Slot]; b.lane == mr.Lane {
+			rec.TxnID = b.txn
+		}
 	}
 }
 
@@ -126,6 +184,7 @@ func (m *LaneMerge) Next() (Merged, bool) {
 		return Merged{}, false
 	}
 	out := m.place(best, m.heads[best])
+	m.resolve(&out)
 	m.advance(best)
 	return out, true
 }
@@ -140,7 +199,8 @@ func (m *LaneMerge) place(lane int, rec logrec.Record) Merged {
 
 // At decodes the record at address at on the given lane — the random
 // access undo needs to reread a loser's update — without moving the
-// iterator. It reads only bytes the lane's seals vouch for.
+// iterator. It reads only bytes the lane's seals vouch for. It resolves
+// no slot: its caller knows whose record it asks for.
 func (m *LaneMerge) At(lane int, at lsn.LSN) (Merged, error) {
 	l := m.lanes[lane]
 	if at < l.Base {

@@ -250,12 +250,21 @@ func Analyze(lanes []Lane, ckpt *lsn.LSN) (*Analysis, error) {
 		if below && !named[rec.TxnID] {
 			continue
 		}
-		switch rec.Kind {
-		case logrec.KindUpdate, logrec.KindCLR:
-			a.touch(&mr)
+		if rec.Kind == logrec.KindUpdate || rec.Kind == logrec.KindCLR {
 			if _, ok := a.dpt[rec.PageID]; !ok && !below {
 				a.dpt[rec.PageID] = mr.Order
 			}
+		}
+		// A slot LaneMerge left unresolved belongs to a transaction whose
+		// first record lies below its lane's base, which truncation
+		// allows only for a finished one: its updates need redo, but it
+		// has no place in the transaction table.
+		if rec.TxnID == 0 {
+			continue
+		}
+		switch rec.Kind {
+		case logrec.KindUpdate, logrec.KindCLR:
+			a.touch(&mr)
 		case logrec.KindCommit:
 			a.touch(&mr).committed = true
 		case logrec.KindAbort:
@@ -263,7 +272,6 @@ func Analyze(lanes []Lane, ckpt *lsn.LSN) (*Analysis, error) {
 		case logrec.KindEnd:
 			delete(a.att, rec.TxnID)
 		}
-		// Checkpoint and pad records have no analysis effect.
 	}
 	// A gap mid-log (not just a torn tail) would mean corruption before
 	// the durable horizon; report it rather than recover wrongly.
@@ -293,7 +301,9 @@ func (a *Analysis) touch(mr *Merged) *txnStatus {
 // without a durable commit record, newest record first across all of
 // them. With a sink, undo logs a CLR per compensated update and an end
 // record per loser on the loser's home lane, making recovery itself
-// recoverable (the caller flushes them before admitting new work);
+// recoverable (the caller flushes them before admitting new work); they
+// name the loser by its full ID, never by its slot, which a survivor
+// may have bound again since;
 // without one it applies inverses under made-up stamps above the top of
 // the log (single-crash recovery only).
 //

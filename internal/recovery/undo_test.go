@@ -76,10 +76,11 @@ type rows struct {
 	vals  []uint64
 	last  map[uint64]lsn.LSN // each transaction's newest home-lane address
 	start lsn.LSN            // the stamp of the page's first record: its recLSN
+	slots map[uint64]uint8   // the slot each transaction's agent lent it, if any
 }
 
 func newRows(t *testing.T, ll *laneLogs, pid uint64, slots int) *rows {
-	r := &rows{ll: ll, pid: pid, vals: make([]uint64, slots), last: make(map[uint64]lsn.LSN)}
+	r := &rows{ll: ll, pid: pid, vals: make([]uint64, slots), last: make(map[uint64]lsn.LSN), slots: make(map[uint64]uint8)}
 	for s := range r.vals {
 		r.vals[s] = uint64(1000 + s)
 		_, stamp := r.log(t, 0, 1, logrec.UpdatePayload{Op: logrec.OpInsert, Slot: uint16(s), After: val(r.vals[s])})
@@ -94,13 +95,15 @@ func newRows(t *testing.T, ll *laneLogs, pid uint64, slots int) *rows {
 func val(v uint64) []byte { return fmt.Appendf(nil, "%08d", v) }
 
 // log appends txn's update on the given lane, first if the transaction
-// has logged nothing yet.
+// has logged nothing yet, named by the transaction's slot if it has one.
 func (r *rows) log(t *testing.T, lane int, txn uint64, up logrec.UpdatePayload) (at, stamp lsn.LSN) {
 	prev, ok := r.last[txn]
 	if !ok {
 		prev = lsn.Undefined
 	}
-	at, stamp = r.ll.add(t, lane, logrec.NewUpdate(txn, prev, r.pid, up))
+	rec := logrec.NewUpdate(txn, prev, r.pid, up)
+	rec.Slot = r.slots[txn]
+	at, stamp = r.ll.add(t, lane, rec)
 	r.last[txn] = at
 	return at, stamp
 }

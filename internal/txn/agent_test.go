@@ -283,13 +283,19 @@ func TestAgentScratchLogsSameBytes(t *testing.T) {
 	packed, _ := tbl.Index.Get(2)
 	rid := storage.UnpackRID(packed)
 
-	// The first record is marked first, and no record points back.
+	// The first record is marked first, no record points back, and every
+	// record carries the agent's slot: only the first names the
+	// transaction in full.
 	first := logrec.NewUpdate(tx.ID(), lsn.Undefined, rid.Page,
 		logrec.UpdatePayload{Op: logrec.OpInsert, Slot: rid.Slot, After: row(2, 20)})
 	second := logrec.NewUpdate(tx.ID(), start, rid.Page, logrec.Splice(nil, rid.Slot, row(2, 20), row(2, 21)))
 	commit := logrec.NewCommit(tx.ID())
+	if ag.slot == 0 {
+		t.Fatal("the engine's first agent holds no slot")
+	}
 	var want []byte
 	for _, rec := range []*logrec.Record{first, second, commit} {
+		rec.Slot = ag.slot
 		b, err := rec.Encode()
 		if err != nil {
 			t.Fatal(err)
@@ -336,15 +342,18 @@ func tpcbShape(t testing.TB, ag *Agent, tables *[4]*Table, keys [4]uint64, delta
 // history row holding its key, the delta and the account, a commit —
 // counted off the device. The engine here is a few records old, so its
 // transaction IDs and page numbers are one or two bytes long; the same
-// records re-encoded at the benchmark's magnitudes (IDs to 80 200,
-// thousands of pages a table) must fit the budget too: at most 78 bytes
-// on one lane (77 in format 8, where no record carries a checksum; format
-// 7's 4-byte CRC on each of the five made it 97, format 6's 4-byte
+// records re-encoded at the benchmark's magnitudes (the first record's ID
+// to 80 200 — the later four name the transaction by its one-byte slot —
+// and thousands of pages a table) must fit the budget too: at most 70
+// bytes on one lane (format 9, where only the first record names the
+// transaction in full; format 8's full ID on all five made it 77, format
+// 7's 4-byte CRC on each of the five 97, format 6's 4-byte
 // back-pointer on the three records after the first 109, both images
 // 121, five 48-byte headers and whole rows 988, whole history rows 246,
 // fixed 8-byte frames and a chained commit 140), the history insert at
-// most 30 of them, and on three lanes at most a seq and an edge more per
-// record. A CRC on every record would add 20 bytes and miss it. The seal
+// most 28 of them, and on three lanes at most a seq and an edge more per
+// record. A CRC on every record would add 20 bytes and miss it, and so
+// would the full ID on the four records after the first, 7. The seal
 // that closes the flush is not the transaction's: it is one per flush,
 // whatever the flush holds, and is counted apart.
 // A balance of a few million moved by a negative delta of the
@@ -353,8 +362,8 @@ func tpcbShape(t testing.TB, ag *Agent, tables *[4]*Table, keys [4]uint64, delta
 // history row logs.
 func TestTPCBLogBytesBudget(t *testing.T) {
 	const (
-		budget       = 78
-		insertBudget = 30
+		budget       = 70
+		insertBudget = 28
 		seqAndEdge   = 2 * binary.MaxVarintLen32 // per record, on N lanes
 		benchTxnID   = 80_200
 		benchPageNo  = 5_000
@@ -418,7 +427,11 @@ func TestTPCBLogBytesBudget(t *testing.T) {
 					}
 					rec.PageID += benchPageNo
 				}
-				rec.TxnID = benchTxnID
+				if rec.First {
+					rec.TxnID = benchTxnID
+				} else if rec.Slot == 0 || rec.TxnID != 0 {
+					t.Errorf("the %v at %v names its transaction in full (ID %d, slot %d), want by its slot", rec.Kind, rec.LSN, rec.TxnID, rec.Slot)
+				}
 				atBench += rec.EncodedSize()
 				if up.Op == logrec.OpInsert {
 					insertAtBench = rec.EncodedSize()

@@ -642,8 +642,9 @@ func TestCrashRecoveryMixedSpliceChain(t *testing.T) {
 		ag.Close()
 
 		// The loser's lane, record by record: where its abort record, its
-		// CLRs and its end record start.
-		lane := loser.home
+		// CLRs and its end record start — the records after its first that
+		// carry its slot.
+		lane, slot := loser.home, loser.sc.slot
 		tail, _, err := logdev.ReadTail(h.devs[lane])
 		if err != nil {
 			t.Fatal(err)
@@ -651,8 +652,12 @@ func TestCrashRecoveryMixedSpliceChain(t *testing.T) {
 		var abortAt, endAt int
 		var clrAt []int
 		it := logrec.NewIterator(tail, 0)
+		mine := false
 		for rec, ok := it.Next(); ok; rec, ok = it.Next() {
-			if rec.TxnID != loser.ID() {
+			if rec.First {
+				mine = rec.TxnID == loser.ID()
+			}
+			if !mine || rec.Slot != slot {
 				continue
 			}
 			switch rec.Kind {

@@ -196,6 +196,10 @@ type Engine struct {
 	spaces    map[uint32]*Table
 	nextSpace uint32
 	att       map[uint64]*Txn // active-transaction table for checkpoints
+	// slots are the slots (logrec.Header.Slot) no agent holds, the next
+	// to lend last. An agent made while none is free names its
+	// transactions in full.
+	slots []uint8
 
 	nextTxn atomic.Uint64
 
@@ -230,7 +234,11 @@ func newEngine(cfg RestartConfig, log *core.MultiLog, store *storage.Store) *Eng
 		tables:  make(map[string]*Table),
 		spaces:  make(map[uint32]*Table),
 		att:     make(map[uint64]*Txn),
+		slots:   make([]uint8, logrec.MaxSlot),
 		ckptAp:  log.NewAppender(),
+	}
+	for i := range e.slots {
+		e.slots[i] = uint8(logrec.MaxSlot - i)
 	}
 	if cfg.CheckpointEveryBytes > 0 {
 		e.startAutoCheckpoint(cfg.CheckpointEveryBytes)
@@ -460,8 +468,9 @@ func (e *Engine) RebuildTables() error {
 
 // Agent is a per-worker transaction context: it owns a log appender, an
 // SLI lock cache (the table-level locks its transactions inherit from one
-// another; row locks are never cached), and the scratch its transactions
-// build log records and keep rollback state in. One per agent thread.
+// another; row locks are never cached), the scratch its transactions
+// build log records and keep rollback state in, and a slot that names
+// them in the log after their first record. One per agent thread.
 type Agent struct {
 	eng   *Engine
 	ap    *core.MultiAppender
@@ -472,22 +481,42 @@ type Agent struct {
 	// sc is the scratch lent to the current transaction; nil until the
 	// first Begin and after a transaction took it along.
 	sc *txnScratch
+	// slot is the slot the engine lent the agent, which each new scratch
+	// carries; 0 if none was free, and once the agent gave it up (Begin).
+	slot uint8
 }
 
-// NewAgent returns a fresh agent context.
+// NewAgent returns a fresh agent context, holding one of the engine's
+// slots if one is free.
 func (e *Engine) NewAgent() *Agent {
-	return &Agent{
+	a := &Agent{
 		eng:   e,
 		ap:    e.log.NewAppender(),
 		cache: lockmgr.NewAgentCache(0),
 	}
+	e.mu.Lock()
+	if n := len(e.slots); n > 0 {
+		a.slot, e.slots = e.slots[n-1], e.slots[:n-1]
+	}
+	e.mu.Unlock()
+	return a
 }
 
-// Close releases the agent's inherited locks and its scratch (shutdown).
+// Close releases the agent's inherited locks and its scratch (shutdown),
+// and gives its slot back to the engine — unless a transaction that can
+// still log holds it, in which case the slot is never lent again.
 func (a *Agent) Close() {
 	a.eng.locks.DropCache(a.cache)
+	if sc := a.sc; sc != nil && sc.slot != 0 && sc.owner.state.Load() == stActive {
+		a.slot = 0
+	}
+	if a.slot != 0 {
+		a.eng.mu.Lock()
+		a.eng.slots = append(a.eng.slots, a.slot)
+		a.eng.mu.Unlock()
+	}
 	a.rec = logrec.Record{}
-	a.sc = nil
+	a.sc, a.slot = nil, 0
 }
 
 // Begin starts a transaction on this agent. The agent must finish
@@ -496,9 +525,11 @@ func (a *Agent) Close() {
 // next transaction as soon as Commit returns. The new transaction takes
 // over the agent's scratch — lock context, undo images — from the
 // previous one, whose undo is dead once its commit record is appended
-// and whose locks are released by then. A previous transaction that is
-// still active (abandoned, or interleaved against the rule above) keeps
-// the scratch, and the agent starts a new one.
+// and whose locks are released by then. So does the scratch's slot: the
+// previous transaction can log nothing more under it. A previous
+// transaction that is still active (abandoned, or interleaved against
+// the rule above) keeps the scratch and its slot, and the agent starts a
+// new scratch without one: it gives its slot up for good.
 func (a *Agent) Begin() *Txn {
 	t := &Txn{eng: a.eng, agent: a, id: a.eng.nextTxn.Add(1), home: -1}
 	t.lastStamp.Store(lsn.Undefined)
@@ -506,7 +537,10 @@ func (a *Agent) Begin() *Txn {
 	if a.sc != nil && a.sc.owner.state.Load() != stActive {
 		a.sc.rearm(t)
 	} else {
-		a.sc = &txnScratch{owner: t, locker: a.eng.locks.NewLocker(t.id, a.cache)}
+		if a.sc != nil {
+			a.slot = 0
+		}
+		a.sc = &txnScratch{owner: t, locker: a.eng.locks.NewLocker(t.id, a.cache), slot: a.slot}
 	}
 	t.sc = a.sc
 	if cap(a.rec.Payload) > maxRecordBuffer {

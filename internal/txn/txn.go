@@ -60,6 +60,9 @@ type txnScratch struct {
 	arena     []byte // the logged payload of every undo entry
 	x         []byte // the splice X of the update in flight (HeapFile.Mutate)
 	indexUndo []indexUndo
+	// slot names the owner in the log after its first record
+	// (logrec.Header.Slot); 0 names it in full.
+	slot uint8
 }
 
 // Retention caps: scratch that a transaction grew beyond these is
@@ -130,13 +133,15 @@ type Txn struct {
 	whenDone func(error)
 }
 
-// appendRec appends rec to the transaction's home lane (chosen at its
-// first record) and returns what core.MultiAppender.Append does: the
-// record's home-lane address and end, and its page and record stamps.
+// appendRec appends rec, named by the scratch's slot, to the
+// transaction's home lane (chosen at its first record) and returns what
+// core.MultiAppender.Append does: the record's home-lane address and
+// end, and its page and record stamps.
 func (t *Txn) appendRec(rec *logrec.Record) (at, end, pageStamp, recStamp lsn.LSN, err error) {
 	if t.home < 0 {
 		t.home = t.eng.route(t.id, storage.PageSpace(rec.PageID))
 	}
+	rec.Slot = t.sc.slot
 	return t.agent.ap.Append(t.home, rec)
 }
 
