@@ -110,6 +110,13 @@ vet:
 	if [ -n "$$bad" ]; then echo "a figure drives the engine one way, through internal/bench/harness.go's run loop:"; echo "$$bad"; exit 1; fi
 	@bad="$$(grep -HnE '\bCreateTable\(' $$(find internal/workload -name '*.go' ! -name '*_test.go' ! -path internal/workload/load.go))"; \
 	if [ -n "$$bad" ]; then echo "a workload's tables are created and loaded one way, by internal/workload/load.go:"; echo "$$bad"; exit 1; fi
+	@bad="$$(awk 'FNR == 1 { d = 0 } \
+		{ s = $$0; if (d == 0) { i = index(s, "logbuf.Config{"); if (i == 0) next; s = substr(s, i + 13) } \
+		  lit = ""; for (k = 1; k <= length(s); k++) { c = substr(s, k, 1); \
+		    if (c == "{") d++; else if (c == "}" && --d == 0) break; lit = lit c } \
+		  if (lit ~ /(^|[{,[:space:]])Size:/) print FILENAME ":" FNR ":" $$0 }' \
+		$$(find . -path './.*' -prune -o -name '*.go' ! -name '*_test.go' ! -path './internal/logbuf/*' ! -path './internal/bench/*' ! -path './benchmark/*' -print))"; \
+	if [ -n "$$bad" ]; then echo "a log lane has one ring size, logbuf.DefaultSize (only the figure rigs in internal/bench and the benchmark's probes name their own):"; echo "$$bad"; exit 1; fi
 
 # Documentation lint: formatting, vet, every example and command builds,
 # and the godoc-coverage check — exported identifiers in EVERY internal

@@ -276,7 +276,6 @@ type DB struct {
 	lanes   []lane // the log: one per partition, one in all when unpartitioned
 	archive storage.Archive
 	snaps   *logdev.SnapshotStore // the cold store's snapshots; nil without one
-	logBuf  int                   // log buffer bytes per lane
 	eng     *txn.Engine
 	tables  []string
 }
@@ -300,7 +299,7 @@ func Open(opts Options) (*DB, error) {
 	case !inTable(deviceProfiles, int(opts.Device)):
 		return nil, fmt.Errorf("aether: Options.Device %d is not a DeviceProfile", int(opts.Device))
 	}
-	db := &DB{opts: opts, fs: opts.fsOrOS(), root: opts.LogPath, logBuf: 1 << 23}
+	db := &DB{opts: opts, fs: opts.fsOrOS(), root: opts.LogPath}
 	if opts.LogPath == "" {
 		// An in-memory database is the same engine, files and all, on an
 		// in-memory filesystem of its own.
@@ -379,7 +378,7 @@ func (db *DB) open(checkpoint *lsn.LSN) error {
 		RoutePartition: db.opts.RoutePartition,
 		Archive:        db.archive,
 		LogConfig: core.Config{
-			Buffer: logbuf.Config{Variant: bufferVariants[db.opts.Buffer], Size: db.logBuf},
+			Buffer: logbuf.Config{Variant: bufferVariants[db.opts.Buffer]},
 		},
 		LockConfig: lockmgr.Config{
 			DeadlockTimeout: db.opts.DeadlockTimeout,
@@ -519,8 +518,14 @@ type Stats struct {
 	// carrying data and durable watermark together), plus the earlier
 	// segment's and the directory's when a flush crosses into a new
 	// segment — on an in-memory database's filesystem as on a disk.
-	LogFsyncs   int64
-	Checkpoints int64
+	LogFsyncs int64
+	// LogRingWaits counts the log inserts that found their lane's ring
+	// buffer full and waited for the flush daemon to free space, and
+	// LogRingWaitTime is how long they waited in all: both stay near 0
+	// unless a lane's traffic outruns its 1 MiB ring.
+	LogRingWaits    int64
+	LogRingWaitTime time.Duration
+	Checkpoints     int64
 	// LogTruncations counts checkpoint-driven truncations that advanced
 	// the release horizon.
 	LogTruncations int64
@@ -685,6 +690,8 @@ func (db *DB) Stats() Stats {
 		s.LogInserts += ls.Inserts.Load()
 		s.LogBytes += ls.InsertBytes.Load()
 		s.LogFlushes += ls.Flushes.Load()
+		s.LogRingWaits += ls.Ring.Waits.Load()
+		s.LogRingWaitTime += time.Duration(ls.Ring.WaitNanos.Load())
 		s.LogTruncations += ls.Truncations.Load()
 		s.LogTruncatedBytes += ls.TruncatedBytes.Load()
 		s.LogBase += int64(lm.Base())

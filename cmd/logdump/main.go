@@ -310,6 +310,7 @@ func dump(path, archDir string, txnFilter uint64, statsOnly bool) error {
 	}
 
 	m := recovery.NewLaneMerge(lanes)
+	var ckpt ckptStats
 	perKind := map[logrec.Kind]*kindStats{}
 	txns := map[uint64]bool{}
 	records := 0
@@ -326,6 +327,7 @@ func dump(path, archDir string, txnFilter uint64, statsOnly bool) error {
 			perKind[rec.Kind] = ks
 		}
 		ks.add(rec)
+		ckpt.add(rec)
 		txns[rec.TxnID] = true
 		if statsOnly || txnFilter != 0 && rec.TxnID != txnFilter {
 			continue
@@ -377,7 +379,38 @@ func dump(path, archDir string, txnFilter uint64, statsOnly bool) error {
 		sealBytes += sv.size
 	}
 	fmt.Printf("  %-11s %8d records %10d bytes (each closes a batch: its length and CRC-32C)\n", "seal", len(seals), sealBytes)
+	// Checkpoints are the log's own bookkeeping, not its transactions':
+	// their begin and end records, counted apart.
+	fmt.Printf("  %-11s %8d records %10d bytes = %d framing + %d ATT + %d DPT (%d whole checkpoints in %d chunks)\n",
+		"checkpoint", ckpt.records, ckpt.bytes, ckpt.bytes-ckpt.att-ckpt.dpt, ckpt.att, ckpt.dpt, ckpt.whole, ckpt.chunks)
 	return nil
+}
+
+// ckptStats sums the checkpoint records: begin and end records, their
+// bytes and those of the tables, the chunks, and the checkpoints whose
+// every chunk is in the log.
+type ckptStats struct {
+	records, bytes, att, dpt, chunks, whole int
+	g                                       logrec.CheckpointGather
+}
+
+func (cs *ckptStats) add(rec logrec.Record) {
+	if rec.Kind != logrec.KindCheckpointBegin && rec.Kind != logrec.KindCheckpointEnd {
+		return
+	}
+	cs.records++
+	cs.bytes += int(rec.TotalLen)
+	if rec.Kind == logrec.KindCheckpointBegin {
+		return
+	}
+	cs.chunks++
+	if c, err := logrec.DecodeCheckpoint(rec.Payload); err == nil {
+		cs.att += logrec.ATTEntrySize * len(c.ActiveTxns)
+		cs.dpt += logrec.DPTEntrySize * len(c.DirtyPages)
+	}
+	if _, ok := cs.g.Add(rec.Aux, rec.Payload); ok {
+		cs.whole++
+	}
 }
 
 // sealVerdict is one seal as logdump judges it: where it sits and how
@@ -492,7 +525,7 @@ func imageBytes(rec logrec.Record) (image, zeros int) {
 			return image, zeros
 		}
 	case logrec.KindCheckpointEnd:
-		return max(len(rec.Payload)-8, 0), 0 // less the two table counts
+		return max(len(rec.Payload)-logrec.CheckpointChunkHeader, 0), 0 // less the chunk header
 	}
 	return 0, 0
 }
@@ -523,13 +556,16 @@ func printRecord(rec logrec.Record) {
 			rec.LSN, rec.Kind, txnName(rec), rec.PageID, up.Slot, up.Op, up.Off,
 			change, firstMark(rec), extra)
 	case logrec.KindCheckpointEnd:
-		p, err := logrec.DecodeCheckpoint(rec.Payload)
+		c, err := logrec.DecodeCheckpoint(rec.Payload)
 		if err != nil {
 			fmt.Printf("%-12v %-10s <bad payload>\n", rec.LSN, rec.Kind)
 			return
 		}
-		fmt.Printf("%-12v %-10s begin=%v att=%d dpt=%d\n",
-			rec.LSN, rec.Kind, lsn.LSN(rec.Aux), len(p.ActiveTxns), len(p.DirtyPages))
+		// One checkpoint, however many chunks: each names its place and
+		// the checkpoint's totals.
+		fmt.Printf("%-12v %-10s begin=%v chunk %d of %d att=%d dpt=%d (checkpoint att=%d dpt=%d)\n",
+			rec.LSN, rec.Kind, lsn.LSN(rec.Aux), c.Index+1, c.Count, len(c.ActiveTxns), len(c.DirtyPages),
+			c.ActiveTotal, c.DirtyTotal)
 	default:
 		fmt.Printf("%-12v %-10s txn=%s%s\n", rec.LSN, rec.Kind, txnName(rec), firstMark(rec))
 	}

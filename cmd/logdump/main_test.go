@@ -188,6 +188,59 @@ func TestDumpFiltersResolvedTxn(t *testing.T) {
 	}
 }
 
+// TestDumpChunkedCheckpoint: a checkpoint of more dirty pages than one
+// chunk holds shows as one checkpoint: each chunk's line names its place
+// ("chunk i of n") and the checkpoint's totals, and -stats counts the
+// checkpoint's bytes apart, as one whole checkpoint in its chunks.
+func TestDumpChunkedCheckpoint(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	db, err := aether.Open(aether.Options{LogPath: dir, Mode: aether.CommitSync})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := db.Session()
+	tx := s.Begin()
+	for k := uint64(1); k <= 1200; k++ { // 2 000-byte rows, four to a page: 300 pages
+		if err := tx.Insert(tbl, k, aether.Row(k, bytes.Repeat([]byte{0xa5}, 1992))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out := capture(t, func() error { return dump(dir, "", 0, false) })
+	chunk := regexp.MustCompile(`(?m)^LSN\(\d+\) +ckpt-end +begin=LSN\(\d+\) chunk (\d) of 2 att=0 dpt=(\d+) \(checkpoint att=0 dpt=(\d+)\)$`)
+	lines := chunk.FindAllStringSubmatch(out, -1)
+	if len(lines) != 2 || lines[0][1] != "1" || lines[1][1] != "2" {
+		t.Fatalf("want the checkpoint's two chunks, in order:\n%s", out)
+	}
+	var dpt, total int
+	for _, l := range lines {
+		var n int
+		fmt.Sscan(l[2], &n)
+		fmt.Sscan(l[3], &total)
+		dpt += n
+	}
+	if dpt != total || total < 300 {
+		t.Fatalf("the chunks carry %d DPT entries of the checkpoint's %d, want all of its 300 or more pages", dpt, total)
+	}
+	stats := regexp.MustCompile(`(?m)^  checkpoint +3 records +(\d+) bytes = \d+ framing \+ 0 ATT \+ (\d+) DPT \(1 whole checkpoints in 2 chunks\)$`)
+	if m := stats.FindStringSubmatch(out); m == nil || m[2] != fmt.Sprint(16*total) {
+		t.Fatalf("want the checkpoint's begin and two chunks counted apart, %d DPT bytes:\n%s", 16*total, out)
+	}
+}
+
 // TestDumpStitchesColdStoreReadOnly: pointed at a log whose dead segments
 // went to <dir>/archive, dump lists the store's objects, reads the whole
 // history back through them from offset 0, and leaves every file —

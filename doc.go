@@ -64,6 +64,12 @@
 // with foreground commits — the log stays bounded with zero client
 // Checkpoint calls and zero commit-path stalls.
 //
+// The log's memory is bounded too: each lane's log buffer is one 1 MiB
+// ring, which holds records only until the flush daemon writes them to
+// the device straight from it, so an empty database holds about 1 MiB of
+// heap a lane. Stats.LogRingWaits and LogRingWaitTime count the inserts
+// that found their ring full and waited for the daemon.
+//
 // # Log records
 //
 // The log says what changed and little else. A record is a frame (a
@@ -84,10 +90,13 @@
 // 100-byte insert, a commit) logs about 70 bytes. No record carries a
 // checksum: each flush closes the batch it hardens with a seal, a record
 // holding the batch's length and CRC-32C, and recovery checks every
-// batch against its seal before it replays a byte of it. Every record
+// batch against its seal before it replays a byte of it. A checkpoint
+// logs its transaction and dirty-page tables in chunks of at most 4 KiB,
+// each a checkpoint-end record naming the same begin record, and recovery
+// uses a checkpoint only once its last chunk is durable. Every record
 // has one encoding and the decoders accept no other. A log directory
-// carries its format in its MANIFEST (format 9) and a cold-store object
-// in its envelope (version 8); Open refuses earlier ones with an error that
+// carries its format in its MANIFEST (format 10) and a cold-store object
+// in its envelope (version 9); Open refuses earlier ones with an error that
 // matches logdev.ErrFormat and changes nothing. ARCHITECTURE.md, "The
 // log record", has the layout.
 //

@@ -106,6 +106,9 @@ type Stats struct {
 	// TruncatedBytes counts logical log bytes released behind the
 	// truncation horizon (recyclable by the device).
 	TruncatedBytes metrics.Counter
+	// Ring counts the inserts that waited for ring space, and how long:
+	// the log buffer's own counters.
+	Ring *logbuf.WaitStats
 }
 
 // groupWindow is how long released log that no commit waits on, and
@@ -113,11 +116,6 @@ type Stats struct {
 // previous flush: such log (a transaction's records before its commit)
 // rides the next commit's flush instead of costing an fsync of its own.
 const groupWindow = 1500 * time.Microsecond
-
-// flushBatch is the capacity of the daemon's staging buffer. A larger
-// group is copied out through a buffer of its own, so one burst does not
-// pin up to a whole ring (8 MiB a lane) on the log for life.
-const flushBatch = 1 << 20
 
 // ErrClosed is returned for operations on a closed log manager.
 var ErrClosed = errors.New("core: log manager closed")
@@ -168,11 +166,8 @@ type LogManager struct {
 	// lastFlush is when the daemon last started writing a batch to the
 	// device (daemon goroutine only) — what groupWindow counts from.
 	lastFlush time.Time
-	// batch is the daemon's staging buffer, flushBatch bytes for the
-	// life of the log; ready is completeWaiters' batch, and sealing the
-	// seals a flush hardens, kept between flushes (all daemon goroutine
-	// only).
-	batch   []byte
+	// ready is completeWaiters' batch, and sealing the seals a flush
+	// hardens, kept between flushes (both daemon goroutine only).
 	ready   []waiter
 	sealing []sealMark
 
@@ -215,8 +210,8 @@ func newLane(cfg Config) (*LogManager, error) {
 		wakeCh: make(chan struct{}, 1),
 		stopCh: make(chan struct{}),
 		doneCh: make(chan struct{}),
-		batch:  make([]byte, flushBatch),
 	}
+	lm.stats.Ring = buf.WaitStats()
 	// The log resumes where the device left off: LSNs are stable log
 	// addresses, so the base of a restarted log is the durable size (an
 	// existing log is read by recovery before the manager is built). Both
@@ -245,19 +240,20 @@ type Appender struct {
 	scratch []byte
 }
 
-// appenderScratch is the encode buffer an Appender keeps between
+// AppenderScratch is the encode buffer an Appender keeps between
 // appends. A larger record (they run to logrec.MaxPayload, 16 MiB) is
 // encoded in a buffer of its own, so one bulk row does not stay pinned
 // on the session for life (txn's maxRecordBuffer is the same rule for
-// the record it is encoded from).
-const appenderScratch = 4096
+// the record it is encoded from). A checkpoint is logged in chunks that
+// fit it.
+const AppenderScratch = 4096
 
 // NewAppender returns a fresh per-goroutine appender.
 func (lm *LogManager) NewAppender() *Appender {
 	return &Appender{
 		lm:      lm,
 		ins:     lm.buf.NewInserter(),
-		scratch: make([]byte, appenderScratch),
+		scratch: make([]byte, AppenderScratch),
 	}
 }
 
@@ -653,17 +649,18 @@ func (lm *LogManager) flushOnce(timed bool) {
 	if pendingBytes > 0 {
 		t0 := time.Now()
 		lm.lastFlush = t0
-		var b []byte
-		if pendingBytes <= len(lm.batch) {
-			b = lm.batch[:pendingBytes]
-		} else {
-			b = make([]byte, pendingBytes)
-		}
-		lm.rd.CopyOut(b, start, end)
-		finishSeals(b, start, lm.sealing)
-		if _, err := lm.dev.Append(b); err != nil {
-			lm.fail(fmt.Errorf("core: device append: %w", err))
-			return
+		// The batch goes to the device straight from the ring, in the
+		// one or two spans the ring holds it in.
+		finishSeals(lm.rd, start, lm.sealing)
+		a, b := lm.rd.Spans(start, end)
+		for _, p := range [2][]byte{a, b} {
+			if len(p) == 0 {
+				continue
+			}
+			if _, err := lm.dev.Append(p); err != nil {
+				lm.fail(fmt.Errorf("core: device append: %w", err))
+				return
+			}
 		}
 		// Ring space is reusable as soon as the bytes are in the device's
 		// write path; durability is published only after Sync.

@@ -768,39 +768,148 @@ func TestSparseDetachedCommitsGroup(t *testing.T) {
 	}
 }
 
-// A group larger than the daemon's staging buffer is flushed whole, and
-// the buffer it was copied through is not kept: the staging buffer stays
-// flushBatch bytes however large the largest group ever flushed.
-func TestLargeFlushKeepsBatchSmall(t *testing.T) {
+// TestWrappedGroupFlushesInPlace: the daemon writes a group to the device
+// straight from the ring. A group that wraps past the ring's physical end,
+// and a seal whose CRC does, are flushed whole, in one flush each; the
+// device holds byte for byte what a flush that copied each group out of
+// the ring and sealed the copy would have written; every seal verifies;
+// and a flush allocates nothing.
+func TestWrappedGroupFlushesInPlace(t *testing.T) {
+	const ring = 1 << 16
 	dev := logdev.NewMem(logdev.ProfileMemory)
-	lm, err := New(Config{
-		Buffer:        logbuf.Config{Variant: logbuf.VariantCD, Size: 4 << 20},
-		Device:        dev,
-		FlushInterval: time.Hour,
-		FlushTxns:     1 << 30,
-		FlushBytes:    1 << 30,
-	})
+	lm, err := newLane(Config{Buffer: logbuf.Config{Variant: logbuf.VariantCD, Size: ring}, Device: dev})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lm.Close()
 	ap := lm.NewAppender()
-	var end lsn.LSN
-	for i := 0; i < 32; i++ { // 32 * 64KiB = 2MiB
-		if _, end, err = ap.Append(logrec.NewPad(64 << 10)); err != nil {
-			t.Fatal(err)
+	// pad returns a pad record of exactly size bytes whose payload is not
+	// zero, so a byte out of place changes the stream and its CRC.
+	pad := func(size int, fill byte) *logrec.Record {
+		r := logrec.NewPad(size)
+		for i := range r.Payload {
+			r.Payload[i] = fill + byte(i)
+		}
+		if r.EncodedSize() != size {
+			t.Fatalf("pad of %d bytes encodes to %d", size, r.EncodedSize())
+		}
+		return r
+	}
+	want := make([]byte, 0, 2<<20) // never grown while allocations count
+	flushes := 0
+	// group appends recs and flushes them as one group; want gets what a
+	// copying flush would have written for it.
+	group := func(recs ...*logrec.Record) {
+		from := len(want)
+		for _, r := range recs {
+			if _, _, err := ap.Append(r); err != nil {
+				t.Fatal(err)
+			}
+			want = want[:len(want)+r.EncodedSize()]
+			if err := r.EncodeInto(want[len(want)-r.EncodedSize():]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want = logrec.AppendSeal(want, from)
+		lm.Flush()
+		lm.flushOnce(false)
+		flushes++
+	}
+
+	// A group that ends in a seal whose CRC straddles the ring's end: the
+	// batch [E, S) is under 2 MiB and over 16 KiB, so its seal is 9 bytes
+	// and its CRC starts 5 bytes in; S = ring-7 puts the CRC at
+	// [ring-2, ring+2).
+	group(pad(7000, 1), pad(7000, 2), pad(7000, 3), pad(7000, 4))
+	e := int(lm.Durable())
+	var recs []*logrec.Record
+	for rest := ring - 7 - e; rest > 0; rest -= 7000 {
+		recs = append(recs, pad(min(rest, 7000), byte(len(recs))))
+	}
+	group(recs...)
+	if got := int(lm.Durable()); got != ring+2 {
+		t.Fatalf("the straddling group ends at %d, want %d", got, ring+2)
+	}
+
+	// Groups of about 24 KiB, of records that fit the appender's encode
+	// buffer: every third or so wraps the ring.
+	recs = []*logrec.Record{pad(4001, 5), pad(4003, 6), pad(4005, 7), pad(4007, 8), pad(4009, 9), pad(4011, 10)}
+	wrapped := 0
+	pass := func() {
+		start := lm.Durable()
+		group(recs...)
+		if uint64(start)/ring != uint64(lm.Durable()-1)/ring {
+			wrapped++
 		}
 	}
-	if err := lm.WaitDurable(end); err != nil {
+	pass()
+	if got := testing.AllocsPerRun(30, pass); got != 0 {
+		t.Fatalf("%.0f allocations per flush of a group, budget 0", got)
+	}
+	if wrapped < 5 {
+		t.Fatalf("%d groups wrapped the ring, want several", wrapped)
+	}
+	if got := lm.Stats().Flushes.Load(); got != int64(flushes) {
+		t.Fatalf("%d flushes for %d groups", got, flushes)
+	}
+	data, base, err := logdev.ReadTail(dev)
+	if err != nil || base != 0 {
+		t.Fatalf("reading the log: base %d, %v", base, err)
+	}
+	if !bytes.Equal(data, want) {
+		n := 0
+		for n < min(len(data), len(want)) && data[n] == want[n] {
+			n++
+		}
+		t.Fatalf("the device holds %d bytes, a copying flush %d; they differ from byte %d", len(data), len(want), n)
+	}
+	checkSealed(t, dev)
+	go lm.daemon()
+	if err := lm.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got, sealed := lm.Stats().Flushes.Load(), int64(end)+int64(logrec.SealSize(int(end))); got != 1 || dev.DurableSize() != sealed {
-		t.Fatalf("%d flushes left %d of %d bytes durable, want one flush of all of them and their seal", got, dev.DurableSize(), sealed)
+}
+
+// TestRingWaitsCounted: inserts that find a tiny ring full while the
+// device holds the daemon in a sync wait for room, and the log's Stats
+// count them and the time they waited.
+func TestRingWaitsCounted(t *testing.T) {
+	gated := &gatedDev{Device: logdev.NewMem(logdev.ProfileMemory), gate: make(chan struct{})}
+	lm, err := New(Config{Buffer: logbuf.Config{Variant: logbuf.VariantCD, Size: 4096}, Device: gated})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := cap(lm.batch); got != flushBatch {
-		t.Fatalf("the daemon keeps a %d-byte staging buffer after a %d-byte group, want %d", got, end, flushBatch)
+	t.Cleanup(func() { lm.Close() })
+	release := sync.OnceFunc(func() { close(gated.gate) })
+	t.Cleanup(release) // before the log closes, whatever fails first
+	ap := lm.NewAppender()
+	done := make(chan error, 1)
+	go func() {
+		var end lsn.LSN
+		for i := 0; i < 64; i++ { // four rings' worth
+			var err error
+			if _, end, err = ap.Append(logrec.NewPad(256)); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- lm.WaitDurable(end)
+	}()
+	time.Sleep(20 * time.Millisecond)
+	select {
+	case err := <-done:
+		t.Fatalf("four rings of log were appended and hardened past a held device: %v", err)
+	default:
+	}
+	release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	ring := lm.Stats().Ring
+	if ring.Waits.Load() == 0 || ring.WaitNanos.Load() <= 0 {
+		t.Fatalf("%d inserts waited %v for ring room, want some", ring.Waits.Load(), time.Duration(ring.WaitNanos.Load()))
 	}
 }
+
 func TestFlushBytesTrigger(t *testing.T) {
 	dev := logdev.NewMem(logdev.ProfileMemory)
 	lm, err := New(Config{
@@ -939,8 +1048,8 @@ func TestAppendLargeRecordKeepsScratchSmall(t *testing.T) {
 	if rec, n, err := logrec.Decode(got); err != nil || n != 16<<10 || rec.Kind != logrec.KindPad {
 		t.Fatalf("large record read back as %v, %d bytes: %v", rec.Kind, n, err)
 	}
-	if cap(ap.scratch) != appenderScratch {
-		t.Fatalf("appender keeps a %d-byte scratch after a %d-byte record, want %d", cap(ap.scratch), 16<<10, appenderScratch)
+	if cap(ap.scratch) != AppenderScratch {
+		t.Fatalf("appender keeps a %d-byte scratch after a %d-byte record, want %d", cap(ap.scratch), 16<<10, AppenderScratch)
 	}
 }
 

@@ -17,9 +17,10 @@
 // A seal's length field depends on where it lands, so it is built under
 // the buffer's mutex (logbuf.Inserter.InsertAt) and recorded in the
 // lane's sealBook there, before anybody can flush past it. Its CRC is
-// finished by the daemon as it copies the batch out of the ring for the
-// device (finishSeals): the ring's copy of a seal keeps a zero CRC,
-// and only the daemon ever reads the ring.
+// finished by the daemon in the ring itself, just before it writes the
+// batch to the device from there (finishSeals): only the daemon reads
+// released ring bytes, and no insert writes them again before the
+// daemon hands their space back.
 package core
 
 import (
@@ -131,15 +132,20 @@ func (b *sealBook) hardened(end lsn.LSN) {
 }
 
 // finishSeals writes the CRC of each batch into the seal that closes it,
-// in batch, the bytes [start, start+len(batch)) as copied out of the ring
-// for the device. start is a seal's end (or the lane's base), where the
-// first batch begins, and seals are the seals in the range, in order.
-func finishSeals(batch []byte, start lsn.LSN, seals []sealMark) {
-	from := 0
+// in the ring, where rd holds the released bytes from start on. start is
+// a seal's end (or the lane's base), where the first batch begins, and
+// seals are the seals that follow it, in order. A batch, and a seal's
+// CRC, may wrap past the ring's physical end.
+func finishSeals(rd *logbuf.Reader, start lsn.LSN, seals []sealMark) {
+	from := start
 	for _, m := range seals {
-		at, end := int(m.at.Sub(start)), int(m.end.Sub(start))
-		logrec.PutSealCRC(batch[at:end], logrec.BatchCRC(batch[from:at]))
-		from = end
+		a, b := rd.Spans(from, m.at)
+		crc := logrec.BatchCRCUpdate(logrec.BatchCRC(a), b)
+		var sum [logrec.SealCRCSize]byte
+		logrec.PutSealCRC(sum[:], crc)
+		a, b = rd.Spans(m.end.Add(-len(sum)), m.end)
+		copy(b, sum[copy(a, sum[:]):])
+		from = m.end
 	}
 }
 

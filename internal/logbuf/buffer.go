@@ -103,7 +103,9 @@ type Config struct {
 	// device, so LSNs remain stable log addresses across crashes.
 	Base lsn.LSN
 	// Size is the ring capacity in bytes; rounded up to a power of two.
-	// Default 16MiB.
+	// Default DefaultSize. The ring holds records only between their
+	// insert and the flush daemon's drain, so it is sized by the traffic
+	// of a few flush groups, not by the largest record.
 	Size int
 	// Slots is the consolidation-array width; the paper fixes 4 after the
 	// Figure 12 sensitivity study. Default 4.
@@ -128,7 +130,7 @@ func (c *Config) slotPool() int { return 8 * c.Slots }
 
 func (c *Config) applyDefaults() {
 	if c.Size <= 0 {
-		c.Size = 16 << 20
+		c.Size = DefaultSize
 	}
 	c.Size = ceilPow2(c.Size)
 	if c.Slots <= 0 {
@@ -149,6 +151,12 @@ func ceilPow2(n int) int {
 	}
 	return p
 }
+
+// DefaultSize is the ring every log lane has unless a Config names
+// another: 1 MiB, several hundred flush groups of a pipelined TPC-B
+// load, with a MaxGroup (Size/8) of 128 KiB, far above the largest
+// record (a row of logrec.MaxRowLen, or a checkpoint chunk).
+const DefaultSize = 1 << 20
 
 // ReaderRoom is how many bytes of the ring every insert leaves free but
 // the reader's own (Reader.Inserter): room for the record the flush
@@ -177,7 +185,21 @@ type Buffer struct {
 	// waiting is raised while an ordinary insert waits for ring space
 	// (waitForRoom): later ordinary inserts queue behind it.
 	waiting atomic.Bool
+	waits   WaitStats
 }
+
+// WaitStats counts the inserts that found the ring full: a ring too small
+// for its lane's traffic shows here first.
+type WaitStats struct {
+	// Waits counts the inserts that waited for the flush daemon to free
+	// ring space.
+	Waits metrics.Counter
+	// WaitNanos is the time they waited, in all, in nanoseconds.
+	WaitNanos metrics.Counter
+}
+
+// WaitStats returns the buffer's ring-space wait counters.
+func (b *Buffer) WaitStats() *WaitStats { return &b.waits }
 
 // New builds a log buffer with the chosen variant.
 func New(cfg Config) (*Buffer, error) {
@@ -236,10 +258,13 @@ func (rd *Reader) Pending() (start, end lsn.LSN) {
 	return start, end
 }
 
-// CopyOut linearizes the ring bytes [start, end) into dst, which must be
-// at least end-start bytes. It returns the byte count copied.
-func (rd *Reader) CopyOut(dst []byte, start, end lsn.LSN) int {
-	return rd.r.copyOut(dst, start, end)
+// Spans returns the ring's own memory holding [start, end), which must lie
+// within one ring's capacity of released bytes: a, and b when the range
+// wraps past the ring's physical end (else b is empty). The flush daemon
+// writes them to the device as they are, and may write into them (a
+// seal's CRC) until MarkFlushed hands the space back to inserters.
+func (rd *Reader) Spans(start, end lsn.LSN) (a, b []byte) {
+	return rd.r.spans(start, end)
 }
 
 // MarkFlushed advances the flush watermark, reclaiming ring space for

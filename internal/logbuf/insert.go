@@ -192,9 +192,11 @@ func (b *Buffer) reserve(n, room int) (start, end lsn.LSN, qn *relNode) {
 // behind it until it has its room, as they would behind a mutex held
 // through the wait: a stream of small records cannot take, piece by
 // piece, the space a large one waits for. The reader's inserts (room 0)
-// never queue.
+// never queue. An insert that waits at all is counted in b.waits, with
+// the time it waited.
 func (b *Buffer) waitForRoom(n, room int, empty func(at lsn.LSN) bool) (fits bool) {
 	queued := false
+	var t0 time.Time
 	for {
 		if empty != nil && empty(b.next) {
 			break
@@ -209,6 +211,9 @@ func (b *Buffer) waitForRoom(n, room int, empty func(at lsn.LSN) bool) (fits boo
 			queued = true
 			b.waiting.Store(true)
 		}
+		if t0.IsZero() {
+			t0 = time.Now()
+		}
 		b.mu.Unlock()
 		if first {
 			b.r.waitForFlush(flushed)
@@ -222,6 +227,10 @@ func (b *Buffer) waitForRoom(n, room int, empty func(at lsn.LSN) bool) (fits boo
 	}
 	if queued {
 		b.waiting.Store(false)
+	}
+	if !t0.IsZero() {
+		b.waits.Waits.Inc()
+		b.waits.WaitNanos.Add(int64(time.Since(t0)))
 	}
 	return fits
 }

@@ -15,6 +15,14 @@ import (
 	"aether/internal/metrics"
 )
 
+// copyOut copies the ring bytes [start, end) into dst, the way a flush
+// daemon that staged its batch would, and returns how many it copied.
+func copyOut(rd *Reader, dst []byte, start, end lsn.LSN) int {
+	a, b := rd.Spans(start, end)
+	n := copy(dst, a)
+	return n + copy(dst[n:], b)
+}
+
 // drain runs a background goroutine that immediately reclaims released
 // bytes (optionally collecting them) until stop is closed. It returns the
 // collected stream via the returned function.
@@ -35,7 +43,7 @@ func drain(b *Buffer, collect bool) (stop func() []byte) {
 					// Final sweep.
 					start, end = rd.Pending()
 					if start != end {
-						n := rd.CopyOut(scratch, start, end)
+						n := copyOut(rd, scratch, start, end)
 						if collect {
 							out = append(out, scratch[:n]...)
 						}
@@ -46,7 +54,7 @@ func drain(b *Buffer, collect bool) (stop func() []byte) {
 					continue
 				}
 			}
-			n := rd.CopyOut(scratch, start, end)
+			n := copyOut(rd, scratch, start, end)
 			if collect {
 				out = append(out, scratch[:n]...)
 			}
@@ -141,7 +149,7 @@ func TestCeilPow2(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}
 	cfg.applyDefaults()
-	if cfg.Size != 16<<20 || cfg.Slots != 4 || cfg.slotPool() != 32 || cfg.MaxGroup != cfg.Size/8 {
+	if cfg.Size != 1<<20 || cfg.Slots != 4 || cfg.slotPool() != 32 || cfg.MaxGroup != cfg.Size/8 {
 		t.Fatalf("defaults wrong: %+v", cfg)
 	}
 	cfg2 := Config{Size: 1000, MaxGroup: 1 << 30}
@@ -328,11 +336,11 @@ func TestReaderWatermarks(t *testing.T) {
 		t.Fatalf("pending [%v,%v), want [0,%d)", start, end, len(rec))
 	}
 	dst := make([]byte, len(rec))
-	if n := rd.CopyOut(dst, start, end); n != len(rec) {
-		t.Fatalf("CopyOut: %d", n)
+	if n := copyOut(rd, dst, start, end); n != len(rec) {
+		t.Fatalf("Spans hold %d bytes, want %d", n, len(rec))
 	}
 	if !bytes.Equal(dst, rec) {
-		t.Fatal("CopyOut bytes differ")
+		t.Fatal("Spans bytes differ")
 	}
 	rd.MarkFlushed(end)
 	if s, e := rd.Pending(); s != e {
@@ -592,7 +600,7 @@ func TestBackpressure(t *testing.T) {
 				t.Fatal("nothing pending on a full ring")
 			}
 			scratch := make([]byte, 4096)
-			rd.CopyOut(scratch, start, end)
+			copyOut(rd, scratch, start, end)
 			rd.MarkFlushed(end)
 			select {
 			case <-done:

@@ -1,6 +1,7 @@
 package logbuf
 
 import (
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -101,7 +102,7 @@ func (s *parkSpinner) spin() {
 //
 //	flushed  ≤  released  ≤  next (variant-owned insertion point)
 //
-// [0, flushed)        — copied out by the flusher; space reclaimable.
+// [0, flushed)        — written out by the flusher; space reclaimable.
 // [flushed, released) — filled and released; the flusher may drain it.
 // [released, next)    — acquired by inserters, fills in flight.
 //
@@ -159,19 +160,18 @@ func (r *ring) copyIn(start lsn.LSN, p []byte) {
 	}
 }
 
-// copyOut linearizes [start, end) into dst.
-func (r *ring) copyOut(dst []byte, start, end lsn.LSN) int {
-	total := int(end.Sub(start))
-	if total > len(dst) {
-		total = len(dst)
-		end = start.Add(total)
+// spans returns the ring memory of [start, end): one slice, or two when
+// the range wraps past the physical end of the buffer.
+func (r *ring) spans(start, end lsn.LSN) (a, b []byte) {
+	n := uint64(end.Sub(start))
+	if n > r.capacity {
+		panic(fmt.Sprintf("logbuf: span [%v, %v) exceeds the ring", start, end))
 	}
 	off := uint64(start) & r.mask
-	n := copy(dst[:total], r.buf[off:])
-	if n < total {
-		copy(dst[n:total], r.buf)
+	if off+n <= r.capacity {
+		return r.buf[off : off+n], nil
 	}
-	return total
+	return r.buf[off:], r.buf[:off+n-r.capacity]
 }
 
 // publishInOrder implements Algorithm 3's release step: wait until every

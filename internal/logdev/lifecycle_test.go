@@ -171,7 +171,8 @@ func TestWatermarkRejectsMidLogCorruption(t *testing.T) {
 // records), format 5's (an update's before and after images both
 // logged), format 6's (a back-pointer on every record but a commit or
 // an end), format 7's (a CRC-32C in every record's frame, no seals) or
-// format 8's (the full TxnID on every record of a transaction) —
+// format 8's (the full TxnID on every record of a transaction) or
+// format 9's (a checkpoint's tables in one record, not in chunks) —
 // is refused with ErrFormat by both kinds of open and left
 // untouched: reading format 1's segments as if they began with a header
 // would misplace every byte, format 2's and format 4's records would be
@@ -181,7 +182,8 @@ func TestWatermarkRejectsMidLogCorruption(t *testing.T) {
 // would read as the first-record mark, its back-pointer as the fields
 // after it, format 7's checksums as the kind byte and the fields, and
 // format 8's TxnID on a later record as a slot, or as no record at all
-// where a first record's slot is missing.
+// where a first record's slot is missing, and format 9's checkpoint
+// counts as a chunk header.
 func TestOldFormatDirectoryRefused(t *testing.T) {
 	for name, files := range map[string]map[string][]byte{
 		"format 1": {
@@ -215,6 +217,10 @@ func TestOldFormatDirectoryRefused(t *testing.T) {
 		},
 		"format 8": {
 			manifestName:           []byte("format 8\nsegsize 64\nbase 0\n"),
+			"0000000000000000.seg": append(make([]byte, SegmentHeaderSize), fill(40, 'o')...),
+		},
+		"format 9": {
+			manifestName:           []byte("format 9\nsegsize 64\nbase 0\n"),
 			"0000000000000000.seg": append(make([]byte, SegmentHeaderSize), fill(40, 'o')...),
 		},
 	} {

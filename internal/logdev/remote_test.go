@@ -101,7 +101,8 @@ func TestColdStoreRoundtripAndIdempotency(t *testing.T) {
 
 // TestOldVersionObjectRefused: segment and snapshot objects carry log
 // bytes and update payloads, so an object in the envelope version of an
-// earlier record encoding (objVersion 7: the full TxnID on every record
+// earlier record encoding (objVersion 8: a checkpoint's tables in one
+// record, not in chunks; objVersion 7: the full TxnID on every record
 // of a transaction; objVersion 6: a CRC-32C in every record's frame and
 // no seals; objVersion 5: a back-pointer on every record
 // but a commit or an end; objVersion 4: an update's before and after
@@ -117,7 +118,7 @@ func TestOldVersionObjectRefused(t *testing.T) {
 		obj[4], obj[5] = version, 0 // the version field; the payload CRC does not cover it
 		return obj
 	}
-	versions := []byte{7, 6, 5, 4, 3, 2, 1}
+	versions := []byte{8, 7, 6, 5, 4, 3, 2, 1}
 	for _, v := range versions {
 		if _, _, _, err := DecodeObject(old(v, ObjSegment, 7, fill(64, 'o'))); !errors.Is(err, ErrBadObject) || !errors.Is(err, ErrFormat) {
 			t.Fatalf("DecodeObject of a version-%d object: %v, want ErrBadObject and ErrFormat", v, err)

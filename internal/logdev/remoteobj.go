@@ -40,10 +40,10 @@ const (
 	objMagic = "AEOB"
 	// objVersion names the envelope and what its payloads hold: a
 	// segment object is log bytes, so the version moves with the log's
-	// record encoding (8 = MANIFEST format 9's). An object of another
+	// record encoding (9 = MANIFEST format 10's). An object of another
 	// version is refused, never handed to a decoder of the wrong
 	// encoding.
-	objVersion = uint16(8)
+	objVersion = uint16(9)
 	// envelopeSize is the fixed header before the payload:
 	// magic(4) version(2) kind(2) meta(8) payloadLen(4) crc(4).
 	envelopeSize = 24

@@ -189,15 +189,18 @@ func (s *Segmented) removeSeg(idx int64, seg *fileSegment) error {
 const manifestName = "MANIFEST"
 
 // manifestFormat is the directory layout and log encoding this code
-// reads and writes: 9 = segment files start with a watermark header and
+// reads and writes: 10 = segment files start with a watermark header and
 // hold records in logrec's compact encoding (a varint length, presence
 // byte, varint fields, no back-pointer on any record but a kind-byte bit
 // on a transaction's first, which alone names the transaction in full
 // and binds a one-byte slot that its later records carry instead, an
 // update's changed bytes logged once as before ⊕ after, insert and
 // delete rows without their zero tail, a CLR's undo-next stored plus
-// one), no checksum in any record, and every flushed batch closed by a
-// seal carrying its length and CRC-32C. Format 8 (the same with the
+// one), no checksum in any record, every flushed batch closed by a
+// seal carrying its length and CRC-32C, and a checkpoint's tables logged
+// in chunks of bounded size. Format 9 (the same with the whole tables in
+// one checkpoint-end record, whose chunk header format 10 would misread),
+// format 8 (that with the
 // full TxnID on every record of a transaction), format 7 (that with a
 // CRC-32C in every record's frame and no seals), format 6 (that with a back-pointer on every record but a
 // commit or an end, and that bit its presence bit), format 5 (that with
@@ -209,7 +212,7 @@ const manifestName = "MANIFEST"
 // headerless segments beside a MANIFEST.durable watermark file) are
 // refused with ErrFormat rather than guessed at: a reader of one record
 // encoding misreads or refuses the records of another.
-const manifestFormat = 9
+const manifestFormat = 10
 
 // ErrFormat is returned by the OpenSegmentedDir family for a directory,
 // and by the cold store's readers for an object, written in a layout or

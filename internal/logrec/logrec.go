@@ -399,6 +399,13 @@ func PutSealCRC(seal []byte, crc uint32) {
 // BatchCRC returns the CRC-32C a seal carries for batch.
 func BatchCRC(batch []byte) uint32 { return crc32.Checksum(batch, castagnoli) }
 
+// BatchCRCUpdate returns the CRC-32C of a batch whose first part has
+// the CRC crc and which goes on with p: a batch held in pieces.
+func BatchCRCUpdate(crc uint32, p []byte) uint32 { return crc32.Update(crc, castagnoli, p) }
+
+// SealCRCSize is the length of a seal's CRC, its last bytes.
+const SealCRCSize = crcSize
+
 // AppendSeal appends to dst the seal of the batch that dst[from:] holds.
 func AppendSeal(dst []byte, from int) []byte {
 	n := len(dst) - from

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -860,6 +861,79 @@ func TestCheckpointMalformed(t *testing.T) {
 	enc[len(enc)-1] = 2 // Precommitted is 0 or 1
 	if _, err := DecodeCheckpoint(enc); !errors.Is(err, ErrBadPayload) {
 		t.Fatalf("precommitted byte 2: got %v", err)
+	}
+}
+
+// TestCheckpointChunks: EncodeChunks splits a checkpoint into chunks of
+// at most the size asked, ATT entries first, each naming its place and
+// the totals; a CheckpointGather fed them in order, with another
+// checkpoint's chunks and other records' payloads left out between them,
+// returns the whole checkpoint at the last chunk and not before, and
+// gives up one that lost a chunk or mixes two checkpoints.
+func TestCheckpointChunks(t *testing.T) {
+	var c CheckpointPayload
+	for i := 0; i < 300; i++ {
+		c.ActiveTxns = append(c.ActiveTxns, TxnTableEntry{TxnID: uint64(i + 1), LastLSN: lsn.LSN(10 * i), Precommitted: i%3 == 0})
+	}
+	for i := 0; i < 700; i++ {
+		c.DirtyPages = append(c.DirtyPages, DirtyPageEntry{PageID: uint64(1000 + i), RecLSN: lsn.LSN(7 * i)})
+	}
+	const max = 4064
+	chunks := c.EncodeChunks(max)
+	if want := (300*ATTEntrySize + 700*DPTEntrySize + max - CheckpointChunkHeader - 1) / (max - CheckpointChunkHeader); len(chunks) < want || len(chunks) > want+1 {
+		t.Fatalf("%d chunks, want about %d", len(chunks), want)
+	}
+	var g CheckpointGather
+	for i, p := range chunks {
+		if len(p) > max {
+			t.Fatalf("chunk %d is %d bytes, over %d", i, len(p), max)
+		}
+		d, err := DecodeCheckpoint(p)
+		if err != nil || d.Index != i || d.Count != len(chunks) || d.ActiveTotal != 300 || d.DirtyTotal != 700 {
+			t.Fatalf("chunk %d decodes to %d of %d, totals %d/%d: %v", i, d.Index, d.Count, d.ActiveTotal, d.DirtyTotal, err)
+		}
+		if again := d.Encode(nil); !bytes.Equal(again, p) {
+			t.Fatalf("chunk %d does not re-encode byte-identically", i)
+		}
+		got, ok := g.Add(42, p)
+		if ok != d.Last() {
+			t.Fatalf("chunk %d of %d: whole %v", i, len(chunks), ok)
+		}
+		if ok && (!reflect.DeepEqual(got.ActiveTxns, c.ActiveTxns) || !reflect.DeepEqual(got.DirtyPages, c.DirtyPages)) {
+			t.Fatal("the gathered checkpoint differs from the one chunked")
+		}
+	}
+	// An empty checkpoint is one chunk of no entries.
+	empty := (&CheckpointPayload{}).EncodeChunks(max)
+	if len(empty) != 1 || len(empty[0]) != CheckpointChunkHeader {
+		t.Fatalf("an empty checkpoint makes %d chunks", len(empty))
+	}
+	if _, ok := g.Add(43, empty[0]); !ok {
+		t.Fatal("an empty one-chunk checkpoint is not whole")
+	}
+	// A lost chunk, another checkpoint's chunk, or a stray middle chunk
+	// drops what was gathered.
+	other := (&CheckpointPayload{DirtyPages: c.DirtyPages[:300]}).EncodeChunks(max)
+	for name, feed := range map[string][][]byte{
+		"lost chunk":        append(append([][]byte{}, chunks[:1]...), chunks[2:]...),
+		"no first chunk":    chunks[1:],
+		"two checkpoints":   append(append([][]byte{}, chunks[:2]...), other[1:]...),
+		"chunk given twice": append(append([][]byte{}, chunks[:2]...), chunks[1:]...),
+	} {
+		var g CheckpointGather
+		for _, p := range feed {
+			if _, ok := g.Add(42, p); ok {
+				t.Fatalf("%s: a checkpoint came out whole", name)
+			}
+		}
+	}
+	// The same chunks under two begin addresses are two checkpoints.
+	g = CheckpointGather{}
+	g.Add(42, chunks[0])
+	for _, p := range chunks[1:] {
+		if _, ok := g.Add(43, p); ok {
+			t.Fatal("chunks of another Aux completed the checkpoint")
+		}
 	}
 }
 

@@ -348,8 +348,22 @@ type DirtyPageEntry struct {
 	RecLSN lsn.LSN
 }
 
-// CheckpointPayload is the body of a KindCheckpointEnd record: the fuzzy
-// snapshot of the active-transaction table and dirty-page table.
+// CheckpointPayload is what a fuzzy checkpoint logs: its snapshot of the
+// active-transaction table and dirty-page table. It is logged in chunks,
+// each the payload of one KindCheckpointEnd record, so no record of it
+// outgrows a log buffer's group limit however many pages are dirty:
+//
+//	[0:4]   chunk index, from 0           uint32 LE
+//	[4:8]   chunk count (the last chunk's index is count-1)
+//	[8:12]  the checkpoint's ATT entries in all
+//	[12:16] its DPT entries in all
+//	[16:20] ATT entries in this chunk, a
+//	[20:24] DPT entries in this chunk, d
+//	then a × 17 bytes: TxnID u64, LastLSN u64, Precommitted u8
+//	then d × 16 bytes: PageID u64, RecLSN u64
+//
+// The chunks carry the ATT and then the DPT in order, and every chunk of
+// a checkpoint has the same Aux, its begin record's address.
 type CheckpointPayload struct {
 	// ActiveTxns snapshots the active-transaction table.
 	ActiveTxns []TxnTableEntry
@@ -357,61 +371,136 @@ type CheckpointPayload struct {
 	DirtyPages []DirtyPageEntry
 }
 
-// EncodedSize returns the payload's encoded length.
-func (c *CheckpointPayload) EncodedSize() int {
-	return 8 + len(c.ActiveTxns)*17 + len(c.DirtyPages)*16
+const (
+	// CheckpointChunkHeader is the size of a chunk's header
+	// (CheckpointPayload).
+	CheckpointChunkHeader = 24
+	// ATTEntrySize is the size of a chunk's active-transaction entry.
+	ATTEntrySize = 17
+	// DPTEntrySize is the size of a chunk's dirty-page entry.
+	DPTEntrySize = 16
+)
+
+// CheckpointChunk is one decoded chunk of a checkpoint: its place among
+// the checkpoint's chunks, the checkpoint's totals, and the entries the
+// chunk carries.
+type CheckpointChunk struct {
+	// Index is the chunk's place, from 0; Count is how many chunks the
+	// checkpoint has, so the last one's Index is Count-1.
+	Index, Count int
+	// ActiveTotal and DirtyTotal are the checkpoint's ATT and DPT entries
+	// in all chunks.
+	ActiveTotal, DirtyTotal int
+	// CheckpointPayload holds this chunk's entries.
+	CheckpointPayload
 }
 
-// Encode appends the payload to dst and returns the extended slice.
+// Last reports whether the chunk is its checkpoint's final one.
+func (c *CheckpointChunk) Last() bool { return c.Index == c.Count-1 }
+
+// EncodedSize returns the length of the one chunk Encode makes: a chunk
+// header and the entries.
+func (c *CheckpointPayload) EncodedSize() int {
+	return CheckpointChunkHeader + len(c.ActiveTxns)*ATTEntrySize + len(c.DirtyPages)*DPTEntrySize
+}
+
+// Encode appends the whole checkpoint to dst as one chunk (chunk 0 of 1)
+// and returns the extended slice: EncodeChunks for a checkpoint small
+// enough to need no other.
 func (c *CheckpointPayload) Encode(dst []byte) []byte {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(c.ActiveTxns)))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(c.DirtyPages)))
-	dst = append(dst, hdr[:]...)
-	var tmp [17]byte
-	for _, e := range c.ActiveTxns {
+	nt, np := len(c.ActiveTxns), len(c.DirtyPages)
+	return appendChunk(dst, [6]int{0, 1, nt, np, nt, np}, c.ActiveTxns, c.DirtyPages)
+}
+
+// Encode appends the chunk to dst as DecodeCheckpoint read it and returns
+// the extended slice.
+func (c *CheckpointChunk) Encode(dst []byte) []byte {
+	hdr := [6]int{c.Index, c.Count, c.ActiveTotal, c.DirtyTotal, len(c.ActiveTxns), len(c.DirtyPages)}
+	return appendChunk(dst, hdr, c.ActiveTxns, c.DirtyPages)
+}
+
+// EncodeChunks returns the checkpoint's chunks, in order, each at most
+// max bytes, which must hold the header and one ATT entry. An empty
+// checkpoint is one chunk of no entries.
+func (c *CheckpointPayload) EncodeChunks(max int) [][]byte {
+	if max < CheckpointChunkHeader+ATTEntrySize {
+		panic(fmt.Sprintf("logrec: checkpoint chunks of %d bytes hold no entry", max))
+	}
+	type span struct{ a0, a1, d0, d1 int }
+	var spans []span
+	for i, j := 0, 0; len(spans) == 0 || i < len(c.ActiveTxns) || j < len(c.DirtyPages); {
+		sp, room := span{a0: i, d0: j}, max-CheckpointChunkHeader
+		for ; i < len(c.ActiveTxns) && room >= ATTEntrySize; i++ {
+			room -= ATTEntrySize
+		}
+		for ; i == len(c.ActiveTxns) && j < len(c.DirtyPages) && room >= DPTEntrySize; j++ {
+			room -= DPTEntrySize
+		}
+		sp.a1, sp.d1 = i, j
+		spans = append(spans, sp)
+	}
+	out := make([][]byte, len(spans))
+	for k, sp := range spans {
+		hdr := [6]int{k, len(spans), len(c.ActiveTxns), len(c.DirtyPages), sp.a1 - sp.a0, sp.d1 - sp.d0}
+		out[k] = appendChunk(nil, hdr, c.ActiveTxns[sp.a0:sp.a1], c.DirtyPages[sp.d0:sp.d1])
+	}
+	return out
+}
+
+// appendChunk appends a chunk of header hdr (its six words, in order)
+// carrying att and dpt.
+func appendChunk(dst []byte, hdr [6]int, att []TxnTableEntry, dpt []DirtyPageEntry) []byte {
+	var h [CheckpointChunkHeader]byte
+	for k, v := range hdr {
+		binary.LittleEndian.PutUint32(h[4*k:], uint32(v))
+	}
+	dst = append(dst, h[:]...)
+	var tmp [ATTEntrySize]byte
+	for _, e := range att {
 		binary.LittleEndian.PutUint64(tmp[0:8], e.TxnID)
 		binary.LittleEndian.PutUint64(tmp[8:16], uint64(e.LastLSN))
+		tmp[16] = 0
 		if e.Precommitted {
 			tmp[16] = 1
-		} else {
-			tmp[16] = 0
 		}
-		dst = append(dst, tmp[:17]...)
+		dst = append(dst, tmp[:ATTEntrySize]...)
 	}
-	for _, e := range c.DirtyPages {
+	for _, e := range dpt {
 		binary.LittleEndian.PutUint64(tmp[0:8], e.PageID)
 		binary.LittleEndian.PutUint64(tmp[8:16], uint64(e.RecLSN))
-		dst = append(dst, tmp[:16]...)
+		dst = append(dst, tmp[:DPTEntrySize]...)
 	}
 	return dst
 }
 
-// DecodeCheckpoint parses a KindCheckpointEnd payload.
-func DecodeCheckpoint(src []byte) (CheckpointPayload, error) {
-	if len(src) < 8 {
-		return CheckpointPayload{}, ErrBadPayload
+// DecodeCheckpoint parses one chunk, a KindCheckpointEnd payload.
+func DecodeCheckpoint(src []byte) (CheckpointChunk, error) {
+	if len(src) < CheckpointChunkHeader {
+		return CheckpointChunk{}, ErrBadPayload
 	}
-	nt := int(binary.LittleEndian.Uint32(src[0:4]))
-	np := int(binary.LittleEndian.Uint32(src[4:8]))
-	want := 8 + nt*17 + np*16
-	if nt < 0 || np < 0 || want != len(src) {
-		return CheckpointPayload{}, ErrBadPayload
+	var h [6]uint64
+	for k := range h {
+		h[k] = uint64(binary.LittleEndian.Uint32(src[4*k:]))
 	}
-	out := CheckpointPayload{}
-	off := 8
+	index, count, at, dt, nt, np := h[0], h[1], h[2], h[3], h[4], h[5]
+	if index >= count || nt > at || np > dt ||
+		uint64(len(src)) != CheckpointChunkHeader+nt*ATTEntrySize+np*DPTEntrySize {
+		return CheckpointChunk{}, ErrBadPayload
+	}
+	out := CheckpointChunk{Index: int(index), Count: int(count), ActiveTotal: int(at), DirtyTotal: int(dt)}
+	off := CheckpointChunkHeader
 	if nt > 0 {
 		out.ActiveTxns = make([]TxnTableEntry, nt)
 		for i := range out.ActiveTxns {
 			if src[off+16] > 1 {
-				return CheckpointPayload{}, ErrBadPayload
+				return CheckpointChunk{}, ErrBadPayload
 			}
 			out.ActiveTxns[i] = TxnTableEntry{
 				TxnID:        binary.LittleEndian.Uint64(src[off : off+8]),
 				LastLSN:      lsn.LSN(binary.LittleEndian.Uint64(src[off+8 : off+16])),
 				Precommitted: src[off+16] == 1,
 			}
-			off += 17
+			off += ATTEntrySize
 		}
 	}
 	if np > 0 {
@@ -421,10 +510,51 @@ func DecodeCheckpoint(src []byte) (CheckpointPayload, error) {
 				PageID: binary.LittleEndian.Uint64(src[off : off+8]),
 				RecLSN: lsn.LSN(binary.LittleEndian.Uint64(src[off+8 : off+16])),
 			}
-			off += 16
+			off += DPTEntrySize
 		}
 	}
 	return out, nil
+}
+
+// CheckpointGather assembles checkpoints from their chunks, fed in log
+// order with whatever records fall between them left out.
+type CheckpointGather struct {
+	aux  uint64
+	next int             // the chunk expected next; 0 when none is open
+	head CheckpointChunk // the open checkpoint's first chunk
+	cp   CheckpointPayload
+}
+
+// Add feeds the payload of a KindCheckpointEnd record whose Aux is aux.
+// Once it is the final chunk of a checkpoint whose every other chunk came
+// before it, in order, Add returns that checkpoint and true. A chunk that
+// does not follow the open checkpoint's previous one — another
+// checkpoint's, out of order, malformed, or disagreeing on the count or
+// the totals — drops what was gathered; a first chunk starts anew.
+func (g *CheckpointGather) Add(aux uint64, payload []byte) (CheckpointPayload, bool) {
+	c, err := DecodeCheckpoint(payload)
+	switch {
+	case err != nil:
+		g.next = 0
+		return CheckpointPayload{}, false
+	case c.Index == 0:
+		g.aux, g.head, g.cp = aux, c, CheckpointPayload{}
+	case g.next == 0 || aux != g.aux || c.Index != g.next || c.Count != g.head.Count ||
+		c.ActiveTotal != g.head.ActiveTotal || c.DirtyTotal != g.head.DirtyTotal:
+		g.next = 0
+		return CheckpointPayload{}, false
+	}
+	g.cp.ActiveTxns = append(g.cp.ActiveTxns, c.ActiveTxns...)
+	g.cp.DirtyPages = append(g.cp.DirtyPages, c.DirtyPages...)
+	g.next = c.Index + 1
+	if !c.Last() {
+		return CheckpointPayload{}, false
+	}
+	g.next = 0
+	if len(g.cp.ActiveTxns) != c.ActiveTotal || len(g.cp.DirtyPages) != c.DirtyTotal {
+		return CheckpointPayload{}, false
+	}
+	return g.cp, true
 }
 
 // Reset re-arms r in place as a payload-less record of the given kind

@@ -532,15 +532,16 @@ func compensate(store *storage.Store, pid uint64, inv logrec.UpdatePayload, page
 }
 
 // findCheckpoint scans lane 0's checked tail (the coordinator writes
-// checkpoints nowhere else) for the checkpoint Analyze's ckpt names and
-// returns its begin LSN and decoded payload; one named but missing is an
-// error.
+// checkpoints nowhere else) for the checkpoint Analyze's ckpt names, or
+// the newest whole one, gathering its chunks, and returns its begin LSN
+// and payload; one named but missing, or missing a chunk, is an error.
 func findCheckpoint(lane Lane, want *lsn.LSN) (lsn.LSN, logrec.CheckpointPayload, error) {
 	begin := lsn.Undefined
 	var payload logrec.CheckpointPayload
 	if want != nil && !want.Valid() {
 		return begin, payload, nil
 	}
+	var g logrec.CheckpointGather
 	it := logrec.NewVerifiedIterator(lane.Log, lane.Base)
 	for {
 		rec, ok := it.Next()
@@ -550,12 +551,11 @@ func findCheckpoint(lane Lane, want *lsn.LSN) (lsn.LSN, logrec.CheckpointPayload
 		if rec.Kind != logrec.KindCheckpointEnd || (want != nil && lsn.LSN(rec.Aux) != *want) {
 			continue
 		}
-		p, err := logrec.DecodeCheckpoint(rec.Payload)
-		if err != nil {
-			continue // damaged checkpoint: ignore, keep the previous one
+		// A checkpoint counts once its last chunk is in: one whose tail
+		// a crash cut off leaves the previous one in force.
+		if p, ok := g.Add(rec.Aux, rec.Payload); ok {
+			begin, payload = lsn.LSN(rec.Aux), p
 		}
-		begin = lsn.LSN(rec.Aux)
-		payload = p
 	}
 	if want != nil && begin != *want {
 		return begin, payload, fmt.Errorf("recovery: checkpoint begun at %v is not in lane 0's log from %v", *want, lane.Base)

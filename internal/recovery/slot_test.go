@@ -156,8 +156,10 @@ func TestSlotRecoveryCLRsNameTheLoser(t *testing.T) {
 
 // FuzzSlotResolve drives agents through random histories — begin,
 // update, commit, abort with its CLRs and end record, a transaction
-// begun while the agent's previous one is still active, an agent closed
-// and its slot lent to another — on one lane or three, truncates the
+// begun while the agent's previous one is still active (which gives the
+// agent's slot back to the pool when it finishes, for any agent to take
+// at a later begin), an agent closed and its slot lent to another — on
+// one lane or three, truncates the
 // lanes at bases the retention rule allows (no active transaction's
 // first record below a lane's base) and cuts random tails off them, and
 // reads what is left through LaneMerge: every record must name its true
@@ -203,6 +205,9 @@ type slotTxn struct {
 	last  uint64 // the order of its newest record
 	prev  lsn.LSN
 	done  bool
+	// orphan: its agent moved on while it held the agent's slot; it
+	// returns the slot to the pool when it finishes.
+	orphan bool
 }
 
 // slotHistory writes records as the engine's agents would, one batch a
@@ -287,7 +292,14 @@ func (h *slotHistory) step(t *testing.T, op byte) {
 		h.finish(a, cur)
 	case 5: // begin while a transaction is active, or close and reopen
 		if cur != nil {
-			a.slot = 0 // the agent gives its slot up for good
+			// The agent gives its slot up to the transaction holding it,
+			// which returns it when it finishes.
+			for _, x := range a.active {
+				if x.slot != 0 && x.slot == a.slot {
+					x.orphan = true
+				}
+			}
+			a.slot = 0
 			h.begin(a, lane)
 			return
 		}
@@ -302,8 +314,12 @@ func (h *slotHistory) step(t *testing.T, op byte) {
 }
 
 // begin starts a transaction on agent a, homed on lane; it logs nothing
-// yet.
+// yet. An agent without a slot takes one, if one is free, unless it is
+// beginning beside a transaction still active.
 func (h *slotHistory) begin(a *slotAgent, lane int) *slotTxn {
+	if k := len(h.pool); a.slot == 0 && k > 0 && len(a.active) == 0 {
+		a.slot, h.pool = h.pool[k-1], h.pool[:k-1]
+	}
 	h.nextID++
 	x := &slotTxn{id: h.nextID, slot: a.slot, lane: lane}
 	a.active = append(a.active, x)
@@ -314,6 +330,9 @@ func (h *slotHistory) begin(a *slotAgent, lane int) *slotTxn {
 // finish ends x, one of a's active transactions.
 func (h *slotHistory) finish(a *slotAgent, x *slotTxn) {
 	x.done = true
+	if x.orphan {
+		h.pool = append(h.pool, x.slot)
+	}
 	for i, y := range a.active {
 		if y == x {
 			a.active = append(a.active[:i], a.active[i+1:]...)

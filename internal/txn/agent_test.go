@@ -255,8 +255,10 @@ func TestUnfinishedTxnKeepsItsScratch(t *testing.T) {
 // agent's scratch reach the device as exactly the bytes the allocating
 // constructors encode to — the log format did not move. The scratch is
 // dirtied first by a rollback (CLR flags and undo-next in the header).
+// Its daemon flushes only when a commit waits, so no timer pass puts a
+// seal between the transaction's records.
 func TestAgentScratchLogsSameBytes(t *testing.T) {
-	h := newHarness(t)
+	h := newHarnessN(t, 1, goldenLogConfig)
 	tbl, _ := h.eng.CreateTable("t", nil)
 	ag := h.eng.NewAgent()
 	defer ag.Close()

@@ -541,7 +541,9 @@ func TestCrashRecoveryRandomized(t *testing.T) {
 					case rng.Intn(10) == 0:
 						// Leave in flight: crash will roll it back. Later
 						// transactions can't touch its keys (locks held), so
-						// abandon the agent and use a new one.
+						// abandon the agent and use a new one. The slot
+						// stays with the transaction in flight.
+						ag.Close()
 						ag = h.eng.NewAgent()
 					default:
 						if err := tx.Commit(CommitSync, nil); err != nil {

@@ -503,20 +503,36 @@ func (e *Engine) NewAgent() *Agent {
 }
 
 // Close releases the agent's inherited locks and its scratch (shutdown),
-// and gives its slot back to the engine — unless a transaction that can
-// still log holds it, in which case the slot is never lent again.
+// and gives its slot back to the engine — or, when a transaction that can
+// still log holds it, leaves it to that transaction to give back when it
+// finishes (txnScratch.giveSlotBack).
 func (a *Agent) Close() {
 	a.eng.locks.DropCache(a.cache)
-	if sc := a.sc; sc != nil && sc.slot != 0 && sc.owner.state.Load() == stActive {
-		a.slot = 0
+	if sc := a.sc; sc != nil {
+		a.leave(sc)
 	}
 	if a.slot != 0 {
-		a.eng.mu.Lock()
-		a.eng.slots = append(a.eng.slots, a.slot)
-		a.eng.mu.Unlock()
+		a.eng.putSlot(a.slot)
 	}
 	a.rec = logrec.Record{}
 	a.sc, a.slot = nil, 0
+}
+
+// leave is the agent moving on from sc, its scratch: when sc's
+// transaction can still log under the agent's slot, the slot stays with
+// it and the agent gives it up.
+func (a *Agent) leave(sc *txnScratch) {
+	if sc.slot != 0 && sc.owner.state.Load() == stActive {
+		sc.orphan.Store(true)
+		a.slot = 0
+	}
+}
+
+// putSlot returns a slot to the engine's pool.
+func (e *Engine) putSlot(slot uint8) {
+	e.mu.Lock()
+	e.slots = append(e.slots, slot)
+	e.mu.Unlock()
 }
 
 // Begin starts a transaction on this agent. The agent must finish
@@ -529,16 +545,20 @@ func (a *Agent) Close() {
 // previous transaction can log nothing more under it. A previous
 // transaction that is still active (abandoned, or interleaved against
 // the rule above) keeps the scratch and its slot, and the agent starts a
-// new scratch without one: it gives its slot up for good.
+// new scratch without one: the older transaction gives the slot back to
+// the engine once it can log no more, and the agent takes a slot again,
+// if one is free, at a later Begin.
 func (a *Agent) Begin() *Txn {
 	t := &Txn{eng: a.eng, agent: a, id: a.eng.nextTxn.Add(1), home: -1}
 	t.lastStamp.Store(lsn.Undefined)
 	t.first.Store(lsn.Undefined)
+	take := false // the agent has no slot and may take one
 	if a.sc != nil && a.sc.owner.state.Load() != stActive {
 		a.sc.rearm(t)
+		take = a.slot == 0
 	} else {
 		if a.sc != nil {
-			a.slot = 0
+			a.leave(a.sc)
 		}
 		a.sc = &txnScratch{owner: t, locker: a.eng.locks.NewLocker(t.id, a.cache), slot: a.slot}
 	}
@@ -546,9 +566,14 @@ func (a *Agent) Begin() *Txn {
 	if cap(a.rec.Payload) > maxRecordBuffer {
 		a.rec.Payload = nil
 	}
-	a.eng.mu.Lock()
-	a.eng.att[t.id] = t
-	a.eng.mu.Unlock()
+	e := a.eng
+	e.mu.Lock()
+	e.att[t.id] = t
+	if n := len(e.slots); take && n > 0 {
+		a.slot, e.slots = e.slots[n-1], e.slots[:n-1]
+		a.sc.slot = a.slot
+	}
+	e.mu.Unlock()
 	return t
 }
 
@@ -560,8 +585,8 @@ func (e *Engine) attRemove(id uint64) {
 }
 
 // Checkpoint takes a fuzzy checkpoint: begin record, ATT+DPT snapshot in
-// the end record, then (if an archive is configured) a page-cleaning
-// sweep up to the durable horizon.
+// the end records (logrec.CheckpointPayload's chunks), then (if an
+// archive is configured) a page-cleaning sweep up to the durable horizon.
 func (e *Engine) Checkpoint() error {
 	e.ckptMu.Lock()
 	defer e.ckptMu.Unlock()
@@ -594,13 +619,15 @@ func (e *Engine) Checkpoint() error {
 	e.mu.Unlock()
 	payload.DirtyPages = e.store.DirtyPages()
 
-	rec := &logrec.Record{
-		Header:  logrec.Header{Kind: logrec.KindCheckpointEnd, Aux: uint64(beginAt)},
-		Payload: payload.Encode(nil),
-	}
-	_, end, endStamp, _, err := e.ckptAp.Append(0, rec)
-	if err != nil {
-		return fmt.Errorf("txn: checkpoint end: %w", err)
+	// The tables go to the log in chunks, each an end record of the same
+	// Aux; recovery uses the checkpoint once its last chunk is durable.
+	var end, endStamp lsn.LSN
+	rec := &logrec.Record{Header: logrec.Header{Kind: logrec.KindCheckpointEnd, Aux: uint64(beginAt)}}
+	for _, chunk := range payload.EncodeChunks(ckptChunk) {
+		rec.Payload = chunk
+		if _, end, endStamp, _, err = e.ckptAp.Append(0, rec); err != nil {
+			return fmt.Errorf("txn: checkpoint end: %w", err)
+		}
 	}
 	if err := e.waitLM(0).WaitDurable(end); err != nil {
 		return fmt.Errorf("txn: checkpoint flush: %w", err)
@@ -636,6 +663,11 @@ func (e *Engine) Checkpoint() error {
 	e.stats.Checkpoints.Inc()
 	return nil
 }
+
+// ckptChunk bounds a checkpoint chunk's payload so that its record, whose
+// header takes at most 18 bytes, fits an appender's encode buffer: about
+// 250 dirty pages a chunk, far below any ring's group limit.
+const ckptChunk = core.AppenderScratch - 32
 
 // checkpointMark is what a snapshot needs of the checkpoint it follows:
 // its begin record's lane-0 address, its end record's page stamp (which

@@ -11,14 +11,16 @@ import (
 )
 
 // oneLaneLogGolden holds, as a hex dump, the log goldenScript leaves
-// behind: record format 9 (a varint length and no checksum, compact
+// behind: record format 10 (a varint length and no checksum, compact
 // header, no back-pointer on any record but a kind-byte bit on a
 // transaction's first, which alone names the transaction in full and
 // binds its one-byte slot, the later records carrying the slot, an
 // update's changed bytes logged once as before ⊕ after, insert and
 // delete rows without their zero tail, a CLR's undo-next stored plus
-// one, each flush's batch closed by a seal), 394 bytes, where the same
-// script wrote 386 in format 8 (its transaction IDs are one byte, so a
+// one, each flush's batch closed by a seal, a checkpoint's tables in
+// chunks), 410 bytes, where the same script wrote 394 in format 9 (its
+// checkpoint's one chunk has a 24-byte header where format 9's record
+// had 8), 386 in format 8 (its transaction IDs are one byte, so a
 // slot saves nothing and costs each first record a byte), 439 in format
 // 7, 456 in format 6, 475 in format 5, 577 in format 4, 648 in format 3
 // and 2 065 in format 2. A one-lane log must stay byte-identical to it: same records, same

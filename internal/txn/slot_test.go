@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"aether/internal/logdev"
+	"aether/internal/logrec"
+	"aether/internal/lsn"
 )
 
 // TestInterleavedTxnNamesItselfInFull: a transaction begun while its
@@ -14,7 +16,9 @@ import (
 // because the previous one keeps the slot and can still log under it.
 // The older transaction logs again after the newer one's first record;
 // after a crash that update must still be the older one's, a loser's,
-// and be undone, while the newer one's commit stands.
+// and be undone, while the newer one's commit stands. Once an older
+// transaction finishes, it gives the slot back to the engine, and its
+// agent's later transactions take one again and log it alone.
 func TestInterleavedTxnNamesItselfInFull(t *testing.T) {
 	forEachLaneCount(t, func(t *testing.T, n int) {
 		h := newHarnessN(t, n, harnessLogConfig)
@@ -27,6 +31,60 @@ func TestInterleavedTxnNamesItselfInFull(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		// An interleaving whose older transaction finishes: the slot goes
+		// back to the engine, and a later transaction of the agent logs
+		// a slot again.
+		ag0 := h.eng.NewAgent()
+		defer ag0.Close()
+		o := ag0.Begin()
+		free := len(h.eng.slots)
+		set(o, 1, 5)
+		nw := ag0.Begin()
+		set(nw, 2, 6)
+		for _, tx := range []*Txn{nw, o} {
+			if err := tx.Commit(CommitSync, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(h.eng.slots) != free+1 || ag0.slot != 0 {
+			t.Fatalf("%d free slots after the older transaction's commit, %d before, agent slot %d; want the older's back in the pool",
+				len(h.eng.slots), free, ag0.slot)
+		}
+		before := make([]int64, len(h.devs))
+		for i, d := range h.devs {
+			before[i] = d.DurableSize()
+		}
+		later := ag0.Begin()
+		if later.sc.slot == 0 || ag0.slot != later.sc.slot {
+			t.Fatalf("the agent's later transaction got slot %d (agent %d), want one again", later.sc.slot, ag0.slot)
+		}
+		set(later, 1, 0)
+		set(later, 2, 0)
+		if err := later.Commit(CommitSync, nil); err != nil {
+			t.Fatal(err)
+		}
+		records := 0
+		for i, d := range h.devs {
+			tail := make([]byte, d.DurableSize()-before[i])
+			if _, err := d.ReadAt(tail, before[i]); err != nil && len(tail) > 0 {
+				t.Fatal(err)
+			}
+			it := logrec.NewIterator(tail, lsn.LSN(before[i]))
+			for rec, ok := it.Next(); ok; rec, ok = it.Next() {
+				records++
+				if rec.Slot != later.sc.slot || rec.First != (rec.TxnID == later.ID()) || !rec.First && rec.TxnID != 0 {
+					t.Errorf("the %v at %v: txn %d, slot %d, first %v; want slot %d, and ID %d on the first record alone",
+						rec.Kind, rec.LSN, rec.TxnID, rec.Slot, rec.First, later.sc.slot, later.ID())
+				}
+			}
+			if err := it.Err(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if records != 3 {
+			t.Fatalf("the later transaction logged %d records, want 2 updates and a commit", records)
+		}
+
 		older := ag.Begin()
 		set(older, 1, 11)
 		newer := ag.Begin()

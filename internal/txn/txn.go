@@ -63,6 +63,17 @@ type txnScratch struct {
 	// slot names the owner in the log after its first record
 	// (logrec.Header.Slot); 0 names it in full.
 	slot uint8
+	// orphan is set when the agent moved on (Agent.leave) while the owner
+	// could still log under slot: the owner gives the slot back.
+	orphan atomic.Bool
+}
+
+// giveSlotBack returns the scratch's slot to the engine's pool once its
+// owner can log nothing more, if its agent gave the slot up.
+func (sc *txnScratch) giveSlotBack(e *Engine) {
+	if sc.orphan.Swap(false) {
+		e.putSlot(sc.slot)
+	}
 }
 
 // Retention caps: scratch that a transaction grew beyond these is
@@ -374,6 +385,7 @@ func (t *Txn) Commit(mode CommitMode, whenDone func(error)) error {
 	// Read-only transactions have nothing to harden: release and reply.
 	if t.writes == 0 {
 		t.state.Store(stCommitted)
+		t.sc.giveSlotBack(t.eng)
 		t.sc.locker.ReleaseAll()
 		t.eng.attRemove(t.id)
 		t.eng.stats.ReadOnly.Inc()
@@ -393,6 +405,7 @@ func (t *Txn) Commit(mode CommitMode, whenDone func(error)) error {
 	t.lastStamp.Store(recStamp)
 	t.lastEnd = end
 	t.state.Store(stPrecommitted)
+	t.sc.giveSlotBack(t.eng)
 
 	// All waits are against the transaction's own lane: the flush
 	// limiter guarantees the home lane cannot harden the commit record
@@ -548,6 +561,7 @@ func (t *Txn) Abort() error {
 		rec.Reset(logrec.KindEnd, t.id)
 		_, endEnd, _, endStamp, aerr := t.appendRec(rec)
 		t.state.Store(stAborted)
+		t.sc.giveSlotBack(t.eng)
 		t.sc.locker.ReleaseAll()
 		t.eng.stats.Aborts.Inc()
 		if aerr != nil {
@@ -567,6 +581,7 @@ func (t *Txn) Abort() error {
 	}
 
 	t.state.Store(stAborted)
+	t.sc.giveSlotBack(t.eng)
 	t.sc.locker.ReleaseAll()
 	t.eng.attRemove(t.id)
 	t.eng.stats.Aborts.Inc()

@@ -206,8 +206,7 @@ func (db *DB) restore(snap *logdev.Manifest, at uint64) (_ *RestoredDB, err erro
 			PrefetchDepth: db.opts.PrefetchDepth,
 			Mode:          CommitSync,
 		},
-		fs:     db.fs,
-		logBuf: 1 << 20, // it logs nothing but its losers' rollback
+		fs: db.fs,
 	}
 	r := &RestoredDB{db: rdb, at: int64(at)}
 	if db.mem != nil {
