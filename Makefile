@@ -76,7 +76,11 @@ lock-race:
 # and non-test Go under internal/workload calls CreateTable only in
 # load.go. The run loop is also the one place there that builds an
 # engine: non-test Go under internal/bench calls txn.Restart only in
-# harness.go.
+# harness.go. And every logged byte carries one checksum, its batch's
+# seal, which the flush daemon computes once: non-test Go under
+# internal/logdev calls no crc32.Update (a watermark slot's CRC covers
+# the slot, the cold-store envelope's its object, each in one
+# crc32.Checksum), and internal/logdev/segment.go names no crc32 at all.
 vet:
 	$(GO) vet ./...
 	@bad="$$(grep -HnE '\bos\.(OpenFile|Create|WriteFile|Rename|Remove|MkdirAll|Truncate)\(' \
@@ -117,6 +121,9 @@ vet:
 		  if (lit ~ /(^|[{,[:space:]])Size:/) print FILENAME ":" FNR ":" $$0 }' \
 		$$(find . -path './.*' -prune -o -name '*.go' ! -name '*_test.go' ! -path './internal/logbuf/*' ! -path './internal/bench/*' ! -path './benchmark/*' -print))"; \
 	if [ -n "$$bad" ]; then echo "a log lane has one ring size, logbuf.DefaultSize (only the figure rigs in internal/bench and the benchmark's probes name their own):"; echo "$$bad"; exit 1; fi
+	@bad="$$( { grep -HnE '\bcrc32\.Update\(' $$(find internal/logdev -name '*.go' ! -name '*_test.go'); \
+		grep -HnE '\bcrc32\.' internal/logdev/segment.go; } | sort -u)"; \
+	if [ -n "$$bad" ]; then echo "logrec's seals are the one proof of a lane's bytes (a watermark slot's CRC covers the slot alone; logdev keeps no CRC of the log):"; echo "$$bad"; exit 1; fi
 
 # Documentation lint: formatting, vet, every example and command builds,
 # and the godoc-coverage check — exported identifiers in EVERY internal

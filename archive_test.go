@@ -342,9 +342,10 @@ func TestRestoreToWithoutColdStore(t *testing.T) {
 }
 
 // TestOldRecordFormatDirectoryRefused: a database directory whose
-// MANIFEST says format 9, 8, 7, 6, 5, 4, 3 or 2 — today's files around
-// an earlier record encoding (format 9: a checkpoint's tables in one
-// record, not in chunks; format 8: the full TxnID on every record of a
+// MANIFEST says format 10, 9, 8, 7, 6, 5, 4, 3 or 2 — today's files
+// around an earlier slot layout or record encoding (format 10: a CRC-32C
+// of the covered bytes in each watermark slot; format 9: a checkpoint's
+// tables in one record, not in chunks; format 8: the full TxnID on every record of a
 // transaction; format 7: a CRC-32C in every record's frame and no seals;
 // format 6: a back-pointer on every record but a
 // commit or an end; format 5: an update's before and after images both
@@ -394,16 +395,16 @@ func TestOldRecordFormatDirectoryRefused(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !strings.Contains(string(b), "format 10\n") {
-				t.Fatalf("N=%d: %s does not say format 10: %q", n, manifest, b)
+			if !strings.Contains(string(b), "format 11\n") {
+				t.Fatalf("N=%d: %s does not say format 11: %q", n, manifest, b)
 			}
 			manifests[manifest] = string(b)
 		}
 		// What an earlier version's writer would have left: the same
 		// layout under the older format number.
-		for _, format := range []string{"format 9\n", "format 8\n", "format 7\n", "format 6\n", "format 5\n", "format 4\n", "format 3\n", "format 2\n"} {
+		for _, format := range []string{"format 10\n", "format 9\n", "format 8\n", "format 7\n", "format 6\n", "format 5\n", "format 4\n", "format 3\n", "format 2\n"} {
 			for manifest, b := range manifests {
-				if err := os.WriteFile(manifest, []byte(strings.Replace(b, "format 10\n", format, 1)), 0o644); err != nil {
+				if err := os.WriteFile(manifest, []byte(strings.Replace(b, "format 11\n", format, 1)), 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -176,8 +176,8 @@ func dumpPageFile(path string, verbose bool) error {
 
 // printSlots explains the directory's durable horizon: both watermark
 // slots of every segment file's header (torn and dead segments
-// included), what each claims, whether its own CRC and the CRC of the
-// bytes it covers check out, and which one the open believed.
+// included), what each claims, whether its own CRC checks out and the
+// seals vouch for the bytes it covers, and which one the open believed.
 func printSlots(seg *logdev.Segmented) {
 	admitted := false
 	for _, h := range seg.SlotReports() {
@@ -186,9 +186,9 @@ func printSlots(seg *logdev.Segmented) {
 				fmt.Printf("  header  %6d  slot %d: slot-crc BAD or never written\n", h.Index, i)
 				continue
 			}
-			data, mark := "data-crc ok", ""
+			data, mark := "seals ok", ""
 			if !sl.DataOK {
-				data = "data-crc BAD (covered bytes missing or different: slot outran its data, or rot)"
+				data = "seals BAD (covered bytes missing, torn or different: slot outran its data, or rot)"
 			}
 			if sl.Admitted {
 				admitted, mark = true, "  <- durable horizon"

@@ -159,6 +159,82 @@ func TestDumpGolden(t *testing.T) {
 	}
 }
 
+// TestDumpSlotsExplainHorizon reads the header listing over a directory
+// whose newest batch has one byte flipped past the previous watermark:
+// the slot that covers it prints its seals BAD, the previous slot is the
+// durable horizon, and a read-write open afterwards lands on that same
+// durable end.
+func TestDumpSlotsExplainHorizon(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	buildLog(t, dir, 1)
+	lane := logdev.LaneDir(dir, 0, 1)
+	ro, err := logdev.OpenSegmentedDirRO(lane)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var newest logdev.SlotReport
+	var seg int64
+	for _, h := range ro.SlotReports() {
+		for _, sl := range h.Slots {
+			if sl.Admitted {
+				newest, seg = sl, h.Index
+			}
+		}
+	}
+	segSize := ro.SegmentSize()
+	ro.Close()
+	if !newest.Admitted || newest.From < seg*segSize || newest.From == newest.Durable {
+		t.Fatalf("newest slot %+v: want one whose batch lies in its own segment %d", newest, seg)
+	}
+	f, err := os.OpenFile(filepath.Join(lane, fmt.Sprintf("%016d.seg", seg)), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := logdev.SegmentHeaderSize + (newest.From+newest.Durable)/2 - seg*segSize
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, at); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x20
+	if _, err := f.WriteAt(b, at); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	out := capture(t, func() error { return dump(dir, "", 0, false) })
+	var bad, horizon int
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.HasPrefix(line, "  header ") {
+			continue
+		}
+		switch {
+		case strings.Contains(line, fmt.Sprintf("durable=%d covers [%d, %d)", newest.Durable, newest.From, newest.Durable)):
+			if !strings.Contains(line, "seals BAD") || strings.Contains(line, "<- durable horizon") {
+				t.Errorf("the flipped batch's slot: %q, want its seals BAD and not the horizon", line)
+			}
+			bad++
+		case strings.Contains(line, fmt.Sprintf("durable=%d ", newest.From)):
+			if !strings.Contains(line, "seals ok") || !strings.HasSuffix(line, "<- durable horizon") {
+				t.Errorf("the previous slot: %q, want its seals ok and the durable horizon", line)
+			}
+			horizon++
+		}
+	}
+	if bad != 1 || horizon != 1 {
+		t.Fatalf("%d lines for the flipped slot and %d for the previous one, want 1 each:\n%s", bad, horizon, out)
+	}
+	rw, err := logdev.OpenSegmentedDir(lane, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rw.Close()
+	if got := rw.DurableSize(); got != newest.From {
+		t.Fatalf("a read-write open lands on durable %d, want the horizon logdump showed, %d", got, newest.From)
+	}
+}
+
 // TestDumpFiltersResolvedTxn: -txn keeps a transaction's records by the
 // ID recovery resolves, so the records after its first, which carry only
 // its slot, are kept with it — at one lane and at three, where the slot

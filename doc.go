@@ -95,7 +95,7 @@
 // each a checkpoint-end record naming the same begin record, and recovery
 // uses a checkpoint only once its last chunk is durable. Every record
 // has one encoding and the decoders accept no other. A log directory
-// carries its format in its MANIFEST (format 10) and a cold-store object
+// carries its format in its MANIFEST (format 11) and a cold-store object
 // in its envelope (version 9); Open refuses earlier ones with an error that
 // matches logdev.ErrFormat and changes nothing. ARCHITECTURE.md, "The
 // log record", has the layout.
@@ -106,11 +106,11 @@
 // the header of the segment file that holds the batch's last byte (two
 // CRC-protected ping-pong slots per file), with the same fsync that
 // persists the batch: a blocking commit is one fsync. Each slot records
-// the byte range its Sync added and that range's CRC, taken from the
-// bytes as they were appended (a Sync reads nothing back), and a reopen
-// believes a slot only if those bytes are in the file and match, so a
-// slot that reached the disk ahead of its data falls back to the
-// previous Sync's. On reopen the watermark — not the segment file
+// the byte range its Sync added, from the previous durable end, and no
+// checksum of it: every Sync ends at a seal, so a reopen believes a slot
+// only if the seals vouch for every byte of that range (a Sync reads
+// nothing back), and a slot that reached the disk ahead of its data
+// falls back to the previous Sync's. On reopen the watermark — not the segment file
 // sizes: a segment file is created at its full size, so no commit's
 // fsync grows it — is the durable horizon, which lets Open tell two
 // failure shapes apart: bytes beyond

@@ -10,12 +10,12 @@ import (
 // the cold store does not hold a valid object for.
 var ErrNotArchived = errors.New("logdev: segment not archived")
 
-// RestoreRange reads the archived log bytes covering [from, to) from a,
+// restoreRange reads the archived log bytes covering [from, to) from a,
 // whose segments are segSize bytes each, one download per segment. A
 // segment of the range the cold store does not hold is ErrNotArchived:
 // history below a hole cannot be handed to a record iterator anyway (a
 // segment boundary is not a record boundary).
-func RestoreRange(a *RemoteArchiver, segSize, from, to int64) ([]byte, error) {
+func restoreRange(a *RemoteArchiver, segSize, from, to int64) ([]byte, error) {
 	if segSize <= 0 {
 		return nil, fmt.Errorf("logdev: restore: segment size %d", segSize)
 	}
@@ -74,7 +74,7 @@ func (s *Segmented) RestoreLog(arch *RemoteArchiver, from int64) ([]byte, int64,
 	if from < liveStart {
 		err := ErrNotArchived
 		if arch != nil {
-			archData, err = RestoreRange(arch, s.segSize, from, liveStart)
+			archData, err = restoreRange(arch, s.segSize, from, liveStart)
 		}
 		if errors.Is(err, ErrNotArchived) {
 			// The archive cannot reach back to from: what it holds would

@@ -89,7 +89,7 @@ func TestShortSegmentFilesReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fill(600, 'v') // segments 0 and 1 full, segment 2 holds 88 bytes
+	want := append(batch(300, 'v'), batch(300, 'v')...) // segments 0 and 1 full, segment 2 holds 88 bytes
 	appendSync(t, s, want[:300])
 	appendSync(t, s, want[300:])
 	if err := s.Close(); err != nil {
@@ -118,7 +118,7 @@ func TestShortSegmentFilesReopen(t *testing.T) {
 	if st.Size() != SegmentHeaderSize+segSize {
 		t.Fatalf("tail segment is %d bytes after the open, want %d", st.Size(), SegmentHeaderSize+segSize)
 	}
-	more := fill(200, 'w') // crosses into segment 3
+	more := batch(200, 'w') // crosses into segment 3
 	appendSync(t, s2, more)
 	want = append(want, more...)
 	if err := s2.Close(); err != nil {
@@ -155,7 +155,7 @@ func TestTornTailPastAllocatedZeros(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fill(100_000, 'c') // segment 1 holds 34 464 bytes
+	want := batch(100_000, 'c') // segment 1 holds 34 464 bytes
 	appendSync(t, s, want)
 	s.Close()
 	tail := segFile("/db", 1)

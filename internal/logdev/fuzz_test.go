@@ -2,8 +2,11 @@ package logdev
 
 import (
 	"bytes"
-	"hash/crc32"
+	"errors"
 	"testing"
+
+	"aether/internal/logrec"
+	"aether/internal/lsn"
 )
 
 // FuzzRemoteObject fuzzes the cold store's object decoders — the
@@ -54,12 +57,17 @@ func FuzzRemoteObject(f *testing.F) {
 	})
 }
 
-// FuzzSegmentHeader fuzzes the durable-watermark decoder: the segment
-// header a reopen reads from a file a crash (or bit rot) may have left
-// in any state. Whatever the bytes, judging them must not panic; a slot
-// reported as written must re-encode byte-identically; and a slot is
-// never admitted unless the range it covers lies inside the segment
-// and the file and the bytes there match its data CRC — the property
+// FuzzSegmentHeader fuzzes the durable-watermark decoder and the
+// admission of a slot: the segment header a reopen reads from a file a
+// crash (or bit rot) may have left in any state, over log bytes that may
+// be sealed, torn, short or garbage. The log starts at the truncation
+// base, one segment below the header's (segment 0's own start for
+// segment 0); reads below it fail, as for a recycled segment, and reads
+// past its end see zeros, as in a file's unwritten space. Whatever the
+// bytes, judging them must not panic; a slot reported as written must
+// re-encode byte-identically; and a slot is admitted exactly when its
+// range is sane and the seals vouch for every byte it covers above the
+// base — never over covered bytes that fail their seals, the property
 // that lets one fsync carry both data and watermark.
 func FuzzSegmentHeader(f *testing.F) {
 	const segSize = 512
@@ -68,26 +76,40 @@ func FuzzSegmentHeader(f *testing.F) {
 		w.encode(b)
 		return b
 	}
-	body := bytes.Repeat([]byte("log bytes "), 12)
-	good := enc(wmSlot{Durable: 3*segSize + 100, From: 3*segSize + 40, DataCRC: crc32.Checksum(body[40:100], wmCRC)})
-	stale := enc(wmSlot{Durable: 3*segSize + 120, From: 3*segSize + 100, DataCRC: 0xDEADBEEF})
-	f.Add(good, stale, body, uint8(3))
-	f.Add(stale, good, body[:90], uint8(3)) // covered bytes missing
-	f.Add(good, []byte{}, body, uint8(0))   // range outside the segment
+	// Segment 3's header over the log from segment 2's start, 1024: the
+	// middle batch crosses into segment 3 at 1536.
+	log := append(append(batch(300, 'a'), batch(260, 'b')...), batch(100, 'c')...)
+	const base = 2 * segSize
+	own := enc(wmSlot{Durable: base + 660, From: base + 560})      // the last batch
+	spanning := enc(wmSlot{Durable: base + 660, From: base + 300}) // the last two
+	stale := enc(wmSlot{Durable: base + 600, From: base + 560})    // ends mid-batch
+	fromSeg := enc(wmSlot{Durable: base + 660, From: base + 512})  // starts mid-batch
+	f.Add(own, stale, log, uint8(3))
+	f.Add(stale, spanning, log, uint8(3))
+	f.Add(spanning, fromSeg, log, uint8(3))
+	f.Add(spanning, own, log[:620], uint8(3)) // covered bytes missing
+	f.Add(own, []byte{}, log, uint8(0))       // range outside the segment
 	f.Add([]byte("AEWM"), []byte{}, []byte{}, uint8(1))
 
-	buf := make([]byte, 64)
-	// The fuzzer supplies the two slots and the data; the rest of the
+	var buf []byte
+	// The fuzzer supplies the two slots and the log; the rest of the
 	// 4 KiB header is zeros, as in a real file (keeping inputs small
 	// keeps the mutator fast).
-	f.Fuzz(func(t *testing.T, slot0, slot1, body []byte, idx8 uint8) {
+	f.Fuzz(func(t *testing.T, slot0, slot1, log []byte, idx8 uint8) {
 		idx := int64(idx8)
-		img := make([]byte, SegmentHeaderSize, SegmentHeaderSize+len(body))
+		base := max(idx-1, 0) * segSize
+		log = log[:min(len(log), 2*segSize)]
+		img := make([]byte, SegmentHeaderSize)
 		copy(img[:wmSlotStride], slot0)
 		copy(img[wmSlotStride:], slot1)
-		img = append(img, body...)
-		have := min(int64(len(body)), segSize)
-		rep, err := inspectHeader(bytes.NewReader(img), idx, segSize, have, buf)
+		read := func(p []byte, off int64) (int, error) {
+			if off < base {
+				return 0, errors.New("below the base")
+			}
+			clear(p[copy(p, log[min(off-base, int64(len(log))):]):])
+			return len(p), nil
+		}
+		rep, err := inspectHeader(bytes.NewReader(img), idx, segSize, base, read, &buf)
 		if err != nil {
 			t.Fatalf("in-memory header read failed: %v", err)
 		}
@@ -106,15 +128,22 @@ func FuzzSegmentHeader(f *testing.F) {
 			if !bytes.Equal(enc(w), raw) {
 				t.Fatalf("slot %d does not re-encode byte-identically", i)
 			}
-			if !sl.DataOK {
-				continue
+			segStart := idx * segSize
+			sane := w.From >= 0 && w.From <= w.Durable && w.Durable > segStart && w.Durable <= segStart+segSize
+			vouched := sane
+			if lo, hi := max(w.From, base)-base, w.Durable-base; sane && lo < hi {
+				n, err := -1, error(nil)
+				if hi <= int64(len(log)) {
+					n, err = logrec.Verify(log[lo:hi], lsn.LSN(lo+base))
+				}
+				vouched = err == nil && int64(n) == hi-lo
 			}
-			lo, hi := w.From-idx*segSize, w.Durable-idx*segSize
-			if lo < 0 || lo > hi || hi > have {
-				t.Fatalf("slot %d admitted with range [%d, %d) outside the %d data bytes held", i, lo, hi, have)
+			if sl.DataOK && !vouched {
+				t.Fatalf("slot %d admitted over [%d, %d), whose bytes fail their seals (log of %d bytes from %d)",
+					i, w.From, w.Durable, len(log), base)
 			}
-			if crc32.Checksum(body[lo:hi], wmCRC) != w.DataCRC {
-				t.Fatalf("slot %d admitted over bytes that do not match its data CRC", i)
+			if !sl.DataOK && vouched {
+				t.Fatalf("slot %d refused over [%d, %d), whose seals vouch for every byte", i, w.From, w.Durable)
 			}
 		}
 	})

@@ -34,8 +34,8 @@ func TestTornTailRepairedFromWatermark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fill(150, 'w') // segments 0,1 full; segment 2 holds 22 bytes
-	appendSync(t, s, want) // watermark hardens at 150
+	want := batch(150, 'w') // segments 0,1 full; segment 2 holds 22 bytes
+	appendSync(t, s, want)  // watermark hardens at 150
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestTornTailRepairedFromWatermark(t *testing.T) {
 		t.Fatal("torn segment 3 survived the repair")
 	}
 	// The log keeps working where the watermark left it.
-	appendSync(t, s2, fill(10, 'n'))
+	appendSync(t, s2, batch(10, 'n'))
 	if got := s2.DurableSize(); got != 160 {
 		t.Fatalf("DurableSize after post-repair append = %d, want 160", got)
 	}
@@ -84,7 +84,7 @@ func TestTornTailTrimsPartialSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fill(90, 'p') // segment 1 holds 26 synced bytes
+	want := batch(90, 'p') // segment 1 holds 26 synced bytes
 	appendSync(t, s, want)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -130,7 +130,10 @@ func TestWatermarkRejectsMidLogCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendSync(t, s, fill(150, 'c'))
+	// The newest slot, in segment 2, covers [128, 150): the bytes of
+	// segment 1 lie below it, vouched for by the previous Sync's slot.
+	appendSync(t, s, batch(128, 'c'))
+	appendSync(t, s, batch(22, 'c'))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +174,9 @@ func TestWatermarkRejectsMidLogCorruption(t *testing.T) {
 // records), format 5's (an update's before and after images both
 // logged), format 6's (a back-pointer on every record but a commit or
 // an end), format 7's (a CRC-32C in every record's frame, no seals) or
-// format 8's (the full TxnID on every record of a transaction) or
-// format 9's (a checkpoint's tables in one record, not in chunks) —
+// format 8's (the full TxnID on every record of a transaction),
+// format 9's (a checkpoint's tables in one record, not in chunks) or
+// format 10's (a CRC-32C of the covered bytes in each watermark slot) —
 // is refused with ErrFormat by both kinds of open and left
 // untouched: reading format 1's segments as if they began with a header
 // would misplace every byte, format 2's and format 4's records would be
@@ -182,8 +186,9 @@ func TestWatermarkRejectsMidLogCorruption(t *testing.T) {
 // would read as the first-record mark, its back-pointer as the fields
 // after it, format 7's checksums as the kind byte and the fields, and
 // format 8's TxnID on a later record as a slot, or as no record at all
-// where a first record's slot is missing, and format 9's checkpoint
-// counts as a chunk header.
+// where a first record's slot is missing, format 9's checkpoint
+// counts as a chunk header, and format 10's 28-byte slots would fail
+// their slot CRC, every one, leaving the durable horizon at the base.
 func TestOldFormatDirectoryRefused(t *testing.T) {
 	for name, files := range map[string]map[string][]byte{
 		"format 1": {
@@ -223,6 +228,10 @@ func TestOldFormatDirectoryRefused(t *testing.T) {
 			manifestName:           []byte("format 9\nsegsize 64\nbase 0\n"),
 			"0000000000000000.seg": append(make([]byte, SegmentHeaderSize), fill(40, 'o')...),
 		},
+		"format 10": {
+			manifestName:           []byte("format 10\nsegsize 64\nbase 0\n"),
+			"0000000000000000.seg": append(make([]byte, SegmentHeaderSize), fill(40, 'o')...),
+		},
 	} {
 		dir := t.TempDir()
 		for name, data := range files {
@@ -260,8 +269,8 @@ func TestWatermarkSurvivesScribbledSlot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		appendSync(t, s, fill(64, 'a')) // watermark 64 in slot 0
-		appendSync(t, s, fill(64, 'b')) // watermark 128 in slot 1
+		appendSync(t, s, batch(64, 'a')) // watermark 64 in slot 0
+		appendSync(t, s, batch(64, 'b')) // watermark 128 in slot 1
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +291,7 @@ func TestWatermarkSurvivesScribbledSlot(t *testing.T) {
 		}
 		// The survivor must keep working: the next Sync must not land on
 		// the slot that holds the recovered watermark.
-		appendSync(t, s2, fill(10, 'c'))
+		appendSync(t, s2, batch(10, 'c'))
 		s2.Close()
 		s3, err := OpenSegmentedDir(dir, 0)
 		if err != nil {
@@ -369,19 +378,19 @@ func TestArchiveBeforeRecycle(t *testing.T) {
 
 	// Restore-on-demand: the archived history below the base reassembles
 	// byte-identically.
-	data, err := RestoreRange(arch, 64, 0, 192)
+	data, err := restoreRange(arch, 64, 0, 192)
 	if err != nil || !bytes.Equal(data, want[:192]) {
-		t.Fatalf("RestoreRange = (%d bytes, %v), want the full archived history", len(data), err)
+		t.Fatalf("restoreRange = (%d bytes, %v), want the full archived history", len(data), err)
 	}
-	if data, err := RestoreRange(arch, 64, 70, 150); err != nil || !bytes.Equal(data, want[70:150]) {
-		t.Fatalf("RestoreRange(70, 150) = (%d bytes, %v), want those bytes", len(data), err)
+	if data, err := restoreRange(arch, 64, 70, 150); err != nil || !bytes.Equal(data, want[70:150]) {
+		t.Fatalf("restoreRange(70, 150) = (%d bytes, %v), want those bytes", len(data), err)
 	}
 	// A range reaching below what the archive holds is not restorable.
 	if err := store.Delete(arch.segKey(0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RestoreRange(arch, 64, 0, 192); !errors.Is(err, ErrNotArchived) {
-		t.Fatalf("RestoreRange over a missing segment: %v, want ErrNotArchived", err)
+	if _, err := restoreRange(arch, 64, 0, 192); !errors.Is(err, ErrNotArchived) {
+		t.Fatalf("restoreRange over a missing segment: %v, want ErrNotArchived", err)
 	}
 }
 
@@ -449,7 +458,7 @@ func TestOpenSegmentedDirRODoesNotMutate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fill(150, 'o')
+	want := batch(150, 'o')
 	appendSync(t, s, want)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -519,8 +528,8 @@ func TestOpenSegmentedDirRODoesNotMutate(t *testing.T) {
 	if len(reports) != 4 {
 		t.Fatalf("SlotReports covers %d segments, want 4", len(reports))
 	}
-	if sl := reports[2].Slots[0]; !sl.Written || !sl.DataOK || !sl.Admitted || sl.Durable != 150 || sl.From != 128 {
-		t.Fatalf("segment 2 slot 0 = %+v, want the admitted watermark 150 covering [128, 150)", sl)
+	if sl := reports[2].Slots[0]; !sl.Written || !sl.DataOK || !sl.Admitted || sl.Durable != 150 || sl.From != 0 {
+		t.Fatalf("segment 2 slot 0 = %+v, want the admitted watermark 150 covering its Sync's [0, 150)", sl)
 	}
 	if sl := reports[3].Slots; sl[0].Written || sl[1].Written {
 		t.Fatalf("junk segment reports written slots: %+v", sl)
@@ -538,7 +547,7 @@ func TestReopenDrainsPendingDeadSegments(t *testing.T) {
 	}
 	arch := newArchiver(t, NewMemObjectStore())
 	s.SetArchiver(arch)
-	want := fill(300, 'r')
+	want := append(batch(200, 'r'), batch(100, 'r')...) // the base starts a batch
 	appendSync(t, s, want)
 	if err := s.Truncate(200); err != nil {
 		t.Fatal(err)
@@ -586,7 +595,7 @@ func TestReopenDrainsPendingDeadSegments(t *testing.T) {
 func TestTruncateRecyclesDeadSegmentsACrashLeft(t *testing.T) {
 	m := newMemDev(t, ProfileMemory, 64)
 	defer func() { m.Close() }()
-	want := fill(300, 'd') // segments 0..4
+	want := append(batch(200, 'd'), batch(100, 'd')...) // segments 0..4; the base starts a batch
 	appendSync(t, m, want)
 	if err := m.Truncate(200); err != nil { // segments 0,1,2 dead
 		t.Fatal(err)

@@ -3,8 +3,9 @@
 // There is one log device, Segmented: an append-only byte stream spread
 // over fixed-size segments in a directory on a vfs.FS. Each segment is a
 // file, created at its full size (header plus segment) so that no
-// commit's fsync grows it, whose CRC'd watermark slots — not its length —
-// record where the durable bytes end; a MANIFEST holds the segment size
+// commit's fsync grows it, whose watermark slots — not its length —
+// record where the durable bytes end, believed only where the log's
+// seals vouch for the bytes they cover; a MANIFEST holds the segment size
 // and the truncation horizon. On the real filesystem (OpenSegmentedDir)
 // the device outlives the process. On an in-memory one (NewMem, or
 // OpenSegmentedDirFS over a vfs.FaultFS) it reproduces the paper's ELR
@@ -37,7 +38,9 @@ type Device interface {
 	// the number of bytes accepted.
 	Append(p []byte) (int, error)
 	// Sync makes every appended byte durable, modeling the device's
-	// response time. Group commit amortizes this call.
+	// response time. Group commit amortizes this call. The bytes a Sync
+	// covers must end in a seal (logrec.PutSeal), or a reopen will not
+	// admit them.
 	Sync() error
 	// DurableSize returns the logical offset the durable bytes end at
 	// (they survive a crash). It counts from the beginning of time, the

@@ -1,6 +1,7 @@
 package logdev
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -71,26 +72,27 @@ func TestMemAppendSyncDurable(t *testing.T) {
 
 func TestMemCrashDropsUnsynced(t *testing.T) {
 	m := newMemDev(t, ProfileMemory, DefaultSegmentSize)
-	m.Append([]byte("durable."))
+	durable, again := batch(20, 'd'), batch(20, 'a')
+	m.Append(durable)
 	if err := m.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	m.Append([]byte("volatile"))
+	m.Append(batch(20, 'v'))
 	m.crash(t)
 	buf, _, err := ReadTail(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(buf) != "durable." {
+	if !bytes.Equal(buf, durable) {
 		t.Fatalf("after crash: %q", buf)
 	}
 	// The reopened device appends where the durable log ended.
-	m.Append([]byte("again"))
+	m.Append(again)
 	if err := m.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	buf, _, _ = ReadTail(m)
-	if string(buf) != "durable.again" {
+	if !bytes.Equal(buf, append(durable, again...)) {
 		t.Fatalf("after restart: %q", buf)
 	}
 }
@@ -209,8 +211,8 @@ func TestProfilesOrdering(t *testing.T) {
 }
 
 // BenchmarkMemAppendSync is one flush group through an in-memory device:
-// Append, then Sync with its watermark read-back, slot write and fsync on
-// the in-memory filesystem. 220 B is one TPC-B transaction's log, 14 KiB
+// Append, then Sync with its slot write and fsync on the in-memory
+// filesystem. 220 B is one TPC-B transaction's log, 14 KiB
 // a pipelined group.
 func BenchmarkMemAppendSync(b *testing.B) {
 	for _, size := range []int{220, 14 << 10} {

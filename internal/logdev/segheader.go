@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"aether/internal/logrec"
+	"aether/internal/lsn"
 )
 
 // Every segment file starts with a fixed header that holds the durable
@@ -19,19 +22,21 @@ import (
 //
 // The price is that nothing orders the slot after the data on the way
 // to the platter, so the order is established by verification instead:
-// each slot records the range of bytes its Sync added to the segment
-// and their CRC-32C, and a reopen believes a slot only if those bytes
-// are in the file and match (admissible). The CRC is taken from the
-// bytes Append was handed, as it writes them (Segmented.runs), so a
-// harden writes and fsyncs and reads nothing back; only a reopen reads
-// the covered bytes, to check them. The slot knows nothing of records:
-// what the log's own seals vouch for is logrec's business, and a seal
-// mismatch below the watermark is corruption recovery reports. A slot that reached the disk
-// ahead of its data is rejected, and the watermark falls back to the
-// previous slot — written by the previous Sync, fully fsynced before
-// this one began, and never overwritten by it, because the two slots of
-// a header are written alternately (ping-pong) and a new segment's
-// first Sync leaves the previous segment's header alone.
+// each slot records where the Sync that wrote it began — the previous
+// durable end, a seal's end, in this segment or an earlier one — and a
+// reopen believes a slot only if the log's own seals (logrec.Verify)
+// vouch for every byte from there, or from the truncation base if that
+// is higher, to the slot's watermark (admissible). The seals are the
+// one checksum of a lane's bytes: the flush daemon computes each once,
+// so a harden writes and fsyncs and reads nothing back, and only a
+// reopen reads the covered bytes, to check them. A Sync's bytes must
+// therefore end in a seal, or no reopen admits its slot. A slot that
+// reached the disk ahead of its data reads as a clean end or a gap
+// before its watermark and is rejected, and the watermark falls back to
+// the previous slot — written by the previous Sync, fully fsynced
+// before this one began, and never overwritten by it, because the two
+// slots of a header are written alternately (ping-pong) and a new
+// segment's first Sync leaves the previous segment's header alone.
 //
 // The header is invisible above fileSegment: data offset 0 is file
 // offset SegmentHeaderSize, so reads, trims, archiving and restore see only
@@ -44,24 +49,23 @@ const (
 	// wmSlotStride separates the slots by more than any sector size, so
 	// a torn write of one can never damage the other.
 	wmSlotStride = SegmentHeaderSize / wmSlots
-	wmSlotSize   = 28
+	wmSlotSize   = 24
 	wmMagic      = 0x4d574541 // "AEWM", little-endian
 )
 
 var wmCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // wmSlot is one durable-watermark record. On disk, little-endian:
-// magic u32 | Durable i64 | From i64 | DataCRC u32 | CRC-32C of the
-// preceding 24 bytes.
+// magic u32 | Durable i64 | From i64 | CRC-32C of the preceding 20
+// bytes.
 type wmSlot struct {
 	// Durable is the watermark: the log is durable through this logical
 	// offset, which lies in the slot's own segment (or at its end).
 	Durable int64
-	// From is where the Sync that wrote the slot started in this
-	// segment: it added the bytes [From, Durable).
+	// From is where the Sync that wrote the slot began: the durable end
+	// before it. The Sync added the bytes [From, Durable), which may
+	// begin in an earlier segment.
 	From int64
-	// DataCRC is the CRC-32C of those bytes, as they were appended.
-	DataCRC uint32
 }
 
 // encode fills dst[:wmSlotSize].
@@ -69,62 +73,53 @@ func (w wmSlot) encode(dst []byte) {
 	binary.LittleEndian.PutUint32(dst[0:4], wmMagic)
 	binary.LittleEndian.PutUint64(dst[4:12], uint64(w.Durable))
 	binary.LittleEndian.PutUint64(dst[12:20], uint64(w.From))
-	binary.LittleEndian.PutUint32(dst[20:24], w.DataCRC)
-	binary.LittleEndian.PutUint32(dst[24:28], crc32.Checksum(dst[0:24], wmCRC))
+	binary.LittleEndian.PutUint32(dst[20:24], crc32.Checksum(dst[0:20], wmCRC))
 }
 
 // decodeWMSlot parses src[:wmSlotSize]; ok is false unless the slot was
 // written whole (magic and slot CRC verify).
 func decodeWMSlot(src []byte) (w wmSlot, ok bool) {
 	if binary.LittleEndian.Uint32(src[0:4]) != wmMagic ||
-		crc32.Checksum(src[0:24], wmCRC) != binary.LittleEndian.Uint32(src[24:28]) {
+		crc32.Checksum(src[0:20], wmCRC) != binary.LittleEndian.Uint32(src[20:24]) {
 		return wmSlot{}, false
 	}
 	return wmSlot{
 		Durable: int64(binary.LittleEndian.Uint64(src[4:12])),
 		From:    int64(binary.LittleEndian.Uint64(src[12:20])),
-		DataCRC: binary.LittleEndian.Uint32(src[20:24]),
 	}, true
 }
 
-// crcRange returns the CRC-32C of n bytes of f starting at off, reading
-// through buf — what a reopen checks a slot's DataCRC against. Short
-// files are an error: the caller asked for bytes that must exist.
-func crcRange(f io.ReaderAt, off, n int64, buf []byte) (uint32, error) {
-	var crc uint32
-	for n > 0 {
-		chunk := buf
-		if int64(len(chunk)) > n {
-			chunk = chunk[:n]
-		}
-		if got, err := f.ReadAt(chunk, off); got < len(chunk) {
-			if err == nil {
-				err = io.ErrUnexpectedEOF
-			}
-			return 0, err
-		}
-		crc = crc32.Update(crc, wmCRC, chunk)
-		off += int64(len(chunk))
-		n -= int64(len(chunk))
-	}
-	return crc, nil
-}
+// readLogFunc reads the log bytes [off, off+len(p)) from the segment
+// files into p, as Segmented.readSegs does: zeros where a file ends
+// early, an error where a segment the range needs is missing.
+type readLogFunc func(p []byte, off int64) (int, error)
 
-// admissible reports whether w proves the log durable through w.Durable
-// for the segment that starts at logical offset segStart and currently
-// holds have data bytes readable through data (data offset 0 is the
-// segment's first log byte): the covered range lies inside the segment,
-// the file is long enough, and the covered bytes match the recorded
-// CRC. An I/O error reads as "not proven".
-func (w wmSlot) admissible(segStart, segSize, have int64, data io.ReaderAt, buf []byte) bool {
-	if w.From < segStart || w.From > w.Durable || w.Durable > segStart+segSize {
+// admissible reports whether w, a whole slot of the segment that starts
+// at logical offset segStart, proves the log durable through w.Durable
+// above the truncation base: its range is sane (From at or below
+// Durable, Durable inside the segment or at its end), and the seals
+// vouch for every byte of [max(From, base), Durable), read through read
+// into *buf (grown as needed). A batch a crash tore, cut short or never
+// wrote reads as a gap or a clean end before Durable; an I/O error
+// reads as "not proven".
+func (w wmSlot) admissible(segStart, segSize, base int64, read readLogFunc, buf *[]byte) bool {
+	if w.From < 0 || w.From > w.Durable || w.Durable <= segStart || w.Durable > segStart+segSize {
 		return false
 	}
-	if w.Durable-segStart > have {
+	lo := max(w.From, base)
+	if lo >= w.Durable {
+		return true // nothing above the base to vouch for
+	}
+	n := int(w.Durable - lo)
+	if cap(*buf) < n {
+		*buf = make([]byte, n)
+	}
+	p := (*buf)[:n]
+	if _, err := read(p, lo); err != nil {
 		return false
 	}
-	crc, err := crcRange(data, w.From-segStart, w.Durable-w.From, buf)
-	return err == nil && crc == w.DataCRC
+	vouched, err := logrec.Verify(p, lsn.LSN(lo))
+	return err == nil && vouched == n
 }
 
 // SlotReport is one header slot as a reopen judges it — logdump prints
@@ -134,10 +129,10 @@ type SlotReport struct {
 	// it whole. The remaining fields are meaningful only then.
 	Written bool
 	// Durable and From are the slot's watermark and the start of the
-	// byte range [From, Durable) its Sync added to the segment.
+	// byte range [From, Durable) its Sync added to the log.
 	Durable, From int64
-	// DataOK is true when the covered bytes are in the file and match
-	// the slot's data CRC — the slot is admissible.
+	// DataOK is true when the slot is admissible: the seals vouch for
+	// every covered byte above the truncation base.
 	DataOK bool
 	// Admitted marks the slot open took the durable horizon from: the
 	// highest admissible one at or above the truncation base.
@@ -152,18 +147,9 @@ type SegmentSlots struct {
 	Slots [wmSlots]SlotReport
 }
 
-// dataReader presents a segment file's log bytes (past the header) as
-// an io.ReaderAt.
-type dataReader struct{ f io.ReaderAt }
-
-// ReadAt implements io.ReaderAt over the log bytes.
-func (r dataReader) ReadAt(p []byte, off int64) (int, error) {
-	return r.f.ReadAt(p, SegmentHeaderSize+off)
-}
-
-// inspectHeader reads f's header and judges both slots against the
-// have data bytes the file holds.
-func inspectHeader(f io.ReaderAt, idx, segSize, have int64, buf []byte) (SegmentSlots, error) {
+// inspectHeader reads f's header and judges both slots of segment idx,
+// reading the log bytes they cover through read.
+func inspectHeader(f io.ReaderAt, idx, segSize, base int64, read readLogFunc, buf *[]byte) (SegmentSlots, error) {
 	rep := SegmentSlots{Index: idx}
 	var hdr [SegmentHeaderSize]byte
 	// A file shorter than its header (created, never synced) reads as
@@ -180,7 +166,7 @@ func inspectHeader(f io.ReaderAt, idx, segSize, have int64, buf []byte) (Segment
 			Written: true,
 			Durable: w.Durable,
 			From:    w.From,
-			DataOK:  w.admissible(idx*segSize, segSize, have, dataReader{f}, buf),
+			DataOK:  w.admissible(idx*segSize, segSize, base, read, buf),
 		}
 	}
 	return rep, nil

@@ -3,7 +3,6 @@ package logdev
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -76,10 +75,8 @@ type Segmented struct {
 
 	// syncMu serializes Sync calls: each writes the header slot the
 	// previous one did not, through slotBuf, harden's scratch space, one
-	// for every segment. crcBuf is the open's scratch for reading back
-	// what the slots cover.
+	// for every segment.
 	syncMu  sync.Mutex
-	crcBuf  []byte
 	slotBuf [wmSlotSize]byte
 
 	mu sync.Mutex
@@ -91,14 +88,6 @@ type Segmented struct {
 	durable int64
 	newSegs bool // segments created since the last completed Sync
 	closed  bool
-	// runs are the CRC-32Cs a watermark slot records, taken from the
-	// bytes Append is handed rather than read back: runs[0] covers what
-	// was appended since the durable end, runs[1], while a Sync is in
-	// flight (syncing), what was appended since that Sync's target.
-	// Each restarts where a segment begins, as a slot covers only its
-	// own segment's bytes.
-	runs    [2]crcRun
-	syncing bool
 
 	archiver *RemoteArchiver // the cold store; nil: Truncate drains dead segments itself
 	archMu   sync.Mutex      // serializes ArchivePending passes
@@ -118,21 +107,6 @@ type Segmented struct {
 }
 
 var _ Device = (*Segmented)(nil)
-
-// crcRun is the CRC-32C of the log bytes from from to the append end.
-type crcRun struct {
-	from int64
-	crc  uint32
-}
-
-// add extends the run with p, appended at logical offset off, all in one
-// segment of segSize bytes; a run restarts at a segment's first byte.
-func (r *crcRun) add(p []byte, off, segSize int64) {
-	if off%segSize == 0 && off > r.from {
-		*r = crcRun{from: off}
-	}
-	r.crc = crc32.Update(r.crc, wmCRC, p)
-}
 
 // fileSegment is one segment file. Data offset 0 is file offset
 // SegmentHeaderSize: the header never shows through this type.
@@ -189,18 +163,21 @@ func (s *Segmented) removeSeg(idx int64, seg *fileSegment) error {
 const manifestName = "MANIFEST"
 
 // manifestFormat is the directory layout and log encoding this code
-// reads and writes: 10 = segment files start with a watermark header and
-// hold records in logrec's compact encoding (a varint length, presence
-// byte, varint fields, no back-pointer on any record but a kind-byte bit
-// on a transaction's first, which alone names the transaction in full
-// and binds a one-byte slot that its later records carry instead, an
-// update's changed bytes logged once as before ⊕ after, insert and
-// delete rows without their zero tail, a CLR's undo-next stored plus
-// one), no checksum in any record, every flushed batch closed by a
-// seal carrying its length and CRC-32C, and a checkpoint's tables logged
-// in chunks of bounded size. Format 9 (the same with the whole tables in
-// one checkpoint-end record, whose chunk header format 10 would misread),
-// format 8 (that with the
+// reads and writes: 11 = segment files start with a watermark header
+// whose slots name a Sync's range and no checksum of its bytes, the
+// seals vouching for them, and hold records in logrec's compact encoding
+// (a varint length, presence byte, varint fields, no back-pointer on any
+// record but a kind-byte bit on a transaction's first, which alone names
+// the transaction in full and binds a one-byte slot that its later
+// records carry instead, an update's changed bytes logged once as
+// before ⊕ after, insert and delete rows without their zero tail, a
+// CLR's undo-next stored plus one), no checksum in any record, every
+// flushed batch closed by a seal carrying its length and CRC-32C, and a
+// checkpoint's tables logged in chunks of bounded size. Format 10 (these
+// records, with a CRC-32C of the covered bytes in each slot, whose
+// 28-byte slots format 11 would not decode), format 9 (the same with the
+// whole tables in one checkpoint-end record, whose chunk header format
+// 10 would misread), format 8 (that with the
 // full TxnID on every record of a transaction), format 7 (that with a
 // CRC-32C in every record's frame and no seals), format 6 (that with a back-pointer on every record but a
 // commit or an end, and that bit its presence bit), format 5 (that with
@@ -212,7 +189,7 @@ const manifestName = "MANIFEST"
 // headerless segments beside a MANIFEST.durable watermark file) are
 // refused with ErrFormat rather than guessed at: a reader of one record
 // encoding misreads or refuses the records of another.
-const manifestFormat = 10
+const manifestFormat = 11
 
 // ErrFormat is returned by the OpenSegmentedDir family for a directory,
 // and by the cold store's readers for an object, written in a layout or
@@ -311,12 +288,11 @@ func (s *fileSegment) sync() error {
 }
 
 // harden makes the segment's bytes durable together with a record that
-// the log is durable through logical offset durable, the last batch having
-// added [from, durable) to this segment, whose CRC-32C is crc: it writes
-// the watermark slot and fsyncs the file once.
-func (s *fileSegment) harden(from, durable int64, crc uint32) error {
+// the log is durable through logical offset durable, the Sync having
+// begun at from: it writes the watermark slot and fsyncs the file once.
+func (s *fileSegment) harden(from, durable int64) error {
 	slot := s.s.slotBuf[:]
-	wmSlot{Durable: durable, From: from, DataCRC: crc}.encode(slot)
+	wmSlot{Durable: durable, From: from}.encode(slot)
 	if _, err := s.f.WriteAt(slot, int64(s.next)*wmSlotStride); err != nil {
 		return fmt.Errorf("logdev: write watermark: %w", err)
 	}
@@ -476,7 +452,6 @@ func openSegmentedDir(fs vfs.FS, dir string, segSize int64, ro bool) (*Segmented
 		segSize:  segSize,
 		fs:       fs,
 		dir:      dir,
-		crcBuf:   make([]byte, 64<<10),
 		segs:     make(map[int64]*fileSegment),
 		base:     mbase,
 		lowRead:  math.MaxInt64,
@@ -527,6 +502,10 @@ func openSegmentedDir(fs vfs.FS, dir string, segSize int64, ro bool) (*Segmented
 		s.base = minIdx * segSize
 	}
 
+	// buf is the open's scratch: what the slots cover, read back for the
+	// seals to vouch for, and the space past the watermark.
+	buf := make([]byte, 64<<10)
+
 	// The durable watermark decides where the log ends. File sizes say
 	// nothing about it: every segment is created full-size, and a power
 	// loss can persist unsynced bytes in a later segment while dropping
@@ -542,7 +521,7 @@ func openSegmentedDir(fs vfs.FS, dir string, segSize int64, ro bool) (*Segmented
 	admittedSlot := -1
 	var reports []SegmentSlots // kept for SlotReports by read-only opens
 	for idx, fseg := range s.segs {
-		rep, herr := inspectHeader(fseg.f, idx, segSize, sizes[idx], s.crcBuf)
+		rep, herr := inspectHeader(fseg.f, idx, segSize, s.base, s.readSegs, &buf)
 		if herr != nil {
 			return fail(herr)
 		}
@@ -575,7 +554,6 @@ func openSegmentedDir(fs vfs.FS, dir string, segSize int64, ro bool) (*Segmented
 		}
 	}
 	s.size, s.durable = wmVal, wmVal
-	s.runs[0] = crcRun{from: wmVal}
 
 	// Torn tail: everything beyond the watermark was never covered by a
 	// completed Sync, so no committed work can live there, and nothing
@@ -592,7 +570,7 @@ func openSegmentedDir(fs vfs.FS, dir string, segSize int64, ro bool) (*Segmented
 		if segStart+segSize <= wmVal {
 			continue
 		}
-		torn, terr := tornBytes(seg, max(wmVal-segStart, 0), sizes[idx], s.crcBuf)
+		torn, terr := tornBytes(seg, max(wmVal-segStart, 0), sizes[idx], buf)
 		if terr != nil {
 			return fail(fmt.Errorf("logdev: read past the watermark in segment %d: %w", idx, terr))
 		}
@@ -753,10 +731,6 @@ func (s *Segmented) Append(p []byte) (int, error) {
 		if err := seg.writeAt(p[:n], segOff); err != nil {
 			return written, err
 		}
-		s.runs[0].add(p[:n], s.size, s.segSize)
-		if s.syncing {
-			s.runs[1].add(p[:n], s.size, s.segSize)
-		}
 		s.size += int64(n)
 		written += n
 		p = p[n:]
@@ -786,8 +760,6 @@ func (s *Segmented) Sync() error {
 		return err
 	}
 	from, target := s.durable, s.size
-	run := s.runs[0]
-	s.runs[1], s.syncing = crcRun{from: target}, true
 	newSegs := s.newSegs
 	s.newSegs = false
 	var dirtyBuf [4]*fileSegment
@@ -801,22 +773,19 @@ func (s *Segmented) Sync() error {
 
 	start := time.Now()
 	s.profile.simulateSync(target - from)
-	if err := s.hardenBatch(dirty, newSegs, run, target); err != nil {
-		s.mu.Lock()
-		// The next Sync covers this one's bytes again: keep runs[0].
-		s.syncing = false
+	if err := s.hardenBatch(dirty, newSegs, from, target); err != nil {
 		if newSegs {
 			// Re-arm the metadata sync so the next Sync retries the
 			// directory fsync.
+			s.mu.Lock()
 			s.newSegs = true
+			s.mu.Unlock()
 		}
-		s.mu.Unlock()
 		return err
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.runs[0], s.syncing = s.runs[1], false
 	if s.closed {
 		return ErrClosed
 	}
@@ -828,10 +797,9 @@ func (s *Segmented) Sync() error {
 	return nil
 }
 
-// hardenBatch makes the batch ending at target, held by the segments in
-// dirty (in order), durable in the order Sync's comment gives; run is the
-// CRC of its bytes in the last of them.
-func (s *Segmented) hardenBatch(dirty []*fileSegment, newSegs bool, run crcRun, target int64) error {
+// hardenBatch makes the batch [from, target), held by the segments in
+// dirty (in order), durable in the order Sync's comment gives.
+func (s *Segmented) hardenBatch(dirty []*fileSegment, newSegs bool, from, target int64) error {
 	var last *fileSegment
 	if n := len(dirty); n > 0 {
 		dirty, last = dirty[:n-1], dirty[n-1]
@@ -852,7 +820,7 @@ func (s *Segmented) hardenBatch(dirty []*fileSegment, newSegs bool, run crcRun, 
 	if last == nil {
 		return nil
 	}
-	return last.harden(run.from, target, run.crc)
+	return last.harden(from, target)
 }
 
 // DurableSize implements Device. The size is logical: it includes the
@@ -905,27 +873,32 @@ func (s *Segmented) readLocked(p []byte, off int64) (int, error) {
 	if off >= s.durable {
 		return 0, io.EOF
 	}
-	end := off + int64(len(p))
-	if end > s.durable {
-		end = s.durable
+	end := min(off+int64(len(p)), s.durable)
+	n, err := s.readSegs(p[:end-off], off)
+	if err == nil && n < len(p) {
+		err = io.EOF
 	}
+	return n, err
+}
+
+// readSegs fills p with the log bytes at off from the segment files,
+// whatever the durable end. Caller holds s.mu (or has exclusive access
+// during the open).
+func (s *Segmented) readSegs(p []byte, off int64) (int, error) {
 	n := 0
-	for off+int64(n) < end {
+	for n < len(p) {
 		cur := off + int64(n)
 		idx := cur / s.segSize
 		segOff := cur % s.segSize
-		chunk := min(s.segSize-segOff, end-cur)
+		chunk := int(min(s.segSize-segOff, int64(len(p)-n)))
 		seg := s.segs[idx]
 		if seg == nil {
 			return n, fmt.Errorf("logdev: segment %d missing (holds offset %d)", idx, cur)
 		}
-		if err := seg.readAt(p[n:n+int(chunk)], segOff); err != nil {
+		if err := seg.readAt(p[n:n+chunk], segOff); err != nil {
 			return n, err
 		}
-		n += int(chunk)
-	}
-	if n < len(p) {
-		return n, io.EOF
+		n += chunk
 	}
 	return n, nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"aether/internal/logrec"
 	"aether/internal/vfs"
 )
 
@@ -19,6 +20,34 @@ func fill(n int, b byte) []byte {
 		p[i] = b + byte(i%7)
 	}
 	return p
+}
+
+// batch returns n bytes of log as the flush daemon hardens them: a pad
+// record whose payload is fill's pattern seeded by b, closed by its seal
+// (logrec.AppendSeal), or two such batches where no one batch is n bytes
+// long. Its first and last bytes are never zero, so a torn-tail count
+// of it is its length. n is at least 9, a 2-byte pad and its seal.
+func batch(n int, b byte) []byte {
+	for m := n - logrec.MaxSealSize; m < n; m++ {
+		if m < logrec.MinRecordSize || m+logrec.SealSize(m) != n {
+			continue
+		}
+		pad := logrec.NewPad(m)
+		if int(pad.EncodedSize()) != m {
+			continue
+		}
+		for tweak := byte(0); ; tweak++ {
+			copy(pad.Payload, fill(len(pad.Payload), b+tweak))
+			enc, err := pad.Encode()
+			if err != nil {
+				panic(err)
+			}
+			if enc = logrec.AppendSeal(enc, 0); enc[n-1] != 0 {
+				return enc
+			}
+		}
+	}
+	return append(batch(n/2, b), batch(n-n/2, b)...)
 }
 
 func appendSync(t *testing.T, dev Device, p []byte) {
@@ -118,7 +147,7 @@ func TestSegmentedDirReopenAfterTruncate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fill(300, 'r')
+	want := append(batch(200, 'r'), batch(100, 'r')...) // the base starts a batch
 	appendSync(t, s, want)
 	if err := s.Truncate(200); err != nil {
 		t.Fatal(err)
@@ -150,7 +179,7 @@ func TestSegmentedDirReopenAfterTruncate(t *testing.T) {
 		t.Fatal("tail mismatch after reopen")
 	}
 	// Appends continue at the logical end.
-	appendSync(t, s2, fill(10, 'z'))
+	appendSync(t, s2, batch(10, 'z'))
 	if s2.DurableSize() != 310 {
 		t.Fatalf("DurableSize = %d after append, want 310", s2.DurableSize())
 	}
@@ -164,8 +193,8 @@ func TestSegmentedDirReopenAfterTruncate(t *testing.T) {
 func TestSegmentedMemCrashDropsUnsynced(t *testing.T) {
 	s := newMemDev(t, ProfileMemory, 64)
 	defer func() { s.Close() }()
-	appendSync(t, s, fill(100, 'd'))
-	if _, err := s.Append(fill(100, 'u')); err != nil { // unsynced
+	appendSync(t, s, batch(100, 'd'))
+	if _, err := s.Append(batch(100, 'u')); err != nil { // unsynced
 		t.Fatal(err)
 	}
 	s.fs.PowerCut()
@@ -182,12 +211,12 @@ func TestSegmentedMemCrashDropsUnsynced(t *testing.T) {
 		t.Fatalf("read past durable after crash: %v", err)
 	}
 	// New appends land where the durable log ended.
-	appendSync(t, s, fill(28, 'n')) // exactly up to the segment boundary at 128
+	appendSync(t, s, batch(28, 'n')) // exactly up to the segment boundary at 128
 	got := make([]byte, 28)
 	if _, err := s.ReadAt(got, 100); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, fill(28, 'n')) {
+	if !bytes.Equal(got, batch(28, 'n')) {
 		t.Fatal("post-crash append mismatch")
 	}
 }
@@ -199,7 +228,7 @@ func TestSegmentedTruncateKeepsNewestSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	appendSync(t, s, fill(128, 'k')) // exactly two full segments
+	appendSync(t, s, batch(128, 'k')) // exactly two full segments
 	if err := s.Truncate(128); err != nil {
 		t.Fatal(err)
 	}
@@ -225,13 +254,13 @@ func TestSegmentedTruncateKeepsNewestSegment(t *testing.T) {
 func TestMemSyncDoesNotPublishMidSyncAppends(t *testing.T) {
 	m := newMemDev(t, Profile{Name: "slow", SyncLatency: 50 * time.Millisecond}, DefaultSegmentSize)
 	defer func() { m.Close() }()
-	if _, err := m.Append(fill(100, 'a')); err != nil {
+	if _, err := m.Append(batch(100, 'a')); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
 	go func() { done <- m.Sync() }()
 	time.Sleep(10 * time.Millisecond) // sync is inside its latency sleep
-	if _, err := m.Append(fill(50, 'b')); err != nil {
+	if _, err := m.Append(batch(50, 'b')); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err != nil {
@@ -245,7 +274,7 @@ func TestMemSyncDoesNotPublishMidSyncAppends(t *testing.T) {
 		t.Fatalf("mid-sync append survived the crash: %v", err)
 	}
 	// The next sync pays for and hardens the remainder.
-	if _, err := m.Append(fill(50, 'b')); err != nil {
+	if _, err := m.Append(batch(50, 'b')); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Sync(); err != nil {
@@ -306,12 +335,11 @@ func TestSegmentedDoubleCloseAndStrayFiles(t *testing.T) {
 }
 
 // TestHardenReadsNothingBack counts, not times, what a harden costs in
-// reads: a watermark slot's data CRC comes from the bytes Append is
-// handed, so 1 000 append+Sync hardens — segment switches and batches
-// that straddle them included — read not one byte of a segment file
-// (reading each batch back for its CRC cost a pread per harden). A reopen
-// then admits the last slot: the CRC taken on the way in is the CRC of
-// what the file holds.
+// reads: a watermark slot carries no checksum of the bytes it covers —
+// their seals, computed before they reach the device, vouch for them —
+// so 1 000 append+Sync hardens, segment switches and batches that
+// straddle them included, read not one byte of a segment file. A reopen
+// then admits the last slot: the seals vouch for what the file holds.
 func TestHardenReadsNothingBack(t *testing.T) {
 	fs := vfs.NewFaultFS(1)
 	dev, err := OpenSegmentedDirFS(fs, "/log", 4096)
@@ -320,7 +348,7 @@ func TestHardenReadsNothingBack(t *testing.T) {
 	}
 	reads := fs.OpCounts()[vfs.OpRead]
 	for i := 0; i < 1000; i++ {
-		appendSync(t, dev, fill(1+i*37%300, byte(i)))
+		appendSync(t, dev, batch(9+i*37%300, byte(i)))
 	}
 	if got := fs.OpCounts()[vfs.OpRead] - reads; got != 0 {
 		t.Fatalf("1 000 hardens read segment files %d times, want 0", got)
@@ -337,29 +365,29 @@ func TestHardenReadsNothingBack(t *testing.T) {
 	}
 	defer dev.Close()
 	if got := dev.DurableSize(); got != durable {
-		t.Fatalf("reopen after a power cut: durable %d, want %d (the last slot's data CRC did not match its bytes)", got, durable)
+		t.Fatalf("reopen after a power cut: durable %d, want %d (the seals did not vouch for the last slot's bytes)", got, durable)
 	}
 }
 
 // TestSlotAfterFailedSyncCoversBoth: a Sync that fails leaves its bytes
-// to the next one, whose slot must vouch for them and for what was
-// appended since — the CRC run is not restarted by a Sync that did not
-// complete.
+// to the next one, whose slot must cover them and what was appended
+// since — its range begins at the durable end, not where the Sync that
+// did not complete would have ended.
 func TestSlotAfterFailedSyncCoversBoth(t *testing.T) {
 	fs := vfs.NewFaultFS(1)
 	dev, err := OpenSegmentedDirFS(fs, "/log", 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendSync(t, dev, fill(100, 1))
+	appendSync(t, dev, batch(100, 1))
 	fs.AddRule(vfs.Rule{Op: vfs.OpSync, Times: 1})
-	if _, err := dev.Append(fill(200, 2)); err != nil {
+	if _, err := dev.Append(batch(200, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := dev.Sync(); err == nil {
 		t.Fatal("the injected fsync failure did not fail Sync")
 	}
-	appendSync(t, dev, fill(50, 3))
+	appendSync(t, dev, batch(50, 3))
 	if err := dev.Close(); err != nil {
 		t.Fatal(err)
 	}

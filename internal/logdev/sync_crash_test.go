@@ -153,11 +153,14 @@ func TestSyncCrashTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := fill(tc.prefill, 'p')
-			appendSync(t, s, want[:100])
-			appendSync(t, s, want[100:])
+			want := batch(100, 'p')
+			appendSync(t, s, want)
+			rest := batch(tc.prefill-100, 'p')
+			appendSync(t, s, rest)
+			want = append(want, rest...)
 
-			if _, err := s.Append(fill(tc.batch, 'B')); err != nil {
+			doomed := batch(tc.batch, 'B')
+			if _, err := s.Append(doomed); err != nil {
 				t.Fatal(err)
 			}
 			if tc.rule.Op == vfs.OpSyncDir {
@@ -209,7 +212,7 @@ func TestSyncCrashTable(t *testing.T) {
 			if got := len(s2.Segments()); got != tc.wantSegs {
 				t.Fatalf("%d live segments, want %d", got, tc.wantSegs)
 			}
-			want = append(want, fill(int(tc.wantDurable)-tc.prefill, 'B')...)
+			want = append(want, doomed[:int(tc.wantDurable)-tc.prefill]...)
 			got := make([]byte, tc.wantDurable)
 			if _, err := s2.ReadAt(got, 0); err != nil {
 				t.Fatal(err)
@@ -219,7 +222,7 @@ func TestSyncCrashTable(t *testing.T) {
 			}
 			// The log keeps working from the watermark it recovered, and
 			// the next Sync does not trample it.
-			appendSync(t, s2, fill(10, 'n'))
+			appendSync(t, s2, batch(10, 'n'))
 			s2.Close()
 			s3, err := OpenSegmentedDirFS(fs, "/db", 0)
 			if err != nil {
@@ -242,8 +245,8 @@ func TestAdmissibleWatermarkDoesNotExcuseMissingBytesBelow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendSync(t, s, fill(256, 'a')) // watermark 256, slot in segment 0
-	appendSync(t, s, fill(44, 'b'))  // watermark 300, slot in segment 1
+	appendSync(t, s, batch(256, 'a')) // watermark 256, slot in segment 0
+	appendSync(t, s, batch(44, 'b'))  // watermark 300, slot in segment 1
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -266,9 +269,9 @@ func TestWatermarkFallsBackToTruncationBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fill(128, 'k') // two full segments; the slot sits in segment 1
+	want := batch(128, 'k') // two full segments; the slot sits in segment 1
 	appendSync(t, s, want)
-	if _, err := s.Append(fill(20, 'u')); err != nil { // segment 2, never synced
+	if _, err := s.Append(batch(20, 'u')); err != nil { // segment 2, never synced
 		t.Fatal(err)
 	}
 	if err := s.Truncate(128); err != nil { // recycles segments 0 and 1
@@ -296,7 +299,7 @@ func TestWatermarkFallsBackToTruncationBase(t *testing.T) {
 		t.Fatalf("reopen of a directory with a base and no segments: %v", err)
 	}
 	defer s3.Close()
-	appendSync(t, s3, fill(10, 'n'))
+	appendSync(t, s3, batch(10, 'n'))
 	if got := s3.DurableSize(); got != 138 {
 		t.Fatalf("DurableSize = %d after a post-recovery Sync, want 138", got)
 	}
