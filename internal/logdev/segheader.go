@@ -14,8 +14,8 @@ import (
 // watermark: how many logical log bytes completed Syncs cover. It is
 // what lets Open tell a torn tail (bytes a crash persisted without a
 // completed Sync — repairable by clamping to the watermark) from real
-// mid-log corruption (bytes the watermark covers but the files no
-// longer hold — fatal). Keeping it inside the segment is what makes a
+// mid-log corruption (bytes a completed Sync made durable but the files
+// no longer hold — fatal). Keeping it inside the segment is what makes a
 // commit one fsync: Sync writes a slot into the segment holding the
 // batch's last byte and fsyncs that file once, data and watermark
 // together.

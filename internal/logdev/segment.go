@@ -515,8 +515,12 @@ func openSegmentedDir(fs vfs.FS, dir string, segSize int64, ro bool) (*Segmented
 	// real corruption (fail loudly). The truncation base is a floor:
 	// Truncate only ever records offsets at or below the durable horizon,
 	// and the one segment whose recycling can take the newest slot with
-	// it is the one that ends exactly at that base.
-	wmVal := s.base
+	// it is the one that ends exactly at that base. held is how far the
+	// files must hold every byte however the slots are judged: a whole
+	// slot was written only after its Sync had fsynced everything before
+	// the slot's own segment, so bytes missing there are corruption too,
+	// also when the slot falls back.
+	wmVal, held := s.base, s.base
 	var admitted *fileSegment
 	admittedSlot := -1
 	var reports []SegmentSlots // kept for SlotReports by read-only opens
@@ -528,6 +532,9 @@ func openSegmentedDir(fs vfs.FS, dir string, segSize int64, ro bool) (*Segmented
 		for i, sl := range rep.Slots {
 			if sl.DataOK && sl.Durable >= wmVal && (admitted == nil || sl.Durable > wmVal) {
 				wmVal, admitted, admittedSlot = sl.Durable, fseg, i
+			}
+			if sl.Written {
+				held = max(held, min(idx*segSize, sl.Durable))
 			}
 		}
 		if ro {
@@ -545,12 +552,12 @@ func openSegmentedDir(fs vfs.FS, dir string, segSize int64, ro bool) (*Segmented
 		}
 	}
 	s.openSlots = reports
-	for idx := s.base / segSize; idx*segSize < wmVal && s.base < wmVal; idx++ {
-		need := min(segSize, wmVal-idx*segSize)
+	for end, idx := max(wmVal, held), s.base/segSize; idx*segSize < end && s.base < end; idx++ {
+		need := min(segSize, end-idx*segSize)
 		if sizes[idx] < need {
 			return fail(fmt.Errorf(
-				"logdev: segment %d holds %d bytes but the durable watermark %d requires %d — mid-log corruption, refusing to repair",
-				idx, sizes[idx], wmVal, need))
+				"logdev: segment %d holds %d bytes but completed Syncs made the log durable through %d, which requires %d — mid-log corruption, refusing to repair",
+				idx, sizes[idx], end, need))
 		}
 	}
 	s.size, s.durable = wmVal, wmVal
@@ -563,8 +570,11 @@ func openSegmentedDir(fs vfs.FS, dir string, segSize int64, ro bool) (*Segmented
 	// space past the watermark is judged by its first block: zeros there
 	// are allocated space nothing wrote, so a clean reopen reads one
 	// block and writes nothing. A segment that starts exactly at the
-	// watermark and holds nothing stays: the log resumes in it.
-	removed := false
+	// watermark and holds nothing stays: the log resumes in it. Segments
+	// go newest first, each unlink made durable before the next and all
+	// before any trim, so a crash in the repair never leaves a whole slot
+	// above a segment the repair has removed or cut short (held).
+	var doomed, trimmed []int64
 	for idx, seg := range s.segs {
 		segStart := idx * segSize
 		if segStart+segSize <= wmVal {
@@ -577,32 +587,38 @@ func openSegmentedDir(fs vfs.FS, dir string, segSize int64, ro bool) (*Segmented
 		s.repairedTail += torn
 		switch {
 		case segStart > wmVal || (segStart == wmVal && torn > 0):
-			if ro {
-				// Leave the crash evidence on disk; just stop serving
-				// the torn segment.
-				seg.f.Close()
-				delete(s.segs, idx)
-				continue
-			}
-			if err := s.removeSeg(idx, seg); err != nil {
-				return fail(fmt.Errorf("logdev: discard torn segment %d: %w", idx, err))
-			}
-			delete(s.segs, idx)
-			removed = true
+			doomed = append(doomed, idx)
 		case torn > 0 && !ro:
-			if err := seg.trim(wmVal - segStart); err != nil {
-				return fail(fmt.Errorf("logdev: trim torn segment %d: %w", idx, err))
-			}
-			if err := seg.sync(); err != nil {
-				return fail(fmt.Errorf("logdev: sync trimmed segment %d: %w", idx, err))
-			}
-			sizes[idx] = segSize
+			trimmed = append(trimmed, idx)
 		}
 	}
-	if removed {
+	slices.Sort(doomed)
+	slices.Reverse(doomed)
+	for _, idx := range doomed {
+		seg := s.segs[idx]
+		delete(s.segs, idx)
+		if ro {
+			// Leave the crash evidence on disk; just stop serving the
+			// torn segment.
+			seg.f.Close()
+			continue
+		}
+		if err := s.removeSeg(idx, seg); err != nil {
+			return fail(fmt.Errorf("logdev: discard torn segment %d: %w", idx, err))
+		}
 		if err := s.syncDir(); err != nil {
 			return fail(err)
 		}
+	}
+	for _, idx := range trimmed {
+		seg := s.segs[idx]
+		if err := seg.trim(wmVal - seg.start); err != nil {
+			return fail(fmt.Errorf("logdev: trim torn segment %d: %w", idx, err))
+		}
+		if err := seg.sync(); err != nil {
+			return fail(fmt.Errorf("logdev: sync trimmed segment %d: %w", idx, err))
+		}
+		sizes[idx] = segSize
 	}
 	tail := s.newestLocked()
 	if tail >= 0 && sizes[tail] < segSize && !ro {

@@ -66,7 +66,7 @@ func TestSyncCrashTable(t *testing.T) {
 		},
 		{
 			// The dangerous shape: the file is long enough and the slot
-			// is whole; only the data CRC tells the bytes are not there.
+			// is whole; only the seals tell the bytes are not there.
 			name: "slot persisted, data torn with its length intact", prefill: 150, batch: 60,
 			rule:        vfs.Rule{Op: vfs.OpSync, Path: "*.seg", Cut: true},
 			tear:        map[int64][]mask{0: {keepLast, keepAll}},
@@ -302,5 +302,72 @@ func TestWatermarkFallsBackToTruncationBase(t *testing.T) {
 	appendSync(t, s3, batch(10, 'n'))
 	if got := s3.DurableSize(); got != 138 {
 		t.Fatalf("DurableSize = %d after a post-recovery Sync, want 138", got)
+	}
+}
+
+// TestTornTailRepairSurvivesCrash cuts power at every step of a reopen
+// whose repair removes three segments and trims a fourth, then reopens.
+// The newest slot, in the last of them, is whole but its bytes never
+// reached the disk, and it covers segments 1 to 3 too, which its Sync had
+// fsynced before writing it: bytes missing there under a whole slot are
+// corruption. So the repair removes the newest segment first and makes
+// each unlink durable before the next; every reopen after a cut lands on
+// the previous watermark instead of refusing a hole the repair made.
+func TestTornTailRepairSurvivesCrash(t *testing.T) {
+	const segSize = 64
+	want := batch(100, 'a')
+	for step := 1; ; step++ {
+		fs := vfs.NewFaultFS(1)
+		s, err := OpenSegmentedDirFS(fs, "/log", segSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendSync(t, s, want)            // its slot in segment 1
+		appendSync(t, s, batch(200, 'b')) // segments 1 to 4, its slot in 4
+		s.Close()
+		f, err := fs.OpenFile(segFile("/log", 4), os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(make([]byte, 300-4*segSize), SegmentHeaderSize); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+
+		rule := fs.AddRule(vfs.Rule{After: step - 1, Cut: true})
+		s, err = OpenSegmentedDirFS(fs, "/log", 0)
+		if fs.RuleStats()[rule].Fired == 0 {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := s.DurableSize(); got != 100 {
+				t.Fatalf("uncut reopen: durable %d, want 100", got)
+			}
+			s.Close()
+			if step < 10 {
+				t.Fatalf("the reopen took only %d steps; the repair never ran", step-1)
+			}
+			return
+		}
+		if err == nil {
+			s.Close()
+		}
+		fs.ClearRules()
+		fs.Recover()
+		s, err = OpenSegmentedDirFS(fs, "/log", 0)
+		if err != nil {
+			t.Fatalf("reopen after a cut at step %d of the repair: %v", step, err)
+		}
+		got := make([]byte, 100)
+		if d := s.DurableSize(); d != 100 {
+			t.Fatalf("cut at step %d: durable %d, want 100", step, d)
+		}
+		if _, err := s.ReadAt(got, 0); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("cut at step %d: the durable prefix does not read back (%v)", step, err)
+		}
+		s.Close()
 	}
 }
