@@ -81,6 +81,9 @@ lock-race:
 # internal/logdev calls no crc32.Update (a watermark slot's CRC covers
 # the slot, the cold-store envelope's its object, each in one
 # crc32.Checksum), and internal/logdev/segment.go names no crc32 at all.
+# And a transaction object is made one way, by its agent, which reuses
+# the ones it got back (Agent.reuse): non-test Go holds exactly one
+# &Txn{ or new(Txn) (txn. prefix or not), in internal/txn/engine.go.
 vet:
 	$(GO) vet ./...
 	@bad="$$(grep -HnE '\bos\.(OpenFile|Create|WriteFile|Rename|Remove|MkdirAll|Truncate)\(' \
@@ -124,6 +127,10 @@ vet:
 	@bad="$$( { grep -HnE '\bcrc32\.Update\(' $$(find internal/logdev -name '*.go' ! -name '*_test.go'); \
 		grep -HnE '\bcrc32\.' internal/logdev/segment.go; } | sort -u)"; \
 	if [ -n "$$bad" ]; then echo "logrec's seals are the one proof of a lane's bytes (a watermark slot's CRC covers the slot alone; logdev keeps no CRC of the log):"; echo "$$bad"; exit 1; fi
+	@hits="$$(grep -HnE '&(txn\.)?Txn\{|\bnew\((txn\.)?Txn\)' \
+		$$(find . -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print))"; \
+	if [ "$$(printf '%s\n' "$$hits" | grep -c .)" -ne 1 ] || ! printf '%s\n' "$$hits" | grep -q '^\./internal/txn/engine\.go:'; then \
+		echo "a txn.Txn is made one way, by its agent, which reuses its finished ones (Agent.reuse in internal/txn/engine.go):"; echo "$$hits"; exit 1; fi
 
 # Documentation lint: formatting, vet, every example and command builds,
 # and the godoc-coverage check — exported identifiers in EVERY internal

@@ -39,6 +39,13 @@
 //	tx.Insert(accounts, 1, aether.Row(1, []byte("alice: 100")))
 //	err = tx.Commit() // durable when it returns
 //
+// A Session reuses the transactions it has finished, so a TPC-B
+// transaction allocates nothing in the engine (a detached commit hands
+// the log daemon the transaction itself, not a closure). A Tx is spent
+// once it commits or aborts: every method of it then returns ErrTxnDone
+// (Abort: ErrPrecommitted while its detached commit is in flight), also
+// after the session has begun its next transaction in the same object.
+//
 // # Bounded log
 //
 // The log lives on a segmented device: the append-only stream is spread

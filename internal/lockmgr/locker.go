@@ -162,10 +162,10 @@ func (m *Manager) NewLocker(txnID uint64, cache *AgentCache) *Locker {
 }
 
 // Reset re-arms the locker for a new transaction: txn.Agent.Begin keeps
-// one Locker per agent and calls this instead of NewLocker. Every lock
-// must have been released, and by the calling goroutine — a locker whose
-// release runs elsewhere (ReleaseAllToTable on the flush daemon) is not
-// reusable and must be replaced instead.
+// its lockers and calls this instead of NewLocker. Every lock must have
+// been released, and the release must happen before the Reset — on the
+// calling goroutine, or, for ReleaseAllToTable on the flush daemon,
+// before whatever hands the locker back to it (txn.Agent's free list).
 func (l *Locker) Reset(txnID uint64) {
 	if len(l.held) != 0 {
 		panic("lockmgr: Reset with locks held")

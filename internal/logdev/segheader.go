@@ -147,9 +147,9 @@ type SegmentSlots struct {
 	Slots [wmSlots]SlotReport
 }
 
-// inspectHeader reads f's header and judges both slots of segment idx,
-// reading the log bytes they cover through read.
-func inspectHeader(f io.ReaderAt, idx, segSize, base int64, read readLogFunc, buf *[]byte) (SegmentSlots, error) {
+// readHeader reads f's header: which slots of segment idx some Sync
+// wrote whole, and what they say, not yet judged.
+func readHeader(f io.ReaderAt, idx int64) (SegmentSlots, error) {
 	rep := SegmentSlots{Index: idx}
 	var hdr [SegmentHeaderSize]byte
 	// A file shorter than its header (created, never synced) reads as
@@ -158,16 +158,21 @@ func inspectHeader(f io.ReaderAt, idx, segSize, base int64, read readLogFunc, bu
 		return rep, fmt.Errorf("logdev: read segment %d header: %w", idx, err)
 	}
 	for i := range rep.Slots {
-		w, ok := decodeWMSlot(hdr[i*wmSlotStride:])
-		if !ok {
-			continue
-		}
-		rep.Slots[i] = SlotReport{
-			Written: true,
-			Durable: w.Durable,
-			From:    w.From,
-			DataOK:  w.admissible(idx*segSize, segSize, base, read, buf),
+		if w, ok := decodeWMSlot(hdr[i*wmSlotStride:]); ok {
+			rep.Slots[i] = SlotReport{Written: true, Durable: w.Durable, From: w.From}
 		}
 	}
 	return rep, nil
+}
+
+// inspectHeader reads f's header and judges both slots of segment idx,
+// reading the log bytes they cover through read.
+func inspectHeader(f io.ReaderAt, idx, segSize, base int64, read readLogFunc, buf *[]byte) (SegmentSlots, error) {
+	rep, err := readHeader(f, idx)
+	for i := range rep.Slots {
+		if sl := &rep.Slots[i]; sl.Written {
+			sl.DataOK = wmSlot{Durable: sl.Durable, From: sl.From}.admissible(idx*segSize, segSize, base, read, buf)
+		}
+	}
+	return rep, err
 }

@@ -1,6 +1,7 @@
 package logdev
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -520,25 +521,55 @@ func openSegmentedDir(fs vfs.FS, dir string, segSize int64, ro bool) (*Segmented
 	// slot was written only after its Sync had fsynced everything before
 	// the slot's own segment, so bytes missing there are corruption too,
 	// also when the slot falls back.
-	wmVal, held := s.base, s.base
-	var admitted *fileSegment
-	admittedSlot := -1
+	// A writable open judges the slots newest first and stops at the first
+	// it admits, so it reads back the bytes of the newest Sync, not of
+	// every Sync a header remembers (a restored copy is written in one
+	// Sync a segment for this); a read-only open judges every slot, for
+	// SlotReports.
+	type candidate struct {
+		seg *fileSegment
+		i   int
+		sl  SlotReport
+	}
+	var cands []candidate
+	held := s.base
 	var reports []SegmentSlots // kept for SlotReports by read-only opens
 	for idx, fseg := range s.segs {
-		rep, herr := inspectHeader(fseg.f, idx, segSize, s.base, s.readSegs, &buf)
+		var rep SegmentSlots
+		var herr error
+		if ro {
+			rep, herr = inspectHeader(fseg.f, idx, segSize, s.base, s.readSegs, &buf)
+		} else {
+			rep, herr = readHeader(fseg.f, idx)
+		}
 		if herr != nil {
 			return fail(herr)
 		}
-		for i, sl := range rep.Slots {
-			if sl.DataOK && sl.Durable >= wmVal && (admitted == nil || sl.Durable > wmVal) {
-				wmVal, admitted, admittedSlot = sl.Durable, fseg, i
-			}
-			if sl.Written {
-				held = max(held, min(idx*segSize, sl.Durable))
-			}
-		}
 		if ro {
 			reports = append(reports, rep)
+		}
+		for i, sl := range rep.Slots {
+			if !sl.Written {
+				continue
+			}
+			held = max(held, min(idx*segSize, sl.Durable))
+			if sl.Durable >= s.base {
+				cands = append(cands, candidate{fseg, i, sl})
+			}
+		}
+	}
+	slices.SortFunc(cands, func(a, b candidate) int { return cmp.Compare(b.sl.Durable, a.sl.Durable) })
+	wmVal := s.base
+	var admitted *fileSegment
+	admittedSlot := -1
+	for _, c := range cands {
+		ok := c.sl.DataOK
+		if !ro {
+			ok = wmSlot{Durable: c.sl.Durable, From: c.sl.From}.admissible(c.seg.start, segSize, s.base, s.readSegs, &buf)
+		}
+		if ok {
+			wmVal, admitted, admittedSlot = c.sl.Durable, c.seg, c.i
+			break
 		}
 	}
 	if admitted != nil {

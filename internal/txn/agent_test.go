@@ -3,8 +3,10 @@ package txn
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -523,16 +525,18 @@ func loadTPCB(t *testing.T, eng *Engine, ag *Agent, accounts uint64) (tables [4]
 }
 
 // TestTxnAllocationBudget is the transaction layer's allocation budget.
-// One TPC-B-shaped transaction costs the engine one small object, the
-// Txn (96 B), and the generator here five more (its closure, a 112-byte
-// copy per update, the history row: ~465 B): six allocations against 51
-// before the agent owned the scratch. A growing history table amortises
-// to another ~150 B (an 8 KiB page per 70 rows, index nodes, dirty-page
-// entries), so ~700 B in all against 5 kB. The ceilings leave room for
-// size-class changes, not for a lost site.
+// One TPC-B-shaped transaction costs the engine no object of its own —
+// the agent reuses its Txn and scratch (TestCommitAllocatesNothing) —
+// and the generator here four (its closure and a 112-byte copy per
+// update: ~370 B): four allocations against 51 before the agent owned
+// the scratch, and 5 while it made a Txn per transaction. A growing
+// history table amortises to another ~150 B (an 8 KiB page per 70 rows,
+// index nodes, dirty-page entries), so ~600 B in all against 5 kB. The
+// ceilings leave room for the generator's sites to move between heap and
+// stack; the engine's own zero is TestCommitAllocatesNothing's to hold.
 func TestTxnAllocationBudget(t *testing.T) {
 	const (
-		maxAllocs = 7
+		maxAllocs = 6
 		maxBytes  = 1100
 		accounts  = 1000
 	)
@@ -565,49 +569,122 @@ func TestTxnAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestPipelinedCommitAllocatesOnlyTxn: a TPC-B-shaped transaction
-// committed CommitPipelined, from a generator that allocates nothing,
-// allocates one object: its Txn. The detached commit subscribes the Txn
-// itself for its completion, where a method value would cost 16 bytes a
-// commit, and the history table's pages and index nodes amortise below
-// one allocation a transaction.
-func TestPipelinedCommitAllocatesOnlyTxn(t *testing.T) {
+// allocFreeTPCB is a TPC-B-shaped transaction generator that allocates
+// nothing itself, over an engine of n lanes that keep no log bytes
+// (nullDev): three 100-byte row updates and one history insert per
+// transaction, ended by finish. A window of 32 holds at most as many
+// commits in flight as the repository benchmark's pipelined clients do;
+// ack, the commits' callback, releases a place in it.
+type allocFreeTPCB struct {
+	ag     *Agent
+	tables [4]*Table
+	seq    uint64
+	next   []byte
+	hist   []byte
+	add    func([]byte) ([]byte, error)
+	window chan struct{}
+	ack    func(error)
+	failed atomic.Int64
+}
+
+func newAllocFreeTPCB(t *testing.T, lanes int) *allocFreeTPCB {
 	const accounts = 1000
-	eng := newEngineOn(t, nullDev{logdev.NewMem(logdev.ProfileMemory)})
-	ag := eng.NewAgent()
-	defer ag.Close()
-	tables := loadTPCB(t, eng, ag, accounts)
-	var seq uint64
-	next := make([]byte, 0, 100)
-	add := func(cur []byte) ([]byte, error) {
-		next = append(next[:0], cur...)
-		binary.LittleEndian.PutUint64(next[8:16], rowValue(cur)+seq)
-		return next, nil
+	devs := make([]logdev.Device, lanes)
+	for i := range devs {
+		devs[i] = nullDev{logdev.NewMem(logdev.ProfileMemory)}
 	}
-	hist := make([]byte, 100)
-	txn := func() {
-		seq++
-		tx := ag.Begin()
-		for i, key := range [3]uint64{seq%10 + 1, seq%100 + 1, seq*7919%accounts + 1} {
-			if err := tx.Update(tables[i], key, add); err != nil {
-				t.Fatal(err)
-			}
+	eng := startEngine(t, RestartConfig{Devices: devs, LogConfig: harnessLogConfig})
+	g := &allocFreeTPCB{ag: eng.NewAgent(), next: make([]byte, 0, 100), hist: make([]byte, 100), window: make(chan struct{}, 32)}
+	t.Cleanup(g.ag.Close)
+	g.tables = loadTPCB(t, eng, g.ag, accounts)
+	g.add = func(cur []byte) ([]byte, error) {
+		g.next = append(g.next[:0], cur...)
+		binary.LittleEndian.PutUint64(g.next[8:16], rowValue(cur)+g.seq)
+		return g.next, nil
+	}
+	g.ack = func(err error) {
+		if err != nil {
+			g.failed.Add(1)
 		}
-		binary.LittleEndian.PutUint64(hist[0:8], seq)
-		binary.LittleEndian.PutUint64(hist[8:16], seq)
-		if err := tx.Insert(tables[3], seq, hist); err != nil {
+		<-g.window
+	}
+	return g
+}
+
+// txn runs one transaction and hands it to finish.
+func (g *allocFreeTPCB) txn(t *testing.T, finish func(*Txn) error) {
+	g.window <- struct{}{}
+	g.seq++
+	tx := g.ag.Begin()
+	for i, key := range [3]uint64{g.seq%10 + 1, g.seq%100 + 1, g.seq*7919%1000 + 1} {
+		if err := tx.Update(g.tables[i], key, g.add); err != nil {
 			t.Fatal(err)
 		}
-		if err := tx.Commit(CommitPipelined, nil); err != nil {
-			t.Fatal(err)
-		}
 	}
+	binary.LittleEndian.PutUint64(g.hist[0:8], g.seq)
+	binary.LittleEndian.PutUint64(g.hist[8:16], g.seq)
+	if err := tx.Insert(g.tables[3], g.seq, g.hist); err != nil {
+		t.Fatal(err)
+	}
+	if err := finish(tx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// allocsAfterWarmUp runs 5 000 transactions, then returns what each of
+// 5 000 more allocates, and waits for every commit in flight.
+func (g *allocFreeTPCB) allocsAfterWarmUp(t *testing.T, finish func(*Txn) error) float64 {
 	const runs = 5_000
 	for i := 0; i < runs; i++ {
-		txn()
+		g.txn(t, finish)
 	}
-	if got := testing.AllocsPerRun(runs, txn); got != 1 {
-		t.Errorf("%.0f allocations per pipelined transaction, want 1 (its Txn)", got)
+	got := testing.AllocsPerRun(runs, func() { g.txn(t, finish) })
+	for i := 0; i < cap(g.window); i++ {
+		g.window <- struct{}{}
+	}
+	if n := g.failed.Load(); n != 0 {
+		t.Fatalf("%d commits acknowledged with an error", n)
+	}
+	return got
+}
+
+// TestCommitAllocatesNothing: a TPC-B-shaped transaction, from a
+// generator that allocates nothing, allocates nothing in the engine
+// under every commit mode, on one lane and on three. The agent reuses
+// its finished Txns (Agent.recycle), a detached commit subscribes the
+// Txn itself for its completion — a hold-locks commit too, whose
+// scratch goes out and comes back with it — and the history table's
+// pages and index nodes amortise below one allocation a transaction.
+func TestCommitAllocatesNothing(t *testing.T) {
+	for _, lanes := range []int{1, 3} {
+		for _, mode := range []CommitMode{CommitSync, CommitSyncELR, CommitAsync, CommitPipelined, CommitPipelinedHoldLocks} {
+			t.Run(fmt.Sprintf("%s/lanes=%d", mode, lanes), func(t *testing.T) {
+				g := newAllocFreeTPCB(t, lanes)
+				commit := func(tx *Txn) error { return tx.Commit(mode, g.ack) }
+				if got := g.allocsAfterWarmUp(t, commit); got != 0 {
+					t.Errorf("%.0f allocations per %s transaction, want 0", got, mode)
+				}
+			})
+		}
+	}
+}
+
+// TestAbortAllocatesNothing: rolling a TPC-B-shaped transaction back
+// allocates nothing either: its undo lives in the agent's scratch, the
+// rollback subscribes the Txn itself to leave the ATT once its end
+// record hardens, and the Txn is reused after that.
+func TestAbortAllocatesNothing(t *testing.T) {
+	for _, lanes := range []int{1, 3} {
+		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
+			g := newAllocFreeTPCB(t, lanes)
+			abort := func(tx *Txn) error {
+				<-g.window
+				return tx.Abort()
+			}
+			if got := g.allocsAfterWarmUp(t, abort); got != 0 {
+				t.Errorf("%.0f allocations per aborted transaction, want 0", got)
+			}
+		})
 	}
 }
 

@@ -469,8 +469,10 @@ func (e *Engine) RebuildTables() error {
 // Agent is a per-worker transaction context: it owns a log appender, an
 // SLI lock cache (the table-level locks its transactions inherit from one
 // another; row locks are never cached), the scratch its transactions
-// build log records and keep rollback state in, and a slot that names
-// them in the log after their first record. One per agent thread.
+// build log records and keep rollback state in, a slot that names them in
+// the log after their first record, and the Txn objects themselves,
+// which Begin reuses once nothing can reach them (ARCHITECTURE.md, "What
+// an agent owns"). One per agent thread.
 type Agent struct {
 	eng   *Engine
 	ap    *core.MultiAppender
@@ -484,6 +486,11 @@ type Agent struct {
 	// slot is the slot the engine lent the agent, which each new scratch
 	// carries; 0 if none was free, and once the agent gave it up (Begin).
 	slot uint8
+	// free is the stack of the agent's finished transactions, linked
+	// through Txn.next. Whichever goroutine finishes a transaction pushes
+	// it (recycle: the flush daemon, for a detached one); only Begin, on
+	// the agent's goroutine, pops, so a pop cannot meet its own ABA.
+	free atomic.Pointer[Txn]
 }
 
 // NewAgent returns a fresh agent context, holding one of the engine's
@@ -502,10 +509,11 @@ func (e *Engine) NewAgent() *Agent {
 	return a
 }
 
-// Close releases the agent's inherited locks and its scratch (shutdown),
-// and gives its slot back to the engine — or, when a transaction that can
-// still log holds it, leaves it to that transaction to give back when it
-// finishes (txnScratch.giveSlotBack).
+// Close releases the agent's inherited locks, its scratch and its
+// finished transactions (shutdown), and gives its slot back to the
+// engine — or, when a transaction that can still log holds it, leaves it
+// to that transaction to give back when it finishes
+// (txnScratch.giveSlotBack).
 func (a *Agent) Close() {
 	a.eng.locks.DropCache(a.cache)
 	if sc := a.sc; sc != nil {
@@ -516,15 +524,19 @@ func (a *Agent) Close() {
 	}
 	a.rec = logrec.Record{}
 	a.sc, a.slot = nil, 0
+	a.free.Store(nil)
 }
 
 // leave is the agent moving on from sc, its scratch: when sc's
-// transaction can still log under the agent's slot, the slot stays with
-// it and the agent gives it up.
+// transaction is still active, the scratch stays with it, and so does
+// the agent's slot if sc carries it.
 func (a *Agent) leave(sc *txnScratch) {
-	if sc.slot != 0 && sc.owner.state.Load() == stActive {
-		sc.orphan.Store(true)
-		a.slot = 0
+	if t := sc.owner; t.state.Load() == stActive {
+		t.ownsScratch = true
+		if sc.slot != 0 {
+			sc.orphan.Store(true)
+			a.slot = 0
+		}
 	}
 }
 
@@ -535,34 +547,74 @@ func (e *Engine) putSlot(slot uint8) {
 	e.mu.Unlock()
 }
 
+// recycle puts t, finished and out of the ATT, back on its agent's free
+// list. It is the last thing anything does with t: once it returns, the
+// agent's next Begin may hand t out as another transaction.
+func (a *Agent) recycle(t *Txn) {
+	for {
+		head := a.free.Load()
+		t.next = head
+		if a.free.CompareAndSwap(head, t) {
+			return
+		}
+	}
+}
+
+// reuse pops a finished transaction off the free list, or makes one when
+// every Txn the agent owns is still in use — the one place a Txn is made.
+func (a *Agent) reuse() *Txn {
+	for {
+		t := a.free.Load()
+		if t == nil {
+			return &Txn{eng: a.eng, agent: a}
+		}
+		if a.free.CompareAndSwap(t, t.next) {
+			return t
+		}
+	}
+}
+
 // Begin starts a transaction on this agent. The agent must finish
 // (commit or abort) the transaction before beginning another, except
 // that pipelined commits detach immediately: the agent may begin the
-// next transaction as soon as Commit returns. The new transaction takes
-// over the agent's scratch — lock context, undo images — from the
-// previous one, whose undo is dead once its commit record is appended
-// and whose locks are released by then. So does the scratch's slot: the
-// previous transaction can log nothing more under it. A previous
-// transaction that is still active (abandoned, or interleaved against
-// the rule above) keeps the scratch and its slot, and the agent starts a
-// new scratch without one: the older transaction gives the slot back to
-// the engine once it can log no more, and the agent takes a slot again,
-// if one is free, at a later Begin.
+// next transaction as soon as Commit returns. The Txn is one the agent
+// made before and got back once nothing could reach it any more
+// (recycle), so a caller must not use a Txn after finishing it: the
+// same pointer may already be a later transaction (aether.Tx guards its
+// handle by the ID Begin returned).
+//
+// The new transaction takes over the agent's scratch — lock context,
+// undo images — from the previous one, whose undo is dead once its
+// commit record is appended and whose locks are released by then. So
+// does the scratch's slot: the previous transaction can log nothing more
+// under it. A previous transaction that is still active (abandoned, or
+// interleaved against the rule above) keeps the scratch and its slot,
+// and the agent starts a new scratch without one: the older transaction
+// gives the slot back to the engine once it can log no more, and the
+// agent takes a slot again, if one is free, at a later Begin. A scratch
+// that left the agent with its transaction comes back with it, and
+// serves again when the agent has none.
 func (a *Agent) Begin() *Txn {
-	t := &Txn{eng: a.eng, agent: a, id: a.eng.nextTxn.Add(1), home: -1}
-	t.lastStamp.Store(lsn.Undefined)
-	t.first.Store(lsn.Undefined)
+	t := a.reuse()
+	var spare *txnScratch
+	if t.ownsScratch {
+		spare = t.sc
+	}
 	take := false // the agent has no slot and may take one
+	// Read the owner's state before t is reset: the owner may be t.
 	if a.sc != nil && a.sc.owner.state.Load() != stActive {
-		a.sc.rearm(t)
 		take = a.slot == 0
 	} else {
 		if a.sc != nil {
 			a.leave(a.sc)
 		}
-		a.sc = &txnScratch{owner: t, locker: a.eng.locks.NewLocker(t.id, a.cache), slot: a.slot}
+		if spare == nil {
+			spare = &txnScratch{locker: a.eng.locks.NewLocker(0, a.cache)}
+		}
+		spare.slot = a.slot
+		a.sc = spare
 	}
-	t.sc = a.sc
+	t.reset(a.eng.nextTxn.Add(1), a.sc)
 	if cap(a.rec.Payload) > maxRecordBuffer {
 		a.rec.Payload = nil
 	}

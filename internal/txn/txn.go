@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"aether/internal/core"
 	"aether/internal/lockmgr"
 	"aether/internal/logrec"
 	"aether/internal/lsn"
@@ -52,7 +51,8 @@ type indexUndo struct {
 // the next Begin rather than allocating: everything in it is dead by
 // then (ARCHITECTURE.md, "What an agent owns"). A transaction that is
 // not finished by then, or whose locks are released on another
-// goroutine, keeps the scratch and the agent makes itself a new one.
+// goroutine, keeps the scratch (Txn.ownsScratch), and the agent takes
+// another: the one a recycled transaction brings back, or a new one.
 type txnScratch struct {
 	owner     *Txn
 	locker    *lockmgr.Locker
@@ -116,12 +116,20 @@ func (sc *txnScratch) rearm(t *Txn) {
 	sc.indexUndo = sc.indexUndo[:0]
 }
 
-// Txn is one transaction. It is driven by a single agent goroutine.
+// Txn is one transaction. It is driven by a single agent goroutine, and
+// belongs to its agent, which hands it out again at a later Begin once it
+// is finished (Agent.recycle).
 type Txn struct {
 	eng   *Engine
 	agent *Agent
 	id    uint64
 	sc    *txnScratch
+	// ownsScratch is set when the agent moved on from sc while the
+	// transaction held it (a hold-locks commit, or a transaction still
+	// active at the next Begin): nothing else uses sc, and it comes back
+	// to the agent with the Txn. Otherwise sc is the agent's, and goes
+	// stale once the transaction is finished.
+	ownsScratch bool
 
 	// lastStamp is the most recent log record's recStamp, which the
 	// checkpoint ATT snapshots next to the transaction's name.
@@ -140,8 +148,40 @@ type Txn struct {
 
 	lastEnd lsn.LSN // end LSN of the most recent record (home log)
 	writes  int
-	// whenDone is a detached commit's client callback, run by hardened.
+	// detach is what Hardened finishes: a detached commit, one that
+	// still holds its locks, or a rollback.
+	detach detachKind
+	// whenDone is a detached commit's client callback, run by Hardened.
 	whenDone func(error)
+	// next links the agent's free list.
+	next *Txn
+}
+
+// detachKind says what a transaction subscribed to the log for when it
+// detached (Txn.Hardened).
+type detachKind uint8
+
+const (
+	// detachCommit: a CommitAsync or CommitPipelined commit, whose locks
+	// are released already.
+	detachCommit detachKind = iota
+	// detachHoldLocks: a CommitPipelinedHoldLocks commit, whose locks are
+	// released once its commit record hardens.
+	detachHoldLocks
+	// detachRollback: an Abort whose end record is in the log; the
+	// transaction leaves the ATT once it hardens.
+	detachRollback
+)
+
+// reset readies t, new or recycled, to be transaction id on scratch sc.
+func (t *Txn) reset(id uint64, sc *txnScratch) {
+	t.id, t.sc, t.ownsScratch = id, sc, false
+	t.lastStamp.Store(lsn.Undefined)
+	t.first.Store(lsn.Undefined)
+	t.state.Store(stActive)
+	t.aborting, t.home, t.lastEnd, t.writes = false, -1, 0, 0
+	t.detach, t.whenDone, t.next = detachCommit, nil, nil
+	sc.rearm(t)
 }
 
 // appendRec appends rec, named by the scratch's slot, to the
@@ -376,7 +416,9 @@ func (t *Txn) Scan(tbl *Table, from, to uint64, fn func(key uint64, row []byte) 
 // others it runs on the caller's.
 //
 // The returned error reports the synchronous part only; pipelined
-// durability errors arrive via whenDone.
+// durability errors arrive via whenDone. Once Commit has returned nil,
+// or whenDone has run, the caller must not use t again: its agent may
+// already have begun another transaction in it.
 func (t *Txn) Commit(mode CommitMode, whenDone func(error)) error {
 	if err := t.active(); err != nil {
 		return err
@@ -393,6 +435,7 @@ func (t *Txn) Commit(mode CommitMode, whenDone func(error)) error {
 		if whenDone != nil {
 			whenDone(nil)
 		}
+		t.agent.recycle(t)
 		return nil
 	}
 
@@ -423,6 +466,7 @@ func (t *Txn) Commit(mode CommitMode, whenDone func(error)) error {
 		if whenDone != nil {
 			whenDone(err)
 		}
+		t.agent.recycle(t)
 		return err
 
 	case CommitSyncELR:
@@ -433,6 +477,7 @@ func (t *Txn) Commit(mode CommitMode, whenDone func(error)) error {
 		if whenDone != nil {
 			whenDone(err)
 		}
+		t.agent.recycle(t)
 		return err
 
 	case CommitAsync:
@@ -460,35 +505,42 @@ func (t *Txn) Commit(mode CommitMode, whenDone func(error)) error {
 		// Ablation: detach but keep locks until durability. Demonstrates
 		// the log-induced lock contention ELR exists to remove. The
 		// release runs on the daemon goroutine, so it must bypass the
-		// agent's (single-threaded) lock cache — and the locker goes
+		// agent's (single-threaded) lock cache — and the scratch goes
 		// with the transaction: the agent, which may begin its next
-		// transaction before the daemon gets here, must not re-arm it.
-		locker := t.sc.locker
+		// transaction before the daemon gets here, must not re-arm its
+		// locker.
 		if t.agent.sc == t.sc {
 			t.agent.sc = nil
+			t.ownsScratch = true
 		}
-		t.whenDone = whenDone
-		lm.OnDurable(end, core.HardenedFunc(func(err error) {
-			locker.ReleaseAllToTable()
-			t.Hardened(err)
-		}))
+		t.whenDone, t.detach = whenDone, detachHoldLocks
+		lm.OnDurable(end, t)
 		return nil
 	}
 	return fmt.Errorf("txn: unknown commit mode %d", int(mode))
 }
 
-// Hardened completes a detached commit on the log daemon's goroutine,
-// once the commit record is durable (or the log has failed with err).
-// It makes *Txn a core.Hardener, so a detached commit subscribes without
-// allocating.
+// Hardened completes a detached commit or rollback on the log daemon's
+// goroutine, once its last record is durable (or the log has failed with
+// err): it releases a hold-locks commit's locks, finishes the commit and
+// runs its callback, or takes a rollback out of the ATT. It makes *Txn a
+// core.Hardener, so every detached subscription is the Txn itself and
+// allocates nothing. Its last step gives t back to its agent.
 func (t *Txn) Hardened(err error) {
-	t.finishCommit(err == nil)
-	if done := t.whenDone; done != nil {
-		// The agent's scratch keeps its last transaction reachable; do
-		// not let that pin whatever the client's callback captured.
-		t.whenDone = nil
-		done(err)
+	if t.detach == detachRollback {
+		t.eng.attRemove(t.id)
+	} else {
+		if t.detach == detachHoldLocks {
+			t.sc.locker.ReleaseAllToTable()
+		}
+		t.finishCommit(err == nil)
+		if done := t.whenDone; done != nil {
+			// A recycled Txn must not pin what the callback captured.
+			t.whenDone = nil
+			done(err)
+		}
 	}
+	t.agent.recycle(t)
 }
 
 // finishCommit completes post-commit bookkeeping.
@@ -574,9 +626,8 @@ func (t *Txn) Abort() error {
 		// Leave the ATT only once the rollback is durable: until then
 		// the txn's first LSN must keep pinning the truncation horizon,
 		// or a crash could find a loser whose first records were recycled.
-		// Capture only what the callback needs, not the whole Txn.
-		eng, id := t.eng, t.id
-		t.eng.waitLM(t.home).OnDurable(endEnd, core.HardenedFunc(func(error) { eng.attRemove(id) }))
+		t.detach = detachRollback
+		t.eng.waitLM(t.home).OnDurable(endEnd, t)
 		return nil
 	}
 
@@ -585,5 +636,6 @@ func (t *Txn) Abort() error {
 	t.sc.locker.ReleaseAll()
 	t.eng.attRemove(t.id)
 	t.eng.stats.Aborts.Inc()
+	t.agent.recycle(t)
 	return nil
 }

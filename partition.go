@@ -91,7 +91,9 @@ var errHistoryGone = errors.New("archive incomplete")
 // low-water mark, a base the lane once had, so a batch's start — through
 // stamp at — the cold store stitched to the device (Segmented.RestoreLog),
 // cut and sealed as a crash at at would have left it (cutAt) — into a new
-// log in dir on fs.
+// log in dir on fs. It appends and syncs the copy a segment at a time,
+// each piece ending at a seal, so the newest watermark slot covers one
+// piece and the copy's open reads that back, not the whole copy.
 func (l *lane) copyLog(fs vfs.FS, dir string, from int64, at uint64, lanes int) error {
 	data, start, err := l.seg.RestoreLog(l.remote, from)
 	if err == nil && start > from {
@@ -100,16 +102,24 @@ func (l *lane) copyLog(fs vfs.FS, dir string, from int64, at uint64, lanes int) 
 	if err != nil {
 		return err
 	}
-	kept, err := cutAt(data, uint64(from), at, lanes)
+	size := l.seg.SegmentSize()
+	kept, pieces, err := cutAt(data, uint64(from), at, lanes, size)
 	if err != nil {
 		return err
 	}
-	seg, err := logdev.CreateSegmentedAt(fs, dir, l.seg.SegmentSize(), from)
+	seg, err := logdev.CreateSegmentedAt(fs, dir, size, from)
 	if err != nil {
 		return err
 	}
-	if _, err = seg.Append(kept); err == nil {
-		err = seg.Sync()
+	prev := 0
+	for _, end := range append(pieces, len(kept)) {
+		if _, err = seg.Append(kept[prev:end]); err == nil {
+			err = seg.Sync()
+		}
+		if err != nil {
+			break
+		}
+		prev = end
 	}
 	return errors.Join(err, seg.Close())
 }

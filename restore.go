@@ -276,10 +276,13 @@ func (db *DB) materialize(snap *logdev.Manifest, rdb *DB) (err error) {
 // end keeps the seal the batch had; a cut inside one keeps only part of
 // what that seal vouched for, so it seals what it keeps, in place: data
 // past the cut is overwritten. One lane's stamp is a record's end offset,
-// N lanes' its global seq; either rises along a lane.
-func cutAt(data []byte, base, at uint64, lanes int) ([]byte, error) {
+// N lanes' its global seq; either rises along a lane. pieces are where
+// copyLog ends a Sync short of the kept bytes' end: at each segment's
+// newest seal, for every segment of segSize the kept bytes reach past.
+func cutAt(data []byte, base, at uint64, lanes int, segSize int64) (kept []byte, pieces []int, err error) {
 	it := logrec.NewIterator(data, lsn.LSN(base))
 	cut, batch := 0, 0
+	seg := func(end int) uint64 { return (base + uint64(end) - 1) / uint64(segSize) }
 	for {
 		rec, ok := it.Next()
 		if !ok {
@@ -293,19 +296,25 @@ func cutAt(data []byte, base, at uint64, lanes int) ([]byte, error) {
 		if stamp > at {
 			break
 		}
-		cut, batch = end, int(uint64(it.Batch())-base)
+		// A batch starting in a later segment than the previous one's
+		// start, a seal's end, makes that its segment's newest seal end.
+		b := int(uint64(it.Batch()) - base)
+		if batch > 0 && b > batch && seg(b) > seg(batch) {
+			pieces = append(pieces, batch)
+		}
+		cut, batch = end, b
 	}
 	if err := it.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if cut == batch {
-		return data[:cut], nil
+		return data[:cut], pieces, nil
 	}
 	// The iterator checked the batch's seal before it yielded the batch.
 	if seal, n, err := logrec.Decode(data[cut:]); err == nil && seal.IsSeal() && seal.Aux == uint64(cut-batch) {
-		return data[:cut+n], nil
+		return data[:cut+n], pieces, nil
 	}
-	return logrec.AppendSeal(data[:cut], batch), nil
+	return logrec.AppendSeal(data[:cut], batch), pieces, nil
 }
 
 // scratch numbers this process's scratch directories and holds those of

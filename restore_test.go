@@ -556,7 +556,7 @@ func TestCutAtSealsWhatItKeeps(t *testing.T) {
 	batch(logrec.NewCommit(3), logrec.NewCommit(4), logrec.NewCommit(5))
 	for i, end := range ends {
 		in := bytes.Clone(data) // cutAt seals in place
-		kept, err := cutAt(in, base, uint64(base+end), 1)
+		kept, _, err := cutAt(in, base, uint64(base+end), 1, 1<<20)
 		if err != nil {
 			t.Fatalf("cut after record %d: %v", i, err)
 		}
@@ -577,5 +577,78 @@ func TestCutAtSealsWhatItKeeps(t *testing.T) {
 		} else if !bytes.Equal(kept[:end], data[:end]) || len(kept) != end+logrec.SealSize(end-start) {
 			t.Fatalf("cut after record %d kept %d bytes, want its %d and a seal of the batch's part", i, len(kept), end)
 		}
+	}
+}
+
+// TestRestoredCopyOpenReadsOnePiece: a restored copy's log opens reading
+// back at most a segment's worth of log bytes and one block past its
+// durable end, besides each segment file's header, however many
+// segments it spans. copyLog syncs the copy a segment at a time, each
+// piece ending at a seal, and a writable open judges the newest
+// watermark slot first, which covers the last piece alone; a copy synced
+// whole left one slot over all of it, which the open read back in full
+// before recovery read it again.
+func TestRestoredCopyOpenReadsOnePiece(t *testing.T) {
+	const segSize = 4096
+	db, err := Open(Options{SegmentSize: segSize, Mode: CommitSync})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl, err := db.CreateTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := db.Session()
+	defer s.Close()
+	for k := uint64(1); k <= 600; k++ {
+		tx := s.Begin()
+		if err := tx.Insert(tbl, k, Row(k, bytes.Repeat([]byte{byte(k)}, 40))); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l := db.lanes[0]
+	end := l.seg.DurableSize()
+	if end < 8*segSize {
+		t.Fatalf("the log is %d bytes, want at least 8 segments of %d", end, segSize)
+	}
+	fs := vfs.NewFaultFS(1)
+	if err := l.copyLog(fs, "/copy", 0, uint64(end), 1); err != nil {
+		t.Fatal(err)
+	}
+	tr := fs.Trace()
+	mark := tr[len(tr)-1].Seq
+	seg, err := logdev.OpenSegmentedDirFS(fs, "/copy", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	if got := seg.DurableSize(); got != end {
+		t.Fatalf("the copy opens durable through %d, want %d", got, end)
+	}
+	var headers, logBytes, files int
+	for _, e := range fs.Trace() {
+		if e.Seq <= mark || e.Op != vfs.OpRead || !strings.HasSuffix(e.Path, ".seg") {
+			continue
+		}
+		if e.Off < logdev.SegmentHeaderSize {
+			headers += e.Len
+			files++
+		} else {
+			logBytes += e.Len
+		}
+	}
+	t.Logf("opening a %d-byte copy read %d log bytes and %d header bytes of %d segment files", end, logBytes, headers, files)
+	if files < int(end/segSize) {
+		t.Fatalf("the trace saw %d headers read, want one a segment file (%d)", files, end/segSize+1)
+	}
+	if headers > files*logdev.SegmentHeaderSize {
+		t.Errorf("the open read %d header bytes of %d files, want at most one header each", headers, files)
+	}
+	if limit := segSize + logdev.SegmentHeaderSize; logBytes > limit {
+		t.Errorf("the open read back %d log bytes of a %d-byte copy, want at most a segment plus a block past its end (%d)", logBytes, end, limit)
 	}
 }

@@ -24,15 +24,26 @@ func (s *Session) Close() { s.ag.Close() }
 
 // Begin starts a transaction using the database's default commit mode.
 func (s *Session) Begin() *Tx {
-	return &Tx{s: s, tx: s.ag.Begin(), mode: s.db.opts.Mode}
+	tx := s.ag.Begin()
+	return &Tx{tx: tx, id: tx.ID(), mode: s.db.opts.Mode}
 }
 
-// Tx is one transaction.
+// Tx is one transaction. Once it is committed or aborted, every method
+// returns ErrTxnDone (Abort: ErrPrecommitted while a detached commit is
+// in flight), also after the session has begun its next transaction.
 type Tx struct {
-	s    *Session
-	tx   *txn.Txn
+	tx *txn.Txn
+	// id is the transaction tx was when Begin returned it. The session
+	// reuses a finished txn.Txn for a later transaction, so a handle
+	// whose tx carries another ID is a finished one, and must not reach
+	// the transaction now in it.
+	id   uint64
 	mode CommitMode
 }
+
+// done reports whether the session has reused t's txn.Txn for a later
+// transaction: t is finished.
+func (t *Tx) done() bool { return t.tx.ID() != t.id }
 
 // SetCommitMode overrides the commit protocol for this transaction. A
 // mode that is not a CommitMode makes Commit and CommitAsyncAck return
@@ -42,22 +53,34 @@ func (t *Tx) SetCommitMode(m CommitMode) { t.mode = m }
 // Insert adds a row under key. Use Row to build rows with the key
 // prefix the index rebuild expects.
 func (t *Tx) Insert(table *Table, key uint64, row []byte) error {
+	if t.done() {
+		return ErrTxnDone
+	}
 	return t.tx.Insert(table.t, key, row)
 }
 
 // Read returns the row under key (shared-locked).
 func (t *Tx) Read(table *Table, key uint64) ([]byte, error) {
+	if t.done() {
+		return nil, ErrTxnDone
+	}
 	return t.tx.Read(table.t, key)
 }
 
 // Update rewrites the row under key via fn (exclusive-locked
 // read-modify-write).
 func (t *Tx) Update(table *Table, key uint64, fn func(row []byte) ([]byte, error)) error {
+	if t.done() {
+		return ErrTxnDone
+	}
 	return t.tx.Update(table.t, key, fn)
 }
 
 // Delete removes the row under key.
 func (t *Tx) Delete(table *Table, key uint64) error {
+	if t.done() {
+		return ErrTxnDone
+	}
 	return t.tx.Delete(table.t, key)
 }
 
@@ -65,6 +88,9 @@ func (t *Tx) Delete(table *Table, key uint64) error {
 // until it returns false. The scan takes a table-level shared lock
 // (coarse-grained; it blocks concurrent writers for its duration).
 func (t *Tx) Scan(table *Table, from, to uint64, fn func(key uint64, row []byte) bool) error {
+	if t.done() {
+		return ErrTxnDone
+	}
 	return t.tx.Scan(table.t, from, to, fn)
 }
 
@@ -86,6 +112,9 @@ func (t *Tx) Commit() error {
 		// mode stays with CommitAsyncAck, whose threads do not block.
 		mode = txn.CommitSyncELR
 	}
+	if t.done() {
+		return ErrTxnDone
+	}
 	return t.tx.Commit(mode, nil)
 }
 
@@ -97,6 +126,9 @@ func (t *Tx) CommitAsyncAck(ack func(error)) error {
 	mode, err := t.commitMode()
 	if err != nil {
 		return err
+	}
+	if t.done() {
+		return ErrTxnDone
 	}
 	return t.tx.Commit(mode, ack)
 }
@@ -110,7 +142,12 @@ func (t *Tx) commitMode() (txn.CommitMode, error) {
 }
 
 // Abort rolls the transaction back.
-func (t *Tx) Abort() error { return t.tx.Abort() }
+func (t *Tx) Abort() error {
+	if t.done() {
+		return ErrTxnDone
+	}
+	return t.tx.Abort()
+}
 
 // Errors re-exported for callers.
 var (
